@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet cover clean
+.PHONY: all build test race lint vet cover benchmark-smoke clean
 
 all: build test lint
 
@@ -36,5 +36,15 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
+# The repo benchmark (BENCHMARK.json) is a Go module of its own under
+# benchmark/, so `go build/test ./...` at the root never compiles it.
+# This target does: its vet and tests, then one smoke run of every
+# workload with tracing off — an API break against the benchmark module
+# fails here (and in the benchmark-smoke CI job), not at measurement
+# time.
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	sh benchmark/run.sh --workload all --smoke --trace 0
+
 clean:
-	rm -rf bin coverage.out
+	rm -rf bin coverage.out .bench_build benchmark/out

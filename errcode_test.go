@@ -114,14 +114,14 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		if !errors.Is(dec, s) {
 			t.Errorf("%v: decoded error does not match the sentinel under errors.Is", s)
 		}
-		if dec.Error() != s.Error() {
-			t.Errorf("%v: message changed across the wire: %q", s, dec.Error())
+		if got, want := dec.Error(), s.Error(); got != want {
+			t.Errorf("%v: message changed across the wire: %q", s, got)
 		}
 		// A wrapped sentinel must decode back to the sentinel too, with
 		// the wrapped message preserved.
 		wrapped := fmt.Errorf("while serving request 7: %w", s)
 		dec = DecodeError(CodeOf(wrapped), wrapped.Error(), 0)
-		if !errors.Is(dec, s) || dec.Error() != wrapped.Error() {
+		if got, want := dec.Error(), wrapped.Error(); !errors.Is(dec, s) || got != want {
 			t.Errorf("%v: wrapped round trip lost the sentinel or the message (got %v)", s, dec)
 		}
 	}
@@ -133,8 +133,8 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	if !errors.As(dec, &unindexed) || unindexed.ID != 1234 {
 		t.Fatalf("ErrUnindexedID did not round-trip: %v", dec)
 	}
-	if dec.Error() != orig.Error() {
-		t.Fatalf("ErrUnindexedID message changed: %q vs %q", dec.Error(), orig.Error())
+	if got, want := dec.Error(), orig.Error(); got != want {
+		t.Fatalf("ErrUnindexedID message changed: %q vs %q", got, want)
 	}
 
 	// Unregistered errors survive as CodeUnknown with the message intact.
@@ -143,8 +143,8 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		t.Fatalf("unregistered error got code %d", c)
 	}
 	dec = DecodeError(CodeUnknown, plain.Error(), 0)
-	if dec.Error() != plain.Error() {
-		t.Fatalf("CodeUnknown lost the message: %q", dec.Error())
+	if got, want := dec.Error(), plain.Error(); got != want {
+		t.Fatalf("CodeUnknown lost the message: %q", got)
 	}
 }
 

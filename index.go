@@ -51,8 +51,6 @@ type Options struct {
 	// Unbalanced selects the degenerate chain split policy (the
 	// paper's "totally unbalanced" configuration; for benchmarks).
 	Unbalanced bool
-	// BatchSize is the bulk-load pipeline batch (default 64).
-	BatchSize int
 }
 
 // Match is one retrieval result: a stored triple, its provenance, and
@@ -77,12 +75,10 @@ type Index struct {
 	dims   int
 	opts   persistedOptions
 
-	// mu guards coords AND the store↔coords pairing: Insert and
-	// BulkAdd write the store and the embedding table under one
-	// critical section, and Save reads both under it, so a snapshot
-	// never observes a triple without its embedding (or vice versa).
-	mu     sync.Mutex
-	coords [][]float64 // embedding per stored triple, indexed by triple.ID
+	// mu serializes the store writes of Insert and BulkAdd against
+	// Save's store walk, so a snapshot captures a batch's triples all or
+	// none — never a torn prefix of IDs.
+	mu sync.Mutex
 }
 
 // persistedOptions are the build parameters that determine the
@@ -159,7 +155,6 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 
 	return &Index{
 		store: store, metric: metric, mapper: mapper, tree: tree, dims: dims,
-		coords: coords,
 		opts: persistedOptions{
 			Weights:         metric.Weights(),
 			Measure:         opts.Measure,
@@ -170,9 +165,8 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 }
 
 // ErrUnindexedID reports a tree point whose ID has no entry in the
-// triple store: the point was indexed out of band — typically a direct
-// store write that left a nil placeholder behind (see Insert) — so a
-// query that retrieves it cannot resolve a stored triple. The error
+// triple store: the point was indexed out of band, so a query that
+// retrieves it cannot resolve a stored triple. The error
 // names the offending ID; it is attached to the failing query's Result
 // and matched with errors.As.
 type ErrUnindexedID struct {
@@ -184,21 +178,12 @@ func (e ErrUnindexedID) Error() string {
 }
 
 // Insert adds a triple to the store and the index, returning its ID.
-// When other writers added triples to the store directly (out of band),
-// the skipped IDs get nil embedding placeholders: those triples are in
-// the store but not in the index, and a query that somehow retrieves
-// such an ID fails with ErrUnindexedID naming it.
+// Triples other writers added to the store directly (out of band) are
+// in the store but not in the index; Save refuses such an index.
 func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, error) {
 	c := ix.mapper.Map(t)
-	// Store write and embedding append happen under one critical
-	// section: a concurrent Save must never observe the triple in the
-	// store without its coordinate row (or the reverse).
 	ix.mu.Lock()
 	id := ix.store.Add(t, prov)
-	for uint64(len(ix.coords)) < uint64(id) {
-		ix.coords = append(ix.coords, nil) // IDs added out of band (direct store writes)
-	}
-	ix.coords = append(ix.coords, c)
 	ix.mu.Unlock()
 	point := kdtree.Point{Coords: c, ID: uint64(id)}
 	if err := ix.tree.Insert(point); err != nil {
@@ -215,9 +200,9 @@ type BulkItem struct {
 }
 
 // BulkAdd ingests a batch of triples in one pass: the embeddings are
-// computed by a bounded worker pool, the store and embedding table are
-// extended atomically (a concurrent Save sees all of the batch or none
-// of it), and the images enter the distributed tree through its sorted
+// computed by a bounded worker pool, the store is extended atomically
+// (a concurrent Save sees all of the batch or none of it), and the
+// images enter the distributed tree through its sorted
 // bulk loader — balanced fragment grafts instead of per-point split
 // cascades. Returned IDs are positional: ids[i] is items[i]. The
 // context bounds the tree load; triples already committed to the store
@@ -241,10 +226,6 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	ix.mu.Lock()
 	for i, it := range items {
 		id := ix.store.Add(it.Triple, it.Prov)
-		for uint64(len(ix.coords)) < uint64(id) {
-			ix.coords = append(ix.coords, nil) // IDs added out of band
-		}
-		ix.coords = append(ix.coords, coords[i])
 		ids[i] = id
 		points[i] = kdtree.Point{Coords: coords[i], ID: uint64(id)}
 	}

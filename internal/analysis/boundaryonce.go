@@ -23,7 +23,10 @@ var BoundaryOnce = &Analyzer{
 }
 
 // boundaryFiles lists the files where the boundary conversion is
-// allowed to live, per package (matched by import-path suffix).
+// allowed to live, per package (matched by import-path suffix):
+// core.Tree's client methods, and kdtree.Tree's (the traversal kernel
+// both trees run on lives next door in kdtree/traverse.go, and is
+// checked).
 var boundaryFiles = map[string][]string{
 	"core":   {"tree.go"},
 	"kdtree": {"search.go"},

@@ -22,7 +22,9 @@ var GuardExact = &Analyzer{
 }
 
 // guardFuncs are the blessed homes of plane arithmetic: the guard
-// kernels themselves.
+// kernels themselves, all in internal/kdtree/box.go since the tree
+// kernels merged (internal/core keeps none of its own; its ablation
+// switch reaches the kernel as kdtree.Search.PlaneGuardOnly).
 var guardFuncs = map[string]bool{
 	"guardSq":       true,
 	"childBoxMinSq": true,

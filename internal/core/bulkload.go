@@ -31,9 +31,10 @@ import (
 //     one step — no per-point split cascade — and forward the entries
 //     that leave the partition as nested bulk batches.
 //
-// Both paths keep the PR 5 region invariant: fragment boxes come out
-// of the kdtree bulk builder exact, and every box on a descent path
-// expands before the point lands, exactly as single inserts do.
+// Both paths keep the region invariant: fragment boxes come out of the
+// kernel's bulk builder (kdtree.Arena.Build) exact, and every box on a
+// descent path expands before the point lands, exactly as single
+// inserts do.
 
 // DefaultBulkChunk is the per-message batch size of the bulk merge
 // path. Chunking bounds message size; each chunk is applied under one
@@ -51,15 +52,16 @@ type bulkAddReq struct {
 // bulkAddResp acknowledges a bulk batch, all forwards included.
 type bulkAddResp struct{}
 
-// graftReq asks a partition to replace leaf node Entry with a
-// serialized balanced fragment (Nodes[0] is the fragment root, landing
-// in Entry's arena slot). Points already in the entry leaf are re-routed
+// graftReq asks a partition to replace leaf node Entry with a balanced
+// fragment (see installReq; Nodes[0] is the fragment root, landing in
+// Entry's arena slot). Points already in the entry leaf are re-routed
 // down the installed fragment, so a graft composes with concurrent
 // inserts. The receiver refuses — OK false, nothing installed — when
 // Entry is no longer a plain leaf (split, tombstoned or migrating).
 type graftReq struct {
-	Entry int32
-	Nodes []wireNode
+	Entry  int32
+	Nodes  []kdtree.Node
+	Remote []RemoteBox
 }
 
 // graftResp reports whether the fragment was installed.
@@ -141,54 +143,38 @@ func (t *Tree) bulkBuild(pts []kdtree.Point) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("core: bulk build: %w", err)
 	}
-	flat := seq.Flatten()
 	root := t.rootPartition()
 
 	var targets []cluster.NodeID
-	if t.bulkShouldDistribute(len(pts)) && !flat[0].Leaf {
+	if t.bulkShouldDistribute(len(pts)) && !seq.Nodes[0].Leaf {
 		targets = t.allocPartitions(t.cfg.MaxPartitions)
 	}
-	if len(targets) == 0 || flat[0].Leaf {
+	if len(targets) == 0 {
 		// Single partition (or nothing to distribute over): graft the
 		// whole balanced tree onto the root's entry leaf. The graft
 		// handler runs the capacity check afterwards, so a dynamic
 		// resource condition still spills normally.
-		resp, err := t.call(cluster.ClientID, root.id, graftReq{Entry: 0, Nodes: wireNodes(flat)})
+		resp, err := t.call(cluster.ClientID, root.id, graftReq{Entry: 0, Nodes: seq.Nodes})
 		if err != nil {
 			return false, fmt.Errorf("core: bulk graft: %w", err)
 		}
 		return resp.(graftResp).OK, nil
 	}
 
-	frontier := cutFrontier(flat, len(targets))
-	assign := t.assignFrontier(flat, frontier, targets)
-	isFrontier := make(map[int32]childRef, len(frontier))
-	used := make(map[cluster.NodeID]bool)
+	trunk, remote, used, err := t.installFrontier(&seq.Arena, targets)
 	undo := func() {
-		for id := range used {
+		for _, id := range used {
 			// Fresh partitions hold only our fragments; reset precisely
 			// undoes the install. The partitions stay allocated (empty)
 			// and rejoin the layout through later spills or rebalance.
 			_, _ = t.call(cluster.ClientID, id, resetReq{})
 		}
 	}
-	for i, idx := range frontier {
-		target := assign[i]
-		sub, err := kdtree.Subtree(flat, idx)
-		if err != nil {
-			undo()
-			return false, fmt.Errorf("core: bulk cut: %w", err)
-		}
-		resp, err := t.call(cluster.ClientID, target, installReq{Nodes: wireNodes(sub)})
-		if err != nil {
-			undo()
-			return false, fmt.Errorf("core: bulk install: %w", err)
-		}
-		used[target] = true
-		isFrontier[idx] = childRef{Part: target, Node: resp.(installResp).Node}
+	if err != nil {
+		undo()
+		return false, fmt.Errorf("core: bulk install: %w", err)
 	}
-	trunk := trunkNodes(flat, isFrontier)
-	resp, err := t.call(cluster.ClientID, root.id, graftReq{Entry: 0, Nodes: trunk})
+	resp, err := t.call(cluster.ClientID, root.id, graftReq{Entry: 0, Nodes: trunk, Remote: remote})
 	if err != nil {
 		undo()
 		return false, fmt.Errorf("core: bulk trunk graft: %w", err)
@@ -198,6 +184,33 @@ func (t *Tree) bulkBuild(pts []kdtree.Point) (bool, error) {
 		return false, nil
 	}
 	return true, nil
+}
+
+// installFrontier distributes a client-built balanced tree (its root
+// not a leaf) across targets: it cuts the tree below the root until the
+// frontier is wide enough to give every target a subtree, installs each
+// frontier subtree on the partition the placement kernel assigns it,
+// and returns the trunk — everything above the frontier, frontier
+// children replaced by their cross-partition refs — with each ref's
+// region (so the partition that receives the trunk can seed its
+// remote-box cache: the region registers together with the link,
+// exactly like the adopt handshake) and the partitions that now hold
+// fragments. The arena is consumed: installs move its buckets and boxes.
+func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk []kdtree.Node, remote []RemoteBox, used []cluster.NodeID, err error) {
+	frontier := cutFrontier(a, len(targets))
+	assign := t.assignFrontier(a, frontier, targets)
+	cut := make(map[int32]kdtree.Ref, len(frontier))
+	for i, idx := range frontier {
+		resp, err := t.call(cluster.ClientID, assign[i], installReq{Nodes: a.Extract(idx, nil)})
+		if err != nil {
+			return nil, nil, used, err
+		}
+		used = append(used, assign[i])
+		ref := refTo(assign[i], resp.(installResp).Node)
+		cut[idx] = ref
+		remote = append(remote, RemoteBox{Ref: ref, Lo: a.Nodes[idx].Lo, Hi: a.Nodes[idx].Hi})
+	}
+	return a.Extract(0, cut), remote, used, nil
 }
 
 // bulkMerge streams the batch into a live tree in chunks, each chunk a
@@ -224,23 +237,23 @@ func (t *Tree) bulkMerge(ctx context.Context, pts []kdtree.Point) error {
 	return nil
 }
 
-// cutFrontier cuts a flat balanced tree below its root: BFS until the
-// frontier is at least want wide (leaves stop growing). The root is
-// always expanded, so the returned frontier never contains index 0 and
-// a trunk always exists above it. The caller guarantees the root is not
-// a leaf.
-func cutFrontier(flat []kdtree.FlatNode, want int) []int32 {
-	frontier := []int32{flat[0].Left, flat[0].Right}
+// cutFrontier cuts a client-built balanced tree below its root: BFS
+// until the frontier is at least want wide (leaves stop growing). The
+// root is always expanded, so the returned frontier never contains
+// index 0 and a trunk always exists above it. The caller guarantees the
+// root is not a leaf.
+func cutFrontier(a *kdtree.Arena, want int) []int32 {
+	frontier := []int32{a.Nodes[0].Left.Node, a.Nodes[0].Right.Node}
 	for len(frontier) < want {
 		grew := false
 		var next []int32
 		for _, idx := range frontier {
-			n := flat[idx]
+			n := &a.Nodes[idx]
 			if n.Leaf {
 				next = append(next, idx)
 				continue
 			}
-			next = append(next, n.Left, n.Right)
+			next = append(next, n.Left.Node, n.Right.Node)
 			grew = true
 		}
 		frontier = next
@@ -255,7 +268,7 @@ func cutFrontier(flat []kdtree.FlatNode, want int) []int32 {
 // placement kernel packs geometrically close subtrees together
 // (targets start empty, so the kernel spreads one anchor per partition
 // and clusters the surplus); round-robin under the ablation policy.
-func (t *Tree) assignFrontier(flat []kdtree.FlatNode, frontier []int32, targets []cluster.NodeID) []cluster.NodeID {
+func (t *Tree) assignFrontier(a *kdtree.Arena, frontier []int32, targets []cluster.NodeID) []cluster.NodeID {
 	assign := make([]cluster.NodeID, len(frontier))
 	if t.cfg.Placement == PlacementRoundRobin {
 		for i := range frontier {
@@ -265,7 +278,7 @@ func (t *Tree) assignFrontier(flat []kdtree.FlatNode, frontier []int32, targets 
 	}
 	subs := make([]placeBox, len(frontier))
 	for i, idx := range frontier {
-		subs[i] = placeBox{lo: flat[idx].Lo, hi: flat[idx].Hi, points: flatPoints(flat, idx)}
+		subs[i] = placeBox{lo: a.Nodes[idx].Lo, hi: a.Nodes[idx].Hi, points: a.Count(idx)}
 	}
 	tgs := make([]placeTarget, len(targets))
 	for i, id := range targets {
@@ -296,22 +309,17 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 			if forwards == nil {
 				forwards = make(map[cluster.NodeID][]batchEntry)
 			}
-			forwards[ref.Part] = append(forwards[ref.Part], batchEntry{Node: ref.Node, Point: e.Point})
+			forwards[host(ref)] = append(forwards[host(ref)], batchEntry{Node: ref.Node, Point: e.Point})
 			continue
 		}
 		groups[leafIdx] = append(groups[leafIdx], e.Point)
 	}
-	var err error
 	for leafIdx, batch := range groups {
-		if gerr := p.graftLocked(leafIdx, batch); gerr != nil && err == nil {
-			err = gerr
-		}
+		p.graftLocked(leafIdx, batch)
 	}
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	for part, entries := range forwards {
 		// Synchronous, strictly downstream (the partition DAG): the
 		// bulk path acknowledges only after every entry has landed.
@@ -330,132 +338,51 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 
 // graftLocked merges a batch into the leaf at idx. Small unions append
 // like plain inserts; larger ones are replaced wholesale by a balanced
-// fragment bulk-built over (bucket ∪ batch) — the step that removes the
-// per-point split cascade. Migrating leaves only append (splits are
-// deferred while the repacker drains them, exactly as splitLeaf does).
-// Callers hold the write lock and have already expanded the descent
-// path's boxes for every batch point.
-func (p *partition) graftLocked(idx int32, batch []kdtree.Point) error {
-	n := &p.nodes[idx]
-	total := len(n.bucket) + len(batch)
-	if n.migrating || total <= p.t.cfg.BucketSize {
-		n.bucket = append(n.bucket, batch...)
-		p.points += len(batch)
-		p.inserts.Add(int64(len(batch)))
-		return nil
+// fragment the kernel builds over (bucket ∪ batch) straight into the
+// arena — the step that removes the per-point split cascade. Migrating
+// leaves only append (splits are deferred while the repacker drains
+// them, exactly as appendLocked does). Callers hold the write lock and
+// have already expanded the descent path's boxes for every batch point.
+func (p *partition) graftLocked(idx int32, batch []kdtree.Point) {
+	n := &p.Nodes[idx]
+	total := len(n.Bucket) + len(batch)
+	if p.migrating[idx] || total <= p.BucketSize {
+		n.Bucket = append(n.Bucket, batch...)
+	} else {
+		all := make([]kdtree.Point, 0, total)
+		all = append(all, n.Bucket...)
+		all = append(all, batch...)
+		p.Build(idx, all)
 	}
-	all := make([]kdtree.Point, 0, total)
-	all = append(all, n.bucket...)
-	all = append(all, batch...)
-	seq, err := kdtree.BulkLoad(all, p.t.cfg.Dim, p.t.cfg.BucketSize)
-	if err != nil {
-		return fmt.Errorf("core: graft build: %w", err)
-	}
-	p.installFragmentLocked(idx, seq.Flatten())
 	p.points += len(batch)
 	p.inserts.Add(int64(len(batch)))
-	return nil
 }
 
-// installFragmentLocked replaces the node at idx with a self-contained
-// flat fragment: the fragment root lands in idx's arena slot, the rest
-// appends to the arena. Boxes and buckets are copied — the fragment may
-// alias a client-side flat tree. Callers hold the write lock and
-// account p.points themselves.
-func (p *partition) installFragmentLocked(idx int32, flat []kdtree.FlatNode) {
-	base := int32(len(p.nodes))
-	at := func(j int32) childRef {
-		// flat[j] for j >= 1 lands at base+j-1; flat[0] occupies idx.
-		return childRef{Part: p.id, Node: base + j - 1}
-	}
-	for j, fn := range flat {
-		n := pnode{leaf: fn.Leaf, splitDim: fn.SplitDim, splitVal: fn.SplitVal}
-		if fn.Lo != nil {
-			n.lo = append([]float64(nil), fn.Lo...)
-			n.hi = append([]float64(nil), fn.Hi...)
-		}
-		if fn.Leaf {
-			n.bucket = append([]kdtree.Point(nil), fn.Bucket...)
-		} else {
-			n.left, n.right = at(fn.Left), at(fn.Right)
-		}
-		if j == 0 {
-			p.nodes[idx] = n
-		} else {
-			p.nodes = append(p.nodes, n)
-		}
-	}
-}
-
-// handleBulkGraft installs a serialized fragment over the leaf at
-// Entry. The request is validated before anything mutates, so a
-// malformed fragment never leaves a half-installed arena. Points that
-// were already in the entry leaf — concurrent inserts that raced the
-// client-side build — are re-routed down the installed fragment;
-// routes that leave the partition forward after the lock is released.
+// handleBulkGraft installs a fragment over the leaf at Entry. The
+// kernel validates the fragment before anything mutates, so a malformed
+// one never leaves a half-installed arena. Points that were already in
+// the entry leaf — concurrent inserts that raced the client-side build
+// — are re-routed down the installed fragment; routes that leave the
+// partition forward after the lock is released.
 func (p *partition) handleBulkGraft(r graftReq) (any, error) {
-	if len(r.Nodes) == 0 {
-		return nil, fmt.Errorf("core: empty graft fragment")
-	}
-	for _, wn := range r.Nodes {
-		if wn.Leaf {
-			continue
-		}
-		for _, c := range []wireChild{wn.Left, wn.Right} {
-			if c.Internal == 0 || int(c.Internal) >= len(r.Nodes) {
-				return nil, fmt.Errorf("core: graft child %d out of range", c.Internal)
-			}
-		}
-	}
 	type routed struct {
-		ref childRef
+		ref kdtree.Ref
 		pt  kdtree.Point
 	}
 	var fwd []routed
 	p.mu.Lock()
-	if r.Entry < 0 || int(r.Entry) >= len(p.nodes) {
+	if r.Entry < 0 || int(r.Entry) >= len(p.Nodes) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("core: graft entry %d out of range", r.Entry)
 	}
-	entry := &p.nodes[r.Entry]
-	if !entry.leaf || entry.moved || entry.migrating {
+	if entry := &p.Nodes[r.Entry]; !entry.Leaf || p.migrating[r.Entry] {
 		p.mu.Unlock()
 		return graftResp{}, nil
 	}
-	displaced := entry.bucket
-	base := int32(len(p.nodes))
-	resolve := func(c wireChild) childRef {
-		if c.Internal > 0 {
-			return childRef{Part: p.id, Node: base + c.Internal - 1}
-		}
-		ref := childRef{Part: c.Part, Node: c.Node}
-		if c.Lo != nil {
-			// A cross-partition subtree's region registers with its
-			// link, as in the adopt handshake and the trunk install.
-			if p.remoteBoxes == nil {
-				p.remoteBoxes = make(map[childRef]box)
-			}
-			p.remoteBoxes[ref] = copyBox(c.Lo, c.Hi)
-		}
-		return ref
-	}
-	for j, wn := range r.Nodes {
-		n := pnode{leaf: wn.Leaf, splitDim: wn.SplitDim, splitVal: wn.SplitVal}
-		if wn.Lo != nil {
-			n.lo = append([]float64(nil), wn.Lo...)
-			n.hi = append([]float64(nil), wn.Hi...)
-		}
-		if wn.Leaf {
-			n.bucket = append([]kdtree.Point(nil), wn.Bucket...)
-			p.points += len(n.bucket)
-		} else {
-			n.left, n.right = resolve(wn.Left), resolve(wn.Right)
-		}
-		if j == 0 {
-			p.nodes[r.Entry] = n
-		} else {
-			p.nodes = append(p.nodes, n)
-		}
+	displaced := p.Nodes[r.Entry].Bucket
+	if _, err := p.installLocked(r.Entry, r.Nodes, r.Remote); err != nil {
+		p.mu.Unlock()
+		return nil, fmt.Errorf("core: graft: %w", err)
 	}
 	var path []int32
 	for _, pt := range displaced {
@@ -468,11 +395,7 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 			p.points-- // the point leaves this partition
 			continue
 		}
-		n := &p.nodes[leafIdx]
-		n.bucket = append(n.bucket, pt)
-		if len(n.bucket) > p.t.cfg.BucketSize {
-			p.splitLeaf(leafIdx)
-		}
+		p.appendLocked(leafIdx, pt)
 	}
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
@@ -480,7 +403,7 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 	for _, f := range fwd {
 		// Strictly downstream (frontier subtrees the trunk links to):
 		// no lock held, the partition DAG cannot cycle.
-		if _, cerr := p.t.call(p.id, f.ref.Part, insertReq{Node: f.ref.Node, Point: f.pt}); cerr != nil && err == nil {
+		if _, cerr := p.t.call(p.id, host(f.ref), insertReq{Node: f.ref.Node, Point: f.pt}); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -491,4 +414,22 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 		return nil, err
 	}
 	return graftResp{OK: true}, nil
+}
+
+// installLocked moves a fragment into the arena (kdtree.Arena.Install:
+// over the node at entry, or appended when entry < 0), accounts its
+// points and registers the regions of the cross-partition subtrees it
+// links to. Callers hold the write lock.
+func (p *partition) installLocked(entry int32, frag []kdtree.Node, remote []RemoteBox) (int32, error) {
+	root, err := p.Install(entry, frag)
+	if err != nil {
+		return 0, err
+	}
+	for i := range frag {
+		p.points += len(frag[i].Bucket)
+	}
+	for _, e := range remote {
+		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
+	}
+	return root, nil
 }

@@ -92,16 +92,16 @@ func TestEmptyTreeQueries(t *testing.T) {
 	}
 }
 
-func TestSinglePartitionMatchesSequentialOracle(t *testing.T) {
+// TestSinglePartitionMatchesFlatScan: the one-partition tree against
+// the flat scan. (kdtree.Tree runs on the same kernel as the partition,
+// so it cannot serve as the oracle here; kernel_test.go compares the
+// two with each other and both with an independent scan.)
+func TestSinglePartitionMatchesFlatScan(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	pts := randomPoints(r, 800, 4)
 	tr := mustTree(t, Config{Dim: 4, BucketSize: 8})
-	oracle, _ := kdtree.New(4, 8)
 	for _, p := range pts {
 		if err := tr.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.Insert(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestSinglePartitionMatchesSequentialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracle.KNearest(query, 5)
+		want := bruteKNN(pts, query, 5)
 		if !sameDistances(got, want) {
 			t.Fatalf("KNN mismatch:\ngot  %v\nwant %v", got, want)
 		}
@@ -126,7 +126,7 @@ func TestSinglePartitionMatchesSequentialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantR := oracle.RangeSearch(query, d); !sameIDSets(gotR, wantR) {
+		if wantR := bruteRange(pts, query, d); !sameIDSets(gotR, wantR) {
 			t.Fatalf("range mismatch: got %d, want %d", len(gotR), len(wantR))
 		}
 	}
@@ -184,7 +184,7 @@ func TestPartitionedMatchesOracleProperty(t *testing.T) {
 // euclidean is the oracle distance: the engine itself works on
 // euclideanSq and defers the sqrt to the client boundary.
 func euclidean(q, p []float64) float64 {
-	return math.Sqrt(euclideanSq(q, p))
+	return math.Sqrt(kdtree.EuclideanSq(q, p))
 }
 
 func bruteKNN(pts []kdtree.Point, q []float64, k int) []kdtree.Neighbor {

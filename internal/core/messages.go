@@ -23,15 +23,6 @@ import (
 	"semtree/internal/kdtree"
 )
 
-// childRef addresses a tree node: the partition hosting it and the node
-// index inside that partition's arena. A ref is "local" to a partition
-// when Part equals that partition's own fabric ID (the paper's
-// Cp == Childp test).
-type childRef struct {
-	Part cluster.NodeID
-	Node int32
-}
-
 // insertReq asks a partition to insert Point into the subtree rooted at
 // its node Node. When Async is set, cross-partition forwarding uses
 // one-way mailbox messages (fire-and-forget, like the paper's MPJ
@@ -124,6 +115,14 @@ func (s *queryStats) merge(o queryStats) {
 	s.Misses += o.Misses
 }
 
+// addLocal adds the kernel's counters for this partition's own
+// traversal — the one-for-one mapping kdtree.Stats documents.
+func (s *queryStats) addLocal(k kdtree.Stats) {
+	s.Nodes += int64(k.NodesVisited)
+	s.Buckets += int64(k.LeavesVisited)
+	s.Dists += int64(k.PointsScanned)
+}
+
 // fold accumulates a downstream response's stats, charging the one
 // message that carried it.
 func (s *queryStats) fold(o queryStats) {
@@ -161,22 +160,6 @@ type rangeResp struct {
 	Stats     queryStats
 }
 
-// adoptReq moves a leaf bucket into a (newly created) partition during
-// the build-partition algorithm (Figure 2's Lc relocation). Lo/Hi is
-// the bucket's exact bounding box: the remote subtree's region ships
-// in its registration message, so the source partition can cache it
-// and keep pruning the relocated subtree by true min-distance.
-type adoptReq struct {
-	Bucket []kdtree.Point
-	Lo, Hi []float64
-}
-
-// adoptResp returns the node index of the adopted leaf, which becomes
-// the target of the direct link installed in the source partition.
-type adoptResp struct {
-	Node int32
-}
-
 // statsReq asks a partition for its local statistics.
 type statsReq struct{}
 
@@ -209,8 +192,6 @@ func init() {
 	cluster.RegisterMessage(knnResp{})
 	cluster.RegisterMessage(rangeReq{})
 	cluster.RegisterMessage(rangeResp{})
-	cluster.RegisterMessage(adoptReq{})
-	cluster.RegisterMessage(adoptResp{})
 	cluster.RegisterMessage(statsReq{})
 	cluster.RegisterMessage(statsResp{})
 	cluster.RegisterMessage(heightReq{})

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,64 +10,39 @@ import (
 	"semtree/internal/kdtree"
 )
 
-// pnode is one tree node hosted by a partition. Exactly one of three
-// states holds:
-//
-//   - leaf:    data node, bucket valid;
-//   - routing: splitDim/splitVal/left/right valid — an *edge node* when
-//     a child lives on another partition, *internal* otherwise (§III-B.1);
-//   - moved:   tombstone left behind by the build-partition algorithm;
-//     fwd is the direct link to the adopting partition, so in-flight
-//     operations that resolved this node keep working.
-//
-// lo/hi is the node's region metadata: the exact bounding box of every
-// point in its *logical* subtree — including points hosted by other
-// partitions beneath cross-partition children — maintained exactly
-// like the sequential tree's (expanded on the insert descent path,
-// recomputed from buckets on splits, shipped with relocations). The
-// box is the k-NN/range pruning guard; a tombstone's box is cleared
-// (its region lives on in the parent's edge and the remote-box cache).
-type pnode struct {
-	leaf  bool
-	moved bool
-	// migrating marks a leaf the background repacker is draining to
-	// another partition: it keeps serving reads and absorbing inserts
-	// (the deltas forward before commit), but splits are deferred and
-	// spills skip it until the migration commits or aborts.
-	migrating bool
-	fwd       childRef
-	splitDim  int32
-	splitVal  float64
-	left      childRef
-	right     childRef
-	bucket    []kdtree.Point
-	lo, hi    []float64
-}
-
-// partition is one fabric-hosted piece of the SemTree. Nodes live in an
-// arena addressed by index; cross-partition children are childRefs with
-// a foreign Part. Navigation takes the read lock; mutation (insert,
-// split, spill) the write lock. Locks are never held while waiting on
-// an *upstream* partition — call edges follow the partition DAG, so
-// lock acquisition cannot cycle.
+// partition is one fabric-hosted piece of the SemTree: a kdtree.Arena
+// — the same kernel the sequential tree runs on, its Self set to the
+// partition's fabric ID so a child reference with a foreign Part is a
+// cross-partition link — plus what distribution needs on top: the lock,
+// the migrating marks, the remote-box cache and the counters.
+// Navigation takes the read lock; mutation (insert, split, spill) the
+// write lock. Locks are never held while waiting on an *upstream*
+// partition — call edges follow the partition DAG, so lock acquisition
+// cannot cycle.
 type partition struct {
 	t  *Tree
 	id cluster.NodeID
 
-	mu     sync.RWMutex
-	nodes  []pnode
+	mu sync.RWMutex
+	kdtree.Arena
 	points int
 
+	// migrating marks the leaves the background repacker is draining to
+	// another partition: they keep serving reads and absorbing inserts
+	// (the deltas forward before commit), but splits are deferred and
+	// spills skip them until the migration commits or aborts. Guarded
+	// by mu.
+	migrating map[int32]bool
+
 	// remoteBoxes caches the bounding box of every cross-partition
-	// subtree this partition links to, keyed by the edge's childRef.
+	// subtree this partition links to, keyed by the edge's reference.
 	// Entries are installed when a subtree registers (buildPartition's
-	// adopt handshake, rebalance's trunk install) and expanded when an
-	// insert forwards through the edge, so the search guard for a
-	// remote child is the same exact min-distance bound a local child
-	// gets. Guarded by mu like the arena; boxes are owned copies, never
-	// aliased with another partition's (the remote side keeps expanding
-	// its own).
-	remoteBoxes map[childRef]box
+	// adopt handshake, a trunk install) and expanded when an insert
+	// forwards through the edge, so the search guard for a remote child
+	// is the same exact min-distance bound a local child gets. Guarded
+	// by mu like the arena; boxes are owned copies, never aliased with
+	// another partition's (the remote side keeps expanding its own).
+	remoteBoxes map[kdtree.Ref]box
 
 	// boxWork counts box-maintenance writes (path-box growth plus
 	// remote-edge cache expansions). Guarded by mu: every writer holds
@@ -102,8 +76,6 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 		return p.handleKNN(ctx, r)
 	case rangeReq:
 		return p.handleRange(ctx, r)
-	case adoptReq:
-		return p.handleAdopt(r)
 	case statsReq:
 		return p.handleStats()
 	case heightReq:
@@ -123,45 +95,33 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 	}
 }
 
-// local reports whether ref points into this partition (Cp == Childp).
-func (p *partition) local(ref childRef) bool { return ref.Part == p.id }
+// host returns the fabric node hosting the node a reference names.
+func host(ref kdtree.Ref) cluster.NodeID { return cluster.NodeID(ref.Part) }
 
-// addNode appends a node to the arena; callers hold the write lock.
-func (p *partition) addNode(n pnode) int32 {
-	p.nodes = append(p.nodes, n)
-	return int32(len(p.nodes) - 1)
+// refTo names node idx of the partition hosted by fabric node part.
+func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
+	return kdtree.Ref{Part: int32(part), Node: idx}
 }
 
-// descend walks from idx towards the leaf that should hold pt, under
-// at least the read lock. It stops at a local leaf (remote == false)
-// or at the first reference leaving the partition (remote == true),
-// appending every non-tombstone node it routes through to path — the
-// nodes whose bounding boxes must grow when the insert lands (routing
-// decisions are immutable once made, so a recorded path stays the
-// point's route even if a later lock upgrade raced a leaf split).
-func (p *partition) descend(idx int32, pt []float64, path *[]int32) (leafIdx int32, ref childRef, remote bool) {
-	steps := int64(0)
-	defer func() { p.navSteps.Add(steps) }()
-	for {
-		n := &p.nodes[idx]
-		steps++
-		if n.moved {
-			return 0, n.fwd, true
-		}
-		*path = append(*path, idx)
-		if n.leaf {
-			return idx, childRef{}, false
-		}
-		var c childRef
-		if pt[n.splitDim] <= n.splitVal {
-			c = n.left
-		} else {
-			c = n.right
-		}
-		if !p.local(c) {
-			return 0, c, true
-		}
-		idx = c.Node
+// descend is the arena's Descend — under at least the read lock —
+// charging the live nodes it routed through to the navigation counter.
+func (p *partition) descend(idx int32, pt []float64, path *[]int32) (leafIdx int32, ref kdtree.Ref, remote bool) {
+	before := len(*path)
+	leafIdx, ref, remote = p.Descend(idx, pt, path)
+	p.navSteps.Add(int64(len(*path) - before))
+	return leafIdx, ref, remote
+}
+
+// appendLocked lands pt in the leaf at idx, whose path boxes the caller
+// has already expanded, splitting it when the bucket saturates — unless
+// a migration is draining the bucket: splitting would detach the delta
+// stream, and the adopting side splits on arrival. Callers hold the
+// write lock.
+func (p *partition) appendLocked(idx int32, pt kdtree.Point) {
+	n := &p.Nodes[idx]
+	n.Bucket = append(n.Bucket, pt)
+	if len(n.Bucket) > p.BucketSize && !p.migrating[idx] {
+		p.SplitLeaf(idx)
 	}
 }
 
@@ -181,12 +141,12 @@ func (p *partition) descend(idx int32, pt []float64, path *[]int32) (leafIdx int
 // matching the async path's at-most-once contract (a drop already
 // loses the point itself).
 func (p *partition) handleInsert(r insertReq) (any, error) {
-	forward := func(ref childRef) error {
+	forward := func(ref kdtree.Ref) error {
 		req := insertReq{Node: ref.Node, Point: r.Point, Async: r.Async}
 		if r.Async {
-			return p.t.fabric.Send(p.id, ref.Part, req)
+			return p.t.fabric.Send(p.id, host(ref), req)
 		}
-		_, err := p.t.call(p.id, ref.Part, req)
+		_, err := p.t.call(p.id, host(ref), req)
 		return err
 	}
 	idx := r.Node
@@ -209,15 +169,15 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 		}
 
 		p.mu.Lock()
-		n := &p.nodes[leafIdx]
+		n := &p.Nodes[leafIdx]
 		switch {
-		case n.moved:
-			ref := n.fwd
+		case n.Moved:
+			ref := n.Fwd
 			p.expandPathBoxes(path, r.Point.Coords)
 			p.expandRemoteBox(ref, r.Point.Coords)
 			p.mu.Unlock()
 			return insertResp{}, forward(ref)
-		case !n.leaf:
+		case !n.Leaf:
 			// A concurrent insert split this leaf; resume from it. The
 			// path keeps accumulating — descend re-appends leafIdx, and
 			// box expansion is idempotent.
@@ -226,12 +186,9 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 			continue
 		}
 		p.expandPathBoxes(path, r.Point.Coords)
-		n.bucket = append(n.bucket, r.Point)
+		p.appendLocked(leafIdx, r.Point)
 		p.points++
 		p.inserts.Add(1)
-		if len(n.bucket) > p.t.cfg.BucketSize {
-			p.splitLeaf(leafIdx)
-		}
 		spill := p.capacityExceededLocked()
 		p.mu.Unlock()
 		if spill {
@@ -259,16 +216,12 @@ func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
 			if forwards == nil {
 				forwards = make(map[cluster.NodeID][]batchEntry)
 			}
-			forwards[ref.Part] = append(forwards[ref.Part], batchEntry{Node: ref.Node, Point: e.Point})
+			forwards[host(ref)] = append(forwards[host(ref)], batchEntry{Node: ref.Node, Point: e.Point})
 			continue
 		}
-		n := &p.nodes[leafIdx]
-		n.bucket = append(n.bucket, e.Point)
+		p.appendLocked(leafIdx, e.Point)
 		p.points++
 		p.inserts.Add(1)
-		if len(n.bucket) > p.t.cfg.BucketSize {
-			p.splitLeaf(leafIdx)
-		}
 	}
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
@@ -283,110 +236,6 @@ func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
 	return insertResp{}, nil
 }
 
-// splitLeaf turns a saturated leaf into a routing node with two local
-// leaf children (Figure 1). Callers hold the write lock.
-func (p *partition) splitLeaf(idx int32) {
-	if p.nodes[idx].migrating {
-		// A migration is draining this bucket; splitting would detach
-		// the delta stream. The adopting side splits on arrival.
-		return
-	}
-	bucket := p.nodes[idx].bucket
-	var dim int
-	var splitVal float64
-	var ok bool
-	if p.t.cfg.Unbalanced {
-		dim, splitVal, ok = chainSplit(bucket)
-	}
-	if !ok {
-		dim, splitVal, ok = medianSplit(bucket, p.t.cfg.Dim)
-	}
-	if !ok {
-		return // all points identical: oversized leaf stands
-	}
-	var lb, rb []kdtree.Point
-	for _, pt := range bucket {
-		if pt.Coords[dim] <= splitVal {
-			lb = append(lb, pt)
-		} else {
-			rb = append(rb, pt)
-		}
-	}
-	llo, lhi := kdtree.BoxOf(lb)
-	rlo, rhi := kdtree.BoxOf(rb)
-	li := p.addNode(pnode{leaf: true, bucket: lb, lo: llo, hi: lhi})
-	ri := p.addNode(pnode{leaf: true, bucket: rb, lo: rlo, hi: rhi})
-	n := &p.nodes[idx] // re-take: addNode may have grown the arena
-	n.leaf = false
-	n.bucket = nil
-	n.splitDim = int32(dim)
-	n.splitVal = splitVal
-	n.left = childRef{Part: p.id, Node: li}
-	n.right = childRef{Part: p.id, Node: ri}
-}
-
-// medianSplit picks the widest dimension and a value separating the
-// bucket (median when it separates, midpoint otherwise).
-func medianSplit(bucket []kdtree.Point, dims int) (dim int, splitVal float64, ok bool) {
-	bestSpread := 0.0
-	var lo, hi float64
-	for d := 0; d < dims; d++ {
-		mn, mx := bucket[0].Coords[d], bucket[0].Coords[d]
-		for _, p := range bucket[1:] {
-			v := p.Coords[d]
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if spread := mx - mn; spread > bestSpread {
-			bestSpread, dim, lo, hi, ok = spread, d, mn, mx, true
-		}
-	}
-	if !ok {
-		return 0, 0, false
-	}
-	vals := make([]float64, len(bucket))
-	for i, p := range bucket {
-		vals[i] = p.Coords[dim]
-	}
-	//semtree:allow boundaryonce: construction-time median selection when splitting a leaf; not on the query-result path
-	sort.Float64s(vals)
-	med := vals[(len(vals)-1)/2]
-	if med < hi {
-		return dim, med, true
-	}
-	return dim, (lo + hi) / 2, true
-}
-
-// chainSplit is the degenerate split policy behind the paper's "totally
-// unbalanced" curves: split on dimension 0 at the predecessor of the
-// maximum, so monotonically increasing inserts grow a right-leaning
-// chain. ok is false when dimension 0 has no spread.
-func chainSplit(bucket []kdtree.Point) (dim int, splitVal float64, ok bool) {
-	mx := bucket[0].Coords[0]
-	for _, p := range bucket[1:] {
-		if v := p.Coords[0]; v > mx {
-			mx = v
-		}
-	}
-	// splitVal is the largest value strictly below the maximum, so the
-	// maximum (and its duplicates) form the right side.
-	havePred := false
-	var pred float64
-	for _, p := range bucket {
-		if v := p.Coords[0]; v < mx && (!havePred || v > pred) {
-			pred, havePred = v, true
-		}
-	}
-	if !havePred {
-		return 0, 0, false // no spread on dim 0
-	}
-	return 0, pred, true
-}
-
 // capacityExceededLocked evaluates the partition's resource condition
 // (§III-B.1: "dynamically evaluated at run-time … or statically
 // fixed"). Callers hold at least the read lock.
@@ -398,7 +247,7 @@ func (p *partition) capacityExceededLocked() bool {
 	if cfg.CapacityCheck != nil {
 		return cfg.CapacityCheck(PartitionInfo{
 			Points:   p.points,
-			Nodes:    len(p.nodes),
+			Nodes:    len(p.Nodes),
 			Capacity: cfg.PartitionCapacity,
 		})
 	}
@@ -429,20 +278,16 @@ func (p *partition) buildPartition() {
 		leaf   int32
 	}
 	var moves []move
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		if n.leaf || n.moved {
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if n.Leaf || n.Moved {
 			continue
 		}
-		if p.local(n.left) {
-			if c := &p.nodes[n.left.Node]; c.leaf && !c.moved && !c.migrating {
-				moves = append(moves, move{int32(i), false, n.left.Node})
-			}
+		if p.movableLocked(n.Left) {
+			moves = append(moves, move{int32(i), false, n.Left.Node})
 		}
-		if p.local(n.right) {
-			if c := &p.nodes[n.right.Node]; c.leaf && !c.moved && !c.migrating {
-				moves = append(moves, move{int32(i), true, n.right.Node})
-			}
+		if p.movableLocked(n.Right) {
+			moves = append(moves, move{int32(i), true, n.Right.Node})
 		}
 	}
 	if len(moves) == 0 {
@@ -465,8 +310,8 @@ func (p *partition) buildPartition() {
 	} else {
 		subs := make([]placeBox, len(moves))
 		for k, mv := range moves {
-			leaf := &p.nodes[mv.leaf]
-			subs[k] = placeBox{lo: leaf.lo, hi: leaf.hi, points: len(leaf.bucket)}
+			leaf := &p.Nodes[mv.leaf]
+			subs[k] = placeBox{lo: leaf.Lo, hi: leaf.Hi, points: len(leaf.Bucket)}
 		}
 		tgs := make([]placeTarget, len(targets))
 		for i, id := range targets {
@@ -477,58 +322,47 @@ func (p *partition) buildPartition() {
 		}
 	}
 	for k, mv := range moves {
-		target := assign[k]
-		leaf := &p.nodes[mv.leaf]
-		// The subtree's region ships with its registration: the adopted
-		// side installs it as the new root's box, and the cached copy
-		// here keeps pruning the relocated subtree by exact
-		// min-distance (and grows when inserts forward through the
-		// direct link).
+		// The leaf ships as a one-node fragment, its region with it: the
+		// adopting side installs it as a new subtree root (the other end
+		// of Figure 2's direct link), and the copy cached here keeps
+		// pruning the relocated subtree by exact min-distance (and grows
+		// when inserts forward through the direct link).
 		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, target, adoptReq{Bucket: leaf.bucket, Lo: leaf.lo, Hi: leaf.hi})
+		resp, err := p.t.call(p.id, assign[k], installReq{Nodes: []kdtree.Node{p.Nodes[mv.leaf]}})
 		if err != nil {
 			continue // leaf stays local; a later spill may retry
 		}
-		ref := childRef{Part: target, Node: resp.(adoptResp).Node}
-		if leaf.lo != nil {
-			if p.remoteBoxes == nil {
-				p.remoteBoxes = make(map[childRef]box)
-			}
-			p.remoteBoxes[ref] = copyBox(leaf.lo, leaf.hi)
-		}
-		if mv.right {
-			p.nodes[mv.parent].right = ref
-		} else {
-			p.nodes[mv.parent].left = ref
-		}
-		p.points -= len(leaf.bucket)
-		leaf.bucket = nil
-		leaf.moved = true
-		leaf.leaf = false
-		leaf.fwd = ref
-		leaf.lo, leaf.hi = nil, nil
+		p.relocateLocked(mv.parent, mv.right, mv.leaf, refTo(assign[k], resp.(installResp).Node))
 	}
 }
 
-// handleAdopt installs a moved leaf bucket as a new subtree root and
-// returns its node index (the other end of Figure 2's direct link).
-// The shipped region becomes the new root's box — recomputed from the
-// bucket when an older sender did not provide one — and is copied, so
-// this partition's future expansions never alias the sender's cache.
-func (p *partition) handleAdopt(r adoptReq) (any, error) {
-	lo, hi := r.Lo, r.Hi
-	if lo == nil {
-		lo, hi = kdtree.BoxOf(r.Bucket)
+// movableLocked reports whether ref names a leaf the build-partition
+// algorithm or the repacker may relocate: a local leaf no migration is
+// draining. Callers hold at least the read lock.
+func (p *partition) movableLocked(ref kdtree.Ref) bool {
+	return p.IsLocal(ref) && p.Nodes[ref.Node].Leaf && !p.migrating[ref.Node]
+}
+
+// relocateLocked commits the relocation of the leaf at idx to the
+// subtree root ref on another partition: the parent edge becomes the
+// direct link, the leaf's region moves to the remote-box cache (an
+// owned copy — the adopted side keeps expanding its own), and the leaf
+// stays behind as a forwarding tombstone for in-flight operations. It
+// returns the number of points that left. Callers hold the write lock.
+func (p *partition) relocateLocked(parent int32, right bool, idx int32, ref kdtree.Ref) int {
+	leaf := &p.Nodes[idx]
+	if leaf.Lo != nil {
+		p.cacheRemoteBox(ref, leaf.Lo, leaf.Hi)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	idx := p.addNode(pnode{
-		leaf: true, bucket: r.Bucket,
-		lo: append([]float64(nil), lo...),
-		hi: append([]float64(nil), hi...),
-	})
-	p.points += len(r.Bucket)
-	return adoptResp{Node: idx}, nil
+	if right {
+		p.Nodes[parent].Right = ref
+	} else {
+		p.Nodes[parent].Left = ref
+	}
+	moved := len(leaf.Bucket)
+	p.points -= moved
+	*leaf = kdtree.Node{Moved: true, Fwd: ref}
+	return moved
 }
 
 // handleStats reports local counters.
@@ -536,14 +370,14 @@ func (p *partition) handleStats() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	leaves := 0
-	for i := range p.nodes {
-		if p.nodes[i].leaf {
+	for i := range p.Nodes {
+		if p.Nodes[i].Leaf {
 			leaves++
 		}
 	}
 	return statsResp{
 		Points:   p.points,
-		Nodes:    len(p.nodes),
+		Nodes:    len(p.Nodes),
 		Leaves:   leaves,
 		NavSteps: p.navSteps.Load(),
 		BoxWork:  p.boxWork,
@@ -562,25 +396,25 @@ func (p *partition) handleHeight(r heightReq) (any, error) {
 
 func (p *partition) heightVisit(idx int32) (int, error) {
 	p.mu.RLock()
-	n := p.nodes[idx] // copy: we release the lock around remote calls
+	n := p.Nodes[idx] // copy: we release the lock around remote calls
 	p.mu.RUnlock()
-	if n.moved {
-		return p.remoteHeight(n.fwd)
+	if n.Moved {
+		return p.remoteHeight(n.Fwd)
 	}
-	if n.leaf {
+	if n.Leaf {
 		return 1, nil
 	}
-	childHeight := func(ref childRef) (int, error) {
-		if p.local(ref) {
+	childHeight := func(ref kdtree.Ref) (int, error) {
+		if p.IsLocal(ref) {
 			return p.heightVisit(ref.Node)
 		}
 		return p.remoteHeight(ref)
 	}
-	lh, err := childHeight(n.left)
+	lh, err := childHeight(n.Left)
 	if err != nil {
 		return 0, err
 	}
-	rh, err := childHeight(n.right)
+	rh, err := childHeight(n.Right)
 	if err != nil {
 		return 0, err
 	}
@@ -590,8 +424,8 @@ func (p *partition) heightVisit(idx int32) (int, error) {
 	return lh + 1, nil
 }
 
-func (p *partition) remoteHeight(ref childRef) (int, error) {
-	resp, err := p.t.call(p.id, ref.Part, heightReq{Node: ref.Node})
+func (p *partition) remoteHeight(ref kdtree.Ref) (int, error) {
+	resp, err := p.t.call(p.id, host(ref), heightReq{Node: ref.Node})
 	if err != nil {
 		return 0, err
 	}

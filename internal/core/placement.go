@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"semtree/internal/cluster"
+	"semtree/internal/kdtree"
 )
 
 // Geometry-aware partition placement: the build-partition algorithm
@@ -83,27 +84,6 @@ func boxEnlargement(tlo, thi, slo, shi []float64) float64 {
 		e += (hi - lo) - (thi[d] - tlo[d])
 	}
 	return e
-}
-
-// unionExpand grows the union box [lo, hi] to cover [alo, ahi],
-// materializing an owned copy on first use. A nil addend leaves the
-// union unchanged.
-func unionExpand(lo, hi, alo, ahi []float64) ([]float64, []float64) {
-	if alo == nil {
-		return lo, hi
-	}
-	if lo == nil {
-		return append([]float64(nil), alo...), append([]float64(nil), ahi...)
-	}
-	for d := range lo {
-		if alo[d] < lo[d] {
-			lo[d] = alo[d]
-		}
-		if ahi[d] > hi[d] {
-			hi[d] = ahi[d]
-		}
-	}
-	return lo, hi
 }
 
 // placeScores prices one subtree against every candidate target:
@@ -192,7 +172,7 @@ func placeSubtrees(subs []placeBox, targets []placeTarget, hopNs func(cluster.No
 			}
 		}
 		assign[si] = best
-		state[best].lo, state[best].hi = unionExpand(state[best].lo, state[best].hi, subs[si].lo, subs[si].hi)
+		state[best].lo, state[best].hi = kdtree.UnionBox(state[best].lo, state[best].hi, subs[si].lo, subs[si].hi)
 		state[best].points += subs[si].points
 	}
 	return assign

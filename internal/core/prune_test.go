@@ -169,12 +169,12 @@ func TestRegionPruneReducesWork(t *testing.T) {
 // collectUnder gathers every point of the logical subtree rooted at
 // ref, following cross-partition links and tombstones through the
 // fabric like a query would.
-func collectUnder(t *testing.T, tr *Tree, ref childRef) []kdtree.Point {
+func collectUnder(t *testing.T, tr *Tree, ref kdtree.Ref) []kdtree.Point {
 	t.Helper()
 	tr.mu.RLock()
 	var host *partition
 	for _, p := range tr.parts {
-		if p.id == ref.Part {
+		if p.IsLocal(ref) {
 			host = p
 		}
 	}
@@ -200,17 +200,17 @@ func checkPartitionBoxes(t *testing.T, tr *Tree) {
 	tr.mu.RUnlock()
 	for _, p := range parts {
 		p.mu.RLock()
-		nodes := len(p.nodes)
-		remotes := make(map[childRef]box, len(p.remoteBoxes))
+		nodes := len(p.Nodes)
+		remotes := make(map[kdtree.Ref]box, len(p.remoteBoxes))
 		for ref, b := range p.remoteBoxes {
 			remotes[ref] = b
 		}
 		p.mu.RUnlock()
 		for idx := 0; idx < nodes; idx++ {
 			p.mu.RLock()
-			moved := p.nodes[idx].moved
-			lo := append([]float64(nil), p.nodes[idx].lo...)
-			hi := append([]float64(nil), p.nodes[idx].hi...)
+			moved := p.Nodes[idx].Moved
+			lo := append([]float64(nil), p.Nodes[idx].Lo...)
+			hi := append([]float64(nil), p.Nodes[idx].Hi...)
 			p.mu.RUnlock()
 			if moved {
 				if lo != nil {
@@ -218,7 +218,7 @@ func checkPartitionBoxes(t *testing.T, tr *Tree) {
 				}
 				continue
 			}
-			pts := collectUnder(t, tr, childRef{Part: p.id, Node: int32(idx)})
+			pts := collectUnder(t, tr, p.Ref(int32(idx)))
 			assertExactBox(t, pts, lo, hi, "partition %d node %d", p.id, idx)
 		}
 		for ref, b := range remotes {

@@ -1,22 +1,15 @@
 package core
 
-import (
-	"math"
+import "semtree/internal/kdtree"
 
-	"semtree/internal/kdtree"
-)
-
-// Region metadata for the distributed tree: every pnode carries the
-// exact bounding box of its logical subtree, and every cross-partition
-// edge has the remote subtree's box cached on the near side
-// (partition.remoteBoxes). The search guard everywhere is the exact
-// squared minimum distance from the query to the subtree's box
-// (kdtree.BoxMinSq), which subsumes the paper's splitting-plane bound
-// (§III-B.3): the box lies entirely beyond the plane, so the box guard
-// is never looser, and it tightens with dimensionality exactly where
-// the one-dimensional plane guard degrades. Config.PlaneGuardOnly
-// restores the plane bound for ablation; both guards admit exactly the
-// same result sets (pruning is on the strict inequality against the
+// Region metadata for the distributed tree: every arena node carries
+// the exact bounding box of its *logical* subtree — including points
+// hosted by other partitions beneath cross-partition children — and
+// every cross-partition edge has the remote subtree's box cached on the
+// near side (partition.remoteBoxes), which the kernel's search guard
+// reads through kdtree.Outside.Box. Config.PlaneGuardOnly restores the
+// paper's splitting-plane bound for ablation; both guards admit exactly
+// the same result sets (pruning is on the strict inequality against the
 // k-th best), which the equivalence tests pin.
 
 // box is one cached bounding box. lo is nil only transiently (entries
@@ -34,67 +27,34 @@ func copyBox(lo, hi []float64) box {
 	}
 }
 
-// expandBox grows a pnode's box to include c; the first point
-// materializes it.
-func (n *pnode) expandBox(c []float64) {
-	n.lo, n.hi = kdtree.ExpandBox(n.lo, n.hi, c)
+// cacheRemoteBox registers the region of the cross-partition subtree
+// behind ref: the box ships with the link (the adopt handshake, a trunk
+// install, a migration commit) and is copied on the way in. Callers
+// hold the write lock.
+func (p *partition) cacheRemoteBox(ref kdtree.Ref, lo, hi []float64) {
+	if p.remoteBoxes == nil {
+		p.remoteBoxes = make(map[kdtree.Ref]box)
+	}
+	p.remoteBoxes[ref] = copyBox(lo, hi)
 }
 
-// childBoxMinSq returns the exact squared min distance from q to the
-// subtree behind ref, and whether the region is known. Local children
-// always are (an empty local subtree is +Inf: nothing there to find);
-// a tombstone resolves through the remote-box cache like the direct
-// edge it forwards to; a remote edge with no cached box — possible
-// only transiently — reports unknown so callers fall back to the
-// splitting-plane bound. Callers hold at least the read lock.
-func (p *partition) childBoxMinSq(ref childRef, q []float64) (float64, bool) {
-	if p.local(ref) {
-		n := &p.nodes[ref.Node]
-		if n.moved {
-			if b, ok := p.remoteBoxes[n.fwd]; ok {
-				return kdtree.BoxMinSq(q, b.lo, b.hi), true
-			}
-			return 0, false
-		}
-		if n.lo == nil {
-			return math.Inf(1), true
-		}
-		return kdtree.BoxMinSq(q, n.lo, n.hi), true
-	}
-	if b, ok := p.remoteBoxes[ref]; ok {
-		return kdtree.BoxMinSq(q, b.lo, b.hi), true
-	}
-	return 0, false
-}
-
-// guardSq computes the k-NN backtracking guard for a child: the exact
-// region min-distance when known (never looser than the plane bound),
-// the squared splitting-plane distance otherwise, or the plane bound
-// alone under Config.PlaneGuardOnly.
-func (p *partition) guardSq(ref childRef, q []float64, planeSq float64) float64 {
-	if p.t.cfg.PlaneGuardOnly {
-		return planeSq
-	}
-	if minSq, ok := p.childBoxMinSq(ref, q); ok && minSq > planeSq {
-		return minSq
-	}
-	return planeSq
+// remoteBox is the kernel's view of the cache (kdtree.Outside.Box): the
+// region behind a reference that leaves the arena, unknown — possible
+// only transiently — when no entry exists, so the guard falls back to
+// the splitting-plane bound. Callers hold at least the read lock.
+func (p *partition) remoteBox(ref kdtree.Ref) (lo, hi []float64, ok bool) {
+	b, ok := p.remoteBoxes[ref]
+	return b.lo, b.hi, ok
 }
 
 // expandPathBoxes grows the box of every node on an insert descent
-// path to include c. Expansion is idempotent, so a path that revisits
-// a node (an insert resumed after a concurrent split) is harmless.
-// Tombstones are skipped: a path leaf can be moved by a concurrent
-// spill between the descent's read lock and this write lock, and a
-// tombstone's box must stay cleared (its region lives on in the edge
-// cache). Callers hold the write lock.
+// path to include c (kdtree.Arena.ExpandPath: idempotent, so a path
+// that revisits a node — an insert resumed after a concurrent split —
+// is harmless; a leaf tombstoned by a concurrent spill between the
+// descent's read lock and this write lock is skipped, its region lives
+// on in the edge cache). Callers hold the write lock.
 func (p *partition) expandPathBoxes(path []int32, c []float64) {
-	for _, idx := range path {
-		if n := &p.nodes[idx]; !n.moved {
-			n.expandBox(c)
-			p.boxWork++
-		}
-	}
+	p.boxWork += int64(p.ExpandPath(path, c))
 }
 
 // boxContains reports whether the materialized box [lo, hi] already
@@ -117,9 +77,9 @@ func boxContains(lo, hi, c []float64) bool {
 // inside every region it routes through, so the forward can skip the
 // write lock entirely instead of contending with query read locks
 // that span whole traversals (including synchronous downstream hops).
-func (p *partition) forwardNeedsExpand(path []int32, ref childRef, c []float64) bool {
+func (p *partition) forwardNeedsExpand(path []int32, ref kdtree.Ref, c []float64) bool {
 	for _, idx := range path {
-		if n := &p.nodes[idx]; !n.moved && !boxContains(n.lo, n.hi, c) {
+		if n := &p.Nodes[idx]; !n.Moved && !boxContains(n.Lo, n.Hi, c) {
 			return true
 		}
 	}
@@ -135,7 +95,7 @@ func (p *partition) forwardNeedsExpand(path []int32, ref childRef, c []float64) 
 // No entry means no cached region (the guard falls back to the plane
 // bound); forwarding must not invent one from a single point. Callers
 // hold the write lock.
-func (p *partition) expandRemoteBox(ref childRef, c []float64) {
+func (p *partition) expandRemoteBox(ref kdtree.Ref, c []float64) {
 	if b, ok := p.remoteBoxes[ref]; ok {
 		b.lo, b.hi = kdtree.ExpandBox(b.lo, b.hi, c)
 		p.remoteBoxes[ref] = b

@@ -111,46 +111,32 @@ func (p *partition) handleRepackScan() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	movable := make(map[int32]bool)
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		if n.leaf || n.moved {
-			continue
-		}
-		for _, ref := range []childRef{n.left, n.right} {
-			if !p.local(ref) {
-				continue
-			}
-			if c := &p.nodes[ref.Node]; c.leaf && !c.moved && !c.migrating {
-				movable[ref.Node] = true
+	resp := repackScanResp{Points: p.points}
+	out := make(map[cluster.NodeID]bool)
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		switch {
+		case n.Moved:
+			out[host(n.Fwd)] = true
+		case !n.Leaf:
+			for _, ref := range []kdtree.Ref{n.Left, n.Right} {
+				if p.movableLocked(ref) {
+					movable[ref.Node] = true
+				} else if !p.IsLocal(ref) {
+					out[host(ref)] = true
+				}
 			}
 		}
 	}
-	resp := repackScanResp{Points: p.points}
-	out := make(map[cluster.NodeID]bool)
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		if n.moved {
-			if n.fwd.Part != p.id {
-				out[n.fwd.Part] = true
-			}
-			continue
-		}
-		if n.leaf {
-			if n.lo != nil {
-				resp.Leaves = append(resp.Leaves, leafSummary{
-					Node:    int32(i),
-					Points:  len(n.bucket),
-					Lo:      append([]float64(nil), n.lo...),
-					Hi:      append([]float64(nil), n.hi...),
-					Movable: movable[int32(i)],
-				})
-			}
-			continue
-		}
-		for _, ref := range []childRef{n.left, n.right} {
-			if ref.Part != p.id {
-				out[ref.Part] = true
-			}
+	for i := range p.Nodes {
+		if n := &p.Nodes[i]; n.Leaf && n.Lo != nil {
+			resp.Leaves = append(resp.Leaves, leafSummary{
+				Node:    int32(i),
+				Points:  len(n.Bucket),
+				Lo:      append([]float64(nil), n.Lo...),
+				Hi:      append([]float64(nil), n.Hi...),
+				Movable: movable[int32(i)],
+			})
 		}
 	}
 	for id := range out {
@@ -187,23 +173,22 @@ func reaches(adj map[cluster.NodeID][]cluster.NodeID, from, to cluster.NodeID) b
 // and locates its single in-edge: the local routing parent whose child
 // ref points at it. Callers hold the write lock.
 func (p *partition) movableParentLocked(node int32) (parent int32, right bool, ok bool) {
-	if node < 0 || int(node) >= len(p.nodes) {
+	if node < 0 || int(node) >= len(p.Nodes) {
 		return 0, false, false
 	}
-	n := &p.nodes[node]
-	if !n.leaf || n.moved || n.migrating || n.lo == nil {
+	self := p.Ref(node)
+	if !p.movableLocked(self) || p.Nodes[node].Lo == nil {
 		return 0, false, false
 	}
-	self := childRef{Part: p.id, Node: node}
-	for i := range p.nodes {
-		q := &p.nodes[i]
-		if q.leaf || q.moved {
+	for i := range p.Nodes {
+		q := &p.Nodes[i]
+		if q.Leaf || q.Moved {
 			continue
 		}
-		if q.left == self {
+		if q.Left == self {
 			return int32(i), false, true
 		}
-		if q.right == self {
+		if q.Right == self {
 			return int32(i), true, true
 		}
 	}
@@ -227,58 +212,45 @@ func (p *partition) handleMigrate(r migrateReq) (any, error) {
 		p.mu.Unlock()
 		return migrateResp{}, nil
 	}
-	leaf := &p.nodes[r.Node]
-	leaf.migrating = true
-	snapshot := append([]kdtree.Point(nil), leaf.bucket...)
-	lo := append([]float64(nil), leaf.lo...)
-	hi := append([]float64(nil), leaf.hi...)
+	if p.migrating == nil {
+		p.migrating = make(map[int32]bool)
+	}
+	p.migrating[r.Node] = true
+	// The snapshot ships as a one-node fragment with owned copies of the
+	// bucket and the box: the live leaf keeps absorbing inserts.
+	snapshot := copyNodes(p.Nodes[r.Node : r.Node+1])
 	p.mu.Unlock()
 
 	abort := func() (any, error) {
 		p.mu.Lock()
-		p.nodes[r.Node].migrating = false
+		delete(p.migrating, r.Node)
 		p.mu.Unlock()
 		return migrateResp{}, nil
 	}
 
 	// Adopt: ship the snapshot with no lock held. The destination is a
 	// live partition — this call must never run under p.mu.
-	resp, err := p.t.call(p.id, r.Dest, adoptReq{Bucket: snapshot, Lo: lo, Hi: hi})
+	sent := len(snapshot[0].Bucket)
+	resp, err := p.t.call(p.id, r.Dest, installReq{Nodes: snapshot})
 	if err != nil {
 		return abort()
 	}
-	ref := childRef{Part: r.Dest, Node: resp.(adoptResp).Node}
+	ref := refTo(r.Dest, resp.(installResp).Node)
 
 	// Drain and commit: forward whatever raced into the live bucket
 	// since the snapshot, then commit atomically once no unforwarded
 	// delta remains.
-	sent := len(snapshot)
 	for {
 		p.mu.Lock()
-		leaf := &p.nodes[r.Node]
-		if len(leaf.bucket) == sent {
-			if p.remoteBoxes == nil {
-				p.remoteBoxes = make(map[childRef]box)
-			}
-			p.remoteBoxes[ref] = copyBox(leaf.lo, leaf.hi)
-			if right {
-				p.nodes[parent].right = ref
-			} else {
-				p.nodes[parent].left = ref
-			}
-			moved := len(leaf.bucket)
-			p.points -= moved
-			leaf.bucket = nil
-			leaf.leaf = false
-			leaf.moved = true
-			leaf.fwd = ref
-			leaf.lo, leaf.hi = nil, nil
-			leaf.migrating = false
+		leaf := &p.Nodes[r.Node]
+		if len(leaf.Bucket) == sent {
+			delete(p.migrating, r.Node)
+			moved := p.relocateLocked(parent, right, r.Node, ref)
 			p.mu.Unlock()
 			return migrateResp{Moved: true, Points: moved}, nil
 		}
-		delta := append([]kdtree.Point(nil), leaf.bucket[sent:]...)
-		sent = len(leaf.bucket)
+		delta := append([]kdtree.Point(nil), leaf.Bucket[sent:]...)
+		sent = len(leaf.Bucket)
 		p.mu.Unlock()
 		for _, pt := range delta {
 			if _, err := p.t.call(p.id, r.Dest, insertReq{Node: ref.Node, Point: pt}); err != nil {
@@ -349,7 +321,7 @@ func (t *Tree) Repack(ctx context.Context, cfg RepackConfig) (RepackStats, error
 	for i, s := range scans {
 		tg := placeTarget{id: ids[i], points: s.Points}
 		for _, l := range s.Leaves {
-			tg.lo, tg.hi = unionExpand(tg.lo, tg.hi, l.Lo, l.Hi)
+			tg.lo, tg.hi = kdtree.UnionBox(tg.lo, tg.hi, l.Lo, l.Hi)
 		}
 		targets[i] = tg
 	}
@@ -387,7 +359,7 @@ func (t *Tree) Repack(ctx context.Context, cfg RepackConfig) (RepackStats, error
 				if o.Node == l.Node {
 					continue
 				}
-				home.lo, home.hi = unionExpand(home.lo, home.hi, o.Lo, o.Hi)
+				home.lo, home.hi = kdtree.UnionBox(home.lo, home.hi, o.Lo, o.Hi)
 			}
 			cand := make([]placeTarget, len(targets))
 			copy(cand, targets)

@@ -4,37 +4,39 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
 )
 
-// ctxCheckMask throttles context polling on the traversal hot path: the
-// deadline is re-checked every 64 visited nodes, so an expired query
-// abandons a deep local traversal within a bounded number of pops
-// without paying an atomic load per node.
-const ctxCheckMask = 63
-
 // queryCtx is the per-query execution context of the k-nearest engine:
-// the scratch result set, the explicit visit stack, the remote subtrees
-// the local traversal ran into, the work counters reported back with
-// the response, and the collector state for parallel fan-outs. Contexts
-// are pooled — a query borrows one, traverses, copies its result onto
-// the wire and releases it — so steady-state searches allocate only the
-// response slice and the fan-out messages.
+// the kernel traversal state (kdtree.Search: query, visit stack, local
+// work counters) over the scratch result set, the remote subtrees the
+// local traversal ran into, the stats folded from downstream responses,
+// and the collector state for parallel fan-outs. It is also the
+// traversal's kdtree.Outside: the kernel hands it every reference that
+// leaves the partition's arena, which is where the cross-partition
+// protocol lives. Contexts are pooled — a query borrows one, traverses,
+// copies its result onto the wire and releases it — so steady-state
+// searches allocate only the response slice and the fan-out messages.
 type queryCtx struct {
+	s       kdtree.Search
 	rs      resultSet
-	stack   []knnFrame
-	pending []knnFrame        // remote subtrees deferred until the local bound is final
+	pending []pendingHop      // remote subtrees deferred until the local bound is final
 	fp      []kdtree.Neighbor // scratch Rs snapshot for probe-miss detection
-	steps   int64             // visited-node counter driving the periodic ctx check
 
-	// stats accumulates this partition's own traversal work plus the
-	// folded stats of every downstream response. Plain increments are
-	// only performed by the traversal goroutine strictly before the
-	// fan-out goroutines launch; the goroutines fold under mu.
+	// The query this context is bound to while borrowed: the handler's
+	// ctx, partition and request, read by the Outside methods.
+	ctx context.Context
+	p   *partition
+	r   knnReq
+
+	// stats accumulates the folded stats of every downstream response
+	// (plus, once the traversal is over, this partition's own counters
+	// from s.Stats). Plain increments are only performed by the
+	// traversal goroutine strictly before the fan-out goroutines
+	// launch; the goroutines fold under mu.
 	stats queryStats
 
 	mu       sync.Mutex
@@ -43,24 +45,14 @@ type queryCtx struct {
 	err      error
 }
 
-// knnFrame is one pending subtree visit. guardSq >= 0 guards the
-// visit: no point of the subtree can lie closer to the query than
-// sqrt(guardSq), so the subtree is skipped when the result ball no
-// longer reaches it. The guard is the exact squared min distance from
-// the query to the subtree's bounding box (falling back to the squared
-// splitting-plane distance when a remote region is unknown, or always
-// under Config.PlaneGuardOnly) and is evaluated at pop time — after
-// the nearer sibling's subtree has been fully explored — which is the
-// backtracking condition of §III-B.3 (visit the unexplored side when
-// Rs.length() < K or the worst kept distance still reaches the
-// region). We skip only when the guard is *strictly* beyond the worst
-// kept candidate: at exact equality a point on the region's boundary
-// could tie the k-th best with a smaller ID, and every guard
-// (plane or box, sequential or fan-out) must keep the same winner for
-// all modes to stay bit-identical. guardSq < 0 marks an unconditional
-// visit.
-type knnFrame struct {
-	ref     childRef
+// pendingHop is one remote subtree the fan-out protocol deferred, with
+// the guard it already passed (kdtree's visit guard: the exact squared
+// min distance from the query to the subtree's region, the squared
+// splitting-plane distance when the region is unknown or under
+// Config.PlaneGuardOnly, < 0 when unconditional) so the final local
+// bound can still rule it out.
+type pendingHop struct {
+	ref     kdtree.Ref
 	guardSq float64
 	// home marks a subtree the traversal reached unconditionally — the
 	// query's own descent path lies in it. Deferred home subtrees are
@@ -71,14 +63,19 @@ type knnFrame struct {
 	home bool
 }
 
-var queryCtxPool = sync.Pool{New: func() any { return new(queryCtx) }}
+var queryCtxPool = sync.Pool{New: func() any {
+	c := new(queryCtx)
+	c.s.RS = &c.rs.ResultSet
+	return c
+}}
 
-func getQueryCtx(k int, seed []kdtree.Neighbor) *queryCtx {
+func getQueryCtx(ctx context.Context, p *partition, r knnReq) *queryCtx {
 	c := queryCtxPool.Get().(*queryCtx)
-	c.rs.reset(k, seed)
-	c.stack = c.stack[:0]
+	c.ctx, c.p, c.r = ctx, p, r
+	c.rs.reset(r.K, r.Rs)
+	c.s.Reset(r.Query)
+	c.s.PlaneGuardOnly = p.t.cfg.PlaneGuardOnly
 	c.pending = c.pending[:0]
-	c.steps = 0
 	c.stats = queryStats{}
 	c.err = nil
 	return c
@@ -93,11 +90,9 @@ func putQueryCtx(c *queryCtx) {
 		c.fp[i] = kdtree.Neighbor{} // likewise: snapshots alias result points
 	}
 	c.fp = c.fp[:0]
+	c.ctx, c.p, c.r = nil, nil, knnReq{}
+	c.s.Query = nil
 	queryCtxPool.Put(c)
-}
-
-func (c *queryCtx) push(ref childRef, guardSq float64) {
-	c.stack = append(c.stack, knnFrame{ref: ref, guardSq: guardSq})
 }
 
 // snapshotRs copies the current result set into the scratch
@@ -150,21 +145,20 @@ func (c *queryCtx) collect(items []kdtree.Neighbor, st queryStats, miss bool) {
 	c.mu.Unlock()
 }
 
-// checkCtx polls ctx every ctxCheckMask+1 visited nodes. It returns a
+// Err is the kernel's periodic cancellation poll (kdtree.Outside): a
 // non-nil error once the query is cancelled or past its deadline.
-func (c *queryCtx) checkCtx(ctx context.Context) error {
-	c.steps++
-	if c.steps&ctxCheckMask == 0 {
-		return ctx.Err()
-	}
-	return nil
-}
+func (c *queryCtx) Err() error { return c.ctx.Err() }
+
+// Box serves the kernel's guard the cached region of a cross-partition
+// subtree (kdtree.Outside).
+func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.remoteBox(ref) }
 
 // handleKNN implements the distributed k-nearest search (§III-B.3).
 // The request carries the caller's current result set Rs (squared
-// distances, see knnReq); the local traversal continues the
-// backtracking algorithm over an explicit visit stack. Remote subtrees
-// are handled two ways:
+// distances, see knnReq); the local traversal is the kernel's
+// backtracking loop (kdtree.Arena.KNearest) over the partition's arena.
+// Remote subtrees — the references the kernel hands to Follow — are
+// handled two ways:
 //
 //   - Seq mode: the paper's sequential protocol — a synchronous fabric
 //     call forwards Rs and adopts the merged set before continuing, so
@@ -190,21 +184,31 @@ func (c *queryCtx) checkCtx(ctx context.Context) error {
 // cancellation latency, which keeps the pooled context safe to reuse.
 //
 // The read lock is held for the whole local traversal, so references
-// cannot go stale mid-search; nested calls only ever go downstream in
-// the partition DAG, so locking cannot cycle. The fan-out runs after
-// the lock is released, exactly like handleRange's collector.
+// cannot go stale mid-search; the Seq-mode hops Follow issues under it
+// only ever go downstream in the partition DAG (child partitions never
+// call back up), so locking cannot cycle. The fan-out runs after the
+// lock is released, exactly like handleRange's collector.
 func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 	if r.K <= 0 {
 		return knnResp{}, nil
 	}
-	c := getQueryCtx(r.K, r.Rs)
+	c := getQueryCtx(ctx, p, r)
 	defer putQueryCtx(c)
+	if len(r.Entries) > 0 {
+		// Fan-out continuation: seed the stack with every guarded
+		// entry, reversed so the first entry pops first.
+		for i := len(r.Entries) - 1; i >= 0; i-- {
+			c.s.Push(p.Ref(r.Entries[i].Node), r.Entries[i].GuardSq)
+		}
+	} else {
+		c.s.Push(p.Ref(r.Node), -1)
+	}
 	p.mu.RLock()
 	start := time.Now()
-	//semtree:allow lockedcall: Seq-mode remote hops only descend the partition DAG (child partitions never call back up), so the read lock cannot cycle
-	err := p.knnTraverse(ctx, r, c)
+	err := p.KNearest(&c.s, c)
 	elapsed := time.Since(start)
 	p.mu.RUnlock()
+	c.stats.addLocal(c.s.Stats)
 	if err == nil && c.stats.Msgs == 0 && c.stats.Nodes > 0 {
 		// Hop-free traversal: pure local compute, the cost model's
 		// per-node price observation (in Seq mode the traversal embeds
@@ -229,67 +233,14 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 	return knnResp{Rs: c.rs.export(), Stats: st}, nil
 }
 
-func (p *partition) knnTraverse(ctx context.Context, r knnReq, c *queryCtx) error {
-	if len(r.Entries) > 0 {
-		// Fan-out continuation: seed the stack with every guarded
-		// entry, reversed so the first entry pops first.
-		for i := len(r.Entries) - 1; i >= 0; i-- {
-			c.push(childRef{Part: p.id, Node: r.Entries[i].Node}, r.Entries[i].GuardSq)
-		}
-	} else {
-		c.push(childRef{Part: p.id, Node: r.Node}, -1)
-	}
-	for len(c.stack) > 0 {
-		f := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		if f.guardSq >= 0 && c.rs.Full() && c.rs.Worst() < f.guardSq {
-			continue // backtracking prune: the result ball cannot reach the region
-		}
-		if err := c.checkCtx(ctx); err != nil {
-			return err
-		}
-		c.stats.Nodes++
-		if !p.local(f.ref) {
-			if err := p.remoteKNN(ctx, f.ref, f.guardSq, r, c); err != nil {
-				return err
-			}
-			continue
-		}
-		n := &p.nodes[f.ref.Node]
-		switch {
-		case n.moved:
-			if err := p.remoteKNN(ctx, n.fwd, f.guardSq, r, c); err != nil {
-				return err
-			}
-		case n.leaf:
-			c.stats.Buckets++
-			c.stats.Dists += int64(len(n.bucket))
-			for _, pt := range n.bucket {
-				c.rs.Offer(kdtree.Neighbor{Point: pt, Dist: euclideanSq(r.Query, pt.Coords)})
-			}
-		default:
-			near, far := n.left, n.right
-			if r.Query[n.splitDim] > n.splitVal {
-				near, far = far, near
-			}
-			plane := r.Query[n.splitDim] - n.splitVal
-			// LIFO: far is guarded by its region's exact min-distance
-			// (plane² fallback for an unknown remote region) and pops
-			// only after near's whole subtree has been explored.
-			c.push(far, p.guardSq(far, r.Query, plane*plane))
-			c.push(near, -1)
-		}
-	}
-	return nil
-}
-
-// remoteKNN hands a remote subtree off. In Seq mode the call is
-// synchronous and Rs travels with the request; the merged set replaces
-// ours and tightens all later pruning, the paper's protocol. Otherwise
-// the subtree joins the pending list — with the guard it already
-// passed, so the final local bound can still rule it out — for the
-// per-partition fan-out after the local traversal.
-func (p *partition) remoteKNN(ctx context.Context, ref childRef, guardSq float64, r knnReq, c *queryCtx) error {
+// Follow hands a remote subtree off (kdtree.Outside). In Seq mode the
+// call is synchronous and Rs travels with the request; the merged set
+// replaces ours and tightens all later pruning, the paper's protocol.
+// Otherwise the subtree joins the pending list — with the guard it
+// already passed, so the final local bound can still rule it out — for
+// the per-partition fan-out after the local traversal.
+func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
+	p, r := c.p, &c.r
 	// A near-side subtree reaches here unconditional (guardSq < 0) —
 	// the traversal had to descend toward it — but crossing the
 	// partition boundary is a message either way, and the remote
@@ -299,8 +250,8 @@ func (p *partition) remoteKNN(ctx context.Context, ref childRef, guardSq float64
 	// whose baseline must keep the paper's semantics.
 	home := guardSq < 0
 	if home && !p.t.cfg.PlaneGuardOnly {
-		if minSq, ok := p.childBoxMinSq(ref, r.Query); ok {
-			guardSq = minSq
+		if lo, hi, ok := p.remoteBox(ref); ok {
+			guardSq = kdtree.BoxMinSq(r.Query, lo, hi)
 		}
 	}
 	if guardSq >= 0 && c.rs.Full() && c.rs.Worst() < guardSq {
@@ -308,7 +259,7 @@ func (p *partition) remoteKNN(ctx context.Context, ref childRef, guardSq float64
 	}
 	if r.Seq {
 		c.snapshotRs()
-		resp, err := p.t.callCtx(ctx, p.id, ref.Part,
+		resp, err := p.t.callCtx(c.ctx, p.id, host(ref),
 			knnReq{Node: ref.Node, Query: r.Query, K: r.K, Rs: c.rs.Items, Seq: true})
 		if err != nil {
 			return err
@@ -319,7 +270,7 @@ func (p *partition) remoteKNN(ctx context.Context, ref childRef, guardSq float64
 		c.noteMiss()
 		return nil
 	}
-	c.pending = append(c.pending, knnFrame{ref: ref, guardSq: guardSq, home: home})
+	c.pending = append(c.pending, pendingHop{ref: ref, guardSq: guardSq, home: home})
 	return nil
 }
 
@@ -362,11 +313,11 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 			// re-guard — it tightens the ball best.
 			guard = math.Inf(-1)
 		}
-		if cur, ok := minGuard[f.ref.Part]; !ok || guard < cur {
-			minGuard[f.ref.Part] = guard
+		part := host(f.ref)
+		if cur, ok := minGuard[part]; !ok || guard < cur {
+			minGuard[part] = guard
 		}
-		groups[f.ref.Part] = append(groups[f.ref.Part],
-			knnEntry{Node: f.ref.Node, GuardSq: f.guardSq})
+		groups[part] = append(groups[part], knnEntry{Node: f.ref.Node, GuardSq: f.guardSq})
 	}
 	if len(groups) == 0 {
 		return
@@ -434,169 +385,104 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 	}
 }
 
-// handleRange implements the distributed range search (§III-B.4).
-// Descending, both children are visited when |P[SI] − Sv| <= D; "if the
-// current node is a border node, the navigation is performed in a
-// parallel way": remote subtrees are queried on their own goroutines
-// while the local side proceeds, and the partial result sets are merged
-// on the way back. Matches carry squared distances and arrive unsorted;
+// handleRange implements the distributed range search (§III-B.4) over
+// the kernel's range traversal (kdtree.Arena.Range): descending, both
+// children are visited when |P[SI] − Sv| <= D; "if the current node is
+// a border node, the navigation is performed in a parallel way": remote
+// subtrees are queried on their own goroutines while the local side
+// proceeds, and the partial result sets are merged on the way back.
+// Matches carry squared distances and arrive unsorted;
 // Tree.RangeSearch applies the single sort and sqrt (see rangeResp).
 // Cancellation follows the k-NN handler's scheme: periodic checks in
-// the local traversal, ctx-carrying fabric calls for the fan-outs.
+// the local traversal, ctx-carrying fabric calls for the fan-outs. The
+// read lock spans the local traversal; the hops issued under it only
+// descend the partition DAG, so it cannot cycle.
 func (p *partition) handleRange(ctx context.Context, r rangeReq) (any, error) {
 	if r.D < 0 {
 		return rangeResp{}, nil
 	}
-	col := &rangeCollector{}
+	col := &rangeCollector{ctx: ctx, p: p}
+	col.s.Query, col.s.Radius = r.Query, r.D
+	col.s.PlaneGuardOnly = p.t.cfg.PlaneGuardOnly
 	p.mu.RLock()
-	//semtree:allow lockedcall: remote range hops only descend the partition DAG, so the read lock cannot cycle
-	p.rangeVisit(ctx, r.Node, r.Query, r.D, col)
+	err := p.Range(&col.s, r.Node, col)
 	p.mu.RUnlock()
 	col.wg.Wait()
-	if col.err != nil {
-		return nil, col.err
+	if err == nil {
+		err = col.err
 	}
-	st := col.local
-	st.merge(col.remote)
+	if err != nil {
+		return nil, err
+	}
+	st := col.remote
+	st.addLocal(col.s.Stats)
 	st.Parts++
-	return rangeResp{Neighbors: col.out, Stats: st}, nil
+	return rangeResp{Neighbors: append(col.s.Matches, col.out...), Stats: st}, nil
 }
 
-// rangeCollector accumulates matches and work counters from the local
-// traversal and any parallel remote fan-outs. Unlike the k-NN fan-out,
-// remote range calls overlap the local traversal, so the counters are
-// split: local is owned by the traversal goroutine, remote is folded
-// under mu by the fan-out goroutines, and the two are combined only
-// after the WaitGroup drains. done flips on the first failure
-// (including ctx expiry) and short-circuits the rest of the traversal,
-// so a cancelled range query stops descending instead of finishing the
+// rangeCollector is one range query's execution state on a partition:
+// the kernel traversal state (local matches and counters, owned by the
+// traversal goroutine) plus the matches and stats of the remote
+// fan-outs, which overlap the local traversal and therefore fold under
+// mu; the two sides are combined only after the WaitGroup drains. It is
+// the traversal's kdtree.Outside. The first failure — a failed hop, or
+// ctx expiry — surfaces through Err at the kernel's next poll, so a
+// cancelled range query stops descending instead of finishing the
 // local walk.
 type rangeCollector struct {
-	steps int64
-	local queryStats // traversal goroutine only
-	done  atomic.Bool
+	s   kdtree.Search
+	ctx context.Context
+	p   *partition
 
 	mu     sync.Mutex
 	wg     sync.WaitGroup
-	remote queryStats // downstream responses, folded under mu
+	remote queryStats // downstream responses
 	out    []kdtree.Neighbor
 	err    error
 }
 
-func (c *rangeCollector) add(ns []kdtree.Neighbor) {
+// Err is the kernel's periodic poll (kdtree.Outside): cancellation, or
+// the failure of an overlapped remote hop.
+func (c *rangeCollector) Err() error {
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
 	c.mu.Lock()
-	c.out = append(c.out, ns...)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
-func (c *rangeCollector) collect(ns []kdtree.Neighbor, st queryStats) {
-	c.mu.Lock()
-	c.out = append(c.out, ns...)
-	c.remote.fold(st)
-	c.mu.Unlock()
+// Box serves the kernel's guard the cached region of a cross-partition
+// subtree (kdtree.Outside).
+func (c *rangeCollector) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) {
+	return c.p.remoteBox(ref)
 }
 
-func (c *rangeCollector) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.mu.Unlock()
-	c.done.Store(true)
-}
-
-func (p *partition) rangeVisit(ctx context.Context, idx int32, q []float64, d float64, col *rangeCollector) {
-	if col.done.Load() {
-		return // a failure or ctx expiry already aborted the query
-	}
-	col.steps++
-	if col.steps&ctxCheckMask == 0 {
-		if err := ctx.Err(); err != nil {
-			col.fail(err)
-			return
-		}
-	}
-	col.local.Nodes++
-	n := &p.nodes[idx]
-	if n.moved {
-		p.remoteRange(ctx, n.fwd, q, d, col, false)
-		return
-	}
-	if n.leaf {
-		var local []kdtree.Neighbor
-		dd := d * d
-		col.local.Buckets++
-		col.local.Dists += int64(len(n.bucket))
-		for _, pt := range n.bucket {
-			if sq := euclideanSq(q, pt.Coords); sq <= dd {
-				local = append(local, kdtree.Neighbor{Point: pt, Dist: sq})
-			}
-		}
-		if local != nil {
-			col.add(local)
-		}
-		return
-	}
-	// Border node (the ball crosses the splitting plane): both subtrees
-	// qualify on the plane bound, remote ones in parallel. The region
-	// guard then skips any qualifying child whose bounding box provably
-	// holds no match — the exact min-distance form of the same test —
-	// unless the ablation pins the plane bound.
-	border := math.Abs(q[n.splitDim]-n.splitVal) <= d
-	left := border || q[n.splitDim] <= n.splitVal
-	right := border || q[n.splitDim] > n.splitVal
-	if !p.t.cfg.PlaneGuardOnly {
-		dd := d * d
-		if left {
-			if minSq, ok := p.childBoxMinSq(n.left, q); ok && minSq > dd {
-				left = false
-			}
-		}
-		if right {
-			if minSq, ok := p.childBoxMinSq(n.right, q); ok && minSq > dd {
-				right = false
-			}
-		}
-	}
-	if left {
-		p.rangeChild(ctx, n.left, q, d, col, border)
-	}
-	if right {
-		p.rangeChild(ctx, n.right, q, d, col, border)
-	}
-}
-
-func (p *partition) rangeChild(ctx context.Context, ref childRef, q []float64, d float64, col *rangeCollector, parallel bool) {
-	if p.local(ref) {
-		p.rangeVisit(ctx, ref.Node, q, d, col)
-		return
-	}
-	p.remoteRange(ctx, ref, q, d, col, parallel)
-}
-
-func (p *partition) remoteRange(ctx context.Context, ref childRef, q []float64, d float64, col *rangeCollector, parallel bool) {
-	call := func() {
-		resp, err := p.t.callCtx(ctx, p.id, ref.Part, rangeReq{Node: ref.Node, Query: q, D: d})
+// Follow queries a remote subtree (kdtree.Outside) — on its own
+// goroutine when the kernel reports the sibling is searched too.
+func (c *rangeCollector) Follow(ref kdtree.Ref, _ float64, parallel bool) error {
+	call := func() error {
+		resp, err := c.p.t.callCtx(c.ctx, c.p.id, host(ref), rangeReq{Node: ref.Node, Query: c.s.Query, D: c.s.Radius})
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		if err != nil {
-			col.fail(err)
-			return
+			if c.err == nil {
+				c.err = err
+			}
+			return err
 		}
 		rr := resp.(rangeResp)
-		col.collect(rr.Neighbors, rr.Stats)
+		c.out = append(c.out, rr.Neighbors...)
+		c.remote.fold(rr.Stats)
+		return nil
 	}
 	if !parallel {
-		call()
-		return
+		return call()
 	}
-	col.wg.Add(1)
+	c.wg.Add(1)
 	go func() {
-		defer col.wg.Done()
-		call()
+		defer c.wg.Done()
+		_ = call() // recorded in c.err
 	}()
+	return nil
 }
-
-// euclideanSq is the shared distance kernel (kdtree.EuclideanSq).
-// Search runs entirely on squared distances — ordering and the
-// backtracking bound are unchanged because squaring is monotone — and
-// the single sqrt per result is deferred to the client boundary.
-func euclideanSq(q, p []float64) float64 { return kdtree.EuclideanSq(q, p) }

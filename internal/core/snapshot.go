@@ -50,41 +50,24 @@ const (
 	maxSnapshotDim   = 1 << 12
 )
 
-// SnapRef addresses a node in a TreeSnapshot: the partition's ordinal
-// in TreeSnapshot.Parts and the node's arena index.
-type SnapRef struct {
-	Part int32
-	Node int32
-}
-
-// SnapNode is one serialized arena node. Exactly one of the pnode
-// states holds: Leaf (Bucket valid), Moved (Fwd valid), or routing
-// (SplitDim/SplitVal/Left/Right valid). Lo/Hi is the node's exact
-// logical-subtree bounding box, nil when empty.
-type SnapNode struct {
-	Leaf     bool
-	Moved    bool
-	Fwd      SnapRef
-	SplitDim int32
-	SplitVal float64
-	Left     SnapRef
-	Right    SnapRef
-	Bucket   []kdtree.Point
-	Lo, Hi   []float64
-}
-
-// SnapRemoteBox is one cached cross-partition region: the edge's
-// target and the exact box of the subtree behind it.
-type SnapRemoteBox struct {
-	Ref    SnapRef
+// RemoteBox is one cached cross-partition region: the edge's target and
+// the exact box of the subtree behind it.
+type RemoteBox struct {
+	Ref    kdtree.Ref
 	Lo, Hi []float64
 }
 
-// PartitionSnapshot is one partition's full state.
+// PartitionSnapshot is one partition's full state: its arena — every
+// node in exactly one of the kdtree.Node states, Lo/Hi the exact
+// logical-subtree box — its point count and its remote-box cache. The
+// Part of every reference in it is a partition ordinal
+// (TreeSnapshot.Parts index) at rest, and a fabric NodeID in the
+// messages partitions produce and consume; the client translates at
+// the edge (mapRefs).
 type PartitionSnapshot struct {
-	Nodes  []SnapNode
+	Nodes  []kdtree.Node
 	Points int
-	Remote []SnapRemoteBox
+	Remote []RemoteBox
 }
 
 // TreeSnapshot is the whole distributed tree, partition ordinal 0
@@ -96,42 +79,40 @@ type TreeSnapshot struct {
 	Parts  []PartitionSnapshot
 }
 
-// snapWireNode mirrors SnapNode with fabric NodeIDs in the refs: the
-// form partitions produce and consume; the client translates to and
-// from ordinals.
-type snapWireNode struct {
-	Leaf     bool
-	Moved    bool
-	Fwd      childRef
-	SplitDim int32
-	SplitVal float64
-	Left     childRef
-	Right    childRef
-	Bucket   []kdtree.Point
-	Lo, Hi   []float64
-}
-
-// snapWireBox mirrors SnapRemoteBox with a fabric NodeID ref.
-type snapWireBox struct {
-	Ref    childRef
-	Lo, Hi []float64
+// mapRefs rewrites the Part of every live reference in ps — forward
+// links, routing children, cache keys — through part.
+func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error) {
+	remap := func(r *kdtree.Ref) {
+		if err == nil {
+			r.Part, err = part(r.Part)
+		}
+	}
+	for i := range ps.Remote {
+		remap(&ps.Remote[i].Ref)
+	}
+	for i := range ps.Nodes {
+		switch n := &ps.Nodes[i]; {
+		case n.Moved:
+			remap(&n.Fwd)
+		case !n.Leaf:
+			remap(&n.Left)
+			remap(&n.Right)
+		}
+	}
+	return err
 }
 
 // snapshotReq asks a partition for a deep copy of its state.
 type snapshotReq struct{}
 
 type snapshotResp struct {
-	Nodes  []snapWireNode
-	Points int
-	Remote []snapWireBox
+	State PartitionSnapshot
 }
 
 // restoreReq replaces a partition's state wholesale; refs are already
 // translated to the receiving fabric's NodeIDs.
 type restoreReq struct {
-	Nodes  []snapWireNode
-	Points int
-	Remote []snapWireBox
+	State PartitionSnapshot
 }
 
 type restoreResp struct{}
@@ -143,38 +124,35 @@ func init() {
 	cluster.RegisterMessage(restoreResp{})
 }
 
+// copyNodes deep-copies an arena's nodes. Buckets share point storage
+// (points are immutable), but bucket slices and boxes are owned copies —
+// a live arena keeps appending to and expanding its own.
+func copyNodes(nodes []kdtree.Node) []kdtree.Node {
+	out := make([]kdtree.Node, len(nodes))
+	for i, n := range nodes {
+		n.Bucket = append([]kdtree.Point(nil), n.Bucket...)
+		n.Lo = append([]float64(nil), n.Lo...)
+		n.Hi = append([]float64(nil), n.Hi...)
+		out[i] = n
+	}
+	return out
+}
+
 // handleSnapshot deep-copies the partition's state under the read lock.
-// Buckets share point storage (points are immutable), but boxes are
-// owned copies — the live arena keeps expanding its own. A migration
-// caught in flight violates the snapshot's quiescence contract and is
-// refused rather than serialized inconsistently.
+// A migration caught in flight violates the snapshot's quiescence
+// contract and is refused rather than serialized inconsistently.
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	resp := snapshotResp{Points: p.points}
-	resp.Nodes = make([]snapWireNode, len(p.nodes))
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		if n.migrating {
-			return nil, fmt.Errorf("core: snapshot requires quiescence: partition %d has a migration in flight", p.id)
-		}
-		resp.Nodes[i] = snapWireNode{
-			Leaf: n.leaf, Moved: n.moved, Fwd: n.fwd,
-			SplitDim: n.splitDim, SplitVal: n.splitVal,
-			Left: n.left, Right: n.right,
-			Bucket: append([]kdtree.Point(nil), n.bucket...),
-			Lo:     append([]float64(nil), n.lo...),
-			Hi:     append([]float64(nil), n.hi...),
-		}
+	if len(p.migrating) > 0 {
+		return nil, fmt.Errorf("core: snapshot requires quiescence: partition %d has a migration in flight", p.id)
 	}
+	st := PartitionSnapshot{Nodes: copyNodes(p.Nodes), Points: p.points}
 	for ref, b := range p.remoteBoxes {
-		resp.Remote = append(resp.Remote, snapWireBox{
-			Ref: ref,
-			Lo:  append([]float64(nil), b.lo...),
-			Hi:  append([]float64(nil), b.hi...),
-		})
+		c := copyBox(b.lo, b.hi)
+		st.Remote = append(st.Remote, RemoteBox{Ref: ref, Lo: c.lo, Hi: c.hi})
 	}
-	return resp, nil
+	return snapshotResp{State: st}, nil
 }
 
 // handleRestore replaces the partition's state wholesale under the
@@ -183,24 +161,12 @@ func (p *partition) handleSnapshot() (any, error) {
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.nodes = make([]pnode, len(r.Nodes))
-	for i, wn := range r.Nodes {
-		p.nodes[i] = pnode{
-			leaf: wn.Leaf, moved: wn.Moved, fwd: wn.Fwd,
-			splitDim: wn.SplitDim, splitVal: wn.SplitVal,
-			left: wn.Left, right: wn.Right,
-			bucket: append([]kdtree.Point(nil), wn.Bucket...),
-			lo:     append([]float64(nil), wn.Lo...),
-			hi:     append([]float64(nil), wn.Hi...),
-		}
-	}
-	p.points = r.Points
+	p.Nodes = copyNodes(r.State.Nodes)
+	p.points = r.State.Points
+	p.migrating = nil
 	p.remoteBoxes = nil
-	for _, e := range r.Remote {
-		if p.remoteBoxes == nil {
-			p.remoteBoxes = make(map[childRef]box)
-		}
-		p.remoteBoxes[e.Ref] = copyBox(e.Lo, e.Hi)
+	for _, e := range r.State.Remote {
+		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
 	}
 	return restoreResp{}, nil
 }
@@ -212,16 +178,16 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 	t.mu.RLock()
 	parts := append([]*partition(nil), t.parts...)
 	t.mu.RUnlock()
-	ord := make(map[cluster.NodeID]int32, len(parts))
+	ord := make(map[int32]int32, len(parts))
 	for i, p := range parts {
-		ord[p.id] = int32(i)
+		ord[p.Self] = int32(i)
 	}
-	toRef := func(ref childRef) (SnapRef, error) {
-		o, ok := ord[ref.Part]
+	toOrdinal := func(id int32) (int32, error) {
+		o, ok := ord[id]
 		if !ok {
-			return SnapRef{}, fmt.Errorf("core: snapshot requires quiescence: reference to partition %d created mid-capture", ref.Part)
+			return 0, fmt.Errorf("core: snapshot requires quiescence: reference to partition %d created mid-capture", id)
 		}
-		return SnapRef{Part: o, Node: ref.Node}, nil
+		return o, nil
 	}
 	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: t.cfg.Dim, Size: t.size.Load()}
 	for _, p := range parts {
@@ -229,36 +195,9 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr := resp.(snapshotResp)
-		ps := PartitionSnapshot{Points: pr.Points}
-		ps.Nodes = make([]SnapNode, len(pr.Nodes))
-		for i, wn := range pr.Nodes {
-			sn := SnapNode{
-				Leaf: wn.Leaf, Moved: wn.Moved,
-				SplitDim: wn.SplitDim, SplitVal: wn.SplitVal,
-				Bucket: wn.Bucket, Lo: wn.Lo, Hi: wn.Hi,
-			}
-			switch {
-			case wn.Moved:
-				if sn.Fwd, err = toRef(wn.Fwd); err != nil {
-					return nil, err
-				}
-			case !wn.Leaf:
-				if sn.Left, err = toRef(wn.Left); err != nil {
-					return nil, err
-				}
-				if sn.Right, err = toRef(wn.Right); err != nil {
-					return nil, err
-				}
-			}
-			ps.Nodes[i] = sn
-		}
-		for _, e := range pr.Remote {
-			ref, err := toRef(e.Ref)
-			if err != nil {
-				return nil, err
-			}
-			ps.Remote = append(ps.Remote, SnapRemoteBox{Ref: ref, Lo: e.Lo, Hi: e.Hi})
+		ps := resp.(snapshotResp).State
+		if err := ps.mapRefs(toOrdinal); err != nil {
+			return nil, err
 		}
 		snap.Parts = append(snap.Parts, ps)
 	}
@@ -290,31 +229,15 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 		t.Close()
 		return nil, fmt.Errorf("core: restore allocated %d of %d partitions", len(ids), len(snap.Parts))
 	}
-	toRef := func(r SnapRef) childRef {
-		return childRef{Part: ids[r.Part], Node: r.Node}
-	}
+	toID := func(ordinal int32) (int32, error) { return int32(ids[ordinal]), nil } // in range: validated
 	for i, ps := range snap.Parts {
-		req := restoreReq{Points: ps.Points}
-		req.Nodes = make([]snapWireNode, len(ps.Nodes))
-		for j, sn := range ps.Nodes {
-			wn := snapWireNode{
-				Leaf: sn.Leaf, Moved: sn.Moved,
-				SplitDim: sn.SplitDim, SplitVal: sn.SplitVal,
-				Bucket: sn.Bucket, Lo: sn.Lo, Hi: sn.Hi,
-			}
-			switch {
-			case sn.Moved:
-				wn.Fwd = toRef(sn.Fwd)
-			case !sn.Leaf:
-				wn.Left = toRef(sn.Left)
-				wn.Right = toRef(sn.Right)
-			}
-			req.Nodes[j] = wn
-		}
-		for _, e := range ps.Remote {
-			req.Remote = append(req.Remote, snapWireBox{Ref: toRef(e.Ref), Lo: e.Lo, Hi: e.Hi})
-		}
-		if _, err := t.call(cluster.ClientID, ids[i], req); err != nil {
+		// The snapshot stays the caller's: translate a copy of the node
+		// and cache tables (buckets and boxes are shared; the partition
+		// copies them on the way in).
+		ps.Nodes = append([]kdtree.Node(nil), ps.Nodes...)
+		ps.Remote = append([]RemoteBox(nil), ps.Remote...)
+		_ = ps.mapRefs(toID)
+		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: ps}); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("core: restore partition %d: %w", i, err)
 		}
@@ -364,7 +287,7 @@ func (s *TreeSnapshot) Validate() error {
 	if len(s.Parts[0].Nodes) == 0 {
 		return corrupt("root partition has no nodes")
 	}
-	refOK := func(r SnapRef) bool {
+	refOK := func(r kdtree.Ref) bool {
 		return r.Part >= 0 && int(r.Part) < len(s.Parts) &&
 			r.Node >= 0 && int(r.Node) < len(s.Parts[r.Part].Nodes)
 	}
@@ -448,23 +371,24 @@ func (s *TreeSnapshot) Validate() error {
 // tombstones as children), exact routing boxes (the union of the
 // children's), and that everything unreachable is a tombstone.
 func (s *TreeSnapshot) validateReachable() error {
-	node := func(r SnapRef) *SnapNode { return &s.Parts[r.Part].Nodes[r.Node] }
-	seen := make(map[SnapRef]bool)
+	node := func(r kdtree.Ref) *kdtree.Node { return &s.Parts[r.Part].Nodes[r.Node] }
+	seen := make(map[kdtree.Ref]bool)
 	// Two-phase iterative DFS: push(enter ref) visits, push(exit ref)
 	// re-checks the box once both children were visited.
 	type frame struct {
-		ref  SnapRef
+		ref  kdtree.Ref
 		exit bool
 	}
-	stack := []frame{{ref: SnapRef{}}}
-	seen[SnapRef{}] = true
+	stack := []frame{{ref: kdtree.Ref{}}}
+	seen[kdtree.Ref{}] = true
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := node(f.ref)
 		if f.exit {
 			l, r := node(n.Left), node(n.Right)
-			lo, hi := unionExpand(append([]float64(nil), l.Lo...), append([]float64(nil), l.Hi...), r.Lo, r.Hi)
+			lo, hi := kdtree.UnionBox(nil, nil, l.Lo, l.Hi)
+			lo, hi = kdtree.UnionBox(lo, hi, r.Lo, r.Hi)
 			if !boxEqual(lo, hi, n.Lo, n.Hi) {
 				return corrupt("partition %d node %d: routing box not the union of its children", f.ref.Part, f.ref.Node)
 			}
@@ -477,7 +401,7 @@ func (s *TreeSnapshot) validateReachable() error {
 			continue
 		}
 		stack = append(stack, frame{ref: f.ref, exit: true})
-		for _, c := range []SnapRef{n.Left, n.Right} {
+		for _, c := range []kdtree.Ref{n.Left, n.Right} {
 			if seen[c] {
 				return corrupt("partition %d node %d: child %v has two parents or sits on a cycle", f.ref.Part, f.ref.Node, c)
 			}
@@ -487,7 +411,7 @@ func (s *TreeSnapshot) validateReachable() error {
 	}
 	for pi := range s.Parts {
 		for ni := range s.Parts[pi].Nodes {
-			if n := &s.Parts[pi].Nodes[ni]; !n.Moved && !seen[SnapRef{Part: int32(pi), Node: int32(ni)}] {
+			if n := &s.Parts[pi].Nodes[ni]; !n.Moved && !seen[kdtree.Ref{Part: int32(pi), Node: int32(ni)}] {
 				return corrupt("partition %d node %d: unreachable non-tombstone", pi, ni)
 			}
 		}

@@ -138,13 +138,13 @@ func TestSnapshotRequiresQuiescence(t *testing.T) {
 	}
 	p := tr.rootPartition()
 	p.mu.Lock()
-	p.nodes[0].migrating = true
+	p.migrating = map[int32]bool{0: true}
 	p.mu.Unlock()
 	if _, err := tr.Snapshot(); err == nil {
 		t.Fatal("snapshot of a migrating partition accepted")
 	}
 	p.mu.Lock()
-	p.nodes[0].migrating = false
+	p.migrating = nil
 	p.mu.Unlock()
 	if _, err := tr.Snapshot(); err != nil {
 		t.Fatalf("quiesced snapshot refused: %v", err)
@@ -174,7 +174,7 @@ func mustSnap(t *testing.T) *TreeSnapshot {
 
 // findNode locates the first node matching pred, for targeted
 // corruption.
-func findNode(t *testing.T, s *TreeSnapshot, pred func(n *SnapNode) bool) (int, int) {
+func findNode(t *testing.T, s *TreeSnapshot, pred func(n *kdtree.Node) bool) (int, int) {
 	t.Helper()
 	for pi := range s.Parts {
 		for ni := range s.Parts[pi].Nodes {
@@ -202,38 +202,38 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		{"size-mismatch", func(t *testing.T, s *TreeSnapshot) { s.Size++ }},
 		{"points-mismatch", func(t *testing.T, s *TreeSnapshot) { s.Parts[0].Points++; s.Size++ }},
 		{"dangling-child", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return !n.Leaf && !n.Moved })
-			s.Parts[pi].Nodes[ni].Left = SnapRef{Part: 9999, Node: 0}
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
+			s.Parts[pi].Nodes[ni].Left = kdtree.Ref{Part: 9999, Node: 0}
 		}},
 		{"leaf-and-tombstone", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return n.Leaf })
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf })
 			s.Parts[pi].Nodes[ni].Moved = true
 		}},
 		{"routing-with-bucket", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return !n.Leaf && !n.Moved })
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].Bucket = []kdtree.Point{{Coords: []float64{1, 2, 3}}}
 		}},
 		{"split-dim-out-of-range", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return !n.Leaf && !n.Moved })
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].SplitDim = 7
 		}},
 		{"inexact-leaf-box", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return n.Leaf && len(n.Bucket) > 0 })
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Bucket) > 0 })
 			s.Parts[pi].Nodes[ni].Lo[0] -= 1
 		}},
 		{"inexact-routing-box", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return !n.Leaf && !n.Moved && n.Lo != nil })
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved && n.Lo != nil })
 			s.Parts[pi].Nodes[ni].Hi[0] += 1
 		}},
 		{"wrong-point-dims", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return n.Leaf && len(n.Bucket) > 0 })
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Bucket) > 0 })
 			s.Parts[pi].Nodes[ni].Bucket[0] = kdtree.Point{Coords: []float64{1}}
 		}},
 		{"orphan-node", func(t *testing.T, s *TreeSnapshot) {
 			// A reachable-looking leaf nobody points at: the bucket is
 			// counted so Points/Size stay consistent, making
 			// reachability the only detector.
-			s.Parts[0].Nodes = append(s.Parts[0].Nodes, SnapNode{
+			s.Parts[0].Nodes = append(s.Parts[0].Nodes, kdtree.Node{
 				Leaf:   true,
 				Bucket: []kdtree.Point{{Coords: []float64{5, 5, 5}, ID: 999999}},
 				Lo:     []float64{5, 5, 5}, Hi: []float64{5, 5, 5},
@@ -242,8 +242,8 @@ func TestSnapshotValidateRejects(t *testing.T) {
 			s.Size++
 		}},
 		{"cycle", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *SnapNode) bool { return !n.Leaf && !n.Moved })
-			s.Parts[pi].Nodes[ni].Right = SnapRef{} // back to the root
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
+			s.Parts[pi].Nodes[ni].Right = kdtree.Ref{} // back to the root
 		}},
 		{"stale-remote-box", func(t *testing.T, s *TreeSnapshot) {
 			var found bool
@@ -282,7 +282,7 @@ func TestSnapshotValidateRejects(t *testing.T) {
 // overflow the stack long before 200k levels.
 func TestSnapshotValidateDeepChain(t *testing.T) {
 	const depth = 200_000
-	nodes := make([]SnapNode, 0, 2*depth+1)
+	nodes := make([]kdtree.Node, 0, 2*depth+1)
 	// Node 2i is the routing spine; 2i+1 the left leaf; the last spine
 	// slot is a leaf. Every leaf holds one point at x = its level, so
 	// all boxes are computable in one pass from the bottom up.
@@ -291,18 +291,18 @@ func TestSnapshotValidateDeepChain(t *testing.T) {
 	}
 	for i := 0; i < depth; i++ {
 		nodes = append(nodes,
-			SnapNode{ // spine routing node; box filled below
+			kdtree.Node{ // spine routing node; box filled below
 				SplitDim: 0, SplitVal: float64(i),
-				Left:  SnapRef{Node: int32(2*i + 1)},
-				Right: SnapRef{Node: int32(2*i + 2)},
+				Left:  kdtree.Ref{Node: int32(2*i + 1)},
+				Right: kdtree.Ref{Node: int32(2*i + 2)},
 			},
-			SnapNode{ // left leaf
+			kdtree.Node{ // left leaf
 				Leaf:   true,
 				Bucket: []kdtree.Point{pt(float64(i), uint64(i))},
 				Lo:     []float64{float64(i)}, Hi: []float64{float64(i)},
 			})
 	}
-	nodes = append(nodes, SnapNode{ // chain terminator
+	nodes = append(nodes, kdtree.Node{ // chain terminator
 		Leaf:   true,
 		Bucket: []kdtree.Point{pt(depth, depth)},
 		Lo:     []float64{depth}, Hi: []float64{depth},
@@ -320,7 +320,7 @@ func TestSnapshotValidateDeepChain(t *testing.T) {
 	}
 	// And the corrupt variant — a cycle closing at the very bottom —
 	// must come back as a typed error, not a stack overflow.
-	snap.Parts[0].Nodes[2*(depth-1)].Right = SnapRef{}
+	snap.Parts[0].Nodes[2*(depth-1)].Right = kdtree.Ref{}
 	err := snap.Validate()
 	if err == nil || !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("deep cycle: err = %v, want ErrSnapshotCorrupt", err)

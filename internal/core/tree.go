@@ -168,11 +168,12 @@ func (t *Tree) addPartition() (*partition, error) {
 		return nil, err
 	}
 	p.id = id
+	p.Arena = kdtree.Arena{Self: int32(id), Dim: t.cfg.Dim, BucketSize: t.cfg.BucketSize, Chain: t.cfg.Unbalanced}
 	t.mu.Lock()
 	if len(t.parts) == 0 {
 		// The root partition starts with the tree root: one empty
 		// leaf at node index 0, where Insert and the searches enter.
-		p.nodes = []pnode{{leaf: true}}
+		p.Nodes = []kdtree.Node{{Leaf: true}}
 	}
 	t.parts = append(t.parts, p)
 	t.mu.Unlock()

@@ -81,7 +81,7 @@ func TestBoxesStayExact(t *testing.T) {
 		// Guard safety on the root box: min-distance lower-bounds the
 		// true distance to every indexed point.
 		q := mkPts(1, dim)[0].Coords
-		minSq := BoxMinSq(q, ins.root.lo, ins.root.hi)
+		minSq := BoxMinSq(q, ins.Nodes[0].Lo, ins.Nodes[0].Hi)
 		for _, p := range ins.Points() {
 			if d := EuclideanSq(q, p.Coords); d < minSq {
 				t.Fatalf("dim %d: point %d at %g inside the box bound %g", dim, p.ID, d, minSq)
@@ -90,10 +90,10 @@ func TestBoxesStayExact(t *testing.T) {
 	}
 }
 
-// TestCheckBoxesDetectsCorruption: a deliberately loosened and a
-// deliberately tightened box must both fail CheckBoxes — exactness is
+// TestCheckDetectsCorruption: a deliberately loosened and a
+// deliberately tightened box must both fail Check — exactness is
 // the invariant, not mere containment.
-func TestCheckBoxesDetectsCorruption(t *testing.T) {
+func TestCheckDetectsCorruption(t *testing.T) {
 	tr, err := BulkLoad([]Point{
 		{Coords: []float64{0, 0}, ID: 1},
 		{Coords: []float64{1, 1}, ID: 2},
@@ -102,20 +102,20 @@ func TestCheckBoxesDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.CheckBoxes(); err != nil {
+	if err := tr.Check(); err != nil {
 		t.Fatalf("fresh tree: %v", err)
 	}
-	saved := tr.root.hi[0]
-	tr.root.hi[0] = saved + 1 // looser than the data
-	if err := tr.CheckBoxes(); err == nil {
-		t.Fatal("loosened box passed CheckBoxes")
+	saved := tr.Nodes[0].Hi[0]
+	tr.Nodes[0].Hi[0] = saved + 1 // looser than the data
+	if err := tr.Check(); err == nil {
+		t.Fatal("loosened box passed Check")
 	}
-	tr.root.hi[0] = saved - 1 // tighter than the data: prunes live points
-	if err := tr.CheckBoxes(); err == nil {
-		t.Fatal("tightened box passed CheckBoxes")
+	tr.Nodes[0].Hi[0] = saved - 1 // tighter than the data: prunes live points
+	if err := tr.Check(); err == nil {
+		t.Fatal("tightened box passed Check")
 	}
-	tr.root.hi[0] = saved
-	if err := tr.CheckBoxes(); err != nil {
+	tr.Nodes[0].Hi[0] = saved
+	if err := tr.Check(); err != nil {
 		t.Fatalf("restored tree: %v", err)
 	}
 }

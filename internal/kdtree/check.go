@@ -6,12 +6,12 @@ import (
 )
 
 // Check validates the structural invariants of the tree and returns the
-// first violation found. It is used by the test suite and by the
-// distributed core's property tests.
+// first violation found.
 //
 // Invariants:
 //  1. every node is either a routing node with two children or a leaf
-//     with a bucket (never both, never neither);
+//     with a bucket (never both, never neither), every child index is in
+//     range, and no reference leaves the arena;
 //  2. every point in the left subtree of a routing node has
 //     coords[splitDim] <= splitVal, every point in the right subtree
 //     has coords[splitDim] > splitVal (checked transitively against
@@ -23,58 +23,122 @@ import (
 //  6. every node's bounding box is the exact (tight, per-dimension)
 //     bound of the points in its subtree — nil for an empty subtree —
 //     so the min-distance pruning guard is never looser than the data
-//     and never admits a skip it cannot prove (CheckBoxes).
+//     and never admits a skip it cannot prove. Exactness matters in
+//     both directions: a box looser than the data weakens pruning
+//     silently, a box tighter than the data prunes live candidates and
+//     corrupts results.
 func (t *Tree) Check() error {
-	counted := 0
-	// Per-dimension bounds implied by the ancestor chain.
-	lo := make([]float64, t.dim)
-	hi := make([]float64, t.dim)
-	for d := range lo {
-		lo[d] = math.Inf(-1)
-		hi[d] = math.Inf(1)
-	}
-	if err := t.checkNode(t.root, lo, hi, &counted); err != nil {
+	counted, closed, err := t.CheckSubtree(0)
+	if err != nil {
 		return err
+	}
+	if !closed {
+		return fmt.Errorf("kdtree: tree holds a reference leaving its arena")
 	}
 	if counted != t.size {
 		return fmt.Errorf("kdtree: size %d but %d points in leaves", t.size, counted)
 	}
-	return t.CheckBoxes()
+	return nil
 }
 
-// CheckBoxes validates the region-metadata invariant on its own: every
-// node's box must exactly equal the per-dimension min/max of the points
-// in its subtree. Exactness matters in both directions — a box looser
-// than the data weakens pruning silently, a box tighter than the data
-// prunes live candidates and corrupts results. It is also run by the
-// distributed core's consistency checks after splits, spills and
-// rebalances.
-func (t *Tree) CheckBoxes() error {
-	_, _, err := checkBox(t.root)
-	return err
+// CheckSubtree validates invariants 1–3, 5 and 6 over the local subtree
+// rooted at root and returns the number of points it holds. A reference
+// leaving the arena (a foreign child, a tombstone) is not followed —
+// closed reports whether none was met — and the box of a node above one
+// is not checked: its region extends outside the arena.
+func (a *Arena) CheckSubtree(root int32) (points int, closed bool, err error) {
+	// Per-dimension bounds implied by the ancestor chain.
+	lo := make([]float64, a.Dim)
+	hi := make([]float64, a.Dim)
+	for d := range lo {
+		lo[d] = math.Inf(-1)
+		hi[d] = math.Inf(1)
+	}
+	c := checker{a: a, lo: lo, hi: hi, seen: make([]bool, len(a.Nodes))}
+	_, _, closed, err = c.node(a.Ref(root))
+	return c.points, closed, err
 }
 
-func checkBox(n *node) (lo, hi []float64, err error) {
-	if n == nil {
-		return nil, nil, fmt.Errorf("kdtree: nil node")
+type checker struct {
+	a      *Arena
+	lo, hi []float64 // lo exclusive (right of an ancestor split), hi inclusive (left)
+	seen   []bool
+	points int
+}
+
+// node checks the subtree behind ref and returns its recomputed box;
+// closed is false when the subtree holds a reference leaving the arena.
+func (c *checker) node(ref Ref) (lo, hi []float64, closed bool, err error) {
+	a := c.a
+	if !a.IsLocal(ref) {
+		return nil, nil, false, nil
 	}
-	if n.leaf {
-		lo, hi = BoxOf(n.bucket)
-	} else {
-		llo, lhi, err := checkBox(n.left)
-		if err != nil {
-			return nil, nil, err
+	if ref.Node < 0 || int(ref.Node) >= len(a.Nodes) {
+		return nil, nil, false, fmt.Errorf("kdtree: dangling child index %d", ref.Node)
+	}
+	if c.seen[ref.Node] {
+		return nil, nil, false, fmt.Errorf("kdtree: node %d has two parents or sits on a cycle", ref.Node)
+	}
+	c.seen[ref.Node] = true
+	n := &a.Nodes[ref.Node]
+	switch {
+	case n.Moved:
+		if n.Leaf || n.Bucket != nil || n.Lo != nil {
+			return nil, nil, false, fmt.Errorf("kdtree: tombstone %d carries data", ref.Node)
 		}
-		rlo, rhi, err := checkBox(n.right)
-		if err != nil {
-			return nil, nil, err
+		return nil, nil, false, nil
+	case n.Leaf:
+		if len(n.Bucket) > a.BucketSize && !allEqual(n.Bucket) {
+			return nil, nil, false, fmt.Errorf("kdtree: splittable bucket of %d exceeds Bs=%d", len(n.Bucket), a.BucketSize)
 		}
-		lo, hi = unionBox(llo, lhi, rlo, rhi)
+		for _, p := range n.Bucket {
+			if len(p.Coords) != a.Dim {
+				return nil, nil, false, fmt.Errorf("kdtree: point %d has %d coords, want %d", p.ID, len(p.Coords), a.Dim)
+			}
+			for d, v := range p.Coords {
+				if !(v > c.lo[d]) || !(v <= c.hi[d]) {
+					return nil, nil, false, fmt.Errorf("kdtree: point %d dim %d value %g outside (%g, %g]", p.ID, d, v, c.lo[d], c.hi[d])
+				}
+			}
+		}
+		c.points += len(n.Bucket)
+		lo, hi = BoxOf(n.Bucket)
+		closed = true
+	default:
+		if n.Bucket != nil {
+			return nil, nil, false, fmt.Errorf("kdtree: malformed routing node")
+		}
+		d := int(n.SplitDim)
+		if d < 0 || d >= a.Dim {
+			return nil, nil, false, fmt.Errorf("kdtree: split dimension %d out of range", d)
+		}
+		if !(n.SplitVal > c.lo[d]) || !(n.SplitVal < c.hi[d]) {
+			return nil, nil, false, fmt.Errorf("kdtree: split value %g outside ancestor bounds (%g, %g)",
+				n.SplitVal, c.lo[d], c.hi[d])
+		}
+		saved := c.hi[d]
+		c.hi[d] = n.SplitVal
+		llo, lhi, lclosed, err := c.node(n.Left)
+		c.hi[d] = saved
+		if err != nil {
+			return nil, nil, false, err
+		}
+		saved = c.lo[d]
+		c.lo[d] = n.SplitVal
+		rlo, rhi, rclosed, err := c.node(n.Right)
+		c.lo[d] = saved
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if closed = lclosed && rclosed; !closed {
+			return nil, nil, false, nil
+		}
+		lo, hi = UnionBox(llo, lhi, rlo, rhi) // llo/lhi are fresh: safe to grow in place
 	}
-	if err := boxExact(n.lo, n.hi, lo, hi); err != nil {
-		return nil, nil, err
+	if err := boxExact(n.Lo, n.Hi, lo, hi); err != nil {
+		return nil, nil, false, err
 	}
-	return lo, hi, nil
+	return lo, hi, closed, nil
 }
 
 // boxExact compares a stored box against the recomputed ground truth.
@@ -96,58 +160,6 @@ func boxExact(gotLo, gotHi, wantLo, wantHi []float64) error {
 				d, gotLo[d], gotHi[d], wantLo[d], wantHi[d])
 		}
 	}
-	return nil
-}
-
-func (t *Tree) checkNode(n *node, lo, hi []float64, counted *int) error {
-	if n == nil {
-		return fmt.Errorf("kdtree: nil node")
-	}
-	if n.leaf {
-		if n.left != nil || n.right != nil {
-			return fmt.Errorf("kdtree: leaf with children")
-		}
-		if len(n.bucket) > t.bucketSize && !allEqual(n.bucket) {
-			return fmt.Errorf("kdtree: splittable bucket of %d exceeds Bs=%d", len(n.bucket), t.bucketSize)
-		}
-		for _, p := range n.bucket {
-			if len(p.Coords) != t.dim {
-				return fmt.Errorf("kdtree: point %d has %d coords, want %d", p.ID, len(p.Coords), t.dim)
-			}
-			for d, v := range p.Coords {
-				// lo is exclusive (right side of an ancestor split),
-				// hi is inclusive (left side).
-				if !(v > lo[d]) || !(v <= hi[d]) {
-					return fmt.Errorf("kdtree: point %d dim %d value %g outside (%g, %g]", p.ID, d, v, lo[d], hi[d])
-				}
-			}
-		}
-		*counted += len(n.bucket)
-		return nil
-	}
-	if n.left == nil || n.right == nil || n.bucket != nil {
-		return fmt.Errorf("kdtree: malformed routing node")
-	}
-	if n.splitDim < 0 || n.splitDim >= t.dim {
-		return fmt.Errorf("kdtree: split dimension %d out of range", n.splitDim)
-	}
-	if !(n.splitVal > lo[n.splitDim]) || !(n.splitVal < hi[n.splitDim]) {
-		return fmt.Errorf("kdtree: split value %g outside ancestor bounds (%g, %g)",
-			n.splitVal, lo[n.splitDim], hi[n.splitDim])
-	}
-	savedHi := hi[n.splitDim]
-	hi[n.splitDim] = n.splitVal
-	if err := t.checkNode(n.left, lo, hi, counted); err != nil {
-		return err
-	}
-	hi[n.splitDim] = savedHi
-
-	savedLo := lo[n.splitDim]
-	lo[n.splitDim] = n.splitVal
-	if err := t.checkNode(n.right, lo, hi, counted); err != nil {
-		return err
-	}
-	lo[n.splitDim] = savedLo
 	return nil
 }
 

@@ -1,15 +1,18 @@
-// Package kdtree implements the sequential bucket KD-tree SemTree is
-// built from (§III-B): data points live only in leaf buckets; routing
-// nodes carry a split index Sr and split value Sv; navigation compares
-// P[Sr] against Sv at each level. The package provides dynamic
-// insertion with leaf splitting, balanced bulk-loading, the "totally
-// unbalanced (chain)" construction used as the worst case in the
-// paper's evaluation, and the k-nearest / range search procedures.
+// Package kdtree implements the bucket KD-tree SemTree is built from
+// (§III-B): data points live only in leaf buckets; routing nodes carry
+// a split index Sr and split value Sv; navigation compares P[Sr]
+// against Sv at each level.
 //
-// The distributed version lives in internal/core; this package is both
-// its single-partition building block, the sequential baseline of
-// Figures 4 and 6, and the reference oracle the distributed tree is
-// property-tested against.
+// The package is the single tree kernel of the index. An Arena holds
+// tree nodes in a slice addressed by index; a child reference (Ref)
+// names a node either inside the arena or outside it. The arena owns
+// descent, leaf splitting (median and chain policies), bounding-box
+// maintenance, balanced and chain bulk building, the structural Check
+// and the k-nearest / range traversals. Tree — the sequential tree of
+// Figures 4 and 6 — is an Arena with no outside references; the
+// distributed tree of internal/core hosts one Arena per partition and
+// adds only what distribution needs (an Outside continuation the
+// traversals call when a reference leaves the arena).
 package kdtree
 
 import (
@@ -44,33 +47,73 @@ type Stats struct {
 	PointsScanned int // candidate points distance-tested in leaf buckets
 }
 
-// node is either a routing node (leaf == false: splitDim/splitVal/
-// children valid) or a leaf (bucket valid). Points with
-// coords[splitDim] <= splitVal belong to the left subtree.
-//
-// lo/hi is the node's region metadata: the exact d-dimensional
-// bounding box of every point in the subtree (nil for an empty
-// subtree). The box is the search guard — its minimum distance to the
-// query (BoxMinSq) subsumes the splitting-plane bound of §III-B.3,
-// which only measures one dimension — and is kept exactly tight:
-// expanded point-by-point on insert (points are never removed), and
-// recomputed from buckets on splits and bulk loads.
-type node struct {
-	splitDim    int
-	splitVal    float64
-	left, right *node
-	leaf        bool
-	bucket      []Point
-	lo, hi      []float64
+// Ref addresses a tree node: the arena hosting it (Part) and the node's
+// index there. A ref is local to an arena when Part equals the arena's
+// Self — the paper's Cp == Childp test, resolved by one integer compare.
+// What a foreign Part means is the embedder's business: a fabric node
+// ID inside a live partition, a partition ordinal inside a snapshot.
+type Ref struct {
+	Part int32
+	Node int32
 }
 
-// Tree is a sequential bucket KD-tree. It is not safe for concurrent
+// Local is the Self of an arena no partition hosts: a sequential Tree,
+// or a fragment built client-side before it is shipped.
+const Local int32 = -1
+
+// Node is one tree node, in the arena and on the wire alike (fields are
+// exported so messages and snapshots serialize it as is). Exactly one
+// of three states holds:
+//
+//   - leaf:    data node, Bucket valid;
+//   - routing: SplitDim/SplitVal/Left/Right valid; points with
+//     Coords[SplitDim] <= SplitVal belong to the left subtree. It is an
+//     *edge node* when a child lives outside the arena, *internal*
+//     otherwise (§III-B.1);
+//   - moved:   tombstone left behind when the distributed tree
+//     relocates a leaf; Fwd is the direct link to its new home, so
+//     in-flight operations that resolved this node keep working. The
+//     sequential Tree never creates one.
+//
+// Lo/Hi is the node's region metadata: the exact d-dimensional bounding
+// box of every point in its logical subtree (nil for an empty subtree,
+// and for a tombstone). The box is the search guard — its minimum
+// distance to the query (BoxMinSq) subsumes the splitting-plane bound
+// of §III-B.3, which only measures one dimension — and is kept exactly
+// tight: expanded point-by-point on insert (points are never removed),
+// and recomputed from buckets on splits and bulk builds.
+type Node struct {
+	Leaf     bool
+	Moved    bool
+	SplitDim int32
+	SplitVal float64
+	Fwd      Ref
+	Left     Ref
+	Right    Ref
+	Bucket   []Point
+	Lo, Hi   []float64
+}
+
+// Arena is a set of tree nodes addressed by index. It is not safe for
+// concurrent mutation; embedders that share one across goroutines
+// bring their own lock.
+type Arena struct {
+	Nodes      []Node
+	Self       int32 // the Part that names this arena in a Ref
+	Dim        int   // dimensionality of indexed points
+	BucketSize int   // leaf capacity Bs
+	// Chain selects the degenerate split policy behind the paper's
+	// "totally unbalanced" curves in place of the median split.
+	Chain bool
+}
+
+// Tree is a sequential bucket KD-tree: an Arena whose root is node 0
+// and whose references never leave it. It is not safe for concurrent
 // mutation; concurrent reads are safe once building is done.
 type Tree struct {
-	dim        int
-	bucketSize int
-	root       *node
-	size       int
+	Arena
+	size int
+	path []int32 // Insert's descent scratch
 }
 
 // DefaultBucketSize is the leaf capacity Bs used when none is given.
@@ -85,94 +128,122 @@ func New(dim, bucketSize int) (*Tree, error) {
 	if bucketSize <= 0 {
 		bucketSize = DefaultBucketSize
 	}
-	return &Tree{
-		dim:        dim,
-		bucketSize: bucketSize,
-		root:       &node{leaf: true},
-	}, nil
+	return &Tree{Arena: Arena{
+		Nodes:      []Node{{Leaf: true}},
+		Self:       Local,
+		Dim:        dim,
+		BucketSize: bucketSize,
+	}}, nil
 }
-
-// Dim returns the dimensionality of indexed points.
-func (t *Tree) Dim() int { return t.dim }
-
-// BucketSize returns the leaf capacity Bs.
-func (t *Tree) BucketSize() int { return t.bucketSize }
 
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the number of levels (a single leaf root has height 1).
-func (t *Tree) Height() int { return height(t.root) }
-
-func height(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	l, r := height(n.left), height(n.right)
-	if r > l {
-		l = r
-	}
-	return l + 1
-}
-
 // Insert adds a point, splitting the target leaf when its bucket
 // saturates (Figure 1's red-node split).
 func (t *Tree) Insert(p Point) error {
-	if len(p.Coords) != t.dim {
-		return fmt.Errorf("kdtree: point has %d coords, tree dimension is %d", len(p.Coords), t.dim)
+	if len(p.Coords) != t.Dim {
+		return fmt.Errorf("kdtree: point has %d coords, tree dimension is %d", len(p.Coords), t.Dim)
 	}
-	n := t.root
-	// Every node on the descent path gains the point, so every box on
-	// the path expands; expansion keeps boxes exactly tight because
-	// points are never removed.
-	n.expandBox(p.Coords)
-	for !n.leaf {
-		if p.Coords[n.splitDim] <= n.splitVal {
-			n = n.left
-		} else {
-			n = n.right
-		}
-		n.expandBox(p.Coords)
-	}
-	n.bucket = append(n.bucket, p)
+	t.path = t.path[:0]
+	leaf, _, _ := t.Descend(0, p.Coords, &t.path)
+	t.ExpandPath(t.path, p.Coords)
+	n := &t.Nodes[leaf]
+	n.Bucket = append(n.Bucket, p)
 	t.size++
-	if len(n.bucket) > t.bucketSize {
-		t.splitLeaf(n)
+	if len(n.Bucket) > t.BucketSize {
+		t.SplitLeaf(leaf)
 	}
 	return nil
 }
 
-// splitLeaf converts a saturated leaf into a routing node with two leaf
-// children. The split dimension is the one with the largest spread
-// (letting the tree "adapt to different densities in various regions of
-// the space", §III-B); when every dimension has zero spread the bucket
-// is unsplittable (all points identical) and is allowed to exceed Bs.
-func (t *Tree) splitLeaf(n *node) {
-	dim, lo, hi, ok := widestDimension(n.bucket, t.dim)
-	if !ok {
-		return // all points identical; oversized bucket stands
+// IsLocal reports whether ref points into this arena.
+func (a *Arena) IsLocal(ref Ref) bool { return ref.Part == a.Self }
+
+// Ref returns the reference naming node idx of this arena.
+func (a *Arena) Ref(idx int32) Ref { return Ref{Part: a.Self, Node: idx} }
+
+// add appends a node and returns its index.
+func (a *Arena) add(n Node) int32 {
+	a.Nodes = append(a.Nodes, n)
+	return int32(len(a.Nodes) - 1)
+}
+
+// Descend walks from idx towards the leaf that should hold pt. It stops
+// at a local leaf (outside == false) or at the first reference leaving
+// the arena — a foreign child or a tombstone's forward link — appending
+// every live node it routes through to path: the nodes whose boxes must
+// grow when the insert lands. Routing decisions are immutable once
+// made, so a recorded path stays the point's route even if the leaf it
+// ended on is split before the insert is applied.
+func (a *Arena) Descend(idx int32, pt []float64, path *[]int32) (leaf int32, out Ref, outside bool) {
+	for {
+		n := &a.Nodes[idx]
+		if n.Moved {
+			return 0, n.Fwd, true
+		}
+		*path = append(*path, idx)
+		if n.Leaf {
+			return idx, Ref{}, false
+		}
+		c := n.Right
+		if pt[n.SplitDim] <= n.SplitVal {
+			c = n.Left
+		}
+		if !a.IsLocal(c) {
+			return 0, c, true
+		}
+		idx = c.Node
 	}
-	splitVal := chooseSplitValue(n.bucket, dim, lo, hi)
-	left := &node{leaf: true}
-	right := &node{leaf: true}
-	for _, p := range n.bucket {
+}
+
+// SplitLeaf converts a saturated leaf into a routing node with two
+// local leaf children (Figure 1). The median policy splits the
+// dimension with the largest spread (letting the tree "adapt to
+// different densities in various regions of the space", §III-B); the
+// chain policy falls back to it when dimension 0 has no spread. When
+// every dimension has zero spread the bucket is unsplittable (all
+// points identical) and is allowed to exceed Bs.
+func (a *Arena) SplitLeaf(idx int32) {
+	bucket := a.Nodes[idx].Bucket
+	dim, splitVal, ok := a.splitPlane(bucket)
+	if !ok {
+		return // all points identical: oversized leaf stands
+	}
+	var lb, rb []Point
+	for _, p := range bucket {
 		if p.Coords[dim] <= splitVal {
-			left.bucket = append(left.bucket, p)
+			lb = append(lb, p)
 		} else {
-			right.bucket = append(right.bucket, p)
+			rb = append(rb, p)
 		}
 	}
-	left.lo, left.hi = BoxOf(left.bucket)
-	right.lo, right.hi = BoxOf(right.bucket)
-	n.leaf = false
-	n.bucket = nil
-	n.splitDim = dim
-	n.splitVal = splitVal
-	n.left = left
-	n.right = right
+	llo, lhi := BoxOf(lb)
+	rlo, rhi := BoxOf(rb)
+	li := a.add(Node{Leaf: true, Bucket: lb, Lo: llo, Hi: lhi})
+	ri := a.add(Node{Leaf: true, Bucket: rb, Lo: rlo, Hi: rhi})
+	n := &a.Nodes[idx] // re-take: add may have grown the arena
+	n.Leaf = false
+	n.Bucket = nil
+	n.SplitDim = int32(dim)
+	n.SplitVal = splitVal
+	n.Left = a.Ref(li)
+	n.Right = a.Ref(ri)
+}
+
+// splitPlane picks the (Sr, Sv) pair that splits bucket under the
+// arena's policy. ok is false when the bucket is unsplittable.
+func (a *Arena) splitPlane(bucket []Point) (dim int, splitVal float64, ok bool) {
+	if a.Chain {
+		if splitVal, ok = chainSplit(bucket); ok {
+			return 0, splitVal, true
+		}
+	}
+	dim, lo, hi, ok := widestDimension(bucket, a.Dim)
+	if !ok {
+		return 0, 0, false
+	}
+	return dim, medianSplit(bucket, dim, lo, hi), true
 }
 
 // widestDimension returns the dimension with the largest value spread
@@ -198,11 +269,11 @@ func widestDimension(bucket []Point, dims int) (dim int, lo, hi float64, ok bool
 	return dim, lo, hi, ok
 }
 
-// chooseSplitValue picks Sv along dim: the median bucket value when it
+// medianSplit picks Sv along dim: the median bucket value when it
 // separates the points, otherwise the midpoint of the range. Both
 // choices guarantee non-empty halves under the "<= goes left" rule,
 // because lo < hi.
-func chooseSplitValue(bucket []Point, dim int, lo, hi float64) float64 {
+func medianSplit(bucket []Point, dim int, lo, hi float64) float64 {
 	vals := make([]float64, len(bucket))
 	for i, p := range bucket {
 		vals[i] = p.Coords[dim]
@@ -216,40 +287,77 @@ func chooseSplitValue(bucket []Point, dim int, lo, hi float64) float64 {
 	return (lo + hi) / 2
 }
 
+// chainSplit is the degenerate split policy behind the paper's "totally
+// unbalanced" curves: split on dimension 0 at the predecessor of the
+// maximum, so monotonically increasing inserts grow a right-leaning
+// chain. ok is false when dimension 0 has no spread.
+func chainSplit(bucket []Point) (splitVal float64, ok bool) {
+	mx := bucket[0].Coords[0]
+	for _, p := range bucket[1:] {
+		if v := p.Coords[0]; v > mx {
+			mx = v
+		}
+	}
+	// splitVal is the largest value strictly below the maximum, so the
+	// maximum (and its duplicates) form the right side.
+	for _, p := range bucket {
+		if v := p.Coords[0]; v < mx && (!ok || v > splitVal) {
+			splitVal, ok = v, true
+		}
+	}
+	return splitVal, ok
+}
+
+// leaves calls fn on every leaf of the local subtree rooted at idx, in
+// traversal order. References leaving the arena are not followed.
+func (a *Arena) leaves(idx int32, fn func(n *Node)) {
+	n := &a.Nodes[idx]
+	switch {
+	case n.Moved:
+	case n.Leaf:
+		fn(n)
+	default:
+		for _, c := range [2]Ref{n.Left, n.Right} {
+			if a.IsLocal(c) {
+				a.leaves(c.Node, fn)
+			}
+		}
+	}
+}
+
+// Count returns the number of points in the local subtree rooted at
+// idx.
+func (a *Arena) Count(idx int32) int {
+	count := 0
+	a.leaves(idx, func(n *Node) { count += len(n.Bucket) })
+	return count
+}
+
 // Points returns all indexed points in traversal order.
 func (t *Tree) Points() []Point {
 	out := make([]Point, 0, t.size)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.leaf {
-			out = append(out, n.bucket...)
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
+	t.leaves(0, func(n *Node) { out = append(out, n.Bucket...) })
 	return out
 }
 
 // LeafCount returns the number of leaf nodes.
 func (t *Tree) LeafCount() int {
 	count := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.leaf {
-			count++
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
+	t.leaves(0, func(*Node) { count++ })
 	return count
+}
+
+// Height returns the number of levels (a single leaf root has height 1).
+func (t *Tree) Height() int { return t.height(0) }
+
+func (a *Arena) height(idx int32) int {
+	n := &a.Nodes[idx]
+	if n.Leaf {
+		return 1
+	}
+	l, r := a.height(n.Left.Node), a.height(n.Right.Node)
+	if r > l {
+		l = r
+	}
+	return l + 1
 }

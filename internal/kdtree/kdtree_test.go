@@ -37,6 +37,9 @@ func clusteredPoints(r *rand.Rand, n, dim int) []Point {
 	return pts
 }
 
+// euclidean is the oracle's own distance: sqrt applied per candidate.
+func euclidean(q, p []float64) float64 { return math.Sqrt(EuclideanSq(q, p)) }
+
 func bruteKNN(pts []Point, q []float64, k int) []Neighbor {
 	all := make([]Neighbor, len(pts))
 	for i, p := range pts {
@@ -78,8 +81,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.BucketSize() != DefaultBucketSize {
-		t.Fatalf("default bucket = %d", tr.BucketSize())
+	if tr.BucketSize != DefaultBucketSize {
+		t.Fatalf("default bucket = %d", tr.BucketSize)
 	}
 }
 

@@ -80,57 +80,37 @@ func (r *ResultSet) drain() []Neighbor {
 	return out
 }
 
-// visit is one pending subtree on the explicit traversal stack.
-// guardSq >= 0 guards the visit: no point of the subtree can lie closer
-// to the query than sqrt(guardSq), so the subtree is skipped when the
-// result ball no longer reaches it. The guard is the exact squared
-// minimum distance from the query to the subtree's bounding box
-// (BoxMinSq), which subsumes the splitting-plane distance of §III-B.3 —
-// the box lies entirely beyond the plane, so the box bound is never
-// looser and grows strictly tighter with dimensionality. The guard is
-// evaluated at pop time — after the nearer sibling's subtree has been
-// fully explored — which is exactly the paper's backtracking condition.
-// guardSq < 0 is unconditional.
-type visit struct {
-	n       *node
-	guardSq float64
-}
-
-// searchCtx is the pooled per-query execution context: the scratch
-// result set and the visit stack. Searches borrow one, so steady-state
-// queries allocate only the returned slice.
+// searchCtx is the pooled per-query execution context of Tree's
+// searches, so steady-state queries allocate only the returned slice.
 type searchCtx struct {
-	rs    ResultSet
-	stack []visit
+	rs ResultSet
+	s  Search
 }
 
-var searchCtxPool = sync.Pool{New: func() any { return new(searchCtx) }}
+var searchCtxPool = sync.Pool{New: func() any {
+	c := new(searchCtx)
+	c.s.RS = &c.rs
+	return c
+}}
 
-func getSearchCtx(k int) *searchCtx {
+func getSearchCtx(q []float64, k int) *searchCtx {
 	c := searchCtxPool.Get().(*searchCtx)
 	c.rs.K = k
 	c.rs.Items = c.rs.Items[:0]
-	c.stack = c.stack[:0]
+	c.s.Reset(q)
 	return c
 }
 
-// euclidean returns the Euclidean distance between q and p.
-func euclidean(q, p []float64) float64 {
-	return math.Sqrt(EuclideanSq(q, p))
-}
-
-// EuclideanSq returns the squared Euclidean distance between q and p.
-// It is the single distance kernel of the whole index — the local tree
-// and the distributed engine both call it, so the metric (and any
-// future change to it) lives in exactly one place, like the ResultSet
-// ordering contract.
-func EuclideanSq(q, p []float64) float64 {
-	s := 0.0
-	for i := range q {
-		d := q[i] - p[i]
-		s += d * d
+// release folds the traversal counters into stats (which may be nil)
+// and returns the context to the pool.
+func (c *searchCtx) release(stats *Stats) {
+	if stats != nil {
+		stats.NodesVisited += c.s.Stats.NodesVisited
+		stats.LeavesVisited += c.s.Stats.LeavesVisited
+		stats.PointsScanned += c.s.Stats.PointsScanned
 	}
-	return s
+	c.s.Query, c.s.Matches = nil, nil // detach the caller's slices
+	searchCtxPool.Put(c)
 }
 
 // KNearest returns the k points closest to q in ascending distance
@@ -140,63 +120,16 @@ func (t *Tree) KNearest(q []float64, k int) []Neighbor {
 }
 
 // KNearestWithStats is KNearest recording traversal work into stats
-// (which may be nil). The descent/backtrack structure follows §III-B.3:
-// navigate to the leaf containing q, add its bucket to Rs, then walk
-// back up; at each node the unexplored subtree is visited when the
-// hypersphere of the current worst result reaches the subtree's
-// bounding box — the exact min-distance form of the paper's
-// |max(Rs) − P[SI]| > |P[SI] − Sv| splitting-plane test, which the box
-// bound subsumes — or when Rs is not yet full (Rs.length() < K). The
-// recursion is run as an explicit stack so the whole traversal state
-// lives in one pooled context.
+// (which may be nil).
 func (t *Tree) KNearestWithStats(q []float64, k int, stats *Stats) []Neighbor {
 	if k <= 0 || t.size == 0 {
 		return nil
 	}
-	ctx := getSearchCtx(k)
-	defer searchCtxPool.Put(ctx)
-	ctx.stack = append(ctx.stack, visit{n: t.root, guardSq: -1})
-	for len(ctx.stack) > 0 {
-		v := ctx.stack[len(ctx.stack)-1]
-		ctx.stack = ctx.stack[:len(ctx.stack)-1]
-		// Skip only when the guard is strictly beyond the worst kept
-		// candidate: at exact equality a point on the box boundary could
-		// tie the k-th best with a smaller ID, and tie-breaks are part
-		// of the result contract. Pruning on the strict inequality
-		// keeps results byte-identical to the plane-guard traversal —
-		// every skipped point is strictly worse than the kept k-th.
-		if v.guardSq >= 0 && ctx.rs.Full() && ctx.rs.Worst() < v.guardSq {
-			continue // backtracking prune: the result ball cannot reach the region
-		}
-		n := v.n
-		if stats != nil {
-			stats.NodesVisited++
-		}
-		if n.leaf {
-			if stats != nil {
-				stats.LeavesVisited++
-				stats.PointsScanned += len(n.bucket)
-			}
-			for _, p := range n.bucket {
-				ctx.rs.Offer(Neighbor{Point: p, Dist: EuclideanSq(q, p.Coords)})
-			}
-			continue
-		}
-		near, far := n.left, n.right
-		if q[n.splitDim] > n.splitVal {
-			near, far = far, near
-		}
-		// LIFO: far is guarded by its region's exact min-distance and
-		// pops only after near's whole subtree has been explored. An
-		// empty far subtree (nil box) can never contribute; an infinite
-		// guard prunes it as soon as the result set fills.
-		guard := math.Inf(1)
-		if far.lo != nil {
-			guard = BoxMinSq(q, far.lo, far.hi)
-		}
-		ctx.stack = append(ctx.stack, visit{n: far, guardSq: guard}, visit{n: near, guardSq: -1})
-	}
-	return ctx.rs.drain()
+	c := getSearchCtx(q, k)
+	defer c.release(stats)
+	c.s.Push(t.Ref(0), -1)
+	_ = t.Arena.KNearest(&c.s, nil) // no Outside: nothing can fail
+	return c.rs.drain()
 }
 
 // RangeSearch returns every point within distance d of q, in ascending
@@ -206,52 +139,20 @@ func (t *Tree) RangeSearch(q []float64, d float64) []Neighbor {
 }
 
 // RangeSearchWithStats is RangeSearch recording traversal work into
-// stats (which may be nil). Per §III-B.4: while descending, every
-// child whose region intersects the query ball is visited — the exact
-// min-distance form of the paper's |P[SI] − Sv| < D border test, so
-// both children are visited at a border node and provably-empty
-// regions are skipped outright; results are gathered on the way back,
-// compared on squared distances, and sorted plus square-rooted exactly
-// once at the end.
+// stats (which may be nil). Results are gathered on squared distances
+// and sorted plus square-rooted exactly once at the end.
 func (t *Tree) RangeSearchWithStats(q []float64, d float64, stats *Stats) []Neighbor {
 	if d < 0 || t.size == 0 {
 		return nil
 	}
-	var out []Neighbor
-	t.rangeVisit(t.root, q, d*d, &out, stats)
+	c := getSearchCtx(q, 0)
+	defer c.release(stats)
+	c.s.Radius = d
+	_ = t.Range(&c.s, 0, nil) // no Outside: nothing can fail
+	out := c.s.Matches
 	sort.Slice(out, func(i, j int) bool { return NeighborLess(out[i], out[j]) })
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}
 	return out
-}
-
-func (t *Tree) rangeVisit(n *node, q []float64, dd float64, out *[]Neighbor, stats *Stats) {
-	if stats != nil {
-		stats.NodesVisited++
-	}
-	if n.leaf {
-		if stats != nil {
-			stats.LeavesVisited++
-			stats.PointsScanned += len(n.bucket)
-		}
-		for _, p := range n.bucket {
-			if sq := EuclideanSq(q, p.Coords); sq <= dd {
-				*out = append(*out, Neighbor{Point: p, Dist: sq})
-			}
-		}
-		return
-	}
-	// The paper states the descend-both condition on the splitting
-	// plane (|P[SI] − Sv| < D); the region guard is its exact form: a
-	// child is visited iff its bounding box comes within D of the query
-	// (<=, not <, so points lying at distance exactly D are not missed
-	// — results use dist <= D). Children whose region provably holds no
-	// match are skipped even on the navigation side.
-	if n.left.lo != nil && BoxMinSq(q, n.left.lo, n.left.hi) <= dd {
-		t.rangeVisit(n.left, q, dd, out, stats)
-	}
-	if n.right.lo != nil && BoxMinSq(q, n.right.lo, n.right.hi) <= dd {
-		t.rangeVisit(n.right, q, dd, out, stats)
-	}
 }

@@ -78,7 +78,8 @@ func TestServeErrorCodesComplete(t *testing.T) {
 func TestServeErrorRoundTrip(t *testing.T) {
 	for _, s := range []error{ErrProtocol, ErrAuth, ErrDraining, ErrVersion, ErrNotAdmin} {
 		code, msg, detail := encodeError(s)
-		if dec := semtree.DecodeError(code, msg, detail); !errors.Is(dec, s) || dec.Error() != s.Error() {
+		dec := semtree.DecodeError(code, msg, detail)
+		if got, want := dec.Error(), s.Error(); !errors.Is(dec, s) || got != want {
 			t.Errorf("%v: wire round trip lost the sentinel (got %v)", s, dec)
 		}
 	}
@@ -86,7 +87,7 @@ func TestServeErrorRoundTrip(t *testing.T) {
 	werr := fmt.Errorf("while serving request 12: %w", ErrDraining)
 	code, msg, detail := encodeError(werr)
 	dec := semtree.DecodeError(code, msg, detail)
-	if !errors.Is(dec, ErrDraining) || dec.Error() != werr.Error() {
+	if got, want := dec.Error(), werr.Error(); !errors.Is(dec, ErrDraining) || got != want {
 		t.Errorf("wrapped draining error round trip: got %v", dec)
 	}
 }

@@ -1,24 +1,24 @@
 package semtree
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
 
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
-	"semtree/internal/kdtree"
 	"semtree/internal/semdist"
 	"semtree/internal/triple"
 	"semtree/internal/vocab"
 )
 
 // snapshotVersion is the on-disk format written by Save. Version 2
-// adds the distributed tree's partition snapshot; Load still accepts
-// version 1 streams (written before the tree was persisted) and
-// rebuilds their tree through the bulk loader.
-const snapshotVersion = 2
+// introduced the distributed tree's partition snapshot; version 3
+// drops the separate embedding table (every coordinate already lives
+// in the tree payload). Load accepts both through one code path — gob
+// skips version 2's extra field — and rejects version 1 streams
+// (written before the tree was persisted) as corrupt.
+const snapshotVersion = 3
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
 // truncated or garbled encodings, unknown versions, and structural
@@ -28,62 +28,72 @@ const snapshotVersion = 2
 var ErrSnapshotCorrupt = core.ErrSnapshotCorrupt
 
 // indexSnapshot is the gob payload of a persisted index: the triples
-// with provenance, the embedding geometry (FastMap pivots plus the
-// exact coordinates of every stored triple, so reloaded answers are
-// bit-identical), the metric parameters the embedding was built under,
-// and — since version 2 — the distributed tree's partition snapshot
-// (core.TreeSnapshot), so a restart restores the exact tree layout
-// without re-embedding or re-ingesting. Tree is nil in version 1
-// streams (gob leaves absent fields zero); Load then rebuilds the tree
-// from Coords through the bulk loader.
+// with provenance, the FastMap pivots, the metric parameters the
+// embedding was built under, and the distributed tree's partition
+// snapshot (core.TreeSnapshot) — the exact tree layout and, in its
+// buckets, the exact coordinates of every stored triple, so a restart
+// answers bit-identically without re-embedding or re-ingesting.
 type indexSnapshot struct {
 	Version int
 	Options persistedOptions
 	Entries []triple.Entry
 	Mapper  fastmap.Snapshot[triple.Triple]
-	Coords  [][]float64
 	Tree    *core.TreeSnapshot
+}
+
+// strayID returns a point ID the tree serves that has no entry in a
+// table of n entries (IDs are positional), if there is one.
+func strayID(ts *core.TreeSnapshot, n int) (uint64, bool) {
+	for pi := range ts.Parts {
+		for ni := range ts.Parts[pi].Nodes {
+			for _, pt := range ts.Parts[pi].Nodes[ni].Bucket {
+				if pt.ID >= uint64(n) {
+					return pt.ID, true
+				}
+			}
+		}
+	}
+	return 0, false
 }
 
 // Save writes a snapshot of the index to w. The distributed tree must
 // be quiescent (no concurrent Insert, BulkAdd, Rebalance or Repack);
-// concurrent queries are fine. The store-and-embedding capture itself
-// is atomic against Insert and BulkAdd — both sides serialize on the
-// index lock — so even a Save that races an ingest reports a clean
-// count mismatch from the tree capture instead of tearing.
+// concurrent queries are fine. Insert and BulkAdd extend the store
+// under the index lock but the tree outside it, so a Save that races an
+// ingest can capture a tree that is ahead of or behind the store walk;
+// it then reports a clean mutation error instead of writing a stream
+// Load would reject. The same error covers triples added to the store
+// behind the index's back.
 func Save(w io.Writer, ix *Index) error {
-	// One critical section for the store walk and the coords copy: an
-	// Insert between the two would leave a triple without its embedding
-	// row (or the reverse) in the snapshot.
 	ix.mu.Lock()
-	coords := append([][]float64(nil), ix.coords...)
 	entries := make([]triple.Entry, 0, ix.store.Len())
 	ix.store.Each(func(id triple.ID, e triple.Entry) bool {
 		entries = append(entries, e)
 		return true
 	})
 	ix.mu.Unlock()
-	if len(entries) != len(coords) {
-		return fmt.Errorf("semtree: store holds %d triples but %d embeddings are tracked "+
-			"(triples added to the store outside the index?)", len(entries), len(coords))
-	}
 	treeSnap, err := ix.tree.Snapshot()
 	if err != nil {
 		return fmt.Errorf("semtree: save: %w", err)
 	}
+	// Equal sizes plus every ID below the entry count (IDs are distinct)
+	// prove the tree serves exactly the captured entries.
 	if treeSnap.Size != int64(len(entries)) {
 		return fmt.Errorf("semtree: tree snapshot holds %d points but %d triples are stored "+
-			"(index mutated during Save?)", treeSnap.Size, len(entries))
+			"(index mutated during Save, or triples added to the store outside the index?)", treeSnap.Size, len(entries))
+	}
+	if id, ok := strayID(treeSnap, len(entries)); ok {
+		return fmt.Errorf("semtree: tree snapshot holds triple ID %d but only %d triples were captured "+
+			"(index mutated during Save?)", id, len(entries))
 	}
 	snap := indexSnapshot{
 		Version: snapshotVersion,
 		Options: ix.opts,
 		Entries: entries,
 		Mapper:  ix.mapper.Snapshot(),
-		Coords:  coords,
 		Tree:    treeSnap,
 	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
+	if err := encodeSnapshot(w, &snap); err != nil {
 		return fmt.Errorf("semtree: save: %w", err)
 	}
 	return nil
@@ -104,27 +114,24 @@ func decodeSnapshot(r io.Reader, snap *indexSnapshot) error {
 // (bucket size, partitions, fabric) come from opts — their embedding
 // fields (Weights, Measure, NumericLiterals, Dims, Seed) are ignored.
 //
-// A version-2 snapshot restores the distributed tree's exact partition
-// layout (boxes and remote caches included) after structural
-// validation, so the loaded index answers every query byte-identically
-// to the saved one; opts.MaxPartitions is raised to the persisted
-// partition count when lower. A version-1 snapshot (no tree payload)
-// rebuilds the tree from the persisted coordinates through the bulk
-// loader. Corrupt input — truncation, garbage, unknown versions, or a
-// tree payload violating the structural invariants — returns
-// ErrSnapshotCorrupt.
+// The distributed tree's exact partition layout (boxes and remote
+// caches included) is restored after structural validation, so the
+// loaded index answers every query byte-identically to the saved one;
+// opts.MaxPartitions is raised to the persisted partition count when
+// lower. Corrupt input — truncation, garbage, unknown versions
+// (version 1, which carried no tree, included), or a tree payload
+// violating the structural invariants — returns ErrSnapshotCorrupt.
 func Load(r io.Reader, opts Options) (*Index, error) {
 	var snap indexSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	if err := decodeSnapshot(r, &snap); err != nil {
 		return nil, fmt.Errorf("semtree: load: %w: %v", ErrSnapshotCorrupt, err)
 	}
-	if snap.Version != 1 && snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("semtree: load: %w: snapshot version %d, want 1 or %d",
+	if snap.Version != 2 && snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("semtree: load: %w: snapshot version %d, want 2 or %d",
 			ErrSnapshotCorrupt, snap.Version, snapshotVersion)
 	}
-	if len(snap.Entries) != len(snap.Coords) {
-		return nil, fmt.Errorf("semtree: load: %w: snapshot has %d entries but %d embeddings",
-			ErrSnapshotCorrupt, len(snap.Entries), len(snap.Coords))
+	if snap.Tree == nil {
+		return nil, fmt.Errorf("semtree: load: %w: snapshot carries no tree", ErrSnapshotCorrupt)
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -156,73 +163,37 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		store.Add(e.Triple, e.Prov)
 	}
 
-	for i, c := range snap.Coords {
-		if len(c) != snap.Options.Dims {
-			return nil, fmt.Errorf("semtree: load: %w: snapshot coordinate %d has %d dims, want %d",
-				ErrSnapshotCorrupt, i, len(c), snap.Options.Dims)
-		}
+	// The cross-checks against the entry table come before the
+	// structural validation inside RestoreTree, so an inconsistent
+	// envelope fails fast either way.
+	if snap.Tree.Size != int64(len(snap.Entries)) {
+		return nil, fmt.Errorf("semtree: load: %w: tree snapshot holds %d points but %d entries persisted",
+			ErrSnapshotCorrupt, snap.Tree.Size, len(snap.Entries))
 	}
-	cfg := core.Config{
+	if snap.Tree.Dim != snap.Options.Dims {
+		return nil, fmt.Errorf("semtree: load: %w: tree snapshot dim %d, embedding dim %d",
+			ErrSnapshotCorrupt, snap.Tree.Dim, snap.Options.Dims)
+	}
+	// Every point the tree serves must resolve in the entry table —
+	// reloaded IDs are positional — or queries over the restored tree
+	// would surface phantom IDs.
+	if id, ok := strayID(snap.Tree, len(snap.Entries)); ok {
+		return nil, fmt.Errorf("semtree: load: %w: tree references triple ID %d but only %d entries persisted",
+			ErrSnapshotCorrupt, id, len(snap.Entries))
+	}
+	tree, err := core.RestoreTree(core.Config{
 		Dim:               snap.Options.Dims,
 		BucketSize:        opts.BucketSize,
 		PartitionCapacity: opts.PartitionCapacity,
 		MaxPartitions:     opts.MaxPartitions,
 		Fabric:            opts.Fabric,
 		Unbalanced:        opts.Unbalanced,
+	}, snap.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("semtree: load: %w", err)
 	}
-	var tree *core.Tree
-	if snap.Tree != nil {
-		// Version 2: restore the persisted partition layout exactly.
-		// The cross-check against the entry count comes before the
-		// structural validation inside RestoreTree, so an inconsistent
-		// envelope fails fast either way.
-		if snap.Tree.Size != int64(len(snap.Entries)) {
-			return nil, fmt.Errorf("semtree: load: %w: tree snapshot holds %d points but %d entries persisted",
-				ErrSnapshotCorrupt, snap.Tree.Size, len(snap.Entries))
-		}
-		if snap.Tree.Dim != snap.Options.Dims {
-			return nil, fmt.Errorf("semtree: load: %w: tree snapshot dim %d, embedding dim %d",
-				ErrSnapshotCorrupt, snap.Tree.Dim, snap.Options.Dims)
-		}
-		// Every point the tree serves must resolve in the entry table —
-		// reloaded IDs are positional — or queries over the restored tree
-		// would surface phantom IDs.
-		for pi := range snap.Tree.Parts {
-			for ni := range snap.Tree.Parts[pi].Nodes {
-				for _, pt := range snap.Tree.Parts[pi].Nodes[ni].Bucket {
-					if pt.ID >= uint64(len(snap.Entries)) {
-						return nil, fmt.Errorf("semtree: load: %w: tree references triple ID %d but only %d entries persisted",
-							ErrSnapshotCorrupt, pt.ID, len(snap.Entries))
-					}
-				}
-			}
-		}
-		t, err := core.RestoreTree(cfg, snap.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("semtree: load: %w", err)
-		}
-		tree = t
-	} else {
-		// Version 1: no tree payload; rebuild balanced from the
-		// persisted coordinates.
-		t, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		points := make([]kdtree.Point, len(snap.Coords))
-		for i, c := range snap.Coords {
-			points[i] = kdtree.Point{Coords: c, ID: uint64(i)}
-		}
-		//semtree:allow ctxfirst: Load is construction-time and runs to completion by contract; there is no caller context to thread
-		if err := t.BulkLoad(context.Background(), points); err != nil {
-			t.Close()
-			return nil, err
-		}
-		tree = t
-	}
-
 	return &Index{
 		store: store, metric: metric, mapper: mapper, tree: tree,
-		dims: snap.Options.Dims, opts: snap.Options, coords: snap.Coords,
+		dims: snap.Options.Dims, opts: snap.Options,
 	}, nil
 }

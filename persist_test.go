@@ -3,10 +3,13 @@ package semtree
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"sync"
 	"testing"
 
+	"semtree/internal/core"
+	"semtree/internal/fastmap"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
 )
@@ -167,16 +170,80 @@ func TestSaveDetectsOutOfBandStoreWrites(t *testing.T) {
 	}
 }
 
+// legacySnapshot is the envelope versions 1 and 2 wrote: the current
+// one plus the separate embedding table (one row per triple), with the
+// Tree payload absent in version 1.
+type legacySnapshot struct {
+	Version int
+	Options persistedOptions
+	Entries []triple.Entry
+	Mapper  fastmap.Snapshot[triple.Triple]
+	Coords  [][]float64
+	Tree    *core.TreeSnapshot
+}
+
+// legacyStream re-encodes a freshly saved index the way an older writer
+// would have: the given version stamp, the embedding table beside the
+// tree, and — for version 1 — no tree payload.
+func legacyStream(t *testing.T, ix *Index, version int) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	var snap indexSnapshot
+	if err := decodeSnapshot(&buf, &snap); err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacySnapshot{
+		Version: version, Options: snap.Options, Entries: snap.Entries, Mapper: snap.Mapper, Tree: snap.Tree,
+		Coords: make([][]float64, len(snap.Entries)),
+	}
+	for _, part := range legacy.Tree.Parts {
+		for _, n := range part.Nodes {
+			for _, pt := range n.Bucket {
+				legacy.Coords[pt.ID] = pt.Coords
+			}
+		}
+	}
+	if version == 1 {
+		legacy.Tree = nil
+	}
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 // TestLoadVersion1Compat: streams written before the tree snapshot
-// existed carry Version 1 and no Tree payload. Load must still accept
-// them, rebuilding the tree from the persisted coordinates through the
-// bulk loader; answers stay bit-identical because the coordinates are
-// exact.
+// existed carry Version 1, the embedding table and no Tree payload.
+// Nothing writes them any more and there is no tree to restore: Load
+// must fail typed, not rebuild and not panic.
 func TestLoadVersion1Compat(t *testing.T) {
 	g := synth.New(synth.Config{Seed: 67}, nil)
 	store := triple.NewStore()
-	for _, tp := range g.Triples(400) {
+	for _, tp := range g.Triples(100) {
 		store.Add(tp, triple.Provenance{Doc: "v1"})
+	}
+	orig, err := Build(store, Options{Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	if _, err := Load(legacyStream(t, orig, 1), Options{}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("version-1 stream must return ErrSnapshotCorrupt, got %v", err)
+	}
+}
+
+// TestLoadVersion2Compat: a version-2 stream (tree payload plus the
+// redundant embedding table) loads through the version-3 path with
+// bit-identical answers.
+func TestLoadVersion2Compat(t *testing.T) {
+	g := synth.New(synth.Config{Seed: 67}, nil)
+	store := triple.NewStore()
+	for _, tp := range g.Triples(400) {
+		store.Add(tp, triple.Provenance{Doc: "v2"})
 	}
 	orig, err := Build(store, Options{Seed: 8, PartitionCapacity: 120, MaxPartitions: 4})
 	if err != nil {
@@ -184,30 +251,14 @@ func TestLoadVersion1Compat(t *testing.T) {
 	}
 	defer orig.Close()
 
-	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	// Downgrade the stream to what a version-1 writer produced: no tree
-	// payload, version stamp 1.
-	var snap indexSnapshot
-	if err := decodeSnapshot(&buf, &snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Version = 1
-	snap.Tree = nil
-	var v1 bytes.Buffer
-	if err := encodeSnapshot(&v1, &snap); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := Load(&v1, Options{PartitionCapacity: 120, MaxPartitions: 4})
+	loaded, err := Load(legacyStream(t, orig, 2), Options{})
 	if err != nil {
-		t.Fatalf("Load of version-1 stream: %v", err)
+		t.Fatalf("Load of version-2 stream: %v", err)
 	}
 	defer loaded.Close()
-	if loaded.Len() != orig.Len() {
-		t.Fatalf("v1 load has %d triples, want %d", loaded.Len(), orig.Len())
+	if loaded.Len() != orig.Len() || loaded.PartitionCount() != orig.PartitionCount() {
+		t.Fatalf("v2 load has %d triples on %d partitions, want %d on %d",
+			loaded.Len(), loaded.PartitionCount(), orig.Len(), orig.PartitionCount())
 	}
 	qGen := synth.New(synth.Config{Seed: 68}, nil)
 	for q := 0; q < 20; q++ {
@@ -224,23 +275,22 @@ func TestLoadVersion1Compat(t *testing.T) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
 		for i := range a {
-			if a[i].Dist != b[i].Dist {
-				t.Fatalf("query %d rank %d: v1 rebuild changed distance %v vs %v",
-					q, i, a[i].Dist, b[i].Dist)
+			if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
+				t.Fatalf("query %d rank %d: v2 load changed the answer: %v vs %v", q, i, a[i], b[i])
 			}
 		}
 	}
 	m, err := loaded.KNearest(context.Background(), store.MustGet(0), 1)
-	if err != nil || len(m) != 1 || m[0].Prov.Doc != "v1" {
-		t.Fatalf("provenance lost through v1 path: %v %v", m, err)
+	if err != nil || len(m) != 1 || m[0].Prov.Doc != "v2" {
+		t.Fatalf("provenance lost through v2 path: %v %v", m, err)
 	}
 }
 
-// TestSaveConcurrentWithInsert: Save reads the store and the embedding
-// table under the index lock, so a Save racing Insert must either
+// TestSaveConcurrentWithInsert: Save walks the store under the index
+// lock and cross-checks the tree capture against it (size, and every
+// tree ID below the entry count), so a Save racing Insert must either
 // capture a consistent snapshot (which then loads cleanly) or fail with
-// the explicit count-mismatch error from the tree capture — never write
-// a torn stream. Run under -race this also proves the capture itself is
+// the explicit mutation error — never write a torn stream. Run under -race this also proves the capture itself is
 // data-race free.
 func TestSaveConcurrentWithInsert(t *testing.T) {
 	g := synth.New(synth.Config{Seed: 69}, nil)
@@ -283,7 +333,7 @@ func TestSaveConcurrentWithInsert(t *testing.T) {
 
 	// Every snapshot that Save reported as written must load cleanly and
 	// be internally consistent; Load's own cross-checks (entries vs
-	// coords vs tree size) would reject a torn capture.
+	// tree size and IDs) would reject a torn capture.
 	for i := range good {
 		loaded, err := Load(&good[i], Options{})
 		if err != nil {
@@ -388,7 +438,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		var snap indexSnapshot
 		decErr := decodeSnapshot(bytes.NewReader(data), &snap)
 		if decErr == nil {
-			if len(snap.Entries) > 1<<12 || len(snap.Coords) > 1<<12 ||
+			if len(snap.Entries) > 1<<12 ||
 				len(snap.Mapper.PivotA) > 64 || len(snap.Mapper.PivotB) > 64 ||
 				(snap.Tree != nil && (len(snap.Tree.Parts) > 16 || snap.Tree.Size > 1<<16)) {
 				return
@@ -399,7 +449,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			if decErr != nil && !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("undecodable bytes must report ErrSnapshotCorrupt, got %v", err)
 			}
-			if decErr == nil && snap.Version != 1 && snap.Version != snapshotVersion &&
+			if decErr == nil && snap.Version != 2 && snap.Version != snapshotVersion &&
 				!errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("version %d must report ErrSnapshotCorrupt, got %v", snap.Version, err)
 			}
