@@ -1,27 +1,4 @@
-// Command benchjson turns `go test -bench` output into a JSON summary
-// and gates benchmark regressions against a committed baseline. It is
-// the CI bench-regression gate:
-//
-//	go test -run '^$' -bench 'BenchmarkKNearest|BenchmarkKNearestBatch' \
-//	    -benchtime=5x -count=3 ./... | benchjson -out BENCH_ci.json \
-//	    -baseline BENCH_baseline.json -max-regress 0.25
-//
-// Per benchmark name (with the GOMAXPROCS suffix stripped, so runs on
-// machines with different core counts compare), the ns/op of repeated
-// -count runs are reduced to their geometric mean and written to -out.
-// With -baseline, the run is compared to the committed baseline: the
-// geometric mean of the per-benchmark ns/op ratios (current/baseline)
-// must not exceed 1 + max-regress, or the command exits non-zero. The
-// geomean gate means a single noisy benchmark cannot fail the build on
-// its own, but a broad slowdown — or a large one in any hot path —
-// does.
-//
-// Updating the baseline: download the BENCH_ci.json artifact from a
-// green CI run on main (the baseline must come from the same runner
-// class that enforces the gate, not from a developer machine) and
-// commit it as BENCH_baseline.json.
-//
-// Structural mode gates figure *shapes* instead of wall times:
+// Command benchjson gates the *shape* of a semtree-bench figure in CI:
 //
 //	benchjson -structural figures/placement.csv -min-x 8 \
 //	    -require 'placed parts/q<rr parts/q' \
@@ -33,111 +10,22 @@
 // exits non-zero. Structural metrics — partitions touched, fabric
 // messages — are deterministic per seed, so unlike ns/op they gate
 // exactly, with no noise margin; a single violated row fails the build.
+//
+// Wall-time and allocation regressions are not gated here: every PR is
+// measured by the repo benchmark (BENCHMARK.json, benchmark/) with
+// paired parent/change runs on one machine.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// Baseline is the JSON schema of BENCH_baseline.json / BENCH_ci.json.
-type Baseline struct {
-	// NsPerOp maps benchmark name (procs suffix stripped) to the
-	// geometric mean ns/op across the run's -count repetitions.
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-}
-
-// benchLine matches one result line of `go test -bench` output, e.g.
-//
-//	BenchmarkKNearestBatch/loop-8   5   123456 ns/op   12 B/op
-//
-// capturing the name (with -procs suffix) and the ns/op value.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9]+(?:\.[0-9]+)?) ns/op`)
-
-// procsSuffix is the trailing -N GOMAXPROCS marker appended to
-// benchmark names by the testing package.
-var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
-
-// parseBench collects ns/op samples per benchmark name from go test
-// -bench output.
-func parseBench(r io.Reader) (map[string][]float64, error) {
-	out := make(map[string][]float64)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		var ns float64
-		if _, err := fmt.Sscanf(m[2], "%g", &ns); err != nil {
-			continue
-		}
-		name := procsSuffix.ReplaceAllString(m[1], "")
-		out[name] = append(out[name], ns)
-	}
-	return out, sc.Err()
-}
-
-// geomean returns the geometric mean of xs (0 for an empty or
-// degenerate input).
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// summarize reduces parsed samples to one geomean ns/op per benchmark.
-func summarize(samples map[string][]float64) Baseline {
-	b := Baseline{NsPerOp: make(map[string]float64, len(samples))}
-	for name, xs := range samples {
-		b.NsPerOp[name] = geomean(xs)
-	}
-	return b
-}
-
-// ratioReport is the per-benchmark comparison against a baseline.
-type ratioReport struct {
-	Name            string
-	Base, Cur, Rate float64
-}
-
-// compare returns the per-benchmark current/baseline ratios (sorted by
-// name) for benchmarks present in both, plus the geomean of those
-// ratios. Benchmarks present on only one side are skipped — a renamed
-// or new benchmark must not fail the gate — and reported via missing.
-func compare(cur, base Baseline) (reports []ratioReport, overall float64, missing []string) {
-	var ratios []float64
-	for name, b := range base.NsPerOp {
-		c, ok := cur.NsPerOp[name]
-		if !ok || b <= 0 || c <= 0 {
-			missing = append(missing, name)
-			continue
-		}
-		reports = append(reports, ratioReport{Name: name, Base: b, Cur: c, Rate: c / b})
-		ratios = append(ratios, c/b)
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Name < reports[j].Name })
-	sort.Strings(missing)
-	return reports, geomean(ratios), missing
-}
 
 // requireFlag collects repeated -require "left<right" expressions.
 type requireFlag []string
@@ -283,69 +171,17 @@ func maxX(xs []float64) float64 {
 
 func main() {
 	var (
-		out        = flag.String("out", "", "write the run's JSON summary to this path")
-		baseline   = flag.String("baseline", "", "compare against this committed baseline JSON (empty: no gate)")
-		maxRegress = flag.Float64("max-regress", 0.25, "fail when the geomean ns/op ratio exceeds 1 + this fraction")
-		structural = flag.String("structural", "", "gate a figure CSV's shape instead of reading bench output from stdin")
-		minX       = flag.Float64("min-x", math.Inf(-1), "with -structural, enforce -require only on rows with X >= this")
+		structural = flag.String("structural", "", "the figure CSV whose shape to gate")
+		minX       = flag.Float64("min-x", math.Inf(-1), "enforce -require only on rows with X >= this")
 		requires   requireFlag
 	)
-	flag.Var(&requires, "require", "with -structural, a \"left<right\" series inequality to enforce (repeatable)")
+	flag.Var(&requires, "require", "a \"left<right\" series inequality to enforce (repeatable)")
 	flag.Parse()
-
-	if *structural != "" {
-		if err := runStructural(*structural, requires, *minX); err != nil {
-			fatal(err)
-		}
-		return
+	if *structural == "" {
+		fatal(fmt.Errorf("-structural <figure.csv> is required"))
 	}
-	if len(requires) > 0 {
-		fatal(fmt.Errorf("-require needs -structural"))
-	}
-
-	samples, err := parseBench(os.Stdin)
-	if err != nil {
+	if err := runStructural(*structural, requires, *minX); err != nil {
 		fatal(err)
-	}
-	if len(samples) == 0 {
-		fatal(fmt.Errorf("no benchmark result lines on stdin"))
-	}
-	cur := summarize(samples)
-	if *out != "" {
-		data, err := json.MarshalIndent(cur, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchjson: wrote %s (%d benchmarks)\n", *out, len(cur.NsPerOp))
-	}
-	if *baseline == "" {
-		return
-	}
-	raw, err := os.ReadFile(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *baseline, err))
-	}
-	reports, overall, missing := compare(cur, base)
-	for _, r := range reports {
-		fmt.Printf("benchjson: %-50s %12.0f -> %12.0f ns/op (x%.3f)\n", r.Name, r.Base, r.Cur, r.Rate)
-	}
-	for _, name := range missing {
-		fmt.Printf("benchjson: warning: baseline benchmark %q missing from this run\n", name)
-	}
-	if len(reports) == 0 {
-		fatal(fmt.Errorf("no benchmarks shared with baseline %s", *baseline))
-	}
-	limit := 1 + *maxRegress
-	fmt.Printf("benchjson: geomean ratio x%.3f (limit x%.3f)\n", overall, limit)
-	if overall > limit {
-		fatal(fmt.Errorf("benchmark regression: geomean ns/op ratio %.3f exceeds %.3f", overall, limit))
 	}
 }
 

@@ -6,75 +6,6 @@ import (
 	"testing"
 )
 
-const sampleOutput = `goos: linux
-goarch: amd64
-pkg: semtree
-BenchmarkKNearestBatch/loop-8         	       5	  1000000 ns/op
-BenchmarkKNearestBatch/loop-8         	       5	  2000000 ns/op
-BenchmarkKNearestBatch/batch-8        	       5	   500000 ns/op	     120 B/op
-BenchmarkKNearestBalanced-16          	     100	     1234.5 ns/op
-PASS
-ok  	semtree	1.234s
-`
-
-func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
-	}
-	// The -procs suffix must be stripped, sub-benchmark paths kept.
-	loop := got["BenchmarkKNearestBatch/loop"]
-	if len(loop) != 2 || loop[0] != 1e6 || loop[1] != 2e6 {
-		t.Fatalf("loop samples = %v", loop)
-	}
-	if xs := got["BenchmarkKNearestBalanced"]; len(xs) != 1 || xs[0] != 1234.5 {
-		t.Fatalf("fractional ns/op samples = %v", xs)
-	}
-}
-
-func TestSummarizeGeomean(t *testing.T) {
-	samples, err := parseBench(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := summarize(samples)
-	// geomean(1e6, 2e6) = sqrt(2)e6.
-	want := math.Sqrt2 * 1e6
-	if got := b.NsPerOp["BenchmarkKNearestBatch/loop"]; math.Abs(got-want) > 1 {
-		t.Fatalf("geomean = %f, want %f", got, want)
-	}
-}
-
-func TestCompareGate(t *testing.T) {
-	base := Baseline{NsPerOp: map[string]float64{
-		"A": 100, "B": 200, "Gone": 50,
-	}}
-	cur := Baseline{NsPerOp: map[string]float64{
-		"A": 110, "B": 260, "New": 10,
-	}}
-	reports, overall, missing := compare(cur, base)
-	if len(reports) != 2 || reports[0].Name != "A" || reports[1].Name != "B" {
-		t.Fatalf("reports = %+v", reports)
-	}
-	// geomean(1.1, 1.3) ≈ 1.196: passes a 25% gate, fails a 15% one.
-	want := math.Sqrt(1.1 * 1.3)
-	if math.Abs(overall-want) > 1e-9 {
-		t.Fatalf("overall = %f, want %f", overall, want)
-	}
-	if overall > 1.25 {
-		t.Fatalf("ratio %f should pass the default 25%% gate", overall)
-	}
-	if overall <= 1.15 {
-		t.Fatalf("ratio %f should fail a 15%% gate", overall)
-	}
-	if len(missing) != 1 || missing[0] != "Gone" {
-		t.Fatalf("missing = %v", missing)
-	}
-}
-
 const sampleCSV = `dims,rr parts/q,placed parts/q,rr msgs/q,placed msgs/q
 2,3.48,3.50,3.48,3.30
 4,4.33,4.05,4.33,4.05
@@ -145,14 +76,5 @@ func TestCheckStructural(t *testing.T) {
 	gap := mustCSV(t, "dims,a,b\n8,,2.00\n")
 	if _, err := checkStructural(gap, "a<b", 0); err == nil {
 		t.Fatal("empty cell accepted")
-	}
-}
-
-func TestGeomeanDegenerate(t *testing.T) {
-	if g := geomean(nil); g != 0 {
-		t.Fatalf("geomean(nil) = %f", g)
-	}
-	if g := geomean([]float64{1, 0, 2}); g != 0 {
-		t.Fatalf("geomean with zero sample = %f", g)
 	}
 }

@@ -9,9 +9,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -20,15 +20,26 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "semtree-gen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command with its arguments and standard output injected.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("semtree-gen", flag.ExitOnError)
 	var (
-		docs     = flag.Int("docs", 50, "number of documents")
-		sections = flag.Int("sections", 10, "requirements per document")
-		rate     = flag.Float64("inconsistencies", 0.15, "fraction of requirements planting a conflict")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		out      = flag.String("out", "", "output directory for document text (stdout when empty)")
-		triples  = flag.Int("triples", 0, "generate a flat triples file instead (count)")
+		docs     = fs.Int("docs", 50, "number of documents")
+		sections = fs.Int("sections", 10, "requirements per document")
+		rate     = fs.Float64("inconsistencies", 0.15, "fraction of requirements planting a conflict")
+		seed     = fs.Int64("seed", 1, "generator seed")
+		out      = fs.String("out", "", "output directory for document text (stdout when empty)")
+		triples  = fs.Int("triples", 0, "generate a flat triples file instead (count)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	gen := synth.New(synth.Config{
 		Seed:              *seed,
@@ -38,28 +49,24 @@ func main() {
 	}, nil)
 
 	if *triples > 0 {
-		w := bufio.NewWriter(os.Stdout)
-		if err := triple.WriteAll(w, gen.Triples(*triples)); err != nil {
-			fatal(err)
-		}
-		return
+		return triple.WriteAll(stdout, gen.Triples(*triples))
 	}
 
 	bundle := gen.Corpus()
 	if len(bundle.Skipped) > 0 {
-		fatal(fmt.Errorf("%d generated sentences failed extraction", len(bundle.Skipped)))
+		return fmt.Errorf("%d generated sentences failed extraction", len(bundle.Skipped))
 	}
 	if *out == "" {
 		for _, d := range bundle.Corpus.Docs {
-			fmt.Printf("# %s — %s\n", d.ID, d.Title)
+			fmt.Fprintf(stdout, "# %s — %s\n", d.ID, d.Title)
 			for _, s := range d.Sections {
-				fmt.Printf("[%s] %s\n", s.ID, s.Text)
+				fmt.Fprintf(stdout, "[%s] %s\n", s.ID, s.Text)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	} else {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		for _, d := range bundle.Corpus.Docs {
 			var b []byte
@@ -69,15 +76,11 @@ func main() {
 			}
 			path := filepath.Join(*out, d.ID+".txt")
 			if err := os.WriteFile(path, b, 0o644); err != nil {
-				fatal(err)
+				return err
 			}
 		}
-		fmt.Printf("wrote %d documents to %s (%d triples, %d planted inconsistencies)\n",
+		fmt.Fprintf(stdout, "wrote %d documents to %s (%d triples, %d planted inconsistencies)\n",
 			len(bundle.Corpus.Docs), *out, bundle.Corpus.NumTriples(), len(bundle.Planted))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "semtree-gen:", err)
-	os.Exit(1)
+	return nil
 }

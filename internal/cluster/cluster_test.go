@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -83,6 +84,33 @@ func TestFabricHandlerError(t *testing.T) {
 			_, err := f.Call(context.Background(), ClientID, id, echoReq{})
 			if err == nil {
 				t.Fatal("handler error not propagated")
+			}
+		})
+	}
+}
+
+// TestCallRetryHandlerTransient: a handler error that wraps
+// ErrTransient (a partition whose own nested CallRetry ran out of
+// attempts) keeps that identity across the fabric, so the caller's
+// CallRetry retries it.
+func TestCallRetryHandlerTransient(t *testing.T) {
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			f := mk()
+			defer f.Close()
+			var reached atomic.Int64
+			id, _ := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+				if reached.Add(1) < 3 {
+					return nil, fmt.Errorf("downstream: %w", ErrTransient)
+				}
+				return echoResp{Msg: "third time"}, nil
+			})
+			resp, err := CallRetry(context.Background(), f, ClientID, id, echoReq{}, 3)
+			if err != nil {
+				t.Fatalf("CallRetry: %v", err)
+			}
+			if resp.(echoResp).Msg != "third time" || reached.Load() != 3 {
+				t.Fatalf("resp = %#v after %d handler runs, want 3", resp, reached.Load())
 			}
 		})
 	}
@@ -215,18 +243,6 @@ func TestCallRetryExhaustsTransient(t *testing.T) {
 	_, err := CallRetry(context.Background(), f, ClientID, id, echoReq{}, 3)
 	if err == nil || !errors.Is(err, ErrTransient) {
 		t.Fatalf("want exhausted transient error, got %v", err)
-	}
-}
-
-func TestInProcByteAccounting(t *testing.T) {
-	f := NewInProc(InProcOptions{CountBytes: true})
-	defer f.Close()
-	id, _ := f.AddNode(echoHandler)
-	if _, err := f.Call(context.Background(), ClientID, id, echoReq{Msg: "hello world"}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Stats().Bytes == 0 {
-		t.Fatal("bytes not accounted")
 	}
 }
 

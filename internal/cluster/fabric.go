@@ -3,14 +3,25 @@
 // cluster and navigates across them "by a proper communication protocol
 // (in our implementation based on MPJ libraries)" (§III-B.1). This
 // package provides the equivalent: a Fabric of named nodes exchanging
-// synchronous request/response messages, with two implementations —
+// synchronous request/response messages, with three implementations —
 //
 //   - InProc: in-process transport with configurable per-message
-//     latency, jitter, transient-failure injection and message/byte
-//     accounting. It reproduces the cost model of a cluster
-//     deterministically and is what the benchmark harness uses.
-//   - TCP: a real network transport over loopback (net + encoding/gob),
-//     used by the distributed example and integration tests.
+//     latency, transient-failure injection and message accounting. It
+//     is the default fabric of a tree, what the query-side bench figures
+//     and the repo benchmark's in-process workloads run on, and the
+//     failure-injection harness of the robustness tests.
+//   - TCP: a real network transport over loopback (net + encoding/gob)
+//     that also counts the bytes it moves, used by the distributed
+//     example, the integration tests and the repo benchmark's
+//     nine-partition workload.
+//   - Virtual: a discrete-event simulation in which every node is a
+//     single-threaded rank on a virtual clock advanced by measured
+//     handler time. It is the clock of the index-building figures
+//     (Figure 3, the bucket-size ablation): parallel build speed-up is
+//     measurable on it even on a one-CPU host. It shares no logic with
+//     InProc — one sleeps real time on real goroutines, the other
+//     schedules events — which is why it is a fabric of its own and not
+//     an option of InProc.
 //
 // Every Call is context-first: cancellation and deadlines propagate
 // with the message. On InProc the simulated transit sleep unblocks when
@@ -63,10 +74,10 @@ type Fabric interface {
 	// Send delivers req one-way: it enqueues the message into the
 	// target node's mailbox and returns immediately. The handler's
 	// response is discarded. Mailbox messages are processed by the
-	// node's worker(s) — on InProc a single worker by default,
-	// modeling a single-threaded compute rank as in the paper's MPJ
-	// deployment. Delivery is at-most-once: transit failures drop the
-	// message (counted in Stats).
+	// node's worker — on InProc a single one, modeling a
+	// single-threaded compute rank as in the paper's MPJ deployment.
+	// Delivery is at-most-once: transit failures drop the message
+	// (counted in Stats).
 	Send(from, to NodeID, req any) error
 	// Flush blocks until every message enqueued by Send (including
 	// messages sent by handlers while processing) has been handled.
@@ -82,7 +93,7 @@ type Fabric interface {
 // Stats is cumulative fabric accounting.
 type Stats struct {
 	Messages int64 // completed calls (including failed ones)
-	Bytes    int64 // encoded request+response bytes, when accounted
+	Bytes    int64 // encoded request+response bytes (TCP only: nothing else encodes)
 	Failures int64 // injected or transport-level transient failures
 }
 

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,44 +14,27 @@ type InProcOptions struct {
 	// the caller's goroutine for Call, and during asynchronous transit
 	// (off the sender's goroutine) for Send.
 	Latency time.Duration
-	// Jitter adds a uniform random extra in [0, Jitter) per message.
-	Jitter time.Duration
 	// FailureRate is the probability in [0, 1) that a message fails
 	// with ErrTransient (Call) or is dropped (Send) before reaching the
 	// handler — failure injection for robustness tests.
 	FailureRate float64
-	// CountBytes gob-encodes requests and responses to account message
-	// sizes in Stats (slower; off by default).
-	CountBytes bool
-	// Seed makes jitter and failure injection deterministic.
+	// Seed makes failure injection deterministic.
 	Seed int64
-	// NodeWorkers is the number of mailbox workers per node processing
-	// Send messages. Default 1: a node is a single-threaded compute
-	// rank, which is what makes partition parallelism measurable.
-	NodeWorkers int
-	// WorkCost is slept by a mailbox worker for every Send message it
-	// processes, on top of the real handler time: simulated CPU cost of
-	// one message on a compute rank.
-	WorkCost time.Duration
-	// MailboxSize is the per-node queue capacity. Default 1024.
-	MailboxSize int
 }
 
-func (o InProcOptions) withDefaults() InProcOptions {
-	if o.NodeWorkers <= 0 {
-		o.NodeWorkers = 1
-	}
-	if o.MailboxSize <= 0 {
-		o.MailboxSize = 1024
-	}
-	return o
-}
+// mailboxSize bounds the one-way messages queued per node. A sender
+// that finds the mailbox full blocks until the rank catches up, so a
+// pipelined build is paced by its slowest rank instead of growing an
+// unbounded queue; 1024 messages is the depth every build in the repo
+// has run with.
+const mailboxSize = 1024
 
 // InProc is an in-process Fabric. Call invokes the handler
 // synchronously on the caller's goroutine after the simulated transit
 // delay (a multithreaded RPC endpoint); Send enqueues into the target
-// node's mailbox, processed by NodeWorkers workers (a message-passing
-// rank). It is safe for concurrent use.
+// node's mailbox, processed by the node's one worker — a node is a
+// single-threaded message-passing rank, which is what makes partition
+// parallelism measurable. It is safe for concurrent use.
 type InProc struct {
 	opts    InProcOptions
 	latency atomic.Int64 // current per-message transit, adjustable at runtime
@@ -68,14 +49,13 @@ type InProc struct {
 	pending sync.WaitGroup // un-processed Send messages
 
 	messages atomic.Int64
-	bytes    atomic.Int64
 	failures atomic.Int64
 }
 
 type inprocNode struct {
 	handler Handler
 	mailbox chan mailboxMsg
-	done    sync.WaitGroup
+	done    sync.WaitGroup // the mailbox worker
 }
 
 type mailboxMsg struct {
@@ -86,7 +66,7 @@ type mailboxMsg struct {
 // NewInProc returns an in-process fabric.
 func NewInProc(opts InProcOptions) *InProc {
 	f := &InProc{
-		opts: opts.withDefaults(),
+		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}
 	f.latency.Store(int64(opts.Latency))
@@ -100,7 +80,7 @@ func NewInProc(opts InProcOptions) *InProc {
 func (f *InProc) SetLatency(d time.Duration) { f.latency.Store(int64(d)) }
 
 // AddNode implements Fabric: it registers the handler and starts the
-// node's mailbox workers.
+// node's mailbox worker.
 func (f *InProc) AddNode(h Handler) (NodeID, error) {
 	if h == nil {
 		return 0, ErrUnknownNode
@@ -110,24 +90,18 @@ func (f *InProc) AddNode(h Handler) (NodeID, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	n := &inprocNode{handler: h, mailbox: make(chan mailboxMsg, f.opts.MailboxSize)}
-	id := NodeID(len(f.nodes))
+	n := &inprocNode{handler: h, mailbox: make(chan mailboxMsg, mailboxSize)}
 	f.nodes = append(f.nodes, n)
-	for w := 0; w < f.opts.NodeWorkers; w++ {
-		n.done.Add(1)
-		go f.work(n, id)
-	}
-	return id, nil
+	n.done.Add(1)
+	go f.work(n)
+	return NodeID(len(f.nodes) - 1), nil
 }
 
-// work is one mailbox worker: it serializes the node's asynchronous
-// message processing, charging WorkCost per message.
-func (f *InProc) work(n *inprocNode, id NodeID) {
+// work is the node's mailbox worker: it serializes the node's
+// asynchronous message processing until Close closes the mailbox.
+func (f *InProc) work(n *inprocNode) {
 	defer n.done.Done()
 	for msg := range n.mailbox {
-		if f.opts.WorkCost > 0 {
-			time.Sleep(f.opts.WorkCost)
-		}
 		// One-way: response discarded; no caller context to honor.
 		//semtree:allow ctxfirst: mailbox deliveries run detached by the documented Fabric.Send contract
 		_, _ = n.handler(context.Background(), msg.from, msg.req)
@@ -163,7 +137,7 @@ func (f *InProc) Call(ctx context.Context, from, to NodeID, req any) (any, error
 		return nil, err
 	}
 	f.messages.Add(1)
-	if d := f.delay(); d > 0 {
+	if d := time.Duration(f.latency.Load()); d > 0 {
 		if err := sleepCtx(ctx, d); err != nil {
 			return nil, err
 		}
@@ -175,17 +149,7 @@ func (f *InProc) Call(ctx context.Context, from, to NodeID, req any) (any, error
 		f.failures.Add(1)
 		return nil, ErrTransient
 	}
-	if f.opts.CountBytes {
-		f.bytes.Add(encodedSize(req))
-	}
-	resp, err := n.handler(ctx, from, req)
-	if err != nil {
-		return nil, err
-	}
-	if f.opts.CountBytes {
-		f.bytes.Add(encodedSize(resp))
-	}
-	return resp, nil
+	return n.handler(ctx, from, req)
 }
 
 // sleepCtx sleeps for d or until ctx is done, whichever comes first.
@@ -213,11 +177,8 @@ func (f *InProc) Send(from, to NodeID, req any) error {
 		return err
 	}
 	f.messages.Add(1)
-	if f.opts.CountBytes {
-		f.bytes.Add(encodedSize(req))
-	}
 	f.pending.Add(1)
-	transit := f.delay()
+	transit := time.Duration(f.latency.Load())
 	dropped := f.opts.FailureRate > 0 && f.roll() < f.opts.FailureRate
 	deliver := func() {
 		if dropped {
@@ -242,16 +203,6 @@ func (f *InProc) Send(from, to NodeID, req any) error {
 // including cascades sent by handlers mid-processing.
 func (f *InProc) Flush() { f.pending.Wait() }
 
-func (f *InProc) delay() time.Duration {
-	d := time.Duration(f.latency.Load())
-	if f.opts.Jitter > 0 {
-		f.rngMu.Lock()
-		d += time.Duration(f.rng.Int63n(int64(f.opts.Jitter)))
-		f.rngMu.Unlock()
-	}
-	return d
-}
-
 func (f *InProc) roll() float64 {
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
@@ -265,11 +216,11 @@ func (f *InProc) NumNodes() int {
 	return len(f.nodes)
 }
 
-// Stats implements Fabric.
+// Stats implements Fabric. Nothing is encoded in process, so Bytes
+// stays zero: byte accounting is the TCP fabric's.
 func (f *InProc) Stats() Stats {
 	return Stats{
 		Messages: f.messages.Load(),
-		Bytes:    f.bytes.Load(),
 		Failures: f.failures.Load(),
 	}
 }
@@ -292,17 +243,4 @@ func (f *InProc) Close() error {
 		n.done.Wait()
 	}
 	return nil
-}
-
-func encodedSize(v any) int64 {
-	if v == nil {
-		return 0
-	}
-	var buf bytes.Buffer
-	// Wrap in an envelope so interface values encode like the TCP
-	// transport would send them.
-	if err := gob.NewEncoder(&buf).Encode(&envelope{Payload: v}); err != nil {
-		return 0 // unregistered type; size unknown
-	}
-	return int64(buf.Len())
 }

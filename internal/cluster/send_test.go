@@ -49,11 +49,11 @@ func TestSendFlushCascade(t *testing.T) {
 	}
 }
 
-// TestInProcSendWithTransit: a non-zero latency (plus jitter) moves
-// Send delivery off the sender's goroutine; Flush still observes it,
-// and SetLatency adjusts the transit at runtime.
+// TestInProcSendWithTransit: a non-zero latency moves Send delivery off
+// the sender's goroutine; Flush still observes it, and SetLatency
+// adjusts the transit at runtime.
 func TestInProcSendWithTransit(t *testing.T) {
-	f := NewInProc(InProcOptions{Jitter: 100 * time.Microsecond})
+	f := NewInProc(InProcOptions{})
 	defer f.Close()
 	var got atomic.Int64
 	id, err := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
@@ -76,24 +76,27 @@ func TestInProcSendWithTransit(t *testing.T) {
 }
 
 // TestVirtualEventLoop: the discrete-event fabric advances its virtual
-// clock by transit latency plus per-message service floor, including
+// clock by transit latency plus each handler's measured service time
+// (the handlers sleep a fixed 2 ms, so the floor is known), including
 // for cascades scheduled from inside a handler.
 func TestVirtualEventLoop(t *testing.T) {
 	const (
 		latency = time.Millisecond
 		fixed   = 2 * time.Millisecond
 	)
-	f := NewVirtual(VirtualOptions{Latency: latency, FixedCost: fixed})
+	f := NewVirtual(VirtualOptions{Latency: latency})
 	defer f.Close()
 	var relayTo NodeID
 	var sinkRuns int
 	relay, err := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+		time.Sleep(fixed)
 		return nil, f.Send(0, relayTo, req)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink, err := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+		time.Sleep(fixed)
 		sinkRuns++
 		return nil, nil
 	})

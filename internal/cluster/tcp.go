@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -111,6 +112,9 @@ func (f *TCP) serve(n *tcpNode, conn net.Conn) {
 	out, err := n.handler(ctx, NodeID(req.From), req.Payload)
 	if err != nil {
 		resp.Err = err.Error()
+		// The error crosses the wire as text; whether a retry can help
+		// is the one piece of its identity CallRetry needs.
+		resp.Transient = errors.Is(err, ErrTransient)
 	} else {
 		resp.Payload = out
 	}

@@ -11,12 +11,6 @@ import (
 type VirtualOptions struct {
 	// Latency is the virtual transit time per one-way message.
 	Latency time.Duration
-	// CostScale multiplies the measured real handler duration to obtain
-	// the virtual service time. Default 1.
-	CostScale float64
-	// FixedCost is a per-message virtual service floor, modeling rank
-	// dispatch overhead.
-	FixedCost time.Duration
 }
 
 // Virtual is a discrete-event simulation Fabric: each node is a
@@ -24,10 +18,10 @@ type VirtualOptions struct {
 // event; Flush runs the event loop, executing handlers for real on the
 // driving goroutine while advancing a virtual clock in which ranks
 // process in parallel. The virtual service time of a message is the
-// measured real execution time of its handler (times CostScale, plus
-// FixedCost), so relative compute costs — shallow routing vs deep
-// descents, bucket splits, degenerate chains — carry over faithfully
-// even on a single-CPU host where real parallelism is impossible.
+// measured real execution time of its handler, so relative compute
+// costs — shallow routing vs deep descents, bucket splits, degenerate
+// chains — carry over faithfully even on a single-CPU host where real
+// parallelism is impossible.
 //
 // This is what the index-building benchmarks (paper Figure 3) run on:
 // the paper's 8-node cluster is reproduced as 8 virtual ranks whose
@@ -83,9 +77,6 @@ func (q *virtEvents) Pop() interface{} {
 
 // NewVirtual returns a virtual-clock fabric.
 func NewVirtual(opts VirtualOptions) *Virtual {
-	if opts.CostScale <= 0 {
-		opts.CostScale = 1
-	}
 	return &Virtual{opts: opts}
 }
 
@@ -162,8 +153,7 @@ func (f *Virtual) Flush() {
 		real := time.Since(t0)
 		f.running = false
 
-		service := time.Duration(float64(real)*f.opts.CostScale) + f.opts.FixedCost
-		end := start + service
+		end := start + real // virtual service time: the handler's measured duration
 		f.rankFree[e.to] = end
 		if end > f.now {
 			f.now = end

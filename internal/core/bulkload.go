@@ -20,16 +20,17 @@ import (
 //     top into a routing trunk plus frontier subtrees, install one
 //     group of subtrees per data partition as the placement kernel
 //     assigns them (geometrically close subtrees together), and graft
-//     the trunk onto the root partition's entry leaf — the same shape
-//     as Rebalance, minus the collect, and safe against concurrent
-//     inserts: the graft merges any points that raced into the entry
-//     leaf and refuses (falling back to the merge path) if the root
-//     stopped being a leaf.
-//   - Live tree: route the batch down the existing structure like a
-//     pipelined insert batch, but replace each destination leaf with a
+//     the trunk onto the root partition's entry leaf (installBalanced;
+//     Rebalance is a collect and a reset followed by the same call) —
+//     safe against concurrent inserts: the graft merges any points that
+//     raced into the entry leaf and refuses (falling back to the merge
+//     path) if the root stopped being a leaf.
+//   - Live tree: route the batch down the existing structure through
+//     the same router as a pipelined insert batch (partition.go), but
+//     land it by leaf: each destination leaf is replaced with a
 //     balanced fragment bulk-built over (bucket ∪ assigned points) in
-//     one step — no per-point split cascade — and forward the entries
-//     that leave the partition as nested bulk batches.
+//     one step — no per-point split cascade — and the entries that
+//     leave the partition forward as nested bulk batches.
 //
 // Both paths keep the region invariant: fragment boxes come out of the
 // kernel's bulk builder (kdtree.Arena.Build) exact, and every box on a
@@ -95,10 +96,19 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 	t.bulkMu.Lock()
 	defer t.bulkMu.Unlock()
 	if t.size.Load() == 0 {
+		// Fresh partitions only, and only when one partition hosting the
+		// whole batch would trip the resource condition anyway.
+		targets := func() []cluster.NodeID {
+			if !t.bulkShouldDistribute(len(pts)) {
+				return nil
+			}
+			return t.allocPartitions(t.cfg.MaxPartitions)
+		}
+		ordered := append([]kdtree.Point(nil), pts...) // the kdtree builder reorders in place
 		//semtree:allow lockedcall: bulkMu only serializes bulk passes; no handler or query path acquires it, so no lock cycle is possible
-		ok, err := t.bulkBuild(pts)
+		ok, err := t.installBalanced(ordered, targets)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: bulk load: %w", err)
 		}
 		if ok {
 			t.size.Add(int64(len(pts)))
@@ -131,53 +141,46 @@ func (t *Tree) bulkShouldDistribute(n int) bool {
 	return cfg.PartitionCapacity > 0 && n > cfg.PartitionCapacity
 }
 
-// bulkBuild is the empty-tree fast path: balanced build, frontier cut,
-// placement-kernel assignment, one install per frontier subtree, trunk
-// graft on the root. It reports ok=false — with any partial installs
-// undone — when the root partition's entry leaf stopped being a leaf
-// while the client-side build ran, in which case the caller falls back
-// to the merge path.
-func (t *Tree) bulkBuild(pts []kdtree.Point) (bool, error) {
-	ordered := append([]kdtree.Point(nil), pts...) // the kdtree builder reorders in place
-	seq, err := kdtree.BulkLoad(ordered, t.cfg.Dim, t.cfg.BucketSize)
+// installBalanced is the one installer of a client-built balanced
+// layout, shared by BulkLoad on an empty tree and Rebalance: balanced
+// build over pts (reordered in place), frontier cut, placement-kernel
+// assignment, one install per frontier subtree, trunk graft on the root
+// partition's entry leaf. targets names the data partitions the
+// frontier may spread over — the only thing the two callers differ in —
+// and is asked only once the build turned out to have a frontier; with
+// none, the whole tree grafts onto the root (the graft handler runs the
+// capacity check afterwards, so a dynamic resource condition still
+// spills normally). It reports ok=false — with any partial installs
+// undone — when the entry leaf stopped being a leaf while the
+// client-side build ran: points that merely raced into it are merged
+// by the graft.
+func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.NodeID) (bool, error) {
+	seq, err := kdtree.BulkLoad(pts, t.cfg.Dim, t.cfg.BucketSize)
 	if err != nil {
-		return false, fmt.Errorf("core: bulk build: %w", err)
+		return false, fmt.Errorf("build: %w", err)
 	}
-	root := t.rootPartition()
-
-	var targets []cluster.NodeID
-	if t.bulkShouldDistribute(len(pts)) && !seq.Nodes[0].Leaf {
-		targets = t.allocPartitions(t.cfg.MaxPartitions)
-	}
-	if len(targets) == 0 {
-		// Single partition (or nothing to distribute over): graft the
-		// whole balanced tree onto the root's entry leaf. The graft
-		// handler runs the capacity check afterwards, so a dynamic
-		// resource condition still spills normally.
-		resp, err := t.call(cluster.ClientID, root.id, graftReq{Entry: 0, Nodes: seq.Nodes})
-		if err != nil {
-			return false, fmt.Errorf("core: bulk graft: %w", err)
-		}
-		return resp.(graftResp).OK, nil
-	}
-
-	trunk, remote, used, err := t.installFrontier(&seq.Arena, targets)
+	req := graftReq{Entry: 0, Nodes: seq.Nodes}
+	var used []cluster.NodeID
 	undo := func() {
 		for _, id := range used {
-			// Fresh partitions hold only our fragments; reset precisely
-			// undoes the install. The partitions stay allocated (empty)
-			// and rejoin the layout through later spills or rebalance.
+			// The partitions hold only our fragments; reset precisely
+			// undoes the install. They stay allocated (empty) and rejoin
+			// the layout through rebalance.
 			_, _ = t.call(cluster.ClientID, id, resetReq{})
 		}
 	}
-	if err != nil {
-		undo()
-		return false, fmt.Errorf("core: bulk install: %w", err)
+	if !seq.Nodes[0].Leaf {
+		if tg := targets(); len(tg) > 0 {
+			if req.Nodes, req.Remote, used, err = t.installFrontier(&seq.Arena, tg); err != nil {
+				undo()
+				return false, fmt.Errorf("install: %w", err)
+			}
+		}
 	}
-	resp, err := t.call(cluster.ClientID, root.id, graftReq{Entry: 0, Nodes: trunk, Remote: remote})
+	resp, err := t.call(cluster.ClientID, t.rootPartition().id, req)
 	if err != nil {
 		undo()
-		return false, fmt.Errorf("core: bulk trunk graft: %w", err)
+		return false, fmt.Errorf("root graft: %w", err)
 	}
 	if !resp.(graftResp).OK {
 		undo()
@@ -225,11 +228,7 @@ func (t *Tree) bulkMerge(ctx context.Context, pts []kdtree.Point) error {
 		if end > len(pts) {
 			end = len(pts)
 		}
-		entries := make([]batchEntry, 0, end-start)
-		for _, p := range pts[start:end] {
-			entries = append(entries, batchEntry{Node: 0, Point: p})
-		}
-		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entries}); err != nil {
+		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entriesAt(0, pts[start:end])}); err != nil {
 			return fmt.Errorf("core: bulk merge: %w", err)
 		}
 		t.size.Add(int64(end - start))
@@ -290,39 +289,26 @@ func (t *Tree) assignFrontier(a *kdtree.Arena, frontier []int32, targets []clust
 	return assign
 }
 
-// handleBulkAdd applies one bulk chunk: descend every entry under one
-// write lock (expanding path boxes exactly like single inserts), graft
-// a balanced fragment per destination leaf, then — after the lock is
-// released — forward the entries that left the partition as nested
-// synchronous bulk batches and run the spill check.
+// handleBulkAdd is the synchronous bulk protocol: the chunk routes
+// under one write lock like any batch, but lands by leaf — every
+// destination leaf receives its share of the chunk as one graft — and
+// the entries that leave the partition travel on as nested synchronous
+// bulk batches, so the response acknowledges the whole chunk.
 func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
-	var forwards map[cluster.NodeID][]batchEntry
 	groups := make(map[int32][]kdtree.Point)
-	var path []int32
 	p.mu.Lock()
-	for _, e := range r.Entries {
-		path = path[:0]
-		leafIdx, ref, remote := p.descend(e.Node, e.Point.Coords, &path)
-		p.expandPathBoxes(path, e.Point.Coords)
-		if remote {
-			p.expandRemoteBox(ref, e.Point.Coords)
-			if forwards == nil {
-				forwards = make(map[cluster.NodeID][]batchEntry)
-			}
-			forwards[host(ref)] = append(forwards[host(ref)], batchEntry{Node: ref.Node, Point: e.Point})
-			continue
-		}
-		groups[leafIdx] = append(groups[leafIdx], e.Point)
+	forwards, landed := p.routeLocked(r.Entries, func(leaf int32, pt kdtree.Point) {
+		groups[leaf] = append(groups[leaf], pt)
+	})
+	for leaf, batch := range groups {
+		p.graftLocked(leaf, batch)
 	}
-	for leafIdx, batch := range groups {
-		p.graftLocked(leafIdx, batch)
-	}
+	p.points += landed
+	p.inserts.Add(int64(landed))
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
 	var err error
 	for part, entries := range forwards {
-		// Synchronous, strictly downstream (the partition DAG): the
-		// bulk path acknowledges only after every entry has landed.
 		if _, cerr := p.t.call(p.id, part, bulkAddReq{Entries: entries}); cerr != nil && err == nil {
 			err = cerr
 		}
@@ -348,28 +334,22 @@ func (p *partition) graftLocked(idx int32, batch []kdtree.Point) {
 	total := len(n.Bucket) + len(batch)
 	if p.migrating[idx] || total <= p.BucketSize {
 		n.Bucket = append(n.Bucket, batch...)
-	} else {
-		all := make([]kdtree.Point, 0, total)
-		all = append(all, n.Bucket...)
-		all = append(all, batch...)
-		p.Build(idx, all)
+		return
 	}
-	p.points += len(batch)
-	p.inserts.Add(int64(len(batch)))
+	all := make([]kdtree.Point, 0, total)
+	all = append(all, n.Bucket...)
+	all = append(all, batch...)
+	p.Build(idx, all)
 }
 
 // handleBulkGraft installs a fragment over the leaf at Entry. The
 // kernel validates the fragment before anything mutates, so a malformed
 // one never leaves a half-installed arena. Points that were already in
 // the entry leaf — concurrent inserts that raced the client-side build
-// — are re-routed down the installed fragment; routes that leave the
-// partition forward after the lock is released.
+// — go through the router again, entering at the installed fragment's
+// root; the ones whose route now leaves the partition (to the frontier
+// subtrees the trunk links to) forward after the lock is released.
 func (p *partition) handleBulkGraft(r graftReq) (any, error) {
-	type routed struct {
-		ref kdtree.Ref
-		pt  kdtree.Point
-	}
-	var fwd []routed
 	p.mu.Lock()
 	if r.Entry < 0 || int(r.Entry) >= len(p.Nodes) {
 		p.mu.Unlock()
@@ -379,34 +359,16 @@ func (p *partition) handleBulkGraft(r graftReq) (any, error) {
 		p.mu.Unlock()
 		return graftResp{}, nil
 	}
-	displaced := p.Nodes[r.Entry].Bucket
+	displaced := entriesAt(r.Entry, p.Nodes[r.Entry].Bucket)
 	if _, err := p.installLocked(r.Entry, r.Nodes, r.Remote); err != nil {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("core: graft: %w", err)
 	}
-	var path []int32
-	for _, pt := range displaced {
-		path = path[:0]
-		leafIdx, ref, remote := p.descend(r.Entry, pt.Coords, &path)
-		p.expandPathBoxes(path, pt.Coords)
-		if remote {
-			p.expandRemoteBox(ref, pt.Coords)
-			fwd = append(fwd, routed{ref: ref, pt: pt})
-			p.points-- // the point leaves this partition
-			continue
-		}
-		p.appendLocked(leafIdx, pt)
-	}
+	forwards, landed := p.routeLocked(displaced, p.appendLocked)
+	p.points -= len(displaced) - landed // the rest leave this partition
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
-	var err error
-	for _, f := range fwd {
-		// Strictly downstream (frontier subtrees the trunk links to):
-		// no lock held, the partition DAG cannot cycle.
-		if _, cerr := p.t.call(p.id, host(f.ref), insertReq{Node: f.ref.Node, Point: f.pt}); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	err := p.forwardInserts(forwards)
 	if spill {
 		p.buildPartition()
 	}

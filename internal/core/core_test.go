@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -499,38 +500,42 @@ func TestMessageAccountingGrowsWithPartitions(t *testing.T) {
 	}
 }
 
-func TestAsyncInsertMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	pts := randomPoints(r, 2000, 3)
-	tr := mustTree(t, Config{
-		Dim: 3, BucketSize: 8,
-		PartitionCapacity: 250, MaxPartitions: 8,
-	})
-	for _, p := range pts {
-		if err := tr.InsertAsync(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr.Flush()
-	st, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Points != 2000 {
-		t.Fatalf("async pipeline landed %d of 2000 points", st.Points)
-	}
-	if tr.PartitionCount() < 2 {
-		t.Fatalf("async inserts never spilled: %d partitions", tr.PartitionCount())
-	}
-	for q := 0; q < 25; q++ {
-		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := bruteKNN(pts, query, 5); !sameDistances(got, want) {
-			t.Fatal("async-built tree KNN mismatch")
-		}
+func TestAsyncPipelineMatchesOracle(t *testing.T) {
+	// The one-way pipeline at its default batch size and at batch size
+	// one, where every point is its own message.
+	for _, batch := range []int{0, 1} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			r := rand.New(rand.NewSource(13))
+			pts := randomPoints(r, 2000, 3)
+			tr := mustTree(t, Config{
+				Dim: 3, BucketSize: 8,
+				PartitionCapacity: 250, MaxPartitions: 8,
+			})
+			if err := tr.InsertBatchAsync(pts, batch); err != nil {
+				t.Fatal(err)
+			}
+			tr.Flush()
+			st, err := tr.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Points != 2000 {
+				t.Fatalf("async pipeline landed %d of 2000 points", st.Points)
+			}
+			if tr.PartitionCount() < 2 {
+				t.Fatalf("async inserts never spilled: %d partitions", tr.PartitionCount())
+			}
+			for q := 0; q < 25; q++ {
+				query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
+				got, err := tr.KNearest(context.Background(), query, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bruteKNN(pts, query, 5); !sameDistances(got, want) {
+					t.Fatal("async-built tree KNN mismatch")
+				}
+			}
+		})
 	}
 }
 

@@ -24,13 +24,11 @@ import (
 )
 
 // insertReq asks a partition to insert Point into the subtree rooted at
-// its node Node. When Async is set, cross-partition forwarding uses
-// one-way mailbox messages (fire-and-forget, like the paper's MPJ
-// pipeline) instead of nested synchronous calls.
+// its node Node, forwarding across partitions with nested synchronous
+// calls: the response acknowledges that the point has landed.
 type insertReq struct {
 	Node  int32
 	Point kdtree.Point
-	Async bool
 }
 
 // insertResp acknowledges an insertion.
@@ -43,8 +41,18 @@ type batchEntry struct {
 	Point kdtree.Point
 }
 
+// entriesAt tags pts as batch entries that all enter at node.
+func entriesAt(node int32, pts []kdtree.Point) []batchEntry {
+	entries := make([]batchEntry, len(pts))
+	for i, p := range pts {
+		entries[i] = batchEntry{Node: node, Point: p}
+	}
+	return entries
+}
+
 // insertBatchReq carries a batch of points through the one-way insert
-// pipeline. Batching amortizes per-message costs exactly like a real
+// pipeline (fire-and-forget mailbox messages, like the paper's MPJ
+// pipeline). Batching amortizes per-message costs exactly like a real
 // bulk load ("Kd-trees are more efficient in bulk-loading situations
 // (as required by our approach)" — §III-B); the receiving partition
 // applies local entries and re-batches the rest per target partition.

@@ -44,6 +44,10 @@ type partition struct {
 	// another partition's (the remote side keeps expanding its own).
 	remoteBoxes map[kdtree.Ref]box
 
+	// path is routeLocked's descent scratch (as kdtree.Tree keeps one for
+	// Insert). Guarded by mu: the router runs under the write lock.
+	path []int32
+
 	// boxWork counts box-maintenance writes (path-box growth plus
 	// remote-edge cache expansions). Guarded by mu: every writer holds
 	// the write lock, handleStats reads under the read lock.
@@ -103,15 +107,6 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 	return kdtree.Ref{Part: int32(part), Node: idx}
 }
 
-// descend is the arena's Descend — under at least the read lock —
-// charging the live nodes it routed through to the navigation counter.
-func (p *partition) descend(idx int32, pt []float64, path *[]int32) (leafIdx int32, ref kdtree.Ref, remote bool) {
-	before := len(*path)
-	leafIdx, ref, remote = p.Descend(idx, pt, path)
-	p.navSteps.Add(int64(len(*path) - before))
-	return leafIdx, ref, remote
-}
-
 // appendLocked lands pt in the leaf at idx, whose path boxes the caller
 // has already expanded, splitting it when the bucket saturates — unless
 // a migration is draining the bucket: splitting would detach the delta
@@ -125,109 +120,121 @@ func (p *partition) appendLocked(idx int32, pt kdtree.Point) {
 	}
 }
 
-// handleInsert implements the distributed insertion algorithm
-// (§III-B.1). Navigation runs under the read lock; the leaf mutation
-// re-validates under the write lock (a concurrent split or spill may
-// have changed the node in between) and loops or forwards as needed.
-// No lock is held while forwarding to another partition. Whatever the
-// outcome — local landing or cross-partition forward — every box on
-// the descent path expands to include the point (the point belongs to
-// each of those logical subtrees), and a forward additionally grows
-// the cached box of the edge it leaves through. Expansion precedes the
-// forward, so on a lossy or failing fabric a dropped point can leave
-// boxes covering a point that never landed: dilation is always
-// pruning-safe (a looser box only skips less), and exactness — what
-// the consistency checks assert — holds under reliable delivery,
-// matching the async path's at-most-once contract (a drop already
-// loses the point itself).
-func (p *partition) handleInsert(r insertReq) (any, error) {
-	forward := func(ref kdtree.Ref) error {
-		req := insertReq{Node: ref.Node, Point: r.Point, Async: r.Async}
-		if r.Async {
-			return p.t.fabric.Send(p.id, host(ref), req)
-		}
-		_, err := p.t.call(p.id, host(ref), req)
-		return err
-	}
-	idx := r.Node
-	var path []int32
-	for {
-		p.mu.RLock()
-		leafIdx, ref, remote := p.descend(idx, r.Point.Coords, &path)
-		needsExpand := remote && p.forwardNeedsExpand(path, ref, r.Point.Coords)
-		p.mu.RUnlock()
-		if remote {
-			// Warm path: a point inside every region it routes through
-			// forwards without the write lock.
-			if needsExpand {
-				p.mu.Lock()
-				p.expandPathBoxes(path, r.Point.Coords)
-				p.expandRemoteBox(ref, r.Point.Coords)
-				p.mu.Unlock()
-			}
-			return insertResp{}, forward(ref)
-		}
-
-		p.mu.Lock()
-		n := &p.Nodes[leafIdx]
-		switch {
-		case n.Moved:
-			ref := n.Fwd
-			p.expandPathBoxes(path, r.Point.Coords)
-			p.expandRemoteBox(ref, r.Point.Coords)
-			p.mu.Unlock()
-			return insertResp{}, forward(ref)
-		case !n.Leaf:
-			// A concurrent insert split this leaf; resume from it. The
-			// path keeps accumulating — descend re-appends leafIdx, and
-			// box expansion is idempotent.
-			idx = leafIdx
-			p.mu.Unlock()
+// routeLocked is the one ingest router, the partition-local step of the
+// distributed insertion algorithm (§III-B.1): every entry descends from
+// its entry node by (Sr, Sv) comparisons, every box on the descent path
+// expands to include the point (the point belongs to each of those
+// logical subtrees), and the entry either reaches a local leaf — handed
+// to land, the protocol's landing policy — or leaves through a
+// cross-partition edge, whose cached box grows before the entry is
+// queued for the partition hosting the child, re-tagged with the node
+// it re-enters at. It returns the queue and the number of entries that
+// landed; the caller accounts them and forwards the queue the way its
+// protocol acknowledges (one-way or synchronous) after releasing the
+// write lock it holds across this call: call edges follow the partition
+// DAG, but no lock may be held across one.
+//
+// Expansion precedes the forward, so on a lossy or failing fabric a
+// dropped point can leave boxes covering a point that never landed:
+// dilation is always pruning-safe (a looser box only skips less), and
+// exactness — what the consistency checks assert — holds under reliable
+// delivery.
+func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt kdtree.Point)) (forwards map[cluster.NodeID][]batchEntry, landed int) {
+	for _, e := range entries {
+		p.path = p.path[:0]
+		leaf, ref, remote := p.Descend(e.Node, e.Point.Coords, &p.path)
+		p.navSteps.Add(int64(len(p.path)))
+		p.expandPathBoxes(p.path, e.Point.Coords)
+		if !remote {
+			land(leaf, e.Point)
+			landed++
 			continue
 		}
-		p.expandPathBoxes(path, r.Point.Coords)
-		p.appendLocked(leafIdx, r.Point)
-		p.points++
-		p.inserts.Add(1)
-		spill := p.capacityExceededLocked()
-		p.mu.Unlock()
-		if spill {
-			p.buildPartition()
+		p.expandRemoteBox(ref, e.Point.Coords)
+		if forwards == nil {
+			forwards = make(map[cluster.NodeID][]batchEntry)
 		}
-		return insertResp{}, nil
+		forwards[host(ref)] = append(forwards[host(ref)], batchEntry{Node: ref.Node, Point: e.Point})
 	}
+	return forwards, landed
 }
 
-// handleInsertBatch applies a batch of pipelined inserts. The whole
-// batch runs under one write lock (no per-point lock churn and no
-// re-validation needed); entries whose descent leaves the partition are
-// re-grouped per target and forwarded as one message each, after the
-// lock is released.
-func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
-	var forwards map[cluster.NodeID][]batchEntry
-	var path []int32
-	p.mu.Lock()
-	for _, e := range r.Entries {
-		path = path[:0]
-		leafIdx, ref, remote := p.descend(e.Node, e.Point.Coords, &path)
-		p.expandPathBoxes(path, e.Point.Coords)
-		if remote {
-			p.expandRemoteBox(ref, e.Point.Coords)
-			if forwards == nil {
-				forwards = make(map[cluster.NodeID][]batchEntry)
+// forwardInserts hands the entries a router pass queued to the
+// single-point protocol of the partitions hosting them, synchronously:
+// the caller acknowledges only after every point has landed. It returns
+// the first error; the remaining entries are still attempted.
+func (p *partition) forwardInserts(forwards map[cluster.NodeID][]batchEntry) error {
+	var first error
+	for part, entries := range forwards {
+		for _, e := range entries {
+			if _, err := p.t.call(p.id, part, insertReq(e)); err != nil && first == nil {
+				first = err
 			}
-			forwards[host(ref)] = append(forwards[host(ref)], batchEntry{Node: ref.Node, Point: e.Point})
-			continue
 		}
-		p.appendLocked(leafIdx, e.Point)
-		p.points++
-		p.inserts.Add(1)
 	}
+	return first
+}
+
+// handleInsert is the single-point protocol. What it has that the
+// batched protocols lack is the read-locked warm path: a point inside
+// every region it routes through forwards to the next partition without
+// the write lock, instead of contending with query read locks that span
+// whole traversals (a forward that still has a box to grow takes the
+// write lock for just that). A point that lands here resumes under the
+// write lock, in the router, at the leaf the read-locked walk found:
+// routing decisions are immutable, so the walk above the leaf stands,
+// and whatever happened to the leaf in between (a concurrent insert
+// split it, a spill or the repacker relocated it) the router's descent
+// resolves. No lock is held while forwarding.
+func (p *partition) handleInsert(r insertReq) (any, error) {
+	c := r.Point.Coords
+	var path []int32
+	p.mu.RLock()
+	leaf, ref, remote := p.Descend(r.Node, c, &path)
+	needsExpand := remote && p.forwardNeedsExpand(path, ref, c)
+	p.mu.RUnlock()
+	if remote {
+		p.navSteps.Add(int64(len(path)))
+		if needsExpand {
+			p.mu.Lock()
+			p.expandPathBoxes(path, c)
+			p.expandRemoteBox(ref, c)
+			p.mu.Unlock()
+		}
+		_, err := p.t.call(p.id, host(ref), insertReq{Node: ref.Node, Point: r.Point})
+		return insertResp{}, err
+	}
+	// The router re-walks the leaf, so only the walk above it is charged
+	// and expanded here.
+	trunk := path[:len(path)-1]
+	p.navSteps.Add(int64(len(trunk)))
+	p.mu.Lock()
+	p.expandPathBoxes(trunk, c)
+	forwards, landed := p.routeLocked([]batchEntry{{Node: leaf, Point: r.Point}}, p.appendLocked)
+	p.points += landed
+	p.inserts.Add(int64(landed))
+	spill := p.capacityExceededLocked()
+	p.mu.Unlock()
+	err := p.forwardInserts(forwards)
+	if spill {
+		p.buildPartition()
+	}
+	return insertResp{}, err
+}
+
+// handleInsertBatch is the one-way pipelined protocol: the whole batch
+// routes under one write lock and lands point by point, and the entries
+// that leave the partition travel on as one one-way message per target.
+func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
+	p.mu.Lock()
+	forwards, landed := p.routeLocked(r.Entries, p.appendLocked)
+	p.points += landed
+	p.inserts.Add(int64(landed))
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
 	for part, entries := range forwards {
-		// One-way, at-most-once: a drop loses the batch, mirroring the
-		// async single-insert semantics.
+		// One-way, at-most-once: a drop loses the batch and nobody is
+		// told (Stats().Points reveals the loss).
 		_ = p.t.fabric.Send(p.id, part, insertBatchReq{Entries: entries})
 	}
 	if spill {

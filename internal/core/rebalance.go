@@ -10,11 +10,10 @@ import (
 // The paper observes that "once built, modifying or rebalancing a
 // Kd-tree is a non-trivial task" (§III-B). This file makes it tractable
 // for the distributed tree with a coordinated bulk-load: gather every
-// point, rebuild a balanced tree client-side (KD-trees bulk-load
-// cheaply), cut its top into a routing trunk plus ~M−1 frontier
-// subtrees, reset the partitions, install one frontier subtree per data
-// partition and the trunk — with cross-partition links at the frontier —
-// on the root partition.
+// point, reset the partitions, and bulk-load the points back into the
+// now empty tree (bulkload.go: balanced build client-side, frontier
+// subtrees on the data partitions, the routing trunk — with
+// cross-partition links at the frontier — on the root partition).
 //
 // Rebalance is a maintenance operation: the caller must guarantee
 // quiescence (no concurrent inserts or queries), as for any offline
@@ -135,8 +134,11 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 }
 
 // Rebalance rebuilds the tree balanced, redistributing the data across
-// all partitions (including any whose budget was never used). It
-// requires quiescence.
+// all partitions (including any whose budget was never used): collect
+// every point, reset the partitions, and install the balanced layout
+// through the bulk loader's installer — the tree is empty again, and
+// the only difference from a first BulkLoad is that every data
+// partition is a target. It requires quiescence.
 func (t *Tree) Rebalance() error {
 	root := t.rootPartition()
 	resp, err := t.call(cluster.ClientID, root.id, collectReq{Node: 0})
@@ -148,46 +150,26 @@ func (t *Tree) Rebalance() error {
 	// Make every budgeted partition available to the new layout.
 	t.allocPartitions(t.cfg.MaxPartitions)
 	t.mu.RLock()
-	parts := append([]*partition(nil), t.parts...)
+	ids := make([]cluster.NodeID, len(t.parts))
+	for i, p := range t.parts {
+		ids[i] = p.id
+	}
 	t.mu.RUnlock()
-
-	seq, err := kdtree.BulkLoad(pts, t.cfg.Dim, t.cfg.BucketSize)
-	if err != nil {
-		return fmt.Errorf("core: rebalance build: %w", err)
-	}
-
-	for _, p := range parts {
-		if _, err := t.call(cluster.ClientID, p.id, resetReq{RootLeaf: false}); err != nil {
+	for _, id := range ids {
+		if _, err := t.call(cluster.ClientID, id, resetReq{RootLeaf: id == root.id}); err != nil {
 			return fmt.Errorf("core: rebalance reset: %w", err)
 		}
 	}
-
+	t.size.Store(0)
 	if len(pts) == 0 {
-		if _, err := t.call(cluster.ClientID, root.id, resetReq{RootLeaf: true}); err != nil {
-			return fmt.Errorf("core: rebalance reset: %w", err)
-		}
-		t.size.Store(0)
 		return nil
 	}
-
-	// The trunk — or, with a single partition or too little data to
-	// distribute, the whole balanced tree — lands on the root partition:
-	// its arena is empty, so the fragment root takes index 0, where
-	// every operation enters. Otherwise every data partition receives
-	// frontier subtrees first; the cut and the assignment are shared
-	// with the bulk loader (bulkload.go).
-	req := installReq{Nodes: seq.Nodes}
-	if len(parts) > 1 && !seq.Nodes[0].Leaf {
-		targets := make([]cluster.NodeID, len(parts)-1)
-		for i, dp := range parts[1:] {
-			targets[i] = dp.id
-		}
-		if req.Nodes, req.Remote, _, err = t.installFrontier(&seq.Arena, targets); err != nil {
-			return fmt.Errorf("core: rebalance install: %w", err)
-		}
+	ok, err := t.installBalanced(pts, func() []cluster.NodeID { return ids[1:] })
+	if err != nil {
+		return fmt.Errorf("core: rebalance: %w", err)
 	}
-	if _, err := t.call(cluster.ClientID, root.id, req); err != nil {
-		return fmt.Errorf("core: rebalance trunk install: %w", err)
+	if !ok {
+		return fmt.Errorf("core: rebalance: root entry leaf changed during the install; quiescence violated")
 	}
 	t.size.Store(int64(len(pts)))
 	return nil

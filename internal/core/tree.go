@@ -243,24 +243,6 @@ func (t *Tree) Insert(p kdtree.Point) error {
 	return nil
 }
 
-// InsertAsync enqueues a point through the fabric's one-way mailbox
-// path: the root partition routes it and forwards across partitions
-// with fire-and-forget messages, exactly like an MPJ insert pipeline.
-// Use Flush to wait for all enqueued points to land. Delivery is
-// at-most-once — on a fabric with failure injection, dropped messages
-// lose points (Stats().Points reveals the loss).
-func (t *Tree) InsertAsync(p kdtree.Point) error {
-	if len(p.Coords) != t.cfg.Dim {
-		return fmt.Errorf("core: point has %d coords, tree dimension is %d", len(p.Coords), t.cfg.Dim)
-	}
-	root := t.rootPartition()
-	if err := t.fabric.Send(cluster.ClientID, root.id, insertReq{Node: 0, Point: p, Async: true}); err != nil {
-		return err
-	}
-	t.size.Add(1)
-	return nil
-}
-
 // Flush waits until all asynchronously inserted points have been
 // applied, including cross-partition forwards still in flight.
 func (t *Tree) Flush() { t.fabric.Flush() }
@@ -269,10 +251,15 @@ func (t *Tree) Flush() { t.fabric.Flush() }
 // none is given.
 const DefaultBatchSize = 64
 
-// InsertBatchAsync enqueues pts through the one-way pipeline in chunks
-// of batchSize (DefaultBatchSize when <= 0). Batching amortizes
-// per-message cost: this is the bulk-load path the index-building
-// benchmarks (Figure 3) measure. Call Flush to wait for completion.
+// InsertBatchAsync enqueues pts through the fabric's one-way mailbox
+// path in chunks of batchSize (DefaultBatchSize when <= 0): the root
+// partition routes each batch and forwards across partitions with
+// fire-and-forget messages, exactly like an MPJ insert pipeline.
+// Batching amortizes per-message cost: this is the bulk-load path the
+// index-building benchmarks (Figure 3) measure. Call Flush to wait for
+// completion. Delivery is at-most-once — on a fabric with failure
+// injection, dropped messages lose points (Stats().Points reveals the
+// loss).
 func (t *Tree) InsertBatchAsync(pts []kdtree.Point, batchSize int) error {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -288,11 +275,7 @@ func (t *Tree) InsertBatchAsync(pts []kdtree.Point, batchSize int) error {
 		if end > len(pts) {
 			end = len(pts)
 		}
-		entries := make([]batchEntry, 0, end-start)
-		for _, p := range pts[start:end] {
-			entries = append(entries, batchEntry{Node: 0, Point: p})
-		}
-		if err := t.fabric.Send(cluster.ClientID, root.id, insertBatchReq{Entries: entries}); err != nil {
+		if err := t.fabric.Send(cluster.ClientID, root.id, insertBatchReq{Entries: entriesAt(0, pts[start:end])}); err != nil {
 			return err
 		}
 		t.size.Add(int64(end - start))

@@ -27,8 +27,7 @@ const (
 // selects a default; set K for k-nearest retrieval and Radius (or
 // ModeRange) for range retrieval. In range mode K > 0 truncates the
 // ranked result. Index.Searcher takes functional options (WithK,
-// WithRadius, ...) that build one of these; pass a pre-built struct
-// through the WithOptions adapter.
+// WithRadius, ...) that build one of these.
 type SearchOptions struct {
 	// Mode selects k-nearest vs range retrieval; ModeAuto (the zero
 	// value) infers it from Radius.
@@ -89,51 +88,6 @@ type SearchOptions struct {
 // truth for wire-request decoding in the serving tier (internal/serve
 // maps every request field onto exactly these options).
 type SearchOption func(*SearchOptions)
-
-// WithOptions layers a whole SearchOptions struct onto the
-// configuration: every non-zero field of opts overrides what earlier
-// options set, field by field (zero fields leave the accumulated
-// configuration alone, so WithOptions composes with the fine-grained
-// options instead of erasing them).
-//
-// Deprecated: WithOptions exists as a mechanical migration path for
-// callers of the old Index.Searcher(SearchOptions, ...SearchOption)
-// signature. New code should use the fine-grained options (WithK,
-// WithRadius, WithMode, ...) directly.
-func WithOptions(opts SearchOptions) SearchOption {
-	return func(o *SearchOptions) {
-		if opts.Mode != ModeAuto {
-			o.Mode = opts.Mode
-		}
-		if opts.K != 0 {
-			o.K = opts.K
-		}
-		if opts.Radius != 0 {
-			o.Radius = opts.Radius
-		}
-		if opts.ExactFactor != 0 {
-			o.ExactFactor = opts.ExactFactor
-		}
-		if opts.Parallelism != 0 {
-			o.Parallelism = opts.Parallelism
-		}
-		if opts.Protocol != ProtocolAuto {
-			o.Protocol = opts.Protocol
-		}
-		if opts.MaxInFlight != 0 {
-			o.MaxInFlight = opts.MaxInFlight
-		}
-		if opts.QueueDepth != 0 {
-			o.QueueDepth = opts.QueueDepth
-		}
-		if opts.AdmissionControl {
-			o.AdmissionControl = true
-		}
-		if opts.Quota != nil {
-			o.Quota = opts.Quota
-		}
-	}
-}
 
 // WithMode pins the retrieval mode (k-nearest vs range); the default
 // ModeAuto infers it from the radius.
@@ -300,8 +254,7 @@ type Searcher struct {
 
 // Searcher returns a reusable query engine over the index, configured
 // by options applied in order to a zero SearchOptions value (WithK,
-// WithRadius, WithProtocol, WithQuota, ...; WithOptions adapts a whole
-// struct for callers migrating from the old signature). Each Searcher
+// WithRadius, WithProtocol, WithQuota, ...). Each Searcher
 // owns its own admission scheduler — the in-flight limit, quota bucket
 // and counters are per-Searcher — while the cost model driving
 // protocol choice is shared index-wide, so estimates learned through

@@ -44,7 +44,7 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 	}
 
 	t.Run("knn", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{K: 5, Parallelism: 4}))
+		s := ix.Searcher(WithK(5), WithParallelism(4))
 		batch, err := s.SearchBatch(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
@@ -63,7 +63,7 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 		}
 	})
 	t.Run("range", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{Radius: 0.4, Parallelism: 4}))
+		s := ix.Searcher(WithRadius(0.4), WithParallelism(4))
 		batch, err := s.SearchBatch(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 		}
 	})
 	t.Run("range-truncated", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{Radius: 0.5, K: 3}))
+		s := ix.Searcher(WithRadius(0.5), WithK(3))
 		res, err := s.Search(context.Background(), qs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 		}
 	})
 	t.Run("exact", func(t *testing.T) {
-		s := ix.Searcher(WithOptions(SearchOptions{K: 4, ExactFactor: 3, Parallelism: 2}))
+		s := ix.Searcher(WithK(4), WithExactFactor(3), WithParallelism(2))
 		batch, err := s.SearchBatch(context.Background(), qs[:8])
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 
 func TestSearcherEmptyBatch(t *testing.T) {
 	ix, _ := buildTestIndex(t, 50, Options{Seed: 3})
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: 3})).SearchBatch(context.Background(), nil)
+	res, err := ix.Searcher(WithK(3)).SearchBatch(context.Background(), nil)
 	if err != nil || res != nil {
 		t.Fatalf("empty batch = %v, %v", res, err)
 	}
@@ -176,7 +176,7 @@ func TestSearcherConcurrentWithInsert(t *testing.T) {
 			}
 		}
 	}()
-	s := ix.Searcher(WithOptions(SearchOptions{K: 3, Parallelism: 4}))
+	s := ix.Searcher(WithK(3), WithParallelism(4))
 	for round := 0; round < 6; round++ {
 		res, err := s.SearchBatch(context.Background(), qs)
 		if err != nil {
@@ -210,7 +210,7 @@ func TestSearchBatchPerQueryError(t *testing.T) {
 		qs[i] = g.RandomTriple()
 	}
 	// K large enough that every query retrieves the phantom point.
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: ix.Len() + 1, Parallelism: 2})).SearchBatch(context.Background(), qs)
+	res, err := ix.Searcher(WithK(ix.Len()+1), WithParallelism(2)).SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatalf("batch-level error for a per-query failure: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestSearchBatchPerQueryError(t *testing.T) {
 	}
 	// A small K that cannot reach the phantom answers cleanly — the
 	// poisoned index is only poisoned for queries that touch the hole.
-	res, err = ix.Searcher(WithOptions(SearchOptions{K: 1})).SearchBatch(context.Background(), qs)
+	res, err = ix.Searcher(WithK(1)).SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSearchCancelled(t *testing.T) {
 	if _, err := ix.KNearestIDs(ctx, q, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("KNearestIDs err = %v", err)
 	}
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: 3})).SearchBatch(ctx, []triple.Triple{q, q})
+	res, err := ix.Searcher(WithK(3)).SearchBatch(ctx, []triple.Triple{q, q})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatch err = %v", err)
 	}
@@ -280,7 +280,7 @@ func TestSearchExecStats(t *testing.T) {
 	for i := range qs {
 		qs[i] = g.RandomTriple()
 	}
-	res, err := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 2})).SearchBatch(context.Background(), qs)
+	res, err := ix.Searcher(WithK(4), WithParallelism(2)).SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestSearchExecStats(t *testing.T) {
 		}
 	}
 	// Exact mode charges the re-rank evaluations on top.
-	plain, err := ix.Searcher(WithOptions(SearchOptions{K: 4})).Search(context.Background(), qs[0])
+	plain, err := ix.Searcher(WithK(4)).Search(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ix.Searcher(WithOptions(SearchOptions{K: 4, ExactFactor: 4})).Search(context.Background(), qs[0])
+	exact, err := ix.Searcher(WithK(4), WithExactFactor(4)).Search(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +329,9 @@ func TestSearcherSchedulerOptions(t *testing.T) {
 
 	// The three protocols must answer identically (the core engine's
 	// equivalence, re-asserted through the facade).
-	auto := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 4}))
-	seq := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 4}), WithProtocol(ProtocolSequential))
-	fan := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 4}), WithProtocol(ProtocolFanOut))
+	auto := ix.Searcher(WithK(4), WithParallelism(4))
+	seq := ix.Searcher(WithK(4), WithParallelism(4), WithProtocol(ProtocolSequential))
+	fan := ix.Searcher(WithK(4), WithParallelism(4), WithProtocol(ProtocolFanOut))
 	resAuto, err := auto.SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestSearcherSchedulerOptions(t *testing.T) {
 
 	// A 1-slot searcher with no admission queue sheds concurrent
 	// surplus with ErrAdmissionRejected, attributed per query.
-	limited := ix.Searcher(WithOptions(SearchOptions{K: 4, Parallelism: 8, QueueDepth: -1}), WithMaxInFlight(1))
+	limited := ix.Searcher(WithK(4), WithParallelism(8), WithQueueDepth(-1), WithMaxInFlight(1))
 	res, err := limited.SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestSearcherSchedulerOptions(t *testing.T) {
 
 	// Admission control: once the model knows a query's cost, a
 	// microscopic deadline budget is rejected up front.
-	guarded := ix.Searcher(WithOptions(SearchOptions{K: 4}), WithAdmissionControl(true))
+	guarded := ix.Searcher(WithK(4), WithAdmissionControl(true))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	gres, _ := guarded.SearchBatch(ctx, qs[:1])
@@ -420,7 +420,7 @@ func TestSearcherQuota(t *testing.T) {
 	}
 
 	// Zero capacity admits nothing and spends nothing.
-	drained := ix.Searcher(WithOptions(SearchOptions{K: 3}), WithQuota(0, 1000))
+	drained := ix.Searcher(WithK(3), WithQuota(0, 1000))
 	res, err := drained.SearchBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
@@ -440,8 +440,8 @@ func TestSearcherQuota(t *testing.T) {
 
 	// A small bucket with no refill throttles a hammering tenant after
 	// its burst; an unthrottled searcher on the same index is unaffected.
-	throttled := ix.Searcher(WithOptions(SearchOptions{K: 3, Quota: &QuotaConfig{Capacity: 2000}}))
-	open := ix.Searcher(WithOptions(SearchOptions{K: 3}))
+	throttled := ix.Searcher(WithK(3), WithQuota(2000, 0))
+	open := ix.Searcher(WithK(3))
 	okCount, shed := 0, 0
 	for _, q := range qs {
 		_, err := throttled.Search(context.Background(), q)
@@ -514,32 +514,5 @@ func TestSearchOptionCompleteness(t *testing.T) {
 	}
 	if len(setters) != typ.NumField() {
 		t.Errorf("option table lists %d fields, SearchOptions has %d", len(setters), typ.NumField())
-	}
-}
-
-// TestWithOptionsMerge: the deprecated struct adapter layers non-zero
-// fields over the accumulated configuration instead of erasing it, so
-// migrated call sites compose with fine-grained options on either side.
-func TestWithOptionsMerge(t *testing.T) {
-	var o SearchOptions
-	for _, opt := range []SearchOption{
-		WithK(4),
-		WithParallelism(6),
-		WithOptions(SearchOptions{K: 9, Radius: 0.5}), // overrides K, leaves Parallelism
-	} {
-		opt(&o)
-	}
-	if o.K != 9 || o.Radius != 0.5 || o.Parallelism != 6 {
-		t.Fatalf("merge got %+v, want K=9 Radius=0.5 Parallelism=6", o)
-	}
-	// Applied to a zero base, WithOptions reproduces the struct exactly
-	// (the mechanical migration path for the old signature).
-	src := SearchOptions{Mode: ModeRange, K: 3, Radius: 0.4, ExactFactor: 2,
-		Parallelism: 8, Protocol: ProtocolSequential, MaxInFlight: 2,
-		QueueDepth: -1, AdmissionControl: true, Quota: &QuotaConfig{Capacity: 10}}
-	var got SearchOptions
-	WithOptions(src)(&got)
-	if !reflect.DeepEqual(got, src) {
-		t.Fatalf("WithOptions on a zero base: got %+v, want %+v", got, src)
 	}
 }
