@@ -138,8 +138,8 @@ func BenchmarkFig5DistKNN(b *testing.B) {
 // BenchmarkKNearestBatch measures the batched query surface of the
 // concurrent query engine on a 5-partition tree (4 data partitions +
 // root): "loop" issues the queries one synchronous KNearest at a time,
-// "batch" pushes the same workload through KNearestBatch's bounded
-// worker pool. On a multi-core runner the batch should sustain well
+// "batch" pushes the same calls through core.RunBatch's bounded worker
+// pool. On a multi-core runner the batch should sustain well
 // over 1.5× the loop's throughput.
 func BenchmarkKNearestBatch(b *testing.B) {
 	pts := benchPoints(b, 20000)
@@ -174,7 +174,10 @@ func BenchmarkKNearestBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.KNearestBatch(context.Background(), qs, 3, 0); err != nil {
+			if err := core.RunBatch(context.Background(), len(qs), 0, func(i int) error {
+				_, err := tr.KNearest(context.Background(), qs[i], 3)
+				return err
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}

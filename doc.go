@@ -14,10 +14,10 @@
 // partition replies at the message fabric, so a query never costs more
 // than its budget. A Searcher fixes the per-query options once (k,
 // range radius, exact re-rank factor, parallelism) and answers single
-// queries or whole batches; batches amortize the FastMap embedding of
-// the query triples and fan out over the distributed tree with a
-// bounded worker pool, while single queries overlap cross-partition
-// hops with the probe-then-fan-out k-NN protocol.
+// queries or whole batches. A batch is the single-query path run on a
+// bounded worker pool — results[i] is exactly what Search would return
+// for the i-th triple — while inside the tree a query overlaps its
+// cross-partition hops with the probe-then-fan-out k-NN protocol.
 //
 // Every query returns a Result: the ranked Matches, an ExecStats with
 // the query's true execution cost (nodes visited, buckets scanned,

@@ -91,36 +91,62 @@ type persistedOptions struct {
 	Dims            int
 }
 
+// newMetric builds the Eq. 1 metric an index embeds under, from the
+// embedding parameters — Build's options, or the ones Load finds
+// persisted — over reg (nil selects the built-in vocabularies).
+func newMetric(reg *vocab.Registry, p persistedOptions) (*semdist.Metric, error) {
+	if reg == nil {
+		reg = vocab.DefaultRegistry()
+	}
+	measure := semdist.ConceptMeasure(nil)
+	if p.Measure != "" {
+		m, err := semdist.MeasureByName(p.Measure)
+		if err != nil {
+			return nil, err
+		}
+		measure = m
+	}
+	return semdist.New(reg, semdist.Options{
+		Weights:         p.Weights,
+		Concept:         measure,
+		NumericLiterals: p.NumericLiterals,
+	})
+}
+
+// treeConfig maps the tree-layout options onto the distributed tree's
+// configuration, at embedding dimensionality dims.
+func (o Options) treeConfig(dims int) core.Config {
+	return core.Config{
+		Dim:               dims,
+		BucketSize:        o.BucketSize,
+		PartitionCapacity: o.PartitionCapacity,
+		MaxPartitions:     o.MaxPartitions,
+		Fabric:            o.Fabric,
+		Unbalanced:        o.Unbalanced,
+	}
+}
+
 // Build embeds every triple of store with FastMap under the semantic
 // metric and bulk-loads the distributed KD-tree with the images.
 func Build(store *triple.Store, opts Options) (*Index, error) {
 	if store == nil {
 		return nil, fmt.Errorf("semtree: nil store")
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = vocab.DefaultRegistry()
-	}
-	measure := semdist.ConceptMeasure(nil)
-	if opts.Measure != "" {
-		m, err := semdist.MeasureByName(opts.Measure)
-		if err != nil {
-			return nil, err
-		}
-		measure = m
-	}
-	metric, err := semdist.New(reg, semdist.Options{
-		Weights:         opts.Weights,
-		Concept:         measure,
-		NumericLiterals: opts.NumericLiterals,
-	})
-	if err != nil {
-		return nil, err
-	}
 	dims := opts.Dims
 	if dims <= 0 {
 		dims = 8
 	}
+	embed := persistedOptions{
+		Weights:         opts.Weights,
+		Measure:         opts.Measure,
+		NumericLiterals: opts.NumericLiterals,
+		Dims:            dims,
+	}
+	metric, err := newMetric(opts.Registry, embed)
+	if err != nil {
+		return nil, err
+	}
+	embed.Weights = metric.Weights() // persist the resolved defaults
 
 	triples := store.Triples()
 	mapper, coords, err := fastmap.Build(triples, metric.Distance, fastmap.Options{
@@ -132,14 +158,7 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	tree, err := core.New(core.Config{
-		Dim:               dims,
-		BucketSize:        opts.BucketSize,
-		PartitionCapacity: opts.PartitionCapacity,
-		MaxPartitions:     opts.MaxPartitions,
-		Fabric:            opts.Fabric,
-		Unbalanced:        opts.Unbalanced,
-	})
+	tree, err := core.New(opts.treeConfig(dims))
 	if err != nil {
 		return nil, err
 	}
@@ -153,15 +172,7 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	return &Index{
-		store: store, metric: metric, mapper: mapper, tree: tree, dims: dims,
-		opts: persistedOptions{
-			Weights:         metric.Weights(),
-			Measure:         opts.Measure,
-			NumericLiterals: opts.NumericLiterals,
-			Dims:            dims,
-		},
-	}, nil
+	return &Index{store: store, metric: metric, mapper: mapper, tree: tree, dims: dims, opts: embed}, nil
 }
 
 // ErrUnindexedID reports a tree point whose ID has no entry in the

@@ -251,8 +251,8 @@ func Fig7(ctx context.Context, p Params) (*Figure, error) {
 
 // Throughput measures the concurrent query engine beyond the paper's
 // figures: k-nearest queries/second of a sequential loop of
-// Tree.KNearest calls vs Tree.KNearestBatch's bounded worker pool, per
-// partition count. This is the §III-C scaling claim ("using M−1 data
+// Tree.KNearest calls vs the same calls on core.RunBatch's bounded
+// worker pool, per partition count. This is the §III-C scaling claim ("using M−1 data
 // partitions, we can perform in the best case M−1 parallel operations
 // maximizing our throughput") applied to the query path; the loop
 // series is the baseline a single synchronous client achieves.
@@ -301,7 +301,11 @@ func Throughput(ctx context.Context, p Params) (*Figure, error) {
 						if end > len(qs) {
 							end = len(qs)
 						}
-						if _, berr := tr.KNearestBatch(ctx, qs[start:end], p.K, workers); berr != nil {
+						batch := qs[start:end]
+						if berr := core.RunBatch(ctx, len(batch), workers, func(i int) error {
+							_, err := tr.KNearest(ctx, batch[i], p.K)
+							return err
+						}); berr != nil {
 							return berr
 						}
 					}

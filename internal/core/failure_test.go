@@ -70,3 +70,32 @@ func TestQueryFailsWhenRetriesExhausted(t *testing.T) {
 		t.Fatal("query on dead fabric returned no error")
 	}
 }
+
+// TestInsertAllAttemptsEveryPoint: InsertAll returns the first error
+// but still attempts the remaining points, whatever the worker count.
+// On one partition every insert is one message and the fabric's seeded
+// failure rolls are consumed one per message, so the number of points
+// that land is the same for the serial and the pooled path — unless one
+// of them stops at its first failure.
+func TestInsertAllAttemptsEveryPoint(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(12)), 400, 2)
+	landed := func(workers int) int {
+		fabric := cluster.NewInProc(cluster.InProcOptions{FailureRate: 0.2, Seed: 11})
+		defer fabric.Close()
+		tr := mustTree(t, Config{Dim: 2, Fabric: fabric, RetryAttempts: 1})
+		if err := tr.InsertAll(pts, workers); err == nil {
+			t.Fatal("no insert failed — test vacuous")
+		}
+		// Stats crosses the same lossy fabric: ask until it gets through.
+		for attempt := 0; attempt < 100; attempt++ {
+			if st, err := tr.Stats(); err == nil {
+				return st.Points
+			}
+		}
+		t.Fatal("Stats never got through the lossy fabric")
+		return 0
+	}
+	if serial, pooled := landed(1), landed(4); serial != pooled {
+		t.Fatalf("InsertAll landed %d points with 1 worker, %d with 4", serial, pooled)
+	}
+}

@@ -134,11 +134,11 @@ func TestPlacementIdenticalResults(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := clusteredPoints(r, 1, 8, 6)[0].Coords
 		for _, k := range []int{1, 3, 10} {
-			want, wantSt, err := rr.knn(context.Background(), q, k, ProtocolFanOut)
+			want, wantSt, err := rr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSt, err := placed.knn(context.Background(), q, k, ProtocolFanOut)
+			got, gotSt, err := placed.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,7 +49,7 @@ func TestRegionPruneEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := randomPoints(r, 1, 8)[0].Coords
 		for _, k := range []int{1, 3, 10, 40} {
-			want, _, err := planeTree.knn(context.Background(), q, k, ProtocolSequential)
+			want, _, err := planeTree.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestRegionPruneEquivalence(t *testing.T) {
 
 func mustKNN(t *testing.T, tr *Tree, q []float64, k int, p Protocol) []kdtree.Neighbor {
 	t.Helper()
-	ns, _, err := tr.knn(context.Background(), q, k, p)
+	ns, _, err := tr.knnResolved(context.Background(), q, k, p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestRegionPruneReducesWork(t *testing.T) {
 		r := rand.New(rand.NewSource(37)) // same queries for both trees
 		for trial := 0; trial < 50; trial++ {
 			q := randomPoints(r, 1, 8)[0].Coords
-			_, bst, err := boxTree.knn(context.Background(), q, 3, proto)
+			_, bst, err := boxTree.knnResolved(context.Background(), q, 3, proto, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, pst, err := planeTree.knn(context.Background(), q, 3, proto)
+			_, pst, err := planeTree.knnResolved(context.Background(), q, 3, proto, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestProbeMissAccounting(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randomPoints(r, 1, 3)[0].Coords
 		for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-			_, st, err := multi.knn(context.Background(), q, 3, proto)
+			_, st, err := multi.knnResolved(context.Background(), q, 3, proto, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,11 +52,11 @@ func TestKNNParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randomPoints(r, 1, 4)[0].Coords
 		for _, k := range []int{1, 3, 10, 40} {
-			seq, _, err := tr.knn(context.Background(), q, k, ProtocolSequential)
+			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, _, err := tr.knn(context.Background(), q, k, ProtocolFanOut)
+			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,45 +82,9 @@ func TestKNNParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestKNearestBatchMatchesLoop: the batched surface must agree with a
-// loop of single calls, for every worker-pool width.
-func TestKNearestBatchMatchesLoop(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	tr, _ := multiPartitionTree(t, r, 2000, 3)
-	qs := make([][]float64, 32)
-	for i := range qs {
-		qs[i] = randomPoints(r, 1, 3)[0].Coords
-	}
-	want := make([][]kdtree.Neighbor, len(qs))
-	for i, q := range qs {
-		ns, err := tr.KNearest(context.Background(), q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ns
-	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		got, err := tr.KNearestBatch(context.Background(), qs, 4, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("workers=%d query %d: len %d != %d", workers, i, len(got[i]), len(want[i]))
-			}
-			for j := range got[i] {
-				if !sameNeighbor(got[i][j], want[i][j]) {
-					t.Fatalf("workers=%d query %d item %d: %+v != %+v",
-						workers, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
-}
-
-// TestRangeBatchMatchesLoop: ditto for range queries, which also pins
-// the single-sort ordering contract (ascending distance, ID ties).
-func TestRangeBatchMatchesLoop(t *testing.T) {
+// TestRangeSearchOrdered pins the range search's single-sort ordering
+// contract (ascending distance, ID ties) against the oracle.
+func TestRangeSearchOrdered(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	tr, pts := multiPartitionTree(t, r, 2000, 3)
 	qs := make([][]float64, 16)
@@ -128,51 +92,19 @@ func TestRangeBatchMatchesLoop(t *testing.T) {
 		qs[i] = randomPoints(r, 1, 3)[0].Coords
 	}
 	const d = 25.0
-	got, err := tr.RangeBatch(context.Background(), qs, d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, q := range qs {
-		want, err := tr.RangeSearch(context.Background(), q, d)
+		got, err := tr.RangeSearch(context.Background(), q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got[i]) != len(want) {
-			t.Fatalf("query %d: len %d != %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if !sameNeighbor(got[i][j], want[j]) {
-				t.Fatalf("query %d item %d differs", i, j)
-			}
-			if j > 0 && !neighborLess(want[j-1], want[j]) && !sameNeighbor(want[j-1], want[j]) {
+		for j := range got {
+			if j > 0 && !neighborLess(got[j-1], got[j]) && !sameNeighbor(got[j-1], got[j]) {
 				t.Fatalf("query %d: result not in (Dist, ID) order at %d", i, j)
 			}
 		}
-		if bf := bruteRange(pts, q, d); !sameIDSets(got[i], bf) {
+		if bf := bruteRange(pts, q, d); !sameIDSets(got, bf) {
 			t.Fatalf("query %d: range disagrees with oracle", i)
 		}
-	}
-}
-
-// TestBatchEmptyAndErrors: degenerate batch inputs and the
-// first-error contract.
-func TestBatchEmptyAndErrors(t *testing.T) {
-	tr := mustTree(t, Config{Dim: 2})
-	if out, err := tr.KNearestBatch(context.Background(), nil, 3, 4); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch: out=%v err=%v", out, err)
-	}
-	// A query with the wrong dimensionality errors without poisoning
-	// the rest of the batch.
-	if err := tr.Insert(kdtree.Point{Coords: []float64{1, 2}, ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	qs := [][]float64{{1, 2}, {3}, {4, 5}}
-	out, err := tr.KNearestBatch(context.Background(), qs, 1, 2)
-	if err == nil {
-		t.Fatal("dimension mismatch not reported")
-	}
-	if len(out[0]) != 1 || out[1] != nil || len(out[2]) != 1 {
-		t.Fatalf("batch results around the error wrong: %v", out)
 	}
 }
 
@@ -208,13 +140,12 @@ func TestKNNParallelSurvivesConcurrentInserts(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 8; round++ {
-		res, err := tr.KNearestBatch(context.Background(), qs, 3, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ns := range res {
-			if len(ns) != 3 {
-				t.Fatalf("round %d query %d: %d results", round, i, len(ns))
+		for i, qr := range knnLoad(tr.KNearestStats, qs, 3, 4) {
+			if qr.Err != nil {
+				t.Fatal(qr.Err)
+			}
+			if len(qr.Neighbors) != 3 {
+				t.Fatalf("round %d query %d: %d results", round, i, len(qr.Neighbors))
 			}
 		}
 	}
@@ -277,11 +208,11 @@ func TestKNNEquivalenceOnTies(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := []float64{float64(r.Intn(6)), float64(r.Intn(6)), float64(r.Intn(6))}
 		for _, k := range []int{1, 3, 8} {
-			seq, _, err := tr.knn(context.Background(), q, k, ProtocolSequential)
+			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, _, err := tr.knn(context.Background(), q, k, ProtocolFanOut)
+			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,10 +264,13 @@ func TestKNNCancelledBeforeStart(t *testing.T) {
 	before := fabric.Stats().Messages
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut, ProtocolAuto} {
-		if _, _, err := tr.knn(ctx, []float64{1, 2, 3}, 5, p); !errors.Is(err, context.Canceled) {
+	for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut} {
+		if _, _, err := tr.knnResolved(ctx, []float64{1, 2, 3}, 5, p, false); !errors.Is(err, context.Canceled) {
 			t.Fatalf("protocol=%v: err = %v, want context.Canceled", p, err)
 		}
+	}
+	if _, err := tr.KNearest(ctx, []float64{1, 2, 3}, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("auto protocol: err = %v, want context.Canceled", err)
 	}
 	if _, err := tr.RangeSearch(ctx, []float64{1, 2, 3}, 10); !errors.Is(err, context.Canceled) {
 		t.Fatal("range did not observe the dead context")
@@ -406,22 +340,6 @@ func TestRunBatchStopsOnCancel(t *testing.T) {
 	if n := ran.Load(); n >= 1000 {
 		t.Fatalf("pool dispatched the whole batch (%d) despite cancellation", n)
 	}
-	// Batch surfaces attribute the context error to undispatched
-	// entries and keep dispatched answers.
-	tr := mustTree(t, Config{Dim: 2})
-	if err := tr.Insert(kdtree.Point{Coords: []float64{1, 2}, ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	qs := make([][]float64, 64)
-	for i := range qs {
-		qs[i] = []float64{1, 2}
-	}
-	res := tr.KNearestBatchStats(ctx, qs, 1, 4) // ctx already cancelled
-	for i, qr := range res {
-		if !errors.Is(qr.Err, context.Canceled) {
-			t.Fatalf("entry %d: err = %v, want context.Canceled", i, qr.Err)
-		}
-	}
 }
 
 // TestExecStatsPopulated: with a background context the redesigned API
@@ -465,7 +383,7 @@ func TestExecStatsPopulated(t *testing.T) {
 	}
 	for _, protocol := range []Protocol{ProtocolFanOut, ProtocolSequential} {
 		before := fabric.Stats().Messages
-		_, st, err := tr2.knn(context.Background(), q, 5, protocol)
+		_, st, err := tr2.knnResolved(context.Background(), q, 5, protocol, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,42 +402,5 @@ func TestExecStatsPopulated(t *testing.T) {
 	}
 	if rst.Protocol != ProtocolNameRange || rst.NodesVisited <= 0 {
 		t.Fatalf("range stats empty: %+v", rst)
-	}
-
-	// Batch stats: every entry answered, every entry accounted.
-	qs := make([][]float64, 8)
-	for i := range qs {
-		qs[i] = randomPoints(r, 1, 4)[0].Coords
-	}
-	res := tr.KNearestBatchStats(context.Background(), qs, 3, 4)
-	for i, qr := range res {
-		if qr.Err != nil {
-			t.Fatalf("entry %d: %v", i, qr.Err)
-		}
-		if qr.Stats.Protocol != ProtocolNameSequential || qr.Stats.NodesVisited <= 0 {
-			t.Fatalf("entry %d stats: %+v", i, qr.Stats)
-		}
-		if want := bruteKNN(pts, qs[i], 3); !sameIDSets(qr.Neighbors, want) {
-			t.Fatalf("entry %d disagrees with oracle", i)
-		}
-	}
-}
-
-// TestBatchPerQueryErrors: a bad query carries its own error and the
-// healthy queries still answer (the batched QueryResult contract).
-func TestBatchPerQueryErrors(t *testing.T) {
-	tr := mustTree(t, Config{Dim: 2})
-	if err := tr.Insert(kdtree.Point{Coords: []float64{1, 2}, ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	res := tr.KNearestBatchStats(context.Background(), [][]float64{{1, 2}, {3}, {4, 5}}, 1, 2)
-	if res[0].Err != nil || len(res[0].Neighbors) != 1 {
-		t.Fatalf("healthy entry 0 poisoned: %+v", res[0])
-	}
-	if res[1].Err == nil {
-		t.Fatal("dimension mismatch not attributed to its query")
-	}
-	if res[2].Err != nil || len(res[2].Neighbors) != 1 {
-		t.Fatalf("healthy entry 2 poisoned: %+v", res[2])
 	}
 }

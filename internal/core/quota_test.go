@@ -169,15 +169,15 @@ func TestQuotaTenantIsolation(t *testing.T) {
 		qs[i] = randomPoints(r, 1, 3)[0].Coords
 	}
 	var wg sync.WaitGroup
-	var starvedRes, openRes []QueryResult
+	var starvedRes, openRes []knnOutcome
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		starvedRes = starved.KNearestBatch(context.Background(), qs, 3, 4)
+		starvedRes = knnLoad(starved.KNearest, qs, 3, 4)
 	}()
 	go func() {
 		defer wg.Done()
-		openRes = open.KNearestBatch(context.Background(), qs, 3, 4)
+		openRes = knnLoad(open.KNearest, qs, 3, 4)
 	}()
 	wg.Wait()
 
@@ -211,7 +211,7 @@ func TestSchedulerMetering(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomPoints(r, 1, 3)[0].Coords
 	}
-	res := s.KNearestBatch(context.Background(), qs, 3, 4)
+	res := knnLoad(s.KNearest, qs, 3, 4)
 	var want ExecStats
 	for i, qr := range res {
 		if qr.Err != nil {

@@ -95,13 +95,13 @@ type SchedulerConfig struct {
 // Scheduler runs queries against a Tree under one admission policy:
 // per-query protocol choice (sequential vs fan-out, from the shared
 // cost model), a max-in-flight limit with a bounded admission queue,
-// and an optional deadline-budget check. It is the admission-control
-// layer of the RunBatch choke point — every query a scheduler batch
-// dispatches passes admit() first — and is safe for concurrent use;
-// the in-flight limit is enforced across everything issued through the
-// same Scheduler. Rejections are typed (ErrAdmissionRejected,
-// ErrDeadlineBudget) and attributed per query, so shed load is
-// distinguishable from failed queries.
+// and an optional deadline-budget check. KNearest and RangeSearch are
+// the only admission-controlled entries to the tree — every query
+// issued through them passes admit() first — and are safe for
+// concurrent use; the in-flight limit is enforced across everything
+// issued through the same Scheduler. Rejections are typed
+// (ErrAdmissionRejected, ErrDeadlineBudget, ErrQuotaExhausted), so shed
+// load is distinguishable from failed queries.
 type Scheduler struct {
 	t          *Tree
 	cfg        SchedulerConfig
@@ -344,74 +344,35 @@ func (s *Scheduler) complete(charged float64, st ExecStats) {
 }
 
 // KNearest answers one k-nearest query through the scheduler: protocol
-// choice, admission, execution, stats.
-func (s *Scheduler) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
-	r := s.knnOne(ctx, q, k)
-	return r.Neighbors, r.Stats, r.Err
-}
-
-// RangeSearch answers one range query through the scheduler.
-func (s *Scheduler) RangeSearch(ctx context.Context, q []float64, d float64) ([]kdtree.Neighbor, ExecStats, error) {
-	r := s.rangeOne(ctx, q, d)
-	return r.Neighbors, r.Stats, r.Err
-}
-
-// KNearestBatch answers one k-nearest query per element of qs on a
-// bounded worker pool, with every dispatched query passing admission —
-// this is the RunBatch choke point with the admission controller
-// installed. results[i] answers qs[i]; rejections and failures are
-// attributed per query, and entries never dispatched because ctx
-// expired carry the context's error.
-func (s *Scheduler) KNearestBatch(ctx context.Context, qs [][]float64, k, workers int) []QueryResult {
-	out := make([]QueryResult, len(qs))
-	_ = RunBatch(ctx, len(qs), workers, func(i int) error {
-		out[i] = s.knnOne(ctx, qs[i], k)
-		return out[i].Err
-	})
-	markUndispatched(ctx, out)
-	return out
-}
-
-// RangeBatch is KNearestBatch for range queries.
-func (s *Scheduler) RangeBatch(ctx context.Context, qs [][]float64, d float64, workers int) []QueryResult {
-	out := make([]QueryResult, len(qs))
-	_ = RunBatch(ctx, len(qs), workers, func(i int) error {
-		out[i] = s.rangeOne(ctx, qs[i], d)
-		return out[i].Err
-	})
-	markUndispatched(ctx, out)
-	return out
-}
-
-// knnOne runs one admission-controlled k-nearest query. The protocol is
-// resolved exactly once, before admission, so the budget check prices
-// the strategy that actually runs — a concurrent estimate update cannot
+// choice, admission, execution, settlement. The protocol is resolved
+// exactly once, before admission, so the budget check prices the
+// strategy that actually runs — a concurrent estimate update cannot
 // split estimate and execution across strategies, and the model's
-// choose() runs once per query, not twice.
-func (s *Scheduler) knnOne(ctx context.Context, q []float64, k int) QueryResult {
+// choose() runs once per query, not twice. A rejected query returns a
+// typed error and zero ExecStats.
+func (s *Scheduler) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
 	p := s.resolve()
 	release, charged, err := s.admit(ctx, p)
 	if err != nil {
-		return QueryResult{Err: err}
+		return nil, ExecStats{}, err
 	}
 	defer release()
-	var r QueryResult
-	r.Neighbors, r.Stats, r.Err = s.t.knnResolved(ctx, q, k, p, s.cfg.Protocol == ProtocolAuto)
-	s.complete(charged, r.Stats)
-	return r
+	ns, st, err := s.t.knnResolved(ctx, q, k, p, s.cfg.Protocol == ProtocolAuto)
+	s.complete(charged, st)
+	return ns, st, err
 }
 
-// rangeOne runs one admission-controlled range query.
-func (s *Scheduler) rangeOne(ctx context.Context, q []float64, d float64) QueryResult {
+// RangeSearch answers one range query through the scheduler; see
+// KNearest.
+func (s *Scheduler) RangeSearch(ctx context.Context, q []float64, d float64) ([]kdtree.Neighbor, ExecStats, error) {
 	release, charged, err := s.admit(ctx, ProtocolRange)
 	if err != nil {
-		return QueryResult{Err: err}
+		return nil, ExecStats{}, err
 	}
 	defer release()
-	var r QueryResult
-	r.Neighbors, r.Stats, r.Err = s.t.RangeSearchStats(ctx, q, d)
-	s.complete(charged, r.Stats)
-	return r
+	ns, st, err := s.t.RangeSearchStats(ctx, q, d)
+	s.complete(charged, st)
+	return ns, st, err
 }
 
 // SetQuotaRate retargets the scheduler's token bucket at runtime:

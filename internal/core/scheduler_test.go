@@ -58,15 +58,15 @@ func TestProtocolAutoEquivalence(t *testing.T) {
 		fabric.SetLatency(hop)
 		for qi, q := range qs {
 			for _, k := range []int{3, 10} {
-				seq, _, err := tr.knn(context.Background(), q, k, ProtocolSequential)
+				seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, _, err := tr.knn(context.Background(), q, k, ProtocolFanOut)
+				par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				auto, st, err := tr.knn(context.Background(), q, k, ProtocolAuto)
+				auto, st, err := tr.KNearestStats(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +160,7 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomPoints(r, 1, 3)[0].Coords
 	}
-	res := s.KNearestBatch(context.Background(), qs, 3, 8)
+	res := knnLoad(s.KNearest, qs, 3, 8)
 	answered, shed := 0, 0
 	for i, qr := range res {
 		switch {
@@ -180,6 +180,26 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 	}
 	fabric.SetLatency(0)
 	waitSchedGoroutines(t, base)
+}
+
+// knnOutcome is one query's outcome under knnLoad.
+type knnOutcome struct {
+	Neighbors []kdtree.Neighbor
+	Stats     ExecStats
+	Err       error
+}
+
+// knnLoad generates concurrent load for the scheduler, quota and
+// concurrency tests: it runs knn — Scheduler.KNearest or
+// Tree.KNearestStats — once per element of qs on a RunBatch pool and
+// returns every query's own outcome.
+func knnLoad(knn func(context.Context, []float64, int) ([]kdtree.Neighbor, ExecStats, error), qs [][]float64, k, workers int) []knnOutcome {
+	out := make([]knnOutcome, len(qs))
+	_ = RunBatch(context.Background(), len(qs), workers, func(i int) error {
+		out[i].Neighbors, out[i].Stats, out[i].Err = knn(context.Background(), qs[i], k)
+		return nil
+	})
+	return out
 }
 
 // waitSchedGoroutines polls until the goroutine count settles to base.
@@ -281,7 +301,7 @@ func TestCostModelConvergence(t *testing.T) {
 		}
 	}
 	if flipped < 0 {
-		t.Fatalf("5ms hops not observed within 12 queries: %+v", tr.sched.Stats())
+		t.Fatalf("5ms hops not observed within 12 queries: %+v", tr.NewScheduler(SchedulerConfig{}).Stats())
 	}
 	t.Logf("flipped to fan-out after %d queries at 5ms hops", flipped+1)
 
@@ -298,7 +318,7 @@ func TestCostModelConvergence(t *testing.T) {
 		}
 	}
 	if flipped < 0 {
-		t.Fatalf("restored zero latency not observed within 60 queries: %+v", tr.sched.Stats())
+		t.Fatalf("restored zero latency not observed within 60 queries: %+v", tr.NewScheduler(SchedulerConfig{}).Stats())
 	}
 	t.Logf("flipped back to sequential after %d queries at zero latency", flipped+1)
 }
@@ -313,7 +333,7 @@ func TestSchedulerStatsSnapshot(t *testing.T) {
 	for i := range qs {
 		qs[i] = randomPoints(r, 1, 3)[0].Coords
 	}
-	res := s.KNearestBatch(context.Background(), qs, 3, 4)
+	res := knnLoad(s.KNearest, qs, 3, 4)
 	for i, qr := range res {
 		if qr.Err != nil {
 			t.Fatalf("entry %d: %v", i, qr.Err)

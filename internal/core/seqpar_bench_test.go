@@ -4,8 +4,8 @@ package core
 // sequential protocol minimizes total work (each hop carries the
 // tightest bound); the probe-then-fan-out protocol trades extra
 // examined candidates for overlapped message waves, which wins once
-// per-hop latency or idle cores dominate. KNearestBatch therefore runs
-// seq per query under its worker pool, while single KNearest fans out.
+// per-hop latency or idle cores dominate — the trade ProtocolAuto
+// decides per query.
 
 import (
 	"context"
@@ -62,14 +62,14 @@ func BenchmarkKNNProtocols(b *testing.B) {
 	tr, qs := benchQueryTree(b, 5)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.knn(context.Background(), qs[i%len(qs)], 3, ProtocolSequential); err != nil {
+			if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolSequential, false); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fanout", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.knn(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut); err != nil {
+			if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func BenchmarkKNNPlacement(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.knn(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut); err != nil {
+				if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,7 +132,7 @@ func BenchmarkKNNRegionPrune(b *testing.B) {
 			tr, qs := benchQueryTreeGuard(b, 5, mode.planeGuard)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.knn(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut); err != nil {
+				if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -99,10 +99,6 @@ type Tree struct {
 	// observations are a few arithmetic ops per query) and shared by
 	// every Scheduler created over this tree.
 	model *costModel
-	// sched is the tree's own default scheduler: ProtocolAuto, no
-	// admission limits. Tree.KNearest and the batch surfaces route
-	// their protocol choice through it.
-	sched *Scheduler
 
 	mu    sync.RWMutex
 	parts []*partition
@@ -152,7 +148,6 @@ func New(cfg Config) (*Tree, error) {
 	// point: every Call the tree issues is timed at the transport
 	// boundary and fed to the hop estimator.
 	t.fabric = cluster.Observe(t.inner, t.model.observeSample)
-	t.sched = t.NewScheduler(SchedulerConfig{})
 	if _, err := t.addPartition(); err != nil {
 		return nil, err
 	}
@@ -289,12 +284,13 @@ func (t *Tree) InsertBatchAsync(pts []kdtree.Point, batchSize int) error {
 // returns the first error; remaining points are still attempted.
 func (t *Tree) InsertAll(pts []kdtree.Point, workers int) error {
 	if workers <= 1 {
+		var first error
 		for _, p := range pts {
-			if err := t.Insert(p); err != nil {
-				return err
+			if err := t.Insert(p); err != nil && first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
 	var (
 		wg       sync.WaitGroup
@@ -388,16 +384,6 @@ func (s *ExecStats) fromWire(w queryStats) {
 	s.ProbeMisses = w.Misses
 }
 
-// QueryResult is one per-query outcome of a batched search: the
-// neighbors, what computing them cost, and the query's own error.
-// Batched surfaces report errors per query so one bad query cannot
-// poison its batch.
-type QueryResult struct {
-	Neighbors []kdtree.Neighbor
-	Stats     ExecStats
-	Err       error
-}
-
 // KNearest returns the k points closest to q, ascending by distance
 // (ties broken by point ID). The cross-partition protocol is chosen
 // per query by the scheduler's cost model (ProtocolAuto): the paper's
@@ -408,35 +394,26 @@ type QueryResult struct {
 // deadline aborts the traversal and abandons outstanding partition
 // replies.
 func (t *Tree) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, error) {
-	ns, _, err := t.knn(ctx, q, k, ProtocolAuto)
+	ns, _, err := t.KNearestStats(ctx, q, k)
 	return ns, err
 }
 
 // KNearestStats is KNearest returning the query's execution stats.
 func (t *Tree) KNearestStats(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
-	return t.knn(ctx, q, k, ProtocolAuto)
+	return t.knnResolved(ctx, q, k, t.model.choose(t.PartitionCount()), true)
 }
 
-// knn runs one k-nearest query under the given protocol; ProtocolAuto
-// asks the cost model. Both fixed protocols return identical results,
-// which the equivalence tests assert. The wire protocol carries squared
-// distances (see knnReq); the single deferred sqrt happens here, at the
-// client boundary. An already-done context returns its error without
-// touching the tree. Completed queries feed their ExecStats back into
-// the cost model — the observation loop that makes the choice adaptive.
-func (t *Tree) knn(ctx context.Context, q []float64, k int, p Protocol) ([]kdtree.Neighbor, ExecStats, error) {
-	auto := p == ProtocolAuto
-	if auto {
-		p = t.model.choose(t.PartitionCount())
-	}
-	return t.knnResolved(ctx, q, k, p, auto)
-}
-
-// knnResolved is knn after protocol resolution: p is a fixed protocol
+// knnResolved runs one k-nearest query under the fixed protocol p
 // (never ProtocolAuto); auto records whether the cost model chose it,
 // for histogram attribution. The Scheduler calls this directly with the
 // protocol it priced at admission, so the budget-checked strategy and
-// the executed one cannot diverge.
+// the executed one cannot diverge. Both protocols return identical
+// results, which the equivalence tests assert. The wire protocol carries
+// squared distances (see knnReq); the single deferred sqrt happens here,
+// at the client boundary. An already-done context returns its error
+// without touching the tree. Completed queries feed their ExecStats back
+// into the cost model — the observation loop that makes the choice
+// adaptive.
 func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, auto bool) ([]kdtree.Neighbor, ExecStats, error) {
 	seq := p != ProtocolFanOut
 	st := ExecStats{Protocol: ProtocolNameSequential}
@@ -490,7 +467,7 @@ func (t *Tree) RangeSearch(ctx context.Context, q []float64, d float64) ([]kdtre
 func (t *Tree) RangeSearchStats(ctx context.Context, q []float64, d float64) ([]kdtree.Neighbor, ExecStats, error) {
 	st := ExecStats{Protocol: ProtocolNameRange}
 	if err := ctx.Err(); err != nil {
-		return nil, st, err // before validation, as in knn
+		return nil, st, err // before validation, as in knnResolved
 	}
 	if len(q) != t.cfg.Dim {
 		return nil, st, fmt.Errorf("core: query has %d coords, tree dimension is %d", len(q), t.cfg.Dim)
@@ -516,80 +493,15 @@ func (t *Tree) RangeSearchStats(ctx context.Context, q []float64, d float64) ([]
 	return out, st, nil
 }
 
-// KNearestBatch answers one k-nearest query per element of qs, running
-// a bounded worker pool over the fabric ("using M−1 data partitions, we
-// can perform in the best case M−1 parallel operations maximizing our
-// throughput" — §III-C, applied to the query path). The cross-partition
-// protocol is chosen per query by the cost model (ProtocolAuto): on a
-// fast fabric that resolves to the sequential protocol — the pool
-// already saturates the partitions and the tightest pruning bound
-// minimizes total work — and under dominant hop latency to the
-// fan-out; a Scheduler pins a fixed protocol when the caller must.
-// workers <= 0 selects GOMAXPROCS. results[i] answers qs[i]; every
-// query is attempted and the first per-query error (by index) is
-// returned. Once ctx is done no further queries are dispatched.
-func (t *Tree) KNearestBatch(ctx context.Context, qs [][]float64, k, workers int) ([][]kdtree.Neighbor, error) {
-	return flattenBatch(t.KNearestBatchStats(ctx, qs, k, workers))
-}
-
-// KNearestBatchStats is KNearestBatch with per-query outcomes: each
-// QueryResult carries the query's neighbors, execution stats and error,
-// so one failed query does not poison the batch. Queries never
-// dispatched because ctx expired carry the context's error.
-func (t *Tree) KNearestBatchStats(ctx context.Context, qs [][]float64, k, workers int) []QueryResult {
-	return t.sched.KNearestBatch(ctx, qs, k, workers)
-}
-
-// RangeBatch answers one range query per element of qs with a bounded
-// worker pool; see KNearestBatch for the pooling and error contract.
-func (t *Tree) RangeBatch(ctx context.Context, qs [][]float64, d float64, workers int) ([][]kdtree.Neighbor, error) {
-	return flattenBatch(t.RangeBatchStats(ctx, qs, d, workers))
-}
-
-// RangeBatchStats is RangeBatch with per-query outcomes; see
-// KNearestBatchStats.
-func (t *Tree) RangeBatchStats(ctx context.Context, qs [][]float64, d float64, workers int) []QueryResult {
-	return t.sched.RangeBatch(ctx, qs, d, workers)
-}
-
-// markUndispatched attributes the context error to batch entries the
-// worker pool never reached (recognizable by their unset Protocol: a
-// dispatched query always stamps one, even on failure).
-func markUndispatched(ctx context.Context, out []QueryResult) {
-	err := ctx.Err()
-	if err == nil {
-		return
-	}
-	for i := range out {
-		if out[i].Stats.Protocol == "" && out[i].Err == nil {
-			out[i].Err = err
-		}
-	}
-}
-
-// flattenBatch reduces per-query outcomes to the plain slice-of-slices
-// shape plus the first error by index.
-func flattenBatch(res []QueryResult) ([][]kdtree.Neighbor, error) {
-	out := make([][]kdtree.Neighbor, len(res))
-	var first error
-	for i := range res {
-		out[i] = res[i].Neighbors
-		if res[i].Err != nil && first == nil {
-			first = res[i].Err
-		}
-	}
-	return out, first
-}
-
 // RunBatch runs fn(0..n-1) on a bounded worker pool, returning the
 // first error after every dispatched call has finished. Workers pull
 // indices from a shared counter, so skewed per-item costs balance out;
 // once ctx is done, workers stop pulling — already-running calls finish
 // (or abort on their own ctx checks) but nothing new is dispatched, and
 // the context's error is returned if no earlier error was recorded.
-// workers <= 0 selects GOMAXPROCS. It is the one choke point every
-// batched surface (tree batches, the facade Searcher) funnels through —
-// admission control and quotas belong here.
+// workers <= 0 selects GOMAXPROCS. It is the one worker pool in the
+// tree: Searcher.SearchBatch, Index.BulkAdd and the bench figures all
+// batch by running their single-item function through it.
 func RunBatch(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -601,8 +513,8 @@ func RunBatch(ctx context.Context, n, workers int, fn func(i int) error) error {
 		workers = n
 	}
 	if workers == 1 {
-		// Inline: single-query facade calls and 1-worker pools should
-		// not pay goroutine spawn + WaitGroup sync.
+		// Inline: one-element batches and 1-worker pools should not pay
+		// goroutine spawn + WaitGroup sync.
 		var first error
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -114,39 +113,17 @@ func (a *Allocator) Close() error {
 }
 
 func (a *Allocator) handleConn(conn net.Conn) {
-	_ = conn.SetReadDeadline(a.now().Add(10 * time.Second))
-	payload, err := readFrame(conn)
-	if err != nil {
-		return
-	}
-	frame, err := decodeFrame(payload)
-	if err != nil {
-		return
-	}
-	hello, ok := frame.(helloFrame)
+	ok := acceptHello(conn, defaultHelloTimeout, func(token string) error {
+		if token != a.cfg.Token {
+			return ErrAuth
+		}
+		return nil
+	})
 	if !ok {
 		return
 	}
-	if hello.Version != protoVersion {
-		code, msg, _ := encodeError(ErrVersion)
-		_ = writeFrame(conn, encodeHelloAck(helloAckFrame{Version: protoVersion, Code: code, Msg: msg}))
-		return
-	}
-	if hello.Token != a.cfg.Token {
-		code, msg, _ := encodeError(ErrAuth)
-		_ = writeFrame(conn, encodeHelloAck(helloAckFrame{Version: protoVersion, Code: code, Msg: msg}))
-		return
-	}
-	if err := writeFrame(conn, encodeHelloAck(helloAckFrame{Version: protoVersion})); err != nil {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
 	for {
-		payload, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		frame, err := decodeFrame(payload)
+		frame, err := readMessage(conn)
 		if err != nil {
 			return
 		}
@@ -154,8 +131,7 @@ func (a *Allocator) handleConn(conn net.Conn) {
 		if !ok {
 			return
 		}
-		grant := a.grant(rep)
-		if err := writeFrame(conn, encodeLeaseGrant(grant)); err != nil {
+		if err := writeFrame(conn, encodeLeaseGrant(a.grant(rep))); err != nil {
 			return
 		}
 	}
@@ -209,73 +185,30 @@ func (a *Allocator) grant(rep leaseReportFrame) leaseGrantFrame {
 }
 
 // leaseConn is the front-end's connection to the allocator: one
-// request/response exchange at a time, with a fixed per-exchange
-// deadline so a hung allocator can never wedge the lease loop (and
-// therefore Drain).
-type leaseConn struct {
-	conn net.Conn
-}
+// report→grant exchange at a time, each — like the dial and hello
+// before them — under a fixed timeout, so a hung allocator can never
+// wedge the lease loop (and therefore Drain).
+type leaseConn struct{ *clientConn }
 
-// leaseExchangeTimeout bounds one report→grant round trip.
+// leaseExchangeTimeout bounds the lease dial and one report→grant round
+// trip.
 const leaseExchangeTimeout = 2 * time.Second
 
 func dialLease(ctx context.Context, addr, token string) (*leaseConn, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	ctx, cancel := context.WithTimeout(ctx, leaseExchangeTimeout)
+	defer cancel()
+	cc, err := dialHello(ctx, addr, token)
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetDeadline(time.Now().Add(leaseExchangeTimeout))
-	if err := writeFrame(conn, encodeHello(helloFrame{Version: protoVersion, Token: token})); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	payload, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	frame, err := decodeFrame(payload)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	ack, ok := frame.(helloAckFrame)
-	if !ok {
-		conn.Close()
-		return nil, fmt.Errorf("%w: expected hello ack", ErrProtocol)
-	}
-	if ack.Code != 0 {
-		conn.Close()
-		return nil, semtree.DecodeError(ack.Code, ack.Msg, 0)
-	}
-	_ = conn.SetDeadline(time.Time{})
-	return &leaseConn{conn: conn}, nil
+	return &leaseConn{cc}, nil
 }
 
+// report runs one exchange; a failed exchange closes the connection.
 func (c *leaseConn) report(ctx context.Context, rep leaseReportFrame) (leaseGrantFrame, error) {
-	deadline := time.Now().Add(leaseExchangeTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = c.conn.SetDeadline(deadline)
-	defer c.conn.SetDeadline(time.Time{})
-	if err := writeFrame(c.conn, encodeLeaseReport(rep)); err != nil {
-		return leaseGrantFrame{}, err
-	}
-	payload, err := readFrame(c.conn)
-	if err != nil {
-		return leaseGrantFrame{}, err
-	}
-	frame, err := decodeFrame(payload)
-	if err != nil {
-		return leaseGrantFrame{}, err
-	}
-	grant, ok := frame.(leaseGrantFrame)
-	if !ok {
-		return leaseGrantFrame{}, fmt.Errorf("%w: expected lease grant", ErrProtocol)
-	}
-	return grant, nil
+	ctx, cancel := context.WithTimeout(ctx, leaseExchangeTimeout)
+	defer cancel()
+	return roundTrip[leaseGrantFrame](ctx, c.clientConn, encodeLeaseReport(rep))
 }
 
 func (c *leaseConn) close() { _ = c.conn.Close() }

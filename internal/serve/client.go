@@ -50,7 +50,7 @@ type clientConn struct {
 // first query. The context bounds the dial and the hello.
 func Dial(ctx context.Context, addr, token string) (*Client, error) {
 	c := &Client{addr: addr, token: token}
-	cc, err := c.dial(ctx)
+	cc, err := dialHello(ctx, addr, token)
 	if err != nil {
 		return nil, err
 	}
@@ -58,37 +58,66 @@ func Dial(ctx context.Context, addr, token string) (*Client, error) {
 	return c, nil
 }
 
-func (c *Client) dial(ctx context.Context) (*clientConn, error) {
+// dialHello connects to addr and runs the client half of the hello
+// exchange — the one every client of the wire opens with, query clients
+// and the lease agent alike. A refusal decodes to its typed sentinel
+// (ErrAuth, ErrVersion, ErrDraining).
+func dialHello(ctx context.Context, addr, token string) (*clientConn, error) {
 	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	cc := &clientConn{conn: conn, br: bufio.NewReader(conn)}
-	if err := armDeadline(ctx, conn); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	defer disarmDeadline(conn)
-	if err := writeFrame(conn, encodeHello(helloFrame{Version: protoVersion, Token: c.token})); err != nil {
-		conn.Close()
-		return nil, c.ctxOr(ctx, err)
-	}
-	frame, err := c.readOne(ctx, cc)
+	ack, err := roundTrip[helloAckFrame](ctx, cc, encodeHello(helloFrame{Version: protoVersion, Token: token}))
 	if err != nil {
-		conn.Close()
 		return nil, err
-	}
-	ack, ok := frame.(helloAckFrame)
-	if !ok {
-		conn.Close()
-		return nil, fmt.Errorf("%w: expected hello ack", ErrProtocol)
 	}
 	if ack.Code != 0 {
 		conn.Close()
 		return nil, semtree.DecodeError(ack.Code, ack.Msg, 0)
 	}
 	return cc, nil
+}
+
+// roundTrip runs one request/response exchange on cc: the context's
+// deadline caps the connection's reads and writes (the cluster fabric's
+// idiom), plain cancellation snaps them shut, and the reply must decode
+// to frame type F. On success the deadlines are disarmed, so the
+// connection can be pooled. On any failure the connection is closed —
+// framing cannot be resynchronized after a lost or foreign frame — and
+// the context's own error is preferred over the transport error it
+// caused (a snapped deadline surfaces as a net timeout).
+func roundTrip[F any](ctx context.Context, cc *clientConn, payload []byte) (F, error) {
+	fail := func(err error) (F, error) {
+		cc.conn.Close()
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		var zero F
+		return zero, err
+	}
+	if err := ctx.Err(); err != nil {
+		return fail(err)
+	}
+	if d, ok := ctx.Deadline(); ok {
+		_ = cc.conn.SetDeadline(d)
+	}
+	stop := context.AfterFunc(ctx, func() { _ = cc.conn.SetDeadline(time.Now()) })
+	defer stop()
+	if err := writeFrame(cc.conn, payload); err != nil {
+		return fail(err)
+	}
+	frame, err := readMessage(cc.br)
+	if err != nil {
+		return fail(err)
+	}
+	f, ok := frame.(F)
+	if !ok {
+		return fail(fmt.Errorf("%w: unexpected response frame %T", ErrProtocol, frame))
+	}
+	_ = cc.conn.SetDeadline(time.Time{})
+	return f, nil
 }
 
 // get returns a pooled connection or dials a fresh one.
@@ -105,7 +134,7 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 		return cc, nil
 	}
 	c.mu.Unlock()
-	return c.dial(ctx)
+	return dialHello(ctx, c.addr, c.token)
 }
 
 // put releases a healthy connection back to the pool.
@@ -130,46 +159,6 @@ func (c *Client) Close() error {
 	}
 	c.idle = nil
 	return nil
-}
-
-// armDeadline mirrors the cluster fabric's idiom: the context deadline
-// caps the connection's reads and writes, and plain cancellation snaps
-// the deadlines shut. Callers must disarm before pooling.
-func armDeadline(ctx context.Context, conn net.Conn) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(d)
-	}
-	return nil
-}
-
-func disarmDeadline(conn net.Conn) { _ = conn.SetDeadline(time.Time{}) }
-
-// ctxOr prefers the context's own error over a transport error it
-// caused (a snapped deadline surfaces as a net timeout).
-func (c *Client) ctxOr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// readOne reads and decodes one frame, honoring ctx cancellation via
-// the connection deadline.
-func (c *Client) readOne(ctx context.Context, cc *clientConn) (any, error) {
-	stop := context.AfterFunc(ctx, func() { _ = cc.conn.SetDeadline(time.Now()) })
-	defer stop()
-	payload, err := readFrame(cc.br)
-	if err != nil {
-		return nil, c.ctxOr(ctx, err)
-	}
-	frame, err := decodeFrame(payload)
-	if err != nil {
-		return nil, c.ctxOr(ctx, err)
-	}
-	return frame, nil
 }
 
 // Search answers one query over the wire. Options are the facade's own
@@ -231,28 +220,15 @@ func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Resul
 	req.ReqID = c.reqID.Add(1)
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
-	} else {
-		req.Deadline = 0
 	}
-	if err := armDeadline(ctx, cc.conn); err != nil {
-		cc.conn.Close()
-		return semtree.Result{}, err
-	}
-	if err := writeFrame(cc.conn, encodeSearch(req)); err != nil {
-		cc.conn.Close()
-		return semtree.Result{}, c.ctxOr(ctx, err)
-	}
-	frame, err := c.readOne(ctx, cc)
+	rf, err := roundTrip[resultFrame](ctx, cc, encodeSearch(req))
 	if err != nil {
-		cc.conn.Close()
 		return semtree.Result{}, err
 	}
-	rf, ok := frame.(resultFrame)
-	if !ok || rf.ReqID != req.ReqID {
+	if rf.ReqID != req.ReqID {
 		cc.conn.Close()
-		return semtree.Result{}, fmt.Errorf("%w: unexpected response frame", ErrProtocol)
+		return semtree.Result{}, fmt.Errorf("%w: response to request %d, want %d", ErrProtocol, rf.ReqID, req.ReqID)
 	}
-	disarmDeadline(cc.conn)
 	c.put(cc)
 
 	res := semtree.Result{Stats: fromWireStats(rf.Stats)}
@@ -284,25 +260,14 @@ func (c *Client) Snapshot(ctx context.Context) (uint64, error) {
 		return 0, err
 	}
 	reqID := c.reqID.Add(1)
-	if err := armDeadline(ctx, cc.conn); err != nil {
-		cc.conn.Close()
-		return 0, err
-	}
-	if err := writeFrame(cc.conn, encodeSnapshot(snapshotFrame{ReqID: reqID})); err != nil {
-		cc.conn.Close()
-		return 0, c.ctxOr(ctx, err)
-	}
-	frame, err := c.readOne(ctx, cc)
+	ack, err := roundTrip[snapshotAckFrame](ctx, cc, encodeSnapshot(snapshotFrame{ReqID: reqID}))
 	if err != nil {
-		cc.conn.Close()
 		return 0, err
 	}
-	ack, ok := frame.(snapshotAckFrame)
-	if !ok || ack.ReqID != reqID {
+	if ack.ReqID != reqID {
 		cc.conn.Close()
-		return 0, fmt.Errorf("%w: unexpected response frame", ErrProtocol)
+		return 0, fmt.Errorf("%w: response to request %d, want %d", ErrProtocol, ack.ReqID, reqID)
 	}
-	disarmDeadline(cc.conn)
 	c.put(cc)
 	if ack.HasErr {
 		return 0, semtree.DecodeError(ack.Code, ack.Msg, ack.Detail)

@@ -603,3 +603,73 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatalf("version mismatch decoded to %v, want ErrVersion", dec)
 	}
 }
+
+// TestAllocatorHelloUnderFrozenClock: the allocator's injected clock
+// steps lease TTLs, not socket deadlines. With the clock frozen in 1970
+// a lease dial must still get through the hello and be granted its
+// share (arming the hello deadline from that clock timed every lease
+// hello out on arrival).
+func TestAllocatorHelloUnderFrozenClock(t *testing.T) {
+	alloc := NewAllocator(AllocatorConfig{
+		Token:   "fleet-secret",
+		Tenants: map[string]semtree.QuotaConfig{"acme": {Capacity: 1000, RefillPerSec: 100}},
+	})
+	alloc.now = func() time.Time { return time.Unix(5000, 0) }
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(t.Context())
+	go func() {
+		defer close(done)
+		_ = alloc.Serve(ctx, lis)
+	}()
+	t.Cleanup(func() { cancel(); <-done })
+
+	cc, err := dialLease(ctx, lis.Addr().String(), "fleet-secret")
+	if err != nil {
+		t.Fatalf("lease hello under a frozen allocator clock: %v", err)
+	}
+	defer cc.close()
+	g, err := cc.report(ctx, leaseReportFrame{Tenant: "acme", FrontEnd: "fe1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Capacity != 1000 || g.RefillPerSec != 100 || g.TTLNanos <= 0 {
+		t.Fatalf("grant = %+v, want the full fleet rate", g)
+	}
+	if _, err := dialLease(ctx, lis.Addr().String(), "wrong"); !errors.Is(err, ErrAuth) {
+		t.Fatalf("bad lease token: err = %v, want ErrAuth", err)
+	}
+}
+
+// TestSnapshotTempBesideTarget: the snapshot's temp file must be
+// created in the target's own directory — for a target in the root
+// directory too — or the final rename can cross filesystems.
+func TestSnapshotTempBesideTarget(t *testing.T) {
+	for _, tc := range []struct{ path, dir string }{
+		{"/x.snap", "/"},
+		{"x.snap", "."},
+		{"a/b/x.snap", "a/b"},
+	} {
+		var name string
+		f, err := snapshotTemp(tc.path)
+		if err == nil {
+			name = f.Name()
+			f.Close()
+			os.Remove(name)
+		} else {
+			// The directory is missing or not writable here; the error
+			// still names the file the call tried to create.
+			var pe *os.PathError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s: %v", tc.path, err)
+			}
+			name = pe.Path
+		}
+		if got := filepath.Dir(name); got != tc.dir {
+			t.Errorf("%s: temp file %q is in %q, want %q", tc.path, name, got, tc.dir)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,10 @@ type Config struct {
 	DrainGrace time.Duration
 }
 
+// defaultHelloTimeout is Config.HelloTimeout's default, and the
+// allocator's fixed hello timeout.
+const defaultHelloTimeout = 10 * time.Second
+
 // tenant is the server-side state of one configured tenant.
 type tenant struct {
 	name     string
@@ -123,7 +128,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: at least one tenant is required")
 	}
 	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = 10 * time.Second
+		cfg.HelloTimeout = defaultHelloTimeout
 	}
 	if cfg.LeaseInterval <= 0 {
 		cfg.LeaseInterval = 200 * time.Millisecond
@@ -300,59 +305,70 @@ func (s *Server) track(conn net.Conn) func() {
 	}
 }
 
+// acceptHello runs the server half of the hello exchange on a freshly
+// accepted connection, for the query server and the allocator alike.
+// The hello must arrive within timeout — so an idle dialer cannot pin a
+// handler goroutine — and afterwards the connection may idle
+// indefinitely between requests. The deadline is armed from the wall
+// clock whatever clock the caller's own logic runs on: a socket
+// deadline is a wall-clock instant. A hello in a foreign protocol
+// version is refused with ErrVersion; otherwise auth decides on the
+// token, returning the sentinel to refuse with or nil to accept. It
+// reports whether the connection was accepted and acknowledged.
+func acceptHello(conn net.Conn, timeout time.Duration, auth func(token string) error) bool {
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	frame, err := readMessage(conn)
+	if err != nil {
+		return false
+	}
+	hello, ok := frame.(helloFrame)
+	if !ok {
+		return false
+	}
+	var refusal error
+	if hello.Version != protoVersion {
+		refusal = fmt.Errorf("%w: server speaks %d, client sent %d", ErrVersion, protoVersion, hello.Version)
+	} else {
+		refusal = auth(hello.Token)
+	}
+	ack := helloAckFrame{Version: protoVersion}
+	if refusal != nil {
+		ack.Code, ack.Msg, _ = encodeError(refusal)
+	}
+	if err := writeFrame(conn, encodeHelloAck(ack)); err != nil || refusal != nil {
+		return false
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return true
+}
+
 // handleConn runs one connection: hello exchange, then a read loop that
 // spawns one goroutine per request. A protocol error closes the
 // connection — framing cannot be resynchronized after garbage.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.track(conn)()
 
-	// The hello must arrive promptly; afterwards the connection may
-	// idle indefinitely between requests.
-	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
-	payload, err := readFrame(conn)
-	if err != nil {
-		return
-	}
-	frame, err := decodeFrame(payload)
-	if err != nil {
-		return
-	}
-	hello, ok := frame.(helloFrame)
+	var t *tenant
+	ok := acceptHello(conn, s.cfg.HelloTimeout, func(token string) error {
+		var known bool
+		if t, known = s.tenants[token]; !known {
+			return ErrAuth
+		}
+		if s.draining.Load() {
+			return ErrDraining
+		}
+		return nil
+	})
 	if !ok {
-		return
-	}
-	w := &connWriter{conn: conn}
-	refuse := func(sentinel error) {
-		code, msg, _ := encodeError(sentinel)
-		_ = w.write(encodeHelloAck(helloAckFrame{Version: protoVersion, Code: code, Msg: msg}))
-	}
-	if hello.Version != protoVersion {
-		refuse(fmt.Errorf("%w: server speaks %d, client sent %d", ErrVersion, protoVersion, hello.Version))
-		return
-	}
-	t, ok := s.tenants[hello.Token]
-	if !ok {
-		refuse(ErrAuth)
-		return
-	}
-	if s.draining.Load() {
-		refuse(ErrDraining)
-		return
-	}
-	if err := w.write(encodeHelloAck(helloAckFrame{Version: protoVersion})); err != nil {
 		return
 	}
 	s.connCount.Add(1)
-	_ = conn.SetReadDeadline(time.Time{})
+	w := &connWriter{conn: conn}
 
 	for {
-		payload, err := readFrame(conn)
+		frame, err := readMessage(conn)
 		if err != nil {
 			return // clean close, peer gone, or unframeable garbage
-		}
-		frame, err := decodeFrame(payload)
-		if err != nil {
-			return
 		}
 		switch f := frame.(type) {
 		case searchFrame:
@@ -475,7 +491,7 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 }
 
 func (s *Server) snapshotTo(path string) (uint64, error) {
-	tmp, err := os.CreateTemp(dirOf(path), ".semtree-snap-*")
+	tmp, err := snapshotTemp(path)
 	if err != nil {
 		return 0, err
 	}
@@ -498,13 +514,10 @@ func (s *Server) snapshotTo(path string) (uint64, error) {
 	return uint64(info.Size()), nil
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+// snapshotTemp creates the snapshot's temp file beside its target, so
+// the final rename never crosses a filesystem.
+func snapshotTemp(path string) (*os.File, error) {
+	return os.CreateTemp(filepath.Dir(path), ".semtree-snap-*")
 }
 
 // toWireStats projects ExecStats onto the wire layout.
@@ -580,9 +593,8 @@ func (s *Server) leaseLoop(ctx context.Context) {
 				DemandQPS: demand,
 			})
 			if err != nil {
-				cc.close()
-				cc = nil
-				break // redial next tick
+				cc = nil // the failed exchange closed it; redial next tick
+				break
 			}
 			if grant.TTLNanos <= 0 {
 				continue // allocator does not manage this tenant

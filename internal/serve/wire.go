@@ -510,6 +510,15 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// readMessage reads one frame and decodes it.
+func readMessage(r io.Reader) (any, error) {
+	payload, err := readFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeFrame(payload)
+}
+
 // encodeError projects err onto the wire triplet via the facade
 // registry.
 func encodeError(err error) (code semtree.ErrorCode, msg string, detail uint64) {

@@ -7,9 +7,7 @@ import (
 
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
-	"semtree/internal/semdist"
 	"semtree/internal/triple"
-	"semtree/internal/vocab"
 )
 
 // snapshotVersion is the on-disk format written by Save. Version 2
@@ -133,23 +131,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	if snap.Tree == nil {
 		return nil, fmt.Errorf("semtree: load: %w: snapshot carries no tree", ErrSnapshotCorrupt)
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = vocab.DefaultRegistry()
-	}
-	measure := semdist.ConceptMeasure(nil)
-	if snap.Options.Measure != "" {
-		m, err := semdist.MeasureByName(snap.Options.Measure)
-		if err != nil {
-			return nil, err
-		}
-		measure = m
-	}
-	metric, err := semdist.New(reg, semdist.Options{
-		Weights:         snap.Options.Weights,
-		Concept:         measure,
-		NumericLiterals: snap.Options.NumericLiterals,
-	})
+	metric, err := newMetric(opts.Registry, snap.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -181,14 +163,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("semtree: load: %w: tree references triple ID %d but only %d entries persisted",
 			ErrSnapshotCorrupt, id, len(snap.Entries))
 	}
-	tree, err := core.RestoreTree(core.Config{
-		Dim:               snap.Options.Dims,
-		BucketSize:        opts.BucketSize,
-		PartitionCapacity: opts.PartitionCapacity,
-		MaxPartitions:     opts.MaxPartitions,
-		Fabric:            opts.Fabric,
-		Unbalanced:        opts.Unbalanced,
-	}, snap.Tree)
+	tree, err := core.RestoreTree(opts.treeConfig(snap.Options.Dims), snap.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("semtree: load: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"semtree/internal/core"
+	"semtree/internal/kdtree"
 	"semtree/internal/triple"
 )
 
@@ -220,8 +221,8 @@ type SchedulerStats = core.SchedulerStats
 // Partitions, FabricMessages, ProbeMisses, Wall and Protocol. At this facade,
 // DistanceEvals additionally includes the exact Eq. 1 re-rank
 // evaluations when ExactFactor is set; Wall covers the index execution
-// of the query (the batch-amortized FastMap embedding and triple
-// resolution are excluded).
+// of the query (the FastMap embedding and triple resolution are
+// excluded).
 type ExecStats = core.ExecStats
 
 // Result is the outcome of one query in a batch: the ranked matches,
@@ -240,11 +241,12 @@ type Result struct {
 }
 
 // Searcher executes queries against the index under one fixed set of
-// options. It is stateless apart from the options and safe for
-// concurrent use; SearchBatch amortizes the FastMap embedding of the
-// query triples and fans the embedded queries out over the distributed
-// tree with a bounded worker pool, on top of the per-query parallel
-// k-NN fan-out inside the tree itself.
+// options. It is stateless apart from the options and its scheduler,
+// and safe for concurrent use. Every query takes the same path — embed,
+// scheduler, resolve — whether it arrives through Search or as one
+// element of a SearchBatch, which runs that path on a bounded worker
+// pool on top of the per-query parallel k-NN fan-out inside the tree
+// itself.
 type Searcher struct {
 	ix        *Index
 	opts      SearchOptions
@@ -352,99 +354,79 @@ func (s *Searcher) SetQuotaRate(capacity, refillPerSec float64) bool {
 // mid-query aborts the cross-partition fan-out. The returned error is
 // the query's own (res.Err), surfaced for the single-query case.
 func (s *Searcher) Search(ctx context.Context, q triple.Triple) (Result, error) {
-	// A one-element batch always returns one Result; prefer its
-	// per-query outcome over the batch-level context error, so a query
-	// that completed just as the deadline fired still returns its
-	// matches.
-	res, _ := s.SearchBatch(ctx, []triple.Triple{q})
-	return res[0], res[0].Err
+	res := s.search(ctx, q)
+	return res, res.Err
 }
 
-// SearchBatch answers one query per element of qs; results[i] answers
-// qs[i]. The batch runs in three pooled phases — embed, tree fan-out,
-// resolve/re-rank — so per-query setup cost is amortized across the
-// whole batch.
+// search runs one query end to end — the facade's whole request path:
+// embed the triple with FastMap, execute it through the searcher's
+// scheduler (protocol choice, admission, quota — a rejection is this
+// query's error like any other failure), resolve the points back to
+// stored triples and, in exact mode, re-rank under the true Eq. 1
+// distance, then truncate to K. Search is this function; SearchBatch is
+// a worker pool over it.
+func (s *Searcher) search(ctx context.Context, q triple.Triple) Result {
+	if err := ctx.Err(); err != nil {
+		return Result{Err: err}
+	}
+	want := s.candidateK()
+	if !s.rangeMode && want <= 0 {
+		return Result{} // k-nearest of nothing
+	}
+	coords := s.ix.mapper.Map(q)
+	var res Result
+	var ns []kdtree.Neighbor
+	if s.rangeMode {
+		ns, res.Stats, res.Err = s.sched.RangeSearch(ctx, coords, s.opts.Radius)
+	} else {
+		ns, res.Stats, res.Err = s.sched.KNearest(ctx, coords, want)
+	}
+	if res.Err != nil {
+		return res
+	}
+	ms, err := s.ix.matches(ns)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	if !s.rangeMode && s.opts.ExactFactor > 0 {
+		for j := range ms {
+			ms[j].Dist = s.ix.metric.Distance(q, ms[j].Triple)
+		}
+		res.Stats.DistanceEvals += int64(len(ms))
+		sortMatches(ms)
+	}
+	if s.opts.K > 0 && len(ms) > s.opts.K {
+		ms = ms[:s.opts.K]
+	}
+	res.Matches = ms
+	return res
+}
+
+// SearchBatch answers one query per element of qs on a bounded worker
+// pool (WithParallelism); results[i] answers qs[i] exactly as
+// Search(ctx, qs[i]) would.
 //
 // Error contract: the returned error is batch-level only — a context
 // that was already done, or expired while the batch ran. Per-query
-// failures (validation, fabric errors, unindexed IDs) are attached to
-// their own Result.Err, so the healthy queries of a batch always
-// return their matches; entries never dispatched because the context
-// expired carry the context's error.
+// failures (validation, admission rejections, fabric errors, unindexed
+// IDs) are attached to their own Result.Err, so the healthy queries of
+// a batch always return their matches; entries never dispatched because
+// the context expired carry the context's error.
 func (s *Searcher) SearchBatch(ctx context.Context, qs []triple.Triple) ([]Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
 	out := make([]Result, len(qs))
-	if err := ctx.Err(); err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out, err
-	}
-	want := s.candidateK()
-	if !s.rangeMode && want <= 0 {
-		return out, nil // k-nearest of nothing: nil per query
-	}
-	workers := s.opts.Parallelism
-
-	// Phase 1: amortize the FastMap embedding across the batch. Map is
-	// immutable after Build, so the pool needs no coordination.
-	coords := make([][]float64, len(qs))
-	_ = core.RunBatch(ctx, len(qs), workers, func(i int) error {
-		coords[i] = s.ix.mapper.Map(qs[i])
-		return nil
-	})
-
-	// Phase 2: bounded fan-out over the distributed tree through the
-	// searcher's scheduler: every dispatched query passes admission
-	// (protocol choice, in-flight limit, deadline budget), and
-	// rejections are attributed per query like any other failure. A
-	// query the pool never dispatched (context expired mid-batch)
-	// carries the context error in its result.
-	var res []core.QueryResult
-	switch {
-	case s.rangeMode:
-		res = s.sched.RangeBatch(ctx, coords, s.opts.Radius, workers)
-	case len(qs) == 1:
-		ns, st, err := s.sched.KNearest(ctx, coords[0], want)
-		res = []core.QueryResult{{Neighbors: ns, Stats: st, Err: err}}
-	default:
-		res = s.sched.KNearestBatch(ctx, coords, want, workers)
-	}
-
-	// Phase 3: resolve points back to stored triples and, in exact
-	// mode, re-rank with the true Eq. 1 distance. Resolution failures
-	// stay per-query too.
-	_ = core.RunBatch(ctx, len(qs), workers, func(i int) error {
-		out[i].Stats = res[i].Stats
-		if res[i].Err != nil {
-			out[i].Err = res[i].Err
-			return nil // attributed; do not abort the pool
-		}
-		ms, err := s.ix.matches(res[i].Neighbors)
-		if err != nil {
-			out[i].Err = err
-			return nil
-		}
-		if !s.rangeMode && s.opts.ExactFactor > 0 {
-			for j := range ms {
-				ms[j].Dist = s.ix.metric.Distance(qs[i], ms[j].Triple)
-			}
-			out[i].Stats.DistanceEvals += int64(len(ms))
-			sortMatches(ms)
-		}
-		if s.opts.K > 0 && len(ms) > s.opts.K {
-			ms = ms[:s.opts.K]
-		}
-		out[i].Matches = ms
-		return nil
+	_ = core.RunBatch(ctx, len(qs), s.opts.Parallelism, func(i int) error {
+		out[i] = s.search(ctx, qs[i])
+		return nil // attributed to out[i]; do not abort the pool
 	})
 	if err := ctx.Err(); err != nil {
-		// Attribute the cutoff to entries phase 3 never reached. A
-		// reached entry always has its protocol stamped (copied from
-		// the dispatched query, even on failure), so a successful
-		// zero-match query is never mislabeled as cut off.
+		// Attribute the cutoff to entries the pool never dispatched. A
+		// dispatched query always has its protocol stamped (even on
+		// failure) or its own error, so a successful zero-match query is
+		// never mislabeled as cut off.
 		for i := range out {
 			if out[i].Stats.Protocol == "" && out[i].Err == nil {
 				out[i].Err = err

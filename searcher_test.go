@@ -11,9 +11,11 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
@@ -514,5 +516,99 @@ func TestSearchOptionCompleteness(t *testing.T) {
 	}
 	if len(setters) != typ.NumField() {
 		t.Errorf("option table lists %d fields, SearchOptions has %d", len(setters), typ.NumField())
+	}
+}
+
+// sameOutcome reports whether two Results are the same answer: equal
+// matches, equal ExecStats apart from the measured Wall, and the same
+// error (both nil, or both the same ErrUnindexedID).
+func sameOutcome(a, b Result) bool {
+	a.Stats.Wall, b.Stats.Wall = 0, 0
+	var ua, ub ErrUnindexedID
+	sameErr := a.Err == nil && b.Err == nil ||
+		errors.As(a.Err, &ua) && errors.As(b.Err, &ub) && ua == ub
+	return sameErr && sameMatches(a.Matches, b.Matches) && a.Stats == b.Stats
+}
+
+// TestSearchBatchContract pins what a batch is: a worker pool over
+// Search. Every entry equals Search of the same triple — matches and
+// ExecStats — at any pool width; a query that fails keeps its failure on
+// its own Result while its neighbours answer; and when the context is
+// cancelled mid-batch, entries the pool never dispatched carry the
+// context's error while the dispatched ones keep their matches.
+func TestSearchBatchContract(t *testing.T) {
+	// The observation point counts fabric calls; once armed it cancels
+	// the batch's context after a fixed number of them.
+	var (
+		cancelAfter atomic.Int64
+		cancel      context.CancelFunc
+	)
+	inner := cluster.NewInProc(cluster.InProcOptions{})
+	t.Cleanup(func() { inner.Close() })
+	fabric := cluster.Observe(inner, func(cluster.CallSample) {
+		if cancelAfter.Add(-1) == 0 {
+			cancel()
+		}
+	})
+	// One partition: every query is exactly one fabric call.
+	ix, g := buildTestIndex(t, 300, Options{Seed: 5, BucketSize: 8, Fabric: fabric})
+	qs := make([]triple.Triple, 64)
+	for i := range qs {
+		qs[i] = g.RandomTriple()
+	}
+	// A point indexed out of band at qs[3]'s own image: the queries
+	// that retrieve it fail to resolve it, the others are healthy.
+	if err := ix.tree.Insert(kdtree.Point{Coords: ix.mapper.Map(qs[3]), ID: 100000}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, opts := range [][]SearchOption{
+		{WithK(2)},
+		{WithMode(ModeRange), WithRadius(0.3)},
+		{WithK(2), WithExactFactor(3)},
+	} {
+		s := ix.Searcher(append(opts, WithProtocol(ProtocolSequential))...)
+		want := make([]Result, len(qs))
+		failed := 0
+		for i, q := range qs {
+			want[i], _ = s.Search(context.Background(), q)
+			if want[i].Err != nil {
+				failed++
+			}
+		}
+		if failed == 0 || failed == len(qs) {
+			t.Fatalf("%d of %d reference queries failed, want a mix", failed, len(qs))
+		}
+		for _, workers := range []int{0, 1, 3, 16} {
+			got, err := s.With(WithParallelism(workers)).SearchBatch(context.Background(), qs)
+			if err != nil {
+				t.Fatalf("workers=%d: batch-level error for per-query failures: %v", workers, err)
+			}
+			for i := range qs {
+				if !sameOutcome(got[i], want[i]) {
+					t.Fatalf("workers=%d query %d: batch %+v, Search %+v", workers, i, got[i], want[i])
+				}
+			}
+		}
+
+		// Inline pool, cancelled by the fifth query's own fabric call:
+		// that query and the four before it were dispatched and keep
+		// their answers, the rest were not and carry the cutoff.
+		ctx, stop := context.WithCancel(context.Background())
+		cancel = stop
+		cancelAfter.Store(5)
+		got, err := s.With(WithParallelism(1)).SearchBatch(ctx, qs)
+		stop()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled batch err = %v", err)
+		}
+		for i := range qs {
+			if i < 5 && !sameOutcome(got[i], want[i]) {
+				t.Fatalf("dispatched query %d lost its answer: %+v, want %+v", i, got[i], want[i])
+			}
+			if i >= 5 && (!errors.Is(got[i].Err, context.Canceled) || got[i].Matches != nil) {
+				t.Fatalf("undispatched query %d: %+v, want the context error", i, got[i])
+			}
+		}
 	}
 }
