@@ -14,10 +14,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The dedicated race sweep over the concurrent packages, mirroring the
+# The dedicated race sweep over the concurrent packages and the two
+# lock-free ones every query goes through (semdist, fastmap: shared
+# metric and mapper, hammered from 8 goroutines), mirroring the
 # race-sweep CI job: halt on the first report, run everything twice.
 race:
-	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/
+	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/semdist/ ./internal/fastmap/
 
 # The semtree invariant analyzers, driven through `go vet -vettool` so
 # test files are covered and results are cached per package. For a

@@ -305,31 +305,73 @@ func BenchmarkFig8Effectiveness(b *testing.B) {
 	}
 }
 
-// BenchmarkTripleDistance measures one Eq. 1 evaluation (cached).
+// BenchmarkTripleDistance measures one Eq. 1 evaluation from surface
+// forms: six term resolutions, one Levenshtein (the subjects) and two
+// concept-matrix loads. Nothing is memoized between calls.
 func BenchmarkTripleDistance(b *testing.B) {
 	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
 	x, _ := triple.ParseTriple("('OBSW001', Fun:accept_cmd, CmdType:start-up)")
 	y, _ := triple.ParseTriple("('OBSW002', Fun:block_cmd, CmdType:shutdown)")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		metric.Distance(x, y)
 	}
 }
 
-// BenchmarkFastMapEmbed measures embedding one out-of-sample triple.
+// internedBuild is the embedding half of semtree.Build: intern the
+// triples under metric, then FastMap over one-to-all rows.
+func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap.Options) (*fastmap.Mapper[semdist.Triple], [][]float64, error) {
+	corpus := semdist.NewCorpus(metric, len(triples))
+	for _, t := range triples {
+		corpus.Add(t)
+	}
+	return fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance, opts)
+}
+
+// BenchmarkFastMapEmbed measures embedding one out-of-sample triple the
+// way the facade does: resolve its terms, then MapInto against the
+// pre-resolved pivots.
 func BenchmarkFastMapEmbed(b *testing.B) {
 	g := synth.New(synth.Config{Seed: 1}, nil)
-	triples := g.Triples(5000)
 	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
-	mapper, _, err := fastmap.Build(triples, metric.Distance, fastmap.Options{Dims: 8, Seed: 1})
+	mapper, _, err := internedBuild(metric, g.Triples(5000), fastmap.Options{Dims: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := g.RandomTriple()
+	dst := make([]float64, mapper.Dims())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mapper.Map(q)
+		mapper.MapInto(dst, metric.Resolve(q))
 	}
+}
+
+// BenchmarkFastMapBuild measures the FastMap build over 100k triples:
+// "interned" is the path semtree.Build takes, "generic" the same kernel
+// fed by one Metric.Distance call per pair (the reference the two must
+// agree with bit for bit).
+func BenchmarkFastMapBuild(b *testing.B) {
+	triples := synth.New(synth.Config{Seed: 1}, nil).Triples(100000)
+	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
+	opts := fastmap.Options{Dims: 8, Seed: 1}
+	b.Run("interned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := internedBuild(metric, triples, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("generic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := fastmap.Build(triples, metric.Distance, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkIndexBuildEndToEnd measures the full Build pipeline
@@ -340,6 +382,7 @@ func BenchmarkIndexBuildEndToEnd(b *testing.B) {
 	for _, t := range g.Triples(5000) {
 		store.Add(t, triple.Provenance{})
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx, err := semtree.Build(store, semtree.Options{Seed: 1})

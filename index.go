@@ -70,7 +70,7 @@ type Match struct {
 type Index struct {
 	store  *triple.Store
 	metric *semdist.Metric
-	mapper *fastmap.Mapper[triple.Triple]
+	mapper *fastmap.Mapper[semdist.Triple] // pivots resolved once, at Build or Load
 	tree   *core.Tree
 	dims   int
 	opts   persistedOptions
@@ -148,12 +148,21 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 	}
 	embed.Weights = metric.Weights() // persist the resolved defaults
 
-	triples := store.Triples()
-	mapper, coords, err := fastmap.Build(triples, metric.Distance, fastmap.Options{
-		Dims:            dims,
-		PivotIterations: opts.PivotIterations,
-		Seed:            opts.Seed,
+	// FastMap over interned triples: each distinct term is resolved
+	// once and a scan from a pivot costs one term distance per distinct
+	// term, not one Eq. 1 per triple. The corpus dies with this call;
+	// the mapper keeps only its resolved pivots.
+	corpus := semdist.NewCorpus(metric, store.Len())
+	store.Each(func(_ triple.ID, e triple.Entry) bool {
+		corpus.Add(e.Triple)
+		return true
 	})
+	mapper, coords, err := fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance,
+		fastmap.Options{
+			Dims:            dims,
+			PivotIterations: opts.PivotIterations,
+			Seed:            opts.Seed,
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -188,11 +197,17 @@ func (e ErrUnindexedID) Error() string {
 	return fmt.Sprintf("semtree: point ID %d has no stored triple (indexed out of band?)", e.ID)
 }
 
+// embed maps t into the index's FastMap space: its three terms are
+// resolved once, then compared with the pre-resolved pivots.
+func (ix *Index) embed(t triple.Triple) []float64 {
+	return ix.mapper.Map(ix.metric.Resolve(t))
+}
+
 // Insert adds a triple to the store and the index, returning its ID.
 // Triples other writers added to the store directly (out of band) are
 // in the store but not in the index; Save refuses such an index.
 func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, error) {
-	c := ix.mapper.Map(t)
+	c := ix.embed(t)
 	ix.mu.Lock()
 	id := ix.store.Add(t, prov)
 	ix.mu.Unlock()
@@ -226,7 +241,7 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	}
 	coords := make([][]float64, len(items))
 	_ = core.RunBatch(ctx, len(items), 0, func(i int) error {
-		coords[i] = ix.mapper.Map(items[i].Triple)
+		coords[i] = ix.embed(items[i].Triple)
 		return nil
 	})
 	if err := ctx.Err(); err != nil {

@@ -10,6 +10,32 @@
 // assigned. The Mapper retains the pivot objects and their coordinates,
 // so out-of-sample objects (queries) can be mapped later with the same
 // recursion.
+//
+// # One kernel, two ways to feed it
+//
+// A build only ever needs the distances from one object to all n of
+// them: each scan of the pivot heuristic and the two coordinate columns
+// of an axis (which are the heuristic's last two scans when it
+// converged, and are reused). BuildRows is that kernel over a RowFunc;
+// Build is the wrapper that fills a row with n DistFunc calls. A caller
+// whose distance shares work per object — SemTree interns triple terms
+// and computes one term distance per distinct term — supplies its own
+// row and pays O(distinct) instead of O(n) kernel calls per scan.
+//
+// # The distance contract
+//
+// DistFunc and RowFunc must be deterministic (same pair, same bits,
+// every time), symmetric and non-negative, and a RowFunc must agree bit
+// for bit with the DistFunc handed to the same BuildRows. FastMap asks
+// for a pair more than once — across scans during the build, again in
+// Map — and reuses scans it has already made; under this contract the
+// embedding is a pure function of (objects, distance, Options), and a
+// Mapper restored by FromSnapshot maps to the coordinates the build
+// stored. The triangle inequality is not required: negative residuals
+// are clamped at 0.
+//
+// A Mapper is immutable and safe for concurrent use; MapInto allocates
+// nothing.
 package fastmap
 
 import (
@@ -18,8 +44,13 @@ import (
 	"math/rand"
 )
 
-// DistFunc is a non-negative, symmetric distance between two objects.
+// DistFunc is a non-negative, symmetric, deterministic distance between
+// two objects (see the package comment for why each matters).
 type DistFunc[T any] func(a, b T) float64
+
+// RowFunc writes into dst[i] the distance from object from to object i,
+// for every i < len(dst), under the same contract as DistFunc.
+type RowFunc func(from int, dst []float64)
 
 // Options configure Build.
 type Options struct {
@@ -55,13 +86,29 @@ type Mapper[T any] struct {
 }
 
 // Build runs FastMap over objs and returns the mapper plus the
-// coordinates of every input object (row i ↔ objs[i]).
+// coordinates of every input object (row i ↔ objs[i]). It is BuildRows
+// with each row filled by n calls of dist(objs[from], objs[i]).
 func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
-	if dist == nil {
-		return nil, nil, errors.New("fastmap: nil distance function")
+	row := func(from int, dst []float64) {
+		for i := range objs {
+			dst[i] = dist(objs[from], objs[i])
+		}
+	}
+	return BuildRows(len(objs), row, func(i int) T { return objs[i] }, dist, opts)
+}
+
+// BuildRows is the FastMap build over n objects known only by index:
+// row supplies one-to-all distances, object returns the i-th object
+// (called for the chosen pivots only, which the mapper retains), and
+// dist is the pairwise distance the returned mapper embeds
+// out-of-sample objects with. row(from, dst)[i] and
+// dist(object(from), object(i)) must agree bit for bit, or Map will not
+// reproduce the build's coordinates.
+func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
+	if row == nil || object == nil || dist == nil {
+		return nil, nil, errors.New("fastmap: nil row, object or distance function")
 	}
 	opts = opts.withDefaults()
-	n := len(objs)
 	coords := make([][]float64, n)
 	for i := range coords {
 		coords[i] = make([]float64, opts.Dims)
@@ -85,49 +132,52 @@ func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]flo
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	// resid2 is the squared residual distance at axis ax between
-	// objects i and j: base² minus the squared coordinate differences
-	// on axes < ax, clamped at 0 (the semantic distance need not be
-	// Euclidean).
-	resid2 := func(ax, i, j int) float64 {
-		d := dist(objs[i], objs[j])
-		r := d * d
-		for h := 0; h < ax; h++ {
-			diff := coords[i][h] - coords[j][h]
-			r -= diff * diff
+	fromA, fromB := make([]float64, n), make([]float64, n)
+	// resid2 fills dst with the squared residual distance at axis ax
+	// from object from to every object: base² minus the squared
+	// coordinate differences on axes < ax, clamped at 0 (the semantic
+	// distance need not be Euclidean).
+	resid2 := func(ax, from int, dst []float64) {
+		row(from, dst)
+		fc := coords[from]
+		for i, d := range dst {
+			r := d * d
+			for h := 0; h < ax; h++ {
+				diff := fc[h] - coords[i][h]
+				r -= diff * diff
+			}
+			if r < 0 {
+				r = 0
+			}
+			dst[i] = r
 		}
-		if r < 0 {
-			return 0
-		}
-		return r
 	}
 
 	for ax := 0; ax < opts.Dims; ax++ {
-		// Choose-distant-objects heuristic.
+		// Choose-distant-objects heuristic. Each pass scans from b to
+		// find a, then from a to find the next b; on convergence both
+		// scans are the coordinate columns and are not repeated.
 		b := rng.Intn(n)
 		a := b
-		for it := 0; it < opts.PivotIterations; it++ {
-			a = argmaxResid(resid2, ax, b, n)
-			nb := argmaxResid(resid2, ax, a, n)
-			if nb == b {
-				break // converged
-			}
+		converged := false
+		for it := 0; it < opts.PivotIterations && !converged; it++ {
+			resid2(ax, b, fromB)
+			a = argmax(fromB, b)
+			resid2(ax, a, fromA)
+			nb := argmax(fromA, a)
+			converged = nb == b
 			b = nb
 		}
-		dab2 := resid2(ax, a, b)
-		m.pivotA[ax], m.pivotB[ax] = objs[a], objs[b]
-		m.dAB[ax] = math.Sqrt(dab2)
-		if dab2 == 0 {
-			// All residual distances are zero: every remaining
-			// coordinate is 0 for every object.
-			m.coordsA[ax] = append([]float64(nil), coords[a]...)
-			m.coordsB[ax] = append([]float64(nil), coords[b]...)
-			continue
+		if !converged {
+			resid2(ax, b, fromB)
 		}
-		for i := 0; i < n; i++ {
-			dai2 := resid2(ax, a, i)
-			dbi2 := resid2(ax, b, i)
-			coords[i][ax] = (dai2 + dab2 - dbi2) / (2 * m.dAB[ax])
+		dab2 := fromA[b]
+		m.pivotA[ax], m.pivotB[ax] = object(a), object(b)
+		m.dAB[ax] = math.Sqrt(dab2)
+		if dab2 != 0 { // otherwise every residual distance is zero and the axis stays 0
+			for i := range coords {
+				coords[i][ax] = (fromA[i] + dab2 - fromB[i]) / (2 * m.dAB[ax])
+			}
 		}
 		m.coordsA[ax] = append([]float64(nil), coords[a]...)
 		m.coordsB[ax] = append([]float64(nil), coords[b]...)
@@ -135,13 +185,12 @@ func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]flo
 	return m, coords, nil
 }
 
-func argmaxResid(resid2 func(ax, i, j int) float64, ax, from, n int) int {
+// argmax returns the index of the largest value of row other than
+// skip (the lowest such index on ties; 0 when there is no other).
+func argmax(row []float64, skip int) int {
 	best, bestD := 0, -1.0
-	for i := 0; i < n; i++ {
-		if i == from {
-			continue
-		}
-		if d := resid2(ax, from, i); d > bestD {
+	for i, d := range row {
+		if i != skip && d > bestD {
 			best, bestD = i, d
 		}
 	}
@@ -151,34 +200,43 @@ func argmaxResid(resid2 func(ax, i, j int) float64, ax, from, n int) int {
 // Dims returns the dimensionality of the embedding.
 func (m *Mapper[T]) Dims() int { return m.dims }
 
-// Map embeds an out-of-sample object using the stored pivots. The
-// recursion mirrors Build: the residual distance between obj and a
-// pivot at axis ax subtracts the squared coordinate differences
-// assigned on earlier axes.
+// Map embeds an out-of-sample object using the stored pivots.
 func (m *Mapper[T]) Map(obj T) []float64 {
-	out := make([]float64, m.dims)
-	residTo := func(ax int, pivot T, pivotCoords []float64) float64 {
-		d := m.dist(obj, pivot)
-		r := d * d
-		for h := 0; h < ax; h++ {
-			diff := out[h] - pivotCoords[h]
-			r -= diff * diff
-		}
-		if r < 0 {
-			return 0
-		}
-		return r
-	}
-	for ax := 0; ax < m.dims; ax++ {
+	return m.MapInto(make([]float64, m.dims), obj)
+}
+
+// MapInto is Map into dst, which must have length Dims; it allocates
+// nothing itself. The recursion mirrors Build: the residual distance
+// between obj and a pivot at axis ax subtracts the squared coordinate
+// differences assigned on earlier axes.
+func (m *Mapper[T]) MapInto(dst []float64, obj T) []float64 {
+	dst = dst[:m.dims]
+	for ax := range dst {
 		dab := m.dAB[ax]
 		if dab == 0 {
-			continue // axis collapsed during build
+			dst[ax] = 0 // axis collapsed during build
+			continue
 		}
-		dai2 := residTo(ax, m.pivotA[ax], m.coordsA[ax])
-		dbi2 := residTo(ax, m.pivotB[ax], m.coordsB[ax])
-		out[ax] = (dai2 + dab*dab - dbi2) / (2 * dab)
+		dai2 := m.resid2(dst[:ax], obj, m.pivotA[ax], m.coordsA[ax])
+		dbi2 := m.resid2(dst[:ax], obj, m.pivotB[ax], m.coordsB[ax])
+		dst[ax] = (dai2 + dab*dab - dbi2) / (2 * dab)
 	}
-	return out
+	return dst
+}
+
+// resid2 is the squared residual distance between obj, whose
+// coordinates so far are done, and a pivot.
+func (m *Mapper[T]) resid2(done []float64, obj, pivot T, pivotCoords []float64) float64 {
+	d := m.dist(obj, pivot)
+	r := d * d
+	for h, c := range done {
+		diff := c - pivotCoords[h]
+		r -= diff * diff
+	}
+	if r < 0 {
+		return 0
+	}
+	return r
 }
 
 // MapAll embeds a batch of out-of-sample objects.
@@ -213,6 +271,27 @@ func (m *Mapper[T]) Snapshot() Snapshot[T] {
 		CoordsB: append([][]float64(nil), m.coordsB...),
 		DAB:     append([]float64(nil), m.dAB...),
 	}
+}
+
+// ConvertSnapshot returns s with every pivot object passed through f,
+// for callers whose mapper works on a derived form of the objects they
+// persist. The coordinate slices are shared, not copied.
+func ConvertSnapshot[T, U any](s Snapshot[T], f func(T) U) Snapshot[U] {
+	out := Snapshot[U]{
+		Dims:    s.Dims,
+		PivotA:  make([]U, len(s.PivotA)),
+		PivotB:  make([]U, len(s.PivotB)),
+		CoordsA: s.CoordsA,
+		CoordsB: s.CoordsB,
+		DAB:     s.DAB,
+	}
+	for i, p := range s.PivotA {
+		out.PivotA[i] = f(p)
+	}
+	for i, p := range s.PivotB {
+		out.PivotB[i] = f(p)
+	}
+	return out
 }
 
 // FromSnapshot reconstructs a Mapper from a snapshot and the distance

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"semtree/internal/triple"
 	"semtree/internal/vocab"
@@ -46,27 +45,54 @@ type Options struct {
 	// Levenshtein on their lexical forms. The paper prescribes a string
 	// distance for all same-typed literals; this switch is an ablation.
 	NumericLiterals bool
-	// DisableCache turns off memoization (useful to measure its effect).
+	// DisableCache calls the concept measure on every concept pair
+	// instead of loading from the per-vocabulary distance matrices
+	// (useful to measure their effect). Nothing else is cached.
 	DisableCache bool
 }
 
-// Metric computes the semantic distance between triples (Eq. 1). It is
-// immutable after construction and safe for concurrent use; concept
-// distances are memoized per vocabulary as a dense matrix, literal
-// distances in a shared map.
+// Metric computes the semantic distance between triples (Eq. 1). It
+// holds no lock and no mutable state: New freezes the registry (a later
+// vocab.Registry.Register fails), copies its prefix table and computes
+// one dense distance matrix per vocabulary, and every method after that
+// only reads. Safe for concurrent use.
 type Metric struct {
-	w        Weights
-	concept  ConceptMeasure
-	reg      *vocab.Registry
-	numeric  bool
-	useCache bool
-
-	mu       sync.Mutex
-	matrices map[*vocab.Vocabulary][]float64 // lazily built V×V distance matrices
-	litCache sync.Map                        // string pair key → float64
+	w       Weights
+	concept ConceptMeasure
+	numeric bool
+	vocabs  map[string]*conceptTable // by prefix
 }
 
-// New builds a Metric over the vocabularies in reg.
+// conceptTable is one vocabulary as the metric sees it: name lookup
+// plus the V×V matrix of the configured measure. Vocabularies are small
+// (tens to a few hundred concepts), so the matrix is cheap and makes a
+// concept pair an array load.
+type conceptTable struct {
+	v   *vocab.Vocabulary
+	mat []float64 // row-major V×V; nil under DisableCache
+}
+
+func newConceptTable(v *vocab.Vocabulary, measure ConceptMeasure, dense bool) *conceptTable {
+	t := &conceptTable{v: v}
+	if !dense {
+		return t
+	}
+	n := v.Len()
+	t.mat = make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := measure(v, vocab.ConceptID(i), vocab.ConceptID(j))
+			t.mat[i*n+j] = d
+			t.mat[j*n+i] = d
+		}
+	}
+	return t
+}
+
+// New builds a Metric over the vocabularies in reg and freezes reg:
+// the metric resolves every term against the vocabularies registered at
+// this point, so a registration it could not see is refused (an error
+// from Register) rather than silently compared by surface form.
 func New(reg *vocab.Registry, opts Options) (*Metric, error) {
 	w := opts.Weights
 	if w == (Weights{}) {
@@ -82,14 +108,13 @@ func New(reg *vocab.Registry, opts Options) (*Metric, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("semdist: nil vocabulary registry")
 	}
-	return &Metric{
-		w:        w,
-		concept:  c,
-		reg:      reg,
-		numeric:  opts.NumericLiterals,
-		useCache: !opts.DisableCache,
-		matrices: make(map[*vocab.Vocabulary][]float64),
-	}, nil
+	reg.Freeze()
+	m := &Metric{w: w, concept: c, numeric: opts.NumericLiterals, vocabs: make(map[string]*conceptTable)}
+	for _, p := range reg.Prefixes() {
+		v, _ := reg.Get(p)
+		m.vocabs[p] = newConceptTable(v, c, !opts.DisableCache)
+	}
+	return m, nil
 }
 
 // MustNew is New for static setup; it panics on error.
@@ -104,15 +129,69 @@ func MustNew(reg *vocab.Registry, opts Options) *Metric {
 // Weights returns the Eq. 1 coefficients in use.
 func (m *Metric) Weights() Weights { return m.w }
 
-// Registry returns the vocabulary registry the metric resolves
-// concepts against.
-func (m *Metric) Registry() *vocab.Registry { return m.reg }
+// Term is a triple.Term resolved against the metric's vocabularies:
+// the work of a term distance that depends on one term only, done
+// once. The zero value is the resolved empty string literal.
+type Term struct {
+	triple.Term
+	voc *conceptTable   // nil for literals and for concepts whose prefix or name is unknown
+	id  vocab.ConceptID // meaningful when voc != nil
+}
+
+// Triple is a triple.Triple with its three terms resolved.
+type Triple struct {
+	Subject, Predicate, Object Term
+}
+
+// Unresolved returns the triple r was resolved from.
+func (r Triple) Unresolved() triple.Triple {
+	return triple.Triple{Subject: r.Subject.Term, Predicate: r.Predicate.Term, Object: r.Object.Term}
+}
+
+// resolveTerm looks t up in the metric's vocabularies.
+func (m *Metric) resolveTerm(t triple.Term) Term {
+	r := Term{Term: t}
+	if t.IsConcept() {
+		if voc, ok := m.vocabs[t.Prefix]; ok {
+			if id, ok := voc.v.Lookup(t.Value); ok {
+				r.voc, r.id = voc, id
+			}
+		}
+	}
+	return r
+}
+
+// Resolve resolves the three terms of t. A resolved triple is only
+// meaningful to the metric that resolved it.
+func (m *Metric) Resolve(t triple.Triple) Triple {
+	return Triple{
+		Subject:   m.resolveTerm(t.Subject),
+		Predicate: m.resolveTerm(t.Predicate),
+		Object:    m.resolveTerm(t.Object),
+	}
+}
 
 // Distance computes Eq. 1 between two triples. The result is in [0, 1].
 func (m *Metric) Distance(a, b triple.Triple) float64 {
-	return m.w.Alpha*m.TermDistance(a.Subject, b.Subject) +
-		m.w.Beta*m.TermDistance(a.Predicate, b.Predicate) +
-		m.w.Gamma*m.TermDistance(a.Object, b.Object)
+	ra, rb := m.Resolve(a), m.Resolve(b)
+	return m.distance(&ra, &rb)
+}
+
+// ResolvedDistance is Distance over triples resolved by this metric;
+// Distance(a, b) == ResolvedDistance(Resolve(a), Resolve(b)) bit for bit.
+func (m *Metric) ResolvedDistance(a, b Triple) float64 { return m.distance(&a, &b) }
+
+func (m *Metric) distance(a, b *Triple) float64 {
+	return m.w.combine(
+		m.termDistance(&a.Subject, &b.Subject),
+		m.termDistance(&a.Predicate, &b.Predicate),
+		m.termDistance(&a.Object, &b.Object))
+}
+
+// combine is Eq. 1's weighted sum, in the one evaluation order every
+// caller shares.
+func (w Weights) combine(s, p, o float64) float64 {
+	return w.Alpha*s + w.Beta*p + w.Gamma*o
 }
 
 // TermDistance computes the component distance between two terms,
@@ -127,72 +206,32 @@ func (m *Metric) Distance(a, b triple.Triple) float64 {
 //     normalized Levenshtein over the surface forms, the most
 //     conservative comparison available.
 func (m *Metric) TermDistance(a, b triple.Term) float64 {
-	if a.Equal(b) {
+	ra, rb := m.resolveTerm(a), m.resolveTerm(b)
+	return m.termDistance(&ra, &rb)
+}
+
+// termDistance is the one dispatch kernel of the package. It takes no
+// lock, probes no map and does not allocate (beyond Levenshtein's spill
+// for surface forms over 64 runes).
+func (m *Metric) termDistance(a, b *Term) float64 {
+	if a.Term.Equal(b.Term) {
 		return 0
 	}
 	if a.IsLiteral() && b.IsLiteral() && a.LitType == b.LitType {
 		if m.numeric && (a.LitType == triple.LitInt || a.LitType == triple.LitFloat) {
 			return numericDistance(a.Value, b.Value)
 		}
-		return m.literalDistance(a.Value, b.Value)
+		return NormalizedLevenshtein(a.Value, b.Value)
 	}
-	if a.IsConcept() && b.IsConcept() && a.Prefix == b.Prefix {
-		if v, ok := m.reg.Get(a.Prefix); ok {
-			ca, okA := v.Lookup(a.Value)
-			cb, okB := v.Lookup(b.Value)
-			if okA && okB {
-				return m.conceptDistance(v, ca, cb)
-			}
+	// A resolved concept's table stands for its prefix: equal tables
+	// means same vocabulary, both names known.
+	if a.voc != nil && a.voc == b.voc {
+		if a.voc.mat == nil {
+			return m.concept(a.voc.v, a.id, b.id)
 		}
+		return a.voc.mat[int(a.id)*a.voc.v.Len()+int(b.id)]
 	}
-	return m.literalDistance(a.Value, b.Value)
-}
-
-func (m *Metric) literalDistance(a, b string) float64 {
-	if !m.useCache {
-		return NormalizedLevenshtein(a, b)
-	}
-	if b < a {
-		a, b = b, a
-	}
-	key := a + "\x00" + b
-	if d, ok := m.litCache.Load(key); ok {
-		return d.(float64)
-	}
-	d := NormalizedLevenshtein(a, b)
-	m.litCache.Store(key, d)
-	return d
-}
-
-func (m *Metric) conceptDistance(v *vocab.Vocabulary, a, b vocab.ConceptID) float64 {
-	if !m.useCache {
-		return m.concept(v, a, b)
-	}
-	mat := m.matrix(v)
-	return mat[int(a)*v.Len()+int(b)]
-}
-
-// matrix returns (building on first use) the dense pairwise distance
-// matrix for vocabulary v. Vocabularies are small (tens to a few
-// hundred concepts), so the matrix is cheap and makes the hot path an
-// array load.
-func (m *Metric) matrix(v *vocab.Vocabulary) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mat, ok := m.matrices[v]; ok {
-		return mat
-	}
-	n := v.Len()
-	mat := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := m.concept(v, vocab.ConceptID(i), vocab.ConceptID(j))
-			mat[i*n+j] = d
-			mat[j*n+i] = d
-		}
-	}
-	m.matrices[v] = mat
-	return mat
+	return NormalizedLevenshtein(a.Value, b.Value)
 }
 
 func numericDistance(a, b string) float64 {

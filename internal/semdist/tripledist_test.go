@@ -194,10 +194,14 @@ func TestCustomWeights(t *testing.T) {
 	}
 }
 
+// BenchmarkTripleDistanceCached loads concept pairs from the matrices
+// built at New; Uncached (DisableCache) calls the measure each time.
+// Literal pairs are computed afresh in both.
 func BenchmarkTripleDistanceCached(b *testing.B) {
 	m := MustNew(vocab.DefaultRegistry(), Options{})
 	x := tr("'OBSW001'", "Fun:accept_cmd", "CmdType:start-up")
 	y := tr("'OBSW002'", "Fun:block_cmd", "CmdType:shutdown")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Distance(x, y)
@@ -208,6 +212,7 @@ func BenchmarkTripleDistanceUncached(b *testing.B) {
 	m := MustNew(vocab.DefaultRegistry(), Options{DisableCache: true})
 	x := tr("'OBSW001'", "Fun:accept_cmd", "CmdType:start-up")
 	y := tr("'OBSW002'", "Fun:block_cmd", "CmdType:shutdown")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Distance(x, y)

@@ -11,8 +11,9 @@ import (
 // can be found by using the prefix X" (§III-A). It is safe for
 // concurrent use.
 type Registry struct {
-	mu sync.RWMutex
-	m  map[string]*Vocabulary
+	mu     sync.RWMutex
+	m      map[string]*Vocabulary
+	frozen bool
 }
 
 // NewRegistry returns a registry holding the given vocabularies.
@@ -27,15 +28,30 @@ func NewRegistry(vs ...*Vocabulary) *Registry {
 	return r
 }
 
-// Register adds a vocabulary; it fails if the prefix is already taken.
+// Register adds a vocabulary; it fails if the prefix is already taken
+// or the registry is frozen.
 func (r *Registry) Register(v *Vocabulary) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.frozen {
+		return fmt.Errorf("vocab: registry is frozen (a metric was built over it); register %q before building", v.prefix)
+	}
 	if _, dup := r.m[v.prefix]; dup {
 		return fmt.Errorf("vocab: prefix %q already registered", v.prefix)
 	}
 	r.m[v.prefix] = v
 	return nil
+}
+
+// Freeze makes the registry read-only: every later Register fails.
+// semdist.New freezes the registry it is given, because a metric (and
+// every embedding built under it) resolves terms against the
+// vocabularies present at that point; a vocabulary added afterwards
+// would change how stored and new triples compare.
+func (r *Registry) Freeze() {
+	r.mu.Lock()
+	r.frozen = true
+	r.mu.Unlock()
 }
 
 // Get returns the vocabulary registered under prefix.

@@ -311,6 +311,13 @@ func TestRegistry(t *testing.T) {
 	if len(got) != 2 || got[0] != "CmdType" || got[1] != "Fun" {
 		t.Fatalf("Prefixes = %v", got)
 	}
+	r.Freeze()
+	if err := r.Register(MessageTypes()); err == nil {
+		t.Fatal("register on a frozen registry should fail")
+	}
+	if _, ok := r.Get("Fun"); !ok || len(r.Prefixes()) != 2 {
+		t.Fatal("freezing changed what the registry holds")
+	}
 }
 
 func TestBuiltinVocabularies(t *testing.T) {

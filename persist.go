@@ -7,6 +7,7 @@ import (
 
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
+	"semtree/internal/semdist"
 	"semtree/internal/triple"
 )
 
@@ -88,7 +89,7 @@ func Save(w io.Writer, ix *Index) error {
 		Version: snapshotVersion,
 		Options: ix.opts,
 		Entries: entries,
-		Mapper:  ix.mapper.Snapshot(),
+		Mapper:  fastmap.ConvertSnapshot(ix.mapper.Snapshot(), semdist.Triple.Unresolved),
 		Tree:    treeSnap,
 	}
 	if err := encodeSnapshot(w, &snap); err != nil {
@@ -135,7 +136,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapper, err := fastmap.FromSnapshot(snap.Mapper, metric.Distance)
+	mapper, err := fastmap.FromSnapshot(fastmap.ConvertSnapshot(snap.Mapper, metric.Resolve), metric.ResolvedDistance)
 	if err != nil {
 		return nil, err
 	}

@@ -373,7 +373,7 @@ func (s *Searcher) search(ctx context.Context, q triple.Triple) Result {
 	if !s.rangeMode && want <= 0 {
 		return Result{} // k-nearest of nothing
 	}
-	coords := s.ix.mapper.Map(q)
+	coords := s.ix.embed(q)
 	var res Result
 	var ns []kdtree.Neighbor
 	if s.rangeMode {
@@ -390,8 +390,10 @@ func (s *Searcher) search(ctx context.Context, q triple.Triple) Result {
 		return res
 	}
 	if !s.rangeMode && s.opts.ExactFactor > 0 {
+		metric := s.ix.metric
+		rq := metric.Resolve(q)
 		for j := range ms {
-			ms[j].Dist = s.ix.metric.Distance(q, ms[j].Triple)
+			ms[j].Dist = metric.ResolvedDistance(rq, metric.Resolve(ms[j].Triple))
 		}
 		res.Stats.DistanceEvals += int64(len(ms))
 		sortMatches(ms)

@@ -558,7 +558,7 @@ func TestSearchBatchContract(t *testing.T) {
 	}
 	// A point indexed out of band at qs[3]'s own image: the queries
 	// that retrieve it fail to resolve it, the others are healthy.
-	if err := ix.tree.Insert(kdtree.Point{Coords: ix.mapper.Map(qs[3]), ID: 100000}); err != nil {
+	if err := ix.tree.Insert(kdtree.Point{Coords: ix.embed(qs[3]), ID: 100000}); err != nil {
 		t.Fatal(err)
 	}
 
