@@ -19,7 +19,7 @@ test:
 # metric and mapper, hammered from 8 goroutines), mirroring the
 # race-sweep CI job: halt on the first report, run everything twice.
 race:
-	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/semdist/ ./internal/fastmap/
+	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/semdist/ ./internal/fastmap/
 
 # The semtree invariant analyzers, driven through `go vet -vettool` so
 # test files are covered and results are cached per package. For a

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,7 +251,8 @@ func TestCallRetryExhaustsTransient(t *testing.T) {
 
 func TestTCPNestedCalls(t *testing.T) {
 	// A handler that fans out to another node mid-request, as partition
-	// forwarding does.
+	// forwarding does — from more concurrent callers than a peer's idle
+	// list holds, so connections are dialled, pooled and dropped at once.
 	f := NewTCP()
 	defer f.Close()
 	leaf, _ := f.AddNode(echoHandler)
@@ -258,13 +262,26 @@ func TestTCPNestedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := f.Call(context.Background(), ClientID, router, echoReq{Msg: "routed"})
-	if err != nil {
-		t.Fatalf("nested call: %v", err)
+	var wg sync.WaitGroup
+	for w := 0; w < 3*maxIdlePerPeer; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				msg := fmt.Sprintf("routed-%d-%d", w, i)
+				resp, err := f.Call(context.Background(), ClientID, router, echoReq{Msg: msg})
+				if err != nil {
+					t.Errorf("nested call: %v", err)
+					return
+				}
+				if resp.(echoResp).Msg != msg {
+					t.Errorf("resp = %#v, want %q", resp, msg)
+					return
+				}
+			}
+		}(w)
 	}
-	if resp.(echoResp).Msg != "routed" {
-		t.Fatalf("resp = %#v", resp)
-	}
+	wg.Wait()
 	if f.Stats().Bytes == 0 {
 		t.Fatal("TCP bytes not accounted")
 	}
@@ -279,18 +296,23 @@ func TestCallCancelledUpfront(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := mk()
 			defer f.Close()
-			handled := false
+			var handled atomic.Int64
 			id, _ := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
-				handled = true
+				handled.Add(1)
 				return echoResp{}, nil
 			})
+			// A live call first: a pooled TCP connection is then waiting,
+			// and the dead call has no dial to fail in.
+			if _, err := f.Call(context.Background(), ClientID, id, echoReq{}); err != nil {
+				t.Fatal(err)
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := f.Call(ctx, ClientID, id, echoReq{}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if handled {
-				t.Fatal("handler ran despite a dead context")
+			if got := handled.Load(); got != 1 {
+				t.Fatalf("handler ran %d times, want once: the dead context must not reach it", got)
 			}
 		})
 	}
@@ -417,5 +439,245 @@ func TestObserve(t *testing.T) {
 	// A nil observer is the identity.
 	if got := Observe(inner, nil); got != Fabric(inner) {
 		t.Fatal("Observe(nil) must return the fabric unchanged")
+	}
+}
+
+// callBytes makes one echo call and returns the bytes it moved.
+func callBytes(t *testing.T, f Fabric, to NodeID, msg string) int64 {
+	t.Helper()
+	before := f.Stats().Bytes
+	resp, err := f.Call(context.Background(), ClientID, to, echoReq{Msg: msg})
+	if err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if got := resp.(echoResp).Msg; got != msg {
+		t.Fatalf("echo = %d bytes, want the %d sent", len(got), len(msg))
+	}
+	return f.Stats().Bytes - before
+}
+
+// TestTCPConnectionReuse: sequential calls to one peer share a
+// connection and its gob streams, so the type descriptors cross once —
+// the first call is the expensive one and every later call costs the
+// same.
+func TestTCPConnectionReuse(t *testing.T) {
+	f := NewTCP()
+	defer f.Close()
+	id, _ := f.AddNode(echoHandler)
+	first := callBytes(t, f, id, "ping")
+	steady := callBytes(t, f, id, "ping")
+	if steady >= first {
+		t.Fatalf("second call moved %d bytes, first %d: descriptors were sent again", steady, first)
+	}
+	for i := 0; i < 4; i++ {
+		if got := callBytes(t, f, id, "ping"); got != steady {
+			t.Fatalf("call %d moved %d bytes, want the steady %d", i+3, got, steady)
+		}
+	}
+}
+
+// TestTCPOversizedExchangeNotPooled: a connection that carried more
+// than maxPooledExchange is closed (its gob buffers have grown to the
+// message), so the next call pays for a fresh one.
+func TestTCPOversizedExchangeNotPooled(t *testing.T) {
+	f := NewTCP()
+	defer f.Close()
+	id, _ := f.AddNode(echoHandler)
+	first := callBytes(t, f, id, "ping")
+	if steady := callBytes(t, f, id, "ping"); steady >= first {
+		t.Fatalf("no reuse to begin with: %d then %d bytes", first, steady)
+	}
+	callBytes(t, f, id, strings.Repeat("x", maxPooledExchange))
+	if got := callBytes(t, f, id, "ping"); got != first {
+		t.Fatalf("call after an oversized exchange moved %d bytes, want a fresh connection's %d", got, first)
+	}
+}
+
+// TestAbandonedCallDoesNotPoisonPool: a call cancelled while its handler
+// runs, one whose deadline fires, and one whose deadline passes after
+// it returned each leave the peer usable: the next call gets its own
+// payload and no deadline error.
+func TestAbandonedCallDoesNotPoisonPool(t *testing.T) {
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			f := mk()
+			defer f.Close()
+			entered := make(chan struct{}, 1)
+			release := make(chan struct{})
+			defer close(release) // before f.Close: a TCP handler cannot see a plain cancel
+			id, _ := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+				if req.(echoReq).Msg == "block" {
+					entered <- struct{}{}
+					select {
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					case <-release:
+					}
+				}
+				return echoHandler(ctx, from, req)
+			})
+			healthy := func(msg string) {
+				t.Helper()
+				for i := 0; i < 2*maxIdlePerPeer; i++ {
+					callBytes(t, f, id, fmt.Sprintf("%s-%d", msg, i))
+				}
+			}
+			healthy("warm")
+
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				<-entered
+				cancel()
+			}()
+			if _, err := f.Call(ctx, ClientID, id, echoReq{Msg: "block"}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled call: err = %v, want context.Canceled", err)
+			}
+			healthy("after-cancel")
+
+			ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+			_, err := f.Call(ctx, ClientID, id, echoReq{Msg: "block"})
+			cancel()
+			if err == nil {
+				t.Fatal("expired call succeeded")
+			}
+			healthy("after-deadline")
+
+			// A deadline that passes once the call is over stays armed on
+			// the pooled connection until the next checkout resets it.
+			ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+			if _, err := f.Call(ctx, ClientID, id, echoReq{Msg: "quick"}); err != nil {
+				t.Fatalf("call under a deadline: %v", err)
+			}
+			<-ctx.Done()
+			cancel()
+			healthy("after-stale-deadline")
+		})
+	}
+}
+
+// TestFabricCloseInFlight: Close with idle connections pooled and a
+// call still in its handler returns, the call completes, later calls
+// fail with ErrClosed, and no goroutine of the fabric outlives it.
+func TestFabricCloseInFlight(t *testing.T) {
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			f := mk()
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			echo, _ := f.AddNode(echoHandler)
+			slow, _ := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+				close(entered)
+				<-release
+				return echoHandler(ctx, from, req)
+			})
+			var wg sync.WaitGroup
+			for w := 0; w < 2*maxIdlePerPeer; w++ { // fill the idle list
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := f.Call(context.Background(), ClientID, echo, echoReq{Msg: "idle"}); err != nil {
+						t.Errorf("warm call: %v", err)
+					}
+				}()
+			}
+			wg.Wait()
+
+			inFlight := make(chan error, 1)
+			go func() {
+				resp, err := f.Call(context.Background(), ClientID, slow, echoReq{Msg: "in flight"})
+				if err == nil && resp.(echoResp).Msg != "in flight" {
+					err = fmt.Errorf("resp = %#v", resp)
+				}
+				inFlight <- err
+			}()
+			<-entered
+			closed := make(chan error, 1)
+			go func() { closed <- f.Close() }()
+			for {
+				_, err := f.Call(context.Background(), ClientID, echo, echoReq{})
+				if errors.Is(err, ErrClosed) {
+					break
+				}
+				runtime.Gosched()
+			}
+			close(release)
+			if err := <-closed; err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := <-inFlight; err != nil {
+				t.Fatalf("the call in flight at Close lost its reply: %v", err)
+			}
+			if _, err := f.Call(context.Background(), ClientID, slow, echoReq{}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("call after Close: err = %v, want ErrClosed", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after Close, %d before the fabric:\n%s",
+						runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestTCPCloseUnparksSilentPeer: Close does not depend on the other end
+// hanging up — a connection whose peer never sends or closes leaves its
+// serve loop parked in Decode, and Close still returns.
+func TestTCPCloseUnparksSilentPeer(t *testing.T) {
+	f := NewTCP()
+	id, _ := f.AddNode(echoHandler)
+	silent, err := net.Dial("tcp", f.nodes[id].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// A call on a second connection, so the first has been accepted.
+	callBytes(t, f, id, "ping")
+	closed := make(chan error, 1)
+	go func() { closed <- f.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is waiting for a serve loop parked in Decode")
+	}
+}
+
+// TestTCPCallAllocs gates the per-call cost of a warmed connection: a
+// return to dialling, or to building a gob codec per call (several
+// hundred allocations), fails here. Measured: 17.
+func TestTCPCallAllocs(t *testing.T) {
+	f := NewTCP()
+	defer f.Close()
+	id, _ := f.AddNode(echoHandler)
+	ctx := context.Background()
+	call := func() {
+		if _, err := f.Call(ctx, ClientID, id, echoReq{Msg: "ping"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if got := testing.AllocsPerRun(200, call); got > 40 {
+		t.Fatalf("%.0f allocs per warmed TCP call, want at most 40", got)
+	}
+}
+
+func BenchmarkTCPCall(b *testing.B) {
+	f := NewTCP()
+	defer f.Close()
+	id, _ := f.AddNode(echoHandler)
+	ctx := context.Background()
+	req := echoReq{Msg: "ping"}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := f.Call(ctx, ClientID, id, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -13,7 +13,9 @@
 //   - TCP: a real network transport over loopback (net + encoding/gob)
 //     that also counts the bytes it moves, used by the distributed
 //     example, the integration tests and the repo benchmark's
-//     nine-partition workload.
+//     nine-partition workload. Its connections are long-lived, like the
+//     channels between MPJ ranks: a small per-peer idle list, one gob
+//     stream pair per connection, one exchange at a time on each.
 //   - Virtual: a discrete-event simulation in which every node is a
 //     single-threaded rank on a virtual clock advanced by measured
 //     handler time. It is the clock of the index-building figures
@@ -28,7 +30,9 @@
 // the context is done; on TCP the deadline travels in the envelope (the
 // serving side derives a context from it) and the client connection's
 // read/write deadlines are armed from the context, so a caller is never
-// stuck waiting for a reply its query no longer wants.
+// stuck waiting for a reply its query no longer wants. A connection
+// abandoned that way is closed, never reused: the next caller must not
+// inherit its deadline or the reply still owed on it.
 //
 // Handlers must be safe for concurrent use: a fabric delivers requests
 // from many callers at once, exactly like a multithreaded MPJ rank.

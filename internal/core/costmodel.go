@@ -40,9 +40,9 @@ const (
 	// 90% of a step change after 8 samples. A multi-partition query
 	// contributes one leaf-call hop sample per terminal partition it
 	// contacts (typically M−1), so the hop estimate converges within a
-	// few queries of an InProc.SetLatency change — the convergence test
-	// pins this budget at 12 queries for the upward step and 60 for the
-	// decay back down (observed: ~2 and ~5).
+	// few queries of a latency change — the convergence test pins this
+	// budget at 12 queries for the upward step and 60 for the decay back
+	// down (it takes 2 and 3 at the test's simulated prices).
 	ewmaAlpha = 0.25
 
 	// fanOutMargin is the hysteresis of the protocol choice: fan-out

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -258,12 +260,18 @@ func TestAdmissionDeadlineBudget(t *testing.T) {
 	fabric.SetLatency(0)
 }
 
-// TestCostModelConvergence: an InProc.SetLatency change mid-run must be
+// TestCostModelConvergence: a step in the fabric's hop latency must be
 // observed by the cost model within a bounded number of queries — the
 // budgets below (12 queries up, 60 queries down) pin the EWMA half-life
 // of ~2.4 samples: a multi-partition query contributes several leaf-hop
 // samples, so the estimate crosses the decision threshold well inside
 // them.
+//
+// The queries are real — which calls each one issues and the work
+// counters in their replies are fixed by the tree and the query — but
+// the prices are simulated: every recorded call is replayed into a
+// model of the test's own with RTT = hop + nodes × compute, so what the
+// machine is doing while the test runs cannot move the estimates.
 func TestCostModelConvergence(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	// Higher-dimensional workload: a k=10 query crosses most of the 9
@@ -271,14 +279,42 @@ func TestCostModelConvergence(t *testing.T) {
 	// latency regime genuinely decides the protocol. In low dimensions
 	// sequential pruning is so effective (~2.5 hops) that sequential
 	// wins at any latency — and the model correctly never flips.
-	tr, fabric, _ := latencyTree(t, r, 2000, 6)
+	tr, _, _ := latencyTree(t, r, 2000, 6)
+	var (
+		mu    sync.Mutex
+		calls []cluster.CallSample
+	)
+	tr.fabric = cluster.Observe(tr.fabric, func(s cluster.CallSample) {
+		mu.Lock()
+		calls = append(calls, s)
+		mu.Unlock()
+	})
+
+	const computeNs = 100 // simulated price of one visited node
+	var hop time.Duration // simulated price of one fabric transit
+	m := newCostModel()
+	parts := tr.PartitionCount()
 	query := func() string {
 		t.Helper()
-		q := randomPoints(r, 1, 6)[0].Coords
-		_, st, err := tr.KNearestStats(context.Background(), q, 10)
+		proto := m.choose(parts)
+		calls = calls[:0]
+		_, st, err := tr.knnResolved(context.Background(), randomPoints(r, 1, 6)[0].Coords, 10, proto, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Fan-out calls complete in any order; a sample's effect depends
+		// only on its destination once the prices are fixed.
+		sort.SliceStable(calls, func(i, j int) bool { return calls[i].To < calls[j].To })
+		for _, s := range calls {
+			ws := s.Resp.(knnResp).Stats
+			if ws.Msgs == 0 { // a leaf call: one hop-free traversal, one hop sample
+				m.observeCompute(time.Duration(ws.Nodes*computeNs), ws.Nodes)
+			}
+			s.RTT = hop + time.Duration(ws.Nodes*computeNs)
+			m.observeSample(s)
+		}
+		st.Wall = time.Duration(st.FabricMessages)*hop + time.Duration(st.NodesVisited*computeNs)
+		m.observeQuery(shapeIdx(proto), st)
 		return st.Protocol
 	}
 	// Settle at zero latency: the model must land on the sequential
@@ -292,7 +328,7 @@ func TestCostModelConvergence(t *testing.T) {
 
 	// Degrade the network: the choice must flip to the fan-out within
 	// 12 queries of the change.
-	fabric.SetLatency(5 * time.Millisecond)
+	hop = 5 * time.Millisecond
 	flipped := -1
 	for i := 0; i < 12; i++ {
 		if query() == ProtocolNameParallel {
@@ -301,7 +337,8 @@ func TestCostModelConvergence(t *testing.T) {
 		}
 	}
 	if flipped < 0 {
-		t.Fatalf("5ms hops not observed within 12 queries: %+v", tr.NewScheduler(SchedulerConfig{}).Stats())
+		estSeq, estFan := m.estimates(parts)
+		t.Fatalf("5ms hops not observed within 12 queries: modeled sequential %v, fan-out %v", estSeq, estFan)
 	}
 	t.Logf("flipped to fan-out after %d queries at 5ms hops", flipped+1)
 
@@ -309,7 +346,7 @@ func TestCostModelConvergence(t *testing.T) {
 	// the fan-out's own leaf calls, so the choice must return to
 	// sequential within a bounded number of queries even though the
 	// sequential protocol is not being exercised at all.
-	fabric.SetLatency(0)
+	hop = 0
 	flipped = -1
 	for i := 0; i < 60; i++ {
 		if query() == ProtocolNameSequential {
@@ -318,7 +355,8 @@ func TestCostModelConvergence(t *testing.T) {
 		}
 	}
 	if flipped < 0 {
-		t.Fatalf("restored zero latency not observed within 60 queries: %+v", tr.NewScheduler(SchedulerConfig{}).Stats())
+		estSeq, estFan := m.estimates(parts)
+		t.Fatalf("restored zero latency not observed within 60 queries: modeled sequential %v, fan-out %v", estSeq, estFan)
 	}
 	t.Logf("flipped back to sequential after %d queries at zero latency", flipped+1)
 }

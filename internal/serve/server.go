@@ -107,7 +107,7 @@ type Server struct {
 	lis   net.Listener
 	conns map[net.Conn]struct{}
 
-	draining atomic.Bool
+	draining atomic.Bool    // written under mu, see admit
 	reqWG    sync.WaitGroup // in-flight request handlers
 	connWG   sync.WaitGroup // connection handlers + accept loop
 
@@ -235,39 +235,35 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 // bounds the wait; an expired ctx abandons the stragglers and returns
 // its error.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
 	s.mu.Lock()
+	s.draining.Store(true)
 	if s.lis != nil {
 		_ = s.lis.Close()
 	}
 	s.mu.Unlock()
 
 	// Wait for in-flight request handlers — each holds a reqWG slot
-	// from frame decode to response write — then for the grace window,
-	// then for the refusals the grace window admitted.
+	// from frame decode to response write, and none is added once
+	// draining is set (admit) — then for the grace window, in which the
+	// connections' read loops write the refusals themselves.
 	var err error
-	wait := func(d time.Duration) {
-		done := make(chan struct{})
-		go func() {
-			s.reqWG.Wait()
-			if d > 0 {
-				timer := time.NewTimer(d)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-				}
-				s.reqWG.Wait()
-			}
-			close(done)
-		}()
+	inFlight := make(chan struct{})
+	go func() {
+		s.reqWG.Wait()
+		close(inFlight)
+	}()
+	select {
+	case <-inFlight:
+		grace := time.NewTimer(s.cfg.DrainGrace)
+		defer grace.Stop()
 		select {
-		case <-done:
+		case <-grace.C:
 		case <-ctx.Done():
 			err = ctx.Err()
 		}
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
-	wait(s.cfg.DrainGrace)
 
 	// Responses are out (or abandoned): snap the connections shut so
 	// their read loops unblock, and wait for every handler goroutine.
@@ -372,13 +368,21 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		switch f := frame.(type) {
 		case searchFrame:
-			s.reqWG.Add(1)
+			if !s.admit() {
+				code, msg, detail := encodeError(ErrDraining)
+				_ = w.write(encodeResult(resultFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail}))
+				continue
+			}
 			go func() {
 				defer s.reqWG.Done()
 				s.handleSearch(ctx, t, w, f)
 			}()
 		case snapshotFrame:
-			s.reqWG.Add(1)
+			if !s.admit() {
+				code, msg, detail := encodeError(ErrDraining)
+				_ = w.write(encodeSnapshotAck(snapshotAckFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail}))
+				continue
+			}
 			go func() {
 				defer s.reqWG.Done()
 				s.handleSnapshot(t, w, f)
@@ -387,6 +391,22 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 			return // a server never receives acks or results
 		}
 	}
+}
+
+// admit takes a reqWG slot for a decoded request, or counts it as
+// refused when the drain has begun. The check and the Add are one step
+// under mu, and Drain sets draining under mu before it waits, so
+// reqWG.Add never runs beside reqWG.Wait: a frame decoded after the
+// drain began is refused by the read loop, never added.
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		s.rejectedDraining.Add(1)
+		return false
+	}
+	s.reqWG.Add(1)
+	return true
 }
 
 // handleSearch answers one query. The request's absolute deadline is
@@ -398,12 +418,6 @@ func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f s
 	reply := func(r resultFrame) {
 		r.ReqID = f.ReqID
 		_ = w.write(encodeResult(r))
-	}
-	if s.draining.Load() {
-		code, msg, detail := encodeError(ErrDraining)
-		s.rejectedDraining.Add(1)
-		reply(resultFrame{HasErr: true, Code: code, Msg: msg, Detail: detail})
-		return
 	}
 	if f.Mode > uint8(semtree.ModeRange) {
 		code, msg, detail := encodeError(fmt.Errorf("%w: unknown search mode %d", ErrProtocol, f.Mode))
@@ -470,11 +484,6 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 	}
 	if !t.admin {
 		fail(ErrNotAdmin)
-		return
-	}
-	if s.draining.Load() {
-		s.rejectedDraining.Add(1)
-		fail(ErrDraining)
 		return
 	}
 	if s.cfg.SnapshotPath == "" {
