@@ -14,12 +14,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The dedicated race sweep over the concurrent packages and the two
+# The dedicated race sweep over the concurrent packages, the two
 # lock-free ones every query goes through (semdist, fastmap: shared
-# metric and mapper, hammered from 8 goroutines), mirroring the
-# race-sweep CI job: halt on the first report, run everything twice.
+# metric and mapper, hammered from 8 goroutines), the triple store
+# (lock-free views read beside writers) and the facade's Save/Insert
+# tests, mirroring the race-sweep CI job: halt on the first report, run
+# everything twice.
 race:
-	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/semdist/ ./internal/fastmap/
+	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/semdist/ ./internal/fastmap/ ./internal/triple/ .
 
 # The semtree invariant analyzers, driven through `go vet -vettool` so
 # test files are covered and results are cached per package. For a

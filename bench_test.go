@@ -319,13 +319,13 @@ func BenchmarkTripleDistance(b *testing.B) {
 	}
 }
 
-// internedBuild is the embedding half of semtree.Build: intern the
-// triples under metric, then FastMap over one-to-all rows.
+// internedBuild is semtree.Build up to the tree: fill a store, then
+// FastMap over one-to-all rows of its dictionary encoding.
 func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap.Options) (*fastmap.Mapper[semdist.Triple], [][]float64, error) {
-	corpus := semdist.NewCorpus(metric, len(triples))
-	for _, t := range triples {
-		corpus.Add(t)
-	}
+	store := triple.NewStore()
+	store.AddAll(triples, triple.Provenance{})
+	terms, ids := store.Encoded()
+	corpus := semdist.NewCorpus(metric, terms, ids)
 	return fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance, opts)
 }
 

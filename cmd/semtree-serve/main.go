@@ -102,9 +102,7 @@ func runServe(args []string) error {
 		store.AddAll(ts, triple.Provenance{Doc: *triples})
 	} else {
 		gen := synth.New(synth.Config{Seed: *seed, Actors: 200}, nil)
-		for i, tr := range gen.Triples(*synthN) {
-			store.Add(tr, triple.Provenance{Doc: "synth", Section: "sec", Seq: i})
-		}
+		store.AddAll(gen.Triples(*synthN), triple.Provenance{Doc: "synth", Section: "sec"})
 	}
 	opts := semtree.Options{Seed: *seed, MaxPartitions: *partitions}
 	if *partitions > 1 {

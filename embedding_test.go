@@ -231,10 +231,10 @@ func TestEmbeddingBitIdentityWithoutMatrices(t *testing.T) {
 	for _, name := range semdist.MeasureNames() {
 		measure, _ := semdist.MeasureByName(name)
 		metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{Concept: measure, DisableCache: true})
-		corpus := semdist.NewCorpus(metric, len(triples))
-		for _, tp := range triples {
-			corpus.Add(tp)
-		}
+		store := triple.NewStore()
+		store.AddAll(triples, triple.Provenance{})
+		terms, ids := store.Encoded()
+		corpus := semdist.NewCorpus(metric, terms, ids)
 		opts := fastmap.Options{Seed: 3}
 		m, coords, err := fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance, opts)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"semtree/internal/cluster"
 	"semtree/internal/core"
@@ -74,11 +73,6 @@ type Index struct {
 	tree   *core.Tree
 	dims   int
 	opts   persistedOptions
-
-	// mu serializes the store writes of Insert and BulkAdd against
-	// Save's store walk, so a snapshot captures a batch's triples all or
-	// none — never a torn prefix of IDs.
-	mu sync.Mutex
 }
 
 // persistedOptions are the build parameters that determine the
@@ -148,15 +142,13 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 	}
 	embed.Weights = metric.Weights() // persist the resolved defaults
 
-	// FastMap over interned triples: each distinct term is resolved
-	// once and a scan from a pivot costs one term distance per distinct
-	// term, not one Eq. 1 per triple. The corpus dies with this call;
-	// the mapper keeps only its resolved pivots.
-	corpus := semdist.NewCorpus(metric, store.Len())
-	store.Each(func(_ triple.ID, e triple.Entry) bool {
-		corpus.Add(e.Triple)
-		return true
-	})
+	// FastMap over the store's own dictionary encoding, read in place:
+	// each distinct term is resolved once and a scan from a pivot costs
+	// one term distance per distinct term, not one Eq. 1 per triple.
+	// The corpus dies with this call; the mapper keeps only its
+	// resolved pivots.
+	terms, ids := store.Encoded()
+	corpus := semdist.NewCorpus(metric, terms, ids)
 	mapper, coords, err := fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance,
 		fastmap.Options{
 			Dims:            dims,
@@ -208,9 +200,7 @@ func (ix *Index) embed(t triple.Triple) []float64 {
 // in the store but not in the index; Save refuses such an index.
 func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, error) {
 	c := ix.embed(t)
-	ix.mu.Lock()
 	id := ix.store.Add(t, prov)
-	ix.mu.Unlock()
 	point := kdtree.Point{Coords: c, ID: uint64(id)}
 	if err := ix.tree.Insert(point); err != nil {
 		return id, fmt.Errorf("semtree: insert: %w", err)
@@ -219,11 +209,9 @@ func (ix *Index) Insert(t triple.Triple, prov triple.Provenance) (triple.ID, err
 }
 
 // BulkItem is one triple of a bulk ingest: the triple and its
-// provenance, exactly as Insert takes them.
-type BulkItem struct {
-	Triple triple.Triple
-	Prov   triple.Provenance
-}
+// provenance, exactly as Insert takes them. It is the store's Entry,
+// so a batch enters the store as it stands.
+type BulkItem = triple.Entry
 
 // BulkAdd ingests a batch of triples in one pass: the embeddings are
 // computed by a bounded worker pool, the store is extended atomically
@@ -249,13 +237,11 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	}
 	ids := make([]triple.ID, len(items))
 	points := make([]kdtree.Point, len(items))
-	ix.mu.Lock()
-	for i, it := range items {
-		id := ix.store.Add(it.Triple, it.Prov)
-		ids[i] = id
-		points[i] = kdtree.Point{Coords: coords[i], ID: uint64(id)}
+	first := ix.store.AddEntries(items)
+	for i := range items {
+		ids[i] = first + triple.ID(i)
+		points[i] = kdtree.Point{Coords: coords[i], ID: uint64(ids[i])}
 	}
-	ix.mu.Unlock()
 	if err := ix.tree.BulkLoad(ctx, points); err != nil {
 		return ids, fmt.Errorf("semtree: bulk add: %w", err)
 	}

@@ -2,58 +2,58 @@ package semdist
 
 import "semtree/internal/triple"
 
-// Corpus is a set of triples interned for one-to-all distance scans:
-// every distinct term is resolved once per position it occurs in, and a
-// triple is three ordinals into those tables. Row then computes the
-// distances from one triple to all n with one term distance per
-// distinct term — O(D) kernel calls and n weighted sums instead of n
-// Eq. 1 evaluations — which is what a FastMap build asks for.
+// Corpus is a dictionary-encoded triple set — a term table and, per
+// triple, three ordinals into it, as triple.Store.Encoded hands them
+// out — prepared for one-to-all distance scans: every distinct term is
+// resolved once, and Row computes the distances from one triple to all
+// n with one term distance per distinct (position, term) pair — O(D)
+// kernel calls and n weighted sums instead of n Eq. 1 evaluations —
+// which is what a FastMap build asks for.
 //
 // A Corpus is meant to live for one build and is not safe for
-// concurrent use (Row reuses scratch rows).
+// concurrent use (Row reuses scratch rows). It reads ids and never
+// writes or copies them.
 type Corpus struct {
 	m     *Metric
-	terms [3][]Term                // distinct terms by position, first-seen order
-	index [3]map[triple.Term]int32 // term → ordinal in terms
-	ids   [][3]int32               // per triple: subject, predicate, object ordinal
-	rows  [3][]float64             // Row's per-position term-distance rows
+	terms []Term             // terms[ord] resolved
+	ids   [][3]triple.TermID // per triple: subject, predicate, object ordinal
+	at    [3][]triple.TermID // by position: the ordinals that occur there
+	rows  [3][]float64       // Row's per-position term-distance rows, by ordinal
 }
 
-// NewCorpus returns an empty corpus under m with room for n triples.
-func NewCorpus(m *Metric, n int) *Corpus {
-	c := &Corpus{m: m, ids: make([][3]int32, 0, n)}
-	for pos := range c.index {
-		c.index[pos] = make(map[triple.Term]int32)
+// NewCorpus resolves terms under m and notes, from one pass over ids,
+// which of them occur as subject, as predicate and as object. Every
+// ordinal in ids must index terms.
+func NewCorpus(m *Metric, terms []triple.Term, ids [][3]triple.TermID) *Corpus {
+	c := &Corpus{m: m, terms: make([]Term, len(terms)), ids: ids}
+	for ord, t := range terms {
+		c.terms[ord] = m.resolveTerm(t)
+	}
+	seen := make([]uint8, len(terms)) // bit pos: ordinal already listed in at[pos]
+	for _, id := range ids {
+		for pos, ord := range id {
+			if bit := uint8(1) << pos; seen[ord]&bit == 0 {
+				seen[ord] |= bit
+				c.at[pos] = append(c.at[pos], ord)
+			}
+		}
+	}
+	for pos := range c.rows {
+		c.rows[pos] = make([]float64, len(terms))
 	}
 	return c
 }
 
-// Add appends t; its index is the number of triples added before it.
-func (c *Corpus) Add(t triple.Triple) {
-	var id [3]int32
-	for pos := range id {
-		term := t.Project(pos)
-		ord, ok := c.index[pos][term]
-		if !ok {
-			ord = int32(len(c.terms[pos]))
-			c.index[pos][term] = ord
-			c.terms[pos] = append(c.terms[pos], c.m.resolveTerm(term))
-		}
-		id[pos] = ord
-	}
-	c.ids = append(c.ids, id)
-}
-
-// Len returns the number of triples added.
+// Len returns the number of triples.
 func (c *Corpus) Len() int { return len(c.ids) }
 
 // Triple returns the i-th triple in resolved form.
 func (c *Corpus) Triple(i int) Triple {
 	id := c.ids[i]
 	return Triple{
-		Subject:   c.terms[0][id[0]],
-		Predicate: c.terms[1][id[1]],
-		Object:    c.terms[2][id[2]],
+		Subject:   c.terms[id[0]],
+		Predicate: c.terms[id[1]],
+		Object:    c.terms[id[2]],
 	}
 }
 
@@ -61,13 +61,11 @@ func (c *Corpus) Triple(i int) Triple {
 // i, for every i < Len(): the same bits as
 // ResolvedDistance(Triple(from), Triple(i)).
 func (c *Corpus) Row(from int, dst []float64) {
-	for pos, terms := range c.terms {
-		if len(c.rows[pos]) != len(terms) {
-			c.rows[pos] = make([]float64, len(terms))
-		}
-		a := &terms[c.ids[from][pos]]
-		for ord := range terms {
-			c.rows[pos][ord] = c.m.termDistance(a, &terms[ord])
+	for pos, at := range c.at {
+		a := &c.terms[c.ids[from][pos]]
+		row := c.rows[pos]
+		for _, ord := range at {
+			row[ord] = c.m.termDistance(a, &c.terms[ord])
 		}
 	}
 	s, p, o := c.rows[0], c.rows[1], c.rows[2]

@@ -81,8 +81,9 @@ func TestResolvedKernelMatchesStringDispatch(t *testing.T) {
 	}
 }
 
-// TestCorpusRowMatchesDistance: a one-to-all row over interned terms is
-// the same bits as n Distance calls, argument order included.
+// TestCorpusRowMatchesDistance: a one-to-all row over a store's
+// dictionary encoding is the same bits as n Distance calls, argument
+// order included.
 func TestCorpusRowMatchesDistance(t *testing.T) {
 	terms := mixedTerms()
 	var triples []triple.Triple
@@ -90,12 +91,12 @@ func TestCorpusRowMatchesDistance(t *testing.T) {
 		triples = append(triples, triple.New(terms[i], terms[(i*7+3)%len(terms)], terms[(i*11+5)%len(terms)]))
 	}
 	triples = append(triples, synth.New(synth.Config{Seed: 3}, nil).Triples(300)...)
+	store := triple.NewStore()
+	store.AddAll(triples, triple.Provenance{})
+	terms, ids := store.Encoded()
 	for _, opts := range []Options{{}, {NumericLiterals: true}, {DisableCache: true, Concept: Lin}} {
 		m := MustNew(vocab.DefaultRegistry(), opts)
-		c := NewCorpus(m, len(triples))
-		for _, tr := range triples {
-			c.Add(tr)
-		}
+		c := NewCorpus(m, terms, ids)
 		row := make([]float64, c.Len())
 		for from := range triples {
 			c.Row(from, row)

@@ -2,12 +2,19 @@ package triple
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
 // ID identifies a triple inside a Store. IDs are dense, starting at 0,
 // and double as the payload identifiers carried by index points.
 type ID uint64
+
+// TermID identifies a distinct term in a Store's dictionary. IDs are
+// dense and assigned in first-seen order; two stored terms share an ID
+// exactly when they are == as structs (so a concept written with an
+// empty prefix and one written "std" are two entries).
+type TermID uint32
 
 // Provenance records where a triple came from: the document, the section
 // (requirement) inside it, and the sequence number of the triple within
@@ -28,20 +35,103 @@ type Entry struct {
 // Store is an append-only collection of triples with provenance. It is
 // safe for concurrent use: writes take an exclusive lock, reads a shared
 // one. IDs are never reused.
+//
+// The store is dictionary-encoded. The paper's triples draw on small
+// vocabularies — subject an Actor, predicate a function, object a
+// Parameter (§III-A) — so each distinct term is kept once in a term
+// table, each distinct Provenance.Doc and Section once in a string
+// table, and a stored triple is three term ids, two string ids and its
+// Seq: 28 bytes against the 184 of an Entry. A distinct term costs 48
+// bytes of table plus its map entry and growth slack, 135 to 185 in all
+// (TestStoreFootprint measures it), so the encoding is the smaller one
+// while a corpus averages fewer than about one distinct term per triple
+// — every term used three times or more; a corpus in which no term
+// ever repeats takes about three times what a plain []Entry would.
+// Entries are materialised on the way out and share their strings with
+// the tables, so reading allocates nothing.
 type Store struct {
-	mu      sync.RWMutex
-	entries []Entry
+	mu sync.RWMutex
+	columns
+	termID map[Term]TermID
+	strID  map[string]uint32
+}
+
+// columns are the store's tables. They only ever grow by append, so a
+// copy of the slice headers taken under the lock is an immutable view
+// of everything stored up to then and can be read with no lock held.
+type columns struct {
+	terms []Term      // term dictionary, first-seen order
+	strs  []string    // Provenance.Doc and Section dictionary
+	spo   [][3]TermID // per triple: subject, predicate, object in terms
+	src   [][2]uint32 // per triple: Prov.Doc, Prov.Section in strs
+	seq   []int       // per triple: Prov.Seq
+}
+
+func (c *columns) triple(i int) Triple {
+	t := c.spo[i]
+	return Triple{Subject: c.terms[t[0]], Predicate: c.terms[t[1]], Object: c.terms[t[2]]}
+}
+
+func (c *columns) entry(i int) Entry {
+	p := c.src[i]
+	return Entry{
+		Triple: c.triple(i),
+		Prov:   Provenance{Doc: c.strs[p[0]], Section: c.strs[p[1]], Seq: c.seq[i]},
+	}
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+func NewStore() *Store {
+	return &Store{termID: make(map[Term]TermID), strID: make(map[string]uint32)}
+}
+
+// view returns the tables as they stand.
+func (s *Store) view() columns {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.columns
+}
+
+// grow makes room for n more triples. Callers hold the write lock.
+func (s *Store) grow(n int) {
+	s.spo = slices.Grow(s.spo, n)
+	s.src = slices.Grow(s.src, n)
+	s.seq = slices.Grow(s.seq, n)
+}
+
+func (s *Store) internTerm(t Term) TermID {
+	id, ok := s.termID[t]
+	if !ok {
+		id = TermID(len(s.terms))
+		s.terms = append(s.terms, t)
+		s.termID[t] = id
+	}
+	return id
+}
+
+func (s *Store) internString(v string) uint32 {
+	id, ok := s.strID[v]
+	if !ok {
+		id = uint32(len(s.strs))
+		s.strs = append(s.strs, v)
+		s.strID[v] = id
+	}
+	return id
+}
+
+// put appends one encoded triple. Callers hold the write lock.
+func (s *Store) put(t Triple, doc, section uint32, seq int) {
+	s.spo = append(s.spo, [3]TermID{s.internTerm(t.Subject), s.internTerm(t.Predicate), s.internTerm(t.Object)})
+	s.src = append(s.src, [2]uint32{doc, section})
+	s.seq = append(s.seq, seq)
+}
 
 // Add appends a triple and returns its ID.
 func (s *Store) Add(t Triple, p Provenance) ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = append(s.entries, Entry{Triple: t, Prov: p})
-	return ID(len(s.entries) - 1)
+	s.put(t, s.internString(p.Doc), s.internString(p.Section), p.Seq)
+	return ID(len(s.spo) - 1)
 }
 
 // AddAll appends a batch of triples sharing one provenance, assigning
@@ -49,11 +139,25 @@ func (s *Store) Add(t Triple, p Provenance) ID {
 func (s *Store) AddAll(ts []Triple, p Provenance) ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := ID(len(s.entries))
+	first := ID(len(s.spo))
+	s.grow(len(ts))
+	doc, section := s.internString(p.Doc), s.internString(p.Section)
 	for i, t := range ts {
-		pi := p
-		pi.Seq = p.Seq + i
-		s.entries = append(s.entries, Entry{Triple: t, Prov: pi})
+		s.put(t, doc, section, p.Seq+i)
+	}
+	return first
+}
+
+// AddEntries appends a batch of entries, each under its own provenance,
+// and returns the ID of the first one. The batch becomes visible to
+// readers all at once: Len never reports part of it.
+func (s *Store) AddEntries(es []Entry) ID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first := ID(len(s.spo))
+	s.grow(len(es))
+	for _, e := range es {
+		s.put(e.Triple, s.internString(e.Prov.Doc), s.internString(e.Prov.Section), e.Prov.Seq)
 	}
 	return first
 }
@@ -63,10 +167,10 @@ func (s *Store) AddAll(ts []Triple, p Provenance) ID {
 func (s *Store) Get(id ID) (Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if int(id) >= len(s.entries) {
+	if uint64(id) >= uint64(len(s.spo)) {
 		return Entry{}, false
 	}
-	return s.entries[id], true
+	return s.entry(int(id)), true
 }
 
 // MustGet returns the triple for id and panics if the ID is unknown.
@@ -83,16 +187,16 @@ func (s *Store) MustGet(id ID) Triple {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.entries)
+	return len(s.spo)
 }
 
-// Each calls fn for every entry in ID order until fn returns false.
-// The store must not be mutated from inside fn.
+// Each calls fn for every entry stored when Each was called, in ID
+// order, until fn returns false. No lock is held while fn runs: triples
+// added meanwhile are not visited.
 func (s *Store) Each(fn func(ID, Entry) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i, e := range s.entries {
-		if !fn(ID(i), e) {
+	v := s.view()
+	for i := range v.spo {
+		if !fn(ID(i), v.entry(i)) {
 			return
 		}
 	}
@@ -100,11 +204,10 @@ func (s *Store) Each(fn func(ID, Entry) bool) {
 
 // Triples returns a copy of all stored triples in ID order.
 func (s *Store) Triples() []Triple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Triple, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = e.Triple
+	v := s.view()
+	out := make([]Triple, len(v.spo))
+	for i := range out {
+		out[i] = v.triple(i)
 	}
 	return out
 }
@@ -113,12 +216,28 @@ func (s *Store) Triples() []Triple {
 // in ID order.
 func (s *Store) ByDoc(doc string) []ID {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	want, ok := s.strID[doc]
+	v := s.columns
+	s.mu.RUnlock()
+	if !ok {
+		return nil
+	}
 	var out []ID
-	for i, e := range s.entries {
-		if e.Prov.Doc == doc {
+	for i, p := range v.src {
+		if p[0] == want {
 			out = append(out, ID(i))
 		}
 	}
 	return out
+}
+
+// Encoded returns the dictionary encoding of everything stored when it
+// was called: the term table and, per triple in ID order, the TermIDs
+// of its subject, predicate and object. Both are views of the store's
+// own append-only tables, capped at their current length — no copy is
+// made, later writes never show through them, and they stay valid with
+// no lock held. They must be treated as read-only.
+func (s *Store) Encoded() (terms []Term, triples [][3]TermID) {
+	v := s.view()
+	return slices.Clip(v.terms), slices.Clip(v.spo)
 }

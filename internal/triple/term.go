@@ -1,6 +1,10 @@
 // Package triple implements the RDF-style data model used by SemTree:
 // terms, (subject, predicate, object) triples, a Turtle-like textual
 // syntax, and an append-only triple store with document provenance.
+// The store is dictionary-encoded — distinct terms and provenance
+// strings are kept once and a stored triple is a row of ids — and
+// hands its term table and id rows to the index build as they are
+// (Store.Encoded), so the repository has one term interner.
 //
 // The model follows the paper's convention: a term written X:x is a
 // concept x whose meaning is resolved in the vocabulary registered under

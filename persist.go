@@ -57,20 +57,25 @@ func strayID(ts *core.TreeSnapshot, n int) (uint64, bool) {
 
 // Save writes a snapshot of the index to w. The distributed tree must
 // be quiescent (no concurrent Insert, BulkAdd, Rebalance or Repack);
-// concurrent queries are fine. Insert and BulkAdd extend the store
-// under the index lock but the tree outside it, so a Save that races an
+// concurrent queries are fine. Insert and BulkAdd extend the store in
+// one locked append but the tree outside it, so a Save that races an
 // ingest can capture a tree that is ahead of or behind the store walk;
 // it then reports a clean mutation error instead of writing a stream
 // Load would reject. The same error covers triples added to the store
 // behind the index's back.
 func Save(w io.Writer, ix *Index) error {
-	ix.mu.Lock()
-	entries := make([]triple.Entry, 0, ix.store.Len())
+	// The store is append-only and a batch enters it under one lock, so
+	// the count read here names an immutable prefix holding every batch
+	// whole; copying it out blocks no writer.
+	n := ix.store.Len()
+	entries := make([]triple.Entry, 0, n)
 	ix.store.Each(func(id triple.ID, e triple.Entry) bool {
+		if len(entries) == n {
+			return false
+		}
 		entries = append(entries, e)
 		return true
 	})
-	ix.mu.Unlock()
 	treeSnap, err := ix.tree.Snapshot()
 	if err != nil {
 		return fmt.Errorf("semtree: save: %w", err)
@@ -142,9 +147,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	}
 
 	store := triple.NewStore()
-	for _, e := range snap.Entries {
-		store.Add(e.Triple, e.Prov)
-	}
+	store.AddEntries(snap.Entries)
 
 	// The cross-checks against the entry table come before the
 	// structural validation inside RestoreTree, so an inconsistent

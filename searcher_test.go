@@ -200,10 +200,17 @@ func TestSearcherConcurrentWithInsert(t *testing.T) {
 // query that retrieves an unindexed point carries ErrUnindexedID in its
 // own Result, and the healthy queries of the batch still answer.
 func TestSearchBatchPerQueryError(t *testing.T) {
+	// An ID past the store's end, and one whose int conversion is
+	// negative: both must be reported missing, not indexed with.
+	for name, phantomID := range map[string]uint64{"past-end": 100000, "int-negative": 1 << 63} {
+		t.Run(name, func(t *testing.T) { testSearchBatchPerQueryError(t, phantomID) })
+	}
+}
+
+func testSearchBatchPerQueryError(t *testing.T, phantomID uint64) {
 	ix, g := buildTestIndex(t, 60, Options{Seed: 7})
 	// Index a point out of band: it exists in the tree but has no
 	// stored triple, so resolving it must fail with the typed error.
-	phantomID := uint64(100000)
 	if err := ix.tree.Insert(kdtree.Point{Coords: make([]float64, ix.Dims()), ID: phantomID}); err != nil {
 		t.Fatal(err)
 	}
