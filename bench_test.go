@@ -2,10 +2,10 @@ package semtree_test
 
 // testing.B benchmarks, one per reproduced table/figure of the paper's
 // evaluation (§IV) plus the core single-operation costs. The figure
-// *sweeps* (full parameter grids, the shapes reported in
-// EXPERIMENTS.md) live in cmd/semtree-bench; these benches pin one
-// representative configuration per figure so `go test -bench=.` tracks
-// regressions in every experimental code path.
+// *sweeps* (full parameter grids, the shapes of the paper's §IV) live
+// in cmd/semtree-bench; these benches pin one representative
+// configuration per figure so `go test -bench=.` tracks regressions in
+// every experimental code path.
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	semtree "semtree"
-	"semtree/internal/bench"
 	"semtree/internal/cluster"
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
@@ -390,20 +389,5 @@ func BenchmarkIndexBuildEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 		idx.Close()
-	}
-}
-
-// BenchmarkFigureTableRender guards the harness rendering itself.
-func BenchmarkFigureTableRender(b *testing.B) {
-	f := &bench.Figure{
-		ID: "figX", Title: "bench", XLabel: "n", YLabel: "y",
-		Series: []bench.Series{
-			{Name: "a", X: []float64{1, 2, 3}, Y: []float64{1, 2, 3}},
-			{Name: "b", X: []float64{1, 2, 3}, Y: []float64{4, 5, 6}},
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Table()
 	}
 }

@@ -1,21 +1,14 @@
-// Command semtree-bench regenerates the paper's evaluation — every
-// figure (3–8), the §III-C complexity check, the design ablations —
-// plus the batched-query throughput experiment of the concurrent query
-// engine.
+// Command semtree-bench regenerates the paper's evaluation: every
+// figure (3–8), the §III-C complexity check and the design ablations.
+// Engine measurements (latency, throughput, allocations, heap) belong
+// to the repo benchmark, `sh benchmark/run.sh`.
 //
 // Usage:
 //
 //	semtree-bench -fig all
 //	semtree-bench -fig fig3 -sizes 10000,20000,50000,100000 -partitions 1,3,5,9
+//	semtree-bench -fig fig5,fig7 -latency 1ms -queries 500
 //	semtree-bench -fig fig8 -csv out/
-//	semtree-bench -fig throughput -parallel 8 -batch 64
-//	semtree-bench -fig deadline -deadline 1ms -latency 200µs
-//	semtree-bench -fig scheduler -hops 0,1ms,10ms,50ms
-//	semtree-bench -fig quota -tenants 2
-//	semtree-bench -fig serve -frontends 2
-//	semtree-bench -fig pruning -dims 2,4,8,16,32
-//	semtree-bench -fig placement -partitions 1,5 -dims 2,4,8,16
-//	semtree-bench -fig churn -sizes 10000,50000 -mixes 10,50,90
 package main
 
 import (
@@ -41,30 +34,17 @@ func main() {
 		k          = flag.Int("k", 0, "k-nearest K (default 3)")
 		rangeD     = flag.Float64("d", 0, "range query radius (default 0.2)")
 		latency    = flag.Duration("latency", 0, "simulated per-hop latency (default 200µs)")
-		parallel   = flag.Int("parallel", 0, "batched-query workers for the throughput experiment (default GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "queries per batched call in the throughput experiment (default: whole workload)")
-		deadline   = flag.Duration("deadline", 0, "per-query deadline for the deadline experiment: reports p50/p99 latency and the fraction of queries cut off (default 8x latency)")
-		hops       = flag.String("hops", "", "comma-separated per-hop latencies for the scheduler experiment, e.g. 0,1ms,50ms (default 0,1ms,5ms,20ms,50ms)")
-		tenants    = flag.Int("tenants", 0, "tenant count for the quota experiment: 1 quota-throttled aggressor plus N-1 unthrottled victims (default 2)")
-		frontends  = flag.Int("frontends", 0, "front-end count for the serve experiment's fleet (default 2)")
-		dims       = flag.String("dims", "", "comma-separated dimensionalities for the pruning and placement experiments, e.g. 2,4,8,16 (default 2,4,8,16)")
-		mixes      = flag.String("mixes", "", "comma-separated insert percentages for the churn experiment, e.g. 10,50,90 (default 10,50,90)")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		csvDir     = flag.String("csv", "", "also write <dir>/<fig>.csv")
 	)
 	flag.Parse()
 
 	params := bench.Params{
-		Queries:   *queries,
-		K:         *k,
-		RangeD:    *rangeD,
-		Latency:   *latency,
-		Parallel:  *parallel,
-		Batch:     *batch,
-		Deadline:  *deadline,
-		Tenants:   *tenants,
-		Frontends: *frontends,
-		Seed:      *seed,
+		Queries: *queries,
+		K:       *k,
+		RangeD:  *rangeD,
+		Latency: *latency,
+		Seed:    *seed,
 	}
 	var err error
 	if params.Sizes, err = parseInts(*sizes); err != nil {
@@ -73,29 +53,11 @@ func main() {
 	if params.Partitions, err = parseInts(*partitions); err != nil {
 		fatal(err)
 	}
-	if params.Hops, err = parseDurations(*hops); err != nil {
+	ids, err := resolveFigs(*fig)
+	if err != nil {
 		fatal(err)
 	}
-	if params.DimsSweep, err = parseInts(*dims); err != nil {
-		fatal(err)
-	}
-	if params.Mixes, err = parseInts(*mixes); err != nil {
-		fatal(err)
-	}
-
 	runners := bench.Runners()
-	var ids []string
-	if *fig == "all" {
-		ids = bench.RunnerIDs()
-	} else {
-		for _, id := range strings.Split(*fig, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := runners[id]; !ok {
-				fatal(fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(bench.RunnerIDs(), ", ")))
-			}
-			ids = append(ids, id)
-		}
-	}
 
 	// Per-figure wall time brackets each run (announced up front,
 	// reported on completion — and on failure, where a nightly job
@@ -129,6 +91,24 @@ func main() {
 	}
 }
 
+// resolveFigs expands the -fig value into registered runner ids: "all"
+// is the whole registry, otherwise a comma-separated list of ids.
+func resolveFigs(fig string) ([]string, error) {
+	if fig == "all" {
+		return bench.RunnerIDs(), nil
+	}
+	runners := bench.Runners()
+	var ids []string
+	for _, id := range strings.Split(fig, ",") {
+		id = strings.TrimSpace(id)
+		if _, ok := runners[id]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(bench.RunnerIDs(), ", "))
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
 func parseInts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
@@ -140,22 +120,6 @@ func parseInts(s string) ([]int, error) {
 			return nil, fmt.Errorf("bad integer list %q: %w", s, err)
 		}
 		out = append(out, n)
-	}
-	return out, nil
-}
-
-func parseDurations(s string) ([]time.Duration, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		d, err := time.ParseDuration(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad duration list %q: %w", s, err)
-		}
-		out = append(out, d)
 	}
 	return out, nil
 }

@@ -19,8 +19,8 @@ import (
 const ablationK = 5
 
 // AblationWeights sweeps Eq. 1's predicate weight β (with α = γ =
-// (1−β)/2) and reports precision/recall at K=5: DESIGN.md's claim that
-// the inconsistency case study hinges on the predicate component.
+// (1−β)/2) and reports precision/recall at K=5: how far the paper's
+// §IV inconsistency case study hinges on the predicate component.
 func AblationWeights(ctx context.Context, p Params) (*Figure, error) {
 	p = p.withDefaults()
 	fig := &Figure{

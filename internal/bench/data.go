@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math"
-	"math/rand"
 	"sort"
 
 	"semtree/internal/fastmap"
@@ -86,44 +84,6 @@ func (d *sweepData) prefixChainWorkload(n int) []kdtree.Point {
 	return pts
 }
 
-// makeClustered generates a clustered workload directly in the
-// embedding space: n points in `clusters` Gaussian blobs whose centers
-// are uniform in [0, 100)^dims, with the queries drawn from the same
-// mixture (perturbed around the same centers). This is the workload
-// the placement experiment needs — geometrically close buckets exist
-// to be co-located, and queries reward layouts that co-locate them —
-// where the FastMap sweep data is too close to uniform to
-// differentiate placement policies reliably.
-func makeClustered(n, queries, dims, clusters int, seed int64) *sweepData {
-	r := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, clusters)
-	for i := range centers {
-		c := make([]float64, dims)
-		for d := range c {
-			c[d] = r.Float64() * 100
-		}
-		centers[i] = c
-	}
-	d := &sweepData{points: make([]kdtree.Point, n)}
-	for i := range d.points {
-		center := centers[i%clusters]
-		c := make([]float64, dims)
-		for k := range c {
-			c[k] = center[k] + r.NormFloat64()*2
-		}
-		d.points[i] = kdtree.Point{Coords: c, ID: uint64(i)}
-	}
-	for q := 0; q < queries; q++ {
-		center := centers[q%clusters]
-		c := make([]float64, dims)
-		for k := range c {
-			c[k] = center[k] + r.NormFloat64()*2
-		}
-		d.queries = append(d.queries, c)
-	}
-	return d
-}
-
 // maxSize returns the largest value in sizes.
 func maxSize(sizes []int) int {
 	m := 0
@@ -134,6 +94,3 @@ func maxSize(sizes []int) int {
 	}
 	return m
 }
-
-// seconds converts a duration-like float in nanoseconds to seconds.
-func seconds(ns float64) float64 { return ns / float64(math.Pow10(9)) }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"semtree/internal/cluster"
@@ -16,14 +15,6 @@ import (
 // when ~M−1 leaves exist, leaving it the shallow 2M−1-node routing
 // trunk of §III-C.
 func buildDistributed(pts []kdtree.Point, m int, p Params, fabric cluster.Fabric, unbalanced bool) (*core.Tree, error) {
-	return buildDistributedGuard(pts, m, p, fabric, unbalanced, false)
-}
-
-// buildDistributedGuard is buildDistributed with the pruning guard
-// selectable: planeGuard pins the paper's splitting-plane bound (the
-// pruning experiment's baseline), the default is the region
-// min-distance guard.
-func buildDistributedGuard(pts []kdtree.Point, m int, p Params, fabric cluster.Fabric, unbalanced, planeGuard bool) (*core.Tree, error) {
 	capacity := 0
 	if m > 1 {
 		capacity = (m - 1) * p.BucketSize
@@ -35,7 +26,6 @@ func buildDistributedGuard(pts []kdtree.Point, m int, p Params, fabric cluster.F
 		MaxPartitions:     m,
 		Fabric:            fabric,
 		Unbalanced:        unbalanced,
-		PlaneGuardOnly:    planeGuard,
 	})
 	if err != nil {
 		return nil, err
@@ -247,112 +237,6 @@ func Fig7(ctx context.Context, p Params) (*Figure, error) {
 			}
 			return 2
 		})
-}
-
-// Throughput measures the concurrent query engine beyond the paper's
-// figures: k-nearest queries/second of a sequential loop of
-// Tree.KNearest calls vs the same calls on core.RunBatch's bounded
-// worker pool, per partition count. This is the §III-C scaling claim ("using M−1 data
-// partitions, we can perform in the best case M−1 parallel operations
-// maximizing our throughput") applied to the query path; the loop
-// series is the baseline a single synchronous client achieves.
-func Throughput(ctx context.Context, p Params) (*Figure, error) {
-	p = p.withDefaults()
-	data, err := makeSweep(maxSize(p.Sizes), p.Queries, p.Dims, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	workers := p.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fig := &Figure{
-		ID: "throughput", Title: fmt.Sprintf("Batched k-nearest throughput (K=%d)", p.K),
-		XLabel: "points", YLabel: "queries/s", YFmt: "%.0f",
-		Notes: []string{
-			fmt.Sprintf("%d batch workers; batch size %d; %d queries per measurement",
-				workers, batchSize(p, len(data.queries)), p.Queries),
-		},
-	}
-	for _, m := range p.Partitions {
-		loop := Series{Name: fmt.Sprintf("%d partitions, loop", m)}
-		batch := Series{Name: fmt.Sprintf("%d partitions, batch", m)}
-		for _, n := range p.Sizes {
-			fabric := cluster.NewInProc(cluster.InProcOptions{})
-			tr, err := buildDistributed(data.prefix(n), m, p, fabric, false)
-			if err != nil {
-				fabric.Close()
-				return nil, err
-			}
-			loopQPS, err := measureQPS(data.queries, func(qs [][]float64) error {
-				for _, q := range qs {
-					if _, err := tr.KNearest(ctx, q, p.K); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err == nil {
-				var batchQPS float64
-				batchQPS, err = measureQPS(data.queries, func(qs [][]float64) error {
-					bs := batchSize(p, len(qs))
-					for start := 0; start < len(qs); start += bs {
-						end := start + bs
-						if end > len(qs) {
-							end = len(qs)
-						}
-						batch := qs[start:end]
-						if berr := core.RunBatch(ctx, len(batch), workers, func(i int) error {
-							_, err := tr.KNearest(ctx, batch[i], p.K)
-							return err
-						}); berr != nil {
-							return berr
-						}
-					}
-					return nil
-				})
-				if err == nil {
-					loop.X = append(loop.X, float64(n))
-					loop.Y = append(loop.Y, loopQPS)
-					batch.X = append(batch.X, float64(n))
-					batch.Y = append(batch.Y, batchQPS)
-				}
-			}
-			tr.Close()
-			fabric.Close()
-			if err != nil {
-				return nil, err
-			}
-		}
-		fig.Series = append(fig.Series, loop, batch)
-	}
-	return fig, nil
-}
-
-// batchSize resolves Params.Batch: queries per batched call, defaulting
-// to the whole workload in one call.
-func batchSize(p Params, queries int) int {
-	if p.Batch > 0 && p.Batch < queries {
-		return p.Batch
-	}
-	if queries == 0 {
-		return 1
-	}
-	return queries
-}
-
-// measureQPS times fn over the query workload and returns queries per
-// second.
-func measureQPS(queries [][]float64, fn func(qs [][]float64) error) (float64, error) {
-	start := time.Now()
-	if err := fn(queries); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		elapsed = time.Nanosecond
-	}
-	return float64(len(queries)) / elapsed.Seconds(), nil
 }
 
 // distributedQueryFigure runs one query kind over trees with varying

@@ -2,8 +2,12 @@
 // and figure of the paper's evaluation (§IV): the efficiency figures
 // (3–7) over synthetic triple workloads and simulated cluster fabrics,
 // the effectiveness figure (8) over corpora with planted
-// inconsistencies, plus the ablations DESIGN.md calls out. Runners
-// return Figures that render as aligned text tables or CSV.
+// inconsistencies, the §III-C complexity model and the ablations of
+// the design choices ARCHITECTURE.md describes. Runners return Figures
+// that render as aligned text tables or CSV. Engine measurements
+// (throughput, deadlines, quotas, placement, churn) are not here: the
+// repo benchmark under benchmark/ measures them and the tests in
+// internal/core and internal/serve gate them.
 package bench
 
 import (
@@ -136,22 +140,14 @@ func formatX(x float64) string {
 // scaled for a laptop run; the full paper-scale sweep is a flag away in
 // cmd/semtree-bench.
 type Params struct {
-	Sizes      []int           // point-count sweep (default 5k..80k)
-	Partitions []int           // M values (default 1, 3, 5, 9)
-	BucketSize int             // Bs (default 16)
-	Dims       int             // FastMap k (default 8)
-	Queries    int             // query batch per measurement (default 200)
-	K          int             // k-nearest K (default 3, the paper's)
-	RangeD     float64         // range-query radius on the Eq. 1 scale (default 0.2)
-	Latency    time.Duration   // simulated per-hop latency (default 200µs)
-	Parallel   int             // batched-query worker pool (default GOMAXPROCS)
-	Batch      int             // queries per batched call (default: whole workload)
-	Deadline   time.Duration   // per-query deadline for the deadline experiment (default 8× latency)
-	Hops       []time.Duration // per-hop latency sweep for the scheduler experiment (default 0..50ms)
-	Tenants    int             // tenant count for the quota experiment: 1 throttled aggressor + N−1 victims (default 2)
-	Frontends  int             // front-end count for the serve experiment's fleet (default 2)
-	DimsSweep  []int           // dimensionality sweep for the pruning experiment (default 2, 4, 8, 16)
-	Mixes      []int           // insert percentages for the churn experiment (default 10, 50, 90)
+	Sizes      []int         // point-count sweep (default 5k..80k)
+	Partitions []int         // M values (default 1, 3, 5, 9)
+	BucketSize int           // Bs (default 16)
+	Dims       int           // FastMap k (default 8)
+	Queries    int           // query batch per measurement (default 200)
+	K          int           // k-nearest K (default 3, the paper's)
+	RangeD     float64       // range-query radius on the Eq. 1 scale (default 0.2)
+	Latency    time.Duration // simulated per-hop latency (default 200µs)
 	Seed       int64
 }
 
@@ -180,33 +176,6 @@ func (p Params) withDefaults() Params {
 	if p.Latency <= 0 {
 		p.Latency = 200 * time.Microsecond
 	}
-	if p.Deadline <= 0 {
-		// Tight enough that the sequential protocol's deeper hop chains
-		// get cut off, loose enough that most queries finish.
-		p.Deadline = 8 * p.Latency
-	}
-	if len(p.Hops) == 0 {
-		// From CPU-bound (sequential wins) through the crossover to
-		// latency-bound (fan-out wins), for the scheduler experiment.
-		p.Hops = []time.Duration{0, time.Millisecond, 5 * time.Millisecond,
-			20 * time.Millisecond, 50 * time.Millisecond}
-	}
-	if p.Tenants < 2 {
-		p.Tenants = 2 // the quota experiment needs an aggressor and a victim
-	}
-	if p.Frontends < 2 {
-		p.Frontends = 2 // fleet convergence needs at least two front-ends
-	}
-	if len(p.Mixes) == 0 {
-		// Query-heavy through insert-heavy, for the churn experiment.
-		p.Mixes = []int{10, 50, 90}
-	}
-	if len(p.DimsSweep) == 0 {
-		// From the low dimensions where the splitting-plane bound still
-		// holds its own through the regime where only the region bound
-		// prunes, for the pruning experiment.
-		p.DimsSweep = []int{2, 4, 8, 16}
-	}
 	return p
 }
 
@@ -223,14 +192,6 @@ func Runners() map[string]Runner {
 		"fig6":             Fig6,
 		"fig7":             Fig7,
 		"fig8":             Fig8,
-		"throughput":       Throughput,
-		"deadline":         Deadline,
-		"scheduler":        Scheduler,
-		"quota":            Quota,
-		"serve":            ServeFleet,
-		"pruning":          Pruning,
-		"placement":        Placement,
-		"churn":            Churn,
 		"complexity":       Complexity,
 		"ablation-weights": AblationWeights,
 		"ablation-dims":    AblationDims,

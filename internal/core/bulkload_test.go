@@ -29,8 +29,9 @@ func sameNeighbors(t *testing.T, got, want []kdtree.Neighbor, format string, arg
 // write path: a tree bulk-loaded from scratch and a tree built by
 // one-at-a-time inserts over the same points must answer every k-NN
 // and range query byte-identically — across both k-NN protocols and
-// both placement policies — and the bulk-loaded tree's region metadata
-// must be exact.
+// both placement policies — the bulk-loaded tree's region metadata
+// must be exact, and its build must cost strictly fewer fabric
+// messages than the incremental one.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	for _, pol := range []struct {
 		name   string
@@ -54,6 +55,23 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 				t.Fatal(err)
 			}
 			incr.Flush()
+			// The bulk loader installs whole subtrees; one-at-a-time
+			// inserts pay a message per forwarded point. Read before
+			// anything else (Len, the box check, queries) adds traffic
+			// to either fabric.
+			bulkSt, err := bulk.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			incrSt, err := incr.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bulkSt.Fabric.Messages >= incrSt.Fabric.Messages {
+				t.Fatalf("bulk build sent %d fabric messages, not fewer than incremental's %d",
+					bulkSt.Fabric.Messages, incrSt.Fabric.Messages)
+			}
+			t.Logf("build messages: bulk %d, incremental %d", bulkSt.Fabric.Messages, incrSt.Fabric.Messages)
 			if bulk.Len() != len(pts) || incr.Len() != len(pts) {
 				t.Fatalf("sizes: bulk %d, incremental %d, want %d", bulk.Len(), incr.Len(), len(pts))
 			}

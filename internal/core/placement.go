@@ -19,8 +19,8 @@ import (
 // its region instead of by the partition count, and nearby compute
 // nodes are preferred when the fabric's latency is non-uniform.
 // Config.Placement selects the policy; PlacementRoundRobin restores the
-// legacy behavior as the ablation baseline the `placement` bench figure
-// measures against.
+// legacy behavior as the baseline TestPlacementIdenticalResults and
+// BenchmarkKNNPlacement measure against.
 
 // PlacementPolicy selects how spilled and rebalanced subtrees are
 // assigned to partitions.

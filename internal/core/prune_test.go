@@ -120,48 +120,55 @@ func TestRegionPruneRangeEquivalence(t *testing.T) {
 	}
 }
 
-// TestRegionPruneReducesWork: over a query batch at dimensionality 8,
-// the region guard must spend strictly fewer fabric messages than the
-// plane guard under the fan-out protocol, and never more of anything
-// (messages, nodes, probe misses) per query under either protocol.
+// TestRegionPruneReducesWork: the region guard must never send more
+// messages or visit more nodes than the plane guard on any single
+// query, at dimensionality 2 (where the one-dimensional plane bound
+// still holds its own) and 8 (where it has degraded); at 8 it must
+// also spend strictly fewer fabric messages and strictly fewer probe
+// misses in total, under both protocols.
 func TestRegionPruneReducesWork(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	boxTree, planeTree, _ := prunePair(t, r, 3000, 8)
-	for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-		var boxAgg, planeAgg ExecStats
-		r := rand.New(rand.NewSource(37)) // same queries for both trees
-		for trial := 0; trial < 50; trial++ {
-			q := randomPoints(r, 1, 8)[0].Coords
-			_, bst, err := boxTree.knnResolved(context.Background(), q, 3, proto, false)
-			if err != nil {
-				t.Fatal(err)
+	for _, dim := range []int{2, 8} {
+		r := rand.New(rand.NewSource(31))
+		boxTree, planeTree, _ := prunePair(t, r, 3000, dim)
+		for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
+			var boxAgg, planeAgg ExecStats
+			r := rand.New(rand.NewSource(37)) // same queries for both trees
+			for trial := 0; trial < 50; trial++ {
+				q := randomPoints(r, 1, dim)[0].Coords
+				_, bst, err := boxTree.knnResolved(context.Background(), q, 3, proto, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, pst, err := planeTree.knnResolved(context.Background(), q, 3, proto, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bst.FabricMessages > pst.FabricMessages {
+					t.Fatalf("dim %d %v trial %d: region guard sent more messages (%d > %d)",
+						dim, proto, trial, bst.FabricMessages, pst.FabricMessages)
+				}
+				if bst.NodesVisited > pst.NodesVisited {
+					t.Fatalf("dim %d %v trial %d: region guard visited more nodes (%d > %d)",
+						dim, proto, trial, bst.NodesVisited, pst.NodesVisited)
+				}
+				boxAgg.FabricMessages += bst.FabricMessages
+				boxAgg.ProbeMisses += bst.ProbeMisses
+				planeAgg.FabricMessages += pst.FabricMessages
+				planeAgg.ProbeMisses += pst.ProbeMisses
 			}
-			_, pst, err := planeTree.knnResolved(context.Background(), q, 3, proto, false)
-			if err != nil {
-				t.Fatal(err)
+			t.Logf("dim %d %v: messages %d region vs %d plane, probe misses %d vs %d", dim, proto,
+				boxAgg.FabricMessages, planeAgg.FabricMessages, boxAgg.ProbeMisses, planeAgg.ProbeMisses)
+			if dim < 8 {
+				continue
 			}
-			if bst.FabricMessages > pst.FabricMessages {
-				t.Fatalf("%v trial %d: region guard sent more messages (%d > %d)",
-					proto, trial, bst.FabricMessages, pst.FabricMessages)
+			if boxAgg.FabricMessages >= planeAgg.FabricMessages {
+				t.Fatalf("dim %d %v: region guard did not cut messages (%d >= %d)",
+					dim, proto, boxAgg.FabricMessages, planeAgg.FabricMessages)
 			}
-			if bst.NodesVisited > pst.NodesVisited {
-				t.Fatalf("%v trial %d: region guard visited more nodes (%d > %d)",
-					proto, trial, bst.NodesVisited, pst.NodesVisited)
+			if boxAgg.ProbeMisses >= planeAgg.ProbeMisses {
+				t.Fatalf("dim %d %v: region guard did not cut probe misses (%d >= %d)",
+					dim, proto, boxAgg.ProbeMisses, planeAgg.ProbeMisses)
 			}
-			boxAgg.FabricMessages += bst.FabricMessages
-			boxAgg.NodesVisited += bst.NodesVisited
-			boxAgg.ProbeMisses += bst.ProbeMisses
-			planeAgg.FabricMessages += pst.FabricMessages
-			planeAgg.NodesVisited += pst.NodesVisited
-			planeAgg.ProbeMisses += pst.ProbeMisses
-		}
-		if boxAgg.FabricMessages >= planeAgg.FabricMessages {
-			t.Fatalf("%v: region guard did not cut messages (%d >= %d)",
-				proto, boxAgg.FabricMessages, planeAgg.FabricMessages)
-		}
-		if boxAgg.ProbeMisses > planeAgg.ProbeMisses {
-			t.Fatalf("%v: region guard raised probe misses (%d > %d)",
-				proto, boxAgg.ProbeMisses, planeAgg.ProbeMisses)
 		}
 	}
 }

@@ -76,10 +76,33 @@ func BenchmarkKNNProtocols(b *testing.B) {
 	})
 }
 
+// benchFanOut times fan-out k-NN (K=3) over qs and reports the
+// structural counters per query beside ns/op: partitions touched,
+// fabric messages and probe misses.
+func benchFanOut(b *testing.B, tr *Tree, qs [][]float64) {
+	b.Helper()
+	var agg ExecStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		agg.Partitions += st.Partitions
+		agg.FabricMessages += st.FabricMessages
+		agg.ProbeMisses += st.ProbeMisses
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(agg.Partitions)/n, "partitions/query")
+	b.ReportMetric(float64(agg.FabricMessages)/n, "msgs/query")
+	b.ReportMetric(float64(agg.ProbeMisses)/n, "probe-misses/query")
+}
+
 // BenchmarkKNNPlacement measures the geometry-aware placement kernel
 // against the legacy round-robin scatter on a clustered workload:
 // identical results, fewer partitions and messages per query under the
-// box policy. Part of CI's bench-baseline regression gate.
+// box policy (both reported beside ns/op; TestPlacementIdenticalResults
+// is the gate).
 func BenchmarkKNNPlacement(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
@@ -109,20 +132,16 @@ func BenchmarkKNNPlacement(b *testing.B) {
 				}
 				qs[i] = q
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchFanOut(b, tr, qs)
 		})
 	}
 }
 
 // BenchmarkKNNRegionPrune measures the region (bounding-box)
 // min-distance guard against the paper's splitting-plane bound on the
-// same multi-partition workload: identical results, fewer nodes and
-// messages per query. Part of CI's bench-baseline regression gate.
+// same multi-partition workload: identical results, fewer messages and
+// probe misses per query (both reported beside ns/op;
+// TestRegionPruneReducesWork is the gate).
 func BenchmarkKNNRegionPrune(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
@@ -130,12 +149,7 @@ func BenchmarkKNNRegionPrune(b *testing.B) {
 	}{{"region", false}, {"plane", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			tr, qs := benchQueryTreeGuard(b, 5, mode.planeGuard)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchFanOut(b, tr, qs)
 		})
 	}
 }

@@ -53,8 +53,8 @@ type Config struct {
 	// splitting-plane pruning bound (§III-B.3) in place of the exact
 	// region (bounding-box) min-distance guard. Results are identical
 	// either way — the region guard is never looser, so it only skips
-	// work — which makes this flag the ablation lever the `pruning`
-	// bench figure and the equivalence tests measure the guard with.
+	// work — which makes this flag the reference the equivalence tests
+	// and TestRegionPruneReducesWork measure the guard against.
 	PlaneGuardOnly bool
 	// Placement selects how spilled and rebalanced subtrees are
 	// assigned to partitions. The default (PlacementBox) clusters
@@ -357,8 +357,8 @@ type ExecStats struct {
 	// improve the result-set snapshot they were sent: partitions probed
 	// for nothing. A guarded probe that misses is exactly the work a
 	// tight enough bound would have skipped, so the count is the direct
-	// measure of pruning quality (the `pruning` bench figure plots it
-	// against the plane-guard baseline as dimensionality grows) — with
+	// measure of pruning quality (TestRegionPruneReducesWork holds it
+	// strictly below the plane-guard baseline at dimensionality 8) — with
 	// an irreducible floor: mandatory routing hops (the partition
 	// hosting the query's own region, whose min-distance guard is 0)
 	// count as misses when the caller's seed already held all k best,
@@ -500,8 +500,8 @@ func (t *Tree) RangeSearchStats(ctx context.Context, q []float64, d float64) ([]
 // (or abort on their own ctx checks) but nothing new is dispatched, and
 // the context's error is returned if no earlier error was recorded.
 // workers <= 0 selects GOMAXPROCS. It is the one worker pool in the
-// tree: Searcher.SearchBatch, Index.BulkAdd and the bench figures all
-// batch by running their single-item function through it.
+// tree: Searcher.SearchBatch and Index.BulkAdd both batch by running
+// their single-item function through it.
 func RunBatch(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
