@@ -109,8 +109,8 @@
 //	near := idx.Searcher(semtree.WithRadius(0.35))
 //	exact := idx.Searcher(semtree.WithK(5), semtree.WithExactFactor(4))
 //
-// The one-shot helpers KNearest, Range, KNearestExact and KNearestIDs
-// are thin wrappers over a Searcher.
+// The one-shot helpers KNearest, Range and KNearestIDs are thin
+// wrappers over a Searcher.
 //
 // The distributed machinery (partitions, build partition,
 // cross-partition search), the substrates (vocabularies, distance

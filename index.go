@@ -264,18 +264,6 @@ func (ix *Index) Range(ctx context.Context, q triple.Triple, d float64) ([]Match
 	return matchesOf(ix.Searcher(WithMode(ModeRange), WithRadius(d)).Search(ctx, q))
 }
 
-// KNearestExact returns the k stored triples closest to q under the
-// *exact* Eq. 1 distance: it fetches factor·k candidates from the
-// embedded index (factor < 2 is raised to 2, and the candidate count is
-// clamped to Len so a huge factor cannot overflow or over-request) and
-// re-ranks them with the true metric. This trades extra distance
-// evaluations for accuracy — the re-ranking ablation quantifies the
-// gain over plain KNearest. k <= 0 returns nil, like KNearest. Thin
-// wrapper over Searcher.
-func (ix *Index) KNearestExact(ctx context.Context, q triple.Triple, k, factor int) ([]Match, error) {
-	return matchesOf(ix.Searcher(WithK(k), WithExactFactor(factor)).Search(ctx, q))
-}
-
 // KNearestIDs implements the reqcheck.Index interface: ranked result
 // IDs only.
 func (ix *Index) KNearestIDs(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error) {

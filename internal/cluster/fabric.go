@@ -86,8 +86,6 @@ type Fabric interface {
 	// Flush blocks until every message enqueued by Send (including
 	// messages sent by handlers while processing) has been handled.
 	Flush()
-	// NumNodes returns the number of registered nodes.
-	NumNodes() int
 	// Stats returns cumulative message accounting.
 	Stats() Stats
 	// Close releases transport resources. Calls after Close fail.

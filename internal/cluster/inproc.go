@@ -209,13 +209,6 @@ func (f *InProc) roll() float64 {
 	return f.rng.Float64()
 }
 
-// NumNodes implements Fabric.
-func (f *InProc) NumNodes() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.nodes)
-}
-
 // Stats implements Fabric. Nothing is encoded in process, so Bytes
 // stays zero: byte accounting is the TCP fabric's.
 func (f *InProc) Stats() Stats {

@@ -104,9 +104,6 @@ func TestVirtualEventLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	relayTo = sink
-	if f.NumNodes() != 2 {
-		t.Fatalf("NumNodes = %d", f.NumNodes())
-	}
 	for i := 0; i < 3; i++ {
 		if err := f.Send(ClientID, relay, echoReq{}); err != nil {
 			t.Fatal(err)

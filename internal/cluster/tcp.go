@@ -339,13 +339,6 @@ func (f *TCP) Send(from, to NodeID, req any) error {
 // Flush implements Fabric.
 func (f *TCP) Flush() { f.pending.Wait() }
 
-// NumNodes implements Fabric.
-func (f *TCP) NumNodes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.nodes)
-}
-
 // Stats implements Fabric.
 func (f *TCP) Stats() Stats {
 	return Stats{

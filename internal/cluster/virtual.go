@@ -170,9 +170,6 @@ func (f *Virtual) Flush() {
 // the latest event processed so far.
 func (f *Virtual) VirtualTime() time.Duration { return f.now }
 
-// NumNodes implements Fabric.
-func (f *Virtual) NumNodes() int { return len(f.handlers) }
-
 // Stats implements Fabric (message count only: bytes and failures are
 // not modeled).
 func (f *Virtual) Stats() Stats { return Stats{Messages: f.messages.Load()} }

@@ -21,7 +21,7 @@ import (
 //     group of subtrees per data partition as the placement kernel
 //     assigns them (geometrically close subtrees together), and graft
 //     the trunk onto the root partition's entry leaf (installBalanced;
-//     Rebalance is a collect and a reset followed by the same call) —
+//     Rebalance is a snapshot and a reset followed by the same call) —
 //     safe against concurrent inserts: the graft merges any points that
 //     raced into the entry leaf and refuses (falling back to the merge
 //     path) if the root stopped being a leaf.
@@ -41,41 +41,6 @@ import (
 // path. Chunking bounds message size; each chunk is applied under one
 // partition write lock per partition it touches.
 const DefaultBulkChunk = 2048
-
-// bulkAddReq routes a batch of points from their entry nodes and grafts
-// balanced fragments at the destination leaves. Unlike insertBatchReq
-// it is synchronous: the response acknowledges that the whole batch —
-// including entries forwarded across partitions — has landed.
-type bulkAddReq struct {
-	Entries []batchEntry
-}
-
-// bulkAddResp acknowledges a bulk batch, all forwards included.
-type bulkAddResp struct{}
-
-// graftReq asks a partition to replace leaf node Entry with a balanced
-// fragment (see installReq; Nodes[0] is the fragment root, landing in
-// Entry's arena slot). Points already in the entry leaf are re-routed
-// down the installed fragment, so a graft composes with concurrent
-// inserts. The receiver refuses — OK false, nothing installed — when
-// Entry is no longer a plain leaf (split, tombstoned or migrating).
-type graftReq struct {
-	Entry  int32
-	Nodes  []kdtree.Node
-	Remote []RemoteBox
-}
-
-// graftResp reports whether the fragment was installed.
-type graftResp struct {
-	OK bool
-}
-
-func init() {
-	cluster.RegisterMessage(bulkAddReq{})
-	cluster.RegisterMessage(bulkAddResp{})
-	cluster.RegisterMessage(graftReq{})
-	cluster.RegisterMessage(graftResp{})
-}
 
 // BulkLoad inserts a batch of points through the bulk path. On an empty
 // tree it builds the balanced layout client-side and distributes it
@@ -99,7 +64,7 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 		// Fresh partitions only, and only when one partition hosting the
 		// whole batch would trip the resource condition anyway.
 		targets := func() []cluster.NodeID {
-			if !t.bulkShouldDistribute(len(pts)) {
+			if c := t.cfg.PartitionCapacity; c == 0 || len(pts) <= c {
 				return nil
 			}
 			return t.allocPartitions(t.cfg.MaxPartitions)
@@ -121,26 +86,6 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 	return t.bulkMerge(ctx, pts)
 }
 
-// bulkShouldDistribute decides whether a from-scratch bulk build spreads
-// frontier subtrees across data partitions: only when spilling is
-// configured and one partition hosting the whole batch would trip the
-// resource condition anyway.
-func (t *Tree) bulkShouldDistribute(n int) bool {
-	cfg := t.cfg
-	if cfg.MaxPartitions <= 1 {
-		return false
-	}
-	if cfg.CapacityCheck != nil {
-		// Estimate the node count of a balanced tree over n points.
-		nodes := 1
-		if cfg.BucketSize > 0 {
-			nodes = 2*(n/cfg.BucketSize) + 1
-		}
-		return cfg.CapacityCheck(PartitionInfo{Points: n, Nodes: nodes, Capacity: cfg.PartitionCapacity})
-	}
-	return cfg.PartitionCapacity > 0 && n > cfg.PartitionCapacity
-}
-
 // installBalanced is the one installer of a client-built balanced
 // layout, shared by BulkLoad on an empty tree and Rebalance: balanced
 // build over pts (reordered in place), frontier cut, placement-kernel
@@ -148,9 +93,9 @@ func (t *Tree) bulkShouldDistribute(n int) bool {
 // partition's entry leaf. targets names the data partitions the
 // frontier may spread over — the only thing the two callers differ in —
 // and is asked only once the build turned out to have a frontier; with
-// none, the whole tree grafts onto the root (the graft handler runs the
-// capacity check afterwards, so a dynamic resource condition still
-// spills normally). It reports ok=false — with any partial installs
+// none, the whole tree grafts onto the root (the install handler runs
+// the capacity check after a graft, so a root pushed over its capacity
+// still spills normally). It reports ok=false — with any partial installs
 // undone — when the entry leaf stopped being a leaf while the
 // client-side build ran: points that merely raced into it are merged
 // by the graft.
@@ -159,14 +104,14 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 	if err != nil {
 		return false, fmt.Errorf("build: %w", err)
 	}
-	req := graftReq{Entry: 0, Nodes: seq.Nodes}
+	req := installReq{Entry: 0, Nodes: seq.Nodes}
 	var used []cluster.NodeID
 	undo := func() {
 		for _, id := range used {
 			// The partitions hold only our fragments; reset precisely
 			// undoes the install. They stay allocated (empty) and rejoin
 			// the layout through rebalance.
-			_, _ = t.call(cluster.ClientID, id, resetReq{})
+			_ = t.reset(id, false)
 		}
 	}
 	if !seq.Nodes[0].Leaf {
@@ -182,7 +127,7 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 		undo()
 		return false, fmt.Errorf("root graft: %w", err)
 	}
-	if !resp.(graftResp).OK {
+	if !resp.(installResp).OK {
 		undo()
 		return false, nil
 	}
@@ -201,10 +146,14 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 // fragments. The arena is consumed: installs move its buckets and boxes.
 func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk []kdtree.Node, remote []RemoteBox, used []cluster.NodeID, err error) {
 	frontier := cutFrontier(a, len(targets))
-	assign := t.assignFrontier(a, frontier, targets)
+	subs := make([]placeBox, len(frontier))
+	for i, idx := range frontier {
+		subs[i] = placeBox{lo: a.Nodes[idx].Lo, hi: a.Nodes[idx].Hi, points: a.Count(idx)}
+	}
+	assign := t.assignTargets(subs, targets)
 	cut := make(map[int32]kdtree.Ref, len(frontier))
 	for i, idx := range frontier {
-		resp, err := t.call(cluster.ClientID, assign[i], installReq{Nodes: a.Extract(idx, nil)})
+		resp, err := t.call(cluster.ClientID, assign[i], installReq{Entry: -1, Nodes: a.Extract(idx, nil)})
 		if err != nil {
 			return nil, nil, used, err
 		}
@@ -263,32 +212,6 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 	return frontier
 }
 
-// assignFrontier maps each frontier subtree to a target partition: the
-// placement kernel packs geometrically close subtrees together
-// (targets start empty, so the kernel spreads one anchor per partition
-// and clusters the surplus); round-robin under the ablation policy.
-func (t *Tree) assignFrontier(a *kdtree.Arena, frontier []int32, targets []cluster.NodeID) []cluster.NodeID {
-	assign := make([]cluster.NodeID, len(frontier))
-	if t.cfg.Placement == PlacementRoundRobin {
-		for i := range frontier {
-			assign[i] = targets[i%len(targets)]
-		}
-		return assign
-	}
-	subs := make([]placeBox, len(frontier))
-	for i, idx := range frontier {
-		subs[i] = placeBox{lo: a.Nodes[idx].Lo, hi: a.Nodes[idx].Hi, points: a.Count(idx)}
-	}
-	tgs := make([]placeTarget, len(targets))
-	for i, id := range targets {
-		tgs[i] = placeTarget{id: id}
-	}
-	for i, ti := range placeSubtrees(subs, tgs, t.model.hopToNs) {
-		assign[i] = targets[ti]
-	}
-	return assign
-}
-
 // handleBulkAdd is the synchronous bulk protocol: the chunk routes
 // under one write lock like any batch, but lands by leaf — every
 // destination leaf receives its share of the chunk as one graft — and
@@ -319,7 +242,7 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bulkAddResp{}, nil
+	return ack{}, nil
 }
 
 // graftLocked merges a batch into the leaf at idx. Small unions append
@@ -342,40 +265,49 @@ func (p *partition) graftLocked(idx int32, batch []kdtree.Point) {
 	p.Build(idx, all)
 }
 
-// handleBulkGraft installs a fragment over the leaf at Entry. The
-// kernel validates the fragment before anything mutates, so a malformed
-// one never leaves a half-installed arena. Points that were already in
-// the entry leaf — concurrent inserts that raced the client-side build
-// — go through the router again, entering at the installed fragment's
-// root; the ones whose route now leaves the partition (to the frontier
-// subtrees the trunk links to) forward after the lock is released.
-func (p *partition) handleBulkGraft(r graftReq) (any, error) {
+// handleInstall moves a fragment into the arena: appended as a new
+// subtree root when Entry < 0, grafted over the leaf at Entry otherwise.
+// The kernel validates the fragment before anything mutates, so a
+// malformed one never leaves a half-installed arena. Points that were
+// already in a grafted-over leaf — concurrent inserts that raced the
+// client-side build — go through the router again, entering at the
+// installed fragment's root; the ones whose route now leaves the
+// partition (to the frontier subtrees the trunk links to) forward after
+// the lock is released. Only a graft runs the capacity check: an
+// appended fragment was put here by a spill, a migration or the
+// balanced installer, which chose this partition for it.
+func (p *partition) handleInstall(r installReq) (any, error) {
 	p.mu.Lock()
-	if r.Entry < 0 || int(r.Entry) >= len(p.Nodes) {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("core: graft entry %d out of range", r.Entry)
+	graft := r.Entry >= 0
+	var displaced []insertReq
+	if graft {
+		if int(r.Entry) >= len(p.Nodes) {
+			p.mu.Unlock()
+			return nil, fmt.Errorf("core: install: entry %d out of range", r.Entry)
+		}
+		if entry := &p.Nodes[r.Entry]; !entry.Leaf || p.migrating[r.Entry] {
+			p.mu.Unlock()
+			return installResp{}, nil
+		}
+		displaced = entriesAt(r.Entry, p.Nodes[r.Entry].Bucket)
 	}
-	if entry := &p.Nodes[r.Entry]; !entry.Leaf || p.migrating[r.Entry] {
+	root, err := p.installLocked(r.Entry, r.Nodes, r.Remote)
+	if err != nil {
 		p.mu.Unlock()
-		return graftResp{}, nil
-	}
-	displaced := entriesAt(r.Entry, p.Nodes[r.Entry].Bucket)
-	if _, err := p.installLocked(r.Entry, r.Nodes, r.Remote); err != nil {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("core: graft: %w", err)
+		return nil, fmt.Errorf("core: install: %w", err)
 	}
 	forwards, landed := p.routeLocked(displaced, p.appendLocked)
 	p.points -= len(displaced) - landed // the rest leave this partition
-	spill := p.capacityExceededLocked()
+	spill := graft && p.capacityExceededLocked()
 	p.mu.Unlock()
-	err := p.forwardInserts(forwards)
+	err = p.forwardInserts(forwards)
 	if spill {
 		p.buildPartition()
 	}
 	if err != nil {
 		return nil, err
 	}
-	return graftResp{OK: true}, nil
+	return installResp{Node: root, OK: true}, nil
 }
 
 // installLocked moves a fragment into the arena (kdtree.Arena.Install:

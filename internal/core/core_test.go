@@ -253,24 +253,6 @@ func TestCapacityZeroNeverSpills(t *testing.T) {
 	}
 }
 
-func TestDynamicCapacityCheck(t *testing.T) {
-	// The paper allows the resource condition to be "dynamically
-	// evaluated at run-time": spill when the node arena (not the point
-	// count) exceeds a bound.
-	r := rand.New(rand.NewSource(5))
-	tr := mustTree(t, Config{
-		Dim: 2, BucketSize: 4, MaxPartitions: 4,
-		PartitionCapacity: 1, // ignored by the custom check
-		CapacityCheck:     func(pi PartitionInfo) bool { return pi.Nodes > 31 },
-	})
-	if err := tr.InsertAll(randomPoints(r, 400, 2), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.PartitionCount(); got < 2 {
-		t.Fatalf("dynamic check never fired: %d partitions", got)
-	}
-}
-
 func TestConcurrentInsertsMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	pts := randomPoints(r, 3000, 3)
@@ -340,11 +322,7 @@ func TestUnbalancedChainHeight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 25 {
+	if h := treeHeight(t, tr); h < 25 {
 		t.Fatalf("chain height = %d, want ~50 (degenerate)", h)
 	}
 	// And still answer correctly.
@@ -363,11 +341,7 @@ func TestBalancedHeightLogarithmic(t *testing.T) {
 	if err := tr.InsertAll(randomPoints(r, 2048, 3), 1); err != nil {
 		t.Fatal(err)
 	}
-	h, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h > 24 {
+	if h := treeHeight(t, tr); h > 24 {
 		t.Fatalf("random-insert height = %d, too deep for 2048 points", h)
 	}
 }

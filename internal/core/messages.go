@@ -23,29 +23,32 @@ import (
 	"semtree/internal/kdtree"
 )
 
+// The partition protocol: eleven request kinds, each doing something no
+// other does, and the eight responses they share. Every type a fabric
+// carries is declared in this file and registered in its one init, so
+// the list below is the whole wire surface of the distributed tree
+// (TestProtocolTable holds partition.handle to it).
+
 // insertReq asks a partition to insert Point into the subtree rooted at
 // its node Node, forwarding across partitions with nested synchronous
-// calls: the response acknowledges that the point has landed.
+// calls: the ack means the point has landed. It is also the entry type
+// of the two batched protocols — one point, tagged with the node at
+// which its descent (re-)enters the receiving partition.
 type insertReq struct {
 	Node  int32
 	Point kdtree.Point
 }
 
-// insertResp acknowledges an insertion.
-type insertResp struct{}
-
-// batchEntry is one point of a batched insert, tagged with the node at
-// which its descent (re-)enters the receiving partition.
-type batchEntry struct {
-	Node  int32
-	Point kdtree.Point
-}
+// ack is the empty acknowledgement of the requests that report nothing
+// but completion: insertReq, bulkAddReq and restoreReq (and the reply
+// the fabric discards after a one-way insertBatchReq).
+type ack struct{}
 
 // entriesAt tags pts as batch entries that all enter at node.
-func entriesAt(node int32, pts []kdtree.Point) []batchEntry {
-	entries := make([]batchEntry, len(pts))
+func entriesAt(node int32, pts []kdtree.Point) []insertReq {
+	entries := make([]insertReq, len(pts))
 	for i, p := range pts {
-		entries[i] = batchEntry{Node: node, Point: p}
+		entries[i] = insertReq{Node: node, Point: p}
 	}
 	return entries
 }
@@ -57,7 +60,57 @@ func entriesAt(node int32, pts []kdtree.Point) []batchEntry {
 // (as required by our approach)" — §III-B); the receiving partition
 // applies local entries and re-batches the rest per target partition.
 type insertBatchReq struct {
-	Entries []batchEntry
+	Entries []insertReq
+}
+
+// bulkAddReq routes a batch of points from their entry nodes and grafts
+// balanced fragments at the destination leaves. Unlike insertBatchReq
+// it is synchronous: the ack means the whole batch — including entries
+// forwarded across partitions — has landed.
+type bulkAddReq struct {
+	Entries []insertReq
+}
+
+// installReq moves a tree fragment into a partition's arena. Nodes is a
+// kdtree fragment — Nodes[0] is the root, child refs with Part ==
+// kdtree.Local index Nodes, any other ref is a cross-partition link —
+// and Remote carries the bounding box of each subtree those links lead
+// to, so the installing partition can seed its remote-box cache: the
+// region registers together with the link. The fragment is moved, not
+// copied: the sender gives up its buckets and boxes.
+//
+// Entry < 0 appends the fragment as a new subtree root (the other end
+// of a direct link: a relocated leaf, a frontier subtree). Entry >= 0
+// grafts it over that leaf: the root lands in Entry's arena slot, and
+// points already in the leaf are re-routed down the fragment, so a
+// graft composes with concurrent inserts. The receiver refuses a graft
+// — OK false, nothing installed — when Entry is no longer a plain leaf
+// (split, tombstoned or migrating).
+type installReq struct {
+	Entry  int32
+	Nodes  []kdtree.Node
+	Remote []RemoteBox
+}
+
+// installResp reports the arena index the fragment's root landed on, or
+// OK false for a refused graft.
+type installResp struct {
+	Node int32
+	OK   bool
+}
+
+// snapshotReq asks a partition for a deep copy of its state.
+type snapshotReq struct{}
+
+type snapshotResp struct {
+	State PartitionSnapshot
+}
+
+// restoreReq replaces a partition's state wholesale; refs are already
+// translated to the receiving fabric's NodeIDs. The empty state is how
+// a partition is reset (Tree.reset).
+type restoreReq struct {
+	State PartitionSnapshot
 }
 
 // knnEntry is one guarded subtree of a fanned-out k-nearest
@@ -180,28 +233,64 @@ type statsResp struct {
 	BoxWork  int64
 }
 
-// heightReq asks for the height of the subtree rooted at Node,
-// following cross-partition links.
-type heightReq struct {
+// repackScanReq asks a partition to summarize its local leaves for the
+// repacker.
+type repackScanReq struct{}
+
+// leafSummary is one local leaf as the repack coordinator sees it.
+// Movable marks leaves the migration protocol may take: leaf children
+// of local routing nodes (single in-edge, so one parent flip relinks
+// the tree), not already migrating.
+type leafSummary struct {
+	Node    int32
+	Points  int
+	Lo, Hi  []float64
+	Movable bool
+}
+
+// repackScanResp reports every local leaf with a materialized box, the
+// partition's total load, and its outgoing edges (the distinct
+// partitions its cross-partition refs point to) for the planner's
+// acyclicity check.
+type repackScanResp struct {
+	Leaves []leafSummary
+	Points int
+	Out    []cluster.NodeID
+}
+
+// migrateReq asks the receiving partition to migrate the movable leaf
+// Node to partition Dest via the phased protocol in repack.go.
+type migrateReq struct {
 	Node int32
+	Dest cluster.NodeID
 }
 
-// heightResp carries the subtree height.
-type heightResp struct {
-	Height int
+// migrateResp reports the outcome; Moved is false when validation or
+// the fabric refused (the leaf stays fully local either way).
+type migrateResp struct {
+	Moved  bool
+	Points int
 }
 
+// Register every protocol type so the TCP fabric can carry it.
 func init() {
-	// Register every protocol type so the TCP fabric can carry it.
 	cluster.RegisterMessage(insertReq{})
-	cluster.RegisterMessage(insertResp{})
+	cluster.RegisterMessage(ack{})
 	cluster.RegisterMessage(insertBatchReq{})
+	cluster.RegisterMessage(bulkAddReq{})
+	cluster.RegisterMessage(installReq{})
+	cluster.RegisterMessage(installResp{})
+	cluster.RegisterMessage(snapshotReq{})
+	cluster.RegisterMessage(snapshotResp{})
+	cluster.RegisterMessage(restoreReq{})
 	cluster.RegisterMessage(knnReq{})
 	cluster.RegisterMessage(knnResp{})
 	cluster.RegisterMessage(rangeReq{})
 	cluster.RegisterMessage(rangeResp{})
 	cluster.RegisterMessage(statsReq{})
 	cluster.RegisterMessage(statsResp{})
-	cluster.RegisterMessage(heightReq{})
-	cluster.RegisterMessage(heightResp{})
+	cluster.RegisterMessage(repackScanReq{})
+	cluster.RegisterMessage(repackScanResp{})
+	cluster.RegisterMessage(migrateReq{})
+	cluster.RegisterMessage(migrateResp{})
 }

@@ -70,8 +70,8 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 		return p.handleInsertBatch(r)
 	case bulkAddReq:
 		return p.handleBulkAdd(r)
-	case graftReq:
-		return p.handleBulkGraft(r)
+	case installReq:
+		return p.handleInstall(r)
 	case snapshotReq:
 		return p.handleSnapshot()
 	case restoreReq:
@@ -82,14 +82,6 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 		return p.handleRange(ctx, r)
 	case statsReq:
 		return p.handleStats()
-	case heightReq:
-		return p.handleHeight(r)
-	case collectReq:
-		return p.handleCollect(r)
-	case resetReq:
-		return p.handleReset(r)
-	case installReq:
-		return p.handleInstall(r)
 	case repackScanReq:
 		return p.handleRepackScan()
 	case migrateReq:
@@ -139,7 +131,7 @@ func (p *partition) appendLocked(idx int32, pt kdtree.Point) {
 // dilation is always pruning-safe (a looser box only skips less), and
 // exactness — what the consistency checks assert — holds under reliable
 // delivery.
-func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt kdtree.Point)) (forwards map[cluster.NodeID][]batchEntry, landed int) {
+func (p *partition) routeLocked(entries []insertReq, land func(leaf int32, pt kdtree.Point)) (forwards map[cluster.NodeID][]insertReq, landed int) {
 	for _, e := range entries {
 		p.path = p.path[:0]
 		leaf, ref, remote := p.Descend(e.Node, e.Point.Coords, &p.path)
@@ -152,9 +144,9 @@ func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt k
 		}
 		p.expandRemoteBox(ref, e.Point.Coords)
 		if forwards == nil {
-			forwards = make(map[cluster.NodeID][]batchEntry)
+			forwards = make(map[cluster.NodeID][]insertReq)
 		}
-		forwards[host(ref)] = append(forwards[host(ref)], batchEntry{Node: ref.Node, Point: e.Point})
+		forwards[host(ref)] = append(forwards[host(ref)], insertReq{Node: ref.Node, Point: e.Point})
 	}
 	return forwards, landed
 }
@@ -163,11 +155,11 @@ func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt k
 // single-point protocol of the partitions hosting them, synchronously:
 // the caller acknowledges only after every point has landed. It returns
 // the first error; the remaining entries are still attempted.
-func (p *partition) forwardInserts(forwards map[cluster.NodeID][]batchEntry) error {
+func (p *partition) forwardInserts(forwards map[cluster.NodeID][]insertReq) error {
 	var first error
 	for part, entries := range forwards {
 		for _, e := range entries {
-			if _, err := p.t.call(p.id, part, insertReq(e)); err != nil && first == nil {
+			if _, err := p.t.call(p.id, part, e); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -202,7 +194,7 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 			p.mu.Unlock()
 		}
 		_, err := p.t.call(p.id, host(ref), insertReq{Node: ref.Node, Point: r.Point})
-		return insertResp{}, err
+		return ack{}, err
 	}
 	// The router re-walks the leaf, so only the walk above it is charged
 	// and expanded here.
@@ -210,7 +202,7 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 	p.navSteps.Add(int64(len(trunk)))
 	p.mu.Lock()
 	p.expandPathBoxes(trunk, c)
-	forwards, landed := p.routeLocked([]batchEntry{{Node: leaf, Point: r.Point}}, p.appendLocked)
+	forwards, landed := p.routeLocked([]insertReq{{Node: leaf, Point: r.Point}}, p.appendLocked)
 	p.points += landed
 	p.inserts.Add(int64(landed))
 	spill := p.capacityExceededLocked()
@@ -219,7 +211,7 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 	if spill {
 		p.buildPartition()
 	}
-	return insertResp{}, err
+	return ack{}, err
 }
 
 // handleInsertBatch is the one-way pipelined protocol: the whole batch
@@ -240,25 +232,16 @@ func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
 	if spill {
 		p.buildPartition()
 	}
-	return insertResp{}, nil
+	return ack{}, nil
 }
 
 // capacityExceededLocked evaluates the partition's resource condition
-// (§III-B.1: "dynamically evaluated at run-time … or statically
-// fixed"). Callers hold at least the read lock.
+// (§III-B.1; of "dynamically evaluated at run-time … or statically
+// fixed", the static one): more points than PartitionCapacity while
+// compute nodes remain. Callers hold at least the read lock.
 func (p *partition) capacityExceededLocked() bool {
-	cfg := p.t.cfg
-	if !p.t.hasPartitionBudget() {
-		return false
-	}
-	if cfg.CapacityCheck != nil {
-		return cfg.CapacityCheck(PartitionInfo{
-			Points:   p.points,
-			Nodes:    len(p.Nodes),
-			Capacity: cfg.PartitionCapacity,
-		})
-	}
-	return cfg.PartitionCapacity > 0 && p.points > cfg.PartitionCapacity
+	c := p.t.cfg.PartitionCapacity
+	return c > 0 && p.points > c && p.t.hasPartitionBudget()
 }
 
 // buildPartition implements §III-B.2: when the resource condition
@@ -305,29 +288,14 @@ func (p *partition) buildPartition() {
 		return
 	}
 	p.spills.Add(1)
-	// Assign every movable leaf a target up front: the placement
-	// kernel packs geometrically close leaves onto the same partition
-	// (round-robin under the ablation policy). The kernel is pure
-	// computation over the leaves' boxes, safe under the spill lock.
-	assign := make([]cluster.NodeID, len(moves))
-	if p.t.cfg.Placement == PlacementRoundRobin {
-		for k := range moves {
-			assign[k] = targets[k%len(targets)]
-		}
-	} else {
-		subs := make([]placeBox, len(moves))
-		for k, mv := range moves {
-			leaf := &p.Nodes[mv.leaf]
-			subs[k] = placeBox{lo: leaf.Lo, hi: leaf.Hi, points: len(leaf.Bucket)}
-		}
-		tgs := make([]placeTarget, len(targets))
-		for i, id := range targets {
-			tgs[i] = placeTarget{id: id}
-		}
-		for k, ti := range placeSubtrees(subs, tgs, p.t.model.hopToNs) {
-			assign[k] = targets[ti]
-		}
+	// Assign every movable leaf a target up front: pure computation
+	// over the leaves' boxes, safe under the spill lock.
+	subs := make([]placeBox, len(moves))
+	for k, mv := range moves {
+		leaf := &p.Nodes[mv.leaf]
+		subs[k] = placeBox{lo: leaf.Lo, hi: leaf.Hi, points: len(leaf.Bucket)}
 	}
+	assign := p.t.assignTargets(subs, targets)
 	for k, mv := range moves {
 		// The leaf ships as a one-node fragment, its region with it: the
 		// adopting side installs it as a new subtree root (the other end
@@ -335,7 +303,7 @@ func (p *partition) buildPartition() {
 		// pruning the relocated subtree by exact min-distance (and grows
 		// when inserts forward through the direct link).
 		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, assign[k], installReq{Nodes: []kdtree.Node{p.Nodes[mv.leaf]}})
+		resp, err := p.t.call(p.id, assign[k], installReq{Entry: -1, Nodes: []kdtree.Node{p.Nodes[mv.leaf]}})
 		if err != nil {
 			continue // leaf stays local; a later spill may retry
 		}
@@ -389,52 +357,4 @@ func (p *partition) handleStats() (any, error) {
 		NavSteps: p.navSteps.Load(),
 		BoxWork:  p.boxWork,
 	}, nil
-}
-
-// handleHeight computes the height of the subtree rooted at r.Node,
-// following cross-partition links.
-func (p *partition) handleHeight(r heightReq) (any, error) {
-	h, err := p.heightVisit(r.Node)
-	if err != nil {
-		return nil, err
-	}
-	return heightResp{Height: h}, nil
-}
-
-func (p *partition) heightVisit(idx int32) (int, error) {
-	p.mu.RLock()
-	n := p.Nodes[idx] // copy: we release the lock around remote calls
-	p.mu.RUnlock()
-	if n.Moved {
-		return p.remoteHeight(n.Fwd)
-	}
-	if n.Leaf {
-		return 1, nil
-	}
-	childHeight := func(ref kdtree.Ref) (int, error) {
-		if p.IsLocal(ref) {
-			return p.heightVisit(ref.Node)
-		}
-		return p.remoteHeight(ref)
-	}
-	lh, err := childHeight(n.Left)
-	if err != nil {
-		return 0, err
-	}
-	rh, err := childHeight(n.Right)
-	if err != nil {
-		return 0, err
-	}
-	if rh > lh {
-		lh = rh
-	}
-	return lh + 1, nil
-}
-
-func (p *partition) remoteHeight(ref kdtree.Ref) (int, error) {
-	resp, err := p.t.call(p.id, host(ref), heightReq{Node: ref.Node})
-	if err != nil {
-		return 0, err
-	}
-	return resp.(heightResp).Height, nil
 }

@@ -177,3 +177,26 @@ func placeSubtrees(subs []placeBox, targets []placeTarget, hopNs func(cluster.No
 	}
 	return assign
 }
+
+// assignTargets maps each subtree of a spill or a balanced install to
+// one of targets, all of them still empty: the placement kernel packs
+// geometrically close subtrees together (it spreads one anchor per
+// partition and clusters the surplus); round-robin under the ablation
+// policy.
+func (t *Tree) assignTargets(subs []placeBox, targets []cluster.NodeID) []cluster.NodeID {
+	assign := make([]cluster.NodeID, len(subs))
+	if t.cfg.Placement == PlacementRoundRobin {
+		for i := range subs {
+			assign[i] = targets[i%len(targets)]
+		}
+		return assign
+	}
+	tgs := make([]placeTarget, len(targets))
+	for i, id := range targets {
+		tgs[i] = placeTarget{id: id}
+	}
+	for i, ti := range placeSubtrees(subs, tgs, t.model.hopToNs) {
+		assign[i] = targets[ti]
+	}
+	return assign
+}

@@ -1,0 +1,376 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/rand"
+	"os"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"semtree/internal/cluster"
+	"semtree/internal/kdtree"
+)
+
+// protocolSamples is one populated value of every type the partition
+// protocol puts on a fabric. TestProtocolTable holds it equal, as a set
+// of types, to the registration table in messages.go.
+func protocolSamples() []any {
+	pt := kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}
+	entry := insertReq{Node: 3, Point: pt}
+	nodes := []kdtree.Node{
+		{SplitDim: 1, SplitVal: 0.5, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{1.5, -2}, Hi: []float64{9, 9}},
+		{Leaf: true, Bucket: []kdtree.Point{pt}, Lo: []float64{1.5, -2}, Hi: []float64{1.5, -2}},
+		{Moved: true, Fwd: kdtree.Ref{Part: 2, Node: 5}},
+	}
+	remote := []RemoteBox{{Ref: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{3, 3}, Hi: []float64{9, 9}}}
+	state := PartitionSnapshot{Nodes: nodes, Points: 1, Remote: remote}
+	rs := []kdtree.Neighbor{{Point: pt, Dist: 2.25}}
+	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
+	return []any{
+		entry,
+		ack{},
+		insertBatchReq{Entries: []insertReq{entry}},
+		bulkAddReq{Entries: []insertReq{entry, entry}},
+		installReq{Entry: -1, Nodes: nodes, Remote: remote},
+		installResp{Node: 9, OK: true},
+		snapshotReq{},
+		snapshotResp{State: state},
+		restoreReq{State: state},
+		knnReq{Node: 2, Query: []float64{0, 1}, K: 3, Rs: rs, Seq: true, Entries: []knnEntry{{Node: 1, GuardSq: -1}}},
+		knnResp{Rs: rs, Stats: stats},
+		rangeReq{Node: 1, Query: []float64{0, 1}, D: 0.5},
+		rangeResp{Neighbors: rs, Stats: stats},
+		statsReq{},
+		statsResp{Points: 1, Nodes: 2, Leaves: 3, NavSteps: 4, BoxWork: 5},
+		repackScanReq{},
+		repackScanResp{Leaves: []leafSummary{{Node: 1, Points: 2, Lo: []float64{0}, Hi: []float64{1}, Movable: true}}, Points: 2, Out: []cluster.NodeID{3}},
+		migrateReq{Node: 1, Dest: 2},
+		migrateResp{Moved: true, Points: 4},
+	}
+}
+
+// parseCoreFile parses one non-test source file of this package.
+func parseCoreFile(t *testing.T, name string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// registeredTypes returns the type names f passes to
+// cluster.RegisterMessage as T{} literals.
+func registeredTypes(t *testing.T, f *ast.File) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "RegisterMessage" {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.CompositeLit)
+		if !ok {
+			t.Fatalf("RegisterMessage argument is not a T{} literal")
+		}
+		out[lit.Type.(*ast.Ident).Name] = true
+		return true
+	})
+	return out
+}
+
+// TestProtocolTable: the registration table in messages.go is the whole
+// wire surface. Every type in it crosses a real TCP fabric as a zero
+// value and as a populated one; every request partition.handle
+// dispatches on is in it; and no other file registers anything — so an
+// unregistered or unencodable message fails here, not on the first TCP
+// deployment.
+func TestProtocolTable(t *testing.T) {
+	table := registeredTypes(t, parseCoreFile(t, "messages.go"))
+	files, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range files {
+		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") && n != "messages.go" {
+			if extra := registeredTypes(t, parseCoreFile(t, n)); len(extra) > 0 {
+				t.Errorf("%s registers %v: the table lives in messages.go", n, extra)
+			}
+		}
+	}
+
+	fabric := cluster.NewTCP()
+	defer fabric.Close()
+	echo, err := fabric.AddNode(func(_ context.Context, _ cluster.NodeID, req any) (any, error) { return req, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := make(map[string]bool)
+	for _, full := range protocolSamples() {
+		typ := reflect.TypeOf(full)
+		sampled[typ.Name()] = true
+		for _, v := range []any{reflect.Zero(typ).Interface(), full} {
+			got, err := fabric.Call(context.Background(), cluster.ClientID, echo, v)
+			if err != nil {
+				t.Errorf("%s over TCP: %v", typ.Name(), err)
+			} else if !reflect.DeepEqual(got, v) {
+				t.Errorf("%s over TCP: got %+v, sent %+v", typ.Name(), got, v)
+			}
+		}
+	}
+	if !reflect.DeepEqual(sampled, table) {
+		t.Errorf("registered %v, round-tripped %v", table, sampled)
+	}
+
+	var cases []string
+	ast.Inspect(parseCoreFile(t, "partition.go"), func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "handle" {
+			return true
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, typ := range cc.List {
+					cases = append(cases, typ.(*ast.Ident).Name)
+				}
+			}
+			return true
+		})
+		return false
+	})
+	if len(cases) != 11 {
+		t.Errorf("partition.handle dispatches on %d request kinds %v, want 11", len(cases), cases)
+	}
+	for _, c := range cases {
+		if !table[c] {
+			t.Errorf("partition.handle handles %s, which messages.go does not register", c)
+		}
+	}
+}
+
+// checkAgainstScan holds tr to the flat scan over pts — IDs and distance
+// bits, rank by rank — on k-nearest under both protocols and on range.
+func checkAgainstScan(t *testing.T, tr *Tree, pts []kdtree.Point, queries [][]float64, stage string) {
+	t.Helper()
+	if tr.Len() != len(pts) {
+		t.Fatalf("%s: Len = %d, want %d", stage, tr.Len(), len(pts))
+	}
+	for i, q := range queries {
+		all := flatScan(pts, q, -1)
+		for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut} {
+			if err := sameAnswer(mustKNN(t, tr, q, 6, p), all[:6]); err != nil {
+				t.Fatalf("%s: query %d, k-NN protocol %d: %v", stage, i, p, err)
+			}
+		}
+		radius := all[9].Dist
+		got, err := tr.RangeSearch(context.Background(), q, radius)
+		if err != nil {
+			t.Fatalf("%s: query %d range: %v", stage, i, err)
+		}
+		if err := sameAnswer(got, flatScan(pts, q, radius)); err != nil {
+			t.Fatalf("%s: query %d range: %v", stage, i, err)
+		}
+	}
+}
+
+// TestProtocolOverTCP drives every request kind over real sockets on
+// one nine-partition tree — the root graft of a bulk load, single and
+// pipelined inserts, the spills they trigger, a bulk merge into the live
+// tree, leaf migrations, snapshot and restore, and the rebalance's
+// restore-empty and installs — checking every stage against the flat
+// scan.
+func TestProtocolOverTCP(t *testing.T) {
+	fabric := cluster.NewTCP()
+	defer fabric.Close()
+	r := rand.New(rand.NewSource(61))
+	pts := clusteredPoints(r, 1000, 4, 5)
+	queries := make([][]float64, 8)
+	for i := range queries {
+		queries[i] = clusteredPoints(r, 1, 4, 5)[0].Coords
+	}
+	// Round-robin spills leave the badly placed leaves Repack exists for.
+	cfg := Config{Dim: 4, BucketSize: 8, PartitionCapacity: 64, MaxPartitions: 9, Placement: PlacementRoundRobin}
+	cfg.Fabric = fabric
+	tr := mustTree(t, cfg)
+	ctx := context.Background()
+
+	// Fits one partition: the whole balanced tree grafts onto the root.
+	if err := tr.BulkLoad(ctx, pts[:60]); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstScan(t, tr, pts[:60], queries, "bulk load on the empty tree")
+	if err := tr.InsertAll(pts[60:300], 2); err != nil {
+		t.Fatal(err)
+	}
+	if tr.PartitionCount() < 2 {
+		t.Fatalf("inserts past the capacity spilled into %d partitions", tr.PartitionCount())
+	}
+	checkAgainstScan(t, tr, pts[:300], queries, "inserts and spills")
+	if err := tr.InsertBatchAsync(pts[300:600], 32); err != nil {
+		t.Fatal(err)
+	}
+	tr.Flush()
+	checkAgainstScan(t, tr, pts[:600], queries, "pipelined batches")
+	if err := tr.BulkLoad(ctx, pts[600:]); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstScan(t, tr, pts, queries, "bulk load on the live tree")
+
+	st, err := tr.Repack(ctx, RepackConfig{MaxMoves: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Moved == 0 {
+		t.Fatalf("repack migrated nothing on a round-robin layout: %+v", st)
+	}
+	checkAgainstScan(t, tr, pts, queries, "repack")
+	checkPartitionBoxes(t, tr)
+
+	other := cluster.NewTCP()
+	defer other.Close()
+	cfg.Fabric = other
+	restored, err := RestoreTree(cfg, liveSnapshot(t, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	checkAgainstScan(t, restored, pts, queries, "snapshot and restore")
+
+	if err := tr.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.PartitionCount() != 9 {
+		t.Fatalf("rebalanced over %d partitions, want 9", tr.PartitionCount())
+	}
+	checkAgainstScan(t, tr, pts, queries, "rebalance")
+	checkPartitionBoxes(t, tr)
+}
+
+// failingInstalls fails the k-th installReq it carries, once, with a
+// plain (non-transient) error before the message is delivered.
+type failingInstalls struct {
+	cluster.Fabric
+	k, seen atomic.Int64
+}
+
+func (f *failingInstalls) Call(ctx context.Context, from, to cluster.NodeID, req any) (any, error) {
+	if _, ok := req.(installReq); ok && f.seen.Add(1) == f.k.Load() {
+		return nil, errors.New("injected install failure")
+	}
+	return f.Fabric.Call(ctx, from, to, req)
+}
+
+// TestRebalanceFailedInstallKeepsPoints: between its reset and its
+// install a rebalance holds the only copy of the data; an install that
+// fails — a frontier subtree's or the trunk's — must put every point
+// back before reporting the error.
+func TestRebalanceFailedInstallKeepsPoints(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	pts := randomPoints(r, 900, 3)
+	queries := make([][]float64, 8)
+	for i := range queries {
+		queries[i] = randomPoints(r, 1, 3)[0].Coords
+	}
+	// A rebalance over 5 partitions is one install per frontier subtree
+	// (at least 4) and then the trunk's.
+	for _, k := range []int64{1, 3, 5} {
+		fabric := &failingInstalls{Fabric: cluster.NewInProc(cluster.InProcOptions{})}
+		defer fabric.Close()
+		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, MaxPartitions: 5, Fabric: fabric})
+		if err := tr.InsertAll(pts, 1); err != nil {
+			t.Fatal(err)
+		}
+		fabric.k.Store(fabric.seen.Load() + k)
+		if err := tr.Rebalance(); err == nil {
+			t.Fatalf("install %d failed and Rebalance reported nothing", k)
+		}
+		checkAgainstScan(t, tr, pts, queries, "failed rebalance")
+		if st, err := tr.Stats(); err != nil || st.Points != len(pts) {
+			t.Fatalf("install %d failed: partitions hold %d points (%v), want %d", k, st.Points, err, len(pts))
+		}
+		// The failure was a one-off: the next pass rebalances.
+		if err := tr.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstScan(t, tr, pts, queries, "rebalance after a failed one")
+		if st, err := tr.Stats(); err != nil || st.PartitionPoints[0] != 0 {
+			t.Fatalf("second rebalance left %d points on the root (%v)", st.PartitionPoints[0], err)
+		}
+	}
+}
+
+// TestRebalanceOrderStable: the points Rebalance gathers from a
+// snapshot are, element for element, what a recursive walk of the live
+// partitions yields — preorder, left before right, tombstones and links
+// followed — on a spilled, repacked tree with tombstones. The balanced
+// builder's layout depends on that order.
+func TestRebalanceOrderStable(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	tr := mustTree(t, Config{
+		Dim: 4, BucketSize: 8,
+		PartitionCapacity: 96, MaxPartitions: 6,
+		Placement: PlacementRoundRobin,
+	})
+	if err := tr.InsertAll(clusteredPoints(r, 1500, 4, 4), 1); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := tr.Repack(context.Background(), RepackConfig{MaxMoves: 12}); err != nil || st.Moved == 0 {
+		t.Fatalf("repack moved nothing: %+v, %v", st, err)
+	}
+	byID := make(map[int32]*partition)
+	tombstones := 0
+	for _, p := range tr.parts {
+		byID[p.Self] = p
+		for i := range p.Nodes {
+			if p.Nodes[i].Moved {
+				tombstones++
+			}
+		}
+	}
+	if tombstones == 0 || len(byID) < 3 {
+		t.Fatalf("%d tombstones on %d partitions: the layout exercises nothing", tombstones, len(byID))
+	}
+	var want []kdtree.Point
+	var visit func(ref kdtree.Ref)
+	visit = func(ref kdtree.Ref) {
+		switch n := &byID[ref.Part].Nodes[ref.Node]; {
+		case n.Moved:
+			visit(n.Fwd)
+		case n.Leaf:
+			want = append(want, n.Bucket...)
+		default:
+			visit(n.Left)
+			visit(n.Right)
+		}
+	}
+	visit(tr.rootPartition().Ref(0))
+	// A tombstone is never a child — the parent edge is the direct link —
+	// so start one walk at each to hold the Fwd step to the same order.
+	snap := liveSnapshot(t, tr)
+	got := snap.pointsUnder(kdtree.Ref{})
+	for pi, p := range tr.parts {
+		for ni := range p.Nodes {
+			if p.Nodes[ni].Moved {
+				visit(p.Ref(int32(ni)))
+				got = append(got, snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})...)
+			}
+		}
+	}
+	if len(got) != len(want) || len(want) < 1500 {
+		t.Fatalf("snapshot walk gathered %d points, live walk %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID {
+			t.Fatalf("point %d: snapshot walk has ID %d, live walk ID %d", i, got[i].ID, want[i].ID)
+		}
+	}
+}

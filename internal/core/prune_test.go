@@ -173,27 +173,24 @@ func TestRegionPruneReducesWork(t *testing.T) {
 	}
 }
 
-// collectUnder gathers every point of the logical subtree rooted at
-// ref, following cross-partition links and tombstones through the
-// fabric like a query would.
-func collectUnder(t *testing.T, tr *Tree, ref kdtree.Ref) []kdtree.Point {
+// liveSnapshot captures the quiescent tree the structural helpers below
+// read: every node, box and remote-box cache entry, refs as ordinals.
+func liveSnapshot(t *testing.T, tr *Tree) *TreeSnapshot {
 	t.Helper()
-	tr.mu.RLock()
-	var host *partition
-	for _, p := range tr.parts {
-		if p.IsLocal(ref) {
-			host = p
-		}
-	}
-	tr.mu.RUnlock()
-	if host == nil {
-		t.Fatalf("no partition hosts %v", ref)
-	}
-	var pts []kdtree.Point
-	if err := host.collectVisit(ref.Node, &pts); err != nil {
+	snap, err := tr.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pts
+	return snap
+}
+
+// treeHeight returns the number of levels of the distributed tree,
+// following cross-partition links.
+func treeHeight(t *testing.T, tr *Tree) int {
+	t.Helper()
+	h := 0
+	liveSnapshot(t, tr).walk(kdtree.Ref{}, 1, func(_ *kdtree.Node, depth int) { h = max(h, depth) })
+	return h
 }
 
 // checkPartitionBoxes asserts the region invariant on every partition:
@@ -202,35 +199,20 @@ func collectUnder(t *testing.T, tr *Tree, ref kdtree.Ref) []kdtree.Point {
 // remote-box cache entry exactly bounds the remote subtree it guards.
 func checkPartitionBoxes(t *testing.T, tr *Tree) {
 	t.Helper()
-	tr.mu.RLock()
-	parts := append([]*partition(nil), tr.parts...)
-	tr.mu.RUnlock()
-	for _, p := range parts {
-		p.mu.RLock()
-		nodes := len(p.Nodes)
-		remotes := make(map[kdtree.Ref]box, len(p.remoteBoxes))
-		for ref, b := range p.remoteBoxes {
-			remotes[ref] = b
-		}
-		p.mu.RUnlock()
-		for idx := 0; idx < nodes; idx++ {
-			p.mu.RLock()
-			moved := p.Nodes[idx].Moved
-			lo := append([]float64(nil), p.Nodes[idx].Lo...)
-			hi := append([]float64(nil), p.Nodes[idx].Hi...)
-			p.mu.RUnlock()
-			if moved {
-				if lo != nil {
-					t.Fatalf("partition %d node %d: tombstone retains a box", p.id, idx)
+	snap := liveSnapshot(t, tr)
+	for pi, ps := range snap.Parts {
+		for ni, n := range ps.Nodes {
+			if n.Moved {
+				if n.Lo != nil {
+					t.Fatalf("partition %d node %d: tombstone retains a box", pi, ni)
 				}
 				continue
 			}
-			pts := collectUnder(t, tr, p.Ref(int32(idx)))
-			assertExactBox(t, pts, lo, hi, "partition %d node %d", p.id, idx)
+			pts := snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})
+			assertExactBox(t, pts, n.Lo, n.Hi, "partition %d node %d", pi, ni)
 		}
-		for ref, b := range remotes {
-			pts := collectUnder(t, tr, ref)
-			assertExactBox(t, pts, b.lo, b.hi, "partition %d remote box %v", p.id, ref)
+		for _, e := range ps.Remote {
+			assertExactBox(t, snap.pointsUnder(e.Ref), e.Lo, e.Hi, "partition %d remote box %v", pi, e.Ref)
 		}
 	}
 }

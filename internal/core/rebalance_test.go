@@ -21,22 +21,14 @@ func TestRebalanceFixesChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before < 50 {
+	if before := treeHeight(t, tr); before < 50 {
 		t.Fatalf("chain did not degenerate: height %d", before)
 	}
 	if err := tr.Rebalance(); err != nil {
 		t.Fatalf("Rebalance: %v", err)
 	}
-	after, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
 	maxH := int(math.Ceil(math.Log2(800.0/8.0))) + 3
-	if after > maxH {
+	if after := treeHeight(t, tr); after > maxH {
 		t.Fatalf("height after rebalance %d, want <= %d", after, maxH)
 	}
 	if tr.Len() != 800 {

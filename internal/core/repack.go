@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"semtree/internal/cluster"
-
 	"semtree/internal/kdtree"
 )
 
@@ -57,52 +56,6 @@ import (
 // rejects any move whose destination already reaches its source, and
 // accepted moves extend the graph as the plan builds. Passes are
 // serialized (t.repackMu) so two planners cannot interleave edges.
-
-// repackScanReq asks a partition to summarize its local leaves for the
-// repacker.
-type repackScanReq struct{}
-
-// leafSummary is one local leaf as the repack coordinator sees it.
-// Movable marks leaves the migration protocol may take: leaf children
-// of local routing nodes (single in-edge, so one parent flip relinks
-// the tree), not already migrating.
-type leafSummary struct {
-	Node    int32
-	Points  int
-	Lo, Hi  []float64
-	Movable bool
-}
-
-// repackScanResp reports every local leaf with a materialized box, the
-// partition's total load, and its outgoing edges (the distinct
-// partitions its cross-partition refs point to) for the planner's
-// acyclicity check.
-type repackScanResp struct {
-	Leaves []leafSummary
-	Points int
-	Out    []cluster.NodeID
-}
-
-// migrateReq asks the receiving partition to migrate the movable leaf
-// Node to partition Dest via the phased protocol above.
-type migrateReq struct {
-	Node int32
-	Dest cluster.NodeID
-}
-
-// migrateResp reports the outcome; Moved is false when validation or
-// the fabric refused (the leaf stays fully local either way).
-type migrateResp struct {
-	Moved  bool
-	Points int
-}
-
-func init() {
-	cluster.RegisterMessage(repackScanReq{})
-	cluster.RegisterMessage(repackScanResp{})
-	cluster.RegisterMessage(migrateReq{})
-	cluster.RegisterMessage(migrateResp{})
-}
 
 // handleRepackScan summarizes the partition's local leaves under the
 // read lock. Boxes are copied — the coordinator reads them after the
@@ -231,7 +184,7 @@ func (p *partition) handleMigrate(r migrateReq) (any, error) {
 	// Adopt: ship the snapshot with no lock held. The destination is a
 	// live partition — this call must never run under p.mu.
 	sent := len(snapshot[0].Bucket)
-	resp, err := p.t.call(p.id, r.Dest, installReq{Nodes: snapshot})
+	resp, err := p.t.call(p.id, r.Dest, installReq{Entry: -1, Nodes: snapshot})
 	if err != nil {
 		return abort()
 	}

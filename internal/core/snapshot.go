@@ -16,8 +16,7 @@ import (
 // a fleet restarts without re-ingesting. Restore rebuilds partitions
 // bit-for-bit: the arenas, boxes and caches are identical, so every
 // traversal takes the same path and query results are byte-identical
-// to the pre-save tree (the invariant the snapshot tests and the churn
-// bench runner assert).
+// to the pre-save tree (the invariant the snapshot tests assert).
 //
 // Snapshots address partitions by ordinal (their position in the
 // tree's partition list), never by fabric NodeID: a restore lands on a
@@ -102,26 +101,30 @@ func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error
 	return err
 }
 
-// snapshotReq asks a partition for a deep copy of its state.
-type snapshotReq struct{}
-
-type snapshotResp struct {
-	State PartitionSnapshot
+// walk visits every leaf of the logical subtree rooted at ref in
+// preorder — left before right, a tombstone followed through its
+// forward link — with the leaf's depth (ref itself is at the depth
+// given; a tombstone adds no level). Refs are ordinals, as everywhere
+// in a snapshot at rest. It recurses and trusts every reference: for
+// snapshots Tree.Snapshot took, not for decoded ones.
+func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(n *kdtree.Node, depth int)) {
+	switch n := &s.Parts[ref.Part].Nodes[ref.Node]; {
+	case n.Moved:
+		s.walk(n.Fwd, depth, leaf)
+	case n.Leaf:
+		leaf(n, depth)
+	default:
+		s.walk(n.Left, depth+1, leaf)
+		s.walk(n.Right, depth+1, leaf)
+	}
 }
 
-// restoreReq replaces a partition's state wholesale; refs are already
-// translated to the receiving fabric's NodeIDs.
-type restoreReq struct {
-	State PartitionSnapshot
-}
-
-type restoreResp struct{}
-
-func init() {
-	cluster.RegisterMessage(snapshotReq{})
-	cluster.RegisterMessage(snapshotResp{})
-	cluster.RegisterMessage(restoreReq{})
-	cluster.RegisterMessage(restoreResp{})
+// pointsUnder gathers the points of the logical subtree rooted at ref,
+// bucket by bucket in walk order.
+func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) []kdtree.Point {
+	var pts []kdtree.Point
+	s.walk(ref, 1, func(n *kdtree.Node, _ int) { pts = append(pts, n.Bucket...) })
+	return pts
 }
 
 // copyNodes deep-copies an arena's nodes. Buckets share point storage
@@ -168,7 +171,7 @@ func (p *partition) handleRestore(r restoreReq) (any, error) {
 	for _, e := range r.State.Remote {
 		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
 	}
-	return restoreResp{}, nil
+	return ack{}, nil
 }
 
 // Snapshot captures the whole tree's layout. It requires quiescence

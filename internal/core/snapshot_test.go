@@ -377,6 +377,28 @@ func FuzzPartitionRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(skewed.Bytes())
+	// The states a reset restores: a root that is one empty leaf, alone
+	// and beside an emptied data partition (Rebalance of an empty tree
+	// allocates the budget and resets every partition).
+	for _, m := range []int{1, 2} {
+		empty, err := New(Config{Dim: 3, MaxPartitions: m})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := empty.Rebalance(); err != nil {
+			f.Fatal(err)
+		}
+		snap, err := empty.Snapshot()
+		empty.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, snap); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -14,14 +13,6 @@ import (
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
 )
-
-// PartitionInfo is handed to a dynamic capacity check (the run-time
-// evaluated resource condition of §III-B.1).
-type PartitionInfo struct {
-	Points   int // points currently hosted by the partition
-	Nodes    int // tree nodes hosted (routing + leaf + tombstones)
-	Capacity int // the configured PartitionCapacity
-}
 
 // Config configures a distributed SemTree.
 type Config struct {
@@ -46,9 +37,6 @@ type Config struct {
 	// failures. Default 3. Retries are safe because delivery failures
 	// happen before the handler runs (at-most-once processing).
 	RetryAttempts int
-	// CapacityCheck, when set, replaces the static points>capacity
-	// condition with a dynamic one.
-	CapacityCheck func(PartitionInfo) bool
 	// PlaneGuardOnly restores the paper's one-dimensional
 	// splitting-plane pruning bound (§III-B.3) in place of the exact
 	// region (bounding-box) min-distance guard. Results are identical
@@ -60,9 +48,10 @@ type Config struct {
 	// assigned to partitions. The default (PlacementBox) clusters
 	// geometrically close subtrees on the same partition via the
 	// box-enlargement kernel; PlacementRoundRobin restores the legacy
-	// scatter as the ablation baseline of the `placement` bench
-	// figure. Results are identical either way — exact k-NN and range
-	// results do not depend on which partition hosts which subtree.
+	// scatter as the ablation baseline TestPlacementIdenticalResults
+	// and BenchmarkKNNPlacement measure against. Results are identical
+	// either way — exact k-NN and range results do not depend on which
+	// partition hosts which subtree.
 	Placement PlacementPolicy
 }
 
@@ -126,9 +115,8 @@ type TreeStats struct {
 	NavSteps        int64 // total nodes traversed by insert descents
 	Inserts         int64
 	// BoxWork counts box-maintenance writes: node boxes grown on insert
-	// descent paths plus remote-edge cache expansions. The churn bench
-	// figure reports it per insert as the region-metadata overhead of a
-	// growing tree.
+	// descent paths plus remote-edge cache expansions — per insert, the
+	// region-metadata overhead of a growing tree.
 	BoxWork int64
 	Fabric  cluster.Stats
 }
@@ -209,12 +197,16 @@ func (t *Tree) allocPartitions(want int) []cluster.NodeID {
 	return ids
 }
 
+// detached is the context of everything that runs outside any query
+// context: inserts, maintenance, stats.
+//
+//semtree:allow ctxfirst: inserts and maintenance run to completion once started, by documented contract
+var detached = context.Background()
+
 // call sends one fabric message with transient-failure retries, outside
-// any query context (inserts, maintenance, stats — operations that run
-// to completion once started).
+// any query context.
 func (t *Tree) call(from, to cluster.NodeID, req any) (any, error) {
-	//semtree:allow ctxfirst: inserts and maintenance run to completion once started, by documented contract
-	return t.callCtx(context.Background(), from, to, req)
+	return t.callCtx(detached, from, to, req)
 }
 
 // callCtx sends one fabric message under the query's context: the
@@ -283,40 +275,10 @@ func (t *Tree) InsertBatchAsync(pts []kdtree.Point, batchSize int) error {
 // M−1 parallel operations maximizing our throughput" — §III-C). It
 // returns the first error; remaining points are still attempted.
 func (t *Tree) InsertAll(pts []kdtree.Point, workers int) error {
-	if workers <= 1 {
-		var first error
-		for _, p := range pts {
-			if err := t.Insert(p); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+	if workers < 1 {
+		workers = 1 // RunBatch reads 0 as GOMAXPROCS
 	}
-	var (
-		wg       sync.WaitGroup
-		firstErr atomic.Value
-	)
-	ch := make(chan kdtree.Point, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range ch {
-				if err := t.Insert(p); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-				}
-			}
-		}()
-	}
-	for _, p := range pts {
-		ch <- p
-	}
-	close(ch)
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok {
-		return err
-	}
-	return nil
+	return RunBatch(detached, len(pts), workers, func(i int) error { return t.Insert(pts[i]) })
 }
 
 // Protocol names reported in ExecStats.Protocol.
@@ -575,17 +537,6 @@ func (t *Tree) PartitionCount() int {
 	return len(t.parts)
 }
 
-// Height returns the number of levels of the distributed tree,
-// following cross-partition links.
-func (t *Tree) Height() (int, error) {
-	root := t.rootPartition()
-	resp, err := t.call(cluster.ClientID, root.id, heightReq{Node: 0})
-	if err != nil {
-		return 0, err
-	}
-	return resp.(heightResp).Height, nil
-}
-
 // Stats gathers per-partition statistics through the fabric. The
 // partition list is snapshotted first; no tree lock is held while
 // messaging (partitions may be spilling concurrently).
@@ -619,6 +570,3 @@ func (t *Tree) Close() error {
 	}
 	return nil
 }
-
-// ErrNotFound is returned by lookups that match nothing.
-var ErrNotFound = errors.New("core: not found")

@@ -148,16 +148,23 @@ func (c *Client) put(cc *clientConn) {
 	c.idle = append(c.idle, cc)
 }
 
-// Close closes all pooled connections. In-flight requests on
-// checked-out connections finish; their connections close on release.
-func (c *Client) Close() error {
+// dropIdle closes and forgets every pooled connection.
+func (c *Client) dropIdle() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
 	for _, cc := range c.idle {
 		cc.conn.Close()
 	}
 	c.idle = nil
+}
+
+// Close closes all pooled connections. In-flight requests on
+// checked-out connections finish; their connections close on release.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.dropIdle()
 	return nil
 }
 
@@ -197,9 +204,13 @@ func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.Se
 		// Context errors and typed rejections are final; transport
 		// errors retry on a fresh connection — the frame either never
 		// arrived or the answer was lost, and search is idempotent.
+		// Fresh means dialled: what killed this connection (a server
+		// restart) most likely killed the idle ones with it, and the
+		// pool can hold more of them than there are attempts.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return semtree.Result{Err: err}, err
 		}
+		c.dropIdle()
 		lastErr = err
 	}
 	// When a retry died at the transport (e.g. the draining server

@@ -56,7 +56,13 @@ func testQueries(n int) []triple.Triple {
 // goroutines.
 func startServer(t *testing.T, srv *Server) string {
 	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	return startServerAt(t, srv, "127.0.0.1:0")
+}
+
+// startServerAt is startServer on a given listen address.
+func startServerAt(t *testing.T, srv *Server, addr string) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,6 +607,51 @@ func TestHelloVersionMismatch(t *testing.T) {
 	ack := frame.(helloAckFrame)
 	if dec := semtree.DecodeError(ack.Code, ack.Msg, 0); !errors.Is(dec, ErrVersion) {
 		t.Fatalf("version mismatch decoded to %v, want ErrVersion", dec)
+	}
+}
+
+// TestClientSurvivesServerRestart: after a restart every pooled
+// connection is dead, and the pool can hold more of them than Search
+// has attempts. The first transport failure must empty the pool, so the
+// next attempt dials the new server instead of trying the next corpse.
+func TestClientSurvivesServerRestart(t *testing.T) {
+	idx := testIndex(t, 200)
+	newServer := func() *Server {
+		srv, err := NewServer(Config{Index: idx, Tenants: []TenantConfig{{Name: "t", Token: "tok"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	old := newServer()
+	addr := startServerAt(t, old, "127.0.0.1:0")
+	cl, err := Dial(t.Context(), addr, "tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// Leave clientRetries idle connections behind, as that many
+	// overlapping searches do: each checks one out (dialling when the
+	// pool is empty) before any is released.
+	held := make([]*clientConn, clientRetries)
+	for i := range held {
+		if held[i], err = cl.get(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cc := range held {
+		cl.put(cc)
+	}
+	if err := old.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	startServerAt(t, newServer(), addr)
+	res, err := cl.Search(t.Context(), testQueries(1)[0], semtree.WithK(3))
+	if err != nil {
+		t.Fatalf("search after the restart: %v", err)
+	}
+	if len(res.Matches) != 3 {
+		t.Fatalf("search after the restart returned %d matches", len(res.Matches))
 	}
 }
 

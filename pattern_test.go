@@ -137,7 +137,7 @@ func TestMatchPatternValidation(t *testing.T) {
 	}
 }
 
-func TestKNearestExactImprovesRanking(t *testing.T) {
+func TestExactFactorImprovesRanking(t *testing.T) {
 	g := synth.New(synth.Config{Seed: 73}, nil)
 	store := triple.NewStore()
 	for _, tp := range g.Triples(700) {
@@ -151,10 +151,11 @@ func TestKNearestExactImprovesRanking(t *testing.T) {
 	qGen := synth.New(synth.Config{Seed: 74}, nil)
 	for q := 0; q < 20; q++ {
 		query := qGen.RandomTriple()
-		exact, err := ix.KNearestExact(context.Background(), query, 5, 4)
+		res, err := ix.Searcher(WithK(5), WithExactFactor(4)).Search(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		exact := res.Matches
 		if len(exact) == 0 {
 			t.Fatal("no results")
 		}

@@ -261,7 +261,7 @@ type Searcher struct {
 // and counters are per-Searcher — while the cost model driving
 // protocol choice is shared index-wide, so estimates learned through
 // one searcher benefit all. The ad-hoc query methods (KNearest, Range,
-// KNearestExact, KNearestIDs) are thin wrappers around one of these.
+// KNearestIDs) are thin wrappers around one of these.
 func (ix *Index) Searcher(opts ...SearchOption) *Searcher {
 	var o SearchOptions
 	for _, opt := range opts {

@@ -100,14 +100,14 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, q := range qs[:8] {
-			single, err := ix.KNearestExact(context.Background(), q, 4, 3)
+			single, err := s.Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch[i].Err != nil {
 				t.Fatalf("query %d: %v", i, batch[i].Err)
 			}
-			if !sameMatches(batch[i].Matches, single) {
+			if !sameMatches(batch[i].Matches, single.Matches) {
 				t.Fatalf("query %d: exact batch and single disagree", i)
 			}
 		}
@@ -122,33 +122,33 @@ func TestSearcherEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestKNearestExactGuards pins the satellite fix: k <= 0 returns nil
+// TestExactFactorGuards pins the re-ranking guards: k <= 0 returns nil
 // like KNearest, and degenerate factors can neither overflow k*factor
 // nor request more candidates than the index holds.
-func TestKNearestExactGuards(t *testing.T) {
+func TestExactFactorGuards(t *testing.T) {
 	ix, g := buildTestIndex(t, 100, Options{Seed: 3})
 	q := g.RandomTriple()
+	exact := func(k, factor int) []Match {
+		t.Helper()
+		res, err := ix.Searcher(WithK(k), WithExactFactor(factor)).Search(context.Background(), q)
+		if err != nil {
+			t.Fatalf("k=%d factor=%d: %v", k, factor, err)
+		}
+		return res.Matches
+	}
 	for _, k := range []int{0, -4} {
-		got, err := ix.KNearestExact(context.Background(), q, k, 3)
-		if err != nil || got != nil {
-			t.Fatalf("k=%d: got %v, %v, want nil", k, got, err)
+		if got := exact(k, 3); got != nil {
+			t.Fatalf("k=%d: got %v, want nil", k, got)
 		}
 	}
 	// A factor near MaxInt must not overflow or allocate wildly.
-	huge, err := ix.KNearestExact(context.Background(), q, 3, math.MaxInt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	huge := exact(3, math.MaxInt)
 	if len(huge) != 3 {
 		t.Fatalf("huge factor returned %d results", len(huge))
 	}
 	// With the candidate set clamped to Len, a huge factor degenerates
 	// to exact brute-force ranking: it must agree with factor = Len.
-	all, err := ix.KNearestExact(context.Background(), q, 3, ix.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameMatches(huge, all) {
+	if all := exact(3, ix.Len()); !sameMatches(huge, all) {
 		t.Fatalf("huge-factor ranking diverges from full re-rank")
 	}
 	if got, err := ix.KNearest(context.Background(), q, 0); err != nil || got != nil {
