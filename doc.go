@@ -112,6 +112,12 @@
 // The one-shot helpers KNearest, Range and KNearestIDs are thin
 // wrappers over a Searcher.
 //
+// Data is placed when it arrives — a bulk load installs a balanced
+// layout, single inserts spill leaves to new partitions as capacity
+// runs out — and Index.Rebalance, an offline pass, is the one operation
+// that moves it afterwards: it restores the bulk-loaded layout over
+// every budgeted partition.
+//
 // The distributed machinery (partitions, build partition,
 // cross-partition search), the substrates (vocabularies, distance
 // measures, FastMap, KD-tree, message fabric, NLP extraction, synthetic

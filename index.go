@@ -328,7 +328,10 @@ func (ix *Index) Stats() (core.TreeStats, error) { return ix.tree.Stats() }
 // Rebalance rebuilds the KD-tree balanced and redistributes the data
 // across all budgeted partitions ("once built, modifying or rebalancing
 // a Kd-tree is a non-trivial task", §III-B — this is the coordinated
-// bulk-load that makes it tractable). The caller must guarantee
+// bulk-load that makes it tractable). It is the one layout-maintenance
+// operation: an index grown by Insert scatters its leaves over the
+// partitions as they spill, and Rebalance restores the layout a fresh
+// bulk load of the same triples would have. The caller must guarantee
 // quiescence: no concurrent Insert or queries.
 func (ix *Index) Rebalance() error { return ix.tree.Rebalance() }
 

@@ -248,14 +248,13 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 // graftLocked merges a batch into the leaf at idx. Small unions append
 // like plain inserts; larger ones are replaced wholesale by a balanced
 // fragment the kernel builds over (bucket ∪ batch) straight into the
-// arena — the step that removes the per-point split cascade. Migrating
-// leaves only append (splits are deferred while the repacker drains
-// them, exactly as appendLocked does). Callers hold the write lock and
-// have already expanded the descent path's boxes for every batch point.
+// arena — the step that removes the per-point split cascade. Callers
+// hold the write lock and have already expanded the descent path's
+// boxes for every batch point.
 func (p *partition) graftLocked(idx int32, batch []kdtree.Point) {
 	n := &p.Nodes[idx]
 	total := len(n.Bucket) + len(batch)
-	if p.migrating[idx] || total <= p.BucketSize {
+	if total <= p.BucketSize {
 		n.Bucket = append(n.Bucket, batch...)
 		return
 	}
@@ -274,8 +273,8 @@ func (p *partition) graftLocked(idx int32, batch []kdtree.Point) {
 // installed fragment's root; the ones whose route now leaves the
 // partition (to the frontier subtrees the trunk links to) forward after
 // the lock is released. Only a graft runs the capacity check: an
-// appended fragment was put here by a spill, a migration or the
-// balanced installer, which chose this partition for it.
+// appended fragment was put here by a spill or the balanced installer,
+// which chose this partition for it.
 func (p *partition) handleInstall(r installReq) (any, error) {
 	p.mu.Lock()
 	graft := r.Entry >= 0
@@ -285,7 +284,7 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("core: install: entry %d out of range", r.Entry)
 		}
-		if entry := &p.Nodes[r.Entry]; !entry.Leaf || p.migrating[r.Entry] {
+		if !p.Nodes[r.Entry].Leaf {
 			p.mu.Unlock()
 			return installResp{}, nil
 		}

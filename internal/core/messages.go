@@ -23,8 +23,8 @@ import (
 	"semtree/internal/kdtree"
 )
 
-// The partition protocol: eleven request kinds, each doing something no
-// other does, and the eight responses they share. Every type a fabric
+// The partition protocol: nine request kinds, each doing something no
+// other does, and the six responses they share. Every type a fabric
 // carries is declared in this file and registered in its one init, so
 // the list below is the whole wire surface of the distributed tree
 // (TestProtocolTable holds partition.handle to it).
@@ -85,7 +85,7 @@ type bulkAddReq struct {
 // points already in the leaf are re-routed down the fragment, so a
 // graft composes with concurrent inserts. The receiver refuses a graft
 // — OK false, nothing installed — when Entry is no longer a plain leaf
-// (split, tombstoned or migrating).
+// (split or tombstoned).
 type installReq struct {
 	Entry  int32
 	Nodes  []kdtree.Node
@@ -233,45 +233,6 @@ type statsResp struct {
 	BoxWork  int64
 }
 
-// repackScanReq asks a partition to summarize its local leaves for the
-// repacker.
-type repackScanReq struct{}
-
-// leafSummary is one local leaf as the repack coordinator sees it.
-// Movable marks leaves the migration protocol may take: leaf children
-// of local routing nodes (single in-edge, so one parent flip relinks
-// the tree), not already migrating.
-type leafSummary struct {
-	Node    int32
-	Points  int
-	Lo, Hi  []float64
-	Movable bool
-}
-
-// repackScanResp reports every local leaf with a materialized box, the
-// partition's total load, and its outgoing edges (the distinct
-// partitions its cross-partition refs point to) for the planner's
-// acyclicity check.
-type repackScanResp struct {
-	Leaves []leafSummary
-	Points int
-	Out    []cluster.NodeID
-}
-
-// migrateReq asks the receiving partition to migrate the movable leaf
-// Node to partition Dest via the phased protocol in repack.go.
-type migrateReq struct {
-	Node int32
-	Dest cluster.NodeID
-}
-
-// migrateResp reports the outcome; Moved is false when validation or
-// the fabric refused (the leaf stays fully local either way).
-type migrateResp struct {
-	Moved  bool
-	Points int
-}
-
 // Register every protocol type so the TCP fabric can carry it.
 func init() {
 	cluster.RegisterMessage(insertReq{})
@@ -289,8 +250,4 @@ func init() {
 	cluster.RegisterMessage(rangeResp{})
 	cluster.RegisterMessage(statsReq{})
 	cluster.RegisterMessage(statsResp{})
-	cluster.RegisterMessage(repackScanReq{})
-	cluster.RegisterMessage(repackScanResp{})
-	cluster.RegisterMessage(migrateReq{})
-	cluster.RegisterMessage(migrateResp{})
 }

@@ -14,7 +14,7 @@ import (
 // — the same kernel the sequential tree runs on, its Self set to the
 // partition's fabric ID so a child reference with a foreign Part is a
 // cross-partition link — plus what distribution needs on top: the lock,
-// the migrating marks, the remote-box cache and the counters.
+// the remote-box cache and the counters.
 // Navigation takes the read lock; mutation (insert, split, spill) the
 // write lock. Locks are never held while waiting on an *upstream*
 // partition — call edges follow the partition DAG, so lock acquisition
@@ -26,13 +26,6 @@ type partition struct {
 	mu sync.RWMutex
 	kdtree.Arena
 	points int
-
-	// migrating marks the leaves the background repacker is draining to
-	// another partition: they keep serving reads and absorbing inserts
-	// (the deltas forward before commit), but splits are deferred and
-	// spills skip them until the migration commits or aborts. Guarded
-	// by mu.
-	migrating map[int32]bool
 
 	// remoteBoxes caches the bounding box of every cross-partition
 	// subtree this partition links to, keyed by the edge's reference.
@@ -82,10 +75,6 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 		return p.handleRange(ctx, r)
 	case statsReq:
 		return p.handleStats()
-	case repackScanReq:
-		return p.handleRepackScan()
-	case migrateReq:
-		return p.handleMigrate(r)
 	default:
 		return nil, fmt.Errorf("core: partition %d: unknown request %T", p.id, req)
 	}
@@ -100,14 +89,12 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 }
 
 // appendLocked lands pt in the leaf at idx, whose path boxes the caller
-// has already expanded, splitting it when the bucket saturates — unless
-// a migration is draining the bucket: splitting would detach the delta
-// stream, and the adopting side splits on arrival. Callers hold the
-// write lock.
+// has already expanded, splitting it when the bucket saturates. Callers
+// hold the write lock.
 func (p *partition) appendLocked(idx int32, pt kdtree.Point) {
 	n := &p.Nodes[idx]
 	n.Bucket = append(n.Bucket, pt)
-	if len(n.Bucket) > p.BucketSize && !p.migrating[idx] {
+	if len(n.Bucket) > p.BucketSize {
 		p.SplitLeaf(idx)
 	}
 }
@@ -176,7 +163,7 @@ func (p *partition) forwardInserts(forwards map[cluster.NodeID][]insertReq) erro
 // write lock, in the router, at the leaf the read-locked walk found:
 // routing decisions are immutable, so the walk above the leaf stands,
 // and whatever happened to the leaf in between (a concurrent insert
-// split it, a spill or the repacker relocated it) the router's descent
+// split it, a spill relocated it) the router's descent
 // resolves. No lock is held while forwarding.
 func (p *partition) handleInsert(r insertReq) (any, error) {
 	c := r.Point.Coords
@@ -312,10 +299,10 @@ func (p *partition) buildPartition() {
 }
 
 // movableLocked reports whether ref names a leaf the build-partition
-// algorithm or the repacker may relocate: a local leaf no migration is
-// draining. Callers hold at least the read lock.
+// algorithm may relocate: a local leaf. Callers hold at least the read
+// lock.
 func (p *partition) movableLocked(ref kdtree.Ref) bool {
-	return p.IsLocal(ref) && p.Nodes[ref.Node].Leaf && !p.migrating[ref.Node]
+	return p.IsLocal(ref) && p.Nodes[ref.Node].Leaf
 }
 
 // relocateLocked commits the relocation of the leaf at idx to the

@@ -48,10 +48,6 @@ func protocolSamples() []any {
 		rangeResp{Neighbors: rs, Stats: stats},
 		statsReq{},
 		statsResp{Points: 1, Nodes: 2, Leaves: 3, NavSteps: 4, BoxWork: 5},
-		repackScanReq{},
-		repackScanResp{Leaves: []leafSummary{{Node: 1, Points: 2, Lo: []float64{0}, Hi: []float64{1}, Movable: true}}, Points: 2, Out: []cluster.NodeID{3}},
-		migrateReq{Node: 1, Dest: 2},
-		migrateResp{Moved: true, Points: 4},
 	}
 }
 
@@ -147,8 +143,11 @@ func TestProtocolTable(t *testing.T) {
 		})
 		return false
 	})
-	if len(cases) != 11 {
-		t.Errorf("partition.handle dispatches on %d request kinds %v, want 11", len(cases), cases)
+	if len(cases) != 9 {
+		t.Errorf("partition.handle dispatches on %d request kinds %v, want 9", len(cases), cases)
+	}
+	if len(table) != 15 {
+		t.Errorf("messages.go registers %d types %v, want 15", len(table), table)
 	}
 	for _, c := range cases {
 		if !table[c] {
@@ -185,9 +184,8 @@ func checkAgainstScan(t *testing.T, tr *Tree, pts []kdtree.Point, queries [][]fl
 // TestProtocolOverTCP drives every request kind over real sockets on
 // one nine-partition tree — the root graft of a bulk load, single and
 // pipelined inserts, the spills they trigger, a bulk merge into the live
-// tree, leaf migrations, snapshot and restore, and the rebalance's
-// restore-empty and installs — checking every stage against the flat
-// scan.
+// tree, snapshot and restore, and the rebalance's restore-empty and
+// installs — checking every stage against the flat scan.
 func TestProtocolOverTCP(t *testing.T) {
 	fabric := cluster.NewTCP()
 	defer fabric.Close()
@@ -197,7 +195,8 @@ func TestProtocolOverTCP(t *testing.T) {
 	for i := range queries {
 		queries[i] = clusteredPoints(r, 1, 4, 5)[0].Coords
 	}
-	// Round-robin spills leave the badly placed leaves Repack exists for.
+	// Round-robin spills scatter neighbouring leaves over the partitions:
+	// the most cross-partition edges for the queries to cross.
 	cfg := Config{Dim: 4, BucketSize: 8, PartitionCapacity: 64, MaxPartitions: 9, Placement: PlacementRoundRobin}
 	cfg.Fabric = fabric
 	tr := mustTree(t, cfg)
@@ -225,14 +224,6 @@ func TestProtocolOverTCP(t *testing.T) {
 	}
 	checkAgainstScan(t, tr, pts, queries, "bulk load on the live tree")
 
-	st, err := tr.Repack(ctx, RepackConfig{MaxMoves: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Moved == 0 {
-		t.Fatalf("repack migrated nothing on a round-robin layout: %+v", st)
-	}
-	checkAgainstScan(t, tr, pts, queries, "repack")
 	checkPartitionBoxes(t, tr)
 
 	other := cluster.NewTCP()
@@ -311,8 +302,8 @@ func TestRebalanceFailedInstallKeepsPoints(t *testing.T) {
 // TestRebalanceOrderStable: the points Rebalance gathers from a
 // snapshot are, element for element, what a recursive walk of the live
 // partitions yields — preorder, left before right, tombstones and links
-// followed — on a spilled, repacked tree with tombstones. The balanced
-// builder's layout depends on that order.
+// followed — on a spilled tree with tombstones. The balanced builder's
+// layout depends on that order.
 func TestRebalanceOrderStable(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	tr := mustTree(t, Config{
@@ -322,9 +313,6 @@ func TestRebalanceOrderStable(t *testing.T) {
 	})
 	if err := tr.InsertAll(clusteredPoints(r, 1500, 4, 4), 1); err != nil {
 		t.Fatal(err)
-	}
-	if st, err := tr.Repack(context.Background(), RepackConfig{MaxMoves: 12}); err != nil || st.Moved == 0 {
-		t.Fatalf("repack moved nothing: %+v, %v", st, err)
 	}
 	byID := make(map[int32]*partition)
 	tombstones := 0

@@ -250,7 +250,7 @@ func TestBoxesExactAcrossSplitsAndSpills(t *testing.T) {
 	}
 	tr.Flush()
 	if got := tr.PartitionCount(); got < 3 {
-		t.Fatalf("partitions = %d, want >= 3 so migrations happened", got)
+		t.Fatalf("partitions = %d, want >= 3 so spills happened", got)
 	}
 	checkPartitionBoxes(t, tr)
 }

@@ -210,3 +210,78 @@ func TestRebalanceOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalanceRestoresBulkLayout is the counter gate of the one
+// layout-maintenance operation: on a tree grown by single inserts —
+// spills scattering its leaves over five partitions — Rebalance cuts
+// the sequential protocol's fabric messages to at most a fifth and
+// lands within a tenth of a fresh BulkLoad of the same points, with
+// every answer equal to the flat scan before and after and every box
+// exact. Counters only; no clock is read.
+func TestRebalanceRestoresBulkLayout(t *testing.T) {
+	const n, dim, k = 20000, 8, 10
+	r := rand.New(rand.NewSource(91))
+	for _, corpus := range []struct {
+		name string
+		pts  []kdtree.Point
+	}{
+		{"clustered", clusteredPoints(r, n, dim, 6)},
+		{"uniform", randomPoints(r, n, dim)},
+	} {
+		name, pts := corpus.name, corpus.pts
+		queries := make([][]float64, 64)
+		want := make([][]kdtree.Neighbor, len(queries))
+		for i := range queries {
+			q := append([]float64(nil), pts[r.Intn(n)].Coords...)
+			for d := range q {
+				q[d] += r.NormFloat64()
+			}
+			queries[i], want[i] = q, flatScan(pts, q, -1)[:k]
+		}
+		// messages sums FabricMessages over the query set, holding every
+		// answer to the flat scan on the way.
+		messages := func(tr *Tree, stage string) int64 {
+			var sum int64
+			for i, q := range queries {
+				got, st, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameAnswer(got, want[i]); err != nil {
+					t.Fatalf("%s, %s: query %d: %v", name, stage, i, err)
+				}
+				sum += st.FabricMessages
+			}
+			return sum
+		}
+		cfg := Config{Dim: dim, PartitionCapacity: n / 4, MaxPartitions: 5}
+
+		grown := mustTree(t, cfg)
+		if err := grown.InsertAll(pts, 1); err != nil {
+			t.Fatal(err)
+		}
+		if grown.PartitionCount() != 5 {
+			t.Fatalf("%s: inserts grew %d partitions, want 5", name, grown.PartitionCount())
+		}
+		before := messages(grown, "insert-grown")
+		if err := grown.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		after := messages(grown, "rebalanced")
+		checkPartitionBoxes(t, grown)
+
+		fresh := mustTree(t, cfg)
+		if err := fresh.BulkLoad(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+		bulk := messages(fresh, "bulk-loaded")
+
+		t.Logf("%s: messages over %d queries: insert-grown %d, rebalanced %d, bulk-loaded %d", name, len(queries), before, after, bulk)
+		if after*5 > before {
+			t.Errorf("%s: Rebalance left %d messages of %d, want at most a fifth", name, after, before)
+		}
+		if diff := after - bulk; diff*10 > bulk || -diff*10 > bulk {
+			t.Errorf("%s: rebalanced layout costs %d messages, a fresh BulkLoad %d: more than 10%% apart", name, after, bulk)
+		}
+	}
+}

@@ -29,8 +29,7 @@ func copyBox(lo, hi []float64) box {
 
 // cacheRemoteBox registers the region of the cross-partition subtree
 // behind ref: the box ships with the link (the adopt handshake, a trunk
-// install, a migration commit) and is copied on the way in. Callers
-// hold the write lock.
+// install) and is copied on the way in. Callers hold the write lock.
 func (p *partition) cacheRemoteBox(ref kdtree.Ref, lo, hi []float64) {
 	if p.remoteBoxes == nil {
 		p.remoteBoxes = make(map[kdtree.Ref]box)

@@ -21,8 +21,7 @@ import (
 // Snapshots address partitions by ordinal (their position in the
 // tree's partition list), never by fabric NodeID: a restore lands on a
 // fresh fabric whose IDs need not match. Taking a snapshot requires
-// quiescence — no concurrent inserts, bulk loads or repack passes —
-// like Rebalance; a migration caught in flight is refused.
+// quiescence — no concurrent inserts or bulk loads — like Rebalance.
 //
 // Restore trusts nothing: Validate walks the snapshot's cross-partition
 // node graph iteratively (corrupt input must not overflow the stack),
@@ -142,14 +141,9 @@ func copyNodes(nodes []kdtree.Node) []kdtree.Node {
 }
 
 // handleSnapshot deep-copies the partition's state under the read lock.
-// A migration caught in flight violates the snapshot's quiescence
-// contract and is refused rather than serialized inconsistently.
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if len(p.migrating) > 0 {
-		return nil, fmt.Errorf("core: snapshot requires quiescence: partition %d has a migration in flight", p.id)
-	}
 	st := PartitionSnapshot{Nodes: copyNodes(p.Nodes), Points: p.points}
 	for ref, b := range p.remoteBoxes {
 		c := copyBox(b.lo, b.hi)
@@ -166,7 +160,6 @@ func (p *partition) handleRestore(r restoreReq) (any, error) {
 	defer p.mu.Unlock()
 	p.Nodes = copyNodes(r.State.Nodes)
 	p.points = r.State.Points
-	p.migrating = nil
 	p.remoteBoxes = nil
 	for _, e := range r.State.Remote {
 		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
@@ -175,8 +168,8 @@ func (p *partition) handleRestore(r restoreReq) (any, error) {
 }
 
 // Snapshot captures the whole tree's layout. It requires quiescence
-// (like Rebalance): a partition or migration appearing mid-capture is
-// reported as an error, never a torn snapshot.
+// (like Rebalance): a partition appearing mid-capture is reported as an
+// error, never a torn snapshot.
 func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 	t.mu.RLock()
 	parts := append([]*partition(nil), t.parts...)

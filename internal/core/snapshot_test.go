@@ -12,9 +12,9 @@ import (
 )
 
 // buildChurnedTree builds a multi-partition tree the hard way — bulk
-// load, single inserts, a repack pass — so its snapshot exercises
-// tombstones, cross-partition edges and remote-box caches, not just a
-// pristine bulk layout.
+// load, then single inserts and the spills they trigger — so its
+// snapshot exercises tombstones, cross-partition edges and remote-box
+// caches, not just a pristine bulk layout.
 func buildChurnedTree(t *testing.T, r *rand.Rand) (*Tree, []kdtree.Point) {
 	t.Helper()
 	const dim = 4
@@ -22,7 +22,7 @@ func buildChurnedTree(t *testing.T, r *rand.Rand) (*Tree, []kdtree.Point) {
 	tr := mustTree(t, Config{
 		Dim: dim, BucketSize: 8,
 		PartitionCapacity: 120, MaxPartitions: 6,
-		Placement: PlacementRoundRobin, // leave work for the repacker
+		Placement: PlacementRoundRobin, // scattered spills: the most cross-partition edges
 	})
 	if err := tr.BulkLoad(context.Background(), pts[:1000]); err != nil {
 		t.Fatal(err)
@@ -32,9 +32,6 @@ func buildChurnedTree(t *testing.T, r *rand.Rand) (*Tree, []kdtree.Point) {
 		t.Fatal(err)
 	}
 	tr.Flush()
-	if _, err := tr.Repack(context.Background(), RepackConfig{MaxMoves: 4}); err != nil {
-		t.Fatal(err)
-	}
 	if tr.PartitionCount() < 2 {
 		t.Fatalf("tree did not distribute: %d partitions", tr.PartitionCount())
 	}
@@ -128,8 +125,9 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresQuiescence: a migration caught in flight refuses
-// the snapshot instead of serializing a torn state.
+// TestSnapshotRequiresQuiescence: a link to a partition the capture did
+// not list — one a spill created after it began — refuses the snapshot
+// instead of serializing a torn state.
 func TestSnapshotRequiresQuiescence(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	tr := mustTree(t, Config{Dim: 3, BucketSize: 4})
@@ -138,13 +136,14 @@ func TestSnapshotRequiresQuiescence(t *testing.T) {
 	}
 	p := tr.rootPartition()
 	p.mu.Lock()
-	p.migrating = map[int32]bool{0: true}
+	left := p.Nodes[0].Left
+	p.Nodes[0].Left = kdtree.Ref{Part: 99, Node: 0}
 	p.mu.Unlock()
 	if _, err := tr.Snapshot(); err == nil {
-		t.Fatal("snapshot of a migrating partition accepted")
+		t.Fatal("snapshot linking an unlisted partition accepted")
 	}
 	p.mu.Lock()
-	p.migrating = nil
+	p.Nodes[0].Left = left
 	p.mu.Unlock()
 	if _, err := tr.Snapshot(); err != nil {
 		t.Fatalf("quiesced snapshot refused: %v", err)

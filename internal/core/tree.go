@@ -34,8 +34,13 @@ type Config struct {
 	// the paper's "totally unbalanced" configuration.
 	Unbalanced bool
 	// RetryAttempts bounds per-message retries on transient fabric
-	// failures. Default 3. Retries are safe because delivery failures
-	// happen before the handler runs (at-most-once processing).
+	// failures. Default 3. Delivery is at-least-once: on the in-process
+	// fabrics a transient failure happens before the handler runs, but
+	// cluster.TCP reports any failed exchange as transient — a reply
+	// lost on a pooled connection after the handler ran included — and
+	// the retry then applies the request a second time. Queries and
+	// restoreReq are idempotent; insertReq, bulkAddReq and installReq
+	// are not (a duplicated point or fragment).
 	RetryAttempts int
 	// PlaneGuardOnly restores the paper's one-dimensional
 	// splitting-plane pruning bound (§III-B.3) in place of the exact
@@ -91,10 +96,6 @@ type Tree struct {
 
 	mu    sync.RWMutex
 	parts []*partition
-
-	// repackMu serializes background repacking passes; the planner's
-	// partition-graph acyclicity check assumes no concurrent planner.
-	repackMu sync.Mutex
 
 	// bulkMu serializes BulkLoad passes: two concurrent bulk builds
 	// would race for the root graft and orphan each other's installs.

@@ -11,12 +11,11 @@ import (
 	"semtree/internal/triple"
 )
 
-// snapshotVersion is the on-disk format written by Save. Version 2
-// introduced the distributed tree's partition snapshot; version 3
-// drops the separate embedding table (every coordinate already lives
-// in the tree payload). Load accepts both through one code path — gob
-// skips version 2's extra field — and rejects version 1 streams
-// (written before the tree was persisted) as corrupt.
+// snapshotVersion is the on-disk format written by Save, and the only
+// one Load accepts. Version 2 introduced the distributed tree's
+// partition snapshot; version 3 drops the separate embedding table
+// (every coordinate already lives in the tree payload). Streams of
+// either older version — neither has a writer — are rejected as corrupt.
 const snapshotVersion = 3
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
@@ -56,7 +55,7 @@ func strayID(ts *core.TreeSnapshot, n int) (uint64, bool) {
 }
 
 // Save writes a snapshot of the index to w. The distributed tree must
-// be quiescent (no concurrent Insert, BulkAdd, Rebalance or Repack);
+// be quiescent (no concurrent Insert, BulkAdd or Rebalance);
 // concurrent queries are fine. Insert and BulkAdd extend the store in
 // one locked append but the tree outside it, so a Save that races an
 // ingest can capture a tree that is ahead of or behind the store walk;
@@ -122,16 +121,16 @@ func decodeSnapshot(r io.Reader, snap *indexSnapshot) error {
 // caches included) is restored after structural validation, so the
 // loaded index answers every query byte-identically to the saved one;
 // opts.MaxPartitions is raised to the persisted partition count when
-// lower. Corrupt input — truncation, garbage, unknown versions
-// (version 1, which carried no tree, included), or a tree payload
-// violating the structural invariants — returns ErrSnapshotCorrupt.
+// lower. Corrupt input — truncation, garbage, any version other than
+// snapshotVersion, or a tree payload violating the structural
+// invariants — returns ErrSnapshotCorrupt.
 func Load(r io.Reader, opts Options) (*Index, error) {
 	var snap indexSnapshot
 	if err := decodeSnapshot(r, &snap); err != nil {
 		return nil, fmt.Errorf("semtree: load: %w: %v", ErrSnapshotCorrupt, err)
 	}
-	if snap.Version != 2 && snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("semtree: load: %w: snapshot version %d, want 2 or %d",
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("semtree: load: %w: snapshot version %d, want %d",
 			ErrSnapshotCorrupt, snap.Version, snapshotVersion)
 	}
 	if snap.Tree == nil {

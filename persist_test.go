@@ -71,8 +71,8 @@ func TestSaveLoadRoundTripIdenticalAnswers(t *testing.T) {
 	}
 }
 
-// TestLoadRestoresPartitionLayout: a version-2 snapshot carries the
-// distributed tree itself, so Load restores the saved partition layout
+// TestLoadRestoresPartitionLayout: a snapshot carries the distributed
+// tree itself, so Load restores the saved partition layout
 // exactly — even when the load-time options ask for fewer partitions —
 // and answers identically. (To re-shape a reloaded fleet, Rebalance
 // after Load.)
@@ -221,68 +221,32 @@ func legacyStream(t *testing.T, ix *Index, version int) *bytes.Buffer {
 // Nothing writes them any more and there is no tree to restore: Load
 // must fail typed, not rebuild and not panic.
 func TestLoadVersion1Compat(t *testing.T) {
-	g := synth.New(synth.Config{Seed: 67}, nil)
-	store := triple.NewStore()
-	for _, tp := range g.Triples(100) {
-		store.Add(tp, triple.Provenance{Doc: "v1"})
-	}
-	orig, err := Build(store, Options{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orig.Close()
-	if _, err := Load(legacyStream(t, orig, 1), Options{}); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("version-1 stream must return ErrSnapshotCorrupt, got %v", err)
-	}
+	loadLegacyRejected(t, 1, Options{Seed: 8})
 }
 
 // TestLoadVersion2Compat: a version-2 stream (tree payload plus the
-// redundant embedding table) loads through the version-3 path with
-// bit-identical answers.
+// redundant embedding table) has had no writer since version 3; Load
+// accepts exactly snapshotVersion, so it fails typed like version 1.
 func TestLoadVersion2Compat(t *testing.T) {
+	loadLegacyRejected(t, 2, Options{Seed: 8, PartitionCapacity: 120, MaxPartitions: 4})
+}
+
+// loadLegacyRejected saves a fresh index, re-encodes it as the given
+// older version and requires Load to report ErrSnapshotCorrupt.
+func loadLegacyRejected(t *testing.T, version int, opts Options) {
+	t.Helper()
 	g := synth.New(synth.Config{Seed: 67}, nil)
 	store := triple.NewStore()
 	for _, tp := range g.Triples(400) {
-		store.Add(tp, triple.Provenance{Doc: "v2"})
+		store.Add(tp, triple.Provenance{Doc: "legacy"})
 	}
-	orig, err := Build(store, Options{Seed: 8, PartitionCapacity: 120, MaxPartitions: 4})
+	orig, err := Build(store, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer orig.Close()
-
-	loaded, err := Load(legacyStream(t, orig, 2), Options{})
-	if err != nil {
-		t.Fatalf("Load of version-2 stream: %v", err)
-	}
-	defer loaded.Close()
-	if loaded.Len() != orig.Len() || loaded.PartitionCount() != orig.PartitionCount() {
-		t.Fatalf("v2 load has %d triples on %d partitions, want %d on %d",
-			loaded.Len(), loaded.PartitionCount(), orig.Len(), orig.PartitionCount())
-	}
-	qGen := synth.New(synth.Config{Seed: 68}, nil)
-	for q := 0; q < 20; q++ {
-		query := qGen.RandomTriple()
-		a, err := orig.KNearest(context.Background(), query, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.KNearest(context.Background(), query, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-				t.Fatalf("query %d rank %d: v2 load changed the answer: %v vs %v", q, i, a[i], b[i])
-			}
-		}
-	}
-	m, err := loaded.KNearest(context.Background(), store.MustGet(0), 1)
-	if err != nil || len(m) != 1 || m[0].Prov.Doc != "v2" {
-		t.Fatalf("provenance lost through v2 path: %v %v", m, err)
+	if _, err := Load(legacyStream(t, orig, version), Options{}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("version-%d stream must return ErrSnapshotCorrupt, got %v", version, err)
 	}
 }
 
@@ -449,8 +413,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			if decErr != nil && !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("undecodable bytes must report ErrSnapshotCorrupt, got %v", err)
 			}
-			if decErr == nil && snap.Version != 2 && snap.Version != snapshotVersion &&
-				!errors.Is(err, ErrSnapshotCorrupt) {
+			if decErr == nil && snap.Version != snapshotVersion && !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("version %d must report ErrSnapshotCorrupt, got %v", snap.Version, err)
 			}
 			return

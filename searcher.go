@@ -278,29 +278,6 @@ func (ix *Index) Searcher(opts ...SearchOption) *Searcher {
 	return &Searcher{ix: ix, opts: o, rangeMode: rangeMode, sched: sched}
 }
 
-// RepackConfig bounds one background repacking pass (core.RepackConfig):
-// MaxMoves caps subtree migrations, MinGain sets the minimum placement-
-// score improvement a move must promise.
-type RepackConfig = core.RepackConfig
-
-// RepackStats reports one repacking pass (core.RepackStats): movable
-// subtrees scanned, migrations committed, points relocated, and planned
-// moves that validation or the fabric refused.
-type RepackStats = core.RepackStats
-
-// Repack runs one budget-limited background repacking pass over the
-// distributed tree: the worst-placed subtrees (those whose partition's
-// bounding box shrinks most if they leave, by the placement kernel's
-// scoring) migrate to the partition that fits them best, while queries
-// and inserts keep running. Query results are unaffected — exact k-NN
-// and range results do not depend on which partition hosts which
-// subtree — and the region metadata stays exact throughout. The context
-// bounds the pass between migrations; a pass cut short leaves the index
-// fully consistent.
-func (s *Searcher) Repack(ctx context.Context, cfg RepackConfig) (RepackStats, error) {
-	return s.ix.tree.Repack(ctx, cfg)
-}
-
 // SchedulerStats snapshots the searcher's scheduler: how many queries
 // were admitted, shed (ErrAdmissionRejected), budget-rejected
 // (ErrDeadlineBudget) or quota-rejected (ErrQuotaExhausted), how many
