@@ -127,16 +127,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var matches []semtree.Match
+		opt := semtree.WithK(*k)
 		if *rangeD > 0 {
-			matches, err = idx.Range(context.Background(), q, *rangeD)
-		} else {
-			matches, err = idx.KNearest(context.Background(), q, *k)
+			opt = semtree.WithRadius(*rangeD)
 		}
+		res, err := idx.Searcher(opt).Search(context.Background(), q)
 		if err != nil {
 			fatal(err)
 		}
-		for _, m := range matches {
+		for _, m := range res.Matches {
 			fmt.Printf("  %.4f  %s\n", m.Dist, m.Triple)
 		}
 	}

@@ -91,7 +91,7 @@
 //
 //	store := triple.NewStore()            // fill with triples …
 //	idx, err := semtree.Build(store, semtree.Options{})
-//	matches, err := idx.KNearest(ctx, queryTriple, 3)
+//	res, err := idx.Searcher(semtree.WithK(3)).Search(ctx, queryTriple) // res.Matches, res.Stats
 //
 // Serving a query stream with deadlines and per-query stats:
 //
@@ -109,8 +109,8 @@
 //	near := idx.Searcher(semtree.WithRadius(0.35))
 //	exact := idx.Searcher(semtree.WithK(5), semtree.WithExactFactor(4))
 //
-// The one-shot helpers KNearest, Range and KNearestIDs are thin
-// wrappers over a Searcher.
+// Index.KNearestIDs, the ranked-IDs-only form the requirements checker
+// consumes, is the one one-shot wrapper over a Searcher.
 //
 // Data is placed when it arrives — a bulk load installs a balanced
 // layout, single inserts spill leaves to new partitions as capacity

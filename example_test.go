@@ -36,11 +36,11 @@ func ExampleBuild() {
 	defer idx.Close()
 
 	query, _ := triple.ParseTriple("('OBSW001', Fun:block_cmd, CmdType:start-up)")
-	matches, err := idx.KNearest(context.Background(), query, 1)
+	res, err := idx.Searcher(semtree.WithK(1)).Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(matches[0].Triple)
+	fmt.Println(res.Matches[0].Triple)
 	// Output: ('OBSW001', Fun:accept_cmd, CmdType:start-up)
 }
 

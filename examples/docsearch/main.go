@@ -34,10 +34,11 @@ func main() {
 	query, _ := triple.ParseTriple("('OBSW001', Fun:execute_cmd, CmdType:start-up)")
 	fmt.Printf("query by example: %s\n\n", query)
 
-	matches, err := idx.KNearest(context.Background(), query, 25)
+	res, err := idx.Searcher(semtree.WithK(25)).Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
+	matches := res.Matches
 	ids := make([]triple.ID, len(matches))
 	for i, m := range matches {
 		ids[i] = m.ID
@@ -83,12 +84,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer reloaded.Close()
-	again, err := reloaded.KNearest(context.Background(), query, 25)
+	again, err := reloaded.Searcher(semtree.WithK(25)).Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range matches {
-		if again[i].ID != matches[i].ID || again[i].Dist != matches[i].Dist {
+	for i, m := range again.Matches {
+		if m.ID != matches[i].ID || m.Dist != matches[i].Dist {
 			log.Fatalf("restored index diverged at rank %d", i)
 		}
 	}

@@ -44,20 +44,20 @@ func main() {
 	// with (OBSW001, accept_cmd, start-up).
 	query, _ := triple.ParseTriple("('OBSW001', Fun:block_cmd, CmdType:start-up)")
 	fmt.Printf("k-nearest to target %s:\n", query)
-	matches, err := idx.KNearest(context.Background(), query, 3)
+	nearest, err := idx.Searcher(semtree.WithK(3)).Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, m := range matches {
+	for _, m := range nearest.Matches {
 		fmt.Printf("  %.4f  %-55s  (from %s/%s)\n", m.Dist, m.Triple, m.Prov.Doc, m.Prov.Section)
 	}
 
 	fmt.Printf("\nrange query within 0.35 of %s:\n", query)
-	inRange, err := idx.Range(context.Background(), query, 0.35)
+	inRange, err := idx.Searcher(semtree.WithRadius(0.35)).Search(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, m := range inRange {
+	for _, m := range inRange.Matches {
 		fmt.Printf("  %.4f  %s\n", m.Dist, m.Triple)
 	}
 }

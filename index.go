@@ -47,9 +47,6 @@ type Options struct {
 	// Fabric carries inter-partition messages; nil selects a private
 	// zero-latency in-process fabric.
 	Fabric cluster.Fabric
-	// Unbalanced selects the degenerate chain split policy (the
-	// paper's "totally unbalanced" configuration; for benchmarks).
-	Unbalanced bool
 }
 
 // Match is one retrieval result: a stored triple, its provenance, and
@@ -116,7 +113,6 @@ func (o Options) treeConfig(dims int) core.Config {
 		PartitionCapacity: o.PartitionCapacity,
 		MaxPartitions:     o.MaxPartitions,
 		Fabric:            o.Fabric,
-		Unbalanced:        o.Unbalanced,
 	}
 }
 
@@ -248,31 +244,16 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	return ids, nil
 }
 
-// KNearest returns the k stored triples closest to q, ascending by
-// embedded distance. Thin wrapper over Searcher; k <= 0 returns nil.
-// The context bounds the query (cancellation and deadline).
-func (ix *Index) KNearest(ctx context.Context, q triple.Triple, k int) ([]Match, error) {
-	return matchesOf(ix.Searcher(WithK(k)).Search(ctx, q))
-}
-
-// Range returns every stored triple within embedded distance d of q,
-// ascending by distance. Since the embedding approximates the semantic
-// distance, d is on the Eq. 1 scale ([0, 1]-ish). Thin wrapper over
-// Searcher.
-func (ix *Index) Range(ctx context.Context, q triple.Triple, d float64) ([]Match, error) {
-	// ModeRange keeps d == 0 meaning "exact embedded matches only".
-	return matchesOf(ix.Searcher(WithMode(ModeRange), WithRadius(d)).Search(ctx, q))
-}
-
-// KNearestIDs implements the reqcheck.Index interface: ranked result
-// IDs only.
+// KNearestIDs implements the reqcheck.Index interface: the IDs of the
+// k stored triples closest to q, ascending by embedded distance;
+// k <= 0 returns none.
 func (ix *Index) KNearestIDs(ctx context.Context, q triple.Triple, k int) ([]triple.ID, error) {
-	ms, err := ix.KNearest(ctx, q, k)
+	res, err := ix.Searcher(WithK(k)).Search(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]triple.ID, len(ms))
-	for i, m := range ms {
+	ids := make([]triple.ID, len(res.Matches))
+	for i, m := range res.Matches {
 		ids[i] = m.ID
 	}
 	return ids, nil
@@ -331,7 +312,10 @@ func (ix *Index) Stats() (core.TreeStats, error) { return ix.tree.Stats() }
 // bulk-load that makes it tractable). It is the one layout-maintenance
 // operation: an index grown by Insert scatters its leaves over the
 // partitions as they spill, and Rebalance restores the layout a fresh
-// bulk load of the same triples would have. The caller must guarantee
+// bulk load of the same triples would have — literally: the same
+// triples on the same partitions, whatever the index has served in
+// between (the layout is a function of the data alone). The caller
+// must guarantee
 // quiescence: no concurrent Insert or queries.
 func (ix *Index) Rebalance() error { return ix.tree.Rebalance() }
 

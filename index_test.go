@@ -53,9 +53,9 @@ func TestBuildEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	got, err := ix.KNearest(context.Background(), tr("('A', Fun:accept_cmd, CmdType:start-up)"), 3)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty index KNN = %v, %v", got, err)
+	got, err := ix.Searcher(WithK(3)).Search(context.Background(), tr("('A', Fun:accept_cmd, CmdType:start-up)"))
+	if err != nil || len(got.Matches) != 0 {
+		t.Fatalf("empty index KNN = %v, %v", got.Matches, err)
 	}
 }
 
@@ -66,10 +66,11 @@ func TestKNearestFindsExactDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.KNearest(context.Background(), probe, 1)
+	res, err := ix.Searcher(WithK(1)).Search(context.Background(), probe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Matches
 	if len(got) != 1 || got[0].Dist > 1e-9 {
 		t.Fatalf("exact duplicate not at distance 0: %+v", got)
 	}
@@ -128,10 +129,11 @@ func TestKNearestApproximatesExactRanking(t *testing.T) {
 func TestRangeReturnsSortedWithinRadius(t *testing.T) {
 	ix, _ := buildTestIndex(t, 600, Options{})
 	q := tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)")
-	got, err := ix.Range(context.Background(), q, 0.3)
+	res, err := ix.Searcher(WithRadius(0.3)).Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Matches
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
 		t.Fatal("range results not sorted")
 	}
@@ -141,12 +143,12 @@ func TestRangeReturnsSortedWithinRadius(t *testing.T) {
 		}
 	}
 	// Growing the radius can only grow the result set.
-	wider, err := ix.Range(context.Background(), q, 0.5)
+	wider, err := ix.Searcher(WithRadius(0.5)).Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wider) < len(got) {
-		t.Fatalf("wider range returned fewer results: %d < %d", len(wider), len(got))
+	if len(wider.Matches) < len(got) {
+		t.Fatalf("wider range returned fewer results: %d < %d", len(wider.Matches), len(got))
 	}
 }
 
@@ -172,14 +174,15 @@ func TestPartitionedIndexMatchesSinglePartition(t *testing.T) {
 	qGen := synth.New(synth.Config{Seed: 77}, nil)
 	for q := 0; q < 25; q++ {
 		query := qGen.RandomTriple()
-		a, err := single.KNearest(context.Background(), query, 5)
+		ra, err := single.Searcher(WithK(5)).Search(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := parted.KNearest(context.Background(), query, 5)
+		rb, err := parted.Searcher(WithK(5)).Search(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		a, b := ra.Matches, rb.Matches
 		if len(a) != len(b) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -251,8 +254,8 @@ func TestCustomMeasureAndWeights(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", measure, err)
 		}
-		if _, err := ix.KNearest(context.Background(), tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)"), 3); err != nil {
-			t.Fatalf("KNearest(%s): %v", measure, err)
+		if _, err := ix.Searcher(WithK(3)).Search(context.Background(), tr("('OBSW001', Fun:accept_cmd, CmdType:start-up)")); err != nil {
+			t.Fatalf("Search(%s): %v", measure, err)
 		}
 		ix.Close()
 	}

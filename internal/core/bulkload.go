@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
@@ -216,23 +218,26 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // under one write lock like any batch, but lands by leaf — every
 // destination leaf receives its share of the chunk as one graft — and
 // the entries that leave the partition travel on as nested synchronous
-// bulk batches, so the response acknowledges the whole chunk.
+// bulk batches, so the response acknowledges the whole chunk. Grafts
+// run in ascending leaf index and forwards in ascending partition id:
+// a graft appends arena slots and a forward can spill onto the next
+// fresh partition, so either order is part of the layout.
 func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 	groups := make(map[int32][]kdtree.Point)
 	p.mu.Lock()
 	forwards, landed := p.routeLocked(r.Entries, func(leaf int32, pt kdtree.Point) {
 		groups[leaf] = append(groups[leaf], pt)
 	})
-	for leaf, batch := range groups {
-		p.graftLocked(leaf, batch)
+	for _, leaf := range slices.Sorted(maps.Keys(groups)) {
+		p.graftLocked(leaf, groups[leaf])
 	}
 	p.points += landed
 	p.inserts.Add(int64(landed))
 	spill := p.capacityExceededLocked()
 	p.mu.Unlock()
 	var err error
-	for part, entries := range forwards {
-		if _, cerr := p.t.call(p.id, part, bulkAddReq{Entries: entries}); cerr != nil && err == nil {
+	for _, part := range slices.Sorted(maps.Keys(forwards)) {
+		if _, cerr := p.t.call(p.id, part, bulkAddReq{Entries: forwards[part]}); cerr != nil && err == nil {
 			err = cerr
 		}
 	}

@@ -103,24 +103,8 @@ type protoShape struct {
 // float operations — cheap next to a fabric message.
 type costModel struct {
 	mu    sync.Mutex
-	hopNs ewma // per-hop fabric transit, ns, all destinations pooled (clamped ≥ 0 on read)
+	hopNs ewma // per-hop fabric transit, ns (clamped ≥ 0 on read)
 	cmpNs ewma // compute per visited node, ns
-
-	// hopBy refines hopNs per destination: CallSample.To identifies the
-	// node behind each leaf-call RTT, so on a fabric with non-uniform
-	// latency every partition gets its own transit estimate. Each entry
-	// is an OFFSET from the pooled hopNs, not an absolute level: the
-	// pooled EWMA decays with every sample from any destination, so it
-	// tracks regime changes (a SetLatency step, load subsiding) within a
-	// handful of queries, while a per-destination absolute EWMA only
-	// decays when that destination is re-sampled and would pin a stale
-	// level — e.g. the queueing-inflated RTTs of a fan-out burst — long
-	// after the fabric recovered. Offsets capture the stable part (this
-	// destination is slower/faster than the mean) and inherit the fast
-	// dynamics from the pooled level they ride on. The placement kernel
-	// prefers cheap destinations through hopToNs; ProtocolAuto prices
-	// hops with the pooled level plus the traffic-weighted mean offset.
-	hopBy map[cluster.NodeID]*ewma
 
 	shape [numProtoIdx]protoShape
 
@@ -158,57 +142,14 @@ func (m *costModel) observeSample(s cluster.CallSample) {
 		return
 	}
 	m.mu.Lock()
-	x := float64(s.RTT) - float64(st.Nodes)*m.cmpNs.v
-	m.hopNs.add(x)
-	e, ok := m.hopBy[s.To]
-	if !ok {
-		if m.hopBy == nil {
-			m.hopBy = make(map[cluster.NodeID]*ewma)
-		}
-		e = &ewma{}
-		m.hopBy[s.To] = e
-	}
-	e.add(x - m.hopNs.v)
+	m.hopNs.add(float64(s.RTT) - float64(st.Nodes)*m.cmpNs.v)
 	m.mu.Unlock()
 }
 
-// hopToNs is the placement kernel's per-destination hop price: the
-// pooled transit estimate plus the destination's own offset when it has
-// samples, clamped ≥ 0 like every hop read.
-func (m *costModel) hopToNs(id cluster.NodeID) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.hopNs.v
-	if e, ok := m.hopBy[id]; ok && e.n > 0 {
-		v += e.v
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// hopAvgLocked is the hop price the protocol estimates use: the pooled
-// level plus the sample-weighted mean of the per-destination offsets.
-// On a uniform fabric the offsets hover around zero and this reduces to
-// the pooled EWMA with its fast decay; on a non-uniform fabric the
-// weighted mean reflects where the traffic actually goes, so a latency
-// change on part of the fabric shifts the modeled walls proportionally.
-// Callers hold m.mu; the result is clamped.
-func (m *costModel) hopAvgLocked() float64 {
-	v := m.hopNs.v
-	if len(m.hopBy) > 0 {
-		sum, n := 0.0, 0.0
-		for _, e := range m.hopBy {
-			sum += e.v * float64(e.n)
-			n += float64(e.n)
-		}
-		v += sum / n
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
+// hopLocked is the hop price every estimate reads: the EWMA clamped at
+// zero. Callers hold m.mu.
+func (m *costModel) hopLocked() float64 {
+	return max(m.hopNs.v, 0)
 }
 
 // observeCompute records one hop-free local traversal: elapsed wall
@@ -267,7 +208,7 @@ func fanOutWaves(partitions int) float64 {
 func (m *costModel) estimates(partitions int) (estSeq, estFan time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hop := m.hopAvgLocked()
+	hop := m.hopLocked()
 	seqMsgs := m.shape[idxSeq].msgs.v
 	if m.shape[idxSeq].msgs.n == 0 {
 		if m.shape[idxFan].msgs.n > 0 {
@@ -320,7 +261,7 @@ func (m *costModel) estimateWall(p Protocol, partitions int) time.Duration {
 		if m.shape[idxRange].nodes.n == 0 {
 			return 0
 		}
-		hop := m.hopAvgLocked()
+		hop := m.hopLocked()
 		waves := 2.0
 		if partitions <= 1 {
 			waves = 1
@@ -381,7 +322,7 @@ func (m *costModel) estimateCost(p Protocol) float64 {
 // the modeled walls) and the choice histogram.
 func (m *costModel) snapshot(partitions int) (hop, cmp, seqWall, fanWall time.Duration, choices map[string]int64) {
 	m.mu.Lock()
-	hop = time.Duration(m.hopAvgLocked())
+	hop = time.Duration(m.hopLocked())
 	cmp = time.Duration(m.cmpNs.v)
 	seqWall = time.Duration(m.shape[idxSeq].wall.v)
 	fanWall = time.Duration(m.shape[idxFan].wall.v)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -140,12 +142,17 @@ func (p *partition) routeLocked(entries []insertReq, land func(leaf int32, pt kd
 
 // forwardInserts hands the entries a router pass queued to the
 // single-point protocol of the partitions hosting them, synchronously:
-// the caller acknowledges only after every point has landed. It returns
-// the first error; the remaining entries are still attempted.
+// the caller acknowledges only after every point has landed, in
+// ascending partition id (a forward can spill onto the next fresh
+// partition, so the order is part of the layout). It returns the first
+// error; the remaining entries are still attempted.
 func (p *partition) forwardInserts(forwards map[cluster.NodeID][]insertReq) error {
+	if len(forwards) == 0 {
+		return nil // the common single insert: it landed here
+	}
 	var first error
-	for part, entries := range forwards {
-		for _, e := range entries {
+	for _, part := range slices.Sorted(maps.Keys(forwards)) {
+		for _, e := range forwards[part] {
 			if _, err := p.t.call(p.id, part, e); err != nil && first == nil {
 				first = err
 			}

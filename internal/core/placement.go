@@ -13,11 +13,11 @@ import (
 // informable. Instead of scattering leaves round-robin, the placement
 // kernel scores every candidate partition by how little its union box
 // must grow to absorb the subtree (the R-tree least-enlargement
-// heuristic), nudged by current load and by the cost model's
-// per-destination hop estimate — so spatially close subtrees land
-// together, a broad query's fan-out stays bounded by the geometry of
-// its region instead of by the partition count, and nearby compute
-// nodes are preferred when the fabric's latency is non-uniform.
+// heuristic), nudged by current load — so spatially close subtrees land
+// together and a broad query's fan-out stays bounded by the geometry of
+// its region instead of by the partition count. Boxes and counts are
+// all the kernel reads: a layout is a function of the data, never of
+// what the fabric's clock measured (TestLayoutIsFunctionOfData).
 // Config.Placement selects the policy; PlacementRoundRobin restores the
 // legacy behavior as the baseline TestPlacementIdenticalResults and
 // BenchmarkKNNPlacement measure against.
@@ -28,24 +28,18 @@ type PlacementPolicy int
 
 const (
 	// PlacementBox (the default) scores candidate partitions by
-	// bounding-box enlargement plus load and per-destination hop cost,
-	// clustering geometrically close subtrees on the same partition.
+	// bounding-box enlargement plus load, clustering geometrically close
+	// subtrees on the same partition.
 	PlacementBox PlacementPolicy = iota
 	// PlacementRoundRobin restores the legacy arena-order round-robin
 	// assignment, as the ablation baseline for the placement figure.
 	PlacementRoundRobin
 )
 
-const (
-	// placeLoadWeight weighs a candidate's normalized load against the
-	// geometric term: geometry dominates (it is what bounds query
-	// fan-out), load breaks up pathological pile-ups on one partition.
-	placeLoadWeight = 0.25
-	// placeHopWeight weighs the candidate's per-destination hop
-	// estimate, so a geometric near-tie resolves toward the cheaper
-	// compute node when the fabric's latency is non-uniform.
-	placeHopWeight = 0.25
-)
+// placeLoadWeight weighs a candidate's normalized load against the
+// geometric term: geometry dominates (it is what bounds query fan-out),
+// load breaks up pathological pile-ups on one partition.
+const placeLoadWeight = 0.25
 
 // placeBox is one subtree to place: its exact bounding box and point
 // count. A nil box (empty subtree) fits anywhere for free.
@@ -58,7 +52,6 @@ type placeBox struct {
 // union box of the data it already hosts (nil when empty) and its
 // current load.
 type placeTarget struct {
-	id     cluster.NodeID
 	lo, hi []float64
 	points int
 }
@@ -87,12 +80,10 @@ func boxEnlargement(tlo, thi, slo, shi []float64) float64 {
 }
 
 // placeScores prices one subtree against every candidate target:
-// normalized box enlargement plus weighted load and hop fractions,
-// lower is better. Each component is normalized over the candidate set
-// (the max observed value), so the score is scale-free in both the
-// coordinate space and the fabric's latency range. hopNs may be nil
-// when no per-destination estimates are wanted.
-func placeScores(sub placeBox, targets []placeTarget, hopNs func(cluster.NodeID) float64) []float64 {
+// normalized box enlargement plus the weighted load fraction, lower is
+// better. Each component is normalized over the candidate set (the max
+// observed value), so the score is scale-free in the coordinate space.
+func placeScores(sub placeBox, targets []placeTarget) []float64 {
 	enl := make([]float64, len(targets))
 	maxEnl := 0.0
 	maxLoad := 0
@@ -105,17 +96,6 @@ func placeScores(sub placeBox, targets []placeTarget, hopNs func(cluster.NodeID)
 			maxLoad = tg.points
 		}
 	}
-	var hops []float64
-	maxHop := 0.0
-	if hopNs != nil {
-		hops = make([]float64, len(targets))
-		for i, tg := range targets {
-			hops[i] = hopNs(tg.id)
-			if hops[i] > maxHop {
-				maxHop = hops[i]
-			}
-		}
-	}
 	scores := make([]float64, len(targets))
 	for i, tg := range targets {
 		s := 0.0
@@ -125,22 +105,20 @@ func placeScores(sub placeBox, targets []placeTarget, hopNs func(cluster.NodeID)
 		if maxLoad > 0 {
 			s += placeLoadWeight * float64(tg.points) / float64(maxLoad)
 		}
-		if maxHop > 0 {
-			s += placeHopWeight * hops[i] / maxHop
-		}
 		scores[i] = s
 	}
 	return scores
 }
 
-// placeSubtrees greedily assigns every subtree to one target and
-// returns the chosen target index per subtree (in the subtrees' input
-// order). Subtrees are placed largest-first — big subtrees anchor the
-// layout, small ones then join whichever anchor they enlarge least —
-// and every assignment updates the running union box and load, so one
-// call packs a whole spill coherently. Ties resolve to the lowest
-// target index; the assignment is deterministic for fixed inputs.
-func placeSubtrees(subs []placeBox, targets []placeTarget, hopNs func(cluster.NodeID) float64) []int {
+// placeSubtrees greedily assigns every subtree to one of targets
+// partitions, all of them still empty, and returns the chosen target
+// index per subtree (in the subtrees' input order). Subtrees are placed
+// largest-first — big subtrees anchor the layout, small ones then join
+// whichever anchor they enlarge least — and every assignment updates
+// the running union box and load, so one call packs a whole spill
+// coherently. Ties resolve to the lowest target index; the assignment
+// is deterministic for fixed inputs.
+func placeSubtrees(subs []placeBox, targets int) []int {
 	order := make([]int, len(subs))
 	for i := range order {
 		order[i] = i
@@ -152,19 +130,10 @@ func placeSubtrees(subs []placeBox, targets []placeTarget, hopNs func(cluster.No
 		}
 		return order[a] < order[b]
 	})
-	state := make([]placeTarget, len(targets))
-	copy(state, targets)
-	for i := range state {
-		// Owned box copies: assignments expand them.
-		state[i].lo = append([]float64(nil), state[i].lo...)
-		state[i].hi = append([]float64(nil), state[i].hi...)
-		if len(state[i].lo) == 0 {
-			state[i].lo, state[i].hi = nil, nil
-		}
-	}
+	state := make([]placeTarget, targets)
 	assign := make([]int, len(subs))
 	for _, si := range order {
-		scores := placeScores(subs[si], state, hopNs)
+		scores := placeScores(subs[si], state)
 		best := 0
 		for j := 1; j < len(scores); j++ {
 			if scores[j] < scores[best] {
@@ -191,11 +160,7 @@ func (t *Tree) assignTargets(subs []placeBox, targets []cluster.NodeID) []cluste
 		}
 		return assign
 	}
-	tgs := make([]placeTarget, len(targets))
-	for i, id := range targets {
-		tgs[i] = placeTarget{id: id}
-	}
-	for i, ti := range placeSubtrees(subs, tgs, t.model.hopToNs) {
+	for i, ti := range placeSubtrees(subs, len(targets)) {
 		assign[i] = targets[ti]
 	}
 	return assign

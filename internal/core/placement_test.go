@@ -1,11 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
 )
 
@@ -47,8 +48,7 @@ func TestPlaceSubtreesSpreadsThenClusters(t *testing.T) {
 		return placeBox{lo: []float64{at, at}, hi: []float64{at + 1, at + 1}, points: 8}
 	}
 	subs := []placeBox{mkBox(0), mkBox(90), mkBox(2), mkBox(92)}
-	targets := []placeTarget{{id: 1}, {id: 2}}
-	assign := placeSubtrees(subs, targets, nil)
+	assign := placeSubtrees(subs, 2)
 	if assign[0] != assign[2] || assign[1] != assign[3] {
 		t.Fatalf("close boxes split across targets: %v", assign)
 	}
@@ -67,10 +67,9 @@ func TestPlaceSubtreesDeterministic(t *testing.T) {
 			points: 1 + r.Intn(16),
 		})
 	}
-	targets := []placeTarget{{id: 1}, {id: 2}, {id: 3}}
-	first := placeSubtrees(subs, targets, nil)
+	first := placeSubtrees(subs, 3)
 	for trial := 0; trial < 5; trial++ {
-		if got := placeSubtrees(subs, targets, nil); len(got) != len(first) {
+		if got := placeSubtrees(subs, 3); len(got) != len(first) {
 			t.Fatal("assignment length changed")
 		} else {
 			for i := range got {
@@ -79,25 +78,6 @@ func TestPlaceSubtreesDeterministic(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPlaceSubtreesHopPreference(t *testing.T) {
-	// A geometric near-tie must resolve toward the cheaper destination.
-	sub := placeBox{lo: []float64{50, 50}, hi: []float64{51, 51}, points: 8}
-	targets := []placeTarget{
-		{id: 1, lo: []float64{0, 0}, hi: []float64{40, 40}, points: 10},
-		{id: 2, lo: []float64{60, 60}, hi: []float64{100, 100}, points: 10},
-	}
-	hop := func(id cluster.NodeID) float64 {
-		if id == 1 {
-			return 5e6 // 5ms to target 1
-		}
-		return 0
-	}
-	scores := placeScores(sub, targets, hop)
-	if scores[1] >= scores[0] {
-		t.Fatalf("cheap destination not preferred: scores %v", scores)
 	}
 }
 
@@ -192,6 +172,92 @@ func TestRebalancePlacementExact(t *testing.T) {
 		}
 		if want := bruteKNN(pts, q, 5); !sameIDSets(got, want) {
 			t.Fatalf("trial %d: rebalanced tree disagrees with oracle", trial)
+		}
+	}
+}
+
+// TestLayoutIsFunctionOfData: where data lives, and the bytes a
+// snapshot of it encodes to, depend on the points and the operation
+// sequence only — not on what the fabric's clock measured while the
+// tree served queries, and not on a map's iteration order. Eight
+// independently built trees go through BulkLoad, 200 k-NN queries (the
+// samples the cost model learns hop prices from) and Rebalance: their
+// encoded snapshots are byte-equal and every partition hosts exactly
+// the points a fresh BulkLoad puts there. Eight more take two BulkLoads
+// into a live tree (grafts and forwards in handleBulkAdd): byte-equal
+// again.
+func TestLayoutIsFunctionOfData(t *testing.T) {
+	const n, dim, k, builds = 20000, 8, 10, 8
+	r := rand.New(rand.NewSource(17))
+	pts := clusteredPoints(r, n, dim, 6)
+	queries := clusteredPoints(r, 200, dim, 6)
+	cfg := Config{Dim: dim, PartitionCapacity: n / 4, MaxPartitions: 5}
+
+	encoded := func(tr *Tree) (*TreeSnapshot, []byte) {
+		snap := liveSnapshot(t, tr)
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap, buf.Bytes()
+	}
+	// hosted lists each partition's point IDs, ascending.
+	hosted := func(snap *TreeSnapshot) [][]uint64 {
+		out := make([][]uint64, len(snap.Parts))
+		for pi, ps := range snap.Parts {
+			for _, nd := range ps.Nodes {
+				for _, pt := range nd.Bucket {
+					out[pi] = append(out[pi], pt.ID)
+				}
+			}
+			slices.Sort(out[pi])
+		}
+		return out
+	}
+	bulkLoad := func(tr *Tree, batch []kdtree.Point) {
+		if err := tr.BulkLoad(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh := mustTree(t, cfg)
+	bulkLoad(fresh, pts)
+	freshSnap, _ := encoded(fresh)
+	want := hosted(freshSnap)
+
+	var first []byte
+	for b := 0; b < builds; b++ {
+		tr := mustTree(t, cfg)
+		bulkLoad(tr, pts)
+		for _, q := range queries {
+			if _, _, err := tr.knnResolved(context.Background(), q.Coords, k, ProtocolSequential, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		snap, enc := encoded(tr)
+		if got := hosted(snap); !slices.EqualFunc(got, want, slices.Equal[[]uint64]) {
+			t.Fatalf("build %d: rebalanced partitions do not host the points a fresh BulkLoad places on them", b)
+		}
+		if b == 0 {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("build %d: rebalanced snapshot bytes differ from build 0's", b)
+		}
+	}
+
+	for b := 0; b < builds; b++ {
+		tr := mustTree(t, cfg)
+		bulkLoad(tr, pts[:n/2])
+		bulkLoad(tr, pts[n/2:3*n/4])
+		bulkLoad(tr, pts[3*n/4:])
+		_, enc := encoded(tr)
+		if b == 0 {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("build %d: snapshot bytes after two live BulkLoads differ from build 0's", b)
 		}
 	}
 }

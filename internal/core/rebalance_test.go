@@ -214,8 +214,8 @@ func TestRebalanceOverTCP(t *testing.T) {
 // TestRebalanceRestoresBulkLayout is the counter gate of the one
 // layout-maintenance operation: on a tree grown by single inserts —
 // spills scattering its leaves over five partitions — Rebalance cuts
-// the sequential protocol's fabric messages to at most a fifth and
-// lands within a tenth of a fresh BulkLoad of the same points, with
+// the sequential protocol's fabric messages to at most a fifth, to
+// exactly what a fresh BulkLoad of the same points costs, with
 // every answer equal to the flat scan before and after and every box
 // exact. Counters only; no clock is read.
 func TestRebalanceRestoresBulkLayout(t *testing.T) {
@@ -280,8 +280,8 @@ func TestRebalanceRestoresBulkLayout(t *testing.T) {
 		if after*5 > before {
 			t.Errorf("%s: Rebalance left %d messages of %d, want at most a fifth", name, after, before)
 		}
-		if diff := after - bulk; diff*10 > bulk || -diff*10 > bulk {
-			t.Errorf("%s: rebalanced layout costs %d messages, a fresh BulkLoad %d: more than 10%% apart", name, after, bulk)
+		if after != bulk {
+			t.Errorf("%s: rebalanced layout costs %d messages, a fresh BulkLoad %d: not the same layout", name, after, bulk)
 		}
 	}
 }

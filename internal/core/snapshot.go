@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
@@ -141,11 +144,17 @@ func copyNodes(nodes []kdtree.Node) []kdtree.Node {
 }
 
 // handleSnapshot deep-copies the partition's state under the read lock.
+// The remote-box cache is a map; it is emitted in (Part, Node) order so
+// a snapshot's bytes are a function of the partition's state.
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	st := PartitionSnapshot{Nodes: copyNodes(p.Nodes), Points: p.points}
-	for ref, b := range p.remoteBoxes {
+	refs := slices.SortedFunc(maps.Keys(p.remoteBoxes), func(a, b kdtree.Ref) int {
+		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(a.Node, b.Node))
+	})
+	for _, ref := range refs {
+		b := p.remoteBoxes[ref]
 		c := copyBox(b.lo, b.hi)
 		st.Remote = append(st.Remote, RemoteBox{Ref: ref, Lo: c.lo, Hi: c.hi})
 	}

@@ -113,7 +113,7 @@ func (a *Allocator) Close() error {
 }
 
 func (a *Allocator) handleConn(conn net.Conn) {
-	ok := acceptHello(conn, defaultHelloTimeout, func(token string) error {
+	ok := acceptHello(conn, func(token string) error {
 		if token != a.cfg.Token {
 			return ErrAuth
 		}

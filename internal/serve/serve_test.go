@@ -446,9 +446,9 @@ func TestSaveConcurrentWithServeQueries(t *testing.T) {
 		t.Fatalf("loading the live snapshot: %v", err)
 	}
 	defer loaded.Close()
-	ms, err := loaded.KNearest(t.Context(), qs[0], 3)
-	if err != nil || len(ms) == 0 {
-		t.Fatalf("loaded snapshot query: %v (%d matches)", err, len(ms))
+	res, err := loaded.Searcher(semtree.WithK(3)).Search(t.Context(), qs[0])
+	if err != nil || len(res.Matches) == 0 {
+		t.Fatalf("loaded snapshot query: %v (%d matches)", err, len(res.Matches))
 	}
 }
 

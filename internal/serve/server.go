@@ -55,20 +55,18 @@ type Config struct {
 	AllocatorToken string
 	// LeaseInterval is the report/renew period (default 200ms).
 	LeaseInterval time.Duration
-	// HelloTimeout bounds how long an accepted connection may take to
-	// present its hello (default 10s) so an idle dialer cannot pin a
-	// handler goroutine forever.
-	HelloTimeout time.Duration
-	// DrainGrace is how long Drain keeps live connections answering
-	// (with typed ErrDraining refusals) after the in-flight count first
-	// reaches zero, so requests already on the wire when the drain
-	// began are refused instead of dropped (default 250ms).
-	DrainGrace time.Duration
 }
 
-// defaultHelloTimeout is Config.HelloTimeout's default, and the
-// allocator's fixed hello timeout.
-const defaultHelloTimeout = 10 * time.Second
+const (
+	// defaultHelloTimeout bounds how long a connection the server or
+	// the allocator accepted may take to present its hello.
+	defaultHelloTimeout = 10 * time.Second
+	// drainGrace is how long Drain keeps live connections answering
+	// (with typed ErrDraining refusals) after the in-flight count first
+	// reaches zero, so requests already on the wire when the drain
+	// began are refused instead of dropped.
+	drainGrace = 250 * time.Millisecond
+)
 
 // tenant is the server-side state of one configured tenant.
 type tenant struct {
@@ -127,14 +125,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: at least one tenant is required")
 	}
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = defaultHelloTimeout
-	}
 	if cfg.LeaseInterval <= 0 {
 		cfg.LeaseInterval = 200 * time.Millisecond
-	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = 250 * time.Millisecond
 	}
 	if cfg.AllocatorAddr != "" && cfg.FrontEndID == "" {
 		return nil, fmt.Errorf("serve: FrontEndID is required with AllocatorAddr")
@@ -254,7 +246,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-inFlight:
-		grace := time.NewTimer(s.cfg.DrainGrace)
+		grace := time.NewTimer(drainGrace)
 		defer grace.Stop()
 		select {
 		case <-grace.C:
@@ -303,16 +295,16 @@ func (s *Server) track(conn net.Conn) func() {
 
 // acceptHello runs the server half of the hello exchange on a freshly
 // accepted connection, for the query server and the allocator alike.
-// The hello must arrive within timeout — so an idle dialer cannot pin a
-// handler goroutine — and afterwards the connection may idle
+// The hello must arrive within defaultHelloTimeout — so an idle dialer
+// cannot pin a handler goroutine — and afterwards the connection may idle
 // indefinitely between requests. The deadline is armed from the wall
 // clock whatever clock the caller's own logic runs on: a socket
 // deadline is a wall-clock instant. A hello in a foreign protocol
 // version is refused with ErrVersion; otherwise auth decides on the
 // token, returning the sentinel to refuse with or nil to accept. It
 // reports whether the connection was accepted and acknowledged.
-func acceptHello(conn net.Conn, timeout time.Duration, auth func(token string) error) bool {
-	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+func acceptHello(conn net.Conn, auth func(token string) error) bool {
+	_ = conn.SetReadDeadline(time.Now().Add(defaultHelloTimeout))
 	frame, err := readMessage(conn)
 	if err != nil {
 		return false
@@ -345,7 +337,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.track(conn)()
 
 	var t *tenant
-	ok := acceptHello(conn, s.cfg.HelloTimeout, func(token string) error {
+	ok := acceptHello(conn, func(token string) error {
 		var known bool
 		if t, known = s.tenants[token]; !known {
 			return ErrAuth

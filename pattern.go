@@ -111,12 +111,13 @@ func (ix *Index) MatchPattern(ctx context.Context, p Pattern, d float64, limit i
 	}
 	q := triple.New(qTerms[0], qTerms[1], qTerms[2])
 
-	cands, err := ix.Range(ctx, q, d+slack+embeddingSlack)
+	// ModeRange: a zero radius still means a range query.
+	cands, err := ix.Searcher(WithMode(ModeRange), WithRadius(d+slack+embeddingSlack)).Search(ctx, q)
 	if err != nil {
 		return nil, err
 	}
 	var out []Match
-	for _, c := range cands {
+	for _, c := range cands.Matches {
 		boundDist := 0.0
 		for i, t := range terms {
 			if t == nil {

@@ -43,14 +43,15 @@ func TestSaveLoadRoundTripIdenticalAnswers(t *testing.T) {
 	qGen := synth.New(synth.Config{Seed: 62}, nil)
 	for q := 0; q < 30; q++ {
 		query := qGen.RandomTriple()
-		a, err := orig.KNearest(context.Background(), query, 7)
+		ra, err := orig.Searcher(WithK(7)).Search(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.KNearest(context.Background(), query, 7)
+		rb, err := loaded.Searcher(WithK(7)).Search(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
+		a, b := ra.Matches, rb.Matches
 		if len(a) != len(b) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -62,7 +63,8 @@ func TestSaveLoadRoundTripIdenticalAnswers(t *testing.T) {
 		}
 	}
 	// Provenance survives.
-	m, err := loaded.KNearest(context.Background(), store.MustGet(0), 1)
+	res, err := loaded.Searcher(WithK(1)).Search(context.Background(), store.MustGet(0))
+	m := res.Matches
 	if err != nil || len(m) != 1 {
 		t.Fatalf("lookup after load: %v %v", m, err)
 	}
@@ -106,8 +108,9 @@ func TestLoadRestoresPartitionLayout(t *testing.T) {
 	qGen := synth.New(synth.Config{Seed: 64}, nil)
 	for q := 0; q < 15; q++ {
 		query := qGen.RandomTriple()
-		a, _ := orig.KNearest(context.Background(), query, 5)
-		b, _ := loaded.KNearest(context.Background(), query, 5)
+		ra, _ := orig.Searcher(WithK(5)).Search(context.Background(), query)
+		rb, _ := loaded.Searcher(WithK(5)).Search(context.Background(), query)
+		a, b := ra.Matches, rb.Matches
 		if len(a) != len(b) {
 			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -115,6 +118,31 @@ func TestLoadRestoresPartitionLayout(t *testing.T) {
 			if a[i].Dist != b[i].Dist || a[i].ID != b[i].ID {
 				t.Fatalf("restored load changed answers")
 			}
+		}
+	}
+}
+
+// TestSaveTwiceByteEqual: a snapshot's bytes are a function of the
+// index. Consecutive Saves of one four-partition index — whose root
+// partition caches one remote box per frontier subtree, in a map — are
+// byte-equal. (Eight Saves, not two: a map of four entries iterates in
+// the same order often enough for two to agree by luck.)
+func TestSaveTwiceByteEqual(t *testing.T) {
+	ix, _ := buildTestIndex(t, 800, Options{Seed: 6, PartitionCapacity: 200, MaxPartitions: 4})
+	if ix.PartitionCount() != 4 {
+		t.Fatalf("partitions = %d, want 4", ix.PartitionCount())
+	}
+	var first bytes.Buffer
+	if err := Save(&first, ix); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 8; i++ {
+		var again bytes.Buffer
+		if err := Save(&again, ix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("Save %d of an unchanged index differs from the first", i+1)
 		}
 	}
 }
@@ -146,7 +174,8 @@ func TestSaveAfterInsert(t *testing.T) {
 	if loaded.Len() != 101 {
 		t.Fatalf("loaded %d triples, want 101", loaded.Len())
 	}
-	m, err := loaded.KNearest(context.Background(), probe, 1)
+	res, err := loaded.Searcher(WithK(1)).Search(context.Background(), probe)
+	m := res.Matches
 	if err != nil || len(m) != 1 || m[0].Dist != 0 {
 		t.Fatalf("late insert not found after reload: %v %v", m, err)
 	}
@@ -420,7 +449,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		defer loaded.Close()
 		g := synth.New(synth.Config{Seed: 72}, nil)
-		if _, err := loaded.KNearest(context.Background(), g.RandomTriple(), 3); err != nil {
+		if _, err := loaded.Searcher(WithK(3)).Search(context.Background(), g.RandomTriple()); err != nil {
 			t.Fatalf("accepted snapshot does not answer queries: %v", err)
 		}
 	})

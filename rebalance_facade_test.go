@@ -40,10 +40,11 @@ func TestIndexRebalanceAfterGrowth(t *testing.T) {
 	// Every dynamically inserted triple must still be findable exactly.
 	for i := 0; i < 40; i++ {
 		probe := inserted[i*20%len(inserted)]
-		got, err := ix.KNearest(context.Background(), probe, 1)
+		res, err := ix.Searcher(WithK(1)).Search(context.Background(), probe)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Matches
 		if len(got) != 1 || got[0].Dist > 1e-9 {
 			t.Fatalf("probe %v not found after rebalance: %v", probe, got)
 		}

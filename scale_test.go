@@ -54,10 +54,11 @@ func TestScalePaperCorpus(t *testing.T) {
 	probes := probeGen.Triples(50) // same seed → prefix of the corpus
 	qStart := time.Now()
 	for _, probe := range probes {
-		got, err := ix.KNearest(context.Background(), probe, 3)
+		res, err := ix.Searcher(WithK(3)).Search(context.Background(), probe)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Matches
 		if len(got) != 3 || got[0].Dist > 1e-9 {
 			t.Fatalf("stored triple %v not retrieved at distance 0: %v", probe, got)
 		}

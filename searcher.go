@@ -260,8 +260,7 @@ type Searcher struct {
 // owns its own admission scheduler — the in-flight limit, quota bucket
 // and counters are per-Searcher — while the cost model driving
 // protocol choice is shared index-wide, so estimates learned through
-// one searcher benefit all. The ad-hoc query methods (KNearest, Range,
-// KNearestIDs) are thin wrappers around one of these.
+// one searcher benefit all.
 func (ix *Index) Searcher(opts ...SearchOption) *Searcher {
 	var o SearchOptions
 	for _, opt := range opts {
@@ -444,13 +443,4 @@ func (s *Searcher) candidateK() int {
 		want = k // the tree caps at its size anyway
 	}
 	return want
-}
-
-// matchesOf is a convenience for wrappers that only need the ranked
-// matches of a single query.
-func matchesOf(res Result, err error) ([]Match, error) {
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
 }

@@ -52,14 +52,14 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, q := range qs {
-			single, err := ix.KNearest(context.Background(), q, 5)
+			single, err := s.Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch[i].Err != nil {
 				t.Fatalf("query %d: %v", i, batch[i].Err)
 			}
-			if !sameMatches(batch[i].Matches, single) {
+			if !sameMatches(batch[i].Matches, single.Matches) {
 				t.Fatalf("query %d: batch and single disagree", i)
 			}
 		}
@@ -71,14 +71,14 @@ func TestSearcherBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, q := range qs {
-			single, err := ix.Range(context.Background(), q, 0.4)
+			single, err := s.Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch[i].Err != nil {
 				t.Fatalf("query %d: %v", i, batch[i].Err)
 			}
-			if !sameMatches(batch[i].Matches, single) {
+			if !sameMatches(batch[i].Matches, single.Matches) {
 				t.Fatalf("query %d: batch and single disagree", i)
 			}
 		}
@@ -151,8 +151,8 @@ func TestExactFactorGuards(t *testing.T) {
 	if all := exact(3, ix.Len()); !sameMatches(huge, all) {
 		t.Fatalf("huge-factor ranking diverges from full re-rank")
 	}
-	if got, err := ix.KNearest(context.Background(), q, 0); err != nil || got != nil {
-		t.Fatalf("KNearest k=0 = %v, %v, want nil", got, err)
+	if got, err := ix.Searcher(WithK(0)).Search(context.Background(), q); err != nil || got.Matches != nil {
+		t.Fatalf("Search k=0 = %v, %v, want nil", got.Matches, err)
 	}
 }
 
@@ -259,11 +259,11 @@ func TestSearchCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := g.RandomTriple()
-	if _, err := ix.KNearest(ctx, q, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("KNearest err = %v", err)
+	if _, err := ix.Searcher(WithK(3)).Search(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("k-NN Search err = %v", err)
 	}
-	if _, err := ix.Range(ctx, q, 0.5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Range err = %v", err)
+	if _, err := ix.Searcher(WithRadius(0.5)).Search(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("range Search err = %v", err)
 	}
 	if _, err := ix.KNearestIDs(ctx, q, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("KNearestIDs err = %v", err)
