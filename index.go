@@ -1,9 +1,10 @@
 package semtree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"semtree/internal/cluster"
 	"semtree/internal/core"
@@ -277,11 +278,8 @@ func (ix *Index) matches(neighbors []kdtree.Neighbor) ([]Match, error) {
 }
 
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Dist != ms[j].Dist {
-			return ms[i].Dist < ms[j].Dist
-		}
-		return ms[i].ID < ms[j].ID
+	slices.SortFunc(ms, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
 }
 

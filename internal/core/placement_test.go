@@ -185,7 +185,8 @@ func TestRebalancePlacementExact(t *testing.T) {
 // encoded snapshots are byte-equal and every partition hosts exactly
 // the points a fresh BulkLoad puts there. Eight more take two BulkLoads
 // into a live tree (grafts and forwards in handleBulkAdd): byte-equal
-// again.
+// again. And a BulkLoad is a function of the point set: eight shuffles
+// of the input encode to the bytes of the unshuffled one.
 func TestLayoutIsFunctionOfData(t *testing.T) {
 	const n, dim, k, builds = 20000, 8, 10, 8
 	r := rand.New(rand.NewSource(17))
@@ -259,5 +260,22 @@ func TestLayoutIsFunctionOfData(t *testing.T) {
 		} else if !bytes.Equal(enc, first) {
 			t.Fatalf("build %d: snapshot bytes after two live BulkLoads differ from build 0's", b)
 		}
+	}
+
+	// A quarter of the set again under new IDs, so coordinates tie
+	// across points: tie handling must not let input order through.
+	tied := slices.Clone(pts)
+	for i, p := range pts[:n/4] {
+		tied = append(tied, kdtree.Point{Coords: p.Coords, ID: uint64(n + i)})
+	}
+	for b := 0; b < builds; b++ {
+		tr := mustTree(t, cfg)
+		bulkLoad(tr, tied)
+		if _, enc := encoded(tr); b == 0 {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("shuffle %d: snapshot bytes of a BulkLoad depend on the order of its input", b)
+		}
+		r.Shuffle(len(tied), func(i, j int) { tied[i], tied[j] = tied[j], tied[i] })
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -449,7 +449,15 @@ func (t *Tree) RangeSearchStats(ctx context.Context, q []float64, d float64) ([]
 	st.fromWire(rr.Stats)
 	t.model.observeQuery(idxRange, st)
 	out := rr.Neighbors
-	sort.Slice(out, func(i, j int) bool { return neighborLess(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b kdtree.Neighbor) int {
+		switch {
+		case neighborLess(a, b):
+			return -1
+		case neighborLess(b, a):
+			return 1
+		}
+		return 0
+	})
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}

@@ -8,17 +8,19 @@
 // names a node either inside the arena or outside it. The arena owns
 // descent, leaf splitting (median and chain policies), bounding-box
 // maintenance, balanced and chain bulk building, the structural Check
-// and the k-nearest / range traversals. Tree — the sequential tree of
+// and the k-nearest / range traversals. The balanced build (build.go)
+// selects each level's median instead of sorting — O(n log n), no
+// reflection — keeps buckets in point-ID order, so an arena is a
+// function of the point set, and is the one place the package starts
+// goroutines: a large build runs its two halves at once, on the same
+// slots at any GOMAXPROCS. Tree — the sequential tree of
 // Figures 4 and 6 — is an Arena with no outside references; the
 // distributed tree of internal/core hosts one Arena per partition and
 // adds only what distribution needs (an Outside continuation the
 // traversals call when a reference leaves the arena).
 package kdtree
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Point is an indexed vector with an opaque payload identifier
 // (in SemTree the triple ID). Coords must not be mutated after the
@@ -274,14 +276,13 @@ func widestDimension(bucket []Point, dims int) (dim int, lo, hi float64, ok bool
 // choices guarantee non-empty halves under the "<= goes left" rule,
 // because lo < hi.
 func medianSplit(bucket []Point, dim int, lo, hi float64) float64 {
-	vals := make([]float64, len(bucket))
-	for i, p := range bucket {
-		vals[i] = p.Coords[dim]
-	}
-	//semtree:allow boundaryonce: construction-time median selection when splitting a leaf; not on the query-result path
-	sort.Float64s(vals)
-	med := vals[(len(vals)-1)/2]
-	if med < hi {
+	// Select on a copy: the bucket keeps its insertion order. A bucket
+	// of up to len(stack) points is copied to the stack.
+	var stack [64]Point
+	tmp := append(stack[:0], bucket...)
+	k := (len(tmp) - 1) / 2
+	selectNth(tmp, dim, k)
+	if med := tmp[k].Coords[dim]; med < hi {
 		return med
 	}
 	return (lo + hi) / 2

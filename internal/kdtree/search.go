@@ -2,7 +2,7 @@ package kdtree
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -43,6 +43,17 @@ func NeighborLess(a, b Neighbor) bool {
 		return a.Dist < b.Dist
 	}
 	return a.Point.ID < b.Point.ID
+}
+
+// neighborCmp is NeighborLess as a three-way comparison.
+func neighborCmp(a, b Neighbor) int {
+	switch {
+	case NeighborLess(a, b):
+		return -1
+	case NeighborLess(b, a):
+		return 1
+	}
+	return 0
 }
 
 // Offer inserts a candidate in order, evicting the current worst when
@@ -150,7 +161,7 @@ func (t *Tree) RangeSearchWithStats(q []float64, d float64, stats *Stats) []Neig
 	c.s.Radius = d
 	_ = t.Range(&c.s, 0, nil) // no Outside: nothing can fail
 	out := c.s.Matches
-	sort.Slice(out, func(i, j int) bool { return NeighborLess(out[i], out[j]) })
+	slices.SortFunc(out, neighborCmp)
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}

@@ -3,7 +3,6 @@ package semtree
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"semtree/internal/triple"
@@ -130,12 +129,7 @@ func (ix *Index) MatchPattern(ctx context.Context, p Pattern, d float64, limit i
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sortMatches(out)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
