@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	semtree "semtree"
 	"semtree/internal/cluster"
@@ -43,16 +42,16 @@ func benchPoints(b *testing.B, n int) []kdtree.Point {
 	return pts
 }
 
-// BenchmarkFig3IndexBuild measures distributed index building on the
-// virtual-clock fabric (Figure 3's M=5 point at 20k triples). The
-// reported metric is real work; the figure sweep reports virtual time.
+// BenchmarkFig3IndexBuild measures distributed index building point by
+// point (Figure 3's M=5 point at 20k triples). The reported metric is
+// real work; the figure sweep reports the rank clock's virtual time.
 func BenchmarkFig3IndexBuild(b *testing.B) {
 	for _, m := range []int{1, 5} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
 			pts := benchPoints(b, 20000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fabric := cluster.NewVirtual(cluster.VirtualOptions{Latency: 200 * time.Microsecond})
+				fabric := cluster.NewInProc(cluster.InProcOptions{})
 				capacity := 0
 				if m > 1 {
 					capacity = (m - 1) * 16
@@ -64,10 +63,9 @@ func BenchmarkFig3IndexBuild(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := tr.InsertBatchAsync(append([]kdtree.Point(nil), pts...), 256); err != nil {
+				if err := tr.InsertAll(append([]kdtree.Point(nil), pts...), 1); err != nil {
 					b.Fatal(err)
 				}
-				tr.Flush()
 				tr.Close()
 				fabric.Close()
 			}
@@ -120,10 +118,9 @@ func BenchmarkFig5DistKNN(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer tr.Close()
-			if err := tr.InsertBatchAsync(pts, 256); err != nil {
+			if err := tr.InsertAll(pts, 1); err != nil {
 				b.Fatal(err)
 			}
-			tr.Flush()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.KNearest(context.Background(), queries[i%len(queries)].Coords, 3); err != nil {
@@ -155,10 +152,9 @@ func BenchmarkKNearestBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer tr.Close()
-	if err := tr.InsertBatchAsync(pts, 64); err != nil {
+	if err := tr.InsertAll(pts, 1); err != nil {
 		b.Fatal(err)
 	}
-	tr.Flush()
 	if tr.PartitionCount() < 4 {
 		b.Fatalf("partitions = %d, want >= 4", tr.PartitionCount())
 	}
@@ -262,10 +258,9 @@ func BenchmarkFig7DistRange(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer tr.Close()
-			if err := tr.InsertBatchAsync(pts, 256); err != nil {
+			if err := tr.InsertAll(pts, 1); err != nil {
 				b.Fatal(err)
 			}
-			tr.Flush()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.RangeSearch(context.Background(), queries[i%len(queries)].Coords, 0.2); err != nil {

@@ -9,9 +9,10 @@ import (
 // function that accepts a context.Context takes it as the first
 // parameter, and library packages never mint their own root contexts
 // with context.Background()/context.TODO() — roots belong to package
-// main and to tests. Handlers that run detached by documented contract
-// (e.g. the fabric's one-way mailbox deliveries) carry a justified
-// //semtree:allow ctxfirst directive instead.
+// main and to tests. Code that runs detached by documented contract
+// (e.g. the tree's inserts and maintenance, which run to completion
+// once started) carries a justified //semtree:allow ctxfirst directive
+// instead.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc: "context.Context parameters come first, and library packages do not call " +

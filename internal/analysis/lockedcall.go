@@ -9,7 +9,7 @@ import (
 )
 
 // LockedCall enforces the deadlock/tail-latency invariant made real by
-// the TCP fabric: no synchronous fabric traffic (Fabric.Call, Send,
+// the TCP fabric: no synchronous fabric traffic (Fabric.Call,
 // cluster.CallRetry) and no channel send may be reachable while a
 // partition/bucket mutex is held. A blocked remote call under a held
 // lock serializes every other request on the partition and, in the
@@ -25,7 +25,7 @@ import (
 // caller and are excluded.
 var LockedCall = &Analyzer{
 	Name: "lockedcall",
-	Doc: "no Fabric.Call/Send, cluster.CallRetry, or channel send may be reachable " +
+	Doc: "no Fabric.Call, cluster.CallRetry, or channel send may be reachable " +
 		"while a sync.Mutex/RWMutex is held",
 	Run: runLockedCall,
 }
@@ -117,9 +117,9 @@ func (lc *lockedCallPass) buildReachingSet() {
 	}
 }
 
-// isFabricCall reports whether call is direct fabric traffic: a Call or
-// Send method on any type from the cluster package (the Fabric
-// interface or a concrete fabric), or the package-level retry helper
+// isFabricCall reports whether call is direct fabric traffic: a Call
+// method on any type from the cluster package (the Fabric interface or
+// a concrete fabric), or the package-level retry helper
 // cluster.CallRetry.
 func (lc *lockedCallPass) isFabricCall(call *ast.CallExpr) bool {
 	if calleeIsPkgFunc(lc.TypesInfo, call, "cluster", "CallRetry") {
@@ -129,7 +129,7 @@ func (lc *lockedCallPass) isFabricCall(call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	if sel.Sel.Name != "Call" && sel.Sel.Name != "Send" {
+	if sel.Sel.Name != "Call" {
 		return false
 	}
 	named := namedOf(lc.TypeOf(sel.X))

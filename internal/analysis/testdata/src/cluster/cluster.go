@@ -10,7 +10,6 @@ type NodeID int
 
 type Fabric interface {
 	Call(ctx context.Context, from, to NodeID, req any) (any, error)
-	Send(from, to NodeID, req any) error
 }
 
 func CallRetry(ctx context.Context, f Fabric, from, to NodeID, req any, attempts int) (any, error) {

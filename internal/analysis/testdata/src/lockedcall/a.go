@@ -21,10 +21,10 @@ func (p *part) bad(ctx context.Context) error {
 	return err
 }
 
-func (p *part) badRLock() {
+func (p *part) badRLock(ctx context.Context) {
 	p.state.RLock()
 	defer p.state.RUnlock()
-	_ = p.fab.Send(1, 2, nil) // want "fabric Send while p.state held"
+	_, _ = p.fab.Call(ctx, 1, 2, nil) // want "fabric Call while p.state held"
 }
 
 func (p *part) badSend() {

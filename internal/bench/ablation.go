@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	semtree "semtree"
-	"semtree/internal/cluster"
 	"semtree/internal/fastmap"
 	"semtree/internal/kdtree"
 	"semtree/internal/reqcheck"
@@ -156,22 +155,17 @@ func AblationBucket(ctx context.Context, p Params) (*Figure, error) {
 	fig := &Figure{
 		ID: "ablation-bucket", Title: fmt.Sprintf("Bucket size Bs (%d points)", n),
 		XLabel: "bucket size", YLabel: "build s / query µs", YFmt: "%.4f",
-		Notes: []string{fmt.Sprintf("build on the virtual fabric with M=%d; queries sequential balanced", m)},
+		Notes: []string{fmt.Sprintf("build on the rank clock with M=%d; queries sequential balanced", m)},
 	}
 	build := Series{Name: fmt.Sprintf("build virtual s (M=%d)", m)}
 	query := Series{Name: "k-nearest µs (sequential)"}
 	for _, bs := range []int{4, 8, 16, 32, 64, 128} {
 		pb := p
 		pb.BucketSize = bs
-		fabric := cluster.NewVirtual(cluster.VirtualOptions{Latency: p.Latency})
-		tr, err := buildDistributed(data.prefix(n), m, pb, fabric, false)
+		vt, err := clockedBuild(data.prefix(n), m, pb, false)
 		if err != nil {
-			fabric.Close()
 			return nil, err
 		}
-		vt := fabric.VirtualTime()
-		tr.Close()
-		fabric.Close()
 		build.X = append(build.X, float64(bs))
 		build.Y = append(build.Y, vt.Seconds())
 

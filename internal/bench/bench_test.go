@@ -85,7 +85,7 @@ func TestFig3Shape(t *testing.T) {
 	// The paper's shape — every curve grows with N and the unbalanced
 	// chain is the worst at the larger size — asserted on the insert
 	// descents' navigation steps per build rather than on the measured
-	// handler time the virtual clock runs on.
+	// handler time the rank clock runs on.
 	p = p.withDefaults()
 	data, err := makeSweep(maxSize(p.Sizes), 0, p.Dims, p.Seed)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestFig3Shape(t *testing.T) {
 		t.Helper()
 		var out []int64
 		for _, n := range p.Sizes {
-			fabric := cluster.NewVirtual(cluster.VirtualOptions{Latency: p.Latency})
+			fabric := cluster.NewInProc(cluster.InProcOptions{})
 			tr, err := buildDistributed(prefix(n), m, p, fabric, unbalanced)
 			if err != nil {
 				t.Fatal(err)

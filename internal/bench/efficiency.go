@@ -10,7 +10,8 @@ import (
 	"semtree/internal/kdtree"
 )
 
-// buildDistributed assembles a core.Tree over the given fabric with the
+// buildDistributed grows a core.Tree over the given fabric point by
+// point (§III-B.1, one message per insert and per forward) with the
 // paper's partitioning policy: capacity (M−1)·Bs makes the root spill
 // when ~M−1 leaves exist, leaving it the shallow 2M−1-node routing
 // trunk of §III-C.
@@ -30,25 +31,29 @@ func buildDistributed(pts []kdtree.Point, m int, p Params, fabric cluster.Fabric
 	if err != nil {
 		return nil, err
 	}
-	// The capacity condition is evaluated per message, so the pipeline
-	// batch must not exceed the capacity or the root would blow past
-	// its spill point inside the first batch and freeze an oversized
-	// routing frontier (identical for every M).
-	batch := 256
-	if capacity > 0 && capacity < batch {
-		batch = capacity
-	}
-	if err := tr.InsertBatchAsync(pts, batch); err != nil {
+	if err := tr.InsertAll(pts, 1); err != nil {
 		tr.Close()
 		return nil, err
 	}
-	tr.Flush()
 	return tr, nil
+}
+
+// clockedBuild grows a tree with buildDistributed over a fresh rank
+// clock and returns the virtual time at which its last rank finished.
+func clockedBuild(pts []kdtree.Point, m int, p Params, unbalanced bool) (time.Duration, error) {
+	clock := newRankClock(p.Latency)
+	defer clock.Close()
+	tr, err := buildDistributed(pts, m, p, clock, unbalanced)
+	if err != nil {
+		return 0, err
+	}
+	defer tr.Close()
+	return clock.makespan, nil
 }
 
 // Fig3 regenerates Figure 3: index building time vs number of points
 // for 1 balanced partition, 3/5/9 partitions, and 1 totally unbalanced
-// partition. Building runs on the virtual-clock fabric, so partition
+// partition. Build time is the rank clock's makespan, so partition
 // ranks overlap as on the paper's 8-node cluster.
 func Fig3(ctx context.Context, p Params) (*Figure, error) {
 	p = p.withDefaults()
@@ -60,30 +65,20 @@ func Fig3(ctx context.Context, p Params) (*Figure, error) {
 		ID: "fig3", Title: "Index building time",
 		XLabel: "points", YLabel: "virtual seconds",
 		Notes: []string{
-			"virtual-clock fabric: rank service = measured handler time; " +
-				fmt.Sprintf("per-hop latency %v", p.Latency),
-			fmt.Sprintf("partition capacity (M-1)*Bs with Bs=%d; batch 256", p.BucketSize),
+			"rank clock: one message per insert and per forward, forwards one-way, " +
+				fmt.Sprintf("rank service = measured handler self time; per-hop latency %v", p.Latency),
+			fmt.Sprintf("partition capacity (M-1)*Bs with Bs=%d", p.BucketSize),
 		},
 	}
-	buildOnce := func(pts []kdtree.Point, m int, unbalanced bool) (time.Duration, error) {
-		fabric := cluster.NewVirtual(cluster.VirtualOptions{Latency: p.Latency})
-		defer fabric.Close()
-		tr, err := buildDistributed(pts, m, p, fabric, unbalanced)
-		if err != nil {
-			return 0, err
-		}
-		defer tr.Close()
-		return fabric.VirtualTime(), nil
-	}
-	// Handler durations feed the virtual clock, so allocator/scheduler
+	// Handler durations feed the rank clock, so allocator/scheduler
 	// cold starts would show up as time: build twice, keep the
 	// steady-state (minimum) measurement.
 	build := func(pts []kdtree.Point, m int, unbalanced bool) (time.Duration, error) {
-		best, err := buildOnce(append([]kdtree.Point(nil), pts...), m, unbalanced)
+		best, err := clockedBuild(append([]kdtree.Point(nil), pts...), m, p, unbalanced)
 		if err != nil {
 			return 0, err
 		}
-		again, err := buildOnce(pts, m, unbalanced)
+		again, err := clockedBuild(pts, m, p, unbalanced)
 		if err != nil {
 			return 0, err
 		}

@@ -287,9 +287,7 @@ func TestTCPNestedCalls(t *testing.T) {
 // TestCallCancelledUpfront: a context that is already done must fail
 // the call on every fabric without invoking the handler.
 func TestCallCancelledUpfront(t *testing.T) {
-	mks := fabrics()
-	mks["virtual"] = func() Fabric { return NewVirtual(VirtualOptions{}) }
-	for name, mk := range mks {
+	for name, mk := range fabrics() {
 		t.Run(name, func(t *testing.T) {
 			f := mk()
 			defer f.Close()

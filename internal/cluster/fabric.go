@@ -3,12 +3,12 @@
 // cluster and navigates across them "by a proper communication protocol
 // (in our implementation based on MPJ libraries)" (§III-B.1). This
 // package provides the equivalent: a Fabric of named nodes exchanging
-// synchronous request/response messages, with three implementations —
+// synchronous request/response messages, with two implementations —
 //
 //   - InProc: in-process transport with configurable per-message
 //     latency, transient-failure injection and message accounting. It
-//     is the default fabric of a tree, what the query-side bench figures
-//     and the repo benchmark's in-process workloads run on, and the
+//     is the default fabric of a tree, what the bench figures and the
+//     repo benchmark's in-process workloads run on, and the
 //     failure-injection harness of the robustness tests.
 //   - TCP: a real network transport over loopback (net + encoding/gob)
 //     that also counts the bytes it moves, used by the distributed
@@ -16,14 +16,11 @@
 //     nine-partition workload. Its connections are long-lived, like the
 //     channels between MPJ ranks: a small per-peer idle list, one gob
 //     stream pair per connection, one exchange at a time on each.
-//   - Virtual: a discrete-event simulation in which every node is a
-//     single-threaded rank on a virtual clock advanced by measured
-//     handler time. It is the clock of the index-building figures
-//     (Figure 3, the bucket-size ablation): parallel build speed-up is
-//     measurable on it even on a one-CPU host. It shares no logic with
-//     InProc — one sleeps real time on real goroutines, the other
-//     schedules events — which is why it is a fabric of its own and not
-//     an option of InProc.
+//
+// Request/response is the whole fabric: there is no one-way delivery,
+// no queue and no goroutine a node owns. The clock on which Figure 3's
+// ranks overlap is a Call-timing wrapper in internal/bench, as Observe
+// is the cost model's.
 //
 // Every Call is context-first: cancellation and deadlines propagate
 // with the message. On InProc the simulated transit sleep unblocks when
@@ -59,8 +56,8 @@ const ClientID NodeID = -1
 // the wire deadline), and long-running handlers are expected to check
 // it and abandon work when it is done. Handlers run on the caller's
 // goroutine (InProc) or a per-connection goroutine (TCP) and must be
-// concurrency-safe. One-way mailbox deliveries (Send) run handlers
-// under context.Background().
+// concurrency-safe. A handler only ever runs under its caller's
+// context.
 type Handler func(ctx context.Context, from NodeID, req any) (any, error)
 
 // Fabric is a set of addressable nodes exchanging request/response
@@ -75,17 +72,6 @@ type Fabric interface {
 	// cancelled or past its deadline the call returns ctx.Err()
 	// promptly, abandoning the in-flight reply.
 	Call(ctx context.Context, from, to NodeID, req any) (any, error)
-	// Send delivers req one-way: it enqueues the message into the
-	// target node's mailbox and returns immediately. The handler's
-	// response is discarded. Mailbox messages are processed by the
-	// node's worker — on InProc a single one, modeling a
-	// single-threaded compute rank as in the paper's MPJ deployment.
-	// Delivery is at-most-once: transit failures drop the message
-	// (counted in Stats).
-	Send(from, to NodeID, req any) error
-	// Flush blocks until every message enqueued by Send (including
-	// messages sent by handlers while processing) has been handled.
-	Flush()
 	// Stats returns cumulative message accounting.
 	Stats() Stats
 	// Close releases transport resources. Calls after Close fail.

@@ -47,10 +47,9 @@ func RegisterMessage(v any) { gob.Register(v) }
 // be inherited by the next caller; (3) the exchange moved more than
 // maxPooledExchange bytes — gob's buffers never shrink.
 type TCP struct {
-	mu      sync.Mutex // guards nodes, closed, and every node's idle and served
-	nodes   []*tcpNode
-	closed  bool
-	pending sync.WaitGroup // in-flight Send calls
+	mu     sync.Mutex // guards nodes, closed, and every node's idle and served
+	nodes  []*tcpNode
+	closed bool
 
 	messages atomic.Int64
 	bytes    atomic.Int64
@@ -309,35 +308,6 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	}
 	return resp.Payload, nil
 }
-
-// Send implements Fabric: the call runs on its own goroutine and the
-// response is discarded. Unlike InProc, TCP nodes serve concurrently,
-// so Send does not model single-threaded ranks — it exists so both
-// fabrics satisfy the full interface.
-func (f *TCP) Send(from, to NodeID, req any) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
-	}
-	if to < 0 || int(to) >= len(f.nodes) {
-		f.mu.Unlock()
-		return ErrUnknownNode
-	}
-	f.mu.Unlock()
-	f.pending.Add(1)
-	go func() {
-		defer f.pending.Done()
-		// One-way semantics: the response and any error are discarded;
-		// Call already accounts transport failures.
-		//semtree:allow ctxfirst: Send is detached by contract; there is no caller context to propagate
-		_, _ = f.Call(context.Background(), from, to, req)
-	}()
-	return nil
-}
-
-// Flush implements Fabric.
-func (f *TCP) Flush() { f.pending.Wait() }
 
 // Stats implements Fabric.
 func (f *TCP) Stats() Stats {

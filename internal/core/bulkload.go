@@ -28,8 +28,8 @@ import (
 //     raced into the entry leaf and refuses (falling back to the merge
 //     path) if the root stopped being a leaf.
 //   - Live tree: route the batch down the existing structure through
-//     the same router as a pipelined insert batch (partition.go), but
-//     land it by leaf: each destination leaf is replaced with a
+//     the same router as a single insert (partition.go), but land it
+//     by leaf: each destination leaf is replaced with a
 //     balanced fragment bulk-built over (bucket ∪ assigned points) in
 //     one step — no per-point split cascade — and the entries that
 //     leave the partition forward as nested bulk batches.

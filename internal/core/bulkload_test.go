@@ -55,7 +55,6 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			if err := incr.InsertAll(pts, 1); err != nil {
 				t.Fatal(err)
 			}
-			incr.Flush()
 			// The bulk loader installs whole subtrees; one-at-a-time
 			// inserts pay a message per forwarded point. Read before
 			// anything else (Len, the box check, queries) adds traffic
@@ -142,7 +141,6 @@ func TestBulkLoadIntoLiveTree(t *testing.T) {
 			if err := live.InsertAll(base, 1); err != nil {
 				t.Fatal(err)
 			}
-			live.Flush()
 			if err := live.BulkLoad(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +149,6 @@ func TestBulkLoadIntoLiveTree(t *testing.T) {
 			if err := incr.InsertAll(all, 1); err != nil {
 				t.Fatal(err)
 			}
-			incr.Flush()
 			if live.Len() != len(all) {
 				t.Fatalf("merged size %d, want %d", live.Len(), len(all))
 			}
@@ -330,7 +327,6 @@ func TestBulkLoadChurnConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr.Flush()
 	checkPartitionBoxes(t, tr)
 	all := append(append([]kdtree.Point(nil), seed...), extra...)
 	for _, b := range batches {

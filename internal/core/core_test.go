@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
@@ -471,126 +469,5 @@ func TestMessageAccountingGrowsWithPartitions(t *testing.T) {
 	m1, m5 := msgs(1), msgs(5)
 	if m5 <= m1 {
 		t.Fatalf("cross-partition traffic did not grow: M=1 %d msgs, M=5 %d msgs", m1, m5)
-	}
-}
-
-func TestAsyncPipelineMatchesOracle(t *testing.T) {
-	// The one-way pipeline at its default batch size and at batch size
-	// one, where every point is its own message.
-	for _, batch := range []int{0, 1} {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			r := rand.New(rand.NewSource(13))
-			pts := randomPoints(r, 2000, 3)
-			tr := mustTree(t, Config{
-				Dim: 3, BucketSize: 8,
-				PartitionCapacity: 250, MaxPartitions: 8,
-			})
-			if err := tr.InsertBatchAsync(pts, batch); err != nil {
-				t.Fatal(err)
-			}
-			tr.Flush()
-			st, err := tr.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Points != 2000 {
-				t.Fatalf("async pipeline landed %d of 2000 points", st.Points)
-			}
-			if tr.PartitionCount() < 2 {
-				t.Fatalf("async inserts never spilled: %d partitions", tr.PartitionCount())
-			}
-			for q := 0; q < 25; q++ {
-				query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-				got, err := tr.KNearest(context.Background(), query, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := bruteKNN(pts, query, 5); !sameDistances(got, want) {
-					t.Fatal("async-built tree KNN mismatch")
-				}
-			}
-		})
-	}
-}
-
-func TestVirtualFabricCorrectness(t *testing.T) {
-	// A tree over the virtual-clock fabric must behave exactly like one
-	// over the in-process fabric: same points land, same query answers.
-	r := rand.New(rand.NewSource(14))
-	pts := randomPoints(r, 1500, 3)
-	fabric := cluster.NewVirtual(cluster.VirtualOptions{Latency: 50 * time.Microsecond})
-	defer fabric.Close()
-	tr := mustTree(t, Config{
-		Dim: 3, BucketSize: 16,
-		PartitionCapacity: 8 * 16, MaxPartitions: 9, Fabric: fabric,
-	})
-	if err := tr.InsertBatchAsync(pts, 128); err != nil {
-		t.Fatal(err)
-	}
-	tr.Flush()
-	if fabric.VirtualTime() <= 0 {
-		t.Fatal("virtual clock did not advance")
-	}
-	st, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Points != len(pts) {
-		t.Fatalf("virtual pipeline landed %d of %d points", st.Points, len(pts))
-	}
-	if tr.PartitionCount() != 9 {
-		t.Fatalf("partitions = %d, want 9", tr.PartitionCount())
-	}
-	for q := 0; q < 20; q++ {
-		query := []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 100}
-		got, err := tr.KNearest(context.Background(), query, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := bruteKNN(pts, query, 5); !sameDistances(got, want) {
-			t.Fatal("KNN mismatch over virtual fabric")
-		}
-	}
-}
-
-func TestVirtualPipelineParallelThroughput(t *testing.T) {
-	// §III-C: "using M−1 data partitions, we can perform in the best
-	// case M−1 parallel operations maximizing our throughput". On the
-	// virtual-clock fabric the root rank only routes (its spill leaves
-	// it with a shallow trunk of ~2M−1 nodes) while the data ranks
-	// carry the leaf work in parallel, so building over 9 partitions
-	// must finish at an earlier virtual time than over 1.
-	r := rand.New(rand.NewSource(15))
-	pts := randomPoints(r, 30000, 3)
-	build := func(m int) time.Duration {
-		fabric := cluster.NewVirtual(cluster.VirtualOptions{Latency: 50 * time.Microsecond})
-		defer fabric.Close()
-		capacity := 0
-		if m > 1 {
-			// Spill when ~M−1 leaves exist so the root keeps the
-			// paper's shallow 2M−1-node routing trunk.
-			capacity = (m - 1) * 16
-		}
-		tr := mustTree(t, Config{
-			Dim: 3, BucketSize: 16,
-			PartitionCapacity: capacity, MaxPartitions: m, Fabric: fabric,
-		})
-		if err := tr.InsertBatchAsync(pts, 256); err != nil {
-			t.Fatal(err)
-		}
-		tr.Flush()
-		st, err := tr.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Points != len(pts) {
-			t.Fatalf("M=%d: landed %d of %d points", m, st.Points, len(pts))
-		}
-		return fabric.VirtualTime()
-	}
-	t1 := build(1)
-	t9 := build(9)
-	if t9 >= t1 {
-		t.Fatalf("9-partition virtual build (%v) not faster than single partition (%v)", t9, t1)
 	}
 }

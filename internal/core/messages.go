@@ -23,7 +23,7 @@ import (
 	"semtree/internal/kdtree"
 )
 
-// The partition protocol: nine request kinds, each doing something no
+// The partition protocol: eight request kinds, each doing something no
 // other does, and the six responses they share. Every type a fabric
 // carries is declared in this file and registered in its one init, so
 // the list below is the whole wire surface of the distributed tree
@@ -32,16 +32,15 @@ import (
 // insertReq asks a partition to insert Point into the subtree rooted at
 // its node Node, forwarding across partitions with nested synchronous
 // calls: the ack means the point has landed. It is also the entry type
-// of the two batched protocols — one point, tagged with the node at
-// which its descent (re-)enters the receiving partition.
+// of the bulk protocol — one point, tagged with the node at which its
+// descent (re-)enters the receiving partition.
 type insertReq struct {
 	Node  int32
 	Point kdtree.Point
 }
 
 // ack is the empty acknowledgement of the requests that report nothing
-// but completion: insertReq, bulkAddReq and restoreReq (and the reply
-// the fabric discards after a one-way insertBatchReq).
+// but completion: insertReq, bulkAddReq and restoreReq.
 type ack struct{}
 
 // entriesAt tags pts as batch entries that all enter at node.
@@ -53,20 +52,9 @@ func entriesAt(node int32, pts []kdtree.Point) []insertReq {
 	return entries
 }
 
-// insertBatchReq carries a batch of points through the one-way insert
-// pipeline (fire-and-forget mailbox messages, like the paper's MPJ
-// pipeline). Batching amortizes per-message costs exactly like a real
-// bulk load ("Kd-trees are more efficient in bulk-loading situations
-// (as required by our approach)" — §III-B); the receiving partition
-// applies local entries and re-batches the rest per target partition.
-type insertBatchReq struct {
-	Entries []insertReq
-}
-
 // bulkAddReq routes a batch of points from their entry nodes and grafts
-// balanced fragments at the destination leaves. Unlike insertBatchReq
-// it is synchronous: the ack means the whole batch — including entries
-// forwarded across partitions — has landed.
+// balanced fragments at the destination leaves. The ack means the whole
+// batch — including entries forwarded across partitions — has landed.
 type bulkAddReq struct {
 	Entries []insertReq
 }
@@ -230,6 +218,7 @@ type statsResp struct {
 	Nodes    int
 	Leaves   int
 	NavSteps int64
+	Inserts  int64
 	BoxWork  int64
 }
 
@@ -237,7 +226,6 @@ type statsResp struct {
 func init() {
 	cluster.RegisterMessage(insertReq{})
 	cluster.RegisterMessage(ack{})
-	cluster.RegisterMessage(insertBatchReq{})
 	cluster.RegisterMessage(bulkAddReq{})
 	cluster.RegisterMessage(installReq{})
 	cluster.RegisterMessage(installResp{})

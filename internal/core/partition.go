@@ -61,8 +61,6 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 	switch r := req.(type) {
 	case insertReq:
 		return p.handleInsert(r)
-	case insertBatchReq:
-		return p.handleInsertBatch(r)
 	case bulkAddReq:
 		return p.handleBulkAdd(r)
 	case installReq:
@@ -110,10 +108,9 @@ func (p *partition) appendLocked(idx int32, pt kdtree.Point) {
 // cross-partition edge, whose cached box grows before the entry is
 // queued for the partition hosting the child, re-tagged with the node
 // it re-enters at. It returns the queue and the number of entries that
-// landed; the caller accounts them and forwards the queue the way its
-// protocol acknowledges (one-way or synchronous) after releasing the
-// write lock it holds across this call: call edges follow the partition
-// DAG, but no lock may be held across one.
+// landed; the caller accounts them and forwards the queue after
+// releasing the write lock it holds across this call: call edges follow
+// the partition DAG, but no lock may be held across one.
 //
 // Expansion precedes the forward, so on a lossy or failing fabric a
 // dropped point can leave boxes covering a point that never landed:
@@ -161,8 +158,8 @@ func (p *partition) forwardInserts(forwards map[cluster.NodeID][]insertReq) erro
 	return first
 }
 
-// handleInsert is the single-point protocol. What it has that the
-// batched protocols lack is the read-locked warm path: a point inside
+// handleInsert is the single-point protocol. What it has that the bulk
+// protocol lacks is the read-locked warm path: a point inside
 // every region it routes through forwards to the next partition without
 // the write lock, instead of contending with query read locks that span
 // whole traversals (a forward that still has a box to grow takes the
@@ -206,27 +203,6 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 		p.buildPartition()
 	}
 	return ack{}, err
-}
-
-// handleInsertBatch is the one-way pipelined protocol: the whole batch
-// routes under one write lock and lands point by point, and the entries
-// that leave the partition travel on as one one-way message per target.
-func (p *partition) handleInsertBatch(r insertBatchReq) (any, error) {
-	p.mu.Lock()
-	forwards, landed := p.routeLocked(r.Entries, p.appendLocked)
-	p.points += landed
-	p.inserts.Add(int64(landed))
-	spill := p.capacityExceededLocked()
-	p.mu.Unlock()
-	for part, entries := range forwards {
-		// One-way, at-most-once: a drop loses the batch and nobody is
-		// told (Stats().Points reveals the loss).
-		_ = p.t.fabric.Send(p.id, part, insertBatchReq{Entries: entries})
-	}
-	if spill {
-		p.buildPartition()
-	}
-	return ack{}, nil
 }
 
 // capacityExceededLocked evaluates the partition's resource condition
@@ -349,6 +325,7 @@ func (p *partition) handleStats() (any, error) {
 		Nodes:    len(p.Nodes),
 		Leaves:   leaves,
 		NavSteps: p.navSteps.Load(),
+		Inserts:  p.inserts.Load(),
 		BoxWork:  p.boxWork,
 	}, nil
 }

@@ -185,8 +185,11 @@ func TestRebalancePlacementExact(t *testing.T) {
 // encoded snapshots are byte-equal and every partition hosts exactly
 // the points a fresh BulkLoad puts there. Eight more take two BulkLoads
 // into a live tree (grafts and forwards in handleBulkAdd): byte-equal
-// again. And a BulkLoad is a function of the point set: eight shuffles
-// of the input encode to the bytes of the unshuffled one.
+// again. Eight grown point by point (InsertAll on one worker: spills,
+// and every forward loop an insert can reach) spread over all five
+// partitions and are byte-equal too. And a BulkLoad is a function of
+// the point set: eight shuffles of the input encode to the bytes of the
+// unshuffled one.
 func TestLayoutIsFunctionOfData(t *testing.T) {
 	const n, dim, k, builds = 20000, 8, 10, 8
 	r := rand.New(rand.NewSource(17))
@@ -259,6 +262,21 @@ func TestLayoutIsFunctionOfData(t *testing.T) {
 			first = enc
 		} else if !bytes.Equal(enc, first) {
 			t.Fatalf("build %d: snapshot bytes after two live BulkLoads differ from build 0's", b)
+		}
+	}
+
+	for b := 0; b < builds; b++ {
+		tr := mustTree(t, cfg)
+		if err := tr.InsertAll(pts, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.PartitionCount(); got != cfg.MaxPartitions {
+			t.Fatalf("build %d: inserts spread over %d partitions, want %d", b, got, cfg.MaxPartitions)
+		}
+		if _, enc := encoded(tr); b == 0 {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("build %d: snapshot bytes of an insert-grown tree differ from build 0's", b)
 		}
 	}
 

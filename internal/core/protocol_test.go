@@ -35,7 +35,6 @@ func protocolSamples() []any {
 	return []any{
 		entry,
 		ack{},
-		insertBatchReq{Entries: []insertReq{entry}},
 		bulkAddReq{Entries: []insertReq{entry, entry}},
 		installReq{Entry: -1, Nodes: nodes, Remote: remote},
 		installResp{Node: 9, OK: true},
@@ -47,7 +46,7 @@ func protocolSamples() []any {
 		rangeReq{Node: 1, Query: []float64{0, 1}, D: 0.5},
 		rangeResp{Neighbors: rs, Stats: stats},
 		statsReq{},
-		statsResp{Points: 1, Nodes: 2, Leaves: 3, NavSteps: 4, BoxWork: 5},
+		statsResp{Points: 1, Nodes: 2, Leaves: 3, NavSteps: 4, Inserts: 6, BoxWork: 5},
 	}
 }
 
@@ -143,11 +142,11 @@ func TestProtocolTable(t *testing.T) {
 		})
 		return false
 	})
-	if len(cases) != 9 {
-		t.Errorf("partition.handle dispatches on %d request kinds %v, want 9", len(cases), cases)
+	if len(cases) != 8 {
+		t.Errorf("partition.handle dispatches on %d request kinds %v, want 8", len(cases), cases)
 	}
-	if len(table) != 15 {
-		t.Errorf("messages.go registers %d types %v, want 15", len(table), table)
+	if len(table) != 14 {
+		t.Errorf("messages.go registers %d types %v, want 14", len(table), table)
 	}
 	for _, c := range cases {
 		if !table[c] {
@@ -182,10 +181,10 @@ func checkAgainstScan(t *testing.T, tr *Tree, pts []kdtree.Point, queries [][]fl
 }
 
 // TestProtocolOverTCP drives every request kind over real sockets on
-// one nine-partition tree — the root graft of a bulk load, single and
-// pipelined inserts, the spills they trigger, a bulk merge into the live
-// tree, snapshot and restore, and the rebalance's restore-empty and
-// installs — checking every stage against the flat scan.
+// one nine-partition tree — the root graft of a bulk load, concurrent
+// and one-at-a-time inserts, the spills they trigger, a bulk merge into
+// the live tree, snapshot and restore, and the rebalance's restore-empty
+// and installs — checking every stage against the flat scan.
 func TestProtocolOverTCP(t *testing.T) {
 	fabric := cluster.NewTCP()
 	defer fabric.Close()
@@ -214,11 +213,10 @@ func TestProtocolOverTCP(t *testing.T) {
 		t.Fatalf("inserts past the capacity spilled into %d partitions", tr.PartitionCount())
 	}
 	checkAgainstScan(t, tr, pts[:300], queries, "inserts and spills")
-	if err := tr.InsertBatchAsync(pts[300:600], 32); err != nil {
+	if err := tr.InsertAll(pts[300:600], 1); err != nil {
 		t.Fatal(err)
 	}
-	tr.Flush()
-	checkAgainstScan(t, tr, pts[:600], queries, "pipelined batches")
+	checkAgainstScan(t, tr, pts[:600], queries, "one-at-a-time inserts")
 	if err := tr.BulkLoad(ctx, pts[600:]); err != nil {
 		t.Fatal(err)
 	}

@@ -232,8 +232,8 @@ func assertExactBox(t *testing.T, pts []kdtree.Point, lo, hi []float64, format s
 	}
 }
 
-// TestBoxesExactAcrossSplitsAndSpills: after single inserts, batched
-// async inserts and the spills they trigger, every node box and every
+// TestBoxesExactAcrossSplitsAndSpills: after concurrent inserts,
+// one-at-a-time inserts and the spills they trigger, every node box and every
 // cached remote box is exactly tight.
 func TestBoxesExactAcrossSplitsAndSpills(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -245,10 +245,9 @@ func TestBoxesExactAcrossSplitsAndSpills(t *testing.T) {
 	if err := tr.InsertAll(pts[:600], 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.InsertBatchAsync(pts[600:], 64); err != nil {
+	if err := tr.InsertAll(pts[600:], 1); err != nil {
 		t.Fatal(err)
 	}
-	tr.Flush()
 	if got := tr.PartitionCount(); got < 3 {
 		t.Fatalf("partitions = %d, want >= 3 so spills happened", got)
 	}

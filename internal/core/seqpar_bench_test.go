@@ -43,10 +43,9 @@ func benchQueryTreeGuard(b *testing.B, m int, planeGuard bool) (*Tree, [][]float
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { tr.Close() })
-	if err := tr.InsertBatchAsync(pts, 256); err != nil {
+	if err := tr.InsertAll(pts, 1); err != nil {
 		b.Fatal(err)
 	}
-	tr.Flush()
 	qs := make([][]float64, 256)
 	for i := range qs {
 		c := make([]float64, 8)
@@ -117,10 +116,9 @@ func BenchmarkKNNPlacement(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { tr.Close() })
-			if err := tr.InsertBatchAsync(pts, 64); err != nil {
+			if err := tr.InsertAll(pts, 1); err != nil {
 				b.Fatal(err)
 			}
-			tr.Flush()
 			// Queries live inside the clusters (perturbed data points),
 			// where a clustered layout keeps the fan-out local.
 			qs := make([][]float64, 256)

@@ -31,7 +31,6 @@ func buildChurnedTree(t *testing.T, r *rand.Rand) (*Tree, []kdtree.Point) {
 	if err := tr.InsertAll(extra, 2); err != nil {
 		t.Fatal(err)
 	}
-	tr.Flush()
 	if tr.PartitionCount() < 2 {
 		t.Fatalf("tree did not distribute: %d partitions", tr.PartitionCount())
 	}
@@ -113,7 +112,6 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	if err := restored.InsertAll(more, 1); err != nil {
 		t.Fatal(err)
 	}
-	restored.Flush()
 	all := append(append([]kdtree.Point(nil), pts...), more...)
 	q := clusteredPoints(r, 1, 4, 4)[0].Coords
 	got, err := restored.KNearest(context.Background(), q, 5)

@@ -35,7 +35,7 @@ type Config struct {
 	Unbalanced bool
 	// RetryAttempts bounds per-message retries on transient fabric
 	// failures. Default 3. Delivery is at-least-once: on the in-process
-	// fabrics a transient failure happens before the handler runs, but
+	// fabric a transient failure happens before the handler runs, but
 	// cluster.TCP reports any failed exchange as transient — a reply
 	// lost on a pooled connection after the handler ran included — and
 	// the retry then applies the request a second time. Queries and
@@ -228,46 +228,6 @@ func (t *Tree) Insert(p kdtree.Point) error {
 		return err
 	}
 	t.size.Add(1)
-	return nil
-}
-
-// Flush waits until all asynchronously inserted points have been
-// applied, including cross-partition forwards still in flight.
-func (t *Tree) Flush() { t.fabric.Flush() }
-
-// DefaultBatchSize is the pipeline batch used by InsertBatchAsync when
-// none is given.
-const DefaultBatchSize = 64
-
-// InsertBatchAsync enqueues pts through the fabric's one-way mailbox
-// path in chunks of batchSize (DefaultBatchSize when <= 0): the root
-// partition routes each batch and forwards across partitions with
-// fire-and-forget messages, exactly like an MPJ insert pipeline.
-// Batching amortizes per-message cost: this is the bulk-load path the
-// index-building benchmarks (Figure 3) measure. Call Flush to wait for
-// completion. Delivery is at-most-once — on a fabric with failure
-// injection, dropped messages lose points (Stats().Points reveals the
-// loss).
-func (t *Tree) InsertBatchAsync(pts []kdtree.Point, batchSize int) error {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	for i, p := range pts {
-		if len(p.Coords) != t.cfg.Dim {
-			return fmt.Errorf("core: point %d has %d coords, tree dimension is %d", i, len(p.Coords), t.cfg.Dim)
-		}
-	}
-	root := t.rootPartition()
-	for start := 0; start < len(pts); start += batchSize {
-		end := start + batchSize
-		if end > len(pts) {
-			end = len(pts)
-		}
-		if err := t.fabric.Send(cluster.ClientID, root.id, insertBatchReq{Entries: entriesAt(0, pts[start:end])}); err != nil {
-			return err
-		}
-		t.size.Add(int64(end - start))
-	}
 	return nil
 }
 
@@ -566,7 +526,7 @@ func (t *Tree) Stats() (TreeStats, error) {
 		st.Leaves += pr.Leaves
 		st.NavSteps += pr.NavSteps
 		st.BoxWork += pr.BoxWork
-		st.Inserts += p.inserts.Load()
+		st.Inserts += pr.Inserts
 	}
 	st.Fabric = t.fabric.Stats()
 	return st, nil
