@@ -1,0 +1,123 @@
+package column
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"testing"
+)
+
+// TestRoundTrip: every value kind reads back as written, column by
+// column, and each column is read to its end.
+func TestRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Header(7, 12)
+	w.Uvarint(0)
+	w.Uvarint(math.MaxUint64)
+	w.Varint(math.MinInt64)
+	w.Varint(-1)
+	w.Byte(0xfe)
+	w.End()
+	w.End() // an empty column
+	w.Float(math.Copysign(0, -1))
+	w.Float(math.Inf(1))
+	w.Float(math.NaN())
+	w.Text("")
+	w.Text("semtree")
+	w.Uvarint(math.MaxUint32)
+	w.End()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewReader(&buf)
+	if v, d, err := r.Header(); err != nil || v != 7 || d != 12 {
+		t.Fatalf("header (%d, %d, %v)", v, d, err)
+	}
+	if err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Uvarint() != 0 || r.Uvarint() != math.MaxUint64 || r.Varint() != math.MinInt64 || r.Varint() != -1 || r.Byte() != 0xfe {
+		t.Fatal("integers differ")
+	}
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Next(); err != nil || r.Len() != 0 || r.End() != nil {
+		t.Fatalf("empty column: %v", err)
+	}
+	if err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	fs := make([]float64, 3)
+	r.Floats(fs)
+	if math.Float64bits(fs[0]) != math.Float64bits(math.Copysign(0, -1)) || !math.IsInf(fs[1], 1) || !math.IsNaN(fs[2]) {
+		t.Fatalf("floats %v", fs)
+	}
+	if r.Text() != "" || r.Text() != "semtree" || r.Uint32() != math.MaxUint32 {
+		t.Fatal("strings or uint32 differ")
+	}
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("past the last column: %v", err)
+	}
+}
+
+// column frames payload the way End does.
+func column(payload []byte) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.buf = append(w.buf, payload...)
+	w.End()
+	_ = w.Flush()
+	return buf.Bytes()
+}
+
+// TestReaderFailures: reads past a column's end, counts the column
+// cannot hold, unread bytes, bad checksums, bad headers and values too
+// wide for 32 bits fail, stickily, without a panic.
+func TestReaderFailures(t *testing.T) {
+	fail := func(name string, in []byte, read func(r *Reader)) {
+		t.Helper()
+		r := NewReader(bytes.NewReader(in))
+		if err := r.Next(); err != nil {
+			t.Fatalf("%s: Next: %v", name, err)
+		}
+		read(r)
+		if r.End() == nil {
+			t.Fatalf("%s: no error", name)
+		}
+		if r.Uvarint() != 0 || r.Byte() != 0 || r.Text() != "" || r.Len() != 0 {
+			t.Fatalf("%s: reads after a failure return values", name)
+		}
+	}
+	fail("short float", column([]byte{1, 2, 3}), func(r *Reader) { r.Float() })
+	fail("short floats", column(make([]byte, 15)), func(r *Reader) { r.Floats(make([]float64, 2)) })
+	fail("short string", column([]byte{5, 'a'}), func(r *Reader) { _ = r.Text() })
+	fail("count", column([]byte{3, 0, 0, 0, 0, 0}), func(r *Reader) { r.Count(2) })
+	fail("unread", column([]byte{1, 2}), func(r *Reader) { r.Byte() })
+	fail("uint32", column(binary.AppendUvarint(nil, 1<<32)), func(r *Reader) { r.Uint32() })
+	fail("overlong uvarint", column(bytes.Repeat([]byte{0xff}, 11)), func(r *Reader) { r.Uvarint() })
+
+	bad := column([]byte{1, 2, 3})
+	bad[len(bad)-1] ^= 1
+	if err := NewReader(bytes.NewReader(bad)).Next(); err == nil {
+		t.Fatal("checksum mismatch accepted")
+	}
+	var hdr bytes.Buffer
+	w := NewWriter(&hdr)
+	w.Header(4, 8)
+	_ = w.Flush()
+	for i := range hdr.Len() {
+		b := bytes.Clone(hdr.Bytes())
+		b[i] ^= 0x20
+		if _, _, err := NewReader(bytes.NewReader(b)).Header(); err == nil {
+			t.Fatalf("header byte %d flipped and accepted", i)
+		}
+	}
+}

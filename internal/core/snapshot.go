@@ -2,24 +2,28 @@ package core
 
 import (
 	"cmp"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 
 	"semtree/internal/cluster"
+	"semtree/internal/column"
 	"semtree/internal/kdtree"
 )
 
 // Partition snapshot persistence: the distributed tree's whole layout —
 // every partition's node arena, exact per-subtree bounding boxes, and
 // the remote-box caches guarding cross-partition edges — serialized so
-// a fleet restarts without re-ingesting. Restore rebuilds partitions
-// bit-for-bit: the arenas, boxes and caches are identical, so every
-// traversal takes the same path and query results are byte-identical
-// to the pre-save tree (the invariant the snapshot tests assert).
+// a fleet restarts without re-ingesting. The encoding (WriteSnapshot)
+// stores nodes, points and cache refs but no box: every box is a
+// function of the points below it, and decoding rebuilds them. Restore
+// rebuilds partitions bit-for-bit: the arenas, boxes and caches are
+// identical, so every traversal takes the same path and query results
+// are byte-identical to the pre-save tree (the invariant the snapshot
+// tests assert).
 //
 // Snapshots address partitions by ordinal (their position in the
 // tree's partition list), never by fabric NodeID: a restore lands on a
@@ -39,16 +43,20 @@ import (
 // inexact boxes). Test with errors.Is.
 var ErrSnapshotCorrupt = errors.New("core: snapshot corrupt")
 
-// SnapshotFormat is the version of the partition snapshot structure.
-// Decoders accept exactly this version; anything else is corrupt (the
-// facade's index snapshot carries its own envelope version on top).
-const SnapshotFormat = 1
+// SnapshotFormat is the version of the partition snapshot encoding:
+// the header version of an EncodeSnapshot stream, and the Format every
+// snapshot Validate accepts. Format 1 was a gob stream with every box
+// stored; 2 is WriteSnapshot's columns. Decoders accept exactly this
+// version; anything else is corrupt (the facade's index snapshot
+// carries its own header version and embeds the columns only).
+const SnapshotFormat = 2
 
 // Validation bounds: a snapshot claiming more is corrupt by fiat long
-// before any allocation happens.
+// before any allocation happens. MaxSnapshotDim also bounds the
+// dimension in an index snapshot's header.
 const (
 	maxSnapshotParts = 1 << 16
-	maxSnapshotDim   = 1 << 12
+	MaxSnapshotDim   = 1 << 12
 )
 
 // RemoteBox is one cached cross-partition region: the edge's target and
@@ -131,13 +139,36 @@ func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) []kdtree.Point {
 
 // copyNodes deep-copies an arena's nodes. Buckets share point storage
 // (points are immutable), but bucket slices and boxes are owned copies —
-// a live arena keeps appending to and expanding its own.
+// a live arena keeps appending to and expanding its own. They are cut
+// from one block of points and one of floats, each sub-slice capped so
+// an append moves it out instead of overrunning its neighbour: three
+// allocations per arena, not three per node.
 func copyNodes(nodes []kdtree.Node) []kdtree.Node {
+	npts, nfloats := 0, 0
+	for i := range nodes {
+		npts += len(nodes[i].Bucket)
+		nfloats += len(nodes[i].Lo) + len(nodes[i].Hi)
+	}
+	pts := make([]kdtree.Point, 0, npts)
+	floats := make([]float64, 0, nfloats)
+	carve := func(block *[]float64, s []float64) []float64 {
+		if len(s) == 0 {
+			return nil
+		}
+		at := len(*block)
+		*block = append(*block, s...)
+		return (*block)[at:len(*block):len(*block)]
+	}
 	out := make([]kdtree.Node, len(nodes))
 	for i, n := range nodes {
-		n.Bucket = append([]kdtree.Point(nil), n.Bucket...)
-		n.Lo = append([]float64(nil), n.Lo...)
-		n.Hi = append([]float64(nil), n.Hi...)
+		if len(n.Bucket) == 0 {
+			n.Bucket = nil
+		} else {
+			at := len(pts)
+			pts = append(pts, n.Bucket...)
+			n.Bucket = pts[at:len(pts):len(pts)]
+		}
+		n.Lo, n.Hi = carve(&floats, n.Lo), carve(&floats, n.Hi)
 		out[i] = n
 	}
 	return out
@@ -251,20 +282,313 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 	return t, nil
 }
 
-// EncodeSnapshot writes the snapshot's gob encoding to w.
+// EncodeSnapshot writes the snapshot to w as a column stream: the
+// header (version SnapshotFormat, the dimension), then WriteSnapshot's
+// columns.
 func EncodeSnapshot(w io.Writer, s *TreeSnapshot) error {
-	return gob.NewEncoder(w).Encode(s)
+	cw := column.NewWriter(w)
+	cw.Header(byte(s.Format), uint32(s.Dim))
+	if err := WriteSnapshot(cw, s); err != nil {
+		return err
+	}
+	return cw.Flush()
 }
 
-// DecodeSnapshot reads a gob-encoded snapshot from r. Truncated or
-// garbled input returns ErrSnapshotCorrupt; the result is not yet
-// structurally validated (RestoreTree does that).
+// DecodeSnapshot reads a stream EncodeSnapshot wrote. Truncated or
+// garbled input and any format but SnapshotFormat return
+// ErrSnapshotCorrupt; the result is not yet structurally validated
+// (RestoreTree does that).
 func DecodeSnapshot(r io.Reader) (*TreeSnapshot, error) {
-	var s TreeSnapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrSnapshotCorrupt, err)
+	cr := column.NewReader(r)
+	format, dim, err := cr.Header()
+	if err != nil {
+		return nil, corrupt("%v", err)
 	}
-	return &s, nil
+	if format != SnapshotFormat {
+		return nil, corrupt("format %d, want %d", format, SnapshotFormat)
+	}
+	return ReadSnapshot(cr, int(dim))
+}
+
+// Node states in the node column: a bit each for kdtree.Node's Leaf
+// and Moved.
+const (
+	stateLeaf  byte = 1
+	stateMoved byte = 2
+)
+
+// WriteSnapshot writes the tree's columns, without a header: the
+// caller's header carries the dimension. The first column holds Size
+// and the partition count; then each partition writes four:
+//
+//   - nodes: Points, the node count, and per node its state byte
+//     followed by, for a tombstone, Fwd; for a leaf, its bucket length;
+//     for a routing node, SplitDim, SplitVal (raw) and both children.
+//     Counts and refs are uvarints (int32 fields as their uint32 bits).
+//   - IDs: every bucket point's ID, leaves in node order.
+//   - coordinates: the same points' coordinates as one raw block.
+//   - remote: the refs of the remote-box cache.
+//
+// No box is written: each is a function of the points below it, and
+// ReadSnapshot rebuilds them all.
+func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
+	w.Varint(s.Size)
+	w.Uvarint(uint64(len(s.Parts)))
+	w.End()
+	for pi := range s.Parts {
+		ps := &s.Parts[pi]
+		w.Uvarint(uint64(ps.Points))
+		w.Uvarint(uint64(len(ps.Nodes)))
+		for i := range ps.Nodes {
+			n := &ps.Nodes[i]
+			var state byte
+			if n.Leaf {
+				state |= stateLeaf
+			}
+			if n.Moved {
+				state |= stateMoved
+			}
+			w.Byte(state)
+			switch {
+			case n.Moved:
+				writeRef(w, n.Fwd)
+			case n.Leaf:
+				w.Uvarint(uint64(len(n.Bucket)))
+			default:
+				w.Uvarint(uint64(uint32(n.SplitDim)))
+				w.Float(n.SplitVal)
+				writeRef(w, n.Left)
+				writeRef(w, n.Right)
+			}
+		}
+		w.End()
+		buckets := func(fn func(kdtree.Point)) {
+			for i := range ps.Nodes {
+				if n := &ps.Nodes[i]; n.Leaf && !n.Moved {
+					for _, pt := range n.Bucket {
+						fn(pt)
+					}
+				}
+			}
+		}
+		buckets(func(pt kdtree.Point) { w.Uvarint(pt.ID) })
+		w.End()
+		var bad error
+		buckets(func(pt kdtree.Point) {
+			if len(pt.Coords) != s.Dim && bad == nil {
+				bad = fmt.Errorf("core: snapshot point %d has %d coords, dimension is %d", pt.ID, len(pt.Coords), s.Dim)
+			}
+			for _, c := range pt.Coords {
+				w.Float(c)
+			}
+		})
+		if bad != nil {
+			return bad
+		}
+		w.End()
+		w.Uvarint(uint64(len(ps.Remote)))
+		for _, e := range ps.Remote {
+			writeRef(w, e.Ref)
+		}
+		w.End()
+	}
+	return nil
+}
+
+func writeRef(w *column.Writer, r kdtree.Ref) {
+	w.Uvarint(uint64(uint32(r.Part)))
+	w.Uvarint(uint64(uint32(r.Node)))
+}
+
+func readRef(r *column.Reader) kdtree.Ref {
+	return kdtree.Ref{Part: int32(r.Uint32()), Node: int32(r.Uint32())}
+}
+
+// maxPartitionPoints bounds the bucket lengths a node column may claim,
+// so their sum cannot overflow before it is checked against the ID
+// column.
+const maxPartitionPoints = math.MaxInt32
+
+// ReadSnapshot reads the columns WriteSnapshot wrote, for points of
+// dimension dim, and rebuilds every box: leaf boxes from their buckets,
+// routing boxes bottom-up from the root, remote-cache boxes from their
+// target nodes. Malformed columns return ErrSnapshotCorrupt; the
+// structure is not yet validated, and a node the walk from the root
+// does not reach — or reaches twice — keeps whatever box it has for
+// Validate to reject.
+func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
+	if dim < 1 || dim > MaxSnapshotDim {
+		return nil, corrupt("dimension %d out of range", dim)
+	}
+	s := &TreeSnapshot{Format: SnapshotFormat, Dim: dim}
+	if err := r.Next(); err != nil {
+		return nil, corrupt("%v", err)
+	}
+	s.Size = r.Varint()
+	parts := r.Uvarint()
+	if err := r.End(); err != nil {
+		return nil, corrupt("%v", err)
+	}
+	if parts > maxSnapshotParts {
+		return nil, corrupt("%d partitions out of range", parts)
+	}
+	for pi := range int(parts) {
+		ps, err := readPartition(r, dim)
+		if err != nil {
+			return nil, corrupt("partition %d: %v", pi, err)
+		}
+		s.Parts = append(s.Parts, ps)
+	}
+	s.routingBoxes()
+	for pi := range s.Parts {
+		for i := range s.Parts[pi].Remote {
+			e := &s.Parts[pi].Remote[i]
+			if tn := s.node(e.Ref); tn != nil {
+				e.Lo, e.Hi = slices.Clone(tn.Lo), slices.Clone(tn.Hi)
+			}
+		}
+	}
+	return s, nil
+}
+
+// readPartition reads one partition's four columns and rebuilds its
+// leaf boxes. Bucket points and coordinates are carved from one block
+// each; every sub-slice is capped, so nothing appended to one ever
+// reaches the next.
+func readPartition(r *column.Reader, dim int) (PartitionSnapshot, error) {
+	var ps PartitionSnapshot
+	if err := r.Next(); err != nil {
+		return ps, err
+	}
+	ps.Points = int(r.Uvarint())
+	ps.Nodes = make([]kdtree.Node, r.Count(2)) // a leaf takes two bytes, anything else more
+	sizes := make([]int, len(ps.Nodes))
+	total := 0
+	for i := range ps.Nodes {
+		n := &ps.Nodes[i]
+		state := r.Byte()
+		if state&^(stateLeaf|stateMoved) != 0 {
+			return ps, fmt.Errorf("node %d: state %#x", i, state)
+		}
+		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
+		switch {
+		case n.Moved:
+			n.Fwd = readRef(r)
+		case n.Leaf:
+			k := r.Uvarint()
+			if k > uint64(maxPartitionPoints-total) {
+				return ps, fmt.Errorf("node %d: bucket of %d points after %d", i, k, total)
+			}
+			sizes[i] = int(k)
+			total += int(k)
+		default:
+			n.SplitDim = int32(r.Uint32())
+			n.SplitVal = r.Float()
+			n.Left = readRef(r)
+			n.Right = readRef(r)
+		}
+	}
+	if err := r.End(); err != nil {
+		return ps, err
+	}
+
+	if err := r.Next(); err != nil {
+		return ps, err
+	}
+	if total > r.Len() { // every ID takes a byte at least
+		return ps, fmt.Errorf("%d bucket points, %d ID bytes", total, r.Len())
+	}
+	pts := make([]kdtree.Point, total)
+	for i := range pts {
+		pts[i].ID = r.Uvarint()
+	}
+	if err := r.End(); err != nil {
+		return ps, err
+	}
+
+	if err := r.Next(); err != nil {
+		return ps, err
+	}
+	if r.Len() != 8*dim*total {
+		return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", r.Len(), total, dim)
+	}
+	coords := make([]float64, dim*total)
+	r.Floats(coords)
+	if err := r.End(); err != nil {
+		return ps, err
+	}
+	for i := range pts {
+		pts[i].Coords = coords[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	for i, k := range sizes {
+		if k > 0 {
+			n := &ps.Nodes[i]
+			n.Bucket, pts = pts[:k:k], pts[k:]
+			n.Lo, n.Hi = kdtree.BoxOf(n.Bucket)
+		}
+	}
+
+	if err := r.Next(); err != nil {
+		return ps, err
+	}
+	if k := r.Count(2); k > 0 { // a ref takes two bytes at least
+		ps.Remote = make([]RemoteBox, k)
+		for i := range ps.Remote {
+			ps.Remote[i].Ref = readRef(r)
+		}
+	}
+	return ps, r.End()
+}
+
+// node returns the node ref names, or nil when ref is out of range.
+func (s *TreeSnapshot) node(ref kdtree.Ref) *kdtree.Node {
+	if ref.Part < 0 || int(ref.Part) >= len(s.Parts) || ref.Node < 0 || int(ref.Node) >= len(s.Parts[ref.Part].Nodes) {
+		return nil
+	}
+	return &s.Parts[ref.Part].Nodes[ref.Node]
+}
+
+// routingBoxes sets every routing node's box to the union of its
+// children's, in one iterative post-order walk from the root. The walk
+// skips out-of-range and already-visited refs, so it terminates on any
+// input; a tree it cannot box correctly is one Validate rejects.
+func (s *TreeSnapshot) routingBoxes() {
+	if s.node(kdtree.Ref{}) == nil {
+		return
+	}
+	seen := make([][]bool, len(s.Parts))
+	for pi := range s.Parts {
+		seen[pi] = make([]bool, len(s.Parts[pi].Nodes))
+	}
+	type frame struct {
+		ref  kdtree.Ref
+		exit bool
+	}
+	seen[0][0] = true
+	stack := []frame{{}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := s.node(f.ref)
+		if n.Leaf || n.Moved {
+			continue
+		}
+		if f.exit {
+			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+				if cn := s.node(c); cn != nil {
+					n.Lo, n.Hi = kdtree.UnionBox(n.Lo, n.Hi, cn.Lo, cn.Hi)
+				}
+			}
+			continue
+		}
+		stack = append(stack, frame{ref: f.ref, exit: true})
+		for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+			if s.node(c) != nil && !seen[c.Part][c.Node] {
+				seen[c.Part][c.Node] = true
+				stack = append(stack, frame{ref: c})
+			}
+		}
+	}
 }
 
 // corrupt builds an ErrSnapshotCorrupt violation report.
@@ -283,7 +607,7 @@ func (s *TreeSnapshot) Validate() error {
 	if s.Format != SnapshotFormat {
 		return corrupt("format %d, want %d", s.Format, SnapshotFormat)
 	}
-	if s.Dim < 1 || s.Dim > maxSnapshotDim {
+	if s.Dim < 1 || s.Dim > MaxSnapshotDim {
 		return corrupt("dimension %d out of range", s.Dim)
 	}
 	if len(s.Parts) < 1 || len(s.Parts) > maxSnapshotParts {

@@ -3,11 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"semtree/internal/column"
 	"semtree/internal/kdtree"
 )
 
@@ -324,8 +330,21 @@ func TestSnapshotValidateDeepChain(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotCorrupt: garbage and truncated encodings come back
-// as ErrSnapshotCorrupt, never a panic.
+// patchHeader returns a copy of an EncodeSnapshot stream with its
+// header's format and dimension replaced, checksum recomputed.
+func patchHeader(b []byte, format byte, dim uint32) []byte {
+	out := append([]byte(nil), b...)
+	h := out[:column.HeaderSize]
+	h[len(column.Magic)] = format
+	binary.LittleEndian.PutUint32(h[len(column.Magic)+1:], dim)
+	binary.LittleEndian.PutUint32(h[column.HeaderSize-4:], crc32.Checksum(h[:column.HeaderSize-4], crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
+// TestDecodeSnapshotCorrupt: garbage, truncated encodings, flipped
+// bytes, a header naming another format (format 1 was the gob stream)
+// or an out-of-range dimension come back as ErrSnapshotCorrupt, never a
+// panic.
 func TestDecodeSnapshotCorrupt(t *testing.T) {
 	if _, err := DecodeSnapshot(strings.NewReader("not a snapshot")); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("garbage: %v", err)
@@ -335,10 +354,139 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 	if err := EncodeSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{1, buf.Len() / 2, buf.Len() - 1} {
-		if _, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()[:cut])); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("truncated at %d: %v", cut, err)
+	b := buf.Bytes()
+	if _, err := DecodeSnapshot(bytes.NewReader(patchHeader(b, SnapshotFormat, uint32(snap.Dim)))); err != nil {
+		t.Fatalf("re-patched header with the same values: %v", err)
+	}
+	bad := map[string][]byte{
+		"format 1":    patchHeader(b, 1, uint32(snap.Dim)),
+		"format 41":   patchHeader(b, 41, uint32(snap.Dim)),
+		"dimension 0": patchHeader(b, SnapshotFormat, 0),
+		"dimension 2": patchHeader(b, SnapshotFormat, 2),
+		"huge dim":    patchHeader(b, SnapshotFormat, 1<<31),
+	}
+	for cut := range len(b) {
+		bad[fmt.Sprintf("cut at %d", cut)] = b[:cut]
+	}
+	for i := range b {
+		flipped := append([]byte(nil), b...)
+		flipped[i] ^= 0xa5
+		bad[fmt.Sprintf("byte %d flipped", i)] = flipped
+	}
+	for name, in := range bad {
+		if _, err := DecodeSnapshot(bytes.NewReader(in)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestSnapshotDecodeRebuildsBoxes: boxes are not encoded, and lose
+// nothing — for insert-grown, bulk-loaded and rebalanced trees on 1, 3
+// and 9 partitions, DecodeSnapshot(EncodeSnapshot(s)) has s's every
+// node (state, split, links, bucket IDs and coordinate bits), every
+// node box and every remote-cache box, exactly.
+func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
+	const n, dim = 3000, 6
+	r := rand.New(rand.NewSource(107))
+	pts := clusteredPoints(r, n, dim, 5)
+	grow := map[string]func(t *testing.T, tr *Tree){
+		"insert": func(t *testing.T, tr *Tree) {
+			if err := tr.InsertAll(pts, 1); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"bulk": func(t *testing.T, tr *Tree) {
+			if err := tr.BulkLoad(context.Background(), pts); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"rebalanced": func(t *testing.T, tr *Tree) {
+			if err := tr.BulkLoad(context.Background(), pts[:n/2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.InsertAll(pts[n/2:], 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, g := range grow {
+		for _, m := range []int{1, 3, 9} {
+			t.Run(fmt.Sprintf("%s/%d", name, m), func(t *testing.T) {
+				cfg := Config{Dim: dim, BucketSize: 8, MaxPartitions: m}
+				if m > 1 {
+					cfg.PartitionCapacity = n / (m - 1)
+				}
+				tr := mustTree(t, cfg)
+				g(t, tr)
+				if tr.PartitionCount() != m {
+					t.Fatalf("%d partitions, want %d", tr.PartitionCount(), m)
+				}
+				snap, err := tr.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := EncodeSnapshot(&buf, snap); err != nil {
+					t.Fatal(err)
+				}
+				got, err := DecodeSnapshot(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				sameSnapshot(t, got, snap)
+			})
+		}
+	}
+}
+
+// sameSnapshot requires got to be want, node for node and box for box.
+func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
+	t.Helper()
+	if got.Format != want.Format || got.Dim != want.Dim || got.Size != want.Size || len(got.Parts) != len(want.Parts) {
+		t.Fatalf("header (%d, %d, %d, %d parts), want (%d, %d, %d, %d parts)",
+			got.Format, got.Dim, got.Size, len(got.Parts), want.Format, want.Dim, want.Size, len(want.Parts))
+	}
+	remotes := 0
+	for pi := range want.Parts {
+		g, w := &got.Parts[pi], &want.Parts[pi]
+		if g.Points != w.Points || len(g.Nodes) != len(w.Nodes) || len(g.Remote) != len(w.Remote) {
+			t.Fatalf("partition %d: (%d points, %d nodes, %d remote), want (%d, %d, %d)",
+				pi, g.Points, len(g.Nodes), len(g.Remote), w.Points, len(w.Nodes), len(w.Remote))
+		}
+		for ni := range w.Nodes {
+			a, b := g.Nodes[ni], w.Nodes[ni]
+			if !boxEqual(a.Lo, a.Hi, b.Lo, b.Hi) {
+				t.Fatalf("partition %d node %d: box [%v, %v], want [%v, %v]", pi, ni, a.Lo, a.Hi, b.Lo, b.Hi)
+			}
+			if len(a.Bucket) != len(b.Bucket) {
+				t.Fatalf("partition %d node %d: bucket of %d, want %d", pi, ni, len(a.Bucket), len(b.Bucket))
+			}
+			for i := range b.Bucket {
+				if a.Bucket[i].ID != b.Bucket[i].ID || !slices.Equal(a.Bucket[i].Coords, b.Bucket[i].Coords) {
+					t.Fatalf("partition %d node %d: point %d differs", pi, ni, i)
+				}
+			}
+			if a.Leaf != b.Leaf || a.Moved != b.Moved || a.SplitDim != b.SplitDim ||
+				math.Float64bits(a.SplitVal) != math.Float64bits(b.SplitVal) ||
+				a.Fwd != b.Fwd || a.Left != b.Left || a.Right != b.Right {
+				t.Fatalf("partition %d node %d: %+v, want %+v", pi, ni, a, b)
+			}
+		}
+		for ei, e := range w.Remote {
+			if a := g.Remote[ei]; a.Ref != e.Ref || !boxEqual(a.Lo, a.Hi, e.Lo, e.Hi) {
+				t.Fatalf("partition %d remote entry %d: %+v, want %+v", pi, ei, a, e)
+			}
+			remotes++
+		}
+	}
+	if len(want.Parts) > 1 && remotes == 0 {
+		t.Fatal("a multi-partition tree with no remote-box entries: the cache went untested")
 	}
 }
 
@@ -346,7 +494,8 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 // restore must never panic, OOM, or install a tree that breaks on
 // queries; every rejection is ErrSnapshotCorrupt.
 func FuzzPartitionRestore(f *testing.F) {
-	// Seeds: a real snapshot, truncations of it, version skew, garbage.
+	// Seeds: a real snapshot, a truncation of it, garbage, version skew,
+	// two empty trees and a checksum mismatch.
 	r := rand.New(rand.NewSource(103))
 	tr, err := New(Config{Dim: 3, BucketSize: 4, PartitionCapacity: 40, MaxPartitions: 3})
 	if err != nil {
@@ -367,13 +516,7 @@ func FuzzPartitionRestore(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add([]byte("go away"))
-	skew := *snap
-	skew.Format = 41
-	var skewed bytes.Buffer
-	if err := EncodeSnapshot(&skewed, &skew); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(skewed.Bytes())
+	f.Add(patchHeader(valid.Bytes(), 41, 3))
 	// The states a reset restores: a root that is one empty leaf, alone
 	// and beside an emptied data partition (Rebalance of an empty tree
 	// allocates the budget and resets every partition).
@@ -396,14 +539,11 @@ func FuzzPartitionRestore(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	crc := append([]byte(nil), valid.Bytes()...)
+	crc[len(crc)-1] ^= 1 // the last column's checksum
+	f.Add(crc)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			// Bound the decoder's work; a mutated length prefix can
-			// legally demand enormous (slow, GC-heavy) allocations
-			// that starve the fuzz engine without finding anything.
-			return
-		}
 		s, err := DecodeSnapshot(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrSnapshotCorrupt) {

@@ -1,10 +1,10 @@
 package semtree
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
+	"semtree/internal/column"
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
 	"semtree/internal/semdist"
@@ -12,30 +12,34 @@ import (
 )
 
 // snapshotVersion is the on-disk format written by Save, and the only
-// one Load accepts. Version 2 introduced the distributed tree's
-// partition snapshot; version 3 drops the separate embedding table
-// (every coordinate already lives in the tree payload). Streams of
-// either older version — neither has a writer — are rejected as corrupt.
-const snapshotVersion = 3
+// one Load accepts. Version 4 is a column stream (internal/column):
+// the header carries the embedding dimension once, and the columns
+// hold the index as memory already does — the store's tables and rows,
+// the pivots, and per partition the nodes, point IDs and one raw
+// coordinate block, with every box rebuilt on load. Versions 1–3 were
+// gob streams; they have no writer and are rejected as corrupt.
+const snapshotVersion = 4
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
-// truncated or garbled encodings, unknown versions, and structural
-// violations inside the persisted tree (core.ErrSnapshotCorrupt,
-// re-exported). Test with errors.Is; corrupt input always returns this
-// error — it never panics.
+// truncated or garbled encodings, unknown versions, embedding
+// parameters or pivots no index could have been built with, and
+// structural violations inside the persisted tree
+// (core.ErrSnapshotCorrupt, re-exported). Test with errors.Is; corrupt
+// input always returns this error — it never panics.
 var ErrSnapshotCorrupt = core.ErrSnapshotCorrupt
 
-// indexSnapshot is the gob payload of a persisted index: the triples
-// with provenance, the FastMap pivots, the metric parameters the
-// embedding was built under, and the distributed tree's partition
-// snapshot (core.TreeSnapshot) — the exact tree layout and, in its
+// indexSnapshot is a persisted index: the metric parameters the
+// embedding was built under (Options.Dims is the header's dimension,
+// which the pivots and the tree share), the FastMap pivots, the first
+// Rows triples of Store with their provenance, and the distributed
+// tree's partition snapshot — the exact tree layout and, in its
 // buckets, the exact coordinates of every stored triple, so a restart
 // answers bit-identically without re-embedding or re-ingesting.
 type indexSnapshot struct {
-	Version int
 	Options persistedOptions
-	Entries []triple.Entry
 	Mapper  fastmap.Snapshot[triple.Triple]
+	Store   *triple.Store
+	Rows    int
 	Tree    *core.TreeSnapshot
 }
 
@@ -65,51 +69,158 @@ func strayID(ts *core.TreeSnapshot, n int) (uint64, bool) {
 func Save(w io.Writer, ix *Index) error {
 	// The store is append-only and a batch enters it under one lock, so
 	// the count read here names an immutable prefix holding every batch
-	// whole; copying it out blocks no writer.
+	// whole; its rows are written from the store's own tables, blocking
+	// no writer.
 	n := ix.store.Len()
-	entries := make([]triple.Entry, 0, n)
-	ix.store.Each(func(id triple.ID, e triple.Entry) bool {
-		if len(entries) == n {
-			return false
-		}
-		entries = append(entries, e)
-		return true
-	})
 	treeSnap, err := ix.tree.Snapshot()
 	if err != nil {
 		return fmt.Errorf("semtree: save: %w", err)
 	}
 	// Equal sizes plus every ID below the entry count (IDs are distinct)
 	// prove the tree serves exactly the captured entries.
-	if treeSnap.Size != int64(len(entries)) {
+	if treeSnap.Size != int64(n) {
 		return fmt.Errorf("semtree: tree snapshot holds %d points but %d triples are stored "+
-			"(index mutated during Save, or triples added to the store outside the index?)", treeSnap.Size, len(entries))
+			"(index mutated during Save, or triples added to the store outside the index?)", treeSnap.Size, n)
 	}
-	if id, ok := strayID(treeSnap, len(entries)); ok {
+	if id, ok := strayID(treeSnap, n); ok {
 		return fmt.Errorf("semtree: tree snapshot holds triple ID %d but only %d triples were captured "+
-			"(index mutated during Save?)", id, len(entries))
+			"(index mutated during Save?)", id, n)
 	}
 	snap := indexSnapshot{
-		Version: snapshotVersion,
 		Options: ix.opts,
-		Entries: entries,
 		Mapper:  fastmap.ConvertSnapshot(ix.mapper.Snapshot(), semdist.Triple.Unresolved),
+		Store:   ix.store,
+		Rows:    n,
 		Tree:    treeSnap,
 	}
-	if err := encodeSnapshot(w, &snap); err != nil {
+	if err := writeSnapshot(w, &snap); err != nil {
 		return fmt.Errorf("semtree: save: %w", err)
 	}
 	return nil
 }
 
-// encodeSnapshot and decodeSnapshot isolate the gob round trip for
-// Save/Load and the format tests.
-func encodeSnapshot(w io.Writer, snap *indexSnapshot) error {
-	return gob.NewEncoder(w).Encode(snap)
+// writeSnapshot writes snap as a version-4 stream: the header, then the
+// options, pivot and pivot-coordinate columns, the store's three and
+// the tree's.
+func writeSnapshot(w io.Writer, snap *indexSnapshot) error {
+	m := &snap.Mapper
+	cw := column.NewWriter(w)
+	cw.Header(snapshotVersion, uint32(snap.Options.Dims))
+
+	o := snap.Options
+	cw.Float(o.Weights.Alpha)
+	cw.Float(o.Weights.Beta)
+	cw.Float(o.Weights.Gamma)
+	cw.Text(o.Measure)
+	var numeric byte
+	if o.NumericLiterals {
+		numeric = 1
+	}
+	cw.Byte(numeric)
+	cw.End()
+
+	for ax := range m.PivotA {
+		for _, t := range [2]triple.Triple{m.PivotA[ax], m.PivotB[ax]} {
+			triple.WriteTerm(cw, t.Subject)
+			triple.WriteTerm(cw, t.Predicate)
+			triple.WriteTerm(cw, t.Object)
+		}
+	}
+	cw.End()
+	for _, cs := range [2][][]float64{m.CoordsA, m.CoordsB} {
+		for _, c := range cs {
+			for _, v := range c {
+				cw.Float(v)
+			}
+		}
+	}
+	for _, v := range m.DAB {
+		cw.Float(v)
+	}
+	cw.End()
+
+	snap.Store.WriteColumns(cw, snap.Rows)
+	if err := core.WriteSnapshot(cw, snap.Tree); err != nil {
+		return err
+	}
+	return cw.Flush()
 }
 
-func decodeSnapshot(r io.Reader, snap *indexSnapshot) error {
-	return gob.NewDecoder(r).Decode(snap)
+// readSnapshot reads a stream writeSnapshot wrote. Every error it
+// returns is caused by the bytes.
+func readSnapshot(r io.Reader) (*indexSnapshot, error) {
+	cr := column.NewReader(r)
+	version, udim, err := cr.Header()
+	if err != nil {
+		return nil, err
+	}
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("snapshot version %d, want %d", version, snapshotVersion)
+	}
+	if udim < 1 || udim > core.MaxSnapshotDim {
+		return nil, fmt.Errorf("dimension %d out of range", udim)
+	}
+	dim := int(udim)
+	snap := &indexSnapshot{Options: persistedOptions{Dims: dim}}
+
+	if err := cr.Next(); err != nil {
+		return nil, err
+	}
+	o := &snap.Options
+	o.Weights.Alpha, o.Weights.Beta, o.Weights.Gamma = cr.Float(), cr.Float(), cr.Float()
+	o.Measure = cr.Text()
+	switch numeric := cr.Byte(); numeric {
+	case 0, 1:
+		o.NumericLiterals = numeric == 1
+	default:
+		return nil, fmt.Errorf("numeric-literals flag %d", numeric)
+	}
+	if err := cr.End(); err != nil {
+		return nil, err
+	}
+
+	m := &snap.Mapper
+	m.Dims = dim
+	if err := cr.Next(); err != nil {
+		return nil, err
+	}
+	m.PivotA, m.PivotB = make([]triple.Triple, dim), make([]triple.Triple, dim)
+	for ax := range dim {
+		for _, t := range [2]*triple.Triple{&m.PivotA[ax], &m.PivotB[ax]} {
+			t.Subject = triple.ReadTerm(cr)
+			t.Predicate = triple.ReadTerm(cr)
+			t.Object = triple.ReadTerm(cr)
+		}
+	}
+	if err := cr.End(); err != nil {
+		return nil, err
+	}
+	if err := cr.Next(); err != nil {
+		return nil, err
+	}
+	if want := 8 * (2*dim + 1) * dim; cr.Len() != want {
+		return nil, fmt.Errorf("pivot coordinate column of %d bytes, want %d", cr.Len(), want)
+	}
+	block := make([]float64, (2*dim+1)*dim)
+	cr.Floats(block)
+	if err := cr.End(); err != nil {
+		return nil, err
+	}
+	m.CoordsA, m.CoordsB = make([][]float64, dim), make([][]float64, dim)
+	for ax := range dim {
+		m.CoordsA[ax] = block[ax*dim : (ax+1)*dim : (ax+1)*dim]
+		m.CoordsB[ax] = block[(dim+ax)*dim : (dim+ax+1)*dim : (dim+ax+1)*dim]
+	}
+	m.DAB = block[2*dim*dim:]
+
+	if snap.Store, err = triple.ReadStore(cr); err != nil {
+		return nil, err
+	}
+	snap.Rows = snap.Store.Len()
+	if snap.Tree, err = core.ReadSnapshot(cr, dim); err != nil {
+		return nil, err
+	}
+	return snap, nil
 }
 
 // Load reconstructs an index from a snapshot written by Save. The
@@ -121,57 +232,44 @@ func decodeSnapshot(r io.Reader, snap *indexSnapshot) error {
 // caches included) is restored after structural validation, so the
 // loaded index answers every query byte-identically to the saved one;
 // opts.MaxPartitions is raised to the persisted partition count when
-// lower. Corrupt input — truncation, garbage, any version other than
-// snapshotVersion, or a tree payload violating the structural
-// invariants — returns ErrSnapshotCorrupt.
+// lower. Corrupt input — truncation, garbage, a checksum mismatch, any
+// version other than snapshotVersion, embedding parameters or pivots
+// the metric or FastMap reject, or a tree payload violating the
+// structural invariants — returns ErrSnapshotCorrupt.
 func Load(r io.Reader, opts Options) (*Index, error) {
-	var snap indexSnapshot
-	if err := decodeSnapshot(r, &snap); err != nil {
+	snap, err := readSnapshot(r)
+	if err != nil {
 		return nil, fmt.Errorf("semtree: load: %w: %v", ErrSnapshotCorrupt, err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("semtree: load: %w: snapshot version %d, want %d",
-			ErrSnapshotCorrupt, snap.Version, snapshotVersion)
-	}
-	if snap.Tree == nil {
-		return nil, fmt.Errorf("semtree: load: %w: snapshot carries no tree", ErrSnapshotCorrupt)
 	}
 	metric, err := newMetric(opts.Registry, snap.Options)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("semtree: load: %w: %v", ErrSnapshotCorrupt, err)
 	}
 	mapper, err := fastmap.FromSnapshot(fastmap.ConvertSnapshot(snap.Mapper, metric.Resolve), metric.ResolvedDistance)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("semtree: load: %w: %v", ErrSnapshotCorrupt, err)
 	}
 
-	store := triple.NewStore()
-	store.AddEntries(snap.Entries)
-
-	// The cross-checks against the entry table come before the
-	// structural validation inside RestoreTree, so an inconsistent
-	// envelope fails fast either way.
-	if snap.Tree.Size != int64(len(snap.Entries)) {
-		return nil, fmt.Errorf("semtree: load: %w: tree snapshot holds %d points but %d entries persisted",
-			ErrSnapshotCorrupt, snap.Tree.Size, len(snap.Entries))
+	// The cross-checks against the store come before the structural
+	// validation inside RestoreTree, so an inconsistent stream fails
+	// fast either way.
+	if snap.Tree.Size != int64(snap.Rows) {
+		return nil, fmt.Errorf("semtree: load: %w: tree snapshot holds %d points but %d triples persisted",
+			ErrSnapshotCorrupt, snap.Tree.Size, snap.Rows)
 	}
-	if snap.Tree.Dim != snap.Options.Dims {
-		return nil, fmt.Errorf("semtree: load: %w: tree snapshot dim %d, embedding dim %d",
-			ErrSnapshotCorrupt, snap.Tree.Dim, snap.Options.Dims)
-	}
-	// Every point the tree serves must resolve in the entry table —
-	// reloaded IDs are positional — or queries over the restored tree
-	// would surface phantom IDs.
-	if id, ok := strayID(snap.Tree, len(snap.Entries)); ok {
-		return nil, fmt.Errorf("semtree: load: %w: tree references triple ID %d but only %d entries persisted",
-			ErrSnapshotCorrupt, id, len(snap.Entries))
+	// Every point the tree serves must resolve in the store — reloaded
+	// IDs are positional — or queries over the restored tree would
+	// surface phantom IDs.
+	if id, ok := strayID(snap.Tree, snap.Rows); ok {
+		return nil, fmt.Errorf("semtree: load: %w: tree references triple ID %d but only %d triples persisted",
+			ErrSnapshotCorrupt, id, snap.Rows)
 	}
 	tree, err := core.RestoreTree(opts.treeConfig(snap.Options.Dims), snap.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("semtree: load: %w", err)
 	}
 	return &Index{
-		store: store, metric: metric, mapper: mapper, tree: tree,
+		store: snap.Store, metric: metric, mapper: mapper, tree: tree,
 		dims: snap.Options.Dims, opts: snap.Options,
 	}, nil
 }
