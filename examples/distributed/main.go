@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("tree nodes: %d (%d leaves)\n\n", st.Nodes, st.Leaves)
 
 	// Query under a deadline, as a serving system would: the deadline
-	// crosses the TCP fabric in the message envelope, so an expired
+	// crosses the TCP fabric in each message's frame header, so an expired
 	// query stops on the remote partitions too, and the Result reports
 	// what the query actually cost.
 	query, _ := triple.ParseTriple("('OBSW001', Fun:block_cmd, CmdType:start-up)")

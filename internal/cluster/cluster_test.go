@@ -5,24 +5,49 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"semtree/internal/column"
 )
 
-// echoReq / echoResp are the test protocol.
+// echoReq / echoResp are the test protocol, with hand-written codecs
+// like the partition protocol's; gobEcho takes the gob fallback.
 type echoReq struct{ Msg string }
 type echoResp struct {
 	Msg  string
 	From NodeID
 }
+type gobEcho struct {
+	Msg    string
+	Coords []float64
+}
+
+// Kinds far from the partition protocol's, which the fuzz test's
+// binary registers too.
+const (
+	kindEchoReq byte = 250 + iota
+	kindEchoResp
+)
+
+func (echoReq) WireKind() byte                  { return kindEchoReq }
+func (m echoReq) AppendWire(a *column.Appender) { a.Text(m.Msg) }
+
+func (echoResp) WireKind() byte { return kindEchoResp }
+func (m echoResp) AppendWire(a *column.Appender) {
+	a.Text(m.Msg)
+	a.Varint(int64(m.From))
+}
 
 func init() {
-	RegisterMessage(echoReq{})
-	RegisterMessage(echoResp{})
+	RegisterKind(kindEchoReq, func(d *column.Decoder) any { return echoReq{Msg: d.Text()} })
+	RegisterKind(kindEchoResp, func(d *column.Decoder) any { return echoResp{Msg: d.Text(), From: NodeID(d.Varint())} })
+	RegisterMessage(gobEcho{})
 }
 
 func echoHandler(ctx context.Context, from NodeID, req any) (any, error) {
@@ -331,7 +356,7 @@ func TestInProcCancelUnblocksLatency(t *testing.T) {
 	}
 }
 
-// TestTCPDeadlinePropagatesToHandler: the envelope carries the caller's
+// TestTCPDeadlinePropagatesToHandler: the frame header carries the caller's
 // deadline, so the remote handler's context expires and the call
 // returns around the deadline instead of hanging on a stuck handler.
 func TestTCPDeadlinePropagatesToHandler(t *testing.T) {
@@ -448,40 +473,148 @@ func callBytes(t *testing.T, f Fabric, to NodeID, msg string) int64 {
 	return f.Stats().Bytes - before
 }
 
-// TestTCPConnectionReuse: sequential calls to one peer share a
-// connection and its gob streams, so the type descriptors cross once —
-// the first call is the expensive one and every later call costs the
-// same.
+// TestTCPConnectionReuse: a frame carries no stream state, so a steady
+// exchange costs the same bytes every time — the first one included —
+// and sequential calls to one peer share one pooled connection.
 func TestTCPConnectionReuse(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
 	id, _ := f.AddNode(echoHandler)
 	first := callBytes(t, f, id, "ping")
-	steady := callBytes(t, f, id, "ping")
-	if steady >= first {
-		t.Fatalf("second call moved %d bytes, first %d: descriptors were sent again", steady, first)
-	}
 	for i := 0; i < 4; i++ {
-		if got := callBytes(t, f, id, "ping"); got != steady {
-			t.Fatalf("call %d moved %d bytes, want the steady %d", i+3, got, steady)
+		if got := callBytes(t, f, id, "ping"); got != first {
+			t.Fatalf("call %d moved %d bytes, the first %d", i+2, got, first)
 		}
+	}
+	if idle := len(f.nodes[id].idle); idle != 1 {
+		t.Fatalf("%d idle connections after sequential calls, want 1", idle)
 	}
 }
 
-// TestTCPOversizedExchangeNotPooled: a connection that carried more
-// than maxPooledExchange is closed (its gob buffers have grown to the
-// message), so the next call pays for a fresh one.
-func TestTCPOversizedExchangeNotPooled(t *testing.T) {
+// TestTCPLargeExchangePooled: a connection that carried a 1 MiB
+// exchange is pooled again and reused, but neither of its ends keeps
+// the frame buffer that grew to it.
+func TestTCPLargeExchangePooled(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
 	id, _ := f.AddNode(echoHandler)
-	first := callBytes(t, f, id, "ping")
-	if steady := callBytes(t, f, id, "ping"); steady >= first {
-		t.Fatalf("no reuse to begin with: %d then %d bytes", first, steady)
+	callBytes(t, f, id, "ping")
+	c := f.nodes[id].idle[0]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	callBytes(t, f, id, strings.Repeat("x", 1<<20))
+	// The serving end drops its buffer just after it writes the reply:
+	// wait, within a bound, for the heap to come back down.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if kept <= 1<<19 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the heap kept %d bytes after a 1 MiB exchange: a connection end holds its frame", kept)
+		}
 	}
-	callBytes(t, f, id, strings.Repeat("x", maxPooledExchange))
-	if got := callBytes(t, f, id, "ping"); got != first {
-		t.Fatalf("call after an oversized exchange moved %d bytes, want a fresh connection's %d", got, first)
+	if got := cap(c.buf); got > maxFrameBuffer {
+		t.Fatalf("the pooled connection keeps a %d-byte frame buffer, want at most %d", got, maxFrameBuffer)
+	}
+	callBytes(t, f, id, "ping")
+	if idle := f.nodes[id].idle; len(idle) != 1 || idle[0] != c {
+		t.Fatalf("idle list %v after a 1 MiB exchange and a ping, want the connection both used", idle)
+	}
+}
+
+// TestFabricSentinels: a handler error wrapping a fabric sentinel or a
+// context error keeps that identity on every fabric: errors.Is holds
+// for the caller over TCP as it does in process, and the text crosses
+// too.
+func TestFabricSentinels(t *testing.T) {
+	sentinels := []error{ErrTransient, ErrClosed, ErrUnknownNode, context.Canceled, context.DeadlineExceeded}
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			f := mk()
+			defer f.Close()
+			id, _ := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
+				if i := len(req.(echoReq).Msg); i < len(sentinels) {
+					return nil, fmt.Errorf("partition 3: %w", sentinels[i])
+				}
+				return echoHandler(ctx, from, req)
+			})
+			for i, s := range sentinels {
+				_, err := f.Call(context.Background(), ClientID, id, echoReq{Msg: strings.Repeat("x", i)})
+				//semtree:allow typederr: not classification — the handler's own text must cross the wire beside its identity
+				if !errors.Is(err, s) || !strings.Contains(err.Error(), "partition 3: "+s.Error()) {
+					t.Errorf("handler returned %q: caller got %v", s, err)
+				}
+				for _, other := range sentinels {
+					if other != s && errors.Is(err, other) {
+						t.Errorf("handler returned %q: caller's %v is also %q", s, err, other)
+					}
+				}
+			}
+			if _, err := f.Call(context.Background(), ClientID, id, echoReq{Msg: "past every sentinel"}); err != nil {
+				t.Fatalf("the node no longer answers: %v", err)
+			}
+		})
+	}
+}
+
+// TestTCPFallback: a payload with no codec but registered with
+// RegisterMessage crosses as a gob blob, each frame on its own — the
+// first and a later one cost the same bytes — and Stats counts both of
+// an exchange's frames; a nil payload crosses as none.
+func TestTCPFallback(t *testing.T) {
+	f := NewTCP()
+	defer f.Close()
+	echo, _ := f.AddNode(func(_ context.Context, _ NodeID, req any) (any, error) { return req, nil })
+	msg := gobEcho{Msg: "fallback", Coords: []float64{1.5, -2}}
+	var sizes []int64
+	for range 2 {
+		before := f.Stats().Bytes
+		got, err := f.Call(context.Background(), ClientID, echo, msg)
+		if err != nil || !reflect.DeepEqual(got, msg) {
+			t.Fatalf("Call = %#v, %v; sent %#v", got, err, msg)
+		}
+		sizes = append(sizes, f.Stats().Bytes-before)
+	}
+	if sizes[0] != sizes[1] {
+		t.Fatalf("gob frames moved %d then %d bytes: the fallback kept stream state", sizes[0], sizes[1])
+	}
+	if got, err := f.Call(context.Background(), ClientID, echo, nil); got != nil || err != nil {
+		t.Fatalf("nil payload: %#v, %v", got, err)
+	}
+	if got := f.Stats().Fallback; got != 4 {
+		t.Fatalf("Stats.Fallback = %d after two gob exchanges and a nil one, want 4", got)
+	}
+	if _, err := f.Call(context.Background(), ClientID, echo, struct{ X int }{}); err == nil || errors.Is(err, ErrTransient) {
+		t.Fatalf("an unregistered payload: err = %v, want a permanent encode error", err)
+	}
+	if _, err := f.Call(context.Background(), ClientID, echo, echoReq{Msg: "after"}); err != nil {
+		t.Fatalf("a failed encode broke the connection: %v", err)
+	}
+}
+
+// unknownKind is a Message whose kind has no decoder.
+type unknownKind struct{}
+
+func (unknownKind) WireKind() byte              { return 249 }
+func (unknownKind) AppendWire(*column.Appender) {}
+
+// TestTCPUndecodableRequest: a request the serving end cannot decode is
+// answered with a permanent error, and the connection, read to the end
+// of the frame, stays in step and in the pool.
+func TestTCPUndecodableRequest(t *testing.T) {
+	f := NewTCP()
+	defer f.Close()
+	id, _ := f.AddNode(echoHandler)
+	if _, err := f.Call(context.Background(), ClientID, id, unknownKind{}); err == nil || errors.Is(err, ErrTransient) {
+		t.Fatalf("err = %v, want a permanent decode error", err)
+	}
+	callBytes(t, f, id, "after")
+	if idle := len(f.nodes[id].idle); idle != 1 {
+		t.Fatalf("%d idle connections, want the one both calls used", idle)
 	}
 }
 
@@ -642,8 +775,9 @@ func TestTCPCloseUnparksSilentPeer(t *testing.T) {
 }
 
 // TestTCPCallAllocs gates the per-call cost of a warmed connection: a
-// return to dialling, or to building a gob codec per call (several
-// hundred allocations), fails here. Measured: 17.
+// return to dialling, or to a gob codec per message (several hundred
+// allocations), fails here. Measured: 6 — the request, the reply and
+// their strings, each boxed once on each side.
 func TestTCPCallAllocs(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
@@ -655,8 +789,10 @@ func TestTCPCallAllocs(t *testing.T) {
 		}
 	}
 	call()
-	if got := testing.AllocsPerRun(200, call); got > 40 {
-		t.Fatalf("%.0f allocs per warmed TCP call, want at most 40", got)
+	got := testing.AllocsPerRun(200, call)
+	t.Logf("%.1f allocs per warmed TCP call", got)
+	if got > 12 {
+		t.Fatalf("%.0f allocs per warmed TCP call, want at most 12", got)
 	}
 }
 

@@ -10,12 +10,15 @@
 //     is the default fabric of a tree, what the bench figures and the
 //     repo benchmark's in-process workloads run on, and the
 //     failure-injection harness of the robustness tests.
-//   - TCP: a real network transport over loopback (net + encoding/gob)
-//     that also counts the bytes it moves, used by the distributed
-//     example, the integration tests and the repo benchmark's
-//     nine-partition workload. Its connections are long-lived, like the
-//     channels between MPJ ranks: a small per-peer idle list, one gob
-//     stream pair per connection, one exchange at a time on each.
+//   - TCP: a real network transport over loopback that also counts the
+//     bytes it moves, used by the distributed example, the integration
+//     tests and the repo benchmark's nine-partition workload. A message
+//     crosses it as one frame (frame.go): a small header, then the
+//     payload in the hand-written codec its type registered
+//     (RegisterKind), built from internal/column's values. Its
+//     connections are long-lived, like the channels between MPJ ranks:
+//     a small per-peer idle list, one frame buffer per connection end,
+//     one exchange at a time on each.
 //
 // Request/response is the whole fabric: there is no one-way delivery,
 // no queue and no goroutine a node owns. The clock on which Figure 3's
@@ -24,7 +27,7 @@
 //
 // Every Call is context-first: cancellation and deadlines propagate
 // with the message. On InProc the simulated transit sleep unblocks when
-// the context is done; on TCP the deadline travels in the envelope (the
+// the context is done; on TCP the deadline travels in the frame (the
 // serving side derives a context from it) and the client connection's
 // read/write deadlines are armed from the context, so a caller is never
 // stuck waiting for a reply its query no longer wants. A connection
@@ -81,8 +84,9 @@ type Fabric interface {
 // Stats is cumulative fabric accounting.
 type Stats struct {
 	Messages int64 // completed calls (including failed ones)
-	Bytes    int64 // encoded request+response bytes (TCP only: nothing else encodes)
+	Bytes    int64 // request and reply frame bytes (TCP only: nothing else encodes)
 	Failures int64 // injected or transport-level transient failures
+	Fallback int64 // messages encoded by the gob fallback (TCP only; see RegisterMessage)
 }
 
 // ErrTransient marks a delivery failure that may succeed on retry.

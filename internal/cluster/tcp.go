@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,69 +9,40 @@ import (
 	"time"
 )
 
-// envelope is the wire format of both transports: one request or
-// response. Payload types crossing a TCP fabric must be registered with
-// RegisterMessage. Deadline (unix nanoseconds, 0 = none) carries the
-// caller's context deadline so the serving side can derive an
-// equivalent context and stop working on an expired request.
-type envelope struct {
-	From      int
-	Payload   any
-	Err       string
-	Transient bool
-	Deadline  int64
-}
-
-// RegisterMessage registers a payload type for gob encoding on TCP
-// fabrics. Call it from an init function for every concrete request
-// and response type.
-func RegisterMessage(v any) { gob.Register(v) }
-
 // TCP is a Fabric whose nodes listen on loopback TCP sockets and
-// exchange gob-encoded envelopes: a real network path under the same
+// exchange frames (frame.go): a real network path under the same
 // interface as InProc. Connections are long-lived, like the channels
 // between the paper's MPJ ranks: each peer has a small list of idle
-// connections, and a connection owns one gob.Encoder and one
-// gob.Decoder on both ends for its lifetime, so type descriptors cross
-// it once. Call checks a connection out exclusively (dialling when none
-// is idle), does one write→read exchange and checks it back in; the
-// serving side runs a decode→handle→encode loop per accepted
-// connection.
+// connections, and each end of a connection keeps a buffered reader and
+// one frame buffer for its lifetime. Call checks a connection out
+// exclusively (dialling when none is idle), writes one request frame,
+// reads one reply frame and checks the connection back in; the serving
+// side runs a read→handle→write loop per accepted connection. A message
+// is encoded straight into the frame buffer and sent in one write.
 //
-// A connection is pooled again only after a clean exchange. It is
-// closed instead when (1) the encode or decode failed — the stream
-// position is unknown; (2) the context's deadline fired or it was
-// cancelled, or may have been — the poisoned SetDeadline(now) must not
-// be inherited by the next caller; (3) the exchange moved more than
-// maxPooledExchange bytes — gob's buffers never shrink.
+// A connection is pooled again after every clean exchange. It is
+// closed instead when (1) a write or read failed — the stream position
+// is unknown; (2) the context's deadline fired or it was cancelled, or
+// may have been — the poisoned SetDeadline(now) must not be inherited
+// by the next caller. A frame buffer grown past maxFrameBuffer is
+// dropped after its exchange; the connection is kept.
 type TCP struct {
 	mu     sync.Mutex // guards nodes, closed, and every node's idle and served
 	nodes  []*tcpNode
 	closed bool
 
-	messages atomic.Int64
-	bytes    atomic.Int64
-	failures atomic.Int64
+	messages  atomic.Int64
+	bytes     atomic.Int64
+	failures  atomic.Int64
+	fallbacks atomic.Int64
 }
 
-const (
-	// maxIdlePerPeer caps a peer's idle list; a connection checked in
-	// beyond it is closed. A traced run of the repo benchmark's
-	// knn-tcp9 workload (nine partitions, nested calls, fan-out, two
-	// closed-loop clients beside four open-loop senders) never had more
-	// than 4 connections to one peer checked out at once.
-	maxIdlePerPeer = 4
-
-	// maxPooledExchange is the request+response size above which a
-	// connection is closed rather than pooled: a gob encoder/decoder
-	// keeps a buffer as large as the largest message it ever carried.
-	// In the same run every one of 360k query-path exchanges moved less
-	// than 64 KiB (the largest are range replies), the bulk load's 40
-	// install messages 1–2 MiB each and nothing lay in between; pooling
-	// the install connections moved knn-tcp9's heap_mb from 51.5 to
-	// 72.5 MiB.
-	maxPooledExchange = 64 << 10
-)
+// maxIdlePerPeer caps a peer's idle list; a connection checked in
+// beyond it is closed. A traced run of the repo benchmark's knn-tcp9
+// workload (nine partitions, nested calls, fan-out, two closed-loop
+// clients beside four open-loop senders) never had more than 4
+// connections to one peer checked out at once.
+const maxIdlePerPeer = 4
 
 type tcpNode struct {
 	ln      net.Listener
@@ -86,24 +55,11 @@ type tcpNode struct {
 }
 
 // tcpConn is the client end of one pooled connection. It is owned by
-// one Call at a time, so n needs no synchronization beyond the pool's.
+// one Call at a time, so its wire needs no synchronization beyond the
+// pool's.
 type tcpConn struct {
 	net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-	n   int64 // bytes read and written over the connection's lifetime
-}
-
-func (c *tcpConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *tcpConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.n += int64(n)
-	return n, err
+	wire
 }
 
 // NewTCP returns an empty TCP fabric; AddNode starts one listener per
@@ -160,41 +116,57 @@ func (f *TCP) acceptLoop(n *tcpNode, id NodeID) {
 }
 
 // serve answers one connection's requests in order until the peer
-// closes it, the stream breaks, or Close unparks the read.
+// closes it, the stream breaks, or Close unparks the read. A request
+// that does not decode is answered with the error, like one its handler
+// refused: the frame was read whole, so the stream is still in step.
 func (f *TCP) serve(n *tcpNode, conn net.Conn) {
-	dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+	c := newWire(conn)
 	for {
-		var req envelope // fresh per message: gob leaves absent (zero) fields untouched
-		if err := dec.Decode(&req); err != nil {
+		kind, body, _, err := c.readFrame()
+		if err != nil {
 			return
 		}
-		resp := n.handle(&req)
-		if err := enc.Encode(&resp); err != nil {
+		var resp any
+		h, req, err := c.decode(kind, body)
+		if err == nil {
+			resp, err = n.handle(h, req)
+		}
+		if kind, err = f.encode(&c, header{err: err}, resp); err != nil {
+			kind, _ = f.encode(&c, header{err: err}, nil)
+		}
+		if _, err := c.send(kind); err != nil {
 			return
 		}
+		c.trim()
 	}
 }
 
-func (n *tcpNode) handle(req *envelope) envelope {
+// encode is wire.encode, counting the messages that took the fallback.
+func (f *TCP) encode(c *wire, h header, payload any) (byte, error) {
+	kind, fallback, err := c.encode(h, payload)
+	if fallback {
+		f.fallbacks.Add(1)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("cluster: encode %T: %w", payload, err)
+	}
+	return kind, nil
+}
+
+func (n *tcpNode) handle(h header, req any) (any, error) {
 	// Rebuild the caller's deadline context: a cancellation reaches
 	// this side only as the caller closing the connection, which the
 	// serve loop sees after the handler returns, but the deadline
-	// travels in the envelope, and it is what lets the remote side stop
+	// travels in the frame, and it is what lets the remote side stop
 	// traversing an expired query.
 	//semtree:allow ctxfirst: the server side of the wire has no caller context; the deadline is rebuilt from the frame below
 	ctx := context.Background()
-	if req.Deadline > 0 {
+	if h.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, h.deadline))
 		defer cancel()
 	}
-	out, err := n.handler(ctx, NodeID(req.From), req.Payload)
-	if err != nil {
-		// The error crosses the wire as text; whether a retry can help
-		// is the one piece of its identity CallRetry needs.
-		return envelope{Err: err.Error(), Transient: errors.Is(err, ErrTransient)}
-	}
-	return envelope{Payload: out}
+	return n.handler(ctx, h.from, req)
 }
 
 // checkout returns an idle connection to node `to`, or dials one.
@@ -235,9 +207,7 @@ func (f *TCP) checkout(ctx context.Context, to NodeID) (*tcpConn, error) {
 		f.failures.Add(1)
 		return nil, fmt.Errorf("%w: dial: %v", ErrTransient, err)
 	}
-	c = &tcpConn{Conn: conn}
-	c.enc, c.dec = gob.NewEncoder(c), gob.NewDecoder(c)
-	return c, nil
+	return &tcpConn{Conn: conn, wire: newWire(conn)}, nil
 }
 
 // checkin returns a connection to its peer's idle list after a clean
@@ -256,57 +226,75 @@ func (f *TCP) checkin(to NodeID, c *tcpConn) {
 }
 
 // Call implements Fabric. The context deadline is encoded into the
-// request envelope (so the remote handler sees it) and armed on the
+// request frame (so the remote handler sees it) and armed on the
 // connection (so the local read never outlives it); plain cancellation
 // snaps the connection's deadlines shut, unblocking the reply read.
-// Either way the connection is then closed, not pooled.
+// Either way the connection is then closed, not pooled. A handler's
+// error returns wrapping the same sentinel (ErrTransient, ErrClosed,
+// ErrUnknownNode or a context error) it wrapped on the serving side.
 func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	c, err := f.checkout(ctx, to)
 	if err != nil {
 		return nil, err
 	}
+	h := header{from: from}
 	// Zero when ctx has no deadline, which also clears whatever the
 	// connection's previous caller armed.
 	d, _ := ctx.Deadline()
 	_ = c.SetDeadline(d)
-	var wireDeadline int64
 	if !d.IsZero() {
-		wireDeadline = d.UnixNano()
+		h.deadline = d.UnixNano()
 	}
 	stop := func() bool { return true }
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Now()) })
 	}
 
-	before, step := c.n, "encode"
-	var resp envelope
-	err = c.enc.Encode(&envelope{From: int(from), Payload: req, Deadline: wireDeadline})
-	if err == nil {
-		step, err = "decode", c.dec.Decode(&resp)
+	kind, err := f.encode(&c.wire, h, req)
+	if err != nil {
+		f.release(to, c, stop())
+		return nil, err
 	}
-	moved := c.n - before
-	// stop reports false once the AfterFunc has started: the connection
-	// may carry its poisoned deadline even though the exchange finished.
-	if !stop() || err != nil || moved > maxPooledExchange {
-		c.Close()
-	} else {
-		f.checkin(to, c)
+	sent, err := c.send(kind)
+	step := "write"
+	var body []byte
+	var got int
+	if err == nil {
+		step = "read"
+		kind, body, got, err = c.readFrame()
 	}
 	if err != nil {
+		stop()
+		c.Close()
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
 		f.failures.Add(1)
 		return nil, fmt.Errorf("%w: %s: %v", ErrTransient, step, err)
 	}
-	f.bytes.Add(moved)
-	if resp.Err != "" {
-		if resp.Transient {
-			return nil, fmt.Errorf("%w: %s", ErrTransient, resp.Err)
-		}
-		return nil, fmt.Errorf("cluster: remote error: %s", resp.Err)
+	f.bytes.Add(int64(sent + got))
+	h, resp, err := c.decode(kind, body)
+	c.trim()
+	// stop reports false once the AfterFunc has started: the connection
+	// may carry its poisoned deadline even though the exchange finished.
+	f.release(to, c, stop())
+	if err != nil {
+		return nil, err
 	}
-	return resp.Payload, nil
+	if h.err != nil {
+		return nil, h.err
+	}
+	return resp, nil
+}
+
+// release ends a Call's hold on a connection whose stream is in step:
+// it is pooled when its deadline is still the caller's, else closed.
+func (f *TCP) release(to NodeID, c *tcpConn, clean bool) {
+	if clean {
+		f.checkin(to, c)
+	} else {
+		c.Close()
+	}
 }
 
 // Stats implements Fabric.
@@ -315,12 +303,13 @@ func (f *TCP) Stats() Stats {
 		Messages: f.messages.Load(),
 		Bytes:    f.bytes.Load(),
 		Failures: f.failures.Load(),
+		Fallback: f.fallbacks.Load(),
 	}
 }
 
 // Close implements Fabric: it stops all listeners, closes the idle
 // connections and waits for in-flight handlers. A serve loop parked in
-// Decode is unparked through its read deadline rather than by closing
+// a read is unparked through its read deadline rather than by closing
 // its connection, so a handler that is still running can write its
 // reply; the loop's next read then fails and it exits. Connections
 // checked out at this moment are closed by their Call when it returns.

@@ -1,27 +1,32 @@
-// Package column is the byte format of a persisted index: a fixed
-// header, then a sequence of columns. A column is a uvarint payload
-// length, the payload, and the payload's CRC-32C (Castagnoli) as four
-// little-endian bytes. Payload values are uvarints, zigzag varints,
-// single bytes, length-prefixed strings and raw little-endian float64s;
-// what a column holds is its writer's business, and its reader's.
+// Package column is the byte format of everything this system encodes
+// by hand: a persisted index and the messages of a TCP fabric. Values
+// are uvarints, zigzag varints, single bytes, length-prefixed strings
+// and raw little-endian float64s. An Appender appends them to a byte
+// slice with no reflection and a Decoder reads them back; what a run of
+// values means is its writer's business, and its reader's.
 //
-// Writing uses no reflection: values are appended to the open column
-// and End frames it. Reading takes one column at a time into a buffer
-// that grows only as bytes arrive, so a length prefix is believed only
-// as far as the input backs it; reads past a column's end, counts that
-// its remaining bytes cannot hold, a bad checksum and a short stream
-// all fail with an error, never a panic.
+// A persisted index is a fixed header, then a sequence of columns. A
+// column is a uvarint payload length, the payload, and the payload's
+// CRC-32C (Castagnoli) as four little-endian bytes. A Writer appends
+// values to the open column and End frames it. A Reader takes one
+// column at a time into a buffer that grows only as bytes arrive
+// (ReadN, which a fabric's frame reader shares), so a length prefix is
+// believed only as far as the input backs it.
+//
+// Reads past the end of the input, counts that the bytes left cannot
+// hold, a bad checksum and a short stream all fail with an error, never
+// a panic.
 package column
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -37,12 +42,53 @@ const (
 // which a process that never saves or loads should not carry.
 var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
-// Writer appends values to the open column and frames it on End.
-// Errors are sticky: the first write error is returned by Flush.
+// Appender appends values to a byte slice. The zero value is empty and
+// ready to use.
+type Appender []byte
+
+// Uvarint appends v.
+func (a *Appender) Uvarint(v uint64) { *a = binary.AppendUvarint(*a, v) }
+
+// Varint appends v, zigzag-encoded.
+func (a *Appender) Varint(v int64) { *a = binary.AppendVarint(*a, v) }
+
+// Byte appends one byte.
+func (a *Appender) Byte(b byte) { *a = append(*a, b) }
+
+// Bool appends v as one byte, 0 or 1.
+func (a *Appender) Bool(v bool) {
+	var b byte
+	if v {
+		b = 1
+	}
+	a.Byte(b)
+}
+
+// Float appends the raw little-endian bits of f.
+func (a *Appender) Float(f float64) {
+	*a = binary.LittleEndian.AppendUint64(*a, math.Float64bits(f))
+}
+
+// Floats appends the raw little-endian bits of every value of fs.
+func (a *Appender) Floats(fs []float64) {
+	for _, f := range fs {
+		a.Float(f)
+	}
+}
+
+// Text appends len(s) and the bytes of s.
+func (a *Appender) Text(s string) {
+	a.Uvarint(uint64(len(s)))
+	*a = append(*a, s...)
+}
+
+// Writer appends values to the open column — its Appender — and frames
+// it on End. Errors are sticky: the first write error is returned by
+// Flush.
 type Writer struct {
-	w   *bufio.Writer
-	buf []byte // the open column's payload
-	err error
+	Appender // the open column's payload
+	w        *bufio.Writer
+	err      error
 }
 
 // NewWriter returns a writer buffering onto w.
@@ -55,33 +101,13 @@ func (w *Writer) Header(version byte, dim uint32) {
 	w.write(binary.LittleEndian.AppendUint32(h, crc32.Checksum(h, castagnoli())))
 }
 
-// Uvarint appends v to the open column.
-func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-
-// Varint appends v, zigzag-encoded.
-func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
-
-// Byte appends one byte.
-func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
-
-// Float appends the raw little-endian bits of f.
-func (w *Writer) Float(f float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
-}
-
-// Text appends len(s) and the bytes of s.
-func (w *Writer) Text(s string) {
-	w.Uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
 // End frames the open column — length, payload, checksum — and opens
 // the next one.
 func (w *Writer) End() {
-	w.write(binary.AppendUvarint(nil, uint64(len(w.buf))))
-	w.write(w.buf)
-	w.write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(w.buf, castagnoli())))
-	w.buf = w.buf[:0]
+	w.write(binary.AppendUvarint(nil, uint64(len(w.Appender))))
+	w.write(w.Appender)
+	w.write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(w.Appender, castagnoli())))
+	w.Appender = w.Appender[:0]
 }
 
 func (w *Writer) write(p []byte) {
@@ -98,18 +124,190 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// errShort reports a column that ended before its reader did; the
-// Reader's other failures are described by its error text.
-var errShort = errors.New("column: value runs past the end of its column")
+// errShort reports input that ended before its reader did; the
+// Decoder's other failures are described by its error text.
+var errShort = errors.New("column: value runs past the end of its input")
 
-// Reader reads a stream a Writer wrote. Value reads decode from the
-// current column; once one fails, it and every later one return zero
-// and Err reports the first failure.
-type Reader struct {
-	r   *bufio.Reader
-	buf []byte // the current column's payload, reused across columns
+// Decoder reads values an Appender appended. Once a read fails, it and
+// every later one return zero and Err reports the first failure, so a
+// caller reads a whole record and checks once.
+type Decoder struct {
+	buf []byte
 	off int
 	err error
+}
+
+// Reset makes b the decoder's input and clears its failure.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{buf: b} }
+
+// Fail records err as the decoder's failure, unless an earlier one is
+// recorded, and consumes the rest of the input.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.off = len(d.buf)
+}
+
+// Err reports the first failure.
+func (d *Decoder) Err() error { return d.err }
+
+// End reports the first failure, or bytes left unread.
+func (d *Decoder) End() error {
+	if d.err == nil && d.off != len(d.buf) {
+		d.Fail(fmt.Errorf("column: %d unread bytes", len(d.buf)-d.off))
+	}
+	return d.err
+}
+
+// Len returns the bytes left unread.
+func (d *Decoder) Len() int { return len(d.buf) - d.off }
+
+// Rest returns the bytes left unread and consumes them; they alias the
+// input.
+func (d *Decoder) Rest() []byte {
+	b := d.buf[d.off:]
+	d.off = len(d.buf)
+	return b
+}
+
+// Uvarint reads a uvarint.
+func (d *Decoder) Uvarint() uint64 {
+	v, k := binary.Uvarint(d.buf[d.off:])
+	if k <= 0 {
+		d.Fail(errShort)
+		return 0
+	}
+	d.off += k
+	return v
+}
+
+// Uint32 reads a uvarint that must fit in 32 bits.
+func (d *Decoder) Uint32() uint32 {
+	v := d.Uvarint()
+	if v > math.MaxUint32 {
+		d.Fail(fmt.Errorf("column: %d does not fit in 32 bits", v))
+		return 0
+	}
+	return uint32(v)
+}
+
+// Varint reads a zigzag varint.
+func (d *Decoder) Varint() int64 {
+	v, k := binary.Varint(d.buf[d.off:])
+	if k <= 0 {
+		d.Fail(errShort)
+		return 0
+	}
+	d.off += k
+	return v
+}
+
+// Int32 reads a zigzag varint that must fit in 32 bits.
+func (d *Decoder) Int32() int32 {
+	v := d.Varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.Fail(fmt.Errorf("column: %d does not fit in 32 bits", v))
+		return 0
+	}
+	return int32(v)
+}
+
+// Count reads a uvarint count of items that each take at least size
+// bytes of the input left, failing when they cannot fit — so a count is
+// safe to allocate by.
+func (d *Decoder) Count(size int) int {
+	n := d.Uvarint()
+	if n > uint64(d.Len()/size) {
+		d.Fail(fmt.Errorf("column: count %d of %d-byte items exceeds the %d bytes left", n, size, d.Len()))
+		return 0
+	}
+	return int(n)
+}
+
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
+	if d.Len() < 1 {
+		d.Fail(errShort)
+		return 0
+	}
+	d.off++
+	return d.buf[d.off-1]
+}
+
+// Bool reads a byte that must be 0 or 1.
+func (d *Decoder) Bool() bool {
+	switch b := d.Byte(); b {
+	case 0, 1:
+		return b == 1
+	default:
+		d.Fail(fmt.Errorf("column: boolean byte %d", b))
+		return false
+	}
+}
+
+// Float reads a raw little-endian float64.
+func (d *Decoder) Float() float64 {
+	if d.Len() < 8 {
+		d.Fail(errShort)
+		return 0
+	}
+	d.off += 8
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off-8:]))
+}
+
+// Floats fills dst with raw little-endian float64s.
+func (d *Decoder) Floats(dst []float64) {
+	if d.Len() < 8*len(dst) {
+		d.Fail(errShort)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
+		d.off += 8
+	}
+}
+
+// Text reads a length-prefixed string.
+func (d *Decoder) Text() string {
+	n := d.Count(1)
+	s := string(d.buf[d.off : d.off+n])
+	d.off += n
+	return s
+}
+
+// ReadN reads exactly n bytes from r into buf's storage and returns
+// them. It grows buf only as bytes arrive, so a length claiming more
+// than r holds fails with io.ErrUnexpectedEOF having allocated about
+// twice what r held, never n.
+func ReadN(r io.Reader, buf []byte, n uint64) ([]byte, error) {
+	buf = buf[:0]
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-uint64(len(buf)), uint64(max(len(buf), 512)))))
+		}
+		end := cap(buf)
+		if uint64(end) > n {
+			end = int(n)
+		}
+		k, err := io.ReadFull(r, buf[len(buf):end])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// Reader reads a stream a Writer wrote, one column at a time: its
+// Decoder reads the current column, and a failure is sticky across
+// columns.
+type Reader struct {
+	Decoder // the current column's payload, its buffer reused across columns
+	r       *bufio.Reader
 }
 
 // NewReader returns a reader over r.
@@ -131,8 +329,7 @@ func (r *Reader) Header() (version byte, dim uint32, err error) {
 	return h[len(Magic)], binary.LittleEndian.Uint32(h[len(Magic)+1:]), nil
 }
 
-// Next reads the next column and makes it current. The payload is read
-// through an io.LimitReader into a buffer grown as bytes arrive.
+// Next reads the next column and makes it current.
 func (r *Reader) Next() error {
 	if r.err != nil {
 		return r.err
@@ -141,16 +338,10 @@ func (r *Reader) Next() error {
 	if err != nil {
 		return r.fail(fmt.Errorf("column: length: %w", err))
 	}
-	if n > math.MaxInt64 {
-		return r.fail(fmt.Errorf("column: length %d out of range", n))
-	}
-	b := bytes.NewBuffer(r.buf[:0])
-	if _, err := b.ReadFrom(io.LimitReader(r.r, int64(n))); err != nil {
-		return r.fail(fmt.Errorf("column: payload: %w", err))
-	}
-	r.buf, r.off = b.Bytes(), 0
-	if uint64(len(r.buf)) != n {
-		return r.fail(fmt.Errorf("column: payload: %d of %d bytes: %w", len(r.buf), n, io.ErrUnexpectedEOF))
+	r.buf, err = ReadN(r.r, r.buf, n)
+	r.off = 0
+	if err != nil {
+		return r.fail(fmt.Errorf("column: payload: %d of %d bytes: %w", len(r.buf), n, err))
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(r.r, sum[:]); err != nil {
@@ -162,109 +353,7 @@ func (r *Reader) Next() error {
 	return nil
 }
 
-// End reports the first failure reading the current column, or bytes
-// left in it unread.
-func (r *Reader) End() error {
-	if r.err == nil && r.off != len(r.buf) {
-		r.fail(fmt.Errorf("column: %d unread bytes", len(r.buf)-r.off))
-	}
-	return r.err
-}
-
-// Err reports the first failure.
-func (r *Reader) Err() error { return r.err }
-
 func (r *Reader) fail(err error) error {
-	if r.err == nil {
-		r.err = err
-	}
-	r.off = len(r.buf)
+	r.Fail(err)
 	return r.err
-}
-
-// Len returns the bytes left in the current column.
-func (r *Reader) Len() int { return len(r.buf) - r.off }
-
-// Uvarint reads a uvarint.
-func (r *Reader) Uvarint() uint64 {
-	v, k := binary.Uvarint(r.buf[r.off:])
-	if k <= 0 {
-		r.fail(errShort)
-		return 0
-	}
-	r.off += k
-	return v
-}
-
-// Uint32 reads a uvarint that must fit in 32 bits.
-func (r *Reader) Uint32() uint32 {
-	v := r.Uvarint()
-	if v > math.MaxUint32 {
-		r.fail(fmt.Errorf("column: %d does not fit in 32 bits", v))
-		return 0
-	}
-	return uint32(v)
-}
-
-// Varint reads a zigzag varint.
-func (r *Reader) Varint() int64 {
-	v, k := binary.Varint(r.buf[r.off:])
-	if k <= 0 {
-		r.fail(errShort)
-		return 0
-	}
-	r.off += k
-	return v
-}
-
-// Count reads a uvarint count of items that each take at least size
-// bytes of the rest of the column, failing when they cannot fit — so a
-// count is safe to allocate by.
-func (r *Reader) Count(size int) int {
-	n := r.Uvarint()
-	if n > uint64(r.Len()/size) {
-		r.fail(fmt.Errorf("column: count %d of %d-byte items exceeds the %d bytes left", n, size, r.Len()))
-		return 0
-	}
-	return int(n)
-}
-
-// Byte reads one byte.
-func (r *Reader) Byte() byte {
-	if r.Len() < 1 {
-		r.fail(errShort)
-		return 0
-	}
-	r.off++
-	return r.buf[r.off-1]
-}
-
-// Float reads a raw little-endian float64.
-func (r *Reader) Float() float64 {
-	if r.Len() < 8 {
-		r.fail(errShort)
-		return 0
-	}
-	r.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off-8:]))
-}
-
-// Floats fills dst with raw little-endian float64s.
-func (r *Reader) Floats(dst []float64) {
-	if r.Len() < 8*len(dst) {
-		r.fail(errShort)
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-		r.off += 8
-	}
-}
-
-// Text reads a length-prefixed string.
-func (r *Reader) Text() string {
-	n := r.Count(1)
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
 }

@@ -68,11 +68,44 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppenderDecoder: the byte-slice half reads back what it appended,
+// Rest hands over the unread bytes, and ReadN grows its buffer only as
+// bytes arrive.
+func TestAppenderDecoder(t *testing.T) {
+	var a Appender
+	a.Bool(true)
+	a.Bool(false)
+	a.Varint(math.MinInt32)
+	a.Floats([]float64{0.5, -3})
+	a.Byte(9)
+	var d Decoder
+	d.Reset(a)
+	fs := make([]float64, 2)
+	if !d.Bool() || d.Bool() || d.Int32() != math.MinInt32 {
+		t.Fatal("booleans or int32 differ")
+	}
+	if d.Floats(fs); fs[0] != 0.5 || fs[1] != -3 {
+		t.Fatalf("floats %v", fs)
+	}
+	if rest := d.Rest(); !bytes.Equal(rest, []byte{9}) || d.End() != nil {
+		t.Fatalf("rest %v, end %v", rest, d.End())
+	}
+
+	in := bytes.Repeat([]byte{1}, 200)
+	got, err := ReadN(bytes.NewReader(in), nil, 1<<30)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || len(got) != 200 || cap(got) > 1024 {
+		t.Fatalf("1 GiB claimed on 200 bytes: %d read into %d (%v)", len(got), cap(got), err)
+	}
+	if got, err := ReadN(bytes.NewReader(in), got, 150); err != nil || !bytes.Equal(got, in[:150]) {
+		t.Fatalf("ReadN(150) = %d bytes, %v", len(got), err)
+	}
+}
+
 // column frames payload the way End does.
 func column(payload []byte) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.buf = append(w.buf, payload...)
+	w.Appender = append(w.Appender, payload...)
 	w.End()
 	_ = w.Flush()
 	return buf.Bytes()
@@ -103,6 +136,8 @@ func TestReaderFailures(t *testing.T) {
 	fail("unread", column([]byte{1, 2}), func(r *Reader) { r.Byte() })
 	fail("uint32", column(binary.AppendUvarint(nil, 1<<32)), func(r *Reader) { r.Uint32() })
 	fail("overlong uvarint", column(bytes.Repeat([]byte{0xff}, 11)), func(r *Reader) { r.Uvarint() })
+	fail("boolean", column([]byte{2}), func(r *Reader) { r.Bool() })
+	fail("int32", column(binary.AppendVarint(nil, math.MaxInt32+1)), func(r *Reader) { r.Int32() })
 
 	bad := column([]byte{1, 2, 3})
 	bad[len(bad)-1] ^= 1

@@ -19,15 +19,74 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"semtree/internal/cluster"
+	"semtree/internal/column"
 	"semtree/internal/kdtree"
 )
 
 // The partition protocol: eight request kinds, each doing something no
 // other does, and the six responses they share. Every type a fabric
-// carries is declared in this file and registered in its one init, so
-// the list below is the whole wire surface of the distributed tree
-// (TestProtocolTable holds partition.handle to it).
+// carries is declared in this file with its wire codec — a WireKind,
+// an AppendWire and a read function beside the declaration — and kinds
+// is the table of all of them, so this file is the whole wire surface
+// of the distributed tree (TestProtocolTable holds partition.handle to
+// it).
+//
+// A message's encoding is its fields in declaration order: integer
+// fields as zigzag varints, point IDs and slice lengths as uvarints,
+// floats raw, booleans as one byte (a node's two as one state byte). A
+// message that carries floats opens with their total count,
+// and every []float64 in it is a run — a uvarint length and the raw
+// values — that the decoder cuts from one block of that size
+// (floatBlock), so decoding allocates that block and one slice per
+// []Neighbor, []knnEntry, []insertReq, []kdtree.Node, []kdtree.Point
+// and []RemoteBox, never one per point. Empty and nil slices both
+// decode as nil.
+
+// Wire kinds: the byte a TCP fabric frames each protocol type under.
+const (
+	kindInsertReq byte = iota + 1
+	kindAck
+	kindBulkAddReq
+	kindInstallReq
+	kindInstallResp
+	kindSnapshotReq
+	kindSnapshotResp
+	kindRestoreReq
+	kindKNNReq
+	kindKNNResp
+	kindRangeReq
+	kindRangeResp
+	kindStatsReq
+	kindStatsResp
+)
+
+// kinds is the kind table: every protocol type's decoder, by wire kind.
+var kinds = map[byte]cluster.Decode{
+	kindInsertReq:    readInsertReq,
+	kindAck:          readAck,
+	kindBulkAddReq:   readBulkAddReq,
+	kindInstallReq:   readInstallReq,
+	kindInstallResp:  readInstallResp,
+	kindSnapshotReq:  readSnapshotReq,
+	kindSnapshotResp: readSnapshotResp,
+	kindRestoreReq:   readRestoreReq,
+	kindKNNReq:       readKNNReq,
+	kindKNNResp:      readKNNResp,
+	kindRangeReq:     readRangeReq,
+	kindRangeResp:    readRangeResp,
+	kindStatsReq:     readStatsReq,
+	kindStatsResp:    readStatsResp,
+}
+
+func init() {
+	for kind, decode := range kinds {
+		cluster.RegisterKind(kind, decode)
+	}
+}
 
 // insertReq asks a partition to insert Point into the subtree rooted at
 // its node Node, forwarding across partitions with nested synchronous
@@ -39,9 +98,36 @@ type insertReq struct {
 	Point kdtree.Point
 }
 
+func (insertReq) WireKind() byte { return kindInsertReq }
+
+func (m insertReq) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(len(m.Point.Coords)))
+	appendEntry(a, m)
+}
+
+func readInsertReq(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	m := readEntry(d, &fs)
+	fs.end()
+	return m
+}
+
+func appendEntry(a *column.Appender, e insertReq) {
+	a.Varint(int64(e.Node))
+	appendPoint(a, e.Point)
+}
+
+func readEntry(d *column.Decoder, fs *floatBlock) insertReq {
+	return insertReq{Node: d.Int32(), Point: readPoint(d, fs)}
+}
+
 // ack is the empty acknowledgement of the requests that report nothing
 // but completion: insertReq, bulkAddReq and restoreReq.
 type ack struct{}
+
+func (ack) WireKind() byte              { return kindAck }
+func (ack) AppendWire(*column.Appender) {}
+func readAck(*column.Decoder) any       { return ack{} }
 
 // entriesAt tags pts as batch entries that all enter at node.
 func entriesAt(node int32, pts []kdtree.Point) []insertReq {
@@ -57,6 +143,33 @@ func entriesAt(node int32, pts []kdtree.Point) []insertReq {
 // batch — including entries forwarded across partitions — has landed.
 type bulkAddReq struct {
 	Entries []insertReq
+}
+
+func (bulkAddReq) WireKind() byte { return kindBulkAddReq }
+
+func (m bulkAddReq) AppendWire(a *column.Appender) {
+	n := 0
+	for _, e := range m.Entries {
+		n += len(e.Point.Coords)
+	}
+	a.Uvarint(uint64(n))
+	a.Uvarint(uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		appendEntry(a, e)
+	}
+}
+
+func readBulkAddReq(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	var m bulkAddReq
+	if n := d.Count(3); n > 0 { // a node, an empty run and an ID at least
+		m.Entries = make([]insertReq, n)
+		for i := range m.Entries {
+			m.Entries[i] = readEntry(d, &fs)
+		}
+	}
+	fs.end()
+	return m
 }
 
 // installReq moves a tree fragment into a partition's arena. Nodes is a
@@ -80,6 +193,22 @@ type installReq struct {
 	Remote []RemoteBox
 }
 
+func (installReq) WireKind() byte { return kindInstallReq }
+
+func (m installReq) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(nodeFloats(m.Nodes) + remoteFloats(m.Remote)))
+	a.Varint(int64(m.Entry))
+	appendNodes(a, m.Nodes)
+	appendRemote(a, m.Remote)
+}
+
+func readInstallReq(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	m := installReq{Entry: d.Int32(), Nodes: readNodes(d, &fs), Remote: readRemote(d, &fs)}
+	fs.end()
+	return m
+}
+
 // installResp reports the arena index the fragment's root landed on, or
 // OK false for a refused graft.
 type installResp struct {
@@ -87,18 +216,55 @@ type installResp struct {
 	OK   bool
 }
 
+func (installResp) WireKind() byte { return kindInstallResp }
+
+func (m installResp) AppendWire(a *column.Appender) {
+	a.Varint(int64(m.Node))
+	a.Bool(m.OK)
+}
+
+func readInstallResp(d *column.Decoder) any {
+	return installResp{Node: d.Int32(), OK: d.Bool()}
+}
+
 // snapshotReq asks a partition for a deep copy of its state.
 type snapshotReq struct{}
+
+func (snapshotReq) WireKind() byte              { return kindSnapshotReq }
+func (snapshotReq) AppendWire(*column.Appender) {}
+func readSnapshotReq(*column.Decoder) any       { return snapshotReq{} }
 
 type snapshotResp struct {
 	State PartitionSnapshot
 }
+
+func (snapshotResp) WireKind() byte                  { return kindSnapshotResp }
+func (m snapshotResp) AppendWire(a *column.Appender) { appendState(a, &m.State) }
+func readSnapshotResp(d *column.Decoder) any         { return snapshotResp{State: readState(d)} }
 
 // restoreReq replaces a partition's state wholesale; refs are already
 // translated to the receiving fabric's NodeIDs. The empty state is how
 // a partition is reset (Tree.reset).
 type restoreReq struct {
 	State PartitionSnapshot
+}
+
+func (restoreReq) WireKind() byte                  { return kindRestoreReq }
+func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
+func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
+
+func appendState(a *column.Appender, s *PartitionSnapshot) {
+	a.Uvarint(uint64(nodeFloats(s.Nodes) + remoteFloats(s.Remote)))
+	appendNodes(a, s.Nodes)
+	a.Varint(int64(s.Points))
+	appendRemote(a, s.Remote)
+}
+
+func readState(d *column.Decoder) PartitionSnapshot {
+	fs := newFloatBlock(d)
+	s := PartitionSnapshot{Nodes: readNodes(d, &fs), Points: int(d.Varint()), Remote: readRemote(d, &fs)}
+	fs.end()
+	return s
 }
 
 // knnEntry is one guarded subtree of a fanned-out k-nearest
@@ -139,6 +305,35 @@ type knnReq struct {
 	Entries []knnEntry
 }
 
+func (knnReq) WireKind() byte { return kindKNNReq }
+
+func (m knnReq) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(len(m.Query) + neighborFloats(m.Rs)))
+	a.Varint(int64(m.Node))
+	appendRun(a, m.Query)
+	a.Varint(int64(m.K))
+	appendNeighbors(a, m.Rs)
+	a.Bool(m.Seq)
+	a.Uvarint(uint64(len(m.Entries)))
+	for _, e := range m.Entries {
+		a.Varint(int64(e.Node))
+		a.Float(e.GuardSq)
+	}
+}
+
+func readKNNReq(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	m := knnReq{Node: d.Int32(), Query: fs.next(), K: int(d.Varint()), Rs: readNeighbors(d, &fs), Seq: d.Bool()}
+	if n := d.Count(9); n > 0 { // a node and a guard, 9 bytes at least
+		m.Entries = make([]knnEntry, n)
+		for i := range m.Entries {
+			m.Entries[i] = knnEntry{Node: d.Int32(), GuardSq: d.Float()}
+		}
+	}
+	fs.end()
+	return m
+}
+
 // queryStats is the work accounting one partition reports with a query
 // response: its own traversal counters plus everything it aggregated
 // from the partitions it contacted downstream. Callers fold the
@@ -152,6 +347,16 @@ type queryStats struct {
 	Msgs    int64 // fabric calls issued downstream on behalf of the query
 	Parts   int64 // partition handler executions (this one + downstream)
 	Misses  int64 // downstream k-NN calls whose reply did not improve the Rs they were sent
+}
+
+func appendStats(a *column.Appender, s queryStats) {
+	for _, v := range [...]int64{s.Nodes, s.Buckets, s.Dists, s.Msgs, s.Parts, s.Misses} {
+		a.Varint(v)
+	}
+}
+
+func readStats(d *column.Decoder) queryStats {
+	return queryStats{Nodes: d.Varint(), Buckets: d.Varint(), Dists: d.Varint(), Msgs: d.Varint(), Parts: d.Varint(), Misses: d.Varint()}
 }
 
 // merge adds another partition's stats field-by-field.
@@ -189,12 +394,43 @@ type knnResp struct {
 	Stats queryStats
 }
 
+func (knnResp) WireKind() byte { return kindKNNResp }
+
+func (m knnResp) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(neighborFloats(m.Rs)))
+	appendNeighbors(a, m.Rs)
+	appendStats(a, m.Stats)
+}
+
+func readKNNResp(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	m := knnResp{Rs: readNeighbors(d, &fs), Stats: readStats(d)}
+	fs.end()
+	return m
+}
+
 // rangeReq asks a partition for all points within D of Query in the
 // subtree rooted at Node. D is on the (un-squared) distance scale.
 type rangeReq struct {
 	Node  int32
 	Query []float64
 	D     float64
+}
+
+func (rangeReq) WireKind() byte { return kindRangeReq }
+
+func (m rangeReq) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(len(m.Query)))
+	a.Varint(int64(m.Node))
+	appendRun(a, m.Query)
+	a.Float(m.D)
+}
+
+func readRangeReq(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	m := rangeReq{Node: d.Int32(), Query: fs.next(), D: d.Float()}
+	fs.end()
+	return m
 }
 
 // rangeResp carries the subtree's matches back. Ordering contract:
@@ -209,8 +445,27 @@ type rangeResp struct {
 	Stats     queryStats
 }
 
+func (rangeResp) WireKind() byte { return kindRangeResp }
+
+func (m rangeResp) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(neighborFloats(m.Neighbors)))
+	appendNeighbors(a, m.Neighbors)
+	appendStats(a, m.Stats)
+}
+
+func readRangeResp(d *column.Decoder) any {
+	fs := newFloatBlock(d)
+	m := rangeResp{Neighbors: readNeighbors(d, &fs), Stats: readStats(d)}
+	fs.end()
+	return m
+}
+
 // statsReq asks a partition for its local statistics.
 type statsReq struct{}
+
+func (statsReq) WireKind() byte              { return kindStatsReq }
+func (statsReq) AppendWire(*column.Appender) {}
+func readStatsReq(*column.Decoder) any       { return statsReq{} }
 
 // statsResp reports one partition's state.
 type statsResp struct {
@@ -222,20 +477,225 @@ type statsResp struct {
 	BoxWork  int64
 }
 
-// Register every protocol type so the TCP fabric can carry it.
-func init() {
-	cluster.RegisterMessage(insertReq{})
-	cluster.RegisterMessage(ack{})
-	cluster.RegisterMessage(bulkAddReq{})
-	cluster.RegisterMessage(installReq{})
-	cluster.RegisterMessage(installResp{})
-	cluster.RegisterMessage(snapshotReq{})
-	cluster.RegisterMessage(snapshotResp{})
-	cluster.RegisterMessage(restoreReq{})
-	cluster.RegisterMessage(knnReq{})
-	cluster.RegisterMessage(knnResp{})
-	cluster.RegisterMessage(rangeReq{})
-	cluster.RegisterMessage(rangeResp{})
-	cluster.RegisterMessage(statsReq{})
-	cluster.RegisterMessage(statsResp{})
+func (statsResp) WireKind() byte { return kindStatsResp }
+
+func (m statsResp) AppendWire(a *column.Appender) {
+	for _, v := range [...]int64{int64(m.Points), int64(m.Nodes), int64(m.Leaves), m.NavSteps, m.Inserts, m.BoxWork} {
+		a.Varint(v)
+	}
+}
+
+func readStatsResp(d *column.Decoder) any {
+	return statsResp{Points: int(d.Varint()), Nodes: int(d.Varint()), Leaves: int(d.Varint()), NavSteps: d.Varint(), Inserts: d.Varint(), BoxWork: d.Varint()}
+}
+
+// The values the messages share: points, neighbours, nodes, remote
+// boxes and the float runs inside them.
+
+// floatBlock is the floats of a message being decoded: their total
+// count opens the message, and each run is cut from one block of that
+// size and clipped, so an append to one slice never reaches the next.
+type floatBlock struct {
+	d     *column.Decoder
+	block []float64
+}
+
+func newFloatBlock(d *column.Decoder) floatBlock {
+	fs := floatBlock{d: d}
+	if n := d.Count(8); n > 0 {
+		fs.block = make([]float64, n)
+	}
+	return fs
+}
+
+var (
+	errFloatRun   = errors.New("core: a float run exceeds its message's float count")
+	errFloatCount = errors.New("core: a message's float count exceeds its runs")
+	errBucketRun  = errors.New("core: a bucket exceeds its nodes' point count")
+	errPointCount = errors.New("core: a point count exceeds its nodes' buckets")
+)
+
+// next reads one run; an empty run is nil.
+func (fs *floatBlock) next() []float64 {
+	n := fs.d.Uvarint()
+	if n == 0 {
+		return nil
+	}
+	if n > uint64(len(fs.block)) {
+		fs.d.Fail(errFloatRun)
+		return nil
+	}
+	run := fs.block[:n:n]
+	fs.block = fs.block[n:]
+	fs.d.Floats(run)
+	return run
+}
+
+// end requires every float of the block to have been read.
+func (fs *floatBlock) end() {
+	if len(fs.block) != 0 {
+		fs.d.Fail(errFloatCount)
+	}
+}
+
+func appendRun(a *column.Appender, run []float64) {
+	a.Uvarint(uint64(len(run)))
+	a.Floats(run)
+}
+
+func appendRef(a *column.Appender, r kdtree.Ref) {
+	a.Varint(int64(r.Part))
+	a.Varint(int64(r.Node))
+}
+
+func decodeRef(d *column.Decoder) kdtree.Ref {
+	return kdtree.Ref{Part: d.Int32(), Node: d.Int32()}
+}
+
+func appendPoint(a *column.Appender, p kdtree.Point) {
+	appendRun(a, p.Coords)
+	a.Uvarint(p.ID)
+}
+
+func readPoint(d *column.Decoder, fs *floatBlock) kdtree.Point {
+	return kdtree.Point{Coords: fs.next(), ID: d.Uvarint()}
+}
+
+func neighborFloats(ns []kdtree.Neighbor) int {
+	n := 0
+	for i := range ns {
+		n += len(ns[i].Point.Coords)
+	}
+	return n
+}
+
+func appendNeighbors(a *column.Appender, ns []kdtree.Neighbor) {
+	a.Uvarint(uint64(len(ns)))
+	for i := range ns {
+		appendPoint(a, ns[i].Point)
+		a.Float(ns[i].Dist)
+	}
+}
+
+func readNeighbors(d *column.Decoder, fs *floatBlock) []kdtree.Neighbor {
+	n := d.Count(10) // an empty run, an ID and a distance at least
+	if n == 0 {
+		return nil
+	}
+	ns := make([]kdtree.Neighbor, n)
+	for i := range ns {
+		ns[i] = kdtree.Neighbor{Point: readPoint(d, fs), Dist: d.Float()}
+	}
+	return ns
+}
+
+func nodeFloats(nodes []kdtree.Node) int {
+	n := 0
+	for i := range nodes {
+		n += len(nodes[i].Lo) + len(nodes[i].Hi)
+		for _, p := range nodes[i].Bucket {
+			n += len(p.Coords)
+		}
+	}
+	return n
+}
+
+// appendNodes appends every field of every node, after the total of
+// their bucket points: the decoder cuts all buckets from one block.
+func appendNodes(a *column.Appender, nodes []kdtree.Node) {
+	pts := 0
+	for i := range nodes {
+		pts += len(nodes[i].Bucket)
+	}
+	a.Uvarint(uint64(pts))
+	a.Uvarint(uint64(len(nodes)))
+	for i := range nodes {
+		n := &nodes[i]
+		var state byte
+		if n.Leaf {
+			state |= stateLeaf
+		}
+		if n.Moved {
+			state |= stateMoved
+		}
+		a.Byte(state)
+		a.Varint(int64(n.SplitDim))
+		a.Float(n.SplitVal)
+		appendRef(a, n.Fwd)
+		appendRef(a, n.Left)
+		appendRef(a, n.Right)
+		a.Uvarint(uint64(len(n.Bucket)))
+		for _, p := range n.Bucket {
+			appendPoint(a, p)
+		}
+		appendRun(a, n.Lo)
+		appendRun(a, n.Hi)
+	}
+}
+
+// nodeBytes is the least a node takes: state, split dimension and
+// value, three refs, and an empty bucket and box.
+const nodeBytes = 1 + 1 + 8 + 3*2 + 1 + 2
+
+func readNodes(d *column.Decoder, fs *floatBlock) []kdtree.Node {
+	var pts []kdtree.Point
+	if n := d.Count(2); n > 0 { // an empty run and an ID at least
+		pts = make([]kdtree.Point, n)
+	}
+	var nodes []kdtree.Node
+	if n := d.Count(nodeBytes); n > 0 {
+		nodes = make([]kdtree.Node, n)
+	}
+	for i := range nodes {
+		n := &nodes[i]
+		state := d.Byte()
+		if state&^(stateLeaf|stateMoved) != 0 {
+			d.Fail(fmt.Errorf("core: node state %#x", state))
+		}
+		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
+		n.SplitDim, n.SplitVal = d.Int32(), d.Float()
+		n.Fwd, n.Left, n.Right = decodeRef(d), decodeRef(d), decodeRef(d)
+		if k := d.Uvarint(); k > uint64(len(pts)) {
+			d.Fail(errBucketRun)
+		} else if k > 0 {
+			n.Bucket, pts = pts[:k:k], pts[k:]
+			for j := range n.Bucket {
+				n.Bucket[j] = readPoint(d, fs)
+			}
+		}
+		n.Lo, n.Hi = fs.next(), fs.next()
+	}
+	if len(pts) != 0 {
+		d.Fail(errPointCount)
+	}
+	return nodes
+}
+
+func remoteFloats(rs []RemoteBox) int {
+	n := 0
+	for _, r := range rs {
+		n += len(r.Lo) + len(r.Hi)
+	}
+	return n
+}
+
+func appendRemote(a *column.Appender, rs []RemoteBox) {
+	a.Uvarint(uint64(len(rs)))
+	for _, r := range rs {
+		appendRef(a, r.Ref)
+		appendRun(a, r.Lo)
+		appendRun(a, r.Hi)
+	}
+}
+
+func readRemote(d *column.Decoder, fs *floatBlock) []RemoteBox {
+	n := d.Count(4) // a ref and two empty runs at least
+	if n == 0 {
+		return nil
+	}
+	rs := make([]RemoteBox, n)
+	for i := range rs {
+		rs[i] = RemoteBox{Ref: decodeRef(d), Lo: fs.next(), Hi: fs.next()}
+	}
+	return rs
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -14,12 +16,13 @@ import (
 	"testing"
 
 	"semtree/internal/cluster"
+	"semtree/internal/column"
 	"semtree/internal/kdtree"
 )
 
 // protocolSamples is one populated value of every type the partition
 // protocol puts on a fabric. TestProtocolTable holds it equal, as a set
-// of types, to the registration table in messages.go.
+// of kinds, to the kind table in messages.go.
 func protocolSamples() []any {
 	pt := kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}
 	entry := insertReq{Node: 3, Point: pt}
@@ -60,45 +63,59 @@ func parseCoreFile(t *testing.T, name string) *ast.File {
 	return f
 }
 
-// registeredTypes returns the type names f passes to
-// cluster.RegisterMessage as T{} literals.
-func registeredTypes(t *testing.T, f *ast.File) map[string]bool {
-	t.Helper()
-	out := make(map[string]bool)
+// registers reports whether f calls cluster.RegisterKind or
+// cluster.RegisterMessage.
+func registers(f *ast.File) bool {
+	found := false
 	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "RegisterKind" || sel.Sel.Name == "RegisterMessage") {
+				found = true
+			}
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "RegisterMessage" {
-			return true
-		}
-		lit, ok := call.Args[0].(*ast.CompositeLit)
-		if !ok {
-			t.Fatalf("RegisterMessage argument is not a T{} literal")
-		}
-		out[lit.Type.(*ast.Ident).Name] = true
-		return true
+		return !found
 	})
-	return out
+	return found
 }
 
-// TestProtocolTable: the registration table in messages.go is the whole
-// wire surface. Every type in it crosses a real TCP fabric as a zero
-// value and as a populated one; every request partition.handle
-// dispatches on is in it; and no other file registers anything — so an
-// unregistered or unencodable message fails here, not on the first TCP
+// wireRoundTrip encodes m, decodes it with the kind table's decoder and
+// encodes the result again, returning both encodings.
+func wireRoundTrip(t *testing.T, m cluster.Message) (any, []byte, []byte) {
+	t.Helper()
+	var enc column.Appender
+	m.AppendWire(&enc)
+	decode := kinds[m.WireKind()]
+	if decode == nil {
+		t.Fatalf("%T: kind %d is not in the kind table", m, m.WireKind())
+	}
+	var d column.Decoder
+	d.Reset(enc)
+	got := decode(&d)
+	if err := d.End(); err != nil {
+		t.Fatalf("%T: decoding its own encoding: %v", m, err)
+	}
+	var again column.Appender
+	got.(cluster.Message).AppendWire(&again)
+	return got, enc, again
+}
+
+// TestProtocolTable: kinds, the kind table in messages.go, is the whole
+// wire surface. Every protocol type has its own kind in it, and its
+// codec is exact and canonical: a zero and a populated value decode to
+// themselves and re-encode to the same bytes, and both cross a real TCP
+// fabric without the gob fallback. Every request partition.handle
+// dispatches on is in the table, and no other file registers anything
+// — so a message without a codec fails here, not on the first TCP
 // deployment.
 func TestProtocolTable(t *testing.T) {
-	table := registeredTypes(t, parseCoreFile(t, "messages.go"))
 	files, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range files {
 		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") && n != "messages.go" {
-			if extra := registeredTypes(t, parseCoreFile(t, n)); len(extra) > 0 {
-				t.Errorf("%s registers %v: the table lives in messages.go", n, extra)
+			if registers(parseCoreFile(t, n)) {
+				t.Errorf("%s registers a wire type: the table lives in messages.go", n)
 			}
 		}
 	}
@@ -110,10 +127,23 @@ func TestProtocolTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampled := make(map[string]bool)
+	byKind := make(map[byte]string)
 	for _, full := range protocolSamples() {
 		typ := reflect.TypeOf(full)
 		sampled[typ.Name()] = true
+		kind := full.(cluster.Message).WireKind()
+		if other, dup := byKind[kind]; dup {
+			t.Errorf("%s and %s share kind %d", other, typ.Name(), kind)
+		}
+		byKind[kind] = typ.Name()
 		for _, v := range []any{reflect.Zero(typ).Interface(), full} {
+			got, enc, again := wireRoundTrip(t, v.(cluster.Message))
+			if !reflect.DeepEqual(got, v) {
+				t.Errorf("%s decoded to %+v from %+v", typ.Name(), got, v)
+			}
+			if !bytes.Equal(enc, again) {
+				t.Errorf("%s re-encoded to %x, first %x", typ.Name(), again, enc)
+			}
 			got, err := fabric.Call(context.Background(), cluster.ClientID, echo, v)
 			if err != nil {
 				t.Errorf("%s over TCP: %v", typ.Name(), err)
@@ -122,8 +152,11 @@ func TestProtocolTable(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(sampled, table) {
-		t.Errorf("registered %v, round-tripped %v", table, sampled)
+	if len(byKind) != len(kinds) {
+		t.Errorf("%d types sampled %v, the kind table has %d", len(byKind), byKind, len(kinds))
+	}
+	if n := fabric.Stats().Fallback; n != 0 {
+		t.Errorf("%d protocol messages took the gob fallback", n)
 	}
 
 	var cases []string
@@ -145,12 +178,108 @@ func TestProtocolTable(t *testing.T) {
 	if len(cases) != 8 {
 		t.Errorf("partition.handle dispatches on %d request kinds %v, want 8", len(cases), cases)
 	}
-	if len(table) != 14 {
-		t.Errorf("messages.go registers %d types %v, want 14", len(table), table)
+	if len(kinds) != 14 {
+		t.Errorf("messages.go has %d kinds, want 14", len(kinds))
 	}
 	for _, c := range cases {
-		if !table[c] {
-			t.Errorf("partition.handle handles %s, which messages.go does not register", c)
+		if !sampled[c] {
+			t.Errorf("partition.handle handles %s, which has no kind in messages.go", c)
+		}
+	}
+}
+
+// TestDecodeRejectsUnusedCounts: a float or bucket-point count that
+// promises more than the message's runs and buckets use is malformed,
+// so a decoder accepts only the encoding AppendWire writes.
+func TestDecodeRejectsUnusedCounts(t *testing.T) {
+	var enc column.Appender
+	protocolSamples()[3].(installReq).AppendWire(&enc)
+	var d column.Decoder
+	d.Reset(enc)
+	floats := d.Uvarint()
+	afterFloats := len(enc) - d.Len()
+	entry, points := d.Varint(), d.Uvarint()
+	afterPoints := len(enc) - d.Len()
+
+	var moreFloats, morePoints column.Appender
+	moreFloats.Uvarint(floats + 1)
+	moreFloats = append(moreFloats, enc[afterFloats:]...)
+	morePoints.Uvarint(floats)
+	morePoints.Varint(entry)
+	morePoints.Uvarint(points + 1)
+	morePoints = append(morePoints, enc[afterPoints:]...)
+	for name, b := range map[string][]byte{"float": moreFloats, "point": morePoints} {
+		d.Reset(b)
+		readInstallReq(&d)
+		if d.End() == nil {
+			t.Errorf("an installReq whose %s count is one too high decoded", name)
+		}
+	}
+}
+
+// knnExchange is a k-NN hop's request and reply: a query of dims
+// coordinates, and k neighbours each way.
+func knnExchange(dims, k int) (knnReq, knnResp) {
+	rs := make([]kdtree.Neighbor, k)
+	for i := range rs {
+		coords := make([]float64, dims)
+		for d := range coords {
+			coords[d] = float64(i*dims + d)
+		}
+		rs[i] = kdtree.Neighbor{Point: kdtree.Point{Coords: coords, ID: uint64(1000 + i)}, Dist: float64(i) / 3}
+	}
+	req := knnReq{Node: 4, Query: make([]float64, dims), K: k, Rs: rs, Seq: true}
+	return req, knnResp{Rs: rs, Stats: queryStats{Nodes: 40, Buckets: 9, Dists: 150, Msgs: 2, Parts: 3, Misses: 1}}
+}
+
+// knnEcho starts a TCP node that answers every request with resp and
+// returns a call that sends it req.
+func knnEcho(tb testing.TB, dims, k int) (call func() error, stop func()) {
+	fabric := cluster.NewTCP()
+	req, resp := knnExchange(dims, k)
+	var in, out any = req, resp // boxed once, so the calls measure the exchange
+	id, err := fabric.AddNode(func(context.Context, cluster.NodeID, any) (any, error) { return out, nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() error {
+		got, err := fabric.Call(context.Background(), cluster.ClientID, id, in)
+		if err == nil && len(got.(knnResp).Rs) != k {
+			err = fmt.Errorf("reply of %d neighbours, want %d", len(got.(knnResp).Rs), k)
+		}
+		return err
+	}, func() { fabric.Close() }
+}
+
+// TestKNNExchangeAllocs gates the codec on the query path: a warmed
+// knnReq→knnResp exchange over TCP (dims 8, k 10, ten neighbours each
+// way) allocates, on each side, the payload, its neighbour slice and
+// one float block — never one slice per point. Measured: 6 (99 when
+// the fabric spoke gob).
+func TestKNNExchangeAllocs(t *testing.T) {
+	call, stop := knnEcho(t, 8, 10)
+	defer stop()
+	if err := call(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per warmed k-NN exchange", got)
+	if got > 24 {
+		t.Fatalf("%.0f allocs per warmed k-NN exchange, want at most 24", got)
+	}
+}
+
+func BenchmarkTCPKNNExchange(b *testing.B) {
+	call, stop := knnEcho(b, 8, 10)
+	defer stop()
+	b.ReportAllocs()
+	for range b.N {
+		if err := call(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -242,6 +371,12 @@ func TestProtocolOverTCP(t *testing.T) {
 	}
 	checkAgainstScan(t, tr, pts, queries, "rebalance")
 	checkPartitionBoxes(t, tr)
+
+	for _, f := range []*cluster.TCP{fabric, other} {
+		if n := f.Stats().Fallback; n != 0 {
+			t.Errorf("%d protocol messages took the gob fallback", n)
+		}
+	}
 }
 
 // failingInstalls fails the k-th installReq it carries, once, with a

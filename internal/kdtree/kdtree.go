@@ -63,10 +63,10 @@ type Ref struct {
 // or a fragment built client-side before it is shipped.
 const Local int32 = -1
 
-// Node is one tree node, in the arena and on the fabric alike (fields
-// are exported so partition messages serialize it as is; a persisted
-// snapshot writes only the fields its state uses and no box — see
-// core.WriteSnapshot). Exactly one of three states holds:
+// Node is one tree node, in the arena and on the fabric alike (a
+// partition message carries every field, in internal/core's wire codec;
+// a persisted snapshot writes only the fields its state uses and no box
+// — see core.WriteSnapshot). Exactly one of three states holds:
 //
 //   - leaf:    data node, Bucket valid;
 //   - routing: SplitDim/SplitVal/Left/Right valid; points with
