@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"sync"
@@ -113,7 +114,8 @@ func (a *Allocator) Close() error {
 }
 
 func (a *Allocator) handleConn(conn net.Conn) {
-	ok := acceptHello(conn, func(token string) error {
+	rd := &frameReader{br: bufio.NewReader(conn)}
+	ok := acceptHello(conn, rd, func(token string) error {
 		if token != a.cfg.Token {
 			return ErrAuth
 		}
@@ -122,16 +124,18 @@ func (a *Allocator) handleConn(conn net.Conn) {
 	if !ok {
 		return
 	}
+	var out []byte
 	for {
-		frame, err := readMessage(conn)
+		payload, err := rd.readFrame()
 		if err != nil {
 			return
 		}
-		rep, ok := frame.(leaseReportFrame)
-		if !ok {
+		rep, err := decodeLeaseReport(payload)
+		if err != nil {
 			return
 		}
-		if err := writeFrame(conn, encodeLeaseGrant(a.grant(rep))); err != nil {
+		out = appendLeaseGrant(out[:0], a.grant(rep))
+		if err := writeFrame(conn, out); err != nil {
 			return
 		}
 	}
@@ -208,7 +212,8 @@ func dialLease(ctx context.Context, addr, token string) (*leaseConn, error) {
 func (c *leaseConn) report(ctx context.Context, rep leaseReportFrame) (leaseGrantFrame, error) {
 	ctx, cancel := context.WithTimeout(ctx, leaseExchangeTimeout)
 	defer cancel()
-	return roundTrip[leaseGrantFrame](ctx, c.clientConn, encodeLeaseReport(rep))
+	c.out = appendLeaseReport(c.out[:0], rep)
+	return roundTrip(ctx, c.clientConn, decodeLeaseGrant)
 }
 
 func (c *leaseConn) close() { _ = c.conn.Close() }

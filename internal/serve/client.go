@@ -39,9 +39,12 @@ const maxIdleConns = 4
 // clientRetries is the attempt budget for retryable failures.
 const clientRetries = 3
 
+// clientConn is one pooled connection with its own frame buffers: the
+// request being written and the reply being read.
 type clientConn struct {
 	conn net.Conn
-	br   *bufio.Reader
+	in   frameReader
+	out  []byte
 }
 
 // Dial connects to a front-end and performs the hello exchange, so
@@ -68,8 +71,9 @@ func dialHello(ctx context.Context, addr, token string) (*clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := &clientConn{conn: conn, br: bufio.NewReader(conn)}
-	ack, err := roundTrip[helloAckFrame](ctx, cc, encodeHello(helloFrame{Version: protoVersion, Token: token}))
+	cc := &clientConn{conn: conn, in: frameReader{br: bufio.NewReader(conn)}}
+	cc.out = appendHello(nil, helloFrame{Version: protoVersion, Token: token})
+	ack, err := roundTrip(ctx, cc, decodeHelloAck)
 	if err != nil {
 		return nil, err
 	}
@@ -80,15 +84,16 @@ func dialHello(ctx context.Context, addr, token string) (*clientConn, error) {
 	return cc, nil
 }
 
-// roundTrip runs one request/response exchange on cc: the context's
+// roundTrip runs one request/response exchange on cc: it writes the
+// frame in cc.out, and decode must accept the reply. The context's
 // deadline caps the connection's reads and writes (the cluster fabric's
-// idiom), plain cancellation snaps them shut, and the reply must decode
-// to frame type F. On success the deadlines are disarmed, so the
-// connection can be pooled. On any failure the connection is closed —
-// framing cannot be resynchronized after a lost or foreign frame — and
-// the context's own error is preferred over the transport error it
-// caused (a snapped deadline surfaces as a net timeout).
-func roundTrip[F any](ctx context.Context, cc *clientConn, payload []byte) (F, error) {
+// idiom) and plain cancellation snaps them shut. On success the
+// deadlines are disarmed, so the connection can be pooled. On any
+// failure the connection is closed — framing cannot be resynchronized
+// after a lost or foreign frame — and the context's own error is
+// preferred over the transport error it caused (a snapped deadline
+// surfaces as a net timeout).
+func roundTrip[F any](ctx context.Context, cc *clientConn, decode func([]byte) (F, error)) (F, error) {
 	fail := func(err error) (F, error) {
 		cc.conn.Close()
 		if cerr := ctx.Err(); cerr != nil {
@@ -105,16 +110,16 @@ func roundTrip[F any](ctx context.Context, cc *clientConn, payload []byte) (F, e
 	}
 	stop := context.AfterFunc(ctx, func() { _ = cc.conn.SetDeadline(time.Now()) })
 	defer stop()
-	if err := writeFrame(cc.conn, payload); err != nil {
+	if err := writeFrame(cc.conn, cc.out); err != nil {
 		return fail(err)
 	}
-	frame, err := readMessage(cc.br)
+	payload, err := cc.in.readFrame()
 	if err != nil {
 		return fail(err)
 	}
-	f, ok := frame.(F)
-	if !ok {
-		return fail(fmt.Errorf("%w: unexpected response frame %T", ErrProtocol, frame))
+	f, err := decode(payload)
+	if err != nil {
+		return fail(err)
 	}
 	_ = cc.conn.SetDeadline(time.Time{})
 	return f, nil
@@ -137,8 +142,13 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 	return dialHello(ctx, c.addr, c.token)
 }
 
-// put releases a healthy connection back to the pool.
+// put releases a healthy connection back to the pool. A request buffer
+// grown past maxFrameBuffer is dropped rather than kept by an idle
+// connection (the reply buffer never keeps one; see readFrame).
 func (c *Client) put(cc *clientConn) {
+	if cap(cc.out) > maxFrameBuffer {
+		cc.out = nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed || len(c.idle) >= maxIdleConns {
@@ -175,7 +185,9 @@ func (c *Client) Close() error {
 // server-side execution; its cancellation cuts the local wait. Like
 // Searcher.Search, the per-query error is returned both in Result.Err
 // and as the second value, and it matches the in-process sentinels
-// under errors.Is.
+// under errors.Is. A result's strings — every match's terms and
+// provenance, and Stats.Protocol — are substrings of one string per
+// reply, so keeping any of them keeps that reply's bytes alive.
 func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.SearchOption) (semtree.Result, error) {
 	var o semtree.SearchOptions
 	for _, opt := range opts {
@@ -232,7 +244,8 @@ func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Resul
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
 	}
-	rf, err := roundTrip[resultFrame](ctx, cc, encodeSearch(req))
+	cc.out = appendSearch(cc.out[:0], req)
+	rf, err := roundTrip(ctx, cc, decodeResult)
 	if err != nil {
 		return semtree.Result{}, err
 	}
@@ -242,21 +255,9 @@ func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Resul
 	}
 	c.put(cc)
 
-	res := semtree.Result{Stats: fromWireStats(rf.Stats)}
+	res := semtree.Result{Matches: rf.Matches, Stats: rf.Stats}
 	if rf.HasErr {
 		res.Err = semtree.DecodeError(rf.Code, rf.Msg, rf.Detail)
-		return res, nil
-	}
-	if n := len(rf.Matches); n > 0 {
-		res.Matches = make([]semtree.Match, n)
-		for i, m := range rf.Matches {
-			res.Matches[i] = semtree.Match{
-				ID:     triple.ID(m.ID),
-				Triple: m.Triple,
-				Prov:   triple.Provenance{Doc: m.Doc, Section: m.Section, Seq: int(m.Seq)},
-				Dist:   m.Dist,
-			}
-		}
 	}
 	return res, nil
 }
@@ -271,7 +272,8 @@ func (c *Client) Snapshot(ctx context.Context) (uint64, error) {
 		return 0, err
 	}
 	reqID := c.reqID.Add(1)
-	ack, err := roundTrip[snapshotAckFrame](ctx, cc, encodeSnapshot(snapshotFrame{ReqID: reqID}))
+	cc.out = appendSnapshot(cc.out[:0], snapshotFrame{ReqID: reqID})
+	ack, err := roundTrip(ctx, cc, decodeSnapshotAck)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -593,18 +594,18 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, encodeHello(helloFrame{Version: protoVersion + 9, Token: "tok"})); err != nil {
+	if err := writeFrame(conn, appendHello(nil, helloFrame{Version: protoVersion + 9, Token: "tok"})); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrame(conn)
+	rd := frameReader{br: bufio.NewReader(conn)}
+	payload, err := rd.readFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := decodeFrame(payload)
+	ack, err := decodeHelloAck(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack := frame.(helloAckFrame)
 	if dec := semtree.DecodeError(ack.Code, ack.Msg, 0); !errors.Is(dec, ErrVersion) {
 		t.Fatalf("version mismatch decoded to %v, want ErrVersion", dec)
 	}
@@ -693,6 +694,75 @@ func TestAllocatorHelloUnderFrozenClock(t *testing.T) {
 	if _, err := dialLease(ctx, lis.Addr().String(), "wrong"); !errors.Is(err, ErrAuth) {
 		t.Fatalf("bad lease token: err = %v, want ErrAuth", err)
 	}
+}
+
+// TestSnapshotLeavesNoTemp: a snapshot whose rename fails (its target
+// is a directory) reports the error over the wire and leaves no temp
+// file behind; a successful one leaves only the target, which Load
+// opens, at the byte size the ack reported.
+func TestSnapshotLeavesNoTemp(t *testing.T) {
+	idx := testIndex(t, 200)
+	dir := t.TempDir()
+	snapshot := func(path string) (uint64, error) {
+		srv, err := NewServer(Config{
+			Index:        idx,
+			SnapshotPath: path,
+			Tenants:      []TenantConfig{{Name: "admin", Token: "tok", Admin: true}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Dial(t.Context(), startServer(t, srv), "tok")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		return cl.Snapshot(t.Context())
+	}
+	leftovers := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, ".semtree-snap-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	taken := filepath.Join(dir, "taken")
+	if err := os.Mkdir(taken, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot(taken); err == nil {
+		t.Fatal("a snapshot onto a directory succeeded")
+	}
+	if names := leftovers(); len(names) != 0 {
+		t.Fatalf("a failed snapshot left %v behind", names)
+	}
+
+	path := filepath.Join(dir, "live.semtree")
+	n, err := snapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := leftovers(); len(names) != 0 {
+		t.Fatalf("a snapshot left %v behind", names)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(fi.Size()) != n {
+		t.Fatalf("snapshot is %d bytes, the ack said %d", fi.Size(), n)
+	}
+	loaded, err := semtree.Load(f, semtree.Options{})
+	if err != nil {
+		t.Fatalf("loading the snapshot: %v", err)
+	}
+	loaded.Close()
 }
 
 // TestSnapshotTempBesideTarget: the snapshot's temp file must be

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -269,16 +270,25 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // connWriter serializes frame writes onto one connection: concurrent
-// request handlers share it.
+// request handlers share it, and its frame buffer.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
+	buf  []byte
 }
 
-func (w *connWriter) write(payload []byte) error {
+// write builds one frame with appendFrame in the connection's buffer
+// and sends it in one Write. A buffer grown past maxFrameBuffer is
+// dropped afterwards.
+func (w *connWriter) write(appendFrame func([]byte) []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return writeFrame(w.conn, payload)
+	w.buf = appendFrame(w.buf[:0])
+	err := writeFrame(w.conn, w.buf)
+	if cap(w.buf) > maxFrameBuffer {
+		w.buf = nil
+	}
+	return err
 }
 
 func (s *Server) track(conn net.Conn) func() {
@@ -294,7 +304,8 @@ func (s *Server) track(conn net.Conn) func() {
 }
 
 // acceptHello runs the server half of the hello exchange on a freshly
-// accepted connection, for the query server and the allocator alike.
+// accepted connection, for the query server and the allocator alike,
+// through rd, the reader the connection's read loop goes on to use.
 // The hello must arrive within defaultHelloTimeout — so an idle dialer
 // cannot pin a handler goroutine — and afterwards the connection may idle
 // indefinitely between requests. The deadline is armed from the wall
@@ -303,14 +314,14 @@ func (s *Server) track(conn net.Conn) func() {
 // version is refused with ErrVersion; otherwise auth decides on the
 // token, returning the sentinel to refuse with or nil to accept. It
 // reports whether the connection was accepted and acknowledged.
-func acceptHello(conn net.Conn, auth func(token string) error) bool {
+func acceptHello(conn net.Conn, rd *frameReader, auth func(token string) error) bool {
 	_ = conn.SetReadDeadline(time.Now().Add(defaultHelloTimeout))
-	frame, err := readMessage(conn)
+	payload, err := rd.readFrame()
 	if err != nil {
 		return false
 	}
-	hello, ok := frame.(helloFrame)
-	if !ok {
+	hello, err := decodeHello(payload)
+	if err != nil {
 		return false
 	}
 	var refusal error
@@ -323,7 +334,7 @@ func acceptHello(conn net.Conn, auth func(token string) error) bool {
 	if refusal != nil {
 		ack.Code, ack.Msg, _ = encodeError(refusal)
 	}
-	if err := writeFrame(conn, encodeHelloAck(ack)); err != nil || refusal != nil {
+	if err := writeFrame(conn, appendHelloAck(nil, ack)); err != nil || refusal != nil {
 		return false
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -337,7 +348,8 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.track(conn)()
 
 	var t *tenant
-	ok := acceptHello(conn, func(token string) error {
+	rd := &frameReader{br: bufio.NewReader(conn)}
+	ok := acceptHello(conn, rd, func(token string) error {
 		var known bool
 		if t, known = s.tenants[token]; !known {
 			return ErrAuth
@@ -354,25 +366,37 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	w := &connWriter{conn: conn}
 
 	for {
-		frame, err := readMessage(conn)
-		if err != nil {
+		payload, err := rd.readFrame()
+		if err != nil || len(payload) == 0 {
 			return // clean close, peer gone, or unframeable garbage
 		}
-		switch f := frame.(type) {
-		case searchFrame:
+		switch payload[0] {
+		case ftSearch:
+			f, err := decodeSearch(payload)
+			if err != nil {
+				return
+			}
 			if !s.admit() {
 				code, msg, detail := encodeError(ErrDraining)
-				_ = w.write(encodeResult(resultFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail}))
+				_ = w.write(func(b []byte) []byte {
+					return appendResult(b, resultFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail})
+				})
 				continue
 			}
 			go func() {
 				defer s.reqWG.Done()
 				s.handleSearch(ctx, t, w, f)
 			}()
-		case snapshotFrame:
+		case ftSnapshot:
+			f, err := decodeSnapshot(payload)
+			if err != nil {
+				return
+			}
 			if !s.admit() {
 				code, msg, detail := encodeError(ErrDraining)
-				_ = w.write(encodeSnapshotAck(snapshotAckFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail}))
+				_ = w.write(func(b []byte) []byte {
+					return appendSnapshotAck(b, snapshotAckFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail})
+				})
 				continue
 			}
 			go func() {
@@ -405,11 +429,13 @@ func (s *Server) admit() bool {
 // rebuilt into a context derived from the server's own, so both a
 // client deadline and a server shutdown bound the execution; the
 // decoded request fields are applied as functional options over the
-// tenant's searcher, sharing its scheduler and quota bucket.
+// tenant's searcher, sharing its scheduler and quota bucket. The reply
+// is encoded straight from the result's matches into the connection's
+// frame buffer.
 func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f searchFrame) {
 	reply := func(r resultFrame) {
 		r.ReqID = f.ReqID
-		_ = w.write(encodeResult(r))
+		_ = w.write(func(b []byte) []byte { return appendResult(b, r) })
 	}
 	if f.Mode > uint8(semtree.ModeRange) {
 		code, msg, detail := encodeError(fmt.Errorf("%w: unknown search mode %d", ErrProtocol, f.Mode))
@@ -437,26 +463,19 @@ func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f s
 	if f.ExactFactor > 0 {
 		wopts = append(wopts, semtree.WithExactFactor(int(f.ExactFactor)))
 	}
-	sr := t.searcher.With(wopts...)
+	sr := t.searcher
+	if len(wopts) > 0 {
+		sr = sr.With(wopts...)
+	}
 	res, _ := sr.Search(ctx, f.Query)
 	s.served.Add(1)
 
-	out := resultFrame{Stats: toWireStats(res.Stats)}
+	out := resultFrame{Stats: res.Stats}
 	if res.Err != nil {
 		out.HasErr = true
 		out.Code, out.Msg, out.Detail = encodeError(res.Err)
 	} else {
-		out.Matches = make([]wireMatch, len(res.Matches))
-		for i, m := range res.Matches {
-			out.Matches[i] = wireMatch{
-				ID:      uint64(m.ID),
-				Dist:    m.Dist,
-				Triple:  m.Triple,
-				Doc:     m.Prov.Doc,
-				Section: m.Prov.Section,
-				Seq:     int64(m.Prov.Seq),
-			}
-		}
+		out.Matches = res.Matches
 	}
 	reply(out)
 }
@@ -468,7 +487,7 @@ func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f s
 func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 	reply := func(r snapshotAckFrame) {
 		r.ReqID = f.ReqID
-		_ = w.write(encodeSnapshotAck(r))
+		_ = w.write(func(b []byte) []byte { return appendSnapshotAck(b, r) })
 	}
 	fail := func(err error) {
 		code, msg, detail := encodeError(err)
@@ -491,12 +510,17 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 	reply(snapshotAckFrame{Bytes: n})
 }
 
+// snapshotTo writes the index to path so that a crash at any point
+// leaves either the old file or the new one there: Save into a temp
+// file beside path, sync it (its bytes are on disk before any name
+// points at them), close it, rename it over path, then sync the
+// directory (the rename itself is on disk before the ack goes out).
 func (s *Server) snapshotTo(path string) (uint64, error) {
 	tmp, err := snapshotTemp(path)
 	if err != nil {
 		return 0, err
 	}
-	defer os.Remove(tmp.Name())
+	defer os.Remove(tmp.Name()) // a no-op once the rename has moved it
 	if err := semtree.Save(tmp, s.cfg.Index); err != nil {
 		tmp.Close()
 		return 0, err
@@ -506,47 +530,39 @@ func (s *Server) snapshotTo(path string) (uint64, error) {
 		tmp.Close()
 		return 0, err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return 0, err
+	}
 	if err := tmp.Close(); err != nil {
 		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, err
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return 0, err
+	}
 	return uint64(info.Size()), nil
+}
+
+// syncDir syncs a directory, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // snapshotTemp creates the snapshot's temp file beside its target, so
 // the final rename never crosses a filesystem.
 func snapshotTemp(path string) (*os.File, error) {
 	return os.CreateTemp(filepath.Dir(path), ".semtree-snap-*")
-}
-
-// toWireStats projects ExecStats onto the wire layout.
-func toWireStats(st semtree.ExecStats) wireStats {
-	return wireStats{
-		NodesVisited:   st.NodesVisited,
-		BucketsScanned: st.BucketsScanned,
-		DistanceEvals:  st.DistanceEvals,
-		Partitions:     int64(st.Partitions),
-		FabricMessages: st.FabricMessages,
-		ProbeMisses:    st.ProbeMisses,
-		WallNanos:      int64(st.Wall),
-		Protocol:       st.Protocol,
-	}
-}
-
-// fromWireStats is the inverse projection, used by the client.
-func fromWireStats(ws wireStats) semtree.ExecStats {
-	return semtree.ExecStats{
-		NodesVisited:   ws.NodesVisited,
-		BucketsScanned: ws.BucketsScanned,
-		DistanceEvals:  ws.DistanceEvals,
-		Partitions:     int(ws.Partitions),
-		FabricMessages: ws.FabricMessages,
-		ProbeMisses:    ws.ProbeMisses,
-		Wall:           time.Duration(ws.WallNanos),
-		Protocol:       ws.Protocol,
-	}
 }
 
 // leaseLoop is the front-end half of the distributed-quota protocol:

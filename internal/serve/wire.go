@@ -10,6 +10,12 @@
 //     maxFrameSize) and carry one type byte plus a fixed-layout body.
 //     Malformed bytes decode to a typed ErrProtocol, never a panic
 //     (FuzzServeFrame enforces this).
+//   - Each encoder (appendHello, appendSearch, ...) appends a whole
+//     frame, length prefix included, to a buffer its connection reuses,
+//     so a frame is built in place and sent in one Write. Each
+//     connection also reads into one reused buffer; a decoded frame's
+//     strings are substrings of one copy of its payload, so a decoded
+//     frame never aliases that buffer.
 //   - A connection opens with a versioned hello carrying the tenant's
 //     auth token; the server maps the token onto that tenant's Searcher
 //     — and therefore its admission limits and quota bucket.
@@ -24,10 +30,12 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"semtree"
 	"semtree/internal/triple"
@@ -87,40 +95,21 @@ type searchFrame struct {
 	Query       triple.Triple
 }
 
-// wireStats is ExecStats in wire layout.
-type wireStats struct {
-	NodesVisited   int64
-	BucketsScanned int64
-	DistanceEvals  int64
-	Partitions     int64
-	FabricMessages int64
-	ProbeMisses    int64
-	WallNanos      int64
-	Protocol       string
-}
-
-// wireMatch is one retrieval result in wire layout.
-type wireMatch struct {
-	ID      uint64
-	Dist    float64
-	Triple  triple.Triple
-	Doc     string
-	Section string
-	Seq     int64
-}
-
 // resultFrame answers one searchFrame. HasErr marks a failed query;
 // Code/Msg/Detail then decode to the original sentinel via
 // semtree.DecodeError. Stats always describes what the query spent
-// (zero for rejected queries — the admission contract).
+// (zero for rejected queries — the admission contract). Stats and
+// Matches are the facade's own types, so the server encodes a reply
+// straight from its semtree.Result and the client decodes one straight
+// into a semtree.Result.
 type resultFrame struct {
 	ReqID   uint64
 	HasErr  bool
 	Code    semtree.ErrorCode
 	Msg     string
 	Detail  uint64
-	Stats   wireStats
-	Matches []wireMatch
+	Stats   semtree.ExecStats
+	Matches []semtree.Match
 }
 
 // snapshotFrame triggers a server-side Save (admin tenants only).
@@ -161,10 +150,21 @@ type leaseGrantFrame struct {
 
 // --- encoding ---
 //
-// All integers are big-endian. Strings are uint32 length + bytes.
-// Encoders append to a caller-owned buffer; decoders consume an rbuf
-// that latches the first error, so a malformed frame yields exactly one
-// typed ErrProtocol and never panics or over-reads.
+// All integers are big-endian. Strings are uint32 length + bytes. Each
+// appendX appends one whole frame to a caller-owned buffer — its length
+// prefix, filled in once the body is known, then the type byte and the
+// body — so a frame is built in place and sent in one Write. Decoders
+// consume an rbuf that latches the first error, so a malformed frame
+// yields exactly one typed ErrProtocol and never panics or over-reads.
+
+// frameHead is the length prefix in front of every frame's payload.
+const frameHead = 4
+
+// maxFrameBuffer caps the buffer a connection keeps between frames, as
+// the cluster fabric does. Query frames stay far below it; a larger one
+// is read or built in storage that is dropped after its frame instead
+// of being held by an idle connection.
+const maxFrameBuffer = 64 << 10
 
 func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
@@ -197,13 +197,43 @@ func appendTriple(b []byte, t triple.Triple) []byte {
 	return appendTerm(b, t.Object)
 }
 
+// beginFrame appends a frame's length prefix, still zero, and its type
+// byte, and returns where the frame starts for endFrame.
+func beginFrame(b []byte, ft uint8) ([]byte, int) {
+	start := len(b)
+	return append(b, 0, 0, 0, 0, ft), start
+}
+
+// endFrame fills in the length prefix of the frame begun at start.
+func endFrame(b []byte, start int) []byte {
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-frameHead))
+	return b
+}
+
 // rbuf is a latching frame reader: the first short read or cap breach
 // sets err and every later read returns zero values, so decoders are
-// written straight-line and checked once at the end.
+// written straight-line and checked once at the end. Strings decode as
+// substrings of s, one copy of the whole payload: a frame's strings
+// cost one allocation, and nothing decoded references the buffer the
+// payload was read into, which the connection reuses for its next
+// frame while a request decoded from this one may still be running.
 type rbuf struct {
 	b   []byte
+	s   string
 	off int
 	err error
+}
+
+// openFrame starts decoding a payload that must be a frame of type ft.
+func openFrame(payload []byte, ft uint8) rbuf {
+	r := rbuf{b: payload}
+	if got := r.u8(); r.err == nil && got != ft {
+		r.err = fmt.Errorf("%w: frame type %d, want %d", ErrProtocol, got, ft)
+	}
+	if r.err == nil {
+		r.s = string(payload)
+	}
+	return r
 }
 
 func (r *rbuf) fail() {
@@ -267,7 +297,7 @@ func (r *rbuf) str() string {
 		r.fail()
 		return ""
 	}
-	s := string(r.b[r.off : r.off+n])
+	s := r.s[r.off : r.off+n]
 	r.off += n
 	return s
 }
@@ -304,32 +334,67 @@ func (r *rbuf) done() error {
 
 // --- per-frame encode/decode ---
 
-func encodeHello(f helloFrame) []byte {
-	b := appendU8(nil, ftHello)
+func appendHello(b []byte, f helloFrame) []byte {
+	b, start := beginFrame(b, ftHello)
 	b = appendU32(b, f.Version)
-	return appendStr(b, f.Token)
+	b = appendStr(b, f.Token)
+	return endFrame(b, start)
 }
 
-func encodeHelloAck(f helloAckFrame) []byte {
-	b := appendU8(nil, ftHelloAck)
+func decodeHello(payload []byte) (f helloFrame, err error) {
+	r := openFrame(payload, ftHello)
+	f.Version = r.u32()
+	f.Token = r.str()
+	return f, r.done()
+}
+
+func appendHelloAck(b []byte, f helloAckFrame) []byte {
+	b, start := beginFrame(b, ftHelloAck)
 	b = appendU32(b, f.Version)
 	b = appendU32(b, uint32(f.Code))
-	return appendStr(b, f.Msg)
+	b = appendStr(b, f.Msg)
+	return endFrame(b, start)
 }
 
-func encodeSearch(f searchFrame) []byte {
-	b := appendU8(nil, ftSearch)
+func decodeHelloAck(payload []byte) (f helloAckFrame, err error) {
+	r := openFrame(payload, ftHelloAck)
+	f.Version = r.u32()
+	f.Code = semtree.ErrorCode(r.u32())
+	f.Msg = r.str()
+	return f, r.done()
+}
+
+func appendSearch(b []byte, f searchFrame) []byte {
+	b, start := beginFrame(b, ftSearch)
 	b = appendU64(b, f.ReqID)
 	b = appendI64(b, f.Deadline)
 	b = appendU8(b, f.Mode)
 	b = appendI64(b, f.K)
 	b = appendI64(b, f.ExactFactor)
 	b = appendF64(b, f.Radius)
-	return appendTriple(b, f.Query)
+	b = appendTriple(b, f.Query)
+	return endFrame(b, start)
 }
 
-func encodeResult(f resultFrame) []byte {
-	b := appendU8(nil, ftResult)
+func decodeSearch(payload []byte) (f searchFrame, err error) {
+	r := openFrame(payload, ftSearch)
+	f.ReqID = r.u64()
+	f.Deadline = r.i64()
+	f.Mode = r.u8()
+	f.K = r.i64()
+	f.ExactFactor = r.i64()
+	f.Radius = r.f64()
+	f.Query = r.triple()
+	return f, r.done()
+}
+
+// minMatchSize is the fewest bytes one match takes on the wire: ID,
+// distance, three terms of two kind bytes and two empty strings each,
+// two empty provenance strings, and Seq.
+const minMatchSize = 8 + 8 + 3*(1+1+4+4) + 2*4 + 8
+
+func appendResult(b []byte, f resultFrame) []byte {
+	b, start := beginFrame(b, ftResult)
 	b = appendU64(b, f.ReqID)
 	b = appendBool(b, f.HasErr)
 	b = appendU32(b, uint32(f.Code))
@@ -338,139 +403,153 @@ func encodeResult(f resultFrame) []byte {
 	b = appendI64(b, f.Stats.NodesVisited)
 	b = appendI64(b, f.Stats.BucketsScanned)
 	b = appendI64(b, f.Stats.DistanceEvals)
-	b = appendI64(b, f.Stats.Partitions)
+	b = appendI64(b, int64(f.Stats.Partitions))
 	b = appendI64(b, f.Stats.FabricMessages)
 	b = appendI64(b, f.Stats.ProbeMisses)
-	b = appendI64(b, f.Stats.WallNanos)
+	b = appendI64(b, int64(f.Stats.Wall))
 	b = appendStr(b, f.Stats.Protocol)
 	b = appendU32(b, uint32(len(f.Matches)))
-	for _, m := range f.Matches {
-		b = appendU64(b, m.ID)
+	for i := range f.Matches {
+		m := &f.Matches[i]
+		b = appendU64(b, uint64(m.ID))
 		b = appendF64(b, m.Dist)
 		b = appendTriple(b, m.Triple)
-		b = appendStr(b, m.Doc)
-		b = appendStr(b, m.Section)
-		b = appendI64(b, m.Seq)
+		b = appendStr(b, m.Prov.Doc)
+		b = appendStr(b, m.Prov.Section)
+		b = appendI64(b, int64(m.Prov.Seq))
 	}
-	return b
+	return endFrame(b, start)
 }
 
-func encodeSnapshot(f snapshotFrame) []byte {
-	b := appendU8(nil, ftSnapshot)
-	return appendU64(b, f.ReqID)
+func decodeResult(payload []byte) (f resultFrame, err error) {
+	r := openFrame(payload, ftResult)
+	f.ReqID = r.u64()
+	f.HasErr = r.boolean()
+	f.Code = semtree.ErrorCode(r.u32())
+	f.Msg = r.str()
+	f.Detail = r.u64()
+	f.Stats.NodesVisited = r.i64()
+	f.Stats.BucketsScanned = r.i64()
+	f.Stats.DistanceEvals = r.i64()
+	f.Stats.Partitions = int(r.i64())
+	f.Stats.FabricMessages = r.i64()
+	f.Stats.ProbeMisses = r.i64()
+	f.Stats.Wall = time.Duration(r.i64())
+	f.Stats.Protocol = r.str()
+	// A count the bytes left cannot hold is rejected before Matches is
+	// sized from it.
+	n := int(r.u32())
+	if r.err == nil && n > (len(r.b)-r.off)/minMatchSize {
+		return f, fmt.Errorf("%w: match count %d exceeds frame", ErrProtocol, n)
+	}
+	if n > 0 {
+		f.Matches = make([]semtree.Match, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		m := &f.Matches[i]
+		m.ID = triple.ID(r.u64())
+		m.Dist = r.f64()
+		m.Triple = r.triple()
+		m.Prov.Doc = r.str()
+		m.Prov.Section = r.str()
+		m.Prov.Seq = int(r.i64())
+	}
+	return f, r.done()
 }
 
-func encodeSnapshotAck(f snapshotAckFrame) []byte {
-	b := appendU8(nil, ftSnapshotAck)
+func appendSnapshot(b []byte, f snapshotFrame) []byte {
+	b, start := beginFrame(b, ftSnapshot)
+	b = appendU64(b, f.ReqID)
+	return endFrame(b, start)
+}
+
+func decodeSnapshot(payload []byte) (f snapshotFrame, err error) {
+	r := openFrame(payload, ftSnapshot)
+	f.ReqID = r.u64()
+	return f, r.done()
+}
+
+func appendSnapshotAck(b []byte, f snapshotAckFrame) []byte {
+	b, start := beginFrame(b, ftSnapshotAck)
 	b = appendU64(b, f.ReqID)
 	b = appendBool(b, f.HasErr)
 	b = appendU32(b, uint32(f.Code))
 	b = appendStr(b, f.Msg)
 	b = appendU64(b, f.Detail)
-	return appendU64(b, f.Bytes)
+	b = appendU64(b, f.Bytes)
+	return endFrame(b, start)
 }
 
-func encodeLeaseReport(f leaseReportFrame) []byte {
-	b := appendU8(nil, ftLeaseReport)
+func decodeSnapshotAck(payload []byte) (f snapshotAckFrame, err error) {
+	r := openFrame(payload, ftSnapshotAck)
+	f.ReqID = r.u64()
+	f.HasErr = r.boolean()
+	f.Code = semtree.ErrorCode(r.u32())
+	f.Msg = r.str()
+	f.Detail = r.u64()
+	f.Bytes = r.u64()
+	return f, r.done()
+}
+
+func appendLeaseReport(b []byte, f leaseReportFrame) []byte {
+	b, start := beginFrame(b, ftLeaseReport)
 	b = appendStr(b, f.Tenant)
 	b = appendStr(b, f.FrontEnd)
-	return appendF64(b, f.DemandQPS)
+	b = appendF64(b, f.DemandQPS)
+	return endFrame(b, start)
 }
 
-func encodeLeaseGrant(f leaseGrantFrame) []byte {
-	b := appendU8(nil, ftLeaseGrant)
+func decodeLeaseReport(payload []byte) (f leaseReportFrame, err error) {
+	r := openFrame(payload, ftLeaseReport)
+	f.Tenant = r.str()
+	f.FrontEnd = r.str()
+	f.DemandQPS = r.f64()
+	return f, r.done()
+}
+
+func appendLeaseGrant(b []byte, f leaseGrantFrame) []byte {
+	b, start := beginFrame(b, ftLeaseGrant)
 	b = appendStr(b, f.Tenant)
 	b = appendF64(b, f.Capacity)
 	b = appendF64(b, f.RefillPerSec)
-	return appendI64(b, f.TTLNanos)
+	b = appendI64(b, f.TTLNanos)
+	return endFrame(b, start)
+}
+
+func decodeLeaseGrant(payload []byte) (f leaseGrantFrame, err error) {
+	r := openFrame(payload, ftLeaseGrant)
+	f.Tenant = r.str()
+	f.Capacity = r.f64()
+	f.RefillPerSec = r.f64()
+	f.TTLNanos = r.i64()
+	return f, r.done()
 }
 
 // decodeFrame parses one frame payload (the bytes after the length
-// prefix) into its typed struct. Unknown types and malformed bodies
+// prefix) into its typed struct through the decoder of its type byte —
+// the same decoders the client and the server call directly when they
+// know which frame they expect. Unknown types and malformed bodies
 // return an error wrapping ErrProtocol; decodeFrame never panics —
 // FuzzServeFrame holds it to that.
 func decodeFrame(payload []byte) (any, error) {
-	r := &rbuf{b: payload}
+	r := rbuf{b: payload}
 	switch ft := r.u8(); ft {
 	case ftHello:
-		var f helloFrame
-		f.Version = r.u32()
-		f.Token = r.str()
-		return f, r.done()
+		return boxed(decodeHello(payload))
 	case ftHelloAck:
-		var f helloAckFrame
-		f.Version = r.u32()
-		f.Code = semtree.ErrorCode(r.u32())
-		f.Msg = r.str()
-		return f, r.done()
+		return boxed(decodeHelloAck(payload))
 	case ftSearch:
-		var f searchFrame
-		f.ReqID = r.u64()
-		f.Deadline = r.i64()
-		f.Mode = r.u8()
-		f.K = r.i64()
-		f.ExactFactor = r.i64()
-		f.Radius = r.f64()
-		f.Query = r.triple()
-		return f, r.done()
+		return boxed(decodeSearch(payload))
 	case ftResult:
-		var f resultFrame
-		f.ReqID = r.u64()
-		f.HasErr = r.boolean()
-		f.Code = semtree.ErrorCode(r.u32())
-		f.Msg = r.str()
-		f.Detail = r.u64()
-		f.Stats.NodesVisited = r.i64()
-		f.Stats.BucketsScanned = r.i64()
-		f.Stats.DistanceEvals = r.i64()
-		f.Stats.Partitions = r.i64()
-		f.Stats.FabricMessages = r.i64()
-		f.Stats.ProbeMisses = r.i64()
-		f.Stats.WallNanos = r.i64()
-		f.Stats.Protocol = r.str()
-		n := int(r.u32())
-		// Each match is ≥ 50 bytes on the wire; a count the payload
-		// cannot possibly hold is rejected before allocation.
-		if r.err == nil && n > len(r.b)/50+1 {
-			return nil, fmt.Errorf("%w: match count %d exceeds frame", ErrProtocol, n)
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			var m wireMatch
-			m.ID = r.u64()
-			m.Dist = r.f64()
-			m.Triple = r.triple()
-			m.Doc = r.str()
-			m.Section = r.str()
-			m.Seq = r.i64()
-			f.Matches = append(f.Matches, m)
-		}
-		return f, r.done()
+		return boxed(decodeResult(payload))
 	case ftSnapshot:
-		var f snapshotFrame
-		f.ReqID = r.u64()
-		return f, r.done()
+		return boxed(decodeSnapshot(payload))
 	case ftSnapshotAck:
-		var f snapshotAckFrame
-		f.ReqID = r.u64()
-		f.HasErr = r.boolean()
-		f.Code = semtree.ErrorCode(r.u32())
-		f.Msg = r.str()
-		f.Detail = r.u64()
-		f.Bytes = r.u64()
-		return f, r.done()
+		return boxed(decodeSnapshotAck(payload))
 	case ftLeaseReport:
-		var f leaseReportFrame
-		f.Tenant = r.str()
-		f.FrontEnd = r.str()
-		f.DemandQPS = r.f64()
-		return f, r.done()
+		return boxed(decodeLeaseReport(payload))
 	case ftLeaseGrant:
-		var f leaseGrantFrame
-		f.Tenant = r.str()
-		f.Capacity = r.f64()
-		f.RefillPerSec = r.f64()
-		f.TTLNanos = r.i64()
-		return f, r.done()
+		return boxed(decodeLeaseGrant(payload))
 	default:
 		if r.err != nil {
 			return nil, r.err // empty payload: no type byte at all
@@ -479,44 +558,57 @@ func decodeFrame(payload []byte) (any, error) {
 	}
 }
 
-// writeFrame writes one length-prefixed frame. Callers serialize writes
-// per connection (the server holds a per-connection write mutex; the
-// client runs one request per pooled connection).
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrameSize {
-		return fmt.Errorf("%w: frame of %d bytes exceeds cap", ErrProtocol, len(payload))
-	}
-	hdr := appendU32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
-	_, err := w.Write(append(hdr, payload...))
-	return err
-}
-
-// readFrame reads one length-prefixed frame payload. An oversized
-// length prefix is a typed protocol error surfaced before any payload
-// allocation.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // transport-level: EOF on clean close
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("%w: frame length %d exceeds cap", ErrProtocol, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short frame: %v", ErrProtocol, err)
-	}
-	return payload, nil
-}
-
-// readMessage reads one frame and decodes it.
-func readMessage(r io.Reader) (any, error) {
-	payload, err := readFrame(r)
+// boxed returns a typed decoder's frame as decodeFrame's result, or
+// only its error.
+func boxed[F any](f F, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeFrame(payload)
+	return f, nil
+}
+
+// writeFrame writes one frame an appendX built, in one Write. Callers
+// serialize writes per connection (the server's connWriter holds a
+// lock; the client runs one request per pooled connection).
+func writeFrame(w io.Writer, frame []byte) error {
+	if n := len(frame) - frameHead; n > maxFrameSize {
+		return fmt.Errorf("%w: frame of %d bytes exceeds cap", ErrProtocol, n)
+	}
+	_, err := w.Write(frame)
+	return err
+}
+
+// frameReader reads one connection's frames through a bufio.Reader into
+// one payload buffer it reuses from frame to frame.
+type frameReader struct {
+	br  *bufio.Reader
+	hdr [frameHead]byte
+	buf []byte
+}
+
+// readFrame reads one frame and returns its payload, which is valid
+// only until the next call. An oversized length prefix is a typed
+// protocol error surfaced before any payload allocation.
+func (r *frameReader) readFrame() ([]byte, error) {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return nil, err // transport-level: EOF on clean close
+	}
+	n := binary.BigEndian.Uint32(r.hdr[:])
+	if n > maxFrameSize {
+		return nil, fmt.Errorf("%w: frame length %d exceeds cap", ErrProtocol, n)
+	}
+	buf := r.buf
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+		if n <= maxFrameBuffer {
+			r.buf = buf
+		}
+	}
+	payload := buf[:n]
+	if _, err := io.ReadFull(r.br, payload); err != nil {
+		return nil, fmt.Errorf("%w: short frame: %v", ErrProtocol, err)
+	}
+	return payload, nil
 }
 
 // encodeError projects err onto the wire triplet via the facade
