@@ -17,12 +17,14 @@ test:
 # The dedicated race sweep over the concurrent packages, the two
 # lock-free ones every query goes through (semdist, fastmap: shared
 # metric and mapper, hammered from 8 goroutines), the triple store
-# (lock-free views read beside writers), the tree kernel (a bulk build
-# runs its two halves on two goroutines) and the facade's Save/Insert
-# tests, mirroring the race-sweep CI job: halt on the first report, run
-# everything twice.
+# (lock-free views read beside writers), the tree kernel and the
+# facade's Save/Insert tests, mirroring the race-sweep CI job: halt on
+# the first report, run everything twice — the tree kernel five times:
+# a bulk build runs its right half on a goroutine of its own, over the
+# point block the left half reads too, and moves its nodes in after.
 race:
-	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/semdist/ ./internal/fastmap/ ./internal/triple/ ./internal/kdtree/ .
+	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/semdist/ ./internal/fastmap/ ./internal/triple/ .
+	GORACE=halt_on_error=1 $(GO) test -race -count=5 ./internal/kdtree/
 
 # The semtree invariant analyzers, driven through `go vet -vettool` so
 # test files are covered and results are cached per package. For a

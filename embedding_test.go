@@ -83,10 +83,10 @@ func treeCoords(t *testing.T, ix *Index) map[uint64][]float64 {
 	}
 	out := make(map[uint64][]float64, snap.Size)
 	for pi := range snap.Parts {
-		for ni := range snap.Parts[pi].Nodes {
-			for _, pt := range snap.Parts[pi].Nodes[ni].Bucket {
-				out[pt.ID] = pt.Coords
-			}
+		ps := &snap.Parts[pi]
+		for slot := range ps.IDs {
+			pt := ps.Point(int32(slot))
+			out[pt.ID] = pt.Coords
 		}
 	}
 	return out

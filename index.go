@@ -189,7 +189,12 @@ func (e ErrUnindexedID) Error() string {
 // embed maps t into the index's FastMap space: its three terms are
 // resolved once, then compared with the pre-resolved pivots.
 func (ix *Index) embed(t triple.Triple) []float64 {
-	return ix.mapper.Map(ix.metric.Resolve(t))
+	return ix.embedInto(make([]float64, ix.dims), t)
+}
+
+// embedInto is embed writing into dst, of length Dims.
+func (ix *Index) embedInto(dst []float64, t triple.Triple) []float64 {
+	return ix.mapper.MapInto(dst, ix.metric.Resolve(t))
 }
 
 // Insert adds a triple to the store and the index, returning its ID.
@@ -224,9 +229,12 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	if len(items) == 0 {
 		return nil, nil
 	}
-	coords := make([][]float64, len(items))
+	// The images are rows of one block, each embedded in place.
+	d := ix.dims
+	block := make([]float64, len(items)*d)
+	row := func(i int) []float64 { return block[i*d : (i+1)*d : (i+1)*d] }
 	_ = core.RunBatch(ctx, len(items), 0, func(i int) error {
-		coords[i] = ix.embed(items[i].Triple)
+		ix.embedInto(row(i), items[i].Triple)
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -237,7 +245,7 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 	first := ix.store.AddEntries(items)
 	for i := range items {
 		ids[i] = first + triple.ID(i)
-		points[i] = kdtree.Point{Coords: coords[i], ID: uint64(ids[i])}
+		points[i] = kdtree.Point{Coords: row(i), ID: uint64(ids[i])}
 	}
 	if err := ix.tree.BulkLoad(ctx, points); err != nil {
 		return ids, fmt.Errorf("semtree: bulk add: %w", err)

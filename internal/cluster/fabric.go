@@ -7,9 +7,11 @@
 //
 //   - InProc: in-process transport with configurable per-message
 //     latency, transient-failure injection and message accounting. It
-//     is the default fabric of a tree, what the bench figures and the
-//     repo benchmark's in-process workloads run on, and the
-//     failure-injection harness of the robustness tests.
+//     is the default fabric of a tree and what the bench figures and
+//     the repo benchmark's in-process workloads run on. Its one fault
+//     (FailureRate) fails a call before the handler runs, so it cannot
+//     model a reply lost after the handler ran — the at-least-once hole
+//     TCP retries open, which needs a fault-injecting wrapper of its own.
 //   - TCP: a real network transport over loopback that also counts the
 //     bytes it moves, used by the distributed example, the integration
 //     tests and the repo benchmark's nine-partition workload. A message

@@ -15,7 +15,10 @@ type InProcOptions struct {
 	Latency time.Duration
 	// FailureRate is the probability in [0, 1) that a message fails
 	// with ErrTransient before reaching the handler — failure injection
-	// for robustness tests.
+	// for robustness tests. The call fails *before* the handler runs,
+	// so a retry is always safe here: it cannot model a reply lost after
+	// the handler ran, the fault under which a retried write applies
+	// twice (see core.Config.RetryAttempts).
 	FailureRate float64
 	// Seed makes failure injection deterministic.
 	Seed int64

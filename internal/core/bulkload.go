@@ -35,9 +35,9 @@ import (
 //     leave the partition forward as nested bulk batches.
 //
 // Both paths keep the region invariant: fragment boxes come out of the
-// kernel's bulk builder (kdtree.Arena.Build) exact, and every box on a
-// descent path expands before the point lands, exactly as single
-// inserts do.
+// kernel's bulk builders (kdtree.BulkLoad, kdtree.Arena.Graft) exact,
+// and every box on a descent path expands before the point lands,
+// exactly as single inserts do.
 
 // DefaultBulkChunk is the per-message batch size of the bulk merge
 // path. Chunking bounds message size; each chunk is applied under one
@@ -71,9 +71,8 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 			}
 			return t.allocPartitions(t.cfg.MaxPartitions)
 		}
-		ordered := append([]kdtree.Point(nil), pts...) // the kdtree builder reorders in place
 		//semtree:allow lockedcall: bulkMu only serializes bulk passes; no handler or query path acquires it, so no lock cycle is possible
-		ok, err := t.installBalanced(ordered, targets)
+		ok, err := t.installBalanced(pts, targets)
 		if err != nil {
 			return fmt.Errorf("core: bulk load: %w", err)
 		}
@@ -90,8 +89,8 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 
 // installBalanced is the one installer of a client-built balanced
 // layout, shared by BulkLoad on an empty tree and Rebalance: balanced
-// build over pts (reordered in place), frontier cut, placement-kernel
-// assignment, one install per frontier subtree, trunk graft on the root
+// build over pts, frontier cut, placement-kernel assignment, one
+// install per frontier subtree, trunk graft on the root
 // partition's entry leaf. targets names the data partitions the
 // frontier may spread over — the only thing the two callers differ in —
 // and is asked only once the build turned out to have a frontier; with
@@ -106,7 +105,7 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 	if err != nil {
 		return false, fmt.Errorf("build: %w", err)
 	}
-	req := installReq{Entry: 0, Nodes: seq.Nodes}
+	req := installReq{Entry: 0, Frag: seq.Arena}
 	var used []cluster.NodeID
 	undo := func() {
 		for _, id := range used {
@@ -118,7 +117,7 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 	}
 	if !seq.Nodes[0].Leaf {
 		if tg := targets(); len(tg) > 0 {
-			if req.Nodes, req.Remote, used, err = t.installFrontier(&seq.Arena, tg); err != nil {
+			if req.Frag, req.Remote, used, err = t.installFrontier(&seq.Arena, tg); err != nil {
 				undo()
 				return false, fmt.Errorf("install: %w", err)
 			}
@@ -145,24 +144,26 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 // region (so the partition that receives the trunk can seed its
 // remote-box cache: the region registers together with the link,
 // exactly like the adopt handshake) and the partitions that now hold
-// fragments. The arena is consumed: installs move its buckets and boxes.
-func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk []kdtree.Node, remote []RemoteBox, used []cluster.NodeID, err error) {
+// fragments. Each fragment is cut from the arena with exactly its
+// points; the arena is left as it was.
+func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk kdtree.Arena, remote []RemoteBox, used []cluster.NodeID, err error) {
 	frontier := cutFrontier(a, len(targets))
 	subs := make([]placeBox, len(frontier))
 	for i, idx := range frontier {
-		subs[i] = placeBox{lo: a.Nodes[idx].Lo, hi: a.Nodes[idx].Hi, points: a.Count(idx)}
+		lo, hi := a.Box(idx)
+		subs[i] = placeBox{lo: lo, hi: hi, points: a.Count(idx)}
 	}
 	assign := t.assignTargets(subs, targets)
 	cut := make(map[int32]kdtree.Ref, len(frontier))
 	for i, idx := range frontier {
-		resp, err := t.call(cluster.ClientID, assign[i], installReq{Entry: -1, Nodes: a.Extract(idx, nil)})
+		resp, err := t.call(cluster.ClientID, assign[i], installReq{Entry: -1, Frag: a.Extract(idx, nil)})
 		if err != nil {
-			return nil, nil, used, err
+			return kdtree.Arena{}, nil, used, err
 		}
 		used = append(used, assign[i])
 		ref := refTo(assign[i], resp.(installResp).Node)
 		cut[idx] = ref
-		remote = append(remote, RemoteBox{Ref: ref, Lo: a.Nodes[idx].Lo, Hi: a.Nodes[idx].Hi})
+		remote = append(remote, RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi})
 	}
 	return a.Extract(0, cut), remote, used, nil
 }
@@ -229,7 +230,7 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 		groups[leaf] = append(groups[leaf], pt)
 	})
 	for _, leaf := range slices.Sorted(maps.Keys(groups)) {
-		p.graftLocked(leaf, groups[leaf])
+		p.Graft(leaf, groups[leaf])
 	}
 	p.points += landed
 	p.inserts.Add(int64(landed))
@@ -248,25 +249,6 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 		return nil, err
 	}
 	return ack{}, nil
-}
-
-// graftLocked merges a batch into the leaf at idx. Small unions append
-// like plain inserts; larger ones are replaced wholesale by a balanced
-// fragment the kernel builds over (bucket ∪ batch) straight into the
-// arena — the step that removes the per-point split cascade. Callers
-// hold the write lock and have already expanded the descent path's
-// boxes for every batch point.
-func (p *partition) graftLocked(idx int32, batch []kdtree.Point) {
-	n := &p.Nodes[idx]
-	total := len(n.Bucket) + len(batch)
-	if total <= p.BucketSize {
-		n.Bucket = append(n.Bucket, batch...)
-		return
-	}
-	all := make([]kdtree.Point, 0, total)
-	all = append(all, n.Bucket...)
-	all = append(all, batch...)
-	p.Build(idx, all)
 }
 
 // handleInstall moves a fragment into the arena: appended as a new
@@ -293,14 +275,14 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 			p.mu.Unlock()
 			return installResp{}, nil
 		}
-		displaced = entriesAt(r.Entry, p.Nodes[r.Entry].Bucket)
+		displaced = entriesAt(r.Entry, p.AppendBucket(nil, r.Entry))
 	}
-	root, err := p.installLocked(r.Entry, r.Nodes, r.Remote)
+	root, err := p.installLocked(r.Entry, &r.Frag, r.Remote)
 	if err != nil {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("core: install: %w", err)
 	}
-	forwards, landed := p.routeLocked(displaced, p.appendLocked)
+	forwards, landed := p.routeLocked(displaced, p.Append)
 	p.points -= len(displaced) - landed // the rest leave this partition
 	spill := graft && p.capacityExceededLocked()
 	p.mu.Unlock()
@@ -318,14 +300,16 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 // over the node at entry, or appended when entry < 0), accounts its
 // points and registers the regions of the cross-partition subtrees it
 // links to. Callers hold the write lock.
-func (p *partition) installLocked(entry int32, frag []kdtree.Node, remote []RemoteBox) (int32, error) {
+func (p *partition) installLocked(entry int32, frag *kdtree.Arena, remote []RemoteBox) (int32, error) {
+	points := 0
+	for i := range frag.Nodes {
+		points += len(frag.Nodes[i].Slots)
+	}
 	root, err := p.Install(entry, frag)
 	if err != nil {
 		return 0, err
 	}
-	for i := range frag {
-		p.points += len(frag[i].Bucket)
-	}
+	p.points += points
 	for _, e := range remote {
 		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
 	}

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
 )
 
@@ -218,6 +220,62 @@ func TestBulkLoadRepeatedBatches(t *testing.T) {
 			t.Fatalf("trial %d: disagrees with brute force", trial)
 		}
 	}
+}
+
+// TestArenaBlocksExact: a partition's blocks hold its points and no
+// more. After a bulk load — the whole tree adopted by the root
+// partition, or frontier subtrees shipped in process and over TCP —
+// every partition's coordinate block and ID column have cap == len: a
+// fragment's blocks are moved in, not appended. After spills have moved
+// leaves away, no point outlives its leaf in the blocks it left.
+func TestArenaBlocksExact(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	pts := clusteredPoints(r, 6000, 4, 5)
+	blocks := func(t *testing.T, tr *Tree, exact bool) {
+		t.Helper()
+		for _, p := range tr.parts {
+			p.mu.RLock()
+			if len(p.IDs) != p.points || len(p.Coords) != p.Dim*p.points {
+				t.Errorf("partition %d: %d points in its blocks, %d in its leaves", p.id, len(p.IDs), p.points)
+			}
+			if exact && (cap(p.Coords) != len(p.Coords) || cap(p.IDs) != len(p.IDs)) {
+				t.Errorf("partition %d: blocks of cap %d and %d for len %d and %d",
+					p.id, cap(p.Coords), cap(p.IDs), len(p.Coords), len(p.IDs))
+			}
+			p.mu.RUnlock()
+		}
+	}
+	for _, tcp := range []bool{false, true} {
+		for _, m := range []int{1, 3, 9} {
+			t.Run(fmt.Sprintf("tcp=%v/%d", tcp, m), func(t *testing.T) {
+				cfg := Config{Dim: 4, BucketSize: 8, MaxPartitions: m}
+				if m > 1 {
+					cfg.PartitionCapacity = len(pts) / (m - 1)
+				}
+				if tcp {
+					fabric := cluster.NewTCP()
+					defer fabric.Close()
+					cfg.Fabric = fabric
+				}
+				tr := mustTree(t, cfg)
+				if err := tr.BulkLoad(context.Background(), pts); err != nil {
+					t.Fatal(err)
+				}
+				if tr.PartitionCount() != m {
+					t.Fatalf("%d partitions, want %d", tr.PartitionCount(), m)
+				}
+				blocks(t, tr, true)
+			})
+		}
+	}
+	tr := mustTree(t, Config{Dim: 4, BucketSize: 8, PartitionCapacity: 500, MaxPartitions: 6})
+	if err := tr.InsertAll(pts[:3000], 1); err != nil {
+		t.Fatal(err)
+	}
+	if tr.PartitionCount() != 6 {
+		t.Fatalf("inserts spilled into %d partitions, want 6", tr.PartitionCount())
+	}
+	blocks(t, tr, false)
 }
 
 // TestBulkLoadRejectsWrongDims: dimension mismatches fail before any

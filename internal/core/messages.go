@@ -42,9 +42,11 @@ import (
 // and every []float64 in it is a run — a uvarint length and the raw
 // values — that the decoder cuts from one block of that size
 // (floatBlock), so decoding allocates that block and one slice per
-// []Neighbor, []knnEntry, []insertReq, []kdtree.Node, []kdtree.Point
-// and []RemoteBox, never one per point. Empty and nil slices both
-// decode as nil.
+// []Neighbor, []knnEntry, []insertReq and []RemoteBox, never one per
+// point. A fragment (kdtree.Arena) is encoded node by node, each with
+// its bucket's points and its box as runs (an empty box as two empty
+// runs), and decodes straight into its blocks: the dimension is the
+// length of its first run. Empty and nil slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
 const (
@@ -172,13 +174,13 @@ func readBulkAddReq(d *column.Decoder) any {
 	return m
 }
 
-// installReq moves a tree fragment into a partition's arena. Nodes is a
-// kdtree fragment — Nodes[0] is the root, child refs with Part ==
-// kdtree.Local index Nodes, any other ref is a cross-partition link —
-// and Remote carries the bounding box of each subtree those links lead
-// to, so the installing partition can seed its remote-box cache: the
-// region registers together with the link. The fragment is moved, not
-// copied: the sender gives up its buckets and boxes.
+// installReq moves a tree fragment into a partition's arena. Frag is a
+// kdtree fragment — Frag.Nodes[0] is the root, child refs with Part ==
+// kdtree.Local index Frag.Nodes, any other ref is a cross-partition
+// link — and Remote carries the bounding box of each subtree those
+// links lead to, so the installing partition can seed its remote-box
+// cache: the region registers together with the link. The fragment is
+// moved, not copied: the sender gives up its blocks.
 //
 // Entry < 0 appends the fragment as a new subtree root (the other end
 // of a direct link: a relocated leaf, a frontier subtree). Entry >= 0
@@ -189,22 +191,22 @@ func readBulkAddReq(d *column.Decoder) any {
 // (split or tombstoned).
 type installReq struct {
 	Entry  int32
-	Nodes  []kdtree.Node
+	Frag   kdtree.Arena
 	Remote []RemoteBox
 }
 
 func (installReq) WireKind() byte { return kindInstallReq }
 
 func (m installReq) AppendWire(a *column.Appender) {
-	a.Uvarint(uint64(nodeFloats(m.Nodes) + remoteFloats(m.Remote)))
+	a.Uvarint(uint64(fragmentFloats(&m.Frag) + remoteFloats(m.Remote)))
 	a.Varint(int64(m.Entry))
-	appendNodes(a, m.Nodes)
+	appendFragment(a, &m.Frag)
 	appendRemote(a, m.Remote)
 }
 
 func readInstallReq(d *column.Decoder) any {
 	fs := newFloatBlock(d)
-	m := installReq{Entry: d.Int32(), Nodes: readNodes(d, &fs), Remote: readRemote(d, &fs)}
+	m := installReq{Entry: d.Int32(), Frag: readFragment(d, &fs), Remote: readRemote(d, &fs)}
 	fs.end()
 	return m
 }
@@ -254,15 +256,15 @@ func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
 func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
 
 func appendState(a *column.Appender, s *PartitionSnapshot) {
-	a.Uvarint(uint64(nodeFloats(s.Nodes) + remoteFloats(s.Remote)))
-	appendNodes(a, s.Nodes)
+	a.Uvarint(uint64(fragmentFloats(&s.Arena) + remoteFloats(s.Remote)))
+	appendFragment(a, &s.Arena)
 	a.Varint(int64(s.Points))
 	appendRemote(a, s.Remote)
 }
 
 func readState(d *column.Decoder) PartitionSnapshot {
 	fs := newFloatBlock(d)
-	s := PartitionSnapshot{Nodes: readNodes(d, &fs), Points: int(d.Varint()), Remote: readRemote(d, &fs)}
+	s := PartitionSnapshot{Arena: readFragment(d, &fs), Points: int(d.Varint()), Remote: readRemote(d, &fs)}
 	fs.end()
 	return s
 }
@@ -493,19 +495,18 @@ func readStatsResp(d *column.Decoder) any {
 // boxes and the float runs inside them.
 
 // floatBlock is the floats of a message being decoded: their total
-// count opens the message, and each run is cut from one block of that
-// size and clipped, so an append to one slice never reaches the next.
+// count opens the message, and each run is cut from one block of the
+// count not yet read — allocated at the first run cut, after any a
+// fragment read straight into its own blocks — and clipped, so an
+// append to one slice never reaches the next.
 type floatBlock struct {
 	d     *column.Decoder
+	left  int // floats not yet read
 	block []float64
 }
 
 func newFloatBlock(d *column.Decoder) floatBlock {
-	fs := floatBlock{d: d}
-	if n := d.Count(8); n > 0 {
-		fs.block = make([]float64, n)
-	}
-	return fs
+	return floatBlock{d: d, left: d.Count(8)}
 }
 
 var (
@@ -513,6 +514,8 @@ var (
 	errFloatCount = errors.New("core: a message's float count exceeds its runs")
 	errBucketRun  = errors.New("core: a bucket exceeds its nodes' point count")
 	errPointCount = errors.New("core: a point count exceeds its nodes' buckets")
+	errRunDim     = errors.New("core: a fragment's runs differ in length")
+	errBoxBlock   = errors.New("core: a fragment's boxes exceed what its floats back")
 )
 
 // next reads one run; an empty run is nil.
@@ -521,19 +524,34 @@ func (fs *floatBlock) next() []float64 {
 	if n == 0 {
 		return nil
 	}
-	if n > uint64(len(fs.block)) {
+	if n > uint64(fs.left) {
 		fs.d.Fail(errFloatRun)
 		return nil
 	}
+	if fs.block == nil {
+		fs.block = make([]float64, fs.left)
+	}
 	run := fs.block[:n:n]
-	fs.block = fs.block[n:]
+	fs.block, fs.left = fs.block[n:], fs.left-int(n)
 	fs.d.Floats(run)
 	return run
 }
 
-// end requires every float of the block to have been read.
+// take claims n floats of the count for a fragment, which reads them
+// into its own blocks; a message's fragment comes before any run is
+// cut from the block.
+func (fs *floatBlock) take(n int) bool {
+	if n > fs.left {
+		fs.d.Fail(errFloatRun)
+		return false
+	}
+	fs.left -= n
+	return true
+}
+
+// end requires every float of the count to have been read.
 func (fs *floatBlock) end() {
-	if len(fs.block) != 0 {
+	if fs.left != 0 {
 		fs.d.Fail(errFloatCount)
 	}
 }
@@ -589,28 +607,29 @@ func readNeighbors(d *column.Decoder, fs *floatBlock) []kdtree.Neighbor {
 	return ns
 }
 
-func nodeFloats(nodes []kdtree.Node) int {
+func fragmentFloats(f *kdtree.Arena) int {
 	n := 0
-	for i := range nodes {
-		n += len(nodes[i].Lo) + len(nodes[i].Hi)
-		for _, p := range nodes[i].Bucket {
-			n += len(p.Coords)
+	for i := range f.Nodes {
+		n += f.Dim * len(f.Nodes[i].Slots)
+		if lo, _ := f.Box(int32(i)); lo != nil {
+			n += 2 * f.Dim
 		}
 	}
 	return n
 }
 
-// appendNodes appends every field of every node, after the total of
-// their bucket points: the decoder cuts all buckets from one block.
-func appendNodes(a *column.Appender, nodes []kdtree.Node) {
+// appendFragment appends every field of every node, its bucket's
+// points and its box, after the total of their bucket points: the
+// decoder sizes the fragment's blocks once.
+func appendFragment(a *column.Appender, f *kdtree.Arena) {
 	pts := 0
-	for i := range nodes {
-		pts += len(nodes[i].Bucket)
+	for i := range f.Nodes {
+		pts += len(f.Nodes[i].Slots)
 	}
 	a.Uvarint(uint64(pts))
-	a.Uvarint(uint64(len(nodes)))
-	for i := range nodes {
-		n := &nodes[i]
+	a.Uvarint(uint64(len(f.Nodes)))
+	for i := range f.Nodes {
+		n := &f.Nodes[i]
 		var state byte
 		if n.Leaf {
 			state |= stateLeaf
@@ -624,12 +643,13 @@ func appendNodes(a *column.Appender, nodes []kdtree.Node) {
 		appendRef(a, n.Fwd)
 		appendRef(a, n.Left)
 		appendRef(a, n.Right)
-		a.Uvarint(uint64(len(n.Bucket)))
-		for _, p := range n.Bucket {
-			appendPoint(a, p)
+		a.Uvarint(uint64(len(n.Slots)))
+		for _, s := range n.Slots {
+			appendPoint(a, f.Point(s))
 		}
-		appendRun(a, n.Lo)
-		appendRun(a, n.Hi)
+		lo, hi := f.Box(int32(i))
+		appendRun(a, lo)
+		appendRun(a, hi)
 	}
 }
 
@@ -637,17 +657,24 @@ func appendNodes(a *column.Appender, nodes []kdtree.Node) {
 // value, three refs, and an empty bucket and box.
 const nodeBytes = 1 + 1 + 8 + 3*2 + 1 + 2
 
-func readNodes(d *column.Decoder, fs *floatBlock) []kdtree.Node {
-	var pts []kdtree.Point
-	if n := d.Count(2); n > 0 { // an empty run and an ID at least
-		pts = make([]kdtree.Point, n)
-	}
-	var nodes []kdtree.Node
+// readFragment reads what appendFragment wrote straight into a
+// fragment's blocks. Its dimension is the length of its first run,
+// which every later non-empty run must have; one whose runs are all
+// empty has no dimension and no boxes (kdtree.Arena.Install gives it
+// empty ones).
+func readFragment(d *column.Decoder, fs *floatBlock) kdtree.Arena {
+	r := fragmentReader{d: d, fs: fs, pts: d.Count(2)} // an empty run and an ID at least
+	f := &r.f
 	if n := d.Count(nodeBytes); n > 0 {
-		nodes = make([]kdtree.Node, n)
+		f.Nodes = make([]kdtree.Node, n)
 	}
-	for i := range nodes {
-		n := &nodes[i]
+	var slots []int32
+	if r.pts > 0 {
+		slots = make([]int32, r.pts)
+		f.IDs = make([]uint64, 0, r.pts)
+	}
+	for i := range f.Nodes {
+		n := &f.Nodes[i]
 		state := d.Byte()
 		if state&^(stateLeaf|stateMoved) != 0 {
 			d.Fail(fmt.Errorf("core: node state %#x", state))
@@ -655,20 +682,81 @@ func readNodes(d *column.Decoder, fs *floatBlock) []kdtree.Node {
 		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
 		n.SplitDim, n.SplitVal = d.Int32(), d.Float()
 		n.Fwd, n.Left, n.Right = decodeRef(d), decodeRef(d), decodeRef(d)
-		if k := d.Uvarint(); k > uint64(len(pts)) {
+		if k := d.Uvarint(); k > uint64(r.pts-len(f.IDs)) {
 			d.Fail(errBucketRun)
 		} else if k > 0 {
-			n.Bucket, pts = pts[:k:k], pts[k:]
-			for j := range n.Bucket {
-				n.Bucket[j] = readPoint(d, fs)
+			at := len(f.IDs)
+			for j := range int(k) {
+				dim := r.run()
+				if dim == 0 {
+					d.Fail(errRunDim) // a point has coordinates
+				}
+				f.Coords = f.Coords[:len(f.Coords)+dim]
+				d.Floats(f.Coords[len(f.Coords)-dim:])
+				f.IDs = append(f.IDs, d.Uvarint())
+				slots[at+j] = int32(at + j)
 			}
+			n.Slots = slots[at : at+int(k) : at+int(k)]
 		}
-		n.Lo, n.Hi = fs.next(), fs.next()
+		lo := r.run()
+		d.Floats(f.Boxes[2*i*lo : (2*i+1)*lo])
+		if hi := r.run(); hi != lo {
+			d.Fail(errRunDim)
+		} else {
+			d.Floats(f.Boxes[(2*i+1)*hi : (2*i+2)*hi])
+		}
 	}
-	if len(pts) != 0 {
+	if len(f.IDs) != r.pts {
 		d.Fail(errPointCount)
 	}
-	return nodes
+	return r.f
+}
+
+// fragmentReader is readFragment's state: the fragment and the number
+// of bucket points its message announced.
+type fragmentReader struct {
+	d   *column.Decoder
+	fs  *floatBlock
+	f   kdtree.Arena
+	pts int
+}
+
+// run reads the length of the next run and claims its floats, which
+// the caller reads: 0 for an empty run (or a failed decoder), else the
+// fragment's dimension. The first non-empty run fixes the dimension and
+// sizes the blocks — the box block believed only as far as the
+// message's floats back it: in a fragment a partition sends, at least a
+// third of the nodes carry their box.
+func (r *fragmentReader) run() int {
+	k := r.d.Uvarint()
+	if k == 0 || r.d.Err() != nil {
+		return 0
+	}
+	f := &r.f
+	if f.Dim == 0 {
+		left := uint64(r.fs.left)
+		switch {
+		case k > left || uint64(r.pts)*k > left:
+			r.d.Fail(errFloatRun)
+			return 0
+		case 2*k*uint64(len(f.Nodes)) > 6*left+2*k:
+			r.d.Fail(errBoxBlock)
+			return 0
+		}
+		f.Dim = int(k)
+		if r.pts > 0 {
+			f.Coords = make([]float64, 0, r.pts*f.Dim)
+		}
+		f.EmptyBoxes()
+	}
+	if k != uint64(f.Dim) {
+		r.d.Fail(errRunDim)
+		return 0
+	}
+	if !r.fs.take(f.Dim) {
+		return 0
+	}
+	return f.Dim
 }
 
 func remoteFloats(rs []RemoteBox) int {

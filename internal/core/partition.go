@@ -88,17 +88,6 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 	return kdtree.Ref{Part: int32(part), Node: idx}
 }
 
-// appendLocked lands pt in the leaf at idx, whose path boxes the caller
-// has already expanded, splitting it when the bucket saturates. Callers
-// hold the write lock.
-func (p *partition) appendLocked(idx int32, pt kdtree.Point) {
-	n := &p.Nodes[idx]
-	n.Bucket = append(n.Bucket, pt)
-	if len(n.Bucket) > p.BucketSize {
-		p.SplitLeaf(idx)
-	}
-}
-
 // routeLocked is the one ingest router, the partition-local step of the
 // distributed insertion algorithm (§III-B.1): every entry descends from
 // its entry node by (Sr, Sv) comparisons, every box on the descent path
@@ -193,7 +182,7 @@ func (p *partition) handleInsert(r insertReq) (any, error) {
 	p.navSteps.Add(int64(len(trunk)))
 	p.mu.Lock()
 	p.expandPathBoxes(trunk, c)
-	forwards, landed := p.routeLocked([]insertReq{{Node: leaf, Point: r.Point}}, p.appendLocked)
+	forwards, landed := p.routeLocked([]insertReq{{Node: leaf, Point: r.Point}}, p.Append)
 	p.points += landed
 	p.inserts.Add(int64(landed))
 	spill := p.capacityExceededLocked()
@@ -262,10 +251,11 @@ func (p *partition) buildPartition() {
 	// over the leaves' boxes, safe under the spill lock.
 	subs := make([]placeBox, len(moves))
 	for k, mv := range moves {
-		leaf := &p.Nodes[mv.leaf]
-		subs[k] = placeBox{lo: leaf.Lo, hi: leaf.Hi, points: len(leaf.Bucket)}
+		lo, hi := p.Box(mv.leaf)
+		subs[k] = placeBox{lo: lo, hi: hi, points: len(p.Nodes[mv.leaf].Slots)}
 	}
 	assign := p.t.assignTargets(subs, targets)
+	moved := 0
 	for k, mv := range moves {
 		// The leaf ships as a one-node fragment, its region with it: the
 		// adopting side installs it as a new subtree root (the other end
@@ -273,11 +263,14 @@ func (p *partition) buildPartition() {
 		// pruning the relocated subtree by exact min-distance (and grows
 		// when inserts forward through the direct link).
 		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, assign[k], installReq{Entry: -1, Nodes: []kdtree.Node{p.Nodes[mv.leaf]}})
+		resp, err := p.t.call(p.id, assign[k], installReq{Entry: -1, Frag: p.Extract(mv.leaf, nil)})
 		if err != nil {
 			continue // leaf stays local; a later spill may retry
 		}
-		p.relocateLocked(mv.parent, mv.right, mv.leaf, refTo(assign[k], resp.(installResp).Node))
+		moved += p.relocateLocked(mv.parent, mv.right, mv.leaf, refTo(assign[k], resp.(installResp).Node))
+	}
+	if moved > 0 {
+		p.Compact() // the relocated points live on their new partitions only
 	}
 }
 
@@ -295,18 +288,17 @@ func (p *partition) movableLocked(ref kdtree.Ref) bool {
 // stays behind as a forwarding tombstone for in-flight operations. It
 // returns the number of points that left. Callers hold the write lock.
 func (p *partition) relocateLocked(parent int32, right bool, idx int32, ref kdtree.Ref) int {
-	leaf := &p.Nodes[idx]
-	if leaf.Lo != nil {
-		p.cacheRemoteBox(ref, leaf.Lo, leaf.Hi)
+	if lo, hi := p.Box(idx); lo != nil {
+		p.cacheRemoteBox(ref, lo, hi)
 	}
 	if right {
 		p.Nodes[parent].Right = ref
 	} else {
 		p.Nodes[parent].Left = ref
 	}
-	moved := len(leaf.Bucket)
+	moved := len(p.Nodes[idx].Slots)
 	p.points -= moved
-	*leaf = kdtree.Node{Moved: true, Fwd: ref}
+	p.Tombstone(idx, ref)
 	return moved
 }
 

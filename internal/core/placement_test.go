@@ -209,11 +209,7 @@ func TestLayoutIsFunctionOfData(t *testing.T) {
 	hosted := func(snap *TreeSnapshot) [][]uint64 {
 		out := make([][]uint64, len(snap.Parts))
 		for pi, ps := range snap.Parts {
-			for _, nd := range ps.Nodes {
-				for _, pt := range nd.Bucket {
-					out[pi] = append(out[pi], pt.ID)
-				}
-			}
+			out[pi] = slices.Clone(ps.IDs)
 			slices.Sort(out[pi])
 		}
 		return out

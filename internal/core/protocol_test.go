@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -26,20 +27,27 @@ import (
 func protocolSamples() []any {
 	pt := kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}
 	entry := insertReq{Node: 3, Point: pt}
-	nodes := []kdtree.Node{
-		{SplitDim: 1, SplitVal: 0.5, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{1.5, -2}, Hi: []float64{9, 9}},
-		{Leaf: true, Bucket: []kdtree.Point{pt}, Lo: []float64{1.5, -2}, Hi: []float64{1.5, -2}},
-		{Moved: true, Fwd: kdtree.Ref{Part: 2, Node: 5}},
+	inf := math.Inf(1)
+	frag := kdtree.Arena{
+		Nodes: []kdtree.Node{
+			{SplitDim: 1, SplitVal: 0.5, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: 4, Node: 2}},
+			{Leaf: true, Slots: []int32{0}},
+			{Moved: true, Fwd: kdtree.Ref{Part: 2, Node: 5}},
+		},
+		Coords: pt.Coords,
+		IDs:    []uint64{pt.ID},
+		Boxes:  []float64{1.5, -2, 9, 9, 1.5, -2, 1.5, -2, inf, inf, -inf, -inf},
+		Dim:    2,
 	}
 	remote := []RemoteBox{{Ref: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{3, 3}, Hi: []float64{9, 9}}}
-	state := PartitionSnapshot{Nodes: nodes, Points: 1, Remote: remote}
+	state := PartitionSnapshot{Arena: frag, Points: 1, Remote: remote}
 	rs := []kdtree.Neighbor{{Point: pt, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
 	return []any{
 		entry,
 		ack{},
 		bulkAddReq{Entries: []insertReq{entry, entry}},
-		installReq{Entry: -1, Nodes: nodes, Remote: remote},
+		installReq{Entry: -1, Frag: frag, Remote: remote},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
 		snapshotResp{State: state},
@@ -467,7 +475,7 @@ func TestRebalanceOrderStable(t *testing.T) {
 		case n.Moved:
 			visit(n.Fwd)
 		case n.Leaf:
-			want = append(want, n.Bucket...)
+			want = byID[ref.Part].AppendBucket(want, ref.Node)
 		default:
 			visit(n.Left)
 			visit(n.Right)

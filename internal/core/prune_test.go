@@ -189,7 +189,7 @@ func liveSnapshot(t *testing.T, tr *Tree) *TreeSnapshot {
 func treeHeight(t *testing.T, tr *Tree) int {
 	t.Helper()
 	h := 0
-	liveSnapshot(t, tr).walk(kdtree.Ref{}, 1, func(_ *kdtree.Node, depth int) { h = max(h, depth) })
+	liveSnapshot(t, tr).walk(kdtree.Ref{}, 1, func(_ kdtree.Ref, depth int) { h = max(h, depth) })
 	return h
 }
 
@@ -202,14 +202,15 @@ func checkPartitionBoxes(t *testing.T, tr *Tree) {
 	snap := liveSnapshot(t, tr)
 	for pi, ps := range snap.Parts {
 		for ni, n := range ps.Nodes {
+			lo, hi := ps.Box(int32(ni))
 			if n.Moved {
-				if n.Lo != nil {
+				if lo != nil {
 					t.Fatalf("partition %d node %d: tombstone retains a box", pi, ni)
 				}
 				continue
 			}
 			pts := snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})
-			assertExactBox(t, pts, n.Lo, n.Hi, "partition %d node %d", pi, ni)
+			assertExactBox(t, pts, lo, hi, "partition %d node %d", pi, ni)
 		}
 		for _, e := range ps.Remote {
 			assertExactBox(t, snap.pointsUnder(e.Ref), e.Lo, e.Hi, "partition %d remote box %v", pi, e.Ref)

@@ -81,9 +81,9 @@ func (t *Tree) rebuild(pts []kdtree.Point, data []cluster.NodeID) error {
 // reset empties a partition by restoring the empty state over it; the
 // root partition keeps the tree root, as one empty leaf.
 func (t *Tree) reset(id cluster.NodeID, root bool) error {
-	var st PartitionSnapshot
+	st := PartitionSnapshot{Arena: kdtree.Arena{Dim: t.cfg.Dim}}
 	if root {
-		st.Nodes = []kdtree.Node{{Leaf: true}}
+		st.AddLeaf()
 	}
 	_, err := t.call(cluster.ClientID, id, restoreReq{State: st})
 	return err

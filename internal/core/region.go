@@ -78,7 +78,7 @@ func boxContains(lo, hi, c []float64) bool {
 // that span whole traversals (including synchronous downstream hops).
 func (p *partition) forwardNeedsExpand(path []int32, ref kdtree.Ref, c []float64) bool {
 	for _, idx := range path {
-		if n := &p.Nodes[idx]; !n.Moved && !boxContains(n.Lo, n.Hi, c) {
+		if lo, hi := p.Box(idx); !p.Nodes[idx].Moved && !boxContains(lo, hi, c) {
 			return true
 		}
 	}

@@ -15,11 +15,15 @@ import (
 )
 
 // Partition snapshot persistence: the distributed tree's whole layout —
-// every partition's node arena, exact per-subtree bounding boxes, and
-// the remote-box caches guarding cross-partition edges — serialized so
-// a fleet restarts without re-ingesting. The encoding (WriteSnapshot)
-// stores nodes, points and cache refs but no box: every box is a
-// function of the points below it, and decoding rebuilds them. Restore
+// every partition's arena, exact per-subtree bounding boxes, and the
+// remote-box caches guarding cross-partition edges — serialized so a
+// fleet restarts without re-ingesting. A snapshot's arena has the shape
+// of its columns: its blocks hold the points its leaves hold, leaves in
+// node order (kdtree.Arena.Clone), so the encoding (WriteSnapshot)
+// writes the ID column and the coordinate block as they stand, and
+// decoding reads them back in place. Nodes and cache refs are written
+// too, but no box: every box is a function of the points below it, and
+// decoding rebuilds them. Restore
 // rebuilds partitions bit-for-bit: the arenas, boxes and caches are
 // identical, so every traversal takes the same path and query results
 // are byte-identical to the pre-save tree (the invariant the snapshot
@@ -67,14 +71,15 @@ type RemoteBox struct {
 }
 
 // PartitionSnapshot is one partition's full state: its arena — every
-// node in exactly one of the kdtree.Node states, Lo/Hi the exact
-// logical-subtree box — its point count and its remote-box cache. The
+// node in exactly one of the kdtree.Node states, its box the exact
+// logical-subtree box, and the blocks holding the bucket points leaf by
+// leaf in node order — its point count and its remote-box cache. The
 // Part of every reference in it is a partition ordinal
 // (TreeSnapshot.Parts index) at rest, and a fabric NodeID in the
 // messages partitions produce and consume; the client translates at
 // the edge (mapRefs).
 type PartitionSnapshot struct {
-	Nodes  []kdtree.Node
+	kdtree.Arena
 	Points int
 	Remote []RemoteBox
 }
@@ -117,12 +122,12 @@ func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error
 // given; a tombstone adds no level). Refs are ordinals, as everywhere
 // in a snapshot at rest. It recurses and trusts every reference: for
 // snapshots Tree.Snapshot took, not for decoded ones.
-func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(n *kdtree.Node, depth int)) {
+func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(ref kdtree.Ref, depth int)) {
 	switch n := &s.Parts[ref.Part].Nodes[ref.Node]; {
 	case n.Moved:
 		s.walk(n.Fwd, depth, leaf)
 	case n.Leaf:
-		leaf(n, depth)
+		leaf(ref, depth)
 	default:
 		s.walk(n.Left, depth+1, leaf)
 		s.walk(n.Right, depth+1, leaf)
@@ -130,57 +135,22 @@ func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(n *kdtree.Node,
 }
 
 // pointsUnder gathers the points of the logical subtree rooted at ref,
-// bucket by bucket in walk order.
+// bucket by bucket in walk order, as views of the snapshot's blocks.
 func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) []kdtree.Point {
 	var pts []kdtree.Point
-	s.walk(ref, 1, func(n *kdtree.Node, _ int) { pts = append(pts, n.Bucket...) })
+	s.walk(ref, 1, func(r kdtree.Ref, _ int) { pts = s.Parts[r.Part].AppendBucket(pts, r.Node) })
 	return pts
 }
 
-// copyNodes deep-copies an arena's nodes. Buckets share point storage
-// (points are immutable), but bucket slices and boxes are owned copies —
-// a live arena keeps appending to and expanding its own. They are cut
-// from one block of points and one of floats, each sub-slice capped so
-// an append moves it out instead of overrunning its neighbour: three
-// allocations per arena, not three per node.
-func copyNodes(nodes []kdtree.Node) []kdtree.Node {
-	npts, nfloats := 0, 0
-	for i := range nodes {
-		npts += len(nodes[i].Bucket)
-		nfloats += len(nodes[i].Lo) + len(nodes[i].Hi)
-	}
-	pts := make([]kdtree.Point, 0, npts)
-	floats := make([]float64, 0, nfloats)
-	carve := func(block *[]float64, s []float64) []float64 {
-		if len(s) == 0 {
-			return nil
-		}
-		at := len(*block)
-		*block = append(*block, s...)
-		return (*block)[at:len(*block):len(*block)]
-	}
-	out := make([]kdtree.Node, len(nodes))
-	for i, n := range nodes {
-		if len(n.Bucket) == 0 {
-			n.Bucket = nil
-		} else {
-			at := len(pts)
-			pts = append(pts, n.Bucket...)
-			n.Bucket = pts[at:len(pts):len(pts)]
-		}
-		n.Lo, n.Hi = carve(&floats, n.Lo), carve(&floats, n.Hi)
-		out[i] = n
-	}
-	return out
-}
-
-// handleSnapshot deep-copies the partition's state under the read lock.
-// The remote-box cache is a map; it is emitted in (Part, Node) order so
-// a snapshot's bytes are a function of the partition's state.
+// handleSnapshot deep-copies the partition's state under the read lock:
+// its arena in the snapshot layout (kdtree.Arena.Clone, a handful of
+// allocations whatever its size). The remote-box cache is a map; it is
+// emitted in (Part, Node) order so a snapshot's bytes are a function of
+// the partition's state.
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	st := PartitionSnapshot{Nodes: copyNodes(p.Nodes), Points: p.points}
+	st := PartitionSnapshot{Arena: p.Clone(), Points: p.points}
 	refs := slices.SortedFunc(maps.Keys(p.remoteBoxes), func(a, b kdtree.Ref) int {
 		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(a.Node, b.Node))
 	})
@@ -193,12 +163,14 @@ func (p *partition) handleSnapshot() (any, error) {
 }
 
 // handleRestore replaces the partition's state wholesale under the
-// write lock. Slices are copied: on an in-process fabric the request
-// aliases client memory.
+// write lock. The arena is copied (kdtree.Arena.Restore): on an
+// in-process fabric the request aliases client memory.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.Nodes = copyNodes(r.State.Nodes)
+	if err := p.Restore(&r.State.Arena); err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
+	}
 	p.points = r.State.Points
 	p.remoteBoxes = nil
 	for _, e := range r.State.Remote {
@@ -232,6 +204,9 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 			return nil, err
 		}
 		ps := resp.(snapshotResp).State
+		if err := ps.Fit(t.cfg.Dim); err != nil { // a TCP fabric's copy of an empty arena has no dimension
+			return nil, err
+		}
 		if err := ps.mapRefs(toOrdinal); err != nil {
 			return nil, err
 		}
@@ -268,9 +243,9 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 	toID := func(ordinal int32) (int32, error) { return int32(ids[ordinal]), nil } // in range: validated
 	for i, ps := range snap.Parts {
 		// The snapshot stays the caller's: translate a copy of the node
-		// and cache tables (buckets and boxes are shared; the partition
-		// copies them on the way in).
-		ps.Nodes = append([]kdtree.Node(nil), ps.Nodes...)
+		// and cache tables (the blocks are shared; the partition copies
+		// them on the way in).
+		ps.Nodes = slices.Clone(ps.Nodes)
 		ps.Remote = append([]RemoteBox(nil), ps.Remote...)
 		_ = ps.mapRefs(toID)
 		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: ps}); err != nil {
@@ -325,18 +300,23 @@ const (
 //     followed by, for a tombstone, Fwd; for a leaf, its bucket length;
 //     for a routing node, SplitDim, SplitVal (raw) and both children.
 //     Counts and refs are uvarints (int32 fields as their uint32 bits).
-//   - IDs: every bucket point's ID, leaves in node order.
-//   - coordinates: the same points' coordinates as one raw block.
+//   - IDs: the arena's ID column — every bucket point's ID, leaves in
+//     node order.
+//   - coordinates: the arena's coordinate block, raw, in one write.
 //   - remote: the refs of the remote-box cache.
 //
 // No box is written: each is a function of the points below it, and
-// ReadSnapshot rebuilds them all.
+// ReadSnapshot rebuilds them all. A partition whose arena is not in the
+// snapshot layout (see PartitionSnapshot) is an error.
 func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 	w.Varint(s.Size)
 	w.Uvarint(uint64(len(s.Parts)))
 	w.End()
 	for pi := range s.Parts {
 		ps := &s.Parts[pi]
+		if err := ps.layout(s.Dim); err != nil {
+			return fmt.Errorf("core: snapshot partition %d: %v", pi, err)
+		}
 		w.Uvarint(uint64(ps.Points))
 		w.Uvarint(uint64(len(ps.Nodes)))
 		for i := range ps.Nodes {
@@ -353,7 +333,7 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 			case n.Moved:
 				writeRef(w, n.Fwd)
 			case n.Leaf:
-				w.Uvarint(uint64(len(n.Bucket)))
+				w.Uvarint(uint64(len(n.Slots)))
 			default:
 				w.Uvarint(uint64(uint32(n.SplitDim)))
 				w.Float(n.SplitVal)
@@ -362,35 +342,44 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 			}
 		}
 		w.End()
-		buckets := func(fn func(kdtree.Point)) {
-			for i := range ps.Nodes {
-				if n := &ps.Nodes[i]; n.Leaf && !n.Moved {
-					for _, pt := range n.Bucket {
-						fn(pt)
-					}
-				}
-			}
+		for _, id := range ps.IDs {
+			w.Uvarint(id)
 		}
-		buckets(func(pt kdtree.Point) { w.Uvarint(pt.ID) })
 		w.End()
-		var bad error
-		buckets(func(pt kdtree.Point) {
-			if len(pt.Coords) != s.Dim && bad == nil {
-				bad = fmt.Errorf("core: snapshot point %d has %d coords, dimension is %d", pt.ID, len(pt.Coords), s.Dim)
-			}
-			for _, c := range pt.Coords {
-				w.Float(c)
-			}
-		})
-		if bad != nil {
-			return bad
-		}
+		w.Floats(ps.Coords)
 		w.End()
 		w.Uvarint(uint64(len(ps.Remote)))
 		for _, e := range ps.Remote {
 			writeRef(w, e.Ref)
 		}
 		w.End()
+	}
+	return nil
+}
+
+// layout checks that the partition's arena has the shape of its
+// columns: blocks of dimension dim, and the slots of its leaves running
+// through them in node order, covering them; no other node holds any.
+func (ps *PartitionSnapshot) layout(dim int) error {
+	if ps.Dim != dim || len(ps.Coords) != dim*len(ps.IDs) || len(ps.Boxes) != 2*dim*len(ps.Nodes) {
+		return fmt.Errorf("blocks of %d coordinate and %d box floats for %d points and %d nodes of dimension %d, want %d",
+			len(ps.Coords), len(ps.Boxes), len(ps.IDs), len(ps.Nodes), ps.Dim, dim)
+	}
+	next := 0
+	for i := range ps.Nodes {
+		n := &ps.Nodes[i]
+		if len(n.Slots) > 0 && (!n.Leaf || n.Moved) {
+			return fmt.Errorf("node %d: a bucket outside a leaf", i)
+		}
+		for _, s := range n.Slots {
+			if int(s) != next {
+				return fmt.Errorf("node %d: bucket point %d in slot %d", i, next, s)
+			}
+			next++
+		}
+	}
+	if next != len(ps.IDs) {
+		return fmt.Errorf("%d points in the blocks, %d in buckets", len(ps.IDs), next)
 	}
 	return nil
 }
@@ -443,20 +432,21 @@ func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	for pi := range s.Parts {
 		for i := range s.Parts[pi].Remote {
 			e := &s.Parts[pi].Remote[i]
-			if tn := s.node(e.Ref); tn != nil {
-				e.Lo, e.Hi = slices.Clone(tn.Lo), slices.Clone(tn.Hi)
+			if s.node(e.Ref) != nil {
+				lo, hi := s.Parts[e.Ref.Part].Box(e.Ref.Node)
+				e.Lo, e.Hi = slices.Clone(lo), slices.Clone(hi)
 			}
 		}
 	}
 	return s, nil
 }
 
-// readPartition reads one partition's four columns and rebuilds its
-// leaf boxes. Bucket points and coordinates are carved from one block
-// each; every sub-slice is capped, so nothing appended to one ever
-// reaches the next.
+// readPartition reads one partition's four columns into an arena in
+// the snapshot layout — the ID column and the coordinate block read in
+// place, every leaf's slots carved from one array — and rebuilds its
+// leaf boxes.
 func readPartition(r *column.Reader, dim int) (PartitionSnapshot, error) {
-	var ps PartitionSnapshot
+	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim}}
 	if err := r.Next(); err != nil {
 		return ps, err
 	}
@@ -498,9 +488,9 @@ func readPartition(r *column.Reader, dim int) (PartitionSnapshot, error) {
 	if total > r.Len() { // every ID takes a byte at least
 		return ps, fmt.Errorf("%d bucket points, %d ID bytes", total, r.Len())
 	}
-	pts := make([]kdtree.Point, total)
-	for i := range pts {
-		pts[i].ID = r.Uvarint()
+	ps.IDs = make([]uint64, total)
+	for i := range ps.IDs {
+		ps.IDs[i] = r.Uvarint()
 	}
 	if err := r.End(); err != nil {
 		return ps, err
@@ -512,19 +502,20 @@ func readPartition(r *column.Reader, dim int) (PartitionSnapshot, error) {
 	if r.Len() != 8*dim*total {
 		return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", r.Len(), total, dim)
 	}
-	coords := make([]float64, dim*total)
-	r.Floats(coords)
+	ps.Coords = make([]float64, dim*total)
+	r.Floats(ps.Coords)
 	if err := r.End(); err != nil {
 		return ps, err
 	}
-	for i := range pts {
-		pts[i].Coords = coords[i*dim : (i+1)*dim : (i+1)*dim]
+	slots := make([]int32, total)
+	for i := range slots {
+		slots[i] = int32(i)
 	}
+	ps.EmptyBoxes()
 	for i, k := range sizes {
 		if k > 0 {
-			n := &ps.Nodes[i]
-			n.Bucket, pts = pts[:k:k], pts[k:]
-			n.Lo, n.Hi = kdtree.BoxOf(n.Bucket)
+			ps.Nodes[i].Slots, slots = slots[:k:k], slots[k:]
+			ps.FitBox(int32(i))
 		}
 	}
 
@@ -546,6 +537,11 @@ func (s *TreeSnapshot) node(ref kdtree.Ref) *kdtree.Node {
 		return nil
 	}
 	return &s.Parts[ref.Part].Nodes[ref.Node]
+}
+
+// box returns the box of the node ref names (nil for an empty subtree).
+func (s *TreeSnapshot) box(ref kdtree.Ref) (lo, hi []float64) {
+	return s.Parts[ref.Part].Box(ref.Node)
 }
 
 // routingBoxes sets every routing node's box to the union of its
@@ -575,8 +571,9 @@ func (s *TreeSnapshot) routingBoxes() {
 		}
 		if f.exit {
 			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-				if cn := s.node(c); cn != nil {
-					n.Lo, n.Hi = kdtree.UnionBox(n.Lo, n.Hi, cn.Lo, cn.Hi)
+				if s.node(c) != nil {
+					lo, hi := s.box(c)
+					s.Parts[f.ref.Part].CoverBox(f.ref.Node, lo, hi)
 				}
 			}
 			continue
@@ -598,11 +595,11 @@ func corrupt(format string, args ...any) error {
 
 // Validate checks the snapshot's structural invariants — the same ones
 // a live tree maintains — and returns ErrSnapshotCorrupt on any
-// violation: unknown format, out-of-range references, nodes in an
-// impossible state, a reachable graph that is not a strict tree,
-// point-count mismatches, or boxes that are not exactly the box of the
-// points below them. The walk is iterative: adversarial input cannot
-// overflow the stack.
+// violation: unknown format, arenas not in the snapshot layout,
+// out-of-range references, nodes in an impossible state, a reachable
+// graph that is not a strict tree, point-count mismatches, or boxes
+// that are not exactly the box of the points below them. The walk is
+// iterative: adversarial input cannot overflow the stack.
 func (s *TreeSnapshot) Validate() error {
 	if s.Format != SnapshotFormat {
 		return corrupt("format %d, want %d", s.Format, SnapshotFormat)
@@ -617,20 +614,17 @@ func (s *TreeSnapshot) Validate() error {
 		return corrupt("root partition has no nodes")
 	}
 	refOK := func(r kdtree.Ref) bool {
-		return r.Part >= 0 && int(r.Part) < len(s.Parts) &&
-			r.Node >= 0 && int(r.Node) < len(s.Parts[r.Part].Nodes)
+		return s.node(r) != nil
 	}
-	boxOK := func(lo, hi []float64) bool {
-		if (lo == nil) != (hi == nil) {
-			return false
-		}
-		return lo == nil || (len(lo) == s.Dim && len(hi) == s.Dim)
-	}
+	lo, hi := make([]float64, s.Dim), make([]float64, s.Dim) // a leaf's box, recomputed
 	total := int64(0)
 	for pi := range s.Parts {
 		ps := &s.Parts[pi]
 		if ps.Points < 0 {
 			return corrupt("partition %d: negative point count", pi)
+		}
+		if err := ps.layout(s.Dim); err != nil {
+			return corrupt("partition %d: %v", pi, err)
 		}
 		local := 0
 		for ni := range ps.Nodes {
@@ -638,32 +632,25 @@ func (s *TreeSnapshot) Validate() error {
 			if n.Leaf && n.Moved {
 				return corrupt("partition %d node %d: leaf and tombstone at once", pi, ni)
 			}
-			if !boxOK(n.Lo, n.Hi) {
-				return corrupt("partition %d node %d: malformed box", pi, ni)
-			}
+			blo, bhi := ps.Box(int32(ni))
 			switch {
 			case n.Moved:
-				if len(n.Bucket) != 0 || n.Lo != nil {
+				if blo != nil {
 					return corrupt("partition %d node %d: tombstone carries data", pi, ni)
 				}
 				if !refOK(n.Fwd) {
 					return corrupt("partition %d node %d: dangling forward", pi, ni)
 				}
 			case n.Leaf:
-				for bi, pt := range n.Bucket {
-					if len(pt.Coords) != s.Dim {
-						return corrupt("partition %d node %d: point %d has %d coords, want %d", pi, ni, bi, len(pt.Coords), s.Dim)
-					}
+				clearBox(lo, hi)
+				for _, sl := range n.Slots {
+					kdtree.ExpandBox(lo, hi, ps.Point(sl).Coords)
 				}
-				lo, hi := kdtree.BoxOf(n.Bucket)
-				if !boxEqual(lo, hi, n.Lo, n.Hi) {
+				if !boxEqual(lo, hi, blo, bhi) {
 					return corrupt("partition %d node %d: leaf box not exact", pi, ni)
 				}
-				local += len(n.Bucket)
+				local += len(n.Slots)
 			default:
-				if len(n.Bucket) != 0 {
-					return corrupt("partition %d node %d: routing node carries a bucket", pi, ni)
-				}
 				if int(n.SplitDim) < 0 || int(n.SplitDim) >= s.Dim {
 					return corrupt("partition %d node %d: split dimension %d out of range", pi, ni, n.SplitDim)
 				}
@@ -680,11 +667,10 @@ func (s *TreeSnapshot) Validate() error {
 			if !refOK(e.Ref) {
 				return corrupt("partition %d remote entry %d: dangling reference", pi, ei)
 			}
-			if e.Lo == nil || !boxOK(e.Lo, e.Hi) {
+			if len(e.Lo) != s.Dim || len(e.Hi) != s.Dim {
 				return corrupt("partition %d remote entry %d: malformed box", pi, ei)
 			}
-			tn := &s.Parts[e.Ref.Part].Nodes[e.Ref.Node]
-			if !boxEqual(e.Lo, e.Hi, tn.Lo, tn.Hi) {
+			if tlo, thi := s.box(e.Ref); !boxEqual(e.Lo, e.Hi, tlo, thi) {
 				return corrupt("partition %d remote entry %d: cached box not exact", pi, ei)
 			}
 		}
@@ -702,6 +688,7 @@ func (s *TreeSnapshot) Validate() error {
 func (s *TreeSnapshot) validateReachable() error {
 	node := func(r kdtree.Ref) *kdtree.Node { return &s.Parts[r.Part].Nodes[r.Node] }
 	seen := make(map[kdtree.Ref]bool)
+	lo, hi := make([]float64, s.Dim), make([]float64, s.Dim) // a routing node's box, recomputed
 	// Two-phase iterative DFS: push(enter ref) visits, push(exit ref)
 	// re-checks the box once both children were visited.
 	type frame struct {
@@ -715,10 +702,12 @@ func (s *TreeSnapshot) validateReachable() error {
 		stack = stack[:len(stack)-1]
 		n := node(f.ref)
 		if f.exit {
-			l, r := node(n.Left), node(n.Right)
-			lo, hi := kdtree.UnionBox(nil, nil, l.Lo, l.Hi)
-			lo, hi = kdtree.UnionBox(lo, hi, r.Lo, r.Hi)
-			if !boxEqual(lo, hi, n.Lo, n.Hi) {
+			clearBox(lo, hi)
+			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+				clo, chi := s.box(c)
+				kdtree.UnionBox(lo, hi, clo, chi)
+			}
+			if nlo, nhi := s.box(f.ref); !boxEqual(lo, hi, nlo, nhi) {
 				return corrupt("partition %d node %d: routing box not the union of its children", f.ref.Part, f.ref.Node)
 			}
 			continue
@@ -748,9 +737,21 @@ func (s *TreeSnapshot) validateReachable() error {
 	return nil
 }
 
-// boxEqual reports exact equality of two boxes (nil equals nil).
+// clearBox makes the scratch box [lo, hi] empty, ready to grow.
+func clearBox(lo, hi []float64) {
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	}
+}
+
+// boxEqual reports exact equality of two boxes; an empty box (nil, or
+// a scratch box grown by nothing) equals only another.
 func boxEqual(alo, ahi, blo, bhi []float64) bool {
-	if (alo == nil) != (blo == nil) || len(alo) != len(blo) {
+	aEmpty, bEmpty := len(alo) == 0 || alo[0] > ahi[0], len(blo) == 0 || blo[0] > bhi[0]
+	if aEmpty || bEmpty {
+		return aEmpty == bEmpty
+	}
+	if len(alo) != len(blo) || len(ahi) != len(alo) || len(bhi) != len(blo) {
 		return false
 	}
 	for d := range alo {

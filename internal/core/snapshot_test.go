@@ -214,34 +214,41 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		}},
 		{"routing-with-bucket", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
-			s.Parts[pi].Nodes[ni].Bucket = []kdtree.Point{{Coords: []float64{1, 2, 3}}}
+			s.Parts[pi].Nodes[ni].Slots = []int32{0}
 		}},
 		{"split-dim-out-of-range", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].SplitDim = 7
 		}},
 		{"inexact-leaf-box", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Bucket) > 0 })
-			s.Parts[pi].Nodes[ni].Lo[0] -= 1
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 0 })
+			lo, _ := s.Parts[pi].Box(int32(ni))
+			lo[0] -= 1
 		}},
 		{"inexact-routing-box", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved && n.Lo != nil })
-			s.Parts[pi].Nodes[ni].Hi[0] += 1
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
+			_, hi := s.Parts[pi].Box(int32(ni))
+			hi[0] += 1
 		}},
 		{"wrong-point-dims", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Bucket) > 0 })
-			s.Parts[pi].Nodes[ni].Bucket[0] = kdtree.Point{Coords: []float64{1}}
+			pi, _ := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 0 })
+			s.Parts[pi].Coords = s.Parts[pi].Coords[:len(s.Parts[pi].Coords)-1]
+		}},
+		{"bucket-out-of-column-order", func(t *testing.T, s *TreeSnapshot) {
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 1 })
+			b := s.Parts[pi].Nodes[ni].Slots
+			b[0], b[1] = b[1], b[0]
 		}},
 		{"orphan-node", func(t *testing.T, s *TreeSnapshot) {
 			// A reachable-looking leaf nobody points at: the bucket is
 			// counted so Points/Size stay consistent, making
 			// reachability the only detector.
-			s.Parts[0].Nodes = append(s.Parts[0].Nodes, kdtree.Node{
-				Leaf:   true,
-				Bucket: []kdtree.Point{{Coords: []float64{5, 5, 5}, ID: 999999}},
-				Lo:     []float64{5, 5, 5}, Hi: []float64{5, 5, 5},
-			})
-			s.Parts[0].Points++
+			ps := &s.Parts[0]
+			ps.Nodes = append(ps.Nodes, kdtree.Node{Leaf: true, Slots: []int32{int32(len(ps.IDs))}})
+			ps.IDs = append(ps.IDs, 999999)
+			ps.Coords = append(ps.Coords, 5, 5, 5)
+			ps.Boxes = append(ps.Boxes, 5, 5, 5, 5, 5, 5)
+			ps.Points++
 			s.Size++
 		}},
 		{"cycle", func(t *testing.T, s *TreeSnapshot) {
@@ -285,39 +292,27 @@ func TestSnapshotValidateRejects(t *testing.T) {
 // overflow the stack long before 200k levels.
 func TestSnapshotValidateDeepChain(t *testing.T) {
 	const depth = 200_000
-	nodes := make([]kdtree.Node, 0, 2*depth+1)
+	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: 1}, Points: depth + 1}
 	// Node 2i is the routing spine; 2i+1 the left leaf; the last spine
 	// slot is a leaf. Every leaf holds one point at x = its level, so
 	// all boxes are computable in one pass from the bottom up.
-	pt := func(v float64, id uint64) kdtree.Point {
-		return kdtree.Point{Coords: []float64{v}, ID: id}
+	leaf := func(v float64) {
+		ps.Nodes = append(ps.Nodes, kdtree.Node{Leaf: true, Slots: []int32{int32(len(ps.IDs))}})
+		ps.IDs = append(ps.IDs, uint64(v))
+		ps.Coords = append(ps.Coords, v)
+		ps.Boxes = append(ps.Boxes, v, v)
 	}
 	for i := 0; i < depth; i++ {
-		nodes = append(nodes,
-			kdtree.Node{ // spine routing node; box filled below
-				SplitDim: 0, SplitVal: float64(i),
-				Left:  kdtree.Ref{Node: int32(2*i + 1)},
-				Right: kdtree.Ref{Node: int32(2*i + 2)},
-			},
-			kdtree.Node{ // left leaf
-				Leaf:   true,
-				Bucket: []kdtree.Point{pt(float64(i), uint64(i))},
-				Lo:     []float64{float64(i)}, Hi: []float64{float64(i)},
-			})
+		ps.Nodes = append(ps.Nodes, kdtree.Node{ // spine routing node
+			SplitDim: 0, SplitVal: float64(i),
+			Left:  kdtree.Ref{Node: int32(2*i + 1)},
+			Right: kdtree.Ref{Node: int32(2*i + 2)},
+		})
+		ps.Boxes = append(ps.Boxes, float64(i), depth)
+		leaf(float64(i))
 	}
-	nodes = append(nodes, kdtree.Node{ // chain terminator
-		Leaf:   true,
-		Bucket: []kdtree.Point{pt(depth, depth)},
-		Lo:     []float64{depth}, Hi: []float64{depth},
-	})
-	for i := 0; i < depth; i++ {
-		nodes[2*i].Lo = []float64{float64(i)}
-		nodes[2*i].Hi = []float64{depth}
-	}
-	snap := &TreeSnapshot{
-		Format: SnapshotFormat, Dim: 1, Size: depth + 1,
-		Parts: []PartitionSnapshot{{Nodes: nodes, Points: depth + 1}},
-	}
+	leaf(depth) // chain terminator
+	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: 1, Size: depth + 1, Parts: []PartitionSnapshot{ps}}
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("deep chain rejected: %v", err)
 	}
@@ -461,14 +456,17 @@ func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
 		}
 		for ni := range w.Nodes {
 			a, b := g.Nodes[ni], w.Nodes[ni]
-			if !boxEqual(a.Lo, a.Hi, b.Lo, b.Hi) {
-				t.Fatalf("partition %d node %d: box [%v, %v], want [%v, %v]", pi, ni, a.Lo, a.Hi, b.Lo, b.Hi)
+			alo, ahi := g.Box(int32(ni))
+			blo, bhi := w.Box(int32(ni))
+			if !boxEqual(alo, ahi, blo, bhi) {
+				t.Fatalf("partition %d node %d: box [%v, %v], want [%v, %v]", pi, ni, alo, ahi, blo, bhi)
 			}
-			if len(a.Bucket) != len(b.Bucket) {
-				t.Fatalf("partition %d node %d: bucket of %d, want %d", pi, ni, len(a.Bucket), len(b.Bucket))
+			ab, bb := g.AppendBucket(nil, int32(ni)), w.AppendBucket(nil, int32(ni))
+			if len(ab) != len(bb) {
+				t.Fatalf("partition %d node %d: bucket of %d, want %d", pi, ni, len(ab), len(bb))
 			}
-			for i := range b.Bucket {
-				if a.Bucket[i].ID != b.Bucket[i].ID || !slices.Equal(a.Bucket[i].Coords, b.Bucket[i].Coords) {
+			for i := range bb {
+				if ab[i].ID != bb[i].ID || !slices.Equal(ab[i].Coords, bb[i].Coords) {
 					t.Fatalf("partition %d node %d: point %d differs", pi, ni, i)
 				}
 			}

@@ -157,7 +157,7 @@ func (t *Tree) addPartition() (*partition, error) {
 	if len(t.parts) == 0 {
 		// The root partition starts with the tree root: one empty
 		// leaf at node index 0, where Insert and the searches enter.
-		p.Nodes = []kdtree.Node{{Leaf: true}}
+		p.AddLeaf()
 	}
 	t.parts = append(t.parts, p)
 	t.mu.Unlock()

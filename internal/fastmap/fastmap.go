@@ -103,15 +103,18 @@ func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]flo
 // dist is the pairwise distance the returned mapper embeds
 // out-of-sample objects with. row(from, dst)[i] and
 // dist(object(from), object(i)) must agree bit for bit, or Map will not
-// reproduce the build's coordinates.
+// reproduce the build's coordinates. The coordinates are written into
+// one n×Dims block; the returned rows are views of it, each capped.
 func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
 	if row == nil || object == nil || dist == nil {
 		return nil, nil, errors.New("fastmap: nil row, object or distance function")
 	}
 	opts = opts.withDefaults()
+	dims := opts.Dims
+	block := make([]float64, n*dims)
 	coords := make([][]float64, n)
 	for i := range coords {
-		coords[i] = make([]float64, opts.Dims)
+		coords[i] = block[i*dims : (i+1)*dims : (i+1)*dims]
 	}
 	m := &Mapper[T]{
 		dims:    opts.Dims,
@@ -139,11 +142,12 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 	// distance need not be Euclidean).
 	resid2 := func(ax, from int, dst []float64) {
 		row(from, dst)
-		fc := coords[from]
+		fc := block[from*dims : from*dims+ax]
 		for i, d := range dst {
 			r := d * d
-			for h := 0; h < ax; h++ {
-				diff := fc[h] - coords[i][h]
+			ci := block[i*dims : i*dims+ax]
+			for h, f := range fc {
+				diff := f - ci[h]
 				r -= diff * diff
 			}
 			if r < 0 {
@@ -175,8 +179,8 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 		m.pivotA[ax], m.pivotB[ax] = object(a), object(b)
 		m.dAB[ax] = math.Sqrt(dab2)
 		if dab2 != 0 { // otherwise every residual distance is zero and the axis stays 0
-			for i := range coords {
-				coords[i][ax] = (fromA[i] + dab2 - fromB[i]) / (2 * m.dAB[ax])
+			for i := range n {
+				block[i*dims+ax] = (fromA[i] + dab2 - fromB[i]) / (2 * m.dAB[ax])
 			}
 		}
 		m.coordsA[ax] = append([]float64(nil), coords[a]...)

@@ -19,7 +19,7 @@ func TestArenaLayout(t *testing.T) {
 	for i, n := range tr.Nodes {
 		if n.Leaf {
 			leaves++
-			points += len(n.Bucket)
+			points += len(n.Slots)
 			continue
 		}
 		for _, c := range []Ref{n.Left, n.Right} {
@@ -55,21 +55,21 @@ func TestExtractInstall(t *testing.T) {
 		root.Left.Node:  {Part: 7, Node: 0},
 		root.Right.Node: {Part: 7, Node: 1},
 	})
-	if len(trunk) != 1 || trunk[0].Left != (Ref{Part: 7, Node: 0}) || trunk[0].Right != (Ref{Part: 7, Node: 1}) {
+	if len(trunk.Nodes) != 1 || trunk.Nodes[0].Left != (Ref{Part: 7, Node: 0}) || trunk.Nodes[0].Right != (Ref{Part: 7, Node: 1}) {
 		t.Fatalf("trunk = %+v", trunk)
 	}
 
 	dst, _ := New(2, 4)
 	dst.Self = 7
-	li, err := dst.Install(0, left)
+	li, err := dst.Install(0, &left)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := dst.Install(-1, right)
+	ri, err := dst.Install(-1, &right)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if li != 0 || int(ri) != len(left) {
+	if li != 0 || int(ri) != len(left.Nodes) {
 		t.Fatalf("roots landed on %d and %d", li, ri)
 	}
 	total := 0
@@ -86,7 +86,7 @@ func TestExtractInstall(t *testing.T) {
 
 	// The trunk alone is open: its region extends outside the arena.
 	open, _ := New(2, 4)
-	if _, err := open.Install(0, trunk); err != nil {
+	if _, err := open.Install(0, &trunk); err != nil {
 		t.Fatal(err)
 	}
 	if n, closed, err := open.CheckSubtree(0); err != nil || closed || n != 0 {
@@ -123,16 +123,16 @@ func TestCheckRejectsBrokenStructure(t *testing.T) {
 		}
 	}
 	for name, child := range map[string]int32{"past-end": 3, "own-root": 0, "negative": -2} {
-		frag := []Node{{Left: Ref{Part: Local, Node: 1}, Right: Ref{Part: Local, Node: child}}, {Leaf: true}, {Leaf: true}}
+		frag := Arena{Nodes: []Node{{Left: Ref{Part: Local, Node: 1}, Right: Ref{Part: Local, Node: child}}, {Leaf: true}, {Leaf: true}}}
 		dst, _ := New(2, 4)
-		if _, err := dst.Install(0, frag); err == nil {
+		if _, err := dst.Install(0, &frag); err == nil {
 			t.Errorf("%s: fragment child %d accepted", name, child)
 		}
 		if len(dst.Nodes) != 1 || !dst.Nodes[0].Leaf {
 			t.Errorf("%s: rejected fragment mutated the arena", name)
 		}
 	}
-	if _, err := (&Arena{}).Install(-1, nil); err == nil {
+	if _, err := (&Arena{}).Install(-1, &Arena{}); err == nil {
 		t.Error("empty fragment accepted")
 	}
 }

@@ -10,11 +10,17 @@ import "math"
 // along one dimension only, while BoxMinSq accumulates it over every
 // dimension the query falls outside of, so the guard tightens with
 // dimensionality exactly where the plane guard degrades.
+//
+// An arena keeps its boxes in one block, an empty subtree's as
+// [+Inf, −Inf]: every kernel below then needs no case for it — growing
+// one by a point makes it that point's box, covering with one changes
+// nothing, and its min-distance is +Inf. Outside the block (Arena.Box,
+// a remote-box cache, a placement target) an empty box is nil.
 
 // BoxMinSq returns the exact squared Euclidean distance from q to the
-// axis-aligned box [lo, hi] — zero when q lies inside. It is the
-// single min-distance kernel of the index, like EuclideanSq for the
-// point metric.
+// axis-aligned box [lo, hi] — zero when q lies inside, +Inf when the
+// box is empty. It is the single min-distance kernel of the index, like
+// EuclideanSq for the point metric.
 func BoxMinSq(q, lo, hi []float64) float64 {
 	s := 0.0
 	for i, v := range q {
@@ -32,19 +38,8 @@ func BoxMinSq(q, lo, hi []float64) float64 {
 // BoxOf returns the tight bounding box of pts (nil, nil when pts is
 // empty). The returned slices are freshly allocated.
 func BoxOf(pts []Point) (lo, hi []float64) {
-	if len(pts) == 0 {
-		return nil, nil
-	}
-	lo, hi = ExpandBox(nil, nil, pts[0].Coords)
-	for _, p := range pts[1:] {
-		for d, v := range p.Coords {
-			if v < lo[d] {
-				lo[d] = v
-			}
-			if v > hi[d] {
-				hi[d] = v
-			}
-		}
+	for _, p := range pts {
+		lo, hi = ExpandBox(lo, hi, p.Coords)
 	}
 	return lo, hi
 }
@@ -69,33 +64,92 @@ func ExpandBox(lo, hi, c []float64) ([]float64, []float64) {
 	return lo, hi
 }
 
-// ExpandPath grows the box of every node on an insert descent path to
-// include c (the first point materializes a box) and returns the
-// number of boxes written. Expansion is idempotent, so a path that
-// revisits a node is harmless. Tombstones are skipped: a path leaf can
-// be relocated between the descent and the insert, and a tombstone's
-// box must stay cleared.
-func (a *Arena) ExpandPath(path []int32, c []float64) int {
-	grown := 0
-	for _, idx := range path {
-		if n := &a.Nodes[idx]; !n.Moved {
-			n.Lo, n.Hi = ExpandBox(n.Lo, n.Hi, c)
-			grown++
-		}
-	}
-	return grown
-}
-
 // UnionBox grows the union box [lo, hi] to cover the box [alo, ahi],
 // materializing an owned copy on first use: covering a box is covering
-// its two extreme corners. A nil addend (empty subtree) leaves the
-// union unchanged.
+// its two extreme corners. An empty addend (nil, or [+Inf, −Inf])
+// leaves the union unchanged.
 func UnionBox(lo, hi, alo, ahi []float64) ([]float64, []float64) {
-	if alo == nil {
+	if isEmpty(alo, ahi) {
 		return lo, hi
 	}
 	lo, hi = ExpandBox(lo, hi, alo)
 	return ExpandBox(lo, hi, ahi)
+}
+
+// isEmpty reports whether [lo, hi] holds no point.
+func isEmpty(lo, hi []float64) bool { return len(lo) == 0 || lo[0] > hi[0] }
+
+// emptyBox makes [lo, hi] the empty box.
+func emptyBox(lo, hi []float64) {
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	}
+}
+
+// EmptyBoxes gives every node an empty box, in a block sized for Dim.
+func (a *Arena) EmptyBoxes() {
+	a.Boxes = make([]float64, 2*a.Dim*len(a.Nodes))
+	for i := range a.Nodes {
+		emptyBox(a.box(int32(i)))
+	}
+}
+
+// box returns the box of node idx as writable views of the block.
+func (a *Arena) box(idx int32) (lo, hi []float64) {
+	i := 2 * int(idx) * a.Dim
+	return a.Boxes[i : i+a.Dim : i+a.Dim], a.Boxes[i+a.Dim : i+2*a.Dim : i+2*a.Dim]
+}
+
+// Box returns the box of node idx as views of the block, which a caller
+// may read (and a test may corrupt) — nil, nil for an empty subtree and
+// for a tombstone.
+func (a *Arena) Box(idx int32) (lo, hi []float64) {
+	if lo, hi = a.box(idx); isEmpty(lo, hi) {
+		return nil, nil
+	}
+	return lo, hi
+}
+
+// fitBox sets the box of node idx to the exact box of the points in
+// slots.
+func (a *Arena) fitBox(idx int32, slots []int32) {
+	lo, hi := a.box(idx)
+	emptyBox(lo, hi)
+	for _, s := range slots {
+		ExpandBox(lo, hi, a.coords(s))
+	}
+}
+
+// FitBox sets the box of the leaf at idx to the exact box of its
+// bucket: how a decoded snapshot gets the leaf boxes it does not store.
+func (a *Arena) FitBox(idx int32) { a.fitBox(idx, a.Nodes[idx].Slots) }
+
+// CoverBox grows the box of node idx to cover [lo, hi] (UnionBox in
+// the block): how a decoded snapshot rebuilds a routing box from its
+// children's, wherever they live.
+func (a *Arena) CoverBox(idx int32, lo, hi []float64) {
+	if !isEmpty(lo, hi) {
+		nlo, nhi := a.box(idx)
+		ExpandBox(nlo, nhi, lo)
+		ExpandBox(nlo, nhi, hi)
+	}
+}
+
+// ExpandPath grows the box of every node on an insert descent path to
+// include c and returns the number of boxes written. Expansion is
+// idempotent, so a path that revisits a node is harmless. Tombstones
+// are skipped: a path leaf can be relocated between the descent and the
+// insert, and a tombstone's box must stay empty.
+func (a *Arena) ExpandPath(path []int32, c []float64) int {
+	grown := 0
+	for _, idx := range path {
+		if !a.Nodes[idx].Moved {
+			lo, hi := a.box(idx)
+			ExpandBox(lo, hi, c)
+			grown++
+		}
+	}
+	return grown
 }
 
 // childBoxMinSq returns the exact squared min distance from q to the
@@ -108,10 +162,8 @@ func (a *Arena) childBoxMinSq(ref Ref, q []float64, out Outside) (float64, bool)
 	if a.IsLocal(ref) {
 		n := &a.Nodes[ref.Node]
 		if !n.Moved {
-			if n.Lo == nil {
-				return math.Inf(1), true
-			}
-			return BoxMinSq(q, n.Lo, n.Hi), true
+			lo, hi := a.box(ref.Node)
+			return BoxMinSq(q, lo, hi), true
 		}
 		ref = n.Fwd
 	}

@@ -81,7 +81,8 @@ func TestBoxesStayExact(t *testing.T) {
 		// Guard safety on the root box: min-distance lower-bounds the
 		// true distance to every indexed point.
 		q := mkPts(1, dim)[0].Coords
-		minSq := BoxMinSq(q, ins.Nodes[0].Lo, ins.Nodes[0].Hi)
+		lo, hi := ins.Box(0)
+		minSq := BoxMinSq(q, lo, hi)
 		for _, p := range ins.Points() {
 			if d := EuclideanSq(q, p.Coords); d < minSq {
 				t.Fatalf("dim %d: point %d at %g inside the box bound %g", dim, p.ID, d, minSq)
@@ -105,16 +106,17 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	if err := tr.Check(); err != nil {
 		t.Fatalf("fresh tree: %v", err)
 	}
-	saved := tr.Nodes[0].Hi[0]
-	tr.Nodes[0].Hi[0] = saved + 1 // looser than the data
+	_, hi := tr.Box(0)
+	saved := hi[0]
+	hi[0] = saved + 1 // looser than the data
 	if err := tr.Check(); err == nil {
 		t.Fatal("loosened box passed Check")
 	}
-	tr.Nodes[0].Hi[0] = saved - 1 // tighter than the data: prunes live points
+	hi[0] = saved - 1 // tighter than the data: prunes live points
 	if err := tr.Check(); err == nil {
 		t.Fatal("tightened box passed Check")
 	}
-	tr.Nodes[0].Hi[0] = saved
+	hi[0] = saved
 	if err := tr.Check(); err != nil {
 		t.Fatalf("restored tree: %v", err)
 	}

@@ -10,25 +10,27 @@ import (
 
 // BulkLoad builds a balanced tree over pts by recursive median splits
 // ("Kd-trees are more efficient in bulk-loading situations (as required
-// by our approach)" — §III-B). The input slice is reordered in place.
+// by our approach)" — §III-B). The points are copied into the tree's
+// blocks; pts is not modified.
 func BulkLoad(pts []Point, dim, bucketSize int) (*Tree, error) {
-	return bulk(pts, dim, bucketSize, (*Arena).Build)
+	return bulk(pts, dim, bucketSize, func(a *Arena, slots []int32) { a.build(0, slots) })
 }
 
 // BuildChain builds the paper's "totally unbalanced (chain)" tree: the
 // points are sorted on the first coordinate and each routing node peels
 // one leaf bucket off the left side, so the tree height is ~N/Bs. It is
-// the worst-case structure of Figures 3, 4 and 6. The input slice is
-// reordered in place.
+// the worst-case structure of Figures 3, 4 and 6. pts is not modified.
 func BuildChain(pts []Point, dim, bucketSize int) (*Tree, error) {
-	return bulk(pts, dim, bucketSize, func(a *Arena, idx int32, pts []Point) {
+	return bulk(pts, dim, bucketSize, func(a *Arena, slots []int32) {
 		//semtree:allow boundaryonce: construction-time sort for the degenerate-chain builder; not on the query-result path
-		slices.SortFunc(pts, func(p, q Point) int { return cmp.Compare(p.Coords[0], q.Coords[0]) })
-		a.buildChain(idx, pts)
+		slices.SortFunc(slots, func(s, t int32) int { return cmp.Compare(a.coord(s, 0), a.coord(t, 0)) })
+		a.buildChain(0, slots)
 	})
 }
 
-func bulk(pts []Point, dim, bucketSize int, build func(a *Arena, idx int32, pts []Point)) (*Tree, error) {
+// bulk copies pts into a new tree's blocks, runs build over their
+// slots at the root, and lays the blocks out in leaf order.
+func bulk(pts []Point, dim, bucketSize int, build func(a *Arena, slots []int32)) (*Tree, error) {
 	t, err := New(dim, bucketSize)
 	if err != nil {
 		return nil, err
@@ -38,76 +40,125 @@ func bulk(pts []Point, dim, bucketSize int, build func(a *Arena, idx int32, pts 
 			return nil, fmt.Errorf("kdtree: point %d has %d coords, want %d", i, len(p.Coords), dim)
 		}
 	}
-	build(&t.Arena, 0, pts)
+	t.Coords = make([]float64, 0, len(pts)*dim)
+	t.IDs = make([]uint64, 0, len(pts))
+	slots := make([]int32, len(pts))
+	for i, p := range pts {
+		slots[i] = t.addPoint(p)
+	}
+	t.reserve(len(pts))
+	build(&t.Arena, slots)
+	t.permute(slots)
+	// Every block sized exactly: what an index holds is what it keeps.
+	t.Nodes, t.Boxes = slices.Clone(t.Nodes), slices.Clone(t.Boxes)
 	t.size = len(pts)
 	return t, nil
 }
 
-// bucketOrder is the stated order of a built leaf's bucket: ascending
-// point ID, coordinates lexicographic on equal IDs. A total order on
-// points, so a bucket is a function of the set it holds.
-func bucketOrder(p, q Point) int {
-	if c := cmp.Compare(p.ID, q.ID); c != 0 {
-		return c
-	}
-	return slices.Compare(p.Coords, q.Coords)
+// reserve grows the node list and box block for a balanced build over
+// n points, which makes at most about 4n/Bs nodes — leaves of more than
+// Bs/2 points each, unless ties cut some smaller — so the build appends
+// without growing them again.
+func (a *Arena) reserve(n int) {
+	nodes := 4*n/a.BucketSize + 1
+	a.Nodes = slices.Grow(a.Nodes, nodes)
+	a.Boxes = slices.Grow(a.Boxes, 2*a.Dim*nodes)
 }
 
-// setLeaf makes node idx a leaf owning a copy of pts in bucket order;
-// [lo, hi] is their exact box, which the leaf keeps.
-func (a *Arena) setLeaf(idx int32, pts []Point, lo, hi []float64) {
+// permute lays the blocks out in the order of slots — a permutation of
+// every slot the blocks hold — moving point slots[j] to slot j, and
+// leaves slots the identity, so a built arena's leaves index its blocks
+// in leaf order. It follows each cycle of the permutation with one
+// point held aside: in place, allocating one point's coordinates.
+func (a *Arena) permute(slots []int32) {
+	held := make([]float64, a.Dim)
+	for j := range slots {
+		if int(slots[j]) == j {
+			continue
+		}
+		copy(held, a.coords(int32(j)))
+		id := a.IDs[j]
+		for k := int32(j); ; {
+			from := slots[k]
+			slots[k] = k
+			if int(from) == j {
+				copy(a.coords(k), held)
+				a.IDs[k] = id
+				break
+			}
+			copy(a.coords(k), a.coords(from))
+			a.IDs[k] = a.IDs[from]
+			k = from
+		}
+	}
+}
+
+// slotOrder is the stated order of a built leaf's bucket: ascending
+// point ID, coordinates lexicographic on equal IDs. A total order on
+// points, so a bucket is a function of the set it holds.
+func (a *Arena) slotOrder(s, t int32) int {
+	if c := cmp.Compare(a.IDs[s], a.IDs[t]); c != 0 {
+		return c
+	}
+	return slices.Compare(a.coords(s), a.coords(t))
+}
+
+// setLeaf makes node idx a leaf over slots, which it sorts into bucket
+// order and keeps (capped, so an insert appending to the leaf moves it
+// out of the caller's array). The caller has fitted the box.
+func (a *Arena) setLeaf(idx int32, slots []int32) {
 	//semtree:allow boundaryonce: construction-time ordering of one leaf bucket by point ID, so the layout is a function of the point set; not on the query-result path
-	slices.SortFunc(pts, bucketOrder)
-	a.Nodes[idx] = Node{Leaf: true, Bucket: append([]Point(nil), pts...), Lo: lo, Hi: hi}
+	slices.SortFunc(slots, a.slotOrder)
+	a.Nodes[idx] = Node{Leaf: true, Slots: slots[:len(slots):len(slots)]}
 }
 
 // setRouting makes node idx a routing node over the two freshly built
 // local children, its box the union of theirs.
 func (a *Arena) setRouting(idx int32, dim int, splitVal float64, li, ri int32) {
-	l, r := &a.Nodes[li], &a.Nodes[ri]
-	n := &a.Nodes[idx]
-	*n = Node{SplitDim: int32(dim), SplitVal: splitVal, Left: a.Ref(li), Right: a.Ref(ri)}
-	n.Lo, n.Hi = UnionBox(nil, nil, l.Lo, l.Hi)
-	n.Lo, n.Hi = UnionBox(n.Lo, n.Hi, r.Lo, r.Hi)
+	a.Nodes[idx] = Node{SplitDim: int32(dim), SplitVal: splitVal, Left: a.Ref(li), Right: a.Ref(ri)}
+	emptyBox(a.box(idx))
+	for _, c := range [2]int32{li, ri} {
+		lo, hi := a.box(c)
+		a.CoverBox(idx, lo, hi)
+	}
 }
 
-// parallelBuild is the subtree size from which Build may give the
+// parallelBuild is the subtree size from which build may give the
 // right half to another goroutine: large enough that starting one and
-// moving its fragment in are noise beside the half's own build, and
-// above core's 2048-point bulk-merge chunks, so a graft under a
-// partition's write lock never starts one.
+// moving its nodes in are noise beside the half's own build, and above
+// core's 2048-point bulk-merge chunks, so a graft under a partition's
+// write lock never starts one.
 const parallelBuild = 1 << 13
 
-// Build overwrites node idx with a balanced subtree over pts, built by
-// recursive median splits straight into the arena: the subtree root
-// takes slot idx and its descendants append in preorder, every box
-// exact. Each level is one extent pass (the node's box, and from it
-// the widest dimension) and one selection of the median on that
-// dimension — O(n) per level, O(n log n) for the build, nothing
-// allocated but the nodes' buckets and boxes. Split planes, cut
-// positions and boxes depend only on the multiset of coordinates and
-// buckets are kept in bucketOrder, so the subtree is a function of the
-// point set: input order does not reach it, and neither does
-// GOMAXPROCS — from parallelBuild points up, while fewer than
-// GOMAXPROCS builders run, the right half is built on a goroutine of
-// its own, and it lands on the slots a sequential build gives it.
-// pts is reordered in place; leaf buckets are copies, so the caller
-// keeps its slice.
-func (a *Arena) Build(idx int32, pts []Point) {
-	var slots chan struct{} // one per builder beyond this goroutine
-	if len(pts) >= parallelBuild {
-		slots = make(chan struct{}, runtime.GOMAXPROCS(0)-1)
+// build overwrites node idx with a balanced subtree over the points in
+// slots, built by recursive median splits straight into the arena: the
+// subtree root takes slot idx and its descendants append in preorder,
+// every box exact. Each level is one extent pass (the node's box, and
+// from it the widest dimension) and one selection of the median on that
+// dimension over the slots — O(n) per level, O(n log n) for the build,
+// nothing allocated but the arena's growth. Leaves keep their slots as
+// sub-slices of slots. Split planes, cut positions and boxes depend
+// only on the multiset of coordinates and buckets are kept in
+// slotOrder, so the subtree is a function of the point set: input order
+// does not reach it, and neither does GOMAXPROCS — from parallelBuild
+// points up, while fewer than GOMAXPROCS builders run, the right half
+// is built on a goroutine of its own, and it lands on the nodes a
+// sequential build gives it.
+func (a *Arena) build(idx int32, slots []int32) {
+	var builders chan struct{} // one per builder beyond this goroutine
+	if len(slots) >= parallelBuild {
+		builders = make(chan struct{}, runtime.GOMAXPROCS(0)-1)
 	}
-	a.build(idx, pts, slots)
+	a.buildNode(idx, slots, builders)
 }
 
-// build is Build's recursion. A send on slots claims a builder for the
-// right half; nil slots never does.
-func (a *Arena) build(idx int32, pts []Point, slots chan struct{}) {
-	lo, hi := BoxOf(pts)
-	d, ok := widest(lo, hi)
-	if len(pts) <= a.BucketSize || !ok { // !ok: all points identical, an unsplittable oversized leaf
-		a.setLeaf(idx, pts, lo, hi)
+// buildNode is build's recursion. A send on builders claims a builder
+// for the right half; nil builders never does.
+func (a *Arena) buildNode(idx int32, slots []int32, builders chan struct{}) {
+	a.fitBox(idx, slots)
+	d, ok := widest(a.box(idx))
+	if len(slots) <= a.BucketSize || !ok { // !ok: all points identical, an unsplittable oversized leaf
+		a.setLeaf(idx, slots)
 		return
 	}
 	// A valid cut c needs every point before it smaller on dimension d
@@ -115,48 +166,52 @@ func (a *Arena) build(idx int32, pts []Point, slots chan struct{}) {
 	// halves non-empty with duplicates present: the candidates nearest
 	// the median are the two ends of the run tied with the median value.
 	// Pick the closer one; one is valid because the spread on d is > 0.
-	mid := len(pts) / 2
-	cutDown, cutUp := selectNth(pts, d, mid)
+	mid := len(slots) / 2
+	cutDown, cutUp := a.selectNth(slots, d, mid)
 	cut := cutUp
-	if cutUp == len(pts) || (cutDown > 0 && mid-cutDown < cutUp-mid) {
+	if cutUp == len(slots) || (cutDown > 0 && mid-cutDown < cutUp-mid) {
 		cut = cutDown
 	}
-	splitVal := pts[cut-1].Coords[d] // cut == cutUp: the median value itself
+	splitVal := a.coord(slots[cut-1], d) // cut == cutUp: the median value itself
 	if cut == cutDown {
-		for _, p := range pts[:cut-1] {
-			splitVal = max(splitVal, p.Coords[d])
+		for _, s := range slots[:cut-1] {
+			splitVal = max(splitVal, a.coord(s, d))
 		}
 	}
-	if len(pts) < parallelBuild {
-		slots = nil // a nil channel is never ready: this subtree builds on one goroutine
+	if len(slots) < parallelBuild {
+		builders = nil // a nil channel is never ready: this subtree builds on one goroutine
 	}
 	li := a.add(Node{})
 	var ri int32
 	select {
-	case slots <- struct{}{}:
-		// Both halves at once. The right one builds in an arena of its
-		// own and moves in behind the left: its root lands where
-		// a.add would have put it and the rest follows in preorder, so
-		// the layout is the sequential one.
-		right := Arena{Nodes: []Node{{}}, Self: Local, Dim: a.Dim, BucketSize: a.BucketSize}
+	case builders <- struct{}{}:
+		// Both halves at once. The right one builds its nodes and boxes
+		// in an arena of its own over the same point blocks, which both
+		// only read, and its disjoint share of slots; they move in behind
+		// the left: its root lands where a.add would have put it and the
+		// rest follows in preorder, so the layout is the sequential one.
+		right := Arena{Coords: a.Coords, IDs: a.IDs, Self: Local, Dim: a.Dim, BucketSize: a.BucketSize}
+		right.reserve(len(slots) - cut)
+		right.add(Node{})
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			right.build(0, pts[cut:], slots)
-			<-slots
+			right.buildNode(0, slots[cut:], builders)
+			<-builders
 		}()
-		a.build(li, pts[:cut], slots)
+		a.buildNode(li, slots[:cut], builders)
 		<-done
 		var err error
-		if ri, err = a.Install(-1, right.Nodes); err != nil {
+		if ri, err = a.link(-1, &right); err != nil {
 			panic(err) // a fragment build just wrote is well-formed
 		}
+		a.place(-1, &right)
 	default:
-		a.build(li, pts[:cut], slots)
+		a.buildNode(li, slots[:cut], builders)
 		ri = a.add(Node{})
-		a.build(ri, pts[cut:], slots)
+		a.buildNode(ri, slots[cut:], builders)
 	}
-	a.Nodes[idx] = Node{SplitDim: int32(d), SplitVal: splitVal, Left: a.Ref(li), Right: a.Ref(ri), Lo: lo, Hi: hi}
+	a.Nodes[idx] = Node{SplitDim: int32(d), SplitVal: splitVal, Left: a.Ref(li), Right: a.Ref(ri)}
 }
 
 // widest returns the dimension on which the box [lo, hi] has the
@@ -176,21 +231,21 @@ func widest(lo, hi []float64) (dim int, ok bool) {
 // and sorts.
 const sortBelow = 12
 
-// selectNth reorders pts into three parts on dimension d — smaller
+// selectNth reorders slots into three parts on dimension d — smaller
 // than v, equal to v, larger than v, where v is the value of rank k —
-// and returns the bounds of the middle one: an introselect, O(len(pts))
-// expected and O(len(pts) log len(pts)) on any input, in place.
-func selectNth(pts []Point, d, k int) (start, end int) {
-	lo, hi, tied := narrow(pts, d, k)
+// and returns the bounds of the middle one: an introselect, O(len(slots))
+// expected and O(len(slots) log len(slots)) on any input, in place.
+func (a *Arena) selectNth(slots []int32, d, k int) (start, end int) {
+	lo, hi, tied := a.narrow(slots, d, k)
 	if tied {
 		return lo, hi
 	}
 	//semtree:allow boundaryonce: construction-time sort of the last few candidates for the median (or of what an adversarial input left when the depth budget ran out); not on the query-result path
-	slices.SortFunc(pts[lo:hi], func(p, q Point) int { return cmp.Compare(p.Coords[d], q.Coords[d]) })
-	v := pts[k].Coords[d]
-	for start = k; start > lo && pts[start-1].Coords[d] == v; start-- {
+	slices.SortFunc(slots[lo:hi], func(s, t int32) int { return cmp.Compare(a.coord(s, d), a.coord(t, d)) })
+	v := a.coord(slots[k], d)
+	for start = k; start > lo && a.coord(slots[start-1], d) == v; start-- {
 	}
-	for end = k + 1; end < hi && pts[end].Coords[d] == v; end++ {
+	for end = k + 1; end < hi && a.coord(slots[end], d) == v; end++ {
 	}
 	return start, end
 }
@@ -199,15 +254,15 @@ func selectNth(pts []Point, d, k int) (start, end int) {
 // holding rank k three ways around a median-of-three pivot, keeping
 // the part k falls in, until that part is the pivot's own run (tied:
 // every value in it equal), the window is at most sortBelow long, or
-// 2·log2(len(pts)) rounds are spent — the depth limit that hands an
+// 2·log2(len(slots)) rounds are spent — the depth limit that hands an
 // adversarial input to the caller's sort. Everything before the
 // returned window is smaller on dimension d than everything in it,
 // everything after it larger.
-func narrow(pts []Point, d, k int) (lo, hi int, tied bool) {
-	hi = len(pts)
-	for limit := 2 * bits.Len(uint(len(pts))); hi-lo > sortBelow && limit > 0; limit-- {
-		w := pts[lo:hi]
-		lt, gt := partition3(w, d, medianOfThree(w[0].Coords[d], w[len(w)/2].Coords[d], w[len(w)-1].Coords[d]))
+func (a *Arena) narrow(slots []int32, d, k int) (lo, hi int, tied bool) {
+	hi = len(slots)
+	for limit := 2 * bits.Len(uint(len(slots))); hi-lo > sortBelow && limit > 0; limit-- {
+		w := slots[lo:hi]
+		lt, gt := a.partition3(w, d, medianOfThree(a.coord(w[0], d), a.coord(w[len(w)/2], d), a.coord(w[len(w)-1], d)))
 		switch {
 		case k < lo+lt:
 			hi = lo + lt
@@ -227,23 +282,23 @@ func medianOfThree(a, b, c float64) float64 {
 	return max(a, min(b, c))
 }
 
-// partition3 reorders pts into [smaller than v | equal to v | larger
+// partition3 reorders slots into [smaller than v | equal to v | larger
 // than v] on dimension d and returns the bounds of the middle part.
-func partition3(pts []Point, d int, v float64) (lt, gt int) {
-	gt = len(pts)
+func (a *Arena) partition3(slots []int32, d int, v float64) (lt, gt int) {
+	gt = len(slots)
 	for i := 0; i < gt; {
-		switch x := pts[i].Coords[d]; {
+		switch x := a.coord(slots[i], d); {
 		case x < v:
 			if i != lt {
-				pts[i], pts[lt] = pts[lt], pts[i]
+				slots[i], slots[lt] = slots[lt], slots[i]
 			}
 			lt++
 			i++
 		case x > v:
-			// Swap with the last point that is not already in place.
-			for gt--; gt > i && pts[gt].Coords[d] > v; gt-- {
+			// Swap with the last slot that is not already in place.
+			for gt--; gt > i && a.coord(slots[gt], d) > v; gt-- {
 			}
-			pts[i], pts[gt] = pts[gt], pts[i]
+			slots[i], slots[gt] = slots[gt], slots[i]
 		default:
 			i++
 		}
@@ -251,95 +306,45 @@ func partition3(pts []Point, d int, v float64) (lt, gt int) {
 	return lt, gt
 }
 
-// buildChain overwrites node idx with the chain over pts, which are
+// buildChain overwrites node idx with the chain over slots, which are
 // sorted on dimension 0.
-func (a *Arena) buildChain(idx int32, pts []Point) {
+func (a *Arena) buildChain(idx int32, slots []int32) {
 	// Take the first bucketSize points, extending over duplicates of the
 	// boundary value so the "<= goes left" invariant holds.
 	cut := a.BucketSize
-	for cut < len(pts) && pts[cut].Coords[0] == pts[cut-1].Coords[0] {
+	for cut < len(slots) && a.coord(slots[cut], 0) == a.coord(slots[cut-1], 0) {
 		cut++
 	}
-	cut = min(cut, len(pts))
-	lo, hi := BoxOf(pts[:cut])
-	if cut == len(pts) {
-		a.setLeaf(idx, pts, lo, hi)
+	cut = min(cut, len(slots))
+	if cut == len(slots) {
+		a.fitBox(idx, slots)
+		a.setLeaf(idx, slots)
 		return
 	}
-	splitVal := pts[cut-1].Coords[0] // read before setLeaf reorders the bucket
+	splitVal := a.coord(slots[cut-1], 0) // read before setLeaf reorders the bucket
 	li := a.add(Node{})
-	a.setLeaf(li, pts[:cut], lo, hi)
+	a.fitBox(li, slots[:cut])
+	a.setLeaf(li, slots[:cut])
 	ri := a.add(Node{})
-	a.buildChain(ri, pts[cut:])
+	a.buildChain(ri, slots[cut:])
 	a.setRouting(idx, 0, splitVal, li, ri)
 }
 
-// Extract copies the local subtree rooted at root into a self-contained
-// fragment in preorder (root first): an arena slice whose local refs
-// carry Part == Local and index the fragment itself. Children listed in
-// cut are not descended; their references are replaced by the given
-// outside ones — how a trunk is separated from the frontier subtrees
-// that ship to other arenas. Buckets and boxes are shared with the
-// source, which the caller gives up (Install moves them).
-func (a *Arena) Extract(root int32, cut map[int32]Ref) []Node {
-	var out []Node
-	var walk func(ref Ref) Ref
-	walk = func(ref Ref) Ref {
-		if !a.IsLocal(ref) {
-			return ref
-		}
-		if to, ok := cut[ref.Node]; ok {
-			return to
-		}
-		at := int32(len(out))
-		out = append(out, a.Nodes[ref.Node])
-		if n := out[at]; !n.Leaf && !n.Moved {
-			l, r := walk(n.Left), walk(n.Right)
-			out[at].Left, out[at].Right = l, r
-		}
-		return Ref{Part: Local, Node: at}
+// Graft merges pts into the leaf at idx, whose path boxes the caller
+// has already expanded for each of them: appended while the bucket
+// still fits, otherwise the leaf is replaced by a balanced subtree over
+// its bucket and pts (build's, appending nodes after the arena's) — the
+// step that removes the per-point split cascade.
+func (a *Arena) Graft(idx int32, pts []Point) {
+	old := a.Nodes[idx].Slots
+	slots := make([]int32, len(old), len(old)+len(pts))
+	copy(slots, old)
+	for _, p := range pts {
+		slots = append(slots, a.addPoint(p))
 	}
-	walk(a.Ref(root))
-	return out
-}
-
-// Install moves a fragment (see Extract; a Tree's Nodes are one too)
-// into the arena and returns the index its root landed on: slot entry
-// when entry >= 0 — the fragment replaces that node — or a fresh slot
-// otherwise; the other nodes append in order. Fragment-local refs are
-// rebased onto the arena; no bucket or box is copied. A fragment whose
-// local refs do not index it (or name its own root) is rejected with
-// the arena untouched.
-func (a *Arena) Install(entry int32, frag []Node) (int32, error) {
-	if len(frag) == 0 {
-		return 0, fmt.Errorf("kdtree: empty fragment")
+	if len(slots) <= a.BucketSize {
+		a.Nodes[idx].Slots = slots
+		return
 	}
-	// frag[j] lands on base+j, except the root when it takes slot entry.
-	base := int32(len(a.Nodes))
-	root := base
-	if entry >= 0 {
-		base--
-		root = entry
-	}
-	for j := range frag {
-		n := &frag[j]
-		if n.Leaf || n.Moved {
-			continue
-		}
-		for _, c := range [2]*Ref{&n.Left, &n.Right} {
-			if c.Part != Local {
-				continue
-			}
-			if c.Node <= 0 || int(c.Node) >= len(frag) {
-				return 0, fmt.Errorf("kdtree: fragment child %d out of range", c.Node)
-			}
-			*c = a.Ref(base + c.Node)
-		}
-	}
-	if entry >= 0 {
-		a.Nodes[entry] = frag[0]
-		frag = frag[1:]
-	}
-	a.Nodes = append(a.Nodes, frag...)
-	return root, nil
+	a.build(idx, slots)
 }

@@ -3,6 +3,7 @@ package kdtree
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Check validates the structural invariants of the tree and returns the
@@ -19,7 +20,8 @@ import (
 //  3. leaf buckets respect the bucket size unless unsplittable (all
 //     points equal on every dimension);
 //  4. the tree size equals the number of points in the leaves;
-//  5. every point has the tree's dimensionality;
+//  5. the blocks hold Dim coordinates per point and 2·Dim box floats
+//     per node, and every leaf slot indexes a point;
 //  6. every node's bounding box is the exact (tight, per-dimension)
 //     bound of the points in its subtree — nil for an empty subtree —
 //     so the min-distance pruning guard is never looser than the data
@@ -47,6 +49,10 @@ func (t *Tree) Check() error {
 // closed reports whether none was met — and the box of a node above one
 // is not checked: its region extends outside the arena.
 func (a *Arena) CheckSubtree(root int32) (points int, closed bool, err error) {
+	if len(a.Coords) != a.Dim*len(a.IDs) || len(a.Boxes) != 2*a.Dim*len(a.Nodes) {
+		return 0, false, fmt.Errorf("kdtree: blocks of %d coordinate and %d box floats for %d points and %d nodes of dimension %d",
+			len(a.Coords), len(a.Boxes), len(a.IDs), len(a.Nodes), a.Dim)
+	}
 	// Per-dimension bounds implied by the ancestor chain.
 	lo := make([]float64, a.Dim)
 	hi := make([]float64, a.Dim)
@@ -83,29 +89,32 @@ func (c *checker) node(ref Ref) (lo, hi []float64, closed bool, err error) {
 	n := &a.Nodes[ref.Node]
 	switch {
 	case n.Moved:
-		if n.Leaf || n.Bucket != nil || n.Lo != nil {
+		if blo, _ := a.Box(ref.Node); n.Leaf || n.Slots != nil || blo != nil {
 			return nil, nil, false, fmt.Errorf("kdtree: tombstone %d carries data", ref.Node)
 		}
 		return nil, nil, false, nil
 	case n.Leaf:
-		if len(n.Bucket) > a.BucketSize && !allEqual(n.Bucket) {
-			return nil, nil, false, fmt.Errorf("kdtree: splittable bucket of %d exceeds Bs=%d", len(n.Bucket), a.BucketSize)
-		}
-		for _, p := range n.Bucket {
-			if len(p.Coords) != a.Dim {
-				return nil, nil, false, fmt.Errorf("kdtree: point %d has %d coords, want %d", p.ID, len(p.Coords), a.Dim)
+		for _, s := range n.Slots {
+			if s < 0 || int(s) >= len(a.IDs) {
+				return nil, nil, false, fmt.Errorf("kdtree: leaf %d: slot %d out of range", ref.Node, s)
 			}
+		}
+		if len(n.Slots) > a.BucketSize && !a.allEqual(n.Slots) {
+			return nil, nil, false, fmt.Errorf("kdtree: splittable bucket of %d exceeds Bs=%d", len(n.Slots), a.BucketSize)
+		}
+		for _, s := range n.Slots {
+			p := a.Point(s)
 			for d, v := range p.Coords {
 				if !(v > c.lo[d]) || !(v <= c.hi[d]) {
 					return nil, nil, false, fmt.Errorf("kdtree: point %d dim %d value %g outside (%g, %g]", p.ID, d, v, c.lo[d], c.hi[d])
 				}
 			}
+			lo, hi = ExpandBox(lo, hi, p.Coords)
 		}
-		c.points += len(n.Bucket)
-		lo, hi = BoxOf(n.Bucket)
+		c.points += len(n.Slots)
 		closed = true
 	default:
-		if n.Bucket != nil {
+		if n.Slots != nil {
 			return nil, nil, false, fmt.Errorf("kdtree: malformed routing node")
 		}
 		d := int(n.SplitDim)
@@ -135,7 +144,8 @@ func (c *checker) node(ref Ref) (lo, hi []float64, closed bool, err error) {
 		}
 		lo, hi = UnionBox(llo, lhi, rlo, rhi) // llo/lhi are fresh: safe to grow in place
 	}
-	if err := boxExact(n.Lo, n.Hi, lo, hi); err != nil {
+	blo, bhi := a.Box(ref.Node)
+	if err := boxExact(blo, bhi, lo, hi); err != nil {
 		return nil, nil, false, err
 	}
 	return lo, hi, closed, nil
@@ -163,12 +173,10 @@ func boxExact(gotLo, gotHi, wantLo, wantHi []float64) error {
 	return nil
 }
 
-func allEqual(bucket []Point) bool {
-	for _, p := range bucket[1:] {
-		for d := range p.Coords {
-			if p.Coords[d] != bucket[0].Coords[d] {
-				return false
-			}
+func (a *Arena) allEqual(bucket []int32) bool {
+	for _, s := range bucket[1:] {
+		if !slices.Equal(a.coords(s), a.coords(bucket[0])) {
+			return false
 		}
 	}
 	return true

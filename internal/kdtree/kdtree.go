@@ -5,26 +5,33 @@
 //
 // The package is the single tree kernel of the index. An Arena holds
 // tree nodes in a slice addressed by index; a child reference (Ref)
-// names a node either inside the arena or outside it. The arena owns
-// descent, leaf splitting (median and chain policies), bounding-box
+// names a node either inside the arena or outside it. Everything else
+// the arena holds is flat: one coordinate block (Dim floats per point
+// slot) and one ID column, which a leaf indexes by its []int32 slots,
+// and one box block (2·Dim floats per node). The arena owns descent,
+// leaf splitting (median and chain policies), bounding-box
 // maintenance, balanced and chain bulk building, the structural Check
-// and the k-nearest / range traversals. The balanced build (build.go)
-// selects each level's median instead of sorting — O(n log n), no
-// reflection — keeps buckets in point-ID order, so an arena is a
-// function of the point set, and is the one place the package starts
+// and the k-nearest / range traversals, which hand out Point views
+// sliced from the block. The balanced build (build.go) selects each
+// level's median over int32 slots instead of sorting — O(n log n), no
+// reflection — keeps buckets in point-ID order and lays the block out
+// in leaf order, so an arena is a function of the point set and has the
+// shape of its snapshot columns; it is the one place the package starts
 // goroutines: a large build runs its two halves at once, on the same
-// slots at any GOMAXPROCS. Tree — the sequential tree of
-// Figures 4 and 6 — is an Arena with no outside references; the
-// distributed tree of internal/core hosts one Arena per partition and
-// adds only what distribution needs (an Outside continuation the
-// traversals call when a reference leaves the arena).
+// slots at any GOMAXPROCS. Tree — the sequential tree of Figures 4 and
+// 6 — is an Arena with no outside references; the distributed tree of
+// internal/core hosts one Arena per partition and adds only what
+// distribution needs (an Outside continuation the traversals call when
+// a reference leaves the arena).
 package kdtree
 
 import "fmt"
 
 // Point is an indexed vector with an opaque payload identifier
-// (in SemTree the triple ID). Coords must not be mutated after the
-// point is handed to a tree.
+// (in SemTree the triple ID) — what a tree takes in and what its
+// searches hand out. A point an arena holds is copied into its blocks;
+// the Coords of a Point the arena hands out is a view of its block and
+// must not be mutated.
 type Point struct {
 	Coords []float64
 	ID     uint64
@@ -64,11 +71,13 @@ type Ref struct {
 const Local int32 = -1
 
 // Node is one tree node, in the arena and on the fabric alike (a
-// partition message carries every field, in internal/core's wire codec;
-// a persisted snapshot writes only the fields its state uses and no box
-// — see core.WriteSnapshot). Exactly one of three states holds:
+// partition message carries every field and the node's box and bucket
+// points, in internal/core's wire codec; a persisted snapshot writes
+// only the fields its state uses and no box — see core.WriteSnapshot).
+// Exactly one of three states holds:
 //
-//   - leaf:    data node, Bucket valid;
+//   - leaf:    data node; Slots index its bucket's points in the
+//     arena's coordinate block and ID column;
 //   - routing: SplitDim/SplitVal/Left/Right valid; points with
 //     Coords[SplitDim] <= SplitVal belong to the left subtree. It is an
 //     *edge node* when a child lives outside the arena, *internal*
@@ -78,13 +87,14 @@ const Local int32 = -1
 //     in-flight operations that resolved this node keep working. The
 //     sequential Tree never creates one.
 //
-// Lo/Hi is the node's region metadata: the exact d-dimensional bounding
-// box of every point in its logical subtree (nil for an empty subtree,
-// and for a tombstone). The box is the search guard — its minimum
-// distance to the query (BoxMinSq) subsumes the splitting-plane bound
-// of §III-B.3, which only measures one dimension — and is kept exactly
-// tight: expanded point-by-point on insert (points are never removed),
-// and recomputed from buckets on splits and bulk builds.
+// A node's region metadata lives in the arena's box block (Arena.Box):
+// the exact d-dimensional bounding box of every point in its logical
+// subtree ([+Inf, −Inf] for an empty subtree, and for a tombstone). The
+// box is the search guard — its minimum distance to the query
+// (BoxMinSq) subsumes the splitting-plane bound of §III-B.3, which only
+// measures one dimension — and is kept exactly tight: expanded
+// point-by-point on insert (points are never removed), and recomputed
+// from buckets on splits and bulk builds.
 type Node struct {
 	Leaf     bool
 	Moved    bool
@@ -93,15 +103,24 @@ type Node struct {
 	Fwd      Ref
 	Left     Ref
 	Right    Ref
-	Bucket   []Point
-	Lo, Hi   []float64
+	Slots    []int32
 }
 
-// Arena is a set of tree nodes addressed by index. It is not safe for
-// concurrent mutation; embedders that share one across goroutines
-// bring their own lock.
+// Arena is a set of tree nodes addressed by index, with the flat blocks
+// they index. It is not safe for concurrent mutation; embedders that
+// share one across goroutines bring their own lock. A fragment — what
+// Extract cuts and Install moves in — is an Arena too: its local refs
+// carry Part == Local and index its own Nodes.
 type Arena struct {
-	Nodes      []Node
+	Nodes []Node
+	// Coords holds Dim floats per point slot and IDs one ID; a leaf's
+	// Slots index both. Slots are appended, never rewritten: a Point
+	// view handed out stays valid.
+	Coords []float64
+	IDs    []uint64
+	// Boxes holds 2·Dim floats per node, its box's low corner then its
+	// high corner.
+	Boxes      []float64
 	Self       int32 // the Part that names this arena in a Ref
 	Dim        int   // dimensionality of indexed points
 	BucketSize int   // leaf capacity Bs
@@ -131,12 +150,9 @@ func New(dim, bucketSize int) (*Tree, error) {
 	if bucketSize <= 0 {
 		bucketSize = DefaultBucketSize
 	}
-	return &Tree{Arena: Arena{
-		Nodes:      []Node{{Leaf: true}},
-		Self:       Local,
-		Dim:        dim,
-		BucketSize: bucketSize,
-	}}, nil
+	t := &Tree{Arena: Arena{Self: Local, Dim: dim, BucketSize: bucketSize}}
+	t.AddLeaf()
+	return t, nil
 }
 
 // Len returns the number of indexed points.
@@ -151,12 +167,8 @@ func (t *Tree) Insert(p Point) error {
 	t.path = t.path[:0]
 	leaf, _, _ := t.Descend(0, p.Coords, &t.path)
 	t.ExpandPath(t.path, p.Coords)
-	n := &t.Nodes[leaf]
-	n.Bucket = append(n.Bucket, p)
+	t.Append(leaf, p)
 	t.size++
-	if len(n.Bucket) > t.BucketSize {
-		t.SplitLeaf(leaf)
-	}
 	return nil
 }
 
@@ -166,10 +178,65 @@ func (a *Arena) IsLocal(ref Ref) bool { return ref.Part == a.Self }
 // Ref returns the reference naming node idx of this arena.
 func (a *Arena) Ref(idx int32) Ref { return Ref{Part: a.Self, Node: idx} }
 
-// add appends a node and returns its index.
+// add appends a node with an empty box and returns its index.
 func (a *Arena) add(n Node) int32 {
 	a.Nodes = append(a.Nodes, n)
-	return int32(len(a.Nodes) - 1)
+	a.Boxes = append(a.Boxes, make([]float64, 2*a.Dim)...)
+	idx := int32(len(a.Nodes) - 1)
+	emptyBox(a.box(idx))
+	return idx
+}
+
+// AddLeaf appends an empty leaf and returns its index: the tree root of
+// an empty tree.
+func (a *Arena) AddLeaf() int32 { return a.add(Node{Leaf: true}) }
+
+// addPoint copies p into the blocks and returns its slot.
+func (a *Arena) addPoint(p Point) int32 {
+	a.Coords = append(a.Coords, p.Coords...)
+	a.IDs = append(a.IDs, p.ID)
+	return int32(len(a.IDs) - 1)
+}
+
+// coords returns the coordinates of slot s as a view of the block,
+// capped so an append to it cannot reach the next slot.
+func (a *Arena) coords(s int32) []float64 {
+	i := int(s) * a.Dim
+	return a.Coords[i : i+a.Dim : i+a.Dim]
+}
+
+// coord returns coordinate d of slot s.
+func (a *Arena) coord(s int32, d int) float64 { return a.Coords[int(s)*a.Dim+d] }
+
+// Point returns the point in slot s, its coordinates a view of the
+// block.
+func (a *Arena) Point(s int32) Point { return Point{Coords: a.coords(s), ID: a.IDs[s]} }
+
+// AppendBucket appends the points of the leaf at idx to dst, in bucket
+// order, as views of the block.
+func (a *Arena) AppendBucket(dst []Point, idx int32) []Point {
+	for _, s := range a.Nodes[idx].Slots {
+		dst = append(dst, a.Point(s))
+	}
+	return dst
+}
+
+// Append lands p in the leaf at idx, whose path boxes the caller has
+// already expanded (Descend, ExpandPath), splitting the leaf when its
+// bucket saturates.
+func (a *Arena) Append(idx int32, p Point) {
+	n := &a.Nodes[idx]
+	n.Slots = append(n.Slots, a.addPoint(p))
+	if len(n.Slots) > a.BucketSize {
+		a.SplitLeaf(idx)
+	}
+}
+
+// Tombstone turns node idx into a tombstone forwarding to fwd, its box
+// emptied. The points its bucket held stay in the blocks until Compact.
+func (a *Arena) Tombstone(idx int32, fwd Ref) {
+	a.Nodes[idx] = Node{Moved: true, Fwd: fwd}
+	emptyBox(a.box(idx))
 }
 
 // Descend walks from idx towards the leaf that should hold pt. It stops
@@ -208,26 +275,26 @@ func (a *Arena) Descend(idx int32, pt []float64, path *[]int32) (leaf int32, out
 // every dimension has zero spread the bucket is unsplittable (all
 // points identical) and is allowed to exceed Bs.
 func (a *Arena) SplitLeaf(idx int32) {
-	bucket := a.Nodes[idx].Bucket
+	bucket := a.Nodes[idx].Slots
 	dim, splitVal, ok := a.splitPlane(bucket)
 	if !ok {
 		return // all points identical: oversized leaf stands
 	}
-	var lb, rb []Point
-	for _, p := range bucket {
-		if p.Coords[dim] <= splitVal {
-			lb = append(lb, p)
+	var lb, rb []int32
+	for _, s := range bucket {
+		if a.coord(s, dim) <= splitVal {
+			lb = append(lb, s)
 		} else {
-			rb = append(rb, p)
+			rb = append(rb, s)
 		}
 	}
-	llo, lhi := BoxOf(lb)
-	rlo, rhi := BoxOf(rb)
-	li := a.add(Node{Leaf: true, Bucket: lb, Lo: llo, Hi: lhi})
-	ri := a.add(Node{Leaf: true, Bucket: rb, Lo: rlo, Hi: rhi})
+	li := a.add(Node{Leaf: true, Slots: lb})
+	a.fitBox(li, lb)
+	ri := a.add(Node{Leaf: true, Slots: rb})
+	a.fitBox(ri, rb)
 	n := &a.Nodes[idx] // re-take: add may have grown the arena
 	n.Leaf = false
-	n.Bucket = nil
+	n.Slots = nil
 	n.SplitDim = int32(dim)
 	n.SplitVal = splitVal
 	n.Left = a.Ref(li)
@@ -236,28 +303,28 @@ func (a *Arena) SplitLeaf(idx int32) {
 
 // splitPlane picks the (Sr, Sv) pair that splits bucket under the
 // arena's policy. ok is false when the bucket is unsplittable.
-func (a *Arena) splitPlane(bucket []Point) (dim int, splitVal float64, ok bool) {
+func (a *Arena) splitPlane(bucket []int32) (dim int, splitVal float64, ok bool) {
 	if a.Chain {
-		if splitVal, ok = chainSplit(bucket); ok {
+		if splitVal, ok = a.chainSplit(bucket); ok {
 			return 0, splitVal, true
 		}
 	}
-	dim, lo, hi, ok := widestDimension(bucket, a.Dim)
+	dim, lo, hi, ok := a.widestDimension(bucket)
 	if !ok {
 		return 0, 0, false
 	}
-	return dim, medianSplit(bucket, dim, lo, hi), true
+	return dim, a.medianSplit(bucket, dim, lo, hi), true
 }
 
 // widestDimension returns the dimension with the largest value spread
 // within the bucket, with its min and max. ok is false when every
 // dimension is constant.
-func widestDimension(bucket []Point, dims int) (dim int, lo, hi float64, ok bool) {
+func (a *Arena) widestDimension(bucket []int32) (dim int, lo, hi float64, ok bool) {
 	bestSpread := 0.0
-	for d := 0; d < dims; d++ {
-		mn, mx := bucket[0].Coords[d], bucket[0].Coords[d]
-		for _, p := range bucket[1:] {
-			v := p.Coords[d]
+	for d := 0; d < a.Dim; d++ {
+		mn, mx := a.coord(bucket[0], d), a.coord(bucket[0], d)
+		for _, s := range bucket[1:] {
+			v := a.coord(s, d)
 			if v < mn {
 				mn = v
 			}
@@ -276,14 +343,14 @@ func widestDimension(bucket []Point, dims int) (dim int, lo, hi float64, ok bool
 // separates the points, otherwise the midpoint of the range. Both
 // choices guarantee non-empty halves under the "<= goes left" rule,
 // because lo < hi.
-func medianSplit(bucket []Point, dim int, lo, hi float64) float64 {
+func (a *Arena) medianSplit(bucket []int32, dim int, lo, hi float64) float64 {
 	// Select on a copy: the bucket keeps its insertion order. A bucket
 	// of up to len(stack) points is copied to the stack.
-	var stack [64]Point
+	var stack [64]int32
 	tmp := append(stack[:0], bucket...)
 	k := (len(tmp) - 1) / 2
-	selectNth(tmp, dim, k)
-	if med := tmp[k].Coords[dim]; med < hi {
+	a.selectNth(tmp, dim, k)
+	if med := a.coord(tmp[k], dim); med < hi {
 		return med
 	}
 	return (lo + hi) / 2
@@ -293,17 +360,17 @@ func medianSplit(bucket []Point, dim int, lo, hi float64) float64 {
 // unbalanced" curves: split on dimension 0 at the predecessor of the
 // maximum, so monotonically increasing inserts grow a right-leaning
 // chain. ok is false when dimension 0 has no spread.
-func chainSplit(bucket []Point) (splitVal float64, ok bool) {
-	mx := bucket[0].Coords[0]
-	for _, p := range bucket[1:] {
-		if v := p.Coords[0]; v > mx {
+func (a *Arena) chainSplit(bucket []int32) (splitVal float64, ok bool) {
+	mx := a.coord(bucket[0], 0)
+	for _, s := range bucket[1:] {
+		if v := a.coord(s, 0); v > mx {
 			mx = v
 		}
 	}
 	// splitVal is the largest value strictly below the maximum, so the
 	// maximum (and its duplicates) form the right side.
-	for _, p := range bucket {
-		if v := p.Coords[0]; v < mx && (!ok || v > splitVal) {
+	for _, s := range bucket {
+		if v := a.coord(s, 0); v < mx && (!ok || v > splitVal) {
 			splitVal, ok = v, true
 		}
 	}
@@ -331,14 +398,19 @@ func (a *Arena) leaves(idx int32, fn func(n *Node)) {
 // idx.
 func (a *Arena) Count(idx int32) int {
 	count := 0
-	a.leaves(idx, func(n *Node) { count += len(n.Bucket) })
+	a.leaves(idx, func(n *Node) { count += len(n.Slots) })
 	return count
 }
 
-// Points returns all indexed points in traversal order.
+// Points returns all indexed points in traversal order, as views of
+// the block.
 func (t *Tree) Points() []Point {
 	out := make([]Point, 0, t.size)
-	t.leaves(0, func(n *Node) { out = append(out, n.Bucket...) })
+	t.leaves(0, func(n *Node) {
+		for _, s := range n.Slots {
+			out = append(out, t.Point(s))
+		}
+	})
 	return out
 }
 

@@ -56,6 +56,13 @@ func neighborCmp(a, b Neighbor) int {
 	return 0
 }
 
+// refuses reports whether Offer would keep nothing at squared distance
+// d whatever the point: the set keeps nothing, or is full and d lies
+// strictly beyond its worst (at the worst, a smaller ID still wins).
+func (r *ResultSet) refuses(d float64) bool {
+	return r.K <= 0 || (r.Full() && d > r.Items[len(r.Items)-1].Dist)
+}
+
 // Offer inserts a candidate in order, evicting the current worst when
 // full. A set with K <= 0 keeps nothing.
 func (r *ResultSet) Offer(n Neighbor) {

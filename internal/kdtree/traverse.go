@@ -103,7 +103,7 @@ func (s *Search) tick(out Outside) error {
 // scanned counts one visited leaf bucket.
 func (s *Search) scanned(n *Node) {
 	s.Stats.LeavesVisited++
-	s.Stats.PointsScanned += len(n.Bucket)
+	s.Stats.PointsScanned += len(n.Slots)
 }
 
 // EuclideanSq returns the squared Euclidean distance between q and p.
@@ -129,6 +129,7 @@ func EuclideanSq(q, p []float64) float64 {
 // explicit stack so the whole traversal state lives in one poolable
 // Search. References that leave the arena are handed to out.
 func (a *Arena) KNearest(s *Search, out Outside) error {
+	coords, ids, dim := a.Coords, a.IDs, a.Dim // fixed for the traversal: the caller holds the arena still
 	for len(s.stack) > 0 {
 		v := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
@@ -144,8 +145,15 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 			n := &a.Nodes[ref.Node]
 			if n.Leaf {
 				s.scanned(n)
-				for _, p := range n.Bucket {
-					s.RS.Offer(Neighbor{Point: p, Dist: EuclideanSq(s.Query, p.Coords)})
+				rs := s.RS
+				for _, slot := range n.Slots {
+					i := int(slot) * dim
+					c := coords[i : i+dim : i+dim]
+					d := EuclideanSq(s.Query, c)
+					if rs.refuses(d) {
+						continue // its ID is not even read
+					}
+					rs.Offer(Neighbor{Point: Point{Coords: c, ID: ids[slot]}, Dist: d})
 				}
 				continue
 			}
@@ -192,9 +200,10 @@ func (a *Arena) Range(s *Search, idx int32, out Outside) error {
 		return out.Follow(n.Fwd, -1, false)
 	case n.Leaf:
 		s.scanned(n)
-		for _, p := range n.Bucket {
-			if sq := EuclideanSq(s.Query, p.Coords); sq <= dd {
-				s.Matches = append(s.Matches, Neighbor{Point: p, Dist: sq})
+		for _, slot := range n.Slots {
+			c := a.coords(slot)
+			if sq := EuclideanSq(s.Query, c); sq <= dd {
+				s.Matches = append(s.Matches, Neighbor{Point: Point{Coords: c, ID: a.IDs[slot]}, Dist: sq})
 			}
 		}
 		return nil

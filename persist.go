@@ -43,15 +43,14 @@ type indexSnapshot struct {
 	Tree    *core.TreeSnapshot
 }
 
-// strayID returns a point ID the tree serves that has no entry in a
-// table of n entries (IDs are positional), if there is one.
+// strayID returns a point ID the tree serves — one in a partition's ID
+// column — that has no entry in a table of n entries (IDs are
+// positional), if there is one.
 func strayID(ts *core.TreeSnapshot, n int) (uint64, bool) {
 	for pi := range ts.Parts {
-		for ni := range ts.Parts[pi].Nodes {
-			for _, pt := range ts.Parts[pi].Nodes[ni].Bucket {
-				if pt.ID >= uint64(n) {
-					return pt.ID, true
-				}
+		for _, id := range ts.Parts[pi].IDs {
+			if id >= uint64(n) {
+				return id, true
 			}
 		}
 	}

@@ -521,10 +521,9 @@ func loadLegacyRejected(t *testing.T, version int, opts Options) {
 	if version < 3 {
 		legacy.Coords = make([][]float64, len(legacy.Entries))
 		for _, part := range tree.Parts {
-			for _, n := range part.Nodes {
-				for _, pt := range n.Bucket {
-					legacy.Coords[pt.ID] = pt.Coords
-				}
+			for slot := range part.IDs {
+				pt := part.Point(int32(slot))
+				legacy.Coords[pt.ID] = pt.Coords
 			}
 		}
 	}
