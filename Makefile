@@ -23,7 +23,7 @@ test:
 # a bulk build runs its right half on a goroutine of its own, over the
 # point block the left half reads too, and moves its nodes in after.
 race:
-	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/ ./internal/serve/ ./internal/semdist/ ./internal/fastmap/ ./internal/triple/ .
+	GORACE=halt_on_error=1 $(GO) test -race -count=2 ./internal/core/ ./internal/cluster/... ./internal/serve/ ./internal/semdist/ ./internal/fastmap/ ./internal/triple/ .
 	GORACE=halt_on_error=1 $(GO) test -race -count=5 ./internal/kdtree/
 
 # The semtree invariant analyzers, driven through `go vet -vettool` so

@@ -19,7 +19,6 @@ import (
 	"semtree/internal/semdist"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
-	"semtree/internal/vocab"
 )
 
 // handCorpus exercises every branch of the term dispatch inside a
@@ -220,41 +219,6 @@ func TestEmbeddingBitIdentity(t *testing.T) {
 		checkEmbeddingBitIdentity(t, hand, Options{Seed: 42, Dims: 5, PivotIterations: 1,
 			Weights: semdist.Weights{Alpha: 0.2, Beta: 0.5, Gamma: 0.3}})
 	})
-}
-
-// TestEmbeddingBitIdentityWithoutMatrices covers DisableCache, which
-// the facade has no option for: the interned build Build performs,
-// under a metric that calls the concept measure directly, against the
-// generic one.
-func TestEmbeddingBitIdentityWithoutMatrices(t *testing.T) {
-	triples := append(synth.New(synth.Config{Seed: 5}, nil).Triples(1500), handCorpus()...)
-	for _, name := range semdist.MeasureNames() {
-		measure, _ := semdist.MeasureByName(name)
-		metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{Concept: measure, DisableCache: true})
-		store := triple.NewStore()
-		store.AddAll(triples, triple.Provenance{})
-		terms, ids := store.Encoded()
-		corpus := semdist.NewCorpus(metric, terms, ids)
-		opts := fastmap.Options{Seed: 3}
-		m, coords, err := fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, refCoords, err := fastmap.Build(triples, metric.Distance, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range refCoords {
-			if !sameBits(coords[i], refCoords[i]) {
-				t.Fatalf("%s: triple %d at %v, reference %v", name, i, coords[i], refCoords[i])
-			}
-		}
-		for _, p := range embedProbes() {
-			if g, w := m.Map(metric.Resolve(p)), ref.Map(p); !sameBits(g, w) {
-				t.Fatalf("%s: probe %v embeds to %v, reference %v", name, p, g, w)
-			}
-		}
-	}
 }
 
 // TestSearchAllocs gates the allocation cost of the query path: the

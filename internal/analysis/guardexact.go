@@ -11,20 +11,19 @@ import (
 // min-distance to the query box. Raw splitting-plane arithmetic
 // (q[dim] - splitVal) is the PR-1-era lower bound that under-prunes in
 // high dimensions and over-prunes after rebalances; it is only legal
-// inside the guard implementations themselves or in code that is
-// explicitly gated on Config.PlaneGuardOnly (the ablation lever that
-// reproduces the paper's plane-only baseline).
+// inside the guard implementations themselves or in a function that
+// hands it to one. The paper's plane-only walk is a test reference
+// (internal/kdtree/plane_test.go), and test files are not checked.
 var GuardExact = &Analyzer{
 	Name: "guardexact",
 	Doc: "splitting-plane distance arithmetic in internal/core and internal/kdtree must " +
-		"live inside the region guard (BoxMinSq/guardSq/childBoxMinSq) or behind Config.PlaneGuardOnly",
+		"live inside the region guard (BoxMinSq/guardSq/childBoxMinSq)",
 	Run: runGuardExact,
 }
 
 // guardFuncs are the blessed homes of plane arithmetic: the guard
 // kernels themselves, all in internal/kdtree/box.go since the tree
-// kernels merged (internal/core keeps none of its own; its ablation
-// switch reaches the kernel as kdtree.Search.PlaneGuardOnly).
+// kernels merged (internal/core keeps none of its own).
 var guardFuncs = map[string]bool{
 	"guardSq":       true,
 	"childBoxMinSq": true,
@@ -54,7 +53,7 @@ func runGuardExact(pass *Pass) error {
 				}
 				if isSplitValRef(bin.X) || isSplitValRef(bin.Y) {
 					pass.Reportf(bin.OpPos,
-						"raw splitting-plane arithmetic outside the region guard; prune via BoxMinSq/guardSq or gate on Config.PlaneGuardOnly")
+						"raw splitting-plane arithmetic outside the region guard; prune via BoxMinSq/guardSq")
 				}
 				return true
 			})
@@ -63,27 +62,14 @@ func runGuardExact(pass *Pass) error {
 	return nil
 }
 
-// funcTouchesGuard reports whether fd either calls one of the guard
-// kernels or references the PlaneGuardOnly ablation switch — both mark
-// the function as guard-aware, where incidental plane arithmetic (e.g.
+// funcTouchesGuard reports whether fd calls one of the guard kernels,
+// which marks it guard-aware: incidental plane arithmetic there (e.g.
 // computing the plane distance to hand to guardSq) is intended.
 func funcTouchesGuard(pass *Pass, fd *ast.FuncDecl) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if fn := calleeFunc(pass.TypesInfo, n); fn != nil && guardFuncs[fn.Name()] {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if n.Sel.Name == "PlaneGuardOnly" {
-				found = true
-			}
-		case *ast.Ident:
-			if n.Name == "PlaneGuardOnly" {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := calleeFunc(pass.TypesInfo, call); fn != nil && guardFuncs[fn.Name()] {
 				found = true
 			}
 		}

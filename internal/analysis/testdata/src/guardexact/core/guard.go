@@ -5,10 +5,6 @@ type node struct {
 	splitVal float64
 }
 
-type Config struct {
-	PlaneGuardOnly bool
-}
-
 // guardSq is a guard kernel: plane arithmetic is its job.
 func guardSq(q []float64, n *node) float64 {
 	d := q[n.splitDim] - n.splitVal
@@ -28,9 +24,10 @@ func guardedPrune(q []float64, n *node, radiusSq float64) bool {
 	return guardSq(q, n) > radiusSq
 }
 
-func ablationPrune(cfg Config, q []float64, n *node, radiusSq float64) bool {
-	if cfg.PlaneGuardOnly {
-		d := q[n.splitDim] - n.splitVal // legal: behind the ablation lever
+// A switch does not bless plane arithmetic: only a guard kernel does.
+func ablationPrune(planeGuardOnly bool, q []float64, n *node, radiusSq float64) bool {
+	if planeGuardOnly {
+		d := q[n.splitDim] - n.splitVal // want "raw splitting-plane arithmetic outside the region guard"
 		return d*d > radiusSq
 	}
 	return false

@@ -218,33 +218,6 @@ func TestInProcLatency(t *testing.T) {
 	}
 }
 
-func TestInProcFailureInjectionAndRetry(t *testing.T) {
-	f := NewInProc(InProcOptions{FailureRate: 0.5, Seed: 42})
-	defer f.Close()
-	id, _ := f.AddNode(echoHandler)
-	sawFailure := false
-	for i := 0; i < 50; i++ {
-		if _, err := f.Call(context.Background(), ClientID, id, echoReq{}); err != nil {
-			if !errors.Is(err, ErrTransient) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			sawFailure = true
-		}
-	}
-	if !sawFailure {
-		t.Fatal("failure injection produced no failures at rate 0.5")
-	}
-	if f.Stats().Failures == 0 {
-		t.Fatal("failures not counted")
-	}
-	// CallRetry should push success probability to ~1 with 20 attempts.
-	for i := 0; i < 10; i++ {
-		if _, err := CallRetry(context.Background(), f, ClientID, id, echoReq{}, 20); err != nil {
-			t.Fatalf("CallRetry failed: %v", err)
-		}
-	}
-}
-
 func TestCallRetryGivesUpOnPermanentError(t *testing.T) {
 	f := NewInProc(InProcOptions{})
 	defer f.Close()
@@ -258,16 +231,6 @@ func TestCallRetryGivesUpOnPermanentError(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("permanent error retried %d times", calls)
-	}
-}
-
-func TestCallRetryExhaustsTransient(t *testing.T) {
-	f := NewInProc(InProcOptions{FailureRate: 1.0, Seed: 1})
-	defer f.Close()
-	id, _ := f.AddNode(echoHandler)
-	_, err := CallRetry(context.Background(), f, ClientID, id, echoReq{}, 3)
-	if err == nil || !errors.Is(err, ErrTransient) {
-		t.Fatalf("want exhausted transient error, got %v", err)
 	}
 }
 

@@ -6,12 +6,12 @@
 // synchronous request/response messages, with two implementations —
 //
 //   - InProc: in-process transport with configurable per-message
-//     latency, transient-failure injection and message accounting. It
-//     is the default fabric of a tree and what the bench figures and
-//     the repo benchmark's in-process workloads run on. Its one fault
-//     (FailureRate) fails a call before the handler runs, so it cannot
-//     model a reply lost after the handler ran — the at-least-once hole
-//     TCP retries open, which needs a fault-injecting wrapper of its own.
+//     latency and message accounting. It is the default fabric of a
+//     tree and what the bench figures and the repo benchmark's
+//     in-process workloads run on. It injects no faults: the tests'
+//     fault seam is a wrapper around any Fabric, clustertest.Fabric,
+//     which drops a call before it leaves or its reply after the
+//     handler ran.
 //   - TCP: a real network transport over loopback that also counts the
 //     bytes it moves, used by the distributed example, the integration
 //     tests and the repo benchmark's nine-partition workload. A message
@@ -72,10 +72,10 @@ type Fabric interface {
 	AddNode(h Handler) (NodeID, error)
 	// Call delivers req to node `to`, identifying the caller as `from`,
 	// and returns the handler's response. It may fail transiently
-	// (ErrTransient) when failure injection is enabled or the network
-	// hiccups; callers that need delivery use CallRetry. When ctx is
-	// cancelled or past its deadline the call returns ctx.Err()
-	// promptly, abandoning the in-flight reply.
+	// (ErrTransient) when the transport hiccups — before the handler
+	// ran or after, with the reply lost; callers that need delivery use
+	// CallRetry. When ctx is cancelled or past its deadline the call
+	// returns ctx.Err() promptly, abandoning the in-flight reply.
 	Call(ctx context.Context, from, to NodeID, req any) (any, error)
 	// Stats returns cumulative message accounting.
 	Stats() Stats
@@ -87,7 +87,7 @@ type Fabric interface {
 type Stats struct {
 	Messages int64 // completed calls (including failed ones)
 	Bytes    int64 // request and reply frame bytes (TCP only: nothing else encodes)
-	Failures int64 // injected or transport-level transient failures
+	Failures int64 // transient failures (TCP's transport errors; clustertest's injected faults)
 	Fallback int64 // messages encoded by the gob fallback (TCP only; see RegisterMessage)
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,42 +12,26 @@ type InProcOptions struct {
 	// Latency is the simulated network transit per message, slept on
 	// the caller's goroutine before the handler runs.
 	Latency time.Duration
-	// FailureRate is the probability in [0, 1) that a message fails
-	// with ErrTransient before reaching the handler — failure injection
-	// for robustness tests. The call fails *before* the handler runs,
-	// so a retry is always safe here: it cannot model a reply lost after
-	// the handler ran, the fault under which a retried write applies
-	// twice (see core.Config.RetryAttempts).
-	FailureRate float64
-	// Seed makes failure injection deterministic.
-	Seed int64
 }
 
 // InProc is an in-process Fabric: Call invokes the handler
 // synchronously on the caller's goroutine after the simulated transit
 // delay (a multithreaded RPC endpoint). A node is a handler and nothing
-// else. It is safe for concurrent use.
+// else; no call fails but for the context, an unknown node or Close.
+// It is safe for concurrent use.
 type InProc struct {
-	opts    InProcOptions
 	latency atomic.Int64 // current per-message transit, adjustable at runtime
 
 	mu     sync.RWMutex
 	nodes  []Handler
 	closed bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	messages atomic.Int64
-	failures atomic.Int64
 }
 
 // NewInProc returns an in-process fabric.
 func NewInProc(opts InProcOptions) *InProc {
-	f := &InProc{
-		opts: opts,
-		rng:  rand.New(rand.NewSource(opts.Seed)),
-	}
+	f := &InProc{}
 	f.latency.Store(int64(opts.Latency))
 	return f
 }
@@ -109,10 +92,6 @@ func (f *InProc) Call(ctx context.Context, from, to NodeID, req any) (any, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if f.opts.FailureRate > 0 && f.roll() < f.opts.FailureRate {
-		f.failures.Add(1)
-		return nil, ErrTransient
-	}
 	return h(ctx, from, req)
 }
 
@@ -133,20 +112,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (f *InProc) roll() float64 {
-	f.rngMu.Lock()
-	defer f.rngMu.Unlock()
-	return f.rng.Float64()
-}
-
-// Stats implements Fabric. Nothing is encoded in process, so Bytes
-// stays zero: byte accounting is the TCP fabric's.
-func (f *InProc) Stats() Stats {
-	return Stats{
-		Messages: f.messages.Load(),
-		Failures: f.failures.Load(),
-	}
-}
+// Stats implements Fabric. Nothing is encoded in process and nothing
+// fails in transit, so Bytes and Failures stay zero: byte accounting is
+// the TCP fabric's.
+func (f *InProc) Stats() Stats { return Stats{Messages: f.messages.Load()} }
 
 // Close implements Fabric. Calls already inside a handler finish; later
 // ones fail with ErrClosed.

@@ -37,9 +37,9 @@ func sameNeighbors(t *testing.T, got, want []kdtree.Neighbor, format string, arg
 // messages than the incremental one.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	for _, pol := range []struct {
-		name   string
-		policy PlacementPolicy
-	}{{"box", PlacementBox}, {"roundrobin", PlacementRoundRobin}} {
+		name  string
+		place func([]placeBox, int) []int
+	}{{"box", placeSubtrees}, {"roundrobin", roundRobin}} {
 		t.Run(pol.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(67))
 			const dim = 5
@@ -47,13 +47,12 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			cfg := Config{
 				Dim: dim, BucketSize: 8,
 				PartitionCapacity: 150, MaxPartitions: 6,
-				Placement: pol.policy,
 			}
-			bulk := mustTree(t, cfg)
+			bulk := mustTreePlaced(t, cfg, pol.place)
 			if err := bulk.BulkLoad(context.Background(), pts); err != nil {
 				t.Fatal(err)
 			}
-			incr := mustTree(t, cfg)
+			incr := mustTreePlaced(t, cfg, pol.place)
 			if err := incr.InsertAll(pts, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -123,9 +122,9 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 // policies.
 func TestBulkLoadIntoLiveTree(t *testing.T) {
 	for _, pol := range []struct {
-		name   string
-		policy PlacementPolicy
-	}{{"box", PlacementBox}, {"roundrobin", PlacementRoundRobin}} {
+		name  string
+		place func([]placeBox, int) []int
+	}{{"box", placeSubtrees}, {"roundrobin", roundRobin}} {
 		t.Run(pol.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(71))
 			const dim = 4
@@ -137,16 +136,15 @@ func TestBulkLoadIntoLiveTree(t *testing.T) {
 			cfg := Config{
 				Dim: dim, BucketSize: 8,
 				PartitionCapacity: 120, MaxPartitions: 5,
-				Placement: pol.policy,
 			}
-			live := mustTree(t, cfg)
+			live := mustTreePlaced(t, cfg, pol.place)
 			if err := live.InsertAll(base, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := live.BulkLoad(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
-			incr := mustTree(t, cfg)
+			incr := mustTreePlaced(t, cfg, pol.place)
 			all := append(append([]kdtree.Point(nil), base...), batch...)
 			if err := incr.InsertAll(all, 1); err != nil {
 				t.Fatal(err)
@@ -318,11 +316,12 @@ func TestBulkLoadChurnConcurrent(t *testing.T) {
 		}
 	}
 
-	tr := mustTree(t, Config{
+	// Round-robin spills scatter the leaves: the most cross-partition
+	// edges to race over.
+	tr := mustTreePlaced(t, Config{
 		Dim: dim, BucketSize: 8,
 		PartitionCapacity: 90, MaxPartitions: 6,
-		Placement: PlacementRoundRobin, // scattered spills: the most cross-partition edges to race over
-	})
+	}, roundRobin)
 	if err := tr.InsertAll(seed, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"semtree/internal/cluster"
+	"semtree/internal/cluster/clustertest"
 	"semtree/internal/kdtree"
 )
 
@@ -345,7 +346,7 @@ func TestBalancedHeightLogarithmic(t *testing.T) {
 }
 
 func TestFailureInjectionWithRetries(t *testing.T) {
-	fabric := cluster.NewInProc(cluster.InProcOptions{FailureRate: 0.15, Seed: 99})
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 99, DropBefore: 0.15})
 	defer fabric.Close()
 	r := rand.New(rand.NewSource(9))
 	pts := randomPoints(r, 800, 3)
@@ -364,7 +365,7 @@ func TestFailureInjectionWithRetries(t *testing.T) {
 	if st.Points != 800 {
 		t.Fatalf("points = %d, want 800 (lost under failures)", st.Points)
 	}
-	if fabric.Stats().Failures == 0 {
+	if fabric.Stats().Failures == 0 || fabric.Counts().Injected() == 0 {
 		t.Fatal("no failures injected — test vacuous")
 	}
 	for q := 0; q < 10; q++ {

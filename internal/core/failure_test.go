@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"semtree/internal/cluster"
+	"semtree/internal/cluster/clustertest"
 )
 
 func TestQueriesUnderFailureInjection(t *testing.T) {
 	// Cross-partition search messages are retried on transient
 	// failures; with a bounded failure rate and enough attempts every
 	// query must still return the exact answer.
-	fabric := cluster.NewInProc(cluster.InProcOptions{FailureRate: 0.10, Seed: 7})
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 7, DropBefore: 0.10})
 	defer fabric.Close()
 	r := rand.New(rand.NewSource(8))
 	pts := randomPoints(r, 1000, 3)
@@ -44,7 +45,7 @@ func TestQueriesUnderFailureInjection(t *testing.T) {
 			t.Fatal("range wrong under failures")
 		}
 	}
-	if fabric.Stats().Failures == 0 {
+	if fabric.Stats().Failures == 0 || fabric.Counts().Injected() == 0 {
 		t.Fatal("no failures injected — test vacuous")
 	}
 }
@@ -52,7 +53,7 @@ func TestQueriesUnderFailureInjection(t *testing.T) {
 func TestQueryFailsWhenRetriesExhausted(t *testing.T) {
 	// With certain failure and no retries budget, cross-partition
 	// operations must surface an error rather than return wrong data.
-	fabric := cluster.NewInProc(cluster.InProcOptions{Seed: 9})
+	fabric := cluster.NewInProc(cluster.InProcOptions{})
 	r := rand.New(rand.NewSource(10))
 	pts := randomPoints(r, 500, 2)
 	tr := mustTree(t, Config{
@@ -73,17 +74,17 @@ func TestQueryFailsWhenRetriesExhausted(t *testing.T) {
 
 // TestInsertAllAttemptsEveryPoint: InsertAll returns the first error
 // but still attempts the remaining points, whatever the worker count.
-// On one partition every insert is one message and the fabric's seeded
-// failure rolls are consumed one per message, so the number of points
-// that land is the same for the serial and the pooled path — unless one
-// of them stops at its first failure.
+// On one partition every insert is one message on one edge, and the
+// fault schedule is a function of that edge's sequence numbers, so the
+// number of points that land is the same for the serial and the pooled
+// path — unless one of them stops at its first failure.
 func TestInsertAllAttemptsEveryPoint(t *testing.T) {
 	pts := randomPoints(rand.New(rand.NewSource(12)), 400, 2)
 	landed := func(workers int) int {
-		fabric := cluster.NewInProc(cluster.InProcOptions{FailureRate: 0.2, Seed: 11})
+		fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 11, DropBefore: 0.2})
 		defer fabric.Close()
 		tr := mustTree(t, Config{Dim: 2, Fabric: fabric, RetryAttempts: 1})
-		if err := tr.InsertAll(pts, workers); err == nil {
+		if err := tr.InsertAll(pts, workers); err == nil || fabric.Counts().Injected() == 0 {
 			t.Fatal("no insert failed — test vacuous")
 		}
 		// Stats crosses the same lossy fabric: ask until it gets through.
@@ -97,5 +98,44 @@ func TestInsertAllAttemptsEveryPoint(t *testing.T) {
 	}
 	if serial, pooled := landed(1), landed(4); serial != pooled {
 		t.Fatalf("InsertAll landed %d points with 1 worker, %d with 4", serial, pooled)
+	}
+}
+
+// TestQueriesSurviveLostReplies: a query whose reply is lost after the
+// partition handler ran is sent again, and the answer is still exact —
+// the k-NN and range merges deduplicate by point ID, so a query needs
+// no exactly-once delivery. Nine partitions are built on a clean
+// fabric; drop-reply-after is then armed at 5 % for the queries alone,
+// and every answer, under both k-NN protocols and for range, must be
+// the flat scan's in IDs, order and distance bits.
+func TestQueriesSurviveLostReplies(t *testing.T) {
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{})
+	defer fabric.Close()
+	r := rand.New(rand.NewSource(13))
+	pts := randomPoints(r, 2000, 3)
+	tr := mustTree(t, Config{
+		Dim: 3, BucketSize: 8,
+		PartitionCapacity: 64, MaxPartitions: 9,
+		Fabric: fabric, RetryAttempts: 40,
+	})
+	if err := tr.InsertAll(pts, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.PartitionCount(); got != 9 {
+		t.Fatalf("partitions = %d, want 9", got)
+	}
+	queries := make([][]float64, 40)
+	for i := range queries {
+		queries[i] = randomPoints(r, 1, 3)[0].Coords
+	}
+	built := fabric.Counts()
+	fabric.Arm(clustertest.Faults{Seed: 5, DropReplyAfter: 0.05})
+	checkAgainstScan(t, tr, pts, queries, "under lost replies")
+	c := fabric.Counts()
+	runs, completed := c.Runs-built.Runs, c.Completed-built.Completed
+	t.Logf("%d handler runs, %d completed calls, %d replies lost", runs, completed, c.Lost)
+	if c.Injected() == 0 || runs <= completed {
+		t.Fatalf("%d handler runs for %d completed calls, %d faults injected: no reply was lost after its handler ran",
+			runs, completed, c.Injected())
 	}
 }

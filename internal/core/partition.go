@@ -209,9 +209,8 @@ func (p *partition) capacityExceededLocked() bool {
 // leaves stay behind as forwarding tombstones for in-flight operations.
 // When fewer compute nodes remain than leaves exist, the available new
 // partitions adopt the leaves as the placement kernel assigns them —
-// geometrically close leaves together (Config.Placement; round-robin
-// under the ablation policy) — a budget-limited variant of the paper's
-// one-partition-per-leaf procedure.
+// geometrically close leaves together — a budget-limited variant of
+// the paper's one-partition-per-leaf procedure.
 func (p *partition) buildPartition() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

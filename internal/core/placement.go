@@ -18,23 +18,9 @@ import (
 // its region instead of by the partition count. Boxes and counts are
 // all the kernel reads: a layout is a function of the data, never of
 // what the fabric's clock measured (TestLayoutIsFunctionOfData).
-// Config.Placement selects the policy; PlacementRoundRobin restores the
-// legacy behavior as the baseline TestPlacementIdenticalResults and
-// BenchmarkKNNPlacement measure against.
-
-// PlacementPolicy selects how spilled and rebalanced subtrees are
-// assigned to partitions.
-type PlacementPolicy int
-
-const (
-	// PlacementBox (the default) scores candidate partitions by
-	// bounding-box enlargement plus load, clustering geometrically close
-	// subtrees on the same partition.
-	PlacementBox PlacementPolicy = iota
-	// PlacementRoundRobin restores the legacy arena-order round-robin
-	// assignment, as the ablation baseline for the placement figure.
-	PlacementRoundRobin
-)
+// Round-robin scatter is a test reference (roundRobin in
+// placement_test.go) that TestPlacementIdenticalResults and
+// BenchmarkKNNPlacement measure the kernel against through Tree.place.
 
 // placeLoadWeight weighs a candidate's normalized load against the
 // geometric term: geometry dominates (it is what bounds query fan-out),
@@ -150,17 +136,10 @@ func placeSubtrees(subs []placeBox, targets int) []int {
 // assignTargets maps each subtree of a spill or a balanced install to
 // one of targets, all of them still empty: the placement kernel packs
 // geometrically close subtrees together (it spreads one anchor per
-// partition and clusters the surplus); round-robin under the ablation
-// policy.
+// partition and clusters the surplus).
 func (t *Tree) assignTargets(subs []placeBox, targets []cluster.NodeID) []cluster.NodeID {
 	assign := make([]cluster.NodeID, len(subs))
-	if t.cfg.Placement == PlacementRoundRobin {
-		for i := range subs {
-			assign[i] = targets[i%len(targets)]
-		}
-		return assign
-	}
-	for i, ti := range placeSubtrees(subs, len(targets)) {
+	for i, ti := range t.place(subs, len(targets)) {
 		assign[i] = targets[ti]
 	}
 	return assign

@@ -81,16 +81,37 @@ func TestPlaceSubtreesDeterministic(t *testing.T) {
 	}
 }
 
+// roundRobin is the arena-order scatter that ignores geometry: subtree
+// i goes to target i mod targets. It is the baseline
+// TestPlacementIdenticalResults and BenchmarkKNNPlacement measure the
+// kernel against, and the layout with the most cross-partition edges
+// for the protocol tests to cross.
+func roundRobin(subs []placeBox, targets int) []int {
+	assign := make([]int, len(subs))
+	for i := range assign {
+		assign[i] = i % targets
+	}
+	return assign
+}
+
+// mustTreePlaced is mustTree with place assigning the subtrees of
+// every spill and install.
+func mustTreePlaced(t *testing.T, cfg Config, place func([]placeBox, int) []int) *Tree {
+	t.Helper()
+	tr := mustTree(t, cfg)
+	tr.place = place
+	return tr
+}
+
 // placementPair builds two trees over the same clustered points and
-// topology, differing only in Config.Placement.
+// topology, one placed by the kernel and one round-robin.
 func placementPair(t *testing.T, pts []kdtree.Point, dim int) (placed, rr *Tree) {
 	t.Helper()
-	mk := func(policy PlacementPolicy) *Tree {
-		tr := mustTree(t, Config{
+	mk := func(place func([]placeBox, int) []int) *Tree {
+		tr := mustTreePlaced(t, Config{
 			Dim: dim, BucketSize: 8,
 			PartitionCapacity: 128, MaxPartitions: 5,
-			Placement: policy,
-		})
+		}, place)
 		if err := tr.InsertAll(pts, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +120,7 @@ func placementPair(t *testing.T, pts []kdtree.Point, dim int) (placed, rr *Tree)
 		}
 		return tr
 	}
-	return mk(PlacementBox), mk(PlacementRoundRobin)
+	return mk(placeSubtrees), mk(roundRobin)
 }
 
 // TestPlacementIdenticalResults: the placement policy must not change

@@ -333,9 +333,8 @@ func TestProtocolOverTCP(t *testing.T) {
 	}
 	// Round-robin spills scatter neighbouring leaves over the partitions:
 	// the most cross-partition edges for the queries to cross.
-	cfg := Config{Dim: 4, BucketSize: 8, PartitionCapacity: 64, MaxPartitions: 9, Placement: PlacementRoundRobin}
-	cfg.Fabric = fabric
-	tr := mustTree(t, cfg)
+	cfg := Config{Dim: 4, BucketSize: 8, PartitionCapacity: 64, MaxPartitions: 9, Fabric: fabric}
+	tr := mustTreePlaced(t, cfg, roundRobin)
 	ctx := context.Background()
 
 	// Fits one partition: the whole balanced tree grafts onto the root.
@@ -447,11 +446,10 @@ func TestRebalanceFailedInstallKeepsPoints(t *testing.T) {
 // layout depends on that order.
 func TestRebalanceOrderStable(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	tr := mustTree(t, Config{
+	tr := mustTreePlaced(t, Config{
 		Dim: 4, BucketSize: 8,
 		PartitionCapacity: 96, MaxPartitions: 6,
-		Placement: PlacementRoundRobin,
-	})
+	}, roundRobin)
 	if err := tr.InsertAll(clusteredPoints(r, 1500, 4, 4), 1); err != nil {
 		t.Fatal(err)
 	}

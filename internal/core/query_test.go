@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"semtree/internal/cluster"
+	"semtree/internal/cluster/clustertest"
 	"semtree/internal/kdtree"
 )
 
@@ -155,10 +156,12 @@ func TestKNNParallelSurvivesConcurrentInserts(t *testing.T) {
 // TestKNNParallelPropagatesFabricErrors: on a lossy fabric, the
 // parallel fan-out must either answer exactly (retries absorbed the
 // failures) or surface an error — never return a silent partial set.
+// Faults must have been injected and some query answered, or the test
+// proves nothing.
 func TestKNNParallelPropagatesFabricErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	pts := randomPoints(r, 1000, 3)
-	fabric := cluster.NewInProc(cluster.InProcOptions{FailureRate: 0.05, Seed: 1})
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 1, DropBefore: 0.05})
 	defer fabric.Close()
 	tr, err := New(Config{
 		Dim: 3, BucketSize: 8,
@@ -172,6 +175,7 @@ func TestKNNParallelPropagatesFabricErrors(t *testing.T) {
 	if err := tr.InsertAll(pts, 1); err != nil {
 		t.Fatal(err)
 	}
+	answered := 0
 	for trial := 0; trial < 30; trial++ {
 		q := randomPoints(r, 1, 3)[0].Coords
 		got, err := tr.KNearest(context.Background(), q, 5)
@@ -181,6 +185,10 @@ func TestKNNParallelPropagatesFabricErrors(t *testing.T) {
 		if want := bruteKNN(pts, q, 5); !sameIDSets(got, want) {
 			t.Fatalf("trial %d: lossy fabric produced a silent partial answer", trial)
 		}
+		answered++
+	}
+	if answered == 0 || fabric.Counts().Injected() == 0 {
+		t.Fatalf("%d of 30 queries answered, %d faults injected: the test proves nothing", answered, fabric.Counts().Injected())
 	}
 }
 

@@ -7,10 +7,11 @@ import "semtree/internal/kdtree"
 // hosted by other partitions beneath cross-partition children — and
 // every cross-partition edge has the remote subtree's box cached on the
 // near side (partition.remoteBoxes), which the kernel's search guard
-// reads through kdtree.Outside.Box. Config.PlaneGuardOnly restores the
-// paper's splitting-plane bound for ablation; both guards admit exactly
-// the same result sets (pruning is on the strict inequality against the
-// k-th best), which the equivalence tests pin.
+// reads through kdtree.Outside.Box. The guard admits exactly the result
+// sets the paper's splitting-plane bound does (pruning is on the strict
+// inequality against the k-th best): the equivalence tests pin both
+// protocols to the flat scan, and kdtree's plane-bound reference walk
+// pins the kernel to the paper's bound.
 
 // box is one cached bounding box. lo is nil only transiently (entries
 // are installed with real boxes); an empty box is never cached.

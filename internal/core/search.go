@@ -48,9 +48,8 @@ type queryCtx struct {
 // pendingHop is one remote subtree the fan-out protocol deferred, with
 // the guard it already passed (kdtree's visit guard: the exact squared
 // min distance from the query to the subtree's region, the squared
-// splitting-plane distance when the region is unknown or under
-// Config.PlaneGuardOnly, < 0 when unconditional) so the final local
-// bound can still rule it out.
+// splitting-plane distance when the region is unknown, < 0 when
+// unconditional) so the final local bound can still rule it out.
 type pendingHop struct {
 	ref     kdtree.Ref
 	guardSq float64
@@ -74,7 +73,6 @@ func getQueryCtx(ctx context.Context, p *partition, r knnReq) *queryCtx {
 	c.ctx, c.p, c.r = ctx, p, r
 	c.rs.reset(r.K, r.Rs)
 	c.s.Reset(r.Query)
-	c.s.PlaneGuardOnly = p.t.cfg.PlaneGuardOnly
 	c.pending = c.pending[:0]
 	c.stats = queryStats{}
 	c.err = nil
@@ -246,10 +244,9 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 	// partition boundary is a message either way, and the remote
 	// region's exact min-distance can rule the hop out like any guarded
 	// sibling. Re-guard it with its cached box; it stays unconditional
-	// when the region is unknown, or under the plane-guard ablation,
-	// whose baseline must keep the paper's semantics.
+	// when the region is unknown.
 	home := guardSq < 0
-	if home && !p.t.cfg.PlaneGuardOnly {
+	if home {
 		if lo, hi, ok := p.remoteBox(ref); ok {
 			guardSq = kdtree.BoxMinSq(r.Query, lo, hi)
 		}
@@ -403,7 +400,6 @@ func (p *partition) handleRange(ctx context.Context, r rangeReq) (any, error) {
 	}
 	col := &rangeCollector{ctx: ctx, p: p}
 	col.s.Query, col.s.Radius = r.Query, r.D
-	col.s.PlaneGuardOnly = p.t.cfg.PlaneGuardOnly
 	p.mu.RLock()
 	err := p.Range(&col.s, r.Node, col)
 	p.mu.RUnlock()

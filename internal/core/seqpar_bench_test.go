@@ -16,13 +16,6 @@ import (
 )
 
 func benchQueryTree(b *testing.B, m int) (*Tree, [][]float64) {
-	return benchQueryTreeGuard(b, m, false)
-}
-
-// benchQueryTreeGuard is benchQueryTree with the pruning guard
-// selectable: planeGuard pins the paper's splitting-plane bound, the
-// default is the region (bounding-box) min-distance guard.
-func benchQueryTreeGuard(b *testing.B, m int, planeGuard bool) (*Tree, [][]float64) {
 	b.Helper()
 	r := rand.New(rand.NewSource(1))
 	pts := make([]kdtree.Point, 20000)
@@ -37,8 +30,7 @@ func benchQueryTreeGuard(b *testing.B, m int, planeGuard bool) (*Tree, [][]float
 	if m > 1 {
 		capacity = (m - 1) * 16
 	}
-	tr, err := New(Config{Dim: 8, BucketSize: 16, PartitionCapacity: capacity,
-		MaxPartitions: m, PlaneGuardOnly: planeGuard})
+	tr, err := New(Config{Dim: 8, BucketSize: 16, PartitionCapacity: capacity, MaxPartitions: m})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,13 +58,7 @@ func BenchmarkKNNProtocols(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fanout", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("fanout", func(b *testing.B) { benchFanOut(b, tr, qs) })
 }
 
 // benchFanOut times fan-out k-NN (K=3) over qs and reports the
@@ -98,24 +84,24 @@ func benchFanOut(b *testing.B, tr *Tree, qs [][]float64) {
 }
 
 // BenchmarkKNNPlacement measures the geometry-aware placement kernel
-// against the legacy round-robin scatter on a clustered workload:
-// identical results, fewer partitions and messages per query under the
-// box policy (both reported beside ns/op; TestPlacementIdenticalResults
-// is the gate).
+// against the legacy round-robin scatter (roundRobin, through the
+// Tree.place seam) on a clustered workload: identical results, fewer
+// partitions and messages per query when placed (both reported beside
+// ns/op; TestPlacementIdenticalResults is the gate).
 func BenchmarkKNNPlacement(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		policy PlacementPolicy
-	}{{"placed", PlacementBox}, {"rr", PlacementRoundRobin}} {
+		name  string
+		place func([]placeBox, int) []int
+	}{{"placed", placeSubtrees}, {"rr", roundRobin}} {
 		b.Run(mode.name, func(b *testing.B) {
 			r := rand.New(rand.NewSource(3))
 			pts := clusteredPoints(r, 20000, 8, 10)
-			tr, err := New(Config{Dim: 8, BucketSize: 16, PartitionCapacity: 4 * 16,
-				MaxPartitions: 5, Placement: mode.policy})
+			tr, err := New(Config{Dim: 8, BucketSize: 16, PartitionCapacity: 4 * 16, MaxPartitions: 5})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { tr.Close() })
+			tr.place = mode.place
 			if err := tr.InsertAll(pts, 1); err != nil {
 				b.Fatal(err)
 			}
@@ -130,23 +116,6 @@ func BenchmarkKNNPlacement(b *testing.B) {
 				}
 				qs[i] = q
 			}
-			benchFanOut(b, tr, qs)
-		})
-	}
-}
-
-// BenchmarkKNNRegionPrune measures the region (bounding-box)
-// min-distance guard against the paper's splitting-plane bound on the
-// same multi-partition workload: identical results, fewer messages and
-// probe misses per query (both reported beside ns/op;
-// TestRegionPruneReducesWork is the gate).
-func BenchmarkKNNRegionPrune(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		planeGuard bool
-	}{{"region", false}, {"plane", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tr, qs := benchQueryTreeGuard(b, 5, mode.planeGuard)
 			benchFanOut(b, tr, qs)
 		})
 	}

@@ -25,11 +25,12 @@ func buildChurnedTree(t *testing.T, r *rand.Rand) (*Tree, []kdtree.Point) {
 	t.Helper()
 	const dim = 4
 	pts := clusteredPoints(r, 1500, dim, 4)
-	tr := mustTree(t, Config{
+	// Round-robin spills scatter the leaves: the most cross-partition
+	// edges.
+	tr := mustTreePlaced(t, Config{
 		Dim: dim, BucketSize: 8,
 		PartitionCapacity: 120, MaxPartitions: 6,
-		Placement: PlacementRoundRobin, // scattered spills: the most cross-partition edges
-	})
+	}, roundRobin)
 	if err := tr.BulkLoad(context.Background(), pts[:1000]); err != nil {
 		t.Fatal(err)
 	}

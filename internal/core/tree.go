@@ -34,30 +34,13 @@ type Config struct {
 	// the paper's "totally unbalanced" configuration.
 	Unbalanced bool
 	// RetryAttempts bounds per-message retries on transient fabric
-	// failures. Default 3. Delivery is at-least-once: on the in-process
-	// fabric a transient failure happens before the handler runs, but
-	// cluster.TCP reports any failed exchange as transient — a reply
-	// lost on a pooled connection after the handler ran included — and
-	// the retry then applies the request a second time. Queries and
-	// restoreReq are idempotent; insertReq, bulkAddReq and installReq
-	// are not (a duplicated point or fragment).
+	// failures. Default 3. Delivery is at-least-once: cluster.TCP
+	// reports any failed exchange as transient — a reply lost on a
+	// pooled connection after the handler ran included — and the retry
+	// then applies the request a second time. Queries and restoreReq
+	// are idempotent; insertReq, bulkAddReq and installReq are not (a
+	// duplicated point or fragment).
 	RetryAttempts int
-	// PlaneGuardOnly restores the paper's one-dimensional
-	// splitting-plane pruning bound (§III-B.3) in place of the exact
-	// region (bounding-box) min-distance guard. Results are identical
-	// either way — the region guard is never looser, so it only skips
-	// work — which makes this flag the reference the equivalence tests
-	// and TestRegionPruneReducesWork measure the guard against.
-	PlaneGuardOnly bool
-	// Placement selects how spilled and rebalanced subtrees are
-	// assigned to partitions. The default (PlacementBox) clusters
-	// geometrically close subtrees on the same partition via the
-	// box-enlargement kernel; PlacementRoundRobin restores the legacy
-	// scatter as the ablation baseline TestPlacementIdenticalResults
-	// and BenchmarkKNNPlacement measure against. Results are identical
-	// either way — exact k-NN and range results do not depend on which
-	// partition hosts which subtree.
-	Placement PlacementPolicy
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -88,6 +71,10 @@ type Tree struct {
 	fabric    cluster.Fabric // observation-wrapped; all tree traffic goes through it
 	inner     cluster.Fabric // the fabric as configured (closed on Close when owned)
 	ownFabric bool
+
+	// place assigns spilled and rebalanced subtrees to empty target
+	// partitions: placeSubtrees, which tests swap for a reference.
+	place func(subs []placeBox, targets int) []int
 
 	// model is the scheduler's online cost model; it is always on (the
 	// observations are a few arithmetic ops per query) and shared by
@@ -128,7 +115,7 @@ func New(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, inner: cfg.Fabric, model: newCostModel()}
+	t := &Tree{cfg: cfg, inner: cfg.Fabric, place: placeSubtrees, model: newCostModel()}
 	if t.inner == nil {
 		t.inner = cluster.NewInProc(cluster.InProcOptions{})
 		t.ownFabric = true

@@ -175,13 +175,9 @@ func (a *Arena) childBoxMinSq(ref Ref, q []float64, out Outside) (float64, bool)
 
 // guardSq computes the k-NN backtracking guard for a child: the exact
 // region min-distance when known (never looser than the plane bound),
-// the squared splitting-plane distance otherwise, or the plane bound
-// alone under Search.PlaneGuardOnly.
-func (a *Arena) guardSq(s *Search, ref Ref, planeSq float64, out Outside) float64 {
-	if s.PlaneGuardOnly {
-		return planeSq
-	}
-	if minSq, ok := a.childBoxMinSq(ref, s.Query, out); ok && minSq > planeSq {
+// the squared splitting-plane distance otherwise.
+func (a *Arena) guardSq(q []float64, ref Ref, planeSq float64, out Outside) float64 {
+	if minSq, ok := a.childBoxMinSq(ref, q, out); ok && minSq > planeSq {
 		return minSq
 	}
 	return planeSq

@@ -11,11 +11,12 @@ import "math"
 // the box lies entirely beyond the plane, so the box bound is never
 // looser and grows strictly tighter with dimensionality — falling back
 // to the squared plane distance when the region behind an outside
-// reference is unknown, or always under Search.PlaneGuardOnly. The
-// guard is evaluated at pop time — after the nearer sibling's subtree
-// has been fully explored — which is exactly the paper's backtracking
-// condition (visit the unexplored side when Rs.length() < K or the
-// worst kept distance still reaches the region). We skip only when the
+// reference is unknown. (The paper's plane-only walk is a test
+// reference, planeKNN in plane_test.go.) The guard is evaluated at pop
+// time — after the nearer sibling's subtree has been fully explored —
+// which is exactly the paper's backtracking condition (visit the
+// unexplored side when Rs.length() < K or the worst kept distance
+// still reaches the region). We skip only when the
 // guard is *strictly* beyond the worst kept candidate: at exact
 // equality a point on the region's boundary could tie the k-th best
 // with a smaller ID, and every guard (plane or box, local or
@@ -32,11 +33,7 @@ type visit struct {
 // is set; Reset re-arms a pooled one.
 type Search struct {
 	Query []float64
-	// PlaneGuardOnly restores the paper's one-dimensional
-	// splitting-plane bound in place of the exact region guard, for
-	// ablation. Results are identical either way.
-	PlaneGuardOnly bool
-	Stats          Stats
+	Stats Stats
 	// RS is the k-nearest candidate set Rs, squared distances. It is a
 	// pointer so an Outside continuation can adopt a merged set
 	// mid-traversal (the sequential cross-partition protocol).
@@ -166,7 +163,7 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 				// LIFO: far is guarded by its region's exact
 				// min-distance and pops only after near's whole subtree
 				// has been explored.
-				s.Push(far, a.guardSq(s, far, plane*plane, out))
+				s.Push(far, a.guardSq(s.Query, far, plane*plane, out))
 				s.Push(near, -1)
 				continue
 			}
@@ -185,9 +182,8 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 // |P[SI] − Sv| <= D) qualify; the region guard then skips any
 // qualifying child whose bounding box provably holds no match — the
 // exact min-distance form of the same test (<=, not <, so points lying
-// at distance exactly D are not missed) — unless the ablation pins the
-// plane bound. References that leave the arena are handed to out, in
-// parallel below a border node.
+// at distance exactly D are not missed). References that leave the
+// arena are handed to out, in parallel below a border node.
 func (a *Arena) Range(s *Search, idx int32, out Outside) error {
 	if err := s.tick(out); err != nil {
 		return err
@@ -216,10 +212,8 @@ func (a *Arena) Range(s *Search, idx int32, out Outside) error {
 		if home := (q <= n.SplitVal) == (i == 0); !home && !border {
 			continue
 		}
-		if !s.PlaneGuardOnly {
-			if minSq, ok := a.childBoxMinSq(c, s.Query, out); ok && minSq > dd {
-				continue
-			}
+		if minSq, ok := a.childBoxMinSq(c, s.Query, out); ok && minSq > dd {
+			continue
 		}
 		var err error
 		if a.IsLocal(c) {

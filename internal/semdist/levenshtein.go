@@ -23,10 +23,9 @@
 // # What is cached
 //
 // One dense V×V matrix of the configured concept measure per
-// vocabulary, built in New (Options.DisableCache calls the measure per
-// pair instead). Nothing else: literal pairs are recomputed every time
-// by an allocation-free Levenshtein, so a Metric's memory does not
-// depend on the queries it has seen.
+// vocabulary, built in New. Nothing else: literal pairs are recomputed
+// every time by an allocation-free Levenshtein, so a Metric's memory
+// does not depend on the queries it has seen.
 //
 // # Concurrency
 //

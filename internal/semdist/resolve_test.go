@@ -64,16 +64,14 @@ func TestResolvedKernelMatchesStringDispatch(t *testing.T) {
 	for _, name := range MeasureNames() {
 		measure, _ := MeasureByName(name)
 		for _, numeric := range []bool{false, true} {
-			for _, noMatrix := range []bool{false, true} {
-				reg := vocab.DefaultRegistry()
-				m := MustNew(reg, Options{Concept: measure, NumericLiterals: numeric, DisableCache: noMatrix})
-				for _, a := range terms {
-					for _, b := range terms {
-						want := referenceTermDistance(reg, measure, numeric, a, b)
-						if got := m.TermDistance(a, b); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s numeric=%v noMatrix=%v: TermDistance(%v, %v) = %v, string dispatch gives %v",
-								name, numeric, noMatrix, a, b, got, want)
-						}
+			reg := vocab.DefaultRegistry()
+			m := MustNew(reg, Options{Concept: measure, NumericLiterals: numeric})
+			for _, a := range terms {
+				for _, b := range terms {
+					want := referenceTermDistance(reg, measure, numeric, a, b)
+					if got := m.TermDistance(a, b); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s numeric=%v: TermDistance(%v, %v) = %v, string dispatch gives %v",
+							name, numeric, a, b, got, want)
 					}
 				}
 			}
@@ -94,7 +92,7 @@ func TestCorpusRowMatchesDistance(t *testing.T) {
 	store := triple.NewStore()
 	store.AddAll(triples, triple.Provenance{})
 	terms, ids := store.Encoded()
-	for _, opts := range []Options{{}, {NumericLiterals: true}, {DisableCache: true, Concept: Lin}} {
+	for _, opts := range []Options{{}, {NumericLiterals: true}, {Concept: Lin}} {
 		m := MustNew(vocab.DefaultRegistry(), opts)
 		c := NewCorpus(m, terms, ids)
 		row := make([]float64, c.Len())

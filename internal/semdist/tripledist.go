@@ -45,10 +45,6 @@ type Options struct {
 	// Levenshtein on their lexical forms. The paper prescribes a string
 	// distance for all same-typed literals; this switch is an ablation.
 	NumericLiterals bool
-	// DisableCache calls the concept measure on every concept pair
-	// instead of loading from the per-vocabulary distance matrices
-	// (useful to measure their effect). Nothing else is cached.
-	DisableCache bool
 }
 
 // Metric computes the semantic distance between triples (Eq. 1). It
@@ -58,7 +54,6 @@ type Options struct {
 // only reads. Safe for concurrent use.
 type Metric struct {
 	w       Weights
-	concept ConceptMeasure
 	numeric bool
 	vocabs  map[string]*conceptTable // by prefix
 }
@@ -69,16 +64,12 @@ type Metric struct {
 // concept pair an array load.
 type conceptTable struct {
 	v   *vocab.Vocabulary
-	mat []float64 // row-major V×V; nil under DisableCache
+	mat []float64 // row-major V×V
 }
 
-func newConceptTable(v *vocab.Vocabulary, measure ConceptMeasure, dense bool) *conceptTable {
-	t := &conceptTable{v: v}
-	if !dense {
-		return t
-	}
+func newConceptTable(v *vocab.Vocabulary, measure ConceptMeasure) *conceptTable {
 	n := v.Len()
-	t.mat = make([]float64, n*n)
+	t := &conceptTable{v: v, mat: make([]float64, n*n)}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := measure(v, vocab.ConceptID(i), vocab.ConceptID(j))
@@ -109,10 +100,10 @@ func New(reg *vocab.Registry, opts Options) (*Metric, error) {
 		return nil, fmt.Errorf("semdist: nil vocabulary registry")
 	}
 	reg.Freeze()
-	m := &Metric{w: w, concept: c, numeric: opts.NumericLiterals, vocabs: make(map[string]*conceptTable)}
+	m := &Metric{w: w, numeric: opts.NumericLiterals, vocabs: make(map[string]*conceptTable)}
 	for _, p := range reg.Prefixes() {
 		v, _ := reg.Get(p)
-		m.vocabs[p] = newConceptTable(v, c, !opts.DisableCache)
+		m.vocabs[p] = newConceptTable(v, c)
 	}
 	return m, nil
 }
@@ -226,9 +217,6 @@ func (m *Metric) termDistance(a, b *Term) float64 {
 	// A resolved concept's table stands for its prefix: equal tables
 	// means same vocabulary, both names known.
 	if a.voc != nil && a.voc == b.voc {
-		if a.voc.mat == nil {
-			return m.concept(a.voc.v, a.id, b.id)
-		}
 		return a.voc.mat[int(a.id)*a.voc.v.Len()+int(b.id)]
 	}
 	return NormalizedLevenshtein(a.Value, b.Value)

@@ -1,6 +1,7 @@
 package semdist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,20 +168,17 @@ func TestNumericLiteralsOption(t *testing.T) {
 	}
 }
 
+// TestCacheConsistency: a concept pair loaded from the metric's matrix
+// is the bits of the measure called directly.
 func TestCacheConsistency(t *testing.T) {
 	cached := testMetric(t, Options{})
-	raw := testMetric(t, Options{DisableCache: true})
 	r := rand.New(rand.NewSource(5))
 	v := vocab.Functions()
-	names := make([]string, 0, v.Len())
-	for i := 0; i < v.Len(); i++ {
-		names = append(names, v.Name(vocab.ConceptID(i)))
-	}
 	for trial := 0; trial < 300; trial++ {
-		a := triple.NewConcept("Fun", names[r.Intn(len(names))])
-		b := triple.NewConcept("Fun", names[r.Intn(len(names))])
-		if dc, dr := cached.TermDistance(a, b), raw.TermDistance(a, b); dc != dr {
-			t.Fatalf("cache changed result for (%s, %s): %f vs %f", a.Value, b.Value, dc, dr)
+		i, j := vocab.ConceptID(r.Intn(v.Len())), vocab.ConceptID(r.Intn(v.Len()))
+		a, b := triple.NewConcept("Fun", v.Name(i)), triple.NewConcept("Fun", v.Name(j))
+		if dc, dr := cached.TermDistance(a, b), WuPalmer(v, i, j); math.Float64bits(dc) != math.Float64bits(dr) {
+			t.Fatalf("matrix changed result for (%s, %s): %v vs %v", a.Value, b.Value, dc, dr)
 		}
 	}
 }
@@ -195,21 +193,9 @@ func TestCustomWeights(t *testing.T) {
 }
 
 // BenchmarkTripleDistanceCached loads concept pairs from the matrices
-// built at New; Uncached (DisableCache) calls the measure each time.
-// Literal pairs are computed afresh in both.
+// built at New; literal pairs are computed afresh.
 func BenchmarkTripleDistanceCached(b *testing.B) {
 	m := MustNew(vocab.DefaultRegistry(), Options{})
-	x := tr("'OBSW001'", "Fun:accept_cmd", "CmdType:start-up")
-	y := tr("'OBSW002'", "Fun:block_cmd", "CmdType:shutdown")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Distance(x, y)
-	}
-}
-
-func BenchmarkTripleDistanceUncached(b *testing.B) {
-	m := MustNew(vocab.DefaultRegistry(), Options{DisableCache: true})
 	x := tr("'OBSW001'", "Fun:accept_cmd", "CmdType:start-up")
 	y := tr("'OBSW002'", "Fun:block_cmd", "CmdType:shutdown")
 	b.ReportAllocs()
