@@ -94,12 +94,11 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		ts, err := triple.ReadAll(f)
+		_, _, err = store.AddFrom(f, triple.Provenance{Doc: *triples})
 		f.Close()
 		if err != nil {
 			return err
 		}
-		store.AddAll(ts, triple.Provenance{Doc: *triples})
 	} else {
 		gen := synth.New(synth.Config{Seed: *seed, Actors: 200}, nil)
 		store.AddAll(gen.Triples(*synthN), triple.Provenance{Doc: "synth", Section: "sec"})

@@ -69,13 +69,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ts, err := triple.ReadAll(f)
+	store := triple.NewStore()
+	_, _, err = store.AddFrom(f, triple.Provenance{Doc: *triplesPath})
 	f.Close()
 	if err != nil {
 		fatal(err)
 	}
-	store := triple.NewStore()
-	store.AddAll(ts, triple.Provenance{Doc: *triplesPath})
 
 	opts := semtree.Options{Registry: reg, Measure: *measure, Seed: *seed, MaxPartitions: *partitions}
 	if *partitions > 1 {

@@ -20,6 +20,9 @@ func TestParseTermForms(t *testing.T) {
 		{"3.5", Term{Kind: Literal, Value: "3.5", LitType: LitFloat}},
 		{"true", Term{Kind: Literal, Value: "true", LitType: LitBool}},
 		{`'o\'brien'`, NewLiteral("o'brien")},
+		{`'a\\'`, NewLiteral(`a\`)},
+		{`'x\\\'y'`, NewLiteral(`x\'y`)},
+		{`'C:\temp'`, NewLiteral(`C:\temp`)}, // any other escape stands as written
 	}
 	for _, c := range cases {
 		got, err := ParseTerm(c.in)
@@ -114,6 +117,10 @@ func TestReadAllWriteAllRoundTrip(t *testing.T) {
 		New(NewLiteral("OBSW001"), NewConcept("Fun", "acquire_in"), NewConcept("InType", "pre-launch_phase")),
 		New(NewLiteral("OBSW001"), NewConcept("Fun", "accept_cmd"), NewConcept("CmdType", "start-up")),
 		New(NewLiteral("OBSW001"), NewConcept("Fun", "send_msg"), NewConcept("MsgType", "power_amplifier")),
+	}
+	// Literals holding a backslash, alone or before a quote.
+	for _, v := range []string{`a\`, `a\'b`, `\\`, `C:\temp`, `'\`} {
+		ts = append(ts, New(NewLiteral(v), NewConcept("Fun", "f"), NewConcept("", "o")))
 	}
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, ts); err != nil {

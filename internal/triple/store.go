@@ -2,6 +2,7 @@ package triple
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 )
@@ -119,9 +120,14 @@ func (s *Store) internString(v string) uint32 {
 	return id
 }
 
-// put appends one encoded triple. Callers hold the write lock.
+// put appends one triple. Callers hold the write lock.
 func (s *Store) put(t Triple, doc, section uint32, seq int) {
-	s.spo = append(s.spo, [3]TermID{s.internTerm(t.Subject), s.internTerm(t.Predicate), s.internTerm(t.Object)})
+	s.putRow([3]TermID{s.internTerm(t.Subject), s.internTerm(t.Predicate), s.internTerm(t.Object)}, doc, section, seq)
+}
+
+// putRow appends one encoded triple. Callers hold the write lock.
+func (s *Store) putRow(spo [3]TermID, doc, section uint32, seq int) {
+	s.spo = append(s.spo, spo)
 	s.src = append(s.src, [2]uint32{doc, section})
 	s.seq = append(s.seq, seq)
 }
@@ -146,6 +152,35 @@ func (s *Store) AddAll(ts []Triple, p Provenance) ID {
 		s.put(t, doc, section, p.Seq+i)
 	}
 	return first
+}
+
+// AddFrom reads triples in the text notation from r, one per line as
+// ReadAll does, and appends them as AddAll would append ReadAll's
+// result: one provenance, sequence numbers from p.Seq in line order. It
+// returns the ID of the first one and how many there were. No []Triple
+// is built: the stream is parsed into rows over its distinct terms, and
+// only those terms are interned. Nothing is stored until the whole
+// stream has parsed, so on error the store is unchanged.
+func (s *Store) AddFrom(r io.Reader, p Provenance) (first ID, n int, err error) {
+	terms, rows, err := readRows(r)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first = ID(len(s.spo))
+	s.grow(len(rows))
+	doc, section := s.internString(p.Doc), s.internString(p.Section)
+	// The table is in first-seen order, so interning it in order assigns
+	// the TermIDs AddAll would.
+	ids := make([]TermID, len(terms))
+	for i, t := range terms {
+		ids[i] = s.internTerm(t)
+	}
+	for i, row := range rows {
+		s.putRow([3]TermID{ids[row[0]], ids[row[1]], ids[row[2]]}, doc, section, p.Seq+i)
+	}
+	return first, len(rows), nil
 }
 
 // AddEntries appends a batch of entries, each under its own provenance,

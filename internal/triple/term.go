@@ -112,6 +112,9 @@ func InferLiteralType(s string) LiteralType {
 	if s == "true" || s == "false" {
 		return LitBool
 	}
+	if s == "" || !numberStart(s[0]) {
+		return LitString // strconv would reject it, allocating its error
+	}
 	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return LitInt
 	}
@@ -119,6 +122,17 @@ func InferLiteralType(s string) LiteralType {
 		return LitFloat
 	}
 	return LitString
+}
+
+// numberStart reports whether strconv.ParseInt (base 10) or ParseFloat
+// accepts any string that starts with c: a sign, a digit, a point, or
+// the first letter of inf, infinity or nan.
+func numberStart(c byte) bool {
+	switch c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return '0' <= c && c <= '9'
 }
 
 // IsConcept reports whether the term is a vocabulary concept.
@@ -141,15 +155,31 @@ func (t Term) Equal(u Term) bool {
 
 // String renders the term in the paper's Turtle-like notation:
 // concepts as Prefix:value (the standard prefix is omitted), literals
-// single-quoted.
+// single-quoted with \ written \\ and ' written \', so that ParseTerm
+// reads any value back.
 func (t Term) String() string {
 	if t.Kind == Literal {
-		return "'" + strings.ReplaceAll(t.Value, "'", "\\'") + "'"
+		return quote(t.Value)
 	}
 	if t.Prefix == "" || t.Prefix == StandardPrefix {
 		return t.Value
 	}
 	return t.Prefix + ":" + t.Value
+}
+
+// quote single-quotes a literal's value with the escapes unquote undoes.
+func quote(v string) string {
+	var b strings.Builder
+	b.Grow(len(v) + 2 + strings.Count(v, `\`) + strings.Count(v, `'`))
+	b.WriteByte('\'')
+	for i := 0; i < len(v); i++ {
+		if v[i] == '\\' || v[i] == '\'' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(v[i])
+	}
+	b.WriteByte('\'')
+	return b.String()
 }
 
 // Key returns a canonical map key for the term.

@@ -1,6 +1,9 @@
 package triple
 
 import (
+	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +41,93 @@ func TestInferLiteralType(t *testing.T) {
 	}
 }
 
+// strconvLiteralType is InferLiteralType as it was before its
+// first-byte filter: strconv alone decides.
+func strconvLiteralType(s string) LiteralType {
+	if s == "true" || s == "false" {
+		return LitBool
+	}
+	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return LitInt
+	}
+	if _, err := strconv.ParseFloat(s, 64); err == nil {
+		return LitFloat
+	}
+	return LitString
+}
+
+// TestInferLiteralTypeMatchesStrconv: the first-byte filter changes no
+// classification — checked on every string of up to two bytes and on
+// the spellings strconv treats specially — and a token it filters out
+// costs no allocation.
+func TestInferLiteralTypeMatchesStrconv(t *testing.T) {
+	check := func(s string) {
+		if got, want := InferLiteralType(s), strconvLiteralType(s); got != want {
+			t.Errorf("InferLiteralType(%q) = %v, strconv says %v", s, got, want)
+		}
+	}
+	for _, s := range literalSeeds {
+		check(s)
+	}
+	check("")
+	for a := 0; a < 256; a++ {
+		check(string([]byte{byte(a)}))
+		for b := 0; b < 256; b++ {
+			check(string([]byte{byte(a), byte(b)}))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { InferLiteralType("OBSW001") }); n != 0 {
+		t.Errorf("InferLiteralType of a name allocates %.0f times", n)
+	}
+}
+
+var literalSeeds = []string{
+	"42", "-17", "+5", "3.14", ".5", "-.5e3", "1e3", "1E+3", "0x1p-2", "0X1P4", "0b101", "0o17", "1_000", "0x_1p0",
+	"_1", "inf", "+Inf", "-INF", "infinity", "Infinity", "nan", "NaN", "+nan", "i", "n", "in", "na",
+	"9223372036854775807", "9223372036854775808", "1e400", "true", "false", "True", "OBSW001", "12abc", " 1", "1 ",
+}
+
+func FuzzInferLiteralType(f *testing.F) {
+	for _, s := range literalSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := InferLiteralType(s), strconvLiteralType(s); got != want {
+			t.Fatalf("InferLiteralType(%q) = %v, strconv says %v", s, got, want)
+		}
+	})
+}
+
+// FuzzTermRoundTrip: any literal value reads back from its quoted form,
+// alone, inside a triple, and through WriteAll and ReadAll when it
+// holds no newline.
+func FuzzTermRoundTrip(f *testing.F) {
+	for _, s := range []string{"OBSW001", "a\\", "a\\'b", "o'brien", "C:\\temp", "'", "\\", "\\\\'", "a, b", "42", " x ", "(", ")."} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		lit := NewLiteral(v)
+		back, err := ParseTerm(lit.String())
+		if err != nil || back != lit {
+			t.Fatalf("ParseTerm(%s) = %+v, %v; want %+v", lit, back, err, lit)
+		}
+		tr := New(lit, NewConcept("Fun", "f"), lit)
+		if got, err := ParseTriple(tr.String()); err != nil || got != tr {
+			t.Fatalf("ParseTriple(%s) = %+v, %v", tr, got, err)
+		}
+		if strings.Contains(v, "\n") {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, []Triple{tr}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadAll(&buf); err != nil || len(got) != 1 || got[0] != tr {
+			t.Fatalf("ReadAll(WriteAll(%s)) = %+v, %v", tr, got, err)
+		}
+	})
+}
+
 func TestTermEqual(t *testing.T) {
 	a := NewConcept("Fun", "accept_cmd")
 	b := NewConcept("Fun", "accept_cmd")
@@ -65,6 +155,8 @@ func TestTermStringNotation(t *testing.T) {
 		{NewConcept("", "start-up"), "start-up"},
 		{NewLiteral("OBSW001"), "'OBSW001'"},
 		{NewLiteral("o'brien"), `'o\'brien'`},
+		{NewLiteral(`a\`), `'a\\'`},
+		{NewLiteral(`a\'b`), `'a\\\'b'`},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {

@@ -3,7 +3,6 @@ package semtree
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"semtree/internal/triple"
 )
@@ -24,18 +23,16 @@ type Pattern struct {
 //
 //	(?, Fun:accept_cmd, ?)
 //	('OBSW001', ?, CmdType:start-up)
+//
+// It splits positions as triple.ParseTriple does, so a comma inside a
+// quoted literal does not end a position.
 func ParsePattern(s string) (Pattern, error) {
-	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")") {
-		s = s[1 : len(s)-1]
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return Pattern{}, fmt.Errorf("semtree: pattern needs 3 positions, got %d", len(parts))
+	parts, err := triple.SplitTerms(s)
+	if err != nil {
+		return Pattern{}, fmt.Errorf("semtree: pattern: %w", err)
 	}
 	var out [3]*triple.Term
 	for i, part := range parts {
-		part = strings.TrimSpace(part)
 		if part == "?" {
 			continue
 		}

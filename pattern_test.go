@@ -22,10 +22,19 @@ func TestParsePattern(t *testing.T) {
 	if got := p.String(); got != "(?, Fun:accept_cmd, ?)" {
 		t.Fatalf("String = %q", got)
 	}
-	for _, bad := range []string{"(?, ?)", "(a, b, c, d)", "(:x, ?, ?)"} {
+	for _, bad := range []string{"(?, ?)", "(a, b, c, d)", "(:x, ?, ?)", "('a, ?, ?)"} {
 		if _, err := ParsePattern(bad); err == nil {
 			t.Errorf("ParsePattern(%q): expected error", bad)
 		}
+	}
+	// Positions split as ParseTriple splits terms: a quoted comma stays
+	// inside its literal.
+	p, err = ParsePattern("('a, b', ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Subject == nil || *p.Subject != triple.NewLiteral("a, b") || p.Predicate != nil || p.Object != nil {
+		t.Fatalf("pattern = %v", p)
 	}
 }
 
