@@ -82,6 +82,14 @@ func (a *Appender) Text(s string) {
 	*a = append(*a, s...)
 }
 
+// Block frames the bytes appended since offset start as a
+// length-prefixed block, what Decoder.Block reads: it inserts their
+// length before them, moving them up by its width.
+func (a *Appender) Block(start int) {
+	var n [binary.MaxVarintLen64]byte
+	*a = slices.Insert(*a, start, n[:binary.PutUvarint(n[:], uint64(len(*a)-start))]...)
+}
+
 // Writer appends values to the open column — its Appender — and frames
 // it on End. Errors are sticky: the first write error is returned by
 // Flush.
@@ -269,11 +277,14 @@ func (d *Decoder) Floats(dst []float64) {
 }
 
 // Text reads a length-prefixed string.
-func (d *Decoder) Text() string {
+func (d *Decoder) Text() string { return string(d.Block()) }
+
+// Block reads a length-prefixed block of bytes; they alias the input.
+func (d *Decoder) Block() []byte {
 	n := d.Count(1)
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
-	return s
+	return b
 }
 
 // ReadN reads exactly n bytes from r into buf's storage and returns

@@ -69,14 +69,18 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestAppenderDecoder: the byte-slice half reads back what it appended,
-// Rest hands over the unread bytes, and ReadN grows its buffer only as
-// bytes arrive.
+// a block framed after the fact reads back whole, Rest hands over the
+// unread bytes, and ReadN grows its buffer only as bytes arrive.
 func TestAppenderDecoder(t *testing.T) {
 	var a Appender
 	a.Bool(true)
 	a.Bool(false)
 	a.Varint(math.MinInt32)
 	a.Floats([]float64{0.5, -3})
+	start := len(a)
+	block := bytes.Repeat([]byte{7}, 200) // a two-byte length
+	a = append(a, block...)
+	a.Block(start)
 	a.Byte(9)
 	var d Decoder
 	d.Reset(a)
@@ -86,6 +90,9 @@ func TestAppenderDecoder(t *testing.T) {
 	}
 	if d.Floats(fs); fs[0] != 0.5 || fs[1] != -3 {
 		t.Fatalf("floats %v", fs)
+	}
+	if got := d.Block(); !bytes.Equal(got, block) {
+		t.Fatalf("block of %d bytes, want %d", len(got), len(block))
 	}
 	if rest := d.Rest(); !bytes.Equal(rest, []byte{9}) || d.End() != nil {
 		t.Fatalf("rest %v, end %v", rest, d.End())

@@ -37,16 +37,16 @@ import (
 //
 // A message's encoding is its fields in declaration order: integer
 // fields as zigzag varints, point IDs and slice lengths as uvarints,
-// floats raw, booleans as one byte (a node's two as one state byte). A
-// message that carries floats opens with their total count,
-// and every []float64 in it is a run — a uvarint length and the raw
-// values — that the decoder cuts from one block of that size
-// (floatBlock), so decoding allocates that block and one slice per
-// []Neighbor, []knnEntry, []insertReq and []RemoteBox, never one per
-// point. A fragment (kdtree.Arena) is encoded node by node, each with
-// its bucket's points and its box as runs (an empty box as two empty
-// runs), and decodes straight into its blocks: the dimension is the
-// length of its first run. Empty and nil slices both decode as nil.
+// floats raw, booleans as one byte. A message that carries floats
+// opens with their total count, and every []float64 in it is a run — a
+// uvarint length and the raw values — that the decoder cuts from one
+// block of that size (floatBlock), so decoding allocates that block and
+// one slice per []Neighbor, []knnEntry, []insertReq and []RemoteBox,
+// never one per point. An arena — a fragment, a partition's state —
+// travels in the layout of its snapshot file (appendState): the four
+// column bodies WriteSnapshot writes, read by the file's own readers
+// straight into the arena's blocks, and no node box, which the receiver
+// rebuilds by the file's rule. Empty and nil slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
 const (
@@ -180,7 +180,8 @@ func readBulkAddReq(d *column.Decoder) any {
 // link — and Remote carries the bounding box of each subtree those
 // links lead to, so the installing partition can seed its remote-box
 // cache: the region registers together with the link. The fragment is
-// moved, not copied: the sender gives up its blocks.
+// moved, not copied: the sender gives up its blocks. On the wire it is
+// a partition state whose point count is its ID column's length.
 //
 // Entry < 0 appends the fragment as a new subtree root (the other end
 // of a direct link: a relocated leaf, a frontier subtree). Entry >= 0
@@ -190,25 +191,24 @@ func readBulkAddReq(d *column.Decoder) any {
 // — OK false, nothing installed — when Entry is no longer a plain leaf
 // (split or tombstoned).
 type installReq struct {
-	Entry  int32
 	Frag   kdtree.Arena
 	Remote []RemoteBox
+	Entry  int32
 }
 
 func (installReq) WireKind() byte { return kindInstallReq }
 
 func (m installReq) AppendWire(a *column.Appender) {
-	a.Uvarint(uint64(fragmentFloats(&m.Frag) + remoteFloats(m.Remote)))
+	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs), Remote: m.Remote})
 	a.Varint(int64(m.Entry))
-	appendFragment(a, &m.Frag)
-	appendRemote(a, m.Remote)
 }
 
 func readInstallReq(d *column.Decoder) any {
-	fs := newFloatBlock(d)
-	m := installReq{Entry: d.Int32(), Frag: readFragment(d, &fs), Remote: readRemote(d, &fs)}
-	fs.end()
-	return m
+	s := readState(d)
+	if s.Points != len(s.IDs) {
+		d.Fail(fmt.Errorf("core: a fragment of %d points claims %d", len(s.IDs), s.Points))
+	}
+	return installReq{Frag: s.Arena, Remote: s.Remote, Entry: d.Int32()}
 }
 
 // installResp reports the arena index the fragment's root landed on, or
@@ -255,18 +255,103 @@ func (restoreReq) WireKind() byte                  { return kindRestoreReq }
 func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
 func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
 
+// appendState appends a partition's state in the layout of its
+// snapshot file: the float count of its remote boxes, the arena's Dim
+// and Self, the four column bodies WriteSnapshot writes (appendColumns)
+// — each as a block, its length then its bytes, where the file frames
+// a column — and the remote boxes' corners as runs, in the order of the
+// remote column. A remote box is the one box that travels: the region
+// of a subtree another partition holds, which the receiver cannot
+// rebuild.
 func appendState(a *column.Appender, s *PartitionSnapshot) {
-	a.Uvarint(uint64(fragmentFloats(&s.Arena) + remoteFloats(s.Remote)))
-	appendFragment(a, &s.Arena)
-	a.Varint(int64(s.Points))
-	appendRemote(a, s.Remote)
+	a.Uvarint(uint64(remoteFloats(s.Remote)))
+	a.Uvarint(uint64(s.Dim))
+	a.Varint(int64(s.Self))
+	start := len(*a)
+	s.appendColumns(a, func() {
+		a.Block(start)
+		start = len(*a)
+	})
+	for _, e := range s.Remote {
+		appendRun(a, e.Lo)
+		appendRun(a, e.Hi)
+	}
 }
 
+// readState reads what appendState wrote — each column with the file's
+// reader, so a block must hold its body exactly — and rebuilds the
+// arena's boxes (rebuildBoxes).
 func readState(d *column.Decoder) PartitionSnapshot {
 	fs := newFloatBlock(d)
-	s := PartitionSnapshot{Arena: readFragment(d, &fs), Points: int(d.Varint()), Remote: readRemote(d, &fs)}
+	dim, self := d.Uvarint(), d.Int32()
+	if dim > MaxSnapshotDim {
+		d.Fail(fmt.Errorf("core: dimension %d out of range", dim))
+	}
+	var body column.Decoder
+	s, err := readColumns(int(dim), func() (*column.Decoder, error) {
+		body.Reset(d.Block())
+		return &body, d.Err()
+	})
+	s.Self = self
+	if err != nil {
+		d.Fail(err)
+		return s
+	}
+	for i := range s.Remote {
+		e := &s.Remote[i]
+		if e.Lo, e.Hi = fs.next(), fs.next(); len(e.Hi) != len(e.Lo) || (e.Lo != nil && len(e.Lo) != s.Dim) {
+			d.Fail(errRemoteBox)
+		}
+	}
 	fs.end()
+	if d.Err() == nil {
+		if err := s.rebuildBoxes(); err != nil {
+			d.Fail(err)
+		}
+	}
 	return s
+}
+
+// rebuildBoxes gives an arena read from a message the boxes the message
+// does not carry, by ReadSnapshot's rule over this one arena: every
+// leaf's from its bucket (fitLeaves), then every routing node's from
+// its children's (coverRouting), where a child that leaves the arena
+// takes the box of its remote entry. A partition holds an entry for
+// every such child, so a child without one is an error, never an empty
+// box too tight to guard its subtree.
+//
+// The box block is believed only as far as the message backs it. Every
+// node a partition sends is a leaf holding points (but for an empty
+// tree's root), a routing node over two leaves or remote children, or
+// the tombstone of a relocated leaf, whose link has its remote entry —
+// and a partition caches no empty box — so an arena has at most
+// 2·(points + remote boxes + 1) nodes; one claiming more is refused
+// before its boxes are allocated.
+func (s *PartitionSnapshot) rebuildBoxes() error {
+	boxes := 0
+	for _, e := range s.Remote {
+		if e.Lo != nil {
+			boxes++
+		}
+	}
+	if len(s.Nodes) > 2*(len(s.IDs)+boxes+1) {
+		return errNodeCount
+	}
+	s.fitLeaves()
+	remote := make(map[kdtree.Ref]int, len(s.Remote))
+	for i, e := range s.Remote {
+		remote[e.Ref] = i
+	}
+	var err error
+	coverRouting([]*kdtree.Arena{&s.Arena}, func(r kdtree.Ref) (lo, hi []float64) {
+		i, ok := remote[r]
+		if !ok {
+			err = fmt.Errorf("core: child %v leaves the arena with no remote box", r)
+			return nil, nil
+		}
+		return s.Remote[i].Lo, s.Remote[i].Hi
+	})
+	return err
 }
 
 // knnEntry is one guarded subtree of a fanned-out k-nearest
@@ -491,14 +576,13 @@ func readStatsResp(d *column.Decoder) any {
 	return statsResp{Points: int(d.Varint()), Nodes: int(d.Varint()), Leaves: int(d.Varint()), NavSteps: d.Varint(), Inserts: d.Varint(), BoxWork: d.Varint()}
 }
 
-// The values the messages share: points, neighbours, nodes, remote
-// boxes and the float runs inside them.
+// The values the messages share: points, neighbours and the float runs
+// inside them.
 
 // floatBlock is the floats of a message being decoded: their total
-// count opens the message, and each run is cut from one block of the
-// count not yet read — allocated at the first run cut, after any a
-// fragment read straight into its own blocks — and clipped, so an
-// append to one slice never reaches the next.
+// count opens the message, and each run is cut from one block of that
+// size — allocated at the first run cut — and clipped, so an append to
+// one slice never reaches the next.
 type floatBlock struct {
 	d     *column.Decoder
 	left  int // floats not yet read
@@ -512,10 +596,8 @@ func newFloatBlock(d *column.Decoder) floatBlock {
 var (
 	errFloatRun   = errors.New("core: a float run exceeds its message's float count")
 	errFloatCount = errors.New("core: a message's float count exceeds its runs")
-	errBucketRun  = errors.New("core: a bucket exceeds its nodes' point count")
-	errPointCount = errors.New("core: a point count exceeds its nodes' buckets")
-	errRunDim     = errors.New("core: a fragment's runs differ in length")
-	errBoxBlock   = errors.New("core: a fragment's boxes exceed what its floats back")
+	errRemoteBox  = errors.New("core: a remote box is not of its arena's dimension")
+	errNodeCount  = errors.New("core: an arena has more nodes than its points and remote boxes allow")
 )
 
 // next reads one run; an empty run is nil.
@@ -537,18 +619,6 @@ func (fs *floatBlock) next() []float64 {
 	return run
 }
 
-// take claims n floats of the count for a fragment, which reads them
-// into its own blocks; a message's fragment comes before any run is
-// cut from the block.
-func (fs *floatBlock) take(n int) bool {
-	if n > fs.left {
-		fs.d.Fail(errFloatRun)
-		return false
-	}
-	fs.left -= n
-	return true
-}
-
 // end requires every float of the count to have been read.
 func (fs *floatBlock) end() {
 	if fs.left != 0 {
@@ -559,15 +629,6 @@ func (fs *floatBlock) end() {
 func appendRun(a *column.Appender, run []float64) {
 	a.Uvarint(uint64(len(run)))
 	a.Floats(run)
-}
-
-func appendRef(a *column.Appender, r kdtree.Ref) {
-	a.Varint(int64(r.Part))
-	a.Varint(int64(r.Node))
-}
-
-func decodeRef(d *column.Decoder) kdtree.Ref {
-	return kdtree.Ref{Part: d.Int32(), Node: d.Int32()}
 }
 
 func appendPoint(a *column.Appender, p kdtree.Point) {
@@ -607,183 +668,10 @@ func readNeighbors(d *column.Decoder, fs *floatBlock) []kdtree.Neighbor {
 	return ns
 }
 
-func fragmentFloats(f *kdtree.Arena) int {
-	n := 0
-	for i := range f.Nodes {
-		n += f.Dim * len(f.Nodes[i].Slots)
-		if lo, _ := f.Box(int32(i)); lo != nil {
-			n += 2 * f.Dim
-		}
-	}
-	return n
-}
-
-// appendFragment appends every field of every node, its bucket's
-// points and its box, after the total of their bucket points: the
-// decoder sizes the fragment's blocks once.
-func appendFragment(a *column.Appender, f *kdtree.Arena) {
-	pts := 0
-	for i := range f.Nodes {
-		pts += len(f.Nodes[i].Slots)
-	}
-	a.Uvarint(uint64(pts))
-	a.Uvarint(uint64(len(f.Nodes)))
-	for i := range f.Nodes {
-		n := &f.Nodes[i]
-		var state byte
-		if n.Leaf {
-			state |= stateLeaf
-		}
-		if n.Moved {
-			state |= stateMoved
-		}
-		a.Byte(state)
-		a.Varint(int64(n.SplitDim))
-		a.Float(n.SplitVal)
-		appendRef(a, n.Fwd)
-		appendRef(a, n.Left)
-		appendRef(a, n.Right)
-		a.Uvarint(uint64(len(n.Slots)))
-		for _, s := range n.Slots {
-			appendPoint(a, f.Point(s))
-		}
-		lo, hi := f.Box(int32(i))
-		appendRun(a, lo)
-		appendRun(a, hi)
-	}
-}
-
-// nodeBytes is the least a node takes: state, split dimension and
-// value, three refs, and an empty bucket and box.
-const nodeBytes = 1 + 1 + 8 + 3*2 + 1 + 2
-
-// readFragment reads what appendFragment wrote straight into a
-// fragment's blocks. Its dimension is the length of its first run,
-// which every later non-empty run must have; one whose runs are all
-// empty has no dimension and no boxes (kdtree.Arena.Install gives it
-// empty ones).
-func readFragment(d *column.Decoder, fs *floatBlock) kdtree.Arena {
-	r := fragmentReader{d: d, fs: fs, pts: d.Count(2)} // an empty run and an ID at least
-	f := &r.f
-	if n := d.Count(nodeBytes); n > 0 {
-		f.Nodes = make([]kdtree.Node, n)
-	}
-	var slots []int32
-	if r.pts > 0 {
-		slots = make([]int32, r.pts)
-		f.IDs = make([]uint64, 0, r.pts)
-	}
-	for i := range f.Nodes {
-		n := &f.Nodes[i]
-		state := d.Byte()
-		if state&^(stateLeaf|stateMoved) != 0 {
-			d.Fail(fmt.Errorf("core: node state %#x", state))
-		}
-		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
-		n.SplitDim, n.SplitVal = d.Int32(), d.Float()
-		n.Fwd, n.Left, n.Right = decodeRef(d), decodeRef(d), decodeRef(d)
-		if k := d.Uvarint(); k > uint64(r.pts-len(f.IDs)) {
-			d.Fail(errBucketRun)
-		} else if k > 0 {
-			at := len(f.IDs)
-			for j := range int(k) {
-				dim := r.run()
-				if dim == 0 {
-					d.Fail(errRunDim) // a point has coordinates
-				}
-				f.Coords = f.Coords[:len(f.Coords)+dim]
-				d.Floats(f.Coords[len(f.Coords)-dim:])
-				f.IDs = append(f.IDs, d.Uvarint())
-				slots[at+j] = int32(at + j)
-			}
-			n.Slots = slots[at : at+int(k) : at+int(k)]
-		}
-		lo := r.run()
-		d.Floats(f.Boxes[2*i*lo : (2*i+1)*lo])
-		if hi := r.run(); hi != lo {
-			d.Fail(errRunDim)
-		} else {
-			d.Floats(f.Boxes[(2*i+1)*hi : (2*i+2)*hi])
-		}
-	}
-	if len(f.IDs) != r.pts {
-		d.Fail(errPointCount)
-	}
-	return r.f
-}
-
-// fragmentReader is readFragment's state: the fragment and the number
-// of bucket points its message announced.
-type fragmentReader struct {
-	d   *column.Decoder
-	fs  *floatBlock
-	f   kdtree.Arena
-	pts int
-}
-
-// run reads the length of the next run and claims its floats, which
-// the caller reads: 0 for an empty run (or a failed decoder), else the
-// fragment's dimension. The first non-empty run fixes the dimension and
-// sizes the blocks — the box block believed only as far as the
-// message's floats back it: in a fragment a partition sends, at least a
-// third of the nodes carry their box.
-func (r *fragmentReader) run() int {
-	k := r.d.Uvarint()
-	if k == 0 || r.d.Err() != nil {
-		return 0
-	}
-	f := &r.f
-	if f.Dim == 0 {
-		left := uint64(r.fs.left)
-		switch {
-		case k > left || uint64(r.pts)*k > left:
-			r.d.Fail(errFloatRun)
-			return 0
-		case 2*k*uint64(len(f.Nodes)) > 6*left+2*k:
-			r.d.Fail(errBoxBlock)
-			return 0
-		}
-		f.Dim = int(k)
-		if r.pts > 0 {
-			f.Coords = make([]float64, 0, r.pts*f.Dim)
-		}
-		f.EmptyBoxes()
-	}
-	if k != uint64(f.Dim) {
-		r.d.Fail(errRunDim)
-		return 0
-	}
-	if !r.fs.take(f.Dim) {
-		return 0
-	}
-	return f.Dim
-}
-
 func remoteFloats(rs []RemoteBox) int {
 	n := 0
 	for _, r := range rs {
 		n += len(r.Lo) + len(r.Hi)
 	}
 	return n
-}
-
-func appendRemote(a *column.Appender, rs []RemoteBox) {
-	a.Uvarint(uint64(len(rs)))
-	for _, r := range rs {
-		appendRef(a, r.Ref)
-		appendRun(a, r.Lo)
-		appendRun(a, r.Hi)
-	}
-}
-
-func readRemote(d *column.Decoder, fs *floatBlock) []RemoteBox {
-	n := d.Count(4) // a ref and two empty runs at least
-	if n == 0 {
-		return nil
-	}
-	rs := make([]RemoteBox, n)
-	for i := range rs {
-		rs[i] = RemoteBox{Ref: decodeRef(d), Lo: fs.next(), Hi: fs.next()}
-	}
-	return rs
 }

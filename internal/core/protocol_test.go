@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -12,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,6 +39,7 @@ func protocolSamples() []any {
 		Coords: pt.Coords,
 		IDs:    []uint64{pt.ID},
 		Boxes:  []float64{1.5, -2, 9, 9, 1.5, -2, 1.5, -2, inf, inf, -inf, -inf},
+		Self:   kdtree.Local,
 		Dim:    2,
 	}
 	remote := []RemoteBox{{Ref: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{3, 3}, Hi: []float64{9, 9}}}
@@ -47,7 +50,7 @@ func protocolSamples() []any {
 		entry,
 		ack{},
 		bulkAddReq{Entries: []insertReq{entry, entry}},
-		installReq{Entry: -1, Frag: frag, Remote: remote},
+		installReq{Frag: frag, Remote: remote, Entry: -1},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
 		snapshotResp{State: state},
@@ -194,34 +197,100 @@ func TestProtocolTable(t *testing.T) {
 			t.Errorf("partition.handle handles %s, which has no kind in messages.go", c)
 		}
 	}
+
+	// An arena travels as its v4 columns and no box block: a bulk-built
+	// fragment's installReq is the payloads of the columns a snapshot
+	// file writes for it, its remote boxes' runs and a short header —
+	// and decodes with every box rebuilt.
+	const n, dim = 2000, 8
+	seq, err := kdtree.BulkLoad(randomPoints(rand.New(rand.NewSource(7)), n, dim), dim, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := seq.Box(0)
+	req := installReq{Frag: seq.Arena, Remote: []RemoteBox{{Ref: kdtree.Ref{Part: 3}, Lo: lo, Hi: hi}}, Entry: -1}
+	var enc column.Appender
+	req.AppendWire(&enc)
+	var file bytes.Buffer
+	w := column.NewWriter(&file)
+	if err := WriteSnapshot(w, &TreeSnapshot{Dim: dim, Size: n, Parts: []PartitionSnapshot{{Arena: seq.Arena, Points: n, Remote: req.Remote}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := column.NewReader(&file)
+	payloads := 0
+	for i := range 5 { // the tree's column, then the partition's four
+		if err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			payloads += r.Len()
+		}
+	}
+	runs := 2 * (1 + 8*dim)
+	header := len(enc) - payloads - runs
+	t.Logf("a %d-point installReq: %d bytes of v4 column payloads, %d of remote runs, a header of %d", n, payloads, runs, header)
+	if header < 0 || header > 16 {
+		t.Errorf("a %d-point installReq has a header of %d bytes, want at most 16", n, header)
+	}
+	var d column.Decoder
+	d.Reset(enc)
+	got := readInstallReq(&d).(installReq)
+	if err := d.End(); err != nil || !slices.Equal(got.Frag.Boxes, seq.Boxes) || !slices.Equal(got.Frag.Coords, seq.Coords) {
+		t.Errorf("a bulk-built installReq decoded to other boxes or points (%v)", err)
+	}
 }
 
-// TestDecodeRejectsUnusedCounts: a float or bucket-point count that
-// promises more than the message's runs and buckets use is malformed,
-// so a decoder accepts only the encoding AppendWire writes.
+// TestDecodeRejectsUnusedCounts: a count or a length that promises more
+// than what follows it uses is malformed — an installReq's float count,
+// its fragment's point count and the length of each of its four column
+// blocks — so a decoder accepts only the encoding AppendWire writes, a
+// block as strictly as the file reads its column. So is a node count
+// beyond what an arena's points and remote boxes allow.
 func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	var enc column.Appender
 	protocolSamples()[3].(installReq).AppendWire(&enc)
 	var d column.Decoder
 	d.Reset(enc)
-	floats := d.Uvarint()
-	afterFloats := len(enc) - d.Len()
-	entry, points := d.Varint(), d.Uvarint()
-	afterPoints := len(enc) - d.Len()
-
-	var moreFloats, morePoints column.Appender
-	moreFloats.Uvarint(floats + 1)
-	moreFloats = append(moreFloats, enc[afterFloats:]...)
-	morePoints.Uvarint(floats)
-	morePoints.Varint(entry)
-	morePoints.Uvarint(points + 1)
-	morePoints = append(morePoints, enc[afterPoints:]...)
-	for name, b := range map[string][]byte{"float": moreFloats, "point": morePoints} {
-		d.Reset(b)
+	at := map[string]int{"float count": 0} // where each uvarint starts in enc
+	d.Uvarint()
+	d.Uvarint() // the dimension
+	d.Int32()   // Self
+	for _, name := range []string{"node column", "ID column", "coordinate block", "remote column"} {
+		at[name+" length"] = len(enc) - d.Len()
+		body := d.Block()
+		if name == "node column" {
+			at["point count"] = len(enc) - d.Len() - len(body)
+		}
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	for name, off := range at {
+		v, k := binary.Uvarint(enc[off:])
+		b := binary.AppendUvarint(append([]byte(nil), enc[:off]...), v+1)
+		d.Reset(append(b, enc[off+k:]...))
 		readInstallReq(&d)
 		if d.End() == nil {
-			t.Errorf("an installReq whose %s count is one too high decoded", name)
+			t.Errorf("an installReq whose %s is one too high decoded", name)
 		}
+	}
+
+	// A node takes two bytes and its rebuilt box 2·Dim floats: a node
+	// count that the points and remote boxes cannot account for is
+	// refused before the box block is allocated.
+	leaves := make([]kdtree.Node, 64)
+	for i := range leaves {
+		leaves[i].Leaf = true
+	}
+	enc = enc[:0]
+	installReq{Frag: kdtree.Arena{Nodes: leaves, Self: kdtree.Local, Dim: MaxSnapshotDim}}.AppendWire(&enc)
+	d.Reset(enc)
+	readInstallReq(&d)
+	if d.End() == nil {
+		t.Errorf("%d empty leaves of dimension %d decoded from %d bytes", len(leaves), MaxSnapshotDim, len(enc))
 	}
 }
 
@@ -290,6 +359,32 @@ func BenchmarkTCPKNNExchange(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTCPBulkLoad is a bulk load of 100 000 random 8-dimensional
+// points into an empty nine-partition tree over loopback TCP: eight
+// frontier installs and the trunk's graft, each an arena on the wire.
+// It reports the fabric's traffic per load, MiB/op and msgs/op.
+func BenchmarkTCPBulkLoad(b *testing.B) {
+	const n, dim = 100_000, 8
+	pts := randomPoints(rand.New(rand.NewSource(1)), n, dim)
+	var sent, msgs int64
+	for range b.N {
+		fabric := cluster.NewTCP()
+		tr, err := New(Config{Dim: dim, PartitionCapacity: n / 8, MaxPartitions: 9, Fabric: fabric})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.BulkLoad(context.Background(), pts); err != nil {
+			b.Fatal(err)
+		}
+		st := fabric.Stats()
+		sent, msgs = sent+st.Bytes, msgs+st.Messages
+		tr.Close()
+		fabric.Close()
+	}
+	b.ReportMetric(float64(sent)/float64(b.N)/(1<<20), "MiB/op")
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 }
 
 // checkAgainstScan holds tr to the flat scan over pts — IDs and distance

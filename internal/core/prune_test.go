@@ -150,12 +150,18 @@ func treeHeight(t *testing.T, tr *Tree) int {
 
 // checkPartitionBoxes asserts the region invariant on every partition:
 // each non-tombstone node's box is the exact per-dimension min/max of
-// its logical subtree's points (nil for an empty subtree), and every
-// remote-box cache entry exactly bounds the remote subtree it guards.
+// its logical subtree's points (nil for an empty subtree), every
+// remote-box cache entry exactly bounds the remote subtree it guards,
+// and every routing child that leaves its partition has an entry — the
+// box a partition message's receiver rebuilds the parent's from.
 func checkPartitionBoxes(t *testing.T, tr *Tree) {
 	t.Helper()
 	snap := liveSnapshot(t, tr)
 	for pi, ps := range snap.Parts {
+		cached := make(map[kdtree.Ref]bool, len(ps.Remote))
+		for _, e := range ps.Remote {
+			cached[e.Ref] = true
+		}
 		for ni, n := range ps.Nodes {
 			lo, hi := ps.Box(int32(ni))
 			if n.Moved {
@@ -163,6 +169,11 @@ func checkPartitionBoxes(t *testing.T, tr *Tree) {
 					t.Fatalf("partition %d node %d: tombstone retains a box", pi, ni)
 				}
 				continue
+			}
+			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+				if !n.Leaf && !ps.IsLocal(c) && !cached[c] {
+					t.Fatalf("partition %d node %d: child %v leaves the partition with no remote box", pi, ni, c)
+				}
 			}
 			pts := snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})
 			assertExactBox(t, pts, lo, hi, "partition %d node %d", pi, ni)

@@ -81,7 +81,7 @@ func (t *Tree) rebuild(pts []kdtree.Point, data []cluster.NodeID) error {
 // reset empties a partition by restoring the empty state over it; the
 // root partition keeps the tree root, as one empty leaf.
 func (t *Tree) reset(id cluster.NodeID, root bool) error {
-	st := PartitionSnapshot{Arena: kdtree.Arena{Dim: t.cfg.Dim}}
+	st := PartitionSnapshot{Arena: kdtree.Arena{Self: int32(id), Dim: t.cfg.Dim}}
 	if root {
 		st.AddLeaf()
 	}

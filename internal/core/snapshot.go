@@ -23,7 +23,8 @@ import (
 // writes the ID column and the coordinate block as they stand, and
 // decoding reads them back in place. Nodes and cache refs are written
 // too, but no box: every box is a function of the points below it, and
-// decoding rebuilds them. Restore
+// decoding rebuilds them. A partition message carries an arena in the
+// same columns (appendState, in messages.go). Restore
 // rebuilds partitions bit-for-bit: the arenas, boxes and caches are
 // identical, so every traversal takes the same path and query results
 // are byte-identical to the pre-save tree (the invariant the snapshot
@@ -74,10 +75,10 @@ type RemoteBox struct {
 // node in exactly one of the kdtree.Node states, its box the exact
 // logical-subtree box, and the blocks holding the bucket points leaf by
 // leaf in node order — its point count and its remote-box cache. The
-// Part of every reference in it is a partition ordinal
-// (TreeSnapshot.Parts index) at rest, and a fabric NodeID in the
-// messages partitions produce and consume; the client translates at
-// the edge (mapRefs).
+// arena's Self and the Part of every reference in it are partition
+// ordinals (TreeSnapshot.Parts indices) at rest, and fabric NodeIDs in
+// the messages partitions produce and consume; the client translates
+// at the edge (mapRefs, and Self beside it).
 type PartitionSnapshot struct {
 	kdtree.Arena
 	Points int
@@ -198,18 +199,16 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 		return o, nil
 	}
 	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: t.cfg.Dim, Size: t.size.Load()}
-	for _, p := range parts {
+	for i, p := range parts {
 		resp, err := t.call(cluster.ClientID, p.id, snapshotReq{})
 		if err != nil {
 			return nil, err
 		}
 		ps := resp.(snapshotResp).State
-		if err := ps.Fit(t.cfg.Dim); err != nil { // a TCP fabric's copy of an empty arena has no dimension
-			return nil, err
-		}
 		if err := ps.mapRefs(toOrdinal); err != nil {
 			return nil, err
 		}
+		ps.Self = int32(i)
 		snap.Parts = append(snap.Parts, ps)
 	}
 	return snap, nil
@@ -248,6 +247,7 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 		ps.Nodes = slices.Clone(ps.Nodes)
 		ps.Remote = append([]RemoteBox(nil), ps.Remote...)
 		_ = ps.mapRefs(toID)
+		ps.Self = int32(ids[i])
 		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: ps}); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("core: restore partition %d: %w", i, err)
@@ -317,44 +317,51 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 		if err := ps.layout(s.Dim); err != nil {
 			return fmt.Errorf("core: snapshot partition %d: %v", pi, err)
 		}
-		w.Uvarint(uint64(ps.Points))
-		w.Uvarint(uint64(len(ps.Nodes)))
-		for i := range ps.Nodes {
-			n := &ps.Nodes[i]
-			var state byte
-			if n.Leaf {
-				state |= stateLeaf
-			}
-			if n.Moved {
-				state |= stateMoved
-			}
-			w.Byte(state)
-			switch {
-			case n.Moved:
-				writeRef(w, n.Fwd)
-			case n.Leaf:
-				w.Uvarint(uint64(len(n.Slots)))
-			default:
-				w.Uvarint(uint64(uint32(n.SplitDim)))
-				w.Float(n.SplitVal)
-				writeRef(w, n.Left)
-				writeRef(w, n.Right)
-			}
-		}
-		w.End()
-		for _, id := range ps.IDs {
-			w.Uvarint(id)
-		}
-		w.End()
-		w.Floats(ps.Coords)
-		w.End()
-		w.Uvarint(uint64(len(ps.Remote)))
-		for _, e := range ps.Remote {
-			writeRef(w, e.Ref)
-		}
-		w.End()
+		ps.appendColumns(&w.Appender, w.End)
 	}
 	return nil
+}
+
+// appendColumns appends the partition's four column bodies to a,
+// calling end after each one: the file frames each as a column, a
+// partition message as a block (appendState).
+func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func()) {
+	a.Uvarint(uint64(ps.Points))
+	a.Uvarint(uint64(len(ps.Nodes)))
+	for i := range ps.Nodes {
+		n := &ps.Nodes[i]
+		var state byte
+		if n.Leaf {
+			state |= stateLeaf
+		}
+		if n.Moved {
+			state |= stateMoved
+		}
+		a.Byte(state)
+		switch {
+		case n.Moved:
+			appendRef(a, n.Fwd)
+		case n.Leaf:
+			a.Uvarint(uint64(len(n.Slots)))
+		default:
+			a.Uvarint(uint64(uint32(n.SplitDim)))
+			a.Float(n.SplitVal)
+			appendRef(a, n.Left)
+			appendRef(a, n.Right)
+		}
+	}
+	end()
+	for _, id := range ps.IDs {
+		a.Uvarint(id)
+	}
+	end()
+	a.Floats(ps.Coords)
+	end()
+	a.Uvarint(uint64(len(ps.Remote)))
+	for _, e := range ps.Remote {
+		appendRef(a, e.Ref)
+	}
+	end()
 }
 
 // layout checks that the partition's arena has the shape of its
@@ -384,13 +391,13 @@ func (ps *PartitionSnapshot) layout(dim int) error {
 	return nil
 }
 
-func writeRef(w *column.Writer, r kdtree.Ref) {
-	w.Uvarint(uint64(uint32(r.Part)))
-	w.Uvarint(uint64(uint32(r.Node)))
+func appendRef(a *column.Appender, r kdtree.Ref) {
+	a.Uvarint(uint64(uint32(r.Part)))
+	a.Uvarint(uint64(uint32(r.Node)))
 }
 
-func readRef(r *column.Reader) kdtree.Ref {
-	return kdtree.Ref{Part: int32(r.Uint32()), Node: int32(r.Uint32())}
+func readRef(d *column.Decoder) kdtree.Ref {
+	return kdtree.Ref{Part: int32(d.Uint32()), Node: int32(d.Uint32())}
 }
 
 // maxPartitionPoints bounds the bucket lengths a node column may claim,
@@ -400,11 +407,10 @@ const maxPartitionPoints = math.MaxInt32
 
 // ReadSnapshot reads the columns WriteSnapshot wrote, for points of
 // dimension dim, and rebuilds every box: leaf boxes from their buckets,
-// routing boxes bottom-up from the root, remote-cache boxes from their
+// routing boxes bottom-up (coverRouting), remote-cache boxes from their
 // target nodes. Malformed columns return ErrSnapshotCorrupt; the
-// structure is not yet validated, and a node the walk from the root
-// does not reach — or reaches twice — keeps whatever box it has for
-// Validate to reject.
+// structure is not yet validated, and a tree whose boxes cannot be
+// rebuilt right is one Validate rejects.
 func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	if dim < 1 || dim > MaxSnapshotDim {
 		return nil, corrupt("dimension %d out of range", dim)
@@ -421,14 +427,21 @@ func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	if parts > maxSnapshotParts {
 		return nil, corrupt("%d partitions out of range", parts)
 	}
+	next := func() (*column.Decoder, error) { return &r.Decoder, r.Next() }
 	for pi := range int(parts) {
-		ps, err := readPartition(r, dim)
+		ps, err := readColumns(dim, next)
 		if err != nil {
 			return nil, corrupt("partition %d: %v", pi, err)
 		}
+		ps.Self = int32(pi)
+		ps.fitLeaves()
 		s.Parts = append(s.Parts, ps)
 	}
-	s.routingBoxes()
+	arenas := make([]*kdtree.Arena, len(s.Parts))
+	for pi := range s.Parts {
+		arenas[pi] = &s.Parts[pi].Arena
+	}
+	coverRouting(arenas, func(kdtree.Ref) (lo, hi []float64) { return nil, nil })
 	for pi := range s.Parts {
 		for i := range s.Parts[pi].Remote {
 			e := &s.Parts[pi].Remote[i]
@@ -441,94 +454,115 @@ func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	return s, nil
 }
 
-// readPartition reads one partition's four columns into an arena in
+// readColumns reads the four column bodies appendColumns wrote, each
+// from the decoder next opens for it, into an arena of dimension dim in
 // the snapshot layout — the ID column and the coordinate block read in
-// place, every leaf's slots carved from one array — and rebuilds its
-// leaf boxes.
-func readPartition(r *column.Reader, dim int) (PartitionSnapshot, error) {
+// place, every leaf's slots carved from one array — and no boxes yet
+// (fitLeaves). Each body must be read to its end, and an empty one
+// decodes as nil.
+func readColumns(dim int, next func() (*column.Decoder, error)) (PartitionSnapshot, error) {
 	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim}}
-	if err := r.Next(); err != nil {
+	d, err := next()
+	if err != nil {
 		return ps, err
 	}
-	ps.Points = int(r.Uvarint())
-	ps.Nodes = make([]kdtree.Node, r.Count(2)) // a leaf takes two bytes, anything else more
-	sizes := make([]int, len(ps.Nodes))
+	ps.Points = int(d.Uvarint())
+	var sizes []int
+	if n := d.Count(2); n > 0 { // a leaf takes two bytes, anything else more
+		ps.Nodes, sizes = make([]kdtree.Node, n), make([]int, n)
+	}
 	total := 0
 	for i := range ps.Nodes {
 		n := &ps.Nodes[i]
-		state := r.Byte()
+		state := d.Byte()
 		if state&^(stateLeaf|stateMoved) != 0 {
 			return ps, fmt.Errorf("node %d: state %#x", i, state)
 		}
 		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
 		switch {
 		case n.Moved:
-			n.Fwd = readRef(r)
+			n.Fwd = readRef(d)
 		case n.Leaf:
-			k := r.Uvarint()
+			k := d.Uvarint()
 			if k > uint64(maxPartitionPoints-total) {
 				return ps, fmt.Errorf("node %d: bucket of %d points after %d", i, k, total)
 			}
 			sizes[i] = int(k)
 			total += int(k)
 		default:
-			n.SplitDim = int32(r.Uint32())
-			n.SplitVal = r.Float()
-			n.Left = readRef(r)
-			n.Right = readRef(r)
+			n.SplitDim = int32(d.Uint32())
+			n.SplitVal = d.Float()
+			n.Left = readRef(d)
+			n.Right = readRef(d)
 		}
 	}
-	if err := r.End(); err != nil {
+	if err := d.End(); err != nil {
 		return ps, err
 	}
 
-	if err := r.Next(); err != nil {
+	if d, err = next(); err != nil {
 		return ps, err
 	}
-	if total > r.Len() { // every ID takes a byte at least
-		return ps, fmt.Errorf("%d bucket points, %d ID bytes", total, r.Len())
+	if total > d.Len() { // every ID takes a byte at least
+		return ps, fmt.Errorf("%d bucket points, %d ID bytes", total, d.Len())
 	}
-	ps.IDs = make([]uint64, total)
+	if total > 0 {
+		ps.IDs = make([]uint64, total)
+	}
 	for i := range ps.IDs {
-		ps.IDs[i] = r.Uvarint()
+		ps.IDs[i] = d.Uvarint()
 	}
-	if err := r.End(); err != nil {
+	if err := d.End(); err != nil {
 		return ps, err
 	}
 
-	if err := r.Next(); err != nil {
+	if d, err = next(); err != nil {
 		return ps, err
 	}
-	if r.Len() != 8*dim*total {
-		return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", r.Len(), total, dim)
+	if d.Len() != 8*dim*total {
+		return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", d.Len(), total, dim)
 	}
-	ps.Coords = make([]float64, dim*total)
-	r.Floats(ps.Coords)
-	if err := r.End(); err != nil {
+	if n := dim * total; n > 0 {
+		ps.Coords = make([]float64, n)
+		d.Floats(ps.Coords)
+	}
+	if err := d.End(); err != nil {
 		return ps, err
 	}
 	slots := make([]int32, total)
 	for i := range slots {
 		slots[i] = int32(i)
 	}
-	ps.EmptyBoxes()
 	for i, k := range sizes {
 		if k > 0 {
 			ps.Nodes[i].Slots, slots = slots[:k:k], slots[k:]
-			ps.FitBox(int32(i))
 		}
 	}
 
-	if err := r.Next(); err != nil {
+	if d, err = next(); err != nil {
 		return ps, err
 	}
-	if k := r.Count(2); k > 0 { // a ref takes two bytes at least
+	if k := d.Count(2); k > 0 { // a ref takes two bytes at least
 		ps.Remote = make([]RemoteBox, k)
 		for i := range ps.Remote {
-			ps.Remote[i].Ref = readRef(r)
+			ps.Remote[i].Ref = readRef(d)
 		}
 	}
-	return ps, r.End()
+	return ps, d.End()
+}
+
+// fitLeaves gives every node of a decoded arena an empty box and every
+// leaf the box of its bucket, from which coverRouting builds the rest.
+func (ps *PartitionSnapshot) fitLeaves() {
+	if len(ps.Nodes) == 0 {
+		return
+	}
+	ps.EmptyBoxes()
+	for i := range ps.Nodes {
+		if len(ps.Nodes[i].Slots) > 0 {
+			ps.FitBox(int32(i))
+		}
+	}
 }
 
 // node returns the node ref names, or nil when ref is out of range.
@@ -544,45 +578,64 @@ func (s *TreeSnapshot) box(ref kdtree.Ref) (lo, hi []float64) {
 	return s.Parts[ref.Part].Box(ref.Node)
 }
 
-// routingBoxes sets every routing node's box to the union of its
-// children's, in one iterative post-order walk from the root. The walk
-// skips out-of-range and already-visited refs, so it terminates on any
-// input; a tree it cannot box correctly is one Validate rejects.
-func (s *TreeSnapshot) routingBoxes() {
-	if s.node(kdtree.Ref{}) == nil {
-		return
+// coverRouting sets every routing node's box to the union of its
+// children's, in iterative post-order walks from every node of arenas:
+// how a snapshot or a partition message gets the routing boxes it does
+// not carry, once its leaves have theirs (fitLeaves). A child is a node
+// of the arena whose Self is its Part, or — out of every arena's range —
+// a ref whose box is outside's. No node is walked twice, so the walks
+// terminate on any input; a tree they cannot box correctly is one
+// Validate rejects.
+func coverRouting(arenas []*kdtree.Arena, outside func(kdtree.Ref) (lo, hi []float64)) {
+	index := make(map[int32]int, len(arenas)) // an arena's position, by its Self
+	seen := make([][]bool, len(arenas))
+	for i, a := range arenas {
+		index[a.Self] = i
+		seen[i] = make([]bool, len(a.Nodes))
 	}
-	seen := make([][]bool, len(s.Parts))
-	for pi := range s.Parts {
-		seen[pi] = make([]bool, len(s.Parts[pi].Nodes))
+	held := func(r kdtree.Ref) (int, bool) { // the position of the arena holding r's node
+		i, ok := index[r.Part]
+		return i, ok && r.Node >= 0 && int(r.Node) < len(arenas[i].Nodes)
 	}
 	type frame struct {
-		ref  kdtree.Ref
-		exit bool
+		arena int
+		node  int32
+		exit  bool
 	}
-	seen[0][0] = true
-	stack := []frame{{}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := s.node(f.ref)
-		if n.Leaf || n.Moved {
-			continue
+	var stack []frame
+	push := func(i int, node int32) {
+		if !seen[i][node] {
+			seen[i][node] = true
+			stack = append(stack, frame{arena: i, node: node})
 		}
-		if f.exit {
-			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-				if s.node(c) != nil {
-					lo, hi := s.box(c)
-					s.Parts[f.ref.Part].CoverBox(f.ref.Node, lo, hi)
+	}
+	for i := range arenas {
+		for root := range arenas[i].Nodes {
+			push(i, int32(root))
+			for len(stack) > 0 {
+				f := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				a := arenas[f.arena]
+				switch n := &a.Nodes[f.node]; {
+				case n.Leaf || n.Moved:
+				case f.exit:
+					for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+						var lo, hi []float64
+						if j, ok := held(c); ok {
+							lo, hi = arenas[j].Box(c.Node)
+						} else {
+							lo, hi = outside(c)
+						}
+						a.CoverBox(f.node, lo, hi)
+					}
+				default:
+					stack = append(stack, frame{arena: f.arena, node: f.node, exit: true})
+					for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+						if j, ok := held(c); ok {
+							push(j, c.Node)
+						}
+					}
 				}
-			}
-			continue
-		}
-		stack = append(stack, frame{ref: f.ref, exit: true})
-		for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-			if s.node(c) != nil && !seen[c.Part][c.Node] {
-				seen[c.Part][c.Node] = true
-				stack = append(stack, frame{ref: c})
 			}
 		}
 	}

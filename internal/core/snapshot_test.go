@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"semtree/internal/cluster"
 	"semtree/internal/column"
 	"semtree/internal/kdtree"
 )
@@ -376,11 +377,15 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 	}
 }
 
-// TestSnapshotDecodeRebuildsBoxes: boxes are not encoded, and lose
-// nothing — for insert-grown, bulk-loaded and rebalanced trees on 1, 3
-// and 9 partitions, DecodeSnapshot(EncodeSnapshot(s)) has s's every
-// node (state, split, links, bucket IDs and coordinate bits), every
-// node box and every remote-cache box, exactly.
+// TestSnapshotDecodeRebuildsBoxes: boxes are encoded neither in a file
+// nor on the fabric, and lose nothing. For insert-grown, bulk-loaded
+// and rebalanced trees on 1, 3 and 9 partitions, the tree grown over
+// cluster.NewTCP() — every install, snapshot and restore rebuilding its
+// boxes on receipt — has the snapshot of the tree grown in process,
+// where nothing is encoded; and for both, DecodeSnapshot(
+// EncodeSnapshot(s)) is s. The same is every node (state, split, links,
+// bucket IDs and coordinate bits), every node box and every
+// remote-cache box, exactly.
 func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 	const n, dim = 3000, 6
 	r := rand.New(rand.NewSource(107))
@@ -411,31 +416,34 @@ func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 	for name, g := range grow {
 		for _, m := range []int{1, 3, 9} {
 			t.Run(fmt.Sprintf("%s/%d", name, m), func(t *testing.T) {
-				cfg := Config{Dim: dim, BucketSize: 8, MaxPartitions: m}
-				if m > 1 {
-					cfg.PartitionCapacity = n / (m - 1)
+				var snaps []*TreeSnapshot // in process, then over TCP
+				for _, fabric := range []cluster.Fabric{cluster.NewInProc(cluster.InProcOptions{}), cluster.NewTCP()} {
+					defer fabric.Close()
+					cfg := Config{Dim: dim, BucketSize: 8, MaxPartitions: m, Fabric: fabric}
+					if m > 1 {
+						cfg.PartitionCapacity = n / (m - 1)
+					}
+					tr := mustTree(t, cfg)
+					g(t, tr)
+					if tr.PartitionCount() != m {
+						t.Fatalf("%d partitions, want %d", tr.PartitionCount(), m)
+					}
+					snap := liveSnapshot(t, tr)
+					var buf bytes.Buffer
+					if err := EncodeSnapshot(&buf, snap); err != nil {
+						t.Fatal(err)
+					}
+					got, err := DecodeSnapshot(&buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					sameSnapshot(t, got, snap)
+					snaps = append(snaps, snap)
 				}
-				tr := mustTree(t, cfg)
-				g(t, tr)
-				if tr.PartitionCount() != m {
-					t.Fatalf("%d partitions, want %d", tr.PartitionCount(), m)
-				}
-				snap, err := tr.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := EncodeSnapshot(&buf, snap); err != nil {
-					t.Fatal(err)
-				}
-				got, err := DecodeSnapshot(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				sameSnapshot(t, got, snap)
+				sameSnapshot(t, snaps[1], snaps[0])
 			})
 		}
 	}

@@ -90,14 +90,8 @@ func (a *Arena) Install(entry int32, frag *Arena) (int32, error) {
 }
 
 // Fit checks that frag's blocks fit its nodes and an arena of
-// dimension dim, every slot indexing a point. A fragment with no
-// dimension and no point — decoded from a message that carried only
-// empty boxes — gets empty boxes of dimension dim.
+// dimension dim, every slot indexing a point.
 func (frag *Arena) Fit(dim int) error {
-	if frag.Dim != dim && frag.Dim == 0 && len(frag.IDs) == 0 && len(frag.Coords) == 0 && len(frag.Boxes) == 0 {
-		frag.Dim = dim
-		frag.EmptyBoxes()
-	}
 	if frag.Dim != dim {
 		return fmt.Errorf("kdtree: fragment of dimension %d, arena of %d", frag.Dim, dim)
 	}
@@ -164,10 +158,11 @@ func (a *Arena) place(entry int32, frag *Arena) {
 }
 
 // Clone returns a deep copy of the arena's nodes and boxes, with its
-// dimension, whose point blocks hold exactly the points its leaves
-// hold, leaves in node order: the layout a snapshot's columns have.
+// Self and dimension, whose point blocks hold exactly the points its
+// leaves hold, leaves in node order: the layout a snapshot's columns
+// have.
 func (a *Arena) Clone() Arena {
-	c := Arena{Nodes: slices.Clone(a.Nodes), Boxes: slices.Clone(a.Boxes), Dim: a.Dim}
+	c := Arena{Nodes: slices.Clone(a.Nodes), Boxes: slices.Clone(a.Boxes), Self: a.Self, Dim: a.Dim}
 	c.Coords, c.IDs = a.pack(c.Nodes)
 	return c
 }

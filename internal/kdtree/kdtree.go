@@ -70,10 +70,10 @@ type Ref struct {
 // or a fragment built client-side before it is shipped.
 const Local int32 = -1
 
-// Node is one tree node, in the arena and on the fabric alike (a
-// partition message carries every field and the node's box and bucket
-// points, in internal/core's wire codec; a persisted snapshot writes
-// only the fields its state uses and no box — see core.WriteSnapshot).
+// Node is one tree node, in the arena, on the fabric and on disk alike
+// (a partition message and a persisted snapshot both write only the
+// fields its state uses and no box, which the reader rebuilds — see
+// core.WriteSnapshot).
 // Exactly one of three states holds:
 //
 //   - leaf:    data node; Slots index its bucket's points in the
