@@ -7,40 +7,39 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"semtree"
 	"semtree/internal/triple"
 )
 
-// Client talks to one semtree-serve front-end. It pools connections
-// (one in-flight request per pooled connection, like database/sql), is
-// safe for concurrent use, and retries typed-retryable failures —
-// ErrDraining and transport errors on requests that provably did not
-// execute — on a fresh connection. Search results decode to the same
-// types the in-process API returns: semtree.Result with matches,
-// ExecStats (including the server's protocol choice) and sentinel
-// errors that satisfy errors.Is exactly as they would in process.
+// Client talks to one semtree-serve front-end over one long-lived
+// connection that all its calls share: each call writes its frame under
+// the connection's write lock, one reader goroutine hands every reply to
+// the call waiting on its ReqID, and a cancelled call stops waiting
+// without touching the socket. It is safe for concurrent use and retries
+// typed-retryable failures — ErrDraining and transport errors — on a
+// freshly dialled connection. Search results decode to the same types
+// the in-process API returns: semtree.Result with matches, ExecStats
+// (including the server's protocol choice) and sentinel errors that
+// satisfy errors.Is exactly as they would in process.
 type Client struct {
 	addr  string
 	token string
 
-	mu     sync.Mutex
-	idle   []*clientConn
+	mu     sync.Mutex // guards mc and closed
+	mc     *muxConn   // the shared connection; replaced once it has failed
 	closed bool
-
-	reqID atomic.Uint64
 }
-
-// maxIdleConns bounds the pool; excess connections close on release.
-const maxIdleConns = 4
 
 // clientRetries is the attempt budget for retryable failures.
 const clientRetries = 3
 
-// clientConn is one pooled connection with its own frame buffers: the
-// request being written and the reply being read.
+var errClientClosed = errors.New("serve: client closed")
+
+// clientConn is a connection that runs one exchange at a time, with its
+// own frame buffers: the request being written and the reply being read.
+// The hello runs on it, and so does the lease agent.
 type clientConn struct {
 	conn net.Conn
 	in   frameReader
@@ -53,11 +52,9 @@ type clientConn struct {
 // first query. The context bounds the dial and the hello.
 func Dial(ctx context.Context, addr, token string) (*Client, error) {
 	c := &Client{addr: addr, token: token}
-	cc, err := dialHello(ctx, addr, token)
-	if err != nil {
+	if _, err := c.conn(ctx); err != nil {
 		return nil, err
 	}
-	c.put(cc)
 	return c, nil
 }
 
@@ -88,11 +85,11 @@ func dialHello(ctx context.Context, addr, token string) (*clientConn, error) {
 // frame in cc.out, and decode must accept the reply. The context's
 // deadline caps the connection's reads and writes (the cluster fabric's
 // idiom) and plain cancellation snaps them shut. On success the
-// deadlines are disarmed, so the connection can be pooled. On any
-// failure the connection is closed — framing cannot be resynchronized
-// after a lost or foreign frame — and the context's own error is
-// preferred over the transport error it caused (a snapped deadline
-// surfaces as a net timeout).
+// deadlines are disarmed, so the connection can run the next exchange.
+// On any failure the connection is closed — framing cannot be
+// resynchronized after a lost or foreign frame — and the context's own
+// error is preferred over the transport error it caused (a snapped
+// deadline surfaces as a net timeout).
 func roundTrip[F any](ctx context.Context, cc *clientConn, decode func([]byte) (F, error)) (F, error) {
 	fail := func(err error) (F, error) {
 		cc.conn.Close()
@@ -121,60 +118,209 @@ func roundTrip[F any](ctx context.Context, cc *clientConn, decode func([]byte) (
 	if err != nil {
 		return fail(err)
 	}
+	// stop reports false once the AfterFunc has started: its deadline may
+	// land after the disarm below, so the connection is closed, not kept.
+	if !stop() {
+		return fail(ctx.Err())
+	}
 	_ = cc.conn.SetDeadline(time.Time{})
 	return f, nil
 }
 
-// get returns a pooled connection or dials a fresh one.
-func (c *Client) get(ctx context.Context) (*clientConn, error) {
+// muxConn is a Client's connection. A call claims a slot in a table
+// that grows to the most calls ever in flight at once and is reused from
+// then on; the slot's index and use count make up the call's ReqID, so
+// the reader finds a reply's slot without a map, and a reply to a call
+// that stopped waiting matches no slot and is dropped.
+type muxConn struct {
+	w  connWriter  // the connection and the frame buffer calls share
+	in frameReader // the reader goroutine's alone
+
+	mu    sync.Mutex // guards slots, free and err
+	slots []*slot
+	free  []uint32 // indexes of idle slots
+	err   error    // why the connection ended; nil while it serves
+
+	dead chan struct{} // closed when the reader goroutine exits
+}
+
+// slot is one call's place in the table. id is the ReqID it waits on,
+// 0 while it waits on none; the reader clears it as it delivers, so a
+// slot is answered at most once and its one-reply buffer never blocks.
+type slot struct {
+	id    uint64
+	uses  uint32
+	want  uint8 // the frame type the reply must have
+	reply chan reply
+}
+
+// reply is one decoded answer: a search's result or a snapshot's ack.
+type reply struct {
+	res resultFrame
+	ack snapshotAckFrame
+}
+
+// read hands each reply to its call until the connection ends, and then
+// ends every call's wait.
+func (m *muxConn) read() {
+	defer close(m.dead)
+	for {
+		payload, err := m.in.readFrame()
+		if err == nil {
+			err = m.deliver(payload)
+		}
+		if err != nil {
+			m.fail(err)
+			return
+		}
+	}
+}
+
+// deliver decodes one reply and hands it to the slot waiting on its
+// ReqID. A reply of the wrong type or one that does not decode is a
+// protocol error, which ends the connection.
+func (m *muxConn) deliver(payload []byte) error {
+	var r reply
+	var id uint64
+	var err error
+	if len(payload) > 0 && payload[0] == ftSnapshotAck {
+		r.ack, err = decodeSnapshotAck(payload)
+		id = r.ack.ReqID
+	} else {
+		r.res, err = decodeResult(payload)
+		id = r.res.ReqID
+	}
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := int(uint32(id)) - 1
+	if i < 0 || i >= len(m.slots) || m.slots[i].id != id {
+		return nil // its call stopped waiting
+	}
+	s := m.slots[i]
+	if s.want != payload[0] {
+		return fmt.Errorf("%w: frame type %d answers request %d, want %d", ErrProtocol, payload[0], id, s.want)
+	}
+	s.id = 0
+	//semtree:allow lockedcall: the slot's buffer of one is empty — its id was set, and is cleared here, once per reply — so the send never blocks
+	s.reply <- r
+	return nil
+}
+
+// take claims an idle slot for a call whose reply must be of frame
+// type want, and returns it with the call's ReqID.
+func (m *muxConn) take(want uint8) (*slot, uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err != nil {
+		return nil, 0, m.err
+	}
+	if len(m.free) == 0 {
+		m.free = append(m.free, uint32(len(m.slots)))
+		m.slots = append(m.slots, &slot{reply: make(chan reply, 1)})
+	}
+	i := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	s := m.slots[i]
+	s.uses++
+	s.id, s.want = uint64(s.uses)<<32|uint64(i+1), want
+	return s, s.id, nil
+}
+
+// put returns the slot of the call with ReqID id to the idle list: a
+// reply already delivered to it is drained, one still owed will match
+// no slot.
+func (m *muxConn) put(s *slot, id uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s.id == id {
+		s.id = 0
+	} else {
+		select {
+		case <-s.reply:
+		default:
+		}
+	}
+	m.free = append(m.free, uint32(id)-1)
+}
+
+// call sends the frame build appends for the ReqID it is given and waits
+// for the reply, the context's end or the connection's, whichever comes
+// first. The server learns of a deadline from the frame; a call that
+// stops waiting leaves the socket alone, for the calls still on it. The
+// write has no deadline either: a search frame is small, and the
+// server's read loop hands every frame off without waiting on replies.
+func (m *muxConn) call(ctx context.Context, want uint8, build func(b []byte, id uint64) []byte) (reply, error) {
+	s, id, err := m.take(want)
+	if err != nil {
+		return reply{}, err
+	}
+	defer m.put(s, id)
+	if err := m.w.write(func(b []byte) []byte { return build(b, id) }); err != nil {
+		m.fail(err) // a torn frame leaves the stream out of step
+		return reply{}, err
+	}
+	select {
+	case r := <-s.reply:
+		return r, nil
+	case <-ctx.Done():
+		return reply{}, ctx.Err()
+	case <-m.dead:
+		return reply{}, m.failure()
+	}
+}
+
+// fail records the first reason the connection ended and closes it,
+// which ends the reader and, through dead, every call's wait.
+func (m *muxConn) fail(err error) {
+	m.mu.Lock()
+	if m.err == nil {
+		m.err = err
+	}
+	m.mu.Unlock()
+	m.w.conn.Close()
+}
+
+// failure reports why the connection ended, or nil while it serves.
+func (m *muxConn) failure() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
+}
+
+// conn returns the shared connection, dialling one when the last has
+// failed: a call retried after a transport error runs on a fresh dial,
+// never on what killed the last attempt, and calls that arrive during
+// the dial wait for it rather than dial their own.
+func (c *Client) conn(ctx context.Context) (*muxConn, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("serve: client closed")
+		return nil, errClientClosed
 	}
-	if n := len(c.idle); n > 0 {
-		cc := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return cc, nil
+	if c.mc != nil && c.mc.failure() == nil {
+		return c.mc, nil
 	}
-	c.mu.Unlock()
-	return dialHello(ctx, c.addr, c.token)
+	cc, err := dialHello(ctx, c.addr, c.token)
+	if err != nil {
+		return nil, err
+	}
+	c.mc = &muxConn{w: connWriter{conn: cc.conn, buf: cc.out}, in: cc.in, dead: make(chan struct{})}
+	go c.mc.read()
+	return c.mc, nil
 }
 
-// put releases a healthy connection back to the pool. A request buffer
-// grown past maxFrameBuffer is dropped rather than kept by an idle
-// connection (the reply buffer never keeps one; see readFrame).
-func (c *Client) put(cc *clientConn) {
-	if cap(cc.out) > maxFrameBuffer {
-		cc.out = nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || len(c.idle) >= maxIdleConns {
-		cc.conn.Close()
-		return
-	}
-	c.idle = append(c.idle, cc)
-}
-
-// dropIdle closes and forgets every pooled connection.
-func (c *Client) dropIdle() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cc := range c.idle {
-		cc.conn.Close()
-	}
-	c.idle = nil
-}
-
-// Close closes all pooled connections. In-flight requests on
-// checked-out connections finish; their connections close on release.
+// Close closes the connection and returns once its reader has exited.
+// Calls still waiting on it fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
+	mc := c.mc // Dial leaves no Client without one
 	c.mu.Unlock()
-	c.dropIdle()
+	mc.fail(errClientClosed)
+	<-mc.dead
 	return nil
 }
 
@@ -189,9 +335,15 @@ func (c *Client) Close() error {
 // provenance, and Stats.Protocol — are substrings of one string per
 // reply, so keeping any of them keeps that reply's bytes alive.
 func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.SearchOption) (semtree.Result, error) {
+	// An option may keep the pointer it is handed, so the options live
+	// on the heap, built only when there are any.
 	var o semtree.SearchOptions
-	for _, opt := range opts {
-		opt(&o)
+	if len(opts) > 0 {
+		p := new(semtree.SearchOptions)
+		for _, opt := range opts {
+			opt(p)
+		}
+		o = *p
 	}
 	req := searchFrame{
 		Mode:        uint8(o.Mode),
@@ -213,16 +365,13 @@ func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.Se
 			}
 			return res, res.Err
 		}
-		// Context errors and typed rejections are final; transport
-		// errors retry on a fresh connection — the frame either never
-		// arrived or the answer was lost, and search is idempotent.
-		// Fresh means dialled: what killed this connection (a server
-		// restart) most likely killed the idle ones with it, and the
-		// pool can hold more of them than there are attempts.
+		// Context errors are final; transport errors retry on a freshly
+		// dialled connection (conn), since the one that failed is dead —
+		// the frame either never arrived or the answer was lost, and
+		// search is idempotent.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return semtree.Result{Err: err}, err
 		}
-		c.dropIdle()
 		lastErr = err
 	}
 	// When a retry died at the transport (e.g. the draining server
@@ -236,28 +385,23 @@ func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.Se
 }
 
 func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Result, error) {
-	cc, err := c.get(ctx)
+	m, err := c.conn(ctx)
 	if err != nil {
 		return semtree.Result{}, err
 	}
-	req.ReqID = c.reqID.Add(1)
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
 	}
-	cc.out = appendSearch(cc.out[:0], req)
-	rf, err := roundTrip(ctx, cc, decodeResult)
+	r, err := m.call(ctx, ftResult, func(b []byte, id uint64) []byte {
+		req.ReqID = id
+		return appendSearch(b, req)
+	})
 	if err != nil {
 		return semtree.Result{}, err
 	}
-	if rf.ReqID != req.ReqID {
-		cc.conn.Close()
-		return semtree.Result{}, fmt.Errorf("%w: response to request %d, want %d", ErrProtocol, rf.ReqID, req.ReqID)
-	}
-	c.put(cc)
-
-	res := semtree.Result{Matches: rf.Matches, Stats: rf.Stats}
-	if rf.HasErr {
-		res.Err = semtree.DecodeError(rf.Code, rf.Msg, rf.Detail)
+	res := semtree.Result{Matches: r.res.Matches, Stats: r.res.Stats}
+	if r.res.HasErr {
+		res.Err = semtree.DecodeError(r.res.Code, r.res.Msg, r.res.Detail)
 	}
 	return res, nil
 }
@@ -267,23 +411,18 @@ func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Resul
 // the snapshot's byte size. The server saves under its single critical
 // section while queries keep running.
 func (c *Client) Snapshot(ctx context.Context) (uint64, error) {
-	cc, err := c.get(ctx)
+	m, err := c.conn(ctx)
 	if err != nil {
 		return 0, err
 	}
-	reqID := c.reqID.Add(1)
-	cc.out = appendSnapshot(cc.out[:0], snapshotFrame{ReqID: reqID})
-	ack, err := roundTrip(ctx, cc, decodeSnapshotAck)
+	r, err := m.call(ctx, ftSnapshotAck, func(b []byte, id uint64) []byte {
+		return appendSnapshot(b, snapshotFrame{ReqID: id})
+	})
 	if err != nil {
 		return 0, err
 	}
-	if ack.ReqID != reqID {
-		cc.conn.Close()
-		return 0, fmt.Errorf("%w: response to request %d, want %d", ErrProtocol, ack.ReqID, reqID)
+	if r.ack.HasErr {
+		return 0, semtree.DecodeError(r.ack.Code, r.ack.Msg, r.ack.Detail)
 	}
-	c.put(cc)
-	if ack.HasErr {
-		return 0, semtree.DecodeError(ack.Code, ack.Msg, ack.Detail)
-	}
-	return ack.Bytes, nil
+	return r.ack.Bytes, nil
 }

@@ -1,0 +1,315 @@
+package serve
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"semtree"
+	"semtree/internal/triple"
+)
+
+// TestMultiplexParity: 8 goroutines × 200 searches on one Client
+// interleave their frames on its one connection and get their replies
+// in whatever order the server finishes them. Each must get the
+// in-process answer to its own query — a reply routed to the wrong call
+// fails here — and the server must have seen one connection.
+func TestMultiplexParity(t *testing.T) {
+	srv, cl, ref := paritySetup(t)
+	type job struct {
+		q       triple.Triple
+		opts    []semtree.SearchOption
+		want    semtree.Result
+		wantErr error
+	}
+	var jobs []job
+	for _, q := range testQueries(8) {
+		for _, shape := range parityShapes {
+			want, wantErr := ref.With(shape.opts...).Search(t.Context(), q)
+			jobs = append(jobs, job{q, shape.opts, want, wantErr})
+		}
+	}
+	const workers, each = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				j := jobs[(w*7+i)%len(jobs)]
+				got, err := cl.Search(t.Context(), j.q, j.opts...)
+				if d := answerDiff(j.want, j.wantErr, got, err); d != "" {
+					t.Errorf("worker %d, search %d: %s", w, i, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := srv.Stats().Conns; n != 1 {
+		t.Fatalf("%d connections, want every search on one", n)
+	}
+}
+
+// TestMultiplexCancelStorm: calls cancelled before they start and while
+// they wait share the connection with calls that are not cancelled. A
+// cancelled call returns the context's sentinel, or its answer when the
+// reply won the race; every other call gets its answer; the connection
+// survives it all, so the next search needs no redial.
+func TestMultiplexCancelStorm(t *testing.T) {
+	srv, cl, ref := paritySetup(t)
+	q := testQueries(1)[0]
+	want, wantErr := ref.With(semtree.WithK(5)).Search(t.Context(), q)
+	const workers, each = 8, 100
+	var cancelled atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ctx, cancel := context.WithCancel(t.Context())
+				switch i % 4 {
+				case 1:
+					cancel()
+				case 3:
+					go cancel()
+				}
+				got, err := cl.Search(ctx, q, semtree.WithK(5))
+				cancel()
+				if i%2 == 1 && errors.Is(err, context.Canceled) {
+					cancelled.Add(1)
+					continue
+				}
+				if d := answerDiff(want, wantErr, got, err); d != "" {
+					t.Errorf("worker %d, search %d: %s", w, i, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if cancelled.Load() == 0 {
+		t.Fatal("no search was cancelled")
+	}
+	if _, err := cl.Search(t.Context(), q, semtree.WithK(5)); err != nil {
+		t.Fatalf("search after the storm: %v", err)
+	}
+	if n := srv.Stats().Conns; n != 1 {
+		t.Fatalf("%d connections after %d cancelled calls, want 1", n, cancelled.Load())
+	}
+}
+
+// scriptedPeer is the server end of a Client's connection, answering
+// frame by frame as its test says.
+type scriptedPeer struct {
+	t    *testing.T
+	conn net.Conn
+	rd   frameReader
+}
+
+// dialScripted dials a Client to a peer that accepts its hello and then
+// does nothing on its own.
+func dialScripted(t *testing.T) (*Client, *scriptedPeer) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	peers := make(chan *scriptedPeer, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			close(peers)
+			return
+		}
+		p := &scriptedPeer{t: t, conn: conn, rd: frameReader{br: bufio.NewReader(conn)}}
+		acceptHello(conn, &p.rd, func(string) error { return nil })
+		peers <- p
+	}()
+	cl, err := Dial(t.Context(), lis.Addr().String(), "tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := <-peers
+	t.Cleanup(func() {
+		cl.Close()
+		p.conn.Close()
+	})
+	return cl, p
+}
+
+// next reads the next search the client sent.
+func (p *scriptedPeer) next() searchFrame {
+	p.t.Helper()
+	payload, err := p.rd.readFrame()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	f, err := decodeSearch(payload)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return f
+}
+
+// answer replies to request id with a result tagged by its node count.
+func (p *scriptedPeer) answer(id uint64, tag int64) {
+	p.t.Helper()
+	if err := writeFrame(p.conn, appendResult(nil, resultFrame{ReqID: id, Stats: semtree.ExecStats{NodesVisited: tag}})); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// TestMultiplexLateReplyDropped: a call cancelled while it waits
+// returns at once, without the connection. The reply the server sends
+// it afterwards matches no waiting call and is dropped; the next call,
+// in the slot the cancelled one gave up, has a ReqID of its own and gets
+// its own reply on the same connection.
+func TestMultiplexLateReplyDropped(t *testing.T) {
+	cl, p := dialScripted(t)
+	q := testQueries(1)[0]
+	type outcome struct {
+		res semtree.Result
+		err error
+	}
+	search := func(ctx context.Context) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			res, err := cl.Search(ctx, q)
+			out <- outcome{res, err}
+		}()
+		return out
+	}
+
+	ctx, cancel := context.WithCancel(t.Context())
+	abandoned := search(ctx)
+	first := p.next()
+	cancel()
+	if got := <-abandoned; !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("a call cancelled while waiting returned %v, want context.Canceled", got.err)
+	}
+
+	for tag := int64(1); tag <= 2; tag++ {
+		pending := search(t.Context())
+		req := p.next()
+		if req.ReqID == first.ReqID {
+			t.Fatalf("a new call reused the abandoned call's ReqID %d", req.ReqID)
+		}
+		p.answer(first.ReqID, -1) // late, for a call no longer waiting
+		p.answer(req.ReqID, tag)
+		got := <-pending
+		if got.err != nil || got.res.Stats.NodesVisited != tag {
+			t.Fatalf("call %d got the reply tagged %d (%v), want its own, %d", tag, got.res.Stats.NodesVisited, got.err, tag)
+		}
+	}
+}
+
+// TestMultiplexAbandonDrainsReply: a call can stop waiting just as the
+// reader delivers its reply, when its context and its reply are ready
+// at once. Giving the slot back must drain that reply, or the slot's
+// next call would read it — and the reader block on the full slot.
+func TestMultiplexAbandonDrainsReply(t *testing.T) {
+	m := &muxConn{}
+	s, id, err := m.take(ftResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.deliver(appendResult(nil, resultFrame{ReqID: id})[frameHead:]); err != nil {
+		t.Fatal(err)
+	}
+	m.put(s, id) // the call took its context's end, not the reply
+	if n := len(s.reply); n != 0 {
+		t.Fatalf("%d replies left in a slot given back", n)
+	}
+}
+
+// TestMultiplexWrongReplyType: a reply of the wrong frame type for a
+// waiting call is a protocol error. The call fails and the connection
+// closes, rather than a search taking a snapshot's ack for its answer.
+func TestMultiplexWrongReplyType(t *testing.T) {
+	cl, p := dialScripted(t)
+	failed := make(chan error, 1)
+	go func() {
+		_, err := cl.Search(t.Context(), testQueries(1)[0])
+		failed <- err
+	}()
+	req := p.next()
+	if err := writeFrame(p.conn, appendSnapshotAck(nil, snapshotAckFrame{ReqID: req.ReqID})); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-failed; err == nil {
+		t.Fatal("a search answered with a snapshot ack succeeded")
+	}
+	if _, err := p.rd.readFrame(); err == nil {
+		t.Fatal("the connection stayed open after a reply of the wrong type")
+	}
+}
+
+// TestMultiplexCloseEndsReader: Close fails a call still waiting on the
+// connection and returns only once the connection's reader goroutine
+// has exited.
+func TestMultiplexCloseEndsReader(t *testing.T) {
+	cl, p := dialScripted(t)
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := cl.Search(t.Context(), testQueries(1)[0])
+		waiting <- err
+	}()
+	p.next()
+	mc := cl.mc
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-mc.dead:
+	default:
+		t.Fatal("Close returned before the reader exited")
+	}
+	if err := <-waiting; err == nil {
+		t.Fatal("a call waiting across Close succeeded")
+	}
+}
+
+// TestRoundTripCancelledMidExchangeCloses: a context cancelled once the
+// reply is in but before roundTrip returns may snap the connection's
+// deadline after roundTrip cleared it. The exchange must fail with the
+// context's error and close the connection instead of handing on a
+// poisoned one. The decode cancels, so stop finds the AfterFunc already
+// started every time.
+func TestRoundTripCancelledMidExchangeCloses(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		if conn, err := lis.Accept(); err == nil {
+			respond(conn, nil)
+		}
+	}()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cc := &clientConn{conn: conn, in: frameReader{br: bufio.NewReader(conn)}}
+	cc.out = appendHello(nil, helloFrame{Version: protoVersion, Token: "tok"})
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	_, err = roundTrip(ctx, cc, func(payload []byte) (helloAckFrame, error) {
+		cancel()
+		return decodeHelloAck(payload)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("an exchange cancelled during its decode returned %v, want context.Canceled", err)
+	}
+	if _, err := conn.Write([]byte{0}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("the connection is still open after a cancelled exchange: write returned %v", err)
+	}
+}

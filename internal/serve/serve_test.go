@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -83,65 +84,74 @@ func startServerAt(t *testing.T, srv *Server, addr string) string {
 	return lis.Addr().String()
 }
 
-// TestWireParity is the end-to-end acceptance gate: for a fixed seeded
-// tree, the answers a serve.Client gets over TCP must be byte-identical
-// to the in-process Searcher's — matches (IDs, triples, provenance,
-// distances), ExecStats including the protocol choice (only the
-// measured wall time may differ), and sentinel errors under errors.Is.
-func TestWireParity(t *testing.T) {
+// paritySetup serves a seeded 600-triple index to one tenant on the
+// sequential protocol and returns the server, a client dialled to it,
+// and the in-process reference: a searcher on the same protocol, so the
+// deterministic stats fields agree exactly.
+func paritySetup(t *testing.T) (*Server, *Client, *semtree.Searcher) {
+	t.Helper()
 	idx := testIndex(t, 600)
+	sequential := semtree.WithProtocol(semtree.ProtocolSequential)
 	srv, err := NewServer(Config{
-		Index: idx,
-		Tenants: []TenantConfig{{
-			Name:    "parity",
-			Token:   "parity-token",
-			Options: []semtree.SearchOption{semtree.WithProtocol(semtree.ProtocolSequential)},
-		}},
+		Index:   idx,
+		Tenants: []TenantConfig{{Name: "parity", Token: "parity-token", Options: []semtree.SearchOption{sequential}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startServer(t, srv)
-	cl, err := Dial(t.Context(), addr, "parity-token")
+	cl, err := Dial(t.Context(), startServer(t, srv), "parity-token")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
+	return srv, cl, idx.Searcher(sequential)
+}
 
-	// The in-process reference runs the same sequential protocol so the
-	// deterministic stats fields agree exactly.
-	ref := idx.Searcher(semtree.WithProtocol(semtree.ProtocolSequential))
+// parityShapes are the query shapes the parity tests ask in.
+var parityShapes = []struct {
+	name string
+	opts []semtree.SearchOption
+}{
+	{"knn", []semtree.SearchOption{semtree.WithK(5)}},
+	{"knn-exact", []semtree.SearchOption{semtree.WithK(3), semtree.WithExactFactor(4)}},
+	{"range", []semtree.SearchOption{semtree.WithMode(semtree.ModeRange), semtree.WithRadius(0.35)}},
+	{"range-truncated", []semtree.SearchOption{semtree.WithRadius(0.5), semtree.WithK(4)}},
+	{"knn-of-nothing", []semtree.SearchOption{semtree.WithK(0)}},
+}
 
-	shapes := []struct {
-		name string
-		opts []semtree.SearchOption
-	}{
-		{"knn", []semtree.SearchOption{semtree.WithK(5)}},
-		{"knn-exact", []semtree.SearchOption{semtree.WithK(3), semtree.WithExactFactor(4)}},
-		{"range", []semtree.SearchOption{semtree.WithMode(semtree.ModeRange), semtree.WithRadius(0.35)}},
-		{"range-truncated", []semtree.SearchOption{semtree.WithRadius(0.5), semtree.WithK(4)}},
-		{"knn-of-nothing", []semtree.SearchOption{semtree.WithK(0)}},
+// answerDiff describes how a wire answer differs from the in-process
+// one, or returns "" when it does not: matches (IDs, triples,
+// provenance, distances), ExecStats including the protocol choice (only
+// the measured wall time may differ), and sentinel errors under
+// errors.Is.
+func answerDiff(want semtree.Result, wantErr error, got semtree.Result, gotErr error) string {
+	if (wantErr == nil) != (gotErr == nil) {
+		return fmt.Sprintf("err mismatch: in-process %v, wire %v", wantErr, gotErr)
 	}
+	if wantErr != nil && !errors.Is(gotErr, wantErr) {
+		return fmt.Sprintf("wire error %v does not match in-process sentinel %v", gotErr, wantErr)
+	}
+	want.Stats.Wall, got.Stats.Wall = 0, 0
+	if !reflect.DeepEqual(want.Matches, got.Matches) {
+		return fmt.Sprintf("matches diverge:\nin-process %+v\nwire       %+v", want.Matches, got.Matches)
+	}
+	if !reflect.DeepEqual(want.Stats, got.Stats) {
+		return fmt.Sprintf("stats diverge:\nin-process %+v\nwire       %+v", want.Stats, got.Stats)
+	}
+	return ""
+}
+
+// TestWireParity is the end-to-end acceptance gate: for a fixed seeded
+// tree, the answers a serve.Client gets over TCP must be byte-identical
+// to the in-process Searcher's (answerDiff).
+func TestWireParity(t *testing.T) {
+	_, cl, ref := paritySetup(t)
 	for qi, q := range testQueries(6) {
-		for _, shape := range shapes {
+		for _, shape := range parityShapes {
 			want, wantErr := ref.With(shape.opts...).Search(t.Context(), q)
 			got, gotErr := cl.Search(t.Context(), q, shape.opts...)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("q%d %s: err mismatch: in-process %v, wire %v", qi, shape.name, wantErr, gotErr)
-			}
-			if wantErr != nil && !errors.Is(gotErr, wantErr) {
-				t.Fatalf("q%d %s: wire error %v does not match in-process sentinel %v", qi, shape.name, gotErr, wantErr)
-			}
-			// Wall is measured time — the only field allowed to differ.
-			want.Stats.Wall, got.Stats.Wall = 0, 0
-			if !reflect.DeepEqual(want.Matches, got.Matches) {
-				t.Fatalf("q%d %s: matches diverge:\nin-process %+v\nwire       %+v", qi, shape.name, want.Matches, got.Matches)
-			}
-			if !reflect.DeepEqual(want.Stats, got.Stats) {
-				t.Fatalf("q%d %s: stats diverge:\nin-process %+v\nwire       %+v", qi, shape.name, want.Stats, got.Stats)
-			}
-			if got.Stats.Protocol != want.Stats.Protocol {
-				t.Fatalf("q%d %s: protocol choice diverged: %q vs %q", qi, shape.name, got.Stats.Protocol, want.Stats.Protocol)
+			if d := answerDiff(want, wantErr, got, gotErr); d != "" {
+				t.Fatalf("q%d %s: %s", qi, shape.name, d)
 			}
 		}
 	}
@@ -611,10 +621,10 @@ func TestHelloVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestClientSurvivesServerRestart: after a restart every pooled
-// connection is dead, and the pool can hold more of them than Search
-// has attempts. The first transport failure must empty the pool, so the
-// next attempt dials the new server instead of trying the next corpse.
+// TestClientSurvivesServerRestart: a restart kills the connection every
+// call of a client shares. The first transport failure must retire it,
+// so the retried searches dial the new server — once, for all of them —
+// instead of trying the corpse again.
 func TestClientSurvivesServerRestart(t *testing.T) {
 	idx := testIndex(t, 200)
 	newServer := func() *Server {
@@ -631,28 +641,39 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// Leave clientRetries idle connections behind, as that many
-	// overlapping searches do: each checks one out (dialling when the
-	// pool is empty) before any is released.
-	held := make([]*clientConn, clientRetries)
-	for i := range held {
-		if held[i], err = cl.get(t.Context()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, cc := range held {
-		cl.put(cc)
+	q := testQueries(1)[0]
+	if _, err := cl.Search(t.Context(), q, semtree.WithK(3)); err != nil {
+		t.Fatal(err)
 	}
 	if err := old.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	startServerAt(t, newServer(), addr)
-	res, err := cl.Search(t.Context(), testQueries(1)[0], semtree.WithK(3))
-	if err != nil {
-		t.Fatalf("search after the restart: %v", err)
+	fresh := newServer()
+	startServerAt(t, fresh, addr)
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := cl.Search(t.Context(), q, semtree.WithK(3))
+			if err == nil && len(res.Matches) != 3 {
+				err = fmt.Errorf("%d matches, want 3", len(res.Matches))
+			}
+			errs[i] = err
+		}()
 	}
-	if len(res.Matches) != 3 {
-		t.Fatalf("search after the restart returned %d matches", len(res.Matches))
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("search %d after the restart: %v", i, err)
+		}
+	}
+	if n := old.Stats().Conns; n != 1 {
+		t.Fatalf("the first server saw %d connections, want 1", n)
+	}
+	if n := fresh.Stats().Conns; n != 1 {
+		t.Fatalf("the restarted server saw %d connections, want the one redial every search shares", n)
 	}
 }
 
@@ -793,4 +814,59 @@ func TestSnapshotTempBesideTarget(t *testing.T) {
 			t.Errorf("%s: temp file %q is in %q, want %q", tc.path, name, got, tc.dir)
 		}
 	}
+}
+
+// TestSnapshotTornWrite: a save torn after n bytes, for every n short
+// of a whole 20-triple snapshot, fails and leaves the old file at the
+// target byte for byte and no temp file beside it; only the whole
+// snapshot replaces the old file.
+func TestSnapshotTornWrite(t *testing.T) {
+	idx := testIndex(t, 20)
+	var whole bytes.Buffer
+	if err := semtree.Save(&whole, idx); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.semtree")
+	old := []byte("the previous snapshot")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= whole.Len(); n++ {
+		size, err := snapshotTo(path, func(w io.Writer) error {
+			return semtree.Save(&tornWriter{w: w, left: n}, idx)
+		})
+		want := old
+		if n == whole.Len() {
+			if err != nil || size != uint64(n) {
+				t.Fatalf("whole snapshot: %d bytes, %v", size, err)
+			}
+			want = whole.Bytes()
+		} else if err == nil {
+			t.Fatalf("a save torn after %d of %d bytes succeeded", n, whole.Len())
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("torn after %d of %d bytes: the target holds %d bytes (%v), want %d", n, whole.Len(), len(got), err, len(want))
+		}
+		if names, _ := filepath.Glob(filepath.Join(dir, ".semtree-snap-*")); len(names) != 0 {
+			t.Fatalf("torn after %d of %d bytes: %v left behind", n, whole.Len(), names)
+		}
+	}
+}
+
+// tornWriter passes the first left bytes through to w and fails at the
+// write that would go past them, after passing on what still fits.
+type tornWriter struct {
+	w    io.Writer
+	left int
+}
+
+func (tw *tornWriter) Write(p []byte) (int, error) {
+	if len(p) <= tw.left {
+		tw.left -= len(p)
+		return tw.w.Write(p)
+	}
+	n, _ := tw.w.Write(p[:tw.left])
+	tw.left = 0
+	return n, errors.New("torn write")
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -269,8 +270,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// connWriter serializes frame writes onto one connection: concurrent
-// request handlers share it, and its frame buffer.
+// connWriter serializes frame writes onto one connection. The
+// goroutines that write there — a server connection's request handlers,
+// a Client's calls — share it, and its frame buffer.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -501,7 +503,7 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 		fail(errors.New("serve: no snapshot path configured"))
 		return
 	}
-	n, err := s.snapshotTo(s.cfg.SnapshotPath)
+	n, err := snapshotTo(s.cfg.SnapshotPath, func(w io.Writer) error { return semtree.Save(w, s.cfg.Index) })
 	if err != nil {
 		fail(err)
 		return
@@ -510,18 +512,18 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 	reply(snapshotAckFrame{Bytes: n})
 }
 
-// snapshotTo writes the index to path so that a crash at any point
-// leaves either the old file or the new one there: Save into a temp
+// snapshotTo writes a snapshot to path so that a crash at any point
+// leaves either the old file or the new one there: save into a temp
 // file beside path, sync it (its bytes are on disk before any name
 // points at them), close it, rename it over path, then sync the
 // directory (the rename itself is on disk before the ack goes out).
-func (s *Server) snapshotTo(path string) (uint64, error) {
+func snapshotTo(path string, save func(io.Writer) error) (uint64, error) {
 	tmp, err := snapshotTemp(path)
 	if err != nil {
 		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // a no-op once the rename has moved it
-	if err := semtree.Save(tmp, s.cfg.Index); err != nil {
+	if err := save(tmp); err != nil {
 		tmp.Close()
 		return 0, err
 	}

@@ -1,8 +1,9 @@
 // Package serve is SemTree's network serving tier: a standalone server
 // that hosts per-tenant Searchers behind a concurrent length-prefixed
-// binary protocol, a pooled retrying Client, and a distributed-quota
-// allocator that leases refill shares to front-ends so a tenant's quota
-// holds fleet-wide, not per process.
+// binary protocol, a retrying Client whose calls share one connection
+// and are told apart by request ID, and a distributed-quota allocator
+// that leases refill shares to front-ends so a tenant's quota holds
+// fleet-wide, not per process.
 //
 // The wire contract is deliberately narrow and stable:
 //
@@ -568,8 +569,8 @@ func boxed[F any](f F, err error) (any, error) {
 }
 
 // writeFrame writes one frame an appendX built, in one Write. Callers
-// serialize writes per connection (the server's connWriter holds a
-// lock; the client runs one request per pooled connection).
+// serialize writes per connection (connWriter holds a lock; the hello
+// and the lease exchange run one at a time on their connection).
 func writeFrame(w io.Writer, frame []byte) error {
 	if n := len(frame) - frameHead; n > maxFrameSize {
 		return fmt.Errorf("%w: frame of %d bytes exceeds cap", ErrProtocol, n)
