@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"slices"
 
 	"semtree/internal/column"
 )
@@ -49,13 +50,18 @@ func DecodeKind(kind byte, b []byte) (any, error) {
 	return v, d.End()
 }
 
-// Kinds returns the registered kinds.
+// Kinds returns the kinds importing packages registered — the
+// partition protocol's, in the fuzz test's binary — leaving out this
+// package's own TestKinds.
 func Kinds() []byte {
 	var out []byte
 	for k, decode := range kinds {
-		if decode != nil {
+		if decode != nil && !slices.Contains(TestKinds, byte(k)) {
 			out = append(out, byte(k))
 		}
 	}
 	return out
 }
+
+// TestKinds are the kinds of this package's own test protocol.
+var TestKinds = []byte{kindEchoReq, kindEchoResp}

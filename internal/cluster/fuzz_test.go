@@ -92,8 +92,8 @@ func protocolFrames(tb testing.TB) map[byte][]byte {
 // that again, gives the same bytes.
 func FuzzFabricFrame(f *testing.F) {
 	frames := protocolFrames(f)
-	if len(frames) < 14 {
-		f.Fatalf("the recorded traffic covers %d kinds, want the partition protocol's 14", len(frames))
+	if len(frames) < len(cluster.Kinds()) {
+		f.Fatalf("the recorded traffic covers %d kinds, want the partition protocol's %d", len(frames), len(cluster.Kinds()))
 	}
 	for kind, frame := range frames {
 		if _, _, payload, _, err := cluster.ReadFrame(frame); err != nil || payload.(cluster.Message).WireKind() != kind {
@@ -102,7 +102,8 @@ func FuzzFabricFrame(f *testing.F) {
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2]) // truncated
 	}
-	for _, k := range cluster.Kinds() {
+	registered := append(cluster.Kinds(), cluster.TestKinds...)
+	for _, k := range registered {
 		// The decoder's first count claims far more than the bytes left.
 		body := binary.AppendUvarint([]byte{0, 0, 0}, 1<<50)
 		f.Add(append(binary.AppendUvarint([]byte{k}, uint64(len(body)+200)), append(body, make([]byte, 200)...)...))
@@ -115,7 +116,7 @@ func FuzzFabricFrame(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		from, deadline, payload, _, err := cluster.ReadFrame(data)
-		for _, k := range cluster.Kinds() {
+		for _, k := range registered {
 			_, _ = cluster.DecodeKind(k, data)
 		}
 		runtime.ReadMemStats(&after)

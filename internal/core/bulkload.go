@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
-	"slices"
 
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
@@ -27,12 +25,12 @@ import (
 //     safe against concurrent inserts: the graft merges any points that
 //     raced into the entry leaf and refuses (falling back to the merge
 //     path) if the root stopped being a leaf.
-//   - Live tree: route the batch down the existing structure through
-//     the same router as a single insert (partition.go), but land it
-//     by leaf: each destination leaf is replaced with a
-//     balanced fragment bulk-built over (bucket ∪ assigned points) in
-//     one step — no per-point split cascade — and the entries that
-//     leave the partition forward as nested bulk batches.
+//   - Live tree: send the batch in chunks through the one ingest
+//     protocol a single insert takes (handleBulkAdd, partition.go), but
+//     under the Graft landing policy: each destination leaf is replaced
+//     with a balanced fragment bulk-built over (bucket ∪ assigned
+//     points) in one step — no per-point split cascade — and the
+//     entries that leave the partition forward as nested Graft batches.
 //
 // Both paths keep the region invariant: fragment boxes come out of the
 // kernel's bulk builders (kdtree.BulkLoad, kdtree.Arena.Graft) exact,
@@ -40,8 +38,8 @@ import (
 // exactly as single inserts do.
 
 // DefaultBulkChunk is the per-message batch size of the bulk merge
-// path. Chunking bounds message size; each chunk is applied under one
-// partition write lock per partition it touches.
+// path. Chunking bounds message size; each chunk takes at most one
+// write lock per partition it touches.
 const DefaultBulkChunk = 2048
 
 // BulkLoad inserts a batch of points through the bulk path. On an empty
@@ -169,7 +167,7 @@ func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk
 }
 
 // bulkMerge streams the batch into a live tree in chunks, each chunk a
-// synchronous bulkAddReq entering at the root.
+// synchronous Graft-policy bulkAddReq entering at the root.
 func (t *Tree) bulkMerge(ctx context.Context, pts []kdtree.Point) error {
 	root := t.rootPartition()
 	for start := 0; start < len(pts); start += DefaultBulkChunk {
@@ -180,7 +178,7 @@ func (t *Tree) bulkMerge(ctx context.Context, pts []kdtree.Point) error {
 		if end > len(pts) {
 			end = len(pts)
 		}
-		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entriesAt(0, pts[start:end])}); err != nil {
+		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entriesAt(0, pts[start:end]), Policy: landGraft}); err != nil {
 			return fmt.Errorf("core: bulk merge: %w", err)
 		}
 		t.size.Add(int64(end - start))
@@ -215,57 +213,22 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 	return frontier
 }
 
-// handleBulkAdd is the synchronous bulk protocol: the chunk routes
-// under one write lock like any batch, but lands by leaf — every
-// destination leaf receives its share of the chunk as one graft — and
-// the entries that leave the partition travel on as nested synchronous
-// bulk batches, so the response acknowledges the whole chunk. Grafts
-// run in ascending leaf index and forwards in ascending partition id:
-// a graft appends arena slots and a forward can spill onto the next
-// fresh partition, so either order is part of the layout.
-func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
-	groups := make(map[int32][]kdtree.Point)
-	p.mu.Lock()
-	forwards, landed := p.routeLocked(r.Entries, func(leaf int32, pt kdtree.Point) {
-		groups[leaf] = append(groups[leaf], pt)
-	})
-	for _, leaf := range slices.Sorted(maps.Keys(groups)) {
-		p.Graft(leaf, groups[leaf])
-	}
-	p.points += landed
-	p.inserts.Add(int64(landed))
-	spill := p.capacityExceededLocked()
-	p.mu.Unlock()
-	var err error
-	for _, part := range slices.Sorted(maps.Keys(forwards)) {
-		if _, cerr := p.t.call(p.id, part, bulkAddReq{Entries: forwards[part]}); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if spill {
-		p.buildPartition()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ack{}, nil
-}
-
 // handleInstall moves a fragment into the arena: appended as a new
 // subtree root when Entry < 0, grafted over the leaf at Entry otherwise.
 // The kernel validates the fragment before anything mutates, so a
 // malformed one never leaves a half-installed arena. Points that were
 // already in a grafted-over leaf — concurrent inserts that raced the
 // client-side build — go through the router again, entering at the
-// installed fragment's root; the ones whose route now leaves the
-// partition (to the frontier subtrees the trunk links to) forward after
-// the lock is released. Only a graft runs the capacity check: an
-// appended fragment was put here by a spill or the balanced installer,
-// which chose this partition for it.
+// installed fragment's root, and land as inserts do (Append); the ones
+// whose route now leaves the partition (to the frontier subtrees the
+// trunk links to) forward as Append batches after the lock is released.
+// Only a graft runs the capacity check: an appended fragment was put
+// here by a spill or the balanced installer, which chose this partition
+// for it.
 func (p *partition) handleInstall(r installReq) (any, error) {
 	p.mu.Lock()
 	graft := r.Entry >= 0
-	var displaced []insertReq
+	var displaced []batchEntry
 	if graft {
 		if int(r.Entry) >= len(p.Nodes) {
 			p.mu.Unlock()
@@ -282,11 +245,11 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("core: install: %w", err)
 	}
-	forwards, landed := p.routeLocked(displaced, p.Append)
+	fw, landed := p.routeLocked(displaced, p.Append)
 	p.points -= len(displaced) - landed // the rest leave this partition
 	spill := graft && p.capacityExceededLocked()
 	p.mu.Unlock()
-	err = p.forwardInserts(forwards)
+	err = p.forward(fw, landAppend)
 	if spill {
 		p.buildPartition()
 	}

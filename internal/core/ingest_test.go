@@ -105,11 +105,49 @@ func TestIngestLayoutGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkInsertBesideReader times Tree.Insert into churn's shape — 50
-// 000 random 8-dimensional points bulk-loaded over five in-process
+// TestBoxWorkCountsGrowth: BoxWork counts the boxes an insert grew,
+// not the boxes it passed. On a tree spread over five partitions (a
+// trunk of routing boxes and remote-box cache entries on the root),
+// re-inserting a point that lies in every box on its route adds 0, and a
+// point outside every box adds more than 0 — whichever path either takes.
+func TestBoxWorkCountsGrowth(t *testing.T) {
+	const n, dim = 2000, 4
+	pts := randomPoints(rand.New(rand.NewSource(89)), n, dim)
+	tr := mustTree(t, Config{Dim: dim, PartitionCapacity: n / 4, MaxPartitions: 5})
+	if err := tr.BulkLoad(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	grew := func(p kdtree.Point) int64 {
+		t.Helper()
+		before, err := tr.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		after, err := tr.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.BoxWork - before.BoxWork
+	}
+	if got := grew(kdtree.Point{Coords: pts[7].Coords, ID: n}); got != 0 {
+		t.Errorf("re-inserting a point inside every box grew %d boxes", got)
+	}
+	outside := []float64{-1, 101, -1, 101} // randomPoints draws from [0, 100)
+	if got := grew(kdtree.Point{Coords: outside, ID: n + 1}); got <= 0 {
+		t.Errorf("a point outside every box grew %d boxes", got)
+	}
+	checkPartitionBoxes(t, tr)
+}
+
+// BenchmarkInsertBesideReader times Tree.Insert into churn's shape —
+// 50 000 random 8-dimensional points bulk-loaded over five in-process
 // partitions, so every insert forwards from the root's trunk — while one
 // goroutine runs k-nearest queries (k = 10) in a loop, holding read
-// locks for whole traversals. allocs/op counts the reader's allocations
+// locks for whole traversals: the warm path forwards an insert without
+// waiting for the write lock. allocs/op counts the reader's allocations
 // too; queries/op reports how many of its queries ran per insert.
 func BenchmarkInsertBesideReader(b *testing.B) {
 	const n, dim = 50_000, 8

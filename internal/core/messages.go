@@ -27,7 +27,7 @@ import (
 	"semtree/internal/kdtree"
 )
 
-// The partition protocol: eight request kinds, each doing something no
+// The partition protocol: seven request kinds, each doing something no
 // other does, and the six responses they share. Every type a fabric
 // carries is declared in this file with its wire codec — a WireKind,
 // an AppendWire and a read function beside the declaration — and kinds
@@ -41,7 +41,7 @@ import (
 // opens with their total count, and every []float64 in it is a run — a
 // uvarint length and the raw values — that the decoder cuts from one
 // block of that size (floatBlock), so decoding allocates that block and
-// one slice per []Neighbor, []knnEntry, []insertReq and []RemoteBox,
+// one slice per []Neighbor, []knnEntry, []batchEntry and []RemoteBox,
 // never one per point. An arena — a fragment, a partition's state —
 // travels in the layout of its snapshot file (appendState): the four
 // column bodies WriteSnapshot writes, read by the file's own readers
@@ -49,9 +49,10 @@ import (
 // rebuilds by the file's rule. Empty and nil slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
+// Kind 1 is retired — it framed a single-point insert request, which is
+// now a one-entry bulkAddReq — so every other kind keeps its number.
 const (
-	kindInsertReq byte = iota + 1
-	kindAck
+	kindAck byte = iota + 2
 	kindBulkAddReq
 	kindInstallReq
 	kindInstallResp
@@ -68,7 +69,6 @@ const (
 
 // kinds is the kind table: every protocol type's decoder, by wire kind.
 var kinds = map[byte]cluster.Decode{
-	kindInsertReq:    readInsertReq,
 	kindAck:          readAck,
 	kindBulkAddReq:   readBulkAddReq,
 	kindInstallReq:   readInstallReq,
@@ -90,61 +90,52 @@ func init() {
 	}
 }
 
-// insertReq asks a partition to insert Point into the subtree rooted at
-// its node Node, forwarding across partitions with nested synchronous
-// calls: the ack means the point has landed. It is also the entry type
-// of the bulk protocol — one point, tagged with the node at which its
-// descent (re-)enters the receiving partition.
-type insertReq struct {
-	Node  int32
-	Point kdtree.Point
-}
-
-func (insertReq) WireKind() byte { return kindInsertReq }
-
-func (m insertReq) AppendWire(a *column.Appender) {
-	a.Uvarint(uint64(len(m.Point.Coords)))
-	appendEntry(a, m)
-}
-
-func readInsertReq(d *column.Decoder) any {
-	fs := newFloatBlock(d)
-	m := readEntry(d, &fs)
-	fs.end()
-	return m
-}
-
-func appendEntry(a *column.Appender, e insertReq) {
-	a.Varint(int64(e.Node))
-	appendPoint(a, e.Point)
-}
-
-func readEntry(d *column.Decoder, fs *floatBlock) insertReq {
-	return insertReq{Node: d.Int32(), Point: readPoint(d, fs)}
-}
-
 // ack is the empty acknowledgement of the requests that report nothing
-// but completion: insertReq, bulkAddReq and restoreReq.
+// but completion: bulkAddReq and restoreReq.
 type ack struct{}
 
 func (ack) WireKind() byte              { return kindAck }
 func (ack) AppendWire(*column.Appender) {}
 func readAck(*column.Decoder) any       { return ack{} }
 
+// batchEntry is one point of an ingest batch, tagged with the node at
+// which its descent (re-)enters the receiving partition.
+type batchEntry struct {
+	Node  int32
+	Point kdtree.Point
+}
+
 // entriesAt tags pts as batch entries that all enter at node.
-func entriesAt(node int32, pts []kdtree.Point) []insertReq {
-	entries := make([]insertReq, len(pts))
+func entriesAt(node int32, pts []kdtree.Point) []batchEntry {
+	entries := make([]batchEntry, len(pts))
 	for i, p := range pts {
-		entries[i] = insertReq{Node: node, Point: p}
+		entries[i] = batchEntry{Node: node, Point: p}
 	}
 	return entries
 }
 
-// bulkAddReq routes a batch of points from their entry nodes and grafts
-// balanced fragments at the destination leaves. The ack means the whole
-// batch — including entries forwarded across partitions — has landed.
+// landing is a batch's landing policy: how its entries that reach a leaf
+// of the receiving partition land there. Forwards inherit it.
+type landing bool
+
+const (
+	// landAppend lands entries one at a time (kdtree.Arena.Append),
+	// splitting a saturated leaf as the paper's insertion does: the policy
+	// of Tree.Insert and of the points an install displaces.
+	landAppend landing = false
+	// landGraft gathers the entries by leaf and replaces each leaf with a
+	// balanced fragment over its bucket and its share (kdtree.Arena.Graft):
+	// the policy of a bulk merge's chunks.
+	landGraft landing = true
+)
+
+// bulkAddReq is the one ingest request (§III-B.1): it routes a batch of
+// points from their entry nodes and lands them by Policy. The ack means
+// the whole batch — including entries forwarded across partitions — has
+// landed. Tree.Insert sends a batch of one.
 type bulkAddReq struct {
-	Entries []insertReq
+	Entries []batchEntry
+	Policy  landing
 }
 
 func (bulkAddReq) WireKind() byte { return kindBulkAddReq }
@@ -155,19 +146,21 @@ func (m bulkAddReq) AppendWire(a *column.Appender) {
 		n += len(e.Point.Coords)
 	}
 	a.Uvarint(uint64(n))
+	a.Bool(bool(m.Policy))
 	a.Uvarint(uint64(len(m.Entries)))
 	for _, e := range m.Entries {
-		appendEntry(a, e)
+		a.Varint(int64(e.Node))
+		appendPoint(a, e.Point)
 	}
 }
 
 func readBulkAddReq(d *column.Decoder) any {
 	fs := newFloatBlock(d)
-	var m bulkAddReq
+	m := bulkAddReq{Policy: landing(d.Bool())}
 	if n := d.Count(3); n > 0 { // a node, an empty run and an ID at least
-		m.Entries = make([]insertReq, n)
+		m.Entries = make([]batchEntry, n)
 		for i := range m.Entries {
-			m.Entries[i] = readEntry(d, &fs)
+			m.Entries[i] = batchEntry{Node: d.Int32(), Point: readPoint(d, &fs)}
 		}
 	}
 	fs.end()

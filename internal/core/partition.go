@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -43,9 +44,9 @@ type partition struct {
 	// Insert). Guarded by mu: the router runs under the write lock.
 	path []int32
 
-	// boxWork counts box-maintenance writes (path-box growth plus
-	// remote-edge cache expansions). Guarded by mu: every writer holds
-	// the write lock, handleStats reads under the read lock.
+	// boxWork counts the boxes inserts grew (path boxes and remote-edge
+	// cache entries). Guarded by mu: every writer holds the write lock,
+	// handleStats reads under the read lock.
 	boxWork int64
 
 	navSteps atomic.Int64 // nodes traversed by insert descents
@@ -59,8 +60,6 @@ type partition struct {
 // never leaves the tree half-modified.
 func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (any, error) {
 	switch r := req.(type) {
-	case insertReq:
-		return p.handleInsert(r)
 	case bulkAddReq:
 		return p.handleBulkAdd(r)
 	case installReq:
@@ -88,28 +87,126 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 	return kdtree.Ref{Part: int32(part), Node: idx}
 }
 
-// routeLocked is the one ingest router, the partition-local step of the
-// distributed insertion algorithm (§III-B.1): every entry descends from
-// its entry node by (Sr, Sv) comparisons, every box on the descent path
+// handleBulkAdd is the one ingest protocol, the partition-local step of
+// the distributed insertion algorithm (§III-B.1) for a batch of any size
+// — Tree.Insert's batch of one included. The batch first descends under
+// the read lock (warmForwards): when every entry leaves the partition
+// through regions that already contain it, nothing here changes, and
+// the batch forwards without the write lock instead of contending with
+// query read locks that span whole traversals. Otherwise it routes under
+// the write lock (ingestLocked) and lands by its policy. Either way the
+// entries that leave travel on as nested synchronous batches of the same
+// policy (forward), so the ack covers the whole batch; a spill the batch
+// triggered runs after them.
+func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
+	fw, warm := p.warmForwards(r.Entries)
+	spill := false
+	if !warm {
+		p.mu.Lock()
+		fw, spill = p.ingestLocked(r)
+		p.mu.Unlock()
+	}
+	err := p.forward(fw, r.Policy)
+	if spill {
+		p.buildPartition()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ack{}, nil
+}
+
+// warmForwards is the read-locked warm path: it descends every entry
+// and, when each one leaves through boxes that already contain it
+// (forwardNeedsExpand), returns the batch's forwards and charges its
+// navigation steps. It gives up (ok false) at the first entry that would
+// land here or grow a box; ingestLocked then routes the whole batch
+// again from its entry nodes — routing decisions are immutable, so the
+// second descent takes the same path above any leaf the first one found.
+func (p *partition) warmForwards(entries []batchEntry) (fw forwards, ok bool) {
+	var scratch [32]int32 // the path of any descent up to 32 deep, on the stack
+	steps := 0
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, e := range entries {
+		_, ref, remote, path := p.Descend(e.Node, e.Point.Coords, scratch[:0])
+		if !remote || p.forwardNeedsExpand(path, ref, e.Point.Coords) {
+			return nil, false
+		}
+		steps += len(path)
+		fw.add(ref, e.Point)
+	}
+	p.navSteps.Add(int64(steps))
+	return fw, true
+}
+
+// ingestLocked routes a batch (routeLocked) and lands what stays here by
+// the batch's policy: Append lands each entry as the router reaches its
+// leaf; Graft gathers the entries by leaf and grafts each leaf's share
+// in ascending leaf index (a graft appends arena slots, so the order is
+// part of the layout). It reports the forwards and whether the partition
+// must now spill. Callers hold the write lock.
+func (p *partition) ingestLocked(r bulkAddReq) (fw forwards, spill bool) {
+	var landed int
+	if r.Policy == landAppend {
+		fw, landed = p.routeLocked(r.Entries, p.Append)
+	} else {
+		groups := make(map[int32][]kdtree.Point)
+		fw, landed = p.routeLocked(r.Entries, func(leaf int32, pt kdtree.Point) {
+			groups[leaf] = append(groups[leaf], pt)
+		})
+		for _, leaf := range slices.Sorted(maps.Keys(groups)) {
+			p.Graft(leaf, groups[leaf])
+		}
+	}
+	p.points += landed
+	p.inserts.Add(int64(landed))
+	return fw, landed > 0 && p.capacityExceededLocked()
+}
+
+// forwards is a router pass's outgoing entries: one batch per partition
+// hosting some of them, in the order the router first reached each.
+type forwards []forwardBatch
+
+type forwardBatch struct {
+	to      cluster.NodeID
+	entries []batchEntry
+}
+
+// add queues pt for the partition ref names, re-tagged with the node it
+// re-enters at.
+func (fw *forwards) add(ref kdtree.Ref, pt kdtree.Point) {
+	e := batchEntry{Node: ref.Node, Point: pt}
+	for i := range *fw {
+		if b := &(*fw)[i]; b.to == host(ref) {
+			b.entries = append(b.entries, e)
+			return
+		}
+	}
+	*fw = append(*fw, forwardBatch{to: host(ref), entries: []batchEntry{e}})
+}
+
+// routeLocked is the one ingest router: every entry descends from its
+// entry node by (Sr, Sv) comparisons, every box on the descent path
 // expands to include the point (the point belongs to each of those
 // logical subtrees), and the entry either reaches a local leaf — handed
-// to land, the protocol's landing policy — or leaves through a
+// to land, the batch's landing policy — or leaves through a
 // cross-partition edge, whose cached box grows before the entry is
-// queued for the partition hosting the child, re-tagged with the node
-// it re-enters at. It returns the queue and the number of entries that
-// landed; the caller accounts them and forwards the queue after
-// releasing the write lock it holds across this call: call edges follow
-// the partition DAG, but no lock may be held across one.
+// queued for the partition hosting the child. It returns the queue and
+// the number of entries that landed; the caller accounts them and
+// forwards the queue after releasing the write lock it holds across this
+// call: call edges follow the partition DAG, but no lock may be held
+// across one.
 //
 // Expansion precedes the forward, so on a lossy or failing fabric a
 // dropped point can leave boxes covering a point that never landed:
 // dilation is always pruning-safe (a looser box only skips less), and
 // exactness — what the consistency checks assert — holds under reliable
 // delivery.
-func (p *partition) routeLocked(entries []insertReq, land func(leaf int32, pt kdtree.Point)) (forwards map[cluster.NodeID][]insertReq, landed int) {
+func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt kdtree.Point)) (fw forwards, landed int) {
 	for _, e := range entries {
-		p.path = p.path[:0]
-		leaf, ref, remote := p.Descend(e.Node, e.Point.Coords, &p.path)
+		leaf, ref, remote, path := p.Descend(e.Node, e.Point.Coords, p.path[:0])
+		p.path = path
 		p.navSteps.Add(int64(len(p.path)))
 		p.expandPathBoxes(p.path, e.Point.Coords)
 		if !remote {
@@ -118,80 +215,26 @@ func (p *partition) routeLocked(entries []insertReq, land func(leaf int32, pt kd
 			continue
 		}
 		p.expandRemoteBox(ref, e.Point.Coords)
-		if forwards == nil {
-			forwards = make(map[cluster.NodeID][]insertReq)
-		}
-		forwards[host(ref)] = append(forwards[host(ref)], insertReq{Node: ref.Node, Point: e.Point})
+		fw.add(ref, e.Point)
 	}
-	return forwards, landed
+	return fw, landed
 }
 
-// forwardInserts hands the entries a router pass queued to the
-// single-point protocol of the partitions hosting them, synchronously:
-// the caller acknowledges only after every point has landed, in
+// forward sends the entries a router pass queued on to the partitions
+// hosting them as nested synchronous batches of the given policy, in
 // ascending partition id (a forward can spill onto the next fresh
 // partition, so the order is part of the layout). It returns the first
-// error; the remaining entries are still attempted.
-func (p *partition) forwardInserts(forwards map[cluster.NodeID][]insertReq) error {
-	if len(forwards) == 0 {
-		return nil // the common single insert: it landed here
-	}
+// error; the remaining batches are still sent. The caller holds no lock.
+func (p *partition) forward(fw forwards, policy landing) error {
+	//semtree:allow boundaryonce: orders a write's forwards by partition id, not a result set
+	slices.SortFunc(fw, func(a, b forwardBatch) int { return cmp.Compare(a.to, b.to) })
 	var first error
-	for _, part := range slices.Sorted(maps.Keys(forwards)) {
-		for _, e := range forwards[part] {
-			if _, err := p.t.call(p.id, part, e); err != nil && first == nil {
-				first = err
-			}
+	for _, b := range fw {
+		if _, err := p.t.call(p.id, b.to, bulkAddReq{Entries: b.entries, Policy: policy}); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
-}
-
-// handleInsert is the single-point protocol. What it has that the bulk
-// protocol lacks is the read-locked warm path: a point inside
-// every region it routes through forwards to the next partition without
-// the write lock, instead of contending with query read locks that span
-// whole traversals (a forward that still has a box to grow takes the
-// write lock for just that). A point that lands here resumes under the
-// write lock, in the router, at the leaf the read-locked walk found:
-// routing decisions are immutable, so the walk above the leaf stands,
-// and whatever happened to the leaf in between (a concurrent insert
-// split it, a spill relocated it) the router's descent
-// resolves. No lock is held while forwarding.
-func (p *partition) handleInsert(r insertReq) (any, error) {
-	c := r.Point.Coords
-	var path []int32
-	p.mu.RLock()
-	leaf, ref, remote := p.Descend(r.Node, c, &path)
-	needsExpand := remote && p.forwardNeedsExpand(path, ref, c)
-	p.mu.RUnlock()
-	if remote {
-		p.navSteps.Add(int64(len(path)))
-		if needsExpand {
-			p.mu.Lock()
-			p.expandPathBoxes(path, c)
-			p.expandRemoteBox(ref, c)
-			p.mu.Unlock()
-		}
-		_, err := p.t.call(p.id, host(ref), insertReq{Node: ref.Node, Point: r.Point})
-		return ack{}, err
-	}
-	// The router re-walks the leaf, so only the walk above it is charged
-	// and expanded here.
-	trunk := path[:len(path)-1]
-	p.navSteps.Add(int64(len(trunk)))
-	p.mu.Lock()
-	p.expandPathBoxes(trunk, c)
-	forwards, landed := p.routeLocked([]insertReq{{Node: leaf, Point: r.Point}}, p.Append)
-	p.points += landed
-	p.inserts.Add(int64(landed))
-	spill := p.capacityExceededLocked()
-	p.mu.Unlock()
-	err := p.forwardInserts(forwards)
-	if spill {
-		p.buildPartition()
-	}
-	return ack{}, err
 }
 
 // capacityExceededLocked evaluates the partition's resource condition

@@ -24,11 +24,12 @@ import (
 )
 
 // protocolSamples is one populated value of every type the partition
-// protocol puts on a fabric. TestProtocolTable holds it equal, as a set
-// of kinds, to the kind table in messages.go.
+// protocol puts on a fabric — bulkAddReq once per landing policy.
+// TestProtocolTable holds it equal, as a set of kinds, to the kind table
+// in messages.go.
 func protocolSamples() []any {
 	pt := kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}
-	entry := insertReq{Node: 3, Point: pt}
+	entry := batchEntry{Node: 3, Point: pt}
 	inf := math.Inf(1)
 	frag := kdtree.Arena{
 		Nodes: []kdtree.Node{
@@ -47,9 +48,9 @@ func protocolSamples() []any {
 	rs := []kdtree.Neighbor{{Point: pt, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
 	return []any{
-		entry,
 		ack{},
-		bulkAddReq{Entries: []insertReq{entry, entry}},
+		bulkAddReq{Entries: []batchEntry{entry, entry}, Policy: landGraft},
+		bulkAddReq{Entries: []batchEntry{entry}, Policy: landAppend},
 		installReq{Frag: frag, Remote: remote, Entry: -1},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
@@ -143,7 +144,7 @@ func TestProtocolTable(t *testing.T) {
 		typ := reflect.TypeOf(full)
 		sampled[typ.Name()] = true
 		kind := full.(cluster.Message).WireKind()
-		if other, dup := byKind[kind]; dup {
+		if other, dup := byKind[kind]; dup && other != typ.Name() {
 			t.Errorf("%s and %s share kind %d", other, typ.Name(), kind)
 		}
 		byKind[kind] = typ.Name()
@@ -186,11 +187,11 @@ func TestProtocolTable(t *testing.T) {
 		})
 		return false
 	})
-	if len(cases) != 8 {
-		t.Errorf("partition.handle dispatches on %d request kinds %v, want 8", len(cases), cases)
+	if len(cases) != 7 {
+		t.Errorf("partition.handle dispatches on %d request kinds %v, want 7", len(cases), cases)
 	}
-	if len(kinds) != 14 {
-		t.Errorf("messages.go has %d kinds, want 14", len(kinds))
+	if len(kinds) != 13 {
+		t.Errorf("messages.go has %d kinds, want 13", len(kinds))
 	}
 	for _, c := range cases {
 		if !sampled[c] {
@@ -248,7 +249,8 @@ func TestProtocolTable(t *testing.T) {
 // its fragment's point count and the length of each of its four column
 // blocks — so a decoder accepts only the encoding AppendWire writes, a
 // block as strictly as the file reads its column. So is a node count
-// beyond what an arena's points and remote boxes allow.
+// beyond what an arena's points and remote boxes allow, and a
+// bulkAddReq's landing policy byte other than 0 or 1.
 func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	var enc column.Appender
 	protocolSamples()[3].(installReq).AppendWire(&enc)
@@ -275,6 +277,18 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 		readInstallReq(&d)
 		if d.End() == nil {
 			t.Errorf("an installReq whose %s is one too high decoded", name)
+		}
+	}
+
+	// A landing policy is one boolean byte: any other value is malformed.
+	enc = enc[:0]
+	protocolSamples()[1].(bulkAddReq).AppendWire(&enc)
+	_, k := binary.Uvarint(enc) // the policy byte follows the float count
+	for _, policy := range []byte{2, 0xff} {
+		d.Reset(append(append(append([]byte(nil), enc[:k]...), policy), enc[k+1:]...))
+		readBulkAddReq(&d)
+		if d.End() == nil {
+			t.Errorf("a bulkAddReq with landing policy byte %d decoded", policy)
 		}
 	}
 

@@ -52,23 +52,10 @@ func (p *partition) remoteBox(ref kdtree.Ref) (lo, hi []float64, ok bool) {
 // that revisits a node — an insert resumed after a concurrent split —
 // is harmless; a leaf tombstoned by a concurrent spill between the
 // descent's read lock and this write lock is skipped, its region lives
-// on in the edge cache). Callers hold the write lock.
+// on in the edge cache), counting the boxes that grew. Callers hold the
+// write lock.
 func (p *partition) expandPathBoxes(path []int32, c []float64) {
 	p.boxWork += int64(p.ExpandPath(path, c))
-}
-
-// boxContains reports whether the materialized box [lo, hi] already
-// covers c (false for an empty box).
-func boxContains(lo, hi, c []float64) bool {
-	if lo == nil {
-		return false
-	}
-	for d, v := range c {
-		if v < lo[d] || v > hi[d] {
-			return false
-		}
-	}
-	return true
 }
 
 // forwardNeedsExpand reports, under the read lock, whether forwarding
@@ -79,24 +66,22 @@ func boxContains(lo, hi, c []float64) bool {
 // that span whole traversals (including synchronous downstream hops).
 func (p *partition) forwardNeedsExpand(path []int32, ref kdtree.Ref, c []float64) bool {
 	for _, idx := range path {
-		if lo, hi := p.Box(idx); !p.Nodes[idx].Moved && !boxContains(lo, hi, c) {
+		if lo, hi := p.Box(idx); !kdtree.BoxContains(lo, hi, c) {
 			return true
 		}
 	}
-	if b, ok := p.remoteBoxes[ref]; ok && !boxContains(b.lo, b.hi, c) {
-		return true
-	}
-	return false
+	b, ok := p.remoteBoxes[ref]
+	return ok && !kdtree.BoxContains(b.lo, b.hi, c)
 }
 
 // expandRemoteBox grows the cached box of a cross-partition edge the
-// insert is about to forward through: the point will land beneath that
-// remote subtree, so its region grows here exactly as it will there.
-// No entry means no cached region (the guard falls back to the plane
-// bound); forwarding must not invent one from a single point. Callers
-// hold the write lock.
+// insert is about to forward through, counting it when it grew: the
+// point will land beneath that remote subtree, so its region grows here
+// exactly as it will there. No entry means no cached region (the guard
+// falls back to the plane bound); forwarding must not invent one from a
+// single point. Callers hold the write lock.
 func (p *partition) expandRemoteBox(ref kdtree.Ref, c []float64) {
-	if b, ok := p.remoteBoxes[ref]; ok {
+	if b, ok := p.remoteBoxes[ref]; ok && !kdtree.BoxContains(b.lo, b.hi, c) {
 		b.lo, b.hi = kdtree.ExpandBox(b.lo, b.hi, c)
 		p.remoteBoxes[ref] = b
 		p.boxWork++

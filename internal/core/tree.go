@@ -38,8 +38,8 @@ type Config struct {
 	// reports any failed exchange as transient — a reply lost on a
 	// pooled connection after the handler ran included — and the retry
 	// then applies the request a second time. Queries and restoreReq
-	// are idempotent; insertReq, bulkAddReq and installReq are not (a
-	// duplicated point or fragment).
+	// are idempotent; the two write kinds, bulkAddReq (every insert) and
+	// installReq, are not (a duplicated point or fragment).
 	RetryAttempts int
 }
 
@@ -102,8 +102,9 @@ type TreeStats struct {
 	Leaves          int
 	NavSteps        int64 // total nodes traversed by insert descents
 	Inserts         int64
-	// BoxWork counts box-maintenance writes: node boxes grown on insert
-	// descent paths plus remote-edge cache expansions — per insert, the
+	// BoxWork counts the boxes inserts grew: node boxes on their descent
+	// paths and remote-edge cache entries that did not yet cover the
+	// point (a box that already does is not written) — per insert, the
 	// region-metadata overhead of a growing tree.
 	BoxWork int64
 	Fabric  cluster.Stats
@@ -205,13 +206,15 @@ func (t *Tree) callCtx(ctx context.Context, from, to cluster.NodeID, req any) (a
 }
 
 // Insert adds a point, entering at the root node of the root partition
-// (§III-B.1).
+// (§III-B.1): a one-entry batch under the Append landing policy, so the
+// point lands, splits and forwards exactly as the paper's single-point
+// insertion does — one message per partition it crosses.
 func (t *Tree) Insert(p kdtree.Point) error {
 	if len(p.Coords) != t.cfg.Dim {
 		return fmt.Errorf("core: point has %d coords, tree dimension is %d", len(p.Coords), t.cfg.Dim)
 	}
 	root := t.rootPartition()
-	if _, err := t.call(cluster.ClientID, root.id, insertReq{Node: 0, Point: p}); err != nil {
+	if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: []batchEntry{{Node: 0, Point: p}}, Policy: landAppend}); err != nil {
 		return err
 	}
 	t.size.Add(1)

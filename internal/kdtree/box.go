@@ -135,16 +135,30 @@ func (a *Arena) CoverBox(idx int32, lo, hi []float64) {
 	}
 }
 
+// BoxContains reports whether the box [lo, hi] covers c — false for an
+// empty box, nil or [+Inf, −Inf].
+func BoxContains(lo, hi, c []float64) bool {
+	if len(lo) == 0 {
+		return false
+	}
+	for d, v := range c {
+		if v < lo[d] || v > hi[d] {
+			return false
+		}
+	}
+	return true
+}
+
 // ExpandPath grows the box of every node on an insert descent path to
-// include c and returns the number of boxes written. Expansion is
-// idempotent, so a path that revisits a node is harmless. Tombstones
-// are skipped: a path leaf can be relocated between the descent and the
-// insert, and a tombstone's box must stay empty.
+// include c and returns the number of boxes that grew: a box already
+// covering c is left unwritten. Expansion is idempotent, so a path that
+// revisits a node is harmless. Tombstones are skipped: a path leaf can
+// be relocated between the descent and the insert, and a tombstone's box
+// must stay empty.
 func (a *Arena) ExpandPath(path []int32, c []float64) int {
 	grown := 0
 	for _, idx := range path {
-		if !a.Nodes[idx].Moved {
-			lo, hi := a.box(idx)
+		if lo, hi := a.box(idx); !a.Nodes[idx].Moved && !BoxContains(lo, hi, c) {
 			ExpandBox(lo, hi, c)
 			grown++
 		}

@@ -164,8 +164,8 @@ func (t *Tree) Insert(p Point) error {
 	if len(p.Coords) != t.Dim {
 		return fmt.Errorf("kdtree: point has %d coords, tree dimension is %d", len(p.Coords), t.Dim)
 	}
-	t.path = t.path[:0]
-	leaf, _, _ := t.Descend(0, p.Coords, &t.path)
+	leaf, _, _, path := t.Descend(0, p.Coords, t.path[:0])
+	t.path = path
 	t.ExpandPath(t.path, p.Coords)
 	t.Append(leaf, p)
 	t.size++
@@ -242,26 +242,27 @@ func (a *Arena) Tombstone(idx int32, fwd Ref) {
 // Descend walks from idx towards the leaf that should hold pt. It stops
 // at a local leaf (outside == false) or at the first reference leaving
 // the arena — a foreign child or a tombstone's forward link — appending
-// every live node it routes through to path: the nodes whose boxes must
-// grow when the insert lands. Routing decisions are immutable once
-// made, so a recorded path stays the point's route even if the leaf it
-// ended on is split before the insert is applied.
-func (a *Arena) Descend(idx int32, pt []float64, path *[]int32) (leaf int32, out Ref, outside bool) {
+// every live node it routes through to path and returning the extended
+// slice, as append does: the nodes whose boxes must grow when the insert
+// lands. Routing decisions are immutable once made, so a recorded path
+// stays the point's route even if the leaf it ended on is split before
+// the insert is applied.
+func (a *Arena) Descend(idx int32, pt []float64, path []int32) (leaf int32, out Ref, outside bool, _ []int32) {
 	for {
 		n := &a.Nodes[idx]
 		if n.Moved {
-			return 0, n.Fwd, true
+			return 0, n.Fwd, true, path
 		}
-		*path = append(*path, idx)
+		path = append(path, idx)
 		if n.Leaf {
-			return idx, Ref{}, false
+			return idx, Ref{}, false, path
 		}
 		c := n.Right
 		if pt[n.SplitDim] <= n.SplitVal {
 			c = n.Left
 		}
 		if !a.IsLocal(c) {
-			return 0, c, true
+			return 0, c, true, path
 		}
 		idx = c.Node
 	}
