@@ -480,9 +480,6 @@ func TestTCPLargeExchangePooled(t *testing.T) {
 			t.Fatalf("the heap kept %d bytes after a 1 MiB exchange: a connection end holds its frame", kept)
 		}
 	}
-	if got := cap(c.buf); got > maxFrameBuffer {
-		t.Fatalf("the pooled connection keeps a %d-byte frame buffer, want at most %d", got, maxFrameBuffer)
-	}
 	callBytes(t, f, id, "ping")
 	if idle := f.nodes[id].idle; len(idle) != 1 || idle[0] != c {
 		t.Fatalf("idle list %v after a 1 MiB exchange and a ping, want the connection both used", idle)

@@ -21,7 +21,7 @@ func EncodeFrame(from NodeID, deadline int64, payload any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, err = c.send(kind)
+	_, err = c.frame.Send(c.w, kind, 0)
 	return out.Bytes(), err
 }
 
@@ -30,7 +30,7 @@ func EncodeFrame(from NodeID, deadline int64, payload any) ([]byte, error) {
 // reply carries.
 func ReadFrame(b []byte) (from NodeID, deadline int64, payload any, replyErr, err error) {
 	c := wire{r: bufio.NewReader(bytes.NewReader(b))}
-	kind, body, _, err := c.readFrame()
+	kind, body, _, err := c.frame.Read(c.r, 0)
 	if err != nil {
 		return 0, 0, nil, nil, err
 	}

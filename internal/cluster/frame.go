@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,8 @@ import (
 	"semtree/internal/column"
 )
 
-// A TCP fabric carries one message per frame:
+// A TCP fabric carries one message per frame, column.Frame's with no
+// limit, the frame the serving tier's wire uses too:
 //
 //	frame = kind:byte  length:uvarint  body[length]
 //	body  = from:varint  deadline:varint  code:byte  (text | payload)
@@ -82,34 +82,23 @@ type remoteError struct {
 func (e *remoteError) Error() string { return "cluster: remote error: " + e.text }
 func (e *remoteError) Unwrap() error { return e.is }
 
-// frameHead is the most the kind byte and the body length take.
-const frameHead = 1 + binary.MaxVarintLen64
-
-// maxFrameBuffer caps the frame buffer a connection keeps between
-// messages. Query frames stay well below it on knn-tcp9 (the largest
-// are range replies); a bulk load's installs carry megabytes, and a
-// buffer grown to one is dropped after its exchange rather than held by
-// an idle connection.
-const maxFrameBuffer = 64 << 10
-
-// wire is one end of a connection: buffered reads, a frame written in
-// one write, and one frame buffer both directions share.
+// wire is one end of a connection: buffered reads, and one frame buffer
+// both directions share. Frames are column.Frame's, with no limit: a
+// bulk load's install carries megabytes.
 type wire struct {
-	r   *bufio.Reader
-	w   io.Writer
-	buf column.Appender // the frame being written or the body just read
-	dec column.Decoder
+	r     *bufio.Reader
+	w     io.Writer
+	frame column.Frame // the frame being written or the body just read
+	dec   column.Decoder
 }
 
 func newWire(rw io.ReadWriter) wire { return wire{r: bufio.NewReader(rw), w: rw} }
 
-// encode puts a frame for payload under h into the frame buffer,
-// leaving frameHead bytes in front of the body for send to fill, and
-// returns its kind and whether it took the gob fallback, the one
-// encoding that can fail.
+// encode puts a frame for payload under h into the frame buffer, for
+// column.Frame.Send to send, and returns its kind and whether it took
+// the gob fallback, the one encoding that can fail.
 func (c *wire) encode(h header, payload any) (kind byte, fallback bool, err error) {
-	c.buf = append(c.buf[:0], make([]byte, frameHead)...)
-	b := &c.buf
+	b := c.frame.Body()
 	b.Varint(int64(h.from))
 	b.Varint(h.deadline)
 	if h.err != nil {
@@ -130,45 +119,9 @@ func (c *wire) encode(h header, payload any) (kind byte, fallback bool, err erro
 	return kind, fallback, err
 }
 
-// send writes the frame encode left, its kind and body length filled
-// in front, in one write, and returns the frame's size.
-func (c *wire) send(kind byte) (int, error) {
-	var head [frameHead]byte
-	h := binary.AppendUvarint(append(head[:0], kind), uint64(len(c.buf)-frameHead))
-	frame := c.buf[frameHead-len(h):]
-	copy(frame, h)
-	_, err := c.w.Write(frame)
-	return len(frame), err
-}
-
-// readFrame reads one frame into the frame buffer and returns its kind,
-// its body and its size. The body is read as it arrives, so a length
-// the stream does not back fails without being allocated.
-func (c *wire) readFrame() (kind byte, body []byte, size int, err error) {
-	kind, err = c.r.ReadByte()
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	n, err := binary.ReadUvarint(c.r)
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("cluster: frame length: %w", err)
-	}
-	body, err = column.ReadN(c.r, c.buf, n)
-	c.buf = body
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("cluster: frame of %d bytes: %w", n, err)
-	}
-	return kind, body, 1 + uvarintLen(n) + len(body), nil
-}
-
-func uvarintLen(n uint64) int {
-	var b [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(b[:], n)
-}
-
-// decode decodes a frame readFrame read: its header and its payload,
-// or the error an error reply carries in its header. Everything it
-// returns is copied out of body.
+// decode decodes a frame column.Frame.Read read: its header and its
+// payload, or the error an error reply carries in its header.
+// Everything it returns is copied out of body.
 func (c *wire) decode(kind byte, body []byte) (header, any, error) {
 	d := &c.dec
 	d.Reset(body)
@@ -196,16 +149,9 @@ func (c *wire) decode(kind byte, body []byte) (header, any, error) {
 		h.err = e
 	}
 	err := d.End()
-	d.Reset(nil) // the frame buffer is trim's to drop
+	d.Reset(nil) // the decoder keeps no hold on the frame buffer
 	if err != nil {
 		return header{}, nil, fmt.Errorf("cluster: frame of kind %d: %w", kind, err)
 	}
 	return h, payload, nil
-}
-
-// trim drops a frame buffer grown past maxFrameBuffer.
-func (c *wire) trim() {
-	if cap(c.buf) > maxFrameBuffer {
-		c.buf = nil
-	}
 }

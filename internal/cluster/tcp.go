@@ -24,8 +24,8 @@ import (
 // closed instead when (1) a write or read failed — the stream position
 // is unknown; (2) the context's deadline fired or it was cancelled, or
 // may have been — the poisoned SetDeadline(now) must not be inherited
-// by the next caller. A frame buffer grown past maxFrameBuffer is
-// dropped after its exchange; the connection is kept.
+// by the next caller. A frame buffer grown past 64 KiB is dropped
+// after its frame (column.Frame); the connection is kept.
 type TCP struct {
 	mu     sync.Mutex // guards nodes, closed, and every node's idle and served
 	nodes  []*tcpNode
@@ -122,7 +122,7 @@ func (f *TCP) acceptLoop(n *tcpNode, id NodeID) {
 func (f *TCP) serve(n *tcpNode, conn net.Conn) {
 	c := newWire(conn)
 	for {
-		kind, body, _, err := c.readFrame()
+		kind, body, _, err := c.frame.Read(c.r, 0)
 		if err != nil {
 			return
 		}
@@ -134,10 +134,9 @@ func (f *TCP) serve(n *tcpNode, conn net.Conn) {
 		if kind, err = f.encode(&c, header{err: err}, resp); err != nil {
 			kind, _ = f.encode(&c, header{err: err}, nil)
 		}
-		if _, err := c.send(kind); err != nil {
+		if _, err := c.frame.Send(c.w, kind, 0); err != nil {
 			return
 		}
-		c.trim()
 	}
 }
 
@@ -255,13 +254,13 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 		f.release(to, c, stop())
 		return nil, err
 	}
-	sent, err := c.send(kind)
+	sent, err := c.frame.Send(c.w, kind, 0)
 	step := "write"
 	var body []byte
 	var got int
 	if err == nil {
 		step = "read"
-		kind, body, got, err = c.readFrame()
+		kind, body, got, err = c.frame.Read(c.r, 0)
 	}
 	if err != nil {
 		stop()
@@ -274,7 +273,6 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	}
 	f.bytes.Add(int64(sent + got))
 	h, resp, err := c.decode(kind, body)
-	c.trim()
 	// stop reports false once the AfterFunc has started: the connection
 	// may carry its poisoned deadline even though the exchange finished.
 	f.release(to, c, stop())

@@ -9,13 +9,18 @@
 // column is a uvarint payload length, the payload, and the payload's
 // CRC-32C (Castagnoli) as four little-endian bytes. A Writer appends
 // values to the open column and End frames it. A Reader takes one
-// column at a time into a buffer that grows only as bytes arrive
-// (ReadN, which a fabric's frame reader shares), so a length prefix is
-// believed only as far as the input backs it.
+// column at a time into a buffer that grows only as bytes arrive, so a
+// length prefix is believed only as far as the input backs it.
+//
+// Both TCP wires — a cluster fabric's and the serving tier's — carry
+// messages as frames: a kind byte, a uvarint body length and the body.
+// A Frame writes one frame at a time and reads one the same way as a
+// Reader reads a column, after refusing a length over its caller's
+// limit.
 //
 // Reads past the end of the input, counts that the bytes left cannot
-// hold, a bad checksum and a short stream all fail with an error, never
-// a panic.
+// hold, a bad checksum, a frame over its limit and a short stream all
+// fail with an error, never a panic.
 package column
 
 import (
@@ -287,11 +292,11 @@ func (d *Decoder) Block() []byte {
 	return b
 }
 
-// ReadN reads exactly n bytes from r into buf's storage and returns
+// readN reads exactly n bytes from r into buf's storage and returns
 // them. It grows buf only as bytes arrive, so a length claiming more
 // than r holds fails with io.ErrUnexpectedEOF having allocated about
 // twice what r held, never n.
-func ReadN(r io.Reader, buf []byte, n uint64) ([]byte, error) {
+func readN(r io.Reader, buf []byte, n uint64) ([]byte, error) {
 	buf = buf[:0]
 	for uint64(len(buf)) < n {
 		if len(buf) == cap(buf) {
@@ -311,6 +316,88 @@ func ReadN(r io.Reader, buf []byte, n uint64) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// A frame is one message on a TCP wire:
+//
+//	frame = kind:byte  length:uvarint  body[length]
+//
+// ErrFrame marks a frame refused or cut short: a length over the
+// reader's limit, a body over the writer's, a malformed length, or a
+// stream that ended inside the frame.
+var ErrFrame = errors.New("column: bad frame")
+
+// frameHead is the most a frame's kind byte and length take.
+const frameHead = 1 + binary.MaxVarintLen64
+
+// keepFrame caps the buffer a Frame keeps from one frame to the next.
+// A larger frame is read or built in storage that is dropped after it,
+// not held by an idle connection.
+const keepFrame = 64 << 10
+
+// Frame is one connection end's frame buffer: the frame being written,
+// or the body just read. The zero value is ready to use. A limit of 0
+// is none.
+type Frame struct{ buf Appender }
+
+// Body starts a frame: it empties the buffer, leaving room in front for
+// the head Send fills in, and returns it for the body to be appended
+// to.
+func (f *Frame) Body() *Appender {
+	f.buf = append(f.buf[:0], make([]byte, frameHead)...)
+	return &f.buf
+}
+
+// Send writes the frame Body began, under kind, in one Write and
+// returns its size. A body over limit is refused with ErrFrame and
+// nothing is written, so the stream stays in step.
+func (f *Frame) Send(w io.Writer, kind byte, limit uint64) (int, error) {
+	n := uint64(len(f.buf) - frameHead)
+	size := 0
+	var err error
+	if limit > 0 && n > limit {
+		err = fmt.Errorf("%w: a %d-byte body, limit %d", ErrFrame, n, limit)
+	} else {
+		var head [frameHead]byte
+		h := binary.AppendUvarint(append(head[:0], kind), n)
+		frame := f.buf[frameHead-len(h):]
+		copy(frame, h)
+		size = len(frame)
+		_, err = w.Write(frame)
+	}
+	if cap(f.buf) > keepFrame {
+		f.buf = nil
+	}
+	return size, err
+}
+
+// Read reads one frame and returns its kind, its body and its size. The
+// body is valid until the next Body or Read. A length over limit is
+// refused before any of the body is read, and the body is read as it
+// arrives (readN), so a length the stream does not back costs about
+// what the stream held. A stream that ends before the kind byte returns
+// its error as is (io.EOF on a clean close); any later failure wraps
+// ErrFrame.
+func (f *Frame) Read(r *bufio.Reader, limit uint64) (kind byte, body []byte, size int, err error) {
+	if kind, err = r.ReadByte(); err != nil {
+		return 0, nil, 0, err
+	}
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("%w: length: %w", ErrFrame, err)
+	}
+	if limit > 0 && n > limit {
+		return 0, nil, 0, fmt.Errorf("%w: a %d-byte body, limit %d", ErrFrame, n, limit)
+	}
+	body, err = readN(r, f.buf, n)
+	if cap(body) <= keepFrame {
+		f.buf = body
+	}
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("%w: %d of %d bytes: %w", ErrFrame, len(body), n, err)
+	}
+	var head [binary.MaxVarintLen64]byte
+	return kind, body, 1 + binary.PutUvarint(head[:], n) + len(body), nil
 }
 
 // Reader reads a stream a Writer wrote, one column at a time: its
@@ -349,7 +436,7 @@ func (r *Reader) Next() error {
 	if err != nil {
 		return r.fail(fmt.Errorf("column: length: %w", err))
 	}
-	r.buf, err = ReadN(r.r, r.buf, n)
+	r.buf, err = readN(r.r, r.buf, n)
 	r.off = 0
 	if err != nil {
 		return r.fail(fmt.Errorf("column: payload: %d of %d bytes: %w", len(r.buf), n, err))

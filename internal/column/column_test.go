@@ -1,11 +1,13 @@
 package column
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -70,7 +72,7 @@ func TestRoundTrip(t *testing.T) {
 
 // TestAppenderDecoder: the byte-slice half reads back what it appended,
 // a block framed after the fact reads back whole, Rest hands over the
-// unread bytes, and ReadN grows its buffer only as bytes arrive.
+// unread bytes, and readN grows its buffer only as bytes arrive.
 func TestAppenderDecoder(t *testing.T) {
 	var a Appender
 	a.Bool(true)
@@ -99,12 +101,12 @@ func TestAppenderDecoder(t *testing.T) {
 	}
 
 	in := bytes.Repeat([]byte{1}, 200)
-	got, err := ReadN(bytes.NewReader(in), nil, 1<<30)
+	got, err := readN(bytes.NewReader(in), nil, 1<<30)
 	if !errors.Is(err, io.ErrUnexpectedEOF) || len(got) != 200 || cap(got) > 1024 {
 		t.Fatalf("1 GiB claimed on 200 bytes: %d read into %d (%v)", len(got), cap(got), err)
 	}
-	if got, err := ReadN(bytes.NewReader(in), got, 150); err != nil || !bytes.Equal(got, in[:150]) {
-		t.Fatalf("ReadN(150) = %d bytes, %v", len(got), err)
+	if got, err := readN(bytes.NewReader(in), got, 150); err != nil || !bytes.Equal(got, in[:150]) {
+		t.Fatalf("readN(150) = %d bytes, %v", len(got), err)
 	}
 }
 
@@ -162,4 +164,87 @@ func TestReaderFailures(t *testing.T) {
 			t.Fatalf("header byte %d flipped and accepted", i)
 		}
 	}
+}
+
+// TestFrame: frames are kind, uvarint length and body, written in one
+// Write each and read back in order through one buffer. A length over
+// the reader's limit is refused before any of its body is read, a body
+// over the writer's is refused with nothing written, a stream that ends
+// inside a frame fails with ErrFrame, and neither direction keeps a
+// buffer grown past keepFrame.
+func TestFrame(t *testing.T) {
+	var out countingWriter
+	var f Frame
+	send := func(kind byte, body []byte, limit uint64) (int, error) {
+		b := f.Body()
+		*b = append(*b, body...)
+		return f.Send(&out, kind, limit)
+	}
+	big := bytes.Repeat([]byte{3}, 2*keepFrame)
+	if n, err := send(7, []byte("abc"), 3); err != nil || n != 5 {
+		t.Fatalf("a 3-byte body: %d bytes, %v", n, err)
+	}
+	if n, err := send(9, big, 0); err != nil || n != 1+3+len(big) {
+		t.Fatalf("a %d-byte body: %d bytes, %v", len(big), n, err)
+	}
+	if cap(f.buf) > keepFrame {
+		t.Fatalf("the writer keeps a %d-byte buffer", cap(f.buf))
+	}
+	writes := out.writes
+	if n, err := send(7, []byte("abcd"), 3); !errors.Is(err, ErrFrame) || n != 0 || out.writes != writes {
+		t.Fatalf("a body over the limit: %d bytes, %d writes, %v", n, out.writes-writes, err)
+	}
+	if want := append([]byte{7, 3, 'a', 'b', 'c', 9, 0x80, 0x80, 0x08}, big...); !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("frames on the wire %x..., want %x...", out.Bytes()[:12], want[:12])
+	}
+
+	r := bufio.NewReader(bytes.NewReader(out.Bytes()))
+	if kind, body, size, err := f.Read(r, 0); err != nil || kind != 7 || string(body) != "abc" || size != 5 {
+		t.Fatalf("first frame: kind %d, body %q, size %d, %v", kind, body, size, err)
+	}
+	if kind, body, _, err := f.Read(r, 0); err != nil || kind != 9 || !bytes.Equal(body, big) {
+		t.Fatalf("second frame: kind %d, %d bytes, %v", kind, len(body), err)
+	}
+	if cap(f.buf) > keepFrame {
+		t.Fatalf("the reader keeps a %d-byte buffer", cap(f.buf))
+	}
+	if _, _, _, err := f.Read(r, 0); err != io.EOF {
+		t.Fatalf("past the last frame: %v, want io.EOF", err)
+	}
+
+	claim := func(n uint64, sent int) []byte {
+		return append(binary.AppendUvarint([]byte{1}, n), make([]byte, sent)...)
+	}
+	for _, tc := range []struct {
+		name  string
+		in    []byte
+		limit uint64
+	}{
+		{"over the limit", claim(1<<20+16, 1<<20+16), 1 << 20},
+		{"cut short", claim(1<<20, 16), 1 << 20},
+		{"1 GiB claimed", claim(1<<30, 200), 0},
+		{"no length", []byte{1}, 0},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := new(Frame).Read(bufio.NewReader(bytes.NewReader(tc.in)), tc.limit)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFrame) {
+			t.Fatalf("%s: %v, want ErrFrame", tc.name, err)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<10 {
+			t.Fatalf("%s: %d bytes allocated on %d bytes of input", tc.name, grown, len(tc.in))
+		}
+	}
+}
+
+// countingWriter is a bytes.Buffer that counts its writes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
 }

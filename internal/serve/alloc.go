@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"semtree"
+	"semtree/internal/column"
 )
 
 // This file is the distributed-quota seam. PR 4's token buckets are
@@ -42,7 +43,7 @@ type AllocatorConfig struct {
 }
 
 // Allocator is the lease server. It speaks the serve wire protocol
-// (hello, then leaseReport→leaseGrant request/response pairs) and holds
+// (hello, then leaseReport→leaseGrant calls, answered in order) and holds
 // only soft state: the last demand report per (tenant, front-end).
 type Allocator struct {
 	cfg AllocatorConfig
@@ -114,28 +115,30 @@ func (a *Allocator) Close() error {
 }
 
 func (a *Allocator) handleConn(conn net.Conn) {
-	rd := &frameReader{br: bufio.NewReader(conn)}
-	ok := acceptHello(conn, rd, func(token string) error {
+	br := bufio.NewReader(conn)
+	var in column.Frame
+	w := &connWriter{conn: conn}
+	err := acceptHello(conn, br, &in, w, func(token string) error {
 		if token != a.cfg.Token {
 			return ErrAuth
 		}
 		return nil
 	})
-	if !ok {
+	if err != nil {
 		return
 	}
-	var out []byte
 	for {
-		payload, err := rd.readFrame()
+		ft, body, _, err := in.Read(br, maxFrameSize)
+		if err != nil || ft != ftLeaseReport {
+			return
+		}
+		rep, err := decodeLeaseReport(string(body))
 		if err != nil {
 			return
 		}
-		rep, err := decodeLeaseReport(payload)
-		if err != nil {
-			return
-		}
-		out = appendLeaseGrant(out[:0], a.grant(rep))
-		if err := writeFrame(conn, out); err != nil {
+		g := a.grant(rep)
+		g.ReqID = rep.ReqID
+		if err := w.write(ftLeaseGrant, func(b []byte) []byte { return appendLeaseGrant(b, g) }); err != nil {
 			return
 		}
 	}
@@ -188,32 +191,27 @@ func (a *Allocator) grant(rep leaseReportFrame) leaseGrantFrame {
 	}
 }
 
-// leaseConn is the front-end's connection to the allocator: one
-// report→grant exchange at a time, each — like the dial and hello
-// before them — under a fixed timeout, so a hung allocator can never
-// wedge the lease loop (and therefore Drain).
-type leaseConn struct{ *clientConn }
-
-// leaseExchangeTimeout bounds the lease dial and one report→grant round
-// trip.
+// leaseExchangeTimeout bounds one lease report: the dial and hello
+// when its connection is new, and the report→grant call. A call that
+// times out leaves the connection to the next report, so a hung
+// allocator can never wedge the lease loop (and therefore Drain).
 const leaseExchangeTimeout = 2 * time.Second
 
-func dialLease(ctx context.Context, addr, token string) (*leaseConn, error) {
+// lease reports one tenant's demand to the allocator this Client is
+// dialled to and returns the grant.
+func (c *Client) lease(ctx context.Context, rep leaseReportFrame) (leaseGrantFrame, error) {
 	ctx, cancel := context.WithTimeout(ctx, leaseExchangeTimeout)
 	defer cancel()
-	cc, err := dialHello(ctx, addr, token)
+	m, err := c.conn(ctx)
 	if err != nil {
-		return nil, err
+		return leaseGrantFrame{}, err
 	}
-	return &leaseConn{cc}, nil
+	body, err := m.call(ctx, ftLeaseReport, ftLeaseGrant, func(b []byte, id uint64) []byte {
+		rep.ReqID = id
+		return appendLeaseReport(b, rep)
+	})
+	if err != nil {
+		return leaseGrantFrame{}, err
+	}
+	return decodeLeaseGrant(body)
 }
-
-// report runs one exchange; a failed exchange closes the connection.
-func (c *leaseConn) report(ctx context.Context, rep leaseReportFrame) (leaseGrantFrame, error) {
-	ctx, cancel := context.WithTimeout(ctx, leaseExchangeTimeout)
-	defer cancel()
-	c.out = appendLeaseReport(c.out[:0], rep)
-	return roundTrip(ctx, c.clientConn, decodeLeaseGrant)
-}
-
-func (c *leaseConn) close() { _ = c.conn.Close() }

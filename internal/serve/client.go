@@ -3,13 +3,14 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"semtree"
+	"semtree/internal/column"
 	"semtree/internal/triple"
 )
 
@@ -37,15 +38,6 @@ const clientRetries = 3
 
 var errClientClosed = errors.New("serve: client closed")
 
-// clientConn is a connection that runs one exchange at a time, with its
-// own frame buffers: the request being written and the reply being read.
-// The hello runs on it, and so does the lease agent.
-type clientConn struct {
-	conn net.Conn
-	in   frameReader
-	out  []byte
-}
-
 // Dial connects to a front-end and performs the hello exchange, so
 // authentication and version failures surface here as the typed
 // sentinels (ErrAuth, ErrVersion, ErrDraining) rather than on the
@@ -58,83 +50,13 @@ func Dial(ctx context.Context, addr, token string) (*Client, error) {
 	return c, nil
 }
 
-// dialHello connects to addr and runs the client half of the hello
-// exchange — the one every client of the wire opens with, query clients
-// and the lease agent alike. A refusal decodes to its typed sentinel
-// (ErrAuth, ErrVersion, ErrDraining).
-func dialHello(ctx context.Context, addr, token string) (*clientConn, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	cc := &clientConn{conn: conn, in: frameReader{br: bufio.NewReader(conn)}}
-	cc.out = appendHello(nil, helloFrame{Version: protoVersion, Token: token})
-	ack, err := roundTrip(ctx, cc, decodeHelloAck)
-	if err != nil {
-		return nil, err
-	}
-	if ack.Code != 0 {
-		conn.Close()
-		return nil, semtree.DecodeError(ack.Code, ack.Msg, 0)
-	}
-	return cc, nil
-}
-
-// roundTrip runs one request/response exchange on cc: it writes the
-// frame in cc.out, and decode must accept the reply. The context's
-// deadline caps the connection's reads and writes (the cluster fabric's
-// idiom) and plain cancellation snaps them shut. On success the
-// deadlines are disarmed, so the connection can run the next exchange.
-// On any failure the connection is closed — framing cannot be
-// resynchronized after a lost or foreign frame — and the context's own
-// error is preferred over the transport error it caused (a snapped
-// deadline surfaces as a net timeout).
-func roundTrip[F any](ctx context.Context, cc *clientConn, decode func([]byte) (F, error)) (F, error) {
-	fail := func(err error) (F, error) {
-		cc.conn.Close()
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-		}
-		var zero F
-		return zero, err
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	if d, ok := ctx.Deadline(); ok {
-		_ = cc.conn.SetDeadline(d)
-	}
-	stop := context.AfterFunc(ctx, func() { _ = cc.conn.SetDeadline(time.Now()) })
-	defer stop()
-	if err := writeFrame(cc.conn, cc.out); err != nil {
-		return fail(err)
-	}
-	payload, err := cc.in.readFrame()
-	if err != nil {
-		return fail(err)
-	}
-	f, err := decode(payload)
-	if err != nil {
-		return fail(err)
-	}
-	// stop reports false once the AfterFunc has started: its deadline may
-	// land after the disarm below, so the connection is closed, not kept.
-	if !stop() {
-		return fail(ctx.Err())
-	}
-	_ = cc.conn.SetDeadline(time.Time{})
-	return f, nil
-}
-
 // muxConn is a Client's connection. A call claims a slot in a table
 // that grows to the most calls ever in flight at once and is reused from
 // then on; the slot's index and use count make up the call's ReqID, so
 // the reader finds a reply's slot without a map, and a reply to a call
 // that stopped waiting matches no slot and is dropped.
 type muxConn struct {
-	w  connWriter  // the connection and the frame buffer calls share
-	in frameReader // the reader goroutine's alone
+	w connWriter // the connection and the frame buffer calls share
 
 	mu    sync.Mutex // guards slots, free and err
 	slots []*slot
@@ -150,49 +72,35 @@ type muxConn struct {
 type slot struct {
 	id    uint64
 	uses  uint32
-	want  uint8 // the frame type the reply must have
-	reply chan reply
+	want  uint8       // the frame type the reply must have
+	reply chan string // the reply's body, for its call to decode
 }
 
-// reply is one decoded answer: a search's result or a snapshot's ack.
-type reply struct {
-	res resultFrame
-	ack snapshotAckFrame
-}
-
-// read hands each reply to its call until the connection ends, and then
-// ends every call's wait.
-func (m *muxConn) read() {
+// read hands each reply read through br to its call until the
+// connection ends, and then ends every call's wait.
+func (m *muxConn) read(br *bufio.Reader) {
 	defer close(m.dead)
+	var in column.Frame
 	for {
-		payload, err := m.in.readFrame()
+		ft, body, _, err := in.Read(br, maxFrameSize)
 		if err == nil {
-			err = m.deliver(payload)
+			err = m.deliver(ft, body)
 		}
 		if err != nil {
-			m.fail(err)
+			m.fail(protocolErr(err))
 			return
 		}
 	}
 }
 
-// deliver decodes one reply and hands it to the slot waiting on its
-// ReqID. A reply of the wrong type or one that does not decode is a
-// protocol error, which ends the connection.
-func (m *muxConn) deliver(payload []byte) error {
-	var r reply
-	var id uint64
-	var err error
-	if len(payload) > 0 && payload[0] == ftSnapshotAck {
-		r.ack, err = decodeSnapshotAck(payload)
-		id = r.ack.ReqID
-	} else {
-		r.res, err = decodeResult(payload)
-		id = r.res.ReqID
+// deliver hands the body of one reply of type ft to the slot waiting on
+// its ReqID, which opens every reply's body. A reply of the wrong type
+// for its slot is a protocol error, which ends the connection.
+func (m *muxConn) deliver(ft uint8, body []byte) error {
+	if len(body) < 8 {
+		return fmt.Errorf("%w: a %d-byte reply has no ReqID", ErrProtocol, len(body))
 	}
-	if err != nil {
-		return err
-	}
+	id := binary.BigEndian.Uint64(body)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	i := int(uint32(id)) - 1
@@ -200,12 +108,12 @@ func (m *muxConn) deliver(payload []byte) error {
 		return nil // its call stopped waiting
 	}
 	s := m.slots[i]
-	if s.want != payload[0] {
-		return fmt.Errorf("%w: frame type %d answers request %d, want %d", ErrProtocol, payload[0], id, s.want)
+	if s.want != ft {
+		return fmt.Errorf("%w: frame type %d answers request %d, want %d", ErrProtocol, ft, id, s.want)
 	}
 	s.id = 0
 	//semtree:allow lockedcall: the slot's buffer of one is empty — its id was set, and is cleared here, once per reply — so the send never blocks
-	s.reply <- r
+	s.reply <- string(body)
 	return nil
 }
 
@@ -219,7 +127,7 @@ func (m *muxConn) take(want uint8) (*slot, uint64, error) {
 	}
 	if len(m.free) == 0 {
 		m.free = append(m.free, uint32(len(m.slots)))
-		m.slots = append(m.slots, &slot{reply: make(chan reply, 1)})
+		m.slots = append(m.slots, &slot{reply: make(chan string, 1)})
 	}
 	i := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
@@ -246,29 +154,41 @@ func (m *muxConn) put(s *slot, id uint64) {
 	m.free = append(m.free, uint32(id)-1)
 }
 
-// call sends the frame build appends for the ReqID it is given and waits
-// for the reply, the context's end or the connection's, whichever comes
-// first. The server learns of a deadline from the frame; a call that
-// stops waiting leaves the socket alone, for the calls still on it. The
-// write has no deadline either: a search frame is small, and the
-// server's read loop hands every frame off without waiting on replies.
-func (m *muxConn) call(ctx context.Context, want uint8, build func(b []byte, id uint64) []byte) (reply, error) {
+// call sends a frame of type ft, its body appended by build for the
+// ReqID it is given, and waits for the reply of type want — returning
+// its body for the caller to decode — or for the context's end or the
+// connection's, whichever comes first. A reply already delivered wins
+// over the connection's end, so a refusal the server sends just before
+// it closes reaches its call. The server learns of a deadline from the
+// frame; a call that stops waiting leaves the socket alone, for the
+// calls still on it. The write has no deadline either: a request frame
+// is small, and the server's read loop hands every frame off without
+// waiting on replies. A frame over maxFrameSize is never written: the
+// call fails with ErrProtocol, and the connection serves on.
+func (m *muxConn) call(ctx context.Context, ft, want uint8, build func(b []byte, id uint64) []byte) (string, error) {
 	s, id, err := m.take(want)
 	if err != nil {
-		return reply{}, err
+		return "", err
 	}
 	defer m.put(s, id)
-	if err := m.w.write(func(b []byte) []byte { return build(b, id) }); err != nil {
-		m.fail(err) // a torn frame leaves the stream out of step
-		return reply{}, err
+	if err := m.w.write(ft, func(b []byte) []byte { return build(b, id) }); err != nil {
+		if !errors.Is(err, ErrProtocol) {
+			m.fail(err) // a torn frame leaves the stream out of step
+		}
+		return "", err
 	}
 	select {
-	case r := <-s.reply:
-		return r, nil
+	case body := <-s.reply:
+		return body, nil
 	case <-ctx.Done():
-		return reply{}, ctx.Err()
+		return "", ctx.Err()
 	case <-m.dead:
-		return reply{}, m.failure()
+		select {
+		case body := <-s.reply:
+			return body, nil
+		default:
+			return "", m.failure()
+		}
 	}
 }
 
@@ -293,7 +213,8 @@ func (m *muxConn) failure() error {
 // conn returns the shared connection, dialling one when the last has
 // failed: a call retried after a transport error runs on a fresh dial,
 // never on what killed the last attempt, and calls that arrive during
-// the dial wait for it rather than dial their own.
+// the dial wait for it rather than dial their own. The hello is the new
+// connection's first call.
 func (c *Client) conn(ctx context.Context) (*muxConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -303,13 +224,41 @@ func (c *Client) conn(ctx context.Context) (*muxConn, error) {
 	if c.mc != nil && c.mc.failure() == nil {
 		return c.mc, nil
 	}
-	cc, err := dialHello(ctx, c.addr, c.token)
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
-	c.mc = &muxConn{w: connWriter{conn: cc.conn, buf: cc.out}, in: cc.in, dead: make(chan struct{})}
-	go c.mc.read()
-	return c.mc, nil
+	m := &muxConn{w: connWriter{conn: conn}, dead: make(chan struct{})}
+	go m.read(bufio.NewReader(conn))
+	if err := m.hello(ctx, c.token); err != nil {
+		m.fail(err)
+		<-m.dead
+		return nil, err
+	}
+	c.mc = m
+	return m, nil
+}
+
+// hello runs the client half of the hello exchange, the one every
+// client of the wire opens with, query clients and the lease agent
+// alike. A refusal decodes to its typed sentinel (ErrAuth, ErrVersion,
+// ErrDraining).
+func (m *muxConn) hello(ctx context.Context, token string) error {
+	body, err := m.call(ctx, ftHello, ftHelloAck, func(b []byte, id uint64) []byte {
+		return appendHello(b, helloFrame{ReqID: id, Version: protoVersion, Token: token})
+	})
+	if err != nil {
+		return err
+	}
+	ack, err := decodeHelloAck(body)
+	if err != nil {
+		return err
+	}
+	if ack.Code != 0 {
+		return semtree.DecodeError(ack.Code, ack.Msg, 0)
+	}
+	return nil
 }
 
 // Close closes the connection and returns once its reader has exited.
@@ -317,10 +266,12 @@ func (c *Client) conn(ctx context.Context) (*muxConn, error) {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	mc := c.mc // Dial leaves no Client without one
+	mc := c.mc
 	c.mu.Unlock()
-	mc.fail(errClientClosed)
-	<-mc.dead
+	if mc != nil {
+		mc.fail(errClientClosed)
+		<-mc.dead
+	}
 	return nil
 }
 
@@ -365,11 +316,12 @@ func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.Se
 			}
 			return res, res.Err
 		}
-		// Context errors are final; transport errors retry on a freshly
-		// dialled connection (conn), since the one that failed is dead —
-		// the frame either never arrived or the answer was lost, and
-		// search is idempotent.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// Context errors are final, and so are protocol errors: a frame
+		// too large to send, or one that does not parse, would be again.
+		// Transport errors retry on a freshly dialled connection (conn),
+		// since the one that failed is dead — the frame either never
+		// arrived or the answer was lost, and search is idempotent.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrProtocol) {
 			return semtree.Result{Err: err}, err
 		}
 		lastErr = err
@@ -392,16 +344,20 @@ func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Resul
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
 	}
-	r, err := m.call(ctx, ftResult, func(b []byte, id uint64) []byte {
+	body, err := m.call(ctx, ftSearch, ftResult, func(b []byte, id uint64) []byte {
 		req.ReqID = id
 		return appendSearch(b, req)
 	})
 	if err != nil {
 		return semtree.Result{}, err
 	}
-	res := semtree.Result{Matches: r.res.Matches, Stats: r.res.Stats}
-	if r.res.HasErr {
-		res.Err = semtree.DecodeError(r.res.Code, r.res.Msg, r.res.Detail)
+	r, err := decodeResult(body)
+	if err != nil {
+		return semtree.Result{}, err
+	}
+	res := semtree.Result{Matches: r.Matches, Stats: r.Stats}
+	if r.HasErr {
+		res.Err = semtree.DecodeError(r.Code, r.Msg, r.Detail)
 	}
 	return res, nil
 }
@@ -415,14 +371,18 @@ func (c *Client) Snapshot(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r, err := m.call(ctx, ftSnapshotAck, func(b []byte, id uint64) []byte {
+	body, err := m.call(ctx, ftSnapshot, ftSnapshotAck, func(b []byte, id uint64) []byte {
 		return appendSnapshot(b, snapshotFrame{ReqID: id})
 	})
 	if err != nil {
 		return 0, err
 	}
-	if r.ack.HasErr {
-		return 0, semtree.DecodeError(r.ack.Code, r.ack.Msg, r.ack.Detail)
+	ack, err := decodeSnapshotAck(body)
+	if err != nil {
+		return 0, err
 	}
-	return r.ack.Bytes, nil
+	if ack.HasErr {
+		return 0, semtree.DecodeError(ack.Code, ack.Msg, ack.Detail)
+	}
+	return ack.Bytes, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"semtree"
+	"semtree/internal/column"
 	"semtree/internal/triple"
 )
 
@@ -107,9 +108,10 @@ func TestMultiplexCancelStorm(t *testing.T) {
 // scriptedPeer is the server end of a Client's connection, answering
 // frame by frame as its test says.
 type scriptedPeer struct {
-	t    *testing.T
-	conn net.Conn
-	rd   frameReader
+	t  *testing.T
+	br *bufio.Reader
+	in column.Frame
+	w  *connWriter
 }
 
 // dialScripted dials a Client to a peer that accepts its hello and then
@@ -128,8 +130,8 @@ func dialScripted(t *testing.T) (*Client, *scriptedPeer) {
 			close(peers)
 			return
 		}
-		p := &scriptedPeer{t: t, conn: conn, rd: frameReader{br: bufio.NewReader(conn)}}
-		acceptHello(conn, &p.rd, func(string) error { return nil })
+		p := &scriptedPeer{t: t, br: bufio.NewReader(conn), w: &connWriter{conn: conn}}
+		_ = acceptHello(conn, p.br, &p.in, p.w, func(string) error { return nil })
 		peers <- p
 	}()
 	cl, err := Dial(t.Context(), lis.Addr().String(), "tok")
@@ -139,7 +141,7 @@ func dialScripted(t *testing.T) (*Client, *scriptedPeer) {
 	p := <-peers
 	t.Cleanup(func() {
 		cl.Close()
-		p.conn.Close()
+		p.w.conn.Close()
 	})
 	return cl, p
 }
@@ -147,11 +149,14 @@ func dialScripted(t *testing.T) (*Client, *scriptedPeer) {
 // next reads the next search the client sent.
 func (p *scriptedPeer) next() searchFrame {
 	p.t.Helper()
-	payload, err := p.rd.readFrame()
+	ft, body, _, err := p.in.Read(p.br, maxFrameSize)
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	f, err := decodeSearch(payload)
+	if ft != ftSearch {
+		p.t.Fatalf("frame type %d, want a search", ft)
+	}
+	f, err := decodeSearch(string(body))
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -161,7 +166,9 @@ func (p *scriptedPeer) next() searchFrame {
 // answer replies to request id with a result tagged by its node count.
 func (p *scriptedPeer) answer(id uint64, tag int64) {
 	p.t.Helper()
-	if err := writeFrame(p.conn, appendResult(nil, resultFrame{ReqID: id, Stats: semtree.ExecStats{NodesVisited: tag}})); err != nil {
+	if err := p.w.write(ftResult, func(b []byte) []byte {
+		return appendResult(b, resultFrame{ReqID: id, Stats: semtree.ExecStats{NodesVisited: tag}})
+	}); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -220,7 +227,7 @@ func TestMultiplexAbandonDrainsReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.deliver(appendResult(nil, resultFrame{ReqID: id})[frameHead:]); err != nil {
+	if err := m.deliver(ftResult, appendResult(nil, resultFrame{ReqID: id})); err != nil {
 		t.Fatal(err)
 	}
 	m.put(s, id) // the call took its context's end, not the reply
@@ -240,13 +247,15 @@ func TestMultiplexWrongReplyType(t *testing.T) {
 		failed <- err
 	}()
 	req := p.next()
-	if err := writeFrame(p.conn, appendSnapshotAck(nil, snapshotAckFrame{ReqID: req.ReqID})); err != nil {
+	if err := p.w.write(ftSnapshotAck, func(b []byte) []byte {
+		return appendSnapshotAck(b, snapshotAckFrame{ReqID: req.ReqID})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-failed; err == nil {
 		t.Fatal("a search answered with a snapshot ack succeeded")
 	}
-	if _, err := p.rd.readFrame(); err == nil {
+	if _, _, _, err := p.in.Read(p.br, maxFrameSize); err == nil {
 		t.Fatal("the connection stayed open after a reply of the wrong type")
 	}
 }
@@ -276,40 +285,120 @@ func TestMultiplexCloseEndsReader(t *testing.T) {
 	}
 }
 
-// TestRoundTripCancelledMidExchangeCloses: a context cancelled once the
-// reply is in but before roundTrip returns may snap the connection's
-// deadline after roundTrip cleared it. The exchange must fail with the
-// context's error and close the connection instead of handing on a
-// poisoned one. The decode cancels, so stop finds the AfterFunc already
-// started every time.
-func TestRoundTripCancelledMidExchangeCloses(t *testing.T) {
+// TestHelloRefusalBeatsClose: a server that refuses a hello writes its
+// ack and closes. When the call stops waiting, the ack is in its slot
+// and the connection has ended too; the ack must win, so the hello
+// fails with ErrAuth every time, never with the connection's end.
+func TestHelloRefusalBeatsClose(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		client, server := net.Pipe()
+		go func() {
+			_ = acceptHello(server, bufio.NewReader(server), new(column.Frame), &connWriter{conn: server}, func(string) error { return ErrAuth })
+			server.Close()
+		}()
+		conn := &endedConn{Conn: client}
+		m := &muxConn{w: connWriter{conn: conn}, dead: make(chan struct{})}
+		conn.dead = m.dead
+		go m.read(bufio.NewReader(conn))
+		if err := m.hello(t.Context(), "tok"); !errors.Is(err, ErrAuth) {
+			t.Fatalf("hello %d: err = %v, want ErrAuth", i, err)
+		}
+	}
+}
+
+// endedConn returns from each Write only once dead is closed: by then
+// the reply to the frame written has been read, and the connection has
+// ended after it.
+type endedConn struct {
+	net.Conn
+	dead chan struct{}
+}
+
+func (c *endedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	<-c.dead
+	return n, err
+}
+
+// TestLeaseReportCancelledMidExchange: a lease report whose context ends
+// while the allocator is still answering returns the context's error
+// and leaves the connection alone. The grant that arrives late is
+// dropped, and the next report gets its own grant on the same
+// connection.
+func TestLeaseReportCancelledMidExchange(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	accepted := make(chan struct{}, 2)
+	reports := make(chan leaseReportFrame)
+	grants := make(chan leaseGrantFrame)
 	go func() {
-		if conn, err := lis.Accept(); err == nil {
-			respond(conn, nil)
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- struct{}{}
+			go func() {
+				defer conn.Close()
+				br, w := bufio.NewReader(conn), &connWriter{conn: conn}
+				var in column.Frame
+				if acceptHello(conn, br, &in, w, func(string) error { return nil }) != nil {
+					return
+				}
+				for {
+					_, body, _, err := in.Read(br, maxFrameSize)
+					if err != nil {
+						return
+					}
+					rep, err := decodeLeaseReport(string(body))
+					if err != nil {
+						return
+					}
+					reports <- rep
+					g := <-grants
+					if w.write(ftLeaseGrant, func(b []byte) []byte { return appendLeaseGrant(b, g) }) != nil {
+						return
+					}
+				}
+			}()
 		}
 	}()
-	conn, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	cc := &clientConn{conn: conn, in: frameReader{br: bufio.NewReader(conn)}}
-	cc.out = appendHello(nil, helloFrame{Version: protoVersion, Token: "tok"})
+	cl := &Client{addr: lis.Addr().String(), token: "fleet-secret"}
+	defer cl.Close()
+
 	ctx, cancel := context.WithCancel(t.Context())
-	defer cancel()
-	_, err = roundTrip(ctx, cc, func(payload []byte) (helloAckFrame, error) {
-		cancel()
-		return decodeHelloAck(payload)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("an exchange cancelled during its decode returned %v, want context.Canceled", err)
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := cl.lease(ctx, leaseReportFrame{Tenant: "acme", FrontEnd: "fe0", DemandQPS: 1})
+		cancelled <- err
+	}()
+	first := <-reports
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("a report cancelled mid-exchange returned %v, want context.Canceled", err)
 	}
-	if _, err := conn.Write([]byte{0}); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("the connection is still open after a cancelled exchange: write returned %v", err)
+	grants <- leaseGrantFrame{ReqID: first.ReqID, Tenant: "acme", TTLNanos: -1} // late
+
+	next := make(chan leaseGrantFrame, 1)
+	go func() {
+		g, err := cl.lease(t.Context(), leaseReportFrame{Tenant: "acme", FrontEnd: "fe0", DemandQPS: 2})
+		if err != nil {
+			t.Errorf("the next report: %v", err)
+		}
+		next <- g
+	}()
+	second := <-reports
+	if second.ReqID == first.ReqID {
+		t.Fatalf("the next report reused the cancelled one's ReqID %d", first.ReqID)
+	}
+	grants <- leaseGrantFrame{ReqID: second.ReqID, Tenant: "acme", Capacity: 10, RefillPerSec: 5, TTLNanos: 1e9}
+	if g := <-next; g.Capacity != 10 || g.TTLNanos != 1e9 {
+		t.Fatalf("the next report got %+v, want its own grant", g)
+	}
+	if n := len(accepted); n != 1 {
+		t.Fatalf("%d connections, want both reports on one", n)
 	}
 }

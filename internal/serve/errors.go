@@ -12,9 +12,14 @@ import (
 // semantics for protocol-level failures too. TestServeErrorCodesComplete
 // mirrors the facade's registry-completeness test over this package.
 var (
-	// ErrProtocol marks a malformed frame: bad length prefix, unknown
-	// frame type, truncated body, or trailing bytes. The connection that
-	// produced it is closed — framing cannot be resynchronized.
+	// ErrProtocol marks a malformed frame — bad length, unknown frame
+	// type, truncated body, or trailing bytes — and one over
+	// maxFrameSize. A frame read that way closes its connection:
+	// framing cannot be resynchronized. A frame too large to send is
+	// never written, so the connection serves on: a request too large
+	// fails its own call, and a reply too large is answered with this
+	// error instead. It is not retryable: the same frame would fail
+	// again.
 	ErrProtocol = errors.New("serve: malformed frame")
 	// ErrAuth marks a hello whose token maps to no configured tenant.
 	ErrAuth = errors.New("serve: authentication failed")

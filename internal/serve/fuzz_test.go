@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
@@ -25,27 +24,31 @@ func FuzzServeFrame(f *testing.F) {
 		Predicate: triple.NewConcept("Fun", "block_cmd"),
 		Object:    triple.NewConcept("CmdType", "start-up"),
 	}
-	payload := func(frame []byte) []byte { return frame[frameHead:] }
-	f.Add(payload(appendHello(nil, helloFrame{Version: protoVersion, Token: "tok"})))
-	f.Add(payload(appendHelloAck(nil, helloAckFrame{Version: protoVersion})))
-	f.Add(payload(appendSearch(nil, searchFrame{ReqID: 7, Deadline: 123, Mode: 1, K: 5, ExactFactor: 2, Radius: 0.5, Query: q})))
-	f.Add(payload(appendResult(nil, resultFrame{ReqID: 7, Matches: []semtree.Match{{ID: 3, Dist: 0.25, Triple: q, Prov: triple.Provenance{Doc: "d", Section: "s", Seq: 1}}}})))
-	f.Add(payload(appendResult(nil, resultFrame{ReqID: 9, HasErr: true, Code: 3, Msg: "quota", Detail: 0})))
-	f.Add(payload(appendSnapshot(nil, snapshotFrame{ReqID: 1})))
-	f.Add(payload(appendSnapshotAck(nil, snapshotAckFrame{ReqID: 1, Bytes: 4096})))
-	f.Add(payload(appendLeaseReport(nil, leaseReportFrame{Tenant: "acme", FrontEnd: "fe0", DemandQPS: 12.5})))
-	f.Add(payload(appendLeaseGrant(nil, leaseGrantFrame{Tenant: "acme", Capacity: 100, RefillPerSec: 25, TTLNanos: 1e9})))
+	// A payload is a frame's type byte followed by its body.
+	payload := func(frame any) []byte {
+		ft, body := appendAny(f, nil, frame)
+		return append([]byte{ft}, body...)
+	}
+	f.Add(payload(helloFrame{ReqID: 1, Version: protoVersion, Token: "tok"}))
+	f.Add(payload(helloAckFrame{ReqID: 1, Version: protoVersion}))
+	f.Add(payload(searchFrame{ReqID: 7, Deadline: 123, Mode: 1, K: 5, ExactFactor: 2, Radius: 0.5, Query: q}))
+	f.Add(payload(resultFrame{ReqID: 7, Matches: []semtree.Match{{ID: 3, Dist: 0.25, Triple: q, Prov: triple.Provenance{Doc: "d", Section: "s", Seq: 1}}}}))
+	f.Add(payload(resultFrame{ReqID: 9, HasErr: true, Code: 3, Msg: "quota", Detail: 0}))
+	f.Add(payload(snapshotFrame{ReqID: 1}))
+	f.Add(payload(snapshotAckFrame{ReqID: 1, Bytes: 4096}))
+	f.Add(payload(leaseReportFrame{ReqID: 2, Tenant: "acme", FrontEnd: "fe0", DemandQPS: 12.5}))
+	f.Add(payload(leaseGrantFrame{ReqID: 2, Tenant: "acme", Capacity: 100, RefillPerSec: 25, TTLNanos: 1e9}))
 	f.Add([]byte{})
 	f.Add([]byte{ftSearch})
 	f.Add([]byte{255, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if len(payload) > maxFrameSize {
-			return // readFrame rejects these before decodeFrame runs
+		if len(payload) == 0 || len(payload) > maxFrameSize {
+			return // no frame has no type byte, and the reader refuses a body over the cap
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		frame, err := decodeFrame(payload)
+		frame, err := decodeFrame(payload[0], string(payload[1:]))
 		runtime.ReadMemStats(&after)
 		// One copy of the payload for its strings, at most one
 		// semtree.Match per minMatchSize bytes, and an error value.
@@ -59,11 +62,10 @@ func FuzzServeFrame(f *testing.F) {
 			return
 		}
 		// Accepted payloads are canonical: re-encoding the decoded frame
-		// reproduces the input bit for bit, under a length prefix that
-		// counts it.
-		re := appendAny(t, nil, frame)
-		if binary.BigEndian.Uint32(re) != uint32(len(payload)) || !bytes.Equal(re[frameHead:], payload) {
-			t.Fatalf("accepted payload is not canonical:\nin  %x\nout %x", payload, re)
+		// reproduces the input bit for bit, its type byte included.
+		ft, re := appendAny(t, nil, frame)
+		if ft != payload[0] || !bytes.Equal(re, payload[1:]) {
+			t.Fatalf("accepted payload is not canonical:\nin  %x\nout %02x%x", payload, ft, re)
 		}
 	})
 }

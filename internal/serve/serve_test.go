@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"semtree"
+	"semtree/internal/column"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
 )
@@ -590,8 +591,9 @@ func TestFleetQuotaConvergence(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch: a future protocol version is refused with
-// the typed ErrVersion, not a hang or a guess.
+// TestHelloVersionMismatch: a hello framed as this version frames it
+// but carrying a future protocol version is refused with the typed
+// ErrVersion, not a hang or a guess.
 func TestHelloVersionMismatch(t *testing.T) {
 	idx := testIndex(t, 200)
 	srv, err := NewServer(Config{Index: idx, Tenants: []TenantConfig{{Name: "t", Token: "tok"}}})
@@ -604,15 +606,15 @@ func TestHelloVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, appendHello(nil, helloFrame{Version: protoVersion + 9, Token: "tok"})); err != nil {
+	if _, err := conn.Write(frameBytes(t, helloFrame{ReqID: 1, Version: protoVersion + 9, Token: "tok"})); err != nil {
 		t.Fatal(err)
 	}
-	rd := frameReader{br: bufio.NewReader(conn)}
-	payload, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
+	var in column.Frame
+	ft, body, _, err := in.Read(bufio.NewReader(conn), maxFrameSize)
+	if err != nil || ft != ftHelloAck {
+		t.Fatalf("frame type %d, %v: want a hello ack", ft, err)
 	}
-	ack, err := decodeHelloAck(payload)
+	ack, err := decodeHelloAck(string(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,19 +702,19 @@ func TestAllocatorHelloUnderFrozenClock(t *testing.T) {
 	}()
 	t.Cleanup(func() { cancel(); <-done })
 
-	cc, err := dialLease(ctx, lis.Addr().String(), "fleet-secret")
+	cl, err := Dial(ctx, lis.Addr().String(), "fleet-secret")
 	if err != nil {
 		t.Fatalf("lease hello under a frozen allocator clock: %v", err)
 	}
-	defer cc.close()
-	g, err := cc.report(ctx, leaseReportFrame{Tenant: "acme", FrontEnd: "fe1"})
+	defer cl.Close()
+	g, err := cl.lease(ctx, leaseReportFrame{Tenant: "acme", FrontEnd: "fe1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Capacity != 1000 || g.RefillPerSec != 100 || g.TTLNanos <= 0 {
 		t.Fatalf("grant = %+v, want the full fleet rate", g)
 	}
-	if _, err := dialLease(ctx, lis.Addr().String(), "wrong"); !errors.Is(err, ErrAuth) {
+	if _, err := Dial(ctx, lis.Addr().String(), "wrong"); !errors.Is(err, ErrAuth) {
 		t.Fatalf("bad lease token: err = %v, want ErrAuth", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"semtree"
+	"semtree/internal/column"
 )
 
 // TenantConfig describes one tenant the server will answer for: the
@@ -276,21 +277,20 @@ func (s *Server) Drain(ctx context.Context) error {
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
-	buf  []byte
+	out  column.Frame
 }
 
-// write builds one frame with appendFrame in the connection's buffer
-// and sends it in one Write. A buffer grown past maxFrameBuffer is
-// dropped afterwards.
-func (w *connWriter) write(appendFrame func([]byte) []byte) error {
+// write sends one frame of type ft, its body appended by appendBody to
+// the connection's buffer, in one Write. A body over maxFrameSize is
+// refused with ErrProtocol and nothing is written, so the stream stays
+// in step.
+func (w *connWriter) write(ft uint8, appendBody func([]byte) []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf = appendFrame(w.buf[:0])
-	err := writeFrame(w.conn, w.buf)
-	if cap(w.buf) > maxFrameBuffer {
-		w.buf = nil
-	}
-	return err
+	b := w.out.Body()
+	*b = appendBody(*b)
+	_, err := w.out.Send(w.conn, ft, maxFrameSize)
+	return protocolErr(err)
 }
 
 func (s *Server) track(conn net.Conn) func() {
@@ -306,25 +306,30 @@ func (s *Server) track(conn net.Conn) func() {
 }
 
 // acceptHello runs the server half of the hello exchange on a freshly
-// accepted connection, for the query server and the allocator alike,
-// through rd, the reader the connection's read loop goes on to use.
-// The hello must arrive within defaultHelloTimeout — so an idle dialer
-// cannot pin a handler goroutine — and afterwards the connection may idle
-// indefinitely between requests. The deadline is armed from the wall
-// clock whatever clock the caller's own logic runs on: a socket
-// deadline is a wall-clock instant. A hello in a foreign protocol
-// version is refused with ErrVersion; otherwise auth decides on the
-// token, returning the sentinel to refuse with or nil to accept. It
-// reports whether the connection was accepted and acknowledged.
-func acceptHello(conn net.Conn, rd *frameReader, auth func(token string) error) bool {
+// accepted connection, for the query server and the allocator alike. It
+// reads through br into in, the reader and buffer the connection's read
+// loop goes on to use, and answers through w. The hello must arrive
+// within defaultHelloTimeout — so an idle dialer cannot pin a handler
+// goroutine — and afterwards the connection may idle indefinitely
+// between requests. The deadline is armed from the wall clock whatever
+// clock the caller's own logic runs on: a socket deadline is a
+// wall-clock instant. A hello in a foreign protocol version is refused
+// with ErrVersion; otherwise auth decides on the token, returning the
+// sentinel to refuse with or nil to accept. It returns nil once the
+// connection is accepted and acknowledged; otherwise the refusal it
+// acknowledged, or the read, decode or write that failed.
+func acceptHello(conn net.Conn, br *bufio.Reader, in *column.Frame, w *connWriter, auth func(token string) error) error {
 	_ = conn.SetReadDeadline(time.Now().Add(defaultHelloTimeout))
-	payload, err := rd.readFrame()
+	ft, body, _, err := in.Read(br, maxFrameSize)
 	if err != nil {
-		return false
+		return protocolErr(err)
 	}
-	hello, err := decodeHello(payload)
+	if ft != ftHello {
+		return fmt.Errorf("%w: frame type %d before the hello", ErrProtocol, ft)
+	}
+	hello, err := decodeHello(string(body))
 	if err != nil {
-		return false
+		return err
 	}
 	var refusal error
 	if hello.Version != protoVersion {
@@ -332,15 +337,18 @@ func acceptHello(conn net.Conn, rd *frameReader, auth func(token string) error) 
 	} else {
 		refusal = auth(hello.Token)
 	}
-	ack := helloAckFrame{Version: protoVersion}
+	ack := helloAckFrame{ReqID: hello.ReqID, Version: protoVersion}
 	if refusal != nil {
 		ack.Code, ack.Msg, _ = encodeError(refusal)
 	}
-	if err := writeFrame(conn, appendHelloAck(nil, ack)); err != nil || refusal != nil {
-		return false
+	if err := w.write(ftHelloAck, func(b []byte) []byte { return appendHelloAck(b, ack) }); err != nil {
+		return err
+	}
+	if refusal != nil {
+		return refusal
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return true
+	return nil
 }
 
 // handleConn runs one connection: hello exchange, then a read loop that
@@ -350,8 +358,10 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer s.track(conn)()
 
 	var t *tenant
-	rd := &frameReader{br: bufio.NewReader(conn)}
-	ok := acceptHello(conn, rd, func(token string) error {
+	br := bufio.NewReader(conn)
+	var in column.Frame
+	w := &connWriter{conn: conn}
+	err := acceptHello(conn, br, &in, w, func(token string) error {
 		var known bool
 		if t, known = s.tenants[token]; !known {
 			return ErrAuth
@@ -361,28 +371,24 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		return nil
 	})
-	if !ok {
+	if err != nil {
 		return
 	}
 	s.connCount.Add(1)
-	w := &connWriter{conn: conn}
 
 	for {
-		payload, err := rd.readFrame()
-		if err != nil || len(payload) == 0 {
+		ft, body, _, err := in.Read(br, maxFrameSize)
+		if err != nil {
 			return // clean close, peer gone, or unframeable garbage
 		}
-		switch payload[0] {
+		switch ft {
 		case ftSearch:
-			f, err := decodeSearch(payload)
+			f, err := decodeSearch(string(body))
 			if err != nil {
 				return
 			}
 			if !s.admit() {
-				code, msg, detail := encodeError(ErrDraining)
-				_ = w.write(func(b []byte) []byte {
-					return appendResult(b, resultFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail})
-				})
+				w.result(f.ReqID, failedResult(ErrDraining))
 				continue
 			}
 			go func() {
@@ -390,15 +396,12 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 				s.handleSearch(ctx, t, w, f)
 			}()
 		case ftSnapshot:
-			f, err := decodeSnapshot(payload)
+			f, err := decodeSnapshot(string(body))
 			if err != nil {
 				return
 			}
 			if !s.admit() {
-				code, msg, detail := encodeError(ErrDraining)
-				_ = w.write(func(b []byte) []byte {
-					return appendSnapshotAck(b, snapshotAckFrame{ReqID: f.ReqID, HasErr: true, Code: code, Msg: msg, Detail: detail})
-				})
+				w.snapshotAck(f.ReqID, failedSnapshot(ErrDraining))
 				continue
 			}
 			go func() {
@@ -435,13 +438,8 @@ func (s *Server) admit() bool {
 // is encoded straight from the result's matches into the connection's
 // frame buffer.
 func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f searchFrame) {
-	reply := func(r resultFrame) {
-		r.ReqID = f.ReqID
-		_ = w.write(func(b []byte) []byte { return appendResult(b, r) })
-	}
 	if f.Mode > uint8(semtree.ModeRange) {
-		code, msg, detail := encodeError(fmt.Errorf("%w: unknown search mode %d", ErrProtocol, f.Mode))
-		reply(resultFrame{HasErr: true, Code: code, Msg: msg, Detail: detail})
+		w.result(f.ReqID, failedResult(fmt.Errorf("%w: unknown search mode %d", ErrProtocol, f.Mode)))
 		return
 	}
 	if f.Deadline > 0 {
@@ -472,14 +470,45 @@ func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f s
 	res, _ := sr.Search(ctx, f.Query)
 	s.served.Add(1)
 
-	out := resultFrame{Stats: res.Stats}
+	out := resultFrame{Matches: res.Matches}
 	if res.Err != nil {
-		out.HasErr = true
-		out.Code, out.Msg, out.Detail = encodeError(res.Err)
-	} else {
-		out.Matches = res.Matches
+		out = failedResult(res.Err)
 	}
-	reply(out)
+	out.Stats = res.Stats
+	w.result(f.ReqID, out)
+}
+
+// failedResult is the result frame that reports err.
+func failedResult(err error) resultFrame {
+	code, msg, detail := encodeError(err)
+	return resultFrame{HasErr: true, Code: code, Msg: msg, Detail: detail}
+}
+
+// failedSnapshot is the snapshot ack that reports err.
+func failedSnapshot(err error) snapshotAckFrame {
+	code, msg, detail := encodeError(err)
+	return snapshotAckFrame{HasErr: true, Code: code, Msg: msg, Detail: detail}
+}
+
+// result writes r as the answer to request id. A result over
+// maxFrameSize is not sent; the error that refused it is, so the call
+// it answers learns why rather than waiting on a reply that never
+// comes.
+func (w *connWriter) result(id uint64, r resultFrame) {
+	r.ReqID = id
+	if err := w.write(ftResult, func(b []byte) []byte { return appendResult(b, r) }); errors.Is(err, ErrProtocol) {
+		failed := failedResult(err)
+		failed.Stats = r.Stats
+		w.result(id, failed)
+	}
+}
+
+// snapshotAck is result for a snapshot ack.
+func (w *connWriter) snapshotAck(id uint64, r snapshotAckFrame) {
+	r.ReqID = id
+	if err := w.write(ftSnapshotAck, func(b []byte) []byte { return appendSnapshotAck(b, r) }); errors.Is(err, ErrProtocol) {
+		w.snapshotAck(id, failedSnapshot(err))
+	}
 }
 
 // handleSnapshot services the admin snapshot trigger: Save the serving
@@ -487,14 +516,7 @@ func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f s
 // queries keep running — the single-critical-section Save guarantees a
 // consistent snapshot without stopping the world.
 func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
-	reply := func(r snapshotAckFrame) {
-		r.ReqID = f.ReqID
-		_ = w.write(func(b []byte) []byte { return appendSnapshotAck(b, r) })
-	}
-	fail := func(err error) {
-		code, msg, detail := encodeError(err)
-		reply(snapshotAckFrame{HasErr: true, Code: code, Msg: msg, Detail: detail})
-	}
+	fail := func(err error) { w.snapshotAck(f.ReqID, failedSnapshot(err)) }
 	if !t.admin {
 		fail(ErrNotAdmin)
 		return
@@ -509,7 +531,7 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 		return
 	}
 	s.snapshots.Add(1)
-	reply(snapshotAckFrame{Bytes: n})
+	w.snapshotAck(f.ReqID, snapshotAckFrame{Bytes: n})
 }
 
 // snapshotTo writes a snapshot to path so that a crash at any point
@@ -576,12 +598,10 @@ func snapshotTemp(path string) (*os.File, error) {
 func (s *Server) leaseLoop(ctx context.Context) {
 	ticker := time.NewTicker(s.cfg.LeaseInterval)
 	defer ticker.Stop()
-	var cc *leaseConn
-	defer func() {
-		if cc != nil {
-			cc.close()
-		}
-	}()
+	// The allocator is dialled on the first report and redialled on the
+	// report after its connection failed, as a query Client's server is.
+	alloc := &Client{addr: s.cfg.AllocatorAddr, token: s.cfg.AllocatorToken}
+	defer alloc.Close()
 	for {
 		select {
 		case <-ctx.Done():
@@ -591,13 +611,6 @@ func (s *Server) leaseLoop(ctx context.Context) {
 		if s.draining.Load() {
 			return
 		}
-		if cc == nil {
-			var err error
-			cc, err = dialLease(ctx, s.cfg.AllocatorAddr, s.cfg.AllocatorToken)
-			if err != nil {
-				continue // retry next tick
-			}
-		}
 		for _, t := range s.tenants {
 			if t.quota == nil {
 				continue
@@ -606,14 +619,13 @@ func (s *Server) leaseLoop(ctx context.Context) {
 			arrived := st.Admitted + st.RejectedQuota
 			demand := float64(arrived-t.lastArrived) / s.cfg.LeaseInterval.Seconds()
 			t.lastArrived = arrived
-			grant, err := cc.report(ctx, leaseReportFrame{
+			grant, err := alloc.lease(ctx, leaseReportFrame{
 				Tenant:    t.name,
 				FrontEnd:  s.cfg.FrontEndID,
 				DemandQPS: demand,
 			})
 			if err != nil {
-				cc = nil // the failed exchange closed it; redial next tick
-				break
+				break // retry next tick
 			}
 			if grant.TTLNanos <= 0 {
 				continue // allocator does not manage this tenant

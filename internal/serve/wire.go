@@ -1,22 +1,29 @@
 // Package serve is SemTree's network serving tier: a standalone server
-// that hosts per-tenant Searchers behind a concurrent length-prefixed
-// binary protocol, a retrying Client whose calls share one connection
-// and are told apart by request ID, and a distributed-quota allocator
-// that leases refill shares to front-ends so a tenant's quota holds
+// that hosts per-tenant Searchers behind a concurrent framed binary
+// protocol, a retrying Client whose calls share one connection and are
+// told apart by request ID, and a distributed-quota allocator that
+// leases refill shares to front-ends so a tenant's quota holds
 // fleet-wide, not per process.
 //
 // The wire contract is deliberately narrow and stable:
 //
-//   - Frames are length-prefixed (uint32 big-endian, capped at
-//     maxFrameSize) and carry one type byte plus a fixed-layout body.
-//     Malformed bytes decode to a typed ErrProtocol, never a panic
-//     (FuzzServeFrame enforces this).
-//   - Each encoder (appendHello, appendSearch, ...) appends a whole
-//     frame, length prefix included, to a buffer its connection reuses,
-//     so a frame is built in place and sent in one Write. Each
-//     connection also reads into one reused buffer; a decoded frame's
-//     strings are substrings of one copy of its payload, so a decoded
-//     frame never aliases that buffer.
+//   - Frames are the cluster fabric's (column.Frame): a type byte, a
+//     uvarint body length capped at maxFrameSize, and a fixed-layout
+//     body. A length over the cap is refused before any of the body is
+//     read; malformed bytes decode to a typed ErrProtocol, never a
+//     panic (FuzzServeFrame enforces this).
+//   - Each encoder (appendHello, appendSearch, ...) appends a body to a
+//     buffer its connection reuses, and the frame goes out in one
+//     Write, its head filled in after the body. A frame over the cap is
+//     never sent: a reply too large is answered with a typed
+//     ErrProtocol instead, and a request too large fails its own call
+//     with one, the connection still in step. Each connection also
+//     reads into one reused buffer; a decoded frame's strings are
+//     substrings of one copy of its body, so a decoded frame never
+//     aliases that buffer.
+//   - Every exchange is a call: its request and its reply carry the
+//     same ReqID, so a Client runs all of them — the hello, searches,
+//     snapshots, lease reports — over one connection at once.
 //   - A connection opens with a versioned hello carrying the tenant's
 //     auth token; the server maps the token onto that tenant's Searcher
 //     — and therefore its admission limits and quota bucket.
@@ -31,28 +38,31 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
 	"semtree"
+	"semtree/internal/column"
 	"semtree/internal/triple"
 )
 
 // protoVersion is the serve protocol version, sent in both directions
 // of the hello exchange. A server refuses a hello whose version it does
-// not speak with ErrVersion rather than guessing at frame layouts.
-const protoVersion uint32 = 1
+// not speak with ErrVersion rather than guessing at frame layouts. A
+// version-1 peer framed its messages differently: its hello reads as a
+// frame of another type, and the server closes the connection.
+const protoVersion uint32 = 2
 
-// maxFrameSize caps one frame's payload. A length prefix beyond the cap
-// is a protocol error before any allocation happens, so a hostile
-// 4 GiB prefix cannot balloon memory.
+// maxFrameSize caps one frame's body, in both directions. A length
+// beyond the cap is a protocol error before any of the body is read, so
+// a hostile length cannot balloon memory.
 const maxFrameSize = 1 << 20
 
-// Frame type bytes. Append new types; never renumber.
+// Frame types, each a frame's kind byte. Append new types; never
+// renumber.
 const (
 	ftHello       uint8 = 1 // client → server: version, auth token
 	ftHelloAck    uint8 = 2 // server → client: version, error code/msg
@@ -65,8 +75,10 @@ const (
 )
 
 // helloFrame opens a connection: the client's protocol version and the
-// tenant auth token.
+// tenant auth token. Like every request it carries a ReqID, which its
+// answer echoes.
 type helloFrame struct {
+	ReqID   uint64
 	Version uint32
 	Token   string
 }
@@ -76,6 +88,7 @@ type helloFrame struct {
 // (ErrVersion, ErrAuth, ErrDraining) and the server closes the
 // connection after writing the ack.
 type helloAckFrame struct {
+	ReqID   uint64
 	Version uint32
 	Code    semtree.ErrorCode
 	Msg     string
@@ -133,6 +146,7 @@ type snapshotAckFrame struct {
 // tenant: DemandQPS is the tenant's recent arrival rate (admitted plus
 // quota-rejected queries per second) at this front-end.
 type leaseReportFrame struct {
+	ReqID     uint64
 	Tenant    string
 	FrontEnd  string
 	DemandQPS float64
@@ -143,6 +157,7 @@ type leaseReportFrame struct {
 // shares granted to all live front-ends of a tenant sum to the tenant's
 // configured fleet-wide capacity and refill rate.
 type leaseGrantFrame struct {
+	ReqID        uint64
 	Tenant       string
 	Capacity     float64
 	RefillPerSec float64
@@ -151,21 +166,14 @@ type leaseGrantFrame struct {
 
 // --- encoding ---
 //
-// All integers are big-endian. Strings are uint32 length + bytes. Each
-// appendX appends one whole frame to a caller-owned buffer — its length
-// prefix, filled in once the body is known, then the type byte and the
-// body — so a frame is built in place and sent in one Write. Decoders
-// consume an rbuf that latches the first error, so a malformed frame
-// yields exactly one typed ErrProtocol and never panics or over-reads.
-
-// frameHead is the length prefix in front of every frame's payload.
-const frameHead = 4
-
-// maxFrameBuffer caps the buffer a connection keeps between frames, as
-// the cluster fabric does. Query frames stay far below it; a larger one
-// is read or built in storage that is dropped after its frame instead
-// of being held by an idle connection.
-const maxFrameBuffer = 64 << 10
+// Bodies have a fixed layout: integers big-endian, strings a uint32
+// length and their bytes, and every body of a call or its reply opens
+// with the call's ReqID. Each appendX appends one body to a buffer its
+// connection reuses (connWriter). Each decodeX reads a body from one
+// string copy of it through an rbuf that latches the first error, so a
+// malformed body yields exactly one typed ErrProtocol and never panics
+// or over-reads; a decoded frame's strings are substrings of that copy,
+// so nothing decoded aliases the buffer its bytes were read into.
 
 func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
@@ -198,43 +206,23 @@ func appendTriple(b []byte, t triple.Triple) []byte {
 	return appendTerm(b, t.Object)
 }
 
-// beginFrame appends a frame's length prefix, still zero, and its type
-// byte, and returns where the frame starts for endFrame.
-func beginFrame(b []byte, ft uint8) ([]byte, int) {
-	start := len(b)
-	return append(b, 0, 0, 0, 0, ft), start
+// protocolErr types a frame refused by column.Frame — over the cap, or
+// cut short — as ErrProtocol. Any other error, a connection's end,
+// passes as it is.
+func protocolErr(err error) error {
+	if errors.Is(err, column.ErrFrame) {
+		return fmt.Errorf("%w: %w", ErrProtocol, err)
+	}
+	return err
 }
 
-// endFrame fills in the length prefix of the frame begun at start.
-func endFrame(b []byte, start int) []byte {
-	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-frameHead))
-	return b
-}
-
-// rbuf is a latching frame reader: the first short read or cap breach
-// sets err and every later read returns zero values, so decoders are
-// written straight-line and checked once at the end. Strings decode as
-// substrings of s, one copy of the whole payload: a frame's strings
-// cost one allocation, and nothing decoded references the buffer the
-// payload was read into, which the connection reuses for its next
-// frame while a request decoded from this one may still be running.
+// rbuf is a latching body reader: the first short read sets err and
+// every later read returns zero values, so decoders are written
+// straight-line and checked once at the end.
 type rbuf struct {
-	b   []byte
 	s   string
 	off int
 	err error
-}
-
-// openFrame starts decoding a payload that must be a frame of type ft.
-func openFrame(payload []byte, ft uint8) rbuf {
-	r := rbuf{b: payload}
-	if got := r.u8(); r.err == nil && got != ft {
-		r.err = fmt.Errorf("%w: frame type %d, want %d", ErrProtocol, got, ft)
-	}
-	if r.err == nil {
-		r.s = string(payload)
-	}
-	return r
 }
 
 func (r *rbuf) fail() {
@@ -243,36 +231,23 @@ func (r *rbuf) fail() {
 	}
 }
 
-func (r *rbuf) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
+// be reads an n-byte big-endian unsigned integer.
+func (r *rbuf) be(n int) uint64 {
+	if r.err != nil || r.off+n > len(r.s) {
 		r.fail()
 		return 0
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *rbuf) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
+	var v uint64
+	for _, c := range []byte(r.s[r.off : r.off+n]) {
+		v = v<<8 | uint64(c)
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
+	r.off += n
 	return v
 }
 
-func (r *rbuf) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
+func (r *rbuf) u8() uint8    { return uint8(r.be(1)) }
+func (r *rbuf) u32() uint32  { return uint32(r.be(4)) }
+func (r *rbuf) u64() uint64  { return r.be(8) }
 func (r *rbuf) i64() int64   { return int64(r.u64()) }
 func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
 
@@ -294,7 +269,7 @@ func (r *rbuf) boolean() bool {
 
 func (r *rbuf) str() string {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
+	if r.err != nil || n < 0 || r.off+n > len(r.s) {
 		r.fail()
 		return ""
 	}
@@ -320,15 +295,15 @@ func (r *rbuf) triple() triple.Triple {
 	return t
 }
 
-// done finishes a frame decode: the latched error if any, else a
-// protocol error when the frame carried trailing bytes (a frame is
+// done finishes a body decode: the latched error if any, else a
+// protocol error when the body carried trailing bytes (a body is
 // exactly its layout, nothing more).
 func (r *rbuf) done() error {
 	if r.err != nil {
 		return r.err
 	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(r.b)-r.off)
+	if r.off != len(r.s) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(r.s)-r.off)
 	}
 	return nil
 }
@@ -336,29 +311,29 @@ func (r *rbuf) done() error {
 // --- per-frame encode/decode ---
 
 func appendHello(b []byte, f helloFrame) []byte {
-	b, start := beginFrame(b, ftHello)
+	b = appendU64(b, f.ReqID)
 	b = appendU32(b, f.Version)
-	b = appendStr(b, f.Token)
-	return endFrame(b, start)
+	return appendStr(b, f.Token)
 }
 
-func decodeHello(payload []byte) (f helloFrame, err error) {
-	r := openFrame(payload, ftHello)
+func decodeHello(body string) (f helloFrame, err error) {
+	r := rbuf{s: body}
+	f.ReqID = r.u64()
 	f.Version = r.u32()
 	f.Token = r.str()
 	return f, r.done()
 }
 
 func appendHelloAck(b []byte, f helloAckFrame) []byte {
-	b, start := beginFrame(b, ftHelloAck)
+	b = appendU64(b, f.ReqID)
 	b = appendU32(b, f.Version)
 	b = appendU32(b, uint32(f.Code))
-	b = appendStr(b, f.Msg)
-	return endFrame(b, start)
+	return appendStr(b, f.Msg)
 }
 
-func decodeHelloAck(payload []byte) (f helloAckFrame, err error) {
-	r := openFrame(payload, ftHelloAck)
+func decodeHelloAck(body string) (f helloAckFrame, err error) {
+	r := rbuf{s: body}
+	f.ReqID = r.u64()
 	f.Version = r.u32()
 	f.Code = semtree.ErrorCode(r.u32())
 	f.Msg = r.str()
@@ -366,19 +341,17 @@ func decodeHelloAck(payload []byte) (f helloAckFrame, err error) {
 }
 
 func appendSearch(b []byte, f searchFrame) []byte {
-	b, start := beginFrame(b, ftSearch)
 	b = appendU64(b, f.ReqID)
 	b = appendI64(b, f.Deadline)
 	b = appendU8(b, f.Mode)
 	b = appendI64(b, f.K)
 	b = appendI64(b, f.ExactFactor)
 	b = appendF64(b, f.Radius)
-	b = appendTriple(b, f.Query)
-	return endFrame(b, start)
+	return appendTriple(b, f.Query)
 }
 
-func decodeSearch(payload []byte) (f searchFrame, err error) {
-	r := openFrame(payload, ftSearch)
+func decodeSearch(body string) (f searchFrame, err error) {
+	r := rbuf{s: body}
 	f.ReqID = r.u64()
 	f.Deadline = r.i64()
 	f.Mode = r.u8()
@@ -395,7 +368,6 @@ func decodeSearch(payload []byte) (f searchFrame, err error) {
 const minMatchSize = 8 + 8 + 3*(1+1+4+4) + 2*4 + 8
 
 func appendResult(b []byte, f resultFrame) []byte {
-	b, start := beginFrame(b, ftResult)
 	b = appendU64(b, f.ReqID)
 	b = appendBool(b, f.HasErr)
 	b = appendU32(b, uint32(f.Code))
@@ -419,11 +391,11 @@ func appendResult(b []byte, f resultFrame) []byte {
 		b = appendStr(b, m.Prov.Section)
 		b = appendI64(b, int64(m.Prov.Seq))
 	}
-	return endFrame(b, start)
+	return b
 }
 
-func decodeResult(payload []byte) (f resultFrame, err error) {
-	r := openFrame(payload, ftResult)
+func decodeResult(body string) (f resultFrame, err error) {
+	r := rbuf{s: body}
 	f.ReqID = r.u64()
 	f.HasErr = r.boolean()
 	f.Code = semtree.ErrorCode(r.u32())
@@ -440,7 +412,7 @@ func decodeResult(payload []byte) (f resultFrame, err error) {
 	// A count the bytes left cannot hold is rejected before Matches is
 	// sized from it.
 	n := int(r.u32())
-	if r.err == nil && n > (len(r.b)-r.off)/minMatchSize {
+	if r.err == nil && n > (len(r.s)-r.off)/minMatchSize {
 		return f, fmt.Errorf("%w: match count %d exceeds frame", ErrProtocol, n)
 	}
 	if n > 0 {
@@ -459,30 +431,26 @@ func decodeResult(payload []byte) (f resultFrame, err error) {
 }
 
 func appendSnapshot(b []byte, f snapshotFrame) []byte {
-	b, start := beginFrame(b, ftSnapshot)
-	b = appendU64(b, f.ReqID)
-	return endFrame(b, start)
+	return appendU64(b, f.ReqID)
 }
 
-func decodeSnapshot(payload []byte) (f snapshotFrame, err error) {
-	r := openFrame(payload, ftSnapshot)
+func decodeSnapshot(body string) (f snapshotFrame, err error) {
+	r := rbuf{s: body}
 	f.ReqID = r.u64()
 	return f, r.done()
 }
 
 func appendSnapshotAck(b []byte, f snapshotAckFrame) []byte {
-	b, start := beginFrame(b, ftSnapshotAck)
 	b = appendU64(b, f.ReqID)
 	b = appendBool(b, f.HasErr)
 	b = appendU32(b, uint32(f.Code))
 	b = appendStr(b, f.Msg)
 	b = appendU64(b, f.Detail)
-	b = appendU64(b, f.Bytes)
-	return endFrame(b, start)
+	return appendU64(b, f.Bytes)
 }
 
-func decodeSnapshotAck(payload []byte) (f snapshotAckFrame, err error) {
-	r := openFrame(payload, ftSnapshotAck)
+func decodeSnapshotAck(body string) (f snapshotAckFrame, err error) {
+	r := rbuf{s: body}
 	f.ReqID = r.u64()
 	f.HasErr = r.boolean()
 	f.Code = semtree.ErrorCode(r.u32())
@@ -493,15 +461,15 @@ func decodeSnapshotAck(payload []byte) (f snapshotAckFrame, err error) {
 }
 
 func appendLeaseReport(b []byte, f leaseReportFrame) []byte {
-	b, start := beginFrame(b, ftLeaseReport)
+	b = appendU64(b, f.ReqID)
 	b = appendStr(b, f.Tenant)
 	b = appendStr(b, f.FrontEnd)
-	b = appendF64(b, f.DemandQPS)
-	return endFrame(b, start)
+	return appendF64(b, f.DemandQPS)
 }
 
-func decodeLeaseReport(payload []byte) (f leaseReportFrame, err error) {
-	r := openFrame(payload, ftLeaseReport)
+func decodeLeaseReport(body string) (f leaseReportFrame, err error) {
+	r := rbuf{s: body}
+	f.ReqID = r.u64()
 	f.Tenant = r.str()
 	f.FrontEnd = r.str()
 	f.DemandQPS = r.f64()
@@ -509,107 +477,21 @@ func decodeLeaseReport(payload []byte) (f leaseReportFrame, err error) {
 }
 
 func appendLeaseGrant(b []byte, f leaseGrantFrame) []byte {
-	b, start := beginFrame(b, ftLeaseGrant)
+	b = appendU64(b, f.ReqID)
 	b = appendStr(b, f.Tenant)
 	b = appendF64(b, f.Capacity)
 	b = appendF64(b, f.RefillPerSec)
-	b = appendI64(b, f.TTLNanos)
-	return endFrame(b, start)
+	return appendI64(b, f.TTLNanos)
 }
 
-func decodeLeaseGrant(payload []byte) (f leaseGrantFrame, err error) {
-	r := openFrame(payload, ftLeaseGrant)
+func decodeLeaseGrant(body string) (f leaseGrantFrame, err error) {
+	r := rbuf{s: body}
+	f.ReqID = r.u64()
 	f.Tenant = r.str()
 	f.Capacity = r.f64()
 	f.RefillPerSec = r.f64()
 	f.TTLNanos = r.i64()
 	return f, r.done()
-}
-
-// decodeFrame parses one frame payload (the bytes after the length
-// prefix) into its typed struct through the decoder of its type byte —
-// the same decoders the client and the server call directly when they
-// know which frame they expect. Unknown types and malformed bodies
-// return an error wrapping ErrProtocol; decodeFrame never panics —
-// FuzzServeFrame holds it to that.
-func decodeFrame(payload []byte) (any, error) {
-	r := rbuf{b: payload}
-	switch ft := r.u8(); ft {
-	case ftHello:
-		return boxed(decodeHello(payload))
-	case ftHelloAck:
-		return boxed(decodeHelloAck(payload))
-	case ftSearch:
-		return boxed(decodeSearch(payload))
-	case ftResult:
-		return boxed(decodeResult(payload))
-	case ftSnapshot:
-		return boxed(decodeSnapshot(payload))
-	case ftSnapshotAck:
-		return boxed(decodeSnapshotAck(payload))
-	case ftLeaseReport:
-		return boxed(decodeLeaseReport(payload))
-	case ftLeaseGrant:
-		return boxed(decodeLeaseGrant(payload))
-	default:
-		if r.err != nil {
-			return nil, r.err // empty payload: no type byte at all
-		}
-		return nil, fmt.Errorf("%w: unknown frame type %d", ErrProtocol, ft)
-	}
-}
-
-// boxed returns a typed decoder's frame as decodeFrame's result, or
-// only its error.
-func boxed[F any](f F, err error) (any, error) {
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// writeFrame writes one frame an appendX built, in one Write. Callers
-// serialize writes per connection (connWriter holds a lock; the hello
-// and the lease exchange run one at a time on their connection).
-func writeFrame(w io.Writer, frame []byte) error {
-	if n := len(frame) - frameHead; n > maxFrameSize {
-		return fmt.Errorf("%w: frame of %d bytes exceeds cap", ErrProtocol, n)
-	}
-	_, err := w.Write(frame)
-	return err
-}
-
-// frameReader reads one connection's frames through a bufio.Reader into
-// one payload buffer it reuses from frame to frame.
-type frameReader struct {
-	br  *bufio.Reader
-	hdr [frameHead]byte
-	buf []byte
-}
-
-// readFrame reads one frame and returns its payload, which is valid
-// only until the next call. An oversized length prefix is a typed
-// protocol error surfaced before any payload allocation.
-func (r *frameReader) readFrame() ([]byte, error) {
-	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
-		return nil, err // transport-level: EOF on clean close
-	}
-	n := binary.BigEndian.Uint32(r.hdr[:])
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("%w: frame length %d exceeds cap", ErrProtocol, n)
-	}
-	buf := r.buf
-	if int(n) > cap(buf) {
-		buf = make([]byte, n)
-		if n <= maxFrameBuffer {
-			r.buf = buf
-		}
-	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		return nil, fmt.Errorf("%w: short frame: %v", ErrProtocol, err)
-	}
-	return payload, nil
 }
 
 // encodeError projects err onto the wire triplet via the facade

@@ -1,28 +1,30 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
 	"semtree"
+	"semtree/internal/column"
 	"semtree/internal/triple"
 )
 
-// TestWireGolden pins the bytes of one frame of every type, length
-// prefix included: the hex was recorded before the encoders became
-// append-style and must not move without a protoVersion bump. The
-// frames are appended one after another into one buffer, so an encoder
-// that fills its length prefix at the wrong offset fails too, and each
-// decodes back to the frame it was built from.
+// TestWireGolden pins the bytes of one frame of every type, head
+// included: the hex may not move without a protoVersion bump (it was
+// recorded when version 2 put the bodies under the fabric's frame). The
+// frames are read back in order from one stream through one reader and
+// buffer, as a connection reads them, and each decodes to the frame it
+// was built from.
 func TestWireGolden(t *testing.T) {
 	q := triple.Triple{
 		Subject:   triple.NewConcept("std", "OBSW001"),
@@ -33,13 +35,13 @@ func TestWireGolden(t *testing.T) {
 		frame any
 		hex   string
 	}{
-		{helloFrame{Version: protoVersion, Token: "tok"}, "0000000c010000000100000003746f6b"},
-		{helloAckFrame{Version: protoVersion, Code: 65, Msg: "auth"}, "000000110200000001000000410000000461757468"},
+		{helloFrame{ReqID: 4294967297, Version: protoVersion, Token: "tok"}, "011300000001000000010000000200000003746f6b"},
+		{helloAckFrame{ReqID: 4294967297, Version: protoVersion, Code: 65, Msg: "auth"}, "0218000000010000000100000002000000410000000461757468"},
 		{
 			searchFrame{ReqID: 7, Deadline: 1_700_000_000_000_000_000, Mode: 1, K: 5, ExactFactor: 2, Radius: 0.5, Query: q},
-			"0000006d03000000000000000717979cfe362a000001000000000000000500000000000000023fe000000000000000000000" +
-				"0003737464000000074f42535730303100000000000346756e00000009626c6f636b5f636d64000000000007436d64547970" +
-				"650000000873746172742d7570",
+			"036c000000000000000717979cfe362a000001000000000000000500000000000000023fe00000000000000000000000037374" +
+				"64000000074f42535730303100000000000346756e00000009626c6f636b5f636d64000000000007436d6454797065000000" +
+				"0873746172742d7570",
 		},
 		{
 			resultFrame{
@@ -51,66 +53,124 @@ func TestWireGolden(t *testing.T) {
 					{ID: 9, Dist: 0.5, Triple: q, Prov: triple.Provenance{Doc: "doc", Seq: -2}},
 				},
 			},
-			"000001280400000000000000070000000000000000000000000000000000000000000000000b000000000000000300000000" +
-				"0000002a00000000000000020000000000000004000000000000000100000000000030390000000373657100000002000000" +
-				"00000000033fd0000000000000000000000003737464000000074f42535730303100000000000346756e00000009626c6f63" +
-				"6b5f636d64000000000007436d64547970650000000873746172742d75700000000164000000017300000000000000010000" +
-				"0000000000093fe0000000000000000000000003737464000000074f42535730303100000000000346756e00000009626c6f" +
-				"636b5f636d64000000000007436d64547970650000000873746172742d757000000003646f6300000000fffffffffffffffe",
+			"04a70200000000000000070000000000000000000000000000000000000000000000000b00000000000000030000000000" +
+				"00002a0000000000000002000000000000000400000000000000010000000000003039000000037365710000000200000000" +
+				"000000033fd0000000000000000000000003737464000000074f42535730303100000000000346756e00000009626c6f636b" +
+				"5f636d64000000000007436d64547970650000000873746172742d757000000001640000000173000000000000000100000000" +
+				"000000093fe0000000000000000000000003737464000000074f42535730303100000000000346756e00000009626c6f636b" +
+				"5f636d64000000000007436d64547970650000000873746172742d757000000003646f6300000000fffffffffffffffe",
 		},
-		{snapshotFrame{ReqID: 1}, "00000009050000000000000001"},
+		{snapshotFrame{ReqID: 1}, "05080000000000000001"},
 		{
 			snapshotAckFrame{ReqID: 1, HasErr: true, Code: 67, Msg: "no", Detail: 5, Bytes: 4096},
-			"000000240600000000000000010100000043000000026e6f00000000000000050000000000001000",
+			"062300000000000000010100000043000000026e6f00000000000000050000000000001000",
 		},
 		{
-			leaseReportFrame{Tenant: "acme", FrontEnd: "fe0", DemandQPS: 12.5},
-			"00000018070000000461636d65000000036665304029000000000000",
+			leaseReportFrame{ReqID: 3, Tenant: "acme", FrontEnd: "fe0", DemandQPS: 12.5},
+			"071f00000000000000030000000461636d65000000036665304029000000000000",
 		},
 		{
-			leaseGrantFrame{Tenant: "acme", Capacity: 100, RefillPerSec: 25, TTLNanos: 1e9},
-			"00000021080000000461636d6540590000000000004039000000000000000000003b9aca00",
+			leaseGrantFrame{ReqID: 3, Tenant: "acme", Capacity: 100, RefillPerSec: 25, TTLNanos: 1e9},
+			"082800000000000000030000000461636d6540590000000000004039000000000000000000003b9aca00",
 		},
 	}
 	var all []byte
 	for _, g := range golden {
-		start := len(all)
-		all = appendAny(t, all, g.frame)
-		if got := hex.EncodeToString(all[start:]); got != g.hex {
-			t.Fatalf("%T moved on the wire:\ngot  %s\nwant %s", g.frame, got, g.hex)
+		frame := frameBytes(t, g.frame)
+		if got := hex.EncodeToString(frame); got != g.hex {
+			t.Errorf("%T moved on the wire:\ngot  %s\nwant %s", g.frame, got, g.hex)
 		}
-		back, err := decodeFrame(all[start+frameHead:])
+		all = append(all, frame...)
+	}
+	br := bufio.NewReader(bytes.NewReader(all))
+	var in column.Frame
+	for _, g := range golden {
+		ft, body, _, err := in.Read(br, maxFrameSize)
 		if err != nil {
 			t.Fatalf("%T: %v", g.frame, err)
 		}
-		if again := appendAny(t, nil, back); !bytes.Equal(again, all[start:]) {
-			t.Fatalf("%T decodes to %+v, which re-encodes as %x", g.frame, back, again)
+		back, err := decodeFrame(ft, string(body))
+		if err != nil {
+			t.Fatalf("%T: %v", g.frame, err)
+		}
+		if !reflect.DeepEqual(back, g.frame) {
+			t.Fatalf("%T decodes to %+v, want %+v", g.frame, back, g.frame)
 		}
 	}
 }
 
-// appendAny appends frame with the encoder of its type.
-func appendAny(t *testing.T, b []byte, frame any) []byte {
+// appendAny appends the body of frame with the encoder of its type and
+// returns the type.
+func appendAny(tb testing.TB, b []byte, frame any) (uint8, []byte) {
 	switch f := frame.(type) {
 	case helloFrame:
-		return appendHello(b, f)
+		return ftHello, appendHello(b, f)
 	case helloAckFrame:
-		return appendHelloAck(b, f)
+		return ftHelloAck, appendHelloAck(b, f)
 	case searchFrame:
-		return appendSearch(b, f)
+		return ftSearch, appendSearch(b, f)
 	case resultFrame:
-		return appendResult(b, f)
+		return ftResult, appendResult(b, f)
 	case snapshotFrame:
-		return appendSnapshot(b, f)
+		return ftSnapshot, appendSnapshot(b, f)
 	case snapshotAckFrame:
-		return appendSnapshotAck(b, f)
+		return ftSnapshotAck, appendSnapshotAck(b, f)
 	case leaseReportFrame:
-		return appendLeaseReport(b, f)
+		return ftLeaseReport, appendLeaseReport(b, f)
 	case leaseGrantFrame:
-		return appendLeaseGrant(b, f)
+		return ftLeaseGrant, appendLeaseGrant(b, f)
 	}
-	t.Fatalf("no encoder for %T", frame)
-	return nil
+	tb.Fatalf("no encoder for %T", frame)
+	return 0, nil
+}
+
+// frameBytes returns frame as a connection writes it: its type, its
+// body's length and its body.
+func frameBytes(tb testing.TB, frame any) []byte {
+	var f column.Frame
+	b := f.Body()
+	var ft uint8
+	ft, *b = appendAny(tb, *b, frame)
+	var out bytes.Buffer
+	if _, err := f.Send(&out, ft, maxFrameSize); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// decodeFrame decodes a body of type ft with the decoder of its type.
+// Unknown types and malformed bodies return an error wrapping
+// ErrProtocol; decodeFrame never panics — FuzzServeFrame holds it to
+// that.
+func decodeFrame(ft uint8, body string) (any, error) {
+	switch ft {
+	case ftHello:
+		return boxed(decodeHello(body))
+	case ftHelloAck:
+		return boxed(decodeHelloAck(body))
+	case ftSearch:
+		return boxed(decodeSearch(body))
+	case ftResult:
+		return boxed(decodeResult(body))
+	case ftSnapshot:
+		return boxed(decodeSnapshot(body))
+	case ftSnapshotAck:
+		return boxed(decodeSnapshotAck(body))
+	case ftLeaseReport:
+		return boxed(decodeLeaseReport(body))
+	case ftLeaseGrant:
+		return boxed(decodeLeaseGrant(body))
+	}
+	return nil, fmt.Errorf("%w: unknown frame type %d", ErrProtocol, ft)
+}
+
+// boxed returns a typed decoder's frame as decodeFrame's result, or
+// only its error.
+func boxed[F any](f F, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // TestMatchCountBoundedByBytesLeft: a result frame may claim exactly as
@@ -120,20 +180,20 @@ func appendAny(t *testing.T, b []byte, frame any) []byte {
 // per claimed match a sized slice would take.
 func TestMatchCountBoundedByBytesLeft(t *testing.T) {
 	const fits = 1000
-	head := appendResult(nil, resultFrame{ReqID: 1})[frameHead:]
+	head := appendResult(nil, resultFrame{ReqID: 1})
 	head = head[:len(head)-4] // drop the zero count
-	frame := func(count uint32) []byte {
+	body := func(count uint32) string {
 		b := binary.BigEndian.AppendUint32(slices.Clone(head), count)
-		return append(b, make([]byte, fits*minMatchSize)...)
+		return string(append(b, make([]byte, fits*minMatchSize)...))
 	}
-	f, err := decodeFrame(frame(fits))
+	f, err := decodeFrame(ftResult, body(fits))
 	if err != nil || len(f.(resultFrame).Matches) != fits {
 		t.Fatalf("%d all-zero matches in %d bytes: %v", fits, fits*minMatchSize, err)
 	}
-	hostile := frame(fits + 1)
+	hostile := body(fits + 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = decodeFrame(hostile)
+	_, err = decodeFrame(ftResult, hostile)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("%d matches claimed in %d bytes: err = %v, want ErrProtocol", fits+1, fits*minMatchSize, err)
@@ -143,33 +203,27 @@ func TestMatchCountBoundedByBytesLeft(t *testing.T) {
 	}
 }
 
-// respond answers every frame on conn without allocating: a hello with
-// an accepting ack, anything else with reply, the request's ReqID
-// copied in. It reads into one fixed buffer and writes pre-encoded
-// bytes, so an allocation count taken around a Client.Search counts the
-// client's alone.
-func respond(conn net.Conn, reply []byte) {
+// respond answers every frame on conn without allocating once warm: a
+// hello with ack, anything else with reply — both whole frames — the
+// request's ReqID copied in. It reads through one reused buffer and
+// writes pre-encoded bytes, so an allocation count taken around a
+// Client.Search counts the client's alone.
+func respond(conn net.Conn, ack, reply []byte) {
 	defer conn.Close()
-	ack := appendHelloAck(nil, helloAckFrame{Version: protoVersion})
-	reply = slices.Clone(reply)
-	buf := make([]byte, maxFrameBuffer)
+	ack, reply = slices.Clone(ack), slices.Clone(reply)
+	br := bufio.NewReader(conn)
+	var in column.Frame
 	for {
-		if _, err := io.ReadFull(conn, buf[:frameHead]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(buf)
-		if n < 9 || n > uint32(len(buf)) {
-			return
-		}
-		if _, err := io.ReadFull(conn, buf[:n]); err != nil {
+		ft, body, _, err := in.Read(br, maxFrameSize)
+		if err != nil || len(body) < 8 {
 			return
 		}
 		out := reply
-		if buf[0] == ftHello {
+		if ft == ftHello {
 			out = ack
-		} else {
-			copy(reply[frameHead+1:], buf[1:9])
 		}
+		_, k := binary.Uvarint(out[1:])
+		copy(out[1+k:], body[:8])
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
@@ -185,7 +239,8 @@ func dialResponder(tb testing.TB) *Client {
 		matches[i] = semtree.Match{ID: triple.ID(i), Dist: float64(i) / 10, Triple: q,
 			Prov: triple.Provenance{Doc: fmt.Sprintf("doc%d", i), Section: "sec", Seq: i}}
 	}
-	reply := appendResult(nil, resultFrame{Stats: semtree.ExecStats{Partitions: 1, Protocol: "seq"}, Matches: matches})
+	ack := frameBytes(tb, helloAckFrame{Version: protoVersion})
+	reply := frameBytes(tb, resultFrame{Stats: semtree.ExecStats{Partitions: 1, Protocol: "seq"}, Matches: matches})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -196,7 +251,7 @@ func dialResponder(tb testing.TB) *Client {
 			if err != nil {
 				return
 			}
-			go respond(conn, reply)
+			go respond(conn, ack, reply)
 		}
 	}()
 	cl, err := Dial(context.Background(), lis.Addr().String(), "tok")
