@@ -82,7 +82,11 @@
 // behind a length-prefixed binary protocol, propagating client
 // deadlines into contexts and carrying every sentinel across the wire
 // as a stable numeric code (ErrorCode, RegisterErrorCode) so
-// errors.Is works identically on both sides of the connection. A
+// errors.Is works identically on both sides of the connection. The
+// TCP fabric between partitions codes its errors from the same
+// registry, so a partition's refusal of a request that does not fit its
+// state — ErrRequestRefused, permanent and never retried — arrives
+// typed however the tree is deployed. A
 // fleet of such front-ends can lease per-tenant refill shares from a
 // central allocator, making one tenant's quota fleet-wide rather than
 // per-process.

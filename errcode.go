@@ -1,174 +1,59 @@
 package semtree
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"sync"
-
+	"semtree/internal/errcode"
 	"semtree/internal/triple"
 )
 
-// This file is the wire-stable error-code registry: every exported
-// sentinel error of the facade carries a stable numeric code, so a
-// server-side rejection can cross a process boundary as (code, message)
-// and decode on the client to the *same* sentinel under errors.Is. The
-// codes are part of the serving tier's wire contract — once assigned,
-// a code never changes meaning and is never reused (append-only, like
-// the snapshot version). The registry-completeness test reflects over
-// the package's exported Err* declarations, so a new sentinel without
-// a code fails the build.
-
-// ErrorCode is a stable numeric identifier for one sentinel error.
-// Code 0 (CodeUnknown) is reserved for errors without a registered
-// sentinel; codes 1–63 are reserved for this package, 64 and up for
-// the serving tier (internal/serve registers its own sentinels at
-// init). Codes are wire-stable: they never change meaning.
-type ErrorCode uint32
+// ErrorCode is a stable numeric identifier for one sentinel error, from
+// the one table both wires use (internal/errcode): an error crosses as
+// (code, detail, message) and decodes to the same sentinel under
+// errors.Is. 0 is none, 1–63 this package's and the engine's, 64 and up
+// the serving tier's. A code never changes meaning; the
+// registry-completeness test fails on an exported Err* without one.
+type ErrorCode = errcode.Code
 
 // The facade's assigned codes. Append new codes; never renumber.
 const (
-	// CodeUnknown marks an error with no registered sentinel: the
-	// message still crosses the wire, but the client cannot match it
-	// with errors.Is beyond the generic failure.
-	CodeUnknown ErrorCode = 0
-	// CodeAdmissionRejected is ErrAdmissionRejected.
-	CodeAdmissionRejected ErrorCode = 1
-	// CodeDeadlineBudget is ErrDeadlineBudget.
-	CodeDeadlineBudget ErrorCode = 2
-	// CodeQuotaExhausted is ErrQuotaExhausted.
-	CodeQuotaExhausted ErrorCode = 3
-	// CodeSnapshotCorrupt is ErrSnapshotCorrupt.
-	CodeSnapshotCorrupt ErrorCode = 4
-	// CodeUnindexedID is the typed ErrUnindexedID; its Detail carries
-	// the offending triple ID, so the decoded error matches errors.As
-	// with the ID intact.
-	CodeUnindexedID ErrorCode = 5
-	// CodeCanceled is context.Canceled: the query's own context was
-	// cancelled (client-side or propagated to the server).
-	CodeCanceled ErrorCode = 6
-	// CodeDeadlineExceeded is context.DeadlineExceeded: the query's
-	// deadline expired before the answer was complete.
-	CodeDeadlineExceeded ErrorCode = 7
+	CodeUnknown           = errcode.Unknown           // no registered sentinel: only the message crosses
+	CodeAdmissionRejected = errcode.AdmissionRejected // ErrAdmissionRejected
+	CodeDeadlineBudget    = errcode.DeadlineBudget    // ErrDeadlineBudget
+	CodeQuotaExhausted    = errcode.QuotaExhausted    // ErrQuotaExhausted
+	CodeSnapshotCorrupt   = errcode.SnapshotCorrupt   // ErrSnapshotCorrupt
+	CodeUnindexedID       = errcode.UnindexedID       // ErrUnindexedID; its detail is the triple ID
+	CodeCanceled          = errcode.Canceled          // context.Canceled
+	CodeDeadlineExceeded  = errcode.DeadlineExceeded  // context.DeadlineExceeded
+	CodeRequestRefused    = errcode.RequestRefused    // ErrRequestRefused
 )
-
-// codedSentinel is one registry entry.
-type codedSentinel struct {
-	code ErrorCode
-	err  error
-}
-
-var (
-	errRegistryMu sync.RWMutex
-	errRegistry   []codedSentinel         // match order for CodeOf
-	errByCode     = map[ErrorCode]error{} // decode table
-	codeBySent    = map[error]ErrorCode{} // duplicate-registration guard
-)
-
-// RegisterErrorCode assigns a wire code to a sentinel error. The
-// facade's own sentinels are registered at init; the serving tier
-// registers its protocol-level sentinels (auth, draining, malformed
-// frames) in the 64+ range. Registration panics on a reused code, a
-// re-registered sentinel, code 0 or a nil sentinel — a collision is a
-// programming error that would silently corrupt the wire contract.
-// CodeOf matches sentinels in registration order with errors.Is.
-func RegisterErrorCode(c ErrorCode, sentinel error) {
-	if c == CodeUnknown {
-		panic("semtree: cannot register CodeUnknown")
-	}
-	if sentinel == nil {
-		panic("semtree: cannot register a nil sentinel")
-	}
-	errRegistryMu.Lock()
-	defer errRegistryMu.Unlock()
-	if _, dup := errByCode[c]; dup {
-		panic(fmt.Sprintf("semtree: error code %d registered twice", c))
-	}
-	if _, dup := codeBySent[sentinel]; dup {
-		panic(fmt.Sprintf("semtree: sentinel %q registered twice", sentinel))
-	}
-	errRegistry = append(errRegistry, codedSentinel{code: c, err: sentinel})
-	errByCode[c] = sentinel
-	codeBySent[sentinel] = c
-}
 
 func init() {
-	RegisterErrorCode(CodeAdmissionRejected, ErrAdmissionRejected)
-	RegisterErrorCode(CodeDeadlineBudget, ErrDeadlineBudget)
-	RegisterErrorCode(CodeQuotaExhausted, ErrQuotaExhausted)
-	RegisterErrorCode(CodeSnapshotCorrupt, ErrSnapshotCorrupt)
-	RegisterErrorCode(CodeCanceled, context.Canceled)
-	RegisterErrorCode(CodeDeadlineExceeded, context.DeadlineExceeded)
+	errcode.RegisterType(CodeUnindexedID,
+		func(e ErrUnindexedID) uint64 { return uint64(e.ID) },
+		func(id uint64) ErrUnindexedID { return ErrUnindexedID{ID: triple.ID(id)} })
 }
 
-// CodeOf returns the wire code of err: the code of the first
-// registered sentinel err matches under errors.Is (registration
-// order), CodeUnindexedID for the typed ErrUnindexedID, CodeUnknown
-// otherwise. A nil error has no code; CodeOf(nil) returns CodeUnknown.
+// RegisterErrorCode assigns a wire code to a sentinel error, from an
+// init function (internal/serve's, in the 64+ range). It panics on a
+// reused code, a re-registered sentinel, code 0 or a nil sentinel.
+func RegisterErrorCode(c ErrorCode, sentinel error) { errcode.Register(c, sentinel) }
+
+// CodeOf returns the wire code of err: that of the first registered
+// entry it matches, in registration order, else CodeUnknown.
 func CodeOf(err error) ErrorCode {
-	if err == nil {
-		return CodeUnknown
-	}
-	var unindexed ErrUnindexedID
-	if errors.As(err, &unindexed) {
-		return CodeUnindexedID
-	}
-	errRegistryMu.RLock()
-	defer errRegistryMu.RUnlock()
-	for _, cs := range errRegistry {
-		if errors.Is(err, cs.err) {
-			return cs.code
-		}
-	}
-	return CodeUnknown
+	c, _ := errcode.Of(err)
+	return c
 }
 
 // ErrorDetail returns the numeric payload a coded error carries across
-// the wire: the offending triple ID for ErrUnindexedID, 0 for every
-// other error.
+// the wire: the offending triple ID for ErrUnindexedID, else 0.
 func ErrorDetail(err error) uint64 {
-	var unindexed ErrUnindexedID
-	if errors.As(err, &unindexed) {
-		return uint64(unindexed.ID)
-	}
-	return 0
+	_, d := errcode.Of(err)
+	return d
 }
 
-// codedError is a decoded wire error: the remote message with the
-// local sentinel attached, so errors.Is sees the same sentinel on both
-// sides of the wire.
-type codedError struct {
-	code     ErrorCode
-	msg      string
-	sentinel error // nil for CodeUnknown
-}
-
-func (e *codedError) Error() string { return e.msg }
-func (e *codedError) Unwrap() error { return e.sentinel }
-
-// Code returns the wire code the error was decoded from.
-func (e *codedError) Code() ErrorCode { return e.code }
-
-// DecodeError reconstructs an error from its wire form (code, message,
-// detail). For a registered code the result matches the original
-// sentinel under errors.Is; CodeUnindexedID reconstructs the typed
-// ErrUnindexedID from detail (so errors.As recovers the ID and the
-// message is regenerated byte-identically); CodeUnknown yields a plain
-// error carrying only the message. DecodeError(code, …) of a nil
-// failure is not a thing: callers decode only frames that carried an
-// error.
+// DecodeError reconstructs an error from its wire form: one that
+// matches the registered sentinel under errors.Is, or ErrUnindexedID
+// (ID intact) under errors.As, or for CodeUnknown only reads as msg.
 func DecodeError(c ErrorCode, msg string, detail uint64) error {
-	if c == CodeUnindexedID {
-		return ErrUnindexedID{ID: triple.ID(detail)}
-	}
-	errRegistryMu.RLock()
-	sentinel := errByCode[c]
-	errRegistryMu.RUnlock()
-	//semtree:allow typederr: not classification — byte-identity check of the wire text against the sentinel's canonical message, to return the sentinel unwrapped
-	if sentinel != nil && msg == sentinel.Error() {
-		// The wire carried exactly the sentinel: return it unwrapped so
-		// the decoded error is byte-identical to the in-process one.
-		return sentinel
-	}
-	return &codedError{code: c, msg: msg, sentinel: sentinel}
+	return errcode.Decode(c, msg, detail)
 }

@@ -75,6 +75,7 @@ func TestErrorCodeRegistryComplete(t *testing.T) {
 		"ErrDeadlineBudget":    ErrDeadlineBudget,
 		"ErrQuotaExhausted":    ErrQuotaExhausted,
 		"ErrSnapshotCorrupt":   ErrSnapshotCorrupt,
+		"ErrRequestRefused":    ErrRequestRefused,
 		"ErrUnindexedID":       ErrUnindexedID{ID: 42},
 	}
 	names := collectExportedErrDecls(t, ".")
@@ -102,6 +103,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		ErrDeadlineBudget,
 		ErrQuotaExhausted,
 		ErrSnapshotCorrupt,
+		ErrRequestRefused,
 		context.Canceled,
 		context.DeadlineExceeded,
 	}

@@ -486,41 +486,6 @@ func TestTCPLargeExchangePooled(t *testing.T) {
 	}
 }
 
-// TestFabricSentinels: a handler error wrapping a fabric sentinel or a
-// context error keeps that identity on every fabric: errors.Is holds
-// for the caller over TCP as it does in process, and the text crosses
-// too.
-func TestFabricSentinels(t *testing.T) {
-	sentinels := []error{ErrTransient, ErrClosed, ErrUnknownNode, context.Canceled, context.DeadlineExceeded}
-	for name, mk := range fabrics() {
-		t.Run(name, func(t *testing.T) {
-			f := mk()
-			defer f.Close()
-			id, _ := f.AddNode(func(ctx context.Context, from NodeID, req any) (any, error) {
-				if i := len(req.(echoReq).Msg); i < len(sentinels) {
-					return nil, fmt.Errorf("partition 3: %w", sentinels[i])
-				}
-				return echoHandler(ctx, from, req)
-			})
-			for i, s := range sentinels {
-				_, err := f.Call(context.Background(), ClientID, id, echoReq{Msg: strings.Repeat("x", i)})
-				//semtree:allow typederr: not classification — the handler's own text must cross the wire beside its identity
-				if !errors.Is(err, s) || !strings.Contains(err.Error(), "partition 3: "+s.Error()) {
-					t.Errorf("handler returned %q: caller got %v", s, err)
-				}
-				for _, other := range sentinels {
-					if other != s && errors.Is(err, other) {
-						t.Errorf("handler returned %q: caller's %v is also %q", s, err, other)
-					}
-				}
-			}
-			if _, err := f.Call(context.Background(), ClientID, id, echoReq{Msg: "past every sentinel"}); err != nil {
-				t.Fatalf("the node no longer answers: %v", err)
-			}
-		})
-	}
-}
-
 // TestTCPFallback: a payload with no codec but registered with
 // RegisterMessage crosses as a gob blob, each frame on its own — the
 // first and a later one cost the same bytes — and Stats counts both of

@@ -13,11 +13,12 @@ import (
 // cluster_test, so that importing internal/core registers the partition
 // protocol's kinds beside this package's test kinds.
 
-// EncodeFrame returns the frame a connection end writes for payload.
-func EncodeFrame(from NodeID, deadline int64, payload any) ([]byte, error) {
+// EncodeFrame returns the frame a connection end writes for payload,
+// or, when replyErr is not nil, the error reply carrying it.
+func EncodeFrame(from NodeID, deadline int64, payload any, replyErr error) ([]byte, error) {
 	var out bytes.Buffer
 	c := wire{w: &out}
-	kind, _, err := c.encode(header{from: from, deadline: deadline}, payload)
+	kind, _, err := c.encode(header{from: from, deadline: deadline, err: replyErr}, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -65,3 +66,12 @@ func Kinds() []byte {
 
 // TestKinds are the kinds of this package's own test protocol.
 var TestKinds = []byte{kindEchoReq, kindEchoResp}
+
+// Fabrics returns a constructor of each fabric, by name.
+var Fabrics = fabrics
+
+// EchoReq is the request of this package's test protocol.
+type EchoReq = echoReq
+
+// EchoHandler answers an EchoReq.
+var EchoHandler = echoHandler

@@ -45,6 +45,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"semtree/internal/errcode"
 )
 
 // NodeID names a fabric node (a partition host). The client/coordinator
@@ -99,6 +101,16 @@ var ErrClosed = errors.New("cluster: fabric closed")
 
 // ErrUnknownNode is returned when calling an unregistered address.
 var ErrUnknownNode = errors.New("cluster: unknown node")
+
+// The fabric registers its sentinels and the context errors, first of
+// all and ErrTransient first, so an error wrapping it stays retryable.
+func init() {
+	errcode.Register(errcode.Transient, ErrTransient)
+	errcode.Register(errcode.Closed, ErrClosed)
+	errcode.Register(errcode.UnknownNode, ErrUnknownNode)
+	errcode.Register(errcode.Canceled, context.Canceled)
+	errcode.Register(errcode.DeadlineExceeded, context.DeadlineExceeded)
+}
 
 // CallSample is one completed (or failed) Call as seen by an Observe
 // wrapper: the destination node, the caller-observed round-trip wall

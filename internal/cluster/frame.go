@@ -2,28 +2,28 @@ package cluster
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 
 	"semtree/internal/column"
+	"semtree/internal/errcode"
 )
 
 // A TCP fabric carries one message per frame, column.Frame's with no
 // limit, the frame the serving tier's wire uses too:
 //
 //	frame = kind:byte  length:uvarint  body[length]
-//	body  = from:varint  deadline:varint  code:byte  (text | payload)
+//	body  = from:varint  deadline:varint  failed:byte  (payload | error)
+//	error = code:uvarint  detail:uvarint  message:text
 //
 // from is the caller's NodeID and deadline its context deadline in unix
-// nanoseconds (0 = none); both are 0 in a reply. code 0 means the body
-// ends with a payload of the frame's kind: kinds 1–255 are Messages,
-// decoded by the Decode registered for their kind; kind 0 is no payload
-// when nothing follows, else the gob fallback (RegisterMessage). Any
-// other code makes the frame an error reply of kind 0: text is the
-// handler's error, and the code names the sentinel it wraps
-// (wireErrors).
+// nanoseconds (0 = none); both are 0 in a reply. failed 0 means the
+// body ends with a payload of the frame's kind: kinds 1–255 are
+// Messages, decoded by the Decode registered for their kind; kind 0 is
+// no payload when nothing follows, else the gob fallback
+// (RegisterMessage). failed 1 makes the frame an error reply of kind 0,
+// coded by internal/errcode as the serving tier's wire codes errors.
 
 // Message is a payload with a hand-written codec: a TCP fabric frames
 // it under WireKind, encodes it with AppendWire, and decodes it on the
@@ -57,31 +57,6 @@ type header struct {
 	err      error // an error reply's handler error
 }
 
-// wireErrors are the errors a reply names by code: code i+2 is
-// wireErrors[i], and code 1 an error none of them matches. The first
-// match wins, so an error wrapping ErrTransient stays retryable.
-var wireErrors = [...]error{ErrTransient, ErrClosed, ErrUnknownNode, context.Canceled, context.DeadlineExceeded}
-
-func errorCode(err error) byte {
-	for i, s := range wireErrors {
-		if errors.Is(err, s) {
-			return byte(i + 2)
-		}
-	}
-	return 1
-}
-
-// remoteError is a handler's error as its TCP caller sees it: the text
-// it crossed the wire as, wrapping the sentinel its code named, so
-// errors.Is holds across the wire as it does in process.
-type remoteError struct {
-	text string
-	is   error // nil when no code named one
-}
-
-func (e *remoteError) Error() string { return "cluster: remote error: " + e.text }
-func (e *remoteError) Unwrap() error { return e.is }
-
 // wire is one end of a connection: buffered reads, and one frame buffer
 // both directions share. Frames are column.Frame's, with no limit: a
 // bulk load's install carries megabytes.
@@ -102,7 +77,10 @@ func (c *wire) encode(h header, payload any) (kind byte, fallback bool, err erro
 	b.Varint(int64(h.from))
 	b.Varint(h.deadline)
 	if h.err != nil {
-		b.Byte(errorCode(h.err))
+		code, detail := errcode.Of(h.err)
+		b.Byte(1)
+		b.Uvarint(uint64(code))
+		b.Uvarint(detail)
 		b.Text(h.err.Error())
 	} else {
 		b.Byte(0)
@@ -127,26 +105,23 @@ func (c *wire) decode(kind byte, body []byte) (header, any, error) {
 	d.Reset(body)
 	h := header{from: NodeID(d.Varint()), deadline: d.Varint()}
 	var payload any
-	switch code := d.Byte(); {
-	case code == 0 && kind == 0:
+	switch failed := d.Byte(); {
+	case failed == 0 && kind == 0:
 		var err error
 		if payload, err = readGob(d.Rest()); err != nil {
 			d.Fail(err)
 		}
-	case code == 0:
+	case failed == 0:
 		if read := kinds[kind]; read != nil {
 			payload = read(d)
 		} else {
 			d.Fail(errors.New("no decoder registered"))
 		}
-	case kind != 0 || int(code) > len(wireErrors)+1:
-		d.Fail(fmt.Errorf("error code %d", code))
+	case kind != 0 || failed != 1:
+		d.Fail(fmt.Errorf("reply state %d of kind %d", failed, kind))
 	default:
-		e := &remoteError{text: d.Text()}
-		if code > 1 {
-			e.is = wireErrors[code-2]
-		}
-		h.err = e
+		code, detail := errcode.Code(d.Uint32()), d.Uvarint()
+		h.err = errcode.Decode(code, d.Text(), detail)
 	}
 	err := d.End()
 	d.Reset(nil) // the decoder keeps no hold on the frame buffer

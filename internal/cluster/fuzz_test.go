@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"semtree/internal/cluster"
 	"semtree/internal/core"
+	"semtree/internal/errcode"
 	"semtree/internal/kdtree"
 )
 
@@ -30,7 +33,7 @@ func (r *recorder) Call(ctx context.Context, from, to cluster.NodeID, req any) (
 		if !ok {
 			continue
 		}
-		frame, ferr := cluster.EncodeFrame(from, 0, v)
+		frame, ferr := cluster.EncodeFrame(from, 0, v, nil)
 		if old, seen := r.frames[m.WireKind()]; ferr == nil && (!seen || len(frame) < len(old)) {
 			r.frames[m.WireKind()] = frame
 		}
@@ -87,9 +90,9 @@ func protocolFrames(tb testing.TB) map[byte][]byte {
 // reader and to every registered decoder. Nothing may panic: every
 // rejection is an error. A length or count is believed only as far as
 // the bytes left back it, so no input allocates more than a small
-// multiple of its own size. A frame that is accepted re-encodes to a
-// fixed point: encoding what it decoded, then decoding and encoding
-// that again, gives the same bytes.
+// multiple of its own size. A frame that is accepted — a message or an
+// error reply — re-encodes to a fixed point: encoding what it decoded,
+// then decoding and encoding that again, gives the same bytes.
 func FuzzFabricFrame(f *testing.F) {
 	frames := protocolFrames(f)
 	if len(frames) < len(cluster.Kinds()) {
@@ -111,11 +114,24 @@ func FuzzFabricFrame(f *testing.F) {
 	huge := binary.AppendUvarint([]byte{cluster.Kinds()[0]}, 1<<30) // 1 GiB claimed, 200 bytes sent
 	f.Add(append(huge, bytes.Repeat([]byte{7}, 200)...))
 	f.Add([]byte{})
+	// Error replies: a registered code with a detail, an error no entry
+	// matches (code 0), and a code past the table.
+	for _, e := range []error{
+		fmt.Errorf("partition 3: %w", detailErr{N: 7}),
+		errors.New("no entry matches this"),
+		errcode.Decode(1000, "a code past the table", 3),
+	} {
+		frame, err := cluster.EncodeFrame(0, 0, nil, e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		from, deadline, payload, _, err := cluster.ReadFrame(data)
+		from, deadline, payload, replyErr, err := cluster.ReadFrame(data)
 		for _, k := range registered {
 			_, _ = cluster.DecodeKind(k, data)
 		}
@@ -123,18 +139,18 @@ func FuzzFabricFrame(f *testing.F) {
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(64*len(data))+1<<20 {
 			t.Fatalf("%d input bytes allocated %d", len(data), grown)
 		}
-		if _, ok := payload.(cluster.Message); err != nil || !ok {
+		if _, ok := payload.(cluster.Message); err != nil || (!ok && replyErr == nil) {
 			return
 		}
-		once, err := cluster.EncodeFrame(from, deadline, payload)
+		once, err := cluster.EncodeFrame(from, deadline, payload, replyErr)
 		if err != nil {
 			t.Fatalf("re-encoding %T: %v", payload, err)
 		}
-		from, deadline, payload, _, err = cluster.ReadFrame(once)
+		from, deadline, payload, replyErr, err = cluster.ReadFrame(once)
 		if err != nil {
 			t.Fatalf("reading a re-encoded %T: %v", payload, err)
 		}
-		twice, err := cluster.EncodeFrame(from, deadline, payload)
+		twice, err := cluster.EncodeFrame(from, deadline, payload, replyErr)
 		if err != nil || !bytes.Equal(once, twice) {
 			t.Fatalf("%T re-encodes to %x, then %x (%v)", payload, once, twice, err)
 		}

@@ -229,8 +229,8 @@ func (f *TCP) checkin(to NodeID, c *tcpConn) {
 // connection (so the local read never outlives it); plain cancellation
 // snaps the connection's deadlines shut, unblocking the reply read.
 // Either way the connection is then closed, not pooled. A handler's
-// error returns wrapping the same sentinel (ErrTransient, ErrClosed,
-// ErrUnknownNode or a context error) it wrapped on the serving side.
+// error returns matching what it matched on the serving side, for
+// every error internal/errcode has an entry for.
 func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	c, err := f.checkout(ctx, to)
 	if err != nil {

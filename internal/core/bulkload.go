@@ -224,15 +224,20 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // trunk links to) forward as Append batches after the lock is released.
 // Only a graft runs the capacity check: an appended fragment was put
 // here by a spill or the balanced installer, which chose this partition
-// for it.
+// for it. An entry the arena does not have, a fragment the kernel
+// rejects and one linking up the partition DAG are refused.
 func (p *partition) handleInstall(r installReq) (any, error) {
 	p.mu.Lock()
 	graft := r.Entry >= 0
 	var displaced []batchEntry
+	if err := linksDown(&r.Frag, p.Self); err != nil {
+		p.mu.Unlock()
+		return nil, p.refuse("install: %v", err)
+	}
 	if graft {
-		if int(r.Entry) >= len(p.Nodes) {
+		if err := p.checkNode(r.Entry); err != nil {
 			p.mu.Unlock()
-			return nil, fmt.Errorf("core: install: entry %d out of range", r.Entry)
+			return nil, err
 		}
 		if !p.Nodes[r.Entry].Leaf {
 			p.mu.Unlock()
@@ -243,7 +248,7 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 	root, err := p.installLocked(r.Entry, &r.Frag, r.Remote)
 	if err != nil {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("core: install: %w", err)
+		return nil, p.refuse("install: %v", err)
 	}
 	fw, landed := p.routeLocked(displaced, p.Append)
 	p.points -= len(displaced) - landed // the rest leave this partition

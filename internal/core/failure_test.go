@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -137,5 +138,25 @@ func TestQueriesSurviveLostReplies(t *testing.T) {
 	if c.Injected() == 0 || runs <= completed {
 		t.Fatalf("%d handler runs for %d completed calls, %d faults injected: no reply was lost after its handler ran",
 			runs, completed, c.Injected())
+	}
+}
+
+// TestLostReplyBulkLoadNeverPanics is the lost-reply probe on an empty
+// tree: a bulk load whose install or graft reply is lost is retried or
+// undone, and the retried requests can name nodes the partition no
+// longer has. Twenty seeds must run without a panic, and every error a
+// load returns is typed: the partitions' refusal or a transient
+// failure that exhausted its retries.
+func TestLostReplyBulkLoadNeverPanics(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
+		pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
+		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
+		err := tr.BulkLoad(context.Background(), pts)
+		if err != nil && !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
+			t.Errorf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
+		}
+		tr.Close()
+		fabric.Close()
 	}
 }

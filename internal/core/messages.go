@@ -24,6 +24,7 @@ import (
 
 	"semtree/internal/cluster"
 	"semtree/internal/column"
+	"semtree/internal/errcode"
 	"semtree/internal/kdtree"
 )
 
@@ -84,10 +85,27 @@ var kinds = map[byte]cluster.Decode{
 	kindStatsResp:    readStatsResp,
 }
 
+// ErrRequestRefused marks a request a partition refused because it does
+// not fit the partition's state — an entry node past the end of the
+// arena, a point or query of another dimension, an arena whose links do
+// not form a tree — having changed nothing. It is permanent: the same
+// request would be refused again.
+var ErrRequestRefused = errors.New("core: request refused")
+
+// refuse returns ErrRequestRefused, naming the partition and the reason.
+func (p *partition) refuse(format string, args ...any) error {
+	return fmt.Errorf("%w: partition %d: %s", ErrRequestRefused, p.id, fmt.Sprintf(format, args...))
+}
+
 func init() {
 	for kind, decode := range kinds {
 		cluster.RegisterKind(kind, decode)
 	}
+	errcode.Register(errcode.AdmissionRejected, ErrAdmissionRejected)
+	errcode.Register(errcode.DeadlineBudget, ErrDeadlineBudget)
+	errcode.Register(errcode.QuotaExhausted, ErrQuotaExhausted)
+	errcode.Register(errcode.SnapshotCorrupt, ErrSnapshotCorrupt)
+	errcode.Register(errcode.RequestRefused, ErrRequestRefused)
 }
 
 // ack is the empty acknowledgement of the requests that report nothing

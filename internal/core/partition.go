@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,8 +76,69 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 	case statsReq:
 		return p.handleStats()
 	default:
-		return nil, fmt.Errorf("core: partition %d: unknown request %T", p.id, req)
+		return nil, p.refuse("unknown request %T", req)
 	}
+}
+
+// checkNode refuses a node index the arena does not have: every request
+// naming one is checked under the lock its handler takes, before the
+// arena is indexed.
+func (p *partition) checkNode(idx int32) error {
+	if idx < 0 || int(idx) >= len(p.Nodes) {
+		return p.refuse("node %d of %d", idx, len(p.Nodes))
+	}
+	return nil
+}
+
+// checkPoint refuses coordinates of another dimension than the arena's,
+// or with a NaN, which no split plane orders.
+func (p *partition) checkPoint(coords []float64) error {
+	if len(coords) != p.Dim {
+		return p.refuse("a point of dimension %d, want %d", len(coords), p.Dim)
+	}
+	if slices.ContainsFunc(coords, math.IsNaN) {
+		return p.refuse("a point with a NaN coordinate")
+	}
+	return nil
+}
+
+// checkEntries refuses a batch with an entry the arena cannot route.
+// Callers hold the lock.
+func (p *partition) checkEntries(entries []batchEntry) error {
+	for _, e := range entries {
+		if err := p.checkNode(e.Node); err != nil {
+			return err
+		}
+		if err := p.checkPoint(e.Point.Coords); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// linksDown reports the first link of arena a — a routing node's child
+// or a tombstone's forward that leaves a — not leading down the
+// partition DAG, to a partition created after self's. In that order
+// every walk across partitions ends, and no lock a partition holds
+// across a hop is asked for again. An arena a partition installs or
+// restores, and every partition of a snapshot, is held to it.
+func linksDown(a *kdtree.Arena, self int32) error {
+	for i := range a.Nodes {
+		n := &a.Nodes[i]
+		refs := [2]kdtree.Ref{n.Left, n.Right}
+		switch {
+		case n.Moved:
+			refs = [2]kdtree.Ref{n.Fwd, n.Fwd}
+		case n.Leaf:
+			continue
+		}
+		for _, r := range refs {
+			if !a.IsLocal(r) && r.Part <= self {
+				return fmt.Errorf("node %d links to partition %d, not one after %d", i, r.Part, self)
+			}
+		}
+	}
+	return nil
 }
 
 // host returns the fabric node hosting the node a reference names.
@@ -99,14 +161,17 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 // policy (forward), so the ack covers the whole batch; a spill the batch
 // triggered runs after them.
 func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
-	fw, warm := p.warmForwards(r.Entries)
+	fw, warm, err := p.warmForwards(r.Entries)
 	spill := false
-	if !warm {
+	if err == nil && !warm {
 		p.mu.Lock()
-		fw, spill = p.ingestLocked(r)
+		fw, spill, err = p.ingestLocked(r)
 		p.mu.Unlock()
 	}
-	err := p.forward(fw, r.Policy)
+	if err != nil {
+		return nil, err
+	}
+	err = p.forward(fw, r.Policy)
 	if spill {
 		p.buildPartition()
 	}
@@ -123,21 +188,25 @@ func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
 // land here or grow a box; ingestLocked then routes the whole batch
 // again from its entry nodes — routing decisions are immutable, so the
 // second descent takes the same path above any leaf the first one found.
-func (p *partition) warmForwards(entries []batchEntry) (fw forwards, ok bool) {
+// A batch the arena cannot route is refused here, before any descent.
+func (p *partition) warmForwards(entries []batchEntry) (fw forwards, ok bool, err error) {
 	var scratch [32]int32 // the path of any descent up to 32 deep, on the stack
 	steps := 0
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	if err := p.checkEntries(entries); err != nil {
+		return nil, false, err
+	}
 	for _, e := range entries {
 		_, ref, remote, path := p.Descend(e.Node, e.Point.Coords, scratch[:0])
 		if !remote || p.forwardNeedsExpand(path, ref, e.Point.Coords) {
-			return nil, false
+			return nil, false, nil
 		}
 		steps += len(path)
 		fw.add(ref, e.Point)
 	}
 	p.navSteps.Add(int64(steps))
-	return fw, true
+	return fw, true, nil
 }
 
 // ingestLocked routes a batch (routeLocked) and lands what stays here by
@@ -145,8 +214,13 @@ func (p *partition) warmForwards(entries []batchEntry) (fw forwards, ok bool) {
 // leaf; Graft gathers the entries by leaf and grafts each leaf's share
 // in ascending leaf index (a graft appends arena slots, so the order is
 // part of the layout). It reports the forwards and whether the partition
-// must now spill. Callers hold the write lock.
-func (p *partition) ingestLocked(r bulkAddReq) (fw forwards, spill bool) {
+// must now spill. The batch is checked again: a restore may have
+// replaced the arena since warmForwards let go of the read lock.
+// Callers hold the write lock.
+func (p *partition) ingestLocked(r bulkAddReq) (fw forwards, spill bool, err error) {
+	if err := p.checkEntries(r.Entries); err != nil {
+		return nil, false, err
+	}
 	var landed int
 	if r.Policy == landAppend {
 		fw, landed = p.routeLocked(r.Entries, p.Append)
@@ -161,7 +235,7 @@ func (p *partition) ingestLocked(r bulkAddReq) (fw forwards, spill bool) {
 	}
 	p.points += landed
 	p.inserts.Add(int64(landed))
-	return fw, landed > 0 && p.capacityExceededLocked()
+	return fw, landed > 0 && p.capacityExceededLocked(), nil
 }
 
 // forwards is a router pass's outgoing entries: one batch per partition

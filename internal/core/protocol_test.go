@@ -199,6 +199,18 @@ func TestProtocolTable(t *testing.T) {
 		}
 	}
 
+	// An error reply is typed: a partition's refusal crosses TCP as
+	// ErrRequestRefused, permanent, with its text, and the partition
+	// answers the next request.
+	tr := mustTree(t, Config{Dim: 2, Fabric: fabric})
+	root := tr.rootPartition().id
+	if _, err := fabric.Call(context.Background(), cluster.ClientID, root, rangeReq{Node: 9, Query: []float64{0, 1}, D: 1}); !errors.Is(err, ErrRequestRefused) || errors.Is(err, cluster.ErrTransient) {
+		t.Errorf("a range request at node 9 of a one-node arena over TCP: %v, want a refusal", err)
+	}
+	if _, err := fabric.Call(context.Background(), cluster.ClientID, root, rangeReq{Query: []float64{0, 1}, D: 1}); err != nil {
+		t.Errorf("the refusing partition no longer answers: %v", err)
+	}
+
 	// An arena travels as its v4 columns and no box block: a bulk-built
 	// fragment's installReq is the payloads of the columns a snapshot
 	// file writes for it, its remote boxes' runs and a short header —
@@ -609,4 +621,101 @@ func TestRebalanceOrderStable(t *testing.T) {
 			t.Fatalf("point %d: snapshot walk has ID %d, live walk ID %d", i, got[i].ID, want[i].ID)
 		}
 	}
+}
+
+// withNodesPastEnd returns m with every node it names set past the end
+// of any arena the fuzz tree holds, or nil when it names none.
+func withNodesPastEnd(m any) any {
+	const past = 1 << 20
+	switch r := m.(type) {
+	case bulkAddReq:
+		r.Entries = slices.Clone(r.Entries)
+		for i := range r.Entries {
+			r.Entries[i].Node = past
+		}
+		return r
+	case installReq:
+		r.Entry = past
+		return r
+	case knnReq:
+		r.Node, r.Entries = past, slices.Clone(r.Entries)
+		for i := range r.Entries {
+			r.Entries[i].Node = past
+		}
+		return r
+	case rangeReq:
+		r.Node = past
+		return r
+	}
+	return nil
+}
+
+// partitionBytes is the encoding of a partition's snapshot.
+func partitionBytes(t *testing.T, p *partition) []byte {
+	resp, err := p.handleSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a column.Appender
+	resp.(cluster.Message).AppendWire(&a)
+	return a
+}
+
+// FuzzPartitionHandle delivers decoded requests to a live partition.
+// An input is a partition ordinal, a wire kind and a body: the body is
+// decoded by the kind table's decoder, as a TCP fabric decodes it, and
+// a request that decodes goes to that partition's handler in a fresh
+// three-partition tree. Nothing may panic — not the delivery, nor a
+// full-cover range search and a snapshot of the tree after it — and a
+// request the partition refuses leaves the tree's Len and the
+// partition's snapshot bytes as they were. The seeds are
+// TestProtocolTable's samples, sent to every partition as they are and
+// with every node they name past the end of the arena.
+func FuzzPartitionHandle(f *testing.F) {
+	for _, m := range protocolSamples() {
+		for _, v := range []any{m, withNodesPastEnd(m)} {
+			msg, ok := v.(cluster.Message)
+			if !ok {
+				continue
+			}
+			for part := range byte(3) {
+				in := column.Appender{part, msg.WireKind()}
+				msg.AppendWire(&in)
+				f.Add([]byte(in))
+			}
+		}
+	}
+	pts := make([]kdtree.Point, 90)
+	for i := range pts {
+		pts[i] = kdtree.Point{Coords: []float64{float64(i % 9), float64(i / 9)}, ID: uint64(i)}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || kinds[data[1]] == nil {
+			return
+		}
+		var d column.Decoder
+		d.Reset(data[2:])
+		req := kinds[data[1]](&d)
+		if d.End() != nil {
+			return
+		}
+		tr, err := New(Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartitions: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		ctx := context.Background()
+		if err := tr.BulkLoad(ctx, pts); err != nil || tr.PartitionCount() != 3 {
+			t.Fatalf("the fuzz tree: %d partitions, %v", tr.PartitionCount(), err)
+		}
+		p := tr.parts[int(data[0])%3]
+		before, n := partitionBytes(t, p), tr.Len()
+		if _, err := p.handle(ctx, cluster.ClientID, req); errors.Is(err, ErrRequestRefused) {
+			if tr.Len() != n || !bytes.Equal(partitionBytes(t, p), before) {
+				t.Fatalf("%T refused (%v), but the partition changed", req, err)
+			}
+		}
+		_, _ = tr.RangeSearch(ctx, []float64{4, 4}, math.MaxFloat64)
+		_, _ = tr.Snapshot()
+	})
 }

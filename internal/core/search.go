@@ -192,6 +192,11 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 	}
 	c := getQueryCtx(ctx, p, r)
 	defer putQueryCtx(c)
+	p.mu.RLock()
+	if err := p.checkQuery(r.Query, r.Node, r.Entries); err != nil {
+		p.mu.RUnlock()
+		return nil, err
+	}
 	if len(r.Entries) > 0 {
 		// Fan-out continuation: seed the stack with every guarded
 		// entry, reversed so the first entry pops first.
@@ -201,7 +206,6 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 	} else {
 		c.s.Push(p.Ref(r.Node), -1)
 	}
-	p.mu.RLock()
 	start := time.Now()
 	err := p.KNearest(&c.s, c)
 	elapsed := time.Since(start)
@@ -229,6 +233,24 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 	st := c.stats
 	st.Parts++ // this partition's own handler execution
 	return knnResp{Rs: c.rs.export(), Stats: st}, nil
+}
+
+// checkQuery refuses a query the arena cannot serve: a query point it
+// refuses, or an entry node it does not have — every entry's when a
+// k-NN continuation carries entries, else node. Callers hold the lock.
+func (p *partition) checkQuery(q []float64, node int32, entries []knnEntry) error {
+	if err := p.checkPoint(q); err != nil {
+		return err
+	}
+	if len(entries) == 0 {
+		return p.checkNode(node)
+	}
+	for _, e := range entries {
+		if err := p.checkNode(e.Node); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Follow hands a remote subtree off (kdtree.Outside). In Seq mode the
@@ -401,7 +423,10 @@ func (p *partition) handleRange(ctx context.Context, r rangeReq) (any, error) {
 	col := &rangeCollector{ctx: ctx, p: p}
 	col.s.Query, col.s.Radius = r.Query, r.D
 	p.mu.RLock()
-	err := p.Range(&col.s, r.Node, col)
+	err := p.checkQuery(r.Query, r.Node, nil)
+	if err == nil {
+		err = p.Range(&col.s, r.Node, col)
+	}
 	p.mu.RUnlock()
 	col.wg.Wait()
 	if err == nil {

@@ -165,12 +165,17 @@ func (p *partition) handleSnapshot() (any, error) {
 
 // handleRestore replaces the partition's state wholesale under the
 // write lock. The arena is copied (kdtree.Arena.Restore): on an
-// in-process fabric the request aliases client memory.
+// in-process fabric the request aliases client memory. A state the
+// kernel rejects, or one linking up the partition DAG, is refused.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.Restore(&r.State.Arena); err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
+	err := linksDown(&r.State.Arena, p.Self)
+	if err == nil {
+		err = p.Restore(&r.State.Arena)
+	}
+	if err != nil {
+		return nil, p.refuse("restore: %v", err)
 	}
 	p.points = r.State.Points
 	p.remoteBoxes = nil
@@ -676,7 +681,14 @@ func (s *TreeSnapshot) Validate() error {
 		if ps.Points < 0 {
 			return corrupt("partition %d: negative point count", pi)
 		}
-		if err := ps.layout(s.Dim); err != nil {
+		err := ps.layout(s.Dim)
+		if err == nil {
+			err = ps.Fit(s.Dim) // what a partition refuses to restore
+		}
+		if err == nil {
+			err = linksDown(&ps.Arena, int32(pi))
+		}
+		if err != nil {
 			return corrupt("partition %d: %v", pi, err)
 		}
 		local := 0
@@ -704,9 +716,6 @@ func (s *TreeSnapshot) Validate() error {
 				}
 				local += len(n.Slots)
 			default:
-				if int(n.SplitDim) < 0 || int(n.SplitDim) >= s.Dim {
-					return corrupt("partition %d node %d: split dimension %d out of range", pi, ni, n.SplitDim)
-				}
 				if !refOK(n.Left) || !refOK(n.Right) {
 					return corrupt("partition %d node %d: dangling child", pi, ni)
 				}

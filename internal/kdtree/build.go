@@ -201,10 +201,7 @@ func (a *Arena) buildNode(idx int32, slots []int32, builders chan struct{}) {
 		}()
 		a.buildNode(li, slots[:cut], builders)
 		<-done
-		var err error
-		if ri, err = a.link(-1, &right); err != nil {
-			panic(err) // a fragment build just wrote is well-formed
-		}
+		ri = a.link(-1, &right)
 		a.place(-1, &right)
 	default:
 		a.buildNode(li, slots[:cut], builders)

@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -59,20 +60,16 @@ func carve(slots []int32, k, n int) []int32 {
 // onto the arena's blocks; when the fragment becomes the arena's only
 // nodes or only points, its node list or point blocks are adopted
 // whole, with no copy and no growth slack. The fragment is consumed. A
-// fragment whose blocks do not fit its nodes or the arena's dimension,
-// or whose local refs do not index it (or name its own root), is
-// rejected with the arena untouched.
+// fragment that is not a Local one or does not Fit the arena's
+// dimension is rejected with the arena untouched.
 func (a *Arena) Install(entry int32, frag *Arena) (int32, error) {
-	if len(frag.Nodes) == 0 {
-		return 0, fmt.Errorf("kdtree: empty fragment")
+	if len(frag.Nodes) == 0 || frag.Self != Local {
+		return 0, fmt.Errorf("kdtree: an empty fragment or one of partition %d", frag.Self)
 	}
 	if err := frag.Fit(a.Dim); err != nil {
 		return 0, err
 	}
-	root, err := a.link(entry, frag)
-	if err != nil {
-		return 0, err
-	}
+	root := a.link(entry, frag)
 	if len(a.IDs) == 0 {
 		a.Coords, a.IDs = frag.Coords, frag.IDs
 	} else {
@@ -90,7 +87,10 @@ func (a *Arena) Install(entry int32, frag *Arena) (int32, error) {
 }
 
 // Fit checks that frag's blocks fit its nodes and an arena of
-// dimension dim, every slot indexing a point.
+// dimension dim, every slot indexing a point and no coordinate NaN, and
+// that its nodes form a forest any walk ends in: every split dimension
+// below dim, every local child after its parent, no tombstone
+// forwarding inside frag.
 func (frag *Arena) Fit(dim int) error {
 	if frag.Dim != dim {
 		return fmt.Errorf("kdtree: fragment of dimension %d, arena of %d", frag.Dim, dim)
@@ -99,10 +99,27 @@ func (frag *Arena) Fit(dim int) error {
 		return fmt.Errorf("kdtree: fragment blocks of %d box and %d coordinate floats for %d nodes and %d points",
 			len(frag.Boxes), len(frag.Coords), len(frag.Nodes), len(frag.IDs))
 	}
+	if slices.ContainsFunc(frag.Coords, math.IsNaN) {
+		return fmt.Errorf("kdtree: a fragment point with a NaN coordinate")
+	}
 	for i := range frag.Nodes {
-		for _, s := range frag.Nodes[i].Slots {
+		n := &frag.Nodes[i]
+		for _, s := range n.Slots {
 			if s < 0 || int(s) >= len(frag.IDs) {
 				return fmt.Errorf("kdtree: fragment node %d: slot %d out of range", i, s)
+			}
+		}
+		switch {
+		case n.Moved && frag.IsLocal(n.Fwd):
+			return fmt.Errorf("kdtree: fragment node %d: a tombstone forwarding to node %d", i, n.Fwd.Node)
+		case n.Leaf || n.Moved:
+		case n.SplitDim < 0 || int(n.SplitDim) >= dim:
+			return fmt.Errorf("kdtree: fragment node %d: split dimension %d", i, n.SplitDim)
+		default:
+			for _, c := range [2]Ref{n.Left, n.Right} {
+				if frag.IsLocal(c) && (c.Node <= int32(i) || int(c.Node) >= len(frag.Nodes)) {
+					return fmt.Errorf("kdtree: fragment node %d: child %d out of range", i, c.Node)
+				}
 			}
 		}
 	}
@@ -110,9 +127,8 @@ func (frag *Arena) Fit(dim int) error {
 }
 
 // link rebases frag's local refs onto the indices its nodes take when
-// placed at entry (see Install) and returns the root's. A local ref
-// that does not index frag, or names its root, is an error.
-func (a *Arena) link(entry int32, frag *Arena) (int32, error) {
+// placed at entry (see Install) and returns the root's. frag Fits.
+func (a *Arena) link(entry int32, frag *Arena) int32 {
 	// frag.Nodes[j] lands on base+j, except the root when it takes slot entry.
 	base := int32(len(a.Nodes))
 	root := base
@@ -126,16 +142,12 @@ func (a *Arena) link(entry int32, frag *Arena) (int32, error) {
 			continue
 		}
 		for _, c := range [2]*Ref{&n.Left, &n.Right} {
-			if c.Part != Local {
-				continue
+			if c.Part == Local {
+				*c = a.Ref(base + c.Node)
 			}
-			if c.Node <= 0 || int(c.Node) >= len(frag.Nodes) {
-				return 0, fmt.Errorf("kdtree: fragment child %d out of range", c.Node)
-			}
-			*c = a.Ref(base + c.Node)
 		}
 	}
-	return root, nil
+	return root
 }
 
 // place moves frag's linked nodes and their boxes into the arena, the
@@ -168,10 +180,13 @@ func (a *Arena) Clone() Arena {
 }
 
 // Restore replaces the arena's nodes and blocks with a Clone of src's,
-// which must fit the arena's dimension (see Install). src is not
-// modified.
+// which must be an arena of the same partition and Fit its dimension
+// (see Install). src is not modified.
 func (a *Arena) Restore(src *Arena) error {
 	s := *src
+	if s.Self != a.Self {
+		return fmt.Errorf("kdtree: the state of partition %d restored over %d", s.Self, a.Self)
+	}
 	if err := s.Fit(a.Dim); err != nil {
 		return err
 	}

@@ -4,11 +4,12 @@ import (
 	"errors"
 
 	"semtree"
+	"semtree/internal/errcode"
 )
 
 // The serving tier's own sentinels. Like the facade's, each carries a
-// wire-stable code — registered in the 64+ range the facade reserves
-// for this package — so both sides of the wire agree on errors.Is
+// wire-stable code — registered in the 64+ range of the one table,
+// internal/errcode — so both sides of the wire agree on errors.Is
 // semantics for protocol-level failures too. TestServeErrorCodesComplete
 // mirrors the facade's registry-completeness test over this package.
 var (
@@ -36,22 +37,12 @@ var (
 	ErrNotAdmin = errors.New("serve: admin access denied")
 )
 
-// Wire codes of the serve sentinels (64+ is the serving-tier range; see
-// semtree.ErrorCode). Append; never renumber.
-const (
-	codeProtocol semtree.ErrorCode = 64
-	codeAuth     semtree.ErrorCode = 65
-	codeDraining semtree.ErrorCode = 66
-	codeVersion  semtree.ErrorCode = 67
-	codeNotAdmin semtree.ErrorCode = 68
-)
-
 func init() {
-	semtree.RegisterErrorCode(codeProtocol, ErrProtocol)
-	semtree.RegisterErrorCode(codeAuth, ErrAuth)
-	semtree.RegisterErrorCode(codeDraining, ErrDraining)
-	semtree.RegisterErrorCode(codeVersion, ErrVersion)
-	semtree.RegisterErrorCode(codeNotAdmin, ErrNotAdmin)
+	semtree.RegisterErrorCode(errcode.Protocol, ErrProtocol)
+	semtree.RegisterErrorCode(errcode.Auth, ErrAuth)
+	semtree.RegisterErrorCode(errcode.Draining, ErrDraining)
+	semtree.RegisterErrorCode(errcode.Version, ErrVersion)
+	semtree.RegisterErrorCode(errcode.NotAdmin, ErrNotAdmin)
 }
 
 // Retryable reports whether err is a typed retryable serve failure: the

@@ -162,6 +162,12 @@ var (
 	ErrQuotaExhausted = core.ErrQuotaExhausted
 )
 
+// ErrRequestRefused marks a request a partition refused, changing
+// nothing, because it does not fit the partition's state (an entry node
+// the arena does not have, a point of another dimension). It is
+// permanent, never retried, and it crosses a TCP fabric typed.
+var ErrRequestRefused = core.ErrRequestRefused
+
 // QuotaConfig configures a Searcher's token-bucket cost quota
 // (core.QuotaConfig): Capacity is the burst budget and RefillPerSec the
 // sustained spend rate, both in cost units. See CostOf for the scale.
