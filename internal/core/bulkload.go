@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
@@ -46,13 +47,15 @@ const DefaultBulkChunk = 2048
 // tree it builds the balanced layout client-side and distributes it
 // across partitions via the placement kernel; on a live tree it merges
 // the batch by grafting balanced fragments at the destination leaves.
+// Every point is checked before anything is built or sent: one of
+// another dimension or with a NaN coordinate fails the whole call.
 // The call is synchronous: when it returns, every point is queryable.
 // Concurrent BulkLoad calls serialize; concurrent Insert and queries
 // are safe throughout. The input slice is not modified.
 func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 	for i, p := range pts {
-		if len(p.Coords) != t.cfg.Dim {
-			return fmt.Errorf("core: point %d has %d coords, tree dimension is %d", i, len(p.Coords), t.cfg.Dim)
+		if err := checkCoords(p.Coords, t.cfg.Dim); err != nil {
+			return fmt.Errorf("core: bulk load: point %d: %w", i, err)
 		}
 	}
 	if len(pts) == 0 {
@@ -225,8 +228,12 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // Only a graft runs the capacity check: an appended fragment was put
 // here by a spill or the balanced installer, which chose this partition
 // for it. An entry the arena does not have, a fragment the kernel
-// rejects and one linking up the partition DAG are refused.
+// rejects, one linking up the partition DAG and one naming a partition
+// the tree does not have are refused.
 func (p *partition) handleInstall(r installReq) (any, error) {
+	if err := p.t.linksHosted(&r.Frag, r.Remote); err != nil {
+		return nil, p.refuse("install: %v", err)
+	}
 	p.mu.Lock()
 	graft := r.Entry >= 0
 	var displaced []batchEntry
@@ -282,4 +289,25 @@ func (p *partition) installLocked(entry int32, frag *kdtree.Arena, remote []Remo
 		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
 	}
 	return root, nil
+}
+
+// linksHosted reports a link of frag, or a region in remote, naming a
+// partition the tree does not host.
+func (t *Tree) linksHosted(frag *kdtree.Arena, remote []RemoteBox) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	hosted := func(r kdtree.Ref) bool {
+		return slices.ContainsFunc(t.parts, func(p *partition) bool { return p.id == host(r) })
+	}
+	for _, e := range remote {
+		if !hosted(e.Ref) {
+			return fmt.Errorf("a region in partition %d, which the tree does not have", e.Ref.Part)
+		}
+	}
+	return foreignLinks(frag, func(i int, r kdtree.Ref) error {
+		if !hosted(r) {
+			return fmt.Errorf("node %d links to partition %d, which the tree does not have", i, r.Part)
+		}
+		return nil
+	})
 }

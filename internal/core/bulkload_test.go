@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -290,6 +291,39 @@ func TestBulkLoadRejectsWrongDims(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("failed bulk load mutated the tree: %d points", tr.Len())
 	}
+}
+
+// TestBulkLoadRejectsNaN: a batch holding NaN coordinates fails on the
+// client, before any build — at 20 000 points the build would run two
+// halves on goroutines no recover reaches — on an empty tree and on a
+// live one, and so does a single NaN insert. Nothing is indexed.
+func TestBulkLoadRejectsNaN(t *testing.T) {
+	ctx := context.Background()
+	pts := randomPoints(rand.New(rand.NewSource(7)), 20000, 3)
+	for i := 0; i < len(pts); i += 7 {
+		pts[i].Coords[i%3] = math.NaN()
+	}
+	tr := mustTree(t, Config{Dim: 3, BucketSize: 16, PartitionCapacity: 4000, MaxPartitions: 5})
+	if err := tr.BulkLoad(ctx, pts); err == nil {
+		t.Fatal("empty tree: BulkLoad of NaN points succeeded")
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("empty tree: a failed bulk load left %d points", tr.Len())
+	}
+	if err := tr.Insert(pts[0]); err == nil {
+		t.Fatal("Insert of a NaN point succeeded")
+	}
+	live := randomPoints(rand.New(rand.NewSource(8)), 100, 3)
+	if err := tr.BulkLoad(ctx, live); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BulkLoad(ctx, pts); err == nil {
+		t.Fatal("live tree: BulkLoad of NaN points succeeded")
+	}
+	if tr.Len() != len(live) {
+		t.Fatalf("live tree: %d points after a failed bulk load, want %d", tr.Len(), len(live))
+	}
+	checkPartitionBoxes(t, tr)
 }
 
 // TestBulkLoadChurnConcurrent is the churn invariant test: bulk loads,

@@ -21,10 +21,10 @@ import (
 //
 // The shape parameters (messages and nodes per query, per protocol) are
 // structural: they depend on the tree, the workload and the pruning
-// guard, not on the network, so their EWMAs stay valid when the
+// guard, not on the network, so their averages stay valid when the
 // fabric's latency changes — and when the region (bounding-box) guard
 // cuts messages and nodes below what the splitting-plane bound needed,
-// the savings flow into these same EWMAs from the ExecStats stream and
+// the savings flow into these same averages from the ExecStats stream and
 // ProtocolAuto re-prices both protocols on the pruned shapes
 // automatically.
 // Only hop and compute are re-observed continuously — hop from the
@@ -42,15 +42,44 @@ const (
 	// contacts (typically M−1), so the hop estimate converges within a
 	// few queries of a latency change — the convergence test pins this
 	// budget at 12 queries for the upward step and 60 for the decay back
-	// down (it takes 2 and 3 at the test's simulated prices).
+	// down (it takes 6 — the sequential warm-up ends at the 16th query —
+	// and 9 at the test's simulated prices).
 	ewmaAlpha = 0.25
 
+	// shapeAlpha is the floor of a new sample's weight in the
+	// structural shape averages: the first 64 samples are averaged
+	// exactly, later ones weigh 1/64. A query's message count varies
+	// by a factor of four around its mean, and the shape of the
+	// protocol not being chosen keeps its last value until it runs
+	// again — at the hop estimate's weight that value is the mean of a
+	// few unlucky queries, which is exactly the value that made the
+	// protocol lose and would keep it losing.
+	shapeAlpha = 1.0 / 64
+
+	// seqWarmup is how many queries the sequential protocol's shape
+	// averages before the fan-out may be chosen over it: sequential is
+	// the cold-start default. A shape of fewer queries is noise, and the
+	// sequential shape stops updating while the fan-out runs — chosen
+	// over the mean of its first few queries, the fan-out would stay
+	// chosen whenever those few happened to be expensive ones (a quarter
+	// to half the time on the benchmark's nine-partition corpus, a few
+	// in a thousand from 16 on).
+	seqWarmup = 16
+
 	// fanOutMargin is the hysteresis of the protocol choice: fan-out
-	// must beat the sequential protocol's modeled wall by more than 10%
-	// to be chosen. Sequential is the cheaper protocol in total work
-	// (tightest pruning bound), so ties and noise-level differences —
-	// e.g. a residual hop estimate of a few µs on a zero-latency
-	// fabric — must not flap the choice away from it.
+	// must beat the sequential protocol's modeled wall by more than 10%,
+	// and by at least one hop, to be chosen. Sequential is the cheaper
+	// protocol in total work (tightest pruning bound), so ties and
+	// noise-level differences — e.g. a residual hop estimate of a few
+	// µs on a zero-latency fabric — must not flap the choice away from
+	// it; and the fan-out pays about a hop of its own beyond its waves
+	// (the local traversal ends before the probe leaves, the wave runs
+	// on goroutines and is merged), so it must save a whole serial hop.
+	// Where the visit order makes both protocols send the same messages
+	// (a bulk-loaded tree under the nearest-first kernel: ~3.3 per
+	// query each) three waves save a third of a hop, and over loopback
+	// TCP, where a hop is CPU rather than latency, the fan-out runs
+	// 15–40 % slower (ARCHITECTURE.md, "The two k-NN protocols").
 	fanOutMargin = 0.9
 
 	// fanNodesInflation is the cold-start guess for how many more nodes
@@ -87,9 +116,16 @@ func (e *ewma) add(x float64) {
 	e.n++
 }
 
+// addShape adds a structural sample at weight max(1/n, shapeAlpha).
+func (e *ewma) addShape(x float64) {
+	e.n++
+	e.v += max(1/float64(e.n), shapeAlpha) * (x - e.v)
+}
+
 // protoShape is the structural (latency-independent) profile of one
-// protocol: fabric messages, nodes visited, distance evaluations and
-// observed wall per query.
+// protocol — fabric messages, nodes visited and distance evaluations
+// per query, slow averages (addShape) — and its observed wall per
+// query.
 type protoShape struct {
 	msgs  ewma
 	nodes ewma
@@ -168,9 +204,9 @@ func (m *costModel) observeCompute(elapsed time.Duration, nodes int64) {
 func (m *costModel) observeQuery(idx protoIdx, st ExecStats) {
 	m.mu.Lock()
 	sh := &m.shape[idx]
-	sh.msgs.add(float64(st.FabricMessages))
-	sh.nodes.add(float64(st.NodesVisited))
-	sh.dists.add(float64(st.DistanceEvals))
+	sh.msgs.addShape(float64(st.FabricMessages))
+	sh.nodes.addShape(float64(st.NodesVisited))
+	sh.dists.addShape(float64(st.DistanceEvals))
 	sh.wall.add(float64(st.Wall))
 	m.mu.Unlock()
 }
@@ -208,6 +244,11 @@ func fanOutWaves(partitions int) float64 {
 func (m *costModel) estimates(partitions int) (estSeq, estFan time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.estimatesLocked(partitions)
+}
+
+// estimatesLocked is estimates for a caller holding m.mu.
+func (m *costModel) estimatesLocked(partitions int) (estSeq, estFan time.Duration) {
 	hop := m.hopLocked()
 	seqMsgs := m.shape[idxSeq].msgs.v
 	if m.shape[idxSeq].msgs.n == 0 {
@@ -234,15 +275,21 @@ func (m *costModel) estimates(partitions int) (estSeq, estFan time.Duration) {
 // choose resolves ProtocolAuto for one k-NN query: fan-out when the
 // estimated hop latency dominates enough that overlapping the
 // cross-partition hops beats the sequential protocol's modeled wall by
-// more than the hysteresis margin, sequential otherwise (CPU-bound
-// regime, and the cold-start default). Single-partition trees have no
-// cross-partition hops to overlap.
+// more than the hysteresis margin and by at least one hop, sequential
+// otherwise (CPU-bound regime, and the cold-start default for the
+// first seqWarmup sequential queries).
+// Single-partition trees have no cross-partition hops to overlap.
 func (m *costModel) choose(partitions int) Protocol {
 	if partitions <= 1 {
 		return ProtocolSequential
 	}
-	estSeq, estFan := m.estimates(partitions)
-	if float64(estFan) < float64(estSeq)*fanOutMargin {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.shape[idxSeq].msgs.n < seqWarmup {
+		return ProtocolSequential
+	}
+	estSeq, estFan := m.estimatesLocked(partitions)
+	if float64(estFan) < float64(estSeq)*fanOutMargin && float64(estFan)+m.hopLocked() <= float64(estSeq) {
 		return ProtocolFanOut
 	}
 	return ProtocolSequential

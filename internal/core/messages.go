@@ -439,7 +439,7 @@ func readKNNReq(d *column.Decoder) any {
 // is an exact sum over every partition the query executed on,
 // regardless of protocol or nesting depth.
 type queryStats struct {
-	Nodes   int64 // tree nodes visited (popped and not pruned)
+	Nodes   int64 // tree nodes visited (reached and not pruned)
 	Buckets int64 // leaf buckets scanned
 	Dists   int64 // point distance evaluations
 	Msgs    int64 // fabric calls issued downstream on behalf of the query

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -62,7 +63,7 @@ type partition struct {
 func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (any, error) {
 	switch r := req.(type) {
 	case bulkAddReq:
-		return p.handleBulkAdd(r)
+		return p.handleBulkAdd(from, r)
 	case installReq:
 		return p.handleInstall(r)
 	case snapshotReq:
@@ -90,14 +91,25 @@ func (p *partition) checkNode(idx int32) error {
 	return nil
 }
 
-// checkPoint refuses coordinates of another dimension than the arena's,
-// or with a NaN, which no split plane orders.
-func (p *partition) checkPoint(coords []float64) error {
-	if len(coords) != p.Dim {
-		return p.refuse("a point of dimension %d, want %d", len(coords), p.Dim)
+// checkCoords is the one point check: coordinates of another dimension
+// than dim, or with a NaN — which no split plane orders — cannot be
+// indexed. The client runs it on Insert and on every point of a
+// BulkLoad before any message or build; a partition refuses a request
+// that fails it (checkPoint).
+func checkCoords(coords []float64, dim int) error {
+	if len(coords) != dim {
+		return fmt.Errorf("a point of dimension %d, want %d", len(coords), dim)
 	}
 	if slices.ContainsFunc(coords, math.IsNaN) {
-		return p.refuse("a point with a NaN coordinate")
+		return errors.New("a point with a NaN coordinate")
+	}
+	return nil
+}
+
+// checkPoint refuses coordinates checkCoords rejects for the arena.
+func (p *partition) checkPoint(coords []float64) error {
+	if err := checkCoords(coords, p.Dim); err != nil {
+		return p.refuse("%v", err)
 	}
 	return nil
 }
@@ -116,13 +128,10 @@ func (p *partition) checkEntries(entries []batchEntry) error {
 	return nil
 }
 
-// linksDown reports the first link of arena a — a routing node's child
-// or a tombstone's forward that leaves a — not leading down the
-// partition DAG, to a partition created after self's. In that order
-// every walk across partitions ends, and no lock a partition holds
-// across a hop is asked for again. An arena a partition installs or
-// restores, and every partition of a snapshot, is held to it.
-func linksDown(a *kdtree.Arena, self int32) error {
+// foreignLinks calls fn on every link of arena a that leaves a — a
+// routing node's child or a tombstone's forward — and returns its
+// first error.
+func foreignLinks(a *kdtree.Arena, fn func(node int, r kdtree.Ref) error) error {
 	for i := range a.Nodes {
 		n := &a.Nodes[i]
 		refs := [2]kdtree.Ref{n.Left, n.Right}
@@ -133,12 +142,29 @@ func linksDown(a *kdtree.Arena, self int32) error {
 			continue
 		}
 		for _, r := range refs {
-			if !a.IsLocal(r) && r.Part <= self {
-				return fmt.Errorf("node %d links to partition %d, not one after %d", i, r.Part, self)
+			if a.IsLocal(r) {
+				continue
+			}
+			if err := fn(i, r); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// linksDown reports the first link that leaves arena a not leading down
+// the partition DAG, to a partition created after self's. In that order
+// every walk across partitions ends, and no lock a partition holds
+// across a hop is asked for again. An arena a partition installs or
+// restores, and every partition of a snapshot, is held to it.
+func linksDown(a *kdtree.Arena, self int32) error {
+	return foreignLinks(a, func(i int, r kdtree.Ref) error {
+		if r.Part <= self {
+			return fmt.Errorf("node %d links to partition %d, not one after %d", i, r.Part, self)
+		}
+		return nil
+	})
 }
 
 // host returns the fabric node hosting the node a reference names.
@@ -160,7 +186,18 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 // entries that leave travel on as nested synchronous batches of the same
 // policy (forward), so the ack covers the whole batch; a spill the batch
 // triggered runs after them.
-func (p *partition) handleBulkAdd(r bulkAddReq) (any, error) {
+//
+// A batch from the client enters at the tree root, node 0 of the root
+// partition, and is refused anywhere else: the boxes above any other
+// entry would not grow to cover what lands below it. Forwarded batches
+// enter where their sender's references point, and the sender has
+// already grown its own boxes and its cache of ours.
+func (p *partition) handleBulkAdd(from cluster.NodeID, r bulkAddReq) (any, error) {
+	if from == cluster.ClientID {
+		if root := p.t.rootPartition(); p != root || slices.ContainsFunc(r.Entries, func(e batchEntry) bool { return e.Node != 0 }) {
+			return nil, p.refuse("a client batch enters at node 0 of partition %d", root.id)
+		}
+	}
 	fw, warm, err := p.warmForwards(r.Entries)
 	spill := false
 	if err == nil && !warm {

@@ -710,10 +710,19 @@ func FuzzPartitionHandle(f *testing.F) {
 		}
 		p := tr.parts[int(data[0])%3]
 		before, n := partitionBytes(t, p), tr.Len()
-		if _, err := p.handle(ctx, cluster.ClientID, req); errors.Is(err, ErrRequestRefused) {
+		_, err = p.handle(ctx, cluster.ClientID, req)
+		if errors.Is(err, ErrRequestRefused) {
 			if tr.Len() != n || !bytes.Equal(partitionBytes(t, p), before) {
 				t.Fatalf("%T refused (%v), but the partition changed", req, err)
 			}
+		}
+		if err == nil {
+			checkPartitionBoxes(t, tr) // an accepted request keeps every box exact
+		}
+		// The k-NN kernel's visit heap over whatever the delivery left,
+		// under both protocols: it may fail, never panic.
+		for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
+			_, _, _ = tr.knnResolved(ctx, []float64{4, 4}, tr.Len(), proto, false)
 		}
 		_, _ = tr.RangeSearch(ctx, []float64{4, 4}, math.MaxFloat64)
 		_, _ = tr.Snapshot()

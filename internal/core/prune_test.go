@@ -97,9 +97,9 @@ func TestRegionPruneReducesWork(t *testing.T) {
 		region, plane work
 	}{
 		{2, ProtocolSequential, work{110, 6}, work{110, 6}},
-		{2, ProtocolFanOut, work{266, 3}, work{388, 125}},
-		{8, ProtocolSequential, work{421, 258}, work{472, 309}},
-		{8, ProtocolFanOut, work{383, 128}, work{427, 172}},
+		{2, ProtocolFanOut, work{108, 5}, work{388, 125}},
+		{8, ProtocolSequential, work{418, 255}, work{472, 309}},
+		{8, ProtocolFanOut, work{332, 165}, work{427, 172}},
 	} {
 		tr, _ := pruneTree(t, rand.New(rand.NewSource(31)), 3000, c.dim)
 		var got work

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 )
 
 // queryCtx is the per-query execution context of the k-nearest engine:
-// the kernel traversal state (kdtree.Search: query, visit stack, local
+// the kernel traversal state (kdtree.Search: query, visit heap, local
 // work counters) over the scratch result set, the remote subtrees the
 // local traversal ran into, the stats folded from downstream responses,
 // and the collector state for parallel fan-outs. It is also the
@@ -53,13 +52,6 @@ type queryCtx struct {
 type pendingHop struct {
 	ref     kdtree.Ref
 	guardSq float64
-	// home marks a subtree the traversal reached unconditionally — the
-	// query's own descent path lies in it. Deferred home subtrees are
-	// re-guarded by their region like any sibling (a provably-worse one
-	// is pruned outright), but while one survives it keeps the paper's
-	// probe priority: the partition holding the query's own region is
-	// probed first, which tightens the ball best.
-	home bool
 }
 
 var queryCtxPool = sync.Pool{New: func() any {
@@ -154,9 +146,10 @@ func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.
 // handleKNN implements the distributed k-nearest search (§III-B.3).
 // The request carries the caller's current result set Rs (squared
 // distances, see knnReq); the local traversal is the kernel's
-// backtracking loop (kdtree.Arena.KNearest) over the partition's arena.
-// Remote subtrees — the references the kernel hands to Follow — are
-// handled two ways:
+// nearest-first loop (kdtree.Arena.KNearest) over the partition's
+// arena, which reaches local and remote subtrees alike in order of
+// their guards. Remote subtrees — the references the kernel hands to
+// Follow — are handled two ways:
 //
 //   - Seq mode: the paper's sequential protocol — a synchronous fabric
 //     call forwards Rs and adopts the merged set before continuing, so
@@ -174,8 +167,8 @@ func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.
 // remote may examine more candidates, never fewer), and every
 // candidate either beats the final k-th best or is discarded on merge.
 //
-// Cancellation is checked between traversal strides (every 64 node
-// pops), before each remote hop, and between fan-out waves; the fabric
+// Cancellation is checked between traversal strides (every 64 visited
+// nodes), before each remote hop, and between fan-out waves; the fabric
 // calls themselves carry ctx, so an expired query abandons in-flight
 // partition replies at the transport instead of waiting them out. The
 // wait on the fan-out WaitGroup is therefore bounded by the fabric's
@@ -198,10 +191,10 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 		return nil, err
 	}
 	if len(r.Entries) > 0 {
-		// Fan-out continuation: seed the stack with every guarded
-		// entry, reversed so the first entry pops first.
-		for i := len(r.Entries) - 1; i >= 0; i-- {
-			c.s.Push(p.Ref(r.Entries[i].Node), r.Entries[i].GuardSq)
+		// Fan-out continuation: the kernel visits the guarded entries
+		// nearest first.
+		for _, e := range r.Entries {
+			c.s.Push(p.Ref(e.Node), e.GuardSq)
 		}
 	} else {
 		c.s.Push(p.Ref(r.Node), -1)
@@ -253,29 +246,15 @@ func (p *partition) checkQuery(q []float64, node int32, entries []knnEntry) erro
 	return nil
 }
 
-// Follow hands a remote subtree off (kdtree.Outside). In Seq mode the
-// call is synchronous and Rs travels with the request; the merged set
-// replaces ours and tightens all later pruning, the paper's protocol.
-// Otherwise the subtree joins the pending list — with the guard it
-// already passed, so the final local bound can still rule it out — for
-// the per-partition fan-out after the local traversal.
+// Follow hands a remote subtree off (kdtree.Outside); the kernel has
+// already checked its guard against Rs. In Seq mode the call is
+// synchronous and Rs travels with the request; the merged set replaces
+// ours and tightens all later pruning, the paper's protocol. Otherwise
+// the subtree joins the pending list — with its guard, so the final
+// local bound can still rule it out — for the per-partition fan-out
+// after the local traversal.
 func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 	p, r := c.p, &c.r
-	// A near-side subtree reaches here unconditional (guardSq < 0) —
-	// the traversal had to descend toward it — but crossing the
-	// partition boundary is a message either way, and the remote
-	// region's exact min-distance can rule the hop out like any guarded
-	// sibling. Re-guard it with its cached box; it stays unconditional
-	// when the region is unknown.
-	home := guardSq < 0
-	if home {
-		if lo, hi, ok := p.remoteBox(ref); ok {
-			guardSq = kdtree.BoxMinSq(r.Query, lo, hi)
-		}
-	}
-	if guardSq >= 0 && c.rs.Full() && c.rs.Worst() < guardSq {
-		return nil // provably beyond the k-th best: no message spent
-	}
 	if r.Seq {
 		c.snapshotRs()
 		resp, err := p.t.callCtx(c.ctx, p.id, host(ref),
@@ -289,7 +268,7 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 		c.noteMiss()
 		return nil
 	}
-	c.pending = append(c.pending, pendingHop{ref: ref, guardSq: guardSq, home: home})
+	c.pending = append(c.pending, pendingHop{ref: ref, guardSq: guardSq})
 	return nil
 }
 
@@ -304,7 +283,8 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 //  2. Probe the most promising partition — the one holding the subtree
 //     whose region has the smallest exact min-distance to the query
 //     (true min-distance ranking; the splitting-plane distance is only
-//     the fallback for an unknown region) — *synchronously*, exactly
+//     the fallback for an unknown region; an unconditional tombstone
+//     forward ranks first) — *synchronously*, exactly
 //     like the sequential protocol's first hop. Its merged set tightens
 //     the search ball, which usually rules most other partitions out;
 //     when only one partition qualifies this degrades to the sequential
@@ -325,16 +305,9 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 		if f.guardSq >= 0 && c.rs.Full() && c.rs.Worst() < f.guardSq {
 			continue
 		}
-		guard := f.guardSq
-		if f.home || guard < 0 {
-			// The query's own region lives there: a surviving home
-			// subtree keeps first probe priority regardless of its
-			// re-guard — it tightens the ball best.
-			guard = math.Inf(-1)
-		}
 		part := host(f.ref)
-		if cur, ok := minGuard[part]; !ok || guard < cur {
-			minGuard[part] = guard
+		if cur, ok := minGuard[part]; !ok || f.guardSq < cur {
+			minGuard[part] = f.guardSq
 		}
 		groups[part] = append(groups[part], knnEntry{Node: f.ref.Node, GuardSq: f.guardSq})
 	}

@@ -51,33 +51,32 @@ func benchQueryTree(b *testing.B, m int) (*Tree, [][]float64) {
 
 func BenchmarkKNNProtocols(b *testing.B) {
 	tr, qs := benchQueryTree(b, 5)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolSequential, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fanout", func(b *testing.B) { benchFanOut(b, tr, qs) })
+	b.Run("sequential", func(b *testing.B) { benchKNN(b, tr, qs, ProtocolSequential) })
+	b.Run("fanout", func(b *testing.B) { benchKNN(b, tr, qs, ProtocolFanOut) })
 }
 
-// benchFanOut times fan-out k-NN (K=3) over qs and reports the
-// structural counters per query beside ns/op: partitions touched,
-// fabric messages and probe misses.
-func benchFanOut(b *testing.B, tr *Tree, qs [][]float64) {
+// benchKNN times k-NN (K=3) under proto over qs and reports the
+// structural counters per query beside ns/op: the kernel's distance
+// evaluations and nodes visited, partitions touched, fabric messages
+// and probe misses.
+func benchKNN(b *testing.B, tr *Tree, qs [][]float64, proto Protocol) {
 	b.Helper()
 	var agg ExecStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, ProtocolFanOut, false)
+		_, st, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, proto, false)
 		if err != nil {
 			b.Fatal(err)
 		}
+		agg.DistanceEvals += st.DistanceEvals
+		agg.NodesVisited += st.NodesVisited
 		agg.Partitions += st.Partitions
 		agg.FabricMessages += st.FabricMessages
 		agg.ProbeMisses += st.ProbeMisses
 	}
 	n := float64(b.N)
+	b.ReportMetric(float64(agg.DistanceEvals)/n, "dist-evals/query")
+	b.ReportMetric(float64(agg.NodesVisited)/n, "nodes/query")
 	b.ReportMetric(float64(agg.Partitions)/n, "partitions/query")
 	b.ReportMetric(float64(agg.FabricMessages)/n, "msgs/query")
 	b.ReportMetric(float64(agg.ProbeMisses)/n, "probe-misses/query")
@@ -116,7 +115,7 @@ func BenchmarkKNNPlacement(b *testing.B) {
 				}
 				qs[i] = q
 			}
-			benchFanOut(b, tr, qs)
+			benchKNN(b, tr, qs, ProtocolFanOut)
 		})
 	}
 }

@@ -210,8 +210,8 @@ func (t *Tree) callCtx(ctx context.Context, from, to cluster.NodeID, req any) (a
 // point lands, splits and forwards exactly as the paper's single-point
 // insertion does — one message per partition it crosses.
 func (t *Tree) Insert(p kdtree.Point) error {
-	if len(p.Coords) != t.cfg.Dim {
-		return fmt.Errorf("core: point has %d coords, tree dimension is %d", len(p.Coords), t.cfg.Dim)
+	if err := checkCoords(p.Coords, t.cfg.Dim); err != nil {
+		return fmt.Errorf("core: insert: %w", err)
 	}
 	root := t.rootPartition()
 	if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: []batchEntry{{Node: 0, Point: p}}, Policy: landAppend}); err != nil {
@@ -252,7 +252,7 @@ const (
 // choice from it. Counters are exact sums over every partition the
 // query executed on.
 type ExecStats struct {
-	// NodesVisited counts tree nodes popped and examined (pruned
+	// NodesVisited counts tree nodes reached and examined (pruned
 	// subtrees cost nothing).
 	NodesVisited int64
 	// BucketsScanned counts leaf buckets whose points were examined.

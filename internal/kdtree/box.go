@@ -20,17 +20,18 @@ import "math"
 // BoxMinSq returns the exact squared Euclidean distance from q to the
 // axis-aligned box [lo, hi] — zero when q lies inside, +Inf when the
 // box is empty. It is the single min-distance kernel of the index, like
-// EuclideanSq for the point metric.
+// EuclideanSq for the point metric. Each dimension's gap max(lo−v, 0) +
+// max(v−hi, 0) is taken without a branch, as (x + |x|)/2 per term: at
+// most one term is positive (both are +Inf for an empty box), doubling
+// and halving it are exact, and an in-box dimension adds an exact zero,
+// so the sum is bit for bit the one a branch per dimension would give.
 func BoxMinSq(q, lo, hi []float64) float64 {
+	lo, hi = lo[:len(q)], hi[:len(q)]
 	s := 0.0
 	for i, v := range q {
-		if v < lo[i] {
-			d := lo[i] - v
-			s += d * d
-		} else if v > hi[i] {
-			d := v - hi[i]
-			s += d * d
-		}
+		below, above := lo[i]-v, v-hi[i]
+		d := (below + math.Abs(below) + (above + math.Abs(above))) * 0.5
+		s += d * d
 	}
 	return s
 }
@@ -171,15 +172,18 @@ func (a *Arena) ExpandPath(path []int32, c []float64) int {
 // always are (an empty local subtree is +Inf: nothing there to find);
 // a reference leaving the arena — a foreign child, or a tombstone's
 // forward link — is as known as the embedder's cache of it, so callers
-// fall back to the splitting-plane bound when it is not.
+// fall back to the splitting-plane bound when it is not. A tombstone's
+// own box is empty, so a local child's node is read only when its box
+// reads +Inf: the guard of a subtree that is never visited costs no
+// load of its node.
 func (a *Arena) childBoxMinSq(ref Ref, q []float64, out Outside) (float64, bool) {
 	if a.IsLocal(ref) {
-		n := &a.Nodes[ref.Node]
-		if !n.Moved {
-			lo, hi := a.box(ref.Node)
-			return BoxMinSq(q, lo, hi), true
+		lo, hi := a.box(ref.Node)
+		minSq := BoxMinSq(q, lo, hi)
+		if !math.IsInf(minSq, 1) || !a.Nodes[ref.Node].Moved {
+			return minSq, true
 		}
-		ref = n.Fwd
+		ref = a.Nodes[ref.Node].Fwd
 	}
 	if lo, hi, ok := out.Box(ref); ok {
 		return BoxMinSq(q, lo, hi), true
@@ -187,10 +191,15 @@ func (a *Arena) childBoxMinSq(ref Ref, q []float64, out Outside) (float64, bool)
 	return 0, false
 }
 
-// guardSq computes the k-NN backtracking guard for a child: the exact
-// region min-distance when known (never looser than the plane bound),
-// the squared splitting-plane distance otherwise.
-func (a *Arena) guardSq(q []float64, ref Ref, planeSq float64, out Outside) float64 {
+// guardSq computes the k-NN guard for a child: the exact region
+// min-distance when known (never looser than the plane bound), the
+// squared splitting-plane distance otherwise. A child whose plane
+// distance already lies beyond bound — the worst kept distance of a
+// full Rs, +Inf otherwise — is pruned on that alone, its box unread.
+func (a *Arena) guardSq(q []float64, ref Ref, planeSq, bound float64, out Outside) float64 {
+	if planeSq > bound {
+		return planeSq
+	}
 	if minSq, ok := a.childBoxMinSq(ref, q, out); ok && minSq > planeSq {
 		return minSq
 	}

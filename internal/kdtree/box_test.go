@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -22,6 +23,47 @@ func TestBoxMinSq(t *testing.T) {
 	for _, c := range cases {
 		if got := BoxMinSq(c.q, lo, hi); got != c.want {
 			t.Errorf("BoxMinSq(%v) = %g, want %g", c.q, got, c.want)
+		}
+	}
+}
+
+// TestBoxMinSqBits: the branch-free kernel sums, bit for bit, what one
+// branch per dimension sums — on random boxes, on queries sitting on a
+// face, and on the empty box.
+func TestBoxMinSqBits(t *testing.T) {
+	branchy := func(q, lo, hi []float64) float64 {
+		s := 0.0
+		for i, v := range q {
+			if v < lo[i] {
+				s += (lo[i] - v) * (lo[i] - v)
+			} else if v > hi[i] {
+				s += (v - hi[i]) * (v - hi[i])
+			}
+		}
+		return s
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		dim := 1 + r.Intn(8)
+		q, lo, hi := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+		for d := range q {
+			a, b := r.NormFloat64()*10, r.NormFloat64()*10
+			lo[d], hi[d] = min(a, b), max(a, b)
+			switch r.Intn(4) {
+			case 0:
+				q[d] = lo[d]
+			case 1:
+				q[d] = hi[d]
+			default:
+				q[d] = r.NormFloat64() * 10
+			}
+		}
+		if trial%50 == 0 {
+			emptyBox(lo, hi)
+		}
+		want := branchy(q, lo, hi)
+		if got := BoxMinSq(q, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: BoxMinSq(%v, %v, %v) = %v, want %v", trial, q, lo, hi, got, want)
 		}
 	}
 }

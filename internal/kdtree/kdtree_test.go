@@ -387,11 +387,14 @@ func BenchmarkKNearestBalanced(b *testing.B) {
 	pts := randomPoints(r, 100_000, 8)
 	tr, _ := BulkLoad(pts, 8, 16)
 	q := make([]float64, 8)
+	var st Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for d := range q {
 			q[d] = r.Float64() * 100
 		}
-		tr.KNearest(q, 3)
+		tr.KNearestWithStats(q, 3, &st)
 	}
+	b.ReportMetric(float64(st.PointsScanned)/float64(b.N), "dist-evals/query")
+	b.ReportMetric(float64(st.NodesVisited)/float64(b.N), "nodes/query")
 }

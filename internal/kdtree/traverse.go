@@ -2,7 +2,7 @@ package kdtree
 
 import "math"
 
-// visit is one pending subtree on the explicit traversal stack.
+// visit is one pending subtree on the traversal's visit heap.
 // guardSq >= 0 guards the visit: no point of the subtree can lie closer
 // to the query than sqrt(guardSq), so the subtree is skipped when the
 // result ball no longer reaches it. The guard is the exact squared
@@ -12,23 +12,19 @@ import "math"
 // looser and grows strictly tighter with dimensionality — falling back
 // to the squared plane distance when the region behind an outside
 // reference is unknown. (The paper's plane-only walk is a test
-// reference, planeKNN in plane_test.go.) The guard is evaluated at pop
-// time — after the nearer sibling's subtree has been fully explored —
-// which is exactly the paper's backtracking condition (visit the
-// unexplored side when Rs.length() < K or the worst kept distance
-// still reaches the region). We skip only when the
-// guard is *strictly* beyond the worst kept candidate: at exact
-// equality a point on the region's boundary could tie the k-th best
-// with a smaller ID, and every guard (plane or box, local or
-// distributed) must keep the same winner for all modes to stay
-// bit-identical. guardSq < 0 marks an unconditional visit.
+// reference, planeKNN in plane_test.go.) We skip only when the guard
+// is *strictly* beyond the worst kept candidate: at exact equality a
+// point on the region's boundary could tie the k-th best with a smaller
+// ID, and every guard (plane or box, local or distributed) must keep
+// the same winner for all modes to stay bit-identical. guardSq < 0
+// marks an unconditional visit.
 type visit struct {
 	ref     Ref
 	guardSq float64
 }
 
 // Search is the state of one traversal: the query, the work counters,
-// the k-nearest candidate set and visit stack, and the range radius
+// the k-nearest candidate set and visit heap, and the range radius
 // and matches. The zero value is ready once Query (and RS or Radius)
 // is set; Reset re-arms a pooled one.
 type Search struct {
@@ -44,28 +40,110 @@ type Search struct {
 	Radius  float64
 	Matches []Neighbor
 
-	stack []visit
+	heap  []visit // a binary min-heap on guardSq
 	steps int
 }
+
+// heapCap is the visit heap's first capacity: a k-nearest query on a
+// clustered corpus rarely holds more pending subtrees, so a fresh
+// Search does not grow its heap append by append.
+const heapCap = 64
 
 // Reset re-arms s for a new traversal over q, keeping its buffers.
 func (s *Search) Reset(q []float64) {
 	s.Query = q
 	s.Stats = Stats{}
 	s.Matches = nil
-	s.stack = s.stack[:0]
+	if s.heap == nil {
+		s.heap = make([]visit, 0, heapCap)
+	}
+	s.heap = s.heap[:0]
 	s.steps = 0
 }
 
-// Push schedules the subtree behind ref for a k-nearest traversal;
-// entries pop in reverse push order. guardSq < 0 is unconditional.
+// Push schedules the subtree behind ref for a k-nearest traversal,
+// which visits pending subtrees smallest guard first. guardSq < 0 is
+// unconditional; a subtree the result ball already cannot reach is
+// dropped here.
 func (s *Search) Push(ref Ref, guardSq float64) {
-	s.stack = append(s.stack, visit{ref: ref, guardSq: guardSq})
+	if s.RS.Worst() < guardSq {
+		return
+	}
+	// Sift up: the sift is written over []visit by hand, because
+	// container/heap's interface boxing would allocate per push.
+	h := append(s.heap, visit{})
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].guardSq <= guardSq {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = visit{ref: ref, guardSq: guardSq}
+	s.heap = h
+}
+
+// next removes and returns the pending visit with the smallest guard;
+// ok is false, and nothing is left pending, once the result ball
+// cannot reach that one — it then reaches none.
+func (s *Search) next() (v visit, ok bool) {
+	h := s.heap
+	if len(h) == 0 || s.RS.Worst() < h[0].guardSq {
+		s.heap = h[:0]
+		return visit{}, false
+	}
+	v = h[0]
+	s.heap = h[:len(h)-1]
+	if len(s.heap) > 0 {
+		s.siftDown(h[len(h)-1])
+	}
+	return v, true
+}
+
+// nextBeside is next with a child the traversal just reached competing
+// for the turn: the child itself while no pending visit is closer (the
+// descent shortcut, no heap operation), else the closest pending visit,
+// the child taking its place in the heap.
+func (s *Search) nextBeside(ref Ref, guardSq float64) (visit, bool) {
+	if s.RS.Worst() < guardSq {
+		return s.next()
+	}
+	c := visit{ref: ref, guardSq: guardSq}
+	if len(s.heap) == 0 || s.heap[0].guardSq >= guardSq {
+		return c, true
+	}
+	v := s.heap[0]
+	s.siftDown(c)
+	return v, true
+}
+
+// siftDown puts v at the root of the heap in place of the entry there
+// and sifts it down.
+func (s *Search) siftDown(v visit) {
+	h := s.heap
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].guardSq < h[c].guardSq {
+			c++
+		}
+		if v.guardSq <= h[c].guardSq {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // errCheckMask throttles Outside.Err polling on the traversal hot path:
 // cancellation is re-checked every 64 visited nodes, so an expired
-// query abandons a deep traversal within a bounded number of pops
+// query abandons a deep traversal within a bounded number of visits
 // without paying an atomic load per node.
 const errCheckMask = 63
 
@@ -79,7 +157,8 @@ type Outside interface {
 	Box(ref Ref) (lo, hi []float64, ok bool)
 	// Follow continues the traversal into the subtree behind ref. For
 	// a k-nearest traversal guardSq is the guard the subtree was
-	// reached with (< 0: on the query's own descent path); for a range
+	// reached with, already checked against Rs (< 0: an unconditional
+	// entry that is a tombstone forwarding out of the arena); for a range
 	// traversal parallel reports that the sibling subtree is searched
 	// too, so the hop may overlap it. A non-nil error aborts.
 	Follow(ref Ref, guardSq float64, parallel bool) error
@@ -117,22 +196,26 @@ func EuclideanSq(q, p []float64) float64 {
 }
 
 // KNearest runs the k-nearest traversal of §III-B.3 over the subtrees
-// pushed on s, offering candidates to s.RS: navigate to the leaf
-// containing the query, add its bucket to Rs, then walk back up; at
-// each node the unexplored subtree is visited when the hypersphere of
-// the current worst result reaches the subtree's region — the exact
-// min-distance form of the paper's |max(Rs) − P[SI]| > |P[SI] − Sv|
-// test — or when Rs is not yet full. The recursion is run as an
-// explicit stack so the whole traversal state lives in one poolable
-// Search. References that leave the arena are handed to out.
+// pushed on s, offering candidates to s.RS. A subtree is visited when
+// the hypersphere of the current worst result reaches its region — the
+// exact min-distance form of the paper's |max(Rs) − P[SI]| > |P[SI] −
+// Sv| test — or when Rs is not yet full. The paper walks depth first:
+// down to the query's leaf, then back up. This kernel visits the same
+// regions nearest first ("distance browsing", Hjaltason & Samet, ACM
+// TODS 1999): pending subtrees wait on a min-heap keyed on their
+// guards, each child gets its own exact guard (the one on the query's
+// side of the plane included), and the traversal descends straight
+// into the nearer child while no pending subtree is closer. Every point
+// closer than a region is then offered before that region is reached,
+// so the ball has shrunk as far as it can when a region is judged and
+// the same prune skips more. The result is unchanged: the prune is
+// still "strictly beyond a full Rs", only the visit order differs (the
+// paper's order is a test reference, dfsKNN in plane_test.go). The
+// whole traversal state lives in one poolable Search. References that
+// leave the arena are handed to out.
 func (a *Arena) KNearest(s *Search, out Outside) error {
 	coords, ids, dim := a.Coords, a.IDs, a.Dim // fixed for the traversal: the caller holds the arena still
-	for len(s.stack) > 0 {
-		v := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		if v.guardSq >= 0 && s.RS.Full() && s.RS.Worst() < v.guardSq {
-			continue // backtracking prune: the result ball cannot reach the region
-		}
+	for v, ok := s.next(); ok; {
 		if err := s.tick(out); err != nil {
 			return err
 		}
@@ -152,6 +235,7 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 					}
 					rs.Offer(Neighbor{Point: Point{Coords: c, ID: ids[slot]}, Dist: d})
 				}
+				v, ok = s.next()
 				continue
 			}
 			if !n.Moved {
@@ -160,11 +244,14 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 					near, far = far, near
 				}
 				plane := s.Query[n.SplitDim] - n.SplitVal
-				// LIFO: far is guarded by its region's exact
-				// min-distance and pops only after near's whole subtree
-				// has been explored.
-				s.Push(far, a.guardSq(s.Query, far, plane*plane, out))
-				s.Push(near, -1)
+				worst := s.RS.Worst()
+				nearSq := a.guardSq(s.Query, near, 0, worst, out)
+				farSq := a.guardSq(s.Query, far, plane*plane, worst, out)
+				if farSq < nearSq {
+					near, far, nearSq, farSq = far, near, farSq, nearSq
+				}
+				s.Push(far, farSq)
+				v, ok = s.nextBeside(near, nearSq)
 				continue
 			}
 			ref = n.Fwd
@@ -172,6 +259,7 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 		if err := out.Follow(ref, v.guardSq, false); err != nil {
 			return err
 		}
+		v, ok = s.next()
 	}
 	return nil
 }
