@@ -74,10 +74,14 @@ func (a *Appender) Float(f float64) {
 	*a = binary.LittleEndian.AppendUint64(*a, math.Float64bits(f))
 }
 
-// Floats appends the raw little-endian bits of every value of fs.
+// Floats appends the raw little-endian bits of every value of fs: the
+// bytes of one Float call per value, written into one growth.
 func (a *Appender) Floats(fs []float64) {
-	for _, f := range fs {
-		a.Float(f)
+	n := len(*a)
+	*a = slices.Grow(*a, 8*len(fs))[:n+8*len(fs)]
+	b := (*a)[n:]
+	for i, f := range fs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
 	}
 }
 

@@ -101,24 +101,29 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 // undone — when the entry leaf stopped being a leaf while the
 // client-side build ran: points that merely raced into it are merged
 // by the graft.
+//
+// The undo resets every partition that was sent an install, whether
+// or not its reply came back: a reply lost after the handler ran still
+// left a fragment there. The targets hold nothing else — BulkLoad takes
+// freshly allocated partitions and Rebalance resets its own first — so
+// the reset removes exactly what this call put there.
 func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.NodeID) (bool, error) {
 	seq, err := kdtree.BulkLoad(pts, t.cfg.Dim, t.cfg.BucketSize)
 	if err != nil {
 		return false, fmt.Errorf("build: %w", err)
 	}
 	req := installReq{Entry: 0, Frag: seq.Arena}
-	var used []cluster.NodeID
+	var sent []cluster.NodeID
 	undo := func() {
-		for _, id := range used {
-			// The partitions hold only our fragments; reset precisely
-			// undoes the install. They stay allocated (empty) and rejoin
-			// the layout through rebalance.
+		for _, id := range sent {
+			// They stay allocated (empty) and rejoin the layout
+			// through rebalance.
 			_ = t.reset(id, false)
 		}
 	}
 	if !seq.Nodes[0].Leaf {
 		if tg := targets(); len(tg) > 0 {
-			if req.Frag, req.Remote, used, err = t.installFrontier(&seq.Arena, tg); err != nil {
+			if req.Frag, req.Remote, sent, err = t.installFrontier(&seq.Arena, tg); err != nil {
 				undo()
 				return false, fmt.Errorf("install: %w", err)
 			}
@@ -144,10 +149,17 @@ func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.Node
 // children replaced by their cross-partition refs — with each ref's
 // region (so the partition that receives the trunk can seed its
 // remote-box cache: the region registers together with the link,
-// exactly like the adopt handshake) and the partitions that now hold
-// fragments. Each fragment is cut from the arena with exactly its
-// points; the arena is left as it was.
-func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk kdtree.Arena, remote []RemoteBox, used []cluster.NodeID, err error) {
+// exactly like the adopt handshake) and the partitions it sent an
+// install to, on failure too. Each fragment is cut from the arena with
+// exactly its points; the arena is left as it was.
+//
+// "Using M−1 data partitions, we can perform in the best case M−1
+// parallel operations" (§III-C): the partitions install concurrently,
+// one RunBatch item each, and each receives its subtrees in frontier
+// order, so it gets the same fragments in the same order — and hands
+// back the same node indices — as a one-by-one install would. On an
+// error every dispatched install has returned before this does.
+func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk kdtree.Arena, remote []RemoteBox, sent []cluster.NodeID, err error) {
 	frontier := cutFrontier(a, len(targets))
 	subs := make([]placeBox, len(frontier))
 	for i, idx := range frontier {
@@ -155,18 +167,37 @@ func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk
 		subs[i] = placeBox{lo: lo, hi: hi, points: a.Count(idx)}
 	}
 	assign := t.assignTargets(subs, targets)
-	cut := make(map[int32]kdtree.Ref, len(frontier))
-	for i, idx := range frontier {
-		resp, err := t.call(cluster.ClientID, assign[i], installReq{Entry: -1, Frag: a.Extract(idx, nil)})
-		if err != nil {
-			return kdtree.Arena{}, nil, used, err
+	var groups [][]int // frontier positions per partition of sent
+	for i, id := range assign {
+		g := slices.Index(sent, id)
+		if g < 0 {
+			g = len(sent)
+			sent, groups = append(sent, id), append(groups, nil)
 		}
-		used = append(used, assign[i])
-		ref := refTo(assign[i], resp.(installResp).Node)
-		cut[idx] = ref
-		remote = append(remote, RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi})
+		groups[g] = append(groups[g], i)
 	}
-	return a.Extract(0, cut), remote, used, nil
+	nodes := make([]int32, len(frontier))
+	err = RunBatch(detached, len(groups), 0, func(g int) error {
+		for _, i := range groups[g] {
+			resp, err := t.call(cluster.ClientID, sent[g], installReq{Entry: -1, Frag: a.Extract(frontier[i], nil)})
+			if err != nil {
+				return err
+			}
+			nodes[i] = resp.(installResp).Node
+		}
+		return nil
+	})
+	if err != nil {
+		return kdtree.Arena{}, nil, sent, err
+	}
+	cut := make(map[int32]kdtree.Ref, len(frontier))
+	remote = make([]RemoteBox, len(frontier))
+	for i, idx := range frontier {
+		ref := refTo(assign[i], nodes[i])
+		cut[idx] = ref
+		remote[i] = RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi}
+	}
+	return a.Extract(0, cut), remote, sent, nil
 }
 
 // bulkMerge streams the batch into a live tree in chunks, each chunk a

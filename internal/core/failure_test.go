@@ -160,3 +160,45 @@ func TestLostReplyBulkLoadNeverPanics(t *testing.T) {
 		fabric.Close()
 	}
 }
+
+// TestFailedBulkLoadUndoesEveryInstall: a bulk load on an empty tree
+// whose install replies are lost fails typed and leaves no fragment
+// behind. Every reply on a nine-partition InProc tree is dropped after
+// its handler ran, so each install applied while its sender saw only
+// failures; the undo must reset every partition it sent one to, not
+// just those that answered. Once disarmed, every data partition holds
+// no point, and a second BulkLoad answers as the flat scan.
+func TestFailedBulkLoadUndoesEveryInstall(t *testing.T) {
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 3, DropReplyAfter: 1})
+	defer fabric.Close()
+	r := rand.New(rand.NewSource(29))
+	pts := randomPoints(r, 2000, 3)
+	tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 3})
+	err := tr.BulkLoad(context.Background(), pts)
+	if err == nil {
+		t.Fatal("BulkLoad succeeded with every reply lost")
+	}
+	if !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
+		t.Fatalf("BulkLoad returned an untyped error: %v", err)
+	}
+	fabric.Arm(clustertest.Faults{})
+	if got := tr.PartitionCount(); got != 9 {
+		t.Fatalf("partitions = %d, want 9", got)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("Len = %d after a failed load", tr.Len())
+	}
+	for i, ps := range liveSnapshot(t, tr).Parts[1:] {
+		if len(ps.IDs) != 0 {
+			t.Fatalf("data partition %d holds %d points after the undo", i+1, len(ps.IDs))
+		}
+	}
+	if err := tr.BulkLoad(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	queries := make([][]float64, 20)
+	for i := range queries {
+		queries[i] = randomPoints(r, 1, 3)[0].Coords
+	}
+	checkAgainstScan(t, tr, pts, queries, "after the second bulk load")
+}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
+	"semtree/internal/cluster"
 	"semtree/internal/kdtree"
 )
 
@@ -313,4 +315,86 @@ func TestLayoutIsFunctionOfData(t *testing.T) {
 		}
 		r.Shuffle(len(tied), func(i, j int) { tied[i], tied[j] = tied[j], tied[i] })
 	}
+}
+
+// TestConcurrentInstallIsSequential: the balanced installer installs
+// the partitions concurrently, yet leaves the layout a one-by-one
+// install in frontier order leaves. Five data partitions take an
+// eight-subtree frontier, so some receive two fragments; on InProc and
+// on TCP, at GOMAXPROCS 1, 2 and 8, a BulkLoad into an empty tree
+// encodes to the bytes of installSequential's build over the same
+// points on the same fabric kind.
+func TestConcurrentInstallIsSequential(t *testing.T) {
+	const n, dim = 6000, 4
+	pts := clusteredPoints(rand.New(rand.NewSource(41)), n, dim, 5)
+	cfg := Config{Dim: dim, PartitionCapacity: n / 5, MaxPartitions: 6}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tcp := range []bool{false, true} {
+		build := func(load func(*Tree)) []byte {
+			c := cfg
+			if tcp {
+				fabric := cluster.NewTCP()
+				defer fabric.Close()
+				c.Fabric = fabric
+			}
+			tr := mustTree(t, c)
+			load(tr)
+			var enc bytes.Buffer
+			if err := EncodeSnapshot(&enc, liveSnapshot(t, tr)); err != nil {
+				t.Fatal(err)
+			}
+			return enc.Bytes()
+		}
+		want := build(func(tr *Tree) { installSequential(t, tr, pts) })
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := build(func(tr *Tree) {
+				if err := tr.BulkLoad(context.Background(), pts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("tcp=%v, GOMAXPROCS %d: snapshot bytes differ from the one-by-one install's", tcp, procs)
+			}
+		}
+	}
+}
+
+// installSequential is installBalanced's path on an empty tree with
+// the frontier installed one subtree at a time, in frontier order, and
+// it fails the test unless some partition receives two subtrees.
+func installSequential(t *testing.T, tr *Tree, pts []kdtree.Point) {
+	t.Helper()
+	seq, err := kdtree.BulkLoad(pts, tr.cfg.Dim, tr.cfg.BucketSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &seq.Arena
+	targets := tr.allocPartitions(tr.cfg.MaxPartitions)
+	frontier := cutFrontier(a, len(targets))
+	subs := make([]placeBox, len(frontier))
+	for i, idx := range frontier {
+		lo, hi := a.Box(idx)
+		subs[i] = placeBox{lo: lo, hi: hi, points: a.Count(idx)}
+	}
+	assign := tr.assignTargets(subs, targets)
+	if len(slices.Compact(slices.Sorted(slices.Values(assign)))) == len(assign) {
+		t.Fatalf("%d subtrees on %d partitions, each on its own", len(assign), len(targets))
+	}
+	cut := make(map[int32]kdtree.Ref, len(frontier))
+	var remote []RemoteBox
+	for i, idx := range frontier {
+		resp, err := tr.call(cluster.ClientID, assign[i], installReq{Entry: -1, Frag: a.Extract(idx, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refTo(assign[i], resp.(installResp).Node)
+		cut[idx] = ref
+		remote = append(remote, RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi})
+	}
+	resp, err := tr.call(cluster.ClientID, tr.rootPartition().id, installReq{Entry: 0, Frag: a.Extract(0, cut), Remote: remote})
+	if err != nil || !resp.(installResp).OK {
+		t.Fatalf("trunk graft: %v, %v", resp, err)
+	}
+	tr.size.Add(int64(len(pts)))
 }

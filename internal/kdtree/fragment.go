@@ -19,7 +19,18 @@ import (
 // the frontier subtrees that ship to other arenas. The fragment's
 // blocks are sized exactly.
 func (a *Arena) Extract(root int32, cut map[int32]Ref) Arena {
-	f := Arena{Self: Local, Dim: a.Dim}
+	var count func(ref Ref) int // the nodes walk copies below ref
+	count = func(ref Ref) int {
+		if _, ok := cut[ref.Node]; ok || !a.IsLocal(ref) {
+			return 0
+		}
+		if n := &a.Nodes[ref.Node]; !n.Leaf && !n.Moved {
+			return 1 + count(n.Left) + count(n.Right)
+		}
+		return 1
+	}
+	size := count(a.Ref(root))
+	f := Arena{Self: Local, Dim: a.Dim, Nodes: make([]Node, 0, size), Boxes: make([]float64, 0, 2*a.Dim*size)}
 	var walk func(ref Ref) Ref
 	walk = func(ref Ref) Ref {
 		if !a.IsLocal(ref) {
@@ -40,7 +51,6 @@ func (a *Arena) Extract(root int32, cut map[int32]Ref) Arena {
 		return Ref{Part: Local, Node: at}
 	}
 	walk(a.Ref(root))
-	f.Nodes, f.Boxes = slices.Clone(f.Nodes), slices.Clone(f.Boxes)
 	f.Coords, f.IDs = a.pack(f.Nodes) // the leaves still hold a's slots
 	return f
 }
