@@ -314,13 +314,21 @@ func BenchmarkTripleDistance(b *testing.B) {
 }
 
 // internedBuild is semtree.Build up to the tree: fill a store, then
-// FastMap over one-to-all rows of its dictionary encoding.
-func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap.Options) (*fastmap.Mapper[semdist.Triple], [][]float64, error) {
+// FastMap over one-to-all rows of its dictionary encoding. It adds the
+// number of one-to-all scans the build made to *scans, unless nil.
+func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap.Options, scans *int) (*fastmap.Mapper[semdist.Triple], [][]float64, error) {
 	store := triple.NewStore()
 	store.AddAll(triples, triple.Provenance{})
 	terms, ids := store.Encoded()
 	corpus := semdist.NewCorpus(metric, terms, ids)
-	return fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance, opts)
+	row := corpus.Row
+	if scans != nil {
+		row = func(from int) func(lo int, dst []float64) {
+			*scans++
+			return corpus.Row(from)
+		}
+	}
+	return fastmap.BuildRows(corpus.Len(), row, corpus.Triple, metric.ResolvedDistance, opts)
 }
 
 // BenchmarkFastMapEmbed measures embedding one out-of-sample triple the
@@ -329,7 +337,7 @@ func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap
 func BenchmarkFastMapEmbed(b *testing.B) {
 	g := synth.New(synth.Config{Seed: 1}, nil)
 	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
-	mapper, _, err := internedBuild(metric, g.Triples(5000), fastmap.Options{Dims: 8, Seed: 1})
+	mapper, _, err := internedBuild(metric, g.Triples(5000), fastmap.Options{Dims: 8, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,18 +353,23 @@ func BenchmarkFastMapEmbed(b *testing.B) {
 // BenchmarkFastMapBuild measures the FastMap build over 100k triples:
 // "interned" is the path semtree.Build takes, "generic" the same kernel
 // fed by one Metric.Distance call per pair (the reference the two must
-// agree with bit for bit).
+// agree with bit for bit). Both split every scan over GOMAXPROCS ranges,
+// so -cpu moves them. scans/op counts the one-to-all scans, each a
+// Corpus.Row preparation (generic makes the same scans, n Distance
+// calls each).
 func BenchmarkFastMapBuild(b *testing.B) {
 	triples := synth.New(synth.Config{Seed: 1}, nil).Triples(100000)
 	metric := semdist.MustNew(vocab.DefaultRegistry(), semdist.Options{})
 	opts := fastmap.Options{Dims: 8, Seed: 1}
 	b.Run("interned", func(b *testing.B) {
 		b.ReportAllocs()
+		scans := 0
 		for i := 0; i < b.N; i++ {
-			if _, _, err := internedBuild(metric, triples, opts); err != nil {
+			if _, _, err := internedBuild(metric, triples, opts, &scans); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
 	})
 	b.Run("generic", func(b *testing.B) {
 		b.ReportAllocs()

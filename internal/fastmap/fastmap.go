@@ -17,10 +17,40 @@
 // them: each scan of the pivot heuristic and the two coordinate columns
 // of an axis (which are the heuristic's last two scans when it
 // converged, and are reused). BuildRows is that kernel over a RowFunc;
-// Build is the wrapper that fills a row with n DistFunc calls. A caller
-// whose distance shares work per object — SemTree interns triple terms
-// and computes one term distance per distinct term — supplies its own
-// row and pays O(distinct) instead of O(n) kernel calls per scan.
+// Build is the wrapper whose rows are DistFunc calls. A caller whose
+// distance shares work per object — SemTree interns triple terms and
+// computes one term distance per distinct term — supplies its own row
+// and pays O(distinct) instead of O(n) kernel calls per scan.
+//
+// A RowFunc has two steps. row(from) does the per-object work once and
+// returns a fill; fill(lo, dst) writes the distances from object from
+// to objects lo … lo+len(dst)-1.
+//
+// # Every core, one pass per range
+//
+// A scan is split into GOMAXPROCS contiguous index ranges of at least
+// 2 048 objects; a build smaller than two ranges runs on the caller
+// alone. The helper goroutines are started once per build. Each range
+// makes one pass, a tile of 512 objects at a time: fill, then square,
+// subtract the squared coordinate differences on the earlier axes (read
+// in place from the row block the build returns), clamp at 0, and track
+// its farthest object. The ranges' farthest objects
+// merge in index order and a later range wins only when strictly
+// farther, so the lowest index wins ties exactly as in one pass; the
+// per-axis projection is split the same way. Every value is computed
+// by the same operations in the same order at any GOMAXPROCS, so
+// pivots and coordinates are bit-identical to a one-range build.
+//
+// When a pass of the heuristic finds as its next a the object whose
+// scan is already in hand, the heuristic has converged (that scan's
+// farthest object is the current b) and the scan is reused, not made
+// again.
+//
+// The concurrency contract: BuildRows prepares one row at a time, and
+// calls the fill it returns concurrently on disjoint ranges that
+// together cover [0, n); the next row is prepared only after every
+// fill of the previous one has returned. So Build's DistFunc must be
+// safe for concurrent use, as a Mapper's already must be.
 //
 // # The distance contract
 //
@@ -48,9 +78,12 @@ import (
 // two objects (see the package comment for why each matters).
 type DistFunc[T any] func(a, b T) float64
 
-// RowFunc writes into dst[i] the distance from object from to object i,
-// for every i < len(dst), under the same contract as DistFunc.
-type RowFunc func(from int, dst []float64)
+// RowFunc prepares the one-to-all scan from object from and returns its
+// fill: fill(lo, dst) writes into dst[j] the distance from object from
+// to object lo+j, for every j < len(dst), under the same contract as
+// DistFunc. A build prepares one scan at a time and then calls its fill
+// concurrently on disjoint ranges that together cover every object.
+type RowFunc func(from int) func(lo int, dst []float64)
 
 // Options configure Build.
 type Options struct {
@@ -87,11 +120,15 @@ type Mapper[T any] struct {
 
 // Build runs FastMap over objs and returns the mapper plus the
 // coordinates of every input object (row i ↔ objs[i]). It is BuildRows
-// with each row filled by n calls of dist(objs[from], objs[i]).
+// with each row filled by calls of dist(objs[from], objs[i]), which may
+// run on several goroutines at once.
 func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
-	row := func(from int, dst []float64) {
-		for i := range objs {
-			dst[i] = dist(objs[from], objs[i])
+	row := func(from int) func(lo int, dst []float64) {
+		a := objs[from]
+		return func(lo int, dst []float64) {
+			for i, o := range objs[lo : lo+len(dst)] {
+				dst[i] = dist(a, o)
+			}
 		}
 	}
 	return BuildRows(len(objs), row, func(i int) T { return objs[i] }, dist, opts)
@@ -101,8 +138,8 @@ func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]flo
 // row supplies one-to-all distances, object returns the i-th object
 // (called for the chosen pivots only, which the mapper retains), and
 // dist is the pairwise distance the returned mapper embeds
-// out-of-sample objects with. row(from, dst)[i] and
-// dist(object(from), object(i)) must agree bit for bit, or Map will not
+// out-of-sample objects with. The fill row(from) returns must agree
+// bit for bit with dist(object(from), object(i)), or Map will not
 // reproduce the build's coordinates. The coordinates are written into
 // one n×Dims block; the returned rows are views of it, each capped.
 func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
@@ -134,71 +171,41 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 		return m, coords, nil
 	}
 
+	s := newScanner(block, dims, row)
+	defer s.stop()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	fromA, fromB := make([]float64, n), make([]float64, n)
-	// resid2 fills dst with the squared residual distance at axis ax
-	// from object from to every object: base² minus the squared
-	// coordinate differences on axes < ax, clamped at 0 (the semantic
-	// distance need not be Euclidean).
-	resid2 := func(ax, from int, dst []float64) {
-		row(from, dst)
-		fc := block[from*dims : from*dims+ax]
-		for i, d := range dst {
-			r := d * d
-			ci := block[i*dims : i*dims+ax]
-			for h, f := range fc {
-				diff := f - ci[h]
-				r -= diff * diff
-			}
-			if r < 0 {
-				r = 0
-			}
-			dst[i] = r
-		}
-	}
-
 	for ax := 0; ax < opts.Dims; ax++ {
 		// Choose-distant-objects heuristic. Each pass scans from b to
 		// find a, then from a to find the next b; on convergence both
 		// scans are the coordinate columns and are not repeated.
 		b := rng.Intn(n)
-		a := b
+		a := -1 // the object fromA holds the scan of
 		converged := false
 		for it := 0; it < opts.PivotIterations && !converged; it++ {
-			resid2(ax, b, fromB)
-			a = argmax(fromB, b)
-			resid2(ax, a, fromA)
-			nb := argmax(fromA, a)
+			na := s.scan(ax, b, fromB)
+			if na == a { // fromA holds a's scan, whose farthest object is b
+				converged = true
+				break
+			}
+			a = na
+			nb := s.scan(ax, a, fromA)
 			converged = nb == b
 			b = nb
 		}
 		if !converged {
-			resid2(ax, b, fromB)
+			s.scan(ax, b, fromB)
 		}
 		dab2 := fromA[b]
 		m.pivotA[ax], m.pivotB[ax] = object(a), object(b)
 		m.dAB[ax] = math.Sqrt(dab2)
 		if dab2 != 0 { // otherwise every residual distance is zero and the axis stays 0
-			for i := range n {
-				block[i*dims+ax] = (fromA[i] + dab2 - fromB[i]) / (2 * m.dAB[ax])
-			}
+			s.project(ax, fromA, fromB, dab2, 2*m.dAB[ax])
 		}
 		m.coordsA[ax] = append([]float64(nil), coords[a]...)
 		m.coordsB[ax] = append([]float64(nil), coords[b]...)
 	}
 	return m, coords, nil
-}
-
-// argmax returns the index of the largest value of row other than
-// skip (the lowest such index on ties; 0 when there is no other).
-func argmax(row []float64, skip int) int {
-	best, bestD := 0, -1.0
-	for i, d := range row {
-		if i != skip && d > bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }
 
 // Dims returns the dimensionality of the embedding.
@@ -300,7 +307,8 @@ func ConvertSnapshot[T, U any](s Snapshot[T], f func(T) U) Snapshot[U] {
 
 // FromSnapshot reconstructs a Mapper from a snapshot and the distance
 // function it was built under. It validates the snapshot's internal
-// consistency.
+// consistency: the lengths agree with Dims, and every pivot distance
+// and pivot coordinate is finite and every pivot distance non-negative.
 func FromSnapshot[T any](s Snapshot[T], dist DistFunc[T]) (*Mapper[T], error) {
 	if dist == nil {
 		return nil, errors.New("fastmap: nil distance function")
@@ -313,11 +321,18 @@ func FromSnapshot[T any](s Snapshot[T], dist DistFunc[T]) (*Mapper[T], error) {
 		return nil, errors.New("fastmap: snapshot arrays disagree with dims")
 	}
 	for ax := 0; ax < s.Dims; ax++ {
-		if s.DAB[ax] < 0 {
-			return nil, errors.New("fastmap: negative pivot distance in snapshot")
+		if d := s.DAB[ax]; d < 0 || !finite(d) {
+			return nil, errors.New("fastmap: negative or non-finite pivot distance in snapshot")
 		}
 		if s.DAB[ax] > 0 && (len(s.CoordsA[ax]) != s.Dims || len(s.CoordsB[ax]) != s.Dims) {
 			return nil, errors.New("fastmap: pivot coordinates disagree with dims")
+		}
+		for _, c := range [2][]float64{s.CoordsA[ax], s.CoordsB[ax]} {
+			for _, v := range c {
+				if !finite(v) {
+					return nil, errors.New("fastmap: non-finite pivot coordinate in snapshot")
+				}
+			}
 		}
 	}
 	return &Mapper[T]{
@@ -330,6 +345,8 @@ func FromSnapshot[T any](s Snapshot[T], dist DistFunc[T]) (*Mapper[T], error) {
 		dAB:     s.DAB,
 	}, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Euclidean returns the Euclidean distance between two coordinate
 // vectors of equal length.

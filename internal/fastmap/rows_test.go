@@ -3,6 +3,8 @@ package fastmap
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -112,9 +114,11 @@ func TestBuildMatchesPairwiseReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				row := func(from int, dst []float64) {
-					for i := range dst {
-						dst[i] = lumpy(objs[from], objs[i])
+				row := func(from int) func(lo int, dst []float64) {
+					return func(lo int, dst []float64) {
+						for i := range dst {
+							dst[i] = lumpy(objs[from], objs[lo+i])
+						}
 					}
 				}
 				mr, coordsR, err := BuildRows(n, row, func(i int) int { return objs[i] }, lumpy, opts)
@@ -151,7 +155,7 @@ func TestBuildMatchesPairwiseReference(t *testing.T) {
 }
 
 func TestBuildRowsRejectsNil(t *testing.T) {
-	row := func(int, []float64) {}
+	row := func(int) func(int, []float64) { return func(int, []float64) {} }
 	obj := func(i int) int { return i }
 	if _, _, err := BuildRows(1, nil, obj, lumpy, Options{}); err == nil {
 		t.Error("nil row accepted")
@@ -232,6 +236,172 @@ func TestConvertSnapshot(t *testing.T) {
 	for q := 0; q < 30; q++ {
 		if !sameBits(m.Map(q), back.Map(q)) {
 			t.Fatalf("converted snapshot maps %d to %v, original %v", q, back.Map(q), m.Map(q))
+		}
+	}
+}
+
+// recorder is a RowFunc over dist that logs every scan: the object it
+// was prepared from and the [lo, hi) span of every fill call, which may
+// arrive from several goroutines at once.
+type recorder struct {
+	mu    sync.Mutex
+	objs  []int
+	dist  DistFunc[int]
+	scans []recordedScan
+}
+
+type recordedScan struct {
+	from  int
+	spans [][2]int
+}
+
+func (rec *recorder) row(from int) func(lo int, dst []float64) {
+	rec.mu.Lock()
+	rec.scans = append(rec.scans, recordedScan{from: from})
+	k := len(rec.scans) - 1
+	rec.mu.Unlock()
+	a := rec.objs[from]
+	return func(lo int, dst []float64) {
+		for i := range dst {
+			dst[i] = rec.dist(a, rec.objs[lo+i])
+		}
+		rec.mu.Lock()
+		rec.scans[k].spans = append(rec.scans[k].spans, [2]int{lo, lo + len(dst)})
+		rec.mu.Unlock()
+	}
+}
+
+// atProcs runs fn with GOMAXPROCS set to procs.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestChunkedBuildMatchesOneRange: above one range, every scan is split
+// into GOMAXPROCS contiguous ranges that run concurrently. Objects are
+// their indices and the distance is lumpy's over i·37 mod 101, so
+// distinct objects 101 apart are at the same distance from everything:
+// the farthest value of every scan is tied across every range boundary,
+// and only the merge's lowest-index tie-break names the pivots. Pivots,
+// pivot distances and coordinates — through BuildRows and through Build
+// — are the bits of the one-range build at GOMAXPROCS 2, 3 and 8, which
+// are the pairwise reference's; each scan's fills are disjoint, cover
+// [0, n), and split at every range boundary.
+func TestChunkedBuildMatchesOneRange(t *testing.T) {
+	n := 8*minRange + 333 // eight ranges at GOMAXPROCS 8; bounds off the tile grid at 3
+	objs := make([]int, n)
+	for i := range objs {
+		objs[i] = i
+	}
+	tied := func(a, b int) float64 { return lumpy(a*37%101, b*37%101) }
+	opts := Options{Dims: 6, PivotIterations: 5, Seed: 7}
+	pa, pb, dAB, want := referenceBuild(objs, tied, opts)
+
+	for _, procs := range []int{1, 2, 3, 8} {
+		rec := &recorder{objs: objs, dist: tied}
+		var m, mg *Mapper[int]
+		var coords, coordsG [][]float64
+		atProcs(procs, func() {
+			var err error
+			if m, coords, err = BuildRows(n, rec.row, func(i int) int { return i }, tied, opts); err != nil {
+				t.Fatal(err)
+			}
+			if mg, coordsG, err = Build(objs, tied, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, got := range []struct {
+			name   string
+			m      *Mapper[int]
+			coords [][]float64
+		}{{"BuildRows", m, coords}, {"Build", mg, coordsG}} {
+			if !sameBits(got.m.dAB, dAB) {
+				t.Fatalf("GOMAXPROCS %d %s: dAB %v, want %v", procs, got.name, got.m.dAB, dAB)
+			}
+			for ax := range pa {
+				if got.m.pivotA[ax] != objs[pa[ax]] || got.m.pivotB[ax] != objs[pb[ax]] {
+					t.Fatalf("GOMAXPROCS %d %s axis %d: pivots (%d, %d), want (%d, %d)",
+						procs, got.name, ax, got.m.pivotA[ax], got.m.pivotB[ax], objs[pa[ax]], objs[pb[ax]])
+				}
+				if !sameBits(got.m.coordsA[ax][:ax+1], want[pa[ax]][:ax+1]) || !sameBits(got.m.coordsB[ax][:ax+1], want[pb[ax]][:ax+1]) {
+					t.Fatalf("GOMAXPROCS %d %s: pivot coordinates at axis %d differ", procs, got.name, ax)
+				}
+			}
+			for i := range want {
+				if !sameBits(got.coords[i], want[i]) {
+					t.Fatalf("GOMAXPROCS %d %s: object %d at %v, want %v", procs, got.name, i, got.coords[i], want[i])
+				}
+			}
+		}
+
+		nr := min(procs, n/minRange)
+		first := rec.scans[0].from
+		var far float64
+		for i := range objs {
+			if i != first {
+				far = max(far, tied(first, i))
+			}
+		}
+		for r := range nr {
+			found := false
+			for i := r * n / nr; i < (r+1)*n/nr && !found; i++ {
+				found = i != first && tied(first, i) == far
+			}
+			if !found {
+				t.Fatalf("GOMAXPROCS %d: range %d holds no object at the first scan's farthest value", procs, r)
+			}
+		}
+		for k, sc := range rec.scans {
+			spans := slices.Clone(sc.spans)
+			slices.SortFunc(spans, func(a, b [2]int) int { return a[0] - b[0] })
+			next := 0
+			for _, sp := range spans {
+				if sp[0] != next || sp[1] <= sp[0] {
+					t.Fatalf("GOMAXPROCS %d scan %d: fill [%d, %d) after [0, %d)", procs, k, sp[0], sp[1], next)
+				}
+				next = sp[1]
+			}
+			if next != n {
+				t.Fatalf("GOMAXPROCS %d scan %d: fills cover [0, %d), want [0, %d)", procs, k, next, n)
+			}
+			for r := 1; r < nr; r++ {
+				if _, ok := slices.BinarySearchFunc(spans, r*n/nr, func(sp [2]int, lo int) int { return sp[0] - lo }); !ok {
+					t.Fatalf("GOMAXPROCS %d scan %d: no fill starts at range boundary %d", procs, k, r*n/nr)
+				}
+			}
+		}
+	}
+}
+
+// TestReusedScanPreparedOnce: on points along a line the heuristic runs
+// b₀ → a → b → a. The second a is the object whose scan is in hand, so
+// it is reused: the axis prepares three scans, a's once, not four.
+func TestReusedScanPreparedOnce(t *testing.T) {
+	n := 2*minRange + 5
+	objs := make([]int, n)
+	for i := range objs {
+		objs[i] = (i * 7919) % n // positions on the line, endpoints inside
+	}
+	line := func(a, b int) float64 { return math.Abs(float64(a - b)) }
+	for _, procs := range []int{1, 2} {
+		rec := &recorder{objs: objs, dist: line}
+		var m *Mapper[int]
+		atProcs(procs, func() {
+			var err error
+			if m, _, err = BuildRows(n, rec.row, func(i int) int { return objs[i] }, line, Options{Dims: 1, Seed: 3}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var at []int // the positions scanned from
+		for _, sc := range rec.scans {
+			at = append(at, objs[sc.from])
+		}
+		a, b := m.pivotA[0], m.pivotB[0]
+		if min(a, b) != 0 || max(a, b) != n-1 {
+			t.Fatalf("GOMAXPROCS %d: pivots at %d and %d, want the line's ends", procs, a, b)
+		}
+		if len(at) != 3 || at[1] != a || at[2] != b || at[0] == 0 || at[0] == n-1 {
+			t.Fatalf("GOMAXPROCS %d: scans from positions %v, want [b₀ %d %d] with b₀ inside the line", procs, at, a, b)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package fastmap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,6 +36,10 @@ func TestFromSnapshotValidation(t *testing.T) {
 		"short pivots":   {Dims: 3, PivotA: make([]int, 2), PivotB: make([]int, 3), CoordsA: make([][]float64, 3), CoordsB: make([][]float64, 3), DAB: make([]float64, 3)},
 		"negative dAB":   {Dims: 1, PivotA: make([]int, 1), PivotB: make([]int, 1), CoordsA: [][]float64{{0}}, CoordsB: [][]float64{{0}}, DAB: []float64{-1}},
 		"coords too few": {Dims: 2, PivotA: make([]int, 2), PivotB: make([]int, 2), CoordsA: [][]float64{{0}, {0}}, CoordsB: [][]float64{{0, 0}, {0, 0}}, DAB: []float64{1, 1}},
+		"NaN dAB":        {Dims: 1, PivotA: make([]int, 1), PivotB: make([]int, 1), CoordsA: [][]float64{{0}}, CoordsB: [][]float64{{1}}, DAB: []float64{math.NaN()}},
+		"+Inf dAB":       {Dims: 1, PivotA: make([]int, 1), PivotB: make([]int, 1), CoordsA: [][]float64{{0}}, CoordsB: [][]float64{{1}}, DAB: []float64{math.Inf(1)}},
+		"-Inf coord":     {Dims: 1, PivotA: make([]int, 1), PivotB: make([]int, 1), CoordsA: [][]float64{{math.Inf(-1)}}, CoordsB: [][]float64{{1}}, DAB: []float64{1}},
+		"NaN coord":      {Dims: 1, PivotA: make([]int, 1), PivotB: make([]int, 1), CoordsA: [][]float64{{0}}, CoordsB: [][]float64{{math.NaN()}}, DAB: []float64{1}},
 	}
 	for name, s := range cases {
 		if _, err := FromSnapshot(s, dist); err == nil {

@@ -10,9 +10,11 @@ import "semtree/internal/triple"
 // kernel calls and n weighted sums instead of n Eq. 1 evaluations —
 // which is what a FastMap build asks for.
 //
-// A Corpus is meant to live for one build and is not safe for
-// concurrent use (Row reuses scratch rows). It reads ids and never
-// writes or copies them.
+// A Corpus is meant to live for one build. It prepares one Row at a
+// time (each Row reuses the same scratch rows, so a fill is valid only
+// until the next Row call), but the fill a Row returns may run
+// concurrently on disjoint ranges. It reads ids and never writes or
+// copies them.
 type Corpus struct {
 	m     *Metric
 	terms []Term             // terms[ord] resolved
@@ -57,10 +59,13 @@ func (c *Corpus) Triple(i int) Triple {
 	}
 }
 
-// Row writes into dst[i] the Eq. 1 distance from triple from to triple
-// i, for every i < Len(): the same bits as
-// ResolvedDistance(Triple(from), Triple(i)).
-func (c *Corpus) Row(from int, dst []float64) {
+// Row prepares the one-to-all scan from triple from — one term
+// distance per distinct (position, term) pair — and returns its fill:
+// fill(lo, dst) writes into dst[j] the Eq. 1 distance from triple from
+// to triple lo+j, the same bits as
+// ResolvedDistance(Triple(from), Triple(lo+j)). The fill is valid until
+// the next Row call and may run concurrently on disjoint ranges.
+func (c *Corpus) Row(from int) func(lo int, dst []float64) {
 	for pos, at := range c.at {
 		a := &c.terms[c.ids[from][pos]]
 		row := c.rows[pos]
@@ -69,7 +74,9 @@ func (c *Corpus) Row(from int, dst []float64) {
 		}
 	}
 	s, p, o := c.rows[0], c.rows[1], c.rows[2]
-	for i, id := range c.ids {
-		dst[i] = c.m.w.combine(s[id[0]], p[id[1]], o[id[2]])
+	return func(lo int, dst []float64) {
+		for i, id := range c.ids[lo : lo+len(dst)] {
+			dst[i] = c.m.w.combine(s[id[0]], p[id[1]], o[id[2]])
+		}
 	}
 }

@@ -97,7 +97,7 @@ func TestCorpusRowMatchesDistance(t *testing.T) {
 		c := NewCorpus(m, terms, ids)
 		row := make([]float64, c.Len())
 		for from := range triples {
-			c.Row(from, row)
+			c.Row(from)(0, row)
 			for i, got := range row {
 				if want := m.Distance(triples[from], triples[i]); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%+v: row(%d)[%d] = %v, Distance = %v", opts, from, i, got, want)
@@ -105,6 +105,36 @@ func TestCorpusRowMatchesDistance(t *testing.T) {
 			}
 			if got := c.Triple(from).Unresolved(); got != triples[from] {
 				t.Fatalf("corpus triple %d = %v, added %v", from, got, triples[from])
+			}
+		}
+	}
+}
+
+// TestCorpusFillsDisjointRangesConcurrently: one Row preparation's fill,
+// called from several goroutines on disjoint ranges, writes the bits a
+// single whole-row fill writes (run under -race).
+func TestCorpusFillsDisjointRangesConcurrently(t *testing.T) {
+	store := triple.NewStore()
+	store.AddAll(synth.New(synth.Config{Seed: 5}, nil).Triples(3000), triple.Provenance{})
+	terms, ids := store.Encoded()
+	c := NewCorpus(MustNew(vocab.DefaultRegistry(), Options{}), terms, ids)
+	n := c.Len()
+	whole, parts := make([]float64, n), make([]float64, n)
+	for _, from := range []int{0, 17, n / 2, n - 1} {
+		c.Row(from)(0, whole)
+		fill := c.Row(from)
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += 701 {
+			wg.Add(1)
+			go func(lo int) {
+				defer wg.Done()
+				fill(lo, parts[lo:min(lo+701, n)])
+			}(lo)
+		}
+		wg.Wait()
+		for i := range whole {
+			if math.Float64bits(parts[i]) != math.Float64bits(whole[i]) {
+				t.Fatalf("row(%d)[%d]: %v from a range fill, %v from the whole row", from, i, parts[i], whole[i])
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -480,6 +481,71 @@ func TestLoadRejectsPatchedColumns(t *testing.T) {
 	}
 }
 
+// nonFinitePivotStreams saves one index of n triples through
+// writeSnapshot four times: as Save would ("valid"), and with its pivot
+// column rewritten to hold a NaN pivot distance, a +Inf one, or one
+// -Inf pivot coordinate on an axis whose pivot distance is positive.
+func nonFinitePivotStreams(t testing.TB, n int) map[string][]byte {
+	t.Helper()
+	store := triple.NewStore()
+	store.AddAll(synth.New(synth.Config{Seed: 73}, nil).Triples(n), triple.Provenance{Doc: "pivots"})
+	ix, err := Build(store, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	tree, err := ix.tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for name, mutate := range map[string]func(m *fastmap.Snapshot[triple.Triple]){
+		"valid":              func(*fastmap.Snapshot[triple.Triple]) {},
+		"NaN DAB[0]":         func(m *fastmap.Snapshot[triple.Triple]) { m.DAB[0] = math.NaN() },
+		"+Inf DAB[0]":        func(m *fastmap.Snapshot[triple.Triple]) { m.DAB[0] = math.Inf(1) },
+		"-Inf CoordsB[1][0]": func(m *fastmap.Snapshot[triple.Triple]) { m.CoordsB[1][0] = math.Inf(-1) },
+	} {
+		snap := indexSnapshot{
+			Options: ix.opts,
+			Mapper:  fastmap.ConvertSnapshot(ix.mapper.Snapshot(), semdist.Triple.Unresolved),
+			Store:   ix.store,
+			Rows:    store.Len(),
+			Tree:    tree,
+		}
+		m := &snap.Mapper
+		if !(m.DAB[1] > 0) {
+			t.Fatalf("axis 1 collapsed (DAB %v): its coordinates would not be read", m.DAB[1])
+		}
+		for ax := range m.CoordsA { // the mapper shares these; mutate copies
+			m.CoordsA[ax], m.CoordsB[ax] = slices.Clone(m.CoordsA[ax]), slices.Clone(m.CoordsB[ax])
+		}
+		mutate(m)
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, &snap); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
+}
+
+// TestLoadRejectsNonFinitePivots: a pivot column with a NaN or infinite
+// pivot distance, or an infinite pivot coordinate, is corrupt. Loaded,
+// the first two would fail every search on a NaN coordinate and the
+// third would answer from broken coordinates.
+func TestLoadRejectsNonFinitePivots(t *testing.T) {
+	streams := nonFinitePivotStreams(t, 500)
+	ix, err := Load(bytes.NewReader(streams["valid"]), Options{})
+	if err != nil {
+		t.Fatalf("the unmutated stream: %v", err)
+	}
+	ix.Close()
+	delete(streams, "valid")
+	for what, b := range streams {
+		wantCorrupt(t, b, what)
+	}
+}
+
 // legacySnapshot is the gob envelope versions 1–3 wrote: the embedding
 // table beside the tree in versions 1 and 2, no tree in version 1.
 type legacySnapshot struct {
@@ -573,6 +639,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	crc := append([]byte(nil), valid...)
 	crc[s.ends[colRows]-1] ^= 1 // the row column's checksum
 	f.Add(crc)
+	f.Add(nonFinitePivotStreams(f, 120)["NaN DAB[0]"])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
