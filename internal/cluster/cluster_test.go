@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"semtree/internal/column"
+	"semtree/internal/mux"
 )
 
 // echoReq / echoResp are the test protocol, with hand-written codecs
@@ -236,8 +237,8 @@ func TestCallRetryGivesUpOnPermanentError(t *testing.T) {
 
 func TestTCPNestedCalls(t *testing.T) {
 	// A handler that fans out to another node mid-request, as partition
-	// forwarding does — from more concurrent callers than a peer's idle
-	// list holds, so connections are dialled, pooled and dropped at once.
+	// forwarding does — from twelve concurrent callers, so calls on both
+	// hops' connections interleave while handlers wait on each other.
 	f := NewTCP()
 	defer f.Close()
 	leaf, _ := f.AddNode(echoHandler)
@@ -248,7 +249,7 @@ func TestTCPNestedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 3*maxIdlePerPeer; w++ {
+	for w := 0; w < 12; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -284,8 +285,8 @@ func TestCallCancelledUpfront(t *testing.T) {
 				handled.Add(1)
 				return echoResp{}, nil
 			})
-			// A live call first: a pooled TCP connection is then waiting,
-			// and the dead call has no dial to fail in.
+			// A live call first: the TCP connection is then dialled, and
+			// the dead call has no dial to fail in.
 			if _, err := f.Call(context.Background(), ClientID, id, echoReq{}); err != nil {
 				t.Fatal(err)
 			}
@@ -347,8 +348,8 @@ func TestTCPDeadlinePropagatesToHandler(t *testing.T) {
 	}
 }
 
-// TestTCPCancelUnblocksRead: plain cancellation (no deadline) must snap
-// the client connection shut and unblock the reply read.
+// TestTCPCancelUnblocksRead: plain cancellation (no deadline) must end
+// the call's wait for a reply that is not coming.
 func TestTCPCancelUnblocksRead(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
@@ -436,33 +437,58 @@ func callBytes(t *testing.T, f Fabric, to NodeID, msg string) int64 {
 	return f.Stats().Bytes - before
 }
 
+// clientConn returns the connection calls to node id share, nil before
+// the first.
+func clientConn(f *TCP, id NodeID) *mux.Conn[answer] {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nodes[id].conn
+}
+
 // TestTCPConnectionReuse: a frame carries no stream state, so a steady
 // exchange costs the same bytes every time — the first one included —
-// and sequential calls to one peer share one pooled connection.
+// and every call to one peer, sequential or concurrent, runs on the one
+// connection the first call dialled.
 func TestTCPConnectionReuse(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
 	id, _ := f.AddNode(echoHandler)
 	first := callBytes(t, f, id, "ping")
+	c := clientConn(f, id)
 	for i := 0; i < 4; i++ {
 		if got := callBytes(t, f, id, "ping"); got != first {
 			t.Fatalf("call %d moved %d bytes, the first %d", i+2, got, first)
 		}
 	}
-	if idle := len(f.nodes[id].idle); idle != 1 {
-		t.Fatalf("%d idle connections after sequential calls, want 1", idle)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				msg := fmt.Sprintf("w%d-%d", w, i)
+				if resp, err := f.Call(context.Background(), ClientID, id, echoReq{Msg: msg}); err != nil || resp.(echoResp).Msg != msg {
+					t.Errorf("concurrent call: %#v, %v", resp, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := clientConn(f, id); got != c || c.Err() != nil {
+		t.Fatalf("the peer's connection changed or ended after sequential and concurrent calls (%v)", c.Err())
 	}
 }
 
 // TestTCPLargeExchangePooled: a connection that carried a 1 MiB
-// exchange is pooled again and reused, but neither of its ends keeps
-// the frame buffer that grew to it.
+// exchange serves the calls after it, but neither of its ends keeps the
+// frame buffer that grew to it.
 func TestTCPLargeExchangePooled(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
 	id, _ := f.AddNode(echoHandler)
 	callBytes(t, f, id, "ping")
-	c := f.nodes[id].idle[0]
+	c := clientConn(f, id)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -481,8 +507,8 @@ func TestTCPLargeExchangePooled(t *testing.T) {
 		}
 	}
 	callBytes(t, f, id, "ping")
-	if idle := f.nodes[id].idle; len(idle) != 1 || idle[0] != c {
-		t.Fatalf("idle list %v after a 1 MiB exchange and a ping, want the connection both used", idle)
+	if got := clientConn(f, id); got != c {
+		t.Fatal("a 1 MiB exchange and a ping ran on two connections, want one")
 	}
 }
 
@@ -529,7 +555,7 @@ func (unknownKind) AppendWire(*column.Appender) {}
 
 // TestTCPUndecodableRequest: a request the serving end cannot decode is
 // answered with a permanent error, and the connection, read to the end
-// of the frame, stays in step and in the pool.
+// of the frame, stays in step and serves the next call.
 func TestTCPUndecodableRequest(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
@@ -537,16 +563,19 @@ func TestTCPUndecodableRequest(t *testing.T) {
 	if _, err := f.Call(context.Background(), ClientID, id, unknownKind{}); err == nil || errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want a permanent decode error", err)
 	}
+	c := clientConn(f, id)
 	callBytes(t, f, id, "after")
-	if idle := len(f.nodes[id].idle); idle != 1 {
-		t.Fatalf("%d idle connections, want the one both calls used", idle)
+	if got := clientConn(f, id); got != c || c.Err() != nil {
+		t.Fatalf("the next call ran on a new connection; the first ended with %v", c.Err())
 	}
 }
 
 // TestAbandonedCallDoesNotPoisonPool: a call cancelled while its handler
 // runs, one whose deadline fires, and one whose deadline passes after
-// it returned each leave the peer usable: the next call gets its own
-// payload and no deadline error.
+// it returned each leave the peer usable: the next calls get their own
+// payloads and no deadline error. On TCP they all run on the one
+// connection the first call dialled: an abandoned call gives up its
+// slot, not the socket, and a reply that arrives for it is dropped.
 func TestAbandonedCallDoesNotPoisonPool(t *testing.T) {
 	for name, mk := range fabrics() {
 		t.Run(name, func(t *testing.T) {
@@ -568,11 +597,15 @@ func TestAbandonedCallDoesNotPoisonPool(t *testing.T) {
 			})
 			healthy := func(msg string) {
 				t.Helper()
-				for i := 0; i < 2*maxIdlePerPeer; i++ {
+				for i := 0; i < 8; i++ {
 					callBytes(t, f, id, fmt.Sprintf("%s-%d", msg, i))
 				}
 			}
 			healthy("warm")
+			var dialled *mux.Conn[answer]
+			if tcp, ok := f.(*TCP); ok {
+				dialled = clientConn(tcp, id)
+			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -592,8 +625,8 @@ func TestAbandonedCallDoesNotPoisonPool(t *testing.T) {
 			}
 			healthy("after-deadline")
 
-			// A deadline that passes once the call is over stays armed on
-			// the pooled connection until the next checkout resets it.
+			// A deadline that passes once the call is over must reach no
+			// later call.
 			ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
 			if _, err := f.Call(ctx, ClientID, id, echoReq{Msg: "quick"}); err != nil {
 				t.Fatalf("call under a deadline: %v", err)
@@ -601,13 +634,19 @@ func TestAbandonedCallDoesNotPoisonPool(t *testing.T) {
 			<-ctx.Done()
 			cancel()
 			healthy("after-stale-deadline")
+
+			if tcp, ok := f.(*TCP); ok {
+				if c := clientConn(tcp, id); c != dialled || c.Err() != nil {
+					t.Fatalf("the abandoned calls cost the peer its connection (%v), want the one dialled first", dialled.Err())
+				}
+			}
 		})
 	}
 }
 
-// TestFabricCloseInFlight: Close with idle connections pooled and a
-// call still in its handler returns, the call completes, later calls
-// fail with ErrClosed, and no goroutine of the fabric outlives it.
+// TestFabricCloseInFlight: Close with connections open and a call
+// still in its handler returns, the call completes, later calls fail
+// with ErrClosed, and no goroutine of the fabric outlives it.
 func TestFabricCloseInFlight(t *testing.T) {
 	for name, mk := range fabrics() {
 		t.Run(name, func(t *testing.T) {
@@ -622,7 +661,7 @@ func TestFabricCloseInFlight(t *testing.T) {
 				return echoHandler(ctx, from, req)
 			})
 			var wg sync.WaitGroup
-			for w := 0; w < 2*maxIdlePerPeer; w++ { // fill the idle list
+			for w := 0; w < 8; w++ { // calls in flight at once, then none
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -701,23 +740,32 @@ func TestTCPCloseUnparksSilentPeer(t *testing.T) {
 
 // TestTCPCallAllocs gates the per-call cost of a warmed connection: a
 // return to dialling, or to a gob codec per message (several hundred
-// allocations), fails here. Measured: 6 — the request, the reply and
-// their strings, each boxed once on each side.
+// allocations), fails here. A call under a cancellable context may cost
+// no more than one under Background: nothing is armed on the socket for
+// its cancel.
 func TestTCPCallAllocs(t *testing.T) {
 	f := NewTCP()
 	defer f.Close()
 	id, _ := f.AddNode(echoHandler)
-	ctx := context.Background()
-	call := func() {
-		if _, err := f.Call(ctx, ClientID, id, echoReq{Msg: "ping"}); err != nil {
-			t.Fatal(err)
+	allocs := func(ctx context.Context) float64 {
+		call := func() {
+			if _, err := f.Call(ctx, ClientID, id, echoReq{Msg: "ping"}); err != nil {
+				t.Fatal(err)
+			}
 		}
+		call()
+		return testing.AllocsPerRun(200, call)
 	}
-	call()
-	got := testing.AllocsPerRun(200, call)
-	t.Logf("%.1f allocs per warmed TCP call", got)
-	if got > 12 {
-		t.Fatalf("%.0f allocs per warmed TCP call, want at most 12", got)
+	background := allocs(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancellable := allocs(ctx)
+	t.Logf("%.1f allocs per warmed TCP call, %.1f under a cancellable context", background, cancellable)
+	if background > 12 {
+		t.Fatalf("%.0f allocs per warmed TCP call, want at most 12", background)
+	}
+	if cancellable > background {
+		t.Fatalf("%.0f allocs per warmed TCP call under a cancellable context, want at most Background's %.0f", cancellable, background)
 	}
 }
 

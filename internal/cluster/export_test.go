@@ -14,15 +14,16 @@ import (
 // protocol's kinds beside this package's test kinds.
 
 // EncodeFrame returns the frame a connection end writes for payload,
-// or, when replyErr is not nil, the error reply carrying it.
+// or, when replyErr is not nil, the error reply carrying it, under
+// ReqID 0.
 func EncodeFrame(from NodeID, deadline int64, payload any, replyErr error) ([]byte, error) {
-	var out bytes.Buffer
-	c := wire{w: &out}
-	kind, _, err := c.encode(header{from: from, deadline: deadline, err: replyErr}, payload)
+	var frame column.Frame
+	kind, err := new(TCP).encode(frame.Body(), header{from: from, deadline: deadline, err: replyErr}, payload)
 	if err != nil {
 		return nil, err
 	}
-	_, err = c.frame.Send(c.w, kind, 0)
+	var out bytes.Buffer
+	_, err = frame.Send(&out, kind, 0)
 	return out.Bytes(), err
 }
 
@@ -30,12 +31,14 @@ func EncodeFrame(from NodeID, deadline int64, payload any, replyErr error) ([]by
 // it: the sender's header fields and its payload, or the error an error
 // reply carries.
 func ReadFrame(b []byte) (from NodeID, deadline int64, payload any, replyErr, err error) {
-	c := wire{r: bufio.NewReader(bytes.NewReader(b))}
-	kind, body, _, err := c.frame.Read(c.r, 0)
+	var frame column.Frame
+	kind, body, _, err := frame.Read(bufio.NewReader(bytes.NewReader(b)), 0)
 	if err != nil {
 		return 0, 0, nil, nil, err
 	}
-	h, payload, err := c.decode(kind, body)
+	var d column.Decoder
+	d.Reset(body)
+	h, payload, err := decodeBody(&d, kind)
 	return h.from, h.deadline, payload, h.err, err
 }
 

@@ -17,10 +17,10 @@
 //     tests and the repo benchmark's nine-partition workload. A message
 //     crosses it as one frame (frame.go): a small header, then the
 //     payload in the hand-written codec its type registered
-//     (RegisterKind), built from internal/column's values. Its
-//     connections are long-lived, like the channels between MPJ ranks:
-//     a small per-peer idle list, one frame buffer per connection end,
-//     one exchange at a time on each.
+//     (RegisterKind), built from internal/column's values. Like the
+//     channels between MPJ ranks, its connections are long-lived: one
+//     per destination node, shared by every call to it under the
+//     serving tier's call discipline (internal/mux).
 //
 // Request/response is the whole fabric: there is no one-way delivery,
 // no queue and no goroutine a node owns. The clock on which Figure 3's
@@ -30,11 +30,9 @@
 // Every Call is context-first: cancellation and deadlines propagate
 // with the message. On InProc the simulated transit sleep unblocks when
 // the context is done; on TCP the deadline travels in the frame (the
-// serving side derives a context from it) and the client connection's
-// read/write deadlines are armed from the context, so a caller is never
-// stuck waiting for a reply its query no longer wants. A connection
-// abandoned that way is closed, never reused: the next caller must not
-// inherit its deadline or the reply still owed on it.
+// serving side derives a context from it) and a call stops waiting as
+// soon as its context ends, giving up only its slot: the connection
+// serves the other calls on it, and the reply owed is dropped.
 //
 // Handlers must be safe for concurrent use: a fabric delivers requests
 // from many callers at once, exactly like a multithreaded MPJ rank.
@@ -62,7 +60,7 @@ const ClientID NodeID = -1
 // deadline/cancellation across the fabric (on TCP, reconstructed from
 // the wire deadline), and long-running handlers are expected to check
 // it and abandon work when it is done. Handlers run on the caller's
-// goroutine (InProc) or a per-connection goroutine (TCP) and must be
+// goroutine (InProc) or a goroutine of their own (TCP) and must be
 // concurrency-safe. A handler only ever runs under its caller's
 // context.
 type Handler func(ctx context.Context, from NodeID, req any) (any, error)

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 
 	"semtree/internal/column"
 	"semtree/internal/errcode"
@@ -14,10 +12,12 @@ import (
 // limit, the frame the serving tier's wire uses too:
 //
 //	frame = kind:byte  length:uvarint  body[length]
-//	body  = from:varint  deadline:varint  failed:byte  (payload | error)
+//	body  = reqid:8  from:varint  deadline:varint  failed:byte  (payload | error)
 //	error = code:uvarint  detail:uvarint  message:text
 //
-// from is the caller's NodeID and deadline its context deadline in unix
+// reqid is the call's ReqID, eight big-endian bytes, as a serve body
+// opens with: a reply carries its request's (internal/mux). from is
+// the caller's NodeID and deadline its context deadline in unix
 // nanoseconds (0 = none); both are 0 in a reply. failed 0 means the
 // body ends with a payload of the frame's kind: kinds 1–255 are
 // Messages, decoded by the Decode registered for their kind; kind 0 is
@@ -52,28 +52,17 @@ func RegisterKind(kind byte, decode Decode) {
 
 // header is a frame's fixed fields.
 type header struct {
+	id       uint64 // the call's ReqID (internal/mux), the same in its reply
 	from     NodeID
 	deadline int64 // unix nanoseconds, 0 = none
 	err      error // an error reply's handler error
 }
 
-// wire is one end of a connection: buffered reads, and one frame buffer
-// both directions share. Frames are column.Frame's, with no limit: a
-// bulk load's install carries megabytes.
-type wire struct {
-	r     *bufio.Reader
-	w     io.Writer
-	frame column.Frame // the frame being written or the body just read
-	dec   column.Decoder
-}
-
-func newWire(rw io.ReadWriter) wire { return wire{r: bufio.NewReader(rw), w: rw} }
-
-// encode puts a frame for payload under h into the frame buffer, for
-// column.Frame.Send to send, and returns its kind and whether it took
-// the gob fallback, the one encoding that can fail.
-func (c *wire) encode(h header, payload any) (kind byte, fallback bool, err error) {
-	b := c.frame.Body()
+// encode appends the body of a frame for payload under h to b and
+// returns its kind, counting a payload that takes the gob fallback, the
+// one encoding that can fail.
+func (f *TCP) encode(b *column.Appender, h header, payload any) (kind byte, err error) {
+	b.Uint64(h.id)
 	b.Varint(int64(h.from))
 	b.Varint(h.deadline)
 	if h.err != nil {
@@ -90,20 +79,21 @@ func (c *wire) encode(h header, payload any) (kind byte, fallback bool, err erro
 			kind = m.WireKind()
 			m.AppendWire(b)
 		default:
-			fallback = true
-			*b, err = appendGob(*b, payload)
+			f.fallbacks.Add(1)
+			if *b, err = appendGob(*b, payload); err != nil {
+				return 0, fmt.Errorf("cluster: encode %T: %w", payload, err)
+			}
 		}
 	}
-	return kind, fallback, err
+	return kind, nil
 }
 
-// decode decodes a frame column.Frame.Read read: its header and its
-// payload, or the error an error reply carries in its header.
-// Everything it returns is copied out of body.
-func (c *wire) decode(kind byte, body []byte) (header, any, error) {
-	d := &c.dec
-	d.Reset(body)
-	h := header{from: NodeID(d.Varint()), deadline: d.Varint()}
+// decodeBody decodes the body of a frame of kind kind from d: its
+// header and its payload, or the error an error reply carries in its
+// header. Everything it returns is copied out of the body, and a body
+// that does not decode still returns the ReqID it opens with.
+func decodeBody(d *column.Decoder, kind byte) (header, any, error) {
+	h := header{id: d.Uint64(), from: NodeID(d.Varint()), deadline: d.Varint()}
 	var payload any
 	switch failed := d.Byte(); {
 	case failed == 0 && kind == 0:
@@ -123,10 +113,8 @@ func (c *wire) decode(kind byte, body []byte) (header, any, error) {
 		code, detail := errcode.Code(d.Uint32()), d.Uvarint()
 		h.err = errcode.Decode(code, d.Text(), detail)
 	}
-	err := d.End()
-	d.Reset(nil) // the decoder keeps no hold on the frame buffer
-	if err != nil {
-		return header{}, nil, fmt.Errorf("cluster: frame of kind %d: %w", kind, err)
+	if err := d.End(); err != nil {
+		return header{id: h.id}, nil, fmt.Errorf("cluster: frame of kind %d: %w", kind, err)
 	}
 	return h, payload, nil
 }

@@ -104,10 +104,11 @@ func TestFabricSentinels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d column.Decoder // kind, length; from, deadline, failed; code
+		var d column.Decoder // kind, length; ReqID, from, deadline, failed; code
 		d.Reset(frame)
 		d.Byte()
 		d.Uvarint()
+		d.Uint64()
 		d.Varint()
 		d.Varint()
 		d.Byte()

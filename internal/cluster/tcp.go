@@ -1,35 +1,32 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"semtree/internal/column"
+	"semtree/internal/mux"
 )
 
 // TCP is a Fabric whose nodes listen on loopback TCP sockets and
-// exchange frames (frame.go): a real network path under the same
-// interface as InProc. Connections are long-lived, like the channels
-// between the paper's MPJ ranks: each peer has a small list of idle
-// connections, and each end of a connection keeps a buffered reader and
-// one frame buffer for its lifetime. Call checks a connection out
-// exclusively (dialling when none is idle), writes one request frame,
-// reads one reply frame and checks the connection back in; the serving
-// side runs a read→handle→write loop per accepted connection. A message
-// is encoded straight into the frame buffer and sent in one write.
-//
-// A connection is pooled again after every clean exchange. It is
-// closed instead when (1) a write or read failed — the stream position
-// is unknown; (2) the context's deadline fired or it was cancelled, or
-// may have been — the poisoned SetDeadline(now) must not be inherited
-// by the next caller. A frame buffer grown past 64 KiB is dropped
-// after its frame (column.Frame); the connection is kept.
+// exchange frames (frame.go). Every call to a node shares one
+// long-lived connection to it, like the channels between the paper's
+// MPJ ranks, under the serving tier's call discipline (internal/mux),
+// and the serving side answers each request on a goroutine of its own.
+// A call whose context ends leaves the connection to the other calls on
+// it; only a failed read or write ends a connection, and every call
+// waiting on it fails with ErrTransient.
 type TCP struct {
-	mu     sync.Mutex // guards nodes, closed, and every node's idle and served
-	nodes  []*tcpNode
-	closed bool
+	mu      sync.Mutex // guards nodes and their conns; Close ends closing under it
+	nodes   []*tcpNode
+	closing context.Context // done once Close has begun
+	shut    context.CancelFunc
+	wg      sync.WaitGroup // the accept loops and the serve loops
 
 	messages  atomic.Int64
 	bytes     atomic.Int64
@@ -37,34 +34,27 @@ type TCP struct {
 	fallbacks atomic.Int64
 }
 
-// maxIdlePerPeer caps a peer's idle list; a connection checked in
-// beyond it is closed. A traced run of the repo benchmark's knn-tcp9
-// workload (nine partitions, nested calls, fan-out, two closed-loop
-// clients beside four open-loop senders) never had more than 4
-// connections to one peer checked out at once.
-const maxIdlePerPeer = 4
-
 type tcpNode struct {
 	ln      net.Listener
 	addr    string
 	handler Handler
-	wg      sync.WaitGroup
-
-	idle   []*tcpConn            // client ends, checked in
-	served map[net.Conn]struct{} // server ends, so Close can unpark their serve loops
+	conn    *mux.Conn[answer] // the client end every call to this node shares
 }
 
-// tcpConn is the client end of one pooled connection. It is owned by
-// one Call at a time, so its wire needs no synchronization beyond the
-// pool's.
-type tcpConn struct {
-	net.Conn
-	wire
+// answer is a reply as its connection's reader decoded it: the
+// handler's response or error.
+type answer struct {
+	resp any
+	err  error
 }
 
 // NewTCP returns an empty TCP fabric; AddNode starts one listener per
 // node on 127.0.0.1.
-func NewTCP() *TCP { return &TCP{} }
+func NewTCP() *TCP {
+	//semtree:allow ctxfirst: closing is the fabric's own lifetime, not a request's; Close ends it
+	closing, shut := context.WithCancel(context.Background())
+	return &TCP{closing: closing, shut: shut}
+}
 
 // AddNode implements Fabric: it starts a listener and its accept loop.
 func (f *TCP) AddNode(h Handler) (NodeID, error) {
@@ -73,91 +63,89 @@ func (f *TCP) AddNode(h Handler) (NodeID, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
+	if f.closing.Err() != nil {
 		return 0, ErrClosed
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, fmt.Errorf("cluster: listen: %w", err)
 	}
-	n := &tcpNode{ln: ln, addr: ln.Addr().String(), handler: h, served: make(map[net.Conn]struct{})}
+	n := &tcpNode{ln: ln, addr: ln.Addr().String(), handler: h}
 	f.nodes = append(f.nodes, n)
-	id := NodeID(len(f.nodes) - 1)
-	n.wg.Add(1)
-	go f.acceptLoop(n, id)
-	return id, nil
+	f.wg.Add(1)
+	go f.acceptLoop(n)
+	return NodeID(len(f.nodes) - 1), nil
 }
 
-func (f *TCP) acceptLoop(n *tcpNode, id NodeID) {
-	defer n.wg.Done()
+func (f *TCP) acceptLoop(n *tcpNode) {
+	defer f.wg.Done()
 	for {
 		conn, err := n.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			conn.Close()
-			return
-		}
-		n.served[conn] = struct{}{}
-		n.wg.Add(1)
-		f.mu.Unlock()
+		f.wg.Add(1)
 		go func() {
-			defer n.wg.Done()
+			defer f.wg.Done()
 			f.serve(n, conn)
-			f.mu.Lock()
-			delete(n.served, conn)
-			f.mu.Unlock()
-			conn.Close()
 		}()
 	}
 }
 
-// serve answers one connection's requests in order until the peer
-// closes it, the stream breaks, or Close unparks the read. A request
-// that does not decode is answered with the error, like one its handler
-// refused: the frame was read whole, so the stream is still in step.
+// serve answers one connection's requests, each on a goroutine of its
+// own, until the stream ends or Close unparks the read (by its deadline,
+// so running handlers can still reply), then waits for the answers and
+// closes the connection. A request that does not decode is answered
+// with the error.
 func (f *TCP) serve(n *tcpNode, conn net.Conn) {
-	c := newWire(conn)
+	defer conn.Close()
+	unpark := context.AfterFunc(f.closing, func() { _ = conn.SetReadDeadline(time.Now()) })
+	defer unpark()
+	br := bufio.NewReader(conn)
+	w := &mux.Writer{Conn: conn}
+	var in column.Frame
+	var d column.Decoder
+	var answering sync.WaitGroup
+	defer answering.Wait()
 	for {
-		kind, body, _, err := c.frame.Read(c.r, 0)
+		kind, body, _, err := in.Read(br, 0)
 		if err != nil {
 			return
 		}
-		var resp any
-		h, req, err := c.decode(kind, body)
-		if err == nil {
-			resp, err = n.handle(h, req)
-		}
-		if kind, err = f.encode(&c, header{err: err}, resp); err != nil {
-			kind, _ = f.encode(&c, header{err: err}, nil)
-		}
-		if _, err := c.frame.Send(c.w, kind, 0); err != nil {
-			return
-		}
+		d.Reset(body)
+		h, req, decodeErr := decodeBody(&d, kind)
+		d.Reset(nil) // the decoder keeps no hold on the frame buffer
+		answering.Add(1)
+		go func() {
+			defer answering.Done()
+			resp, err := req, decodeErr
+			if err == nil {
+				resp, err = n.handle(h, req)
+			}
+			if f.reply(w, h.id, resp, err) != nil {
+				conn.Close() // a torn reply leaves the stream out of step
+			}
+		}()
 	}
 }
 
-// encode is wire.encode, counting the messages that took the fallback.
-func (f *TCP) encode(c *wire, h header, payload any) (byte, error) {
-	kind, fallback, err := c.encode(h, payload)
-	if fallback {
-		f.fallbacks.Add(1)
+// reply writes resp, or err, as the answer to request id; a response
+// that does not encode is answered with the error saying why.
+func (f *TCP) reply(w *mux.Writer, id uint64, resp any, err error) error {
+	for {
+		sent, werr := w.Write(func(b *column.Appender) (byte, error) {
+			return f.encode(b, header{id: id, err: err}, resp)
+		})
+		if sent > 0 || werr == nil {
+			return werr
+		}
+		resp, err = nil, werr // an error reply with no payload always encodes
 	}
-	if err != nil {
-		return 0, fmt.Errorf("cluster: encode %T: %w", payload, err)
-	}
-	return kind, nil
 }
 
 func (n *tcpNode) handle(h header, req any) (any, error) {
-	// Rebuild the caller's deadline context: a cancellation reaches
-	// this side only as the caller closing the connection, which the
-	// serve loop sees after the handler returns, but the deadline
-	// travels in the frame, and it is what lets the remote side stop
-	// traversing an expired query.
+	// The caller's cancel never reaches this side; its deadline does,
+	// and lets the handler stop traversing an expired query.
 	//semtree:allow ctxfirst: the server side of the wire has no caller context; the deadline is rebuilt from the frame below
 	ctx := context.Background()
 	if h.deadline > 0 {
@@ -168,131 +156,80 @@ func (n *tcpNode) handle(h header, req any) (any, error) {
 	return n.handler(ctx, h.from, req)
 }
 
-// checkout returns an idle connection to node `to`, or dials one.
-func (f *TCP) checkout(ctx context.Context, to NodeID) (*tcpConn, error) {
+// readAnswer decodes a reply where its connection's reader read it; one
+// that does not decode fails its call alone.
+func readAnswer(kind byte, d *column.Decoder) (answer, error) {
+	h, resp, err := decodeBody(d, kind)
+	if err == nil {
+		err = h.err
+	}
+	return answer{resp: resp, err: err}, nil
+}
+
+// conn returns the connection every call to node `to` shares, dialling
+// one (over loopback) when there is none or the last failed. As on
+// InProc, an already-dead call never becomes a message.
+func (f *TCP) conn(ctx context.Context, to NodeID) (*mux.Conn[answer], error) {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	defer f.mu.Unlock()
+	switch {
+	case f.closing.Err() != nil:
 		return nil, ErrClosed
-	}
-	if to < 0 || int(to) >= len(f.nodes) {
-		f.mu.Unlock()
+	case to < 0 || int(to) >= len(f.nodes):
 		return nil, ErrUnknownNode
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
 	}
-	n := f.nodes[to]
-	// As on InProc, an already-dead call never becomes a message: with
-	// a pooled connection there is no dial left to fail on the context.
-	if err := ctx.Err(); err != nil {
-		f.mu.Unlock()
-		return nil, err
-	}
-	var c *tcpConn
-	if last := len(n.idle) - 1; last >= 0 {
-		c, n.idle[last] = n.idle[last], nil
-		n.idle = n.idle[:last]
-	}
-	f.mu.Unlock()
-
 	f.messages.Add(1)
-	if c != nil {
-		return c, nil
-	}
-	var dialer net.Dialer
-	conn, err := dialer.DialContext(ctx, "tcp", n.addr)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		f.failures.Add(1)
-		return nil, fmt.Errorf("%w: dial: %v", ErrTransient, err)
-	}
-	return &tcpConn{Conn: conn, wire: newWire(conn)}, nil
-}
-
-// checkin returns a connection to its peer's idle list after a clean
-// exchange; a full list or a closed fabric closes it instead.
-func (f *TCP) checkin(to NodeID, c *tcpConn) {
-	f.mu.Lock()
 	n := f.nodes[to]
-	if !f.closed && len(n.idle) < maxIdlePerPeer {
-		n.idle = append(n.idle, c)
-		c = nil
+	if n.conn == nil || n.conn.Err() != nil {
+		var dialer net.Dialer
+		conn, err := dialer.DialContext(ctx, "tcp", n.addr)
+		if err != nil {
+			return nil, f.transportErr(ctx, "dial", err)
+		}
+		n.conn = mux.New[answer](conn, 0)
 	}
-	f.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
+	return n.conn, nil
 }
 
-// Call implements Fabric. The context deadline is encoded into the
-// request frame (so the remote handler sees it) and armed on the
-// connection (so the local read never outlives it); plain cancellation
-// snaps the connection's deadlines shut, unblocking the reply read.
-// Either way the connection is then closed, not pooled. A handler's
-// error returns matching what it matched on the serving side, for
-// every error internal/errcode has an entry for.
+// Call implements Fabric. The context deadline travels in the frame to
+// the remote handler. A handler's error matches what it matched on the
+// serving side, for every error internal/errcode has an entry for.
 func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
-	c, err := f.checkout(ctx, to)
+	c, err := f.conn(ctx, to)
 	if err != nil {
 		return nil, err
 	}
 	h := header{from: from}
-	// Zero when ctx has no deadline, which also clears whatever the
-	// connection's previous caller armed.
-	d, _ := ctx.Deadline()
-	_ = c.SetDeadline(d)
-	if !d.IsZero() {
+	if d, ok := ctx.Deadline(); ok {
 		h.deadline = d.UnixNano()
 	}
-	stop := func() bool { return true }
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Now()) })
+	var encodeErr error
+	a, moved, err := c.Call(ctx, func(b *column.Appender, id uint64) (byte, error) {
+		h.id = id
+		kind, err := f.encode(b, h, req)
+		encodeErr = err
+		return kind, err
+	}, readAnswer)
+	switch {
+	case encodeErr != nil:
+		return nil, encodeErr
+	case err != nil:
+		return nil, f.transportErr(ctx, "exchange", err)
 	}
-
-	kind, err := f.encode(&c.wire, h, req)
-	if err != nil {
-		f.release(to, c, stop())
-		return nil, err
-	}
-	sent, err := c.frame.Send(c.w, kind, 0)
-	step := "write"
-	var body []byte
-	var got int
-	if err == nil {
-		step = "read"
-		kind, body, got, err = c.frame.Read(c.r, 0)
-	}
-	if err != nil {
-		stop()
-		c.Close()
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		f.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s: %v", ErrTransient, step, err)
-	}
-	f.bytes.Add(int64(sent + got))
-	h, resp, err := c.decode(kind, body)
-	// stop reports false once the AfterFunc has started: the connection
-	// may carry its poisoned deadline even though the exchange finished.
-	f.release(to, c, stop())
-	if err != nil {
-		return nil, err
-	}
-	if h.err != nil {
-		return nil, h.err
-	}
-	return resp, nil
+	f.bytes.Add(int64(moved))
+	return a.resp, a.err
 }
 
-// release ends a Call's hold on a connection whose stream is in step:
-// it is pooled when its deadline is still the caller's, else closed.
-func (f *TCP) release(to NodeID, c *tcpConn, clean bool) {
-	if clean {
-		f.checkin(to, c)
-	} else {
-		c.Close()
+// transportErr is a failed step's error: the context's when it has
+// ended, else ErrTransient, counted as a failure.
+func (f *TCP) transportErr(ctx context.Context, step string, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
 	}
+	f.failures.Add(1)
+	return fmt.Errorf("%w: %s: %v", ErrTransient, step, err)
 }
 
 // Stats implements Fabric.
@@ -305,35 +242,23 @@ func (f *TCP) Stats() Stats {
 	}
 }
 
-// Close implements Fabric: it stops all listeners, closes the idle
-// connections and waits for in-flight handlers. A serve loop parked in
-// a read is unparked through its read deadline rather than by closing
-// its connection, so a handler that is still running can write its
-// reply; the loop's next read then fails and it exits. Connections
-// checked out at this moment are closed by their Call when it returns.
+// Close implements Fabric: it stops all listeners and unparks every
+// serve loop, and returns once every in-flight handler has answered and
+// every connection has ended — the client end reads the replies, then
+// its peer's close. No connection is dialled once closing is done.
 func (f *TCP) Close() error {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	f.closed = true
+	f.shut()
 	nodes := f.nodes
-	for _, n := range nodes {
-		for _, c := range n.idle {
-			c.Close()
-		}
-		n.idle = nil
-		for conn := range n.served {
-			_ = conn.SetReadDeadline(time.Now())
-		}
-	}
 	f.mu.Unlock()
 	for _, n := range nodes {
 		n.ln.Close()
 	}
+	f.wg.Wait()
 	for _, n := range nodes {
-		n.wg.Wait()
+		if n.conn != nil {
+			<-n.conn.Done()
+		}
 	}
 	return nil
 }

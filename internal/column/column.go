@@ -85,6 +85,10 @@ func (a *Appender) Floats(fs []float64) {
 	}
 }
 
+// Uint64 appends v as eight big-endian bytes, the layout of the ReqID
+// that opens every body on both TCP wires.
+func (a *Appender) Uint64(v uint64) { *a = binary.BigEndian.AppendUint64(*a, v) }
+
 // Text appends len(s) and the bytes of s.
 func (a *Appender) Text(s string) {
 	a.Uvarint(uint64(len(s)))
@@ -271,6 +275,16 @@ func (d *Decoder) Float() float64 {
 	}
 	d.off += 8
 	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off-8:]))
+}
+
+// Uint64 reads eight big-endian bytes.
+func (d *Decoder) Uint64() uint64 {
+	if d.Len() < 8 {
+		d.Fail(errShort)
+		return 0
+	}
+	d.off += 8
+	return binary.BigEndian.Uint64(d.buf[d.off-8:])
 }
 
 // Floats fills dst with raw little-endian float64s.

@@ -102,6 +102,16 @@ func TestInsertAllAttemptsEveryPoint(t *testing.T) {
 	}
 }
 
+// transports are the fabrics a fault test states its contract on, each
+// under clustertest's faults.
+var transports = []struct {
+	name string
+	new  func() cluster.Fabric
+}{
+	{"inproc", func() cluster.Fabric { return cluster.NewInProc(cluster.InProcOptions{}) }},
+	{"tcp", func() cluster.Fabric { return cluster.NewTCP() }},
+}
+
 // TestQueriesSurviveLostReplies: a query whose reply is lost after the
 // partition handler ran is sent again, and the answer is still exact —
 // the k-NN and range merges deduplicate by point ID, so a query needs
@@ -110,34 +120,38 @@ func TestInsertAllAttemptsEveryPoint(t *testing.T) {
 // and every answer, under both k-NN protocols and for range, must be
 // the flat scan's in IDs, order and distance bits.
 func TestQueriesSurviveLostReplies(t *testing.T) {
-	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{})
-	defer fabric.Close()
-	r := rand.New(rand.NewSource(13))
-	pts := randomPoints(r, 2000, 3)
-	tr := mustTree(t, Config{
-		Dim: 3, BucketSize: 8,
-		PartitionCapacity: 64, MaxPartitions: 9,
-		Fabric: fabric, RetryAttempts: 40,
-	})
-	if err := tr.InsertAll(pts, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.PartitionCount(); got != 9 {
-		t.Fatalf("partitions = %d, want 9", got)
-	}
-	queries := make([][]float64, 40)
-	for i := range queries {
-		queries[i] = randomPoints(r, 1, 3)[0].Coords
-	}
-	built := fabric.Counts()
-	fabric.Arm(clustertest.Faults{Seed: 5, DropReplyAfter: 0.05})
-	checkAgainstScan(t, tr, pts, queries, "under lost replies")
-	c := fabric.Counts()
-	runs, completed := c.Runs-built.Runs, c.Completed-built.Completed
-	t.Logf("%d handler runs, %d completed calls, %d replies lost", runs, completed, c.Lost)
-	if c.Injected() == 0 || runs <= completed {
-		t.Fatalf("%d handler runs for %d completed calls, %d faults injected: no reply was lost after its handler ran",
-			runs, completed, c.Injected())
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			fabric := clustertest.New(tp.new(), clustertest.Faults{})
+			defer fabric.Close()
+			r := rand.New(rand.NewSource(13))
+			pts := randomPoints(r, 2000, 3)
+			tr := mustTree(t, Config{
+				Dim: 3, BucketSize: 8,
+				PartitionCapacity: 64, MaxPartitions: 9,
+				Fabric: fabric, RetryAttempts: 40,
+			})
+			if err := tr.InsertAll(pts, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.PartitionCount(); got != 9 {
+				t.Fatalf("partitions = %d, want 9", got)
+			}
+			queries := make([][]float64, 40)
+			for i := range queries {
+				queries[i] = randomPoints(r, 1, 3)[0].Coords
+			}
+			built := fabric.Counts()
+			fabric.Arm(clustertest.Faults{Seed: 5, DropReplyAfter: 0.05})
+			checkAgainstScan(t, tr, pts, queries, "under lost replies")
+			c := fabric.Counts()
+			runs, completed := c.Runs-built.Runs, c.Completed-built.Completed
+			t.Logf("%d handler runs, %d completed calls, %d replies lost", runs, completed, c.Lost)
+			if c.Injected() == 0 || runs <= completed {
+				t.Fatalf("%d handler runs for %d completed calls, %d faults injected: no reply was lost after its handler ran",
+					runs, completed, c.Injected())
+			}
+		})
 	}
 }
 
@@ -148,57 +162,65 @@ func TestQueriesSurviveLostReplies(t *testing.T) {
 // load returns is typed: the partitions' refusal or a transient
 // failure that exhausted its retries.
 func TestLostReplyBulkLoadNeverPanics(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
-		pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
-		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
-		err := tr.BulkLoad(context.Background(), pts)
-		if err != nil && !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
-			t.Errorf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
-		}
-		tr.Close()
-		fabric.Close()
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				fabric := clustertest.New(tp.new(), clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
+				pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
+				tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
+				err := tr.BulkLoad(context.Background(), pts)
+				if err != nil && !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
+					t.Errorf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
+				}
+				tr.Close()
+				fabric.Close()
+			}
+		})
 	}
 }
 
 // TestFailedBulkLoadUndoesEveryInstall: a bulk load on an empty tree
 // whose install replies are lost fails typed and leaves no fragment
-// behind. Every reply on a nine-partition InProc tree is dropped after
+// behind. Every reply on a nine-partition tree is dropped after
 // its handler ran, so each install applied while its sender saw only
 // failures; the undo must reset every partition it sent one to, not
 // just those that answered. Once disarmed, every data partition holds
 // no point, and a second BulkLoad answers as the flat scan.
 func TestFailedBulkLoadUndoesEveryInstall(t *testing.T) {
-	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 3, DropReplyAfter: 1})
-	defer fabric.Close()
-	r := rand.New(rand.NewSource(29))
-	pts := randomPoints(r, 2000, 3)
-	tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 3})
-	err := tr.BulkLoad(context.Background(), pts)
-	if err == nil {
-		t.Fatal("BulkLoad succeeded with every reply lost")
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			fabric := clustertest.New(tp.new(), clustertest.Faults{Seed: 3, DropReplyAfter: 1})
+			defer fabric.Close()
+			r := rand.New(rand.NewSource(29))
+			pts := randomPoints(r, 2000, 3)
+			tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 3})
+			err := tr.BulkLoad(context.Background(), pts)
+			if err == nil {
+				t.Fatal("BulkLoad succeeded with every reply lost")
+			}
+			if !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
+				t.Fatalf("BulkLoad returned an untyped error: %v", err)
+			}
+			fabric.Arm(clustertest.Faults{})
+			if got := tr.PartitionCount(); got != 9 {
+				t.Fatalf("partitions = %d, want 9", got)
+			}
+			if tr.Len() != 0 {
+				t.Fatalf("Len = %d after a failed load", tr.Len())
+			}
+			for i, ps := range liveSnapshot(t, tr).Parts[1:] {
+				if len(ps.IDs) != 0 {
+					t.Fatalf("data partition %d holds %d points after the undo", i+1, len(ps.IDs))
+				}
+			}
+			if err := tr.BulkLoad(context.Background(), pts); err != nil {
+				t.Fatal(err)
+			}
+			queries := make([][]float64, 20)
+			for i := range queries {
+				queries[i] = randomPoints(r, 1, 3)[0].Coords
+			}
+			checkAgainstScan(t, tr, pts, queries, "after the second bulk load")
+		})
 	}
-	if !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
-		t.Fatalf("BulkLoad returned an untyped error: %v", err)
-	}
-	fabric.Arm(clustertest.Faults{})
-	if got := tr.PartitionCount(); got != 9 {
-		t.Fatalf("partitions = %d, want 9", got)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after a failed load", tr.Len())
-	}
-	for i, ps := range liveSnapshot(t, tr).Parts[1:] {
-		if len(ps.IDs) != 0 {
-			t.Fatalf("data partition %d holds %d points after the undo", i+1, len(ps.IDs))
-		}
-	}
-	if err := tr.BulkLoad(context.Background(), pts); err != nil {
-		t.Fatal(err)
-	}
-	queries := make([][]float64, 20)
-	for i := range queries {
-		queries[i] = randomPoints(r, 1, 3)[0].Coords
-	}
-	checkAgainstScan(t, tr, pts, queries, "after the second bulk load")
 }

@@ -35,9 +35,9 @@ type Config struct {
 	Unbalanced bool
 	// RetryAttempts bounds per-message retries on transient fabric
 	// failures. Default 3. Delivery is at-least-once: cluster.TCP
-	// reports any failed exchange as transient — a reply lost on a
-	// pooled connection after the handler ran included — and the retry
-	// then applies the request a second time. Queries and restoreReq
+	// reports any failed exchange as transient — a reply lost with its
+	// connection after the handler ran included — and the retry then
+	// applies the request a second time. Queries and restoreReq
 	// are idempotent; the two write kinds, bulkAddReq (every insert) and
 	// installReq, are not (a duplicated point or fragment).
 	RetryAttempts int

@@ -9,6 +9,7 @@ import (
 
 	"semtree"
 	"semtree/internal/column"
+	"semtree/internal/mux"
 )
 
 // This file is the distributed-quota seam. PR 4's token buckets are
@@ -117,7 +118,7 @@ func (a *Allocator) Close() error {
 func (a *Allocator) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var in column.Frame
-	w := &connWriter{conn: conn}
+	w := &mux.Writer{Conn: conn, Limit: maxFrameSize}
 	err := acceptHello(conn, br, &in, w, func(token string) error {
 		if token != a.cfg.Token {
 			return ErrAuth
@@ -138,7 +139,7 @@ func (a *Allocator) handleConn(conn net.Conn) {
 		}
 		g := a.grant(rep)
 		g.ReqID = rep.ReqID
-		if err := w.write(ftLeaseGrant, func(b []byte) []byte { return appendLeaseGrant(b, g) }); err != nil {
+		if err := write(w, ftLeaseGrant, func(b []byte) []byte { return appendLeaseGrant(b, g) }); err != nil {
 			return
 		}
 	}
@@ -202,11 +203,7 @@ const leaseExchangeTimeout = 2 * time.Second
 func (c *Client) lease(ctx context.Context, rep leaseReportFrame) (leaseGrantFrame, error) {
 	ctx, cancel := context.WithTimeout(ctx, leaseExchangeTimeout)
 	defer cancel()
-	m, err := c.conn(ctx)
-	if err != nil {
-		return leaseGrantFrame{}, err
-	}
-	body, err := m.call(ctx, ftLeaseReport, ftLeaseGrant, func(b []byte, id uint64) []byte {
+	body, err := c.call(ctx, ftLeaseReport, leaseGrantReply, func(b []byte, id uint64) []byte {
 		rep.ReqID = id
 		return appendLeaseReport(b, rep)
 	})

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,11 +9,13 @@ import (
 
 	"semtree"
 	"semtree/internal/column"
+	"semtree/internal/mux"
 	"semtree/internal/triple"
 )
 
 // Client talks to one semtree-serve front-end over one long-lived
-// connection that all its calls share: each call writes its frame under
+// connection that all its calls share (a mux.Conn, the call discipline
+// the fabric's TCP transport runs too): each call writes its frame under
 // the connection's write lock, one reader goroutine hands every reply to
 // the call waiting on its ReqID, and a cancelled call stops waiting
 // without touching the socket. It is safe for concurrent use and retries
@@ -28,8 +28,8 @@ type Client struct {
 	addr  string
 	token string
 
-	mu     sync.Mutex // guards mc and closed
-	mc     *muxConn   // the shared connection; replaced once it has failed
+	mu     sync.Mutex        // guards mc and closed
+	mc     *mux.Conn[string] // the shared connection; replaced once it has failed
 	closed bool
 }
 
@@ -50,178 +50,58 @@ func Dial(ctx context.Context, addr, token string) (*Client, error) {
 	return c, nil
 }
 
-// muxConn is a Client's connection. A call claims a slot in a table
-// that grows to the most calls ever in flight at once and is reused from
-// then on; the slot's index and use count make up the call's ReqID, so
-// the reader finds a reply's slot without a map, and a reply to a call
-// that stopped waiting matches no slot and is dropped.
-type muxConn struct {
-	w connWriter // the connection and the frame buffer calls share
-
-	mu    sync.Mutex // guards slots, free and err
-	slots []*slot
-	free  []uint32 // indexes of idle slots
-	err   error    // why the connection ended; nil while it serves
-
-	dead chan struct{} // closed when the reader goroutine exits
-}
-
-// slot is one call's place in the table. id is the ReqID it waits on,
-// 0 while it waits on none; the reader clears it as it delivers, so a
-// slot is answered at most once and its one-reply buffer never blocks.
-type slot struct {
-	id    uint64
-	uses  uint32
-	want  uint8       // the frame type the reply must have
-	reply chan string // the reply's body, for its call to decode
-}
-
-// read hands each reply read through br to its call until the
-// connection ends, and then ends every call's wait.
-func (m *muxConn) read(br *bufio.Reader) {
-	defer close(m.dead)
-	var in column.Frame
-	for {
-		ft, body, _, err := in.Read(br, maxFrameSize)
-		if err == nil {
-			err = m.deliver(ft, body)
-		}
-		if err != nil {
-			m.fail(protocolErr(err))
-			return
-		}
-	}
-}
-
-// deliver hands the body of one reply of type ft to the slot waiting on
-// its ReqID, which opens every reply's body. A reply of the wrong type
-// for its slot is a protocol error, which ends the connection.
-func (m *muxConn) deliver(ft uint8, body []byte) error {
-	if len(body) < 8 {
-		return fmt.Errorf("%w: a %d-byte reply has no ReqID", ErrProtocol, len(body))
-	}
-	id := binary.BigEndian.Uint64(body)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	i := int(uint32(id)) - 1
-	if i < 0 || i >= len(m.slots) || m.slots[i].id != id {
-		return nil // its call stopped waiting
-	}
-	s := m.slots[i]
-	if s.want != ft {
-		return fmt.Errorf("%w: frame type %d answers request %d, want %d", ErrProtocol, ft, id, s.want)
-	}
-	s.id = 0
-	//semtree:allow lockedcall: the slot's buffer of one is empty — its id was set, and is cleared here, once per reply — so the send never blocks
-	s.reply <- string(body)
-	return nil
-}
-
-// take claims an idle slot for a call whose reply must be of frame
-// type want, and returns it with the call's ReqID.
-func (m *muxConn) take(want uint8) (*slot, uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, 0, m.err
-	}
-	if len(m.free) == 0 {
-		m.free = append(m.free, uint32(len(m.slots)))
-		m.slots = append(m.slots, &slot{reply: make(chan string, 1)})
-	}
-	i := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	s := m.slots[i]
-	s.uses++
-	s.id, s.want = uint64(s.uses)<<32|uint64(i+1), want
-	return s, s.id, nil
-}
-
-// put returns the slot of the call with ReqID id to the idle list: a
-// reply already delivered to it is drained, one still owed will match
-// no slot.
-func (m *muxConn) put(s *slot, id uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s.id == id {
-		s.id = 0
-	} else {
-		select {
-		case <-s.reply:
-		default:
-		}
-	}
-	m.free = append(m.free, uint32(id)-1)
-}
-
-// call sends a frame of type ft, its body appended by build for the
-// ReqID it is given, and waits for the reply of type want — returning
-// its body for the caller to decode — or for the context's end or the
-// connection's, whichever comes first. A reply already delivered wins
-// over the connection's end, so a refusal the server sends just before
-// it closes reaches its call. The server learns of a deadline from the
-// frame; a call that stops waiting leaves the socket alone, for the
-// calls still on it. The write has no deadline either: a request frame
-// is small, and the server's read loop hands every frame off without
-// waiting on replies. A frame over maxFrameSize is never written: the
-// call fails with ErrProtocol, and the connection serves on.
-func (m *muxConn) call(ctx context.Context, ft, want uint8, build func(b []byte, id uint64) []byte) (string, error) {
-	s, id, err := m.take(want)
+// call is exchange on the shared connection.
+func (c *Client) call(ctx context.Context, ft uint8, decode mux.Decode[string], build func(b []byte, id uint64) []byte) (string, error) {
+	m, err := c.conn(ctx)
 	if err != nil {
 		return "", err
 	}
-	defer m.put(s, id)
-	if err := m.w.write(ft, func(b []byte) []byte { return build(b, id) }); err != nil {
-		if !errors.Is(err, ErrProtocol) {
-			m.fail(err) // a torn frame leaves the stream out of step
+	return exchange(ctx, m, ft, decode, build)
+}
+
+// exchange sends a frame of type ft on m, its body appended by build for
+// its ReqID, and returns the body of the reply decode takes. A frame
+// over the cap or cut short, either way, is ErrProtocol.
+func exchange(ctx context.Context, m *mux.Conn[string], ft uint8, decode mux.Decode[string], build func(b []byte, id uint64) []byte) (string, error) {
+	body, _, err := m.Call(ctx, func(b *column.Appender, id uint64) (byte, error) {
+		*b = build(*b, id)
+		return ft, nil
+	}, decode)
+	return body, protocolErr(err)
+}
+
+// replyOf returns the decode of a reply of frame type want: a copy of
+// its body, for want's decoder. A reply of another type is a protocol
+// error, which ends the connection.
+func replyOf(want uint8) mux.Decode[string] {
+	return func(ft uint8, d *column.Decoder) (string, error) {
+		if ft != want {
+			return "", fmt.Errorf("%w: frame type %d answers a call that wants %d", ErrProtocol, ft, want)
 		}
-		return "", err
-	}
-	select {
-	case body := <-s.reply:
-		return body, nil
-	case <-ctx.Done():
-		return "", ctx.Err()
-	case <-m.dead:
-		select {
-		case body := <-s.reply:
-			return body, nil
-		default:
-			return "", m.failure()
-		}
+		return string(d.Rest()), nil
 	}
 }
 
-// fail records the first reason the connection ended and closes it,
-// which ends the reader and, through dead, every call's wait.
-func (m *muxConn) fail(err error) {
-	m.mu.Lock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.mu.Unlock()
-	m.w.conn.Close()
-}
-
-// failure reports why the connection ended, or nil while it serves.
-func (m *muxConn) failure() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
+// The decodes of the four replies a client waits on, built once.
+var (
+	helloAckReply    = replyOf(ftHelloAck)
+	resultReply      = replyOf(ftResult)
+	snapshotAckReply = replyOf(ftSnapshotAck)
+	leaseGrantReply  = replyOf(ftLeaseGrant)
+)
 
 // conn returns the shared connection, dialling one when the last has
 // failed: a call retried after a transport error runs on a fresh dial,
 // never on what killed the last attempt, and calls that arrive during
 // the dial wait for it rather than dial their own. The hello is the new
 // connection's first call.
-func (c *Client) conn(ctx context.Context) (*muxConn, error) {
+func (c *Client) conn(ctx context.Context) (*mux.Conn[string], error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, errClientClosed
 	}
-	if c.mc != nil && c.mc.failure() == nil {
+	if c.mc != nil && c.mc.Err() == nil {
 		return c.mc, nil
 	}
 	var d net.Dialer
@@ -229,11 +109,9 @@ func (c *Client) conn(ctx context.Context) (*muxConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &muxConn{w: connWriter{conn: conn}, dead: make(chan struct{})}
-	go m.read(bufio.NewReader(conn))
-	if err := m.hello(ctx, c.token); err != nil {
-		m.fail(err)
-		<-m.dead
+	m := mux.New[string](conn, maxFrameSize)
+	if err := hello(ctx, m, c.token); err != nil {
+		m.Close(err)
 		return nil, err
 	}
 	c.mc = m
@@ -244,8 +122,8 @@ func (c *Client) conn(ctx context.Context) (*muxConn, error) {
 // client of the wire opens with, query clients and the lease agent
 // alike. A refusal decodes to its typed sentinel (ErrAuth, ErrVersion,
 // ErrDraining).
-func (m *muxConn) hello(ctx context.Context, token string) error {
-	body, err := m.call(ctx, ftHello, ftHelloAck, func(b []byte, id uint64) []byte {
+func hello(ctx context.Context, m *mux.Conn[string], token string) error {
+	body, err := exchange(ctx, m, ftHello, helloAckReply, func(b []byte, id uint64) []byte {
 		return appendHello(b, helloFrame{ReqID: id, Version: protoVersion, Token: token})
 	})
 	if err != nil {
@@ -269,8 +147,7 @@ func (c *Client) Close() error {
 	mc := c.mc
 	c.mu.Unlock()
 	if mc != nil {
-		mc.fail(errClientClosed)
-		<-mc.dead
+		mc.Close(errClientClosed)
 	}
 	return nil
 }
@@ -337,14 +214,10 @@ func (c *Client) Search(ctx context.Context, q triple.Triple, opts ...semtree.Se
 }
 
 func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Result, error) {
-	m, err := c.conn(ctx)
-	if err != nil {
-		return semtree.Result{}, err
-	}
 	if d, ok := ctx.Deadline(); ok {
 		req.Deadline = d.UnixNano()
 	}
-	body, err := m.call(ctx, ftSearch, ftResult, func(b []byte, id uint64) []byte {
+	body, err := c.call(ctx, ftSearch, resultReply, func(b []byte, id uint64) []byte {
 		req.ReqID = id
 		return appendSearch(b, req)
 	})
@@ -367,11 +240,7 @@ func (c *Client) searchOnce(ctx context.Context, req searchFrame) (semtree.Resul
 // the snapshot's byte size. The server saves under its single critical
 // section while queries keep running.
 func (c *Client) Snapshot(ctx context.Context) (uint64, error) {
-	m, err := c.conn(ctx)
-	if err != nil {
-		return 0, err
-	}
-	body, err := m.call(ctx, ftSnapshot, ftSnapshotAck, func(b []byte, id uint64) []byte {
+	body, err := c.call(ctx, ftSnapshot, snapshotAckReply, func(b []byte, id uint64) []byte {
 		return appendSnapshot(b, snapshotFrame{ReqID: id})
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"semtree"
 	"semtree/internal/column"
+	"semtree/internal/mux"
 	"semtree/internal/triple"
 )
 
@@ -111,7 +112,7 @@ type scriptedPeer struct {
 	t  *testing.T
 	br *bufio.Reader
 	in column.Frame
-	w  *connWriter
+	w  *mux.Writer
 }
 
 // dialScripted dials a Client to a peer that accepts its hello and then
@@ -130,7 +131,7 @@ func dialScripted(t *testing.T) (*Client, *scriptedPeer) {
 			close(peers)
 			return
 		}
-		p := &scriptedPeer{t: t, br: bufio.NewReader(conn), w: &connWriter{conn: conn}}
+		p := &scriptedPeer{t: t, br: bufio.NewReader(conn), w: &mux.Writer{Conn: conn, Limit: maxFrameSize}}
 		_ = acceptHello(conn, p.br, &p.in, p.w, func(string) error { return nil })
 		peers <- p
 	}()
@@ -141,7 +142,7 @@ func dialScripted(t *testing.T) (*Client, *scriptedPeer) {
 	p := <-peers
 	t.Cleanup(func() {
 		cl.Close()
-		p.w.conn.Close()
+		p.w.Conn.Close()
 	})
 	return cl, p
 }
@@ -166,7 +167,7 @@ func (p *scriptedPeer) next() searchFrame {
 // answer replies to request id with a result tagged by its node count.
 func (p *scriptedPeer) answer(id uint64, tag int64) {
 	p.t.Helper()
-	if err := p.w.write(ftResult, func(b []byte) []byte {
+	if err := write(p.w, ftResult, func(b []byte) []byte {
 		return appendResult(b, resultFrame{ReqID: id, Stats: semtree.ExecStats{NodesVisited: tag}})
 	}); err != nil {
 		p.t.Fatal(err)
@@ -217,25 +218,6 @@ func TestMultiplexLateReplyDropped(t *testing.T) {
 	}
 }
 
-// TestMultiplexAbandonDrainsReply: a call can stop waiting just as the
-// reader delivers its reply, when its context and its reply are ready
-// at once. Giving the slot back must drain that reply, or the slot's
-// next call would read it — and the reader block on the full slot.
-func TestMultiplexAbandonDrainsReply(t *testing.T) {
-	m := &muxConn{}
-	s, id, err := m.take(ftResult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.deliver(ftResult, appendResult(nil, resultFrame{ReqID: id})); err != nil {
-		t.Fatal(err)
-	}
-	m.put(s, id) // the call took its context's end, not the reply
-	if n := len(s.reply); n != 0 {
-		t.Fatalf("%d replies left in a slot given back", n)
-	}
-}
-
 // TestMultiplexWrongReplyType: a reply of the wrong frame type for a
 // waiting call is a protocol error. The call fails and the connection
 // closes, rather than a search taking a snapshot's ack for its answer.
@@ -247,7 +229,7 @@ func TestMultiplexWrongReplyType(t *testing.T) {
 		failed <- err
 	}()
 	req := p.next()
-	if err := p.w.write(ftSnapshotAck, func(b []byte) []byte {
+	if err := write(p.w, ftSnapshotAck, func(b []byte) []byte {
 		return appendSnapshotAck(b, snapshotAckFrame{ReqID: req.ReqID})
 	}); err != nil {
 		t.Fatal(err)
@@ -276,7 +258,7 @@ func TestMultiplexCloseEndsReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-mc.dead:
+	case <-mc.Done():
 	default:
 		t.Fatal("Close returned before the reader exited")
 	}
@@ -293,14 +275,13 @@ func TestHelloRefusalBeatsClose(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		client, server := net.Pipe()
 		go func() {
-			_ = acceptHello(server, bufio.NewReader(server), new(column.Frame), &connWriter{conn: server}, func(string) error { return ErrAuth })
+			_ = acceptHello(server, bufio.NewReader(server), new(column.Frame), &mux.Writer{Conn: server, Limit: maxFrameSize}, func(string) error { return ErrAuth })
 			server.Close()
 		}()
 		conn := &endedConn{Conn: client}
-		m := &muxConn{w: connWriter{conn: conn}, dead: make(chan struct{})}
-		conn.dead = m.dead
-		go m.read(bufio.NewReader(conn))
-		if err := m.hello(t.Context(), "tok"); !errors.Is(err, ErrAuth) {
+		m := mux.New[string](conn, maxFrameSize)
+		conn.dead = m.Done()
+		if err := hello(t.Context(), m, "tok"); !errors.Is(err, ErrAuth) {
 			t.Fatalf("hello %d: err = %v, want ErrAuth", i, err)
 		}
 	}
@@ -311,7 +292,7 @@ func TestHelloRefusalBeatsClose(t *testing.T) {
 // ended after it.
 type endedConn struct {
 	net.Conn
-	dead chan struct{}
+	dead <-chan struct{}
 }
 
 func (c *endedConn) Write(p []byte) (int, error) {
@@ -343,7 +324,7 @@ func TestLeaseReportCancelledMidExchange(t *testing.T) {
 			accepted <- struct{}{}
 			go func() {
 				defer conn.Close()
-				br, w := bufio.NewReader(conn), &connWriter{conn: conn}
+				br, w := bufio.NewReader(conn), &mux.Writer{Conn: conn, Limit: maxFrameSize}
 				var in column.Frame
 				if acceptHello(conn, br, &in, w, func(string) error { return nil }) != nil {
 					return
@@ -359,7 +340,7 @@ func TestLeaseReportCancelledMidExchange(t *testing.T) {
 					}
 					reports <- rep
 					g := <-grants
-					if w.write(ftLeaseGrant, func(b []byte) []byte { return appendLeaseGrant(b, g) }) != nil {
+					if write(w, ftLeaseGrant, func(b []byte) []byte { return appendLeaseGrant(b, g) }) != nil {
 						return
 					}
 				}

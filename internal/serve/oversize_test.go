@@ -13,6 +13,7 @@ import (
 
 	"semtree"
 	"semtree/internal/column"
+	"semtree/internal/mux"
 	"semtree/internal/triple"
 )
 
@@ -121,7 +122,7 @@ func TestOversizeLengthBothEnds(t *testing.T) {
 		var err error
 		grown := allocated(func() {
 			var in column.Frame
-			err = acceptHello(server, bufio.NewReader(server), &in, &connWriter{conn: server}, func(string) error { return nil })
+			err = acceptHello(server, bufio.NewReader(server), &in, &mux.Writer{Conn: server, Limit: maxFrameSize}, func(string) error { return nil })
 		})
 		server.Close()
 		if !errors.Is(err, ErrProtocol) {
@@ -137,8 +138,8 @@ func TestOversizeLengthBothEnds(t *testing.T) {
 			req := p.next()
 			_, k := binary.Uvarint(reply[1:])
 			binary.BigEndian.PutUint64(reply[1+k:], req.ReqID)
-			_, _ = p.w.conn.Write(reply)
-			p.w.conn.Close()
+			_, _ = p.w.Conn.Write(reply)
+			p.w.Conn.Close()
 		}()
 		grown = allocated(func() { _, err = cl.Search(t.Context(), q) })
 		if !errors.Is(err, ErrProtocol) {

@@ -15,6 +15,7 @@ import (
 
 	"semtree"
 	"semtree/internal/column"
+	"semtree/internal/mux"
 )
 
 // TenantConfig describes one tenant the server will answer for: the
@@ -271,25 +272,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// connWriter serializes frame writes onto one connection. The
-// goroutines that write there — a server connection's request handlers,
-// a Client's calls — share it, and its frame buffer.
-type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-	out  column.Frame
-}
-
-// write sends one frame of type ft, its body appended by appendBody to
-// the connection's buffer, in one Write. A body over maxFrameSize is
-// refused with ErrProtocol and nothing is written, so the stream stays
-// in step.
-func (w *connWriter) write(ft uint8, appendBody func([]byte) []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b := w.out.Body()
-	*b = appendBody(*b)
-	_, err := w.out.Send(w.conn, ft, maxFrameSize)
+// write sends one frame of type ft through w, its body appended by
+// appendBody, in one Write. A body over maxFrameSize is refused with
+// ErrProtocol and nothing is written, so the stream stays in step.
+func write(w *mux.Writer, ft uint8, appendBody func([]byte) []byte) error {
+	_, err := w.Write(func(b *column.Appender) (byte, error) {
+		*b = appendBody(*b)
+		return ft, nil
+	})
 	return protocolErr(err)
 }
 
@@ -318,7 +308,7 @@ func (s *Server) track(conn net.Conn) func() {
 // sentinel to refuse with or nil to accept. It returns nil once the
 // connection is accepted and acknowledged; otherwise the refusal it
 // acknowledged, or the read, decode or write that failed.
-func acceptHello(conn net.Conn, br *bufio.Reader, in *column.Frame, w *connWriter, auth func(token string) error) error {
+func acceptHello(conn net.Conn, br *bufio.Reader, in *column.Frame, w *mux.Writer, auth func(token string) error) error {
 	_ = conn.SetReadDeadline(time.Now().Add(defaultHelloTimeout))
 	ft, body, _, err := in.Read(br, maxFrameSize)
 	if err != nil {
@@ -341,7 +331,7 @@ func acceptHello(conn net.Conn, br *bufio.Reader, in *column.Frame, w *connWrite
 	if refusal != nil {
 		ack.Code, ack.Msg, _ = encodeError(refusal)
 	}
-	if err := w.write(ftHelloAck, func(b []byte) []byte { return appendHelloAck(b, ack) }); err != nil {
+	if err := write(w, ftHelloAck, func(b []byte) []byte { return appendHelloAck(b, ack) }); err != nil {
 		return err
 	}
 	if refusal != nil {
@@ -360,7 +350,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	var t *tenant
 	br := bufio.NewReader(conn)
 	var in column.Frame
-	w := &connWriter{conn: conn}
+	w := &mux.Writer{Conn: conn, Limit: maxFrameSize}
 	err := acceptHello(conn, br, &in, w, func(token string) error {
 		var known bool
 		if t, known = s.tenants[token]; !known {
@@ -388,7 +378,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 				return
 			}
 			if !s.admit() {
-				w.result(f.ReqID, failedResult(ErrDraining))
+				writeResult(w, f.ReqID, failedResult(ErrDraining))
 				continue
 			}
 			go func() {
@@ -401,7 +391,7 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 				return
 			}
 			if !s.admit() {
-				w.snapshotAck(f.ReqID, failedSnapshot(ErrDraining))
+				writeSnapshotAck(w, f.ReqID, failedSnapshot(ErrDraining))
 				continue
 			}
 			go func() {
@@ -437,9 +427,9 @@ func (s *Server) admit() bool {
 // tenant's searcher, sharing its scheduler and quota bucket. The reply
 // is encoded straight from the result's matches into the connection's
 // frame buffer.
-func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f searchFrame) {
+func (s *Server) handleSearch(ctx context.Context, t *tenant, w *mux.Writer, f searchFrame) {
 	if f.Mode > uint8(semtree.ModeRange) {
-		w.result(f.ReqID, failedResult(fmt.Errorf("%w: unknown search mode %d", ErrProtocol, f.Mode)))
+		writeResult(w, f.ReqID, failedResult(fmt.Errorf("%w: unknown search mode %d", ErrProtocol, f.Mode)))
 		return
 	}
 	if f.Deadline > 0 {
@@ -475,7 +465,7 @@ func (s *Server) handleSearch(ctx context.Context, t *tenant, w *connWriter, f s
 		out = failedResult(res.Err)
 	}
 	out.Stats = res.Stats
-	w.result(f.ReqID, out)
+	writeResult(w, f.ReqID, out)
 }
 
 // failedResult is the result frame that reports err.
@@ -490,24 +480,24 @@ func failedSnapshot(err error) snapshotAckFrame {
 	return snapshotAckFrame{HasErr: true, Code: code, Msg: msg, Detail: detail}
 }
 
-// result writes r as the answer to request id. A result over
+// writeResult writes r as the answer to request id. A result over
 // maxFrameSize is not sent; the error that refused it is, so the call
 // it answers learns why rather than waiting on a reply that never
 // comes.
-func (w *connWriter) result(id uint64, r resultFrame) {
+func writeResult(w *mux.Writer, id uint64, r resultFrame) {
 	r.ReqID = id
-	if err := w.write(ftResult, func(b []byte) []byte { return appendResult(b, r) }); errors.Is(err, ErrProtocol) {
+	if err := write(w, ftResult, func(b []byte) []byte { return appendResult(b, r) }); errors.Is(err, ErrProtocol) {
 		failed := failedResult(err)
 		failed.Stats = r.Stats
-		w.result(id, failed)
+		writeResult(w, id, failed)
 	}
 }
 
-// snapshotAck is result for a snapshot ack.
-func (w *connWriter) snapshotAck(id uint64, r snapshotAckFrame) {
+// writeSnapshotAck is writeResult for a snapshot ack.
+func writeSnapshotAck(w *mux.Writer, id uint64, r snapshotAckFrame) {
 	r.ReqID = id
-	if err := w.write(ftSnapshotAck, func(b []byte) []byte { return appendSnapshotAck(b, r) }); errors.Is(err, ErrProtocol) {
-		w.snapshotAck(id, failedSnapshot(err))
+	if err := write(w, ftSnapshotAck, func(b []byte) []byte { return appendSnapshotAck(b, r) }); errors.Is(err, ErrProtocol) {
+		writeSnapshotAck(w, id, failedSnapshot(err))
 	}
 }
 
@@ -515,8 +505,8 @@ func (w *connWriter) snapshotAck(id uint64, r snapshotAckFrame) {
 // index to the configured path, atomically (temp file + rename), while
 // queries keep running — the single-critical-section Save guarantees a
 // consistent snapshot without stopping the world.
-func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
-	fail := func(err error) { w.snapshotAck(f.ReqID, failedSnapshot(err)) }
+func (s *Server) handleSnapshot(t *tenant, w *mux.Writer, f snapshotFrame) {
+	fail := func(err error) { writeSnapshotAck(w, f.ReqID, failedSnapshot(err)) }
 	if !t.admin {
 		fail(ErrNotAdmin)
 		return
@@ -531,7 +521,7 @@ func (s *Server) handleSnapshot(t *tenant, w *connWriter, f snapshotFrame) {
 		return
 	}
 	s.snapshots.Add(1)
-	w.snapshotAck(f.ReqID, snapshotAckFrame{Bytes: n})
+	writeSnapshotAck(w, f.ReqID, snapshotAckFrame{Bytes: n})
 }
 
 // snapshotTo writes a snapshot to path so that a crash at any point

@@ -169,7 +169,7 @@ type leaseGrantFrame struct {
 // Bodies have a fixed layout: integers big-endian, strings a uint32
 // length and their bytes, and every body of a call or its reply opens
 // with the call's ReqID. Each appendX appends one body to a buffer its
-// connection reuses (connWriter). Each decodeX reads a body from one
+// connection reuses (mux.Writer). Each decodeX reads a body from one
 // string copy of it through an rbuf that latches the first error, so a
 // malformed body yields exactly one typed ErrProtocol and never panics
 // or over-reads; a decoded frame's strings are substrings of that copy,
