@@ -223,8 +223,8 @@ func TestEmbeddingBitIdentity(t *testing.T) {
 
 // TestSearchAllocs gates the allocation cost of the query path: the
 // embedding itself allocates nothing, and a whole K=10 search on one
-// partition stays within a dozen allocations (it was ~36 when every
-// term distance built a cache key).
+// partition stays within five allocations (it was ~36 when every term
+// distance built a cache key).
 func TestSearchAllocs(t *testing.T) {
 	ix, g := buildTestIndex(t, 5000, Options{Seed: 1})
 	qs := g.Triples(64)
@@ -235,13 +235,17 @@ func TestSearchAllocs(t *testing.T) {
 	}
 	s := ix.Searcher(WithK(10))
 	ctx := context.Background()
+	limit := 5.0
+	if raceEnabled {
+		limit = 12 // pooled buffers are re-allocated at random
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := s.Search(ctx, qs[i%len(qs)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
-	}); n > 12 {
-		t.Errorf("Search(K=10): %v allocs per query, want at most 12", n)
+	}); n > limit {
+		t.Errorf("Search(K=10): %v allocs per query, want at most %v", n, limit)
 	}
 }
 

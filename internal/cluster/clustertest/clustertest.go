@@ -1,19 +1,28 @@
 // Package clustertest is the fault seam of the partition protocol's
-// tests: a cluster.Fabric wrapper that fails calls on a seeded
-// schedule. Only _test.go files import it — the module root's
-// TestFaultSeamStaysInTests holds that — so no fault ships in the
-// engine, and no engine fabric carries a fault knob.
+// tests: a cluster.Fabric wrapper that holds the whole simulated
+// network. It delays calls, fails them on a seeded schedule, and
+// delivers every message by value. Only _test.go files import it — the
+// module root's TestFaultSeamStaysInTests holds that — so no fault
+// ships in the engine, and no engine fabric carries a network setting.
 //
 // Every fault is a pure function of (seed, edge, per-edge sequence
 // number): the n-th call from one node to another meets the same fault
 // in every run, whatever the calls on other edges do, with no shared
 // random source and no lock.
+//
+// Delivery is by value on every fabric it wraps: each request, reply
+// and handler error crosses cluster.RoundTrip, the frame codec TCP
+// runs, before the inner fabric, the handler or the caller sees it.
+// A handler never holds its caller's memory, a re-sent request arrives
+// as a fresh copy, and an error arrives as its code, detail and text —
+// so a fault test on InProc states what TCP does.
 package clustertest
 
 import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"semtree/internal/cluster"
 )
@@ -22,6 +31,11 @@ import (
 // [0, 1]. The zero value injects nothing.
 type Faults struct {
 	Seed int64
+	// Delay is every call's transit: a call waits that long before the
+	// inner fabric sees it. A call whose context ends first returns the
+	// context's error and still counts as a message: it left, only its
+	// reply is abandoned.
+	Delay time.Duration
 	// DropBefore fails a call with cluster.ErrTransient before the inner
 	// fabric sees it: the handler never runs, so a retry is always safe.
 	DropBefore float64
@@ -50,6 +64,7 @@ type Fabric struct {
 	seqs   sync.Map // edge → *atomic.Uint64, the edge's next sequence number
 
 	dropped, lost, runs, completed atomic.Int64
+	abandoned                      atomic.Int64 // calls whose context ended in transit
 }
 
 // edge is one direction between two nodes.
@@ -68,26 +83,42 @@ func New(inner cluster.Fabric, faults Faults) *Fabric {
 	return f
 }
 
-// Arm replaces the fault schedule for the calls that follow; sequence
-// numbers run on. A test builds on a clean fabric, then arms it.
+// Arm replaces the fault schedule and the delay for the calls that
+// follow; sequence numbers run on. A test builds on a clean fabric,
+// then arms it.
 func (f *Fabric) Arm(faults Faults) { f.faults.Store(&faults) }
 
-// AddNode registers h on the inner fabric, counting its runs.
+// AddNode registers h on the inner fabric, counting its runs; h's
+// reply or error crosses the codec before the inner fabric sees it, as
+// TCP's serving side encodes it.
 func (f *Fabric) AddNode(h cluster.Handler) (cluster.NodeID, error) {
 	return f.Fabric.AddNode(func(ctx context.Context, from cluster.NodeID, req any) (any, error) {
 		f.runs.Add(1)
-		return h(ctx, from, req)
+		return cluster.RoundTrip(h(ctx, from, req))
 	})
 }
 
-// Call forwards to the inner fabric unless the schedule fails the call
-// before it leaves or loses its reply after it returns.
+// Call forwards a copy of req to the inner fabric, after the delay,
+// unless the schedule fails the call before it leaves or loses its
+// reply after it returns.
 func (f *Fabric) Call(ctx context.Context, from, to cluster.NodeID, req any) (any, error) {
 	fs, e := f.faults.Load(), edge{from, to}
 	seq := f.next(e)
 	if roll(fs.Seed, e, seq, dropBefore) < fs.DropBefore {
 		f.dropped.Add(1)
 		return nil, cluster.ErrTransient
+	}
+	// An already-dead call goes on to the inner fabric, which fails it
+	// without counting a message.
+	if fs.Delay > 0 && ctx.Err() == nil {
+		if err := wait(ctx, fs.Delay); err != nil {
+			f.abandoned.Add(1)
+			return nil, err
+		}
+	}
+	req, err := cluster.RoundTrip(req, nil)
+	if err != nil {
+		return nil, err
 	}
 	resp, err := f.Fabric.Call(ctx, from, to, req)
 	if err != nil {
@@ -102,12 +133,12 @@ func (f *Fabric) Call(ctx context.Context, from, to cluster.NodeID, req any) (an
 }
 
 // Stats is the inner fabric's accounting with the injected faults
-// added: each one is a failure, and a call dropped before it left is a
-// message the inner fabric never counted.
+// added: each one is a failure, and a call dropped before it left or
+// abandoned in transit is a message the inner fabric never counted.
 func (f *Fabric) Stats() cluster.Stats {
 	s := f.Fabric.Stats()
 	dropped := f.dropped.Load()
-	s.Messages += dropped
+	s.Messages += dropped + f.abandoned.Load()
 	s.Failures += dropped + f.lost.Load()
 	return s
 }
@@ -115,6 +146,24 @@ func (f *Fabric) Stats() cluster.Stats {
 // Counts returns what the wrapper has seen so far.
 func (f *Fabric) Counts() Counts {
 	return Counts{Dropped: f.dropped.Load(), Lost: f.lost.Load(), Runs: f.runs.Load(), Completed: f.completed.Load()}
+}
+
+// wait sleeps for d or until ctx is done, whichever comes first, and
+// returns the context's error if it ended. A context that can never be
+// cancelled skips the timer machinery.
+func wait(ctx context.Context, d time.Duration) error {
+	if ctx.Done() == nil {
+		time.Sleep(d)
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // next returns e's sequence number for this call.

@@ -5,13 +5,15 @@
 // package provides the equivalent: a Fabric of named nodes exchanging
 // synchronous request/response messages, with two implementations —
 //
-//   - InProc: in-process transport with configurable per-message
-//     latency and message accounting. It is the default fabric of a
+//   - InProc: in-process dispatch with message accounting and nothing
+//     else — no delay, no fault, no copy. It is the default fabric of a
 //     tree and what the bench figures and the repo benchmark's
-//     in-process workloads run on. It injects no faults: the tests'
-//     fault seam is a wrapper around any Fabric, clustertest.Fabric,
-//     which drops a call before it leaves or its reply after the
-//     handler ran.
+//     in-process workloads run on. Every simulated network behaviour is
+//     the tests' fault seam, clustertest.Fabric, a wrapper around any
+//     Fabric: it delays a call, drops it before it leaves or its reply
+//     after the handler ran, and delivers every request and reply
+//     through the frame codec (RoundTrip), so a handler never holds its
+//     caller's memory, as on TCP.
 //   - TCP: a real network transport over loopback that also counts the
 //     bytes it moves, used by the distributed example, the integration
 //     tests and the repo benchmark's nine-partition workload. A message
@@ -28,11 +30,11 @@
 // is the cost model's.
 //
 // Every Call is context-first: cancellation and deadlines propagate
-// with the message. On InProc the simulated transit sleep unblocks when
-// the context is done; on TCP the deadline travels in the frame (the
-// serving side derives a context from it) and a call stops waiting as
-// soon as its context ends, giving up only its slot: the connection
-// serves the other calls on it, and the reply owed is dropped.
+// with the message. On InProc the handler runs under the caller's
+// context; on TCP the deadline travels in the frame (the serving side
+// derives a context from it) and a call stops waiting as soon as its
+// context ends, giving up only its slot: the connection serves the
+// other calls on it, and the reply owed is dropped.
 //
 // Handlers must be safe for concurrent use: a fabric delivers requests
 // from many callers at once, exactly like a multithreaded MPJ rank.
@@ -63,6 +65,12 @@ const ClientID NodeID = -1
 // goroutine (InProc) or a goroutine of their own (TCP) and must be
 // concurrency-safe. A handler only ever runs under its caller's
 // context.
+//
+// The delivery contract: a fabric hands a handler each request value
+// at most once, and a fabric that can fail transiently delivers copies
+// (TCP decodes one per delivery; InProc never fails in transit, so
+// nothing re-sends the caller's value). A handler may thus adopt its
+// request's memory, as an install adopts its fragment's blocks.
 type Handler func(ctx context.Context, from NodeID, req any) (any, error)
 
 // Fabric is a set of addressable nodes exchanging request/response
@@ -155,6 +163,10 @@ func (o *observedFabric) Call(ctx context.Context, from, to NodeID, req any) (an
 // not burn its remaining attempts re-sending a message nobody wants —
 // and the context is re-checked between attempts. It returns the last
 // error when all attempts fail.
+//
+// Re-sending req is safe under Handler's delivery contract: only a
+// fabric that can fail transiently re-sends, and it delivers a fresh
+// copy each time. A write whose reply was lost still applies twice.
 func CallRetry(ctx context.Context, f Fabric, from, to NodeID, req any, attempts int) (any, error) {
 	if attempts < 1 {
 		attempts = 1

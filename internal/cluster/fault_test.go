@@ -6,13 +6,125 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"semtree/internal/cluster"
 	"semtree/internal/cluster/clustertest"
 )
 
 func echo(_ context.Context, _ cluster.NodeID, req any) (any, error) { return req, nil }
+
+// block is a request whose payload is a slice, the shape of a partition
+// message's columns; it crosses the codec in the gob fallback.
+type block struct{ Coords []float64 }
+
+func init() { cluster.RegisterMessage(block{}) }
+
+// TestSeamDelay: an armed delay holds every call that long before the
+// inner fabric sees it, and Arm changes it at run time.
+func TestSeamDelay(t *testing.T) {
+	f := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Delay: 2 * time.Millisecond})
+	defer f.Close()
+	id, _ := f.AddNode(cluster.EchoHandler)
+	start := time.Now()
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		if _, err := f.Call(context.Background(), cluster.ClientID, id, cluster.EchoReq{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := time.Since(start); got < calls*2*time.Millisecond {
+		t.Fatalf("delay not applied: %v for %d calls", got, calls)
+	}
+	f.Arm(clustertest.Faults{Delay: time.Hour})
+	f.Arm(clustertest.Faults{})
+	start = time.Now()
+	if _, err := f.Call(context.Background(), cluster.ClientID, id, cluster.EchoReq{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got > time.Second {
+		t.Fatalf("disarmed delay still applied: %v", got)
+	}
+	if got := f.Stats().Messages; got != calls+1 {
+		t.Fatalf("%d messages counted for %d calls", got, calls+1)
+	}
+}
+
+// TestSeamCancelUnblocksDelay: a call whose deadline passes in transit
+// returns the context's error well before the delay elapses, and still
+// counts as a message; the handler never runs.
+func TestSeamCancelUnblocksDelay(t *testing.T) {
+	f := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Delay: 2 * time.Second})
+	defer f.Close()
+	id, _ := f.AddNode(cluster.EchoHandler)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := f.Call(ctx, cluster.ClientID, id, cluster.EchoReq{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("cancel did not unblock the delay: %v", elapsed)
+	}
+	if s, c := f.Stats(), f.Counts(); s.Messages != 1 || c.Runs != 0 {
+		t.Fatalf("stats %+v, counts %+v: want one message and no handler run", s, c)
+	}
+	// An already-dead call never becomes a message.
+	if _, err := f.Call(ctx, cluster.ClientID, id, cluster.EchoReq{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if got := f.Stats().Messages; got != 1 {
+		t.Fatalf("a dead call counted: %d messages", got)
+	}
+}
+
+// TestSeamDeliversByValue: on every fabric the seam wraps, a handler's
+// request shares no backing array with its caller's value, its reply
+// shares none with what the handler keeps, and a handler's error
+// arrives as TCP delivers it — matching its sentinel, with its text.
+func TestSeamDeliversByValue(t *testing.T) {
+	for name, mk := range cluster.Fabrics() {
+		t.Run(name, func(t *testing.T) {
+			f := clustertest.New(mk(), clustertest.Faults{})
+			defer f.Close()
+			var kept block
+			id, _ := f.AddNode(func(_ context.Context, _ cluster.NodeID, req any) (any, error) {
+				b := req.(block)
+				b.Coords[0] = -1 // a handler writing into its request
+				kept = b
+				return b, nil
+			})
+			sent := block{Coords: []float64{1, 2, 3}}
+			resp, err := f.Call(context.Background(), cluster.ClientID, id, sent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := resp.(block)
+			if sent.Coords[0] != 1 || &kept.Coords[0] == &sent.Coords[0] {
+				t.Fatalf("the handler's request shares the caller's array: sent %v", sent.Coords)
+			}
+			got.Coords[1] = -2 // a caller writing into its reply
+			if kept.Coords[1] != 2 || &got.Coords[0] == &kept.Coords[0] {
+				t.Fatalf("the reply shares the handler's array: kept %v", kept.Coords)
+			}
+			if got.Coords[0] != -1 || got.Coords[2] != 3 {
+				t.Fatalf("reply %v, want the handler's values", got.Coords)
+			}
+
+			failing, _ := f.AddNode(func(context.Context, cluster.NodeID, any) (any, error) {
+				return nil, fmt.Errorf("refused here: %w", cluster.ErrUnknownNode)
+			})
+			_, err = f.Call(context.Background(), cluster.ClientID, failing, sent)
+			//semtree:allow typederr: not classification — the handler's own text must cross the codec beside its identity
+			if !errors.Is(err, cluster.ErrUnknownNode) || err.Error() != "refused here: "+cluster.ErrUnknownNode.Error() {
+				t.Fatalf("handler error crossed as %v", err)
+			}
+		})
+	}
+}
 
 func TestInProcFailureInjectionAndRetry(t *testing.T) {
 	f := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{Seed: 42, DropBefore: 0.5})

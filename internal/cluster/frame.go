@@ -118,3 +118,26 @@ func decodeBody(d *column.Decoder, kind byte) (header, any, error) {
 	}
 	return h, payload, nil
 }
+
+// RoundTrip sends payload, or handlerErr when it is not nil, through a
+// frame body's codec and back, and returns what the receiving end
+// decodes: a copy of payload that shares no memory with it, or
+// handlerErr rebuilt from its code, detail and text, as a TCP caller
+// sees it. A payload that does not encode or decode returns the reason
+// instead. The tests' fault seam (clustertest) delivers every request
+// and reply through it, so a fabric it wraps hands out values as TCP
+// does.
+func RoundTrip(payload any, handlerErr error) (any, error) {
+	var b column.Appender
+	kind, err := new(TCP).encode(&b, header{err: handlerErr}, payload)
+	if err != nil {
+		return nil, err
+	}
+	var d column.Decoder
+	d.Reset(b)
+	h, out, err := decodeBody(&d, kind)
+	if err != nil {
+		return nil, err
+	}
+	return out, h.err
+}

@@ -4,24 +4,22 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// InProcOptions configure the in-process fabric.
-type InProcOptions struct {
-	// Latency is the simulated network transit per message, slept on
-	// the caller's goroutine before the handler runs.
-	Latency time.Duration
-}
+// InProcOptions is the in-process fabric's configuration, which is
+// empty: the type stays so that callers' NewInProc(InProcOptions{})
+// compiles. A network's behaviour — transit delay, lost messages,
+// delivery by value — is the tests' fault seam's (clustertest).
+type InProcOptions struct{}
 
-// InProc is an in-process Fabric: Call invokes the handler
-// synchronously on the caller's goroutine after the simulated transit
-// delay (a multithreaded RPC endpoint). A node is a handler and nothing
-// else; no call fails but for the context, an unknown node or Close.
-// It is safe for concurrent use.
+// InProc is an in-process Fabric of pure dispatch: Call checks the
+// context, the node and Close, counts the message and invokes the
+// handler synchronously on the caller's goroutine (a multithreaded RPC
+// endpoint), handing it the caller's request value and the caller its
+// reply. A node is a handler and nothing else; no call fails but for
+// the context, an unknown node or Close, so no request is ever
+// delivered twice. It is safe for concurrent use.
 type InProc struct {
-	latency atomic.Int64 // current per-message transit, adjustable at runtime
-
 	mu     sync.RWMutex
 	nodes  []Handler
 	closed bool
@@ -30,17 +28,7 @@ type InProc struct {
 }
 
 // NewInProc returns an in-process fabric.
-func NewInProc(opts InProcOptions) *InProc {
-	f := &InProc{}
-	f.latency.Store(int64(opts.Latency))
-	return f
-}
-
-// SetLatency changes the simulated per-message transit at runtime:
-// tests and benchmarks build an index over a fast fabric, then degrade
-// the network to measure query behavior under latency (deadline and
-// cancellation experiments in particular).
-func (f *InProc) SetLatency(d time.Duration) { f.latency.Store(int64(d)) }
+func NewInProc(InProcOptions) *InProc { return &InProc{} }
 
 // AddNode implements Fabric.
 func (f *InProc) AddNode(h Handler) (NodeID, error) {
@@ -68,48 +56,20 @@ func (f *InProc) node(to NodeID) (Handler, error) {
 	return f.nodes[to], nil
 }
 
-// Call implements Fabric. The simulated transit sleep unblocks when ctx
-// is done, so a cancelled query abandons its in-flight message instead
-// of paying the full latency; the handler receives ctx and is expected
-// to check it during long traversals.
+// Call implements Fabric. The handler receives ctx and is expected to
+// check it during long traversals.
 func (f *InProc) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	h, err := f.node(to)
 	if err != nil {
 		return nil, err
 	}
 	// Check before accounting: an already-dead call never becomes a
-	// message. A cancel mid-transit still counts — the message left,
-	// only its reply is abandoned.
+	// message.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	f.messages.Add(1)
-	if d := time.Duration(f.latency.Load()); d > 0 {
-		if err := sleepCtx(ctx, d); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return h(ctx, from, req)
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-// A context that can never be cancelled skips the timer machinery.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Stats implements Fabric. Nothing is encoded in process and nothing

@@ -144,15 +144,13 @@ type costModel struct {
 
 	shape [numProtoIdx]protoShape
 
-	// choices is the protocol-choice histogram, keyed by the executed
-	// protocol name with an "auto:" prefix when the scheduler picked it
-	// (vs the caller forcing it).
-	choices map[string]int64
+	// choices is the protocol-choice histogram by executed protocol,
+	// [1] when the scheduler picked it (vs the caller forcing it).
+	choices [numProtoIdx][2]int64
 }
 
-func newCostModel() *costModel {
-	return &costModel{choices: make(map[string]int64)}
-}
+// protoNames names each protocol in the choice histogram's keys.
+var protoNames = [numProtoIdx]string{ProtocolNameSequential, ProtocolNameParallel, ProtocolNameRange}
 
 // observeSample is the cluster.Observe subscriber: it refines the hop
 // estimate from leaf calls. A response whose queryStats report zero
@@ -212,13 +210,13 @@ func (m *costModel) observeQuery(idx protoIdx, st ExecStats) {
 }
 
 // countChoice increments the protocol-choice histogram.
-func (m *costModel) countChoice(name string, auto bool) {
-	key := name
+func (m *costModel) countChoice(idx protoIdx, auto bool) {
+	a := 0
 	if auto {
-		key = "auto:" + name
+		a = 1
 	}
 	m.mu.Lock()
-	m.choices[key]++
+	m.choices[idx][a]++
 	m.mu.Unlock()
 }
 
@@ -373,9 +371,14 @@ func (m *costModel) snapshot(partitions int) (hop, cmp, seqWall, fanWall time.Du
 	cmp = time.Duration(m.cmpNs.v)
 	seqWall = time.Duration(m.shape[idxSeq].wall.v)
 	fanWall = time.Duration(m.shape[idxFan].wall.v)
-	choices = make(map[string]int64, len(m.choices))
-	for k, v := range m.choices {
-		choices[k] = v
+	choices = make(map[string]int64)
+	for idx, counts := range m.choices {
+		if counts[0] > 0 {
+			choices[protoNames[idx]] = counts[0]
+		}
+		if counts[1] > 0 {
+			choices["auto:"+protoNames[idx]] = counts[1]
+		}
 	}
 	m.mu.Unlock()
 	return hop, cmp, seqWall, fanWall, choices

@@ -224,3 +224,51 @@ func TestFailedBulkLoadUndoesEveryInstall(t *testing.T) {
 		})
 	}
 }
+
+// TestLostReplyParity: under the fault seam, which delivers every
+// message by value, a fault test on InProc states what TCP does.
+// TestLostReplyBulkLoadNeverPanics's twenty seeds run on both
+// transports, and each seed must end the same on both: the same error
+// class, the same Len() and the same number of IDs that appear twice
+// across the partitions. It does not ask for no duplicates: a lost
+// install reply still installs its subtree twice (ROADMAP item 1).
+func TestLostReplyParity(t *testing.T) {
+	type outcome struct {
+		class    string
+		n, twice int
+	}
+	run := func(inner cluster.Fabric, seed int64) outcome {
+		fabric := clustertest.New(inner, clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
+		defer fabric.Close()
+		pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
+		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
+		defer tr.Close()
+		err := tr.BulkLoad(context.Background(), pts)
+		out := outcome{class: "ok", n: tr.Len()}
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrRequestRefused):
+			out.class = "refused"
+		case errors.Is(err, cluster.ErrTransient):
+			out.class = "transient"
+		default:
+			t.Fatalf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
+		}
+		fabric.Arm(clustertest.Faults{})
+		seen := make(map[uint64]int)
+		for _, ps := range liveSnapshot(t, tr).Parts {
+			for _, id := range ps.IDs {
+				if seen[id]++; seen[id] == 2 {
+					out.twice++
+				}
+			}
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		inproc, tcp := run(cluster.NewInProc(cluster.InProcOptions{}), seed), run(cluster.NewTCP(), seed)
+		if inproc != tcp {
+			t.Errorf("seed %d: InProc ends %+v, TCP %+v", seed, inproc, tcp)
+		}
+	}
+}

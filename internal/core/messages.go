@@ -191,8 +191,14 @@ func readBulkAddReq(d *column.Decoder) any {
 // link — and Remote carries the bounding box of each subtree those
 // links lead to, so the installing partition can seed its remote-box
 // cache: the region registers together with the link. The fragment is
-// moved, not copied: the sender gives up its blocks. On the wire it is
-// a partition state whose point count is its ID column's length.
+// moved, not copied: the sender gives up its blocks, and the receiving
+// arena adopts them and rebases the fragment's slots in place
+// (kdtree.Arena.Install). That is safe under cluster.Handler's
+// delivery contract: InProc hands the value over once and never
+// re-sends it, while TCP — and the tests' fault seam on any fabric —
+// delivers a fresh copy to every attempt, so a retried install never
+// meets a fragment an earlier attempt rewrote. On the wire it is a
+// partition state whose point count is its ID column's length.
 //
 // Entry < 0 appends the fragment as a new subtree root (the other end
 // of a direct link: a relocated leaf, a frontier subtree). Entry >= 0

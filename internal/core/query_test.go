@@ -99,7 +99,7 @@ func TestRangeSearchOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range got {
-			if j > 0 && !neighborLess(got[j-1], got[j]) && !sameNeighbor(got[j-1], got[j]) {
+			if j > 0 && !kdtree.NeighborLess(got[j-1], got[j]) && !sameNeighbor(got[j-1], got[j]) {
 				t.Fatalf("query %d: result not in (Dist, ID) order at %d", i, j)
 			}
 		}
@@ -300,7 +300,7 @@ func TestKNNDeadlineAbortsFanOut(t *testing.T) {
 	pts := randomPoints(r, 3000, 4)
 	// Build over a fast fabric, then degrade the network so only the
 	// query pays the hop latency.
-	fabric := cluster.NewInProc(cluster.InProcOptions{})
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{})
 	defer fabric.Close()
 	tr := mustTree(t, Config{
 		Dim: 4, BucketSize: 8,
@@ -312,7 +312,7 @@ func TestKNNDeadlineAbortsFanOut(t *testing.T) {
 	if tr.PartitionCount() < 4 {
 		t.Fatalf("partitions = %d, want a multi-partition fan-out", tr.PartitionCount())
 	}
-	fabric.SetLatency(hop)
+	fabric.Arm(clustertest.Faults{Delay: hop})
 	base := runtime.NumGoroutine() + 4
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"semtree/internal/cluster/clustertest"
 )
 
 // TestQuotaBucketEdges: the bucket primitive itself. A zero-capacity
@@ -245,8 +247,8 @@ func TestSchedulerMetering(t *testing.T) {
 func TestQueueAwareDeadlineBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	tr, fabric, _ := latencyTree(t, r, 1500, 3)
-	fabric.SetLatency(2 * time.Millisecond)
-	defer fabric.SetLatency(0)
+	fabric.Arm(clustertest.Faults{Delay: 2 * time.Millisecond})
+	defer fabric.Arm(clustertest.Faults{})
 	s := tr.NewScheduler(SchedulerConfig{
 		Protocol: ProtocolSequential, Admission: true, MaxInFlight: 1,
 	})
@@ -263,19 +265,19 @@ func TestQueueAwareDeadlineBudget(t *testing.T) {
 
 	// Idle scheduler: a 3×est budget is admissible.
 	ctx, cancel := context.WithTimeout(context.Background(), 3*est)
-	release, _, err := s.admit(ctx, ProtocolSequential)
+	_, err := s.admit(ctx, ProtocolSequential)
 	cancel()
 	if err != nil {
 		t.Fatalf("idle admit with 3x budget: %v", err)
 	}
-	release()
+	s.release()
 
 	// Ten queries already queued behind one slot: expected wait is
 	// 10×est, so the same 3×est budget is now provably insufficient.
 	s.queued.Add(10)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 3*est)
 	defer cancel2()
-	if _, _, err := s.admit(ctx2, ProtocolSequential); !errors.Is(err, ErrDeadlineBudget) {
+	if _, err := s.admit(ctx2, ProtocolSequential); !errors.Is(err, ErrDeadlineBudget) {
 		t.Fatalf("deep-queue admit: err = %v, want ErrDeadlineBudget", err)
 	}
 	s.queued.Add(-10)

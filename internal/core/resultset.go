@@ -20,9 +20,6 @@ type resultSet struct {
 	kdtree.ResultSet
 }
 
-// neighborLess is the shared total result order.
-func neighborLess(a, b kdtree.Neighbor) bool { return kdtree.NeighborLess(a, b) }
-
 func newResultSet(k int, seed []kdtree.Neighbor) *resultSet {
 	rs := &resultSet{}
 	rs.reset(k, seed)

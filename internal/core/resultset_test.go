@@ -27,7 +27,7 @@ func TestResultSetMatchesSortOracle(t *testing.T) {
 			all = append(all, nb)
 			rs.Offer(nb)
 		}
-		sort.Slice(all, func(i, j int) bool { return neighborLess(all[i], all[j]) })
+		sort.Slice(all, func(i, j int) bool { return kdtree.NeighborLess(all[i], all[j]) })
 		want := all
 		if len(want) > k {
 			want = want[:k]

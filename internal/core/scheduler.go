@@ -257,15 +257,15 @@ func (s *Scheduler) resolve() Protocol {
 }
 
 // admit is the admission decision for one query about to run under
-// protocol p. It returns a release closure and the quota charge on
-// success, or a typed rejection. Order: the deadline-budget check first
+// protocol p. It returns the quota charge on success — the caller then
+// holds a slot until it calls release — or a typed rejection. Order: the deadline-budget check first
 // (rejecting there costs nothing and frees no slot), then the quota
 // bucket (charged with the cost model's estimate; refunded if a later
 // stage rejects), then the in-flight limit with its bounded queue. A
 // context that dies while queued returns its error. Every rejection
 // happens before the query touches the fabric — a rejected query
 // spends zero messages.
-func (s *Scheduler) admit(ctx context.Context, p Protocol) (release func(), charged float64, err error) {
+func (s *Scheduler) admit(ctx context.Context, p Protocol) (charged float64, err error) {
 	if s.cfg.Admission {
 		if dl, ok := ctx.Deadline(); ok {
 			if est := s.t.model.estimateWall(p, s.t.PartitionCount()); est > 0 {
@@ -280,7 +280,7 @@ func (s *Scheduler) admit(ctx context.Context, p Protocol) (release func(), char
 				}
 				if dl.Sub(s.clock()) < est+wait {
 					s.rejectedBudget.Add(1)
-					return nil, 0, ErrDeadlineBudget
+					return 0, ErrDeadlineBudget
 				}
 			}
 		}
@@ -290,7 +290,7 @@ func (s *Scheduler) admit(ctx context.Context, p Protocol) (release func(), char
 		var ok bool
 		if charged, ok = s.quota.take(est); !ok {
 			s.rejectedQuota.Add(1)
-			return nil, 0, ErrQuotaExhausted
+			return 0, ErrQuotaExhausted
 		}
 	}
 	if s.slots != nil {
@@ -306,7 +306,7 @@ func (s *Scheduler) admit(ctx context.Context, p Protocol) (release func(), char
 				if s.quota != nil {
 					s.quota.refund(charged)
 				}
-				return nil, 0, ErrAdmissionRejected
+				return 0, ErrAdmissionRejected
 			}
 			select {
 			case s.slots <- struct{}{}:
@@ -316,18 +316,22 @@ func (s *Scheduler) admit(ctx context.Context, p Protocol) (release func(), char
 				if s.quota != nil {
 					s.quota.refund(charged)
 				}
-				return nil, 0, ctx.Err()
+				return 0, ctx.Err()
 			}
 		}
 	}
 	s.admitted.Add(1)
 	s.inFlight.Add(1)
-	return func() {
-		s.inFlight.Add(-1)
-		if s.slots != nil {
-			<-s.slots
-		}
-	}, charged, nil
+	return charged, nil
+}
+
+// release gives back what a successful admit took: the in-flight count
+// and the slot.
+func (s *Scheduler) release() {
+	s.inFlight.Add(-1)
+	if s.slots != nil {
+		<-s.slots
+	}
 }
 
 // complete settles one executed query: the observed ExecStats are
@@ -352,11 +356,11 @@ func (s *Scheduler) complete(charged float64, st ExecStats) {
 // typed error and zero ExecStats.
 func (s *Scheduler) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
 	p := s.resolve()
-	release, charged, err := s.admit(ctx, p)
+	charged, err := s.admit(ctx, p)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	defer release()
+	defer s.release()
 	ns, st, err := s.t.knnResolved(ctx, q, k, p, s.cfg.Protocol == ProtocolAuto)
 	s.complete(charged, st)
 	return ns, st, err
@@ -365,11 +369,11 @@ func (s *Scheduler) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.
 // RangeSearch answers one range query through the scheduler; see
 // KNearest.
 func (s *Scheduler) RangeSearch(ctx context.Context, q []float64, d float64) ([]kdtree.Neighbor, ExecStats, error) {
-	release, charged, err := s.admit(ctx, ProtocolRange)
+	charged, err := s.admit(ctx, ProtocolRange)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	defer release()
+	defer s.release()
 	ns, st, err := s.t.RangeSearchStats(ctx, q, d)
 	s.complete(charged, st)
 	return ns, st, err

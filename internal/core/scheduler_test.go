@@ -18,14 +18,16 @@ import (
 	"time"
 
 	"semtree/internal/cluster"
+	"semtree/internal/cluster/clustertest"
 	"semtree/internal/kdtree"
 )
 
 // latencyTree builds a multi-partition tree over a caller-held InProc
-// fabric (zero latency during the build; degrade with SetLatency).
-func latencyTree(t *testing.T, r *rand.Rand, n, dim int) (*Tree, *cluster.InProc, []kdtree.Point) {
+// fabric under the fault seam (no delay during the build; degrade by
+// arming the seam's Delay).
+func latencyTree(t *testing.T, r *rand.Rand, n, dim int) (*Tree, *clustertest.Fabric, []kdtree.Point) {
 	t.Helper()
-	fabric := cluster.NewInProc(cluster.InProcOptions{})
+	fabric := clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{})
 	t.Cleanup(func() { fabric.Close() })
 	tr, err := New(Config{
 		Dim: dim, BucketSize: 8,
@@ -57,7 +59,7 @@ func TestProtocolAutoEquivalence(t *testing.T) {
 		qs[i] = randomPoints(r, 1, 4)[0].Coords
 	}
 	for _, hop := range []time.Duration{0, 50 * time.Millisecond} {
-		fabric.SetLatency(hop)
+		fabric.Arm(clustertest.Faults{Delay: hop})
 		for qi, q := range qs {
 			for _, k := range []int{3, 10} {
 				seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
@@ -105,18 +107,18 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 
 	// Direct: MaxInFlight=1, no queue.
 	s := tr.NewScheduler(SchedulerConfig{MaxInFlight: 1, QueueDepth: -1})
-	release, _, err := s.admit(context.Background(), ProtocolSequential)
+	_, err := s.admit(context.Background(), ProtocolSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.admit(context.Background(), ProtocolSequential); !errors.Is(err, ErrAdmissionRejected) {
+	if _, err := s.admit(context.Background(), ProtocolSequential); !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("saturated no-queue admit: err = %v, want ErrAdmissionRejected", err)
 	}
-	release()
-	if release, _, err = s.admit(context.Background(), ProtocolSequential); err != nil {
+	s.release()
+	if _, err = s.admit(context.Background(), ProtocolSequential); err != nil {
 		t.Fatalf("slot not released: %v", err)
 	}
-	release()
+	s.release()
 	if st := s.Stats(); st.Admitted != 2 || st.RejectedLoad != 1 {
 		t.Fatalf("stats = %+v, want 2 admitted / 1 load-rejected", st)
 	}
@@ -124,15 +126,15 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 	// Direct: MaxInFlight=1 with a one-deep queue. The queued admit
 	// must block until the slot frees, and a third arrival must shed.
 	s = tr.NewScheduler(SchedulerConfig{MaxInFlight: 1, QueueDepth: 1})
-	release, _, err = s.admit(context.Background(), ProtocolSequential)
+	_, err = s.admit(context.Background(), ProtocolSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queuedDone := make(chan error, 1)
 	go func() {
-		rel, _, err := s.admit(context.Background(), ProtocolSequential)
+		_, err := s.admit(context.Background(), ProtocolSequential)
 		if err == nil {
-			rel()
+			s.release()
 		}
 		queuedDone <- err
 	}()
@@ -144,10 +146,10 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.admit(context.Background(), ProtocolSequential); !errors.Is(err, ErrAdmissionRejected) {
+	if _, err := s.admit(context.Background(), ProtocolSequential); !errors.Is(err, ErrAdmissionRejected) {
 		t.Fatalf("queue overflow: err = %v, want ErrAdmissionRejected", err)
 	}
-	release()
+	s.release()
 	if err := <-queuedDone; err != nil {
 		t.Fatalf("queued admit failed: %v", err)
 	}
@@ -155,7 +157,7 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 	// End to end: a wide batch through MaxInFlight=1 with no queue on a
 	// slow fabric must answer some queries and shed the concurrent
 	// surplus with the typed error — and must not leak goroutines.
-	fabric.SetLatency(2 * time.Millisecond)
+	fabric.Arm(clustertest.Faults{Delay: 2 * time.Millisecond})
 	base := runtime.NumGoroutine() + 4
 	s = tr.NewScheduler(SchedulerConfig{Protocol: ProtocolSequential, MaxInFlight: 1, QueueDepth: -1})
 	qs := make([][]float64, 16)
@@ -180,7 +182,7 @@ func TestAdmissionMaxInFlight(t *testing.T) {
 	if st := s.Stats(); st.Admitted != int64(answered) || st.RejectedLoad != int64(shed) {
 		t.Fatalf("stats %+v disagree with outcomes answered=%d shed=%d", st, answered, shed)
 	}
-	fabric.SetLatency(0)
+	fabric.Arm(clustertest.Faults{})
 	waitSchedGoroutines(t, base)
 }
 
@@ -224,7 +226,7 @@ func waitSchedGoroutines(t *testing.T, base int) {
 func TestAdmissionDeadlineBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	tr, fabric, _ := latencyTree(t, r, 1500, 3)
-	fabric.SetLatency(20 * time.Millisecond)
+	fabric.Arm(clustertest.Faults{Delay: 20 * time.Millisecond})
 	s := tr.NewScheduler(SchedulerConfig{Admission: true})
 	// Warm the model: a few queries teach it the per-hop price.
 	for i := 0; i < 3; i++ {
@@ -257,7 +259,7 @@ func TestAdmissionDeadlineBudget(t *testing.T) {
 	if _, _, err := plain.KNearest(ctx2, randomPoints(r, 1, 3)[0].Coords, 3); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("plain scheduler err = %v, want DeadlineExceeded", err)
 	}
-	fabric.SetLatency(0)
+	fabric.Arm(clustertest.Faults{})
 }
 
 // TestCostModelConvergence: a step in the fabric's hop latency must be
@@ -292,7 +294,7 @@ func TestCostModelConvergence(t *testing.T) {
 
 	const computeNs = 100 // simulated price of one visited node
 	var hop time.Duration // simulated price of one fabric transit
-	m := newCostModel()
+	m := &costModel{}
 	parts := tr.PartitionCount()
 	query := func() string {
 		t.Helper()
@@ -411,7 +413,7 @@ func TestSchedulerStatsSnapshot(t *testing.T) {
 func TestAdmissionClockSeam(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	tr, fabric, _ := latencyTree(t, r, 1500, 3)
-	fabric.SetLatency(20 * time.Millisecond)
+	fabric.Arm(clustertest.Faults{Delay: 20 * time.Millisecond})
 	s := tr.NewScheduler(SchedulerConfig{Admission: true})
 	// Warm the model so estimateWall is meaningful.
 	for i := 0; i < 3; i++ {
@@ -431,14 +433,14 @@ func TestAdmissionClockSeam(t *testing.T) {
 	defer cancel()
 
 	s.clock = func() time.Time { return dl.Add(-10 * est) }
-	release, _, err := s.admit(ctx, ProtocolSequential)
+	_, err := s.admit(ctx, ProtocolSequential)
 	if err != nil {
 		t.Fatalf("admit with 10x the estimated budget: %v", err)
 	}
-	release()
+	s.release()
 
 	s.clock = func() time.Time { return dl.Add(-est / 2) }
-	if _, _, err := s.admit(ctx, ProtocolSequential); !errors.Is(err, ErrDeadlineBudget) {
+	if _, err := s.admit(ctx, ProtocolSequential); !errors.Is(err, ErrDeadlineBudget) {
 		t.Fatalf("admit with half the estimated budget: err = %v, want ErrDeadlineBudget", err)
 	}
 	if st := s.Stats(); st.RejectedBudget != 1 {

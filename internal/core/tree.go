@@ -116,7 +116,7 @@ func New(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, inner: cfg.Fabric, place: placeSubtrees, model: newCostModel()}
+	t := &Tree{cfg: cfg, inner: cfg.Fabric, place: placeSubtrees, model: &costModel{}}
 	if t.inner == nil {
 		t.inner = cluster.NewInProc(cluster.InProcOptions{})
 		t.ownFabric = true
@@ -347,7 +347,7 @@ func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, 
 	if k <= 0 || t.size.Load() == 0 {
 		return nil, st, nil
 	}
-	t.model.countChoice(st.Protocol, auto)
+	t.model.countChoice(idx, auto)
 	root := t.rootPartition()
 	start := time.Now()
 	resp, err := t.callCtx(ctx, cluster.ClientID, root.id, knnReq{Node: 0, Query: q, K: k, Seq: seq})
@@ -399,15 +399,7 @@ func (t *Tree) RangeSearchStats(ctx context.Context, q []float64, d float64) ([]
 	st.fromWire(rr.Stats)
 	t.model.observeQuery(idxRange, st)
 	out := rr.Neighbors
-	slices.SortFunc(out, func(a, b kdtree.Neighbor) int {
-		switch {
-		case neighborLess(a, b):
-			return -1
-		case neighborLess(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, kdtree.NeighborCmp)
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}

@@ -93,7 +93,7 @@ func planeRange(a *Arena, q []float64, d float64) ([]Neighbor, Stats) {
 		}
 	}
 	walk(0)
-	slices.SortFunc(out, neighborCmp)
+	slices.SortFunc(out, NeighborCmp)
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}

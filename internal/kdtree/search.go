@@ -45,8 +45,9 @@ func NeighborLess(a, b Neighbor) bool {
 	return a.Point.ID < b.Point.ID
 }
 
-// neighborCmp is NeighborLess as a three-way comparison.
-func neighborCmp(a, b Neighbor) int {
+// NeighborCmp is NeighborLess as a three-way comparison, for
+// slices.SortFunc.
+func NeighborCmp(a, b Neighbor) int {
 	switch {
 	case NeighborLess(a, b):
 		return -1
@@ -168,7 +169,7 @@ func (t *Tree) RangeSearchWithStats(q []float64, d float64, stats *Stats) []Neig
 	c.s.Radius = d
 	_ = t.Range(&c.s, 0, nil) // no Outside: nothing can fail
 	out := c.s.Matches
-	slices.SortFunc(out, neighborCmp)
+	slices.SortFunc(out, NeighborCmp)
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}
