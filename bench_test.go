@@ -316,7 +316,7 @@ func BenchmarkTripleDistance(b *testing.B) {
 // internedBuild is semtree.Build up to the tree: fill a store, then
 // FastMap over one-to-all rows of its dictionary encoding. It adds the
 // number of one-to-all scans the build made to *scans, unless nil.
-func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap.Options, scans *int) (*fastmap.Mapper[semdist.Triple], [][]float64, error) {
+func internedBuild(metric *semdist.Metric, triples []triple.Triple, opts fastmap.Options, scans *int) (*fastmap.Mapper[semdist.Triple], []float64, error) {
 	store := triple.NewStore()
 	store.AddAll(triples, triple.Provenance{})
 	terms, ids := store.Encoded()
@@ -382,20 +382,30 @@ func BenchmarkFastMapBuild(b *testing.B) {
 }
 
 // BenchmarkIndexBuildEndToEnd measures the full Build pipeline
-// (distance, FastMap, tree load) at 5k triples.
+// (distance, FastMap, tree load) on one partition: at 5k triples, and
+// at 100k over the knn-local corpus of the repo benchmark (synth
+// Actors: 200, seed 1). The store is filled once, outside the timer.
 func BenchmarkIndexBuildEndToEnd(b *testing.B) {
-	g := synth.New(synth.Config{Seed: 1}, nil)
-	store := triple.NewStore()
-	for _, t := range g.Triples(5000) {
-		store.Add(t, triple.Provenance{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := semtree.Build(store, semtree.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		idx.Close()
+	for _, size := range []struct {
+		name string
+		n    int
+		cfg  synth.Config
+	}{
+		{"5k", 5000, synth.Config{Seed: 1}},
+		{"100k", 100000, synth.Config{Seed: 1, Actors: 200}},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			store := triple.NewStore()
+			store.AddAll(synth.New(size.cfg, nil).Triples(size.n), triple.Provenance{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, err := semtree.Build(store, semtree.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				idx.Close()
+			}
+		})
 	}
 }

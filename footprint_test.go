@@ -40,3 +40,32 @@ func TestIndexFootprint(t *testing.T) {
 		t.Errorf("index retains %.1f B per point of the 100k synth corpus, want <= 116", got)
 	}
 }
+
+// TestIndexBuildAllocs bounds the allocations of a warmed Build over
+// the benchmark's 100k corpus, the store filled beforehand: the
+// embedding's and the tree's blocks and their scratch, none of it per
+// point or per node. The tree adopts FastMap's coordinate block rather
+// than copying it. GOMAXPROCS is 1, so no scan range or build half
+// starts a goroutine: their number is not what is counted.
+func TestIndexBuildAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("100k-triple build; counted without the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 100000
+	store := triple.NewStore()
+	store.AddAll(synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n), triple.Provenance{Doc: "synth"})
+	build := func() {
+		ix, err := Build(store, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Close()
+	}
+	build() // warm: the store's encoding and the vocabulary caches
+	allocs := testing.AllocsPerRun(1, build)
+	t.Logf("100k Build: %.0f allocations", allocs)
+	if allocs > 740 {
+		t.Fatalf("100k Build: %.0f allocations, want at most 740", allocs)
+	}
+}

@@ -3,9 +3,12 @@ package semtree
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"semtree/internal/synth"
@@ -94,5 +97,57 @@ func TestSnapshotV4Golden(t *testing.T) {
 		if a.Stats != b.Stats {
 			t.Fatalf("query %d: stats %+v, fresh build %+v", qi, b.Stats, a.Stats)
 		}
+	}
+}
+
+// buildLayoutGolden holds, per build of TestBuildLayoutGolden, the
+// SHA-256 of the index's Save bytes. A line moves only when a change
+// moves the layout a bulk build gives the real embedding; on a mismatch
+// the test prints the lines it computed.
+const buildLayoutGolden = "testdata/build-layout-golden.txt"
+
+// TestBuildLayoutGolden pins the layout of a bulk build over FastMap's
+// own coordinates — tie-heavy, unlike the kernel tests' random points —
+// at a size above the kernel's parallel threshold: 30 000 synth triples
+// on one partition, and spread over nine partitions as knn-tcp9 spreads
+// its corpus (PartitionCapacity n/8).
+func TestBuildLayoutGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("30k-triple builds")
+	}
+	const n = 30000
+	triples := synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n)
+	builds := []struct {
+		name  string
+		opts  Options
+		parts int
+	}{
+		{"one-partition", Options{Seed: 1}, 1},
+		{"nine-partitions", Options{Seed: 1, PartitionCapacity: n / 8, MaxPartitions: 9}, 9},
+	}
+	var got []string
+	for _, b := range builds {
+		store := triple.NewStore()
+		store.AddAll(triples, triple.Provenance{Doc: "synth"})
+		ix, err := Build(store, b.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.PartitionCount() != b.parts {
+			t.Fatalf("%s: %d partitions, want %d", b.name, ix.PartitionCount(), b.parts)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		ix.Close()
+		got = append(got, fmt.Sprintf("%s sha256:%x", b.name, sha256.Sum256(buf.Bytes())))
+	}
+	want, err := os.ReadFile(buildLayoutGolden)
+	if err != nil {
+		t.Fatalf("%v; the builds computed:\n%s", err, strings.Join(got, "\n"))
+	}
+	if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+		t.Fatalf("build layouts moved; %s holds\n%s\nthe builds computed\n%s", buildLayoutGolden, want, g)
 	}
 }

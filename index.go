@@ -146,7 +146,7 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 	// resolved pivots.
 	terms, ids := store.Encoded()
 	corpus := semdist.NewCorpus(metric, terms, ids)
-	mapper, coords, err := fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance,
+	mapper, block, err := fastmap.BuildRows(corpus.Len(), corpus.Row, corpus.Triple, metric.ResolvedDistance,
 		fastmap.Options{
 			Dims:            dims,
 			PivotIterations: opts.PivotIterations,
@@ -160,12 +160,14 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	points := make([]kdtree.Point, len(coords))
-	for i, c := range coords {
-		points[i] = kdtree.Point{Coords: c, ID: uint64(i)}
+	// The tree adopts FastMap's block as its coordinate column: point i
+	// is triple i.
+	pointIDs := make([]uint64, corpus.Len())
+	for i := range pointIDs {
+		pointIDs[i] = uint64(i)
 	}
 	//semtree:allow ctxfirst: Build is construction-time and runs to completion by contract; there is no caller context to thread
-	if err := tree.BulkLoad(context.Background(), points); err != nil {
+	if err := tree.BulkLoadRows(context.Background(), block, pointIDs); err != nil {
 		tree.Close()
 		return nil, err
 	}
@@ -241,13 +243,15 @@ func (ix *Index) BulkAdd(ctx context.Context, items []BulkItem) ([]triple.ID, er
 		return nil, err
 	}
 	ids := make([]triple.ID, len(items))
-	points := make([]kdtree.Point, len(items))
+	pointIDs := make([]uint64, len(items))
 	first := ix.store.AddEntries(items)
 	for i := range items {
 		ids[i] = first + triple.ID(i)
-		points[i] = kdtree.Point{Coords: row(i), ID: uint64(ids[i])}
+		pointIDs[i] = uint64(ids[i])
 	}
-	if err := ix.tree.BulkLoad(ctx, points); err != nil {
+	// The block goes to the tree as rows: adopted on an empty tree, read
+	// on a live one.
+	if err := ix.tree.BulkLoadRows(ctx, block, pointIDs); err != nil {
 		return ids, fmt.Errorf("semtree: bulk add: %w", err)
 	}
 	return ids, nil

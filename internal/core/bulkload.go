@@ -51,14 +51,46 @@ const DefaultBulkChunk = 2048
 // another dimension or with a NaN coordinate fails the whole call.
 // The call is synchronous: when it returns, every point is queryable.
 // Concurrent BulkLoad calls serialize; concurrent Insert and queries
-// are safe throughout. The input slice is not modified.
+// are safe throughout. The points are gathered into a block of rows
+// (kdtree.Gather) and take BulkLoadRows' path, so the input slice and
+// the coordinates it points at are not modified.
 func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 	for i, p := range pts {
 		if err := checkCoords(p.Coords, t.cfg.Dim); err != nil {
 			return fmt.Errorf("core: bulk load: point %d: %w", i, err)
 		}
 	}
-	if len(pts) == 0 {
+	coords, ids, err := kdtree.Gather(pts, t.cfg.Dim)
+	if err != nil {
+		return fmt.Errorf("core: bulk load: %w", err)
+	}
+	return t.bulkLoad(ctx, coords, ids)
+}
+
+// BulkLoadRows is BulkLoad over points given as rows: ids[i] is the ID
+// of the point whose Dim coordinates are coords[i*Dim:(i+1)*Dim]. On
+// an empty tree the balanced build adopts both slices
+// (kdtree.BulkLoadRows): it moves their rows in place into leaf order,
+// and with a single partition they become its blocks. The caller hands
+// them over and must not write them again; a row keeps its coordinates
+// and ID together, so reading them afterwards still reads the same
+// points, in another order. On a live tree they are only read.
+func (t *Tree) BulkLoadRows(ctx context.Context, coords []float64, ids []uint64) error {
+	dim := t.cfg.Dim
+	if len(coords) != dim*len(ids) {
+		return fmt.Errorf("core: bulk load: %d coordinates for %d points of dimension %d", len(coords), len(ids), dim)
+	}
+	for i := range ids {
+		if err := checkCoords(coords[i*dim:(i+1)*dim], dim); err != nil {
+			return fmt.Errorf("core: bulk load: point %d: %w", i, err)
+		}
+	}
+	return t.bulkLoad(ctx, coords, ids)
+}
+
+// bulkLoad is the bulk path over checked rows.
+func (t *Tree) bulkLoad(ctx context.Context, coords []float64, ids []uint64) error {
+	if len(ids) == 0 {
 		return nil
 	}
 	t.bulkMu.Lock()
@@ -67,30 +99,30 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 		// Fresh partitions only, and only when one partition hosting the
 		// whole batch would trip the resource condition anyway.
 		targets := func() []cluster.NodeID {
-			if c := t.cfg.PartitionCapacity; c == 0 || len(pts) <= c {
+			if c := t.cfg.PartitionCapacity; c == 0 || len(ids) <= c {
 				return nil
 			}
 			return t.allocPartitions(t.cfg.MaxPartitions)
 		}
 		//semtree:allow lockedcall: bulkMu only serializes bulk passes; no handler or query path acquires it, so no lock cycle is possible
-		ok, err := t.installBalanced(pts, targets)
+		ok, err := t.installBalanced(coords, ids, targets)
 		if err != nil {
 			return fmt.Errorf("core: bulk load: %w", err)
 		}
 		if ok {
-			t.size.Add(int64(len(pts)))
+			t.size.Add(int64(len(ids)))
 			return nil
 		}
 		// The root grew under us (concurrent inserts split the entry
 		// leaf while we were building): merge instead.
 	}
 	//semtree:allow lockedcall: bulkMu only serializes bulk passes; no handler or query path acquires it, so no lock cycle is possible
-	return t.bulkMerge(ctx, pts)
+	return t.bulkMerge(ctx, coords, ids)
 }
 
 // installBalanced is the one installer of a client-built balanced
 // layout, shared by BulkLoad on an empty tree and Rebalance: balanced
-// build over pts, frontier cut, placement-kernel assignment, one
+// build over the rows, frontier cut, placement-kernel assignment, one
 // install per frontier subtree, trunk graft on the root
 // partition's entry leaf. targets names the data partitions the
 // frontier may spread over — the only thing the two callers differ in —
@@ -107,8 +139,8 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 // left a fragment there. The targets hold nothing else — BulkLoad takes
 // freshly allocated partitions and Rebalance resets its own first — so
 // the reset removes exactly what this call put there.
-func (t *Tree) installBalanced(pts []kdtree.Point, targets func() []cluster.NodeID) (bool, error) {
-	seq, err := kdtree.BulkLoad(pts, t.cfg.Dim, t.cfg.BucketSize)
+func (t *Tree) installBalanced(coords []float64, ids []uint64, targets func() []cluster.NodeID) (bool, error) {
+	seq, err := kdtree.BulkLoadRows(coords, ids, t.cfg.Dim, t.cfg.BucketSize)
 	if err != nil {
 		return false, fmt.Errorf("build: %w", err)
 	}
@@ -200,19 +232,23 @@ func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk
 	return a.Extract(0, cut), remote, sent, nil
 }
 
-// bulkMerge streams the batch into a live tree in chunks, each chunk a
-// synchronous Graft-policy bulkAddReq entering at the root.
-func (t *Tree) bulkMerge(ctx context.Context, pts []kdtree.Point) error {
+// bulkMerge streams the rows into a live tree in chunks, each chunk a
+// synchronous Graft-policy bulkAddReq entering at the root whose
+// points are views of the rows.
+func (t *Tree) bulkMerge(ctx context.Context, coords []float64, ids []uint64) error {
 	root := t.rootPartition()
-	for start := 0; start < len(pts); start += DefaultBulkChunk {
+	dim := t.cfg.Dim
+	for start := 0; start < len(ids); start += DefaultBulkChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := start + DefaultBulkChunk
-		if end > len(pts) {
-			end = len(pts)
+		end := min(start+DefaultBulkChunk, len(ids))
+		entries := make([]batchEntry, end-start)
+		for i := range entries {
+			j := start + i
+			entries[i] = batchEntry{Point: kdtree.Point{Coords: coords[j*dim : (j+1)*dim : (j+1)*dim], ID: ids[j]}}
 		}
-		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entriesAt(0, pts[start:end]), Policy: landGraft}); err != nil {
+		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entries, Policy: landGraft}); err != nil {
 			return fmt.Errorf("core: bulk merge: %w", err)
 		}
 		t.size.Add(int64(end - start))

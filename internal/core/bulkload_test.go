@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -288,8 +290,49 @@ func TestBulkLoadRejectsWrongDims(t *testing.T) {
 	if err := tr.BulkLoad(context.Background(), bad); err == nil {
 		t.Fatal("2-dim point accepted by a 3-dim tree")
 	}
+	if err := tr.BulkLoadRows(context.Background(), []float64{1, 2, 3, 4}, []uint64{0, 1}); err == nil {
+		t.Fatal("4 coordinates for two 3-dim points accepted")
+	}
 	if tr.Len() != 0 {
 		t.Fatalf("failed bulk load mutated the tree: %d points", tr.Len())
+	}
+}
+
+// TestBulkLoadRowsMatchesBulkLoad: the rows entry builds what BulkLoad
+// builds from the same points — snapshot bytes equal, on an empty tree
+// spread over five partitions and again after a live merge — and a
+// live merge only reads the rows it is handed.
+func TestBulkLoadRowsMatchesBulkLoad(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(9))
+	first, second := clusteredPoints(r, 6000, 4, 5), randomPoints(r, 3000, 4)
+	encode := func(tr *Tree) []byte {
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, liveSnapshot(t, tr)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cfg := Config{Dim: 4, PartitionCapacity: 1500, MaxPartitions: 5}
+	want, got := mustTree(t, cfg), mustTree(t, cfg)
+	for step, batch := range [][]kdtree.Point{first, second} {
+		if err := want.BulkLoad(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		coords, ids, err := kdtree.Gather(batch, cfg.Dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := slices.Clone(coords)
+		if err := got.BulkLoadRows(ctx, coords, ids); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Fatalf("step %d: snapshot bytes differ from BulkLoad's", step)
+		}
+		if step == 1 && !slices.Equal(coords, held) {
+			t.Fatal("a live merge wrote the rows it was handed")
+		}
 	}
 }
 
@@ -306,6 +349,13 @@ func TestBulkLoadRejectsNaN(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 3, BucketSize: 16, PartitionCapacity: 4000, MaxPartitions: 5})
 	if err := tr.BulkLoad(ctx, pts); err == nil {
 		t.Fatal("empty tree: BulkLoad of NaN points succeeded")
+	}
+	coords, ids, err := kdtree.Gather(pts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BulkLoadRows(ctx, coords, ids); err == nil {
+		t.Fatal("empty tree: BulkLoadRows of NaN points succeeded")
 	}
 	if tr.Len() != 0 {
 		t.Fatalf("empty tree: a failed bulk load left %d points", tr.Len())

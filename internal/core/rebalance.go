@@ -35,7 +35,10 @@ func (t *Tree) Rebalance() error {
 	if err != nil {
 		return fmt.Errorf("core: rebalance snapshot: %w", err)
 	}
-	pts := snap.pointsUnder(kdtree.Ref{})
+	coords, pids, err := kdtree.Gather(snap.pointsUnder(kdtree.Ref{}), t.cfg.Dim)
+	if err != nil {
+		return fmt.Errorf("core: rebalance: %w", err) // the snapshot's own points: not reached
+	}
 
 	// Make every budgeted partition available to the new layout.
 	t.allocPartitions(t.cfg.MaxPartitions)
@@ -49,29 +52,29 @@ func (t *Tree) Rebalance() error {
 		return fmt.Errorf("core: rebalance reset: %w", err) // nothing has changed yet
 	}
 	t.size.Store(0)
-	if err := t.rebuild(pts, ids[1:]); err != nil {
+	if err := t.rebuild(coords, pids, ids[1:]); err != nil {
 		err = fmt.Errorf("core: rebalance: %w", err)
-		if merr := t.bulkMerge(detached, pts); merr != nil {
-			return fmt.Errorf("%w; re-loading its %d points: %v", err, len(pts), merr)
+		if merr := t.bulkMerge(detached, coords, pids); merr != nil {
+			return fmt.Errorf("%w; re-loading its %d points: %v", err, len(pids), merr)
 		}
 		return err
 	}
-	t.size.Store(int64(len(pts)))
+	t.size.Store(int64(len(pids)))
 	return nil
 }
 
 // rebuild resets the data partitions and installs the balanced layout
-// over pts into the (already reset) root and them.
-func (t *Tree) rebuild(pts []kdtree.Point, data []cluster.NodeID) error {
+// over the rows into the (already reset) root and them.
+func (t *Tree) rebuild(coords []float64, ids []uint64, data []cluster.NodeID) error {
 	for _, id := range data {
 		if err := t.reset(id, false); err != nil {
 			return fmt.Errorf("reset: %w", err)
 		}
 	}
-	if len(pts) == 0 {
+	if len(ids) == 0 {
 		return nil
 	}
-	ok, err := t.installBalanced(pts, func() []cluster.NodeID { return data })
+	ok, err := t.installBalanced(coords, ids, func() []cluster.NodeID { return data })
 	if err == nil && !ok {
 		err = fmt.Errorf("root entry leaf changed during the install; quiescence violated")
 	}

@@ -119,9 +119,10 @@ type Mapper[T any] struct {
 }
 
 // Build runs FastMap over objs and returns the mapper plus the
-// coordinates of every input object (row i ↔ objs[i]). It is BuildRows
-// with each row filled by calls of dist(objs[from], objs[i]), which may
-// run on several goroutines at once.
+// coordinates of every input object (row i ↔ objs[i]), each a capped
+// view of BuildRows' block. It is BuildRows with each row filled by
+// calls of dist(objs[from], objs[i]), which may run on several
+// goroutines at once.
 func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
 	row := func(from int) func(lo int, dst []float64) {
 		a := objs[from]
@@ -131,7 +132,20 @@ func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]flo
 			}
 		}
 	}
-	return BuildRows(len(objs), row, func(i int) T { return objs[i] }, dist, opts)
+	m, block, err := BuildRows(len(objs), row, func(i int) T { return objs[i] }, dist, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, rowsOf(block, m.dims), nil
+}
+
+// rowsOf carves block into rows of dims floats, each capped.
+func rowsOf(block []float64, dims int) [][]float64 {
+	rows := make([][]float64, len(block)/dims)
+	for i := range rows {
+		rows[i] = block[i*dims : (i+1)*dims : (i+1)*dims]
+	}
+	return rows
 }
 
 // BuildRows is the FastMap build over n objects known only by index:
@@ -140,19 +154,17 @@ func Build[T any](objs []T, dist DistFunc[T], opts Options) (*Mapper[T], [][]flo
 // dist is the pairwise distance the returned mapper embeds
 // out-of-sample objects with. The fill row(from) returns must agree
 // bit for bit with dist(object(from), object(i)), or Map will not
-// reproduce the build's coordinates. The coordinates are written into
-// one n×Dims block; the returned rows are views of it, each capped.
-func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T], opts Options) (*Mapper[T], [][]float64, error) {
+// reproduce the build's coordinates. The coordinates come back as one
+// n×Dims block, object i's in block[i*Dims:(i+1)*Dims], which the
+// caller owns: semtree.Build hands it to the tree, which adopts it as
+// its coordinate column.
+func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T], opts Options) (*Mapper[T], []float64, error) {
 	if row == nil || object == nil || dist == nil {
 		return nil, nil, errors.New("fastmap: nil row, object or distance function")
 	}
 	opts = opts.withDefaults()
 	dims := opts.Dims
 	block := make([]float64, n*dims)
-	coords := make([][]float64, n)
-	for i := range coords {
-		coords[i] = block[i*dims : (i+1)*dims : (i+1)*dims]
-	}
 	m := &Mapper[T]{
 		dims:    opts.Dims,
 		dist:    dist,
@@ -168,7 +180,7 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 			m.coordsA[ax] = make([]float64, opts.Dims)
 			m.coordsB[ax] = make([]float64, opts.Dims)
 		}
-		return m, coords, nil
+		return m, block, nil
 	}
 
 	s := newScanner(block, dims, row)
@@ -202,10 +214,10 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 		if dab2 != 0 { // otherwise every residual distance is zero and the axis stays 0
 			s.project(ax, fromA, fromB, dab2, 2*m.dAB[ax])
 		}
-		m.coordsA[ax] = append([]float64(nil), coords[a]...)
-		m.coordsB[ax] = append([]float64(nil), coords[b]...)
+		m.coordsA[ax] = append([]float64(nil), block[a*dims:(a+1)*dims]...)
+		m.coordsB[ax] = append([]float64(nil), block[b*dims:(b+1)*dims]...)
 	}
-	return m, coords, nil
+	return m, block, nil
 }
 
 // Dims returns the dimensionality of the embedding.

@@ -121,10 +121,11 @@ func TestBuildMatchesPairwiseReference(t *testing.T) {
 						}
 					}
 				}
-				mr, coordsR, err := BuildRows(n, row, func(i int) int { return objs[i] }, lumpy, opts)
+				mr, blockR, err := BuildRows(n, row, func(i int) int { return objs[i] }, lumpy, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				coordsR := rowsOf(blockR, opts.Dims)
 				for _, got := range []struct {
 					name   string
 					m      *Mapper[int]
@@ -300,10 +301,11 @@ func TestChunkedBuildMatchesOneRange(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 8} {
 		rec := &recorder{objs: objs, dist: tied}
 		var m, mg *Mapper[int]
-		var coords, coordsG [][]float64
+		var block []float64
+		var coordsG [][]float64
 		atProcs(procs, func() {
 			var err error
-			if m, coords, err = BuildRows(n, rec.row, func(i int) int { return i }, tied, opts); err != nil {
+			if m, block, err = BuildRows(n, rec.row, func(i int) int { return i }, tied, opts); err != nil {
 				t.Fatal(err)
 			}
 			if mg, coordsG, err = Build(objs, tied, opts); err != nil {
@@ -314,7 +316,7 @@ func TestChunkedBuildMatchesOneRange(t *testing.T) {
 			name   string
 			m      *Mapper[int]
 			coords [][]float64
-		}{{"BuildRows", m, coords}, {"Build", mg, coordsG}} {
+		}{{"BuildRows", m, rowsOf(block, opts.Dims)}, {"Build", mg, coordsG}} {
 			if !sameBits(got.m.dAB, dAB) {
 				t.Fatalf("GOMAXPROCS %d %s: dAB %v, want %v", procs, got.name, got.m.dAB, dAB)
 			}

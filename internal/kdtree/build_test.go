@@ -3,7 +3,6 @@ package kdtree
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -224,73 +223,100 @@ func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// medianOfThreeKiller builds, against narrow's own pivot rule, an input
-// of n distinct values on which every round's median of three is one of
-// the smallest values of its window, so selecting the maximum sheds two
-// or three points a round. Values are decided lazily (McIlroy's
-// adversary): undecided ones are +Inf, larger than any pivot, and the
-// three a round samples take the next smallest values unused so far.
-func medianOfThreeKiller(n int) []Point {
-	gas := math.Inf(1)
-	a, slots := arenaOf(make([]Point, n), 1)
-	for i := range a.Coords {
-		a.Coords[i], a.IDs[i] = gas, uint64(i)
+// TestGraftMatchesBulkLoad: a graft that overflows a leaf builds over
+// the bucket and the grafted points the subtree BulkLoad builds over
+// them — node for node, boxes and bucket contents — at sizes straddling
+// the bucket size and the parallel threshold. Its rows are scratch
+// copies carrying slots, so every leaf slot still names its point in
+// the arena's blocks.
+func TestGraftMatchesBulkLoad(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	const bs, dim = 8, 3
+	for _, shape := range buildShapes {
+		for _, n := range []int{bs, bs + 1, 1000, parallelBuild + 100} {
+			name := fmt.Sprintf("%s/n%d", shape.name, n)
+			pts := shape.gen(r, n, dim)
+			got, _ := New(dim, bs)
+			for _, batch := range [][]Point{pts[:bs/2], pts[bs/2:]} { // a bucket, then the rest merged into it
+				for _, p := range batch {
+					got.ExpandPath([]int32{0}, p.Coords)
+				}
+				got.Graft(0, batch)
+			}
+			got.size = n
+			if err := got.Check(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := BulkLoad(pts, dim, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Nodes) != len(want.Nodes) {
+				t.Fatalf("%s: %d nodes, BulkLoad built %d", name, len(got.Nodes), len(want.Nodes))
+			}
+			for i := range got.Nodes {
+				if g, w := viewNode(&got.Arena, i), viewNode(&want.Arena, i); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s: node %d:\n got %+v\nwant %+v", name, i, g, w)
+				}
+			}
+		}
 	}
+}
+
+// medianOfThreeKiller builds, against narrow's own pivot rule, an input
+// of n distinct keys on which every round's median of three is one of
+// the smallest keys of its window, so selecting the maximum sheds two
+// or three keys a round. Keys are decided lazily (McIlroy's adversary):
+// an undecided one is gas, larger than any pivot, and the three a round
+// samples take the next smallest values unused so far. Gas is
+// gas+i for the key that started at i, so the keys carry where they
+// started as the rounds move them, and no two compare equal.
+func medianOfThreeKiller(n int) []float64 {
+	const gas = 1 << 40
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = gas + float64(i)
+	}
+	in := make([]float64, n) // the decided value of the key that started at i
 	next := 0.0
-	freeze := func(s int32) {
-		if a.Coords[s] == gas {
-			a.Coords[s] = next
+	freeze := func(j int) {
+		if keys[j] >= gas {
+			in[int(keys[j]-gas)] = next
+			keys[j] = next
 			next++
 		}
 	}
 	for lo := 0; n-lo > sortBelow; {
-		w := slots[lo:]
-		x, y, z := w[0], w[len(w)/2], w[len(w)-1]
-		freeze(x)
-		freeze(y)
-		freeze(z)
-		_, gt := a.partition3(w, 0, medianOfThree(a.Coords[x], a.Coords[y], a.Coords[z]))
-		lo += gt
+		w := keys[lo:]
+		freeze(lo)
+		freeze(lo + len(w)/2)
+		freeze(n - 1)
+		m := partition(w, pivot(w)) - 1
+		w[0], w[m] = w[m], w[0]
+		lo += m + 1
 	}
-	for _, s := range slots {
-		freeze(s)
+	for j := range keys {
+		freeze(j)
 	}
-	// Every point where it started: that arrangement is the input.
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{Coords: []float64{a.Coords[i]}, ID: uint64(i)}
-	}
-	return pts
-}
-
-// arenaOf copies pts into a fresh arena's blocks and returns it with
-// their slots, in input order.
-func arenaOf(pts []Point, dim int) (*Arena, []int32) {
-	a := &Arena{Dim: dim}
-	slots := make([]int32, len(pts))
-	for i, p := range pts {
-		if p.Coords == nil {
-			p.Coords = make([]float64, dim)
-		}
-		slots[i] = a.addPoint(p)
-	}
-	return a, slots
+	return in
 }
 
 // TestSelectNth: on the classic hard inputs selectNth leaves the value
-// of rank k in a run [start, end) around k with only smaller values
-// before it and only larger ones after, and the median-of-three killer
-// drives it into the depth-limit fallback.
+// of rank k at k, no larger value before it and no smaller one after;
+// cuts bounds the run tied with it at [start, end) around k, only
+// smaller values before that run and only larger ones after; the keys
+// are a permutation of the input; and the median-of-three killer
+// drives narrow into the depth-limit fallback.
 func TestSelectNth(t *testing.T) {
 	const n = 2000
-	fill := func(v func(i int) float64) []Point {
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{Coords: []float64{v(i)}, ID: uint64(i)}
+	fill := func(v func(i int) float64) []float64 {
+		keys := make([]float64, n)
+		for i := range keys {
+			keys[i] = v(i)
 		}
-		return pts
+		return keys
 	}
-	inputs := map[string][]Point{
+	inputs := map[string][]float64{
 		"sorted":     fill(func(i int) float64 { return float64(i) }),
 		"reversed":   fill(func(i int) float64 { return float64(n - i) }),
 		"organ-pipe": fill(func(i int) float64 { return float64(min(i, n-1-i)) }),
@@ -300,27 +326,35 @@ func TestSelectNth(t *testing.T) {
 	}
 	fallbacks := 0
 	for name, in := range inputs {
-		a, in := arenaOf(in, 1)
-		sorted := slices.Clone(a.Coords)
+		sorted := slices.Clone(in)
 		slices.Sort(sorted)
 		for _, k := range []int{0, 1, n / 2, (n - 1) / 2, n - 2, n - 1} {
-			if lo, hi, tied := a.narrow(slices.Clone(in), 0, k); !tied && hi-lo > sortBelow {
+			if lo, hi, done := narrow(slices.Clone(in), k); !done && hi-lo > sortBelow {
 				fallbacks++
 			}
-			slots := slices.Clone(in)
-			start, end := a.selectNth(slots, 0, k)
+			keys := slices.Clone(in)
+			selectNth(keys, k)
+			v := keys[k]
+			if v != sorted[k] {
+				t.Fatalf("%s k=%d: %g at k, rank k is %g", name, k, v, sorted[k])
+			}
+			for i, x := range keys {
+				if (i < k && x > v) || (i > k && x < v) {
+					t.Fatalf("%s k=%d: %g at %d breaks the partition around %g", name, k, x, i, v)
+				}
+			}
+			start, end := cuts(keys, v)
 			if start > k || k >= end {
 				t.Fatalf("%s k=%d: run [%d, %d) does not hold k", name, k, start, end)
 			}
-			for i, s := range slots {
-				v := a.coord(s, 0)
-				if ok := (i < start && v < sorted[k]) || (i >= end && v > sorted[k]) || (start <= i && i < end && v == sorted[k]); !ok {
-					t.Fatalf("%s k=%d: slot %d at %d = %g breaks the partition around %g in [%d, %d)", name, k, s, i, v, sorted[k], start, end)
+			for i, x := range sorted {
+				if ok := (i < start && x < v) || (i >= end && x > v) || (start <= i && i < end && x == v); !ok {
+					t.Fatalf("%s k=%d: rank %d = %g lies on the wrong side of the run [%d, %d) of %g", name, k, i, x, start, end, v)
 				}
 			}
-			slices.Sort(slots)
-			if !slices.Equal(slots, in) {
-				t.Fatalf("%s k=%d: selectNth lost or duplicated a slot", name, k)
+			slices.Sort(keys)
+			if !slices.Equal(keys, sorted) {
+				t.Fatalf("%s k=%d: selectNth lost or duplicated a key", name, k)
 			}
 		}
 	}

@@ -12,14 +12,18 @@
 // leaf splitting (median and chain policies), bounding-box
 // maintenance, balanced and chain bulk building, the structural Check
 // and the k-nearest / range traversals, which hand out Point views
-// sliced from the block. The balanced build (build.go) selects each
-// level's median over int32 slots instead of sorting — O(n log n), no
-// reflection — keeps buckets in point-ID order and lays the block out
-// in leaf order, so an arena is a function of the point set and has the
-// shape of its snapshot columns; it is the one place the package starts
-// goroutines: a large build runs its two halves at once, on the same
-// slots at any GOMAXPROCS. Tree — the sequential tree of Figures 4 and
-// 6 — is an Arena with no outside references; the distributed tree of
+// sliced from the block. The balanced build (build.go) works on rows —
+// a point's coordinates and payload, moved together — and makes one
+// fused pass per node: a branch-free selection of the median over a
+// copy of the split coordinate, then one pass that moves the rows to
+// their halves and fits both halves' exact boxes. It is O(n log n),
+// keeps buckets in point-ID order and leaves the block in leaf order,
+// so an arena is a function of the point set and has the shape of its
+// snapshot columns; BulkLoadRows adopts the caller's block as the
+// arena's. It is the one place the package starts goroutines: a large
+// build runs its two halves at once, on disjoint rows, and lands the
+// same nodes at any GOMAXPROCS. Tree — the sequential tree of Figures 4
+// and 6 — is an Arena with no outside references; the distributed tree of
 // internal/core hosts one Arena per partition and adds only what
 // distribution needs (an Outside continuation the traversals call when
 // a reference leaves the arena).
@@ -277,7 +281,7 @@ func (a *Arena) Descend(idx int32, pt []float64, path []int32) (leaf int32, out 
 // points identical) and is allowed to exceed Bs.
 func (a *Arena) SplitLeaf(idx int32) {
 	bucket := a.Nodes[idx].Slots
-	dim, splitVal, ok := a.splitPlane(bucket)
+	dim, splitVal, ok := a.splitPlane(idx, bucket)
 	if !ok {
 		return // all points identical: oversized leaf stands
 	}
@@ -302,42 +306,21 @@ func (a *Arena) SplitLeaf(idx int32) {
 	n.Right = a.Ref(ri)
 }
 
-// splitPlane picks the (Sr, Sv) pair that splits bucket under the
-// arena's policy. ok is false when the bucket is unsplittable.
-func (a *Arena) splitPlane(bucket []int32) (dim int, splitVal float64, ok bool) {
+// splitPlane picks the (Sr, Sv) pair that splits the bucket of the leaf
+// at idx under the arena's policy. ok is false when the bucket is
+// unsplittable. The median policy reads the widest dimension and its
+// range off the leaf's box, which Append's contract keeps exact.
+func (a *Arena) splitPlane(idx int32, bucket []int32) (dim int, splitVal float64, ok bool) {
 	if a.Chain {
 		if splitVal, ok = a.chainSplit(bucket); ok {
 			return 0, splitVal, true
 		}
 	}
-	dim, lo, hi, ok := a.widestDimension(bucket)
-	if !ok {
+	lo, hi := a.box(idx)
+	if dim, ok = widest(lo, hi); !ok {
 		return 0, 0, false
 	}
-	return dim, a.medianSplit(bucket, dim, lo, hi), true
-}
-
-// widestDimension returns the dimension with the largest value spread
-// within the bucket, with its min and max. ok is false when every
-// dimension is constant.
-func (a *Arena) widestDimension(bucket []int32) (dim int, lo, hi float64, ok bool) {
-	bestSpread := 0.0
-	for d := 0; d < a.Dim; d++ {
-		mn, mx := a.coord(bucket[0], d), a.coord(bucket[0], d)
-		for _, s := range bucket[1:] {
-			v := a.coord(s, d)
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		if spread := mx - mn; spread > bestSpread {
-			bestSpread, dim, lo, hi, ok = spread, d, mn, mx, true
-		}
-	}
-	return dim, lo, hi, ok
+	return dim, a.medianSplit(bucket, dim, lo[dim], hi[dim]), true
 }
 
 // medianSplit picks Sv along dim: the median bucket value when it
@@ -345,13 +328,16 @@ func (a *Arena) widestDimension(bucket []int32) (dim int, lo, hi float64, ok boo
 // choices guarantee non-empty halves under the "<= goes left" rule,
 // because lo < hi.
 func (a *Arena) medianSplit(bucket []int32, dim int, lo, hi float64) float64 {
-	// Select on a copy: the bucket keeps its insertion order. A bucket
-	// of up to len(stack) points is copied to the stack.
-	var stack [64]int32
-	tmp := append(stack[:0], bucket...)
-	k := (len(tmp) - 1) / 2
-	a.selectNth(tmp, dim, k)
-	if med := a.coord(tmp[k], dim); med < hi {
+	// Select over the bucket's keys: a bucket of up to len(stack) points
+	// selects on the stack.
+	var stack [64]float64
+	keys := stack[:0]
+	for _, s := range bucket {
+		keys = append(keys, a.coord(s, dim))
+	}
+	k := (len(keys) - 1) / 2
+	selectNth(keys, k)
+	if med := keys[k]; med < hi {
 		return med
 	}
 	return (lo + hi) / 2

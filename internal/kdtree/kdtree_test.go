@@ -167,6 +167,12 @@ func TestBulkLoadValidation(t *testing.T) {
 	if _, err := BulkLoad([]Point{{Coords: []float64{1}}}, 2, 4); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
+	if _, err := BulkLoad([]Point{{Coords: []float64{1}}}, -1, 4); err == nil {
+		t.Fatal("negative dimension accepted")
+	}
+	if _, err := BulkLoadRows([]float64{1, 2, 3}, []uint64{0, 1}, 2, 4); err == nil {
+		t.Fatal("a coordinate block of the wrong length accepted")
+	}
 }
 
 func TestBuildChainDegenerateHeight(t *testing.T) {
