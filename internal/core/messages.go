@@ -38,16 +38,19 @@ import (
 //
 // A message's encoding is its fields in declaration order: integer
 // fields as zigzag varints, point IDs and slice lengths as uvarints,
-// floats raw, booleans as one byte. A message that carries floats
+// floats raw, booleans as one byte. A message that carries float runs
 // opens with their total count, and every []float64 in it is a run — a
 // uvarint length and the raw values — that the decoder cuts from one
 // block of that size (floatBlock), so decoding allocates that block and
 // one slice per []Neighbor, []knnEntry, []batchEntry and []RemoteBox,
-// never one per point. An arena — a fragment, a partition's state —
-// travels in the layout of its snapshot file (appendState): the four
-// column bodies WriteSnapshot writes, read by the file's own readers
-// straight into the arena's blocks, and no node box, which the receiver
-// rebuilds by the file's rule. Empty and nil slices both decode as nil.
+// never one per point. A neighbour is its point's ID and its squared
+// distance, never its coordinates: no receiver reads them, so no result
+// set carries them off a partition. An arena — a fragment, a
+// partition's state — travels in the layout of its snapshot file
+// (appendState): the four column bodies WriteSnapshot writes, read by
+// the file's own readers straight into the arena's blocks, and no node
+// box, which the receiver rebuilds by the file's rule. Empty and nil
+// slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
 // Kind 1 is retired — it framed a single-point insert request, which is
@@ -385,21 +388,28 @@ type knnEntry struct {
 }
 
 // knnReq asks a partition to continue a k-nearest search. Rs carries
-// the current result set (Table I), so the remote side prunes with the
-// same bound the caller had; the response returns the merged set.
-// Neighbor distances are *squared* Euclidean distances everywhere on
-// the wire — the single deferred sqrt is applied once at the client
-// boundary (Tree.KNearest).
+// the caller's current result set (Table I) as its seed, so the remote
+// side prunes with the same bound the caller had; the response returns
+// what the callee found beyond it (knnResp). Neighbor distances are
+// *squared* Euclidean distances everywhere on the wire — the single
+// deferred sqrt is applied once at the client boundary
+// (Tree.KNearest).
 //
 // Seq selects the paper's strictly sequential protocol rooted at Node:
-// the caller blocks on each cross-partition hop and adopts the merged
-// set before continuing. When Seq is false (the default), the caller
-// finishes its local traversal first, groups the surviving remote
-// subtrees by hosting partition, and sends each partition ONE request
-// carrying all its Entries (Node is ignored when Entries is set) — at
-// most M−1 parallel messages per wave, the paper's §III-C bound. Rs is
-// then a snapshot: a pruning hint only, so both modes return identical
-// result sets.
+// the caller blocks on each cross-partition hop and offers the finds to
+// its own set before continuing. When Seq is false (the default), the
+// caller finishes its local traversal first, groups the surviving
+// remote subtrees by hosting partition, and sends each partition ONE
+// request carrying all its Entries (Node is ignored when Entries is
+// set) — at most M−1 parallel messages per wave, the paper's §III-C
+// bound. Rs is then the set the wave started from: a pruning hint
+// only, so both modes return identical result sets.
+//
+// knnReq is the one request a fabric carries by pointer: a hop sends
+// the one its pooled query context holds (queryCtx.fwd), and the
+// decoder returns a *knnReq. The handler only reads it — handleKNN
+// copies what it keeps — and it aliases the sender's result set, which
+// stays still until the call returns.
 type knnReq struct {
 	Node    int32
 	Query   []float64
@@ -409,10 +419,10 @@ type knnReq struct {
 	Entries []knnEntry
 }
 
-func (knnReq) WireKind() byte { return kindKNNReq }
+func (*knnReq) WireKind() byte { return kindKNNReq }
 
-func (m knnReq) AppendWire(a *column.Appender) {
-	a.Uvarint(uint64(len(m.Query) + neighborFloats(m.Rs)))
+func (m *knnReq) AppendWire(a *column.Appender) {
+	a.Uvarint(uint64(len(m.Query)))
 	a.Varint(int64(m.Node))
 	appendRun(a, m.Query)
 	a.Varint(int64(m.K))
@@ -427,7 +437,7 @@ func (m knnReq) AppendWire(a *column.Appender) {
 
 func readKNNReq(d *column.Decoder) any {
 	fs := newFloatBlock(d)
-	m := knnReq{Node: d.Int32(), Query: fs.next(), K: int(d.Varint()), Rs: readNeighbors(d, &fs), Seq: d.Bool()}
+	m := &knnReq{Node: d.Int32(), Query: fs.next(), K: int(d.Varint()), Rs: readNeighbors(d), Seq: d.Bool()}
 	if n := d.Count(9); n > 0 { // a node and a guard, 9 bytes at least
 		m.Entries = make([]knnEntry, n)
 		for i := range m.Entries {
@@ -450,7 +460,7 @@ type queryStats struct {
 	Dists   int64 // point distance evaluations
 	Msgs    int64 // fabric calls issued downstream on behalf of the query
 	Parts   int64 // partition handler executions (this one + downstream)
-	Misses  int64 // downstream k-NN calls whose reply did not improve the Rs they were sent
+	Misses  int64 // downstream k-NN calls whose reply came back empty: nothing beyond the Rs they were sent
 }
 
 func appendStats(a *column.Appender, s queryStats) {
@@ -488,11 +498,13 @@ func (s *queryStats) fold(o queryStats) {
 	s.Msgs++
 }
 
-// knnResp carries the merged result set back: the top K of the request
-// seed plus the visited subtrees, sorted ascending by (squared
-// distance, point ID). In parallel mode it may repeat seed points; the
-// caller's merge deduplicates by point ID. Stats reports the work done
-// by this partition and everything downstream of it.
+// knnResp carries back what a partition found: the entries of its
+// final set — the top K of the request's seed and the visited subtrees
+// — that are not seed entries, matched on (ID, Dist), sorted ascending
+// by (squared distance, point ID). An empty reply is a probe miss: the
+// partition was probed and improved nothing. To the client, whose
+// request has no seed, it is the whole answer. Stats reports the work
+// done by this partition and everything downstream of it.
 type knnResp struct {
 	Rs    []kdtree.Neighbor
 	Stats queryStats
@@ -501,16 +513,12 @@ type knnResp struct {
 func (knnResp) WireKind() byte { return kindKNNResp }
 
 func (m knnResp) AppendWire(a *column.Appender) {
-	a.Uvarint(uint64(neighborFloats(m.Rs)))
 	appendNeighbors(a, m.Rs)
 	appendStats(a, m.Stats)
 }
 
 func readKNNResp(d *column.Decoder) any {
-	fs := newFloatBlock(d)
-	m := knnResp{Rs: readNeighbors(d, &fs), Stats: readStats(d)}
-	fs.end()
-	return m
+	return knnResp{Rs: readNeighbors(d), Stats: readStats(d)}
 }
 
 // rangeReq asks a partition for all points within D of Query in the
@@ -539,11 +547,12 @@ func readRangeReq(d *column.Decoder) any {
 
 // rangeResp carries the subtree's matches back. Ordering contract:
 // Neighbors is an *unsorted* concatenation of partial result sets in
-// traversal/arrival order, with squared distances; matches are sorted
-// (ascending distance, ties by point ID) and square-rooted exactly
-// once, at the client boundary in Tree.RangeSearch. Intermediate
-// partitions must not sort — that work would be thrown away by the
-// merge at the next hop up. Stats aggregates like knnResp.Stats.
+// traversal/arrival order, (ID, squared distance) pairs; matches are
+// sorted (ascending distance, ties by point ID) and square-rooted
+// exactly once, at the client boundary in Tree.RangeSearch.
+// Intermediate partitions must not sort — that work would be thrown
+// away by the merge at the next hop up. Stats aggregates like
+// knnResp.Stats.
 type rangeResp struct {
 	Neighbors []kdtree.Neighbor
 	Stats     queryStats
@@ -552,16 +561,12 @@ type rangeResp struct {
 func (rangeResp) WireKind() byte { return kindRangeResp }
 
 func (m rangeResp) AppendWire(a *column.Appender) {
-	a.Uvarint(uint64(neighborFloats(m.Neighbors)))
 	appendNeighbors(a, m.Neighbors)
 	appendStats(a, m.Stats)
 }
 
 func readRangeResp(d *column.Decoder) any {
-	fs := newFloatBlock(d)
-	m := rangeResp{Neighbors: readNeighbors(d, &fs), Stats: readStats(d)}
-	fs.end()
-	return m
+	return rangeResp{Neighbors: readNeighbors(d), Stats: readStats(d)}
 }
 
 // statsReq asks a partition for its local statistics.
@@ -657,30 +662,24 @@ func readPoint(d *column.Decoder, fs *floatBlock) kdtree.Point {
 	return kdtree.Point{Coords: fs.next(), ID: d.Uvarint()}
 }
 
-func neighborFloats(ns []kdtree.Neighbor) int {
-	n := 0
-	for i := range ns {
-		n += len(ns[i].Point.Coords)
-	}
-	return n
-}
-
+// appendNeighbors writes each neighbour as its point's ID and its
+// distance; its coordinates stay behind.
 func appendNeighbors(a *column.Appender, ns []kdtree.Neighbor) {
 	a.Uvarint(uint64(len(ns)))
 	for i := range ns {
-		appendPoint(a, ns[i].Point)
+		a.Uvarint(ns[i].Point.ID)
 		a.Float(ns[i].Dist)
 	}
 }
 
-func readNeighbors(d *column.Decoder, fs *floatBlock) []kdtree.Neighbor {
-	n := d.Count(10) // an empty run, an ID and a distance at least
+func readNeighbors(d *column.Decoder) []kdtree.Neighbor {
+	n := d.Count(9) // an ID and a distance, 9 bytes at least
 	if n == 0 {
 		return nil
 	}
 	ns := make([]kdtree.Neighbor, n)
 	for i := range ns {
-		ns[i] = kdtree.Neighbor{Point: readPoint(d, fs), Dist: d.Float()}
+		ns[i] = kdtree.Neighbor{Point: kdtree.Point{ID: d.Uvarint()}, Dist: d.Float()}
 	}
 	return ns
 }

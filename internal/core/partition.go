@@ -70,7 +70,7 @@ func (p *partition) handle(ctx context.Context, from cluster.NodeID, req any) (a
 		return p.handleSnapshot()
 	case restoreReq:
 		return p.handleRestore(r)
-	case knnReq:
+	case *knnReq:
 		return p.handleKNN(ctx, r)
 	case rangeReq:
 		return p.handleRange(ctx, r)

@@ -24,9 +24,10 @@ import (
 )
 
 // protocolSamples is one populated value of every type the partition
-// protocol puts on a fabric — bulkAddReq once per landing policy.
-// TestProtocolTable holds it equal, as a set of kinds, to the kind table
-// in messages.go.
+// protocol puts on a fabric — bulkAddReq once per landing policy, and
+// knnReq by pointer, as it travels. A neighbour is an ID and a
+// distance: the wire carries no more of it. TestProtocolTable holds the
+// samples equal, as a set of kinds, to the kind table in messages.go.
 func protocolSamples() []any {
 	pt := kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}
 	entry := batchEntry{Node: 3, Point: pt}
@@ -45,7 +46,7 @@ func protocolSamples() []any {
 	}
 	remote := []RemoteBox{{Ref: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{3, 3}, Hi: []float64{9, 9}}}
 	state := PartitionSnapshot{Arena: frag, Points: 1, Remote: remote}
-	rs := []kdtree.Neighbor{{Point: pt, Dist: 2.25}}
+	rs := []kdtree.Neighbor{{Point: kdtree.Point{ID: pt.ID}, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
 	return []any{
 		ack{},
@@ -56,7 +57,7 @@ func protocolSamples() []any {
 		snapshotReq{},
 		snapshotResp{State: state},
 		restoreReq{State: state},
-		knnReq{Node: 2, Query: []float64{0, 1}, K: 3, Rs: rs, Seq: true, Entries: []knnEntry{{Node: 1, GuardSq: -1}}},
+		&knnReq{Node: 2, Query: []float64{0, 1}, K: 3, Rs: rs, Seq: true, Entries: []knnEntry{{Node: 1, GuardSq: -1}}},
 		knnResp{Rs: rs, Stats: stats},
 		rangeReq{Node: 1, Query: []float64{0, 1}, D: 0.5},
 		rangeResp{Neighbors: rs, Stats: stats},
@@ -115,10 +116,10 @@ func wireRoundTrip(t *testing.T, m cluster.Message) (any, []byte, []byte) {
 // wire surface. Every protocol type has its own kind in it, and its
 // codec is exact and canonical: a zero and a populated value decode to
 // themselves and re-encode to the same bytes, and both cross a real TCP
-// fabric without the gob fallback. Every request partition.handle
-// dispatches on is in the table, and no other file registers anything
-// — so a message without a codec fails here, not on the first TCP
-// deployment.
+// fabric without the gob fallback. A neighbour's coordinates are not
+// part of its encoding. Every request partition.handle dispatches on is
+// in the table, and no other file registers anything — so a message
+// without a codec fails here, not on the first TCP deployment.
 func TestProtocolTable(t *testing.T) {
 	files, err := os.ReadDir(".")
 	if err != nil {
@@ -142,26 +143,49 @@ func TestProtocolTable(t *testing.T) {
 	byKind := make(map[byte]string)
 	for _, full := range protocolSamples() {
 		typ := reflect.TypeOf(full)
-		sampled[typ.Name()] = true
-		kind := full.(cluster.Message).WireKind()
-		if other, dup := byKind[kind]; dup && other != typ.Name() {
-			t.Errorf("%s and %s share kind %d", other, typ.Name(), kind)
+		name, zero := typ.Name(), reflect.Zero(typ).Interface()
+		if typ.Kind() == reflect.Pointer { // knnReq: its zero value is a pointer to a zero knnReq
+			name, zero = "*"+typ.Elem().Name(), reflect.New(typ.Elem()).Interface()
 		}
-		byKind[kind] = typ.Name()
-		for _, v := range []any{reflect.Zero(typ).Interface(), full} {
+		sampled[name] = true
+		kind := full.(cluster.Message).WireKind()
+		if other, dup := byKind[kind]; dup && other != name {
+			t.Errorf("%s and %s share kind %d", other, name, kind)
+		}
+		byKind[kind] = name
+		for _, v := range []any{zero, full} {
 			got, enc, again := wireRoundTrip(t, v.(cluster.Message))
 			if !reflect.DeepEqual(got, v) {
-				t.Errorf("%s decoded to %+v from %+v", typ.Name(), got, v)
+				t.Errorf("%s decoded to %+v from %+v", name, got, v)
 			}
 			if !bytes.Equal(enc, again) {
-				t.Errorf("%s re-encoded to %x, first %x", typ.Name(), again, enc)
+				t.Errorf("%s re-encoded to %x, first %x", name, again, enc)
 			}
 			got, err := fabric.Call(context.Background(), cluster.ClientID, echo, v)
 			if err != nil {
-				t.Errorf("%s over TCP: %v", typ.Name(), err)
+				t.Errorf("%s over TCP: %v", name, err)
 			} else if !reflect.DeepEqual(got, v) {
-				t.Errorf("%s over TCP: got %+v, sent %+v", typ.Name(), got, v)
+				t.Errorf("%s over TCP: got %+v, sent %+v", name, got, v)
 			}
+		}
+	}
+	// Neighbours with coordinates encode to the bytes of the same
+	// neighbours without: a result set leaves its points' coordinates
+	// behind.
+	withCoords := []kdtree.Neighbor{
+		{Point: kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}, Dist: 2.25},
+		{Point: kdtree.Point{Coords: []float64{3, 4}, ID: 9}, Dist: 6.5},
+	}
+	bare := []kdtree.Neighbor{{Point: kdtree.Point{ID: 7}, Dist: 2.25}, {Point: kdtree.Point{ID: 9}, Dist: 6.5}}
+	for _, pair := range [][2]cluster.Message{
+		{&knnReq{Query: []float64{0, 1}, K: 2, Rs: withCoords}, &knnReq{Query: []float64{0, 1}, K: 2, Rs: bare}},
+		{knnResp{Rs: withCoords}, knnResp{Rs: bare}},
+		{rangeResp{Neighbors: withCoords}, rangeResp{Neighbors: bare}},
+	} {
+		got, enc, _ := wireRoundTrip(t, pair[0])
+		_, want, _ := wireRoundTrip(t, pair[1])
+		if !bytes.Equal(enc, want) || !reflect.DeepEqual(got, pair[1]) {
+			t.Errorf("%T with coordinates encodes to %x and decodes to %+v, want %x and %+v", pair[0], enc, got, want, pair[1])
 		}
 	}
 	if len(byKind) != len(kinds) {
@@ -180,7 +204,11 @@ func TestProtocolTable(t *testing.T) {
 		ast.Inspect(fn, func(n ast.Node) bool {
 			if cc, ok := n.(*ast.CaseClause); ok {
 				for _, typ := range cc.List {
-					cases = append(cases, typ.(*ast.Ident).Name)
+					if star, ok := typ.(*ast.StarExpr); ok {
+						cases = append(cases, "*"+star.X.(*ast.Ident).Name)
+					} else {
+						cases = append(cases, typ.(*ast.Ident).Name)
+					}
 				}
 			}
 			return true
@@ -321,24 +349,20 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 }
 
 // knnExchange is a k-NN hop's request and reply: a query of dims
-// coordinates, and k neighbours each way.
-func knnExchange(dims, k int) (knnReq, knnResp) {
+// coordinates, a seed of k neighbours and k finds back.
+func knnExchange(dims, k int) (*knnReq, knnResp) {
 	rs := make([]kdtree.Neighbor, k)
 	for i := range rs {
-		coords := make([]float64, dims)
-		for d := range coords {
-			coords[d] = float64(i*dims + d)
-		}
-		rs[i] = kdtree.Neighbor{Point: kdtree.Point{Coords: coords, ID: uint64(1000 + i)}, Dist: float64(i) / 3}
+		rs[i] = kdtree.Neighbor{Point: kdtree.Point{ID: uint64(1000 + i)}, Dist: float64(i) / 3}
 	}
-	req := knnReq{Node: 4, Query: make([]float64, dims), K: k, Rs: rs, Seq: true}
+	req := &knnReq{Node: 4, Query: make([]float64, dims), K: k, Rs: rs, Seq: true}
 	return req, knnResp{Rs: rs, Stats: queryStats{Nodes: 40, Buckets: 9, Dists: 150, Msgs: 2, Parts: 3, Misses: 1}}
 }
 
 // knnEcho starts a TCP node that answers every request with resp and
-// returns a call that sends it req.
-func knnEcho(tb testing.TB, dims, k int) (call func() error, stop func()) {
-	fabric := cluster.NewTCP()
+// returns a call that sends it req, and the fabric.
+func knnEcho(tb testing.TB, dims, k int) (call func() error, fabric *cluster.TCP) {
+	fabric = cluster.NewTCP()
 	req, resp := knnExchange(dims, k)
 	var in, out any = req, resp // boxed once, so the calls measure the exchange
 	id, err := fabric.AddNode(func(context.Context, cluster.NodeID, any) (any, error) { return out, nil })
@@ -351,17 +375,19 @@ func knnEcho(tb testing.TB, dims, k int) (call func() error, stop func()) {
 			err = fmt.Errorf("reply of %d neighbours, want %d", len(got.(knnResp).Rs), k)
 		}
 		return err
-	}, func() { fabric.Close() }
+	}, fabric
 }
 
 // TestKNNExchangeAllocs gates the codec on the query path: a warmed
 // knnReq→knnResp exchange over TCP (dims 8, k 10, ten neighbours each
-// way) allocates, on each side, the payload, its neighbour slice and
-// one float block — never one slice per point. Measured: 6 (99 when
-// the fabric spoke gob).
+// way) allocates six times — on the serving side the request, the
+// query's float block, the seed's neighbour slice and the request's
+// goroutine; on the calling side the reply and its neighbour slice —
+// never one slice per point. Measured: 6 (7 when neighbours carried
+// their coordinates, 99 when the fabric spoke gob).
 func TestKNNExchangeAllocs(t *testing.T) {
-	call, stop := knnEcho(t, 8, 10)
-	defer stop()
+	call, fabric := knnEcho(t, 8, 10)
+	defer fabric.Close()
 	if err := call(); err != nil {
 		t.Fatal(err)
 	}
@@ -371,20 +397,24 @@ func TestKNNExchangeAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocs per warmed k-NN exchange", got)
-	if got > 24 {
-		t.Fatalf("%.0f allocs per warmed k-NN exchange, want at most 24", got)
+	if got > 6 {
+		t.Fatalf("%.0f allocs per warmed k-NN exchange, want at most 6", got)
 	}
 }
 
+// BenchmarkTCPKNNExchange is TestKNNExchangeAllocs's exchange; it
+// reports the frame bytes of both directions per exchange, B/exchange.
 func BenchmarkTCPKNNExchange(b *testing.B) {
-	call, stop := knnEcho(b, 8, 10)
-	defer stop()
+	call, fabric := knnEcho(b, 8, 10)
+	defer fabric.Close()
 	b.ReportAllocs()
+	before := fabric.Stats().Bytes
 	for range b.N {
 		if err := call(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(fabric.Stats().Bytes-before)/float64(b.N), "B/exchange")
 }
 
 // BenchmarkTCPBulkLoad is a bulk load of 100 000 random 8-dimensional
@@ -637,12 +667,13 @@ func withNodesPastEnd(m any) any {
 	case installReq:
 		r.Entry = past
 		return r
-	case knnReq:
-		r.Node, r.Entries = past, slices.Clone(r.Entries)
-		for i := range r.Entries {
-			r.Entries[i].Node = past
+	case *knnReq:
+		m := *r
+		m.Node, m.Entries = past, slices.Clone(r.Entries)
+		for i := range m.Entries {
+			m.Entries[i].Node = past
 		}
-		return r
+		return &m
 	case rangeReq:
 		r.Node = past
 		return r

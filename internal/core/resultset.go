@@ -7,9 +7,10 @@ import (
 // resultSet wraps kdtree.ResultSet — the single implementation of the
 // Rs ordering contract (Table I: best k, ascending squared distance,
 // point-ID tie-breaks) — with the operations the distributed protocol
-// needs on top: wholesale replacement (sequential hops), deduplicating
-// merges (parallel fan-outs) and detached export (the wire must not
-// alias the pooled scratch buffer).
+// needs on top: deduplicating merges (parallel fan-outs) and the finds
+// a partition sends back (a reply must not alias the pooled scratch
+// buffer, nor the arena its entries point into). A sequential hop adopts
+// nothing: the caller offers the callee's finds to its own set.
 //
 // While a query is in flight, Dist holds the *squared* Euclidean
 // distance: the whole search — leaf scans, the backtracking bound, the
@@ -36,13 +37,6 @@ func (r *resultSet) reset(k int, seed []kdtree.Neighbor) {
 	}
 }
 
-// replace swaps in a merged set returned by a remote partition during
-// the sequential protocol (which was seeded with our items, so it is
-// already the union's top k).
-func (r *resultSet) replace(items []kdtree.Neighbor) {
-	r.Items = items
-}
-
 // contains reports whether a point with the given ID is already kept.
 func (r *resultSet) contains(id uint64) bool {
 	for i := range r.Items {
@@ -54,9 +48,9 @@ func (r *resultSet) contains(id uint64) bool {
 }
 
 // merge folds a partial result set returned by a parallel remote
-// fan-out into this one. Partials are seeded with a snapshot of our
-// items, so they may repeat points we already keep (or that another
-// partial re-introduced); offers are deduplicated by point ID. The
+// fan-out into this one. Partials hold what each callee found beyond
+// the set the wave started from, so they may repeat a point another
+// partial re-introduced; offers are deduplicated by point ID. The
 // merged outcome is order-independent because Offer uses the total
 // (Dist, ID) order.
 func (r *resultSet) merge(items []kdtree.Neighbor) {
@@ -67,12 +61,27 @@ func (r *resultSet) merge(items []kdtree.Neighbor) {
 	}
 }
 
-// export copies the set for the wire: responses must not alias the
-// pooled scratch buffer, which is recycled when the query context is
-// released.
-func (r *resultSet) export() []kdtree.Neighbor {
-	if len(r.Items) == 0 {
-		return nil
+// finds copies out the kept entries that are not entries of seed — the
+// set's seed, in the set's order — matched on (ID, Dist): what the
+// partition found beyond what it was sent, nil when nothing. The copy
+// names each point by ID alone, without its coordinates. It is one
+// pass over both lists: a seed out of order, which only a hostile
+// sender sends, costs no more and may see its own entries come back.
+func (r *resultSet) finds(seed []kdtree.Neighbor) []kdtree.Neighbor {
+	var out []kdtree.Neighbor
+	j := 0
+	for _, n := range r.Items {
+		for j < len(seed) && kdtree.NeighborLess(seed[j], n) {
+			j++
+		}
+		if j < len(seed) && seed[j].Point.ID == n.Point.ID && seed[j].Dist == n.Dist {
+			j++
+			continue
+		}
+		if out == nil {
+			out = make([]kdtree.Neighbor, 0, len(r.Items))
+		}
+		out = append(out, kdtree.Neighbor{Point: kdtree.Point{ID: n.Point.ID}, Dist: n.Dist})
 	}
-	return append([]kdtree.Neighbor(nil), r.Items...)
+	return out
 }

@@ -80,8 +80,8 @@ func TestResultSetKZero(t *testing.T) {
 		if len(rs.Items) != 0 {
 			t.Fatalf("k=%d kept %d items", k, len(rs.Items))
 		}
-		if rs.export() != nil {
-			t.Fatalf("k=%d export not nil", k)
+		if rs.finds(nil) != nil {
+			t.Fatalf("k=%d finds not nil", k)
 		}
 	}
 }
@@ -110,23 +110,51 @@ func TestResultSetExactTiesBrokenByID(t *testing.T) {
 	}
 }
 
-// TestResultSetReplaceThenMerge: after a sequential replace, merging a
-// parallel partial that repeats kept points must deduplicate by ID and
-// still admit genuinely better candidates.
-func TestResultSetReplaceThenMerge(t *testing.T) {
-	rs := newResultSet(3, nil)
-	rs.Offer(kdtree.Neighbor{Point: kdtree.Point{ID: 10}, Dist: 5})
-	rs.replace([]kdtree.Neighbor{
-		{Point: kdtree.Point{ID: 1}, Dist: 1},
-		{Point: kdtree.Point{ID: 2}, Dist: 4},
-		{Point: kdtree.Point{ID: 3}, Dist: 6},
+// TestResultSetFindsThenMerge: a callee's finds are the entries of its
+// final set that were not in its seed — an evicted seed entry gone, the
+// kept ones left out, every coordinate dropped — and offering them to
+// the caller's set rebuilds the callee's set, the merged set a
+// sequential hop once adopted whole. Merging a parallel partial that
+// repeats kept points after that must deduplicate by ID and still admit
+// genuinely better candidates.
+func TestResultSetFindsThenMerge(t *testing.T) {
+	at := func(id uint64, dist float64) kdtree.Neighbor {
+		return kdtree.Neighbor{Point: kdtree.Point{Coords: []float64{float64(id)}, ID: id}, Dist: dist}
+	}
+	caller := newResultSet(3, nil)
+	caller.Offer(at(2, 4))
+	caller.Offer(at(10, 5))
+	caller.Offer(at(11, 7))
+	callee := newResultSet(3, caller.Items)
+	callee.Offer(at(1, 1)) // evicts 11
+	callee.Offer(at(3, 6)) // beyond the worst: refused
+	callee.Offer(at(5, 4)) // ties 2 on distance, loses on ID: evicts 10
+	finds := callee.finds(caller.Items)
+	if len(finds) != 2 || finds[0].Point.ID != 1 || finds[1].Point.ID != 5 {
+		t.Fatalf("finds = %v, want IDs [1 5]", finds)
+	}
+	for _, n := range finds {
+		if n.Point.Coords != nil {
+			t.Fatalf("find %d carries coordinates %v", n.Point.ID, n.Point.Coords)
+		}
+	}
+	for _, n := range finds {
+		caller.Offer(n)
+	}
+	if len(caller.Items) != len(callee.Items) {
+		t.Fatalf("caller holds %v, callee %v", caller.Items, callee.Items)
+	}
+	for i := range callee.Items {
+		if !sameNeighbor(caller.Items[i], callee.Items[i]) {
+			t.Fatalf("caller holds %v, callee %v", caller.Items, callee.Items)
+		}
+	}
+	caller.merge([]kdtree.Neighbor{
+		at(2, 4), // duplicate of a kept point
+		at(4, 3), // evicts ID 5
 	})
-	rs.merge([]kdtree.Neighbor{
-		{Point: kdtree.Point{ID: 2}, Dist: 4}, // duplicate of a kept point
-		{Point: kdtree.Point{ID: 4}, Dist: 2}, // beats ID 3
-	})
-	ids := make([]uint64, len(rs.Items))
-	for i, n := range rs.Items {
+	ids := make([]uint64, len(caller.Items))
+	for i, n := range caller.Items {
 		ids[i] = n.Point.ID
 	}
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 4 || ids[2] != 2 {

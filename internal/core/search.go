@@ -17,19 +17,23 @@ import (
 // traversal's kdtree.Outside: the kernel hands it every reference that
 // leaves the partition's arena, which is where the cross-partition
 // protocol lives. Contexts are pooled — a query borrows one, traverses,
-// copies its result onto the wire and releases it — so steady-state
-// searches allocate only the response slice and the fan-out messages.
+// copies its finds onto the wire and releases it — so steady-state
+// searches allocate only the finds and the fan-out wave's messages.
 type queryCtx struct {
 	s       kdtree.Search
 	rs      resultSet
-	pending []pendingHop      // remote subtrees deferred until the local bound is final
-	fp      []kdtree.Neighbor // scratch Rs snapshot for probe-miss detection
+	pending []pendingHop // remote subtrees deferred until the local bound is final
 
 	// The query this context is bound to while borrowed: the handler's
 	// ctx, partition and request, read by the Outside methods.
 	ctx context.Context
 	p   *partition
 	r   knnReq
+
+	// fwd is the request of this query's synchronous hops — a sequential
+	// hop or the fan-out probe — sent by pointer (see knnReq); its Rs is
+	// rs.Items, which stays still until the call returns.
+	fwd knnReq
 
 	// stats accumulates the folded stats of every downstream response
 	// (plus, once the traversal is over, this partition's own counters
@@ -40,7 +44,7 @@ type queryCtx struct {
 
 	mu       sync.Mutex
 	wg       sync.WaitGroup
-	partials [][]kdtree.Neighbor
+	partials [][]kdtree.Neighbor // the fan-out wave's finds
 	err      error
 }
 
@@ -60,9 +64,9 @@ var queryCtxPool = sync.Pool{New: func() any {
 	return c
 }}
 
-func getQueryCtx(ctx context.Context, p *partition, r knnReq) *queryCtx {
+func getQueryCtx(ctx context.Context, p *partition, r *knnReq) *queryCtx {
 	c := queryCtxPool.Get().(*queryCtx)
-	c.ctx, c.p, c.r = ctx, p, r
+	c.ctx, c.p, c.r = ctx, p, *r
 	c.rs.reset(r.K, r.Rs)
 	c.s.Reset(r.Query)
 	c.pending = c.pending[:0]
@@ -76,45 +80,33 @@ func putQueryCtx(c *queryCtx) {
 		c.partials[i] = nil // drop wire slices; only the scratch is pooled
 	}
 	c.partials = c.partials[:0]
-	for i := range c.fp {
-		c.fp[i] = kdtree.Neighbor{} // likewise: snapshots alias result points
-	}
-	c.fp = c.fp[:0]
-	c.ctx, c.p, c.r = nil, nil, knnReq{}
+	c.ctx, c.p, c.r, c.fwd = nil, nil, knnReq{}, knnReq{}
 	c.s.Query = nil
 	queryCtxPool.Put(c)
 }
 
-// snapshotRs copies the current result set into the scratch
-// fingerprint buffer, for comparing against the post-merge set.
-func (c *queryCtx) snapshotRs() {
-	c.fp = append(c.fp[:0], c.rs.Items...)
-}
-
-// noteMiss counts a probe miss when the downstream reply left the
-// result set exactly as the snapshot it was seeded with: the remote
-// region was probed and contributed nothing — the work a tighter
-// guard would have skipped outright. Each call is judged against its
-// own seed, never against what other partials found, so the count is
-// deterministic regardless of fan-out completion order.
-func (c *queryCtx) noteMiss() {
-	if neighborsEqual(c.fp, c.rs.Items) {
+// hop sends partition part, in c.fwd, a continuation at node or at
+// entries — the paper's sequential hop, or the fan-out's probe — and
+// offers its finds to the result set: the callee was seeded with the
+// set as it stands, so the finds are exactly what its merged set held
+// beyond ours. A reply that found nothing is a probe miss: the remote
+// region was probed and contributed nothing — the work a tighter guard
+// would have skipped outright.
+func (c *queryCtx) hop(part cluster.NodeID, node int32, entries []knnEntry) error {
+	c.fwd = knnReq{Node: node, Query: c.r.Query, K: c.r.K, Rs: c.rs.Items, Seq: c.r.Seq, Entries: entries}
+	resp, err := c.p.t.callCtx(c.ctx, c.p.id, part, &c.fwd)
+	if err != nil {
+		return err
+	}
+	kr := resp.(knnResp)
+	for _, n := range kr.Rs {
+		c.rs.Offer(n)
+	}
+	c.stats.fold(kr.Stats)
+	if len(kr.Rs) == 0 {
 		c.stats.Misses++
 	}
-}
-
-// neighborsEqual compares two result slices entry-by-entry on the
-// (ID, Dist) identity the equivalence contract is stated in.
-func neighborsEqual(a, b []kdtree.Neighbor) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Point.ID != b[i].Point.ID || a[i].Dist != b[i].Dist {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 func (c *queryCtx) fail(err error) {
@@ -125,11 +117,14 @@ func (c *queryCtx) fail(err error) {
 	c.mu.Unlock()
 }
 
-func (c *queryCtx) collect(items []kdtree.Neighbor, st queryStats, miss bool) {
+// collect keeps a fan-out wave reply for the final merge. Each reply is
+// judged a miss on its own finds — never against what other partials
+// found — so the count does not depend on completion order.
+func (c *queryCtx) collect(kr knnResp) {
 	c.mu.Lock()
-	c.partials = append(c.partials, items)
-	c.stats.fold(st)
-	if miss {
+	c.partials = append(c.partials, kr.Rs)
+	c.stats.fold(kr.Stats)
+	if len(kr.Rs) == 0 {
 		c.stats.Misses++
 	}
 	c.mu.Unlock()
@@ -152,17 +147,17 @@ func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.
 // Follow — are handled two ways:
 //
 //   - Seq mode: the paper's sequential protocol — a synchronous fabric
-//     call forwards Rs and adopts the merged set before continuing, so
-//     later pruning uses the tightest possible bound.
+//     call forwards Rs and offers the callee's finds to it before
+//     continuing, so later pruning uses the tightest possible bound.
 //   - Default (parallel): remote subtrees whose guard still crosses the
 //     search ball are deferred until the local traversal finishes, then
 //     re-checked against the now-final local bound, grouped by hosting
 //     partition, and dispatched as one goroutine-backed fabric call per
 //     partition (at most M−1 per wave), mirroring the range search's
-//     border-node navigation (§III-B.4). The returned partial sets are
-//     merged under the (Dist, ID) tie-break ordering.
+//     border-node navigation (§III-B.4). The returned finds are merged
+//     under the (Dist, ID) tie-break ordering.
 //
-// Both modes return identical result sets: the snapshot seed and the
+// Both modes return identical result sets: the wave's seed and the
 // deferred guard re-check only change how much work pruning saves (a
 // remote may examine more candidates, never fewer), and every
 // candidate either beats the final k-th best or is discarded on merge.
@@ -179,7 +174,10 @@ func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.
 // only ever go downstream in the partition DAG (child partitions never
 // call back up), so locking cannot cycle. The fan-out runs after the
 // lock is released, exactly like handleRange's collector.
-func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
+//
+// The reply is the final set's finds (resultSet.finds): its entries
+// that were not in the request's seed, by ID and distance alone.
+func (p *partition) handleKNN(ctx context.Context, r *knnReq) (any, error) {
 	if r.K <= 0 {
 		return knnResp{}, nil
 	}
@@ -211,7 +209,7 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 		p.t.model.observeCompute(elapsed, c.stats.Nodes)
 	}
 	if err == nil {
-		p.dispatchPending(ctx, r, c)
+		p.dispatchPending(c)
 	}
 	c.wg.Wait()
 	if err == nil {
@@ -225,7 +223,7 @@ func (p *partition) handleKNN(ctx context.Context, r knnReq) (any, error) {
 	}
 	st := c.stats
 	st.Parts++ // this partition's own handler execution
-	return knnResp{Rs: c.rs.export(), Stats: st}, nil
+	return knnResp{Rs: c.rs.finds(r.Rs), Stats: st}, nil
 }
 
 // checkQuery refuses a query the arena cannot serve: a query point it
@@ -248,25 +246,14 @@ func (p *partition) checkQuery(q []float64, node int32, entries []knnEntry) erro
 
 // Follow hands a remote subtree off (kdtree.Outside); the kernel has
 // already checked its guard against Rs. In Seq mode the call is
-// synchronous and Rs travels with the request; the merged set replaces
-// ours and tightens all later pruning, the paper's protocol. Otherwise
-// the subtree joins the pending list — with its guard, so the final
-// local bound can still rule it out — for the per-partition fan-out
-// after the local traversal.
+// synchronous and Rs travels with the request (hop); the callee's finds
+// join ours and tighten all later pruning, the paper's protocol.
+// Otherwise the subtree joins the pending list — with its guard, so the
+// final local bound can still rule it out — for the per-partition
+// fan-out after the local traversal.
 func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
-	p, r := c.p, &c.r
-	if r.Seq {
-		c.snapshotRs()
-		resp, err := p.t.callCtx(c.ctx, p.id, host(ref),
-			knnReq{Node: ref.Node, Query: r.Query, K: r.K, Rs: c.rs.Items, Seq: true})
-		if err != nil {
-			return err
-		}
-		kr := resp.(knnResp)
-		c.rs.replace(kr.Rs)
-		c.stats.fold(kr.Stats)
-		c.noteMiss()
-		return nil
+	if c.r.Seq {
+		return c.hop(host(ref), ref.Node, nil)
 	}
 	c.pending = append(c.pending, pendingHop{ref: ref, guardSq: guardSq})
 	return nil
@@ -285,17 +272,18 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 //     (true min-distance ranking; the splitting-plane distance is only
 //     the fallback for an unknown region; an unconditional tombstone
 //     forward ranks first) — *synchronously*, exactly
-//     like the sequential protocol's first hop. Its merged set tightens
+//     like the sequential protocol's first hop. Its finds tighten
 //     the search ball, which usually rules most other partitions out;
 //     when only one partition qualifies this degrades to the sequential
 //     protocol and costs nothing extra.
-//  3. Fan the remaining partitions out on goroutines against a snapshot
-//     of the tightened Rs, and let handleKNN merge the partials.
+//  3. Fan the remaining partitions out on goroutines, each seeded with
+//     the tightened Rs — which stays still until handleKNN has waited
+//     for them all — and let handleKNN merge their finds.
 //
 // The context is re-checked before each wave; once it is done no
 // further messages are dispatched and the error surfaces via c.err.
 // Returning a dispatch error is handled by the caller via c.err.
-func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) {
+func (p *partition) dispatchPending(c *queryCtx) {
 	if len(c.pending) == 0 {
 		return
 	}
@@ -314,6 +302,7 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 	if len(groups) == 0 {
 		return
 	}
+	ctx := c.ctx
 	if err := ctx.Err(); err != nil {
 		c.fail(err)
 		return
@@ -325,17 +314,10 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 			probe = part
 		}
 	}
-	c.snapshotRs()
-	resp, err := p.t.callCtx(ctx, p.id, probe,
-		knnReq{Query: r.Query, K: r.K, Rs: c.rs.Items, Entries: groups[probe]})
-	if err != nil {
+	if err := c.hop(probe, 0, groups[probe]); err != nil {
 		c.fail(err)
 		return
 	}
-	kr := resp.(knnResp)
-	c.rs.replace(kr.Rs)
-	c.stats.fold(kr.Stats)
-	c.noteMiss()
 	delete(groups, probe)
 
 	if err := ctx.Err(); err != nil {
@@ -344,7 +326,7 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 		}
 		return
 	}
-	var seed []kdtree.Neighbor
+	seed := c.rs.Items
 	for part, entries := range groups {
 		kept := entries[:0]
 		for _, e := range entries {
@@ -356,23 +338,16 @@ func (p *partition) dispatchPending(ctx context.Context, r knnReq, c *queryCtx) 
 		if len(kept) == 0 {
 			continue
 		}
-		if seed == nil {
-			seed = c.rs.export()
-		}
 		c.wg.Add(1)
 		go func(part cluster.NodeID, entries []knnEntry) {
 			defer c.wg.Done()
 			resp, err := p.t.callCtx(ctx, p.id, part,
-				knnReq{Query: r.Query, K: r.K, Rs: seed, Entries: entries})
+				&knnReq{Query: c.r.Query, K: c.r.K, Rs: seed, Entries: entries})
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			kr := resp.(knnResp)
-			// A wave reply is judged a miss against the shared seed it
-			// was sent — not against the evolving merged set — so the
-			// count does not depend on completion order.
-			c.collect(kr.Rs, kr.Stats, neighborsEqual(seed, kr.Rs))
+			c.collect(resp.(knnResp))
 		}(part, kept)
 	}
 }
@@ -411,6 +386,9 @@ func (p *partition) handleRange(ctx context.Context, r rangeReq) (any, error) {
 	st := col.remote
 	st.addLocal(col.s.Stats)
 	st.Parts++
+	for i := range col.s.Matches {
+		col.s.Matches[i].Point.Coords = nil // no coordinate leaves the partition
+	}
 	return rangeResp{Neighbors: append(col.s.Matches, col.out...), Stats: st}, nil
 }
 

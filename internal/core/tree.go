@@ -266,9 +266,9 @@ type ExecStats struct {
 	// FabricMessages counts fabric calls issued for the query,
 	// including the client's own call to the root partition.
 	FabricMessages int64
-	// ProbeMisses counts downstream k-NN calls whose reply did not
-	// improve the result-set snapshot they were sent: partitions probed
-	// for nothing. A guarded probe that misses is exactly the work a
+	// ProbeMisses counts downstream k-NN calls whose reply came back
+	// empty, nothing found beyond the result set they were sent:
+	// partitions probed for nothing. A guarded probe that misses is exactly the work a
 	// tight enough bound would have skipped, so the count is the direct
 	// measure of pruning quality (TestRegionPruneReducesWork holds it
 	// strictly below the plane-guard baseline at dimensionality 8) — with
@@ -298,9 +298,11 @@ func (s *ExecStats) fromWire(w queryStats) {
 }
 
 // KNearest returns the k points closest to q, ascending by distance
-// (ties broken by point ID). The cross-partition protocol is chosen
-// per query by the scheduler's cost model (ProtocolAuto): the paper's
-// sequential Rs-forwarding when the workload is CPU-bound, the
+// (ties broken by point ID). A result names its point by ID: its Coords
+// are nil, as in every result set that leaves a partition. The
+// cross-partition protocol is chosen per query by the scheduler's cost
+// model (ProtocolAuto): the paper's sequential Rs-forwarding when the
+// workload is CPU-bound, the
 // probe-then-fan-out when per-hop fabric latency dominates. Both
 // protocols return identical results; ExecStats.Protocol names the one
 // that ran. The context bounds the query: cancellation or an expired
@@ -350,7 +352,7 @@ func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, 
 	t.model.countChoice(idx, auto)
 	root := t.rootPartition()
 	start := time.Now()
-	resp, err := t.callCtx(ctx, cluster.ClientID, root.id, knnReq{Node: 0, Query: q, K: k, Seq: seq})
+	resp, err := t.callCtx(ctx, cluster.ClientID, root.id, &knnReq{Node: 0, Query: q, K: k, Seq: seq})
 	st.Wall = time.Since(start)
 	if err != nil {
 		return nil, st, err
@@ -366,10 +368,11 @@ func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, 
 }
 
 // RangeSearch returns every point within distance d of q, ascending by
-// distance (ties broken by point ID). Partitions return unsorted
-// squared-distance partial sets (the rangeResp ordering contract); the
-// merged result is sorted and square-rooted exactly once, here. The
-// context bounds the query like KNearest's.
+// distance (ties broken by point ID), each named by ID with nil Coords
+// as KNearest's are. Partitions return unsorted squared-distance
+// partial sets (the rangeResp ordering contract); the merged result is
+// sorted and square-rooted exactly once, here. The context bounds the
+// query like KNearest's.
 func (t *Tree) RangeSearch(ctx context.Context, q []float64, d float64) ([]kdtree.Neighbor, error) {
 	ns, _, err := t.RangeSearchStats(ctx, q, d)
 	return ns, err

@@ -31,8 +31,8 @@ type Search struct {
 	Query []float64
 	Stats Stats
 	// RS is the k-nearest candidate set Rs, squared distances. It is a
-	// pointer so an Outside continuation can adopt a merged set
-	// mid-traversal (the sequential cross-partition protocol).
+	// pointer so an Outside continuation can add to it mid-traversal
+	// (the sequential cross-partition protocol).
 	RS *ResultSet
 	// Radius is the range traversal's D, on the (un-squared) distance
 	// scale; Matches collects its hits: squared distances, traversal
