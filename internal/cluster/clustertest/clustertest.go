@@ -41,8 +41,8 @@ type Faults struct {
 	DropBefore float64
 	// DropReplyAfter runs a call on the inner fabric — the handler runs —
 	// then discards its reply and returns cluster.ErrTransient: the
-	// reply lost after the handler ran, under which a retried write
-	// applies twice.
+	// reply lost after the handler ran, so a retry re-sends a request
+	// that already applied.
 	DropReplyAfter float64
 }
 

@@ -166,7 +166,9 @@ func (o *observedFabric) Call(ctx context.Context, from, to NodeID, req any) (an
 //
 // Re-sending req is safe under Handler's delivery contract: only a
 // fabric that can fail transiently re-sends, and it delivers a fresh
-// copy each time. A write whose reply was lost still applies twice.
+// copy each time. Whether a request that already applied may apply
+// again is the handler's to answer; the partition protocol's writes
+// land once, by point ID or by install number.
 func CallRetry(ctx context.Context, f Fabric, from, to NodeID, req any, attempts int) (any, error) {
 	if attempts < 1 {
 		attempts = 1

@@ -53,7 +53,9 @@ const DefaultBulkChunk = 2048
 // Concurrent BulkLoad calls serialize; concurrent Insert and queries
 // are safe throughout. The points are gathered into a block of rows
 // (kdtree.Gather) and take BulkLoadRows' path, so the input slice and
-// the coordinates it points at are not modified.
+// the coordinates it points at are not modified. As for Insert, a point
+// ID is stored at most once: the batch holds no ID twice and none the
+// tree already holds.
 func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 	for i, p := range pts {
 		if err := checkCoords(p.Coords, t.cfg.Dim); err != nil {
@@ -74,7 +76,8 @@ func (t *Tree) BulkLoad(ctx context.Context, pts []kdtree.Point) error {
 // and with a single partition they become its blocks. The caller hands
 // them over and must not write them again; a row keeps its coordinates
 // and ID together, so reading them afterwards still reads the same
-// points, in another order. On a live tree they are only read.
+// points, in another order. On a live tree they are only read. The IDs
+// are BulkLoad's: none twice, none the tree already holds.
 func (t *Tree) BulkLoadRows(ctx context.Context, coords []float64, ids []uint64) error {
 	dim := t.cfg.Dim
 	if len(coords) != dim*len(ids) {
@@ -132,19 +135,24 @@ func (t *Tree) bulkLoad(ctx context.Context, coords []float64, ids []uint64) err
 // still spills normally). It reports ok=false — with any partial installs
 // undone — when the entry leaf stopped being a leaf while the
 // client-side build ran: points that merely raced into it are merged
-// by the graft.
+// by the graft. A graft whose reply was lost is re-sent under its Seq
+// and answered with the reply it gave, so a retry never mistakes its
+// own trunk for a concurrent split.
 //
 // The undo resets every partition that was sent an install, whether
 // or not its reply came back: a reply lost after the handler ran still
 // left a fragment there. The targets hold nothing else — BulkLoad takes
 // freshly allocated partitions and Rebalance resets its own first — so
-// the reset removes exactly what this call put there.
+// the reset removes exactly what this call put there. A root graft that
+// applied but lost every reply is out of its reach: the root keeps a
+// trunk linking to the partitions the undo reset, and Rebalance then
+// fails typed (its walk meets the dangling link).
 func (t *Tree) installBalanced(coords []float64, ids []uint64, targets func() []cluster.NodeID) (bool, error) {
 	seq, err := kdtree.BulkLoadRows(coords, ids, t.cfg.Dim, t.cfg.BucketSize)
 	if err != nil {
 		return false, fmt.Errorf("build: %w", err)
 	}
-	req := installReq{Entry: 0, Frag: seq.Arena}
+	req := installReq{Seq: t.installs.Add(1), Entry: 0, Frag: seq.Arena}
 	var sent []cluster.NodeID
 	undo := func() {
 		for _, id := range sent {
@@ -211,7 +219,7 @@ func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk
 	nodes := make([]int32, len(frontier))
 	err = RunBatch(detached, len(groups), 0, func(g int) error {
 		for _, i := range groups[g] {
-			resp, err := t.call(cluster.ClientID, sent[g], installReq{Entry: -1, Frag: a.Extract(frontier[i], nil)})
+			resp, err := t.call(cluster.ClientID, sent[g], installReq{Seq: t.installs.Add(1), Entry: -1, Frag: a.Extract(frontier[i], nil)})
 			if err != nil {
 				return err
 			}
@@ -295,13 +303,31 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // Only a graft runs the capacity check: an appended fragment was put
 // here by a spill or the balanced installer, which chose this partition
 // for it. An entry the arena does not have, a fragment the kernel
-// rejects, one linking up the partition DAG and one naming a partition
-// the tree does not have are refused.
+// rejects, one linking up the partition DAG, one naming a partition
+// the tree does not have and one without a Seq are refused.
+//
+// The install applied last is remembered, by its Seq, with its reply —
+// a refused graft's too — under the write lock, before any displaced
+// point forwards; the same Seq again is answered with that reply and
+// changes nothing. So a retried spill relocates its leaf, and a retried
+// root graft answers OK. One remembered install is enough: installs
+// reach a partition one at a time from one sender (a spill sends them
+// under its write lock to partitions it has just allocated,
+// installFrontier runs one RunBatch item per target, and bulkMu
+// serializes the root graft).
 func (p *partition) handleInstall(r installReq) (any, error) {
+	if r.Seq == 0 {
+		return nil, p.refuse("install: no Seq")
+	}
 	if err := p.t.linksHosted(&r.Frag, r.Remote); err != nil {
 		return nil, p.refuse("install: %v", err)
 	}
 	p.mu.Lock()
+	if p.installed.seq == r.Seq {
+		resp := p.installed.resp
+		p.mu.Unlock()
+		return resp, nil
+	}
 	graft := r.Entry >= 0
 	var displaced []batchEntry
 	if err := linksDown(&r.Frag, p.Self); err != nil {
@@ -314,6 +340,7 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 			return nil, err
 		}
 		if !p.Nodes[r.Entry].Leaf {
+			p.installed.seq, p.installed.resp = r.Seq, installResp{}
 			p.mu.Unlock()
 			return installResp{}, nil
 		}
@@ -324,6 +351,8 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 		p.mu.Unlock()
 		return nil, p.refuse("install: %v", err)
 	}
+	resp := installResp{Node: root, OK: true}
+	p.installed.seq, p.installed.resp = r.Seq, resp
 	fw, landed := p.routeLocked(displaced, p.Append)
 	p.points -= len(displaced) - landed // the rest leave this partition
 	spill := graft && p.capacityExceededLocked()
@@ -335,7 +364,7 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return installResp{Node: root, OK: true}, nil
+	return resp, nil
 }
 
 // installLocked moves a fragment into the arena (kdtree.Arena.Install:

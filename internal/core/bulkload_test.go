@@ -306,6 +306,9 @@ func TestBulkLoadRowsMatchesBulkLoad(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(9))
 	first, second := clusteredPoints(r, 6000, 4, 5), randomPoints(r, 3000, 4)
+	for i := range second {
+		second[i].ID += uint64(len(first)) // a point ID is stored at most once
+	}
 	encode := func(tr *Tree) []byte {
 		var buf bytes.Buffer
 		if err := EncodeSnapshot(&buf, liveSnapshot(t, tr)); err != nil {
@@ -494,4 +497,47 @@ func TestBulkLoadChurnConcurrent(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// TestInstallAppliesOncePerSeq: an install re-sent under the same Seq,
+// as a retry after a lost reply is, gets the reply the first one got
+// and changes nothing — whether it appended a subtree (Entry -1) or
+// grafted over the entry leaf (Entry 0). A fresh Seq applies again.
+func TestInstallAppliesOncePerSeq(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(73)), 40, 2)
+	frag := func() kdtree.Arena { // a fresh copy for every send: an install adopts its fragment
+		seq, err := kdtree.BulkLoad(pts, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq.Arena
+	}
+	for _, entry := range []int32{-1, 0} {
+		tr := mustTree(t, Config{Dim: 2, BucketSize: 4})
+		p := tr.rootPartition()
+		req := installReq{Seq: tr.installs.Add(1), Entry: entry, Frag: frag()}
+		first, err := p.handleInstall(req)
+		if err != nil || !first.(installResp).OK {
+			t.Fatalf("entry %d: first install: %v, %v", entry, first, err)
+		}
+		before := partitionBytes(t, p)
+		req.Frag = frag()
+		again, err := p.handleInstall(req)
+		if err != nil || again != first {
+			t.Fatalf("entry %d: the same Seq again answered %v, %v; the first got %v", entry, again, err, first)
+		}
+		if !bytes.Equal(partitionBytes(t, p), before) || p.points != len(pts) {
+			t.Fatalf("entry %d: the same Seq again changed the partition (%d points)", entry, p.points)
+		}
+		req.Seq, req.Frag = tr.installs.Add(1), frag()
+		fresh, err := p.handleInstall(req)
+		if err != nil {
+			t.Fatalf("entry %d: a fresh Seq: %v", entry, err)
+		}
+		// An append lands a second subtree; a graft over the root, now a
+		// routing node, is refused.
+		if want := entry < 0; fresh.(installResp).OK != want || (want && fresh == first) {
+			t.Fatalf("entry %d: a fresh Seq answered %v after %v", entry, fresh, first)
+		}
+	}
 }

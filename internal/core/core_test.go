@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"semtree/internal/cluster"
@@ -470,5 +472,34 @@ func TestMessageAccountingGrowsWithPartitions(t *testing.T) {
 	m1, m5 := msgs(1), msgs(5)
 	if m5 <= m1 {
 		t.Fatalf("cross-partition traffic did not grow: M=1 %d msgs, M=5 %d msgs", m1, m5)
+	}
+}
+
+// TestAllocPartitionsRespectsBudget: concurrent spills on different
+// partitions allocate through allocPartitions. Four callers each ask
+// for eight partitions of a nine-partition budget at once; however they
+// interleave, the tree ends with nine partitions, and no two callers
+// got the same one.
+func TestAllocPartitionsRespectsBudget(t *testing.T) {
+	for trial := range 200 {
+		tr, err := New(Config{Dim: 2, MaxPartitions: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]cluster.NodeID, 4)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = tr.allocPartitions(8)
+			}()
+		}
+		wg.Wait()
+		all := slices.Sorted(slices.Values(slices.Concat(got...)))
+		if n := tr.PartitionCount(); n != 9 || len(all) != 8 || len(slices.Compact(all)) != 8 {
+			t.Fatalf("trial %d: %d partitions, the callers got %v", trial, n, got)
+		}
+		tr.Close()
 	}
 }

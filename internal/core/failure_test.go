@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"semtree/internal/cluster"
 	"semtree/internal/cluster/clustertest"
+	"semtree/internal/kdtree"
 )
 
 func TestQueriesUnderFailureInjection(t *testing.T) {
@@ -155,30 +158,6 @@ func TestQueriesSurviveLostReplies(t *testing.T) {
 	}
 }
 
-// TestLostReplyBulkLoadNeverPanics is the lost-reply probe on an empty
-// tree: a bulk load whose install or graft reply is lost is retried or
-// undone, and the retried requests can name nodes the partition no
-// longer has. Twenty seeds must run without a panic, and every error a
-// load returns is typed: the partitions' refusal or a transient
-// failure that exhausted its retries.
-func TestLostReplyBulkLoadNeverPanics(t *testing.T) {
-	for _, tp := range transports {
-		t.Run(tp.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 20; seed++ {
-				fabric := clustertest.New(tp.new(), clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
-				pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
-				tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
-				err := tr.BulkLoad(context.Background(), pts)
-				if err != nil && !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
-					t.Errorf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
-				}
-				tr.Close()
-				fabric.Close()
-			}
-		})
-	}
-}
-
 // TestFailedBulkLoadUndoesEveryInstall: a bulk load on an empty tree
 // whose install replies are lost fails typed and leaves no fragment
 // behind. Every reply on a nine-partition tree is dropped after
@@ -225,50 +204,223 @@ func TestFailedBulkLoadUndoesEveryInstall(t *testing.T) {
 	}
 }
 
-// TestLostReplyParity: under the fault seam, which delivers every
-// message by value, a fault test on InProc states what TCP does.
-// TestLostReplyBulkLoadNeverPanics's twenty seeds run on both
-// transports, and each seed must end the same on both: the same error
-// class, the same Len() and the same number of IDs that appear twice
-// across the partitions. It does not ask for no duplicates: a lost
-// install reply still installs its subtree twice (ROADMAP item 1).
-func TestLostReplyParity(t *testing.T) {
-	type outcome struct {
-		class    string
-		n, twice int
+// TestRebalanceRepairsExhaustedWrites: a write whose retries are
+// exhausted has an unknown outcome. With one attempt and 5 % of the
+// replies lost, InsertAll fails, Len() undercounts the points that did
+// land, and a spill whose install never answered leaves the target's
+// copy of a leaf unreachable. None of that is a dangling link, so
+// Rebalance rebuilds the tree from what is reachable: every point once,
+// Len() exact, every query the flat scan's.
+func TestRebalanceRepairsExhaustedWrites(t *testing.T) {
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			fabric := clustertest.New(tp.new(), clustertest.Faults{})
+			defer fabric.Close()
+			r := rand.New(rand.NewSource(1))
+			pts := randomPoints(r, 1000, 3)
+			queries := [][]float64{randomPoints(r, 1, 3)[0].Coords, randomPoints(r, 1, 3)[0].Coords}
+			tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 1})
+			fabric.Arm(clustertest.Faults{Seed: 1, DropReplyAfter: 0.05})
+			err := tr.InsertAll(pts, 1)
+			fabric.Arm(clustertest.Faults{})
+			if err == nil || tr.Len() == len(pts) || liveSnapshot(t, tr).Validate() == nil {
+				t.Fatalf("InsertAll: %v, Len %d: no write's outcome was lost — test vacuous", err, tr.Len())
+			}
+			if err := tr.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+			c := &landOnce{t: t, pts: pts, queries: queries}
+			if twice := c.check(tr, nil, tp.name+", rebalanced"); twice != 0 || liveSnapshot(t, tr).Validate() != nil {
+				t.Fatalf("the rebalanced tree stores %d IDs twice or does not validate", twice)
+			}
+		})
 	}
-	run := func(inner cluster.Fabric, seed int64) outcome {
-		fabric := clustertest.New(inner, clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
-		defer fabric.Close()
-		pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
-		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
-		defer tr.Close()
-		err := tr.BulkLoad(context.Background(), pts)
-		out := outcome{class: "ok", n: tr.Len()}
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrRequestRefused):
-			out.class = "refused"
-		case errors.Is(err, cluster.ErrTransient):
-			out.class = "transient"
-		default:
-			t.Fatalf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
+}
+
+// TestWritesLandOnceUnderLostReplies holds every write path to one
+// delivery contract: a write whose reply is lost after its handler ran
+// is sent again and still lands once — a point by its ID at the leaf,
+// an install by its Seq at the partition. Twenty seeds run on both
+// transports under the fault seam: nine partitions, RetryAttempts 40,
+// drop-reply-after at 5 % armed for the writes alone. The paths, in
+// order: BulkLoad of all 2 000 points on an empty tree, Rebalance,
+// RestoreTree from its snapshot; then, on a fresh tree for each worker
+// count, InsertAll of the first 1 000 with 1 and with 4 workers (the
+// root spills under them) and BulkLoad of the rest into that live tree.
+// After each step, disarmed (landOnce.check): Len() equals the distinct
+// IDs stored, no ID is stored twice, every point whose write returned
+// nil is stored, every query answers as the flat scan, and every error
+// is typed. Each seed's steps end the same on both transports — the
+// same error class, Len() and copies — and every step lost at least one
+// reply on some seed.
+func TestWritesLandOnceUnderLostReplies(t *testing.T) {
+	lost := make(map[string]int64) // replies lost, by step, over every run
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			var ends [2][]landOutcome
+			for i, tp := range transports {
+				t.Run(tp.name, func(t *testing.T) {
+					c := &landOnce{t: t, seed: seed, name: tp.name, fabric: clustertest.New(tp.new(), clustertest.Faults{}), lost: lost}
+					defer c.fabric.Close()
+					c.run()
+					ends[i] = c.ends
+				})
+			}
+			if !slices.Equal(ends[0], ends[1]) {
+				t.Errorf("seed %d: %s ends %+v, %s %+v", seed, transports[0].name, ends[0], transports[1].name, ends[1])
+			}
+		})
+	}
+	t.Logf("replies lost, by step, over every run: %v", lost)
+	for _, step := range landSteps {
+		if lost[step] == 0 {
+			t.Errorf("step %q lost no reply on any seed: vacuous", step)
 		}
-		fabric.Arm(clustertest.Faults{})
-		seen := make(map[uint64]int)
-		for _, ps := range liveSnapshot(t, tr).Parts {
-			for _, id := range ps.IDs {
-				if seen[id]++; seen[id] == 2 {
-					out.twice++
-				}
+	}
+}
+
+// landSteps are TestWritesLandOnceUnderLostReplies's steps, in order.
+var landSteps = []string{
+	"BulkLoad on an empty tree", "Rebalance", "RestoreTree",
+	"InsertAll, 1 worker", "BulkLoad into the tree of 1 worker",
+	"InsertAll, 4 workers", "BulkLoad into the tree of 4 workers",
+}
+
+// landOutcome is how one step of one seed ended: the error class, Len()
+// and the IDs stored more than once.
+type landOutcome struct {
+	step, class string
+	n, twice    int
+}
+
+// landOnce runs TestWritesLandOnceUnderLostReplies's steps for one seed
+// on one fabric.
+type landOnce struct {
+	t       *testing.T
+	seed    int64
+	name    string // the transport's
+	fabric  *clustertest.Fabric
+	lost    map[string]int64
+	pts     []kdtree.Point // point i has ID i
+	queries [][]float64
+	ends    []landOutcome
+}
+
+func (c *landOnce) run() {
+	r := rand.New(rand.NewSource(c.seed))
+	c.pts = randomPoints(r, 2000, 3)
+	c.queries = make([][]float64, 10)
+	for i := range c.queries {
+		c.queries[i] = randomPoints(r, 1, 3)[0].Coords
+	}
+	cfg := Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: c.fabric, RetryAttempts: 40}
+	first, rest := c.pts[:1000], c.pts[1000:]
+	want := make(map[uint64]bool)
+
+	a := mustTree(c.t, cfg)
+	c.step(landSteps[0], want, c.pts, func() (*Tree, error) { return a, a.BulkLoad(detached, c.pts) })
+	c.step(landSteps[1], want, nil, func() (*Tree, error) { return a, a.Rebalance() })
+	snap := liveSnapshot(c.t, a)
+	c.step(landSteps[2], want, nil, func() (*Tree, error) {
+		b, err := RestoreTree(cfg, snap)
+		if err == nil {
+			c.t.Cleanup(func() { b.Close() })
+		}
+		return b, err
+	})
+	for i, workers := range []int{1, 4} {
+		tr, want := mustTree(c.t, cfg), make(map[uint64]bool)
+		if c.step(landSteps[3+2*i], want, first, func() (*Tree, error) { return tr, tr.InsertAll(first, workers) }) {
+			if got := tr.PartitionCount(); got != 9 {
+				c.t.Errorf("seed %d, %s: %d partitions, want 9: the root never spilled", c.seed, landSteps[3+2*i], got)
 			}
 		}
-		return out
+		c.step(landSteps[4+2*i], want, rest, func() (*Tree, error) { return tr, tr.BulkLoad(detached, rest) })
 	}
-	for seed := int64(1); seed <= 20; seed++ {
-		inproc, tcp := run(cluster.NewInProc(cluster.InProcOptions{}), seed), run(cluster.NewTCP(), seed)
-		if inproc != tcp {
-			t.Errorf("seed %d: InProc ends %+v, TCP %+v", seed, inproc, tcp)
+}
+
+// step runs one write under lost replies, then checks the tree it
+// leaves, disarmed. want holds the IDs of every point whose write to
+// the tree (or to the tree it was restored from) returned nil; written
+// joins it when this write does too. It reports whether the write
+// returned nil.
+func (c *landOnce) step(name string, want map[uint64]bool, written []kdtree.Point, write func() (*Tree, error)) bool {
+	stage := fmt.Sprintf("seed %d, %s, %s", c.seed, c.name, name)
+	before := c.fabric.Counts().Lost
+	c.fabric.Arm(clustertest.Faults{Seed: c.seed, DropReplyAfter: 0.05})
+	tr, err := write()
+	c.fabric.Arm(clustertest.Faults{})
+	c.lost[name] += c.fabric.Counts().Lost - before
+	out := landOutcome{step: name, class: errClass(err)}
+	if out.class == "untyped" {
+		c.t.Errorf("%s: an untyped error: %v", stage, err)
+	}
+	if err == nil {
+		for _, p := range written {
+			want[p.ID] = true
+		}
+	} else {
+		c.t.Logf("%s: %v", stage, err)
+	}
+	if tr != nil {
+		out.n, out.twice = tr.Len(), c.check(tr, want, stage)
+	}
+	c.ends = append(c.ends, out)
+	return err == nil
+}
+
+// check holds tr to the contract and returns the number of IDs it
+// stores more than once.
+func (c *landOnce) check(tr *Tree, want map[uint64]bool, stage string) int {
+	c.t.Helper()
+	snap := liveSnapshot(c.t, tr)
+	copies := make(map[uint64]int)
+	for _, ps := range snap.Parts {
+		for _, id := range ps.IDs {
+			copies[id]++
 		}
 	}
+	twice := 0
+	var stored []kdtree.Point
+	for _, p := range c.pts {
+		switch n := copies[p.ID]; {
+		case n > 1:
+			twice++
+			fallthrough
+		case n == 1:
+			stored = append(stored, p)
+		case want[p.ID]:
+			c.t.Errorf("%s: point %d was written without an error but is not stored", stage, p.ID)
+		}
+	}
+	if twice > 0 {
+		c.t.Errorf("%s: %d IDs stored twice", stage, twice)
+	}
+	if len(stored) < 10 { // too few for checkAgainstScan's range radius
+		if tr.Len() != len(stored) {
+			c.t.Errorf("%s: Len = %d, %d IDs stored", stage, tr.Len(), len(stored))
+		}
+		return twice
+	}
+	checkAgainstScan(c.t, tr, stored, c.queries, stage)
+	return twice
+}
+
+// errClass names the class of a write's error: ok, the partitions'
+// refusal, a transient failure that exhausted its retries, a snapshot
+// that does not validate, a context error — or untyped.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrRequestRefused):
+		return "refused"
+	case errors.Is(err, cluster.ErrTransient):
+		return "transient"
+	case errors.Is(err, ErrSnapshotCorrupt):
+		return "corrupt"
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return "context"
+	}
+	return "untyped"
 }

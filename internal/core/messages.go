@@ -37,7 +37,8 @@ import (
 // it).
 //
 // A message's encoding is its fields in declaration order: integer
-// fields as zigzag varints, point IDs and slice lengths as uvarints,
+// fields as zigzag varints, point IDs, install numbers and slice
+// lengths as uvarints,
 // floats raw, booleans as one byte. A message that carries float runs
 // opens with their total count, and every []float64 in it is a run — a
 // uvarint length and the raw values — that the decoder cuts from one
@@ -153,7 +154,10 @@ const (
 // bulkAddReq is the one ingest request (§III-B.1): it routes a batch of
 // points from their entry nodes and lands them by Policy. The ack means
 // the whole batch — including entries forwarded across partitions — has
-// landed. Tree.Insert sends a batch of one.
+// landed. Tree.Insert sends a batch of one. It is safe to re-send: an
+// entry whose leaf already holds its point ID lands nowhere
+// (routeLocked), so a batch whose reply was lost lands nothing twice,
+// here or in the forwards it sends again.
 type bulkAddReq struct {
 	Entries []batchEntry
 	Policy  landing
@@ -203,6 +207,11 @@ func readBulkAddReq(d *column.Decoder) any {
 // meets a fragment an earlier attempt rewrote. On the wire it is a
 // partition state whose point count is its ID column's length.
 //
+// Seq names the install tree-wide (Tree.installs; never 0), and makes
+// it safe to re-send: the receiver remembers the last install it
+// applied and the reply it gave, and answers the same Seq with that
+// reply without applying it again (handleInstall).
+//
 // Entry < 0 appends the fragment as a new subtree root (the other end
 // of a direct link: a relocated leaf, a frontier subtree). Entry >= 0
 // grafts it over that leaf: the root lands in Entry's arena slot, and
@@ -214,6 +223,7 @@ type installReq struct {
 	Frag   kdtree.Arena
 	Remote []RemoteBox
 	Entry  int32
+	Seq    uint64
 }
 
 func (installReq) WireKind() byte { return kindInstallReq }
@@ -221,6 +231,7 @@ func (installReq) WireKind() byte { return kindInstallReq }
 func (m installReq) AppendWire(a *column.Appender) {
 	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs), Remote: m.Remote})
 	a.Varint(int64(m.Entry))
+	a.Uvarint(m.Seq)
 }
 
 func readInstallReq(d *column.Decoder) any {
@@ -228,7 +239,7 @@ func readInstallReq(d *column.Decoder) any {
 	if s.Points != len(s.IDs) {
 		d.Fail(fmt.Errorf("core: a fragment of %d points claims %d", len(s.IDs), s.Points))
 	}
-	return installReq{Frag: s.Arena, Remote: s.Remote, Entry: d.Int32()}
+	return installReq{Frag: s.Arena, Remote: s.Remote, Entry: d.Int32(), Seq: d.Uvarint()}
 }
 
 // installResp reports the arena index the fragment's root landed on, or

@@ -51,6 +51,16 @@ type partition struct {
 	// handleStats reads under the read lock.
 	boxWork int64
 
+	// installed is the last install this partition applied, by its Seq,
+	// and the reply it gave: a retried install is answered, not applied
+	// again (handleInstall). One is enough, because installs reach a
+	// partition one at a time from one sender. Guarded by mu; never part
+	// of a snapshot.
+	installed struct {
+		seq  uint64
+		resp installResp
+	}
+
 	navSteps atomic.Int64 // nodes traversed by insert descents
 	inserts  atomic.Int64 // insertions applied locally
 	spills   atomic.Int64 // build-partition runs
@@ -301,10 +311,12 @@ func (fw *forwards) add(ref kdtree.Ref, pt kdtree.Point) {
 // entry node by (Sr, Sv) comparisons, every box on the descent path
 // expands to include the point (the point belongs to each of those
 // logical subtrees), and the entry either reaches a local leaf — handed
-// to land, the batch's landing policy — or leaves through a
-// cross-partition edge, whose cached box grows before the entry is
-// queued for the partition hosting the child. It returns the queue and
-// the number of entries that landed; the caller accounts them and
+// to land, the batch's landing policy, unless the leaf already holds
+// its ID (holdsLocked) — or leaves through a cross-partition edge,
+// whose cached box grows before the entry is queued for the partition
+// hosting the child. A re-sent batch thus lands nothing twice, here or
+// downstream, and its box growth was already idempotent. It returns the
+// queue and the number of entries that landed; the caller accounts them and
 // forwards the queue after releasing the write lock it holds across this
 // call: call edges follow the partition DAG, but no lock may be held
 // across one.
@@ -321,14 +333,30 @@ func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt k
 		p.navSteps.Add(int64(len(p.path)))
 		p.expandPathBoxes(p.path, e.Point.Coords)
 		if !remote {
-			land(leaf, e.Point)
-			landed++
+			if !p.holdsLocked(leaf, e.Point.ID) {
+				land(leaf, e.Point)
+				landed++
+			}
 			continue
 		}
 		p.expandRemoteBox(ref, e.Point.Coords)
 		fw.add(ref, e.Point)
 	}
 	return fw, landed
+}
+
+// holdsLocked reports whether the leaf at idx already holds the point
+// with the given ID, by a scan of its bucket. Every builder and split
+// sends "<= left", as Descend does, so a stored point's descent from any
+// ancestor reaches the leaf that holds it, and a re-sent entry finds
+// itself there. Callers hold at least the read lock.
+func (p *partition) holdsLocked(idx int32, id uint64) bool {
+	for _, s := range p.Nodes[idx].Slots {
+		if p.IDs[s] == id {
+			return true
+		}
+	}
+	return false
 }
 
 // forward sends the entries a router pass queued on to the partitions
@@ -414,11 +442,13 @@ func (p *partition) buildPartition() {
 		// adopting side installs it as a new subtree root (the other end
 		// of Figure 2's direct link), and the copy cached here keeps
 		// pruning the relocated subtree by exact min-distance (and grows
-		// when inserts forward through the direct link).
+		// when inserts forward through the direct link). A retry whose
+		// first reply was lost gets the remembered one, so the leaf
+		// relocates once.
 		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, assign[k], installReq{Entry: -1, Frag: p.Extract(mv.leaf, nil)})
+		resp, err := p.t.call(p.id, assign[k], installReq{Seq: p.t.installs.Add(1), Entry: -1, Frag: p.Extract(mv.leaf, nil)})
 		if err != nil {
-			continue // leaf stays local; a later spill may retry
+			continue // retries exhausted: the leaf stays local; a later spill may retry
 		}
 		moved += p.relocateLocked(mv.parent, mv.right, mv.leaf, refTo(assign[k], resp.(installResp).Node))
 	}

@@ -384,7 +384,7 @@ func installSequential(t *testing.T, tr *Tree, pts []kdtree.Point) {
 	cut := make(map[int32]kdtree.Ref, len(frontier))
 	var remote []RemoteBox
 	for i, idx := range frontier {
-		resp, err := tr.call(cluster.ClientID, assign[i], installReq{Entry: -1, Frag: a.Extract(idx, nil)})
+		resp, err := tr.call(cluster.ClientID, assign[i], installReq{Seq: tr.installs.Add(1), Entry: -1, Frag: a.Extract(idx, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func installSequential(t *testing.T, tr *Tree, pts []kdtree.Point) {
 		cut[idx] = ref
 		remote = append(remote, RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi})
 	}
-	resp, err := tr.call(cluster.ClientID, tr.rootPartition().id, installReq{Entry: 0, Frag: a.Extract(0, cut), Remote: remote})
+	resp, err := tr.call(cluster.ClientID, tr.rootPartition().id, installReq{Seq: tr.installs.Add(1), Entry: 0, Frag: a.Extract(0, cut), Remote: remote})
 	if err != nil || !resp.(installResp).OK {
 		t.Fatalf("trunk graft: %v, %v", resp, err)
 	}

@@ -52,7 +52,7 @@ func protocolSamples() []any {
 		ack{},
 		bulkAddReq{Entries: []batchEntry{entry, entry}, Policy: landGraft},
 		bulkAddReq{Entries: []batchEntry{entry}, Policy: landAppend},
-		installReq{Frag: frag, Remote: remote, Entry: -1},
+		installReq{Frag: frag, Remote: remote, Entry: -1, Seq: 5},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
 		snapshotResp{State: state},
@@ -634,12 +634,12 @@ func TestRebalanceOrderStable(t *testing.T) {
 	// A tombstone is never a child — the parent edge is the direct link —
 	// so start one walk at each to hold the Fwd step to the same order.
 	snap := liveSnapshot(t, tr)
-	got := snap.pointsUnder(kdtree.Ref{})
+	got := pointsUnder(t, snap, kdtree.Ref{})
 	for pi, p := range tr.parts {
 		for ni := range p.Nodes {
 			if p.Nodes[ni].Moved {
 				visit(p.Ref(int32(ni)))
-				got = append(got, snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})...)
+				got = append(got, pointsUnder(t, snap, kdtree.Ref{Part: int32(pi), Node: int32(ni)})...)
 			}
 		}
 	}

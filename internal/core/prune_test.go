@@ -144,8 +144,21 @@ func liveSnapshot(t *testing.T, tr *Tree) *TreeSnapshot {
 func treeHeight(t *testing.T, tr *Tree) int {
 	t.Helper()
 	h := 0
-	liveSnapshot(t, tr).walk(kdtree.Ref{}, 1, func(_ kdtree.Ref, depth int) { h = max(h, depth) })
+	if err := liveSnapshot(t, tr).walk(kdtree.Ref{}, 1, func(_ kdtree.Ref, depth int) { h = max(h, depth) }); err != nil {
+		t.Fatal(err)
+	}
 	return h
+}
+
+// pointsUnder is snap.pointsUnder(ref) on a snapshot whose links all
+// resolve.
+func pointsUnder(t *testing.T, snap *TreeSnapshot, ref kdtree.Ref) []kdtree.Point {
+	t.Helper()
+	pts, err := snap.pointsUnder(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 // checkPartitionBoxes asserts the region invariant on every partition:
@@ -175,11 +188,11 @@ func checkPartitionBoxes(t *testing.T, tr *Tree) {
 					t.Fatalf("partition %d node %d: child %v leaves the partition with no remote box", pi, ni, c)
 				}
 			}
-			pts := snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})
+			pts := pointsUnder(t, snap, kdtree.Ref{Part: int32(pi), Node: int32(ni)})
 			assertExactBox(t, pts, lo, hi, "partition %d node %d", pi, ni)
 		}
 		for _, e := range ps.Remote {
-			assertExactBox(t, snap.pointsUnder(e.Ref), e.Lo, e.Hi, "partition %d remote box %v", pi, e.Ref)
+			assertExactBox(t, pointsUnder(t, snap, e.Ref), e.Lo, e.Hi, "partition %d remote box %v", pi, e.Ref)
 		}
 	}
 }

@@ -29,13 +29,21 @@ import (
 // root is reset the points live only here, so a reset or install that
 // fails after that loads them back through the merge path before its
 // error is returned: a failed Rebalance leaves every point indexed,
-// just not rebalanced.
+// just not rebalanced. A tree whose links dangle — a root graft that
+// applied but lost every reply, its data partitions undone — returns an
+// error wrapping ErrSnapshotCorrupt and changes nothing. Anything else
+// a snapshot's Validate refuses is what Rebalance repairs: points a
+// write whose retries were exhausted left unreachable or uncounted.
 func (t *Tree) Rebalance() error {
 	snap, err := t.Snapshot()
+	var pts []kdtree.Point
+	if err == nil {
+		pts, err = snap.pointsUnder(kdtree.Ref{})
+	}
 	if err != nil {
 		return fmt.Errorf("core: rebalance snapshot: %w", err)
 	}
-	coords, pids, err := kdtree.Gather(snap.pointsUnder(kdtree.Ref{}), t.cfg.Dim)
+	coords, pids, err := kdtree.Gather(pts, t.cfg.Dim)
 	if err != nil {
 		return fmt.Errorf("core: rebalance: %w", err) // the snapshot's own points: not reached
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -282,6 +284,42 @@ func TestRebalanceRestoresBulkLayout(t *testing.T) {
 		}
 		if after != bulk {
 			t.Errorf("%s: rebalanced layout costs %d messages, a fresh BulkLoad %d: not the same layout", name, after, bulk)
+		}
+	}
+}
+
+// TestRebalanceRefusesDanglingLinks: Rebalance's walk checks every
+// reference it follows. One data partition of a nine-partition bulk
+// load is reset, as a failed load's undo resets it when the root graft
+// applied but lost every reply: the trunk's links to it dangle.
+// Rebalance returns an error wrapping ErrSnapshotCorrupt, not a panic,
+// and changes nothing.
+func TestRebalanceRefusesDanglingLinks(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(71)), 2000, 3)
+	tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9})
+	if err := tr.BulkLoad(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.PartitionCount(); got != 9 {
+		t.Fatalf("partitions = %d, want 9", got)
+	}
+	if err := tr.reset(tr.parts[3].id, false); err != nil {
+		t.Fatal(err)
+	}
+	var before [][]byte
+	for _, p := range tr.parts {
+		before = append(before, partitionBytes(t, p))
+	}
+	err := tr.Rebalance()
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Rebalance over a dangling link: %v, want ErrSnapshotCorrupt", err)
+	}
+	if tr.Len() != len(pts) || tr.PartitionCount() != 9 {
+		t.Fatalf("after the refused Rebalance: Len %d, %d partitions", tr.Len(), tr.PartitionCount())
+	}
+	for i, p := range tr.parts {
+		if !bytes.Equal(partitionBytes(t, p), before[i]) {
+			t.Fatalf("the refused Rebalance changed partition %d", i)
 		}
 	}
 }

@@ -121,26 +121,33 @@ func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error
 // preorder — left before right, a tombstone followed through its
 // forward link — with the leaf's depth (ref itself is at the depth
 // given; a tombstone adds no level). Refs are ordinals, as everywhere
-// in a snapshot at rest. It recurses and trusts every reference: for
-// snapshots Tree.Snapshot took, not for decoded ones.
-func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(ref kdtree.Ref, depth int)) {
-	switch n := &s.Parts[ref.Part].Nodes[ref.Node]; {
+// in a snapshot at rest. A reference to a node the snapshot does not
+// have — a link into a partition a failed load's undo reset — stops it
+// with ErrSnapshotCorrupt. It recurses: for snapshots Tree.Snapshot
+// took, whose links lead down the partition DAG, not for decoded ones.
+func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(ref kdtree.Ref, depth int)) error {
+	n := s.node(ref)
+	switch {
+	case n == nil:
+		return corrupt("dangling reference to partition %d node %d", ref.Part, ref.Node)
 	case n.Moved:
-		s.walk(n.Fwd, depth, leaf)
+		return s.walk(n.Fwd, depth, leaf)
 	case n.Leaf:
 		leaf(ref, depth)
-	default:
-		s.walk(n.Left, depth+1, leaf)
-		s.walk(n.Right, depth+1, leaf)
+		return nil
 	}
+	if err := s.walk(n.Left, depth+1, leaf); err != nil {
+		return err
+	}
+	return s.walk(n.Right, depth+1, leaf)
 }
 
 // pointsUnder gathers the points of the logical subtree rooted at ref,
 // bucket by bucket in walk order, as views of the snapshot's blocks.
-func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) []kdtree.Point {
+func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) ([]kdtree.Point, error) {
 	var pts []kdtree.Point
-	s.walk(ref, 1, func(r kdtree.Ref, _ int) { pts = s.Parts[r.Part].AppendBucket(pts, r.Node) })
-	return pts
+	err := s.walk(ref, 1, func(r kdtree.Ref, _ int) { pts = s.Parts[r.Part].AppendBucket(pts, r.Node) })
+	return pts, err
 }
 
 // handleSnapshot deep-copies the partition's state under the read lock:

@@ -34,12 +34,9 @@ type Config struct {
 	// the paper's "totally unbalanced" configuration.
 	Unbalanced bool
 	// RetryAttempts bounds per-message retries on transient fabric
-	// failures. Default 3. Delivery is at-least-once: cluster.TCP
-	// reports any failed exchange as transient — a reply lost with its
-	// connection after the handler ran included — and the retry then
-	// applies the request a second time. Queries and restoreReq
-	// are idempotent; the two write kinds, bulkAddReq (every insert) and
-	// installReq, are not (a duplicated point or fragment).
+	// failures. Default 3. Every request kind is safe to re-send, a
+	// write whose reply was lost after it applied included: a point
+	// lands at most once by its ID, an install at most once by its Seq.
 	RetryAttempts int
 }
 
@@ -89,6 +86,11 @@ type Tree struct {
 	// Single inserts and queries never take it.
 	bulkMu sync.Mutex
 
+	// installs numbers every installReq the tree sends (its Seq), from 1:
+	// every sender lives in this process, so the count names an install
+	// tree-wide.
+	installs atomic.Uint64
+
 	size atomic.Int64
 }
 
@@ -125,15 +127,15 @@ func New(cfg Config) (*Tree, error) {
 	// point: every Call the tree issues is timed at the transport
 	// boundary and fed to the hop estimator.
 	t.fabric = cluster.Observe(t.inner, t.model.observeSample)
-	if _, err := t.addPartition(); err != nil {
+	if _, err := t.addPartitionLocked(); err != nil { // t is not shared yet
 		return nil, err
 	}
 	return t, nil
 }
 
-// addPartition registers a new partition on the fabric. The first one
-// becomes the root partition.
-func (t *Tree) addPartition() (*partition, error) {
+// addPartitionLocked registers a new partition on the fabric. The first
+// one becomes the root partition. Callers hold the tree's write lock.
+func (t *Tree) addPartitionLocked() (*partition, error) {
 	p := &partition{t: t}
 	id, err := t.fabric.AddNode(p.handle)
 	if err != nil {
@@ -141,14 +143,12 @@ func (t *Tree) addPartition() (*partition, error) {
 	}
 	p.id = id
 	p.Arena = kdtree.Arena{Self: int32(id), Dim: t.cfg.Dim, BucketSize: t.cfg.BucketSize, Chain: t.cfg.Unbalanced}
-	t.mu.Lock()
 	if len(t.parts) == 0 {
 		// The root partition starts with the tree root: one empty
 		// leaf at node index 0, where Insert and the searches enter.
 		p.AddLeaf()
 	}
 	t.parts = append(t.parts, p)
-	t.mu.Unlock()
 	return p, nil
 }
 
@@ -167,17 +167,16 @@ func (t *Tree) hasPartitionBudget() bool {
 }
 
 // allocPartitions creates up to want new partitions, bounded by the
-// remaining MaxPartitions budget, and returns their fabric IDs.
+// remaining MaxPartitions budget, and returns their fabric IDs. The
+// budget is read and spent under one write lock, so concurrent spills
+// never allocate past it and never share a partition.
 func (t *Tree) allocPartitions(want int) []cluster.NodeID {
-	t.mu.RLock()
-	budget := t.cfg.MaxPartitions - len(t.parts)
-	t.mu.RUnlock()
-	if want > budget {
-		want = budget
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	want = min(want, t.cfg.MaxPartitions-len(t.parts))
 	var ids []cluster.NodeID
 	for i := 0; i < want; i++ {
-		p, err := t.addPartition()
+		p, err := t.addPartitionLocked()
 		if err != nil {
 			break
 		}
@@ -208,7 +207,10 @@ func (t *Tree) callCtx(ctx context.Context, from, to cluster.NodeID, req any) (a
 // Insert adds a point, entering at the root node of the root partition
 // (§III-B.1): a one-entry batch under the Append landing policy, so the
 // point lands, splits and forwards exactly as the paper's single-point
-// insertion does — one message per partition it crosses.
+// insertion does — one message per partition it crosses. A point ID is
+// stored at most once: the caller never inserts or bulk-loads an ID the
+// tree already holds, and a leaf that holds it lands it nowhere, so a
+// batch re-sent after a lost reply lands nothing twice.
 func (t *Tree) Insert(p kdtree.Point) error {
 	if err := checkCoords(p.Coords, t.cfg.Dim); err != nil {
 		return fmt.Errorf("core: insert: %w", err)
