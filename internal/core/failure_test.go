@@ -237,6 +237,75 @@ func TestRebalanceRepairsExhaustedWrites(t *testing.T) {
 	}
 }
 
+// TestLostReplyBulkLoadNeverPanics is the lost-reply probe on an empty
+// tree: a bulk load whose install or graft reply is lost is retried or
+// undone, and the retried requests can name nodes the partition no
+// longer has. Twenty seeds must run without a panic, and every error a
+// load returns is typed: the partitions' refusal or a transient
+// failure that exhausted its retries.
+func TestLostReplyBulkLoadNeverPanics(t *testing.T) {
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				fabric := clustertest.New(tp.new(), clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
+				pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
+				tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
+				err := tr.BulkLoad(context.Background(), pts)
+				if err != nil && !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
+					t.Errorf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
+				}
+				tr.Close()
+				fabric.Close()
+			}
+		})
+	}
+}
+
+// TestLostReplyParity: under the fault seam, which delivers every
+// message by value, a fault test on InProc states what TCP does.
+// TestLostReplyBulkLoadNeverPanics's twenty seeds run on both
+// transports, and each seed must end the same on both: the same error
+// class and the same Len(). No ID may appear twice across the
+// partitions: a retried install is answered by its Seq, not applied
+// again.
+func TestLostReplyParity(t *testing.T) {
+	type outcome struct {
+		class    string
+		n, twice int
+	}
+	run := func(inner cluster.Fabric, seed int64) outcome {
+		fabric := clustertest.New(inner, clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
+		defer fabric.Close()
+		pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
+		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
+		defer tr.Close()
+		err := tr.BulkLoad(context.Background(), pts)
+		out := outcome{class: errClass(err), n: tr.Len()}
+		if out.class != "ok" && out.class != "refused" && out.class != "transient" {
+			t.Fatalf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
+		}
+		fabric.Arm(clustertest.Faults{})
+		seen := make(map[uint64]int)
+		for _, ps := range liveSnapshot(t, tr).Parts {
+			for _, id := range ps.IDs {
+				if seen[id]++; seen[id] == 2 {
+					out.twice++
+				}
+			}
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		inproc, tcp := run(cluster.NewInProc(cluster.InProcOptions{}), seed), run(cluster.NewTCP(), seed)
+		if inproc != tcp {
+			t.Errorf("seed %d: InProc ends %+v, TCP %+v", seed, inproc, tcp)
+		}
+		if inproc.twice != 0 || tcp.twice != 0 {
+			t.Errorf("seed %d: IDs stored twice: %d on InProc, %d on TCP", seed, inproc.twice, tcp.twice)
+		}
+	}
+}
+
 // TestWritesLandOnceUnderLostReplies holds every write path to one
 // delivery contract: a write whose reply is lost after its handler ran
 // is sent again and still lands once — a point by its ID at the leaf,
