@@ -62,15 +62,22 @@ const ClientID NodeID = -1
 // deadline/cancellation across the fabric (on TCP, reconstructed from
 // the wire deadline), and long-running handlers are expected to check
 // it and abandon work when it is done. Handlers run on the caller's
-// goroutine (InProc) or a goroutine of their own (TCP) and must be
-// concurrency-safe. A handler only ever runs under its caller's
-// context.
+// goroutine (InProc) or on a worker of the connection the request came
+// in on (TCP) and must be concurrency-safe. A handler only ever runs
+// under its caller's context.
 //
 // The delivery contract: a fabric hands a handler each request value
 // at most once, and a fabric that can fail transiently delivers copies
 // (TCP decodes one per delivery; InProc never fails in transit, so
-// nothing re-sends the caller's value). A handler may thus adopt its
-// request's memory, as an install adopts its fragment's blocks.
+// nothing re-sends the caller's value). A handler may thus adopt the
+// memory of a request of any kind RegisterPooled did not name, as an
+// install adopts its fragment's blocks. A request of a pooled kind is
+// the fabric's again once the handler returns — on TCP its serving end
+// releases it to the pool the next request of that kind is decoded
+// from, and on InProc it is the caller's — so the handler only reads
+// it and copies what it keeps, and no goroutine it started may read it
+// after it has returned. Its response may alias it: TCP writes the
+// reply before the release. The handler never releases it itself.
 type Handler func(ctx context.Context, from NodeID, req any) (any, error)
 
 // Fabric is a set of addressable nodes exchanging request/response

@@ -38,8 +38,15 @@ type Message interface {
 // reject the frame too.
 type Decode func(d *column.Decoder) any
 
-// kinds is the decoder table RegisterKind fills, by kind.
-var kinds [256]Decode
+// kinds is the decoder table RegisterKind fills, by kind, and pooled
+// the serving end's own decoders RegisterPooled pairs with a release.
+var (
+	kinds  [256]Decode
+	pooled [256]struct {
+		decode  Decode
+		release func(any)
+	}
+)
 
 // RegisterKind installs the decoder of a Message kind. Call it from an
 // init function, once per kind; kind 0 is the fallback's.
@@ -48,6 +55,21 @@ func RegisterKind(kind byte, decode Decode) {
 		panic(fmt.Sprintf("cluster: kind %d registered twice or reserved", kind))
 	}
 	kinds[kind] = decode
+}
+
+// RegisterPooled gives the requests of a registered kind a decoder of
+// their own on a TCP node's serving end, one that may draw the value it
+// returns from a pool, and the release that takes each such value back.
+// The serving end that decoded a request releases it once the reply to
+// it is written, so the handler only borrows it (Handler). Every other
+// decode of the kind — a reply, RoundTrip's copy — is RegisterKind's,
+// and its value is its receiver's. Call it from an init function, after
+// the kind's RegisterKind.
+func RegisterPooled(kind byte, decode Decode, release func(any)) {
+	if kinds[kind] == nil || pooled[kind].decode != nil {
+		panic(fmt.Sprintf("cluster: kind %d pooled twice or not registered", kind))
+	}
+	pooled[kind].decode, pooled[kind].release = decode, release
 }
 
 // header is a frame's fixed fields.
@@ -91,8 +113,10 @@ func (f *TCP) encode(b *column.Appender, h header, payload any) (kind byte, err 
 // decodeBody decodes the body of a frame of kind kind from d: its
 // header and its payload, or the error an error reply carries in its
 // header. Everything it returns is copied out of the body, and a body
-// that does not decode still returns the ReqID it opens with.
-func decodeBody(d *column.Decoder, kind byte) (header, any, error) {
+// that does not decode still returns the ReqID it opens with. A serving
+// end decodes its requests with serving set: a kind RegisterPooled
+// named takes its pooled decoder.
+func decodeBody(d *column.Decoder, kind byte, serving bool) (header, any, error) {
 	h := header{id: d.Uint64(), from: NodeID(d.Varint()), deadline: d.Varint()}
 	var payload any
 	switch failed := d.Byte(); {
@@ -102,7 +126,11 @@ func decodeBody(d *column.Decoder, kind byte) (header, any, error) {
 			d.Fail(err)
 		}
 	case failed == 0:
-		if read := kinds[kind]; read != nil {
+		read := kinds[kind]
+		if serving && pooled[kind].decode != nil {
+			read = pooled[kind].decode
+		}
+		if read != nil {
 			payload = read(d)
 		} else {
 			d.Fail(errors.New("no decoder registered"))
@@ -135,7 +163,7 @@ func RoundTrip(payload any, handlerErr error) (any, error) {
 	}
 	var d column.Decoder
 	d.Reset(b)
-	h, out, err := decodeBody(&d, kind)
+	h, out, err := decodeBody(&d, kind, false)
 	if err != nil {
 		return nil, err
 	}

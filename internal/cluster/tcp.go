@@ -16,8 +16,11 @@ import (
 // TCP is a Fabric whose nodes listen on loopback TCP sockets and
 // exchange frames (frame.go). Every call to a node shares one
 // long-lived connection to it, like the channels between the paper's
-// MPJ ranks, under the serving tier's call discipline (internal/mux),
-// and the serving side answers each request on a goroutine of its own.
+// MPJ ranks, under the serving tier's call discipline (internal/mux).
+// The serving side reads each request where it arrives and answers it
+// on one of the connection's parked workers (mux.Server), long-lived
+// receivers like an MPJ rank; a request of a pooled kind is decoded
+// into a pooled value, released once its reply is out (RegisterPooled).
 // A call whose context ends leaves the connection to the other calls on
 // it; only a failed read or write ends a connection, and every call
 // waiting on it fails with ErrTransient.
@@ -26,7 +29,7 @@ type TCP struct {
 	nodes   []*tcpNode
 	closing context.Context // done once Close has begun
 	shut    context.CancelFunc
-	wg      sync.WaitGroup // the accept loops and the serve loops
+	wg      sync.WaitGroup // the accept loops and the serve loops, each waiting out its workers
 
 	messages  atomic.Int64
 	bytes     atomic.Int64
@@ -92,40 +95,56 @@ func (f *TCP) acceptLoop(n *tcpNode) {
 	}
 }
 
-// serve answers one connection's requests, each on a goroutine of its
-// own, until the stream ends or Close unparks the read (by its deadline,
-// so running handlers can still reply), then waits for the answers and
-// closes the connection. A request that does not decode is answered
-// with the error.
+// serve answers one connection's requests until the stream ends or
+// Close unparks the read (by its deadline, so running handlers can
+// still reply), then waits for the answers and closes the connection.
+// Its read loop decodes each request where it read it, and the
+// connection's serving end (internal/mux) answers it on a parked
+// worker. A request that does not decode is answered with the error.
 func (f *TCP) serve(n *tcpNode, conn net.Conn) {
 	defer conn.Close()
 	unpark := context.AfterFunc(f.closing, func() { _ = conn.SetReadDeadline(time.Now()) })
 	defer unpark()
+	end := mux.NewServer(conn, 0, func(w *mux.Writer, r request) { f.answer(n, w, r) })
+	defer end.Wait()
+	defer end.Close()
 	br := bufio.NewReader(conn)
-	w := &mux.Writer{Conn: conn}
 	var in column.Frame
 	var d column.Decoder
-	var answering sync.WaitGroup
-	defer answering.Wait()
 	for {
 		kind, body, _, err := in.Read(br, 0)
 		if err != nil {
 			return
 		}
 		d.Reset(body)
-		h, req, decodeErr := decodeBody(&d, kind)
+		h, req, err := decodeBody(&d, kind, true)
 		d.Reset(nil) // the decoder keeps no hold on the frame buffer
-		answering.Add(1)
-		go func() {
-			defer answering.Done()
-			resp, err := req, decodeErr
-			if err == nil {
-				resp, err = n.handle(h, req)
-			}
-			if f.reply(w, h.id, resp, err) != nil {
-				conn.Close() // a torn reply leaves the stream out of step
-			}
-		}()
+		end.Go(request{h: h, kind: kind, req: req, err: err})
+	}
+}
+
+// request is a request as its connection's read loop decoded it: its
+// header, kind and payload, or why it did not decode.
+type request struct {
+	h    header
+	kind byte
+	req  any
+	err  error
+}
+
+// answer runs a request's handler and writes the reply, then releases
+// a request of a pooled kind (RegisterPooled): nothing reads it once
+// the reply is written.
+func (f *TCP) answer(n *tcpNode, w *mux.Writer, r request) {
+	resp, err := r.req, r.err
+	if err == nil {
+		resp, err = n.handle(r.h, r.req)
+	}
+	if f.reply(w, r.h.id, resp, err) != nil {
+		w.Conn.Close() // a torn reply leaves the stream out of step
+	}
+	if put := pooled[r.kind].release; put != nil && r.err == nil {
+		put(r.req)
 	}
 }
 
@@ -159,7 +178,7 @@ func (n *tcpNode) handle(h header, req any) (any, error) {
 // readAnswer decodes a reply where its connection's reader read it; one
 // that does not decode fails its call alone.
 func readAnswer(kind byte, d *column.Decoder) (answer, error) {
-	h, resp, err := decodeBody(d, kind)
+	h, resp, err := decodeBody(d, kind, false)
 	if err == nil {
 		err = h.err
 	}

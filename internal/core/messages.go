@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"semtree/internal/cluster"
 	"semtree/internal/column"
@@ -105,6 +106,7 @@ func init() {
 	for kind, decode := range kinds {
 		cluster.RegisterKind(kind, decode)
 	}
+	cluster.RegisterPooled(kindKNNReq, readPooledKNNReq, knnReqs.Put)
 	errcode.Register(errcode.AdmissionRejected, ErrAdmissionRejected)
 	errcode.Register(errcode.DeadlineBudget, ErrDeadlineBudget)
 	errcode.Register(errcode.QuotaExhausted, ErrQuotaExhausted)
@@ -420,7 +422,10 @@ type knnEntry struct {
 // the one its pooled query context holds (queryCtx.fwd), and the
 // decoder returns a *knnReq. The handler only reads it — handleKNN
 // copies what it keeps — and it aliases the sender's result set, which
-// stays still until the call returns.
+// stays still until the call returns. It is also the one pooled kind: a
+// TCP serving end decodes it into a released request
+// (readPooledKNNReq) and releases it once the reply is written, so on
+// any fabric it is the handler's only until the handler returns.
 type knnReq struct {
 	Node    int32
 	Query   []float64
@@ -447,16 +452,43 @@ func (m *knnReq) AppendWire(a *column.Appender) {
 }
 
 func readKNNReq(d *column.Decoder) any {
+	m := new(knnReq)
+	m.read(d)
+	return m
+}
+
+// knnReqs holds the k-NN requests TCP serving ends decoded and released,
+// each keeping its slices' capacity for the next.
+var knnReqs = sync.Pool{New: func() any { return new(knnReq) }}
+
+// readPooledKNNReq is a TCP serving end's decoder of knnReq
+// (cluster.RegisterPooled): it decodes into a released request's
+// capacity, where an empty field decodes as empty rather than nil.
+func readPooledKNNReq(d *column.Decoder) any {
+	m := knnReqs.Get().(*knnReq)
+	m.read(d)
+	return m
+}
+
+// read decodes m from d into the capacity m's slices already have; a
+// new m allocates one float block, one []Neighbor and one []knnEntry.
+func (m *knnReq) read(d *column.Decoder) {
 	fs := newFloatBlock(d)
-	m := &knnReq{Node: d.Int32(), Query: fs.next(), K: int(d.Varint()), Rs: readNeighbors(d), Seq: d.Bool()}
-	if n := d.Count(9); n > 0 { // a node and a guard, 9 bytes at least
+	fs.reuse(m.Query)
+	m.Node = d.Int32()
+	m.Query = fs.next()
+	m.K = int(d.Varint())
+	m.Rs = readNeighbors(d, m.Rs)
+	m.Seq = d.Bool()
+	n := d.Count(9) // a node and a guard, 9 bytes at least
+	if n > cap(m.Entries) {
 		m.Entries = make([]knnEntry, n)
-		for i := range m.Entries {
-			m.Entries[i] = knnEntry{Node: d.Int32(), GuardSq: d.Float()}
-		}
+	}
+	m.Entries = m.Entries[:n]
+	for i := range m.Entries {
+		m.Entries[i] = knnEntry{Node: d.Int32(), GuardSq: d.Float()}
 	}
 	fs.end()
-	return m
 }
 
 // queryStats is the work accounting one partition reports with a query
@@ -529,7 +561,7 @@ func (m knnResp) AppendWire(a *column.Appender) {
 }
 
 func readKNNResp(d *column.Decoder) any {
-	return knnResp{Rs: readNeighbors(d), Stats: readStats(d)}
+	return knnResp{Rs: readNeighbors(d, nil), Stats: readStats(d)}
 }
 
 // rangeReq asks a partition for all points within D of Query in the
@@ -577,7 +609,7 @@ func (m rangeResp) AppendWire(a *column.Appender) {
 }
 
 func readRangeResp(d *column.Decoder) any {
-	return rangeResp{Neighbors: readNeighbors(d), Stats: readStats(d)}
+	return rangeResp{Neighbors: readNeighbors(d, nil), Stats: readStats(d)}
 }
 
 // statsReq asks a partition for its local statistics.
@@ -624,6 +656,13 @@ type floatBlock struct {
 
 func newFloatBlock(d *column.Decoder) floatBlock {
 	return floatBlock{d: d, left: d.Count(8)}
+}
+
+// reuse makes buf the block when it can hold the message's floats.
+func (fs *floatBlock) reuse(buf []float64) {
+	if cap(buf) >= fs.left {
+		fs.block = buf[:fs.left]
+	}
 }
 
 var (
@@ -683,12 +722,14 @@ func appendNeighbors(a *column.Appender, ns []kdtree.Neighbor) {
 	}
 }
 
-func readNeighbors(d *column.Decoder) []kdtree.Neighbor {
+// readNeighbors reads a neighbour run into ns's capacity when it is
+// enough; an empty run is ns[:0], so nil for a nil ns.
+func readNeighbors(d *column.Decoder, ns []kdtree.Neighbor) []kdtree.Neighbor {
 	n := d.Count(9) // an ID and a distance, 9 bytes at least
-	if n == 0 {
-		return nil
+	if n > cap(ns) {
+		ns = make([]kdtree.Neighbor, n)
 	}
-	ns := make([]kdtree.Neighbor, n)
+	ns = ns[:n]
 	for i := range ns {
 		ns[i] = kdtree.Neighbor{Point: kdtree.Point{ID: d.Uvarint()}, Dist: d.Float()}
 	}

@@ -25,11 +25,14 @@ import (
 // the tree and gather its points, reset every partition, and install
 // the balanced layout through the bulk loader's installer — the tree is
 // empty again, and the only difference from a first BulkLoad is that
-// every data partition is a target. It requires quiescence. Once the
-// root is reset the points live only here, so a reset or install that
-// fails after that loads them back through the merge path before its
-// error is returned: a failed Rebalance leaves every point indexed,
-// just not rebalanced. A tree whose links dangle — a root graft that
+// every data partition is a target. It requires quiescence: a root
+// that changed under the install refuses it (ErrRequestRefused). Once
+// the root is reset the points live only here, so a reset or install
+// that fails after that loads them back through the merge path before
+// its error is returned, and the failed Rebalance leaves every point
+// indexed, just not rebalanced — unless the re-load fails too: then
+// the points it had not landed are lost to the tree, and the error
+// wraps both causes. A tree whose links dangle — a root graft that
 // applied but lost every reply, its data partitions undone — returns an
 // error wrapping ErrSnapshotCorrupt and changes nothing. Anything else
 // a snapshot's Validate refuses is what Rebalance repairs: points a
@@ -63,7 +66,7 @@ func (t *Tree) Rebalance() error {
 	if err := t.rebuild(coords, pids, ids[1:]); err != nil {
 		err = fmt.Errorf("core: rebalance: %w", err)
 		if merr := t.bulkMerge(detached, coords, pids); merr != nil {
-			return fmt.Errorf("%w; re-loading its %d points: %v", err, len(pids), merr)
+			return fmt.Errorf("%w; re-loading its %d points: %w", err, len(pids), merr)
 		}
 		return err
 	}
@@ -84,7 +87,7 @@ func (t *Tree) rebuild(coords []float64, ids []uint64, data []cluster.NodeID) er
 	}
 	ok, err := t.installBalanced(coords, ids, func() []cluster.NodeID { return data })
 	if err == nil && !ok {
-		err = fmt.Errorf("root entry leaf changed during the install; quiescence violated")
+		err = fmt.Errorf("%w: root entry leaf changed during the install; quiescence violated", ErrRequestRefused)
 	}
 	return err
 }

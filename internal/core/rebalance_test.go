@@ -323,3 +323,61 @@ func TestRebalanceRefusesDanglingLinks(t *testing.T) {
 		}
 	}
 }
+
+// quiescenceBreach is the fault seam of TestFailedRebalanceWrapsBothCauses.
+// Once armed, just before the next root graft it delivers a bucket and
+// one more point to the root's empty leaf — a writer the caller
+// promised there would not be, whose inserts split the leaf — and from
+// then on it fails every bulk add with errReload, before delivery.
+type quiescenceBreach struct {
+	cluster.Fabric
+	intruders       []kdtree.Point
+	armed, breached bool
+}
+
+var errReload = errors.New("injected re-load failure")
+
+func (f *quiescenceBreach) Call(ctx context.Context, from, to cluster.NodeID, req any) (any, error) {
+	switch r := req.(type) {
+	case installReq:
+		if r.Entry >= 0 && f.armed && !f.breached {
+			f.breached = true
+			if _, err := f.Fabric.Call(ctx, from, to, bulkAddReq{Entries: entriesAt(0, f.intruders), Policy: landAppend}); err != nil {
+				return nil, err
+			}
+		}
+	case bulkAddReq:
+		if f.breached {
+			return nil, errReload
+		}
+	}
+	return f.Fabric.Call(ctx, from, to, req)
+}
+
+// TestFailedRebalanceWrapsBothCauses: a root that changed under the
+// install refuses the graft (ErrRequestRefused), and when the re-load
+// of the gathered points fails as well, the error Rebalance returns
+// matches both causes.
+func TestFailedRebalanceWrapsBothCauses(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	pts := randomPoints(r, 600, 3)
+	intruders := randomPoints(r, 9, 3)
+	for i := range intruders {
+		intruders[i].ID += uint64(len(pts)) // IDs of their own
+	}
+	fabric := &quiescenceBreach{Fabric: cluster.NewInProc(cluster.InProcOptions{}), intruders: intruders}
+	defer fabric.Close()
+	tr := mustTree(t, Config{Dim: 3, BucketSize: 8, MaxPartitions: 5, Fabric: fabric})
+	if err := tr.BulkLoad(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	fabric.armed = true
+	fabric.armed = true
+	err := tr.Rebalance()
+	if !fabric.breached {
+		t.Fatal("the rebalance sent no root graft: test vacuous")
+	}
+	if !errors.Is(err, ErrRequestRefused) || !errors.Is(err, errReload) {
+		t.Fatalf("Rebalance = %v, want it to match ErrRequestRefused and the re-load's error", err)
+	}
+}

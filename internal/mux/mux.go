@@ -1,9 +1,10 @@
 // Package mux is the one call discipline under both TCP wires, the
 // serving tier's (internal/serve) and the fabric's (internal/cluster):
-// many calls share one long-lived connection. Frames are column.Frame's,
-// and every body of a call or its reply opens with the call's ReqID,
-// eight big-endian bytes. Each wire keeps its own frame limit and its
-// own typing of transport errors; this package returns them as they are.
+// many calls share one long-lived connection. Conn is its calling end
+// and Server its serving end. Frames are column.Frame's, and every body
+// of a call or its reply opens with the call's ReqID, eight big-endian
+// bytes. Each wire keeps its own frame limit and its own typing of
+// transport errors; this package returns them as they are.
 package mux
 
 import (

@@ -98,19 +98,19 @@ type ServerStats struct {
 
 // Server hosts per-tenant Searchers behind the serve wire protocol.
 // Connections are concurrent and so are requests within one connection:
-// every search frame runs on its own goroutine and responses are
-// serialized by a per-connection write lock, so a slow query never
-// blocks the queries behind it.
+// each connection's serving end (mux.Server) answers every request on
+// one of its parked workers, and responses are serialized by the
+// connection's write lock, so a slow query never blocks the queries
+// behind it.
 type Server struct {
 	cfg     Config
 	tenants map[string]*tenant // keyed by token
 
 	mu    sync.Mutex
 	lis   net.Listener
-	conns map[net.Conn]struct{}
+	conns map[net.Conn]*mux.Server[request] // each live connection's serving end
 
-	draining atomic.Bool    // written under mu, see admit
-	reqWG    sync.WaitGroup // in-flight request handlers
+	draining atomic.Bool    // written under mu, see Drain
 	connWG   sync.WaitGroup // connection handlers + accept loop
 
 	connCount        atomic.Int64
@@ -138,7 +138,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		tenants: make(map[string]*tenant, len(cfg.Tenants)),
-		conns:   make(map[net.Conn]struct{}),
+		conns:   make(map[net.Conn]*mux.Server[request]),
 	}
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
@@ -186,9 +186,9 @@ func (s *Server) TenantStats(name string) (semtree.SchedulerStats, bool) {
 }
 
 // Serve accepts connections on lis until ctx is done or Drain is
-// called, then returns. Each connection and each request within it runs
-// on its own goroutine; Serve itself blocks. The listener is owned by
-// the server from here on.
+// called, then returns. Each connection runs on its own goroutine and
+// its requests on its serving end's workers; Serve itself blocks. The
+// listener is owned by the server from here on.
 func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 	s.mu.Lock()
 	s.lis = lis
@@ -222,34 +222,35 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 
 // Drain performs the graceful-shutdown contract: stop accepting new
 // connections, refuse new requests on live connections with the typed
-// retryable ErrDraining, let every in-flight request finish and get its
-// response written, hold the connections open for a grace window so
-// requests already on the wire when the drain began still get their
-// typed refusal (a frame can sit in a kernel buffer while the in-flight
-// count reads zero — closing at that instant would drop it silently),
-// then close the connections. Zero admitted requests are dropped. ctx
-// bounds the wait; an expired ctx abandons the stragglers and returns
-// its error.
+// retryable ErrDraining, let every request in flight on a live
+// connection finish and get its response written, hold the connections
+// open for a grace window so requests already on the wire when the
+// drain began still get their typed refusal (a frame can sit in a
+// kernel buffer while the in-flight count reads zero — closing at that
+// instant would drop it silently), then close the connections. Zero
+// admitted requests are dropped. ctx bounds the wait; an expired ctx
+// abandons the stragglers and returns its error.
 func (s *Server) Drain(ctx context.Context) error {
+	// Stop every connection's serving end: from here on its read loop
+	// refuses what it reads. A connection tracked later was tracked
+	// after draining was set, so its hello is refused and it serves
+	// nothing.
 	s.mu.Lock()
 	s.draining.Store(true)
 	if s.lis != nil {
 		_ = s.lis.Close()
 	}
+	quiet := make([]<-chan struct{}, 0, len(s.conns))
+	for _, end := range s.conns {
+		quiet = append(quiet, end.Stop())
+	}
 	s.mu.Unlock()
 
-	// Wait for in-flight request handlers — each holds a reqWG slot
-	// from frame decode to response write, and none is added once
-	// draining is set (admit) — then for the grace window, in which the
-	// connections' read loops write the refusals themselves.
-	var err error
-	inFlight := make(chan struct{})
-	go func() {
-		s.reqWG.Wait()
-		close(inFlight)
-	}()
-	select {
-	case <-inFlight:
+	// Wait for the requests the ends were running to be answered, then
+	// for the grace window, in which the connections' read loops write
+	// the refusals themselves.
+	err := waitAll(ctx, quiet)
+	if err == nil {
 		grace := time.NewTimer(drainGrace)
 		defer grace.Stop()
 		select {
@@ -257,12 +258,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-ctx.Done():
 			err = ctx.Err()
 		}
-	case <-ctx.Done():
-		err = ctx.Err()
 	}
 
 	// Responses are out (or abandoned): snap the connections shut so
-	// their read loops unblock, and wait for every handler goroutine.
+	// their read loops unblock, and wait for every connection handler;
+	// each closes its serving end, whose parked workers exit.
 	s.mu.Lock()
 	for c := range s.conns {
 		_ = c.Close()
@@ -270,6 +270,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	s.connWG.Wait()
 	return err
+}
+
+// waitAll waits until every channel of chans is closed, or until ctx
+// ends, whose error it returns.
+func waitAll(ctx context.Context, chans []<-chan struct{}) error {
+	for _, c := range chans {
+		select {
+		case <-c:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // write sends one frame of type ft through w, its body appended by
@@ -283,14 +296,18 @@ func write(w *mux.Writer, ft uint8, appendBody func([]byte) []byte) error {
 	return protocolErr(err)
 }
 
-func (s *Server) track(conn net.Conn) func() {
+// track registers conn and its serving end for Drain, and returns the
+// function that ends both: Drain no longer sees them, the end's workers
+// exit, and the connection closes.
+func (s *Server) track(conn net.Conn, end *mux.Server[request]) func() {
 	s.mu.Lock()
-	s.conns[conn] = struct{}{}
+	s.conns[conn] = end
 	s.mu.Unlock()
 	return func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		end.Close()
 		_ = conn.Close()
 	}
 }
@@ -341,16 +358,34 @@ func acceptHello(conn net.Conn, br *bufio.Reader, in *column.Frame, w *mux.Write
 	return nil
 }
 
-// handleConn runs one connection: hello exchange, then a read loop that
-// spawns one goroutine per request. A protocol error closes the
-// connection — framing cannot be resynchronized after garbage.
-func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
-	defer s.track(conn)()
+// request is a decoded request frame: a search, or an admin snapshot
+// trigger (ft).
+type request struct {
+	ft       uint8
+	search   searchFrame
+	snapshot snapshotFrame
+}
 
-	var t *tenant
+// handleConn runs one connection: hello exchange, then a read loop that
+// hands each request to the connection's serving end, or refuses it
+// with ErrDraining once the drain has stopped the end. A protocol error
+// closes the connection — framing cannot be resynchronized after
+// garbage. Requests still running then finish on their own; Drain waits
+// for them before it closes a connection.
+func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
+	var t *tenant // set by the hello, before the first request
+	end := mux.NewServer(conn, maxFrameSize, func(w *mux.Writer, r request) {
+		if r.ft == ftSnapshot {
+			s.handleSnapshot(t, w, r.snapshot)
+		} else {
+			s.handleSearch(ctx, t, w, r.search)
+		}
+	})
+	defer s.track(conn, end)()
+
 	br := bufio.NewReader(conn)
 	var in column.Frame
-	w := &mux.Writer{Conn: conn, Limit: maxFrameSize}
+	w := end.Writer()
 	err := acceptHello(conn, br, &in, w, func(token string) error {
 		var known bool
 		if t, known = s.tenants[token]; !known {
@@ -371,53 +406,33 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			return // clean close, peer gone, or unframeable garbage
 		}
+		r := request{ft: ft}
 		switch ft {
 		case ftSearch:
-			f, err := decodeSearch(string(body))
-			if err != nil {
-				return
-			}
-			if !s.admit() {
-				writeResult(w, f.ReqID, failedResult(ErrDraining))
-				continue
-			}
-			go func() {
-				defer s.reqWG.Done()
-				s.handleSearch(ctx, t, w, f)
-			}()
+			r.search, err = decodeSearch(string(body))
 		case ftSnapshot:
-			f, err := decodeSnapshot(string(body))
-			if err != nil {
-				return
-			}
-			if !s.admit() {
-				writeSnapshotAck(w, f.ReqID, failedSnapshot(ErrDraining))
-				continue
-			}
-			go func() {
-				defer s.reqWG.Done()
-				s.handleSnapshot(t, w, f)
-			}()
+			r.snapshot, err = decodeSnapshot(string(body))
 		default:
 			return // a server never receives acks or results
+		}
+		if err != nil {
+			return
+		}
+		if !end.Go(r) {
+			s.refuse(w, r)
 		}
 	}
 }
 
-// admit takes a reqWG slot for a decoded request, or counts it as
-// refused when the drain has begun. The check and the Add are one step
-// under mu, and Drain sets draining under mu before it waits, so
-// reqWG.Add never runs beside reqWG.Wait: a frame decoded after the
-// drain began is refused by the read loop, never added.
-func (s *Server) admit() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining.Load() {
-		s.rejectedDraining.Add(1)
-		return false
+// refuse answers r with ErrDraining: the drain has stopped its
+// connection's serving end.
+func (s *Server) refuse(w *mux.Writer, r request) {
+	s.rejectedDraining.Add(1)
+	if r.ft == ftSnapshot {
+		writeSnapshotAck(w, r.snapshot.ReqID, failedSnapshot(ErrDraining))
+	} else {
+		writeResult(w, r.search.ReqID, failedResult(ErrDraining))
 	}
-	s.reqWG.Add(1)
-	return true
 }
 
 // handleSearch answers one query. The request's absolute deadline is
