@@ -77,13 +77,16 @@ func TestIndexBuildAllocs(t *testing.T) {
 // 20k synth triples (Actors 200) on nine loopback TCP partitions and on
 // five in-process ones. A hop ships (ID, distance) pairs and only what
 // its callee found, the forward request lives in the pooled query
-// context, and a TCP serving end decodes each k-NN request into a
-// pooled one and answers it on a parked worker, so what a TCP call
-// adds to the handler's work is the reply as its caller decodes it, a
-// box and a neighbour slice (TestKNNExchangeAllocs). Measured 16 on TCP
-// (~4.3 calls per search) and 8 on InProc (31 on TCP with a fresh
-// request and a goroutine per call; 42 and 11 when every hop shipped
-// coordinates both ways and echoed the merged set back).
+// context, a TCP serving end decodes each k-NN request into a pooled
+// one and answers it on a parked worker, every k-NN reply is drawn from
+// the reply pool and put back by its last reader (the serving end once
+// written, the caller once merged), and the query's coordinates, root
+// request and answer buffer come from the searcher's pooled scratch —
+// so a search allocates its Matches and nothing else. Measured 1 on
+// both (16 on TCP and 8 on InProc when every reply was a fresh box and
+// slice; 31 on TCP with a fresh request and a goroutine per call; 42
+// and 11 when every hop shipped coordinates both ways and echoed the
+// merged set back).
 func TestDistributedSearchAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("20k-triple builds; counted without the race detector")
@@ -98,8 +101,8 @@ func TestDistributedSearchAllocs(t *testing.T) {
 		fabric     cluster.Fabric
 		limit      float64
 	}{
-		{"tcp9", 9, cluster.NewTCP(), 18},
-		{"inproc5", 5, cluster.NewInProc(cluster.InProcOptions{}), 9},
+		{"tcp9", 9, cluster.NewTCP(), 2},
+		{"inproc5", 5, cluster.NewInProc(cluster.InProcOptions{}), 2},
 	} {
 		ix, err := Build(store, Options{Seed: 1, MaxPartitions: c.partitions, PartitionCapacity: n / (c.partitions - 1), Fabric: c.fabric})
 		if err != nil {

@@ -11,8 +11,9 @@
 // random source and no lock.
 //
 // Delivery is by value on every fabric it wraps: each request, reply
-// and handler error crosses cluster.RoundTrip, the frame codec TCP
-// runs, before the inner fabric, the handler or the caller sees it.
+// and handler error crosses the frame codec TCP runs (cluster.RoundTrip,
+// and RoundTripReply, which also pools a reply as TCP's two ends do)
+// before the inner fabric, the handler or the caller sees it.
 // A handler never holds its caller's memory, a re-sent request arrives
 // as a fresh copy, and an error arrives as its code, detail and text —
 // so a fault test on InProc states what TCP does.
@@ -94,7 +95,8 @@ func (f *Fabric) Arm(faults Faults) { f.faults.Store(&faults) }
 func (f *Fabric) AddNode(h cluster.Handler) (cluster.NodeID, error) {
 	return f.Fabric.AddNode(func(ctx context.Context, from cluster.NodeID, req any) (any, error) {
 		f.runs.Add(1)
-		return cluster.RoundTrip(h(ctx, from, req))
+		resp, err := h(ctx, from, req)
+		return cluster.RoundTripReply(req, resp, err)
 	})
 }
 

@@ -38,7 +38,7 @@ func ReadFrame(b []byte) (from NodeID, deadline int64, payload any, replyErr, er
 	}
 	var d column.Decoder
 	d.Reset(body)
-	h, payload, err := decodeBody(&d, kind, false)
+	h, payload, err := decodeBody(&d, kind, nil)
 	return h.from, h.deadline, payload, h.err, err
 }
 

@@ -78,6 +78,17 @@ const ClientID NodeID = -1
 // it and copies what it keeps, and no goroutine it started may read it
 // after it has returned. Its response may alias it: TCP writes the
 // reply before the release. The handler never releases it itself.
+//
+// The reply direction: a handler gives its response up when it returns
+// it. A response of the pooled reply kind of a pooled request's calls
+// is drawn from that kind's pool by the handler, and the last to read it
+// puts it back — on TCP the serving end, once it is written, while the
+// caller gets a copy its calling end drew from the pool; on InProc the
+// caller, who receives the handler's value itself. A caller releases
+// such a reply once it has read it; one that reaches no one (a call
+// that stopped waiting, a reply a fault test dropped) is garbage for the
+// collector, not a leak. So a handler never answers with a pooled value
+// it keeps, and never reads its response after returning it.
 type Handler func(ctx context.Context, from NodeID, req any) (any, error)
 
 // Fabric is a set of addressable nodes exchanging request/response
@@ -128,6 +139,9 @@ func init() {
 // CallSample is one completed (or failed) Call as seen by an Observe
 // wrapper: the destination node, the caller-observed round-trip wall
 // time, the call's error, and the handler's response (nil on error).
+// The response is its caller's, and a pooled one goes back to its pool
+// once the caller has read it (RegisterPooled): a subscriber reads it
+// before it returns and copies what it keeps.
 // RTT covers transit both ways plus handler execution; subscribers that
 // want pure transit must subtract an estimate of the handler's compute
 // (core's cost model does exactly that for responses whose work

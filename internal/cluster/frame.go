@@ -39,12 +39,12 @@ type Message interface {
 type Decode func(d *column.Decoder) any
 
 // kinds is the decoder table RegisterKind fills, by kind, and pooled
-// the serving end's own decoders RegisterPooled pairs with a release.
+// RegisterPooled's table, by request kind.
 var (
 	kinds  [256]Decode
 	pooled [256]struct {
-		decode  Decode
-		release func(any)
+		req, reply Pooled
+		answer     func(kind byte, d *column.Decoder) (answer, error)
 	}
 )
 
@@ -57,19 +57,69 @@ func RegisterKind(kind byte, decode Decode) {
 	kinds[kind] = decode
 }
 
-// RegisterPooled gives the requests of a registered kind a decoder of
-// their own on a TCP node's serving end, one that may draw the value it
-// returns from a pool, and the release that takes each such value back.
-// The serving end that decoded a request releases it once the reply to
-// it is written, so the handler only borrows it (Handler). Every other
-// decode of the kind — a reply, RoundTrip's copy — is RegisterKind's,
-// and its value is its receiver's. Call it from an init function, after
-// the kind's RegisterKind.
-func RegisterPooled(kind byte, decode Decode, release func(any)) {
-	if kinds[kind] == nil || pooled[kind].decode != nil {
-		panic(fmt.Sprintf("cluster: kind %d pooled twice or not registered", kind))
+// Pooled is a registered kind's pooled decoding: Decode reads a value of
+// Kind into one it draws from a pool, and Release takes such a value
+// back.
+type Pooled struct {
+	Kind    byte
+	Decode  Decode
+	Release func(any)
+}
+
+// release gives v back to the pool when it is of the pool's kind.
+func (p *Pooled) release(v any) {
+	if p.Release != nil && kindOf(v) == p.Kind {
+		p.Release(v)
 	}
-	pooled[kind].decode, pooled[kind].release = decode, release
+}
+
+// RegisterPooled pools the calls of request kind req.Kind, whose
+// replies are of kind reply.Kind, at both ends of a TCP fabric. A value
+// drawn from a pool has one owner at a time, and the last to read it
+// puts it back:
+//
+//   - A request is the serving end's. It decodes the request with
+//     req.Decode, the handler only borrows it (Handler), and the serving
+//     end releases it with req.Release once the reply is written.
+//   - A reply is its handler's until the handler returns it, and then
+//     the fabric's: a serving end releases it with reply.Release once it
+//     is written. The calling end's reader decodes it with reply.Decode
+//     and hands it to the call, whose caller owns it and releases it with
+//     reply.Release once it has read it. On InProc the handler's reply
+//     reaches the caller itself, and RoundTripReply does both ends' part.
+//
+// A pooled value that reaches no one — the reply to a call that stopped
+// waiting, one a fault test dropped, one a caller never releases — is
+// garbage, not a leak: the collector takes it as any other. Every other
+// decode of either kind (RoundTrip's, a reply to a request of another
+// kind) is RegisterKind's, and its value is its receiver's. Call it from
+// an init function, after both kinds' RegisterKind.
+func RegisterPooled(req, reply Pooled) {
+	if pooled[req.Kind].answer != nil || req.Kind == reply.Kind {
+		panic(fmt.Sprintf("cluster: kind %d pooled twice, or as its own reply", req.Kind))
+	}
+	for _, p := range []Pooled{req, reply} {
+		if kinds[p.Kind] == nil || p.Decode == nil || p.Release == nil {
+			panic(fmt.Sprintf("cluster: kind %d pooled before it is registered", p.Kind))
+		}
+	}
+	pooled[req.Kind].req, pooled[req.Kind].reply = req, reply
+	pooled[req.Kind].answer = func(kind byte, d *column.Decoder) (answer, error) {
+		var read Decode
+		if kind == reply.Kind {
+			read = reply.Decode
+		}
+		return decodeAnswer(d, kind, read), nil
+	}
+}
+
+// kindOf is the wire kind of v: its own when it is a Message, else the
+// fallback's, 0.
+func kindOf(v any) byte {
+	if m, ok := v.(Message); ok {
+		return m.WireKind()
+	}
+	return 0
 }
 
 // header is a frame's fixed fields.
@@ -113,10 +163,10 @@ func (f *TCP) encode(b *column.Appender, h header, payload any) (kind byte, err 
 // decodeBody decodes the body of a frame of kind kind from d: its
 // header and its payload, or the error an error reply carries in its
 // header. Everything it returns is copied out of the body, and a body
-// that does not decode still returns the ReqID it opens with. A serving
-// end decodes its requests with serving set: a kind RegisterPooled
-// named takes its pooled decoder.
-func decodeBody(d *column.Decoder, kind byte, serving bool) (header, any, error) {
+// that does not decode still returns the ReqID it opens with. A payload
+// is read by read when it is not nil — a pooled decoder
+// (RegisterPooled) — else by its kind's registered decoder.
+func decodeBody(d *column.Decoder, kind byte, read Decode) (header, any, error) {
 	h := header{id: d.Uint64(), from: NodeID(d.Varint()), deadline: d.Varint()}
 	var payload any
 	switch failed := d.Byte(); {
@@ -126,9 +176,8 @@ func decodeBody(d *column.Decoder, kind byte, serving bool) (header, any, error)
 			d.Fail(err)
 		}
 	case failed == 0:
-		read := kinds[kind]
-		if serving && pooled[kind].decode != nil {
-			read = pooled[kind].decode
+		if read == nil {
+			read = kinds[kind]
 		}
 		if read != nil {
 			payload = read(d)
@@ -153,17 +202,39 @@ func decodeBody(d *column.Decoder, kind byte, serving bool) (header, any, error)
 // handlerErr rebuilt from its code, detail and text, as a TCP caller
 // sees it. A payload that does not encode or decode returns the reason
 // instead. The tests' fault seam (clustertest) delivers every request
-// and reply through it, so a fabric it wraps hands out values as TCP
-// does.
+// through it, and every reply through RoundTripReply, so a fabric it
+// wraps hands out values as TCP does.
 func RoundTrip(payload any, handlerErr error) (any, error) {
+	return roundTrip(payload, handlerErr, nil)
+}
+
+// RoundTripReply is RoundTrip for resp, a handler's reply to req, and
+// does what both ends of a TCP call do with it (RegisterPooled): it
+// releases resp once it is encoded, and decodes a reply of the pooled
+// kind answering req's kind into a value drawn from the pool, which its
+// receiver owns.
+func RoundTripReply(req, resp any, handlerErr error) (any, error) {
+	p := &pooled[kindOf(req)].reply
+	out, err := roundTrip(resp, handlerErr, p)
+	p.release(resp)
+	return out, err
+}
+
+// roundTrip is RoundTrip decoding a payload of pool's kind with pool's
+// decoder when pool is not nil.
+func roundTrip(payload any, handlerErr error, pool *Pooled) (any, error) {
 	var b column.Appender
 	kind, err := new(TCP).encode(&b, header{err: handlerErr}, payload)
 	if err != nil {
 		return nil, err
 	}
+	var read Decode
+	if pool != nil && pool.Kind == kind {
+		read = pool.Decode
+	}
 	var d column.Decoder
 	d.Reset(b)
-	h, out, err := decodeBody(&d, kind, false)
+	h, out, err := decodeBody(&d, kind, read)
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,11 @@ import (
 // MPJ ranks, under the serving tier's call discipline (internal/mux).
 // The serving side reads each request where it arrives and answers it
 // on one of the connection's parked workers (mux.Server), long-lived
-// receivers like an MPJ rank; a request of a pooled kind is decoded
-// into a pooled value, released once its reply is out (RegisterPooled).
+// receivers like an MPJ rank. The calls of a pooled kind draw their
+// requests and replies from pools at both ends (RegisterPooled): a
+// serving end releases the request and the reply once the reply is out,
+// and a calling end's reader decodes the reply into a pooled value its
+// caller releases.
 // A call whose context ends leaves the connection to the other calls on
 // it; only a failed read or write ends a connection, and every call
 // waiting on it fails with ErrTransient.
@@ -117,7 +120,7 @@ func (f *TCP) serve(n *tcpNode, conn net.Conn) {
 			return
 		}
 		d.Reset(body)
-		h, req, err := decodeBody(&d, kind, true)
+		h, req, err := decodeBody(&d, kind, pooled[kind].req.Decode)
 		d.Reset(nil) // the decoder keeps no hold on the frame buffer
 		end.Go(request{h: h, kind: kind, req: req, err: err})
 	}
@@ -133,8 +136,8 @@ type request struct {
 }
 
 // answer runs a request's handler and writes the reply, then releases
-// a request of a pooled kind (RegisterPooled): nothing reads it once
-// the reply is written.
+// the request and the reply of a pooled call (RegisterPooled): nothing
+// reads either once the reply is written.
 func (f *TCP) answer(n *tcpNode, w *mux.Writer, r request) {
 	resp, err := r.req, r.err
 	if err == nil {
@@ -143,9 +146,9 @@ func (f *TCP) answer(n *tcpNode, w *mux.Writer, r request) {
 	if f.reply(w, r.h.id, resp, err) != nil {
 		w.Conn.Close() // a torn reply leaves the stream out of step
 	}
-	if put := pooled[r.kind].release; put != nil && r.err == nil {
-		put(r.req)
-	}
+	p := &pooled[r.kind]
+	p.reply.release(resp)
+	p.req.release(r.req)
 }
 
 // reply writes resp, or err, as the answer to request id; a response
@@ -176,13 +179,20 @@ func (n *tcpNode) handle(h header, req any) (any, error) {
 }
 
 // readAnswer decodes a reply where its connection's reader read it; one
-// that does not decode fails its call alone.
+// that does not decode fails its call alone. The reply to a call of a
+// pooled kind is read by that kind's answer instead (RegisterPooled).
 func readAnswer(kind byte, d *column.Decoder) (answer, error) {
-	h, resp, err := decodeBody(d, kind, false)
+	return decodeAnswer(d, kind, nil), nil
+}
+
+// decodeAnswer is readAnswer reading a payload with read when it is not
+// nil.
+func decodeAnswer(d *column.Decoder, kind byte, read Decode) answer {
+	h, resp, err := decodeBody(d, kind, read)
 	if err == nil {
 		err = h.err
 	}
-	return answer{resp: resp, err: err}, nil
+	return answer{resp: resp, err: err}
 }
 
 // conn returns the connection every call to node `to` shares, dialling
@@ -224,13 +234,17 @@ func (f *TCP) Call(ctx context.Context, from, to NodeID, req any) (any, error) {
 	if d, ok := ctx.Deadline(); ok {
 		h.deadline = d.UnixNano()
 	}
+	decode := readAnswer
+	if a := pooled[kindOf(req)].answer; a != nil {
+		decode = a
+	}
 	var encodeErr error
 	a, moved, err := c.Call(ctx, func(b *column.Appender, id uint64) (byte, error) {
 		h.id = id
 		kind, err := f.encode(b, h, req)
 		encodeErr = err
 		return kind, err
-	}, readAnswer)
+	}, decode)
 	switch {
 	case encodeErr != nil:
 		return nil, encodeErr

@@ -165,7 +165,7 @@ func (m *costModel) observeSample(s cluster.CallSample) {
 	}
 	var st queryStats
 	switch r := s.Resp.(type) {
-	case knnResp:
+	case *knnResp:
 		st = r.Stats
 	case rangeResp:
 		st = r.Stats

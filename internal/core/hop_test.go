@@ -5,11 +5,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"semtree/internal/cluster"
 	"semtree/internal/cluster/clustertest"
@@ -88,7 +91,7 @@ func hopQueries(t *testing.T, tr *Tree, h hopTree, each func(st ExecStats)) {
 	ctx := context.Background()
 	for _, q := range h.queries {
 		for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-			_, st, err := tr.knnResolved(ctx, q, 10, p, false)
+			_, st, err := tr.knnResolved(ctx, q, 10, p, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +166,7 @@ func (f *replyChecker) Call(ctx context.Context, from, to cluster.NodeID, req an
 		return resp, err
 	}
 	switch r := resp.(type) {
-	case knnResp:
+	case *knnResp:
 		seed := req.(*knnReq).Rs // still the seed: the caller is blocked here
 		for _, n := range r.Rs {
 			if n.Point.Coords != nil {
@@ -217,5 +220,111 @@ func TestHopRepliesCarryOnlyFinds(t *testing.T) {
 			tr.Close()
 			inner.Close()
 		}
+	}
+}
+
+// TestAbandonedHopsKeepAnswersExact: a k-NN reply is pooled memory that
+// its last reader puts back (knnResp), and one that reaches no one is
+// left to the collector. Eight goroutines query nine partitions at once
+// under both protocols, each through a KNNScratch of its own — on TCP,
+// and on InProc under the fault seam losing 5 % of replies after their
+// handler ran — and a third of the queries run under deadlines short
+// enough to abandon hops in flight. Every answer that completes must be
+// the flat scan's, IDs and distance bits, and every failure a context
+// error or a transient one: a reply released before its finds were
+// merged is filled over by another query's.
+func TestAbandonedHopsKeepAnswersExact(t *testing.T) {
+	const k, goroutines, each = 6, 8, 24
+	r := rand.New(rand.NewSource(101))
+	pts := clusteredPoints(r, 2000, 4, 5)
+	queries := make([][]float64, goroutines*each)
+	want := make([][]kdtree.Neighbor, len(queries))
+	for i := range queries {
+		queries[i] = clusteredPoints(r, 1, 4, 5)[0].Coords
+		want[i] = flatScan(pts, queries[i], -1)[:k]
+	}
+	protocols := []Protocol{ProtocolSequential, ProtocolFanOut}
+	for _, fc := range []struct {
+		name   string
+		fabric func() cluster.Fabric
+		faults clustertest.Faults // armed once the tree is built
+	}{
+		{"tcp", func() cluster.Fabric { return cluster.NewTCP() }, clustertest.Faults{}},
+		{"seam", func() cluster.Fabric {
+			return clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{})
+		}, clustertest.Faults{Seed: 1, DropReplyAfter: 0.05}},
+	} {
+		t.Run(fc.name, func(t *testing.T) {
+			fabric := fc.fabric()
+			defer fabric.Close()
+			tr := mustTree(t, Config{Dim: 4, BucketSize: 8, PartitionCapacity: len(pts) / 8, MaxPartitions: 9, Fabric: fabric})
+			if err := tr.BulkLoad(context.Background(), pts); err != nil {
+				t.Fatal(err)
+			}
+			if n := tr.PartitionCount(); n != 9 {
+				t.Fatalf("%d partitions, want 9", n)
+			}
+			// The deadlines scale with a query's time on this machine:
+			// uniform up to twice the mean of a sequential pass.
+			start := time.Now()
+			for i, q := range queries {
+				for _, p := range protocols {
+					got, _, err := tr.knnResolved(context.Background(), q, k, p, false, nil)
+					if err == nil {
+						err = sameAnswer(got, want[i])
+					}
+					if err != nil {
+						t.Fatalf("query %d, protocol %d, unhurried: %v", i, p, err)
+					}
+				}
+			}
+			mean := time.Since(start) / time.Duration(len(queries)*len(protocols))
+			seam, _ := fabric.(*clustertest.Fabric)
+			if seam != nil {
+				seam.Arm(fc.faults)
+			}
+
+			var completed, abandoned, lost atomic.Int64
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var sc KNNScratch
+					rg := rand.New(rand.NewSource(int64(g)))
+					for i := g * each; i < (g+1)*each; i++ {
+						for _, p := range protocols {
+							ctx, cancel := context.WithCancel(context.Background())
+							if i%3 == 0 {
+								ctx, cancel = context.WithTimeout(context.Background(), time.Duration(rg.Int63n(int64(2*mean)+1)))
+							}
+							got, _, err := tr.knnResolved(ctx, queries[i], k, p, false, &sc)
+							cancel()
+							switch {
+							case err == nil:
+								completed.Add(1)
+								if err := sameAnswer(got, want[i]); err != nil {
+									t.Errorf("query %d, protocol %d: %v", i, p, err)
+								}
+							case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+								abandoned.Add(1)
+							case errors.Is(err, cluster.ErrTransient):
+								lost.Add(1)
+							default:
+								t.Errorf("query %d, protocol %d: %v, want a context error or a transient one", i, p, err)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			t.Logf("%d answers, %d abandoned, %d lost; %v per unhurried query", completed.Load(), abandoned.Load(), lost.Load(), mean)
+			if completed.Load() == 0 || abandoned.Load() == 0 {
+				t.Errorf("%d answers and %d abandoned queries: the test needs both", completed.Load(), abandoned.Load())
+			}
+			if seam != nil && seam.Counts().Injected() == 0 {
+				t.Error("no reply was lost")
+			}
+		})
 	}
 }

@@ -106,7 +106,9 @@ func init() {
 	for kind, decode := range kinds {
 		cluster.RegisterKind(kind, decode)
 	}
-	cluster.RegisterPooled(kindKNNReq, readPooledKNNReq, knnReqs.Put)
+	cluster.RegisterPooled(
+		cluster.Pooled{Kind: kindKNNReq, Decode: readPooledKNNReq, Release: knnReqs.Put},
+		cluster.Pooled{Kind: kindKNNResp, Decode: readPooledKNNResp, Release: releaseKNNResp})
 	errcode.Register(errcode.AdmissionRejected, ErrAdmissionRejected)
 	errcode.Register(errcode.DeadlineBudget, ErrDeadlineBudget)
 	errcode.Register(errcode.QuotaExhausted, ErrQuotaExhausted)
@@ -419,13 +421,14 @@ type knnEntry struct {
 // only, so both modes return identical result sets.
 //
 // knnReq is the one request a fabric carries by pointer: a hop sends
-// the one its pooled query context holds (queryCtx.fwd), and the
-// decoder returns a *knnReq. The handler only reads it — handleKNN
-// copies what it keeps — and it aliases the sender's result set, which
-// stays still until the call returns. It is also the one pooled kind: a
-// TCP serving end decodes it into a released request
-// (readPooledKNNReq) and releases it once the reply is written, so on
-// any fabric it is the handler's only until the handler returns.
+// the one its pooled query context holds (queryCtx.fwd), the client the
+// one its caller's scratch holds (KNNScratch), and the decoder returns a
+// *knnReq. The handler only reads it — handleKNN copies what it keeps —
+// and it aliases the sender's result set, which stays still until the
+// call returns. It is also the one pooled request kind: a TCP serving
+// end decodes it into a released request (readPooledKNNReq) and
+// releases it once the reply is written, so on any fabric it is the
+// handler's only until the handler returns.
 type knnReq struct {
 	Node    int32
 	Query   []float64
@@ -548,6 +551,17 @@ func (s *queryStats) fold(o queryStats) {
 // partition was probed and improved nothing. To the client, whose
 // request has no seed, it is the whole answer. Stats reports the work
 // done by this partition and everything downstream of it.
+//
+// It is the one pooled reply kind (cluster.RegisterPooled), carried by
+// pointer, and every *knnResp has one owner at a time. handleKNN draws
+// its reply from knnResps and gives it up on return; a TCP serving end
+// releases it once it is written, and on InProc it reaches the caller
+// itself. A TCP calling end decodes a reply into one drawn from the
+// pool (readPooledKNNResp), the fault seam likewise, and the caller —
+// hop, the fan-out's merge, knnResolved — releases it
+// (releaseKNNResp) once its finds are merged. A reply that reaches no
+// one is left to the collector. The kind table's decoder, readKNNResp,
+// returns a knnResp value of its own, as the other replies' do.
 type knnResp struct {
 	Rs    []kdtree.Neighbor
 	Stats queryStats
@@ -561,7 +575,45 @@ func (m knnResp) AppendWire(a *column.Appender) {
 }
 
 func readKNNResp(d *column.Decoder) any {
-	return knnResp{Rs: readNeighbors(d, nil), Stats: readStats(d)}
+	var m knnResp
+	m.read(d)
+	return m
+}
+
+// knnResps holds released k-NN replies, each keeping its finds'
+// capacity for the next.
+var knnResps = sync.Pool{New: func() any { return new(knnResp) }}
+
+// getKNNResp draws a reply from knnResps: its finds empty, with the
+// capacity of a released one.
+func getKNNResp() *knnResp {
+	m := knnResps.Get().(*knnResp)
+	m.Rs = m.Rs[:0]
+	return m
+}
+
+// releaseKNNResp gives a reply back to knnResps once nothing reads it;
+// anything but a *knnResp is left alone.
+func releaseKNNResp(v any) {
+	if m, ok := v.(*knnResp); ok {
+		knnResps.Put(m)
+	}
+}
+
+// readPooledKNNResp is a TCP calling end's decoder of knnResp
+// (cluster.RegisterPooled): it decodes into a released reply's capacity,
+// where empty finds decode as empty rather than nil.
+func readPooledKNNResp(d *column.Decoder) any {
+	m := knnResps.Get().(*knnResp)
+	m.read(d)
+	return m
+}
+
+// read decodes m from d into the capacity m's finds already have; a new
+// m allocates one []Neighbor.
+func (m *knnResp) read(d *column.Decoder) {
+	m.Rs = readNeighbors(d, m.Rs)
+	m.Stats = readStats(d)
 }
 
 // rangeReq asks a partition for all points within D of Query in the

@@ -140,11 +140,11 @@ func TestPlacementIdenticalResults(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			q := clusteredPoints(r, 1, dim, 6)[0].Coords
 			for _, k := range []int{1, 3, 10} {
-				want, wantSt, err := rr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
+				want, wantSt, err := rr.knnResolved(context.Background(), q, k, ProtocolFanOut, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotSt, err := placed.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
+				got, gotSt, err := placed.knnResolved(context.Background(), q, k, ProtocolFanOut, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -253,7 +253,7 @@ func TestLayoutIsFunctionOfData(t *testing.T) {
 		tr := mustTree(t, cfg)
 		bulkLoad(tr, pts)
 		for _, q := range queries {
-			if _, _, err := tr.knnResolved(context.Background(), q.Coords, k, ProtocolSequential, false); err != nil {
+			if _, _, err := tr.knnResolved(context.Background(), q.Coords, k, ProtocolSequential, false, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

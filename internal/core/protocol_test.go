@@ -349,50 +349,62 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	}
 }
 
-// knnExchange is a k-NN hop's request and reply: a query of dims
-// coordinates, a seed of k neighbours and k finds back.
-func knnExchange(dims, k int) (*knnReq, knnResp) {
-	rs := make([]kdtree.Neighbor, k)
-	for i := range rs {
-		rs[i] = kdtree.Neighbor{Point: kdtree.Point{ID: uint64(1000 + i)}, Dist: float64(i) / 3}
-	}
-	req := &knnReq{Node: 4, Query: make([]float64, dims), K: k, Rs: rs, Seq: true}
-	return req, knnResp{Rs: rs, Stats: queryStats{Nodes: 40, Buckets: 9, Dists: 150, Msgs: 2, Parts: 3, Misses: 1}}
-}
-
-// knnEcho starts a TCP node that answers every request with resp and
-// returns a call that sends it req, and the fabric.
-func knnEcho(tb testing.TB, dims, k int) (call func() error, fabric *cluster.TCP) {
+// knnServed starts one partition over 2 000 random points of dims
+// coordinates on a TCP fabric and returns a call that sends it a k-NN
+// hop — a query, K = k and a seed of k neighbours farther than any point,
+// so that the reply carries k finds — and releases the reply as a hop
+// does, and the fabric.
+func knnServed(tb testing.TB, dims, k int) (call func() error, fabric *cluster.TCP) {
 	fabric = cluster.NewTCP()
-	req, resp := knnExchange(dims, k)
-	var in, out any = req, resp // boxed once, so the calls measure the exchange
-	id, err := fabric.AddNode(func(context.Context, cluster.NodeID, any) (any, error) { return out, nil })
+	tr, err := New(Config{Dim: dims, Fabric: fabric})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { tr.Close() })
+	r := rand.New(rand.NewSource(83))
+	if err := tr.BulkLoad(context.Background(), randomPoints(r, 2000, dims)); err != nil {
+		tb.Fatal(err)
+	}
+	seed := make([]kdtree.Neighbor, k)
+	for i := range seed {
+		seed[i] = kdtree.Neighbor{Point: kdtree.Point{ID: uint64(1_000_000 + i)}, Dist: 1e9}
+	}
+	req := &knnReq{Query: randomPoints(r, 1, dims)[0].Coords, K: k, Rs: seed, Seq: true}
+	root := tr.rootPartition().id
 	return func() error {
-		got, err := fabric.Call(context.Background(), cluster.ClientID, id, in)
-		if err == nil && len(got.(knnResp).Rs) != k {
-			err = fmt.Errorf("reply of %d neighbours, want %d", len(got.(knnResp).Rs), k)
+		resp, err := fabric.Call(context.Background(), cluster.ClientID, root, req)
+		if err != nil {
+			return err
 		}
+		kr := resp.(*knnResp)
+		if len(kr.Rs) != k {
+			err = fmt.Errorf("reply of %d neighbours, want %d", len(kr.Rs), k)
+		}
+		knnResps.Put(kr)
 		return err
 	}, fabric
 }
 
-// TestKNNExchangeAllocs gates the codec on the query path: a warmed
-// knnReq→knnResp exchange over TCP (dims 8, k 10, ten neighbours each
-// way) allocates twice, both on the calling side: the reply's box and
-// its neighbour slice. The serving side decodes the request into a
-// pooled one (its query block and seed included) and answers it on a
-// parked worker, so it allocates nothing. Measured: 2 (6 when each
-// request was decoded fresh and answered on a goroutine of its own, 7
-// when neighbours carried their coordinates, 99 when the fabric spoke
-// gob).
+// TestKNNExchangeAllocs gates the codec on the query path: a warmed k-NN
+// hop over TCP to a served partition (dims 8, k 10, ten neighbours each
+// way) allocates nothing at either end. The serving end decodes the
+// request into a pooled one, answers it on a parked worker with a
+// pooled reply, and releases both once the reply is written; the
+// calling end's reader decodes the reply into a pooled one, which the
+// caller releases. Measured: 0 (2 when the caller's reply box and its
+// neighbour slice were fresh, against an echo that never counted the
+// handler's reply; 6 when each request was decoded fresh and answered
+// on a goroutine of its own, 7 when neighbours carried their
+// coordinates, 99 when the fabric spoke gob).
 func TestKNNExchangeAllocs(t *testing.T) {
-	call, fabric := knnEcho(t, 8, 10)
+	call, fabric := knnServed(t, 8, 10)
 	defer fabric.Close()
 	if err := call(); err != nil {
 		t.Fatal(err)
+	}
+	limit := 0.0
+	if raceEnabled {
+		limit = 12 // pools drop what is put back at random
 	}
 	got := testing.AllocsPerRun(200, func() {
 		if err := call(); err != nil {
@@ -400,15 +412,15 @@ func TestKNNExchangeAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocs per warmed k-NN exchange", got)
-	if got > 2 {
-		t.Fatalf("%.0f allocs per warmed k-NN exchange, want at most 2", got)
+	if got > limit {
+		t.Fatalf("%.0f allocs per warmed k-NN exchange, want at most %v", got, limit)
 	}
 }
 
 // BenchmarkTCPKNNExchange is TestKNNExchangeAllocs's exchange; it
 // reports the frame bytes of both directions per exchange, B/exchange.
 func BenchmarkTCPKNNExchange(b *testing.B) {
-	call, fabric := knnEcho(b, 8, 10)
+	call, fabric := knnServed(b, 8, 10)
 	defer fabric.Close()
 	b.ReportAllocs()
 	before := fabric.Stats().Bytes
@@ -466,7 +478,7 @@ func scanMismatch(tr *Tree, pts []kdtree.Point, queries [][]float64) error {
 	for i, q := range queries {
 		all := flatScan(pts, q, -1)
 		for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-			got, _, err := tr.knnResolved(ctx, q, 6, p, false)
+			got, _, err := tr.knnResolved(ctx, q, 6, p, false, nil)
 			if err == nil {
 				err = sameAnswer(got, all[:6])
 			}
@@ -806,7 +818,7 @@ func FuzzPartitionHandle(f *testing.F) {
 		// The k-NN kernel's visit heap over whatever the delivery left,
 		// under both protocols: it may fail, never panic.
 		for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-			_, _, _ = tr.knnResolved(ctx, []float64{4, 4}, tr.Len(), proto, false)
+			_, _, _ = tr.knnResolved(ctx, []float64{4, 4}, tr.Len(), proto, false, nil)
 		}
 		_, _ = tr.RangeSearch(ctx, []float64{4, 4}, math.MaxFloat64)
 		_, _ = tr.Snapshot()

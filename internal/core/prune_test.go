@@ -55,7 +55,7 @@ func TestRegionPruneEquivalence(t *testing.T) {
 
 func mustKNN(t *testing.T, tr *Tree, q []float64, k int, p Protocol) []kdtree.Neighbor {
 	t.Helper()
-	ns, _, err := tr.knnResolved(context.Background(), q, k, p, false)
+	ns, _, err := tr.knnResolved(context.Background(), q, k, p, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRegionPruneReducesWork(t *testing.T) {
 		r := rand.New(rand.NewSource(37))
 		for trial := 0; trial < 50; trial++ {
 			q := randomPoints(r, 1, c.dim)[0].Coords
-			_, st, err := tr.knnResolved(context.Background(), q, 3, c.proto, false)
+			_, st, err := tr.knnResolved(context.Background(), q, 3, c.proto, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestProbeMissAccounting(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randomPoints(r, 1, 3)[0].Coords
 		for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-			_, st, err := multi.knnResolved(context.Background(), q, 3, proto, false)
+			_, st, err := multi.knnResolved(context.Background(), q, 3, proto, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,11 +53,11 @@ func TestKNNParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randomPoints(r, 1, 4)[0].Coords
 		for _, k := range []int{1, 3, 10, 40} {
-			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
+			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
+			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,11 +216,11 @@ func TestKNNEquivalenceOnTies(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := []float64{float64(r.Intn(6)), float64(r.Intn(6)), float64(r.Intn(6))}
 		for _, k := range []int{1, 3, 8} {
-			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
+			seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
+			par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestKNNCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, p := range []Protocol{ProtocolSequential, ProtocolFanOut} {
-		if _, _, err := tr.knnResolved(ctx, []float64{1, 2, 3}, 5, p, false); !errors.Is(err, context.Canceled) {
+		if _, _, err := tr.knnResolved(ctx, []float64{1, 2, 3}, 5, p, false, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("protocol=%v: err = %v, want context.Canceled", p, err)
 		}
 	}
@@ -391,7 +391,7 @@ func TestExecStatsPopulated(t *testing.T) {
 	}
 	for _, protocol := range []Protocol{ProtocolFanOut, ProtocolSequential} {
 		before := fabric.Stats().Messages
-		_, st, err := tr2.knnResolved(context.Background(), q, 5, protocol, false)
+		_, st, err := tr2.knnResolved(context.Background(), q, 5, protocol, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -245,7 +245,7 @@ func TestRebalanceRestoresBulkLayout(t *testing.T) {
 		messages := func(tr *Tree, stage string) int64 {
 			var sum int64
 			for i, q := range queries {
-				got, st, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
+				got, st, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,8 +8,9 @@ import (
 // Rs ordering contract (Table I: best k, ascending squared distance,
 // point-ID tie-breaks) — with the operations the distributed protocol
 // needs on top: deduplicating merges (parallel fan-outs) and the finds
-// a partition sends back (a reply must not alias the pooled scratch
-// buffer, nor the arena its entries point into). A sequential hop adopts
+// a partition sends back, copied into its reply's own buffer (a reply
+// must not alias the pooled scratch buffer, nor the arena its entries
+// point into). A sequential hop adopts
 // nothing: the caller offers the callee's finds to its own set.
 //
 // While a query is in flight, Dist holds the *squared* Euclidean
@@ -61,14 +62,14 @@ func (r *resultSet) merge(items []kdtree.Neighbor) {
 	}
 }
 
-// finds copies out the kept entries that are not entries of seed — the
-// set's seed, in the set's order — matched on (ID, Dist): what the
-// partition found beyond what it was sent, nil when nothing. The copy
-// names each point by ID alone, without its coordinates. It is one
-// pass over both lists: a seed out of order, which only a hostile
+// finds copies into dst[:0] the kept entries that are not entries of
+// seed — the set's seed, in the set's order — matched on (ID, Dist):
+// what the partition found beyond what it was sent, empty when nothing.
+// The copy names each point by ID alone, without its coordinates. It is
+// one pass over both lists: a seed out of order, which only a hostile
 // sender sends, costs no more and may see its own entries come back.
-func (r *resultSet) finds(seed []kdtree.Neighbor) []kdtree.Neighbor {
-	var out []kdtree.Neighbor
+func (r *resultSet) finds(dst, seed []kdtree.Neighbor) []kdtree.Neighbor {
+	out := dst[:0]
 	j := 0
 	for _, n := range r.Items {
 		for j < len(seed) && kdtree.NeighborLess(seed[j], n) {
@@ -77,9 +78,6 @@ func (r *resultSet) finds(seed []kdtree.Neighbor) []kdtree.Neighbor {
 		if j < len(seed) && seed[j].Point.ID == n.Point.ID && seed[j].Dist == n.Dist {
 			j++
 			continue
-		}
-		if out == nil {
-			out = make([]kdtree.Neighbor, 0, len(r.Items))
 		}
 		out = append(out, kdtree.Neighbor{Point: kdtree.Point{ID: n.Point.ID}, Dist: n.Dist})
 	}

@@ -80,7 +80,7 @@ func TestResultSetKZero(t *testing.T) {
 		if len(rs.Items) != 0 {
 			t.Fatalf("k=%d kept %d items", k, len(rs.Items))
 		}
-		if rs.finds(nil) != nil {
+		if rs.finds(nil, nil) != nil {
 			t.Fatalf("k=%d finds not nil", k)
 		}
 	}
@@ -129,7 +129,7 @@ func TestResultSetFindsThenMerge(t *testing.T) {
 	callee.Offer(at(1, 1)) // evicts 11
 	callee.Offer(at(3, 6)) // beyond the worst: refused
 	callee.Offer(at(5, 4)) // ties 2 on distance, loses on ID: evicts 10
-	finds := callee.finds(caller.Items)
+	finds := callee.finds(nil, caller.Items)
 	if len(finds) != 2 || finds[0].Point.ID != 1 || finds[1].Point.ID != 5 {
 		t.Fatalf("finds = %v, want IDs [1 5]", finds)
 	}

@@ -355,13 +355,19 @@ func (s *Scheduler) complete(charged float64, st ExecStats) {
 // choose() runs once per query, not twice. A rejected query returns a
 // typed error and zero ExecStats.
 func (s *Scheduler) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
+	return s.KNearestInto(ctx, nil, q, k)
+}
+
+// KNearestInto is KNearest running in sc's memory: the answer is sc's
+// until its next query (KNNScratch). A nil sc is KNearest.
+func (s *Scheduler) KNearestInto(ctx context.Context, sc *KNNScratch, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
 	p := s.resolve()
 	charged, err := s.admit(ctx, p)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
 	defer s.release()
-	ns, st, err := s.t.knnResolved(ctx, q, k, p, s.cfg.Protocol == ProtocolAuto)
+	ns, st, err := s.t.knnResolved(ctx, q, k, p, s.cfg.Protocol == ProtocolAuto, sc)
 	s.complete(charged, st)
 	return ns, st, err
 }

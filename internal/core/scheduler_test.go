@@ -62,11 +62,11 @@ func TestProtocolAutoEquivalence(t *testing.T) {
 		fabric.Arm(clustertest.Faults{Delay: hop})
 		for qi, q := range qs {
 			for _, k := range []int{3, 10} {
-				seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false)
+				seq, _, err := tr.knnResolved(context.Background(), q, k, ProtocolSequential, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false)
+				par, _, err := tr.knnResolved(context.Background(), q, k, ProtocolFanOut, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -287,6 +287,11 @@ func TestCostModelConvergence(t *testing.T) {
 		calls []cluster.CallSample
 	)
 	tr.fabric = cluster.Observe(tr.fabric, func(s cluster.CallSample) {
+		// The reply goes back to its pool once its caller has read it:
+		// keep a copy of its stats.
+		if kr, ok := s.Resp.(*knnResp); ok {
+			s.Resp = &knnResp{Stats: kr.Stats}
+		}
 		mu.Lock()
 		calls = append(calls, s)
 		mu.Unlock()
@@ -300,7 +305,7 @@ func TestCostModelConvergence(t *testing.T) {
 		t.Helper()
 		proto := m.choose(parts)
 		calls = calls[:0]
-		_, st, err := tr.knnResolved(context.Background(), randomPoints(r, 1, 6)[0].Coords, 10, proto, true)
+		_, st, err := tr.knnResolved(context.Background(), randomPoints(r, 1, 6)[0].Coords, 10, proto, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +313,7 @@ func TestCostModelConvergence(t *testing.T) {
 		// only on its destination once the prices are fixed.
 		sort.SliceStable(calls, func(i, j int) bool { return calls[i].To < calls[j].To })
 		for _, s := range calls {
-			ws := s.Resp.(knnResp).Stats
+			ws := s.Resp.(*knnResp).Stats
 			if ws.Msgs == 0 { // a leaf call: one hop-free traversal, one hop sample
 				m.observeCompute(time.Duration(ws.Nodes*computeNs), ws.Nodes)
 			}

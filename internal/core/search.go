@@ -12,17 +12,19 @@ import (
 // queryCtx is the per-query execution context of the k-nearest engine:
 // the kernel traversal state (kdtree.Search: query, visit heap, local
 // work counters) over the scratch result set, the remote subtrees the
-// local traversal ran into, the stats folded from downstream responses,
-// and the collector state for parallel fan-outs. It is also the
-// traversal's kdtree.Outside: the kernel hands it every reference that
-// leaves the partition's arena, which is where the cross-partition
-// protocol lives. Contexts are pooled — a query borrows one, traverses,
-// copies its finds onto the wire and releases it — so steady-state
-// searches allocate only the finds and the fan-out wave's messages.
+// local traversal ran into, the fan-out wave they make up, the stats
+// folded from downstream responses, and the collector state for
+// parallel fan-outs. It is also the traversal's kdtree.Outside: the
+// kernel hands it every reference that leaves the partition's arena,
+// which is where the cross-partition protocol lives. Contexts are pooled
+// — a query borrows one, traverses, copies its finds into a pooled reply
+// and releases it — so a warmed search allocates nothing on a partition
+// but the fan-out wave's goroutines.
 type queryCtx struct {
 	s       kdtree.Search
 	rs      resultSet
 	pending []pendingHop // remote subtrees deferred until the local bound is final
+	wave    []waveCall   // the fan-out wave, by ascending partition (dispatchPending)
 
 	// The query this context is bound to while borrowed: the handler's
 	// ctx, partition and request, read by the Outside methods.
@@ -44,7 +46,7 @@ type queryCtx struct {
 
 	mu       sync.Mutex
 	wg       sync.WaitGroup
-	partials [][]kdtree.Neighbor // the fan-out wave's finds
+	partials []*knnResp // the fan-out wave's replies, this query's until putQueryCtx releases them
 	err      error
 }
 
@@ -56,6 +58,17 @@ type queryCtx struct {
 type pendingHop struct {
 	ref     kdtree.Ref
 	guardSq float64
+}
+
+// waveCall is one partition's share of a fan-out wave: the entries it
+// continues at, the smallest of their guards, and the request its
+// goroutine sends. A wave holds at most M−1 of them, so a slice kept in
+// partition order stands in for a map.
+type waveCall struct {
+	part     cluster.NodeID
+	minGuard float64
+	entries  []knnEntry
+	req      knnReq
 }
 
 var queryCtxPool = sync.Pool{New: func() any {
@@ -70,16 +83,23 @@ func getQueryCtx(ctx context.Context, p *partition, r *knnReq) *queryCtx {
 	c.rs.reset(r.K, r.Rs)
 	c.s.Reset(r.Query)
 	c.pending = c.pending[:0]
+	c.wave = c.wave[:0]
 	c.stats = queryStats{}
 	c.err = nil
 	return c
 }
 
+// putQueryCtx releases the fan-out's replies, which only the query read,
+// and drops every reference to the query before pooling the context.
 func putQueryCtx(c *queryCtx) {
-	for i := range c.partials {
-		c.partials[i] = nil // drop wire slices; only the scratch is pooled
+	for i, kr := range c.partials {
+		knnResps.Put(kr)
+		c.partials[i] = nil
 	}
 	c.partials = c.partials[:0]
+	for i := range c.wave {
+		c.wave[i].req = knnReq{}
+	}
 	c.ctx, c.p, c.r, c.fwd = nil, nil, knnReq{}, knnReq{}
 	c.s.Query = nil
 	queryCtxPool.Put(c)
@@ -91,14 +111,15 @@ func putQueryCtx(c *queryCtx) {
 // set as it stands, so the finds are exactly what its merged set held
 // beyond ours. A reply that found nothing is a probe miss: the remote
 // region was probed and contributed nothing — the work a tighter guard
-// would have skipped outright.
+// would have skipped outright. The reply is hop's once the call returns,
+// and goes back to its pool once offered.
 func (c *queryCtx) hop(part cluster.NodeID, node int32, entries []knnEntry) error {
 	c.fwd = knnReq{Node: node, Query: c.r.Query, K: c.r.K, Rs: c.rs.Items, Seq: c.r.Seq, Entries: entries}
 	resp, err := c.p.t.callCtx(c.ctx, c.p.id, part, &c.fwd)
 	if err != nil {
 		return err
 	}
-	kr := resp.(knnResp)
+	kr := resp.(*knnResp)
 	for _, n := range kr.Rs {
 		c.rs.Offer(n)
 	}
@@ -106,6 +127,7 @@ func (c *queryCtx) hop(part cluster.NodeID, node int32, entries []knnEntry) erro
 	if len(kr.Rs) == 0 {
 		c.stats.Misses++
 	}
+	knnResps.Put(kr)
 	return nil
 }
 
@@ -120,9 +142,9 @@ func (c *queryCtx) fail(err error) {
 // collect keeps a fan-out wave reply for the final merge. Each reply is
 // judged a miss on its own finds — never against what other partials
 // found — so the count does not depend on completion order.
-func (c *queryCtx) collect(kr knnResp) {
+func (c *queryCtx) collect(kr *knnResp) {
 	c.mu.Lock()
-	c.partials = append(c.partials, kr.Rs)
+	c.partials = append(c.partials, kr)
 	c.stats.fold(kr.Stats)
 	if len(kr.Rs) == 0 {
 		c.stats.Misses++
@@ -176,10 +198,11 @@ func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.
 // lock is released, exactly like handleRange's collector.
 //
 // The reply is the final set's finds (resultSet.finds): its entries
-// that were not in the request's seed, by ID and distance alone.
+// that were not in the request's seed, by ID and distance alone, in a
+// reply drawn from knnResps that the handler gives up on return.
 func (p *partition) handleKNN(ctx context.Context, r *knnReq) (any, error) {
 	if r.K <= 0 {
-		return knnResp{}, nil
+		return getKNNResp(), nil
 	}
 	c := getQueryCtx(ctx, p, r)
 	defer putQueryCtx(c)
@@ -218,12 +241,14 @@ func (p *partition) handleKNN(ctx context.Context, r *knnReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, partial := range c.partials {
-		c.rs.merge(partial)
+	for _, kr := range c.partials {
+		c.rs.merge(kr.Rs)
 	}
-	st := c.stats
-	st.Parts++ // this partition's own handler execution
-	return knnResp{Rs: c.rs.finds(r.Rs), Stats: st}, nil
+	out := getKNNResp()
+	out.Rs = c.rs.finds(out.Rs, r.Rs)
+	out.Stats = c.stats
+	out.Stats.Parts++ // this partition's own handler execution
+	return out, nil
 }
 
 // checkQuery refuses a query the arena cannot serve: a query point it
@@ -263,15 +288,16 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 // into, in three steps:
 //
 //  1. Re-check every deferred subtree against the now-final local bound
-//     and group the survivors by hosting partition (one message per
-//     partition — each wave stays within the paper's M−1 parallel
-//     operations, and the remote side prunes across its entries with
-//     its own evolving bound).
+//     and group the survivors by hosting partition into the wave (one
+//     message per partition — each wave stays within the paper's M−1
+//     parallel operations, and the remote side prunes across its entries
+//     with its own evolving bound).
 //  2. Probe the most promising partition — the one holding the subtree
 //     whose region has the smallest exact min-distance to the query
 //     (true min-distance ranking; the splitting-plane distance is only
 //     the fallback for an unknown region; an unconditional tombstone
-//     forward ranks first) — *synchronously*, exactly
+//     forward ranks first; a tie goes to the lower partition) —
+//     *synchronously*, exactly
 //     like the sequential protocol's first hop. Its finds tighten
 //     the search ball, which usually rules most other partitions out;
 //     when only one partition qualifies this degrades to the sequential
@@ -284,22 +310,14 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 // further messages are dispatched and the error surfaces via c.err.
 // Returning a dispatch error is handled by the caller via c.err.
 func (p *partition) dispatchPending(c *queryCtx) {
-	if len(c.pending) == 0 {
-		return
-	}
-	groups := make(map[cluster.NodeID][]knnEntry)
-	minGuard := make(map[cluster.NodeID]float64)
 	for _, f := range c.pending {
 		if f.guardSq >= 0 && c.rs.Full() && c.rs.Worst() < f.guardSq {
 			continue
 		}
-		part := host(f.ref)
-		if cur, ok := minGuard[part]; !ok || f.guardSq < cur {
-			minGuard[part] = f.guardSq
-		}
-		groups[part] = append(groups[part], knnEntry{Node: f.ref.Node, GuardSq: f.guardSq})
+		g := c.waveFor(host(f.ref), f.guardSq)
+		g.entries = append(g.entries, knnEntry{Node: f.ref.Node, GuardSq: f.guardSq})
 	}
-	if len(groups) == 0 {
+	if len(c.wave) == 0 {
 		return
 	}
 	ctx := c.ctx
@@ -307,29 +325,31 @@ func (p *partition) dispatchPending(c *queryCtx) {
 		c.fail(err)
 		return
 	}
-	probe := cluster.NodeID(-1)
-	for part, guard := range minGuard {
-		if probe < 0 || guard < minGuard[probe] ||
-			(guard == minGuard[probe] && part < probe) {
-			probe = part
+	probe := 0
+	for i := range c.wave {
+		if c.wave[i].minGuard < c.wave[probe].minGuard {
+			probe = i
 		}
 	}
-	if err := c.hop(probe, 0, groups[probe]); err != nil {
+	if err := c.hop(c.wave[probe].part, 0, c.wave[probe].entries); err != nil {
 		c.fail(err)
 		return
 	}
-	delete(groups, probe)
 
 	if err := ctx.Err(); err != nil {
-		if len(groups) > 0 {
+		if len(c.wave) > 1 {
 			c.fail(err)
 		}
 		return
 	}
 	seed := c.rs.Items
-	for part, entries := range groups {
-		kept := entries[:0]
-		for _, e := range entries {
+	for i := range c.wave {
+		g := &c.wave[i]
+		if i == probe {
+			continue
+		}
+		kept := g.entries[:0]
+		for _, e := range g.entries {
 			if e.GuardSq >= 0 && c.rs.Full() && c.rs.Worst() < e.GuardSq {
 				continue // the probe's tightened ball rules it out
 			}
@@ -338,18 +358,45 @@ func (p *partition) dispatchPending(c *queryCtx) {
 		if len(kept) == 0 {
 			continue
 		}
+		g.req = knnReq{Query: c.r.Query, K: c.r.K, Rs: seed, Entries: kept}
 		c.wg.Add(1)
-		go func(part cluster.NodeID, entries []knnEntry) {
-			defer c.wg.Done()
-			resp, err := p.t.callCtx(ctx, p.id, part,
-				&knnReq{Query: c.r.Query, K: c.r.K, Rs: seed, Entries: entries})
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.collect(resp.(knnResp))
-		}(part, kept)
+		go c.fanOut(g.part, &g.req)
 	}
+}
+
+// waveFor returns the wave's call to part, claiming one in partition
+// order — with a released call's entry capacity — when there is none,
+// and lowers its smallest guard to guardSq.
+func (c *queryCtx) waveFor(part cluster.NodeID, guardSq float64) *waveCall {
+	i := 0
+	for i < len(c.wave) && c.wave[i].part < part {
+		i++
+	}
+	if i == len(c.wave) || c.wave[i].part != part {
+		if len(c.wave) < cap(c.wave) {
+			c.wave = c.wave[:len(c.wave)+1]
+		} else {
+			c.wave = append(c.wave, waveCall{})
+		}
+		for j := len(c.wave) - 1; j > i; j-- {
+			c.wave[j], c.wave[j-1] = c.wave[j-1], c.wave[j]
+		}
+		c.wave[i].part, c.wave[i].minGuard, c.wave[i].entries = part, guardSq, c.wave[i].entries[:0]
+	}
+	g := &c.wave[i]
+	g.minGuard = min(g.minGuard, guardSq)
+	return g
+}
+
+// fanOut sends one wave call and keeps its reply for handleKNN's merge.
+func (c *queryCtx) fanOut(part cluster.NodeID, req *knnReq) {
+	defer c.wg.Done()
+	resp, err := c.p.t.callCtx(c.ctx, c.p.id, part, req)
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	c.collect(resp.(*knnResp))
 }
 
 // handleRange implements the distributed range search (§III-B.4) over

@@ -64,7 +64,7 @@ func benchKNN(b *testing.B, tr *Tree, qs [][]float64, proto Protocol) {
 	var agg ExecStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, proto, false)
+		_, st, err := tr.knnResolved(context.Background(), qs[i%len(qs)], 3, proto, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

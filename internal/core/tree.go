@@ -317,7 +317,16 @@ func (t *Tree) KNearest(ctx context.Context, q []float64, k int) ([]kdtree.Neigh
 
 // KNearestStats is KNearest returning the query's execution stats.
 func (t *Tree) KNearestStats(ctx context.Context, q []float64, k int) ([]kdtree.Neighbor, ExecStats, error) {
-	return t.knnResolved(ctx, q, k, t.model.choose(t.PartitionCount()), true)
+	return t.knnResolved(ctx, q, k, t.model.choose(t.PartitionCount()), true, nil)
+}
+
+// KNNScratch is the memory a caller lends the k-nearest queries it runs
+// one at a time (Scheduler.KNearestInto): the request sent to the root
+// partition and the buffer the answer is copied into. An answer is the
+// scratch's, valid until its next query. The zero value is ready.
+type KNNScratch struct {
+	root  knnReq
+	finds []kdtree.Neighbor
 }
 
 // knnResolved runs one k-nearest query under the fixed protocol p
@@ -331,7 +340,11 @@ func (t *Tree) KNearestStats(ctx context.Context, q []float64, k int) ([]kdtree.
 // without touching the tree. Completed queries feed their ExecStats back
 // into the cost model — the observation loop that makes the choice
 // adaptive.
-func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, auto bool) ([]kdtree.Neighbor, ExecStats, error) {
+//
+// The root request and the answer live in sc, a fresh one when sc is
+// nil: nothing reads the request once the call has returned, and the
+// root's reply goes back to its pool once its finds are copied out.
+func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, auto bool, sc *KNNScratch) ([]kdtree.Neighbor, ExecStats, error) {
 	seq := p != ProtocolFanOut
 	st := ExecStats{Protocol: ProtocolNameSequential}
 	idx := idxSeq
@@ -351,21 +364,28 @@ func (t *Tree) knnResolved(ctx context.Context, q []float64, k int, p Protocol, 
 	if k <= 0 || t.size.Load() == 0 {
 		return nil, st, nil
 	}
+	if sc == nil {
+		sc = new(KNNScratch)
+	}
 	t.model.countChoice(idx, auto)
 	root := t.rootPartition()
 	start := time.Now()
-	resp, err := t.callCtx(ctx, cluster.ClientID, root.id, &knnReq{Node: 0, Query: q, K: k, Seq: seq})
+	sc.root = knnReq{Node: 0, Query: q, K: k, Seq: seq}
+	resp, err := t.callCtx(ctx, cluster.ClientID, root.id, &sc.root)
 	st.Wall = time.Since(start)
+	sc.root = knnReq{}
 	if err != nil {
 		return nil, st, err
 	}
-	kr := resp.(knnResp)
+	kr := resp.(*knnResp)
 	st.fromWire(kr.Stats)
 	t.model.observeQuery(idx, st)
-	out := kr.Rs
+	out := append(sc.finds[:0], kr.Rs...)
+	knnResps.Put(kr)
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
 	}
+	sc.finds = out
 	return out, st, nil
 }
 

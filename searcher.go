@@ -3,6 +3,8 @@ package semtree
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 
 	"semtree/internal/core"
 	"semtree/internal/kdtree"
@@ -346,7 +348,9 @@ func (s *Searcher) Search(ctx context.Context, q triple.Triple) (Result, error) 
 // query's error like any other failure), resolve the points back to
 // stored triples and, in exact mode, re-rank under the true Eq. 1
 // distance, then truncate to K. Search is this function; SearchBatch is
-// a worker pool over it.
+// a worker pool over it. The query's coordinates and the k-NN engine's
+// memory come from a pooled queryScratch, so a warmed k-nearest search
+// allocates its matches and nothing else.
 func (s *Searcher) search(ctx context.Context, q triple.Triple) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Err: err}
@@ -355,13 +359,16 @@ func (s *Searcher) search(ctx context.Context, q triple.Triple) Result {
 	if !s.rangeMode && want <= 0 {
 		return Result{} // k-nearest of nothing
 	}
-	coords := s.ix.embed(q)
+	sc := scratches.Get().(*queryScratch)
+	defer scratches.Put(sc)
+	sc.coords = slices.Grow(sc.coords[:0], s.ix.dims)[:s.ix.dims]
+	coords := s.ix.embedInto(sc.coords, q)
 	var res Result
 	var ns []kdtree.Neighbor
 	if s.rangeMode {
 		ns, res.Stats, res.Err = s.sched.RangeSearch(ctx, coords, s.opts.Radius)
 	} else {
-		ns, res.Stats, res.Err = s.sched.KNearest(ctx, coords, want)
+		ns, res.Stats, res.Err = s.sched.KNearestInto(ctx, &sc.knn, coords, want)
 	}
 	if res.Err != nil {
 		return res
@@ -386,6 +393,17 @@ func (s *Searcher) search(ctx context.Context, q triple.Triple) Result {
 	res.Matches = ms
 	return res
 }
+
+// queryScratch is the memory one search borrows: the query's
+// coordinates and the k-NN engine's root request and answer buffer
+// (core.KNNScratch). Nothing of it outlives the search: the matches are
+// copied out of the answer.
+type queryScratch struct {
+	coords []float64
+	knn    core.KNNScratch
+}
+
+var scratches = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // SearchBatch answers one query per element of qs on a bounded worker
 // pool (WithParallelism); results[i] answers qs[i] exactly as
