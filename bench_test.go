@@ -8,6 +8,7 @@ package semtree_test
 // every experimental code path.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -408,4 +409,38 @@ func BenchmarkIndexBuildEndToEnd(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLoad measures Load over the knn-local shape of the repo
+// benchmark: 100k synth triples (Actors: 200, seed 1, provenance
+// "synth") on one partition, built and saved once outside the timer.
+// Each op is one Load — read the columns, project every triple under
+// the pivots, rebuild the boxes, restore the tree — and bytes/triple is
+// the snapshot's size over the triples it holds.
+func BenchmarkLoad(b *testing.B) {
+	b.Run("100k", func(b *testing.B) {
+		const n = 100000
+		store := triple.NewStore()
+		store.AddAll(synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n), triple.Provenance{Doc: "synth"})
+		ix, err := semtree.Build(store, semtree.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = semtree.Save(&buf, ix)
+		ix.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			loaded, err := semtree.Load(bytes.NewReader(buf.Bytes()), semtree.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			loaded.Close()
+		}
+		b.ReportMetric(float64(buf.Len())/n, "bytes/triple")
+	})
 }

@@ -15,17 +15,17 @@ import (
 	"semtree/internal/triple"
 )
 
-// goldenV4 is a small index saved as a version-4 snapshot and committed
+// goldenV5 is a small index saved as a version-5 snapshot and committed
 // beside the code, so a change that moves a byte of the format fails
 // here even when Save and Load move together. Rewrite it only with a
 // snapshotVersion bump:
 //
-//	go test -run TestSnapshotV4Golden -update-golden .
-const goldenV4 = "testdata/snapshot-v4-golden.bin"
+//	go test -run TestSnapshotV5Golden -update-golden .
+const goldenV5 = "testdata/snapshot-v5-golden.bin"
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenV4+" from a fresh build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenV5+" from a fresh build")
 
-// goldenIndex builds the index goldenV4 holds: 2 000 synth triples over
+// goldenIndex builds the index goldenV5 holds: 2 000 synth triples over
 // three partitions.
 func goldenIndex(t *testing.T) *Index {
 	t.Helper()
@@ -39,22 +39,22 @@ func goldenIndex(t *testing.T) *Index {
 	return ix
 }
 
-// TestSnapshotV4Golden: Load then Save reproduces the committed file
+// TestSnapshotV5Golden: Load then Save reproduces the committed file
 // byte for byte, and the loaded index answers 64 fixed queries exactly
 // like a fresh Build of the same triples — IDs, distance bits and the
 // work each query did.
-func TestSnapshotV4Golden(t *testing.T) {
+func TestSnapshotV5Golden(t *testing.T) {
 	fresh := goldenIndex(t)
 	if *updateGolden {
 		var buf bytes.Buffer
 		if err := Save(&buf, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenV4, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV5, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(goldenV4)
+	golden, err := os.ReadFile(goldenV5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSnapshotV4Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), golden) {
-		t.Fatalf("Load then Save wrote %d bytes that differ from the %d of %s", again.Len(), len(golden), goldenV4)
+		t.Fatalf("Load then Save wrote %d bytes that differ from the %d of %s", again.Len(), len(golden), goldenV5)
 	}
 
 	queries := synth.New(synth.Config{Seed: 2, Actors: 200}, nil).Triples(64)
@@ -102,8 +102,9 @@ func TestSnapshotV4Golden(t *testing.T) {
 
 // buildLayoutGolden holds, per build of TestBuildLayoutGolden, the
 // SHA-256 of the index's Save bytes. A line moves only when a change
-// moves the layout a bulk build gives the real embedding; on a mismatch
-// the test prints the lines it computed.
+// moves the layout a bulk build gives the real embedding, or the
+// snapshot format (snapshotVersion); on a mismatch the test prints the
+// lines it computed.
 const buildLayoutGolden = "testdata/build-layout-golden.txt"
 
 // TestBuildLayoutGolden pins the layout of a bulk build over FastMap's

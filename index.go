@@ -71,6 +71,7 @@ type Index struct {
 	tree   *core.Tree
 	dims   int
 	opts   persistedOptions
+	built  int // the leading store rows Build's FastMap run placed; later ones MapInto embedded
 }
 
 // persistedOptions are the build parameters that determine the
@@ -172,7 +173,7 @@ func Build(store *triple.Store, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	return &Index{store: store, metric: metric, mapper: mapper, tree: tree, dims: dims, opts: embed}, nil
+	return &Index{store: store, metric: metric, mapper: mapper, tree: tree, dims: dims, opts: embed, built: corpus.Len()}, nil
 }
 
 // ErrUnindexedID reports a tree point whose ID has no entry in the

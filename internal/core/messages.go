@@ -49,9 +49,10 @@ import (
 // distance, never its coordinates: no receiver reads them, so no result
 // set carries them off a partition. An arena — a fragment, a
 // partition's state — travels in the layout of its snapshot file
-// (appendState): the four column bodies WriteSnapshot writes, read by
-// the file's own readers straight into the arena's blocks, and no node
-// box, which the receiver rebuilds by the file's rule. Empty and nil
+// (appendState): the four column bodies EncodeSnapshot writes per
+// partition, coordinate block included, read by the file's own readers
+// straight into the arena's blocks, and no node box, which the receiver
+// rebuilds by the file's rule. Empty and nil
 // slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
@@ -292,7 +293,7 @@ func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: re
 
 // appendState appends a partition's state in the layout of its
 // snapshot file: the float count of its remote boxes, the arena's Dim
-// and Self, the four column bodies WriteSnapshot writes (appendColumns)
+// and Self, the four column bodies EncodeSnapshot writes (appendColumns)
 // — each as a block, its length then its bytes, where the file frames
 // a column — and the remote boxes' corners as runs, in the order of the
 // remote column. A remote box is the one box that travels: the region
@@ -306,7 +307,7 @@ func appendState(a *column.Appender, s *PartitionSnapshot) {
 	s.appendColumns(a, func() {
 		a.Block(start)
 		start = len(*a)
-	})
+	}, true)
 	for _, e := range s.Remote {
 		appendRun(a, e.Lo)
 		appendRun(a, e.Hi)
@@ -326,7 +327,7 @@ func readState(d *column.Decoder) PartitionSnapshot {
 	s, err := readColumns(int(dim), func() (*column.Decoder, error) {
 		body.Reset(d.Block())
 		return &body, d.Err()
-	})
+	}, true)
 	s.Self = self
 	if err != nil {
 		d.Fail(err)
@@ -348,7 +349,7 @@ func readState(d *column.Decoder) PartitionSnapshot {
 }
 
 // rebuildBoxes gives an arena read from a message the boxes the message
-// does not carry, by ReadSnapshot's rule over this one arena: every
+// does not carry, by FitBoxes's rule over this one arena: every
 // leaf's from its bucket (fitLeaves), then every routing node's from
 // its children's (coverRouting), where a child that leaves the arena
 // takes the box of its remote entry. A partition holds an entry for

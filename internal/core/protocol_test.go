@@ -240,10 +240,10 @@ func TestProtocolTable(t *testing.T) {
 		t.Errorf("the refusing partition no longer answers: %v", err)
 	}
 
-	// An arena travels as its v4 columns and no box block: a bulk-built
-	// fragment's installReq is the payloads of the columns a snapshot
-	// file writes for it, its remote boxes' runs and a short header —
-	// and decodes with every box rebuilt.
+	// An arena travels as its snapshot columns and no box block: a
+	// bulk-built fragment's installReq is the payloads of the columns a
+	// tree snapshot (EncodeSnapshot) writes for it, its remote boxes'
+	// runs and a short header — and decodes with every box rebuilt.
 	const n, dim = 2000, 8
 	seq, err := kdtree.BulkLoad(randomPoints(rand.New(rand.NewSource(7)), n, dim), dim, 16)
 	if err != nil {
@@ -254,14 +254,13 @@ func TestProtocolTable(t *testing.T) {
 	var enc column.Appender
 	req.AppendWire(&enc)
 	var file bytes.Buffer
-	w := column.NewWriter(&file)
-	if err := WriteSnapshot(w, &TreeSnapshot{Dim: dim, Size: n, Parts: []PartitionSnapshot{{Arena: seq.Arena, Points: n, Remote: req.Remote}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if err := EncodeSnapshot(&file, &TreeSnapshot{Format: SnapshotFormat, Dim: dim, Size: n, Parts: []PartitionSnapshot{{Arena: seq.Arena, Points: n, Remote: req.Remote}}}); err != nil {
 		t.Fatal(err)
 	}
 	r := column.NewReader(&file)
+	if _, _, err := r.Header(); err != nil {
+		t.Fatal(err)
+	}
 	payloads := 0
 	for i := range 5 { // the tree's column, then the partition's four
 		if err := r.Next(); err != nil {
@@ -273,7 +272,7 @@ func TestProtocolTable(t *testing.T) {
 	}
 	runs := 2 * (1 + 8*dim)
 	header := len(enc) - payloads - runs
-	t.Logf("a %d-point installReq: %d bytes of v4 column payloads, %d of remote runs, a header of %d", n, payloads, runs, header)
+	t.Logf("a %d-point installReq: %d bytes of column payloads, %d of remote runs, a header of %d", n, payloads, runs, header)
 	if header < 0 || header > 16 {
 		t.Errorf("a %d-point installReq has a header of %d bytes, want at most 16", n, header)
 	}

@@ -302,9 +302,11 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 //     the search ball, which usually rules most other partitions out;
 //     when only one partition qualifies this degrades to the sequential
 //     protocol and costs nothing extra.
-//  3. Fan the remaining partitions out on goroutines, each seeded with
-//     the tightened Rs — which stays still until handleKNN has waited
-//     for them all — and let handleKNN merge their finds.
+//  3. Fan the remaining partitions out, each seeded with the tightened
+//     Rs — which stays still until handleKNN has waited for them all —
+//     and let handleKNN merge their finds. Every call but the last runs
+//     on a goroutine of its own; the last runs on this one, as the probe
+//     did, while the others are in flight.
 //
 // The context is re-checked before each wave; once it is done no
 // further messages are dispatched and the error surfaces via c.err.
@@ -343,6 +345,7 @@ func (p *partition) dispatchPending(c *queryCtx) {
 		return
 	}
 	seed := c.rs.Items
+	var last *waveCall // the call to send once no other is left to start
 	for i := range c.wave {
 		g := &c.wave[i]
 		if i == probe {
@@ -360,7 +363,13 @@ func (p *partition) dispatchPending(c *queryCtx) {
 		}
 		g.req = knnReq{Query: c.r.Query, K: c.r.K, Rs: seed, Entries: kept}
 		c.wg.Add(1)
-		go c.fanOut(g.part, &g.req)
+		if last != nil {
+			go c.fanOut(last.part, &last.req)
+		}
+		last = g
+	}
+	if last != nil {
+		c.fanOut(last.part, &last.req)
 	}
 }
 
@@ -388,7 +397,8 @@ func (c *queryCtx) waveFor(part cluster.NodeID, guardSq float64) *waveCall {
 	return g
 }
 
-// fanOut sends one wave call and keeps its reply for handleKNN's merge.
+// fanOut sends one wave call and keeps its reply for handleKNN's merge,
+// on a goroutine of its own or, for a wave's last call, the handler's.
 func (c *queryCtx) fanOut(part cluster.NodeID, req *knnReq) {
 	defer c.wg.Done()
 	resp, err := c.p.t.callCtx(c.ctx, c.p.id, part, req)

@@ -19,12 +19,15 @@ import (
 // remote-box caches guarding cross-partition edges — serialized so a
 // fleet restarts without re-ingesting. A snapshot's arena has the shape
 // of its columns: its blocks hold the points its leaves hold, leaves in
-// node order (kdtree.Arena.Clone), so the encoding (WriteSnapshot)
+// node order (kdtree.Arena.Clone), so the encoding (EncodeSnapshot)
 // writes the ID column and the coordinate block as they stand, and
 // decoding reads them back in place. Nodes and cache refs are written
 // too, but no box: every box is a function of the points below it, and
-// decoding rebuilds them. A partition message carries an arena in the
-// same columns (appendState, in messages.go). Restore
+// decoding rebuilds them (FitBoxes). A partition message carries an
+// arena in the same columns (appendState, in messages.go). An index
+// snapshot writes the same columns but the coordinate block
+// (WriteSnapshot): its points are a function of the triples it stores,
+// which it projects again on load before the boxes are fitted. Restore
 // rebuilds partitions bit-for-bit: the arenas, boxes and caches are
 // identical, so every traversal takes the same path and query results
 // are byte-identical to the pre-save tree (the invariant the snapshot
@@ -270,21 +273,21 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 }
 
 // EncodeSnapshot writes the snapshot to w as a column stream: the
-// header (version SnapshotFormat, the dimension), then WriteSnapshot's
-// columns.
+// header (version SnapshotFormat, the dimension), then the tree's
+// columns, every partition's coordinate block among them.
 func EncodeSnapshot(w io.Writer, s *TreeSnapshot) error {
 	cw := column.NewWriter(w)
 	cw.Header(byte(s.Format), uint32(s.Dim))
-	if err := WriteSnapshot(cw, s); err != nil {
+	if err := writeTree(cw, s, true); err != nil {
 		return err
 	}
 	return cw.Flush()
 }
 
-// DecodeSnapshot reads a stream EncodeSnapshot wrote. Truncated or
-// garbled input and any format but SnapshotFormat return
-// ErrSnapshotCorrupt; the result is not yet structurally validated
-// (RestoreTree does that).
+// DecodeSnapshot reads a stream EncodeSnapshot wrote and rebuilds every
+// box (FitBoxes). Truncated or garbled input and any format but
+// SnapshotFormat return ErrSnapshotCorrupt; the result is not yet
+// structurally validated (RestoreTree does that).
 func DecodeSnapshot(r io.Reader) (*TreeSnapshot, error) {
 	cr := column.NewReader(r)
 	format, dim, err := cr.Header()
@@ -294,7 +297,14 @@ func DecodeSnapshot(r io.Reader) (*TreeSnapshot, error) {
 	if format != SnapshotFormat {
 		return nil, corrupt("format %d, want %d", format, SnapshotFormat)
 	}
-	return ReadSnapshot(cr, int(dim))
+	s, err := readTree(cr, int(dim), true)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.FitBoxes(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Node states in the node column: a bit each for kdtree.Node's Leaf
@@ -304,9 +314,17 @@ const (
 	stateMoved byte = 2
 )
 
-// WriteSnapshot writes the tree's columns, without a header: the
-// caller's header carries the dimension. The first column holds Size
-// and the partition count; then each partition writes four:
+// WriteSnapshot writes the tree's columns without a header and without
+// a coordinate block: the caller's header carries the dimension, and
+// the caller owns what the points are a function of (an index
+// snapshot, its triples and pivots). ReadSnapshot reads them back.
+func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
+	return writeTree(w, s, false)
+}
+
+// writeTree writes the tree's columns, without a header. The first
+// column holds Size and the partition count; then each partition
+// writes four, or three without coords:
 //
 //   - nodes: Points, the node count, and per node its state byte
 //     followed by, for a tombstone, Fwd; for a leaf, its bucket length;
@@ -314,13 +332,14 @@ const (
 //     Counts and refs are uvarints (int32 fields as their uint32 bits).
 //   - IDs: the arena's ID column — every bucket point's ID, leaves in
 //     node order.
-//   - coordinates: the arena's coordinate block, raw, in one write.
+//   - coordinates, with coords: the arena's coordinate block, raw, in
+//     one write.
 //   - remote: the refs of the remote-box cache.
 //
 // No box is written: each is a function of the points below it, and
-// ReadSnapshot rebuilds them all. A partition whose arena is not in the
+// FitBoxes rebuilds them all. A partition whose arena is not in the
 // snapshot layout (see PartitionSnapshot) is an error.
-func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
+func writeTree(w *column.Writer, s *TreeSnapshot, coords bool) error {
 	w.Varint(s.Size)
 	w.Uvarint(uint64(len(s.Parts)))
 	w.End()
@@ -329,15 +348,16 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 		if err := ps.layout(s.Dim); err != nil {
 			return fmt.Errorf("core: snapshot partition %d: %v", pi, err)
 		}
-		ps.appendColumns(&w.Appender, w.End)
+		ps.appendColumns(&w.Appender, w.End, coords)
 	}
 	return nil
 }
 
-// appendColumns appends the partition's four column bodies to a,
-// calling end after each one: the file frames each as a column, a
-// partition message as a block (appendState).
-func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func()) {
+// appendColumns appends the partition's four column bodies to a — three
+// without coords, which leaves the coordinate block out — calling end
+// after each one: the file frames each as a column, a partition message
+// as a block (appendState).
+func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coords bool) {
 	a.Uvarint(uint64(ps.Points))
 	a.Uvarint(uint64(len(ps.Nodes)))
 	for i := range ps.Nodes {
@@ -367,8 +387,10 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func()) {
 		a.Uvarint(id)
 	}
 	end()
-	a.Floats(ps.Coords)
-	end()
+	if coords {
+		a.Floats(ps.Coords)
+		end()
+	}
 	a.Uvarint(uint64(len(ps.Remote)))
 	for _, e := range ps.Remote {
 		appendRef(a, e.Ref)
@@ -418,12 +440,18 @@ func readRef(d *column.Decoder) kdtree.Ref {
 const maxPartitionPoints = math.MaxInt32
 
 // ReadSnapshot reads the columns WriteSnapshot wrote, for points of
-// dimension dim, and rebuilds every box: leaf boxes from their buckets,
-// routing boxes bottom-up (coverRouting), remote-cache boxes from their
-// target nodes. Malformed columns return ErrSnapshotCorrupt; the
-// structure is not yet validated, and a tree whose boxes cannot be
-// rebuilt right is one Validate rejects.
+// dimension dim: every partition's nodes, ID column and remote-cache
+// refs, with no coordinate block and no box yet. The caller supplies
+// each partition's block (Coords, dim floats per ID, in ID-column
+// order) and then calls FitBoxes. Malformed columns return
+// ErrSnapshotCorrupt; the structure is not yet validated.
 func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
+	return readTree(r, dim, false)
+}
+
+// readTree reads the columns writeTree wrote, with or without
+// coordinate blocks as coords says.
+func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 	if dim < 1 || dim > MaxSnapshotDim {
 		return nil, corrupt("dimension %d out of range", dim)
 	}
@@ -441,17 +469,31 @@ func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	}
 	next := func() (*column.Decoder, error) { return &r.Decoder, r.Next() }
 	for pi := range int(parts) {
-		ps, err := readColumns(dim, next)
+		ps, err := readColumns(dim, next, coords)
 		if err != nil {
 			return nil, corrupt("partition %d: %v", pi, err)
 		}
 		ps.Self = int32(pi)
-		ps.fitLeaves()
 		s.Parts = append(s.Parts, ps)
 	}
+	return s, nil
+}
+
+// FitBoxes rebuilds every box of a snapshot read without them, once
+// every partition holds its coordinate block: leaf boxes from their
+// buckets, routing boxes bottom-up (coverRouting), remote-cache boxes
+// from their target nodes. A block of the wrong size is
+// ErrSnapshotCorrupt; a tree whose boxes cannot be rebuilt right is one
+// Validate rejects.
+func (s *TreeSnapshot) FitBoxes() error {
 	arenas := make([]*kdtree.Arena, len(s.Parts))
 	for pi := range s.Parts {
-		arenas[pi] = &s.Parts[pi].Arena
+		ps := &s.Parts[pi]
+		if len(ps.Coords) != s.Dim*len(ps.IDs) {
+			return corrupt("partition %d: coordinate block of %d floats for %d points of dimension %d", pi, len(ps.Coords), len(ps.IDs), s.Dim)
+		}
+		ps.fitLeaves()
+		arenas[pi] = &ps.Arena
 	}
 	coverRouting(arenas, func(kdtree.Ref) (lo, hi []float64) { return nil, nil })
 	for pi := range s.Parts {
@@ -463,16 +505,16 @@ func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 			}
 		}
 	}
-	return s, nil
+	return nil
 }
 
-// readColumns reads the four column bodies appendColumns wrote, each
-// from the decoder next opens for it, into an arena of dimension dim in
-// the snapshot layout — the ID column and the coordinate block read in
-// place, every leaf's slots carved from one array — and no boxes yet
-// (fitLeaves). Each body must be read to its end, and an empty one
-// decodes as nil.
-func readColumns(dim int, next func() (*column.Decoder, error)) (PartitionSnapshot, error) {
+// readColumns reads the column bodies appendColumns wrote — four, or
+// three without coords — each from the decoder next opens for it, into
+// an arena of dimension dim in the snapshot layout — the ID column and
+// the coordinate block read in place, every leaf's slots carved from
+// one array — and no boxes yet (fitLeaves). Each body must be read to
+// its end, and an empty one decodes as nil.
+func readColumns(dim int, next func() (*column.Decoder, error), coords bool) (PartitionSnapshot, error) {
 	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim}}
 	d, err := next()
 	if err != nil {
@@ -528,18 +570,20 @@ func readColumns(dim int, next func() (*column.Decoder, error)) (PartitionSnapsh
 		return ps, err
 	}
 
-	if d, err = next(); err != nil {
-		return ps, err
-	}
-	if d.Len() != 8*dim*total {
-		return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", d.Len(), total, dim)
-	}
-	if n := dim * total; n > 0 {
-		ps.Coords = make([]float64, n)
-		d.Floats(ps.Coords)
-	}
-	if err := d.End(); err != nil {
-		return ps, err
+	if coords {
+		if d, err = next(); err != nil {
+			return ps, err
+		}
+		if d.Len() != 8*dim*total {
+			return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", d.Len(), total, dim)
+		}
+		if n := dim * total; n > 0 {
+			ps.Coords = make([]float64, n)
+			d.Floats(ps.Coords)
+		}
+		if err := d.End(); err != nil {
+			return ps, err
+		}
 	}
 	slots := make([]int32, total)
 	for i := range slots {

@@ -59,10 +59,20 @@
 // for bit with the DistFunc handed to the same BuildRows. FastMap asks
 // for a pair more than once — across scans during the build, again in
 // Map — and reuses scans it has already made; under this contract the
-// embedding is a pure function of (objects, distance, Options), and a
-// Mapper restored by FromSnapshot maps to the coordinates the build
-// stored. The triangle inequality is not required: negative residuals
-// are clamped at 0.
+// embedding is a pure function of (objects, distance, Options). The
+// triangle inequality is not required: negative residuals are clamped
+// at 0.
+//
+// # Two projections
+//
+// Map is not the build's projection. The build projects onto an axis
+// with the squared residual pivot distance it measured, dab2; MapInto
+// with dAB·dAB, where dAB = √dab2. The two differ in the last bit for
+// some objects, so Map of an object the build placed need not return
+// the coordinates the build gave it. Project reproduces both bit for
+// bit under fixed pivots: a build's objects from the dab2 a Mapper
+// keeps (and a Snapshot carries), and objects MapInto embedded with
+// dAB·dAB, every other operation being the same in both.
 //
 // A Mapper is immutable and safe for concurrent use; MapInto allocates
 // nothing.
@@ -115,7 +125,8 @@ type Mapper[T any] struct {
 	pivotB  []T         // per axis
 	coordsA [][]float64 // full coordinates of pivotA per axis
 	coordsB [][]float64 // full coordinates of pivotB per axis
-	dAB     []float64   // residual pivot distance at each axis (not squared)
+	dab2    []float64   // squared residual pivot distance at each axis, as the build measured it
+	dAB     []float64   // its square root: the residual pivot distance
 }
 
 // Build runs FastMap over objs and returns the mapper plus the
@@ -172,6 +183,7 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 		pivotB:  make([]T, opts.Dims),
 		coordsA: make([][]float64, opts.Dims),
 		coordsB: make([][]float64, opts.Dims),
+		dab2:    make([]float64, opts.Dims),
 		dAB:     make([]float64, opts.Dims),
 	}
 	if n == 0 {
@@ -210,9 +222,9 @@ func BuildRows[T any](n int, row RowFunc, object func(i int) T, dist DistFunc[T]
 		}
 		dab2 := fromA[b]
 		m.pivotA[ax], m.pivotB[ax] = object(a), object(b)
-		m.dAB[ax] = math.Sqrt(dab2)
+		m.dab2[ax], m.dAB[ax] = dab2, math.Sqrt(dab2)
 		if dab2 != 0 { // otherwise every residual distance is zero and the axis stays 0
-			s.project(ax, fromA, fromB, dab2, 2*m.dAB[ax])
+			s.project(ax, fromA, fromB, dab2, m.dAB[ax], nil)
 		}
 		m.coordsA[ax] = append([]float64(nil), block[a*dims:(a+1)*dims]...)
 		m.coordsB[ax] = append([]float64(nil), block[b*dims:(b+1)*dims]...)
@@ -262,6 +274,36 @@ func (m *Mapper[T]) resid2(done []float64, obj, pivot T, pivotCoords []float64) 
 	return r
 }
 
+// Project writes into block the coordinates of n objects, n×Dims
+// floats with object i's in block[i*Dims:(i+1)*Dims], under the
+// mapper's pivots: row(p) prepares the one-to-all scan from pivot p to
+// the n objects and returns its fill, under RowFunc's contract. Every
+// object gets the coordinates it was given, bit for bit — by the build
+// that chose the pivots (BuildRows), or, for the objects with mapped[i]
+// set (nil sets none), by MapInto — provided the fill agrees bit for bit
+// with the distance the mapper embeds with. It makes two scans per
+// axis, split over GOMAXPROCS ranges as a build's are.
+func (m *Mapper[T]) Project(block []float64, row func(pivot T) func(lo int, dst []float64), mapped []bool) {
+	n := len(block) / m.dims
+	if n == 0 {
+		return
+	}
+	s := newScanner(block, m.dims, nil)
+	defer s.stop()
+	fromA, fromB := make([]float64, n), make([]float64, n)
+	for ax := range m.dims {
+		if m.dab2[ax] == 0 { // a collapsed axis: every object sits at 0
+			for i := range n {
+				block[i*m.dims+ax] = 0
+			}
+			continue
+		}
+		s.sweep(-1, row(m.pivotA[ax]), m.coordsA[ax][:ax], fromA)
+		s.sweep(-1, row(m.pivotB[ax]), m.coordsB[ax][:ax], fromB)
+		s.project(ax, fromA, fromB, m.dab2[ax], m.dAB[ax], mapped)
+	}
+}
+
 // MapAll embeds a batch of out-of-sample objects.
 func (m *Mapper[T]) MapAll(objs []T) [][]float64 {
 	out := make([][]float64, len(objs))
@@ -272,16 +314,22 @@ func (m *Mapper[T]) MapAll(objs []T) [][]float64 {
 }
 
 // Snapshot is the serializable state of a Mapper: the pivot objects,
-// their full coordinates, and the per-axis pivot distances. Combined
-// with the (non-serializable) distance function it reconstructs the
-// exact embedding, so an index can be persisted and reloaded.
+// their full coordinates, and the per-axis squared pivot distances.
+// Combined with the (non-serializable) distance function it
+// reconstructs the exact embedding, Map's and Project's, so an index
+// can be persisted and reloaded.
 type Snapshot[T any] struct {
 	Dims    int
 	PivotA  []T
 	PivotB  []T
 	CoordsA [][]float64
 	CoordsB [][]float64
-	DAB     []float64
+	// DAB2 is the squared residual pivot distance per axis, as the build
+	// measured it. DAB is its square root, the pivot distance Map
+	// divides by: Snapshot fills it in, and FromSnapshot derives it from
+	// DAB2 again without reading it.
+	DAB2 []float64
+	DAB  []float64
 }
 
 // Snapshot extracts the mapper's serializable state.
@@ -292,6 +340,7 @@ func (m *Mapper[T]) Snapshot() Snapshot[T] {
 		PivotB:  append([]T(nil), m.pivotB...),
 		CoordsA: append([][]float64(nil), m.coordsA...),
 		CoordsB: append([][]float64(nil), m.coordsB...),
+		DAB2:    append([]float64(nil), m.dab2...),
 		DAB:     append([]float64(nil), m.dAB...),
 	}
 }
@@ -306,6 +355,7 @@ func ConvertSnapshot[T, U any](s Snapshot[T], f func(T) U) Snapshot[U] {
 		PivotB:  make([]U, len(s.PivotB)),
 		CoordsA: s.CoordsA,
 		CoordsB: s.CoordsB,
+		DAB2:    s.DAB2,
 		DAB:     s.DAB,
 	}
 	for i, p := range s.PivotA {
@@ -318,9 +368,11 @@ func ConvertSnapshot[T, U any](s Snapshot[T], f func(T) U) Snapshot[U] {
 }
 
 // FromSnapshot reconstructs a Mapper from a snapshot and the distance
-// function it was built under. It validates the snapshot's internal
-// consistency: the lengths agree with Dims, and every pivot distance
-// and pivot coordinate is finite and every pivot distance non-negative.
+// function it was built under, each pivot distance the square root of
+// DAB2's, as the build took it. It validates the snapshot's internal
+// consistency: the lengths agree with Dims, and every squared pivot
+// distance and pivot coordinate is finite and every squared pivot
+// distance non-negative.
 func FromSnapshot[T any](s Snapshot[T], dist DistFunc[T]) (*Mapper[T], error) {
 	if dist == nil {
 		return nil, errors.New("fastmap: nil distance function")
@@ -329,14 +381,16 @@ func FromSnapshot[T any](s Snapshot[T], dist DistFunc[T]) (*Mapper[T], error) {
 		return nil, errors.New("fastmap: snapshot has non-positive dims")
 	}
 	if len(s.PivotA) != s.Dims || len(s.PivotB) != s.Dims ||
-		len(s.CoordsA) != s.Dims || len(s.CoordsB) != s.Dims || len(s.DAB) != s.Dims {
+		len(s.CoordsA) != s.Dims || len(s.CoordsB) != s.Dims || len(s.DAB2) != s.Dims {
 		return nil, errors.New("fastmap: snapshot arrays disagree with dims")
 	}
+	dAB := make([]float64, s.Dims)
 	for ax := 0; ax < s.Dims; ax++ {
-		if d := s.DAB[ax]; d < 0 || !finite(d) {
+		if d := s.DAB2[ax]; d < 0 || !finite(d) {
 			return nil, errors.New("fastmap: negative or non-finite pivot distance in snapshot")
 		}
-		if s.DAB[ax] > 0 && (len(s.CoordsA[ax]) != s.Dims || len(s.CoordsB[ax]) != s.Dims) {
+		dAB[ax] = math.Sqrt(s.DAB2[ax])
+		if s.DAB2[ax] > 0 && (len(s.CoordsA[ax]) != s.Dims || len(s.CoordsB[ax]) != s.Dims) {
 			return nil, errors.New("fastmap: pivot coordinates disagree with dims")
 		}
 		for _, c := range [2][]float64{s.CoordsA[ax], s.CoordsB[ax]} {
@@ -354,7 +408,8 @@ func FromSnapshot[T any](s Snapshot[T], dist DistFunc[T]) (*Mapper[T], error) {
 		pivotB:  s.PivotB,
 		coordsA: s.CoordsA,
 		coordsB: s.CoordsB,
-		dAB:     s.DAB,
+		dab2:    s.DAB2,
+		dAB:     dAB,
 	}, nil
 }
 

@@ -104,8 +104,14 @@ func (s *scanner) each(pass func(r int)) {
 // not be Euclidean) — and returns the farthest object other than from:
 // the lowest index on ties, 0 when there is no other.
 func (s *scanner) scan(ax, from int, dst []float64) int {
-	s.from, s.fill, s.dst = from, s.row(from), dst
-	s.fc = append(s.fc[:0], s.block[from*s.dims:from*s.dims+ax]...)
+	return s.sweep(from, s.row(from), s.block[from*s.dims:from*s.dims+ax], dst)
+}
+
+// sweep is scan from an origin given by its fill and its coordinates
+// on the earlier axes, fc: object from, or none when from is -1.
+func (s *scanner) sweep(from int, fill func(lo int, dst []float64), fc, dst []float64) int {
+	s.from, s.fill, s.dst = from, fill, dst
+	s.fc = append(s.fc[:0], fc...)
 	s.each(s.pass)
 	// Ranges merge in index order and a later one wins only when
 	// strictly farther, so the lowest index wins ties as in one pass.
@@ -146,11 +152,19 @@ func (s *scanner) scanRange(r int) {
 }
 
 // project assigns axis ax by the cosine law from the squared residual
-// distances to the two pivots, at pivot distance² dab2 and den = 2·dAB.
-func (s *scanner) project(ax int, fromA, fromB []float64, dab2, den float64) {
+// distances to the two pivots, at residual pivot distance dab: as the
+// build assigned it, with the squared distance dab2 the build measured,
+// or, for the objects mapped marks (nil marks none), as MapInto did,
+// with dab·dab. The two differ in the last bit for some objects.
+func (s *scanner) project(ax int, fromA, fromB []float64, dab2, dab float64, mapped []bool) {
+	den := 2 * dab
 	s.each(func(r int) {
 		for i := s.bounds[r]; i < s.bounds[r+1]; i++ {
-			s.block[i*s.dims+ax] = (fromA[i] + dab2 - fromB[i]) / den
+			if mapped != nil && mapped[i] {
+				s.block[i*s.dims+ax] = (fromA[i] + dab*dab - fromB[i]) / (2 * dab)
+			} else {
+				s.block[i*s.dims+ax] = (fromA[i] + dab2 - fromB[i]) / den
+			}
 		}
 	})
 }

@@ -8,13 +8,14 @@ import "semtree/internal/triple"
 // resolved once, and Row computes the distances from one triple to all
 // n with one term distance per distinct (position, term) pair — O(D)
 // kernel calls and n weighted sums instead of n Eq. 1 evaluations —
-// which is what a FastMap build asks for.
+// which is what a FastMap build asks for, and what a projection under
+// fixed pivots asks for from each pivot (RowFrom).
 //
-// A Corpus is meant to live for one build. It prepares one Row at a
-// time (each Row reuses the same scratch rows, so a fill is valid only
-// until the next Row call), but the fill a Row returns may run
-// concurrently on disjoint ranges. It reads ids and never writes or
-// copies them.
+// A Corpus is meant to live for one build or projection. It prepares
+// one Row at a time (each Row reuses the same scratch rows, so a fill
+// is valid only until the next Row call), but the fill a Row returns
+// may run concurrently on disjoint ranges. It reads ids and never
+// writes or copies them.
 type Corpus struct {
 	m     *Metric
 	terms []Term             // terms[ord] resolved
@@ -27,23 +28,32 @@ type Corpus struct {
 // which of them occur as subject, as predicate and as object. Every
 // ordinal in ids must index terms.
 func NewCorpus(m *Metric, terms []triple.Term, ids [][3]triple.TermID) *Corpus {
-	c := &Corpus{m: m, terms: make([]Term, len(terms)), ids: ids}
+	resolved := make([]Term, len(terms))
 	for ord, t := range terms {
-		c.terms[ord] = m.resolveTerm(t)
+		resolved[ord] = m.resolveTerm(t)
 	}
-	seen := make([]uint8, len(terms)) // bit pos: ordinal already listed in at[pos]
+	return (&Corpus{m: m, terms: resolved}).Over(ids)
+}
+
+// Over returns a corpus over ids, ordinals into the term table c was
+// made from, that shares c's resolved terms: a subset or a reordering
+// of c's triples, say, prepared without resolving a term again. The two
+// corpora prepare their rows apart.
+func (c *Corpus) Over(ids [][3]triple.TermID) *Corpus {
+	o := &Corpus{m: c.m, terms: c.terms, ids: ids}
+	seen := make([]uint8, len(c.terms)) // bit pos: ordinal already listed in at[pos]
 	for _, id := range ids {
 		for pos, ord := range id {
 			if bit := uint8(1) << pos; seen[ord]&bit == 0 {
 				seen[ord] |= bit
-				c.at[pos] = append(c.at[pos], ord)
+				o.at[pos] = append(o.at[pos], ord)
 			}
 		}
 	}
-	for pos := range c.rows {
-		c.rows[pos] = make([]float64, len(terms))
+	for pos := range o.rows {
+		o.rows[pos] = make([]float64, len(c.terms))
 	}
-	return c
+	return o
 }
 
 // Len returns the number of triples.
@@ -66,11 +76,23 @@ func (c *Corpus) Triple(i int) Triple {
 // ResolvedDistance(Triple(from), Triple(lo+j)). The fill is valid until
 // the next Row call and may run concurrently on disjoint ranges.
 func (c *Corpus) Row(from int) func(lo int, dst []float64) {
+	id := c.ids[from]
+	return c.row([3]*Term{&c.terms[id[0]], &c.terms[id[1]], &c.terms[id[2]]})
+}
+
+// RowFrom is Row from a triple this metric resolved, which need not be
+// one of the corpus's — a FastMap pivot, say: its fill writes the same
+// bits as ResolvedDistance(a, Triple(lo+j)).
+func (c *Corpus) RowFrom(a Triple) func(lo int, dst []float64) {
+	return c.row([3]*Term{&a.Subject, &a.Predicate, &a.Object})
+}
+
+// row prepares the scan from the triple whose terms are a, by position.
+func (c *Corpus) row(a [3]*Term) func(lo int, dst []float64) {
 	for pos, at := range c.at {
-		a := &c.terms[c.ids[from][pos]]
 		row := c.rows[pos]
 		for _, ord := range at {
-			row[ord] = c.m.termDistance(a, &c.terms[ord])
+			row[ord] = c.m.termDistance(a[pos], &c.terms[ord])
 		}
 	}
 	s, p, o := c.rows[0], c.rows[1], c.rows[2]

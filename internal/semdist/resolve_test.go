@@ -110,6 +110,42 @@ func TestCorpusRowMatchesDistance(t *testing.T) {
 	}
 }
 
+// TestCorpusRowFromOverReordering: a corpus Over a reordered subset of
+// a store's rows holds those triples, in that order, and RowFrom a
+// triple outside it writes the bits of ResolvedDistance from that
+// triple — the row a projection under fixed pivots scans.
+func TestCorpusRowFromOverReordering(t *testing.T) {
+	store := triple.NewStore()
+	store.AddAll(synth.New(synth.Config{Seed: 9}, nil).Triples(400), triple.Provenance{})
+	terms, ids := store.Encoded()
+	var sub [][3]triple.TermID
+	for i := len(ids) - 1; i >= 0; i -= 3 {
+		sub = append(sub, ids[i])
+	}
+	outside := synth.New(synth.Config{Seed: 10}, nil).Triples(20)
+	for _, opts := range []Options{{}, {NumericLiterals: true}, {Concept: Lin}} {
+		m := MustNew(vocab.DefaultRegistry(), opts)
+		c := NewCorpus(m, terms, nil).Over(sub)
+		if c.Len() != len(sub) {
+			t.Fatalf("corpus over %d rows has %d", len(sub), c.Len())
+		}
+		row := make([]float64, c.Len())
+		for _, x := range outside {
+			a := m.Resolve(x)
+			c.RowFrom(a)(0, row)
+			for i, got := range row {
+				want := m.ResolvedDistance(a, c.Triple(i))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%+v: RowFrom(%v)[%d] = %v, ResolvedDistance = %v", opts, x, i, got, want)
+				}
+				if e, _ := store.Get(triple.ID(len(ids) - 1 - 3*i)); c.Triple(i).Unresolved() != e.Triple {
+					t.Fatalf("corpus triple %d = %v, want %v", i, c.Triple(i).Unresolved(), e.Triple)
+				}
+			}
+		}
+	}
+}
+
 // TestCorpusFillsDisjointRangesConcurrently: one Row preparation's fill,
 // called from several goroutines on disjoint ranges, writes the bits a
 // single whole-row fill writes (run under -race).

@@ -12,13 +12,17 @@ import (
 )
 
 // snapshotVersion is the on-disk format written by Save, and the only
-// one Load accepts. Version 4 is a column stream (internal/column):
+// one Load accepts. Version 5 is a column stream (internal/column):
 // the header carries the embedding dimension once, and the columns
 // hold the index as memory already does — the store's tables and rows,
-// the pivots, and per partition the nodes, point IDs and one raw
-// coordinate block, with every box rebuilt on load. Versions 1–3 were
-// gob streams; they have no writer and are rejected as corrupt.
-const snapshotVersion = 4
+// the pivots with their squared pivot distances, and per partition the
+// nodes and point IDs. No coordinate is written: a point's coordinates
+// are a function of its triple and the pivots, and Load projects every
+// stored triple again with the arithmetic that placed it, then rebuilds
+// every box. Version 4 wrote each partition's coordinate block raw, and
+// versions 1–3 were gob streams; none has a writer and all are rejected
+// as corrupt.
+const snapshotVersion = 5
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
 // truncated or garbled encodings, unknown versions, embedding
@@ -31,15 +35,20 @@ var ErrSnapshotCorrupt = core.ErrSnapshotCorrupt
 // indexSnapshot is a persisted index: the metric parameters the
 // embedding was built under (Options.Dims is the header's dimension,
 // which the pivots and the tree share), the FastMap pivots, the first
-// Rows triples of Store with their provenance, and the distributed
-// tree's partition snapshot — the exact tree layout and, in its
-// buckets, the exact coordinates of every stored triple, so a restart
-// answers bit-identically without re-embedding or re-ingesting.
+// Rows triples of Store with their provenance, of which the first Built
+// were placed by Build's FastMap run and the rest embedded one by one
+// (Insert, BulkAdd), and the distributed tree's partition snapshot —
+// the exact tree layout, its buckets naming their points by triple ID.
+// The coordinates are not persisted: Load projects each triple again,
+// under the pivots and with the arithmetic that placed it
+// (fastmap.Mapper.Project), so a restart answers bit-identically
+// without re-ingesting.
 type indexSnapshot struct {
 	Options persistedOptions
 	Mapper  fastmap.Snapshot[triple.Triple]
 	Store   *triple.Store
 	Rows    int
+	Built   int
 	Tree    *core.TreeSnapshot
 }
 
@@ -57,7 +66,9 @@ func strayID(ts *core.TreeSnapshot, n int) (uint64, bool) {
 	return 0, false
 }
 
-// Save writes a snapshot of the index to w. The distributed tree must
+// Save writes a snapshot of the index to w: its triples, the embedding
+// parameters and pivots, and the tree's layout, but no coordinate (Load
+// projects them again). The distributed tree must
 // be quiescent (no concurrent Insert, BulkAdd or Rebalance);
 // concurrent queries are fine. Insert and BulkAdd extend the store in
 // one locked append but the tree outside it, so a Save that races an
@@ -90,6 +101,7 @@ func Save(w io.Writer, ix *Index) error {
 		Mapper:  fastmap.ConvertSnapshot(ix.mapper.Snapshot(), semdist.Triple.Unresolved),
 		Store:   ix.store,
 		Rows:    n,
+		Built:   ix.built,
 		Tree:    treeSnap,
 	}
 	if err := writeSnapshot(w, &snap); err != nil {
@@ -98,9 +110,10 @@ func Save(w io.Writer, ix *Index) error {
 	return nil
 }
 
-// writeSnapshot writes snap as a version-4 stream: the header, then the
-// options, pivot and pivot-coordinate columns, the store's three and
-// the tree's.
+// writeSnapshot writes snap as a version-5 stream: the header, then the
+// options and pivot columns, the pivot-coordinate column (both pivots'
+// coordinates per axis, the squared pivot distances, then Built), the
+// store's three columns and the tree's, which hold no coordinate.
 func writeSnapshot(w io.Writer, snap *indexSnapshot) error {
 	m := &snap.Mapper
 	cw := column.NewWriter(w)
@@ -133,9 +146,10 @@ func writeSnapshot(w io.Writer, snap *indexSnapshot) error {
 			}
 		}
 	}
-	for _, v := range m.DAB {
+	for _, v := range m.DAB2 {
 		cw.Float(v)
 	}
+	cw.Uvarint(uint64(snap.Built))
 	cw.End()
 
 	snap.Store.WriteColumns(cw, snap.Rows)
@@ -197,11 +211,12 @@ func readSnapshot(r io.Reader) (*indexSnapshot, error) {
 	if err := cr.Next(); err != nil {
 		return nil, err
 	}
-	if want := 8 * (2*dim + 1) * dim; cr.Len() != want {
-		return nil, fmt.Errorf("pivot coordinate column of %d bytes, want %d", cr.Len(), want)
+	if want := 8 * (2*dim + 1) * dim; cr.Len() <= want {
+		return nil, fmt.Errorf("pivot coordinate column of %d bytes, want %d and a row count", cr.Len(), want)
 	}
 	block := make([]float64, (2*dim+1)*dim)
 	cr.Floats(block)
+	built := cr.Uvarint()
 	if err := cr.End(); err != nil {
 		return nil, err
 	}
@@ -210,12 +225,16 @@ func readSnapshot(r io.Reader) (*indexSnapshot, error) {
 		m.CoordsA[ax] = block[ax*dim : (ax+1)*dim : (ax+1)*dim]
 		m.CoordsB[ax] = block[(dim+ax)*dim : (dim+ax+1)*dim : (dim+ax+1)*dim]
 	}
-	m.DAB = block[2*dim*dim:]
+	m.DAB2 = block[2*dim*dim:]
 
 	if snap.Store, err = triple.ReadStore(cr); err != nil {
 		return nil, err
 	}
 	snap.Rows = snap.Store.Len()
+	if built > uint64(snap.Rows) {
+		return nil, fmt.Errorf("%d triples placed by the build, %d persisted", built, snap.Rows)
+	}
+	snap.Built = int(built)
 	if snap.Tree, err = core.ReadSnapshot(cr, dim); err != nil {
 		return nil, err
 	}
@@ -223,18 +242,27 @@ func readSnapshot(r io.Reader) (*indexSnapshot, error) {
 }
 
 // Load reconstructs an index from a snapshot written by Save. The
-// embedding parameters are taken from the snapshot; tree-layout options
-// (bucket size, partitions, fabric) come from opts — their embedding
-// fields (Weights, Measure, NumericLiterals, Dims, Seed) are ignored.
+// embedding parameters are taken from the snapshot; the vocabularies
+// (opts.Registry) and the tree-layout options (bucket size, partitions,
+// fabric) come from opts — their embedding fields (Weights, Measure,
+// NumericLiterals, Dims, Seed) are ignored.
 //
-// The distributed tree's exact partition layout (boxes and remote
-// caches included) is restored after structural validation, so the
-// loaded index answers every query byte-identically to the saved one;
-// opts.MaxPartitions is raised to the persisted partition count when
-// lower. Corrupt input — truncation, garbage, a checksum mismatch, any
-// version other than snapshotVersion, embedding parameters or pivots
-// the metric or FastMap reject, or a tree payload violating the
-// structural invariants — returns ErrSnapshotCorrupt.
+// Load projects every stored triple again under the persisted pivots,
+// partition by partition into the arena's own coordinate block, with
+// the arithmetic that placed it — Build's for the triples Build
+// embedded, Insert's for the rest — so each coordinate comes back bit
+// for bit. The terms are resolved against opts.Registry, as the queries
+// of the loaded index are: Load under the registry the index was built
+// with (nil, if it was built with nil) for the points and answers of
+// the saved index. The distributed tree's exact partition layout (boxes
+// and remote caches included) is then rebuilt and restored after
+// structural validation, so the loaded index answers every query
+// byte-identically to the saved one; opts.MaxPartitions is raised to
+// the persisted partition count when lower. Corrupt input — truncation,
+// garbage, a checksum mismatch, any version other than
+// snapshotVersion, embedding parameters or pivots the metric or FastMap
+// reject, or a tree payload violating the structural invariants —
+// returns ErrSnapshotCorrupt.
 func Load(r io.Reader, opts Options) (*Index, error) {
 	snap, err := readSnapshot(r)
 	if err != nil {
@@ -263,12 +291,45 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("semtree: load: %w: tree references triple ID %d but only %d triples persisted",
 			ErrSnapshotCorrupt, id, snap.Rows)
 	}
+	project(snap, metric, mapper)
+	if err := snap.Tree.FitBoxes(); err != nil {
+		return nil, fmt.Errorf("semtree: load: %w", err)
+	}
 	tree, err := core.RestoreTree(opts.treeConfig(snap.Options.Dims), snap.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("semtree: load: %w", err)
 	}
 	return &Index{
 		store: snap.Store, metric: metric, mapper: mapper, tree: tree,
-		dims: snap.Options.Dims, opts: snap.Options,
+		dims: snap.Options.Dims, opts: snap.Options, built: snap.Built,
 	}, nil
+}
+
+// project gives every partition of snap's tree its coordinate block:
+// the triples its ID column names, in slot order, projected under
+// mapper's pivots straight into the block — the first snap.Built
+// triples of the store as Build placed them, later ones as Insert and
+// BulkAdd embedded them. The store's terms are resolved once, and each
+// partition's rows are gathered into a corpus of their own. Every ID
+// must index the store (strayID).
+func project(snap *indexSnapshot, metric *semdist.Metric, mapper *fastmap.Mapper[semdist.Triple]) {
+	terms, rows := snap.Store.Encoded()
+	all := semdist.NewCorpus(metric, terms, nil)
+	dim := snap.Tree.Dim
+	for pi := range snap.Tree.Parts {
+		ps := &snap.Tree.Parts[pi]
+		ids := make([][3]triple.TermID, len(ps.IDs))
+		var mapped []bool
+		for slot, id := range ps.IDs {
+			ids[slot] = rows[id]
+			if id >= uint64(snap.Built) {
+				if mapped == nil {
+					mapped = make([]bool, len(ps.IDs))
+				}
+				mapped[slot] = true
+			}
+		}
+		ps.Coords = make([]float64, dim*len(ps.IDs))
+		mapper.Project(ps.Coords, all.Over(ids).RowFrom, mapped)
+	}
 }

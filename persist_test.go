@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"semtree/internal/cluster"
 	"semtree/internal/column"
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
@@ -141,6 +142,117 @@ func TestLoadRestoresPartitionLayout(t *testing.T) {
 				t.Fatalf("%v query %d: stats %+v, want %+v", proto, q, sb, sa)
 			}
 		}
+	}
+}
+
+// TestReloadExactAfterIngest: an index on nine partitions that Insert
+// and BulkAdd grew past its built prefix, then rebalanced, reloads
+// exactly on both fabrics — over Save, Load, Save, Load every point
+// keeps the coordinate bits it was saved with, the second Save writes
+// the first one's bytes, and 64 queries under both protocols answer as
+// the saved index does: IDs, distance bits and work. The ingested
+// triples were embedded by MapInto, whose bits differ from the build's
+// projection on some of them, so Load must project each triple as it
+// was placed.
+func TestReloadExactAfterIngest(t *testing.T) {
+	const n = 3000
+	triples := synth.New(synth.Config{Seed: 81, Actors: 200}, nil).Triples(n + 400)
+	queries := synth.New(synth.Config{Seed: 82, Actors: 200}, nil).Triples(64)
+	for _, fab := range []struct {
+		name string
+		new  func() cluster.Fabric
+	}{
+		{"tcp", func() cluster.Fabric { return cluster.NewTCP() }},
+		{"inproc", func() cluster.Fabric { return cluster.NewInProc(cluster.InProcOptions{}) }},
+	} {
+		t.Run(fab.name, func(t *testing.T) {
+			index := func(build func(opts Options) (*Index, error)) *Index {
+				t.Helper()
+				f := fab.new()
+				ix, err := build(Options{Seed: 3, PartitionCapacity: n / 8, MaxPartitions: 9, Fabric: f})
+				if err != nil {
+					f.Close()
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					ix.Close()
+					f.Close()
+				})
+				return ix
+			}
+			store := triple.NewStore()
+			store.AddAll(triples[:n], triple.Provenance{Doc: "built"})
+			orig := index(func(opts Options) (*Index, error) { return Build(store, opts) })
+			for _, tp := range triples[n : n+100] {
+				if _, err := orig.Insert(tp, triple.Provenance{Doc: "inserted"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var items []BulkItem
+			for _, tp := range triples[n+100:] {
+				items = append(items, BulkItem{Triple: tp, Prov: triple.Provenance{Doc: "bulk"}})
+			}
+			if _, err := orig.BulkAdd(context.Background(), items); err != nil {
+				t.Fatal(err)
+			}
+			if err := orig.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
+			if orig.PartitionCount() != 9 || orig.Len() != n+400 || orig.built != n {
+				t.Fatalf("%d triples (%d built) on %d partitions, want %d (%d) on 9", orig.Len(), orig.built, orig.PartitionCount(), n+400, n)
+			}
+			saved := treeCoords(t, orig)
+
+			var first, second bytes.Buffer
+			if err := Save(&first, orig); err != nil {
+				t.Fatal(err)
+			}
+			once := index(func(opts Options) (*Index, error) { return Load(bytes.NewReader(first.Bytes()), opts) })
+			if err := Save(&second, once); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("Save of the loaded index wrote %d bytes that differ from the %d saved", second.Len(), first.Len())
+			}
+			twice := index(func(opts Options) (*Index, error) { return Load(&second, opts) })
+
+			for round, ix := range []*Index{once, twice} {
+				got := treeCoords(t, ix)
+				if len(got) != len(saved) {
+					t.Fatalf("load %d holds %d points, saved %d", round+1, len(got), len(saved))
+				}
+				for id, c := range saved {
+					if !sameBits(got[id], c) {
+						t.Fatalf("load %d: triple %d at %v, saved at %v", round+1, id, got[id], c)
+					}
+				}
+				for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
+					want, have := orig.Searcher(WithK(7), WithProtocol(proto)), ix.Searcher(WithK(7), WithProtocol(proto))
+					for qi, q := range queries {
+						a, err := want.Search(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := have.Search(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(a.Matches) != len(b.Matches) {
+							t.Fatalf("load %d %v query %d: %d matches, saved index %d", round+1, proto, qi, len(b.Matches), len(a.Matches))
+						}
+						for i, x := range a.Matches {
+							if y := b.Matches[i]; x.ID != y.ID || math.Float64bits(x.Dist) != math.Float64bits(y.Dist) {
+								t.Fatalf("load %d %v query %d rank %d: (%d, %v), saved index (%d, %v)", round+1, proto, qi, i, y.ID, y.Dist, x.ID, x.Dist)
+							}
+						}
+						a.Stats.Wall, b.Stats.Wall = 0, 0
+						if a.Stats != b.Stats {
+							t.Fatalf("load %d %v query %d: stats %+v, saved index %+v", round+1, proto, qi, b.Stats, a.Stats)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -302,7 +414,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// stream is a version-4 snapshot cut at its frames: the fixed header,
+// stream is a version-5 snapshot cut at its frames: the fixed header,
 // each column's payload, and the offset at which each column ends.
 type stream struct {
 	header []byte
@@ -346,8 +458,8 @@ func (s stream) with(i int, c []byte) stream {
 	return s
 }
 
-// The columns of a version-4 stream, in order; the tree's follow the
-// store's.
+// The columns of a version-5 stream, in order; the tree's follow the
+// store's, three per partition.
 const (
 	colOptions = iota
 	colPivots
@@ -404,7 +516,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := splitStream(t, buf.Bytes())
-	for _, v := range []byte{0, 3, 5, 99} {
+	for _, v := range []byte{0, 3, 4, 6, 99} {
 		s.header = append([]byte(nil), s.header...)
 		s.header[len(column.Magic)] = v
 		wantCorrupt(t, s.bytes(), fmt.Sprintf("version %d", v))
@@ -419,8 +531,8 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 func TestLoadRejectsHostileBytes(t *testing.T) {
 	b := savedStream(t, 45)
 	s := splitStream(t, b)
-	if len(s.cols) != colTree+1+4*3 {
-		t.Fatalf("%d columns, want %d (three partitions)", len(s.cols), colTree+1+4*3)
+	if len(s.cols) != colTree+1+3*3 {
+		t.Fatalf("%d columns, want %d (three partitions)", len(s.cols), colTree+1+3*3)
 	}
 	for _, end := range append([]int{column.HeaderSize}, s.ends[:len(s.ends)-1]...) {
 		wantCorrupt(t, b[:end], fmt.Sprintf("cut at column boundary %d", end))
@@ -451,7 +563,8 @@ func TestLoadRejectsHostileBytes(t *testing.T) {
 // header's one dimension, so a mapper cut to fewer axes than the tree
 // has — a pivot-coordinate column of 4 consistent axes over an
 // 8-dimensional tree — is corrupt, not an index whose every query
-// fails; and so are parameters the metric or FastMap reject.
+// fails; and so are parameters the metric or FastMap reject, and more
+// build-placed triples than the store holds.
 func TestLoadRejectsPatchedColumns(t *testing.T) {
 	s := splitStream(t, savedStream(t, 30))
 	options := func(alpha float64, measure string) []byte {
@@ -466,14 +579,18 @@ func TestLoadRejectsPatchedColumns(t *testing.T) {
 		t.Fatalf("options column %x does not have the layout this test patches", s.cols[colOptions])
 	}
 	coords := s.cols[colPivotCoords]
-	if want := 8 * (2*8 + 1) * 8; len(coords) != want {
-		t.Fatalf("pivot coordinate column of %d bytes, want %d", len(coords), want)
+	floats := 8 * (2*8 + 1) * 8
+	if built := binary.AppendUvarint(nil, 30); !bytes.Equal(coords[floats:], built) {
+		t.Fatalf("pivot coordinate column of %d bytes, want %d and the build's 30 triples", len(coords), floats)
 	}
 	negative := append([]byte(nil), coords...)
-	binary.LittleEndian.PutUint64(negative[8*2*8*8:], math.Float64bits(-1)) // DAB[0]
+	binary.LittleEndian.PutUint64(negative[8*2*8*8:], math.Float64bits(-1)) // DAB2[0]
+	cut := append(coords[:8*(2*4+1)*4:8*(2*4+1)*4], coords[floats:]...)
 	for what, patched := range map[string]stream{
-		"4-axis mapper over an 8-dim tree": s.with(colPivotCoords, coords[:8*(2*4+1)*4]),
-		"DAB[0] = -1":                      s.with(colPivotCoords, negative),
+		"4-axis mapper over an 8-dim tree": s.with(colPivotCoords, cut),
+		"DAB2[0] = -1":                     s.with(colPivotCoords, negative),
+		"31 triples built of 30":           s.with(colPivotCoords, binary.AppendUvarint(coords[:floats:floats], 31)),
+		"no build count":                   s.with(colPivotCoords, coords[:floats]),
 		`Measure "nope"`:                   s.with(colOptions, options(0.4, "nope")),
 		"Alpha 2":                          s.with(colOptions, options(2, "")),
 	} {
@@ -482,9 +599,10 @@ func TestLoadRejectsPatchedColumns(t *testing.T) {
 }
 
 // nonFinitePivotStreams saves one index of n triples through
-// writeSnapshot four times: as Save would ("valid"), and with its pivot
-// column rewritten to hold a NaN pivot distance, a +Inf one, or one
-// -Inf pivot coordinate on an axis whose pivot distance is positive.
+// writeSnapshot five times: as Save would ("valid"), and with its pivot
+// column rewritten to hold a NaN squared pivot distance, a +Inf one, a
+// negative one, or one -Inf pivot coordinate on an axis whose pivot
+// distance is positive.
 func nonFinitePivotStreams(t testing.TB, n int) map[string][]byte {
 	t.Helper()
 	store := triple.NewStore()
@@ -501,8 +619,9 @@ func nonFinitePivotStreams(t testing.TB, n int) map[string][]byte {
 	out := map[string][]byte{}
 	for name, mutate := range map[string]func(m *fastmap.Snapshot[triple.Triple]){
 		"valid":              func(*fastmap.Snapshot[triple.Triple]) {},
-		"NaN DAB[0]":         func(m *fastmap.Snapshot[triple.Triple]) { m.DAB[0] = math.NaN() },
-		"+Inf DAB[0]":        func(m *fastmap.Snapshot[triple.Triple]) { m.DAB[0] = math.Inf(1) },
+		"NaN DAB2[0]":        func(m *fastmap.Snapshot[triple.Triple]) { m.DAB2[0] = math.NaN() },
+		"+Inf DAB2[0]":       func(m *fastmap.Snapshot[triple.Triple]) { m.DAB2[0] = math.Inf(1) },
+		"-1 DAB2[0]":         func(m *fastmap.Snapshot[triple.Triple]) { m.DAB2[0] = -1 },
 		"-Inf CoordsB[1][0]": func(m *fastmap.Snapshot[triple.Triple]) { m.CoordsB[1][0] = math.Inf(-1) },
 	} {
 		snap := indexSnapshot{
@@ -510,15 +629,17 @@ func nonFinitePivotStreams(t testing.TB, n int) map[string][]byte {
 			Mapper:  fastmap.ConvertSnapshot(ix.mapper.Snapshot(), semdist.Triple.Unresolved),
 			Store:   ix.store,
 			Rows:    store.Len(),
+			Built:   ix.built,
 			Tree:    tree,
 		}
 		m := &snap.Mapper
-		if !(m.DAB[1] > 0) {
-			t.Fatalf("axis 1 collapsed (DAB %v): its coordinates would not be read", m.DAB[1])
+		if !(m.DAB2[1] > 0) {
+			t.Fatalf("axis 1 collapsed (DAB2 %v): its coordinates would not be read", m.DAB2[1])
 		}
 		for ax := range m.CoordsA { // the mapper shares these; mutate copies
 			m.CoordsA[ax], m.CoordsB[ax] = slices.Clone(m.CoordsA[ax]), slices.Clone(m.CoordsB[ax])
 		}
+		m.DAB2 = slices.Clone(m.DAB2)
 		mutate(m)
 		var buf bytes.Buffer
 		if err := writeSnapshot(&buf, &snap); err != nil {
@@ -529,10 +650,10 @@ func nonFinitePivotStreams(t testing.TB, n int) map[string][]byte {
 	return out
 }
 
-// TestLoadRejectsNonFinitePivots: a pivot column with a NaN or infinite
-// pivot distance, or an infinite pivot coordinate, is corrupt. Loaded,
-// the first two would fail every search on a NaN coordinate and the
-// third would answer from broken coordinates.
+// TestLoadRejectsNonFinitePivots: a pivot column with a NaN, infinite
+// or negative squared pivot distance, or an infinite pivot coordinate,
+// is corrupt. Loaded, the first three would fail every search on a NaN
+// coordinate and the last would answer from broken coordinates.
 func TestLoadRejectsNonFinitePivots(t *testing.T) {
 	streams := nonFinitePivotStreams(t, 500)
 	ix, err := Load(bytes.NewReader(streams["valid"]), Options{})
@@ -639,7 +760,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	crc := append([]byte(nil), valid...)
 	crc[s.ends[colRows]-1] ^= 1 // the row column's checksum
 	f.Add(crc)
-	f.Add(nonFinitePivotStreams(f, 120)["NaN DAB[0]"])
+	pivots := nonFinitePivotStreams(f, 120)
+	f.Add(pivots["NaN DAB2[0]"])
+	f.Add(pivots["-1 DAB2[0]"])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
