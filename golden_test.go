@@ -15,17 +15,17 @@ import (
 	"semtree/internal/triple"
 )
 
-// goldenV5 is a small index saved as a version-5 snapshot and committed
+// goldenV6 is a small index saved as a version-6 snapshot and committed
 // beside the code, so a change that moves a byte of the format fails
 // here even when Save and Load move together. Rewrite it only with a
 // snapshotVersion bump:
 //
-//	go test -run TestSnapshotV5Golden -update-golden .
-const goldenV5 = "testdata/snapshot-v5-golden.bin"
+//	go test -run TestSnapshotV6Golden -update-golden .
+const goldenV6 = "testdata/snapshot-v6-golden.bin"
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenV5+" from a fresh build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenV6+" from a fresh build")
 
-// goldenIndex builds the index goldenV5 holds: 2 000 synth triples over
+// goldenIndex builds the index goldenV6 holds: 2 000 synth triples over
 // three partitions.
 func goldenIndex(t *testing.T) *Index {
 	t.Helper()
@@ -39,22 +39,22 @@ func goldenIndex(t *testing.T) *Index {
 	return ix
 }
 
-// TestSnapshotV5Golden: Load then Save reproduces the committed file
+// TestSnapshotV6Golden: Load then Save reproduces the committed file
 // byte for byte, and the loaded index answers 64 fixed queries exactly
 // like a fresh Build of the same triples — IDs, distance bits and the
 // work each query did.
-func TestSnapshotV5Golden(t *testing.T) {
+func TestSnapshotV6Golden(t *testing.T) {
 	fresh := goldenIndex(t)
 	if *updateGolden {
 		var buf bytes.Buffer
 		if err := Save(&buf, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenV5, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV6, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(goldenV5)
+	golden, err := os.ReadFile(goldenV6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSnapshotV5Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), golden) {
-		t.Fatalf("Load then Save wrote %d bytes that differ from the %d of %s", again.Len(), len(golden), goldenV5)
+		t.Fatalf("Load then Save wrote %d bytes that differ from the %d of %s", again.Len(), len(golden), goldenV6)
 	}
 
 	queries := synth.New(synth.Config{Seed: 2, Actors: 200}, nil).Triples(64)

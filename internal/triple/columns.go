@@ -8,9 +8,11 @@ import (
 
 // The store persists as its own tables, so this file is the one place
 // that knows their byte layout: a term table column, a string table
-// column, and a row column holding, per triple, the subject, predicate
-// and object TermIDs, the Prov.Doc and Prov.Section string ids — all
-// uvarints — and Prov.Seq as a zigzag varint.
+// column, a row column holding, per triple, the subject, predicate and
+// object TermIDs as uvarints, and a run column holding, per run in ID
+// order, its length and its Prov.Doc and Prov.Section string ids as
+// uvarints, the Prov.Seq of its first triple as a zigzag varint, and
+// its step as a byte.
 
 // WriteTerm appends t to w's open column: its kind, prefix, value and
 // literal type.
@@ -36,7 +38,8 @@ func ReadTerm(r *column.Reader) Term {
 }
 
 // WriteColumns writes the store's tables and its first n triples — n
-// at most Len — as three columns, reading them in place.
+// at most Len — as four columns, reading them in place. The run that
+// holds triple n-1 is cut there.
 func (s *Store) WriteColumns(w *column.Writer, n int) {
 	v := s.view()
 	w.Uvarint(uint64(len(v.terms)))
@@ -50,20 +53,38 @@ func (s *Store) WriteColumns(w *column.Writer, n int) {
 	}
 	w.End()
 	w.Uvarint(uint64(n))
-	for i := range n {
-		for _, id := range v.spo[i] {
+	for _, spo := range v.spo[:n] {
+		for _, id := range spo {
 			w.Uvarint(uint64(id))
 		}
-		w.Uvarint(uint64(v.src[i][0]))
-		w.Uvarint(uint64(v.src[i][1]))
-		w.Varint(int64(v.seq[i]))
+	}
+	w.End()
+	if n == 0 {
+		w.Uvarint(0)
+	} else {
+		w.Uvarint(uint64(v.runOf(n-1) + 1))
+	}
+	for r, end := range v.spans {
+		if r.first >= n {
+			break
+		}
+		end = min(end, n)
+		if end-r.first == 1 {
+			r.step = 0 // a run cut to one triple writes as a fresh one would
+		}
+		w.Uvarint(uint64(end - r.first))
+		w.Uvarint(uint64(r.doc))
+		w.Uvarint(uint64(r.section))
+		w.Varint(int64(r.seq))
+		w.Byte(byte(r.step))
 	}
 	w.End()
 }
 
-// ReadStore reads the three columns WriteColumns wrote into a new
-// store. Repeated table entries and ids out of their table's range are
-// errors, as are the reader's own.
+// ReadStore reads the four columns WriteColumns wrote into a new store.
+// Repeated table entries, ids out of their table's range, an empty
+// run, a step other than 0 and 1, and runs that do not cover the rows
+// exactly are errors, as are the reader's own.
 func ReadStore(r *column.Reader) (*Store, error) {
 	s := NewStore()
 	if err := r.Next(); err != nil {
@@ -99,9 +120,9 @@ func ReadStore(r *column.Reader) (*Store, error) {
 	if err := r.Next(); err != nil {
 		return nil, err
 	}
-	n := r.Count(6) // five one-byte uvarints and a one-byte varint at least
-	s.spo, s.src, s.seq = make([][3]TermID, n), make([][2]uint32, n), make([]int, n)
-	nt, ns := uint64(len(s.terms)), uint64(len(s.strs))
+	n := r.Count(3) // three one-byte uvarints at least
+	s.spo = make([][3]TermID, n)
+	nt := uint64(len(s.terms))
 	for i := range n {
 		for j := range s.spo[i] {
 			id := r.Uvarint()
@@ -110,17 +131,40 @@ func ReadStore(r *column.Reader) (*Store, error) {
 			}
 			s.spo[i][j] = TermID(id)
 		}
-		for j := range s.src[i] {
-			id := r.Uvarint()
-			if id >= ns && r.Err() == nil {
-				return nil, fmt.Errorf("triple: row %d names string %d of %d", i, id, ns)
-			}
-			s.src[i][j] = uint32(id)
-		}
-		s.seq[i] = int(r.Varint())
 	}
 	if err := r.End(); err != nil {
 		return nil, err
+	}
+
+	if err := r.Next(); err != nil {
+		return nil, err
+	}
+	runs := make([]run, r.Count(5)) // four one-byte varints and a byte at least
+	ns := uint64(len(s.strs))
+	first := 0
+	for k := range runs {
+		length, doc, section := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		seq, step := r.Varint(), r.Byte()
+		switch {
+		case r.Err() != nil:
+		case length == 0 || length > uint64(n-first):
+			return nil, fmt.Errorf("triple: run %d of %d triples from triple %d of %d", k, length, first, n)
+		case doc >= ns || section >= ns:
+			return nil, fmt.Errorf("triple: run %d names strings %d and %d of %d", k, doc, section, ns)
+		case step > 1:
+			return nil, fmt.Errorf("triple: run %d steps by %d", k, step)
+		}
+		runs[k] = run{first: first, seq: int(seq), doc: uint32(doc), section: uint32(section), step: int(step)}
+		first += int(length)
+	}
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	if first != n {
+		return nil, fmt.Errorf("triple: runs cover %d of %d triples", first, n)
+	}
+	if k := len(runs); k > 0 {
+		s.runs, s.open = runs[:k-1], runs[k-1]
 	}
 	return s, nil
 }

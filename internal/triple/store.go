@@ -1,6 +1,7 @@
 package triple
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -40,16 +41,20 @@ type Entry struct {
 // The store is dictionary-encoded. The paper's triples draw on small
 // vocabularies — subject an Actor, predicate a function, object a
 // Parameter (§III-A) — so each distinct term is kept once in a term
-// table, each distinct Provenance.Doc and Section once in a string
-// table, and a stored triple is three term ids, two string ids and its
-// Seq: 28 bytes against the 184 of an Entry. A distinct term costs 48
-// bytes of table plus its map entry and growth slack, 135 to 185 in all
-// (TestStoreFootprint measures it), so the encoding is the smaller one
-// while a corpus averages fewer than about one distinct term per triple
-// — every term used three times or more; a corpus in which no term
-// ever repeats takes about three times what a plain []Entry would.
-// Entries are materialised on the way out and share their strings with
-// the tables, so reading allocates nothing.
+// table and a stored triple is its three term ids: 12 bytes against the
+// 184 of an Entry. Provenance is kept by run: a section's triples
+// arrive together, in order (§III-A, footnote 1), so consecutive IDs
+// under one Doc and Section whose Seq counts up by one, or repeats,
+// share one 32-byte run record, with each distinct Doc and Section
+// kept once in a string table. A distinct term costs 48 bytes of table
+// plus its map entry and growth slack, 135 to 185 in all, and a triple
+// that opens a run of its own pays the record's 32 (TestStoreFootprint
+// measures both), so the encoding is the smaller one while a corpus
+// averages fewer than about one distinct term per triple — every term
+// used three times or more; a corpus in which no term ever repeats
+// takes about three times what a plain []Entry would. Entries are
+// materialised on the way out and share their strings with the tables,
+// so reading allocates nothing.
 type Store struct {
 	mu sync.RWMutex
 	columns
@@ -57,15 +62,27 @@ type Store struct {
 	strID  map[string]uint32
 }
 
-// columns are the store's tables. They only ever grow by append, so a
-// copy of the slice headers taken under the lock is an immutable view
+// columns are the store's tables. The slices only ever grow by append
+// and the one run that is ever extended, the open one, is held by
+// value, so a copy of columns taken under the lock is an immutable view
 // of everything stored up to then and can be read with no lock held.
 type columns struct {
 	terms []Term      // term dictionary, first-seen order
 	strs  []string    // Provenance.Doc and Section dictionary
 	spo   [][3]TermID // per triple: subject, predicate, object in terms
-	src   [][2]uint32 // per triple: Prov.Doc, Prov.Section in strs
-	seq   []int       // per triple: Prov.Seq
+	runs  []run       // provenance of the triples before open.first
+	open  run         // provenance of the rest; unset while spo is empty
+}
+
+// run is the provenance of consecutive triple IDs: one Doc and Section,
+// and a Seq that starts at seq and steps by step, 0 or 1, from ID to
+// ID. A run ends where the next one starts; the open run ends at the
+// last triple.
+type run struct {
+	first        int    // ID of the run's first triple
+	seq          int    // Prov.Seq of that triple
+	doc, section uint32 // Prov.Doc and Prov.Section in strs
+	step         int
 }
 
 func (c *columns) triple(i int) Triple {
@@ -73,11 +90,50 @@ func (c *columns) triple(i int) Triple {
 	return Triple{Subject: c.terms[t[0]], Predicate: c.terms[t[1]], Object: c.terms[t[2]]}
 }
 
-func (c *columns) entry(i int) Entry {
-	p := c.src[i]
+// runOf returns the index in runs of the run holding triple i, which
+// is stored, or len(runs) for the open run.
+func (c *columns) runOf(i int) int {
+	if i >= c.open.first {
+		return len(c.runs)
+	}
+	k, found := slices.BinarySearchFunc(c.runs, i, func(r run, i int) int { return cmp.Compare(r.first, i) })
+	if !found {
+		k--
+	}
+	return k
+}
+
+// runAt returns the run holding triple i, which is stored.
+func (c *columns) runAt(i int) run {
+	if k := c.runOf(i); k < len(c.runs) {
+		return c.runs[k]
+	}
+	return c.open
+}
+
+// spans yields every run in ID order with the ID just past its last
+// triple.
+func (c *columns) spans(yield func(r run, end int) bool) {
+	if len(c.spo) == 0 {
+		return
+	}
+	for k, r := range c.runs {
+		end := c.open.first
+		if k+1 < len(c.runs) {
+			end = c.runs[k+1].first
+		}
+		if !yield(r, end) {
+			return
+		}
+	}
+	yield(c.open, len(c.spo))
+}
+
+// entry returns triple i, which run r holds.
+func (c *columns) entry(r run, i int) Entry {
 	return Entry{
 		Triple: c.triple(i),
-		Prov:   Provenance{Doc: c.strs[p[0]], Section: c.strs[p[1]], Seq: c.seq[i]},
+		Prov:   Provenance{Doc: c.strs[r.doc], Section: c.strs[r.section], Seq: r.seq + r.step*(i-r.first)},
 	}
 }
 
@@ -96,8 +152,6 @@ func (s *Store) view() columns {
 // grow makes room for n more triples. Callers hold the write lock.
 func (s *Store) grow(n int) {
 	s.spo = slices.Grow(s.spo, n)
-	s.src = slices.Grow(s.src, n)
-	s.seq = slices.Grow(s.seq, n)
 }
 
 func (s *Store) internTerm(t Term) TermID {
@@ -125,11 +179,26 @@ func (s *Store) put(t Triple, doc, section uint32, seq int) {
 	s.putRow([3]TermID{s.internTerm(t.Subject), s.internTerm(t.Predicate), s.internTerm(t.Object)}, doc, section, seq)
 }
 
-// putRow appends one encoded triple. Callers hold the write lock.
+// putRow appends one encoded triple: it extends the open run when the
+// triple continues it, and opens a run otherwise. A run of one triple
+// continues under either step. Callers hold the write lock.
 func (s *Store) putRow(spo [3]TermID, doc, section uint32, seq int) {
+	i := len(s.spo)
 	s.spo = append(s.spo, spo)
-	s.src = append(s.src, [2]uint32{doc, section})
-	s.seq = append(s.seq, seq)
+	if o := &s.open; i > 0 && o.doc == doc && o.section == section {
+		// Seq arithmetic wraps, as p.Seq+i does in AddAll.
+		switch d, n := seq-o.seq, i-o.first; {
+		case d == o.step*n:
+			return
+		case n == 1 && (d == 0 || d == 1):
+			o.step = d
+			return
+		}
+	}
+	if i > 0 {
+		s.runs = append(s.runs, s.open)
+	}
+	s.open = run{first: i, seq: seq, doc: doc, section: section}
 }
 
 // Add appends a triple and returns its ID.
@@ -205,7 +274,7 @@ func (s *Store) Get(id ID) (Entry, bool) {
 	if uint64(id) >= uint64(len(s.spo)) {
 		return Entry{}, false
 	}
-	return s.entry(int(id)), true
+	return s.entry(s.runAt(int(id)), int(id)), true
 }
 
 // MustGet returns the triple for id and panics if the ID is unknown.
@@ -230,9 +299,11 @@ func (s *Store) Len() int {
 // added meanwhile are not visited.
 func (s *Store) Each(fn func(ID, Entry) bool) {
 	v := s.view()
-	for i := range v.spo {
-		if !fn(ID(i), v.entry(i)) {
-			return
+	for r, end := range v.spans {
+		for i := r.first; i < end; i++ {
+			if !fn(ID(i), v.entry(r, i)) {
+				return
+			}
 		}
 	}
 }
@@ -258,9 +329,11 @@ func (s *Store) ByDoc(doc string) []ID {
 		return nil
 	}
 	var out []ID
-	for i, p := range v.src {
-		if p[0] == want {
-			out = append(out, ID(i))
+	for r, end := range v.spans {
+		if r.doc == want {
+			for i := r.first; i < end; i++ {
+				out = append(out, ID(i))
+			}
 		}
 	}
 	return out

@@ -1,16 +1,19 @@
 package triple_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"semtree/internal/column"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
 )
@@ -39,12 +42,18 @@ func modelTerms() []triple.Term {
 
 // TestStoreMatchesSliceModel drives random operation sequences against
 // the store and a plain []Entry, and requires == on everything the
-// store returns.
+// store returns. Besides provenance drawn at random, which almost never
+// continues a run, the writes continue the last entry's run or break
+// it: counting batches through AddAll and AddFrom, Add repeated under
+// one provenance, and AddEntries batches that count or repeat and then
+// break off — with Seq near math.MaxInt, so counting wraps.
 func TestStoreMatchesSliceModel(t *testing.T) {
 	terms := modelTerms()
 	names := []string{"", "A", "B", "std", "A "}
 	docs := append([]string{"unknown", "Fun"}, names...) // ByDoc arguments: two never stored
 	seqs := []int{0, 1, -1, -7, math.MaxInt64, math.MinInt64, 1 << 40}
+	// Terms the text notation carries unchanged, for AddFrom.
+	text := []triple.Term{triple.NewConcept("Fun", "send_msg"), triple.NewConcept("CmdType", "start-up"), triple.NewLiteral("42"), triple.NewString("OBSW001")}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pick := func() triple.Triple {
@@ -59,16 +68,36 @@ func TestStoreMatchesSliceModel(t *testing.T) {
 		}
 		s := triple.NewStore()
 		var model []triple.Entry
-		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(9); op {
-			case 0:
-				e := triple.Entry{Triple: pick(), Prov: prov()}
-				if got := s.Add(e.Triple, e.Prov); got != triple.ID(len(model)) {
-					t.Fatalf("seed %d step %d: Add returned %d, model has %d", seed, step, got, len(model))
+		// next returns the provenance of the entry after the model's
+		// last under step — or, now and then, a fresh one close to
+		// the wrap.
+		next := func(step int) triple.Provenance {
+			if len(model) == 0 || rng.Intn(4) == 0 {
+				return triple.Provenance{Doc: names[rng.Intn(len(names))], Section: names[rng.Intn(len(names))], Seq: math.MaxInt - rng.Intn(4)}
+			}
+			p := model[len(model)-1].Prov
+			p.Seq += step
+			return p
+		}
+		either := func() triple.Provenance {
+			if rng.Intn(2) == 0 {
+				return prov()
+			}
+			return next(rng.Intn(2))
+		}
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(11); op {
+			case 0: // Add, repeated under one provenance
+				p := either()
+				for range 1 + rng.Intn(4) {
+					e := triple.Entry{Triple: pick(), Prov: p}
+					if got := s.Add(e.Triple, e.Prov); got != triple.ID(len(model)) {
+						t.Fatalf("seed %d step %d: Add returned %d, model has %d", seed, step, got, len(model))
+					}
+					model = append(model, e)
 				}
-				model = append(model, e)
 			case 1:
-				ts, p := make([]triple.Triple, rng.Intn(6)), prov()
+				ts, p := make([]triple.Triple, rng.Intn(6)), either()
 				for i := range ts {
 					ts[i] = pick()
 				}
@@ -150,6 +179,41 @@ func TestStoreMatchesSliceModel(t *testing.T) {
 						t.Fatalf("seed %d step %d: dictionary entries %d and %d are both %+v", seed, step, first, ord, term)
 					}
 				}
+			case 9: // AddAll's batch as text
+				ts, p := make([]triple.Triple, rng.Intn(6)), either()
+				for i := range ts {
+					ts[i] = triple.New(text[rng.Intn(len(text))], text[rng.Intn(len(text))], text[rng.Intn(len(text))])
+				}
+				var buf strings.Builder
+				if err := triple.WriteAll(&buf, ts); err != nil {
+					t.Fatal(err)
+				}
+				first, n, err := s.AddFrom(strings.NewReader(buf.String()), p)
+				if err != nil || first != triple.ID(len(model)) || n != len(ts) {
+					t.Fatalf("seed %d step %d: AddFrom = %d, %d, %v; model has %d, batch %d", seed, step, first, n, err, len(model), len(ts))
+				}
+				for i, tr := range ts {
+					model = append(model, triple.Entry{Triple: tr, Prov: triple.Provenance{Doc: p.Doc, Section: p.Section, Seq: p.Seq + i}})
+				}
+			case 10: // AddEntries counting or repeating, then breaking off
+				d := rng.Intn(2)
+				p := next(d)
+				es := make([]triple.Entry, 1+rng.Intn(8))
+				cut := rng.Intn(len(es) + 1)
+				for i := range es {
+					if i == cut {
+						p = prov()
+						if i > 0 && rng.Intn(2) == 0 { // the same section, a Seq off the count
+							p.Doc, p.Section, p.Seq = es[i-1].Prov.Doc, es[i-1].Prov.Section, es[i-1].Prov.Seq+2
+						}
+					}
+					es[i] = triple.Entry{Triple: pick(), Prov: p}
+					p.Seq += d
+				}
+				if got := s.AddEntries(es); got != triple.ID(len(model)) {
+					t.Fatalf("seed %d step %d: AddEntries returned %d, model has %d", seed, step, got, len(model))
+				}
+				model = append(model, es...)
 			}
 		}
 	}
@@ -158,7 +222,9 @@ func TestStoreMatchesSliceModel(t *testing.T) {
 // TestStoreReadersRaceNewTerms runs every reader, the Build view
 // included, beside writers whose every triple brings a term the
 // dictionary has not seen, so the tables keep reallocating under the
-// readers. Run with -race.
+// readers. Each writer's Add opens a run its AddAll continues when no
+// other writer came between, so the open run grows and takes its step
+// under the readers too. Run with -race.
 func TestStoreReadersRaceNewTerms(t *testing.T) {
 	const perWriter = 6000
 	s := triple.NewStore()
@@ -176,7 +242,7 @@ func TestStoreReadersRaceNewTerms(t *testing.T) {
 			doc := fmt.Sprintf("w%d", w)
 			for i := 0; i < perWriter; i += 3 {
 				s.Add(fresh(w, i), triple.Provenance{Doc: doc, Section: fmt.Sprint(i), Seq: i})
-				s.AddAll([]triple.Triple{fresh(w, i+1), fresh(w, i+2)}, triple.Provenance{Doc: doc, Seq: i + 1})
+				s.AddAll([]triple.Triple{fresh(w, i+1), fresh(w, i+2)}, triple.Provenance{Doc: doc, Section: fmt.Sprint(i), Seq: i + 1})
 			}
 		}()
 	}
@@ -194,6 +260,10 @@ func TestStoreReadersRaceNewTerms(t *testing.T) {
 		n := s.Len()
 		if e, ok := s.Get(triple.ID(n - 1)); !ok || e.Triple.Predicate.Value != "accept_cmd" {
 			t.Errorf("Get(%d) below Len = %+v, %v", n-1, e, ok)
+		}
+		id := triple.ID(rand.Intn(n))
+		if e, _ := s.Get(id); e.Triple.Object.Value != strconv.Itoa(e.Prov.Seq) {
+			t.Errorf("Get(%d) pairs object %q with seq %d", id, e.Triple.Object.Value, e.Prov.Seq)
 		}
 	})
 	read(func() {
@@ -215,6 +285,31 @@ func TestStoreReadersRaceNewTerms(t *testing.T) {
 				t.Errorf("ByDoc(w1) returned %d, stored under %q", id, e.Prov.Doc)
 			}
 		}
+	})
+	read(func() {
+		// What Save does: write the first n triples from a view.
+		n := s.Len()
+		var buf bytes.Buffer
+		w := column.NewWriter(&buf)
+		s.WriteColumns(w, n)
+		if err := w.Flush(); err != nil {
+			t.Error(err)
+			return
+		}
+		got, err := triple.ReadStore(column.NewReader(&buf))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if got.Len() != n {
+			t.Errorf("read back %d of %d triples", got.Len(), n)
+		}
+		got.Each(func(id triple.ID, e triple.Entry) bool {
+			if e.Triple.Object.Value != strconv.Itoa(e.Prov.Seq) {
+				t.Errorf("written entry %d pairs object %q with seq %d", id, e.Triple.Object.Value, e.Prov.Seq)
+			}
+			return true
+		})
 	})
 	read(func() {
 		// What Build does: take the view, then read all of it with no
@@ -266,21 +361,41 @@ func filledStore(ts []triple.Triple) any {
 	return s
 }
 
-// TestStoreFootprint gates what the dictionary encoding is for: the
-// benchmark's corpus costs at most 32 bytes of heap per stored triple
-// (a plain []Entry costs 184). The encoding's worst case — no term
-// ever repeats, so every triple also pays for three dictionary entries
-// — is measured beside it and logged, not gated.
+// TestStoreFootprint gates what the dictionary and run encodings are
+// for: the benchmark's corpus, filled as one run, costs at most 16 bytes
+// of heap per stored triple (a plain []Entry costs 184). The runs' worst
+// case — every triple opens its own, as the quickstart example's one
+// section per triple does — costs at most 112, its run record and its
+// section's table entry included. The dictionary's worst case — no
+// term ever repeats, so every triple also pays for three dictionary
+// entries — is measured beside them and logged, not gated.
 func TestStoreFootprint(t *testing.T) {
 	const n = 100000
 	corpus := synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n)
 	got := retained(n, func() any { return filledStore(corpus) })
 	t.Logf("synth corpus, %d triples: store %.1f B/triple, []Entry %.1f B/triple",
 		n, got, retained(n, func() any { return plainEntries(corpus) }))
-	if got > 32 {
-		t.Errorf("store retains %.1f B per triple of the synth corpus, want <= 32", got)
+	if got > 16 {
+		t.Errorf("store retains %.1f B per triple of the synth corpus, want <= 16", got)
+	}
+
+	sections := make([]string, n) // built outside the measurement, as a caller's would be
+	for i := range sections {
+		sections[i] = fmt.Sprint("REQ-", i+1)
+	}
+	perSection := retained(n, func() any {
+		s := triple.NewStore()
+		for i, tp := range corpus {
+			s.Add(tp, triple.Provenance{Doc: "synth", Section: sections[i]})
+		}
+		return s
+	})
+	t.Logf("synth corpus, one section per triple: store %.1f B/triple", perSection)
+	if perSection > 112 {
+		t.Errorf("store retains %.1f B per triple with one section per triple, want <= 112", perSection)
 	}
 	runtime.KeepAlive(corpus)
+	runtime.KeepAlive(sections)
 
 	const m = 20000
 	distinct := make([]triple.Triple, m)

@@ -12,17 +12,18 @@ import (
 )
 
 // snapshotVersion is the on-disk format written by Save, and the only
-// one Load accepts. Version 5 is a column stream (internal/column):
+// one Load accepts. Version 6 is a column stream (internal/column):
 // the header carries the embedding dimension once, and the columns
-// hold the index as memory already does — the store's tables and rows,
-// the pivots with their squared pivot distances, and per partition the
-// nodes and point IDs. No coordinate is written: a point's coordinates
-// are a function of its triple and the pivots, and Load projects every
-// stored triple again with the arithmetic that placed it, then rebuilds
-// every box. Version 4 wrote each partition's coordinate block raw, and
-// versions 1–3 were gob streams; none has a writer and all are rejected
-// as corrupt.
-const snapshotVersion = 5
+// hold the index as memory already does — the store's tables, rows and
+// provenance runs, the pivots with their squared pivot distances, and
+// per partition the nodes and point IDs. No coordinate is written: a
+// point's coordinates are a function of its triple and the pivots, and
+// Load projects every stored triple again with the arithmetic that
+// placed it, then rebuilds every box. Version 5 wrote each triple's
+// provenance in its row, version 4 each partition's coordinate block
+// raw, and versions 1–3 were gob streams; none has a writer and all are
+// rejected as corrupt.
+const snapshotVersion = 6
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
 // truncated or garbled encodings, unknown versions, embedding
@@ -110,10 +111,10 @@ func Save(w io.Writer, ix *Index) error {
 	return nil
 }
 
-// writeSnapshot writes snap as a version-5 stream: the header, then the
+// writeSnapshot writes snap as a version-6 stream: the header, then the
 // options and pivot columns, the pivot-coordinate column (both pivots'
 // coordinates per axis, the squared pivot distances, then Built), the
-// store's three columns and the tree's, which hold no coordinate.
+// store's four columns and the tree's, which hold no coordinate.
 func writeSnapshot(w io.Writer, snap *indexSnapshot) error {
 	m := &snap.Mapper
 	cw := column.NewWriter(w)

@@ -414,7 +414,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// stream is a version-5 snapshot cut at its frames: the fixed header,
+// stream is a version-6 snapshot cut at its frames: the fixed header,
 // each column's payload, and the offset at which each column ends.
 type stream struct {
 	header []byte
@@ -458,7 +458,7 @@ func (s stream) with(i int, c []byte) stream {
 	return s
 }
 
-// The columns of a version-5 stream, in order; the tree's follow the
+// The columns of a version-6 stream, in order; the tree's follow the
 // store's, three per partition.
 const (
 	colOptions = iota
@@ -467,6 +467,7 @@ const (
 	colTerms
 	colStrings
 	colRows
+	colRuns
 	colTree
 )
 
@@ -516,7 +517,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := splitStream(t, buf.Bytes())
-	for _, v := range []byte{0, 3, 4, 6, 99} {
+	for _, v := range []byte{0, 3, 4, 5, 7, 99} {
 		s.header = append([]byte(nil), s.header...)
 		s.header[len(column.Magic)] = v
 		wantCorrupt(t, s.bytes(), fmt.Sprintf("version %d", v))
@@ -558,15 +559,43 @@ func TestLoadRejectsHostileBytes(t *testing.T) {
 	}
 }
 
+// runColumn encodes a store's run column: per run its length, its
+// Doc and Section string ids, the Seq of its first triple and its step.
+func runColumn(runs ...[5]int64) []byte {
+	c := binary.AppendUvarint(nil, uint64(len(runs)))
+	for _, r := range runs {
+		c = binary.AppendUvarint(c, uint64(r[0]))
+		c = binary.AppendUvarint(c, uint64(r[1]))
+		c = binary.AppendUvarint(c, uint64(r[2]))
+		c = binary.AppendVarint(c, r[3])
+		c = append(c, byte(r[4]))
+	}
+	return c
+}
+
 // TestLoadRejectsPatchedColumns: columns no Save wrote, checksums
 // recomputed, are corrupt. The pivots and the tree are read against the
 // header's one dimension, so a mapper cut to fewer axes than the tree
 // has — a pivot-coordinate column of 4 consistent axes over an
 // 8-dimensional tree — is corrupt, not an index whose every query
-// fails; and so are parameters the metric or FastMap reject, and more
-// build-placed triples than the store holds.
+// fails; and so are parameters the metric or FastMap reject, more
+// build-placed triples than the store holds, and provenance runs that
+// do not cover the rows exactly, are empty, name a string past the
+// table or step by other than 0 and 1.
 func TestLoadRejectsPatchedColumns(t *testing.T) {
 	s := splitStream(t, savedStream(t, 30))
+	var own [][5]int64 // savedStream's sections take turns: a run per triple
+	for i := range 30 {
+		own = append(own, [5]int64{1, 0, 1 + int64(i%3), int64(i - 7), 0})
+	}
+	if !bytes.Equal(runColumn(own...), s.cols[colRuns]) {
+		t.Fatalf("run column %x does not have the layout this test patches", s.cols[colRuns])
+	}
+	ix, err := Load(bytes.NewReader(s.with(colRuns, runColumn([5]int64{30, 0, 1, 0, 1})).bytes()), Options{})
+	if err != nil {
+		t.Fatalf("one run over the 30 rows: %v", err)
+	}
+	ix.Close()
 	options := func(alpha float64, measure string) []byte {
 		var c []byte
 		for _, f := range []float64{alpha, 0.3, 0.3} {
@@ -593,6 +622,10 @@ func TestLoadRejectsPatchedColumns(t *testing.T) {
 		"no build count":                   s.with(colPivotCoords, coords[:floats]),
 		`Measure "nope"`:                   s.with(colOptions, options(0.4, "nope")),
 		"Alpha 2":                          s.with(colOptions, options(2, "")),
+		"a run of 29 over 30 rows":         s.with(colRuns, runColumn([5]int64{29, 0, 1, 0, 1})),
+		"a zero-length run":                s.with(colRuns, runColumn([5]int64{0, 0, 1, 0, 1}, [5]int64{30, 0, 1, 0, 1})),
+		"string 4 of 4":                    s.with(colRuns, runColumn([5]int64{30, 0, 4, 0, 1})),
+		"step 2":                           s.with(colRuns, runColumn([5]int64{30, 0, 1, 0, 2})),
 	} {
 		wantCorrupt(t, patched.bytes(), what)
 	}
