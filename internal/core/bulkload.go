@@ -163,7 +163,7 @@ func (t *Tree) installBalanced(coords []float64, ids []uint64, targets func() []
 	}
 	if !seq.Nodes[0].Leaf {
 		if tg := targets(); len(tg) > 0 {
-			if req.Frag, req.Remote, sent, err = t.installFrontier(&seq.Arena, tg); err != nil {
+			if req.Frag, sent, err = t.installFrontier(&seq.Arena, tg); err != nil {
 				undo()
 				return false, fmt.Errorf("install: %w", err)
 			}
@@ -185,13 +185,12 @@ func (t *Tree) installBalanced(coords []float64, ids []uint64, targets func() []
 // not a leaf) across targets: it cuts the tree below the root until the
 // frontier is wide enough to give every target a subtree, installs each
 // frontier subtree on the partition the placement kernel assigns it,
-// and returns the trunk — everything above the frontier, frontier
-// children replaced by their cross-partition refs — with each ref's
-// region (so the partition that receives the trunk can seed its
-// remote-box cache: the region registers together with the link,
-// exactly like the adopt handshake) and the partitions it sent an
-// install to, on failure too. Each fragment is cut from the arena with
-// exactly its points; the arena is left as it was.
+// and returns the trunk — everything above the frontier, each frontier
+// subtree cut into a link to where it was installed, which keeps the
+// subtree's box (kdtree.Arena.Extract): the region registers together
+// with the link — and the partitions it sent an install to, on failure
+// too. Each fragment is cut from the arena with exactly its points; the
+// arena is left as it was.
 //
 // "Using M−1 data partitions, we can perform in the best case M−1
 // parallel operations" (§III-C): the partitions install concurrently,
@@ -199,7 +198,7 @@ func (t *Tree) installBalanced(coords []float64, ids []uint64, targets func() []
 // order, so it gets the same fragments in the same order — and hands
 // back the same node indices — as a one-by-one install would. On an
 // error every dispatched install has returned before this does.
-func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk kdtree.Arena, remote []RemoteBox, sent []cluster.NodeID, err error) {
+func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk kdtree.Arena, sent []cluster.NodeID, err error) {
 	frontier := cutFrontier(a, len(targets))
 	subs := make([]placeBox, len(frontier))
 	for i, idx := range frontier {
@@ -228,16 +227,13 @@ func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk
 		return nil
 	})
 	if err != nil {
-		return kdtree.Arena{}, nil, sent, err
+		return kdtree.Arena{}, sent, err
 	}
 	cut := make(map[int32]kdtree.Ref, len(frontier))
-	remote = make([]RemoteBox, len(frontier))
 	for i, idx := range frontier {
-		ref := refTo(assign[i], nodes[i])
-		cut[idx] = ref
-		remote[i] = RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi}
+		cut[idx] = refTo(assign[i], nodes[i])
 	}
-	return a.Extract(0, cut), remote, sent, nil
+	return a.Extract(0, cut), sent, nil
 }
 
 // bulkMerge streams the rows into a live tree in chunks, each chunk a
@@ -304,7 +300,10 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // here by a spill or the balanced installer, which chose this partition
 // for it. An entry the arena does not have, a fragment the kernel
 // rejects, one linking up the partition DAG, one naming a partition
-// the tree does not have and one without a Seq are refused.
+// the tree does not have and one without a Seq are refused, and so is a
+// fragment with a link anywhere but over node 0 of the root partition:
+// only the balanced installer's trunk carries links, each with the box
+// of the subtree it leads to, which the receiver cannot check.
 //
 // The install applied last is remembered, by its Seq, with its reply —
 // a refused graft's too — under the write lock, before any displaced
@@ -319,8 +318,11 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 	if r.Seq == 0 {
 		return nil, p.refuse("install: no Seq")
 	}
-	if err := p.t.linksHosted(&r.Frag, r.Remote); err != nil {
+	if err := p.t.linksHosted(&r.Frag); err != nil {
 		return nil, p.refuse("install: %v", err)
+	}
+	if root := p.t.rootPartition(); (p != root || r.Entry != 0) && slices.ContainsFunc(r.Frag.Nodes, func(n kdtree.Node) bool { return n.Moved }) {
+		return nil, p.refuse("install: a fragment with links grafts over node 0 of partition %d", root.id)
 	}
 	p.mu.Lock()
 	if p.installed.seq == r.Seq {
@@ -346,7 +348,7 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 		}
 		displaced = entriesAt(r.Entry, p.AppendBucket(nil, r.Entry))
 	}
-	root, err := p.installLocked(r.Entry, &r.Frag, r.Remote)
+	root, err := p.installLocked(r.Entry, &r.Frag)
 	if err != nil {
 		p.mu.Unlock()
 		return nil, p.refuse("install: %v", err)
@@ -368,10 +370,9 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 }
 
 // installLocked moves a fragment into the arena (kdtree.Arena.Install:
-// over the node at entry, or appended when entry < 0), accounts its
-// points and registers the regions of the cross-partition subtrees it
-// links to. Callers hold the write lock.
-func (p *partition) installLocked(entry int32, frag *kdtree.Arena, remote []RemoteBox) (int32, error) {
+// over the node at entry, or appended when entry < 0) and accounts its
+// points. Callers hold the write lock.
+func (p *partition) installLocked(entry int32, frag *kdtree.Arena) (int32, error) {
 	points := 0
 	for i := range frag.Nodes {
 		points += len(frag.Nodes[i].Slots)
@@ -381,27 +382,16 @@ func (p *partition) installLocked(entry int32, frag *kdtree.Arena, remote []Remo
 		return 0, err
 	}
 	p.points += points
-	for _, e := range remote {
-		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
-	}
 	return root, nil
 }
 
-// linksHosted reports a link of frag, or a region in remote, naming a
-// partition the tree does not host.
-func (t *Tree) linksHosted(frag *kdtree.Arena, remote []RemoteBox) error {
+// linksHosted reports a link of frag naming a partition the tree does
+// not host.
+func (t *Tree) linksHosted(frag *kdtree.Arena) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	hosted := func(r kdtree.Ref) bool {
-		return slices.ContainsFunc(t.parts, func(p *partition) bool { return p.id == host(r) })
-	}
-	for _, e := range remote {
-		if !hosted(e.Ref) {
-			return fmt.Errorf("a region in partition %d, which the tree does not have", e.Ref.Part)
-		}
-	}
 	return foreignLinks(frag, func(i int, r kdtree.Ref) error {
-		if !hosted(r) {
+		if !slices.ContainsFunc(t.parts, func(p *partition) bool { return p.id == host(r) }) {
 			return fmt.Errorf("node %d links to partition %d, which the tree does not have", i, r.Part)
 		}
 		return nil

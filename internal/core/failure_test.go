@@ -204,6 +204,50 @@ func TestFailedBulkLoadUndoesEveryInstall(t *testing.T) {
 	}
 }
 
+// TestRestoreAfterLostForward: a forward lost after its sender grew
+// its boxes — the failure posture routeLocked states: a box too wide
+// only prunes less — leaves the live tree with boxes wider than its
+// points, and its snapshot must still restore. The fuzz tree's root
+// takes one client entry at (100, 100) while every call is dropped
+// before delivery, so the root grows its path, the link's box included,
+// and its forward is lost. RestoreTree fits every box to the points
+// below it: on InProc and on TCP under the fault seam, the restored
+// tree's boxes are all exact and its k-NN and range answers are the
+// flat scan's.
+func TestRestoreAfterLostForward(t *testing.T) {
+	far := []float64{100, 100}
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			fabric := clustertest.New(tp.new(), clustertest.Faults{})
+			defer fabric.Close()
+			cfg := fuzzConfig
+			cfg.Fabric, cfg.RetryAttempts = fabric, 1
+			tr := mustTree(t, cfg)
+			pts := fuzzPoints()
+			if err := tr.BulkLoad(context.Background(), pts); err != nil || tr.PartitionCount() != 3 {
+				t.Fatalf("the fuzz tree: %d partitions, %v", tr.PartitionCount(), err)
+			}
+			fabric.Arm(clustertest.Faults{Seed: 1, DropBefore: 1})
+			_, err := tr.rootPartition().handle(context.Background(), cluster.ClientID, bulkAddReq{Entries: []batchEntry{{Point: kdtree.Point{Coords: far, ID: 1000}}}})
+			fabric.Arm(clustertest.Faults{})
+			if !errors.Is(err, cluster.ErrTransient) {
+				t.Fatalf("the forward was not lost: %v", err)
+			}
+			snap := liveSnapshot(t, tr)
+			if lo, hi := snap.Parts[0].Box(0); !kdtree.BoxContains(lo, hi, far) {
+				t.Fatalf("the root's box [%v, %v] did not grow to %v: test vacuous", lo, hi, far)
+			}
+			restored, err := RestoreTree(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			checkPartitionBoxes(t, restored)
+			checkAgainstScan(t, restored, pts, [][]float64{{4, 4}, {0, 0}, {8, 9}, far, {-3, 5}}, tp.name+", restored")
+		})
+	}
+}
+
 // TestRebalanceRepairsExhaustedWrites: a write whose retries are
 // exhausted has an unknown outcome. With one attempt and 5 % of the
 // replies lost, InsertAll fails, Len() undercounts the points that did

@@ -44,15 +44,15 @@ import (
 // opens with their total count, and every []float64 in it is a run — a
 // uvarint length and the raw values — that the decoder cuts from one
 // block of that size (floatBlock), so decoding allocates that block and
-// one slice per []Neighbor, []knnEntry, []batchEntry and []RemoteBox,
-// never one per point. A neighbour is its point's ID and its squared
-// distance, never its coordinates: no receiver reads them, so no result
-// set carries them off a partition. An arena — a fragment, a
-// partition's state — travels in the layout of its snapshot file
-// (appendState): the four column bodies EncodeSnapshot writes per
-// partition, coordinate block included, read by the file's own readers
-// straight into the arena's blocks, and no node box, which the receiver
-// rebuilds by the file's rule. Empty and nil
+// one slice per []Neighbor, []knnEntry and []batchEntry, never one per
+// point. A neighbour is its point's ID and its squared distance, never
+// its coordinates: no receiver reads them, so no result set carries
+// them off a partition. An arena — a fragment, a partition's state —
+// travels in the layout of its snapshot file (appendState): the three
+// column bodies EncodeSnapshot writes per partition, coordinate block
+// included, read by the file's own readers straight into the arena's
+// blocks, and of its boxes only its links', which the receiver cannot
+// rebuild; it rebuilds the rest by the file's rule. Empty and nil
 // slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
@@ -199,18 +199,19 @@ func readBulkAddReq(d *column.Decoder) any {
 
 // installReq moves a tree fragment into a partition's arena. Frag is a
 // kdtree fragment — Frag.Nodes[0] is the root, child refs with Part ==
-// kdtree.Local index Frag.Nodes, any other ref is a cross-partition
-// link — and Remote carries the bounding box of each subtree those
-// links lead to, so the installing partition can seed its remote-box
-// cache: the region registers together with the link. The fragment is
-// moved, not copied: the sender gives up its blocks, and the receiving
-// arena adopts them and rebases the fragment's slots in place
-// (kdtree.Arena.Install). That is safe under cluster.Handler's
-// delivery contract: InProc hands the value over once and never
-// re-sends it, while TCP — and the tests' fault seam on any fabric —
-// delivers a fresh copy to every attempt, so a retried install never
-// meets a fragment an earlier attempt rewrote. On the wire it is a
-// partition state whose point count is its ID column's length.
+// kdtree.Local index Frag.Nodes, and a link's Fwd names the root of a
+// subtree on another partition, its box that subtree's region: the
+// region registers together with the link. A fragment with a link is a
+// trunk, and grafts over node 0 of the root partition only
+// (handleInstall). The fragment is moved, not copied: the sender gives
+// up its blocks, and the receiving arena adopts them and rebases the
+// fragment's slots in place (kdtree.Arena.Install). That is safe under
+// cluster.Handler's delivery contract: InProc hands the value over
+// once and never re-sends it, while TCP — and the tests' fault seam on
+// any fabric — delivers a fresh copy to every attempt, so a retried
+// install never meets a fragment an earlier attempt rewrote. On the
+// wire it is a partition state whose point count is its ID column's
+// length.
 //
 // Seq names the install tree-wide (Tree.installs; never 0), and makes
 // it safe to re-send: the receiver remembers the last install it
@@ -223,18 +224,17 @@ func readBulkAddReq(d *column.Decoder) any {
 // points already in the leaf are re-routed down the fragment, so a
 // graft composes with concurrent inserts. The receiver refuses a graft
 // — OK false, nothing installed — when Entry is no longer a plain leaf
-// (split or tombstoned).
+// (split, or relocated into a link).
 type installReq struct {
-	Frag   kdtree.Arena
-	Remote []RemoteBox
-	Entry  int32
-	Seq    uint64
+	Frag  kdtree.Arena
+	Entry int32
+	Seq   uint64
 }
 
 func (installReq) WireKind() byte { return kindInstallReq }
 
 func (m installReq) AppendWire(a *column.Appender) {
-	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs), Remote: m.Remote})
+	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs)})
 	a.Varint(int64(m.Entry))
 	a.Uvarint(m.Seq)
 }
@@ -244,7 +244,7 @@ func readInstallReq(d *column.Decoder) any {
 	if s.Points != len(s.IDs) {
 		d.Fail(fmt.Errorf("core: a fragment of %d points claims %d", len(s.IDs), s.Points))
 	}
-	return installReq{Frag: s.Arena, Remote: s.Remote, Entry: d.Int32(), Seq: d.Uvarint()}
+	return installReq{Frag: s.Arena, Entry: d.Int32(), Seq: d.Uvarint()}
 }
 
 // installResp reports the arena index the fragment's root landed on, or
@@ -292,15 +292,21 @@ func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
 func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
 
 // appendState appends a partition's state in the layout of its
-// snapshot file: the float count of its remote boxes, the arena's Dim
-// and Self, the four column bodies EncodeSnapshot writes (appendColumns)
-// — each as a block, its length then its bytes, where the file frames
-// a column — and the remote boxes' corners as runs, in the order of the
-// remote column. A remote box is the one box that travels: the region
-// of a subtree another partition holds, which the receiver cannot
-// rebuild.
+// snapshot file: the float count of its link boxes, the arena's Dim and
+// Self, the three column bodies EncodeSnapshot writes (appendColumns) —
+// each as a block, its length then its bytes, where the file frames a
+// column — and every link's box corners as runs, links in node order,
+// an empty box as two empty runs. A link's box is the one box that
+// travels: the region of a subtree another partition holds, which the
+// receiver cannot rebuild.
 func appendState(a *column.Appender, s *PartitionSnapshot) {
-	a.Uvarint(uint64(remoteFloats(s.Remote)))
+	floats := 0
+	for i := range s.Nodes {
+		if lo, _ := s.linkBox(i); lo != nil {
+			floats += 2 * s.Dim
+		}
+	}
+	a.Uvarint(uint64(floats))
 	a.Uvarint(uint64(s.Dim))
 	a.Varint(int64(s.Self))
 	start := len(*a)
@@ -308,10 +314,22 @@ func appendState(a *column.Appender, s *PartitionSnapshot) {
 		a.Block(start)
 		start = len(*a)
 	}, true)
-	for _, e := range s.Remote {
-		appendRun(a, e.Lo)
-		appendRun(a, e.Hi)
+	for i := range s.Nodes {
+		if s.Nodes[i].Moved {
+			lo, hi := s.linkBox(i)
+			appendRun(a, lo)
+			appendRun(a, hi)
+		}
 	}
+}
+
+// linkBox is the box of node i when it is a link (nil for an empty one),
+// and nil otherwise.
+func (s *PartitionSnapshot) linkBox(i int) (lo, hi []float64) {
+	if !s.Nodes[i].Moved {
+		return nil, nil
+	}
+	return s.Box(int32(i))
 }
 
 // readState reads what appendState wrote — each column with the file's
@@ -333,40 +351,41 @@ func readState(d *column.Decoder) PartitionSnapshot {
 		d.Fail(err)
 		return s
 	}
-	for i := range s.Remote {
-		e := &s.Remote[i]
-		if e.Lo, e.Hi = fs.next(), fs.next(); len(e.Hi) != len(e.Lo) || (e.Lo != nil && len(e.Lo) != s.Dim) {
-			d.Fail(errRemoteBox)
+	var corners [][]float64 // every link's lo and hi, links in node order
+	for i := range s.Nodes {
+		if s.Nodes[i].Moved {
+			lo, hi := fs.next(), fs.next()
+			if len(hi) != len(lo) || (lo != nil && len(lo) != s.Dim) {
+				d.Fail(errLinkBox)
+			}
+			corners = append(corners, lo, hi)
 		}
 	}
 	fs.end()
 	if d.Err() == nil {
-		if err := s.rebuildBoxes(); err != nil {
+		if err := s.rebuildBoxes(corners); err != nil {
 			d.Fail(err)
 		}
 	}
 	return s
 }
 
-// rebuildBoxes gives an arena read from a message the boxes the message
-// does not carry, by FitBoxes's rule over this one arena: every
-// leaf's from its bucket (fitLeaves), then every routing node's from
-// its children's (coverRouting), where a child that leaves the arena
-// takes the box of its remote entry. A partition holds an entry for
-// every such child, so a child without one is an error, never an empty
-// box too tight to guard its subtree.
+// rebuildBoxes gives an arena read from a message its boxes: every
+// link's from corners, its lo and hi in node order, and the rest by
+// FitBoxes's rule over this one arena — every leaf's from its bucket
+// (fitLeaves), then every routing node's from its children's
+// (coverRouting).
 //
 // The box block is believed only as far as the message backs it. Every
 // node a partition sends is a leaf holding points (but for an empty
-// tree's root), a routing node over two leaves or remote children, or
-// the tombstone of a relocated leaf, whose link has its remote entry —
-// and a partition caches no empty box — so an arena has at most
-// 2·(points + remote boxes + 1) nodes; one claiming more is refused
+// tree's root), a routing node over two children, or a link, which
+// carries its box unless its subtree is empty — so an arena has at most
+// 2·(points + link boxes + 1) nodes; one claiming more is refused
 // before its boxes are allocated.
-func (s *PartitionSnapshot) rebuildBoxes() error {
+func (s *PartitionSnapshot) rebuildBoxes(corners [][]float64) error {
 	boxes := 0
-	for _, e := range s.Remote {
-		if e.Lo != nil {
+	for k := 0; k < len(corners); k += 2 {
+		if corners[k] != nil {
 			boxes++
 		}
 	}
@@ -374,28 +393,22 @@ func (s *PartitionSnapshot) rebuildBoxes() error {
 		return errNodeCount
 	}
 	s.fitLeaves()
-	remote := make(map[kdtree.Ref]int, len(s.Remote))
-	for i, e := range s.Remote {
-		remote[e.Ref] = i
-	}
-	var err error
-	coverRouting([]*kdtree.Arena{&s.Arena}, func(r kdtree.Ref) (lo, hi []float64) {
-		i, ok := remote[r]
-		if !ok {
-			err = fmt.Errorf("core: child %v leaves the arena with no remote box", r)
-			return nil, nil
+	k := 0
+	for i := range s.Nodes {
+		if s.Nodes[i].Moved {
+			s.CoverBox(int32(i), corners[k], corners[k+1])
+			k += 2
 		}
-		return s.Remote[i].Lo, s.Remote[i].Hi
-	})
-	return err
+	}
+	coverRouting([]*kdtree.Arena{&s.Arena})
+	return nil
 }
 
 // knnEntry is one guarded subtree of a fanned-out k-nearest
 // continuation: the node index in the receiving partition, plus the
 // subtree's pruning guard — the exact squared minimum distance from
-// the query to the subtree's bounding box when the sender knows it,
-// falling back to the squared splitting-plane distance (§III-B.3) for
-// a subtree whose region metadata is unknown; < 0 is unconditional.
+// the query to the subtree's bounding box, which the sender's link
+// holds; < 0 is unconditional.
 // The receiver re-checks the guard against its evolving result set, so
 // a subtree another entry already ruled out costs nothing.
 type knnEntry struct {
@@ -721,8 +734,8 @@ func (fs *floatBlock) reuse(buf []float64) {
 var (
 	errFloatRun   = errors.New("core: a float run exceeds its message's float count")
 	errFloatCount = errors.New("core: a message's float count exceeds its runs")
-	errRemoteBox  = errors.New("core: a remote box is not of its arena's dimension")
-	errNodeCount  = errors.New("core: an arena has more nodes than its points and remote boxes allow")
+	errLinkBox    = errors.New("core: a link's box is not of its arena's dimension")
+	errNodeCount  = errors.New("core: an arena has more nodes than its points and link boxes allow")
 )
 
 // next reads one run; an empty run is nil.
@@ -787,12 +800,4 @@ func readNeighbors(d *column.Decoder, ns []kdtree.Neighbor) []kdtree.Neighbor {
 		ns[i] = kdtree.Neighbor{Point: kdtree.Point{ID: d.Uvarint()}, Dist: d.Float()}
 	}
 	return ns
-}
-
-func remoteFloats(rs []RemoteBox) int {
-	n := 0
-	for _, r := range rs {
-		n += len(r.Lo) + len(r.Hi)
-	}
-	return n
 }

@@ -17,9 +17,9 @@ import (
 
 // partition is one fabric-hosted piece of the SemTree: a kdtree.Arena
 // — the same kernel the sequential tree runs on, its Self set to the
-// partition's fabric ID so a child reference with a foreign Part is a
-// cross-partition link — plus what distribution needs on top: the lock,
-// the remote-box cache and the counters.
+// partition's fabric ID so a link's Fwd with a foreign Part is a
+// cross-partition edge — plus what distribution needs on top: the lock
+// and the counters.
 // Navigation takes the read lock; mutation (insert, split, spill) the
 // write lock. Locks are never held while waiting on an *upstream*
 // partition — call edges follow the partition DAG, so lock acquisition
@@ -32,22 +32,12 @@ type partition struct {
 	kdtree.Arena
 	points int
 
-	// remoteBoxes caches the bounding box of every cross-partition
-	// subtree this partition links to, keyed by the edge's reference.
-	// Entries are installed when a subtree registers (buildPartition's
-	// adopt handshake, a trunk install) and expanded when an insert
-	// forwards through the edge, so the search guard for a remote child
-	// is the same exact min-distance bound a local child gets. Guarded
-	// by mu like the arena; boxes are owned copies, never aliased with
-	// another partition's (the remote side keeps expanding its own).
-	remoteBoxes map[kdtree.Ref]box
-
 	// path is routeLocked's descent scratch (as kdtree.Tree keeps one for
 	// Insert). Guarded by mu: the router runs under the write lock.
 	path []int32
 
-	// boxWork counts the boxes inserts grew (path boxes and remote-edge
-	// cache entries). Guarded by mu: every writer holds the write lock,
+	// boxWork counts the boxes inserts grew on their descent paths, a
+	// link's included. Guarded by mu: every writer holds the write lock,
 	// handleStats reads under the read lock.
 	boxWork int64
 
@@ -138,24 +128,13 @@ func (p *partition) checkEntries(entries []batchEntry) error {
 	return nil
 }
 
-// foreignLinks calls fn on every link of arena a that leaves a — a
-// routing node's child or a tombstone's forward — and returns its
-// first error.
+// foreignLinks calls fn on the Fwd of every link of arena a that leaves
+// a and returns its first error. A routing child that leaves a is no
+// link: kdtree.Arena.Fit refuses it.
 func foreignLinks(a *kdtree.Arena, fn func(node int, r kdtree.Ref) error) error {
 	for i := range a.Nodes {
-		n := &a.Nodes[i]
-		refs := [2]kdtree.Ref{n.Left, n.Right}
-		switch {
-		case n.Moved:
-			refs = [2]kdtree.Ref{n.Fwd, n.Fwd}
-		case n.Leaf:
-			continue
-		}
-		for _, r := range refs {
-			if a.IsLocal(r) {
-				continue
-			}
-			if err := fn(i, r); err != nil {
+		if n := &a.Nodes[i]; n.Moved && !a.IsLocal(n.Fwd) {
+			if err := fn(i, n.Fwd); err != nil {
 				return err
 			}
 		}
@@ -200,8 +179,8 @@ func refTo(part cluster.NodeID, idx int32) kdtree.Ref {
 // A batch from the client enters at the tree root, node 0 of the root
 // partition, and is refused anywhere else: the boxes above any other
 // entry would not grow to cover what lands below it. Forwarded batches
-// enter where their sender's references point, and the sender has
-// already grown its own boxes and its cache of ours.
+// enter where their sender's links point, and the sender has already
+// grown its own boxes, the link's included.
 func (p *partition) handleBulkAdd(from cluster.NodeID, r bulkAddReq) (any, error) {
 	if from == cluster.ClientID {
 		if root := p.t.rootPartition(); p != root || slices.ContainsFunc(r.Entries, func(e batchEntry) bool { return e.Node != 0 }) {
@@ -231,7 +210,8 @@ func (p *partition) handleBulkAdd(from cluster.NodeID, r bulkAddReq) (any, error
 // warmForwards is the read-locked warm path: it descends every entry
 // and, when each one leaves through boxes that already contain it
 // (forwardNeedsExpand), returns the batch's forwards and charges its
-// navigation steps. It gives up (ok false) at the first entry that would
+// navigation steps (a link is not a step: the partition behind it
+// charges its own). It gives up (ok false) at the first entry that would
 // land here or grow a box; ingestLocked then routes the whole batch
 // again from its entry nodes — routing decisions are immutable, so the
 // second descent takes the same path above any leaf the first one found.
@@ -246,10 +226,10 @@ func (p *partition) warmForwards(entries []batchEntry) (fw forwards, ok bool, er
 	}
 	for _, e := range entries {
 		_, ref, remote, path := p.Descend(e.Node, e.Point.Coords, scratch[:0])
-		if !remote || p.forwardNeedsExpand(path, ref, e.Point.Coords) {
+		if !remote || p.forwardNeedsExpand(path, e.Point.Coords) {
 			return nil, false, nil
 		}
-		steps += len(path)
+		steps += len(path) - 1
 		fw.add(ref, e.Point)
 	}
 	p.navSteps.Add(int64(steps))
@@ -312,14 +292,16 @@ func (fw *forwards) add(ref kdtree.Ref, pt kdtree.Point) {
 // expands to include the point (the point belongs to each of those
 // logical subtrees), and the entry either reaches a local leaf — handed
 // to land, the batch's landing policy, unless the leaf already holds
-// its ID (holdsLocked) — or leaves through a cross-partition edge,
-// whose cached box grows before the entry is queued for the partition
-// hosting the child. A re-sent batch thus lands nothing twice, here or
-// downstream, and its box growth was already idempotent. It returns the
-// queue and the number of entries that landed; the caller accounts them and
-// forwards the queue after releasing the write lock it holds across this
-// call: call edges follow the partition DAG, but no lock may be held
-// across one.
+// that very point (holdsLocked) — or reaches a link, whose box grew
+// with the path, and is queued for the partition hosting the subtree
+// behind it. A re-sent batch thus lands nothing twice, here or
+// downstream, and its box growth was already idempotent; an entry
+// that lands nowhere is exactly one already stored, so every box it
+// grew covered it already. It returns the queue and the number of
+// entries that landed; the caller accounts them and forwards the queue
+// after releasing the write lock it holds across this call: call edges
+// follow the partition DAG, but no lock may be held across one. A link
+// is not a navigation step: the partition behind it charges its own.
 //
 // Expansion precedes the forward, so on a lossy or failing fabric a
 // dropped point can leave boxes covering a point that never landed:
@@ -330,29 +312,33 @@ func (p *partition) routeLocked(entries []batchEntry, land func(leaf int32, pt k
 	for _, e := range entries {
 		leaf, ref, remote, path := p.Descend(e.Node, e.Point.Coords, p.path[:0])
 		p.path = path
-		p.navSteps.Add(int64(len(p.path)))
 		p.expandPathBoxes(p.path, e.Point.Coords)
-		if !remote {
-			if !p.holdsLocked(leaf, e.Point.ID) {
-				land(leaf, e.Point)
-				landed++
-			}
+		if remote {
+			p.navSteps.Add(int64(len(p.path) - 1))
+			fw.add(ref, e.Point)
 			continue
 		}
-		p.expandRemoteBox(ref, e.Point.Coords)
-		fw.add(ref, e.Point)
+		p.navSteps.Add(int64(len(p.path)))
+		if !p.holdsLocked(leaf, e.Point) {
+			land(leaf, e.Point)
+			landed++
+		}
 	}
 	return fw, landed
 }
 
-// holdsLocked reports whether the leaf at idx already holds the point
-// with the given ID, by a scan of its bucket. Every builder and split
+// holdsLocked reports whether the leaf at idx already holds pt — its ID
+// at its coordinates — by a scan of its bucket. Every builder and split
 // sends "<= left", as Descend does, so a stored point's descent from any
-// ancestor reaches the leaf that holds it, and a re-sent entry finds
-// itself there. Callers hold at least the read lock.
-func (p *partition) holdsLocked(idx int32, id uint64) bool {
+// ancestor reaches the leaf that holds it, and a re-sent entry, the same
+// message again, finds itself there. An entry that reuses a stored ID at
+// other coordinates lands as its own point, as it does when it descends
+// to another leaf: IDs are unique by the writers' contract (BulkLoad),
+// and the boxes above it stay exact. Callers hold at least the read
+// lock.
+func (p *partition) holdsLocked(idx int32, pt kdtree.Point) bool {
 	for _, s := range p.Nodes[idx].Slots {
-		if p.IDs[s] == id {
+		if p.IDs[s] == pt.ID && slices.Equal(p.Point(s).Coords, pt.Coords) {
 			return true
 		}
 	}
@@ -387,8 +373,9 @@ func (p *partition) capacityExceededLocked() bool {
 
 // buildPartition implements §III-B.2: when the resource condition
 // fires, the partition's leaf nodes are moved into newly created
-// partitions and direct links replace the local references; the moved
-// leaves stay behind as forwarding tombstones for in-flight operations.
+// partitions, and each moved leaf becomes, in place, the direct link to
+// its new home — which also keeps in-flight operations that resolved it
+// working.
 // When fewer compute nodes remain than leaves exist, the available new
 // partitions adopt the leaves as the placement kernel assigns them —
 // geometrically close leaves together — a budget-limited variant of
@@ -400,24 +387,18 @@ func (p *partition) buildPartition() {
 		return // a concurrent spill already ran
 	}
 
-	// Movable leaves are leaf children of local routing nodes; the
+	// Movable leaves are leaf children of routing nodes; the
 	// partition's own subtree roots must stay for routing.
-	type move struct {
-		parent int32
-		right  bool
-		leaf   int32
-	}
-	var moves []move
+	var moves []int32
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
 		if n.Leaf || n.Moved {
 			continue
 		}
-		if p.movableLocked(n.Left) {
-			moves = append(moves, move{int32(i), false, n.Left.Node})
-		}
-		if p.movableLocked(n.Right) {
-			moves = append(moves, move{int32(i), true, n.Right.Node})
+		for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
+			if p.Nodes[c.Node].Leaf {
+				moves = append(moves, c.Node)
+			}
 		}
 	}
 	if len(moves) == 0 {
@@ -431,54 +412,36 @@ func (p *partition) buildPartition() {
 	// Assign every movable leaf a target up front: pure computation
 	// over the leaves' boxes, safe under the spill lock.
 	subs := make([]placeBox, len(moves))
-	for k, mv := range moves {
-		lo, hi := p.Box(mv.leaf)
-		subs[k] = placeBox{lo: lo, hi: hi, points: len(p.Nodes[mv.leaf].Slots)}
+	for k, leaf := range moves {
+		lo, hi := p.Box(leaf)
+		subs[k] = placeBox{lo: lo, hi: hi, points: len(p.Nodes[leaf].Slots)}
 	}
 	assign := p.t.assignTargets(subs, targets)
 	moved := 0
-	for k, mv := range moves {
-		// The leaf ships as a one-node fragment, its region with it: the
-		// adopting side installs it as a new subtree root (the other end
-		// of Figure 2's direct link), and the copy cached here keeps
-		// pruning the relocated subtree by exact min-distance (and grows
-		// when inserts forward through the direct link). A retry whose
+	for k, leaf := range moves {
+		// The leaf ships as a one-node fragment: the adopting side
+		// installs it as a new subtree root (the other end of Figure 2's
+		// direct link), and the leaf becomes the link, keeping its box,
+		// which grows when inserts forward through it. A retry whose
 		// first reply was lost gets the remembered one, so the leaf
 		// relocates once.
 		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, assign[k], installReq{Seq: p.t.installs.Add(1), Entry: -1, Frag: p.Extract(mv.leaf, nil)})
+		resp, err := p.t.call(p.id, assign[k], installReq{Seq: p.t.installs.Add(1), Entry: -1, Frag: p.Extract(leaf, nil)})
 		if err != nil {
 			continue // retries exhausted: the leaf stays local; a later spill may retry
 		}
-		moved += p.relocateLocked(mv.parent, mv.right, mv.leaf, refTo(assign[k], resp.(installResp).Node))
+		moved += p.relocateLocked(leaf, refTo(assign[k], resp.(installResp).Node))
 	}
 	if moved > 0 {
 		p.Compact() // the relocated points live on their new partitions only
 	}
 }
 
-// movableLocked reports whether ref names a leaf the build-partition
-// algorithm may relocate: a local leaf. Callers hold at least the read
-// lock.
-func (p *partition) movableLocked(ref kdtree.Ref) bool {
-	return p.IsLocal(ref) && p.Nodes[ref.Node].Leaf
-}
-
 // relocateLocked commits the relocation of the leaf at idx to the
-// subtree root ref on another partition: the parent edge becomes the
-// direct link, the leaf's region moves to the remote-box cache (an
-// owned copy — the adopted side keeps expanding its own), and the leaf
-// stays behind as a forwarding tombstone for in-flight operations. It
-// returns the number of points that left. Callers hold the write lock.
-func (p *partition) relocateLocked(parent int32, right bool, idx int32, ref kdtree.Ref) int {
-	if lo, hi := p.Box(idx); lo != nil {
-		p.cacheRemoteBox(ref, lo, hi)
-	}
-	if right {
-		p.Nodes[parent].Right = ref
-	} else {
-		p.Nodes[parent].Left = ref
-	}
+// subtree root ref on another partition: the leaf becomes the link to
+// it in place, keeping its box (kdtree.Arena.Tombstone). It returns the
+// number of points that left. Callers hold the write lock.
+func (p *partition) relocateLocked(idx int32, ref kdtree.Ref) int {
 	moved := len(p.Nodes[idx].Slots)
 	p.points -= moved
 	p.Tombstone(idx, ref)

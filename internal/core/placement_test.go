@@ -382,17 +382,14 @@ func installSequential(t *testing.T, tr *Tree, pts []kdtree.Point) {
 		t.Fatalf("%d subtrees on %d partitions, each on its own", len(assign), len(targets))
 	}
 	cut := make(map[int32]kdtree.Ref, len(frontier))
-	var remote []RemoteBox
 	for i, idx := range frontier {
 		resp, err := tr.call(cluster.ClientID, assign[i], installReq{Seq: tr.installs.Add(1), Entry: -1, Frag: a.Extract(idx, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refTo(assign[i], resp.(installResp).Node)
-		cut[idx] = ref
-		remote = append(remote, RemoteBox{Ref: ref, Lo: subs[i].lo, Hi: subs[i].hi})
+		cut[idx] = refTo(assign[i], resp.(installResp).Node)
 	}
-	resp, err := tr.call(cluster.ClientID, tr.rootPartition().id, installReq{Seq: tr.installs.Add(1), Entry: 0, Frag: a.Extract(0, cut), Remote: remote})
+	resp, err := tr.call(cluster.ClientID, tr.rootPartition().id, installReq{Seq: tr.installs.Add(1), Entry: 0, Frag: a.Extract(0, cut)})
 	if err != nil || !resp.(installResp).OK {
 		t.Fatalf("trunk graft: %v, %v", resp, err)
 	}

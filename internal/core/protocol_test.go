@@ -35,25 +35,25 @@ func protocolSamples() []any {
 	inf := math.Inf(1)
 	frag := kdtree.Arena{
 		Nodes: []kdtree.Node{
-			{SplitDim: 1, SplitVal: 0.5, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: 4, Node: 2}},
+			{SplitDim: 1, SplitVal: 0.5, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: kdtree.Local, Node: 2}},
 			{Leaf: true, Slots: []int32{0}},
+			{Moved: true, Fwd: kdtree.Ref{Part: 4, Node: 2}},
 			{Moved: true, Fwd: kdtree.Ref{Part: 2, Node: 5}},
 		},
 		Coords: pt.Coords,
 		IDs:    []uint64{pt.ID},
-		Boxes:  []float64{1.5, -2, 9, 9, 1.5, -2, 1.5, -2, inf, inf, -inf, -inf},
+		Boxes:  []float64{1.5, -2, 9, 9, 1.5, -2, 1.5, -2, 3, 3, 9, 9, inf, inf, -inf, -inf},
 		Self:   kdtree.Local,
 		Dim:    2,
 	}
-	remote := []RemoteBox{{Ref: kdtree.Ref{Part: 4, Node: 2}, Lo: []float64{3, 3}, Hi: []float64{9, 9}}}
-	state := PartitionSnapshot{Arena: frag, Points: 1, Remote: remote}
+	state := PartitionSnapshot{Arena: frag, Points: 1}
 	rs := []kdtree.Neighbor{{Point: kdtree.Point{ID: pt.ID}, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
 	return []any{
 		ack{},
 		bulkAddReq{Entries: []batchEntry{entry, entry}, Policy: landGraft},
 		bulkAddReq{Entries: []batchEntry{entry}, Policy: landAppend},
-		installReq{Frag: frag, Remote: remote, Entry: -1, Seq: 5},
+		installReq{Frag: frag, Entry: -1, Seq: 5},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
 		snapshotResp{State: state},
@@ -240,21 +240,22 @@ func TestProtocolTable(t *testing.T) {
 		t.Errorf("the refusing partition no longer answers: %v", err)
 	}
 
-	// An arena travels as its snapshot columns and no box block: a
-	// bulk-built fragment's installReq is the payloads of the columns a
-	// tree snapshot (EncodeSnapshot) writes for it, its remote boxes'
-	// runs and a short header — and decodes with every box rebuilt.
+	// An arena travels as its snapshot columns and no box block but its
+	// links': a trunk cut from a bulk-built tree, one half of it a link,
+	// travels in an installReq as the payloads of the columns a tree
+	// snapshot (EncodeSnapshot) writes for it, its link's box as two runs
+	// and a short header — and decodes with every box rebuilt.
 	const n, dim = 2000, 8
 	seq, err := kdtree.BulkLoad(randomPoints(rand.New(rand.NewSource(7)), n, dim), dim, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := seq.Box(0)
-	req := installReq{Frag: seq.Arena, Remote: []RemoteBox{{Ref: kdtree.Ref{Part: 3}, Lo: lo, Hi: hi}}, Entry: -1}
+	trunk := seq.Extract(0, map[int32]kdtree.Ref{seq.Nodes[0].Right.Node: {Part: 3}})
+	req := installReq{Frag: trunk, Entry: 0}
 	var enc column.Appender
 	req.AppendWire(&enc)
 	var file bytes.Buffer
-	if err := EncodeSnapshot(&file, &TreeSnapshot{Format: SnapshotFormat, Dim: dim, Size: n, Parts: []PartitionSnapshot{{Arena: seq.Arena, Points: n, Remote: req.Remote}}}); err != nil {
+	if err := EncodeSnapshot(&file, &TreeSnapshot{Format: SnapshotFormat, Dim: dim, Size: int64(len(trunk.IDs)), Parts: []PartitionSnapshot{{Arena: trunk, Points: len(trunk.IDs)}}}); err != nil {
 		t.Fatal(err)
 	}
 	r := column.NewReader(&file)
@@ -262,7 +263,7 @@ func TestProtocolTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	payloads := 0
-	for i := range 5 { // the tree's column, then the partition's four
+	for i := range 4 { // the tree's column, then the partition's three
 		if err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
@@ -272,24 +273,24 @@ func TestProtocolTable(t *testing.T) {
 	}
 	runs := 2 * (1 + 8*dim)
 	header := len(enc) - payloads - runs
-	t.Logf("a %d-point installReq: %d bytes of column payloads, %d of remote runs, a header of %d", n, payloads, runs, header)
+	t.Logf("a %d-point installReq: %d bytes of column payloads, %d of link runs, a header of %d", len(trunk.IDs), payloads, runs, header)
 	if header < 0 || header > 16 {
-		t.Errorf("a %d-point installReq has a header of %d bytes, want at most 16", n, header)
+		t.Errorf("a %d-point installReq has a header of %d bytes, want at most 16", len(trunk.IDs), header)
 	}
 	var d column.Decoder
 	d.Reset(enc)
 	got := readInstallReq(&d).(installReq)
-	if err := d.End(); err != nil || !slices.Equal(got.Frag.Boxes, seq.Boxes) || !slices.Equal(got.Frag.Coords, seq.Coords) {
+	if err := d.End(); err != nil || !slices.Equal(got.Frag.Boxes, trunk.Boxes) || !slices.Equal(got.Frag.Coords, trunk.Coords) {
 		t.Errorf("a bulk-built installReq decoded to other boxes or points (%v)", err)
 	}
 }
 
 // TestDecodeRejectsUnusedCounts: a count or a length that promises more
 // than what follows it uses is malformed — an installReq's float count,
-// its fragment's point count and the length of each of its four column
+// its fragment's point count and the length of each of its three column
 // blocks — so a decoder accepts only the encoding AppendWire writes, a
 // block as strictly as the file reads its column. So is a node count
-// beyond what an arena's points and remote boxes allow, and a
+// beyond what an arena's points and link boxes allow, and a
 // bulkAddReq's landing policy byte other than 0 or 1.
 func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	var enc column.Appender
@@ -300,7 +301,7 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	d.Uvarint()
 	d.Uvarint() // the dimension
 	d.Int32()   // Self
-	for _, name := range []string{"node column", "ID column", "coordinate block", "remote column"} {
+	for _, name := range []string{"node column", "ID column", "coordinate block"} {
 		at[name+" length"] = len(enc) - d.Len()
 		body := d.Block()
 		if name == "node column" {
@@ -333,7 +334,7 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	}
 
 	// A node takes two bytes and its rebuilt box 2·Dim floats: a node
-	// count that the points and remote boxes cannot account for is
+	// count that the points and link boxes cannot account for is
 	// refused before the box block is allocated.
 	leaves := make([]kdtree.Node, 64)
 	for i := range leaves {
@@ -656,9 +657,9 @@ func TestRebalanceFailedInstallKeepsPoints(t *testing.T) {
 
 // TestRebalanceOrderStable: the points Rebalance gathers from a
 // snapshot are, element for element, what a recursive walk of the live
-// partitions yields — preorder, left before right, tombstones and links
-// followed — on a spilled tree with tombstones. The balanced builder's
-// layout depends on that order.
+// partitions yields — preorder, left before right, links followed — on
+// a spilled tree whose relocated leaves became links. The balanced
+// builder's layout depends on that order.
 func TestRebalanceOrderStable(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	tr := mustTreePlaced(t, Config{
@@ -669,17 +670,17 @@ func TestRebalanceOrderStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	byID := make(map[int32]*partition)
-	tombstones := 0
+	links := 0
 	for _, p := range tr.parts {
 		byID[p.Self] = p
 		for i := range p.Nodes {
 			if p.Nodes[i].Moved {
-				tombstones++
+				links++
 			}
 		}
 	}
-	if tombstones == 0 || len(byID) < 3 {
-		t.Fatalf("%d tombstones on %d partitions: the layout exercises nothing", tombstones, len(byID))
+	if links == 0 || len(byID) < 3 {
+		t.Fatalf("%d links on %d partitions: the layout exercises nothing", links, len(byID))
 	}
 	var want []kdtree.Point
 	var visit func(ref kdtree.Ref)
@@ -695,18 +696,7 @@ func TestRebalanceOrderStable(t *testing.T) {
 		}
 	}
 	visit(tr.rootPartition().Ref(0))
-	// A tombstone is never a child — the parent edge is the direct link —
-	// so start one walk at each to hold the Fwd step to the same order.
-	snap := liveSnapshot(t, tr)
-	got := pointsUnder(t, snap, kdtree.Ref{})
-	for pi, p := range tr.parts {
-		for ni := range p.Nodes {
-			if p.Nodes[ni].Moved {
-				visit(p.Ref(int32(ni)))
-				got = append(got, pointsUnder(t, snap, kdtree.Ref{Part: int32(pi), Node: int32(ni)})...)
-			}
-		}
-	}
+	got := pointsUnder(t, liveSnapshot(t, tr), kdtree.Ref{})
 	if len(got) != len(want) || len(want) < 1500 {
 		t.Fatalf("snapshot walk gathered %d points, live walk %d", len(got), len(want))
 	}
@@ -756,6 +746,50 @@ func partitionBytes(t *testing.T, p *partition) []byte {
 	return a
 }
 
+// TestInstallRefusesLinksOffTheTrunk: a link's box travels with it and
+// no receiver can check it, so only the balanced installer's trunk —
+// a graft over node 0 of the root partition — may carry links. On the
+// fuzz tree, a one-link fragment whose link names a hosted partition
+// down the DAG is refused appended to the root or to a data partition
+// and grafted over a data partition's leaf, and each refusal leaves the
+// partition's snapshot bytes as they were.
+func TestInstallRefusesLinksOffTheTrunk(t *testing.T) {
+	tr := mustTree(t, fuzzConfig)
+	if err := tr.BulkLoad(context.Background(), fuzzPoints()); err != nil || tr.PartitionCount() != 3 {
+		t.Fatalf("the fuzz tree: %d partitions, %v", tr.PartitionCount(), err)
+	}
+	data := tr.parts[1]
+	leaf := int32(slices.IndexFunc(data.Nodes, func(n kdtree.Node) bool { return n.Leaf }))
+	for _, c := range []struct {
+		p     *partition
+		entry int32
+	}{{tr.parts[0], -1}, {data, -1}, {data, leaf}} {
+		frag := kdtree.Arena{Nodes: []kdtree.Node{{Moved: true, Fwd: refTo(tr.parts[2].id, 0)}}, Boxes: []float64{0, 0, 8, 9}, Self: kdtree.Local, Dim: 2}
+		before := partitionBytes(t, c.p)
+		_, err := c.p.handle(context.Background(), cluster.ClientID, installReq{Frag: frag, Entry: c.entry, Seq: tr.installs.Add(1)})
+		if !errors.Is(err, ErrRequestRefused) {
+			t.Errorf("a link installed at node %d of partition %d: %v, want a refusal", c.entry, c.p.id, err)
+		}
+		if !bytes.Equal(partitionBytes(t, c.p), before) {
+			t.Errorf("a refused link install at node %d of partition %d changed it", c.entry, c.p.id)
+		}
+	}
+}
+
+// fuzzPoints are the fuzz tree's points: a 9 × 10 grid, point i at
+// (i mod 9, i div 9) with ID i. Bulk-loaded under fuzzConfig they
+// spread over three partitions.
+func fuzzPoints() []kdtree.Point {
+	pts := make([]kdtree.Point, 90)
+	for i := range pts {
+		pts[i] = kdtree.Point{Coords: []float64{float64(i % 9), float64(i / 9)}, ID: uint64(i)}
+	}
+	return pts
+}
+
+// fuzzConfig is the fuzz tree's configuration.
+var fuzzConfig = Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartitions: 3}
+
 // FuzzPartitionHandle delivers decoded requests to a live partition.
 // An input is a partition ordinal, a wire kind and a body: the body is
 // decoded by the kind table's decoder, as a TCP fabric decodes it, and
@@ -780,10 +814,7 @@ func FuzzPartitionHandle(f *testing.F) {
 			}
 		}
 	}
-	pts := make([]kdtree.Point, 90)
-	for i := range pts {
-		pts[i] = kdtree.Point{Coords: []float64{float64(i % 9), float64(i / 9)}, ID: uint64(i)}
-	}
+	pts := fuzzPoints()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || kinds[data[1]] == nil {
 			return
@@ -794,7 +825,7 @@ func FuzzPartitionHandle(f *testing.F) {
 		if d.End() != nil {
 			return
 		}
-		tr, err := New(Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartitions: 3})
+		tr, err := New(fuzzConfig)
 		if err != nil {
 			t.Fatal(err)
 		}

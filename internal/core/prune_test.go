@@ -129,7 +129,7 @@ func TestRegionPruneReducesWork(t *testing.T) {
 }
 
 // liveSnapshot captures the quiescent tree the structural helpers below
-// read: every node, box and remote-box cache entry, refs as ordinals.
+// read: every node and box, links included, refs as ordinals.
 func liveSnapshot(t *testing.T, tr *Tree) *TreeSnapshot {
 	t.Helper()
 	snap, err := tr.Snapshot()
@@ -162,37 +162,21 @@ func pointsUnder(t *testing.T, snap *TreeSnapshot, ref kdtree.Ref) []kdtree.Poin
 }
 
 // checkPartitionBoxes asserts the region invariant on every partition:
-// each non-tombstone node's box is the exact per-dimension min/max of
-// its logical subtree's points (nil for an empty subtree), every
-// remote-box cache entry exactly bounds the remote subtree it guards,
-// and every routing child that leaves its partition has an entry — the
-// box a partition message's receiver rebuilds the parent's from.
+// each node's box, a link's included, is the exact per-dimension
+// min/max of its logical subtree's points (nil for an empty subtree),
+// and only a link leaves its partition — every routing child is a node
+// of the same arena.
 func checkPartitionBoxes(t *testing.T, tr *Tree) {
 	t.Helper()
 	snap := liveSnapshot(t, tr)
 	for pi, ps := range snap.Parts {
-		cached := make(map[kdtree.Ref]bool, len(ps.Remote))
-		for _, e := range ps.Remote {
-			cached[e.Ref] = true
-		}
 		for ni, n := range ps.Nodes {
+			if !n.Leaf && !n.Moved && (!ps.IsLocal(n.Left) || !ps.IsLocal(n.Right)) {
+				t.Fatalf("partition %d node %d: a routing child leaves the partition: %+v", pi, ni, n)
+			}
 			lo, hi := ps.Box(int32(ni))
-			if n.Moved {
-				if lo != nil {
-					t.Fatalf("partition %d node %d: tombstone retains a box", pi, ni)
-				}
-				continue
-			}
-			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-				if !n.Leaf && !ps.IsLocal(c) && !cached[c] {
-					t.Fatalf("partition %d node %d: child %v leaves the partition with no remote box", pi, ni, c)
-				}
-			}
 			pts := pointsUnder(t, snap, kdtree.Ref{Part: int32(pi), Node: int32(ni)})
 			assertExactBox(t, pts, lo, hi, "partition %d node %d", pi, ni)
-		}
-		for _, e := range ps.Remote {
-			assertExactBox(t, pointsUnder(t, snap, e.Ref), e.Lo, e.Hi, "partition %d remote box %v", pi, e.Ref)
 		}
 	}
 }
@@ -213,8 +197,8 @@ func assertExactBox(t *testing.T, pts []kdtree.Point, lo, hi []float64, format s
 }
 
 // TestBoxesExactAcrossSplitsAndSpills: after concurrent inserts,
-// one-at-a-time inserts and the spills they trigger, every node box and every
-// cached remote box is exactly tight.
+// one-at-a-time inserts and the spills they trigger, every node box,
+// every link's included, is exactly tight.
 func TestBoxesExactAcrossSplitsAndSpills(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	tr := mustTree(t, Config{
@@ -235,9 +219,8 @@ func TestBoxesExactAcrossSplitsAndSpills(t *testing.T) {
 }
 
 // TestBoxesExactAfterRebalance: the coordinated bulk-load must leave
-// exact boxes on the trunk, every frontier subtree, and the root's
-// remote-box cache — and keep them exact through post-rebalance
-// inserts.
+// exact boxes on the trunk, its links and every frontier subtree — and
+// keep them exact through post-rebalance inserts.
 func TestBoxesExactAfterRebalance(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	tr := mustTree(t, Config{

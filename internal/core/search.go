@@ -52,9 +52,9 @@ type queryCtx struct {
 
 // pendingHop is one remote subtree the fan-out protocol deferred, with
 // the guard it already passed (kdtree's visit guard: the exact squared
-// min distance from the query to the subtree's region, the squared
-// splitting-plane distance when the region is unknown, < 0 when
-// unconditional) so the final local bound can still rule it out.
+// min distance from the query to its link's box, < 0 when unconditional
+// — a traversal that entered at the link) so the final local bound can
+// still rule it out.
 type pendingHop struct {
 	ref     kdtree.Ref
 	guardSq float64
@@ -155,10 +155,6 @@ func (c *queryCtx) collect(kr *knnResp) {
 // Err is the kernel's periodic cancellation poll (kdtree.Outside): a
 // non-nil error once the query is cancelled or past its deadline.
 func (c *queryCtx) Err() error { return c.ctx.Err() }
-
-// Box serves the kernel's guard the cached region of a cross-partition
-// subtree (kdtree.Outside).
-func (c *queryCtx) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) { return c.p.remoteBox(ref) }
 
 // handleKNN implements the distributed k-nearest search (§III-B.3).
 // The request carries the caller's current result set Rs (squared
@@ -294,9 +290,9 @@ func (c *queryCtx) Follow(ref kdtree.Ref, guardSq float64, _ bool) error {
 //     with its own evolving bound).
 //  2. Probe the most promising partition — the one holding the subtree
 //     whose region has the smallest exact min-distance to the query
-//     (true min-distance ranking; the splitting-plane distance is only
-//     the fallback for an unknown region; an unconditional tombstone
-//     forward ranks first; a tie goes to the lower partition) —
+//     (true min-distance ranking; an unconditional link — the entry
+//     of the traversal — ranks first; a tie goes to the lower
+//     partition) —
 //     *synchronously*, exactly
 //     like the sequential protocol's first hop. Its finds tighten
 //     the search ball, which usually rules most other partitions out;
@@ -479,12 +475,6 @@ func (c *rangeCollector) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// Box serves the kernel's guard the cached region of a cross-partition
-// subtree (kdtree.Outside).
-func (c *rangeCollector) Box(ref kdtree.Ref) (lo, hi []float64, ok bool) {
-	return c.p.remoteBox(ref)
 }
 
 // Follow queries a remote subtree (kdtree.Outside) — on its own

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"slices"
 
@@ -15,23 +13,24 @@ import (
 )
 
 // Partition snapshot persistence: the distributed tree's whole layout —
-// every partition's arena, exact per-subtree bounding boxes, and the
-// remote-box caches guarding cross-partition edges — serialized so a
-// fleet restarts without re-ingesting. A snapshot's arena has the shape
-// of its columns: its blocks hold the points its leaves hold, leaves in
-// node order (kdtree.Arena.Clone), so the encoding (EncodeSnapshot)
-// writes the ID column and the coordinate block as they stand, and
-// decoding reads them back in place. Nodes and cache refs are written
-// too, but no box: every box is a function of the points below it, and
-// decoding rebuilds them (FitBoxes). A partition message carries an
-// arena in the same columns (appendState, in messages.go). An index
-// snapshot writes the same columns but the coordinate block
-// (WriteSnapshot): its points are a function of the triples it stores,
-// which it projects again on load before the boxes are fitted. Restore
-// rebuilds partitions bit-for-bit: the arenas, boxes and caches are
-// identical, so every traversal takes the same path and query results
-// are byte-identical to the pre-save tree (the invariant the snapshot
-// tests assert).
+// every partition's arena, links to the subtrees other partitions hold
+// included — serialized so a fleet restarts without re-ingesting. A
+// snapshot's arena has the shape of its columns: its blocks hold the
+// points its leaves hold, leaves in node order (kdtree.Arena.Clone), so
+// the encoding (EncodeSnapshot) writes the ID column and the coordinate
+// block as they stand, and decoding reads them back in place. Nodes are
+// written too, but no box: every box is a function of the points below
+// it — a link's of the points of the subtree it leads to — and decoding
+// rebuilds them (FitBoxes). A partition message carries an arena in the
+// same columns (appendState, in messages.go), with its links' boxes: a
+// single arena cannot rebuild those. An index snapshot writes the same
+// columns but the coordinate block (WriteSnapshot): its points are a
+// function of the triples it stores, which it projects again on load.
+// RestoreTree fits every box itself, so a snapshot's boxes are never
+// read: the restored partitions hold the same arenas with exact boxes,
+// every traversal takes the same path, and query results are
+// byte-identical to the pre-save tree (the invariant the snapshot tests
+// assert).
 //
 // Snapshots address partitions by ordinal (their position in the
 // tree's partition list), never by fabric NodeID: a restore lands on a
@@ -40,24 +39,26 @@ import (
 //
 // Restore trusts nothing: Validate walks the snapshot's cross-partition
 // node graph iteratively (corrupt input must not overflow the stack),
-// requiring exactly-one-state nodes, in-range references, a strict tree
-// reachable from the root with tombstones as the only unreachable
-// nodes, per-partition point accounting, and exact boxes everywhere —
-// every violation is reported as ErrSnapshotCorrupt, never a panic.
+// requiring exactly-one-state nodes, in-range references, routing
+// children inside their arena, a strict tree in which every node is
+// reachable from the root, and per-partition point accounting — every
+// violation is reported as ErrSnapshotCorrupt, never a panic.
 
 // ErrSnapshotCorrupt reports snapshot bytes or structure that cannot be
 // restored: truncated or garbled encodings, unknown format versions,
-// and structural violations (bad references, inconsistent counts,
-// inexact boxes). Test with errors.Is.
+// and structural violations (bad references, inconsistent counts).
+// Test with errors.Is.
 var ErrSnapshotCorrupt = errors.New("core: snapshot corrupt")
 
 // SnapshotFormat is the version of the partition snapshot encoding:
 // the header version of an EncodeSnapshot stream, and the Format every
 // snapshot Validate accepts. Format 1 was a gob stream with every box
-// stored; 2 is WriteSnapshot's columns. Decoders accept exactly this
-// version; anything else is corrupt (the facade's index snapshot
-// carries its own header version and embeds the columns only).
-const SnapshotFormat = 2
+// stored; 2 was WriteSnapshot's columns with a column of the remote-box
+// cache's refs per partition; 3 is the columns without it, the links
+// being nodes. Decoders accept exactly this version; anything else is
+// corrupt (the facade's index snapshot carries its own header version
+// and embeds the columns only).
+const SnapshotFormat = 3
 
 // Validation bounds: a snapshot claiming more is corrupt by fiat long
 // before any allocation happens. MaxSnapshotDim also bounds the
@@ -67,17 +68,10 @@ const (
 	MaxSnapshotDim   = 1 << 12
 )
 
-// RemoteBox is one cached cross-partition region: the edge's target and
-// the exact box of the subtree behind it.
-type RemoteBox struct {
-	Ref    kdtree.Ref
-	Lo, Hi []float64
-}
-
 // PartitionSnapshot is one partition's full state: its arena — every
 // node in exactly one of the kdtree.Node states, its box the exact
 // logical-subtree box, and the blocks holding the bucket points leaf by
-// leaf in node order — its point count and its remote-box cache. The
+// leaf in node order — and its point count. The
 // arena's Self and the Part of every reference in it are partition
 // ordinals (TreeSnapshot.Parts indices) at rest, and fabric NodeIDs in
 // the messages partitions produce and consume; the client translates
@@ -85,7 +79,6 @@ type RemoteBox struct {
 type PartitionSnapshot struct {
 	kdtree.Arena
 	Points int
-	Remote []RemoteBox
 }
 
 // TreeSnapshot is the whole distributed tree, partition ordinal 0
@@ -97,16 +90,13 @@ type TreeSnapshot struct {
 	Parts  []PartitionSnapshot
 }
 
-// mapRefs rewrites the Part of every live reference in ps — forward
-// links, routing children, cache keys — through part.
+// mapRefs rewrites the Part of every live reference in ps — links and
+// routing children — through part.
 func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error) {
 	remap := func(r *kdtree.Ref) {
 		if err == nil {
 			r.Part, err = part(r.Part)
 		}
-	}
-	for i := range ps.Remote {
-		remap(&ps.Remote[i].Ref)
 	}
 	for i := range ps.Nodes {
 		switch n := &ps.Nodes[i]; {
@@ -121,9 +111,9 @@ func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error
 }
 
 // walk visits every leaf of the logical subtree rooted at ref in
-// preorder — left before right, a tombstone followed through its
-// forward link — with the leaf's depth (ref itself is at the depth
-// given; a tombstone adds no level). Refs are ordinals, as everywhere
+// preorder — left before right, a link followed to the subtree it leads
+// to — with the leaf's depth (ref itself is at the depth given; a link
+// adds no level). Refs are ordinals, as everywhere
 // in a snapshot at rest. A reference to a node the snapshot does not
 // have — a link into a partition a failed load's undo reset — stops it
 // with ErrSnapshotCorrupt. It recurses: for snapshots Tree.Snapshot
@@ -155,22 +145,11 @@ func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) ([]kdtree.Point, error) {
 
 // handleSnapshot deep-copies the partition's state under the read lock:
 // its arena in the snapshot layout (kdtree.Arena.Clone, a handful of
-// allocations whatever its size). The remote-box cache is a map; it is
-// emitted in (Part, Node) order so a snapshot's bytes are a function of
-// the partition's state.
+// allocations whatever its size).
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	st := PartitionSnapshot{Arena: p.Clone(), Points: p.points}
-	refs := slices.SortedFunc(maps.Keys(p.remoteBoxes), func(a, b kdtree.Ref) int {
-		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(a.Node, b.Node))
-	})
-	for _, ref := range refs {
-		b := p.remoteBoxes[ref]
-		c := copyBox(b.lo, b.hi)
-		st.Remote = append(st.Remote, RemoteBox{Ref: ref, Lo: c.lo, Hi: c.hi})
-	}
-	return snapshotResp{State: st}, nil
+	return snapshotResp{State: PartitionSnapshot{Arena: p.Clone(), Points: p.points}}, nil
 }
 
 // handleRestore replaces the partition's state wholesale under the
@@ -188,10 +167,6 @@ func (p *partition) handleRestore(r restoreReq) (any, error) {
 		return nil, p.refuse("restore: %v", err)
 	}
 	p.points = r.State.Points
-	p.remoteBoxes = nil
-	for _, e := range r.State.Remote {
-		p.cacheRemoteBox(e.Ref, e.Lo, e.Hi)
-	}
 	return ack{}, nil
 }
 
@@ -233,11 +208,24 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 // partitions. cfg.Dim is taken from the snapshot and cfg.MaxPartitions
 // is raised to the snapshot's partition count when lower (the snapshot
 // describes a fleet that already exists; the budget only limits future
-// growth). The snapshot is validated first: malformed input returns
+// growth). The snapshot's boxes are not read: every box of the restored
+// tree is fitted to the points below it (FitBoxes, on a copy), so the
+// snapshot of a tree whose boxes a lost write left wider than its points
+// restores exact, and one read without boxes (ReadSnapshot) needs no
+// fitting first. The snapshot is validated: malformed input returns
 // ErrSnapshotCorrupt. The restored tree answers every query
-// byte-identically to the tree the snapshot was taken from.
+// byte-identically to the tree the snapshot was taken from. The
+// snapshot stays the caller's, unmodified.
 func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
-	if err := snap.Validate(); err != nil {
+	if err := snap.validHeader(); err != nil {
+		return nil, err
+	}
+	fitted := *snap
+	fitted.Parts = slices.Clone(snap.Parts) // FitBoxes gives each part a box block of its own
+	if err := fitted.FitBoxes(); err != nil {
+		return nil, err
+	}
+	if err := fitted.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.Dim = snap.Dim
@@ -255,12 +243,10 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 		return nil, fmt.Errorf("core: restore allocated %d of %d partitions", len(ids), len(snap.Parts))
 	}
 	toID := func(ordinal int32) (int32, error) { return int32(ids[ordinal]), nil } // in range: validated
-	for i, ps := range snap.Parts {
-		// The snapshot stays the caller's: translate a copy of the node
-		// and cache tables (the blocks are shared; the partition copies
-		// them on the way in).
+	for i, ps := range fitted.Parts {
+		// Translate a copy of the node table (the blocks are shared; the
+		// partition copies them on the way in).
 		ps.Nodes = slices.Clone(ps.Nodes)
-		ps.Remote = append([]RemoteBox(nil), ps.Remote...)
 		_ = ps.mapRefs(toID)
 		ps.Self = int32(ids[i])
 		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: ps}); err != nil {
@@ -324,17 +310,16 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 
 // writeTree writes the tree's columns, without a header. The first
 // column holds Size and the partition count; then each partition
-// writes four, or three without coords:
+// writes three, or two without coords:
 //
 //   - nodes: Points, the node count, and per node its state byte
-//     followed by, for a tombstone, Fwd; for a leaf, its bucket length;
+//     followed by, for a link, Fwd; for a leaf, its bucket length;
 //     for a routing node, SplitDim, SplitVal (raw) and both children.
 //     Counts and refs are uvarints (int32 fields as their uint32 bits).
 //   - IDs: the arena's ID column — every bucket point's ID, leaves in
 //     node order.
 //   - coordinates, with coords: the arena's coordinate block, raw, in
 //     one write.
-//   - remote: the refs of the remote-box cache.
 //
 // No box is written: each is a function of the points below it, and
 // FitBoxes rebuilds them all. A partition whose arena is not in the
@@ -353,7 +338,7 @@ func writeTree(w *column.Writer, s *TreeSnapshot, coords bool) error {
 	return nil
 }
 
-// appendColumns appends the partition's four column bodies to a — three
+// appendColumns appends the partition's three column bodies to a — two
 // without coords, which leaves the coordinate block out — calling end
 // after each one: the file frames each as a column, a partition message
 // as a block (appendState).
@@ -391,20 +376,16 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coord
 		a.Floats(ps.Coords)
 		end()
 	}
-	a.Uvarint(uint64(len(ps.Remote)))
-	for _, e := range ps.Remote {
-		appendRef(a, e.Ref)
-	}
-	end()
 }
 
 // layout checks that the partition's arena has the shape of its
-// columns: blocks of dimension dim, and the slots of its leaves running
-// through them in node order, covering them; no other node holds any.
+// columns: a coordinate block of dimension dim, and the slots of its
+// leaves running through it in node order, covering it; no other node
+// holds any. The box block is not its columns' business.
 func (ps *PartitionSnapshot) layout(dim int) error {
-	if ps.Dim != dim || len(ps.Coords) != dim*len(ps.IDs) || len(ps.Boxes) != 2*dim*len(ps.Nodes) {
-		return fmt.Errorf("blocks of %d coordinate and %d box floats for %d points and %d nodes of dimension %d, want %d",
-			len(ps.Coords), len(ps.Boxes), len(ps.IDs), len(ps.Nodes), ps.Dim, dim)
+	if ps.Dim != dim || len(ps.Coords) != dim*len(ps.IDs) {
+		return fmt.Errorf("a coordinate block of %d floats for %d points of dimension %d, want %d",
+			len(ps.Coords), len(ps.IDs), ps.Dim, dim)
 	}
 	next := 0
 	for i := range ps.Nodes {
@@ -440,11 +421,11 @@ func readRef(d *column.Decoder) kdtree.Ref {
 const maxPartitionPoints = math.MaxInt32
 
 // ReadSnapshot reads the columns WriteSnapshot wrote, for points of
-// dimension dim: every partition's nodes, ID column and remote-cache
-// refs, with no coordinate block and no box yet. The caller supplies
-// each partition's block (Coords, dim floats per ID, in ID-column
-// order) and then calls FitBoxes. Malformed columns return
-// ErrSnapshotCorrupt; the structure is not yet validated.
+// dimension dim: every partition's nodes and ID column, with no
+// coordinate block and no box. The caller supplies each partition's
+// block (Coords, dim floats per ID, in ID-column order); RestoreTree
+// then fits the boxes. Malformed columns return ErrSnapshotCorrupt; the
+// structure is not yet validated.
 func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	return readTree(r, dim, false)
 }
@@ -479,37 +460,28 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 	return s, nil
 }
 
-// FitBoxes rebuilds every box of a snapshot read without them, once
-// every partition holds its coordinate block: leaf boxes from their
-// buckets, routing boxes bottom-up (coverRouting), remote-cache boxes
-// from their target nodes. A block of the wrong size is
-// ErrSnapshotCorrupt; a tree whose boxes cannot be rebuilt right is one
-// Validate rejects.
+// FitBoxes gives every partition a fresh box block fitted to its points,
+// once every partition holds its coordinate block: leaf boxes from their
+// buckets, then routing boxes and link boxes bottom-up (coverRouting) —
+// a link's from the subtree it leads to. A partition not in the
+// snapshot layout is ErrSnapshotCorrupt; a tree whose boxes cannot be
+// fitted right is one Validate rejects.
 func (s *TreeSnapshot) FitBoxes() error {
 	arenas := make([]*kdtree.Arena, len(s.Parts))
 	for pi := range s.Parts {
 		ps := &s.Parts[pi]
-		if len(ps.Coords) != s.Dim*len(ps.IDs) {
-			return corrupt("partition %d: coordinate block of %d floats for %d points of dimension %d", pi, len(ps.Coords), len(ps.IDs), s.Dim)
+		if err := ps.layout(s.Dim); err != nil {
+			return corrupt("partition %d: %v", pi, err)
 		}
 		ps.fitLeaves()
 		arenas[pi] = &ps.Arena
 	}
-	coverRouting(arenas, func(kdtree.Ref) (lo, hi []float64) { return nil, nil })
-	for pi := range s.Parts {
-		for i := range s.Parts[pi].Remote {
-			e := &s.Parts[pi].Remote[i]
-			if s.node(e.Ref) != nil {
-				lo, hi := s.Parts[e.Ref.Part].Box(e.Ref.Node)
-				e.Lo, e.Hi = slices.Clone(lo), slices.Clone(hi)
-			}
-		}
-	}
+	coverRouting(arenas)
 	return nil
 }
 
-// readColumns reads the column bodies appendColumns wrote — four, or
-// three without coords — each from the decoder next opens for it, into
+// readColumns reads the column bodies appendColumns wrote — three, or
+// two without coords — each from the decoder next opens for it, into
 // an arena of dimension dim in the snapshot layout — the ID column and
 // the coordinate block read in place, every leaf's slots carved from
 // one array — and no boxes yet (fitLeaves). Each body must be read to
@@ -594,21 +566,12 @@ func readColumns(dim int, next func() (*column.Decoder, error), coords bool) (Pa
 			ps.Nodes[i].Slots, slots = slots[:k:k], slots[k:]
 		}
 	}
-
-	if d, err = next(); err != nil {
-		return ps, err
-	}
-	if k := d.Count(2); k > 0 { // a ref takes two bytes at least
-		ps.Remote = make([]RemoteBox, k)
-		for i := range ps.Remote {
-			ps.Remote[i].Ref = readRef(d)
-		}
-	}
-	return ps, d.End()
+	return ps, nil
 }
 
-// fitLeaves gives every node of a decoded arena an empty box and every
-// leaf the box of its bucket, from which coverRouting builds the rest.
+// fitLeaves gives every node of an arena an empty box, in a fresh
+// block, and every leaf the box of its bucket, from which coverRouting
+// builds the rest.
 func (ps *PartitionSnapshot) fitLeaves() {
 	if len(ps.Nodes) == 0 {
 		return
@@ -629,20 +592,16 @@ func (s *TreeSnapshot) node(ref kdtree.Ref) *kdtree.Node {
 	return &s.Parts[ref.Part].Nodes[ref.Node]
 }
 
-// box returns the box of the node ref names (nil for an empty subtree).
-func (s *TreeSnapshot) box(ref kdtree.Ref) (lo, hi []float64) {
-	return s.Parts[ref.Part].Box(ref.Node)
-}
-
-// coverRouting sets every routing node's box to the union of its
-// children's, in iterative post-order walks from every node of arenas:
-// how a snapshot or a partition message gets the routing boxes it does
-// not carry, once its leaves have theirs (fitLeaves). A child is a node
-// of the arena whose Self is its Part, or — out of every arena's range —
-// a ref whose box is outside's. No node is walked twice, so the walks
-// terminate on any input; a tree they cannot box correctly is one
-// Validate rejects.
-func coverRouting(arenas []*kdtree.Arena, outside func(kdtree.Ref) (lo, hi []float64)) {
+// coverRouting grows every routing node's box to cover its children's
+// and every link's to cover the box of the node it leads to, when an
+// arena holds that node, in iterative post-order walks from every node
+// of arenas: how a snapshot gets the boxes it does not carry, once its
+// leaves have theirs (fitLeaves), and a partition message the routing
+// boxes above its links, whose boxes it carries. A child is a node of
+// the arena whose Self is its Part. No node is walked twice, so the
+// walks terminate on any input; a tree they cannot box correctly is
+// one Validate rejects.
+func coverRouting(arenas []*kdtree.Arena) {
 	index := make(map[int32]int, len(arenas)) // an arena's position, by its Self
 	seen := make([][]bool, len(arenas))
 	for i, a := range arenas {
@@ -672,29 +631,41 @@ func coverRouting(arenas []*kdtree.Arena, outside func(kdtree.Ref) (lo, hi []flo
 				f := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				a := arenas[f.arena]
-				switch n := &a.Nodes[f.node]; {
-				case n.Leaf || n.Moved:
-				case f.exit:
-					for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-						var lo, hi []float64
+				n := &a.Nodes[f.node]
+				if n.Leaf {
+					continue
+				}
+				children, k := edges(n)
+				if f.exit {
+					for _, c := range children[:k] {
 						if j, ok := held(c); ok {
-							lo, hi = arenas[j].Box(c.Node)
-						} else {
-							lo, hi = outside(c)
+							lo, hi := arenas[j].Box(c.Node)
+							a.CoverBox(f.node, lo, hi)
 						}
-						a.CoverBox(f.node, lo, hi)
 					}
-				default:
-					stack = append(stack, frame{arena: f.arena, node: f.node, exit: true})
-					for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-						if j, ok := held(c); ok {
-							push(j, c.Node)
-						}
+					continue
+				}
+				stack = append(stack, frame{arena: f.arena, node: f.node, exit: true})
+				for _, c := range children[:k] {
+					if j, ok := held(c); ok {
+						push(j, c.Node)
 					}
 				}
 			}
 		}
 	}
+}
+
+// edges returns the refs a node leads to, in its first k entries: a
+// routing node's two children, a link's Fwd, nothing for a leaf.
+func edges(n *kdtree.Node) (refs [2]kdtree.Ref, k int) {
+	switch {
+	case n.Moved:
+		return [2]kdtree.Ref{n.Fwd}, 1
+	case n.Leaf:
+		return refs, 0
+	}
+	return [2]kdtree.Ref{n.Left, n.Right}, 2
 }
 
 // corrupt builds an ErrSnapshotCorrupt violation report.
@@ -704,33 +675,28 @@ func corrupt(format string, args ...any) error {
 
 // Validate checks the snapshot's structural invariants — the same ones
 // a live tree maintains — and returns ErrSnapshotCorrupt on any
-// violation: unknown format, arenas not in the snapshot layout,
-// out-of-range references, nodes in an impossible state, a reachable
-// graph that is not a strict tree, point-count mismatches, or boxes
-// that are not exactly the box of the points below them. The walk is
-// iterative: adversarial input cannot overflow the stack.
+// violation: unknown format, arenas not in the snapshot layout or
+// refused as kdtree fragments (a routing child outside its arena among
+// them), out-of-range references, nodes in an impossible state, a
+// reachable graph that is not a strict tree or leaves a node out, and
+// point-count mismatches. Boxes are not checked: RestoreTree fits them
+// all. The walk is iterative: adversarial input cannot overflow the
+// stack.
 func (s *TreeSnapshot) Validate() error {
-	if s.Format != SnapshotFormat {
-		return corrupt("format %d, want %d", s.Format, SnapshotFormat)
-	}
-	if s.Dim < 1 || s.Dim > MaxSnapshotDim {
-		return corrupt("dimension %d out of range", s.Dim)
-	}
-	if len(s.Parts) < 1 || len(s.Parts) > maxSnapshotParts {
-		return corrupt("%d partitions out of range", len(s.Parts))
+	if err := s.validHeader(); err != nil {
+		return err
 	}
 	if len(s.Parts[0].Nodes) == 0 {
 		return corrupt("root partition has no nodes")
 	}
-	refOK := func(r kdtree.Ref) bool {
-		return s.node(r) != nil
-	}
-	lo, hi := make([]float64, s.Dim), make([]float64, s.Dim) // a leaf's box, recomputed
 	total := int64(0)
 	for pi := range s.Parts {
 		ps := &s.Parts[pi]
 		if ps.Points < 0 {
 			return corrupt("partition %d: negative point count", pi)
+		}
+		if ps.Self != int32(pi) {
+			return corrupt("partition %d: the arena of partition %d", pi, ps.Self)
 		}
 		err := ps.layout(s.Dim)
 		if err == nil {
@@ -744,49 +710,21 @@ func (s *TreeSnapshot) Validate() error {
 		}
 		local := 0
 		for ni := range ps.Nodes {
-			n := &ps.Nodes[ni]
-			if n.Leaf && n.Moved {
-				return corrupt("partition %d node %d: leaf and tombstone at once", pi, ni)
-			}
-			blo, bhi := ps.Box(int32(ni))
-			switch {
+			switch n := &ps.Nodes[ni]; {
+			case n.Leaf && n.Moved:
+				return corrupt("partition %d node %d: leaf and link at once", pi, ni)
 			case n.Moved:
-				if blo != nil {
-					return corrupt("partition %d node %d: tombstone carries data", pi, ni)
-				}
-				if !refOK(n.Fwd) {
-					return corrupt("partition %d node %d: dangling forward", pi, ni)
+				if s.node(n.Fwd) == nil {
+					return corrupt("partition %d node %d: dangling link", pi, ni)
 				}
 			case n.Leaf:
-				clearBox(lo, hi)
-				for _, sl := range n.Slots {
-					kdtree.ExpandBox(lo, hi, ps.Point(sl).Coords)
-				}
-				if !boxEqual(lo, hi, blo, bhi) {
-					return corrupt("partition %d node %d: leaf box not exact", pi, ni)
-				}
 				local += len(n.Slots)
-			default:
-				if !refOK(n.Left) || !refOK(n.Right) {
-					return corrupt("partition %d node %d: dangling child", pi, ni)
-				}
 			}
 		}
 		if local != ps.Points {
 			return corrupt("partition %d: %d bucket points, Points says %d", pi, local, ps.Points)
 		}
 		total += int64(local)
-		for ei, e := range ps.Remote {
-			if !refOK(e.Ref) {
-				return corrupt("partition %d remote entry %d: dangling reference", pi, ei)
-			}
-			if len(e.Lo) != s.Dim || len(e.Hi) != s.Dim {
-				return corrupt("partition %d remote entry %d: malformed box", pi, ei)
-			}
-			if tlo, thi := s.box(e.Ref); !boxEqual(e.Lo, e.Hi, tlo, thi) {
-				return corrupt("partition %d remote entry %d: cached box not exact", pi, ei)
-			}
-		}
 	}
 	if total != s.Size {
 		return corrupt("%d points across partitions, Size says %d", total, s.Size)
@@ -794,83 +732,47 @@ func (s *TreeSnapshot) Validate() error {
 	return s.validateReachable()
 }
 
-// validateReachable walks the child graph from the root iteratively,
-// requiring a strict tree (each node one parent, no cycles, no
-// tombstones as children), exact routing boxes (the union of the
-// children's), and that everything unreachable is a tombstone.
-func (s *TreeSnapshot) validateReachable() error {
-	node := func(r kdtree.Ref) *kdtree.Node { return &s.Parts[r.Part].Nodes[r.Node] }
-	seen := make(map[kdtree.Ref]bool)
-	lo, hi := make([]float64, s.Dim), make([]float64, s.Dim) // a routing node's box, recomputed
-	// Two-phase iterative DFS: push(enter ref) visits, push(exit ref)
-	// re-checks the box once both children were visited.
-	type frame struct {
-		ref  kdtree.Ref
-		exit bool
+// validHeader checks what the size of a snapshot's boxes rests on — its
+// format, dimension and partition count — before any is allocated.
+func (s *TreeSnapshot) validHeader() error {
+	if s.Format != SnapshotFormat {
+		return corrupt("format %d, want %d", s.Format, SnapshotFormat)
 	}
-	stack := []frame{{ref: kdtree.Ref{}}}
-	seen[kdtree.Ref{}] = true
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := node(f.ref)
-		if f.exit {
-			clearBox(lo, hi)
-			for _, c := range [2]kdtree.Ref{n.Left, n.Right} {
-				clo, chi := s.box(c)
-				kdtree.UnionBox(lo, hi, clo, chi)
-			}
-			if nlo, nhi := s.box(f.ref); !boxEqual(lo, hi, nlo, nhi) {
-				return corrupt("partition %d node %d: routing box not the union of its children", f.ref.Part, f.ref.Node)
-			}
-			continue
-		}
-		if n.Moved {
-			return corrupt("partition %d node %d: tombstone reachable as a child", f.ref.Part, f.ref.Node)
-		}
-		if n.Leaf {
-			continue
-		}
-		stack = append(stack, frame{ref: f.ref, exit: true})
-		for _, c := range []kdtree.Ref{n.Left, n.Right} {
-			if seen[c] {
-				return corrupt("partition %d node %d: child %v has two parents or sits on a cycle", f.ref.Part, f.ref.Node, c)
-			}
-			seen[c] = true
-			stack = append(stack, frame{ref: c})
-		}
+	if s.Dim < 1 || s.Dim > MaxSnapshotDim {
+		return corrupt("dimension %d out of range", s.Dim)
 	}
-	for pi := range s.Parts {
-		for ni := range s.Parts[pi].Nodes {
-			if n := &s.Parts[pi].Nodes[ni]; !n.Moved && !seen[kdtree.Ref{Part: int32(pi), Node: int32(ni)}] {
-				return corrupt("partition %d node %d: unreachable non-tombstone", pi, ni)
-			}
-		}
+	if len(s.Parts) < 1 || len(s.Parts) > maxSnapshotParts {
+		return corrupt("%d partitions out of range", len(s.Parts))
 	}
 	return nil
 }
 
-// clearBox makes the scratch box [lo, hi] empty, ready to grow.
-func clearBox(lo, hi []float64) {
-	for d := range lo {
-		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+// validateReachable walks the graph of routing children and links from
+// the root iteratively, requiring a strict tree — each node one parent,
+// no cycles — that reaches every node.
+func (s *TreeSnapshot) validateReachable() error {
+	seen := make([][]bool, len(s.Parts))
+	for pi := range s.Parts {
+		seen[pi] = make([]bool, len(s.Parts[pi].Nodes))
 	}
-}
-
-// boxEqual reports exact equality of two boxes; an empty box (nil, or
-// a scratch box grown by nothing) equals only another.
-func boxEqual(alo, ahi, blo, bhi []float64) bool {
-	aEmpty, bEmpty := len(alo) == 0 || alo[0] > ahi[0], len(blo) == 0 || blo[0] > bhi[0]
-	if aEmpty || bEmpty {
-		return aEmpty == bEmpty
-	}
-	if len(alo) != len(blo) || len(ahi) != len(alo) || len(bhi) != len(blo) {
-		return false
-	}
-	for d := range alo {
-		if alo[d] != blo[d] || ahi[d] != bhi[d] {
-			return false
+	seen[0][0] = true
+	stack := []kdtree.Ref{{}}
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		children, k := edges(&s.Parts[r.Part].Nodes[r.Node])
+		for _, c := range children[:k] { // in range: Validate checked every ref
+			if seen[c.Part][c.Node] {
+				return corrupt("partition %d node %d: child %v has two parents or sits on a cycle", r.Part, r.Node, c)
+			}
+			seen[c.Part][c.Node] = true
+			stack = append(stack, c)
 		}
 	}
-	return true
+	for pi := range seen {
+		if ni := slices.Index(seen[pi], false); ni >= 0 {
+			return corrupt("partition %d node %d: unreachable from the root", pi, ni)
+		}
+	}
+	return nil
 }

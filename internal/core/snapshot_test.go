@@ -20,8 +20,8 @@ import (
 
 // buildChurnedTree builds a multi-partition tree the hard way — bulk
 // load, then single inserts and the spills they trigger — so its
-// snapshot exercises tombstones, cross-partition edges and remote-box
-// caches, not just a pristine bulk layout.
+// snapshot exercises the links of relocated leaves as well as a trunk's,
+// not just a pristine bulk layout.
 func buildChurnedTree(t *testing.T, r *rand.Rand) (*Tree, []kdtree.Point) {
 	t.Helper()
 	const dim = 4
@@ -222,15 +222,33 @@ func TestSnapshotValidateRejects(t *testing.T) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].SplitDim = 7
 		}},
-		{"inexact-leaf-box", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 0 })
-			lo, _ := s.Parts[pi].Box(int32(ni))
-			lo[0] -= 1
+		{"routing-child-leaves-partition", func(t *testing.T, s *TreeSnapshot) {
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Moved })
+			fwd := s.Parts[pi].Nodes[ni].Fwd
+			pr, nr := findNode(t, s, func(n *kdtree.Node) bool {
+				return !n.Leaf && !n.Moved && (n.Left == kdtree.Ref{Part: int32(pi), Node: int32(ni)} || n.Right == kdtree.Ref{Part: int32(pi), Node: int32(ni)})
+			})
+			if r := &s.Parts[pr].Nodes[nr]; r.Left.Node == int32(ni) {
+				r.Left = fwd // the parent edge itself the link: the form a link no longer takes
+			} else {
+				r.Right = fwd
+			}
 		}},
-		{"inexact-routing-box", func(t *testing.T, s *TreeSnapshot) {
-			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
-			_, hi := s.Parts[pi].Box(int32(ni))
-			hi[0] += 1
+		{"arena-of-another-partition", func(t *testing.T, s *TreeSnapshot) {
+			// A data partition's arena under another partition's Self,
+			// its routing children renamed with it: each is local to its
+			// arena, none names a node of the snapshot.
+			ps := &s.Parts[len(s.Parts)-1]
+			ps.Self = int32(len(s.Parts)) + 3
+			for i := range ps.Nodes {
+				if n := &ps.Nodes[i]; !n.Leaf && !n.Moved {
+					n.Left.Part, n.Right.Part = ps.Self, ps.Self
+				}
+			}
+		}},
+		{"link-into-own-partition", func(t *testing.T, s *TreeSnapshot) {
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Moved })
+			s.Parts[pi].Nodes[ni].Fwd = kdtree.Ref{Part: int32(pi), Node: 0}
 		}},
 		{"wrong-point-dims", func(t *testing.T, s *TreeSnapshot) {
 			pi, _ := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 0 })
@@ -256,19 +274,6 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		{"cycle", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].Right = kdtree.Ref{} // back to the root
-		}},
-		{"stale-remote-box", func(t *testing.T, s *TreeSnapshot) {
-			var found bool
-			for pi := range s.Parts {
-				if len(s.Parts[pi].Remote) > 0 {
-					s.Parts[pi].Remote[0].Hi[0] += 1
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Skip("no remote-box entries in this layout")
-			}
 		}},
 	}
 	for _, tc := range cases {
@@ -456,18 +461,17 @@ func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
 		t.Fatalf("header (%d, %d, %d, %d parts), want (%d, %d, %d, %d parts)",
 			got.Format, got.Dim, got.Size, len(got.Parts), want.Format, want.Dim, want.Size, len(want.Parts))
 	}
-	remotes := 0
+	links := 0
 	for pi := range want.Parts {
 		g, w := &got.Parts[pi], &want.Parts[pi]
-		if g.Points != w.Points || len(g.Nodes) != len(w.Nodes) || len(g.Remote) != len(w.Remote) {
-			t.Fatalf("partition %d: (%d points, %d nodes, %d remote), want (%d, %d, %d)",
-				pi, g.Points, len(g.Nodes), len(g.Remote), w.Points, len(w.Nodes), len(w.Remote))
+		if g.Points != w.Points || len(g.Nodes) != len(w.Nodes) {
+			t.Fatalf("partition %d: (%d points, %d nodes), want (%d, %d)", pi, g.Points, len(g.Nodes), w.Points, len(w.Nodes))
 		}
 		for ni := range w.Nodes {
 			a, b := g.Nodes[ni], w.Nodes[ni]
 			alo, ahi := g.Box(int32(ni))
 			blo, bhi := w.Box(int32(ni))
-			if !boxEqual(alo, ahi, blo, bhi) {
+			if !slices.Equal(alo, blo) || !slices.Equal(ahi, bhi) {
 				t.Fatalf("partition %d node %d: box [%v, %v], want [%v, %v]", pi, ni, alo, ahi, blo, bhi)
 			}
 			ab, bb := g.AppendBucket(nil, int32(ni)), w.AppendBucket(nil, int32(ni))
@@ -484,16 +488,13 @@ func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
 				a.Fwd != b.Fwd || a.Left != b.Left || a.Right != b.Right {
 				t.Fatalf("partition %d node %d: %+v, want %+v", pi, ni, a, b)
 			}
-		}
-		for ei, e := range w.Remote {
-			if a := g.Remote[ei]; a.Ref != e.Ref || !boxEqual(a.Lo, a.Hi, e.Lo, e.Hi) {
-				t.Fatalf("partition %d remote entry %d: %+v, want %+v", pi, ei, a, e)
+			if b.Moved {
+				links++
 			}
-			remotes++
 		}
 	}
-	if len(want.Parts) > 1 && remotes == 0 {
-		t.Fatal("a multi-partition tree with no remote-box entries: the cache went untested")
+	if len(want.Parts) > 1 && links == 0 {
+		t.Fatal("a multi-partition tree with no link: the links' boxes went untested")
 	}
 }
 
@@ -502,7 +503,8 @@ func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
 // queries; every rejection is ErrSnapshotCorrupt.
 func FuzzPartitionRestore(f *testing.F) {
 	// Seeds: a real snapshot, a truncation of it, garbage, version skew,
-	// two empty trees and a checksum mismatch.
+	// two empty trees, a checksum mismatch and a routing child that
+	// leaves its partition.
 	r := rand.New(rand.NewSource(103))
 	tr, err := New(Config{Dim: 3, BucketSize: 4, PartitionCapacity: 40, MaxPartitions: 3})
 	if err != nil {
@@ -549,6 +551,26 @@ func FuzzPartitionRestore(f *testing.F) {
 	crc := append([]byte(nil), valid.Bytes()...)
 	crc[len(crc)-1] ^= 1 // the last column's checksum
 	f.Add(crc)
+	// The root's trunk with a routing child in another partition where
+	// its link was: the form a cross-partition edge no longer takes.
+	root := snap.Parts[0]
+	root.Nodes = slices.Clone(root.Nodes)
+	for i := range root.Nodes {
+		if n := &root.Nodes[i]; !n.Leaf && !n.Moved && root.Nodes[n.Right.Node].Moved {
+			n.Right = root.Nodes[n.Right.Node].Fwd
+			break
+		}
+	}
+	leaving := *snap
+	leaving.Parts = append([]PartitionSnapshot{root}, snap.Parts[1:]...)
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, &leaving); err != nil {
+		f.Fatal(err)
+	}
+	if s, err := DecodeSnapshot(bytes.NewReader(buf.Bytes())); err != nil || s.Validate() == nil {
+		f.Fatalf("a routing child leaving its partition: decoded (%v) and validated", err)
+	}
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(bytes.NewReader(data))

@@ -105,9 +105,10 @@ type TreeStats struct {
 	NavSteps        int64 // total nodes traversed by insert descents
 	Inserts         int64
 	// BoxWork counts the boxes inserts grew: node boxes on their descent
-	// paths and remote-edge cache entries that did not yet cover the
-	// point (a box that already does is not written) — per insert, the
-	// region-metadata overhead of a growing tree.
+	// paths, the link an insert leaves a partition through included,
+	// that did not yet cover the point (a box that already does is not
+	// written) — per insert, the region-metadata overhead of a growing
+	// tree.
 	BoxWork int64
 	Fabric  cluster.Stats
 }

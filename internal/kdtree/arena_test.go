@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,7 +43,7 @@ func TestArenaLayout(t *testing.T) {
 // TestExtractInstall: the two halves below the root, extracted as
 // fragments and installed into a fresh arena (one over the entry leaf,
 // one appended), are self-contained valid subtrees that together hold
-// every point; the trunk above them keeps only outside references.
+// every point; the trunk above them ends in links.
 func TestExtractInstall(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	tr, err := BulkLoad(randomPoints(r, 200, 2), 2, 4)
@@ -55,7 +56,7 @@ func TestExtractInstall(t *testing.T) {
 		root.Left.Node:  {Part: 7, Node: 0},
 		root.Right.Node: {Part: 7, Node: 1},
 	})
-	if len(trunk.Nodes) != 1 || trunk.Nodes[0].Left != (Ref{Part: 7, Node: 0}) || trunk.Nodes[0].Right != (Ref{Part: 7, Node: 1}) {
+	if len(trunk.Nodes) != 3 || trunk.Nodes[1].Fwd != (Ref{Part: 7, Node: 0}) || trunk.Nodes[2].Fwd != (Ref{Part: 7, Node: 1}) {
 		t.Fatalf("trunk = %+v", trunk)
 	}
 
@@ -94,6 +95,69 @@ func TestExtractInstall(t *testing.T) {
 	}
 	if err := open.Check(); err == nil {
 		t.Fatal("Tree.Check accepted a reference leaving the arena")
+	}
+}
+
+// TestExtractCutsLinks: a cut node becomes a link that keeps the box of
+// the subtree it cuts off, the only node of a fragment that leaves it;
+// Install takes the links with their boxes, and Fit refuses a routing
+// child that leaves the fragment.
+func TestExtractCutsLinks(t *testing.T) {
+	tr, err := BulkLoad(randomPoints(rand.New(rand.NewSource(24)), 300, 3), 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Nodes[0]
+	far := tr.Nodes[root.Right.Node]
+	cut := map[int32]Ref{root.Left.Node: {Part: 4, Node: 0}, far.Left.Node: {Part: 5, Node: 2}, far.Right.Node: {Part: 5, Node: 0}}
+	trunk := tr.Extract(0, cut)
+	links := 0
+	for i, n := range trunk.Nodes {
+		if !n.Moved {
+			continue
+		}
+		links++
+		src := int32(-1)
+		for idx, to := range cut {
+			if to == n.Fwd {
+				src = idx
+			}
+		}
+		wlo, whi := tr.Box(src)
+		if lo, hi := trunk.Box(int32(i)); src < 0 || !slices.Equal(lo, wlo) || !slices.Equal(hi, whi) {
+			t.Fatalf("link %d to %v: box [%v, %v], want the cut subtree's [%v, %v]", i, n.Fwd, lo, hi, wlo, whi)
+		}
+	}
+	if links != len(cut) || len(trunk.Nodes) != 2+len(cut) || len(trunk.IDs) != 0 {
+		t.Fatalf("trunk of %d nodes, %d links and %d points, want %d nodes, %d links and none", len(trunk.Nodes), links, len(trunk.IDs), 2+len(cut), len(cut))
+	}
+	want := slices.Clone(trunk.Boxes)
+
+	dst, _ := New(3, 8)
+	dst.Self = 3
+	if _, err := dst.Install(0, &trunk); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dst.Boxes, want) {
+		t.Fatalf("installed trunk boxes %v, want %v", dst.Boxes, want)
+	}
+	for i, n := range dst.Nodes {
+		if !n.Moved && !n.Leaf && (!dst.IsLocal(n.Left) || !dst.IsLocal(n.Right)) {
+			t.Fatalf("installed node %d: a routing child leaves the arena: %+v", i, n)
+		}
+	}
+
+	frag := Arena{Nodes: []Node{{Left: Ref{Part: Local, Node: 1}, Right: Ref{Part: Local, Node: 2}}, {Leaf: true}, {Leaf: true}}, Self: Local, Dim: 3}
+	frag.Boxes = make([]float64, 2*3*len(frag.Nodes))
+	if err := frag.Fit(3); err != nil {
+		t.Fatalf("a fragment of local children: %v", err)
+	}
+	frag.Nodes[0].Right = Ref{Part: 4, Node: 0}
+	if err := frag.Fit(3); err == nil {
+		t.Fatal("Fit took a routing child that leaves the fragment")
+	}
+	if _, err := dst.Install(-1, &frag); err == nil {
+		t.Fatal("Install took a routing child that leaves the fragment")
 	}
 }
 

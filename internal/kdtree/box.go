@@ -15,7 +15,7 @@ import "math"
 // [+Inf, −Inf]: every kernel below then needs no case for it — growing
 // one by a point makes it that point's box, covering with one changes
 // nothing, and its min-distance is +Inf. Outside the block (Arena.Box,
-// a remote-box cache, a placement target) an empty box is nil.
+// a placement target) an empty box is nil.
 
 // BoxMinSq returns the exact squared Euclidean distance from q to the
 // axis-aligned box [lo, hi] — zero when q lies inside, +Inf when the
@@ -102,8 +102,7 @@ func (a *Arena) box(idx int32) (lo, hi []float64) {
 }
 
 // Box returns the box of node idx as views of the block, which a caller
-// may read (and a test may corrupt) — nil, nil for an empty subtree and
-// for a tombstone.
+// may read (and a test may corrupt) — nil, nil for an empty subtree.
 func (a *Arena) Box(idx int32) (lo, hi []float64) {
 	if lo, hi = a.box(idx); isEmpty(lo, hi) {
 		return nil, nil
@@ -127,7 +126,7 @@ func (a *Arena) FitBox(idx int32) { a.fitBox(idx, a.Nodes[idx].Slots) }
 
 // CoverBox grows the box of node idx to cover [lo, hi] (UnionBox in
 // the block): how a decoded snapshot rebuilds a routing box from its
-// children's, wherever they live.
+// children's and a link's from the subtree it leads to.
 func (a *Arena) CoverBox(idx int32, lo, hi []float64) {
 	if !isEmpty(lo, hi) {
 		nlo, nhi := a.box(idx)
@@ -153,13 +152,12 @@ func BoxContains(lo, hi, c []float64) bool {
 // ExpandPath grows the box of every node on an insert descent path to
 // include c and returns the number of boxes that grew: a box already
 // covering c is left unwritten. Expansion is idempotent, so a path that
-// revisits a node is harmless. Tombstones are skipped: a path leaf can
-// be relocated between the descent and the insert, and a tombstone's box
-// must stay empty.
+// revisits a node is harmless. A link on the path grows like any other
+// node: the point lands beneath it, on another partition.
 func (a *Arena) ExpandPath(path []int32, c []float64) int {
 	grown := 0
 	for _, idx := range path {
-		if lo, hi := a.box(idx); !a.Nodes[idx].Moved && !BoxContains(lo, hi, c) {
+		if lo, hi := a.box(idx); !BoxContains(lo, hi, c) {
 			ExpandBox(lo, hi, c)
 			grown++
 		}
@@ -168,39 +166,22 @@ func (a *Arena) ExpandPath(path []int32, c []float64) int {
 }
 
 // childBoxMinSq returns the exact squared min distance from q to the
-// subtree behind ref, and whether the region is known. Local children
-// always are (an empty local subtree is +Inf: nothing there to find);
-// a reference leaving the arena — a foreign child, or a tombstone's
-// forward link — is as known as the embedder's cache of it, so callers
-// fall back to the splitting-plane bound when it is not. A tombstone's
-// own box is empty, so a local child's node is read only when its box
-// reads +Inf: the guard of a subtree that is never visited costs no
-// load of its node.
-func (a *Arena) childBoxMinSq(ref Ref, q []float64, out Outside) (float64, bool) {
-	if a.IsLocal(ref) {
-		lo, hi := a.box(ref.Node)
-		minSq := BoxMinSq(q, lo, hi)
-		if !math.IsInf(minSq, 1) || !a.Nodes[ref.Node].Moved {
-			return minSq, true
-		}
-		ref = a.Nodes[ref.Node].Fwd
-	}
-	if lo, hi, ok := out.Box(ref); ok {
-		return BoxMinSq(q, lo, hi), true
-	}
-	return 0, false
+// box of the child at idx: +Inf for an empty subtree (nothing there to
+// find), and for a link the box of the far subtree it leads to.
+func (a *Arena) childBoxMinSq(idx int32, q []float64) float64 {
+	lo, hi := a.box(idx)
+	return BoxMinSq(q, lo, hi)
 }
 
-// guardSq computes the k-NN guard for a child: the exact region
-// min-distance when known (never looser than the plane bound), the
-// squared splitting-plane distance otherwise. A child whose plane
-// distance already lies beyond bound — the worst kept distance of a
-// full Rs, +Inf otherwise — is pruned on that alone, its box unread.
-func (a *Arena) guardSq(q []float64, ref Ref, planeSq, bound float64, out Outside) float64 {
+// guardSq computes the k-NN guard for the child at idx: its exact
+// region min-distance, never looser than the plane bound. A child whose
+// plane distance already lies beyond bound — the worst kept distance of
+// a full Rs, +Inf otherwise — is pruned on that alone, its box unread.
+func (a *Arena) guardSq(q []float64, idx int32, planeSq, bound float64) float64 {
 	if planeSq > bound {
 		return planeSq
 	}
-	if minSq, ok := a.childBoxMinSq(ref, q, out); ok && minSq > planeSq {
+	if minSq := a.childBoxMinSq(idx, q); minSq > planeSq {
 		return minSq
 	}
 	return planeSq

@@ -12,7 +12,7 @@ import (
 // Invariants:
 //  1. every node is either a routing node with two children or a leaf
 //     with a bucket (never both, never neither), every child index is in
-//     range, and no reference leaves the arena;
+//     range, and no link leaves the arena;
 //  2. every point in the left subtree of a routing node has
 //     coords[splitDim] <= splitVal, every point in the right subtree
 //     has coords[splitDim] > splitVal (checked transitively against
@@ -35,7 +35,7 @@ func (t *Tree) Check() error {
 		return err
 	}
 	if !closed {
-		return fmt.Errorf("kdtree: tree holds a reference leaving its arena")
+		return fmt.Errorf("kdtree: tree holds a link leaving its arena")
 	}
 	if counted != t.size {
 		return fmt.Errorf("kdtree: size %d but %d points in leaves", t.size, counted)
@@ -44,10 +44,10 @@ func (t *Tree) Check() error {
 }
 
 // CheckSubtree validates invariants 1–3, 5 and 6 over the local subtree
-// rooted at root and returns the number of points it holds. A reference
-// leaving the arena (a foreign child, a tombstone) is not followed —
-// closed reports whether none was met — and the box of a node above one
-// is not checked: its region extends outside the arena.
+// rooted at root and returns the number of points it holds. A link is
+// not followed — closed reports whether none was met — and neither its
+// box nor the box of a node above one is checked: its region extends
+// outside the arena.
 func (a *Arena) CheckSubtree(root int32) (points int, closed bool, err error) {
 	if len(a.Coords) != a.Dim*len(a.IDs) || len(a.Boxes) != 2*a.Dim*len(a.Nodes) {
 		return 0, false, fmt.Errorf("kdtree: blocks of %d coordinate and %d box floats for %d points and %d nodes of dimension %d",
@@ -77,7 +77,7 @@ type checker struct {
 func (c *checker) node(ref Ref) (lo, hi []float64, closed bool, err error) {
 	a := c.a
 	if !a.IsLocal(ref) {
-		return nil, nil, false, nil
+		return nil, nil, false, fmt.Errorf("kdtree: a routing child in partition %d leaves the arena", ref.Part)
 	}
 	if ref.Node < 0 || int(ref.Node) >= len(a.Nodes) {
 		return nil, nil, false, fmt.Errorf("kdtree: dangling child index %d", ref.Node)
@@ -89,8 +89,8 @@ func (c *checker) node(ref Ref) (lo, hi []float64, closed bool, err error) {
 	n := &a.Nodes[ref.Node]
 	switch {
 	case n.Moved:
-		if blo, _ := a.Box(ref.Node); n.Leaf || n.Slots != nil || blo != nil {
-			return nil, nil, false, fmt.Errorf("kdtree: tombstone %d carries data", ref.Node)
+		if n.Leaf || n.Slots != nil {
+			return nil, nil, false, fmt.Errorf("kdtree: link %d carries data", ref.Node)
 		}
 		return nil, nil, false, nil
 	case n.Leaf:

@@ -14,43 +14,40 @@ import (
 // one arena in the same layout (Clone).
 
 // Extract copies the local subtree rooted at root into a fragment.
-// Children listed in cut are not descended; their references are
-// replaced by the given outside ones — how a trunk is separated from
-// the frontier subtrees that ship to other arenas. The fragment's
-// blocks are sized exactly.
+// Nodes listed in cut are not descended: each becomes a link to the
+// given outside ref and keeps its box, the box of the subtree that
+// ships there — how a trunk is separated from the frontier subtrees
+// that ship to other arenas. The fragment's blocks are sized exactly.
 func (a *Arena) Extract(root int32, cut map[int32]Ref) Arena {
-	var count func(ref Ref) int // the nodes walk copies below ref
-	count = func(ref Ref) int {
-		if _, ok := cut[ref.Node]; ok || !a.IsLocal(ref) {
-			return 0
+	var count func(idx int32) int // the nodes walk copies below idx
+	count = func(idx int32) int {
+		if _, ok := cut[idx]; ok {
+			return 1
 		}
-		if n := &a.Nodes[ref.Node]; !n.Leaf && !n.Moved {
-			return 1 + count(n.Left) + count(n.Right)
+		if n := &a.Nodes[idx]; !n.Leaf && !n.Moved {
+			return 1 + count(n.Left.Node) + count(n.Right.Node)
 		}
 		return 1
 	}
-	size := count(a.Ref(root))
+	size := count(root)
 	f := Arena{Self: Local, Dim: a.Dim, Nodes: make([]Node, 0, size), Boxes: make([]float64, 0, 2*a.Dim*size)}
-	var walk func(ref Ref) Ref
-	walk = func(ref Ref) Ref {
-		if !a.IsLocal(ref) {
-			return ref
-		}
-		if to, ok := cut[ref.Node]; ok {
-			return to
-		}
+	var walk func(idx int32) Ref
+	walk = func(idx int32) Ref {
 		at := int32(len(f.Nodes))
-		n := a.Nodes[ref.Node]
-		lo, hi := a.box(ref.Node)
+		n := a.Nodes[idx]
+		if to, ok := cut[idx]; ok {
+			n = Node{Moved: true, Fwd: to}
+		}
+		lo, hi := a.box(idx)
 		f.Nodes = append(f.Nodes, n)
 		f.Boxes = append(append(f.Boxes, lo...), hi...)
 		if !n.Leaf && !n.Moved {
-			l, r := walk(n.Left), walk(n.Right)
+			l, r := walk(n.Left.Node), walk(n.Right.Node)
 			f.Nodes[at].Left, f.Nodes[at].Right = l, r
 		}
 		return Ref{Part: Local, Node: at}
 	}
-	walk(a.Ref(root))
+	walk(root)
 	f.Coords, f.IDs = a.pack(f.Nodes) // the leaves still hold a's slots
 	return f
 }
@@ -99,8 +96,8 @@ func (a *Arena) Install(entry int32, frag *Arena) (int32, error) {
 // Fit checks that frag's blocks fit its nodes and an arena of
 // dimension dim, every slot indexing a point and no coordinate NaN, and
 // that its nodes form a forest any walk ends in: every split dimension
-// below dim, every local child after its parent, no tombstone
-// forwarding inside frag.
+// below dim, every routing child a node of frag after its parent —
+// only a link leaves frag — and no link leading inside frag.
 func (frag *Arena) Fit(dim int) error {
 	if frag.Dim != dim {
 		return fmt.Errorf("kdtree: fragment of dimension %d, arena of %d", frag.Dim, dim)
@@ -121,13 +118,16 @@ func (frag *Arena) Fit(dim int) error {
 		}
 		switch {
 		case n.Moved && frag.IsLocal(n.Fwd):
-			return fmt.Errorf("kdtree: fragment node %d: a tombstone forwarding to node %d", i, n.Fwd.Node)
+			return fmt.Errorf("kdtree: fragment node %d: a link to node %d of its own arena", i, n.Fwd.Node)
 		case n.Leaf || n.Moved:
 		case n.SplitDim < 0 || int(n.SplitDim) >= dim:
 			return fmt.Errorf("kdtree: fragment node %d: split dimension %d", i, n.SplitDim)
 		default:
 			for _, c := range [2]Ref{n.Left, n.Right} {
-				if frag.IsLocal(c) && (c.Node <= int32(i) || int(c.Node) >= len(frag.Nodes)) {
+				if !frag.IsLocal(c) {
+					return fmt.Errorf("kdtree: fragment node %d: a routing child in partition %d leaves the fragment", i, c.Part)
+				}
+				if c.Node <= int32(i) || int(c.Node) >= len(frag.Nodes) {
 					return fmt.Errorf("kdtree: fragment node %d: child %d out of range", i, c.Node)
 				}
 			}
@@ -151,11 +151,7 @@ func (a *Arena) link(entry int32, frag *Arena) int32 {
 		if n.Leaf || n.Moved {
 			continue
 		}
-		for _, c := range [2]*Ref{&n.Left, &n.Right} {
-			if c.Part == Local {
-				*c = a.Ref(base + c.Node)
-			}
-		}
+		n.Left, n.Right = a.Ref(base+n.Left.Node), a.Ref(base+n.Right.Node)
 	}
 	return root
 }

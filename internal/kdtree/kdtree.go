@@ -4,8 +4,9 @@
 // against Sv at each level.
 //
 // The package is the single tree kernel of the index. An Arena holds
-// tree nodes in a slice addressed by index; a child reference (Ref)
-// names a node either inside the arena or outside it. Everything else
+// tree nodes in a slice addressed by index; a routing node's children
+// are nodes of the same arena, and only a link (a moved node) names one
+// outside it, by a Ref. Everything else
 // the arena holds is flat: one coordinate block (Dim floats per point
 // slot) and one ID column, which a leaf indexes by its []int32 slots,
 // and one box block (2·Dim floats per node). The arena owns descent,
@@ -23,10 +24,10 @@
 // arena's. It is the one place the package starts goroutines: a large
 // build runs its two halves at once, on disjoint rows, and lands the
 // same nodes at any GOMAXPROCS. Tree — the sequential tree of Figures 4
-// and 6 — is an Arena with no outside references; the distributed tree of
+// and 6 — is an Arena with no link; the distributed tree of
 // internal/core hosts one Arena per partition and adds only what
-// distribution needs (an Outside continuation the traversals call when
-// a reference leaves the arena).
+// distribution needs (an Outside continuation the traversals call at a
+// link).
 package kdtree
 
 import "fmt"
@@ -76,29 +77,31 @@ const Local int32 = -1
 
 // Node is one tree node, in the arena, on the fabric and on disk alike
 // (a partition message and a persisted snapshot both write only the
-// fields its state uses and no box, which the reader rebuilds — see
-// core.WriteSnapshot).
+// fields its state uses and no box but a link's, which the reader
+// rebuilds — see core.WriteSnapshot).
 // Exactly one of three states holds:
 //
 //   - leaf:    data node; Slots index its bucket's points in the
 //     arena's coordinate block and ID column;
 //   - routing: SplitDim/SplitVal/Left/Right valid; points with
-//     Coords[SplitDim] <= SplitVal belong to the left subtree. It is an
-//     *edge node* when a child lives outside the arena, *internal*
-//     otherwise (§III-B.1);
-//   - moved:   tombstone left behind when the distributed tree
-//     relocates a leaf; Fwd is the direct link to its new home, so
-//     in-flight operations that resolved this node keep working. The
-//     sequential Tree never creates one.
+//     Coords[SplitDim] <= SplitVal belong to the left subtree. Both
+//     children are nodes of the same arena (§III-B.1's internal node);
+//   - moved:   a link — the one edge that leaves the arena: Fwd is the
+//     direct link to the subtree's root on another partition (§III-B.2).
+//     A spill turns a relocated leaf into one in place, so in-flight
+//     operations that resolved the leaf keep working, and a trunk's
+//     frontier is cut into links (Extract). The sequential Tree never
+//     holds one.
 //
 // A node's region metadata lives in the arena's box block (Arena.Box):
 // the exact d-dimensional bounding box of every point in its logical
-// subtree ([+Inf, −Inf] for an empty subtree, and for a tombstone). The
-// box is the search guard — its minimum distance to the query
-// (BoxMinSq) subsumes the splitting-plane bound of §III-B.3, which only
-// measures one dimension — and is kept exactly tight: expanded
-// point-by-point on insert (points are never removed), and recomputed
-// from buckets on splits and bulk builds.
+// subtree ([+Inf, −Inf] for an empty subtree) — for a link, of the far
+// subtree it leads to. The box is the search guard — its minimum
+// distance to the query (BoxMinSq) subsumes the splitting-plane bound of
+// §III-B.3, which only measures one dimension — and is kept exactly
+// tight: expanded point-by-point on insert along the whole descent path,
+// a link included (points are never removed), and recomputed from
+// buckets on splits and bulk builds.
 type Node struct {
 	Leaf     bool
 	Moved    bool
@@ -236,39 +239,34 @@ func (a *Arena) Append(idx int32, p Point) {
 	}
 }
 
-// Tombstone turns node idx into a tombstone forwarding to fwd, its box
-// emptied. The points its bucket held stay in the blocks until Compact.
+// Tombstone turns node idx into a link to fwd, keeping its box: the
+// subtree it held now lives behind fwd. The points its bucket held stay
+// in the blocks until Compact.
 func (a *Arena) Tombstone(idx int32, fwd Ref) {
 	a.Nodes[idx] = Node{Moved: true, Fwd: fwd}
-	emptyBox(a.box(idx))
 }
 
 // Descend walks from idx towards the leaf that should hold pt. It stops
-// at a local leaf (outside == false) or at the first reference leaving
-// the arena — a foreign child or a tombstone's forward link — appending
-// every live node it routes through to path and returning the extended
-// slice, as append does: the nodes whose boxes must grow when the insert
-// lands. Routing decisions are immutable once made, so a recorded path
-// stays the point's route even if the leaf it ended on is split before
-// the insert is applied.
+// at a local leaf (outside == false) or at a link, returning the link's
+// Fwd, and appends every node it routes through — the leaf or the link
+// included — to path, returning the extended slice, as append does: the
+// nodes whose boxes must grow when the insert lands. Routing decisions
+// are immutable once made, so a recorded path stays the point's route
+// even if the leaf it ended on is split before the insert is applied.
 func (a *Arena) Descend(idx int32, pt []float64, path []int32) (leaf int32, out Ref, outside bool, _ []int32) {
 	for {
 		n := &a.Nodes[idx]
-		if n.Moved {
-			return 0, n.Fwd, true, path
-		}
 		path = append(path, idx)
-		if n.Leaf {
+		switch {
+		case n.Moved:
+			return 0, n.Fwd, true, path
+		case n.Leaf:
 			return idx, Ref{}, false, path
 		}
-		c := n.Right
+		idx = n.Right.Node
 		if pt[n.SplitDim] <= n.SplitVal {
-			c = n.Left
+			idx = n.Left.Node
 		}
-		if !a.IsLocal(c) {
-			return 0, c, true, path
-		}
-		idx = c.Node
 	}
 }
 
@@ -365,7 +363,7 @@ func (a *Arena) chainSplit(bucket []int32) (splitVal float64, ok bool) {
 }
 
 // leaves calls fn on every leaf of the local subtree rooted at idx, in
-// traversal order. References leaving the arena are not followed.
+// traversal order. Links are not followed.
 func (a *Arena) leaves(idx int32, fn func(n *Node)) {
 	n := &a.Nodes[idx]
 	switch {
@@ -373,11 +371,8 @@ func (a *Arena) leaves(idx int32, fn func(n *Node)) {
 	case n.Leaf:
 		fn(n)
 	default:
-		for _, c := range [2]Ref{n.Left, n.Right} {
-			if a.IsLocal(c) {
-				a.leaves(c.Node, fn)
-			}
-		}
+		a.leaves(n.Left.Node, fn)
+		a.leaves(n.Right.Node, fn)
 	}
 }
 

@@ -60,7 +60,7 @@ func planeKNN(a *Arena, q []float64, k int) ([]Neighbor, Stats) {
 // order is measured.
 func dfsKNN(a *Arena, q []float64, k int) ([]Neighbor, Stats) {
 	return lifoKNN(a, q, k, func(far Ref, planeSq float64) float64 {
-		return a.guardSq(q, far, planeSq, math.Inf(1), nil)
+		return a.guardSq(q, far.Node, planeSq, math.Inf(1))
 	})
 }
 

@@ -9,9 +9,9 @@ import "math"
 // minimum distance from the query to the subtree's bounding box
 // (BoxMinSq), which subsumes the splitting-plane distance of §III-B.3 —
 // the box lies entirely beyond the plane, so the box bound is never
-// looser and grows strictly tighter with dimensionality — falling back
-// to the squared plane distance when the region behind an outside
-// reference is unknown. (The paper's plane-only walk is a test
+// looser and grows strictly tighter with dimensionality. Every child has
+// its box in the arena, a link's included, so no region is unknown.
+// (The paper's plane-only walk is a test
 // reference, planeKNN in plane_test.go.) We skip only when the guard
 // is *strictly* beyond the worst kept candidate: at exact equality a
 // point on the region's boundary could tie the k-th best with a smaller
@@ -61,10 +61,10 @@ func (s *Search) Reset(q []float64) {
 	s.steps = 0
 }
 
-// Push schedules the subtree behind ref for a k-nearest traversal,
-// which visits pending subtrees smallest guard first. guardSq < 0 is
-// unconditional; a subtree the result ball already cannot reach is
-// dropped here.
+// Push schedules the subtree at ref, a node of the traversed arena, for
+// a k-nearest traversal, which visits pending subtrees smallest guard
+// first. guardSq < 0 is unconditional; a subtree the result ball already
+// cannot reach is dropped here.
 func (s *Search) Push(ref Ref, guardSq float64) {
 	if s.RS.Worst() < guardSq {
 		return
@@ -147,20 +147,17 @@ func (s *Search) siftDown(v visit) {
 // without paying an atomic load per node.
 const errCheckMask = 63
 
-// Outside is the continuation an embedder supplies for references that
-// leave the arena — foreign children and tombstone forward links. A
-// Tree has none and passes nil. Local children never reach it: they
-// resolve by comparing Ref.Part with Arena.Self.
+// Outside is the continuation an embedder supplies for links, the one
+// kind of node whose subtree leaves the arena. A Tree has none and
+// passes nil. The guard of a link reads its box in the arena, like any
+// other child's.
 type Outside interface {
-	// Box returns the embedder's cached bounding box of the subtree
-	// behind ref; ok is false when the region is unknown.
-	Box(ref Ref) (lo, hi []float64, ok bool)
-	// Follow continues the traversal into the subtree behind ref. For
-	// a k-nearest traversal guardSq is the guard the subtree was
-	// reached with, already checked against Rs (< 0: an unconditional
-	// entry that is a tombstone forwarding out of the arena); for a range
-	// traversal parallel reports that the sibling subtree is searched
-	// too, so the hop may overlap it. A non-nil error aborts.
+	// Follow continues the traversal into the subtree behind ref, a
+	// link's Fwd. For a k-nearest traversal guardSq is the guard the
+	// link was reached with, already checked against Rs (< 0: an
+	// unconditional entry at a link); for a range traversal parallel
+	// reports that the sibling subtree is searched too, so the hop may
+	// overlap it. A non-nil error aborts.
 	Follow(ref Ref, guardSq float64, parallel bool) error
 	// Err is polled every 64 visited nodes; non-nil aborts the
 	// traversal (cancellation, or a failed overlapped hop).
@@ -211,8 +208,8 @@ func EuclideanSq(q, p []float64) float64 {
 // the same prune skips more. The result is unchanged: the prune is
 // still "strictly beyond a full Rs", only the visit order differs (the
 // paper's order is a test reference, dfsKNN in plane_test.go). The
-// whole traversal state lives in one poolable Search. References that
-// leave the arena are handed to out.
+// whole traversal state lives in one poolable Search. A link the
+// traversal pops is counted as a visited node and handed to out.
 func (a *Arena) KNearest(s *Search, out Outside) error {
 	coords, ids, dim := a.Coords, a.IDs, a.Dim // fixed for the traversal: the caller holds the arena still
 	for v, ok := s.next(); ok; {
@@ -220,46 +217,40 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 			return err
 		}
 		s.Stats.NodesVisited++
-		ref := v.ref
-		if a.IsLocal(ref) {
-			n := &a.Nodes[ref.Node]
-			if n.Leaf {
-				s.scanned(n)
-				rs := s.RS
-				for _, slot := range n.Slots {
-					i := int(slot) * dim
-					c := coords[i : i+dim : i+dim]
-					d := EuclideanSq(s.Query, c)
-					if rs.refuses(d) {
-						continue // its ID is not even read
-					}
-					rs.Offer(Neighbor{Point: Point{Coords: c, ID: ids[slot]}, Dist: d})
+		switch n := &a.Nodes[v.ref.Node]; {
+		case n.Leaf:
+			s.scanned(n)
+			rs := s.RS
+			for _, slot := range n.Slots {
+				i := int(slot) * dim
+				c := coords[i : i+dim : i+dim]
+				d := EuclideanSq(s.Query, c)
+				if rs.refuses(d) {
+					continue // its ID is not even read
 				}
-				v, ok = s.next()
-				continue
+				rs.Offer(Neighbor{Point: Point{Coords: c, ID: ids[slot]}, Dist: d})
 			}
-			if !n.Moved {
-				near, far := n.Left, n.Right
-				if s.Query[n.SplitDim] > n.SplitVal {
-					near, far = far, near
-				}
-				plane := s.Query[n.SplitDim] - n.SplitVal
-				worst := s.RS.Worst()
-				nearSq := a.guardSq(s.Query, near, 0, worst, out)
-				farSq := a.guardSq(s.Query, far, plane*plane, worst, out)
-				if farSq < nearSq {
-					near, far, nearSq, farSq = far, near, farSq, nearSq
-				}
-				s.Push(far, farSq)
-				v, ok = s.nextBeside(near, nearSq)
-				continue
+			v, ok = s.next()
+		case n.Moved:
+			if err := out.Follow(n.Fwd, v.guardSq, false); err != nil {
+				return err
 			}
-			ref = n.Fwd
+			v, ok = s.next()
+		default:
+			near, far := n.Left, n.Right
+			if s.Query[n.SplitDim] > n.SplitVal {
+				near, far = far, near
+			}
+			plane := s.Query[n.SplitDim] - n.SplitVal
+			worst := s.RS.Worst()
+			nearSq := a.guardSq(s.Query, near.Node, 0, worst)
+			farSq := a.guardSq(s.Query, far.Node, plane*plane, worst)
+			if farSq < nearSq {
+				near, far, nearSq, farSq = far, near, farSq, nearSq
+			}
+			s.Push(far, farSq)
+			v, ok = s.nextBeside(near, nearSq)
 		}
-		if err := out.Follow(ref, v.guardSq, false); err != nil {
-			return err
-		}
-		v, ok = s.next()
 	}
 	return nil
 }
@@ -270,8 +261,11 @@ func (a *Arena) KNearest(s *Search, out Outside) error {
 // |P[SI] − Sv| <= D) qualify; the region guard then skips any
 // qualifying child whose bounding box provably holds no match — the
 // exact min-distance form of the same test (<=, not <, so points lying
-// at distance exactly D are not missed). References that leave the
-// arena are handed to out, in parallel below a border node.
+// at distance exactly D are not missed). A link child is handed to out
+// — in parallel below a border node — and, like the subtree it leads
+// to, is not counted here: the partition that holds that subtree counts
+// its own nodes. A traversal that starts at a link counts it and
+// follows it.
 func (a *Arena) Range(s *Search, idx int32, out Outside) error {
 	if err := s.tick(out); err != nil {
 		return err
@@ -300,14 +294,14 @@ func (a *Arena) Range(s *Search, idx int32, out Outside) error {
 		if home := (q <= n.SplitVal) == (i == 0); !home && !border {
 			continue
 		}
-		if minSq, ok := a.childBoxMinSq(c, s.Query, out); ok && minSq > dd {
+		if a.childBoxMinSq(c.Node, s.Query) > dd {
 			continue
 		}
 		var err error
-		if a.IsLocal(c) {
-			err = a.Range(s, c.Node, out)
+		if cn := &a.Nodes[c.Node]; cn.Moved {
+			err = out.Follow(cn.Fwd, -1, border)
 		} else {
-			err = out.Follow(c, -1, border)
+			err = a.Range(s, c.Node, out)
 		}
 		if err != nil {
 			return err

@@ -12,18 +12,19 @@ import (
 )
 
 // snapshotVersion is the on-disk format written by Save, and the only
-// one Load accepts. Version 6 is a column stream (internal/column):
+// one Load accepts. Version 7 is a column stream (internal/column):
 // the header carries the embedding dimension once, and the columns
 // hold the index as memory already does — the store's tables, rows and
 // provenance runs, the pivots with their squared pivot distances, and
-// per partition the nodes and point IDs. No coordinate is written: a
-// point's coordinates are a function of its triple and the pivots, and
-// Load projects every stored triple again with the arithmetic that
-// placed it, then rebuilds every box. Version 5 wrote each triple's
-// provenance in its row, version 4 each partition's coordinate block
-// raw, and versions 1–3 were gob streams; none has a writer and all are
-// rejected as corrupt.
-const snapshotVersion = 6
+// per partition the nodes, a cross-partition link among them, and point
+// IDs. No coordinate and no box is written: a point's coordinates are a
+// function of its triple and the pivots, and Load projects every stored
+// triple again with the arithmetic that placed it, then the restore
+// fits every box. Version 6 wrote a column of remote-box refs per
+// partition, version 5 each triple's provenance in its row, version 4
+// each partition's coordinate block raw, and versions 1–3 were gob
+// streams; none has a writer and all are rejected as corrupt.
+const snapshotVersion = 7
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
 // truncated or garbled encodings, unknown versions, embedding
@@ -255,9 +256,9 @@ func readSnapshot(r io.Reader) (*indexSnapshot, error) {
 // for bit. The terms are resolved against opts.Registry, as the queries
 // of the loaded index are: Load under the registry the index was built
 // with (nil, if it was built with nil) for the points and answers of
-// the saved index. The distributed tree's exact partition layout (boxes
-// and remote caches included) is then rebuilt and restored after
-// structural validation, so the loaded index answers every query
+// the saved index. The distributed tree's exact partition layout, its
+// links included, is then restored after structural validation, every
+// box fitted to the points below it, so the loaded index answers every query
 // byte-identically to the saved one; opts.MaxPartitions is raised to
 // the persisted partition count when lower. Corrupt input — truncation,
 // garbage, a checksum mismatch, any version other than
@@ -293,9 +294,6 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			ErrSnapshotCorrupt, id, snap.Rows)
 	}
 	project(snap, metric, mapper)
-	if err := snap.Tree.FitBoxes(); err != nil {
-		return nil, fmt.Errorf("semtree: load: %w", err)
-	}
 	tree, err := core.RestoreTree(opts.treeConfig(snap.Options.Dims), snap.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("semtree: load: %w", err)
