@@ -1,11 +1,13 @@
 package semtree
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
 
 	"semtree/internal/cluster"
+	"semtree/internal/column"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
 )
@@ -40,6 +42,49 @@ func TestIndexFootprint(t *testing.T) {
 	t.Logf("index retains %.1f B per point", got)
 	if got > 116 {
 		t.Errorf("index retains %.1f B per point of the 100k synth corpus, want <= 116", got)
+	}
+}
+
+// TestSnapshotFootprint gates the snapshot of the benchmark's knn-local
+// index — 100k synth triples under one provenance on one partition — at
+// 6.4 bytes per triple (6.12 measured at version 8, 8.56 at version 7,
+// whose rows, IDs and routing children were plain uvarints), and logs
+// each column's payload, read back through column.Reader, so a format
+// change shows where the file grew.
+func TestSnapshotFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-triple build")
+	}
+	const n = 100000
+	store := triple.NewStore()
+	store.AddAll(synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n), triple.Provenance{Doc: "synth"})
+	ix, err := Build(store, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	var buf bytes.Buffer
+	if err := Save(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"options", "pivots", "pivot coordinates", "terms", "strings", "rows", "runs", "tree", "nodes", "IDs"}
+	r := column.NewReader(bytes.NewReader(buf.Bytes()))
+	if _, _, err := r.Header(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if err := r.Next(); err != nil {
+			t.Fatalf("column %s: %v", name, err)
+		}
+		t.Logf("%-17s %8d B  %.3f B/triple", name, r.Len(), float64(r.Len())/n)
+	}
+	if err := r.Next(); err == nil {
+		t.Fatalf("a column after the %d of one partition's snapshot", len(names))
+	}
+	got := float64(buf.Len()) / n
+	t.Logf("snapshot: %d B, %.3f B/triple", buf.Len(), got)
+	if got > 6.4 {
+		t.Errorf("snapshot of the 100k synth corpus takes %.3f B per triple, want <= 6.4", got)
 	}
 }
 

@@ -19,8 +19,9 @@
 // limit.
 //
 // Reads past the end of the input, counts that the bytes left cannot
-// hold, a bad checksum, a frame over its limit and a short stream all
-// fail with an error, never a panic.
+// hold, a varint written longer than it needs (so each value has one
+// encoding), a bad checksum, a frame over its limit and a short stream
+// all fail with an error, never a panic.
 package column
 
 import (
@@ -192,11 +193,16 @@ func (d *Decoder) Rest() []byte {
 	return b
 }
 
-// Uvarint reads a uvarint.
+// Uvarint reads a uvarint. One written longer than it needs — a last
+// byte of zero after others — is refused, so a value has one encoding.
 func (d *Decoder) Uvarint() uint64 {
 	v, k := binary.Uvarint(d.buf[d.off:])
 	if k <= 0 {
 		d.Fail(errShort)
+		return 0
+	}
+	if k > 1 && d.buf[d.off+k-1] == 0 {
+		d.Fail(fmt.Errorf("column: a %d-byte varint of %d", k, v))
 		return 0
 	}
 	d.off += k
@@ -213,15 +219,11 @@ func (d *Decoder) Uint32() uint32 {
 	return uint32(v)
 }
 
-// Varint reads a zigzag varint.
+// Varint reads a zigzag varint, refusing one written longer than it
+// needs as Uvarint does.
 func (d *Decoder) Varint() int64 {
-	v, k := binary.Varint(d.buf[d.off:])
-	if k <= 0 {
-		d.Fail(errShort)
-		return 0
-	}
-	d.off += k
-	return v
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int32 reads a zigzag varint that must fit in 32 bits.

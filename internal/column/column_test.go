@@ -173,8 +173,9 @@ func column(payload []byte) []byte {
 }
 
 // TestReaderFailures: reads past a column's end, counts the column
-// cannot hold, unread bytes, bad checksums, bad headers and values too
-// wide for 32 bits fail, stickily, without a panic.
+// cannot hold, varints written longer than they need, unread bytes,
+// bad checksums, bad headers and values too wide for 32 bits fail,
+// stickily, without a panic.
 func TestReaderFailures(t *testing.T) {
 	fail := func(name string, in []byte, read func(r *Reader)) {
 		t.Helper()
@@ -197,6 +198,9 @@ func TestReaderFailures(t *testing.T) {
 	fail("unread", column([]byte{1, 2}), func(r *Reader) { r.Byte() })
 	fail("uint32", column(binary.AppendUvarint(nil, 1<<32)), func(r *Reader) { r.Uint32() })
 	fail("overlong uvarint", column(bytes.Repeat([]byte{0xff}, 11)), func(r *Reader) { r.Uvarint() })
+	fail("padded uvarint", column([]byte{0x81, 0x80, 0x00}), func(r *Reader) { r.Uvarint() })
+	fail("padded varint", column([]byte{0x80, 0x00}), func(r *Reader) { r.Varint() })
+	fail("padded count", column([]byte{0x81, 0x00, 9}), func(r *Reader) { r.Count(1) })
 	fail("boolean", column([]byte{2}), func(r *Reader) { r.Bool() })
 	fail("int32", column(binary.AppendVarint(nil, math.MaxInt32+1)), func(r *Reader) { r.Int32() })
 

@@ -342,11 +342,10 @@ func readState(d *column.Decoder) PartitionSnapshot {
 		d.Fail(fmt.Errorf("core: dimension %d out of range", dim))
 	}
 	var body column.Decoder
-	s, err := readColumns(int(dim), func() (*column.Decoder, error) {
+	s, err := readColumns(int(dim), self, func() (*column.Decoder, error) {
 		body.Reset(d.Block())
 		return &body, d.Err()
 	}, true)
-	s.Self = self
 	if err != nil {
 		d.Fail(err)
 		return s

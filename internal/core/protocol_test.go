@@ -33,20 +33,23 @@ func protocolSamples() []any {
 	pt := kdtree.Point{Coords: []float64{1.5, -2}, ID: 7}
 	entry := batchEntry{Node: 3, Point: pt}
 	inf := math.Inf(1)
+	// A routing node over a leaf and a link, and an unreachable link with
+	// an empty box. The leaf's IDs fall, then wrap past 2^64: the ID
+	// column's differences are signed and wrap.
 	frag := kdtree.Arena{
 		Nodes: []kdtree.Node{
 			{SplitDim: 1, SplitVal: 0.5, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: kdtree.Local, Node: 2}},
-			{Leaf: true, Slots: []int32{0}},
+			{Leaf: true, Slots: []int32{0, 1, 2}},
 			{Moved: true, Fwd: kdtree.Ref{Part: 4, Node: 2}},
 			{Moved: true, Fwd: kdtree.Ref{Part: 2, Node: 5}},
 		},
-		Coords: pt.Coords,
-		IDs:    []uint64{pt.ID},
-		Boxes:  []float64{1.5, -2, 9, 9, 1.5, -2, 1.5, -2, 3, 3, 9, 9, inf, inf, -inf, -inf},
+		Coords: []float64{1.5, -2, 0.5, 1, 1, 0},
+		IDs:    []uint64{pt.ID, 2, 1<<63 + 5},
+		Boxes:  []float64{0.5, -2, 9, 9, 0.5, -2, 1.5, 1, 3, 3, 9, 9, inf, inf, -inf, -inf},
 		Self:   kdtree.Local,
 		Dim:    2,
 	}
-	state := PartitionSnapshot{Arena: frag, Points: 1}
+	state := PartitionSnapshot{Arena: frag, Points: 3}
 	rs := []kdtree.Neighbor{{Point: kdtree.Point{ID: pt.ID}, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
 	return []any{
@@ -287,11 +290,11 @@ func TestProtocolTable(t *testing.T) {
 
 // TestDecodeRejectsUnusedCounts: a count or a length that promises more
 // than what follows it uses is malformed — an installReq's float count,
-// its fragment's point count and the length of each of its three column
-// blocks — so a decoder accepts only the encoding AppendWire writes, a
-// block as strictly as the file reads its column. So is a node count
-// beyond what an arena's points and link boxes allow, and a
-// bulkAddReq's landing policy byte other than 0 or 1.
+// its fragment's point count, its leaf's bucket length and the length of
+// each of its three column blocks — so a decoder accepts only the
+// encoding AppendWire writes, a block as strictly as the file reads its
+// column. So is a node count beyond what an arena's points and link
+// boxes allow, and a bulkAddReq's landing policy byte other than 0 or 1.
 func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	var enc column.Appender
 	protocolSamples()[3].(installReq).AppendWire(&enc)
@@ -305,7 +308,25 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 		at[name+" length"] = len(enc) - d.Len()
 		body := d.Block()
 		if name == "node column" {
-			at["point count"] = len(enc) - d.Len() - len(body)
+			start := len(enc) - d.Len() - len(body)
+			at["point count"] = start
+			// The leaf, node 1, follows the node count and the routing
+			// node: its state byte, split dimension, split value and
+			// two child offsets.
+			var nodes column.Decoder
+			nodes.Reset(body)
+			nodes.Uvarint()
+			nodes.Uvarint()
+			nodes.Byte()
+			nodes.Uvarint()
+			nodes.Float()
+			nodes.Varint()
+			nodes.Varint()
+			nodes.Byte()
+			at["bucket length"] = start + len(body) - nodes.Len()
+			if nodes.Uvarint() != 3 || nodes.Err() != nil {
+				t.Fatalf("node column %x: no 3-point leaf at node 1", body)
+			}
 		}
 	}
 	if d.Err() != nil {

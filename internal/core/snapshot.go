@@ -54,11 +54,12 @@ var ErrSnapshotCorrupt = errors.New("core: snapshot corrupt")
 // the header version of an EncodeSnapshot stream, and the Format every
 // snapshot Validate accepts. Format 1 was a gob stream with every box
 // stored; 2 was WriteSnapshot's columns with a column of the remote-box
-// cache's refs per partition; 3 is the columns without it, the links
-// being nodes. Decoders accept exactly this version; anything else is
-// corrupt (the facade's index snapshot carries its own header version
-// and embeds the columns only).
-const SnapshotFormat = 3
+// cache's refs per partition; 3 dropped that column, the links being
+// nodes; 4 writes a routing node's children as offsets from it, with no
+// partition, and the ID column as differences. Decoders accept exactly
+// this version; anything else is corrupt (the facade's index snapshot
+// carries its own header version and embeds the columns only).
+const SnapshotFormat = 4
 
 // Validation bounds: a snapshot claiming more is corrupt by fiat long
 // before any allocation happens. MaxSnapshotDim also bounds the
@@ -153,9 +154,12 @@ func (p *partition) handleSnapshot() (any, error) {
 }
 
 // handleRestore replaces the partition's state wholesale under the
-// write lock. The arena is copied (kdtree.Arena.Restore): on an
-// in-process fabric the request aliases client memory. A state the
-// kernel rejects, or one linking up the partition DAG, is refused.
+// write lock. The arena adopts the request's (kdtree.Arena.Restore):
+// its node table and box block are the partition's from then on, and
+// its point blocks and slot arrays, which an in-process request shares
+// with the client's snapshot, are only ever appended to or replaced. A
+// state the kernel rejects, or one linking up the partition DAG, is
+// refused.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -244,8 +248,10 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 	}
 	toID := func(ordinal int32) (int32, error) { return int32(ids[ordinal]), nil } // in range: validated
 	for i, ps := range fitted.Parts {
-		// Translate a copy of the node table (the blocks are shared; the
-		// partition copies them on the way in).
+		// Translate a copy of the node table, which the partition adopts
+		// with the box block FitBoxes gave it; the point blocks and slot
+		// arrays stay shared with snap, and the partition never writes
+		// them in place (kdtree.Arena.Restore).
 		ps.Nodes = slices.Clone(ps.Nodes)
 		_ = ps.mapRefs(toID)
 		ps.Self = int32(ids[i])
@@ -315,9 +321,15 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 //   - nodes: Points, the node count, and per node its state byte
 //     followed by, for a link, Fwd; for a leaf, its bucket length;
 //     for a routing node, SplitDim, SplitVal (raw) and both children.
-//     Counts and refs are uvarints (int32 fields as their uint32 bits).
+//     A routing child is a node of the arena (kdtree.Arena.Fit), so it
+//     is written as its index less its parent's, a zigzag varint, with
+//     no Part. Counts and Fwd are uvarints (int32 fields as their
+//     uint32 bits).
 //   - IDs: the arena's ID column — every bucket point's ID, leaves in
-//     node order.
+//     node order. A leaf's first ID is a uvarint and each later one its
+//     difference from the one before, a zigzag varint (IDs wrap): a
+//     bucket a bulk build filled ascends, so its differences are
+//     small, and any order decodes.
 //   - coordinates, with coords: the arena's coordinate block, raw, in
 //     one write.
 //
@@ -338,10 +350,13 @@ func writeTree(w *column.Writer, s *TreeSnapshot, coords bool) error {
 	return nil
 }
 
-// appendColumns appends the partition's three column bodies to a — two
-// without coords, which leaves the coordinate block out — calling end
-// after each one: the file frames each as a column, a partition message
-// as a block (appendState).
+// appendColumns appends the partition's three column bodies to a, in
+// writeTree's layout — two without coords, which leaves the coordinate
+// block out — calling end after each one: the file frames each as a
+// column, a partition message as a block (appendState). Every routing
+// child must be a node of the arena (layout checks it for the file; a
+// partition's own arenas and fragments hold no other): its Part is not
+// written.
 func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coords bool) {
 	a.Uvarint(uint64(ps.Points))
 	a.Uvarint(uint64(len(ps.Nodes)))
@@ -363,13 +378,24 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coord
 		default:
 			a.Uvarint(uint64(uint32(n.SplitDim)))
 			a.Float(n.SplitVal)
-			appendRef(a, n.Left)
-			appendRef(a, n.Right)
+			a.Varint(int64(n.Left.Node) - int64(i))
+			a.Varint(int64(n.Right.Node) - int64(i))
 		}
 	}
 	end()
-	for _, id := range ps.IDs {
-		a.Uvarint(id)
+	for i := range ps.Nodes {
+		if n := &ps.Nodes[i]; n.Leaf && !n.Moved {
+			var prev uint64
+			for j, s := range n.Slots {
+				id := ps.IDs[s]
+				if j == 0 {
+					a.Uvarint(id)
+				} else {
+					a.Varint(int64(id - prev))
+				}
+				prev = id
+			}
+		}
 	}
 	end()
 	if coords {
@@ -379,9 +405,11 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coord
 }
 
 // layout checks that the partition's arena has the shape of its
-// columns: a coordinate block of dimension dim, and the slots of its
-// leaves running through it in node order, covering it; no other node
-// holds any. The box block is not its columns' business.
+// columns: a coordinate block of dimension dim, the slots of its
+// leaves running through it in node order, covering it, and no other
+// node holding any; and every routing child a node of the arena, whose
+// Part the node column does not write. The box block is not its
+// columns' business.
 func (ps *PartitionSnapshot) layout(dim int) error {
 	if ps.Dim != dim || len(ps.Coords) != dim*len(ps.IDs) {
 		return fmt.Errorf("a coordinate block of %d floats for %d points of dimension %d, want %d",
@@ -392,6 +420,9 @@ func (ps *PartitionSnapshot) layout(dim int) error {
 		n := &ps.Nodes[i]
 		if len(n.Slots) > 0 && (!n.Leaf || n.Moved) {
 			return fmt.Errorf("node %d: a bucket outside a leaf", i)
+		}
+		if !n.Leaf && !n.Moved && (!ps.IsLocal(n.Left) || !ps.IsLocal(n.Right)) {
+			return fmt.Errorf("node %d: a routing child in partition %d or %d leaves the arena", i, n.Left.Part, n.Right.Part)
 		}
 		for _, s := range n.Slots {
 			if int(s) != next {
@@ -413,6 +444,12 @@ func appendRef(a *column.Appender, r kdtree.Ref) {
 
 func readRef(d *column.Decoder) kdtree.Ref {
 	return kdtree.Ref{Part: int32(d.Uint32()), Node: int32(d.Uint32())}
+}
+
+// readChild reads a routing child of node i of the arena self names,
+// which appendColumns wrote as its offset from i.
+func readChild(d *column.Decoder, self int32, i int) kdtree.Ref {
+	return kdtree.Ref{Part: self, Node: int32(i) + d.Int32()}
 }
 
 // maxPartitionPoints bounds the bucket lengths a node column may claim,
@@ -450,11 +487,10 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 	}
 	next := func() (*column.Decoder, error) { return &r.Decoder, r.Next() }
 	for pi := range int(parts) {
-		ps, err := readColumns(dim, next, coords)
+		ps, err := readColumns(dim, int32(pi), next, coords)
 		if err != nil {
 			return nil, corrupt("partition %d: %v", pi, err)
 		}
-		ps.Self = int32(pi)
 		s.Parts = append(s.Parts, ps)
 	}
 	return s, nil
@@ -482,12 +518,13 @@ func (s *TreeSnapshot) FitBoxes() error {
 
 // readColumns reads the column bodies appendColumns wrote — three, or
 // two without coords — each from the decoder next opens for it, into
-// an arena of dimension dim in the snapshot layout — the ID column and
-// the coordinate block read in place, every leaf's slots carved from
-// one array — and no boxes yet (fitLeaves). Each body must be read to
-// its end, and an empty one decodes as nil.
-func readColumns(dim int, next func() (*column.Decoder, error), coords bool) (PartitionSnapshot, error) {
-	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim}}
+// an arena of dimension dim named self (the Part of its routing
+// children) in the snapshot layout — the ID column and the coordinate
+// block read in place, every leaf's slots carved from one array — and
+// no boxes yet (fitLeaves). Each body must be read to its end, and an
+// empty one decodes as nil.
+func readColumns(dim int, self int32, next func() (*column.Decoder, error), coords bool) (PartitionSnapshot, error) {
+	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim, Self: self}}
 	d, err := next()
 	if err != nil {
 		return ps, err
@@ -518,8 +555,8 @@ func readColumns(dim int, next func() (*column.Decoder, error), coords bool) (Pa
 		default:
 			n.SplitDim = int32(d.Uint32())
 			n.SplitVal = d.Float()
-			n.Left = readRef(d)
-			n.Right = readRef(d)
+			n.Left = readChild(d, self, i)
+			n.Right = readChild(d, self, i)
 		}
 	}
 	if err := d.End(); err != nil {
@@ -535,8 +572,16 @@ func readColumns(dim int, next func() (*column.Decoder, error), coords bool) (Pa
 	if total > 0 {
 		ps.IDs = make([]uint64, total)
 	}
-	for i := range ps.IDs {
-		ps.IDs[i] = d.Uvarint()
+	at := 0
+	for _, k := range sizes {
+		for j := range k {
+			if j == 0 {
+				ps.IDs[at] = d.Uvarint()
+			} else {
+				ps.IDs[at] = ps.IDs[at-1] + uint64(d.Varint())
+			}
+			at++
+		}
 	}
 	if err := d.End(); err != nil {
 		return ps, err

@@ -185,19 +185,26 @@ func (a *Arena) Clone() Arena {
 	return c
 }
 
-// Restore replaces the arena's nodes and blocks with a Clone of src's,
-// which must be an arena of the same partition and Fit its dimension
-// (see Install). src is not modified.
+// Restore makes src's state the arena's. src must be an arena of the
+// same partition and Fit its dimension (see Install). Its node table
+// and box block are adopted as they are: the caller hands them over.
+// Its coordinate block, ID column and leaves' slot arrays are adopted
+// capped: the arena appends to them or replaces them (Compact), never
+// writes them in place, so they stay as src holds them and may be
+// shared — by src's owner, or by other arenas restored from them.
 func (a *Arena) Restore(src *Arena) error {
-	s := *src
-	if s.Self != a.Self {
-		return fmt.Errorf("kdtree: the state of partition %d restored over %d", s.Self, a.Self)
+	if src.Self != a.Self {
+		return fmt.Errorf("kdtree: the state of partition %d restored over %d", src.Self, a.Self)
 	}
-	if err := s.Fit(a.Dim); err != nil {
+	if err := src.Fit(a.Dim); err != nil {
 		return err
 	}
-	c := s.Clone()
-	a.Nodes, a.Coords, a.IDs, a.Boxes = c.Nodes, c.Coords, c.IDs, c.Boxes
+	for i := range src.Nodes {
+		n := &src.Nodes[i]
+		n.Slots = n.Slots[:len(n.Slots):len(n.Slots)]
+	}
+	a.Nodes, a.Boxes = src.Nodes, src.Boxes
+	a.Coords, a.IDs = src.Coords[:len(src.Coords):len(src.Coords)], src.IDs[:len(src.IDs):len(src.IDs)]
 	return nil
 }
 

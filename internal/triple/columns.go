@@ -2,17 +2,32 @@ package triple
 
 import (
 	"fmt"
+	"math/bits"
 
 	"semtree/internal/column"
 )
 
 // The store persists as its own tables, so this file is the one place
 // that knows their byte layout: a term table column, a string table
-// column, a row column holding, per triple, the subject, predicate and
-// object TermIDs as uvarints, and a run column holding, per run in ID
-// order, its length and its Prov.Doc and Prov.Section string ids as
-// uvarints, the Prov.Seq of its first triple as a zigzag varint, and
-// its step as a byte.
+// column, a row column and a run column.
+//
+// The row column codes each position of a triple — subject, predicate,
+// object — by what that position holds. It opens with the row count n,
+// then per position a dictionary: the TermIDs the position uses, in the
+// order the rows first use them, as a uvarint count and uvarints. Each
+// row is then three codes, its terms' places in the three
+// dictionaries, position j's code bits.Len(len(dictionary j)) bits wide
+// (so a row takes at least a bit per position, and a row count the
+// bytes do not back is refused before anything is allocated). The codes
+// are packed LSB-first in row order into ⌈n·W/8⌉ bytes, W the three
+// widths' sum, the last byte padded with zero bits. A store has one
+// encoding: ReadStore refuses dictionaries out of first-seen order or
+// holding a term no row uses, codes past their dictionary, and a
+// nonzero pad bit.
+//
+// The run column holds, per run in ID order, its length and its
+// Prov.Doc and Prov.Section string ids as uvarints, the Prov.Seq of its
+// first triple as a zigzag varint, and its step as a byte.
 
 // WriteTerm appends t to w's open column: its kind, prefix, value and
 // literal type.
@@ -52,12 +67,7 @@ func (s *Store) WriteColumns(w *column.Writer, n int) {
 		w.Text(str)
 	}
 	w.End()
-	w.Uvarint(uint64(n))
-	for _, spo := range v.spo[:n] {
-		for _, id := range spo {
-			w.Uvarint(uint64(id))
-		}
-	}
+	writeRowCodes(w, v.spo[:n], len(v.terms))
 	w.End()
 	if n == 0 {
 		w.Uvarint(0)
@@ -81,10 +91,122 @@ func (s *Store) WriteColumns(w *column.Writer, n int) {
 	w.End()
 }
 
+// writeRowCodes writes the row column's body: the row count, the three
+// dictionaries and the packed codes of rows, whose TermIDs index a
+// table of nt terms.
+func writeRowCodes(w *column.Writer, rows [][3]TermID, nt int) {
+	w.Uvarint(uint64(len(rows)))
+	code := make([]uint32, 3*nt) // code[j*nt+id]: 1 + id's place in dictionary j, 0 while j has not used id
+	var dict []TermID
+	var width [3]int
+	for j := range width {
+		dict = dict[:0]
+		for _, spo := range rows {
+			if c := &code[j*nt+int(spo[j])]; *c == 0 {
+				dict = append(dict, spo[j])
+				*c = uint32(len(dict))
+			}
+		}
+		w.Uvarint(uint64(len(dict)))
+		for _, id := range dict {
+			w.Uvarint(uint64(id))
+		}
+		width[j] = bits.Len(uint(len(dict)))
+	}
+	var acc uint64 // the bits not yet written, k of them
+	k := 0
+	for _, spo := range rows {
+		for j, id := range spo {
+			acc |= uint64(code[j*nt+int(id)]-1) << k
+			for k += width[j]; k >= 8; k -= 8 {
+				w.Byte(byte(acc))
+				acc >>= 8
+			}
+		}
+	}
+	if k > 0 {
+		w.Byte(byte(acc))
+	}
+}
+
+// readRowCodes reads the row column's body writeRowCodes wrote for a
+// table of nt terms.
+func readRowCodes(r *column.Reader, nt int) ([][3]TermID, error) {
+	n := r.Uvarint()
+	var dicts [3][]TermID
+	var width [3]int
+	used := make([]bool, nt)
+	bitsPerRow := 0
+	for j := range dicts {
+		m := r.Count(1) // an entry takes a byte at least
+		if width[j] = bits.Len(uint(m)); width[j] > 32 {
+			return nil, fmt.Errorf("triple: position %d has a dictionary of %d terms, codes of %d bits", j, m, width[j])
+		}
+		bitsPerRow += width[j]
+		dicts[j] = make([]TermID, m)
+		clear(used)
+		for k := range dicts[j] {
+			id := r.Uvarint()
+			switch {
+			case r.Err() != nil:
+				return nil, r.Err()
+			case id >= uint64(nt):
+				return nil, fmt.Errorf("triple: position %d's dictionary names term %d of %d", j, id, nt)
+			case used[id]:
+				return nil, fmt.Errorf("triple: position %d's dictionary names term %d twice", j, id)
+			}
+			used[id] = true
+			dicts[j][k] = TermID(id)
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if left := uint64(r.Len()); n > 8*left || (n*uint64(bitsPerRow)+7)/8 != left {
+		return nil, fmt.Errorf("triple: %d rows of %d bits in %d bytes", n, bitsPerRow, left)
+	}
+	packed := r.Rest()
+	rows := make([][3]TermID, n)
+	var seen [3]int // the entries of each dictionary the rows have used so far
+	var acc uint64  // the bits read but not yet decoded, k of them
+	k := 0
+	for i := range rows {
+		for j, dict := range dicts {
+			for ; k < width[j]; k += 8 {
+				acc |= uint64(packed[0]) << k
+				packed = packed[1:]
+			}
+			c := int(acc & (1<<width[j] - 1))
+			acc >>= width[j]
+			k -= width[j]
+			switch {
+			case c >= len(dict):
+				return nil, fmt.Errorf("triple: row %d codes position %d as %d of a %d-term dictionary", i, j, c, len(dict))
+			case c > seen[j]:
+				return nil, fmt.Errorf("triple: row %d uses entry %d of position %d's dictionary before entry %d", i, c, j, seen[j])
+			case c == seen[j]:
+				seen[j]++
+			}
+			rows[i][j] = dict[c]
+		}
+	}
+	if acc != 0 {
+		return nil, fmt.Errorf("triple: the row codes' pad bits are %#x, not zero", acc)
+	}
+	for j, dict := range dicts {
+		if seen[j] != len(dict) {
+			return nil, fmt.Errorf("triple: no row uses entry %d of position %d's dictionary", seen[j], j)
+		}
+	}
+	return rows, nil
+}
+
 // ReadStore reads the four columns WriteColumns wrote into a new store.
-// Repeated table entries, ids out of their table's range, an empty
-// run, a step other than 0 and 1, and runs that do not cover the rows
-// exactly are errors, as are the reader's own.
+// Repeated table entries, ids out of their table's range, rows not
+// coded as WriteColumns codes them (see the file comment), an empty
+// run, a step other than 0 and 1, a one-triple run that steps, and
+// runs that do not cover the rows exactly are errors, as are the
+// reader's own.
 func ReadStore(r *column.Reader) (*Store, error) {
 	s := NewStore()
 	if err := r.Next(); err != nil {
@@ -120,21 +242,15 @@ func ReadStore(r *column.Reader) (*Store, error) {
 	if err := r.Next(); err != nil {
 		return nil, err
 	}
-	n := r.Count(3) // three one-byte uvarints at least
-	s.spo = make([][3]TermID, n)
-	nt := uint64(len(s.terms))
-	for i := range n {
-		for j := range s.spo[i] {
-			id := r.Uvarint()
-			if id >= nt && r.Err() == nil {
-				return nil, fmt.Errorf("triple: row %d names term %d of %d", i, id, nt)
-			}
-			s.spo[i][j] = TermID(id)
-		}
+	rows, err := readRowCodes(r, len(s.terms))
+	if err != nil {
+		return nil, err
 	}
 	if err := r.End(); err != nil {
 		return nil, err
 	}
+	s.spo = rows
+	n := len(rows)
 
 	if err := r.Next(); err != nil {
 		return nil, err
@@ -153,6 +269,8 @@ func ReadStore(r *column.Reader) (*Store, error) {
 			return nil, fmt.Errorf("triple: run %d names strings %d and %d of %d", k, doc, section, ns)
 		case step > 1:
 			return nil, fmt.Errorf("triple: run %d steps by %d", k, step)
+		case length == 1 && step != 0:
+			return nil, fmt.Errorf("triple: run %d of one triple steps by %d", k, step) // written as step 0
 		}
 		runs[k] = run{first: first, seq: int(seq), doc: uint32(doc), section: uint32(section), step: int(step)}
 		first += int(length)

@@ -2,7 +2,9 @@ package triple_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"semtree/internal/column"
@@ -89,17 +91,11 @@ func TestStoreColumnsCutRun(t *testing.T) {
 	// rowsAndRuns returns the payloads of the last two of b's four
 	// columns; the tables before them hold the whole store's terms.
 	rowsAndRuns := func(b []byte) []byte {
-		r := column.NewReader(bytes.NewReader(b))
-		var out []byte
-		for i := range 4 {
-			if err := r.Next(); err != nil {
-				t.Fatal(err)
-			}
-			if i >= 2 {
-				out = append(out, r.Rest()...)
-			}
+		cols := payloads(t, b)
+		if len(cols) != 4 {
+			t.Fatalf("%d columns, want 4", len(cols))
 		}
-		return out
+		return append(cols[2], cols[3]...)
 	}
 	whole := columns(s, len(es))
 	for _, n := range []int{1, 2, 4, 7, 8, 10} {
@@ -125,9 +121,9 @@ func TestStoreColumnsCutRun(t *testing.T) {
 }
 
 // writeStore writes the four store columns: the term and string
-// tables, rows of three term ids, and runs of five values — length,
-// doc, section, seq and step.
-func writeStore(w *column.Writer, terms []triple.Term, strs []string, rows [][3]uint64, runs [][5]int64) {
+// tables, the row column's body as given (rowColumn), and runs of five
+// values — length, doc, section, seq and step.
+func writeStore(w *column.Writer, terms []triple.Term, strs []string, rows []byte, runs [][5]int64) {
 	w.Uvarint(uint64(len(terms)))
 	for _, t := range terms {
 		triple.WriteTerm(w, t)
@@ -138,12 +134,7 @@ func writeStore(w *column.Writer, terms []triple.Term, strs []string, rows [][3]
 		w.Text(s)
 	}
 	w.End()
-	w.Uvarint(uint64(len(rows)))
-	for _, row := range rows {
-		for _, id := range row {
-			w.Uvarint(id)
-		}
-	}
+	w.Appender = append(w.Appender, rows...)
 	w.End()
 	w.Uvarint(uint64(len(runs)))
 	for _, r := range runs {
@@ -156,26 +147,63 @@ func writeStore(w *column.Writer, terms []triple.Term, strs []string, rows [][3]
 	w.End()
 }
 
-// TestReadStoreRejects: tables with a repeated entry, rows or runs
-// naming an entry past a table's end, an empty run, a step other than 0
-// and 1, and runs that do not cover the rows exactly are errors, even
-// with every checksum intact. Each case breaks one rule only, and the
-// columns after the cases, which break none, read back.
+// rowColumn is the body of a row column: n, the three dictionaries and
+// the packed codes, as given.
+func rowColumn(n uint64, dicts [3][]uint64, packed ...byte) []byte {
+	c := binary.AppendUvarint(nil, n)
+	for _, d := range dicts {
+		c = binary.AppendUvarint(c, uint64(len(d)))
+		for _, id := range d {
+			c = binary.AppendUvarint(c, id)
+		}
+	}
+	return append(c, packed...)
+}
+
+// TestReadStoreRejects: tables with a repeated entry; a dictionary
+// naming a term past the table, naming one twice, out of first-seen
+// order, holding an entry no row uses, or claiming 2^32 entries, whose
+// codes would take 33 bits; a
+// code past its dictionary; packed codes of the wrong length; a set pad
+// bit; runs naming a string past the table; an empty run; a step other
+// than 0 and 1; a one-triple run that steps; and runs that do not cover
+// the rows exactly are errors, even with every checksum intact. Each
+// case breaks one rule only, and the columns after the cases, which
+// break none, read back.
 func TestReadStoreRejects(t *testing.T) {
 	concept := triple.NewConcept("Fun", "send_msg")
 	one := []triple.Term{concept}
+	two := []triple.Term{concept, triple.NewLiteral("42")}
 	strs := []string{"A", "B"}
-	rows := [][3]uint64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	ones := [3][]uint64{{0}, {0}, {0}}
+	rows := rowColumn(3, ones, 0, 0) // three rows of three 1-bit codes
+	run := [][5]int64{{3, 0, 0, 0, 0}}
+	// Two rows over two terms: each position's dictionary {0, 1}, codes
+	// of two bits, the second row's three 1s at bits 6, 8 and 10.
+	twoDicts := [3][]uint64{{0, 1}, {0, 1}, {0, 1}}
+	twoRuns := [][5]int64{{2, 0, 0, 0, 0}}
+	wide := binary.AppendUvarint(binary.AppendUvarint(nil, 3), 1<<32) // a dictionary of 2^32 terms
 	cases := []struct {
 		name  string
 		terms []triple.Term
 		strs  []string
-		rows  [][3]uint64
+		rows  []byte
 		runs  [][5]int64
 	}{
-		{"repeated term", []triple.Term{concept, concept}, nil, nil, nil},
-		{"repeated string", nil, []string{"A", "A"}, nil, nil},
-		{"term out of range", one, strs, [][3]uint64{{0, 1, 0}}, [][5]int64{{1, 0, 0, 0, 0}}},
+		{"repeated term", []triple.Term{concept, concept}, nil, rowColumn(0, [3][]uint64{}), nil},
+		{"repeated string", nil, []string{"A", "A"}, rowColumn(0, [3][]uint64{}), nil},
+		{"dictionary entry out of range", one, strs, rowColumn(3, [3][]uint64{{0}, {1}, {0}}, 0, 0), run},
+		{"repeated dictionary entry", two, strs, rowColumn(2, [3][]uint64{{0, 0}, {0, 1}, {0, 1}}, 0x40, 0x05), twoRuns},
+		{"dictionary of 33-bit codes", one, strs, wide, run},
+		{"code past its dictionary", one, strs, rowColumn(3, ones, 0b1000, 0), run},
+		// Subjects 1, 0, 1 over a dictionary {0, 1}: every entry used,
+		// the second first.
+		{"dictionary out of first-seen order", two, strs, rowColumn(3, [3][]uint64{{0, 1}, {0}, {0}}, 0x01, 0x01), run},
+		{"unused dictionary entry", two, strs, rowColumn(2, [3][]uint64{{0, 1}, {0}, {0}}, 0), twoRuns},
+		{"packed codes too long", one, strs, rowColumn(3, ones, 0, 0, 0), run},
+		{"packed codes too short", one, strs, rowColumn(3, ones, 0), run},
+		{"rows the bytes do not back", one, strs, rowColumn(1000, ones, 0, 0), [][5]int64{{1000, 0, 0, 0, 0}}},
+		{"pad bit set", one, strs, rowColumn(3, ones, 0, 0b10), run},
 		{"doc out of range", one, strs, rows, [][5]int64{{3, 2, 0, 0, 1}}},
 		{"section out of range", one, strs, rows, [][5]int64{{1, 0, 1, 0, 0}, {2, 1, 2, 0, 1}}},
 		{"zero-length run", one, strs, rows, [][5]int64{{1, 0, 0, 0, 0}, {0, 1, 1, 0, 0}, {2, 1, 1, 0, 1}}},
@@ -183,6 +211,7 @@ func TestReadStoreRejects(t *testing.T) {
 		{"runs past the rows", one, strs, rows, [][5]int64{{2, 0, 0, 0, 0}, {2, 1, 1, 0, 0}}},
 		{"no run over rows", one, strs, rows, nil},
 		{"step 2", one, strs, rows, [][5]int64{{3, 0, 1, -4, 2}}},
+		{"one-triple run that steps", one, strs, rows, [][5]int64{{1, 0, 0, 0, 1}, {2, 1, 0, 0, 1}}},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -198,7 +227,7 @@ func TestReadStoreRejects(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := column.NewWriter(&buf)
-	writeStore(w, one, strs, rows, [][5]int64{{1, 0, 0, math.MaxInt64, 1}, {2, 1, 0, -1, 1}})
+	writeStore(w, one, strs, rows, [][5]int64{{1, 0, 0, math.MaxInt64, 0}, {2, 1, 0, -1, 1}})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,4 +240,100 @@ func TestReadStoreRejects(t *testing.T) {
 			t.Fatalf("entry %d has provenance %+v, want %+v", id, e.Prov, want)
 		}
 	}
+	buf.Reset()
+	w = column.NewWriter(&buf)
+	writeStore(w, two, strs, rowColumn(2, twoDicts, 0x40, 0x05), twoRuns)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = triple.ReadStore(column.NewReader(&buf)); err != nil {
+		t.Fatalf("the valid two-term columns: %v", err)
+	}
+	for id, want := range []triple.Term{concept, two[1]} {
+		if e, _ := s.Get(triple.ID(id)); e.Triple != triple.New(want, want, want) {
+			t.Fatalf("entry %d is %v, want (%v, %v, %v)", id, e.Triple, want, want, want)
+		}
+	}
+}
+
+// payloads returns the payloads of the columns a stream holds.
+func payloads(t testing.TB, b []byte) [][]byte {
+	t.Helper()
+	r := column.NewReader(bytes.NewReader(b))
+	var out [][]byte
+	for r.Next() == nil {
+		out = append(out, bytes.Clone(r.Rest()))
+	}
+	return out
+}
+
+// FuzzReadStore: ReadStore on arbitrary column payloads, framed with
+// their checksums, never panics; it allocates in proportion to its
+// input, the sizes it allocates by backed by the bytes (Count, and the
+// packed codes' length for the rows); and whatever it accepts,
+// WriteColumns writes back byte for byte — a store has one encoding.
+func FuzzReadStore(f *testing.F) {
+	s := triple.NewStore()
+	terms := modelTerms()
+	for i := range 30 {
+		tp := triple.New(terms[i%7], terms[(i*5+1)%len(terms)], terms[(i*3)%4])
+		s.Add(tp, triple.Provenance{Doc: []string{"A", "B", "B"}[i/10], Section: "1", Seq: i % 10})
+	}
+	var valid bytes.Buffer
+	w := column.NewWriter(&valid)
+	s.WriteColumns(w, s.Len())
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	cols := payloads(f, valid.Bytes())
+	if len(cols) != 4 {
+		f.Fatalf("%d columns, want 4", len(cols))
+	}
+	f.Add(cols[0], cols[1], cols[2], cols[3]) // three runs
+	var one bytes.Buffer
+	w = column.NewWriter(&one)
+	writeStore(w, []triple.Term{triple.NewConcept("Fun", "send_msg")}, []string{"A"}, nil, [][5]int64{{3, 0, 0, 0, 0}})
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	oneCols := payloads(f, one.Bytes())
+	ones := [3][]uint64{{0}, {0}, {0}}
+	for _, rows := range [][]byte{
+		rowColumn(3, ones, 0b1000, 0),                             // a code past its dictionary
+		rowColumn(3, ones, 0, 0b10),                               // a set pad bit
+		binary.AppendUvarint(binary.AppendUvarint(nil, 3), 1<<32), // a dictionary of 33-bit codes
+	} {
+		f.Add(oneCols[0], oneCols[1], rows, oneCols[3])
+	}
+
+	f.Fuzz(func(t *testing.T, terms, strs, rows, runs []byte) {
+		var in bytes.Buffer
+		w := column.NewWriter(&in)
+		for _, c := range [][]byte{terms, strs, rows, runs} {
+			w.Appender = append(w.Appender, c...)
+			w.End()
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := triple.ReadStore(column.NewReader(bytes.NewReader(in.Bytes())))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*in.Len()); got > limit {
+			t.Fatalf("reading %d bytes allocated %d, over %d", in.Len(), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		w = column.NewWriter(&out)
+		s.WriteColumns(w, s.Len())
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in.Bytes()) {
+			t.Fatalf("accepted columns\n%x\nwrite back as\n%x", in.Bytes(), out.Bytes())
+		}
+	})
 }

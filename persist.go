@@ -12,19 +12,24 @@ import (
 )
 
 // snapshotVersion is the on-disk format written by Save, and the only
-// one Load accepts. Version 7 is a column stream (internal/column):
+// one Load accepts. Version 8 is a column stream (internal/column):
 // the header carries the embedding dimension once, and the columns
 // hold the index as memory already does — the store's tables, rows and
 // provenance runs, the pivots with their squared pivot distances, and
 // per partition the nodes, a cross-partition link among them, and point
-// IDs. No coordinate and no box is written: a point's coordinates are a
+// IDs. Each column is coded by what it holds: a row is three
+// fixed-width codes into per-position dictionaries
+// (internal/triple/columns.go), a routing child its offset from its
+// parent, a leaf's IDs their differences (core.WriteSnapshot). No
+// coordinate and no box is written: a point's coordinates are a
 // function of its triple and the pivots, and Load projects every stored
 // triple again with the arithmetic that placed it, then the restore
-// fits every box. Version 6 wrote a column of remote-box refs per
-// partition, version 5 each triple's provenance in its row, version 4
-// each partition's coordinate block raw, and versions 1–3 were gob
-// streams; none has a writer and all are rejected as corrupt.
-const snapshotVersion = 7
+// fits every box. Version 7 wrote every row, routing child and ID as
+// plain uvarints, version 6 a column of remote-box refs per partition,
+// version 5 each triple's provenance in its row, version 4 each
+// partition's coordinate block raw, and versions 1–3 were gob streams;
+// none has a writer and all are rejected as corrupt.
+const snapshotVersion = 8
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
 // truncated or garbled encodings, unknown versions, embedding
@@ -112,7 +117,7 @@ func Save(w io.Writer, ix *Index) error {
 	return nil
 }
 
-// writeSnapshot writes snap as a version-6 stream: the header, then the
+// writeSnapshot writes snap as a version-8 stream: the header, then the
 // options and pivot columns, the pivot-coordinate column (both pivots'
 // coordinates per axis, the squared pivot distances, then Built), the
 // store's four columns and the tree's, which hold no coordinate.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -414,7 +415,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// stream is a version-6 snapshot cut at its frames: the fixed header,
+// stream is a version-8 snapshot cut at its frames: the fixed header,
 // each column's payload, and the offset at which each column ends.
 type stream struct {
 	header []byte
@@ -458,8 +459,8 @@ func (s stream) with(i int, c []byte) stream {
 	return s
 }
 
-// The columns of a version-6 stream, in order; the tree's follow the
-// store's, three per partition.
+// The columns of a version-8 stream, in order; the tree's follow the
+// store's: its own, then two per partition.
 const (
 	colOptions = iota
 	colPivots
@@ -517,7 +518,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := splitStream(t, buf.Bytes())
-	for _, v := range []byte{0, 3, 4, 5, 6, 99} {
+	for _, v := range []byte{0, 3, 4, 5, 6, 7, 99} {
 		s.header = append([]byte(nil), s.header...)
 		s.header[len(column.Magic)] = v
 		wantCorrupt(t, s.bytes(), fmt.Sprintf("version %d", v))
@@ -573,15 +574,48 @@ func runColumn(runs ...[5]int64) []byte {
 	return c
 }
 
+// rowParts splits a row column into its row count, its three
+// dictionaries and its packed codes.
+func rowParts(t *testing.T, c []byte) (n uint64, dicts [3][]uint64, packed []byte) {
+	t.Helper()
+	var d column.Decoder
+	d.Reset(c)
+	n = d.Uvarint()
+	for j := range dicts {
+		dicts[j] = make([]uint64, d.Uvarint())
+		for k := range dicts[j] {
+			dicts[j][k] = d.Uvarint()
+		}
+	}
+	if d.Err() != nil {
+		t.Fatalf("row column %x: %v", c, d.Err())
+	}
+	return n, dicts, d.Rest()
+}
+
+// rowColumn encodes a row column from its parts, as given.
+func rowColumn(n uint64, dicts [3][]uint64, packed []byte) []byte {
+	c := binary.AppendUvarint(nil, n)
+	for _, d := range dicts {
+		c = binary.AppendUvarint(c, uint64(len(d)))
+		for _, id := range d {
+			c = binary.AppendUvarint(c, id)
+		}
+	}
+	return append(c, packed...)
+}
+
 // TestLoadRejectsPatchedColumns: columns no Save wrote, checksums
 // recomputed, are corrupt. The pivots and the tree are read against the
 // header's one dimension, so a mapper cut to fewer axes than the tree
 // has — a pivot-coordinate column of 4 consistent axes over an
 // 8-dimensional tree — is corrupt, not an index whose every query
 // fails; and so are parameters the metric or FastMap reject, more
-// build-placed triples than the store holds, and provenance runs that
-// do not cover the rows exactly, are empty, name a string past the
-// table or step by other than 0 and 1.
+// build-placed triples than the store holds, provenance runs that do
+// not cover the rows exactly, are empty, name a string past the table
+// or step by other than 0 and 1, a row dictionary naming a term past
+// the table, a row code past its dictionary and a set pad bit after
+// the row codes.
 func TestLoadRejectsPatchedColumns(t *testing.T) {
 	s := splitStream(t, savedStream(t, 30))
 	var own [][5]int64 // savedStream's sections take turns: a run per triple
@@ -612,20 +646,39 @@ func TestLoadRejectsPatchedColumns(t *testing.T) {
 	if built := binary.AppendUvarint(nil, 30); !bytes.Equal(coords[floats:], built) {
 		t.Fatalf("pivot coordinate column of %d bytes, want %d and the build's 30 triples", len(coords), floats)
 	}
+	n, dicts, packed := rowParts(t, s.cols[colRows])
+	if !bytes.Equal(rowColumn(n, dicts, packed), s.cols[colRows]) {
+		t.Fatalf("row column %x does not have the layout this test patches", s.cols[colRows])
+	}
+	var terms column.Decoder
+	terms.Reset(s.cols[colTerms])
+	nt := terms.Uvarint()
+	width := bits.Len(uint(len(dicts[0])))
+	if total := n * uint64(width+bits.Len(uint(len(dicts[1])))+bits.Len(uint(len(dicts[2])))); total%8 == 0 {
+		t.Fatalf("%d bits of row codes: no pad bit", total)
+	}
+	pastTable := [3][]uint64{append([]uint64{nt}, dicts[0][1:]...), dicts[1], dicts[2]}
+	pastDict := append([]byte(nil), packed...)
+	pastDict[0] |= 1<<width - 1 // row 0's subject code, all ones: width bits hold more codes than the dictionary
+	pad := append([]byte(nil), packed...)
+	pad[len(pad)-1] |= 0x80
 	negative := append([]byte(nil), coords...)
 	binary.LittleEndian.PutUint64(negative[8*2*8*8:], math.Float64bits(-1)) // DAB2[0]
 	cut := append(coords[:8*(2*4+1)*4:8*(2*4+1)*4], coords[floats:]...)
 	for what, patched := range map[string]stream{
-		"4-axis mapper over an 8-dim tree": s.with(colPivotCoords, cut),
-		"DAB2[0] = -1":                     s.with(colPivotCoords, negative),
-		"31 triples built of 30":           s.with(colPivotCoords, binary.AppendUvarint(coords[:floats:floats], 31)),
-		"no build count":                   s.with(colPivotCoords, coords[:floats]),
-		`Measure "nope"`:                   s.with(colOptions, options(0.4, "nope")),
-		"Alpha 2":                          s.with(colOptions, options(2, "")),
-		"a run of 29 over 30 rows":         s.with(colRuns, runColumn([5]int64{29, 0, 1, 0, 1})),
-		"a zero-length run":                s.with(colRuns, runColumn([5]int64{0, 0, 1, 0, 1}, [5]int64{30, 0, 1, 0, 1})),
-		"string 4 of 4":                    s.with(colRuns, runColumn([5]int64{30, 0, 4, 0, 1})),
-		"step 2":                           s.with(colRuns, runColumn([5]int64{30, 0, 1, 0, 2})),
+		"4-axis mapper over an 8-dim tree":  s.with(colPivotCoords, cut),
+		"DAB2[0] = -1":                      s.with(colPivotCoords, negative),
+		"31 triples built of 30":            s.with(colPivotCoords, binary.AppendUvarint(coords[:floats:floats], 31)),
+		"no build count":                    s.with(colPivotCoords, coords[:floats]),
+		`Measure "nope"`:                    s.with(colOptions, options(0.4, "nope")),
+		"Alpha 2":                           s.with(colOptions, options(2, "")),
+		"a run of 29 over 30 rows":          s.with(colRuns, runColumn([5]int64{29, 0, 1, 0, 1})),
+		"a zero-length run":                 s.with(colRuns, runColumn([5]int64{0, 0, 1, 0, 1}, [5]int64{30, 0, 1, 0, 1})),
+		"string 4 of 4":                     s.with(colRuns, runColumn([5]int64{30, 0, 4, 0, 1})),
+		"step 2":                            s.with(colRuns, runColumn([5]int64{30, 0, 1, 0, 2})),
+		"a dictionary entry past the terms": s.with(colRows, rowColumn(n, pastTable, packed)),
+		"a row code past its dictionary":    s.with(colRows, rowColumn(n, dicts, pastDict)),
+		"a set pad bit":                     s.with(colRows, rowColumn(n, dicts, pad)),
 	} {
 		wantCorrupt(t, patched.bytes(), what)
 	}
