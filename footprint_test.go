@@ -47,10 +47,11 @@ func TestIndexFootprint(t *testing.T) {
 
 // TestSnapshotFootprint gates the snapshot of the benchmark's knn-local
 // index — 100k synth triples under one provenance on one partition — at
-// 6.4 bytes per triple (6.12 measured at version 8, 8.56 at version 7,
-// whose rows, IDs and routing children were plain uvarints), and logs
-// each column's payload, read back through column.Reader, so a format
-// change shows where the file grew.
+// 5.15 bytes per triple (4.90 measured at version 9; 6.12 at version 8,
+// which wrote every split value raw and every ID gap as a varint; 8.56
+// at version 7, whose rows, IDs and routing children were plain
+// uvarints), and logs each column's payload, read back through
+// column.Reader, so a format change shows where the file grew.
 func TestSnapshotFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-triple build")
@@ -83,8 +84,8 @@ func TestSnapshotFootprint(t *testing.T) {
 	}
 	got := float64(buf.Len()) / n
 	t.Logf("snapshot: %d B, %.3f B/triple", buf.Len(), got)
-	if got > 6.4 {
-		t.Errorf("snapshot of the 100k synth corpus takes %.3f B per triple, want <= 6.4", got)
+	if got > 5.15 {
+		t.Errorf("snapshot of the 100k synth corpus takes %.3f B per triple, want <= 5.15", got)
 	}
 }
 

@@ -15,17 +15,17 @@ import (
 	"semtree/internal/triple"
 )
 
-// goldenV8 is a small index saved as a version-8 snapshot and committed
+// goldenV9 is a small index saved as a version-9 snapshot and committed
 // beside the code, so a change that moves a byte of the format fails
 // here even when Save and Load move together. Rewrite it only with a
 // snapshotVersion bump:
 //
-//	go test -run TestSnapshotV8Golden -update-golden .
-const goldenV8 = "testdata/snapshot-v8-golden.bin"
+//	go test -run TestSnapshotV9Golden -update-golden .
+const goldenV9 = "testdata/snapshot-v9-golden.bin"
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenV8+" from a fresh build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenV9+" from a fresh build")
 
-// goldenIndex builds the index goldenV8 holds: 2 000 synth triples over
+// goldenIndex builds the index goldenV9 holds: 2 000 synth triples over
 // three partitions.
 func goldenIndex(t *testing.T) *Index {
 	t.Helper()
@@ -39,22 +39,22 @@ func goldenIndex(t *testing.T) *Index {
 	return ix
 }
 
-// TestSnapshotV8Golden: Load then Save reproduces the committed file
+// TestSnapshotV9Golden: Load then Save reproduces the committed file
 // byte for byte, and the loaded index answers 64 fixed queries exactly
 // like a fresh Build of the same triples — IDs, distance bits and the
 // work each query did.
-func TestSnapshotV8Golden(t *testing.T) {
+func TestSnapshotV9Golden(t *testing.T) {
 	fresh := goldenIndex(t)
 	if *updateGolden {
 		var buf bytes.Buffer
 		if err := Save(&buf, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenV8, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenV9, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile(goldenV8)
+	golden, err := os.ReadFile(goldenV9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSnapshotV8Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), golden) {
-		t.Fatalf("Load then Save wrote %d bytes that differ from the %d of %s", again.Len(), len(golden), goldenV8)
+		t.Fatalf("Load then Save wrote %d bytes that differ from the %d of %s", again.Len(), len(golden), goldenV9)
 	}
 
 	queries := synth.New(synth.Config{Seed: 2, Actors: 200}, nil).Triples(64)

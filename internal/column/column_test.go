@@ -204,6 +204,29 @@ func TestReaderFailures(t *testing.T) {
 	fail("boolean", column([]byte{2}), func(r *Reader) { r.Bool() })
 	fail("int32", column(binary.AppendVarint(nil, math.MaxInt32+1)), func(r *Reader) { r.Int32() })
 
+	// Packed codes: each refusal leaves the decoder failed, reading
+	// zero from then on.
+	failBits := func(name string, in []byte, read func(d *BitDecoder)) {
+		t.Helper()
+		var d BitDecoder
+		d.Reset(in)
+		read(&d)
+		if d.End() == nil {
+			t.Fatalf("%s: no error", name)
+		}
+		if d.Bits(8) != 0 || d.Rice(0) != 0 {
+			t.Fatalf("%s: reads after a failure return values", name)
+		}
+	}
+	failBits("short bits", []byte{0xff}, func(d *BitDecoder) { d.Bits(9) })
+	failBits("short Rice run", []byte{0}, func(d *BitDecoder) { d.Rice(0) })
+	failBits("short Rice remainder", []byte{1}, func(d *BitDecoder) { d.Rice(8) })
+	failBits("long packed length", []byte{1, 0}, func(d *BitDecoder) { d.Bits(1) })
+	failBits("set pad bit", []byte{0b11}, func(d *BitDecoder) { d.Bits(1) })
+	failBits("unary run past a uint64 under k = 63", []byte{0b100}, func(d *BitDecoder) { d.Rice(63) })
+	failBits("unary run past a uint64 under k = 60", []byte{0, 0, 0b10}, func(d *BitDecoder) { d.Rice(60) })
+	failBits("unary run to the end of the input", make([]byte, 1<<20), func(d *BitDecoder) { d.Rice(0) })
+
 	bad := column([]byte{1, 2, 3})
 	bad[len(bad)-1] ^= 1
 	if err := NewReader(bytes.NewReader(bad)).Next(); err == nil {

@@ -211,7 +211,9 @@ func readBulkAddReq(d *column.Decoder) any {
 // any fabric — delivers a fresh copy to every attempt, so a retried
 // install never meets a fragment an earlier attempt rewrote. On the
 // wire it is a partition state whose point count is its ID column's
-// length.
+// length. Frag's boxes are exact — a fragment of a fresh bulk build
+// (kdtree.BulkLoadRows, cut by Extract) or a single leaf, whose box no
+// split reads — so appendState decides its split values against them.
 //
 // Seq names the install tree-wide (Tree.installs; never 0), and makes
 // it safe to re-send: the receiver remembers the last install it
@@ -234,7 +236,7 @@ type installReq struct {
 func (installReq) WireKind() byte { return kindInstallReq }
 
 func (m installReq) AppendWire(a *column.Appender) {
-	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs)})
+	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs)}, true)
 	a.Varint(int64(m.Entry))
 	a.Uvarint(m.Seq)
 }
@@ -277,18 +279,20 @@ type snapshotResp struct {
 }
 
 func (snapshotResp) WireKind() byte                  { return kindSnapshotResp }
-func (m snapshotResp) AppendWire(a *column.Appender) { appendState(a, &m.State) }
+func (m snapshotResp) AppendWire(a *column.Appender) { appendState(a, &m.State, false) }
 func readSnapshotResp(d *column.Decoder) any         { return snapshotResp{State: readState(d)} }
 
 // restoreReq replaces a partition's state wholesale; refs are already
 // translated to the receiving fabric's NodeIDs. The empty state is how
-// a partition is reset (Tree.reset).
+// a partition is reset (Tree.reset). The state's boxes are exact — a
+// part RestoreTree sends once FitBoxes fitted it, or an empty arena —
+// so appendState decides its split values against them.
 type restoreReq struct {
 	State PartitionSnapshot
 }
 
 func (restoreReq) WireKind() byte                  { return kindRestoreReq }
-func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
+func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State, true) }
 func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
 
 // appendState appends a partition's state in the layout of its
@@ -298,8 +302,15 @@ func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: re
 // column — and every link's box corners as runs, links in node order,
 // an empty box as two empty runs. A link's box is the one box that
 // travels: the region of a subtree another partition holds, which the
-// receiver cannot rebuild.
-func appendState(a *column.Appender, s *PartitionSnapshot) {
+// receiver cannot rebuild. The node column decides which split values
+// to leave out against the boxes the receiver fits (rebuildBoxes). With
+// exact — every box of s the exact box of the points below it — it
+// decides against s's own: a box exact to the number has the fitted
+// box's bits, but where a split at zero meets a box topping out at
+// zero, whose sign depends on the order a fit meets the points
+// (zeroTie). There, and for a live arena, whose boxes a lost write may
+// have left wide, it decides against a fitted copy.
+func appendState(a *column.Appender, s *PartitionSnapshot, exact bool) {
 	floats := 0
 	for i := range s.Nodes {
 		if lo, _ := s.linkBox(i); lo != nil {
@@ -309,11 +320,18 @@ func appendState(a *column.Appender, s *PartitionSnapshot) {
 	a.Uvarint(uint64(floats))
 	a.Uvarint(uint64(s.Dim))
 	a.Varint(int64(s.Self))
+	fit := &s.Arena
+	if !exact || zeroTie(fit) {
+		live := s.Arena
+		fitMessageLeaves(&live, s.linkBox)
+		coverRouting([]*kdtree.Arena{&live})
+		fit = &live
+	}
 	start := len(*a)
 	s.appendColumns(a, func() {
 		a.Block(start)
 		start = len(*a)
-	}, true)
+	}, true, fit)
 	for i := range s.Nodes {
 		if s.Nodes[i].Moved {
 			lo, hi := s.linkBox(i)
@@ -321,6 +339,19 @@ func appendState(a *column.Appender, s *PartitionSnapshot) {
 			appendRun(a, hi)
 		}
 	}
+}
+
+// zeroTie reports whether a routing node of a splits at zero where its
+// left child's box tops out at zero.
+func zeroTie(a *kdtree.Arena) bool {
+	for i := range a.Nodes {
+		if n := &a.Nodes[i]; !n.Leaf && !n.Moved && n.SplitVal == 0 {
+			if top, ok := leftTop(a, n); ok && top == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // linkBox is the box of node i when it is a link (nil for an empty one),
@@ -371,9 +402,9 @@ func readState(d *column.Decoder) PartitionSnapshot {
 
 // rebuildBoxes gives an arena read from a message its boxes: every
 // link's from corners, its lo and hi in node order, and the rest by
-// FitBoxes's rule over this one arena — every leaf's from its bucket
-// (fitLeaves), then every routing node's from its children's
-// (coverRouting).
+// FitBoxes's rule over this one arena: every leaf's from its bucket
+// (fitMessageLeaves), then every routing node's from its children's
+// and the split values its node column left out (fitRouting).
 //
 // The box block is believed only as far as the message backs it. Every
 // node a partition sends is a leaf holding points (but for an empty
@@ -391,16 +422,27 @@ func (s *PartitionSnapshot) rebuildBoxes(corners [][]float64) error {
 	if len(s.Nodes) > 2*(len(s.IDs)+boxes+1) {
 		return errNodeCount
 	}
-	s.fitLeaves()
 	k := 0
-	for i := range s.Nodes {
-		if s.Nodes[i].Moved {
-			s.CoverBox(int32(i), corners[k], corners[k+1])
-			k += 2
+	fitMessageLeaves(&s.Arena, func(int) (lo, hi []float64) {
+		lo, hi = corners[k], corners[k+1]
+		k += 2
+		return lo, hi
+	})
+	return fitRouting([]*PartitionSnapshot{s})
+}
+
+// fitMessageLeaves gives arena a a fresh box block holding the boxes
+// the receiver of a partition message starts from: every leaf's from
+// its bucket (fitLeaves) and every link's the box link returns for it,
+// in node order. coverRouting builds the rest.
+func fitMessageLeaves(a *kdtree.Arena, link func(i int) (lo, hi []float64)) {
+	fitLeaves(a)
+	for i := range a.Nodes {
+		if a.Nodes[i].Moved {
+			lo, hi := link(i)
+			a.CoverBox(int32(i), lo, hi)
 		}
 	}
-	coverRouting([]*kdtree.Arena{&s.Arena})
-	return nil
 }
 
 // knnEntry is one guarded subtree of a fanned-out k-nearest

@@ -21,7 +21,8 @@ import (
 // block as they stand, and decoding reads them back in place. Nodes are
 // written too, but no box: every box is a function of the points below
 // it — a link's of the points of the subtree it leads to — and decoding
-// rebuilds them (FitBoxes). A partition message carries an arena in the
+// rebuilds them (FitBoxes); nor a split value that is the top of its
+// left child's box, which decoding sets from that box (fitRouting). A partition message carries an arena in the
 // same columns (appendState, in messages.go), with its links' boxes: a
 // single arena cannot rebuild those. An index snapshot writes the same
 // columns but the coordinate block (WriteSnapshot): its points are a
@@ -56,10 +57,12 @@ var ErrSnapshotCorrupt = errors.New("core: snapshot corrupt")
 // stored; 2 was WriteSnapshot's columns with a column of the remote-box
 // cache's refs per partition; 3 dropped that column, the links being
 // nodes; 4 writes a routing node's children as offsets from it, with no
-// partition, and the ID column as differences. Decoders accept exactly
-// this version; anything else is corrupt (the facade's index snapshot
-// carries its own header version and embeds the columns only).
-const SnapshotFormat = 4
+// partition, and the ID column as differences; 5 leaves out a split
+// value at the top of its left child's box and Rice-codes the ID
+// column. Decoders accept exactly this version; anything else is
+// corrupt (the facade's index snapshot carries its own header version
+// and embeds the columns only).
+const SnapshotFormat = 5
 
 // Validation bounds: a snapshot claiming more is corrupt by fiat long
 // before any allocation happens. MaxSnapshotDim also bounds the
@@ -80,6 +83,11 @@ const (
 type PartitionSnapshot struct {
 	kdtree.Arena
 	Points int
+	// leftMax marks, per node of an arena read from a node column, the
+	// routing nodes it wrote at the top of their left child's box, with
+	// no split value: their SplitVal is known once the boxes are fitted
+	// (fitRouting), which clears it. nil for an arena not read.
+	leftMax []bool
 }
 
 // TreeSnapshot is the whole distributed tree, partition ordinal 0
@@ -216,7 +224,9 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 // tree is fitted to the points below it (FitBoxes, on a copy), so the
 // snapshot of a tree whose boxes a lost write left wider than its points
 // restores exact, and one read without boxes (ReadSnapshot) needs no
-// fitting first. The snapshot is validated: malformed input returns
+// fitting first: the split values its node column left out are set
+// from the fitted boxes, in the copy. The snapshot is validated:
+// malformed input returns
 // ErrSnapshotCorrupt. The restored tree answers every query
 // byte-identically to the tree the snapshot was taken from. The
 // snapshot stays the caller's, unmodified.
@@ -225,7 +235,16 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 		return nil, err
 	}
 	fitted := *snap
-	fitted.Parts = slices.Clone(snap.Parts) // FitBoxes gives each part a box block of its own
+	fitted.Parts = slices.Clone(snap.Parts)
+	for i := range fitted.Parts {
+		// FitBoxes gives each part a box block of its own and sets the
+		// split values a snapshot read from a file leaves out, in a copy
+		// of the node table, which the partition adopts with the box
+		// block; the point blocks and slot arrays stay shared with snap,
+		// and the partition never writes them in place
+		// (kdtree.Arena.Restore).
+		fitted.Parts[i].Nodes = slices.Clone(snap.Parts[i].Nodes)
+	}
 	if err := fitted.FitBoxes(); err != nil {
 		return nil, err
 	}
@@ -248,11 +267,6 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 	}
 	toID := func(ordinal int32) (int32, error) { return int32(ids[ordinal]), nil } // in range: validated
 	for i, ps := range fitted.Parts {
-		// Translate a copy of the node table, which the partition adopts
-		// with the box block FitBoxes gave it; the point blocks and slot
-		// arrays stay shared with snap, and the partition never writes
-		// them in place (kdtree.Arena.Restore).
-		ps.Nodes = slices.Clone(ps.Nodes)
 		_ = ps.mapRefs(toID)
 		ps.Self = int32(ids[i])
 		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: ps}); err != nil {
@@ -277,7 +291,7 @@ func EncodeSnapshot(w io.Writer, s *TreeSnapshot) error {
 }
 
 // DecodeSnapshot reads a stream EncodeSnapshot wrote and rebuilds every
-// box (FitBoxes). Truncated or garbled input and any format but
+// box and the split values the stream left out (FitBoxes). Truncated or garbled input and any format but
 // SnapshotFormat return ErrSnapshotCorrupt; the result is not yet
 // structurally validated (RestoreTree does that).
 func DecodeSnapshot(r io.Reader) (*TreeSnapshot, error) {
@@ -300,10 +314,14 @@ func DecodeSnapshot(r io.Reader) (*TreeSnapshot, error) {
 }
 
 // Node states in the node column: a bit each for kdtree.Node's Leaf
-// and Moved.
+// and Moved, one for a routing node split at the top of its left
+// child's box, whose SplitVal is not written, and one for a leaf whose
+// bucket IDs never fall, whose gaps are written plain.
 const (
-	stateLeaf  byte = 1
-	stateMoved byte = 2
+	stateLeaf      byte = 1
+	stateMoved     byte = 2
+	stateLeftMax   byte = 4
+	stateAscending byte = 8
 )
 
 // WriteSnapshot writes the tree's columns without a header and without
@@ -321,54 +339,79 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 //   - nodes: Points, the node count, and per node its state byte
 //     followed by, for a link, Fwd; for a leaf, its bucket length;
 //     for a routing node, SplitDim, SplitVal (raw) and both children.
-//     A routing child is a node of the arena (kdtree.Arena.Fit), so it
-//     is written as its index less its parent's, a zigzag varint, with
-//     no Part. Counts and Fwd are uvarints (int32 fields as their
-//     uint32 bits).
+//     A routing node whose SplitVal is, to the bit, the top of its
+//     left child's box in SplitDim — the box a reader fits, a link's
+//     being its far subtree's — is marked stateLeftMax and writes no
+//     SplitVal: the reader sets it from that box once it has fitted
+//     the boxes (coverRouting). Every bulk, chain and graft build
+//     splits there, SplitLeaf's midpoint fallback does not. A routing
+//     child is a node of the arena (kdtree.Arena.Fit), so it is written
+//     as its index less its parent's, a zigzag varint, with no Part.
+//     Counts and Fwd are uvarints (int32 fields as their uint32 bits).
 //   - IDs: the arena's ID column — every bucket point's ID, leaves in
-//     node order. A leaf's first ID is a uvarint and each later one its
-//     difference from the one before, a zigzag varint (IDs wrap): a
-//     bucket a bulk build filled ascends, so its differences are
-//     small, and any order decodes.
+//     node order — as Rice codes under one parameter (a byte), packed
+//     (column.BitWriter). A leaf codes its first ID, then each later
+//     one's gap from the one before: plain when its bucket never falls
+//     (stateAscending), as a bulk build fills it, and zigzagged
+//     otherwise (IDs wrap), so any order decodes. The parameter is the
+//     one column.RiceParam picks from the codes' count and sum.
 //   - coordinates, with coords: the arena's coordinate block, raw, in
 //     one write.
 //
 // No box is written: each is a function of the points below it, and
 // FitBoxes rebuilds them all. A partition whose arena is not in the
-// snapshot layout (see PartitionSnapshot) is an error.
+// snapshot layout (see PartitionSnapshot), or whose split values are
+// not yet fitted, is an error.
 func writeTree(w *column.Writer, s *TreeSnapshot, coords bool) error {
-	w.Varint(s.Size)
-	w.Uvarint(uint64(len(s.Parts)))
-	w.End()
 	for pi := range s.Parts {
 		ps := &s.Parts[pi]
 		if err := ps.layout(s.Dim); err != nil {
 			return fmt.Errorf("core: snapshot partition %d: %v", pi, err)
 		}
-		ps.appendColumns(&w.Appender, w.End, coords)
+		if ps.leftMax != nil {
+			return fmt.Errorf("core: snapshot partition %d: split values not yet fitted (FitBoxes)", pi)
+		}
+	}
+	fit := s.readerBoxes()
+	w.Varint(s.Size)
+	w.Uvarint(uint64(len(s.Parts)))
+	w.End()
+	for pi := range s.Parts {
+		s.Parts[pi].appendColumns(&w.Appender, w.End, coords, &fit[pi])
 	}
 	return nil
+}
+
+// readerBoxes returns an arena per partition holding the boxes a reader
+// of the snapshot's columns fits (FitBoxes) in a box block of its own,
+// everything else shared with the partition's: what its node column
+// decides which split values to leave out against.
+func (s *TreeSnapshot) readerBoxes() []kdtree.Arena {
+	fit := make([]kdtree.Arena, len(s.Parts))
+	arenas := make([]*kdtree.Arena, len(s.Parts))
+	for pi := range s.Parts {
+		fit[pi] = s.Parts[pi].Arena
+		fitLeaves(&fit[pi])
+		arenas[pi] = &fit[pi]
+	}
+	coverRouting(arenas)
+	return fit
 }
 
 // appendColumns appends the partition's three column bodies to a, in
 // writeTree's layout — two without coords, which leaves the coordinate
 // block out — calling end after each one: the file frames each as a
-// column, a partition message as a block (appendState). Every routing
-// child must be a node of the arena (layout checks it for the file; a
-// partition's own arenas and fragments hold no other): its Part is not
-// written.
-func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coords bool) {
+// column, a partition message as a block (appendState). fit holds the
+// boxes the reader will fit, node for node (readerBoxes for a file,
+// appendState's for a message). Every routing child must be a node of
+// the arena (layout checks it for the file; a partition's own arenas
+// and fragments hold no other): its Part is not written.
+func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coords bool, fit *kdtree.Arena) {
 	a.Uvarint(uint64(ps.Points))
 	a.Uvarint(uint64(len(ps.Nodes)))
 	for i := range ps.Nodes {
 		n := &ps.Nodes[i]
-		var state byte
-		if n.Leaf {
-			state |= stateLeaf
-		}
-		if n.Moved {
-			state |= stateMoved
-		}
+		state := ps.state(fit, n)
 		a.Byte(state)
 		switch {
 		case n.Moved:
@@ -377,30 +420,102 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coord
 			a.Uvarint(uint64(len(n.Slots)))
 		default:
 			a.Uvarint(uint64(uint32(n.SplitDim)))
-			a.Float(n.SplitVal)
+			if state&stateLeftMax == 0 {
+				a.Float(n.SplitVal)
+			}
 			a.Varint(int64(n.Left.Node) - int64(i))
 			a.Varint(int64(n.Right.Node) - int64(i))
 		}
 	}
 	end()
-	for i := range ps.Nodes {
-		if n := &ps.Nodes[i]; n.Leaf && !n.Moved {
-			var prev uint64
-			for j, s := range n.Slots {
-				id := ps.IDs[s]
-				if j == 0 {
-					a.Uvarint(id)
-				} else {
-					a.Varint(int64(id - prev))
-				}
-				prev = id
-			}
-		}
+	var param column.RiceParam
+	for v := range ps.idCodes {
+		param.Add(v)
 	}
+	k := param.K()
+	a.Byte(byte(k))
+	ids := column.BitWriter{A: a}
+	for v := range ps.idCodes {
+		ids.Rice(v, k)
+	}
+	ids.Flush()
 	end()
 	if coords {
 		a.Floats(ps.Coords)
 		end()
+	}
+}
+
+// state returns node n's state byte; fit holds the boxes its reader
+// will fit.
+func (ps *PartitionSnapshot) state(fit *kdtree.Arena, n *kdtree.Node) byte {
+	var state byte
+	if n.Leaf {
+		state |= stateLeaf
+	}
+	if n.Moved {
+		state |= stateMoved
+	}
+	switch {
+	case n.Moved:
+	case n.Leaf:
+		if ascending(ps.IDs, n.Slots) {
+			state |= stateAscending
+		}
+	default:
+		if top, ok := leftTop(fit, n); ok && math.Float64bits(top) == math.Float64bits(n.SplitVal) {
+			state |= stateLeftMax
+		}
+	}
+	return state
+}
+
+// leftTop returns the top, in n's split dimension, of the box of
+// routing node n's left child in arena a; ok is false when that box is
+// empty or the child or the dimension is out of a's range.
+func leftTop(a *kdtree.Arena, n *kdtree.Node) (top float64, ok bool) {
+	if l, d := n.Left.Node, n.SplitDim; l >= 0 && int(l) < len(a.Nodes) && d >= 0 && int(d) < a.Dim {
+		if _, hi := a.Box(l); hi != nil {
+			return hi[d], true
+		}
+	}
+	return 0, false
+}
+
+// ascending reports whether the IDs of the bucket slots never fall.
+func ascending(ids []uint64, slots []int32) bool {
+	for j := 1; j < len(slots); j++ {
+		if ids[slots[j]] < ids[slots[j-1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// idCodes yields the value of every Rice code of the ID column, leaves
+// in node order: a bucket's first ID, then each later ID's gap from the
+// one before, plain in an ascending bucket and zigzagged in any other.
+func (ps *PartitionSnapshot) idCodes(yield func(v uint64) bool) {
+	for i := range ps.Nodes {
+		n := &ps.Nodes[i]
+		if !n.Leaf || n.Moved || len(n.Slots) == 0 {
+			continue
+		}
+		plain := ascending(ps.IDs, n.Slots)
+		prev := ps.IDs[n.Slots[0]]
+		if !yield(prev) {
+			return
+		}
+		for _, s := range n.Slots[1:] {
+			gap := ps.IDs[s] - prev
+			if !plain {
+				gap = gap<<1 ^ uint64(int64(gap)>>63)
+			}
+			if !yield(gap) {
+				return
+			}
+			prev = ps.IDs[s]
+		}
 	}
 }
 
@@ -459,10 +574,12 @@ const maxPartitionPoints = math.MaxInt32
 
 // ReadSnapshot reads the columns WriteSnapshot wrote, for points of
 // dimension dim: every partition's nodes and ID column, with no
-// coordinate block and no box. The caller supplies each partition's
-// block (Coords, dim floats per ID, in ID-column order); RestoreTree
-// then fits the boxes. Malformed columns return ErrSnapshotCorrupt; the
-// structure is not yet validated.
+// coordinate block, no box, and no split value where the node column
+// left it out for its left child's box to give. The caller supplies
+// each partition's block (Coords, dim floats per ID, in ID-column
+// order); RestoreTree then fits the boxes and sets those split values.
+// Malformed columns return ErrSnapshotCorrupt; the structure is not yet
+// validated.
 func ReadSnapshot(r *column.Reader, dim int) (*TreeSnapshot, error) {
 	return readTree(r, dim, false)
 }
@@ -498,21 +615,60 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 
 // FitBoxes gives every partition a fresh box block fitted to its points,
 // once every partition holds its coordinate block: leaf boxes from their
-// buckets, then routing boxes and link boxes bottom-up (coverRouting) —
-// a link's from the subtree it leads to. A partition not in the
-// snapshot layout is ErrSnapshotCorrupt; a tree whose boxes cannot be
-// fitted right is one Validate rejects.
+// buckets, then routing boxes and link boxes bottom-up — a link's from
+// the subtree it leads to — and the split values the node columns left
+// out (fitRouting). A partition not in the snapshot layout, or a split
+// value left out whose box cannot give it, is ErrSnapshotCorrupt; a
+// tree whose boxes cannot be fitted right is one Validate rejects.
 func (s *TreeSnapshot) FitBoxes() error {
-	arenas := make([]*kdtree.Arena, len(s.Parts))
+	parts := make([]*PartitionSnapshot, len(s.Parts))
 	for pi := range s.Parts {
 		ps := &s.Parts[pi]
 		if err := ps.layout(s.Dim); err != nil {
 			return corrupt("partition %d: %v", pi, err)
 		}
-		ps.fitLeaves()
-		arenas[pi] = &ps.Arena
+		fitLeaves(&ps.Arena)
+		parts[pi] = ps
+	}
+	if err := fitRouting(parts); err != nil {
+		return corrupt("%v", err)
+	}
+	return nil
+}
+
+// fitRouting covers every routing and link box of parts, whose leaves
+// have their boxes (coverRouting), then sets the SplitVal of every
+// routing node its node column wrote at the top of its left child's box
+// (stateLeftMax) from that box: the one place an arena read from a file
+// or a message gets its boxes and its split values. A node so marked
+// whose left child or split dimension is out of range, or whose left
+// child's box is empty, is an error, and so is an unmarked one whose
+// raw split value is that top: appendColumns would have marked it.
+func fitRouting(parts []*PartitionSnapshot) error {
+	arenas := make([]*kdtree.Arena, len(parts))
+	for i, ps := range parts {
+		arenas[i] = &ps.Arena
 	}
 	coverRouting(arenas)
+	for _, ps := range parts {
+		for i, marked := range ps.leftMax {
+			n := &ps.Nodes[i]
+			if n.Leaf || n.Moved {
+				continue
+			}
+			top, ok := leftTop(&ps.Arena, n)
+			switch {
+			case marked && !ok:
+				return fmt.Errorf("partition %d node %d: split at the top of node %d's box in dimension %d, which has none",
+					ps.Self, i, n.Left.Node, n.SplitDim)
+			case marked:
+				n.SplitVal = top
+			case ok && math.Float64bits(top) == math.Float64bits(n.SplitVal):
+				return fmt.Errorf("partition %d node %d: split value %v written raw at its left child's top", ps.Self, i, top)
+			}
+		}
+		ps.leftMax = nil
+	}
 	return nil
 }
 
@@ -521,8 +677,14 @@ func (s *TreeSnapshot) FitBoxes() error {
 // an arena of dimension dim named self (the Part of its routing
 // children) in the snapshot layout — the ID column and the coordinate
 // block read in place, every leaf's slots carved from one array — and
-// no boxes yet (fitLeaves). Each body must be read to its end, and an
-// empty one decodes as nil.
+// no boxes yet (fitLeaves), nor the split values the node column left
+// out (marked in leftMax for fitRouting). Each body must be read to its
+// end, and an empty one decodes as nil. The node column's marks must be
+// the ones appendColumns would write for its IDs: stateAscending on
+// exactly the leaves whose buckets never fall, and stateLeftMax on
+// routing nodes only. The ID column must be what appendColumns writes:
+// the Rice parameter column.RiceParam picks for its codes, no ID past
+// 2⁶⁴ in an ascending bucket, and no bit after the last code.
 func readColumns(dim int, self int32, next func() (*column.Decoder, error), coords bool) (PartitionSnapshot, error) {
 	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim, Self: self}}
 	d, err := next()
@@ -531,30 +693,43 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 	}
 	ps.Points = int(d.Uvarint())
 	var sizes []int
+	var plain []bool            // a leaf's gaps are plain (stateAscending)
 	if n := d.Count(2); n > 0 { // a leaf takes two bytes, anything else more
-		ps.Nodes, sizes = make([]kdtree.Node, n), make([]int, n)
+		ps.Nodes, sizes, plain = make([]kdtree.Node, n), make([]int, n), make([]bool, n)
+		ps.leftMax = make([]bool, n)
 	}
 	total := 0
 	for i := range ps.Nodes {
 		n := &ps.Nodes[i]
 		state := d.Byte()
-		if state&^(stateLeaf|stateMoved) != 0 {
+		if state&^(stateLeaf|stateMoved|stateLeftMax|stateAscending) != 0 {
 			return ps, fmt.Errorf("node %d: state %#x", i, state)
 		}
 		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
 		switch {
 		case n.Moved:
+			if state&(stateLeftMax|stateAscending) != 0 {
+				return ps, fmt.Errorf("node %d: a link of state %#x", i, state)
+			}
 			n.Fwd = readRef(d)
 		case n.Leaf:
+			if state&stateLeftMax != 0 {
+				return ps, fmt.Errorf("node %d: a leaf split at its left child's top", i)
+			}
 			k := d.Uvarint()
 			if k > uint64(maxPartitionPoints-total) {
 				return ps, fmt.Errorf("node %d: bucket of %d points after %d", i, k, total)
 			}
-			sizes[i] = int(k)
+			sizes[i], plain[i] = int(k), state&stateAscending != 0
 			total += int(k)
 		default:
+			if state&stateAscending != 0 {
+				return ps, fmt.Errorf("node %d: a routing node marked ascending", i)
+			}
 			n.SplitDim = int32(d.Uint32())
-			n.SplitVal = d.Float()
+			if ps.leftMax[i] = state&stateLeftMax != 0; !ps.leftMax[i] {
+				n.SplitVal = d.Float()
+			}
 			n.Left = readChild(d, self, i)
 			n.Right = readChild(d, self, i)
 		}
@@ -566,25 +741,51 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 	if d, err = next(); err != nil {
 		return ps, err
 	}
-	if total > d.Len() { // every ID takes a byte at least
-		return ps, fmt.Errorf("%d bucket points, %d ID bytes", total, d.Len())
+	k := int(d.Byte())
+	switch {
+	case d.Err() != nil:
+		return ps, d.Err()
+	case k >= 64:
+		return ps, fmt.Errorf("ID column under Rice parameter %d", k)
+	case uint64(total)*uint64(k+1) > 8*uint64(d.Len()): // every code takes k+1 bits at least
+		return ps, fmt.Errorf("%d bucket points of %d bits at least in %d ID bytes", total, k+1, d.Len())
 	}
 	if total > 0 {
 		ps.IDs = make([]uint64, total)
 	}
+	var codes column.BitDecoder
+	codes.Reset(d.Rest())
+	var param column.RiceParam
 	at := 0
-	for _, k := range sizes {
-		for j := range k {
-			if j == 0 {
-				ps.IDs[at] = d.Uvarint()
-			} else {
-				ps.IDs[at] = ps.IDs[at-1] + uint64(d.Varint())
+	for i, size := range sizes {
+		bucket := ps.IDs[at : at+size]
+		for j := range bucket {
+			v := codes.Rice(k)
+			param.Add(v)
+			switch {
+			case j == 0:
+				bucket[j] = v
+			case plain[i]:
+				if bucket[j] = bucket[j-1] + v; bucket[j] < v {
+					return ps, fmt.Errorf("node %d: an ascending bucket's ID %d wraps past 2^64", i, j)
+				}
+			default:
+				bucket[j] = bucket[j-1] + (v>>1 ^ -(v & 1))
 			}
-			at++
 		}
+		if err := codes.Err(); err != nil {
+			return ps, err
+		}
+		if ps.Nodes[i].Leaf && !ps.Nodes[i].Moved && !plain[i] && slices.IsSorted(bucket) {
+			return ps, fmt.Errorf("node %d: a bucket whose IDs never fall not marked ascending", i)
+		}
+		at += size
 	}
-	if err := d.End(); err != nil {
+	if err := codes.End(); err != nil {
 		return ps, err
+	}
+	if want := param.K(); k != want {
+		return ps, fmt.Errorf("ID column under Rice parameter %d, not %d", k, want)
 	}
 
 	if coords {
@@ -617,14 +818,14 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 // fitLeaves gives every node of an arena an empty box, in a fresh
 // block, and every leaf the box of its bucket, from which coverRouting
 // builds the rest.
-func (ps *PartitionSnapshot) fitLeaves() {
-	if len(ps.Nodes) == 0 {
+func fitLeaves(a *kdtree.Arena) {
+	if len(a.Nodes) == 0 {
 		return
 	}
-	ps.EmptyBoxes()
-	for i := range ps.Nodes {
-		if len(ps.Nodes[i].Slots) > 0 {
-			ps.FitBox(int32(i))
+	a.EmptyBoxes()
+	for i := range a.Nodes {
+		if len(a.Nodes[i].Slots) > 0 {
+			a.FitBox(int32(i))
 		}
 	}
 }
@@ -639,62 +840,33 @@ func (s *TreeSnapshot) node(ref kdtree.Ref) *kdtree.Node {
 
 // coverRouting grows every routing node's box to cover its children's
 // and every link's to cover the box of the node it leads to, when an
-// arena holds that node, in iterative post-order walks from every node
-// of arenas: how a snapshot gets the boxes it does not carry, once its
-// leaves have theirs (fitLeaves), and a partition message the routing
-// boxes above its links, whose boxes it carries. A child is a node of
-// the arena whose Self is its Part. No node is walked twice, so the
-// walks terminate on any input; a tree they cannot box correctly is
-// one Validate rejects.
+// arena holds that node: how a snapshot gets the boxes it does not
+// carry, once its leaves have theirs (fitLeaves), and a partition
+// message the routing boxes above its links, whose boxes it carries.
+// arenas are in partition order, a child resolved to the arena whose
+// Self is its Part. It is one pass, from the last arena's last node
+// back to the first's: a routing child follows its parent in its arena
+// (kdtree.Arena.Fit) and a link leads to a later partition (linksDown),
+// so every box a node covers is whole by then. Input out of that order
+// may get boxes that miss points, and is refused for its order
+// (Validate; a partition's kdtree.Arena.Restore and Install).
 func coverRouting(arenas []*kdtree.Arena) {
 	index := make(map[int32]int, len(arenas)) // an arena's position, by its Self
-	seen := make([][]bool, len(arenas))
 	for i, a := range arenas {
 		index[a.Self] = i
-		seen[i] = make([]bool, len(a.Nodes))
 	}
-	held := func(r kdtree.Ref) (int, bool) { // the position of the arena holding r's node
-		i, ok := index[r.Part]
-		return i, ok && r.Node >= 0 && int(r.Node) < len(arenas[i].Nodes)
-	}
-	type frame struct {
-		arena int
-		node  int32
-		exit  bool
-	}
-	var stack []frame
-	push := func(i int, node int32) {
-		if !seen[i][node] {
-			seen[i][node] = true
-			stack = append(stack, frame{arena: i, node: node})
-		}
-	}
-	for i := range arenas {
-		for root := range arenas[i].Nodes {
-			push(i, int32(root))
-			for len(stack) > 0 {
-				f := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				a := arenas[f.arena]
-				n := &a.Nodes[f.node]
-				if n.Leaf {
-					continue
+	for i := len(arenas) - 1; i >= 0; i-- {
+		a := arenas[i]
+		for idx := int32(len(a.Nodes)) - 1; idx >= 0; idx-- {
+			children, k := edges(&a.Nodes[idx])
+			for _, c := range children[:k] {
+				j, ok := i, a.Self == c.Part // a routing child: a node of a
+				if !ok {
+					j, ok = index[c.Part]
 				}
-				children, k := edges(n)
-				if f.exit {
-					for _, c := range children[:k] {
-						if j, ok := held(c); ok {
-							lo, hi := arenas[j].Box(c.Node)
-							a.CoverBox(f.node, lo, hi)
-						}
-					}
-					continue
-				}
-				stack = append(stack, frame{arena: f.arena, node: f.node, exit: true})
-				for _, c := range children[:k] {
-					if j, ok := held(c); ok {
-						push(j, c.Node)
-					}
+				if ok && c.Node >= 0 && int(c.Node) < len(arenas[j].Nodes) {
+					lo, hi := arenas[j].Box(c.Node)
+					a.CoverBox(idx, lo, hi)
 				}
 			}
 		}

@@ -475,11 +475,31 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 // where nothing is encoded; and for both, DecodeSnapshot(
 // EncodeSnapshot(s)) is s. The same is every node (state, split, links,
 // bucket IDs and coordinate bits), every node box and every
-// remote-cache box, exactly.
+// remote-cache box, exactly. A bulk load whose splits fall at zero
+// among points of both zero signs keeps each split's sign bit: an
+// install's sender decides which split values to leave out against the
+// kernel's boxes, which the receiver's fit matches to the number but
+// not always in a zero's sign (zeroTie).
 func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 	const n, dim = 3000, 6
 	r := rand.New(rand.NewSource(107))
 	pts := clusteredPoints(r, n, dim, 5)
+	zeros := make([]kdtree.Point, n) // a fifth at ±0 in dimension 0, the widest
+	for i := range zeros {
+		c := make([]float64, dim)
+		for d := range c {
+			c[d] = r.Float64()
+		}
+		switch k := r.Intn(5); {
+		case k < 2:
+			c[0] = -1 - 1000*c[0]
+		case k < 4:
+			c[0] = 1 + 1000*c[0]
+		default:
+			c[0] = math.Copysign(0, c[0]-0.5)
+		}
+		zeros[i] = kdtree.Point{ID: uint64(i), Coords: c}
+	}
 	grow := map[string]func(t *testing.T, tr *Tree){
 		"insert": func(t *testing.T, tr *Tree) {
 			if err := tr.InsertAll(pts, 1); err != nil {
@@ -489,6 +509,14 @@ func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 		"bulk": func(t *testing.T, tr *Tree) {
 			if err := tr.BulkLoad(context.Background(), pts); err != nil {
 				t.Fatal(err)
+			}
+		},
+		"bulk at ±0": func(t *testing.T, tr *Tree) {
+			if err := tr.BulkLoad(context.Background(), zeros); err != nil {
+				t.Fatal(err)
+			}
+			if zeroTies(liveSnapshot(t, tr)) == 0 {
+				t.Fatal("no split at zero over a box topping out at zero: the case checks nothing")
 			}
 		},
 		"rebalanced": func(t *testing.T, tr *Tree) {
@@ -537,6 +565,23 @@ func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 			})
 		}
 	}
+}
+
+// zeroTies counts the routing nodes of s that split at zero where their
+// left child's box tops out at zero.
+func zeroTies(s *TreeSnapshot) int {
+	k := 0
+	for pi := range s.Parts {
+		a := &s.Parts[pi].Arena
+		for i := range a.Nodes {
+			if n := &a.Nodes[i]; !n.Leaf && !n.Moved && n.SplitVal == 0 {
+				if top, ok := leftTop(a, n); ok && top == 0 {
+					k++
+				}
+			}
+		}
+	}
+	return k
 }
 
 // sameSnapshot requires got to be want, node for node and box for box.
@@ -683,4 +728,107 @@ func FuzzPartitionRestore(f *testing.F) {
 			t.Fatalf("restored tree failed a query: %v", err)
 		}
 	})
+}
+
+// TestReadColumnsRefusals: the partition columns of a three-node arena
+// — a routing node split at its left leaf's top over two ascending
+// leaves — read back through readColumns and the message path's box
+// rebuild (rebuildBoxes), its split value set from the left leaf's
+// fitted box; and each column no appendColumns writes is refused: a
+// leaf or a link marked split at its left child's top, a routing node
+// marked ascending, a split at the top of an empty box or in a
+// dimension the arena lacks, a raw split value where the box gives it,
+// an ID column under a Rice parameter but column.RiceParam's pick, an
+// ascending bucket that wraps past 2^64, a bucket
+// that never falls not marked ascending, and a byte or a set pad bit
+// after the ID codes.
+func TestReadColumnsRefusals(t *testing.T) {
+	// nodes builds a node column: three nodes, the root's state and
+	// split dimension, its raw split value if it is not at its left
+	// child's top, and the leaves' states and bucket lengths.
+	nodes := func(root byte, dim uint64, raw []float64, leaves [2][2]byte) []byte {
+		c := binary.AppendUvarint(binary.AppendUvarint(nil, 3), 3)
+		c = binary.AppendUvarint(append(c, root), dim)
+		for _, v := range raw {
+			c = binary.LittleEndian.AppendUint64(c, math.Float64bits(v))
+		}
+		c = binary.AppendVarint(binary.AppendVarint(c, 1), 2)
+		for _, l := range leaves {
+			c = append(c, l[0], l[1])
+		}
+		return c
+	}
+	// ids builds an ID column of codes under parameter k,
+	// column.RiceParam's pick for k < 0.
+	ids := func(k int, codes ...uint64) []byte {
+		if k < 0 {
+			var p column.RiceParam
+			for _, v := range codes {
+				p.Add(v)
+			}
+			k = p.K()
+		}
+		a := column.Appender{byte(k)}
+		w := column.BitWriter{A: &a}
+		for _, v := range codes {
+			w.Rice(v, k)
+		}
+		w.Flush()
+		return a
+	}
+	coords := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
+	coords = binary.LittleEndian.AppendUint64(coords, math.Float64bits(2))
+	coords = binary.LittleEndian.AppendUint64(coords, math.Float64bits(3))
+	const leftMax, asc = stateLeftMax, stateLeaf | stateAscending
+	sizes := [2][2]byte{{asc, 2}, {asc, 1}} // IDs 5, 9 at 1 and 2; ID 7 at 3
+	valid := nodes(leftMax, 0, nil, sizes)
+	validIDs := ids(-1, 5, 4, 7)
+	read := func(nodes, ids []byte) (PartitionSnapshot, error) {
+		cols := [][]byte{nodes, ids, coords}
+		var d column.Decoder
+		s, err := readColumns(1, 0, func() (*column.Decoder, error) {
+			d.Reset(cols[0])
+			cols = cols[1:]
+			return &d, nil
+		}, true)
+		if err == nil {
+			err = s.rebuildBoxes(nil)
+		}
+		return s, err
+	}
+	s, err := read(valid, validIDs)
+	if err != nil {
+		t.Fatalf("the valid columns: %v", err)
+	}
+	if validIDs[0] != 2 {
+		t.Fatalf("IDs 5, 9, 7 coded under Rice parameter %d, want 2", validIDs[0])
+	}
+	if n := s.Nodes[0]; n.SplitVal != 2 || !slices.Equal(s.IDs, []uint64{5, 9, 7}) || s.leftMax != nil {
+		t.Fatalf("read a split of %v over IDs %v (marks %v), want 2 over [5 9 7]", n.SplitVal, s.IDs, s.leftMax)
+	}
+	padded := bytes.Clone(validIDs) // 12 bits of codes under k = 2: four pad bits
+	padded[len(padded)-1] |= 0x80
+	for name, c := range map[string][2][]byte{
+		"a leaf split at its left child's top":   {nodes(leftMax, 0, nil, [2][2]byte{{asc | leftMax, 2}, {asc, 1}}), validIDs},
+		"a routing node marked ascending":        {nodes(leftMax|stateAscending, 0, nil, sizes), validIDs},
+		"a split at the top of an empty box":     {nodes(leftMax, 0, nil, [2][2]byte{{asc, 0}, {asc, 3}}), ids(-1, 5, 4, 2)},
+		"a split in a dimension the arena lacks": {nodes(leftMax, 1, nil, sizes), validIDs},
+		"a raw split at the left child's top":    {nodes(0, 0, []float64{2}, sizes), validIDs},
+		"a Rice parameter one past RiceParam's":  {valid, ids(int(validIDs[0])+1, 5, 4, 7)},
+		"an ascending bucket wrapping past 2^64": {valid, ids(-1, 9, math.MaxUint64-3, 7)},
+		"a bucket that never falls, unmarked":    {nodes(leftMax, 0, nil, [2][2]byte{{stateLeaf, 2}, {asc, 1}}), ids(-1, 5, 8, 7)},
+		"a byte after the ID codes":              {valid, append(bytes.Clone(validIDs), 0)},
+		"a set pad bit after the ID codes":       {valid, padded},
+	} {
+		if _, err := read(c[0], c[1]); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := read(valid, validIDs[:len(validIDs)-1]); err == nil {
+		t.Error("ID codes cut short: accepted")
+	}
+	link := append(binary.AppendUvarint(binary.AppendUvarint(nil, 0), 1), stateMoved|leftMax, 1, 0)
+	if _, err := read(link, []byte{0}); err == nil {
+		t.Error("a link split at its left child's top: accepted")
+	}
 }

@@ -13,17 +13,23 @@ import (
 //
 // The row column codes each position of a triple — subject, predicate,
 // object — by what that position holds. It opens with the row count n,
-// then per position a dictionary: the TermIDs the position uses, in the
-// order the rows first use them, as a uvarint count and uvarints. Each
-// row is then three codes, its terms' places in the three
-// dictionaries, position j's code bits.Len(len(dictionary j)) bits wide
-// (so a row takes at least a bit per position, and a row count the
-// bytes do not back is refused before anything is allocated). The codes
-// are packed LSB-first in row order into ⌈n·W/8⌉ bytes, W the three
-// widths' sum, the last byte padded with zero bits. A store has one
-// encoding: ReadStore refuses dictionaries out of first-seen order or
-// holding a term no row uses, codes past their dictionary, and a
-// nonzero pad bit.
+// then per position its coding, a byte: codedByDictionary, followed by
+// a dictionary — the TermIDs the position uses, in the order the rows
+// first use them, as a uvarint count and uvarints — or codedByTerm,
+// followed by nothing. Each row is then three codes: a term's place in
+// its position's dictionary, bits.Len(len(dictionary)) bits wide, or
+// its TermID, bits.Len(nt) bits wide for a table of nt terms (so a row
+// takes at least a bit per position, and a row count the bytes do not
+// back is refused before anything is allocated). A position takes the
+// coding under which it takes fewer bits (dictionaryPays): a position
+// whose terms repeat, a dictionary; one whose terms rarely do — a
+// subject per triple — TermIDs, which write no term twice.
+// The codes are packed LSB-first in row order (column.BitWriter) into
+// ⌈n·W/8⌉ bytes, W the three widths' sum, the last byte padded with
+// zero bits. A store has one encoding: ReadStore refuses the coding a
+// writer would not have chosen, dictionaries out of first-seen order or
+// holding a term no row uses, codes past their dictionary or table, and
+// a nonzero pad bit.
 //
 // The run column holds, per run in ID order, its length and its
 // Prov.Doc and Prov.Section string ids as uvarints, the Prov.Seq of its
@@ -91,42 +97,67 @@ func (s *Store) WriteColumns(w *column.Writer, n int) {
 	w.End()
 }
 
-// writeRowCodes writes the row column's body: the row count, the three
-// dictionaries and the packed codes of rows, whose TermIDs index a
-// table of nt terms.
+// Row coding: each position of the row column is coded either through
+// a dictionary or by the global TermID, whichever takes fewer bits.
+const (
+	codedByDictionary byte = iota
+	codedByTerm
+)
+
+// uvarintLen is the length of v's uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// dictionaryPays reports whether a position of n rows that uses m
+// distinct terms, whose uvarints take size bytes, takes fewer bits
+// coded through its dictionary — the count, the entries, and a code of
+// bits.Len(m) bits per row — than by TermID, bits.Len(nt) bits per row.
+// The tie goes to the codes by TermID, which need no dictionary.
+func dictionaryPays(n, m, size, nt int) bool {
+	return 8*(uvarintLen(uint64(m))+size)+n*bits.Len(uint(m)) < n*bits.Len(uint(nt))
+}
+
+// writeRowCodes writes the row column's body: the row count, each
+// position's coding — a dictionary or none — and the packed codes of
+// rows, whose TermIDs index a table of nt terms.
 func writeRowCodes(w *column.Writer, rows [][3]TermID, nt int) {
 	w.Uvarint(uint64(len(rows)))
 	code := make([]uint32, 3*nt) // code[j*nt+id]: 1 + id's place in dictionary j, 0 while j has not used id
 	var dict []TermID
 	var width [3]int
+	var byTerm [3]bool
 	for j := range width {
 		dict = dict[:0]
+		size := 0
 		for _, spo := range rows {
 			if c := &code[j*nt+int(spo[j])]; *c == 0 {
 				dict = append(dict, spo[j])
 				*c = uint32(len(dict))
+				size += uvarintLen(uint64(spo[j]))
 			}
 		}
+		if !dictionaryPays(len(rows), len(dict), size, nt) {
+			w.Byte(codedByTerm)
+			width[j], byTerm[j] = bits.Len(uint(nt)), true
+			continue
+		}
+		w.Byte(codedByDictionary)
 		w.Uvarint(uint64(len(dict)))
 		for _, id := range dict {
 			w.Uvarint(uint64(id))
 		}
 		width[j] = bits.Len(uint(len(dict)))
 	}
-	var acc uint64 // the bits not yet written, k of them
-	k := 0
+	bw := column.BitWriter{A: &w.Appender}
 	for _, spo := range rows {
 		for j, id := range spo {
-			acc |= uint64(code[j*nt+int(id)]-1) << k
-			for k += width[j]; k >= 8; k -= 8 {
-				w.Byte(byte(acc))
-				acc >>= 8
+			c := uint64(id)
+			if !byTerm[j] {
+				c = uint64(code[j*nt+int(id)] - 1)
 			}
+			bw.Bits(c, width[j])
 		}
 	}
-	if k > 0 {
-		w.Byte(byte(acc))
-	}
+	bw.Flush()
 }
 
 // readRowCodes reads the row column's body writeRowCodes wrote for a
@@ -135,29 +166,40 @@ func readRowCodes(r *column.Reader, nt int) ([][3]TermID, error) {
 	n := r.Uvarint()
 	var dicts [3][]TermID
 	var width [3]int
-	used := make([]bool, nt)
+	var byTerm [3]bool
+	var size [3]int           // the bytes of the uvarints of each position's terms
+	used := make([]uint8, nt) // bit j: position j's dictionary names the term, or a row uses it there
 	bitsPerRow := 0
 	for j := range dicts {
-		m := r.Count(1) // an entry takes a byte at least
-		if width[j] = bits.Len(uint(m)); width[j] > 32 {
-			return nil, fmt.Errorf("triple: position %d has a dictionary of %d terms, codes of %d bits", j, m, width[j])
+		switch coding := r.Byte(); {
+		case r.Err() != nil:
+			return nil, r.Err()
+		case coding == codedByTerm:
+			width[j], byTerm[j] = bits.Len(uint(nt)), true
+		case coding != codedByDictionary:
+			return nil, fmt.Errorf("triple: position %d coded as %d", j, coding)
+		default:
+			m := r.Count(1) // an entry takes a byte at least
+			if width[j] = bits.Len(uint(m)); width[j] > 32 {
+				return nil, fmt.Errorf("triple: position %d has a dictionary of %d terms, codes of %d bits", j, m, width[j])
+			}
+			dicts[j] = make([]TermID, m)
+			for k := range dicts[j] {
+				id := r.Uvarint()
+				switch {
+				case r.Err() != nil:
+					return nil, r.Err()
+				case id >= uint64(nt):
+					return nil, fmt.Errorf("triple: position %d's dictionary names term %d of %d", j, id, nt)
+				case used[id]&(1<<j) != 0:
+					return nil, fmt.Errorf("triple: position %d's dictionary names term %d twice", j, id)
+				}
+				used[id] |= 1 << j
+				dicts[j][k] = TermID(id)
+				size[j] += uvarintLen(id)
+			}
 		}
 		bitsPerRow += width[j]
-		dicts[j] = make([]TermID, m)
-		clear(used)
-		for k := range dicts[j] {
-			id := r.Uvarint()
-			switch {
-			case r.Err() != nil:
-				return nil, r.Err()
-			case id >= uint64(nt):
-				return nil, fmt.Errorf("triple: position %d's dictionary names term %d of %d", j, id, nt)
-			case used[id]:
-				return nil, fmt.Errorf("triple: position %d's dictionary names term %d twice", j, id)
-			}
-			used[id] = true
-			dicts[j][k] = TermID(id)
-		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -165,21 +207,24 @@ func readRowCodes(r *column.Reader, nt int) ([][3]TermID, error) {
 	if left := uint64(r.Len()); n > 8*left || (n*uint64(bitsPerRow)+7)/8 != left {
 		return nil, fmt.Errorf("triple: %d rows of %d bits in %d bytes", n, bitsPerRow, left)
 	}
-	packed := r.Rest()
+	var codes column.BitDecoder
+	codes.Reset(r.Rest())
 	rows := make([][3]TermID, n)
-	var seen [3]int // the entries of each dictionary the rows have used so far
-	var acc uint64  // the bits read but not yet decoded, k of them
-	k := 0
+	var seen [3]int // the dictionary entries, or distinct terms, each position has used so far
 	for i := range rows {
 		for j, dict := range dicts {
-			for ; k < width[j]; k += 8 {
-				acc |= uint64(packed[0]) << k
-				packed = packed[1:]
-			}
-			c := int(acc & (1<<width[j] - 1))
-			acc >>= width[j]
-			k -= width[j]
+			c := int(codes.Bits(width[j]))
 			switch {
+			case byTerm[j] && c >= nt:
+				return nil, fmt.Errorf("triple: row %d codes position %d as term %d of %d", i, j, c, nt)
+			case byTerm[j]:
+				if used[c]&(1<<j) == 0 {
+					used[c] |= 1 << j
+					seen[j]++
+					size[j] += uvarintLen(uint64(c))
+				}
+				rows[i][j] = TermID(c)
+				continue
 			case c >= len(dict):
 				return nil, fmt.Errorf("triple: row %d codes position %d as %d of a %d-term dictionary", i, j, c, len(dict))
 			case c > seen[j]:
@@ -190,12 +235,17 @@ func readRowCodes(r *column.Reader, nt int) ([][3]TermID, error) {
 			rows[i][j] = dict[c]
 		}
 	}
-	if acc != 0 {
-		return nil, fmt.Errorf("triple: the row codes' pad bits are %#x, not zero", acc)
+	if err := codes.End(); err != nil {
+		return nil, fmt.Errorf("triple: row codes: %w", err)
 	}
 	for j, dict := range dicts {
-		if seen[j] != len(dict) {
+		switch {
+		case !byTerm[j] && seen[j] != len(dict):
 			return nil, fmt.Errorf("triple: no row uses entry %d of position %d's dictionary", seen[j], j)
+		case byTerm[j] && dictionaryPays(len(rows), seen[j], size[j], nt):
+			return nil, fmt.Errorf("triple: position %d coded by TermID, where a dictionary of its %d terms takes fewer bits", j, seen[j])
+		case !byTerm[j] && !dictionaryPays(len(rows), seen[j], size[j], nt):
+			return nil, fmt.Errorf("triple: position %d coded through a dictionary of %d terms, which takes no fewer bits than TermIDs", j, seen[j])
 		}
 	}
 	return rows, nil

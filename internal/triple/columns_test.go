@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"semtree/internal/column"
+	"semtree/internal/synth"
 	"semtree/internal/triple"
 )
 
@@ -59,10 +61,12 @@ func TestStoreColumnsRoundTrip(t *testing.T) {
 }
 
 // TestStoreColumnsCutRun: a prefix that ends inside a run — a counting
-// one, and one of Add repeated under one provenance — writes the rows
-// and runs a store holding only those entries writes, and reads back
-// ==; the copy, given the rest of the entries, writes the original's
-// bytes: the cut run continues where it was cut.
+// one, and one of Add repeated under one provenance — writes the run
+// column a store holding only those entries writes, and reads back ==;
+// the copy, given the rest of the entries, writes the original's bytes:
+// the cut run continues where it was cut. Only the run column is
+// compared with the smaller store's: a position coded by TermID takes
+// codes as wide as the whole term table, which the prefix shares.
 func TestStoreColumnsCutRun(t *testing.T) {
 	terms := modelTerms()
 	s := triple.NewStore()
@@ -88,21 +92,22 @@ func TestStoreColumnsCutRun(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	// rowsAndRuns returns the payloads of the last two of b's four
-	// columns; the tables before them hold the whole store's terms.
-	rowsAndRuns := func(b []byte) []byte {
+	// runs returns the payload of the last of b's four columns. The
+	// rows are not compared: a prefix codes them against the whole
+	// store's term table, whose size sets the width of a TermID code.
+	runs := func(b []byte) []byte {
 		cols := payloads(t, b)
 		if len(cols) != 4 {
 			t.Fatalf("%d columns, want 4", len(cols))
 		}
-		return append(cols[2], cols[3]...)
+		return cols[3]
 	}
 	whole := columns(s, len(es))
 	for _, n := range []int{1, 2, 4, 7, 8, 10} {
 		prefix := triple.NewStore()
 		prefix.AddEntries(es[:n])
-		if a, b := rowsAndRuns(columns(s, n)), rowsAndRuns(columns(prefix, n)); !bytes.Equal(a, b) {
-			t.Fatalf("prefix %d writes rows and runs %x, a store of only those entries %x", n, a, b)
+		if a, b := runs(columns(s, n)), runs(columns(prefix, n)); !bytes.Equal(a, b) {
+			t.Fatalf("prefix %d writes runs %x, a store of only those entries %x", n, a, b)
 		}
 		got, err := triple.ReadStore(column.NewReader(bytes.NewReader(columns(s, n))))
 		if err != nil {
@@ -147,12 +152,17 @@ func writeStore(w *column.Writer, terms []triple.Term, strs []string, rows []byt
 	w.End()
 }
 
-// rowColumn is the body of a row column: n, the three dictionaries and
-// the packed codes, as given.
+// rowColumn is the body of a row column: n, each position's coding —
+// its dictionary, or for a nil one codes by TermID — and the packed
+// codes, as given.
 func rowColumn(n uint64, dicts [3][]uint64, packed ...byte) []byte {
 	c := binary.AppendUvarint(nil, n)
 	for _, d := range dicts {
-		c = binary.AppendUvarint(c, uint64(len(d)))
+		if d == nil {
+			c = append(c, 1)
+			continue
+		}
+		c = binary.AppendUvarint(append(c, 0), uint64(len(d)))
 		for _, id := range d {
 			c = binary.AppendUvarint(c, id)
 		}
@@ -160,29 +170,56 @@ func rowColumn(n uint64, dicts [3][]uint64, packed ...byte) []byte {
 	return append(c, packed...)
 }
 
-// TestReadStoreRejects: tables with a repeated entry; a dictionary
-// naming a term past the table, naming one twice, out of first-seen
-// order, holding an entry no row uses, or claiming 2^32 entries, whose
-// codes would take 33 bits; a
-// code past its dictionary; packed codes of the wrong length; a set pad
-// bit; runs naming a string past the table; an empty run; a step other
-// than 0 and 1; a one-triple run that steps; and runs that do not cover
-// the rows exactly are errors, even with every checksum intact. Each
-// case breaks one rule only, and the columns after the cases, which
-// break none, read back.
+// packRows packs rows of three codes, position j's widths[j] bits wide.
+func packRows(widths [3]int, rows ...[3]uint64) []byte {
+	var packed column.Appender
+	w := column.BitWriter{A: &packed}
+	for _, r := range rows {
+		for j, c := range r {
+			w.Bits(c, widths[j])
+		}
+	}
+	w.Flush()
+	return packed
+}
+
+// numbers returns n distinct literal terms, "0" to n-1: a table wide
+// enough that TermID codes of a few repeated terms cost more than a
+// dictionary.
+func numbers(n int) []triple.Term {
+	ts := make([]triple.Term, n)
+	for i := range ts {
+		ts[i] = triple.NewLiteral(strconv.Itoa(i))
+	}
+	return ts
+}
+
+// TestReadStoreRejects: tables with a repeated entry; a position coded
+// other than by dictionary or TermID, or coded the way that takes more
+// bits; a dictionary naming a term past the table, naming one twice,
+// out of first-seen order, holding an entry no row uses, or claiming
+// 2^32 entries, whose codes would take 33 bits; a code past its
+// dictionary or a TermID code past the table; packed codes of the
+// wrong length; a set pad bit; runs naming a string past the table; an
+// empty run; a step other than 0 and 1; a one-triple run that steps;
+// and runs that do not cover the rows exactly are errors, even with
+// every checksum intact. Each case breaks one rule only, and the
+// columns after the cases, which break none, read back.
 func TestReadStoreRejects(t *testing.T) {
 	concept := triple.NewConcept("Fun", "send_msg")
 	one := []triple.Term{concept}
-	two := []triple.Term{concept, triple.NewLiteral("42")}
+	many := numbers(256) // TermID codes of 9 bits
 	strs := []string{"A", "B"}
-	ones := [3][]uint64{{0}, {0}, {0}}
-	rows := rowColumn(3, ones, 0, 0) // three rows of three 1-bit codes
+	byTerm := [3][]uint64{}
+	rows := rowColumn(3, byTerm, 0, 0) // three rows over one term: three 1-bit TermID codes each
 	run := [][5]int64{{3, 0, 0, 0, 0}}
-	// Two rows over two terms: each position's dictionary {0, 1}, codes
-	// of two bits, the second row's three 1s at bits 6, 8 and 10.
-	twoDicts := [3][]uint64{{0, 1}, {0, 1}, {0, 1}}
-	twoRuns := [][5]int64{{2, 0, 0, 0, 0}}
-	wide := binary.AppendUvarint(binary.AppendUvarint(nil, 3), 1<<32) // a dictionary of 2^32 terms
+	// Three rows over dictionaries of one term each: 3 bits a row, where
+	// TermIDs take 27.
+	ones := [3][]uint64{{0}, {0}, {0}}
+	// Four rows over dictionaries {0, 1}, {0} and {0}: 4 bits a row.
+	twoDicts := [3][]uint64{{0, 1}, {0}, {0}}
+	fourRuns := [][5]int64{{4, 0, 0, 0, 0}}
+	wide := binary.AppendUvarint(append(binary.AppendUvarint(nil, 3), 0), 1<<32) // a dictionary of 2^32 terms
 	cases := []struct {
 		name  string
 		terms []triple.Term
@@ -190,20 +227,24 @@ func TestReadStoreRejects(t *testing.T) {
 		rows  []byte
 		runs  [][5]int64
 	}{
-		{"repeated term", []triple.Term{concept, concept}, nil, rowColumn(0, [3][]uint64{}), nil},
-		{"repeated string", nil, []string{"A", "A"}, rowColumn(0, [3][]uint64{}), nil},
-		{"dictionary entry out of range", one, strs, rowColumn(3, [3][]uint64{{0}, {1}, {0}}, 0, 0), run},
-		{"repeated dictionary entry", two, strs, rowColumn(2, [3][]uint64{{0, 0}, {0, 1}, {0, 1}}, 0x40, 0x05), twoRuns},
+		{"repeated term", []triple.Term{concept, concept}, nil, rowColumn(0, byTerm), nil},
+		{"repeated string", nil, []string{"A", "A"}, rowColumn(0, byTerm), nil},
+		{"position coded as 2", one, strs, append(binary.AppendUvarint(nil, 3), 2, 1, 1, 0, 0), run},
+		{"dictionary where TermIDs take fewer bits", one, strs, rowColumn(3, ones, 0, 0), run},
+		{"TermIDs where a dictionary takes fewer bits", many, strs, rowColumn(3, byTerm, make([]byte, 11)...), run},
+		{"dictionary entry out of range", many, strs, rowColumn(3, [3][]uint64{{0}, {256}, {0}}, 0, 0), run},
+		{"repeated dictionary entry", many, strs, rowColumn(4, [3][]uint64{{0, 0}, {0}, {0}}, 0x10, 0x10), fourRuns},
 		{"dictionary of 33-bit codes", one, strs, wide, run},
-		{"code past its dictionary", one, strs, rowColumn(3, ones, 0b1000, 0), run},
-		// Subjects 1, 0, 1 over a dictionary {0, 1}: every entry used,
-		// the second first.
-		{"dictionary out of first-seen order", two, strs, rowColumn(3, [3][]uint64{{0, 1}, {0}, {0}}, 0x01, 0x01), run},
-		{"unused dictionary entry", two, strs, rowColumn(2, [3][]uint64{{0, 1}, {0}, {0}}, 0), twoRuns},
-		{"packed codes too long", one, strs, rowColumn(3, ones, 0, 0, 0), run},
-		{"packed codes too short", one, strs, rowColumn(3, ones, 0), run},
-		{"rows the bytes do not back", one, strs, rowColumn(1000, ones, 0, 0), [][5]int64{{1000, 0, 0, 0, 0}}},
-		{"pad bit set", one, strs, rowColumn(3, ones, 0, 0b10), run},
+		{"code past its dictionary", many, strs, rowColumn(3, ones, 0b1000, 0), run},
+		{"TermID past the table", one, strs, rowColumn(3, byTerm, 0b1000, 0), run},
+		// Subjects 1, 0, 1, 0 over a dictionary {0, 1}: every entry
+		// used, the second first.
+		{"dictionary out of first-seen order", many, strs, rowColumn(4, twoDicts, 0x01, 0x01), fourRuns},
+		{"unused dictionary entry", many, strs, rowColumn(4, twoDicts, 0, 0), fourRuns},
+		{"packed codes too long", many, strs, rowColumn(3, ones, 0, 0, 0), run},
+		{"packed codes too short", many, strs, rowColumn(3, ones, 0), run},
+		{"rows the bytes do not back", one, strs, rowColumn(1000, byTerm, 0, 0), [][5]int64{{1000, 0, 0, 0, 0}}},
+		{"pad bit set", many, strs, rowColumn(3, ones, 0, 0b10), run},
 		{"doc out of range", one, strs, rows, [][5]int64{{3, 2, 0, 0, 1}}},
 		{"section out of range", one, strs, rows, [][5]int64{{1, 0, 1, 0, 0}, {2, 1, 2, 0, 1}}},
 		{"zero-length run", one, strs, rows, [][5]int64{{1, 0, 0, 0, 0}, {0, 1, 1, 0, 0}, {2, 1, 1, 0, 1}}},
@@ -240,20 +281,89 @@ func TestReadStoreRejects(t *testing.T) {
 			t.Fatalf("entry %d has provenance %+v, want %+v", id, e.Prov, want)
 		}
 	}
+	// Subjects 5, 7, 5, 7 through a dictionary, predicate 0 through
+	// one, and four distinct objects by TermID: each the cheaper coding.
+	mixed := [][3]uint64{{0, 0, 10}, {1, 0, 11}, {0, 0, 12}, {1, 0, 13}}
 	buf.Reset()
 	w = column.NewWriter(&buf)
-	writeStore(w, two, strs, rowColumn(2, twoDicts, 0x40, 0x05), twoRuns)
+	writeStore(w, many, strs, rowColumn(4, [3][]uint64{{5, 7}, {0}, nil}, packRows([3]int{2, 1, 9}, mixed...)...), fourRuns)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if s, err = triple.ReadStore(column.NewReader(&buf)); err != nil {
-		t.Fatalf("the valid two-term columns: %v", err)
+		t.Fatalf("the valid mixed columns: %v", err)
 	}
-	for id, want := range []triple.Term{concept, two[1]} {
-		if e, _ := s.Get(triple.ID(id)); e.Triple != triple.New(want, want, want) {
-			t.Fatalf("entry %d is %v, want (%v, %v, %v)", id, e.Triple, want, want, want)
+	for id, r := range mixed {
+		want := triple.New(many[[]int{5, 7}[r[0]]], many[0], many[r[2]])
+		if e, _ := s.Get(triple.ID(id)); e.Triple != want {
+			t.Fatalf("entry %d is %v, want %v", id, e.Triple, want)
 		}
 	}
+}
+
+// TestRowColumnWorstCase: a position whose terms rarely repeat is coded
+// by TermID, so a store of 100 000 triples with a distinct subject and
+// object each (40 predicates) writes a row column of at most 6.84 bytes
+// a triple — what it took when every row was three uvarint TermIDs; it
+// took 10.84 when every position had a dictionary — while the
+// benchmark's synth corpus keeps a dictionary at every position.
+func TestRowColumnWorstCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-triple stores")
+	}
+	const n = 100000
+	rowBytes := func(s *triple.Store) []byte {
+		var buf bytes.Buffer
+		w := column.NewWriter(&buf)
+		s.WriteColumns(w, s.Len())
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return payloads(t, buf.Bytes())[2]
+	}
+	distinct := triple.NewStore()
+	for i := range n {
+		distinct.Add(triple.New(triple.NewConcept("S", strconv.Itoa(i)), triple.NewConcept("P", strconv.Itoa(i%40)),
+			triple.NewLiteral(strconv.Itoa(i))), triple.Provenance{Doc: "d"})
+	}
+	rows := rowBytes(distinct)
+	t.Logf("distinct subjects and objects: rows %.3f B/triple", float64(len(rows))/n)
+	if got := float64(len(rows)) / n; got > 6.84 {
+		t.Errorf("rows of distinct subjects and objects take %.3f B/triple, want <= 6.84", got)
+	}
+	if c := codings(t, rows); !bytes.Equal(c, []byte{1, 0, 1}) {
+		t.Errorf("distinct subjects and objects over 40 predicates coded %v, want {1, 0, 1}: TermIDs, a dictionary, TermIDs", c)
+	}
+
+	synthetic := triple.NewStore()
+	synthetic.AddAll(synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n), triple.Provenance{Doc: "synth"})
+	rows = rowBytes(synthetic)
+	t.Logf("synth corpus: rows %.3f B/triple", float64(len(rows))/n)
+	if c := codings(t, rows); !bytes.Equal(c, []byte{0, 0, 0}) {
+		t.Errorf("synth corpus positions coded %v, want a dictionary each", c)
+	}
+}
+
+// codings returns the coding byte of each position of a row column.
+func codings(t *testing.T, rows []byte) []byte {
+	t.Helper()
+	var d column.Decoder
+	d.Reset(rows)
+	d.Uvarint()
+	var out []byte
+	for range 3 {
+		c := d.Byte()
+		out = append(out, c)
+		if c == 0 {
+			for range d.Uvarint() {
+				d.Uvarint()
+			}
+		}
+	}
+	if d.Err() != nil {
+		t.Fatalf("row column: %v", d.Err())
+	}
+	return out
 }
 
 // payloads returns the payloads of the columns a stream holds.
@@ -297,14 +407,29 @@ func FuzzReadStore(f *testing.F) {
 		f.Fatal(err)
 	}
 	oneCols := payloads(f, one.Bytes())
-	ones := [3][]uint64{{0}, {0}, {0}}
 	for _, rows := range [][]byte{
-		rowColumn(3, ones, 0b1000, 0),                             // a code past its dictionary
-		rowColumn(3, ones, 0, 0b10),                               // a set pad bit
-		binary.AppendUvarint(binary.AppendUvarint(nil, 3), 1<<32), // a dictionary of 33-bit codes
+		rowColumn(3, [3][]uint64{}, 0b1000, 0),                               // a TermID past the table
+		rowColumn(3, [3][]uint64{}, 0, 0b10),                                 // a set pad bit
+		rowColumn(3, [3][]uint64{{0}, {0}, {0}}, 0, 0),                       // dictionaries where TermIDs take fewer bits
+		binary.AppendUvarint(append(binary.AppendUvarint(nil, 3), 0), 1<<32), // a dictionary of 33-bit codes
 	} {
 		f.Add(oneCols[0], oneCols[1], rows, oneCols[3])
 	}
+	// 200 rows over 100 subjects, 4 predicates and 100 objects: the
+	// predicates through a dictionary, the rest by TermID.
+	mixed := triple.NewStore()
+	for i := range 200 {
+		mixed.Add(triple.New(triple.NewLiteral(strconv.Itoa(i%100)), triple.NewConcept("P", strconv.Itoa(i%4)),
+			triple.NewConcept("O", strconv.Itoa(i/2))), triple.Provenance{Doc: "A"})
+	}
+	var mixedBuf bytes.Buffer
+	w = column.NewWriter(&mixedBuf)
+	mixed.WriteColumns(w, mixed.Len())
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	mixedCols := payloads(f, mixedBuf.Bytes())
+	f.Add(mixedCols[0], mixedCols[1], mixedCols[2], mixedCols[3])
 
 	f.Fuzz(func(t *testing.T, terms, strs, rows, runs []byte) {
 		var in bytes.Buffer

@@ -12,24 +12,28 @@ import (
 )
 
 // snapshotVersion is the on-disk format written by Save, and the only
-// one Load accepts. Version 8 is a column stream (internal/column):
+// one Load accepts. Version 9 is a column stream (internal/column):
 // the header carries the embedding dimension once, and the columns
 // hold the index as memory already does — the store's tables, rows and
 // provenance runs, the pivots with their squared pivot distances, and
 // per partition the nodes, a cross-partition link among them, and point
 // IDs. Each column is coded by what it holds: a row is three
-// fixed-width codes into per-position dictionaries
-// (internal/triple/columns.go), a routing child its offset from its
-// parent, a leaf's IDs their differences (core.WriteSnapshot). No
-// coordinate and no box is written: a point's coordinates are a
-// function of its triple and the pivots, and Load projects every stored
-// triple again with the arithmetic that placed it, then the restore
-// fits every box. Version 7 wrote every row, routing child and ID as
-// plain uvarints, version 6 a column of remote-box refs per partition,
-// version 5 each triple's provenance in its row, version 4 each
-// partition's coordinate block raw, and versions 1–3 were gob streams;
-// none has a writer and all are rejected as corrupt.
-const snapshotVersion = 8
+// fixed-width codes, per position into a dictionary or of the TermID,
+// whichever takes fewer bits (internal/triple/columns.go); a routing
+// child is its offset from its parent, a split value at the top of its
+// left child's box is not written, and a leaf's IDs are Rice-coded
+// gaps (core.WriteSnapshot). No coordinate and no box is written: a
+// point's coordinates are a function of its triple and the pivots, and
+// Load projects every stored triple again with the arithmetic that
+// placed it, then the restore fits every box and, from them, sets the
+// split values left out. Version 8 wrote every split value raw, every
+// ID gap as a varint and every row position through a dictionary,
+// version 7 every row, routing child and ID as plain uvarints, version
+// 6 a column of remote-box refs per partition, version 5 each triple's
+// provenance in its row, version 4 each partition's coordinate block
+// raw, and versions 1–3 were gob streams; none has a writer and all are
+// rejected as corrupt.
+const snapshotVersion = 9
 
 // ErrSnapshotCorrupt reports snapshot bytes that cannot be loaded:
 // truncated or garbled encodings, unknown versions, embedding
@@ -117,7 +121,7 @@ func Save(w io.Writer, ix *Index) error {
 	return nil
 }
 
-// writeSnapshot writes snap as a version-8 stream: the header, then the
+// writeSnapshot writes snap as a version-9 stream: the header, then the
 // options and pivot columns, the pivot-coordinate column (both pivots'
 // coordinates per axis, the squared pivot distances, then Built), the
 // store's four columns and the tree's, which hold no coordinate.

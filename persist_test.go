@@ -2,6 +2,7 @@ package semtree
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/gob"
@@ -19,6 +20,7 @@ import (
 	"semtree/internal/column"
 	"semtree/internal/core"
 	"semtree/internal/fastmap"
+	"semtree/internal/kdtree"
 	"semtree/internal/semdist"
 	"semtree/internal/synth"
 	"semtree/internal/triple"
@@ -415,7 +417,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// stream is a version-8 snapshot cut at its frames: the fixed header,
+// stream is a version-9 snapshot cut at its frames: the fixed header,
 // each column's payload, and the offset at which each column ends.
 type stream struct {
 	header []byte
@@ -459,7 +461,7 @@ func (s stream) with(i int, c []byte) stream {
 	return s
 }
 
-// The columns of a version-8 stream, in order; the tree's follow the
+// The columns of a version-9 stream, in order; the tree's follow the
 // store's: its own, then two per partition.
 const (
 	colOptions = iota
@@ -518,7 +520,7 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := splitStream(t, buf.Bytes())
-	for _, v := range []byte{0, 3, 4, 5, 6, 7, 99} {
+	for _, v := range []byte{0, 3, 4, 5, 6, 7, 8, 99} {
 		s.header = append([]byte(nil), s.header...)
 		s.header[len(column.Magic)] = v
 		wantCorrupt(t, s.bytes(), fmt.Sprintf("version %d", v))
@@ -574,17 +576,20 @@ func runColumn(runs ...[5]int64) []byte {
 	return c
 }
 
-// rowParts splits a row column into its row count, its three
-// dictionaries and its packed codes.
+// rowParts splits a row column into its row count, its positions'
+// codings — a dictionary each, nil for codes by TermID — and its
+// packed codes.
 func rowParts(t *testing.T, c []byte) (n uint64, dicts [3][]uint64, packed []byte) {
 	t.Helper()
 	var d column.Decoder
 	d.Reset(c)
 	n = d.Uvarint()
 	for j := range dicts {
-		dicts[j] = make([]uint64, d.Uvarint())
-		for k := range dicts[j] {
-			dicts[j][k] = d.Uvarint()
+		if d.Byte() == 0 {
+			dicts[j] = make([]uint64, d.Uvarint())
+			for k := range dicts[j] {
+				dicts[j][k] = d.Uvarint()
+			}
 		}
 	}
 	if d.Err() != nil {
@@ -597,12 +602,142 @@ func rowParts(t *testing.T, c []byte) (n uint64, dicts [3][]uint64, packed []byt
 func rowColumn(n uint64, dicts [3][]uint64, packed []byte) []byte {
 	c := binary.AppendUvarint(nil, n)
 	for _, d := range dicts {
-		c = binary.AppendUvarint(c, uint64(len(d)))
+		if d == nil {
+			c = append(c, 1)
+			continue
+		}
+		c = binary.AppendUvarint(append(c, 0), uint64(len(d)))
 		for _, id := range d {
 			c = binary.AppendUvarint(c, id)
 		}
 	}
 	return append(c, packed...)
+}
+
+// nodeColumn is a partition's node column cut at its nodes.
+type nodeColumn struct {
+	body   []byte
+	state  []int // the offset of each node's state byte
+	split  []int // per routing node, the offset after its SplitDim: where its raw SplitVal is, or would be
+	bucket []int // per leaf, its bucket length; -1 for any other node
+}
+
+// parseNodes cuts a node column at its nodes.
+func parseNodes(t *testing.T, c []byte) nodeColumn {
+	t.Helper()
+	nc := nodeColumn{body: c}
+	var d column.Decoder
+	d.Reset(c)
+	d.Uvarint()
+	for range d.Uvarint() {
+		at := len(c) - d.Len()
+		st := d.Byte()
+		nc.state, nc.split, nc.bucket = append(nc.state, at), append(nc.split, -1), append(nc.bucket, -1)
+		switch i := len(nc.state) - 1; {
+		case st&2 != 0: // a link
+			d.Uvarint()
+			d.Uvarint()
+		case st&1 != 0: // a leaf
+			nc.bucket[i] = int(d.Uvarint())
+		default:
+			d.Uvarint()
+			nc.split[i] = len(c) - d.Len()
+			if st&4 == 0 {
+				d.Float()
+			}
+			d.Varint()
+			d.Varint()
+		}
+	}
+	if err := d.End(); err != nil {
+		t.Fatalf("node column %x: %v", c, err)
+	}
+	return nc
+}
+
+// find returns the first node whose state and bucket length satisfy ok,
+// or -1.
+func (nc nodeColumn) find(ok func(state byte, bucket int) bool) int {
+	for i, at := range nc.state {
+		if ok(nc.body[at], nc.bucket[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// withState returns the column with node i's state byte set to st.
+func (nc nodeColumn) withState(i int, st byte) []byte {
+	c := bytes.Clone(nc.body)
+	c[nc.state[i]] = st
+	return c
+}
+
+// idBuckets decodes an ID column over its node column's leaves: the
+// Rice parameter, each non-empty leaf's IDs and whether its gaps are
+// plain, in node order.
+func idBuckets(t *testing.T, nc nodeColumn, c []byte) (k int, buckets [][]uint64, plain []bool) {
+	t.Helper()
+	k = int(c[0])
+	var d column.BitDecoder
+	d.Reset(c[1:])
+	for i, size := range nc.bucket {
+		if size <= 0 {
+			continue
+		}
+		asc := nc.body[nc.state[i]]&8 != 0
+		b := make([]uint64, size)
+		for j := range b {
+			v := d.Rice(k)
+			switch {
+			case j == 0:
+				b[j] = v
+			case asc:
+				b[j] = b[j-1] + v
+			default:
+				b[j] = b[j-1] + (v>>1 ^ -(v & 1))
+			}
+		}
+		buckets, plain = append(buckets, b), append(plain, asc)
+	}
+	if err := d.End(); err != nil {
+		t.Fatalf("ID column %x: %v", c, err)
+	}
+	return k, buckets, plain
+}
+
+// idColumn encodes buckets under Rice parameter k — column.RiceParam's
+// pick for k < 0 — a bucket's gaps plain where
+// plain says and zigzagged elsewhere; bits is the codes' length.
+func idColumn(k int, buckets [][]uint64, plain []bool) (c []byte, bits int) {
+	var gaps []uint64
+	for i, b := range buckets {
+		for j, id := range b {
+			v := id
+			if j > 0 {
+				v = id - b[j-1]
+				if !plain[i] {
+					v = v<<1 ^ uint64(int64(v)>>63)
+				}
+			}
+			gaps = append(gaps, v)
+		}
+	}
+	if k < 0 {
+		var p column.RiceParam
+		for _, v := range gaps {
+			p.Add(v)
+		}
+		k = p.K()
+	}
+	a := column.Appender{byte(k)}
+	w := column.BitWriter{A: &a}
+	for _, v := range gaps {
+		w.Rice(v, k)
+		bits += int(v>>k) + 1 + k
+	}
+	w.Flush()
+	return a, bits
 }
 
 // TestLoadRejectsPatchedColumns: columns no Save wrote, checksums
@@ -613,9 +748,14 @@ func rowColumn(n uint64, dicts [3][]uint64, packed []byte) []byte {
 // fails; and so are parameters the metric or FastMap reject, more
 // build-placed triples than the store holds, provenance runs that do
 // not cover the rows exactly, are empty, name a string past the table
-// or step by other than 0 and 1, a row dictionary naming a term past
-// the table, a row code past its dictionary and a set pad bit after
-// the row codes.
+// or step by other than 0 and 1, a row position coded neither through a
+// dictionary nor by TermID, a TermID past the table and a set pad bit
+// after the row codes; and in the tree, a leaf marked split at its left
+// child's top, a routing node marked ascending, a split value written
+// raw where its left child's box gives it, an ID column under a Rice
+// parameter other than the one column.RiceParam picks for it, an
+// ascending bucket whose gaps wrap past 2^64, a bucket that never falls
+// not marked ascending, and a byte or a set pad bit after the ID codes.
 func TestLoadRejectsPatchedColumns(t *testing.T) {
 	s := splitStream(t, savedStream(t, 30))
 	var own [][5]int64 // savedStream's sections take turns: a run per triple
@@ -647,38 +787,92 @@ func TestLoadRejectsPatchedColumns(t *testing.T) {
 		t.Fatalf("pivot coordinate column of %d bytes, want %d and the build's 30 triples", len(coords), floats)
 	}
 	n, dicts, packed := rowParts(t, s.cols[colRows])
-	if !bytes.Equal(rowColumn(n, dicts, packed), s.cols[colRows]) {
-		t.Fatalf("row column %x does not have the layout this test patches", s.cols[colRows])
+	if !bytes.Equal(rowColumn(n, dicts, packed), s.cols[colRows]) || dicts[0] != nil || dicts[1] != nil || dicts[2] != nil {
+		t.Fatalf("row column %x does not have the layout this test patches: codes by TermID", s.cols[colRows])
 	}
 	var terms column.Decoder
 	terms.Reset(s.cols[colTerms])
 	nt := terms.Uvarint()
-	width := bits.Len(uint(len(dicts[0])))
-	if total := n * uint64(width+bits.Len(uint(len(dicts[1])))+bits.Len(uint(len(dicts[2])))); total%8 == 0 {
+	width := bits.Len(uint(nt))
+	if total := n * uint64(3*width); total%8 == 0 {
 		t.Fatalf("%d bits of row codes: no pad bit", total)
 	}
-	pastTable := [3][]uint64{append([]uint64{nt}, dicts[0][1:]...), dicts[1], dicts[2]}
-	pastDict := append([]byte(nil), packed...)
-	pastDict[0] |= 1<<width - 1 // row 0's subject code, all ones: width bits hold more codes than the dictionary
+	pastTable := append([]byte(nil), packed...)
+	pastTable[0] = pastTable[0]&^(1<<width-1) | byte(nt) // row 0's subject: the TermID past the table
 	pad := append([]byte(nil), packed...)
 	pad[len(pad)-1] |= 0x80
+	coding2 := bytes.Clone(s.cols[colRows])
+	coding2[len(binary.AppendUvarint(nil, n))] = 2
+
+	// The tree's columns: the root partition's routing trunk, split at
+	// the top of each left child's box, and a data partition's leaves.
+	colNodes := func(pi int) int { return colTree + 1 + 2*pi }
+	trunk := parseNodes(t, s.cols[colNodes(0)])
+	r := trunk.find(func(st byte, _ int) bool { return st == 4 })
+	data := parseNodes(t, s.cols[colNodes(1)])
+	l := data.find(func(st byte, size int) bool { return st == 1|8 && size > 1 })
+	if r < 0 || l < 0 {
+		t.Fatalf("no routing node split at its left child's top in %x, or no ascending leaf of two points in %x",
+			trunk.body, data.body)
+	}
+	k, buckets, plain := idBuckets(t, data, s.cols[colNodes(1)+1])
+	ids, idBits := idColumn(-1, buckets, plain)
+	if !bytes.Equal(ids, s.cols[colNodes(1)+1]) || idBits%8 == 0 {
+		t.Fatalf("ID column %x does not have the layout this test patches, or no pad bit", s.cols[colNodes(1)+1])
+	}
+	leaf := 0 // l's place among the leaves holding points
+	for i := range l {
+		if data.bucket[i] > 0 {
+			leaf++
+		}
+	}
+	otherK, _ := idColumn(k+1, buckets, plain)
+	wrapped := slices.Clone(buckets)
+	wrapped[leaf] = append([]uint64{buckets[leaf][0], buckets[leaf][0] - 1}, buckets[leaf][2:]...)
+	wraps, _ := idColumn(-1, wrapped, plain)
+	zigzag := slices.Clone(plain)
+	zigzag[leaf] = false
+	unmarked, _ := idColumn(-1, buckets, zigzag)
+	idPad := bytes.Clone(ids)
+	idPad[len(idPad)-1] |= 0x80
+	loaded, err := Load(bytes.NewReader(s.bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := loaded.tree.Snapshot()
+	loaded.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := slices.Insert(bytes.Clone(trunk.body), trunk.split[r],
+		binary.LittleEndian.AppendUint64(nil, math.Float64bits(tree.Parts[0].Nodes[r].SplitVal))...)
+	raw[trunk.state[r]] = 0
+
 	negative := append([]byte(nil), coords...)
 	binary.LittleEndian.PutUint64(negative[8*2*8*8:], math.Float64bits(-1)) // DAB2[0]
 	cut := append(coords[:8*(2*4+1)*4:8*(2*4+1)*4], coords[floats:]...)
 	for what, patched := range map[string]stream{
-		"4-axis mapper over an 8-dim tree":  s.with(colPivotCoords, cut),
-		"DAB2[0] = -1":                      s.with(colPivotCoords, negative),
-		"31 triples built of 30":            s.with(colPivotCoords, binary.AppendUvarint(coords[:floats:floats], 31)),
-		"no build count":                    s.with(colPivotCoords, coords[:floats]),
-		`Measure "nope"`:                    s.with(colOptions, options(0.4, "nope")),
-		"Alpha 2":                           s.with(colOptions, options(2, "")),
-		"a run of 29 over 30 rows":          s.with(colRuns, runColumn([5]int64{29, 0, 1, 0, 1})),
-		"a zero-length run":                 s.with(colRuns, runColumn([5]int64{0, 0, 1, 0, 1}, [5]int64{30, 0, 1, 0, 1})),
-		"string 4 of 4":                     s.with(colRuns, runColumn([5]int64{30, 0, 4, 0, 1})),
-		"step 2":                            s.with(colRuns, runColumn([5]int64{30, 0, 1, 0, 2})),
-		"a dictionary entry past the terms": s.with(colRows, rowColumn(n, pastTable, packed)),
-		"a row code past its dictionary":    s.with(colRows, rowColumn(n, dicts, pastDict)),
-		"a set pad bit":                     s.with(colRows, rowColumn(n, dicts, pad)),
+		"4-axis mapper over an 8-dim tree":     s.with(colPivotCoords, cut),
+		"DAB2[0] = -1":                         s.with(colPivotCoords, negative),
+		"31 triples built of 30":               s.with(colPivotCoords, binary.AppendUvarint(coords[:floats:floats], 31)),
+		"no build count":                       s.with(colPivotCoords, coords[:floats]),
+		`Measure "nope"`:                       s.with(colOptions, options(0.4, "nope")),
+		"Alpha 2":                              s.with(colOptions, options(2, "")),
+		"a run of 29 over 30 rows":             s.with(colRuns, runColumn([5]int64{29, 0, 1, 0, 1})),
+		"a zero-length run":                    s.with(colRuns, runColumn([5]int64{0, 0, 1, 0, 1}, [5]int64{30, 0, 1, 0, 1})),
+		"string 4 of 4":                        s.with(colRuns, runColumn([5]int64{30, 0, 4, 0, 1})),
+		"step 2":                               s.with(colRuns, runColumn([5]int64{30, 0, 1, 0, 2})),
+		"a position coded as 2":                s.with(colRows, coding2),
+		"a TermID past the table":              s.with(colRows, rowColumn(n, dicts, pastTable)),
+		"a set pad bit":                        s.with(colRows, rowColumn(n, dicts, pad)),
+		"a leaf split at its left child's top": s.with(colNodes(1), data.withState(l, 1|4|8)),
+		"a routing node marked ascending":      s.with(colNodes(0), trunk.withState(r, 4|8)),
+		"a split value written raw at its left child's top": s.with(colNodes(0), raw),
+		"a Rice parameter one past RiceParam's":             s.with(colNodes(1)+1, otherK),
+		"an ascending bucket that wraps past 2^64":          s.with(colNodes(1)+1, wraps),
+		"a bucket that never falls, not marked ascending":   s.with(colNodes(1), data.withState(l, 1)).with(colNodes(1)+1, unmarked),
+		"a byte after the ID codes":                         s.with(colNodes(1)+1, append(bytes.Clone(ids), 0)),
+		"a set pad bit after the ID codes":                  s.with(colNodes(1)+1, idPad),
 	} {
 		wantCorrupt(t, patched.bytes(), what)
 	}
@@ -867,4 +1061,147 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatalf("accepted snapshot does not answer queries: %v", err)
 		}
 	})
+}
+
+// TestReloadInsertGrownSplits: a tree that single inserts grew past its
+// bulk build splits some leaves at the midpoint of their range
+// (kdtree.Arena.SplitLeaf's fallback), not at their left half's top —
+// the one split value a snapshot writes raw. Over 20 000 Inserts after
+// a 50 000-triple build on five partitions, on both fabrics, Save →
+// Load restores every node bit for bit (split values included), every
+// ID and every coordinate, Save of the loaded index writes the saved
+// bytes, and the loaded tree's k-NN and range answers are the flat
+// scan's over its points.
+func TestReloadInsertGrownSplits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50k build and 20k inserts")
+	}
+	n, more := 50000, 20000
+	if raceEnabled {
+		n, more = 10000, 4000
+	}
+	triples := synth.New(synth.Config{Seed: 1, Actors: 200}, nil).Triples(n + more)
+	queries := synth.New(synth.Config{Seed: 2, Actors: 200}, nil).Triples(40)
+	for _, fab := range []struct {
+		name string
+		new  func() cluster.Fabric
+	}{
+		{"tcp", func() cluster.Fabric { return cluster.NewTCP() }},
+		{"inproc", func() cluster.Fabric { return cluster.NewInProc(cluster.InProcOptions{}) }},
+	} {
+		t.Run(fab.name, func(t *testing.T) {
+			opts := func() Options {
+				f := fab.new()
+				t.Cleanup(func() { f.Close() })
+				return Options{Seed: 1, PartitionCapacity: n / 4, MaxPartitions: 5, Fabric: f}
+			}
+			store := triple.NewStore()
+			store.AddAll(triples[:n], triple.Provenance{Doc: "built"})
+			orig, err := Build(store, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer orig.Close()
+			for _, tp := range triples[n:] {
+				if _, err := orig.Insert(tp, triple.Provenance{Doc: "inserted"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var first, second bytes.Buffer
+			if err := Save(&first, orig); err != nil {
+				t.Fatal(err)
+			}
+			s := splitStream(t, first.Bytes())
+			raw, routing := 0, 0
+			for c := colTree + 1; c < len(s.cols); c += 2 {
+				nc := parseNodes(t, s.cols[c])
+				for _, at := range nc.state {
+					if st := nc.body[at]; st&(1|2) == 0 {
+						routing++
+						if st&4 == 0 {
+							raw++
+						}
+					}
+				}
+			}
+			t.Logf("%d of %d routing nodes split off their left child's top", raw, routing)
+			if raw == 0 || orig.PartitionCount() != 5 {
+				t.Fatalf("%d raw split values on %d partitions: the midpoint fallback went untested", raw, orig.PartitionCount())
+			}
+			loaded, err := Load(bytes.NewReader(first.Bytes()), opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			if err := Save(&second, loaded); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("Save of the loaded index wrote %d bytes that differ from the %d saved", second.Len(), first.Len())
+			}
+			want, err := orig.tree.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.tree.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi := range want.Parts {
+				w, g := &want.Parts[pi], &got.Parts[pi]
+				if len(g.Nodes) != len(w.Nodes) || !slices.Equal(g.IDs, w.IDs) || !sameBits(g.Coords, w.Coords) {
+					t.Fatalf("partition %d: %d nodes, IDs or coordinates differ from the %d saved", pi, len(g.Nodes), len(w.Nodes))
+				}
+				for ni := range w.Nodes {
+					a, b := &g.Nodes[ni], &w.Nodes[ni]
+					if a.Leaf != b.Leaf || a.Moved != b.Moved || a.SplitDim != b.SplitDim ||
+						math.Float64bits(a.SplitVal) != math.Float64bits(b.SplitVal) ||
+						a.Left != b.Left || a.Right != b.Right || a.Fwd != b.Fwd || !slices.Equal(a.Slots, b.Slots) {
+						t.Fatalf("partition %d node %d: %+v, saved %+v", pi, ni, *a, *b)
+					}
+				}
+			}
+
+			points := treeCoords(t, loaded)
+			ctx := context.Background()
+			for qi, q := range queries {
+				c := loaded.embed(q)
+				var flat []kdtree.Neighbor
+				sq := make(map[uint64]float64, len(points))
+				for id, p := range points {
+					sq[id] = kdtree.EuclideanSq(c, p)
+					flat = append(flat, kdtree.Neighbor{Point: kdtree.Point{ID: id}, Dist: math.Sqrt(sq[id])})
+				}
+				slices.SortFunc(flat, func(a, b kdtree.Neighbor) int {
+					return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Point.ID, b.Point.ID))
+				})
+				knn, err := loaded.tree.KNearest(ctx, c, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				radius := flat[25].Dist
+				within := 0 // a range search compares squared distances with the radius squared
+				for within < len(flat) && sq[flat[within].Point.ID] <= radius*radius {
+					within++
+				}
+				rng, err := loaded.tree.RangeSearch(ctx, c, radius)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range []struct {
+					name      string
+					got, want []kdtree.Neighbor
+				}{{"k-NN", knn, flat[:10]}, {"range", rng, flat[:within]}} {
+					if len(cs.got) != len(cs.want) {
+						t.Fatalf("query %d %s: %d answers, the flat scan %d", qi, cs.name, len(cs.got), len(cs.want))
+					}
+					for i, x := range cs.want {
+						if y := cs.got[i]; y.Point.ID != x.Point.ID || math.Float64bits(y.Dist) != math.Float64bits(x.Dist) {
+							t.Fatalf("query %d %s rank %d: (%d, %v), the flat scan (%d, %v)", qi, cs.name, i, y.Point.ID, y.Dist, x.Point.ID, x.Dist)
+						}
+					}
+				}
+			}
+		})
+	}
 }
