@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -113,7 +114,6 @@ func (t *Tree) bulkLoad(ctx context.Context, coords []float64, ids []uint64) err
 			return fmt.Errorf("core: bulk load: %w", err)
 		}
 		if ok {
-			t.size.Add(int64(len(ids)))
 			return nil
 		}
 		// The root grew under us (concurrent inserts split the entry
@@ -143,7 +143,8 @@ func (t *Tree) bulkLoad(ctx context.Context, coords []float64, ids []uint64) err
 // or not its reply came back: a reply lost after the handler ran still
 // left a fragment there. The targets hold nothing else — BulkLoad takes
 // freshly allocated partitions and Rebalance resets its own first — so
-// the reset removes exactly what this call put there. A root graft that
+// the reset removes exactly what this call put there (one lost before
+// delivery leaves an orphan, which Rebalance repairs). A root graft that
 // applied but lost every reply is out of its reach: the root keeps a
 // trunk linking to the partitions the undo reset, and Rebalance then
 // fails typed (its walk meets the dangling link).
@@ -183,57 +184,66 @@ func (t *Tree) installBalanced(coords []float64, ids []uint64, targets func() []
 
 // installFrontier distributes a client-built balanced tree (its root
 // not a leaf) across targets: it cuts the tree below the root until the
-// frontier is wide enough to give every target a subtree, installs each
-// frontier subtree on the partition the placement kernel assigns it,
-// and returns the trunk — everything above the frontier, each frontier
-// subtree cut into a link to where it was installed, which keeps the
-// subtree's box (kdtree.Arena.Extract): the region registers together
-// with the link — and the partitions it sent an install to, on failure
-// too. Each fragment is cut from the arena with exactly its points; the
-// arena is left as it was.
-//
-// "Using M−1 data partitions, we can perform in the best case M−1
-// parallel operations" (§III-C): the partitions install concurrently,
-// one RunBatch item each, and each receives its subtrees in frontier
-// order, so it gets the same fragments in the same order — and hands
-// back the same node indices — as a one-by-one install would. On an
-// error every dispatched install has returned before this does.
+// frontier gives every target a subtree, installs those
+// (installSubtrees), and returns the trunk — everything above the
+// frontier, each frontier subtree cut into a link to where it was
+// installed, which keeps the subtree's box (kdtree.Arena.Extract) — and
+// the partitions it sent an install to, on failure too.
 func (t *Tree) installFrontier(a *kdtree.Arena, targets []cluster.NodeID) (trunk kdtree.Arena, sent []cluster.NodeID, err error) {
 	frontier := cutFrontier(a, len(targets))
-	subs := make([]placeBox, len(frontier))
-	for i, idx := range frontier {
-		lo, hi := a.Box(idx)
-		subs[i] = placeBox{lo: lo, hi: hi, points: a.Count(idx)}
-	}
-	assign := t.assignTargets(subs, targets)
-	var groups [][]int // frontier positions per partition of sent
-	for i, id := range assign {
-		g := slices.Index(sent, id)
-		if g < 0 {
-			g = len(sent)
-			sent, groups = append(sent, id), append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	nodes := make([]int32, len(frontier))
-	err = RunBatch(detached, len(groups), 0, func(g int) error {
-		for _, i := range groups[g] {
-			resp, err := t.call(cluster.ClientID, sent[g], installReq{Seq: t.installs.Add(1), Entry: -1, Frag: a.Extract(frontier[i], nil)})
-			if err != nil {
-				return err
-			}
-			nodes[i] = resp.(installResp).Node
-		}
-		return nil
-	})
-	if err != nil {
+	refs, sent, errs := t.installSubtrees(cluster.ClientID, a, frontier, targets)
+	if err = cmp.Or(errs...); err != nil {
 		return kdtree.Arena{}, sent, err
 	}
 	cut := make(map[int32]kdtree.Ref, len(frontier))
 	for i, idx := range frontier {
-		cut[idx] = refTo(assign[i], nodes[i])
+		cut[idx] = refs[i]
 	}
 	return a.Extract(0, cut), sent, nil
+}
+
+// installSubtrees, the one installer of a spill and of a balanced
+// frontier, installs the subtree of a under each of roots (cut with
+// exactly its points; a is only read) as a new subtree root on the
+// target the placement kernel assigns it. It returns where each landed,
+// the targets sent to in the order the roots first reach them, and each
+// one's first failure, for the caller to undo; refs[i] names a node
+// only if its target did not fail.
+//
+// "Using M−1 data partitions, we can perform in the best case M−1
+// parallel operations" (§III-C): the targets install concurrently, one
+// RunBatch item each, each receiving its subtrees in roots order, so it
+// gets the same fragments in the same order — and hands back the same
+// node indices — as a one-by-one install would. A target stops at its
+// first failure; all have returned before this does.
+func (t *Tree) installSubtrees(from cluster.NodeID, a *kdtree.Arena, roots []int32, targets []cluster.NodeID) (refs []kdtree.Ref, sent []cluster.NodeID, errs []error) {
+	subs := make([]placeBox, len(roots))
+	for i, idx := range roots {
+		lo, hi := a.Box(idx)
+		subs[i] = placeBox{lo: lo, hi: hi, points: a.Count(idx)}
+	}
+	refs = make([]kdtree.Ref, len(roots))
+	var groups [][]int // root positions per target of sent
+	for i, id := range t.assignTargets(subs, targets) {
+		refs[i].Part = int32(id)
+		g := slices.Index(sent, id)
+		if g < 0 {
+			g = len(sent)
+			sent, groups, errs = append(sent, id), append(groups, nil), append(errs, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	_ = RunBatch(detached, len(groups), 0, func(g int) error { // each target's error is in errs
+		for _, i := range groups[g] {
+			resp, err := t.call(from, sent[g], installReq{Seq: t.installs.Add(1), Entry: -1, Frag: a.Extract(roots[i], nil)})
+			if errs[g] = err; err != nil {
+				return err
+			}
+			refs[i].Node = resp.(installResp).Node
+		}
+		return nil
+	})
+	return refs, sent, errs
 }
 
 // bulkMerge streams the rows into a live tree in chunks, each chunk a
@@ -255,7 +265,6 @@ func (t *Tree) bulkMerge(ctx context.Context, coords []float64, ids []uint64) er
 		if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: entries, Policy: landGraft}); err != nil {
 			return fmt.Errorf("core: bulk merge: %w", err)
 		}
-		t.size.Add(int64(end - start))
 	}
 	return nil
 }
@@ -310,10 +319,10 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // point forwards; the same Seq again is answered with that reply and
 // changes nothing. So a retried spill relocates its leaf, and a retried
 // root graft answers OK. One remembered install is enough: installs
-// reach a partition one at a time from one sender (a spill sends them
-// under its write lock to partitions it has just allocated,
-// installFrontier runs one RunBatch item per target, and bulkMu
-// serializes the root graft).
+// reach a partition one at a time from one sender (a spill and
+// installFrontier both send theirs through installSubtrees, one
+// RunBatch item per freshly allocated target, and bulkMu serializes the
+// root graft).
 func (p *partition) handleInstall(r installReq) (any, error) {
 	if r.Seq == 0 {
 		return nil, p.refuse("install: no Seq")
@@ -356,7 +365,7 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 	resp := installResp{Node: root, OK: true}
 	p.installed.seq, p.installed.resp = r.Seq, resp
 	fw, landed := p.routeLocked(displaced, p.Append)
-	p.points -= len(displaced) - landed // the rest leave this partition
+	p.addPoints(landed - len(displaced)) // the rest leave this partition
 	spill := graft && p.capacityExceededLocked()
 	p.mu.Unlock()
 	err = p.forward(fw, landAppend)
@@ -381,7 +390,7 @@ func (p *partition) installLocked(entry int32, frag *kdtree.Arena) (int32, error
 	if err != nil {
 		return 0, err
 	}
-	p.points += points
+	p.addPoints(points)
 	return root, nil
 }
 

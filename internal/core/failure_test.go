@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"semtree/internal/cluster"
@@ -248,27 +249,36 @@ func TestRestoreAfterLostForward(t *testing.T) {
 	}
 }
 
-// TestRebalanceRepairsExhaustedWrites: a write whose retries are
-// exhausted has an unknown outcome. With one attempt and 5 % of the
-// replies lost, InsertAll fails, Len() undercounts the points that did
-// land, and a spill whose install never answered leaves the target's
-// copy of a leaf unreachable. None of that is a dangling link, so
-// Rebalance rebuilds the tree from what is reachable: every point once,
-// Len() exact, every query the flat scan's.
+// TestRebalanceRepairsExhaustedWrites: what a spill's undo leaves when
+// it is lost is what Rebalance repairs. The root's first spill sends
+// its leaves to eight fresh partitions, each target's first install
+// applies and loses its reply, and each undo reset is lost before
+// delivery (lostUndo): the root keeps its leaves, every target keeps a
+// copy of one that no link reaches, Len() counts both and the snapshot
+// does not validate. None of that is a dangling link, so Rebalance
+// rebuilds the tree from what is reachable: every point once, Len()
+// exact, every query the flat scan's.
 func TestRebalanceRepairsExhaustedWrites(t *testing.T) {
 	for _, tp := range transports {
 		t.Run(tp.name, func(t *testing.T) {
-			fabric := clustertest.New(tp.new(), clustertest.Faults{})
-			defer fabric.Close()
+			inner := clustertest.New(tp.new(), clustertest.Faults{})
+			defer inner.Close()
+			fabric := &lostUndo{Fabric: inner}
 			r := rand.New(rand.NewSource(1))
-			pts := randomPoints(r, 1000, 3)
+			pts := randomPoints(r, 251, 3)
 			queries := [][]float64{randomPoints(r, 1, 3)[0].Coords, randomPoints(r, 1, 3)[0].Coords}
 			tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 1})
-			fabric.Arm(clustertest.Faults{Seed: 1, DropReplyAfter: 0.05})
-			err := tr.InsertAll(pts, 1)
-			fabric.Arm(clustertest.Faults{})
-			if err == nil || tr.Len() == len(pts) || liveSnapshot(t, tr).Validate() == nil {
-				t.Fatalf("InsertAll: %v, Len %d: no write's outcome was lost — test vacuous", err, tr.Len())
+			if err := tr.InsertAll(pts[:250], 1); err != nil || tr.PartitionCount() != 1 {
+				t.Fatalf("InsertAll: %v, %d partitions before the spill", err, tr.PartitionCount())
+			}
+			fabric.armed.Store(true)
+			err := tr.Insert(pts[250])
+			fabric.armed.Store(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.PartitionCount() != 9 || tr.Len() <= len(pts) || liveSnapshot(t, tr).Validate() == nil {
+				t.Fatalf("%d partitions, Len %d: the spill left no orphan — test vacuous", tr.PartitionCount(), tr.Len())
 			}
 			if err := tr.Rebalance(); err != nil {
 				t.Fatal(err)
@@ -279,6 +289,30 @@ func TestRebalanceRepairsExhaustedWrites(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lostUndo is TestRebalanceRepairsExhaustedWrites's fault seam: once
+// armed, every install applies and loses its reply, and every restore
+// — a spill's undo reset — is lost before delivery.
+type lostUndo struct {
+	cluster.Fabric
+	armed atomic.Bool
+}
+
+func (f *lostUndo) Call(ctx context.Context, from, to cluster.NodeID, req any) (any, error) {
+	if !f.armed.Load() {
+		return f.Fabric.Call(ctx, from, to, req)
+	}
+	switch req.(type) {
+	case installReq:
+		if _, err := f.Fabric.Call(ctx, from, to, req); err != nil {
+			return nil, err
+		}
+		return nil, cluster.ErrTransient
+	case restoreReq:
+		return nil, cluster.ErrTransient
+	}
+	return f.Fabric.Call(ctx, from, to, req)
 }
 
 // TestLostReplyBulkLoadNeverPanics is the lost-reply probe on an empty
@@ -390,6 +424,69 @@ func TestWritesLandOnceUnderLostReplies(t *testing.T) {
 			t.Errorf("step %q lost no reply on any seed: vacuous", step)
 		}
 	}
+}
+
+// TestSpillLandsOnceUnderLostReplies: a spill lands once or not at
+// all. With one attempt and 5 % of the replies lost, InsertAll of
+// 1 000 points onto nine partitions returns an error, yet every write
+// applied, and a spill install whose reply was lost resets its target —
+// allocated for that spill, holding nothing else — and keeps that
+// target's leaves local. Twenty seeds, with 1 and with 4 workers, run
+// on both transports under the fault seam. After each, disarmed:
+// Len() is 1 000, no ID is stored twice and every query answers as the
+// flat scan (landOnce.check), the live snapshot validates, and
+// RestoreTree of it answers as the flat scan too. Each seed ends with
+// the same error class and Len() on both transports.
+func TestSpillLandsOnceUnderLostReplies(t *testing.T) {
+	failed := 0 // InsertAll calls that returned an error
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
+				var ends [2]landOutcome
+				for i, tp := range transports {
+					t.Run(tp.name, func(t *testing.T) {
+						fabric := clustertest.New(tp.new(), clustertest.Faults{})
+						defer fabric.Close()
+						r := rand.New(rand.NewSource(seed))
+						c := &landOnce{t: t, pts: randomPoints(r, 1000, 3)}
+						for range 10 {
+							c.queries = append(c.queries, randomPoints(r, 1, 3)[0].Coords)
+						}
+						stage := fmt.Sprintf("seed %d, %d workers, %s", seed, workers, tp.name)
+						cfg := Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 1}
+						tr := mustTree(t, cfg)
+						fabric.Arm(clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
+						err := tr.InsertAll(c.pts, workers)
+						fabric.Arm(clustertest.Faults{})
+						if err != nil {
+							failed++
+						}
+						ends[i] = landOutcome{class: errClass(err), n: tr.Len(), twice: c.check(tr, nil, stage)}
+						if ends[i].class == "untyped" {
+							t.Errorf("%s: an untyped error: %v", stage, err)
+						}
+						if tr.Len() != len(c.pts) {
+							t.Errorf("%s: Len = %d, want %d", stage, tr.Len(), len(c.pts))
+						}
+						snap := liveSnapshot(t, tr)
+						if err := snap.Validate(); err != nil {
+							t.Fatalf("%s: %v", stage, err)
+						}
+						restored, err := RestoreTree(cfg, snap)
+						if err != nil {
+							t.Fatalf("%s: %v", stage, err)
+						}
+						defer restored.Close()
+						checkAgainstScan(t, restored, c.pts, c.queries, stage+", restored")
+					})
+				}
+				if ends[0] != ends[1] {
+					t.Errorf("%s ends %+v, %s %+v", transports[0].name, ends[0], transports[1].name, ends[1])
+				}
+			})
+		}
+	}
+	t.Logf("%d of %d InsertAll calls returned an error", failed, 20*2*len(transports))
 }
 
 // landSteps are TestWritesLandOnceUnderLostReplies's steps, in order.

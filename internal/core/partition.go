@@ -260,7 +260,7 @@ func (p *partition) ingestLocked(r bulkAddReq) (fw forwards, spill bool, err err
 			p.Graft(leaf, groups[leaf])
 		}
 	}
-	p.points += landed
+	p.addPoints(landed)
 	p.inserts.Add(int64(landed))
 	return fw, landed > 0 && p.capacityExceededLocked(), nil
 }
@@ -409,28 +409,25 @@ func (p *partition) buildPartition() {
 		return
 	}
 	p.spills.Add(1)
-	// Assign every movable leaf a target up front: pure computation
-	// over the leaves' boxes, safe under the spill lock.
-	subs := make([]placeBox, len(moves))
-	for k, leaf := range moves {
-		lo, hi := p.Box(leaf)
-		subs[k] = placeBox{lo: lo, hi: hi, points: len(p.Nodes[leaf].Slots)}
+	// Each leaf ships as a one-node fragment, a new subtree root on its
+	// target (the other end of Figure 2's direct link), and becomes the
+	// link, keeping its box — once all its target's installs returned.
+	// A failed one may have applied: that target, allocated for this
+	// spill, is reset (a lost reset leaves an orphan, which Rebalance
+	// repairs), and its leaves stay local for a later spill.
+	//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
+	refs, sent, errs := p.t.installSubtrees(p.id, &p.Arena, moves, targets)
+	for g, err := range errs {
+		if err != nil {
+			//semtree:allow lockedcall: the target is fresh and never calls back into this one; the spill lock cannot cycle
+			_ = p.t.reset(sent[g], false)
+		}
 	}
-	assign := p.t.assignTargets(subs, targets)
 	moved := 0
 	for k, leaf := range moves {
-		// The leaf ships as a one-node fragment: the adopting side
-		// installs it as a new subtree root (the other end of Figure 2's
-		// direct link), and the leaf becomes the link, keeping its box,
-		// which grows when inserts forward through it. A retry whose
-		// first reply was lost gets the remembered one, so the leaf
-		// relocates once.
-		//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
-		resp, err := p.t.call(p.id, assign[k], installReq{Seq: p.t.installs.Add(1), Entry: -1, Frag: p.Extract(leaf, nil)})
-		if err != nil {
-			continue // retries exhausted: the leaf stays local; a later spill may retry
+		if errs[slices.Index(sent, host(refs[k]))] == nil {
+			moved += p.relocateLocked(leaf, refs[k])
 		}
-		moved += p.relocateLocked(leaf, refTo(assign[k], resp.(installResp).Node))
 	}
 	if moved > 0 {
 		p.Compact() // the relocated points live on their new partitions only
@@ -443,9 +440,16 @@ func (p *partition) buildPartition() {
 // number of points that left. Callers hold the write lock.
 func (p *partition) relocateLocked(idx int32, ref kdtree.Ref) int {
 	moved := len(p.Nodes[idx].Slots)
-	p.points -= moved
+	p.addPoints(-moved)
 	p.Tombstone(idx, ref)
 	return moved
+}
+
+// addPoints moves the partition's point count by delta, and the tree's
+// (Len) with it: the one writer of either. Callers hold the write lock.
+func (p *partition) addPoints(delta int) {
+	p.points += delta
+	p.t.size.Add(int64(delta))
 }
 
 // handleStats reports local counters.

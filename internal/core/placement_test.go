@@ -393,5 +393,4 @@ func installSequential(t *testing.T, tr *Tree, pts []kdtree.Point) {
 	if err != nil || !resp.(installResp).OK {
 		t.Fatalf("trunk graft: %v, %v", resp, err)
 	}
-	tr.size.Add(int64(len(pts)))
 }

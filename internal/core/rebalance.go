@@ -35,8 +35,9 @@ import (
 // wraps both causes. A tree whose links dangle — a root graft that
 // applied but lost every reply, its data partitions undone — returns an
 // error wrapping ErrSnapshotCorrupt and changes nothing. Anything else
-// a snapshot's Validate refuses is what Rebalance repairs: points a
-// write whose retries were exhausted left unreachable or uncounted.
+// a snapshot's Validate refuses is what Rebalance repairs: an install
+// whose undo reset was lost before delivery leaves an orphan, which no
+// link reaches but Len() counts.
 func (t *Tree) Rebalance() error {
 	snap, err := t.Snapshot()
 	var pts []kdtree.Point
@@ -62,7 +63,6 @@ func (t *Tree) Rebalance() error {
 	if err := t.reset(ids[0], true); err != nil {
 		return fmt.Errorf("core: rebalance reset: %w", err) // nothing has changed yet
 	}
-	t.size.Store(0)
 	if err := t.rebuild(coords, pids, ids[1:]); err != nil {
 		err = fmt.Errorf("core: rebalance: %w", err)
 		if merr := t.bulkMerge(detached, coords, pids); merr != nil {
@@ -70,7 +70,6 @@ func (t *Tree) Rebalance() error {
 		}
 		return err
 	}
-	t.size.Store(int64(len(pids)))
 	return nil
 }
 

@@ -310,12 +310,13 @@ func TestRebalanceRefusesDanglingLinks(t *testing.T) {
 	for _, p := range tr.parts {
 		before = append(before, partitionBytes(t, p))
 	}
+	n := tr.Len()
 	err := tr.Rebalance()
 	if !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("Rebalance over a dangling link: %v, want ErrSnapshotCorrupt", err)
 	}
-	if tr.Len() != len(pts) || tr.PartitionCount() != 9 {
-		t.Fatalf("after the refused Rebalance: Len %d, %d partitions", tr.Len(), tr.PartitionCount())
+	if tr.Len() != n || tr.PartitionCount() != 9 {
+		t.Fatalf("after the refused Rebalance: Len %d, was %d; %d partitions", tr.Len(), n, tr.PartitionCount())
 	}
 	for i, p := range tr.parts {
 		if !bytes.Equal(partitionBytes(t, p), before[i]) {

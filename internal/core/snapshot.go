@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -166,19 +167,19 @@ func (p *partition) handleSnapshot() (any, error) {
 // its node table and box block are the partition's from then on, and
 // its point blocks and slot arrays, which an in-process request shares
 // with the client's snapshot, are only ever appended to or replaced. A
-// state the kernel rejects, or one linking up the partition DAG, is
-// refused.
+// state the kernel rejects, or one linking up the partition DAG or to a
+// partition the tree does not have, is refused.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	err := linksDown(&r.State.Arena, p.Self)
+	err := cmp.Or(linksDown(&r.State.Arena, p.Self), p.t.linksHosted(&r.State.Arena))
 	if err == nil {
 		err = p.Restore(&r.State.Arena)
 	}
 	if err != nil {
 		return nil, p.refuse("restore: %v", err)
 	}
-	p.points = r.State.Points
+	p.addPoints(r.State.Points - p.points)
 	return ack{}, nil
 }
 
@@ -200,7 +201,7 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 		}
 		return o, nil
 	}
-	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: t.cfg.Dim, Size: t.size.Load()}
+	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: t.cfg.Dim}
 	for i, p := range parts {
 		resp, err := t.call(cluster.ClientID, p.id, snapshotReq{})
 		if err != nil {
@@ -211,6 +212,7 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 			return nil, err
 		}
 		ps.Self = int32(i)
+		snap.Size += int64(ps.Points)
 		snap.Parts = append(snap.Parts, ps)
 	}
 	return snap, nil
@@ -274,7 +276,6 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 			return nil, fmt.Errorf("core: restore partition %d: %w", i, err)
 		}
 	}
-	t.size.Store(snap.Size)
 	return t, nil
 }
 

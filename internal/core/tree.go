@@ -91,7 +91,7 @@ type Tree struct {
 	// tree-wide.
 	installs atomic.Uint64
 
-	size atomic.Int64
+	size atomic.Int64 // the partitions' point counts, summed by partition.addPoints
 }
 
 // TreeStats aggregates the state of every partition plus fabric
@@ -217,11 +217,8 @@ func (t *Tree) Insert(p kdtree.Point) error {
 		return fmt.Errorf("core: insert: %w", err)
 	}
 	root := t.rootPartition()
-	if _, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: []batchEntry{{Node: 0, Point: p}}, Policy: landAppend}); err != nil {
-		return err
-	}
-	t.size.Add(1)
-	return nil
+	_, err := t.call(cluster.ClientID, root.id, bulkAddReq{Entries: []batchEntry{{Node: 0, Point: p}}, Policy: landAppend})
+	return err
 }
 
 // InsertAll inserts points concurrently with the given number of
@@ -504,7 +501,8 @@ func RunBatch(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return first
 }
 
-// Len returns the number of indexed points.
+// Len returns the number of points the partitions hold, exact whenever
+// no write is in flight (a spill's moving leaf may count on both sides).
 func (t *Tree) Len() int { return int(t.size.Load()) }
 
 // PartitionCount returns the number of partitions in use.

@@ -1,6 +1,7 @@
 package semtree
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -276,6 +277,9 @@ func readSnapshot(r io.Reader) (*indexSnapshot, error) {
 // returns ErrSnapshotCorrupt.
 func Load(r io.Reader, opts Options) (*Index, error) {
 	snap, err := readSnapshot(r)
+	if errors.Is(err, ErrSnapshotCorrupt) { // core.ReadSnapshot's refusal: corrupt already
+		return nil, fmt.Errorf("semtree: load: %w", err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("semtree: load: %w: %v", ErrSnapshotCorrupt, err)
 	}

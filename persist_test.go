@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -503,6 +504,9 @@ func wantCorrupt(t *testing.T, b []byte, what string) {
 	}
 	if !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("%s: %v, want ErrSnapshotCorrupt", what, err)
+	}
+	if n := strings.Count(err.Error(), "snapshot corrupt"); n != 1 {
+		t.Fatalf("%s: %q says \"snapshot corrupt\" %d times, want once", what, err, n)
 	}
 }
 
