@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"semtree/internal/cluster"
@@ -50,10 +51,10 @@ import (
 // them off a partition. An arena — a fragment, a partition's state —
 // travels in the layout of its snapshot file (appendState): the three
 // column bodies EncodeSnapshot writes per partition, coordinate block
-// included, read by the file's own readers straight into the arena's
-// blocks, and of its boxes only its links', which the receiver cannot
-// rebuild; it rebuilds the rest by the file's rule. Empty and nil
-// slices both decode as nil.
+// included and every split value raw, read by the file's own readers
+// straight into the arena's blocks, and of its boxes only its links',
+// which the receiver cannot rebuild; it rebuilds the rest by the file's
+// rule. Empty and nil slices both decode as nil.
 
 // Wire kinds: the byte a TCP fabric frames each protocol type under.
 // Kind 1 is retired — it framed a single-point insert request, which is
@@ -211,9 +212,7 @@ func readBulkAddReq(d *column.Decoder) any {
 // any fabric — delivers a fresh copy to every attempt, so a retried
 // install never meets a fragment an earlier attempt rewrote. On the
 // wire it is a partition state whose point count is its ID column's
-// length. Frag's boxes are exact — a fragment of a fresh bulk build
-// (kdtree.BulkLoadRows, cut by Extract) or a single leaf, whose box no
-// split reads — so appendState decides its split values against them.
+// length.
 //
 // Seq names the install tree-wide (Tree.installs; never 0), and makes
 // it safe to re-send: the receiver remembers the last install it
@@ -236,7 +235,7 @@ type installReq struct {
 func (installReq) WireKind() byte { return kindInstallReq }
 
 func (m installReq) AppendWire(a *column.Appender) {
-	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs)}, true)
+	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs)})
 	a.Varint(int64(m.Entry))
 	a.Uvarint(m.Seq)
 }
@@ -279,20 +278,18 @@ type snapshotResp struct {
 }
 
 func (snapshotResp) WireKind() byte                  { return kindSnapshotResp }
-func (m snapshotResp) AppendWire(a *column.Appender) { appendState(a, &m.State, false) }
+func (m snapshotResp) AppendWire(a *column.Appender) { appendState(a, &m.State) }
 func readSnapshotResp(d *column.Decoder) any         { return snapshotResp{State: readState(d)} }
 
 // restoreReq replaces a partition's state wholesale; refs are already
 // translated to the receiving fabric's NodeIDs. The empty state is how
-// a partition is reset (Tree.reset). The state's boxes are exact — a
-// part RestoreTree sends once FitBoxes fitted it, or an empty arena —
-// so appendState decides its split values against them.
+// a partition is reset (Tree.reset).
 type restoreReq struct {
 	State PartitionSnapshot
 }
 
 func (restoreReq) WireKind() byte                  { return kindRestoreReq }
-func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State, true) }
+func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
 func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
 
 // appendState appends a partition's state in the layout of its
@@ -302,15 +299,10 @@ func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: re
 // column — and every link's box corners as runs, links in node order,
 // an empty box as two empty runs. A link's box is the one box that
 // travels: the region of a subtree another partition holds, which the
-// receiver cannot rebuild. The node column decides which split values
-// to leave out against the boxes the receiver fits (rebuildBoxes). With
-// exact — every box of s the exact box of the points below it — it
-// decides against s's own: a box exact to the number has the fitted
-// box's bits, but where a split at zero meets a box topping out at
-// zero, whose sign depends on the order a fit meets the points
-// (zeroTie). There, and for a live arena, whose boxes a lost write may
-// have left wide, it decides against a fitted copy.
-func appendState(a *column.Appender, s *PartitionSnapshot, exact bool) {
+// receiver cannot rebuild. Every split value is written raw: the node
+// column marks none stateLeftMax, so a message has one encoding
+// whatever boxes its sender holds.
+func appendState(a *column.Appender, s *PartitionSnapshot) {
 	floats := 0
 	for i := range s.Nodes {
 		if lo, _ := s.linkBox(i); lo != nil {
@@ -320,18 +312,11 @@ func appendState(a *column.Appender, s *PartitionSnapshot, exact bool) {
 	a.Uvarint(uint64(floats))
 	a.Uvarint(uint64(s.Dim))
 	a.Varint(int64(s.Self))
-	fit := &s.Arena
-	if !exact || zeroTie(fit) {
-		live := s.Arena
-		fitMessageLeaves(&live, s.linkBox)
-		coverRouting([]*kdtree.Arena{&live})
-		fit = &live
-	}
 	start := len(*a)
 	s.appendColumns(a, func() {
 		a.Block(start)
 		start = len(*a)
-	}, true, fit)
+	}, true, nil)
 	for i := range s.Nodes {
 		if s.Nodes[i].Moved {
 			lo, hi := s.linkBox(i)
@@ -339,19 +324,6 @@ func appendState(a *column.Appender, s *PartitionSnapshot, exact bool) {
 			appendRun(a, hi)
 		}
 	}
-}
-
-// zeroTie reports whether a routing node of a splits at zero where its
-// left child's box tops out at zero.
-func zeroTie(a *kdtree.Arena) bool {
-	for i := range a.Nodes {
-		if n := &a.Nodes[i]; !n.Leaf && !n.Moved && n.SplitVal == 0 {
-			if top, ok := leftTop(a, n); ok && top == 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // linkBox is the box of node i when it is a link (nil for an empty one),
@@ -364,8 +336,9 @@ func (s *PartitionSnapshot) linkBox(i int) (lo, hi []float64) {
 }
 
 // readState reads what appendState wrote — each column with the file's
-// reader, so a block must hold its body exactly — and rebuilds the
-// arena's boxes (rebuildBoxes).
+// reader, so a block must hold its body exactly, and a node column
+// that leaves a split value out (stateLeftMax) is refused — and
+// rebuilds the arena's boxes (rebuildBoxes).
 func readState(d *column.Decoder) PartitionSnapshot {
 	fs := newFloatBlock(d)
 	dim, self := d.Uvarint(), d.Int32()
@@ -381,6 +354,11 @@ func readState(d *column.Decoder) PartitionSnapshot {
 		d.Fail(err)
 		return s
 	}
+	if slices.Contains(s.leftMax, true) {
+		d.Fail(errLeftOut)
+		return s
+	}
+	s.leftMax = nil
 	var corners [][]float64 // every link's lo and hi, links in node order
 	for i := range s.Nodes {
 		if s.Nodes[i].Moved {
@@ -403,8 +381,8 @@ func readState(d *column.Decoder) PartitionSnapshot {
 // rebuildBoxes gives an arena read from a message its boxes: every
 // link's from corners, its lo and hi in node order, and the rest by
 // FitBoxes's rule over this one arena: every leaf's from its bucket
-// (fitMessageLeaves), then every routing node's from its children's
-// and the split values its node column left out (fitRouting).
+// (fitLeaves), then every routing node's from its children's
+// (coverRouting).
 //
 // The box block is believed only as far as the message backs it. Every
 // node a partition sends is a leaf holding points (but for an empty
@@ -422,27 +400,16 @@ func (s *PartitionSnapshot) rebuildBoxes(corners [][]float64) error {
 	if len(s.Nodes) > 2*(len(s.IDs)+boxes+1) {
 		return errNodeCount
 	}
+	fitLeaves(&s.Arena)
 	k := 0
-	fitMessageLeaves(&s.Arena, func(int) (lo, hi []float64) {
-		lo, hi = corners[k], corners[k+1]
-		k += 2
-		return lo, hi
-	})
-	return fitRouting([]*PartitionSnapshot{s})
-}
-
-// fitMessageLeaves gives arena a a fresh box block holding the boxes
-// the receiver of a partition message starts from: every leaf's from
-// its bucket (fitLeaves) and every link's the box link returns for it,
-// in node order. coverRouting builds the rest.
-func fitMessageLeaves(a *kdtree.Arena, link func(i int) (lo, hi []float64)) {
-	fitLeaves(a)
-	for i := range a.Nodes {
-		if a.Nodes[i].Moved {
-			lo, hi := link(i)
-			a.CoverBox(int32(i), lo, hi)
+	for i := range s.Nodes {
+		if s.Nodes[i].Moved {
+			s.CoverBox(int32(i), corners[k], corners[k+1])
+			k += 2
 		}
 	}
+	coverRouting([]*kdtree.Arena{&s.Arena})
+	return nil
 }
 
 // knnEntry is one guarded subtree of a fanned-out k-nearest
@@ -777,6 +744,7 @@ var (
 	errFloatCount = errors.New("core: a message's float count exceeds its runs")
 	errLinkBox    = errors.New("core: a link's box is not of its arena's dimension")
 	errNodeCount  = errors.New("core: an arena has more nodes than its points and link boxes allow")
+	errLeftOut    = errors.New("core: a partition message leaves a split value out")
 )
 
 // next reads one run; an empty run is nil.

@@ -49,6 +49,21 @@ func protocolSamples() []any {
 		Self:   kdtree.Local,
 		Dim:    2,
 	}
+	// A routing node split at its left leaf's top in its split
+	// dimension, as every bulk build splits: a message writes that
+	// value raw, as it writes any other. Its leaves' IDs ascend.
+	bulk := kdtree.Arena{
+		Nodes: []kdtree.Node{
+			{SplitDim: 0, SplitVal: 1, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: kdtree.Local, Node: 2}},
+			{Leaf: true, Slots: []int32{0, 1}},
+			{Leaf: true, Slots: []int32{2}},
+		},
+		Coords: []float64{0.5, 3, 1, -1, 2, 0},
+		IDs:    []uint64{3, 8, 20},
+		Boxes:  []float64{0.5, -1, 2, 3, 0.5, -1, 1, 3, 2, 0, 2, 0},
+		Self:   kdtree.Local,
+		Dim:    2,
+	}
 	state := PartitionSnapshot{Arena: frag, Points: 3}
 	rs := []kdtree.Neighbor{{Point: kdtree.Point{ID: pt.ID}, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
@@ -57,6 +72,7 @@ func protocolSamples() []any {
 		bulkAddReq{Entries: []batchEntry{entry, entry}, Policy: landGraft},
 		bulkAddReq{Entries: []batchEntry{entry}, Policy: landAppend},
 		installReq{Frag: frag, Entry: -1, Seq: 5},
+		installReq{Frag: bulk, Entry: 0, Seq: 6},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
 		snapshotResp{State: state},
@@ -246,8 +262,10 @@ func TestProtocolTable(t *testing.T) {
 	// An arena travels as its snapshot columns and no box block but its
 	// links': a trunk cut from a bulk-built tree, one half of it a link,
 	// travels in an installReq as the payloads of the columns a tree
-	// snapshot (EncodeSnapshot) writes for it, its link's box as two runs
-	// and a short header — and decodes with every box rebuilt.
+	// snapshot (EncodeSnapshot) writes for it, 8 bytes for every split
+	// value the file leaves out and the message writes raw, its link's
+	// box as two runs and a short header — and decodes with every box
+	// rebuilt.
 	const n, dim = 2000, 8
 	seq, err := kdtree.BulkLoad(randomPoints(rand.New(rand.NewSource(7)), n, dim), dim, 16)
 	if err != nil {
@@ -258,8 +276,15 @@ func TestProtocolTable(t *testing.T) {
 	var enc column.Appender
 	req.AppendWire(&enc)
 	var file bytes.Buffer
-	if err := EncodeSnapshot(&file, &TreeSnapshot{Format: SnapshotFormat, Dim: dim, Size: int64(len(trunk.IDs)), Parts: []PartitionSnapshot{{Arena: trunk, Points: len(trunk.IDs)}}}); err != nil {
+	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: dim, Size: int64(len(trunk.IDs)), Parts: []PartitionSnapshot{{Arena: trunk, Points: len(trunk.IDs)}}}
+	if err := EncodeSnapshot(&file, snap); err != nil {
 		t.Fatal(err)
+	}
+	fit, leftOut := snap.readerBoxes(), 0
+	for i := range trunk.Nodes {
+		if snap.Parts[0].state(&fit[0], &trunk.Nodes[i])&stateLeftMax != 0 {
+			leftOut++
+		}
 	}
 	r := column.NewReader(&file)
 	if _, _, err := r.Header(); err != nil {
@@ -275,8 +300,9 @@ func TestProtocolTable(t *testing.T) {
 		}
 	}
 	runs := 2 * (1 + 8*dim)
-	header := len(enc) - payloads - runs
-	t.Logf("a %d-point installReq: %d bytes of column payloads, %d of link runs, a header of %d", len(trunk.IDs), payloads, runs, header)
+	header := len(enc) - payloads - 8*leftOut - runs
+	t.Logf("a %d-point installReq: %d bytes of column payloads, %d split values the file leaves out, %d bytes of link runs, a header of %d",
+		len(trunk.IDs), payloads, leftOut, runs, header)
 	if header < 0 || header > 16 {
 		t.Errorf("a %d-point installReq has a header of %d bytes, want at most 16", len(trunk.IDs), header)
 	}

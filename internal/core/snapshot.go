@@ -23,8 +23,9 @@ import (
 // written too, but no box: every box is a function of the points below
 // it — a link's of the points of the subtree it leads to — and decoding
 // rebuilds them (FitBoxes); nor a split value that is the top of its
-// left child's box, which decoding sets from that box (fitRouting). A partition message carries an arena in the
-// same columns (appendState, in messages.go), with its links' boxes: a
+// left child's box, which decoding sets from that box (fitRouting). A
+// partition message carries an arena in the same columns (appendState,
+// in messages.go), every split value raw, with its links' boxes: a
 // single arena cannot rebuild those. An index snapshot writes the same
 // columns but the coordinate block (WriteSnapshot): its points are a
 // function of the triples it stores, which it projects again on load.
@@ -87,7 +88,8 @@ type PartitionSnapshot struct {
 	// leftMax marks, per node of an arena read from a node column, the
 	// routing nodes it wrote at the top of their left child's box, with
 	// no split value: their SplitVal is known once the boxes are fitted
-	// (fitRouting), which clears it. nil for an arena not read.
+	// (fitRouting), which clears it. A message's reader refuses any mark
+	// and clears it (readState). nil for an arena not read.
 	leftMax []bool
 }
 
@@ -403,10 +405,11 @@ func (s *TreeSnapshot) readerBoxes() []kdtree.Arena {
 // writeTree's layout — two without coords, which leaves the coordinate
 // block out — calling end after each one: the file frames each as a
 // column, a partition message as a block (appendState). fit holds the
-// boxes the reader will fit, node for node (readerBoxes for a file,
-// appendState's for a message). Every routing child must be a node of
-// the arena (layout checks it for the file; a partition's own arenas
-// and fragments hold no other): its Part is not written.
+// boxes the reader will fit, node for node (readerBoxes); a message
+// passes nil, and writes every split value raw. Every routing child
+// must be a node of the arena (layout checks it for the file; a
+// partition's own arenas and fragments hold no other): its Part is not
+// written.
 func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coords bool, fit *kdtree.Arena) {
 	a.Uvarint(uint64(ps.Points))
 	a.Uvarint(uint64(len(ps.Nodes)))
@@ -448,7 +451,7 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coord
 }
 
 // state returns node n's state byte; fit holds the boxes its reader
-// will fit.
+// will fit, and with none no split is marked stateLeftMax.
 func (ps *PartitionSnapshot) state(fit *kdtree.Arena, n *kdtree.Node) byte {
 	var state byte
 	if n.Leaf {
@@ -463,6 +466,7 @@ func (ps *PartitionSnapshot) state(fit *kdtree.Arena, n *kdtree.Node) byte {
 		if ascending(ps.IDs, n.Slots) {
 			state |= stateAscending
 		}
+	case fit == nil:
 	default:
 		if top, ok := leftTop(fit, n); ok && math.Float64bits(top) == math.Float64bits(n.SplitVal) {
 			state |= stateLeftMax
@@ -641,10 +645,10 @@ func (s *TreeSnapshot) FitBoxes() error {
 // have their boxes (coverRouting), then sets the SplitVal of every
 // routing node its node column wrote at the top of its left child's box
 // (stateLeftMax) from that box: the one place an arena read from a file
-// or a message gets its boxes and its split values. A node so marked
-// whose left child or split dimension is out of range, or whose left
-// child's box is empty, is an error, and so is an unmarked one whose
-// raw split value is that top: appendColumns would have marked it.
+// gets its boxes and its split values. A node so marked whose left
+// child or split dimension is out of range, or whose left child's box
+// is empty, is an error, and so is an unmarked one whose raw split
+// value is that top: appendColumns would have marked it.
 func fitRouting(parts []*PartitionSnapshot) error {
 	arenas := make([]*kdtree.Arena, len(parts))
 	for i, ps := range parts {

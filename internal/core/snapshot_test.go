@@ -476,10 +476,9 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 // EncodeSnapshot(s)) is s. The same is every node (state, split, links,
 // bucket IDs and coordinate bits), every node box and every
 // remote-cache box, exactly. A bulk load whose splits fall at zero
-// among points of both zero signs keeps each split's sign bit: an
-// install's sender decides which split values to leave out against the
-// kernel's boxes, which the receiver's fit matches to the number but
-// not always in a zero's sign (zeroTie).
+// among points of both zero signs keeps each split's sign bit: a
+// message writes every split value raw, and the file leaves out only
+// one whose bits its reader's fitted box holds.
 func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 	const n, dim = 3000, 6
 	r := rand.New(rand.NewSource(107))
@@ -792,7 +791,8 @@ func TestReadColumnsRefusals(t *testing.T) {
 			return &d, nil
 		}, true)
 		if err == nil {
-			err = s.rebuildBoxes(nil)
+			fitLeaves(&s.Arena)
+			err = fitRouting([]*PartitionSnapshot{&s})
 		}
 		return s, err
 	}
@@ -830,5 +830,32 @@ func TestReadColumnsRefusals(t *testing.T) {
 	link := append(binary.AppendUvarint(binary.AppendUvarint(nil, 0), 1), stateMoved|leftMax, 1, 0)
 	if _, err := read(link, []byte{0}); err == nil {
 		t.Error("a link split at its left child's top: accepted")
+	}
+
+	// A partition message writes every split value raw: an installReq
+	// of these columns, with no link box, refuses a split left out and
+	// reads a raw one at its left child's top, which the file refuses.
+	install := func(nodes []byte) (installReq, error) {
+		a := column.Appender{0, 1, 0} // no link box floats, Dim 1, Self 0
+		for _, c := range [][]byte{nodes, validIDs, coords} {
+			a.Uvarint(uint64(len(c)))
+			a = append(a, c...)
+		}
+		a.Varint(-1) // Entry
+		a.Uvarint(1) // Seq
+		var d column.Decoder
+		d.Reset(a)
+		m := readInstallReq(&d).(installReq)
+		return m, d.End()
+	}
+	if _, err := install(valid); !errors.Is(err, errLeftOut) {
+		t.Errorf("an installReq leaving a split value out: %v, want %v", err, errLeftOut)
+	}
+	m, err := install(nodes(0, 0, []float64{2}, sizes))
+	if err != nil {
+		t.Fatalf("an installReq split raw at its left child's top: %v", err)
+	}
+	if v := m.Frag.Nodes[0].SplitVal; math.Float64bits(v) != math.Float64bits(2) {
+		t.Errorf("an installReq split raw at 2 read a split of %v", v)
 	}
 }
