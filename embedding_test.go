@@ -80,7 +80,7 @@ func treeCoords(t *testing.T, ix *Index) map[uint64][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[uint64][]float64, snap.Size)
+	out := make(map[uint64][]float64, snap.Len())
 	for pi := range snap.Parts {
 		ps := &snap.Parts[pi]
 		for slot := range ps.IDs {

@@ -310,8 +310,9 @@ func cutFrontier(a *kdtree.Arena, want int) []int32 {
 // for it. An entry the arena does not have, a fragment the kernel
 // rejects, one linking up the partition DAG, one naming a partition
 // the tree does not have and one without a Seq are refused, and so is a
-// fragment with a link anywhere but over node 0 of the root partition:
-// only the balanced installer's trunk carries links, each with the box
+// graft or a fragment with a link anywhere but over node 0 of the root
+// partition: only the balanced installer's trunk grafts, over the tree
+// root, which has no box above it, and carries links, each with the box
 // of the subtree it leads to, which the receiver cannot check.
 //
 // The install applied last is remembered, by its Seq, with its reply —
@@ -330,8 +331,8 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 	if err := p.t.linksHosted(&r.Frag); err != nil {
 		return nil, p.refuse("install: %v", err)
 	}
-	if root := p.t.rootPartition(); (p != root || r.Entry != 0) && slices.ContainsFunc(r.Frag.Nodes, func(n kdtree.Node) bool { return n.Moved }) {
-		return nil, p.refuse("install: a fragment with links grafts over node 0 of partition %d", root.id)
+	if root := p.t.rootPartition(); (p != root || r.Entry != 0) && (r.Entry >= 0 || slices.ContainsFunc(r.Frag.Nodes, func(n kdtree.Node) bool { return n.Moved })) {
+		return nil, p.refuse("install: a graft or a fragment with links goes over node 0 of partition %d only", root.id)
 	}
 	p.mu.Lock()
 	if p.installed.seq == r.Seq {
@@ -380,12 +381,9 @@ func (p *partition) handleInstall(r installReq) (any, error) {
 
 // installLocked moves a fragment into the arena (kdtree.Arena.Install:
 // over the node at entry, or appended when entry < 0) and accounts its
-// points. Callers hold the write lock.
+// points, its bucket total. Callers hold the write lock.
 func (p *partition) installLocked(entry int32, frag *kdtree.Arena) (int32, error) {
-	points := 0
-	for i := range frag.Nodes {
-		points += len(frag.Nodes[i].Slots)
-	}
+	points := bucketPoints(frag)
 	root, err := p.Install(entry, frag)
 	if err != nil {
 		return 0, err

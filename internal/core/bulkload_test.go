@@ -379,6 +379,31 @@ func TestBulkLoadRejectsNaN(t *testing.T) {
 	checkPartitionBoxes(t, tr)
 }
 
+// TestRejectsInfiniteCoordinates: an infinite coordinate is refused as a
+// NaN one is — by Insert and BulkLoad on the client, and by a partition
+// sent one — since SplitLeaf's midpoint of an infinite range is NaN, a
+// split value that orders no point. Nothing is indexed.
+func TestRejectsInfiniteCoordinates(t *testing.T) {
+	ctx := context.Background()
+	tr := mustTree(t, Config{Dim: 1, BucketSize: 4})
+	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
+		pt := kdtree.Point{Coords: []float64{v}, ID: 1}
+		if err := tr.Insert(pt); err == nil {
+			t.Errorf("Insert of a point at %v succeeded", v)
+		}
+		if err := tr.BulkLoad(ctx, []kdtree.Point{{Coords: []float64{0}}, pt}); err == nil {
+			t.Errorf("BulkLoad of a point at %v succeeded", v)
+		}
+		root := tr.rootPartition()
+		if _, err := root.handle(ctx, cluster.ClientID, bulkAddReq{Entries: entriesAt(0, []kdtree.Point{pt})}); !errors.Is(err, ErrRequestRefused) {
+			t.Errorf("a batch of a point at %v: %v, want a refusal", v, err)
+		}
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("%d points indexed, want none", tr.Len())
+	}
+}
+
 // TestBulkLoadChurnConcurrent is the churn invariant test: bulk loads,
 // single inserts and k-NN queries all race on one live fabric. After
 // quiescence the tree must hold exactly the union of everything

@@ -211,8 +211,7 @@ func readBulkAddReq(d *column.Decoder) any {
 // once and never re-sends it, while TCP — and the tests' fault seam on
 // any fabric — delivers a fresh copy to every attempt, so a retried
 // install never meets a fragment an earlier attempt rewrote. On the
-// wire it is a partition state whose point count is its ID column's
-// length.
+// wire it travels as every arena does (appendState).
 //
 // Seq names the install tree-wide (Tree.installs; never 0), and makes
 // it safe to re-send: the receiver remembers the last install it
@@ -220,12 +219,12 @@ func readBulkAddReq(d *column.Decoder) any {
 // reply without applying it again (handleInstall).
 //
 // Entry < 0 appends the fragment as a new subtree root (the other end
-// of a direct link: a relocated leaf, a frontier subtree). Entry >= 0
-// grafts it over that leaf: the root lands in Entry's arena slot, and
+// of a direct link: a relocated leaf, a frontier subtree). Entry 0 on
+// the root partition, the one graft taken (handleInstall), grafts it
+// over the tree root's leaf: the fragment's root lands in its slot, and
 // points already in the leaf are re-routed down the fragment, so a
-// graft composes with concurrent inserts. The receiver refuses a graft
-// — OK false, nothing installed — when Entry is no longer a plain leaf
-// (split, or relocated into a link).
+// graft composes with concurrent inserts; it is refused — OK false,
+// nothing installed — once that node is no longer a plain leaf.
 type installReq struct {
 	Frag  kdtree.Arena
 	Entry int32
@@ -235,17 +234,13 @@ type installReq struct {
 func (installReq) WireKind() byte { return kindInstallReq }
 
 func (m installReq) AppendWire(a *column.Appender) {
-	appendState(a, &PartitionSnapshot{Arena: m.Frag, Points: len(m.Frag.IDs)})
+	appendState(a, &m.Frag)
 	a.Varint(int64(m.Entry))
 	a.Uvarint(m.Seq)
 }
 
 func readInstallReq(d *column.Decoder) any {
-	s := readState(d)
-	if s.Points != len(s.IDs) {
-		d.Fail(fmt.Errorf("core: a fragment of %d points claims %d", len(s.IDs), s.Points))
-	}
-	return installReq{Frag: s.Arena, Entry: d.Int32(), Seq: d.Uvarint()}
+	return installReq{Frag: readState(d), Entry: d.Int32(), Seq: d.Uvarint()}
 }
 
 // installResp reports the arena index the fragment's root landed on, or
@@ -274,7 +269,7 @@ func (snapshotReq) AppendWire(*column.Appender) {}
 func readSnapshotReq(*column.Decoder) any       { return snapshotReq{} }
 
 type snapshotResp struct {
-	State PartitionSnapshot
+	State kdtree.Arena
 }
 
 func (snapshotResp) WireKind() byte                  { return kindSnapshotResp }
@@ -285,68 +280,60 @@ func readSnapshotResp(d *column.Decoder) any         { return snapshotResp{State
 // translated to the receiving fabric's NodeIDs. The empty state is how
 // a partition is reset (Tree.reset).
 type restoreReq struct {
-	State PartitionSnapshot
+	State kdtree.Arena
 }
 
 func (restoreReq) WireKind() byte                  { return kindRestoreReq }
 func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
 func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
 
-// appendState appends a partition's state in the layout of its
-// snapshot file: the float count of its link boxes, the arena's Dim and
-// Self, the three column bodies EncodeSnapshot writes (appendColumns) —
-// each as a block, its length then its bytes, where the file frames a
-// column — and every link's box corners as runs, links in node order,
-// an empty box as two empty runs. A link's box is the one box that
+// appendState appends arena s in the layout of its snapshot file: the
+// float count of its link boxes, the arena's Dim and Self, the three
+// column bodies EncodeSnapshot writes (appendColumns) — each as a
+// block, its length then its bytes, where the file frames a column —
+// and every link's box corners as runs, links in node order, an empty
+// box as two empty runs. A link's box is the one box that
 // travels: the region of a subtree another partition holds, which the
 // receiver cannot rebuild. Every split value is written raw: the node
 // column marks none stateLeftMax, so a message has one encoding
 // whatever boxes its sender holds.
-func appendState(a *column.Appender, s *PartitionSnapshot) {
+func appendState(a *column.Appender, s *kdtree.Arena) {
 	floats := 0
 	for i := range s.Nodes {
-		if lo, _ := s.linkBox(i); lo != nil {
-			floats += 2 * s.Dim
+		if s.Nodes[i].Moved {
+			lo, hi := s.Box(int32(i)) // nil for an empty box
+			floats += len(lo) + len(hi)
 		}
 	}
 	a.Uvarint(uint64(floats))
 	a.Uvarint(uint64(s.Dim))
 	a.Varint(int64(s.Self))
 	start := len(*a)
-	s.appendColumns(a, func() {
+	appendColumns(a, s, func() {
 		a.Block(start)
 		start = len(*a)
 	}, true, nil)
 	for i := range s.Nodes {
 		if s.Nodes[i].Moved {
-			lo, hi := s.linkBox(i)
+			lo, hi := s.Box(int32(i))
 			appendRun(a, lo)
 			appendRun(a, hi)
 		}
 	}
 }
 
-// linkBox is the box of node i when it is a link (nil for an empty one),
-// and nil otherwise.
-func (s *PartitionSnapshot) linkBox(i int) (lo, hi []float64) {
-	if !s.Nodes[i].Moved {
-		return nil, nil
-	}
-	return s.Box(int32(i))
-}
-
 // readState reads what appendState wrote — each column with the file's
 // reader, so a block must hold its body exactly, and a node column
 // that leaves a split value out (stateLeftMax) is refused — and
 // rebuilds the arena's boxes (rebuildBoxes).
-func readState(d *column.Decoder) PartitionSnapshot {
+func readState(d *column.Decoder) kdtree.Arena {
 	fs := newFloatBlock(d)
 	dim, self := d.Uvarint(), d.Int32()
 	if dim > MaxSnapshotDim {
 		d.Fail(fmt.Errorf("core: dimension %d out of range", dim))
 	}
 	var body column.Decoder
-	s, err := readColumns(int(dim), self, func() (*column.Decoder, error) {
+	s, leftOut, err := readColumns(int(dim), self, func() (*column.Decoder, error) {
 		body.Reset(d.Block())
 		return &body, d.Err()
 	}, true)
@@ -354,11 +341,10 @@ func readState(d *column.Decoder) PartitionSnapshot {
 		d.Fail(err)
 		return s
 	}
-	if slices.Contains(s.leftMax, true) {
+	if slices.Contains(leftOut, true) {
 		d.Fail(errLeftOut)
 		return s
 	}
-	s.leftMax = nil
 	var corners [][]float64 // every link's lo and hi, links in node order
 	for i := range s.Nodes {
 		if s.Nodes[i].Moved {
@@ -371,14 +357,14 @@ func readState(d *column.Decoder) PartitionSnapshot {
 	}
 	fs.end()
 	if d.Err() == nil {
-		if err := s.rebuildBoxes(corners); err != nil {
+		if err := rebuildBoxes(&s, corners); err != nil {
 			d.Fail(err)
 		}
 	}
 	return s
 }
 
-// rebuildBoxes gives an arena read from a message its boxes: every
+// rebuildBoxes gives arena s, read from a message, its boxes: every
 // link's from corners, its lo and hi in node order, and the rest by
 // FitBoxes's rule over this one arena: every leaf's from its bucket
 // (fitLeaves), then every routing node's from its children's
@@ -390,7 +376,7 @@ func readState(d *column.Decoder) PartitionSnapshot {
 // carries its box unless its subtree is empty — so an arena has at most
 // 2·(points + link boxes + 1) nodes; one claiming more is refused
 // before its boxes are allocated.
-func (s *PartitionSnapshot) rebuildBoxes(corners [][]float64) error {
+func rebuildBoxes(s *kdtree.Arena, corners [][]float64) error {
 	boxes := 0
 	for k := 0; k < len(corners); k += 2 {
 		if corners[k] != nil {
@@ -400,7 +386,7 @@ func (s *PartitionSnapshot) rebuildBoxes(corners [][]float64) error {
 	if len(s.Nodes) > 2*(len(s.IDs)+boxes+1) {
 		return errNodeCount
 	}
-	fitLeaves(&s.Arena)
+	fitLeaves(s)
 	k := 0
 	for i := range s.Nodes {
 		if s.Nodes[i].Moved {
@@ -408,7 +394,7 @@ func (s *PartitionSnapshot) rebuildBoxes(corners [][]float64) error {
 			k += 2
 		}
 	}
-	coverRouting([]*kdtree.Arena{&s.Arena})
+	coverRouting([]*kdtree.Arena{s})
 	return nil
 }
 

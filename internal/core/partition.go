@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -92,16 +91,16 @@ func (p *partition) checkNode(idx int32) error {
 }
 
 // checkCoords is the one point check: coordinates of another dimension
-// than dim, or with a NaN — which no split plane orders — cannot be
-// indexed. The client runs it on Insert and on every point of a
-// BulkLoad before any message or build; a partition refuses a request
-// that fails it (checkPoint).
+// than dim, or not all finite (kdtree.Finite), cannot be indexed. The
+// client runs it on Insert and on every point of a BulkLoad before any
+// message or build; a partition refuses a request that fails it
+// (checkPoint).
 func checkCoords(coords []float64, dim int) error {
 	if len(coords) != dim {
 		return fmt.Errorf("a point of dimension %d, want %d", len(coords), dim)
 	}
-	if slices.ContainsFunc(coords, math.IsNaN) {
-		return errors.New("a point with a NaN coordinate")
+	if !kdtree.Finite(coords) {
+		return errors.New("a point with a NaN or infinite coordinate")
 	}
 	return nil
 }
@@ -443,6 +442,19 @@ func (p *partition) relocateLocked(idx int32, ref kdtree.Ref) int {
 	p.addPoints(-moved)
 	p.Tombstone(idx, ref)
 	return moved
+}
+
+// bucketPoints returns the number of points arena a's leaves hold: the
+// count a partition keeps of an arena it installs or restores, and the
+// one a snapshot's columns carry.
+func bucketPoints(a *kdtree.Arena) int {
+	n := 0
+	for i := range a.Nodes {
+		if nd := &a.Nodes[i]; nd.Leaf && !nd.Moved {
+			n += len(nd.Slots)
+		}
+	}
+	return n
 }
 
 // addPoints moves the partition's point count by delta, and the tree's

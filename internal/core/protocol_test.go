@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"semtree/internal/cluster"
+	"semtree/internal/cluster/clustertest"
 	"semtree/internal/column"
 	"semtree/internal/kdtree"
 )
@@ -64,7 +65,6 @@ func protocolSamples() []any {
 		Self:   kdtree.Local,
 		Dim:    2,
 	}
-	state := PartitionSnapshot{Arena: frag, Points: 3}
 	rs := []kdtree.Neighbor{{Point: kdtree.Point{ID: pt.ID}, Dist: 2.25}}
 	stats := queryStats{Nodes: 1, Buckets: 2, Dists: 3, Msgs: 4, Parts: 5, Misses: 6}
 	return []any{
@@ -75,8 +75,8 @@ func protocolSamples() []any {
 		installReq{Frag: bulk, Entry: 0, Seq: 6},
 		installResp{Node: 9, OK: true},
 		snapshotReq{},
-		snapshotResp{State: state},
-		restoreReq{State: state},
+		snapshotResp{State: frag},
+		restoreReq{State: frag},
 		&knnReq{Node: 2, Query: []float64{0, 1}, K: 3, Rs: rs, Seq: true, Entries: []knnEntry{{Node: 1, GuardSq: -1}}},
 		knnResp{Rs: rs, Stats: stats},
 		rangeReq{Node: 1, Query: []float64{0, 1}, D: 0.5},
@@ -276,13 +276,13 @@ func TestProtocolTable(t *testing.T) {
 	var enc column.Appender
 	req.AppendWire(&enc)
 	var file bytes.Buffer
-	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: dim, Size: int64(len(trunk.IDs)), Parts: []PartitionSnapshot{{Arena: trunk, Points: len(trunk.IDs)}}}
+	snap := &TreeSnapshot{Dim: dim, Parts: []kdtree.Arena{trunk}}
 	if err := EncodeSnapshot(&file, snap); err != nil {
 		t.Fatal(err)
 	}
 	fit, leftOut := snap.readerBoxes(), 0
 	for i := range trunk.Nodes {
-		if snap.Parts[0].state(&fit[0], &trunk.Nodes[i])&stateLeftMax != 0 {
+		if nodeState(&snap.Parts[0], &fit[0], &trunk.Nodes[i])&stateLeftMax != 0 {
 			leftOut++
 		}
 	}
@@ -393,6 +393,64 @@ func TestDecodeRejectsUnusedCounts(t *testing.T) {
 	readInstallReq(&d)
 	if d.End() == nil {
 		t.Errorf("%d empty leaves of dimension %d decoded from %d bytes", len(leaves), MaxSnapshotDim, len(enc))
+	}
+}
+
+// rawMsg is a frame body sent under a wire kind as it is, for the
+// receiving end to decode as that kind's message.
+type rawMsg struct {
+	kind byte
+	body []byte
+}
+
+func (m rawMsg) WireKind() byte                { return m.kind }
+func (m rawMsg) AppendWire(a *column.Appender) { *a = append(*a, m.body...) }
+
+// TestRestoreCountsItsArena: a partition's count is the bucket total of
+// the arena it restores, never a count a message claims. A restoreReq
+// of a bulk-loaded partition's own 64-point state whose node column
+// claims 100 points does not decode, over TCP and on InProc under the
+// fault seam, which decodes every request as TCP does: the partition
+// keeps its count. The same request with its true count restores.
+func TestRestoreCountsItsArena(t *testing.T) {
+	const n = 64
+	pts := randomPoints(rand.New(rand.NewSource(3)), n, 2)
+	for name, fabric := range map[string]cluster.Fabric{
+		"tcp":    cluster.NewTCP(),
+		"inproc": clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{}),
+	} {
+		defer fabric.Close()
+		tr := mustTree(t, Config{Dim: 2, BucketSize: 4, Fabric: fabric})
+		if err := tr.BulkLoad(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+		root := tr.rootPartition()
+		var enc column.Appender
+		restoreReq{State: root.Clone()}.AppendWire(&enc)
+		// The node column is the first block, after the float count, the
+		// dimension and Self; its body opens with the count, one byte.
+		var d column.Decoder
+		d.Reset(enc)
+		d.Uvarint()
+		d.Uvarint()
+		d.Int32()
+		d.Uvarint() // the block's length
+		at := len(enc) - d.Len()
+		if enc[at] != n {
+			t.Fatalf("%s: the node column opens with %d, want %d", name, enc[at], n)
+		}
+		claim := slices.Clone(enc)
+		claim[at] = 100
+		ctx := context.Background()
+		if _, err := fabric.Call(ctx, cluster.ClientID, root.id, rawMsg{kindRestoreReq, claim}); err == nil {
+			t.Errorf("%s: a restore claiming 100 points over %d restored", name, n)
+		}
+		if _, err := fabric.Call(ctx, cluster.ClientID, root.id, rawMsg{kindRestoreReq, enc}); err != nil {
+			t.Fatalf("%s: the partition's own state: %v", name, err)
+		}
+		if st, err := tr.Stats(); err != nil || tr.Len() != n || st.PartitionPoints[0] != n {
+			t.Errorf("%s: Len %d, the partition counts %v (%v), want %d", name, tr.Len(), st.PartitionPoints, err, n)
+		}
 	}
 }
 
@@ -823,6 +881,35 @@ func TestInstallRefusesLinksOffTheTrunk(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesGraftsOffTheRoot: a graft lands below every box
+// above its entry leaf, and none of them grows to cover its points, so
+// only node 0 of the root partition, the tree root, takes one. On the
+// fuzz tree, a one-leaf fragment holding a point outside the tree's
+// region is refused grafted over a data partition's leaf, and the
+// refusal leaves the partition's snapshot bytes as they were.
+func TestInstallRefusesGraftsOffTheRoot(t *testing.T) {
+	tr := mustTree(t, fuzzConfig)
+	if err := tr.BulkLoad(context.Background(), fuzzPoints()); err != nil || tr.PartitionCount() != 3 {
+		t.Fatalf("the fuzz tree: %d partitions, %v", tr.PartitionCount(), err)
+	}
+	data := tr.parts[1]
+	leaf := int32(slices.IndexFunc(data.Nodes, func(n kdtree.Node) bool { return n.Leaf }))
+	frag := kdtree.Arena{
+		Nodes:  []kdtree.Node{{Leaf: true, Slots: []int32{0}}},
+		Coords: []float64{-50, -50}, IDs: []uint64{500}, Boxes: []float64{-50, -50, -50, -50},
+		Self: kdtree.Local, Dim: 2,
+	}
+	before := partitionBytes(t, data)
+	_, err := data.handle(context.Background(), cluster.ClientID, installReq{Frag: frag, Entry: leaf, Seq: tr.installs.Add(1)})
+	if !errors.Is(err, ErrRequestRefused) {
+		t.Errorf("a graft over node %d of partition %d: %v, want a refusal", leaf, data.id, err)
+	}
+	if !bytes.Equal(partitionBytes(t, data), before) {
+		t.Error("a refused graft changed the partition")
+	}
+	checkPartitionBoxes(t, tr)
+}
+
 // fuzzPoints are the fuzz tree's points: a 9 × 10 grid, point i at
 // (i mod 9, i div 9) with ID i. Bulk-loaded under fuzzConfig they
 // spread over three partitions.
@@ -837,6 +924,43 @@ func fuzzPoints() []kdtree.Point {
 // fuzzConfig is the fuzz tree's configuration.
 var fuzzConfig = Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartitions: 3}
 
+// checkCounts requires, of a tree quiescent after an accepted request,
+// every partition's count (Stats) to be its arena's bucket total, and a
+// full-cover range search to return exactly the IDs a walk of its
+// snapshot reaches from the root.
+func checkCounts(t *testing.T, tr *Tree) {
+	t.Helper()
+	st, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range tr.parts {
+		p.mu.RLock()
+		n := bucketPoints(&p.Arena)
+		p.mu.RUnlock()
+		if st.PartitionPoints[i] != n {
+			t.Fatalf("partition %d counts %d points, its buckets hold %d", p.id, st.PartitionPoints[i], n)
+		}
+	}
+	var want []uint64
+	for _, pt := range pointsUnder(t, liveSnapshot(t, tr), kdtree.Ref{}) {
+		want = append(want, pt.ID)
+	}
+	got, err := tr.RangeSearch(context.Background(), []float64{4, 4}, math.MaxFloat64)
+	if err != nil {
+		t.Fatalf("a full-cover range search: %v", err)
+	}
+	ids := make([]uint64, len(got))
+	for i, nb := range got {
+		ids[i] = nb.Point.ID
+	}
+	slices.Sort(ids)
+	slices.Sort(want)
+	if !slices.Equal(ids, want) {
+		t.Fatalf("a full-cover range search found %d points %v, the tree holds %d %v", len(ids), ids, len(want), want)
+	}
+}
+
 // FuzzPartitionHandle delivers decoded requests to a live partition.
 // An input is a partition ordinal, a wire kind and a body: the body is
 // decoded by the kind table's decoder, as a TCP fabric decodes it, and
@@ -844,9 +968,12 @@ var fuzzConfig = Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartiti
 // three-partition tree. Nothing may panic — not the delivery, nor a
 // full-cover range search and a snapshot of the tree after it — and a
 // request the partition refuses leaves the tree's Len and the
-// partition's snapshot bytes as they were. The seeds are
-// TestProtocolTable's samples, sent to every partition as they are and
-// with every node they name past the end of the arena.
+// partition's snapshot bytes as they were. After an accepted one every
+// box is exact (checkPartitionBoxes), every partition counts what its
+// buckets hold, and a full-cover range search finds every point the
+// tree reaches (checkCounts). The seeds are TestProtocolTable's
+// samples, sent to every partition as they are and with every node they
+// name past the end of the arena.
 func FuzzPartitionHandle(f *testing.F) {
 	for _, m := range protocolSamples() {
 		for _, v := range []any{m, withNodesPastEnd(m)} {
@@ -891,6 +1018,7 @@ func FuzzPartitionHandle(f *testing.F) {
 		}
 		if err == nil {
 			checkPartitionBoxes(t, tr) // an accepted request keeps every box exact
+			checkCounts(t, tr)
 		}
 		// The k-NN kernel's visit heap over whatever the delivery left,
 		// under both protocols: it may fail, never panic.

@@ -43,9 +43,11 @@ import (
 // Restore trusts nothing: Validate walks the snapshot's cross-partition
 // node graph iteratively (corrupt input must not overflow the stack),
 // requiring exactly-one-state nodes, in-range references, routing
-// children inside their arena, a strict tree in which every node is
-// reachable from the root, and per-partition point accounting — every
-// violation is reported as ErrSnapshotCorrupt, never a panic.
+// children inside their arena, and a strict tree in which every node is
+// reachable from the root — every violation is reported as
+// ErrSnapshotCorrupt, never a panic. No point count is stored beside an
+// arena: a partition's count is its bucket total (bucketPoints), and the
+// counts the columns carry are refused when they disagree with it.
 
 // ErrSnapshotCorrupt reports snapshot bytes or structure that cannot be
 // restored: truncated or garbled encodings, unknown format versions,
@@ -53,17 +55,16 @@ import (
 // Test with errors.Is.
 var ErrSnapshotCorrupt = errors.New("core: snapshot corrupt")
 
-// SnapshotFormat is the version of the partition snapshot encoding:
-// the header version of an EncodeSnapshot stream, and the Format every
-// snapshot Validate accepts. Format 1 was a gob stream with every box
-// stored; 2 was WriteSnapshot's columns with a column of the remote-box
-// cache's refs per partition; 3 dropped that column, the links being
-// nodes; 4 writes a routing node's children as offsets from it, with no
-// partition, and the ID column as differences; 5 leaves out a split
-// value at the top of its left child's box and Rice-codes the ID
-// column. Decoders accept exactly this version; anything else is
-// corrupt (the facade's index snapshot carries its own header version
-// and embeds the columns only).
+// SnapshotFormat is the version of the partition snapshot encoding,
+// the header version of an EncodeSnapshot stream. Format 1 was a gob
+// stream with every box stored; 2 was WriteSnapshot's columns with a
+// column of the remote-box cache's refs per partition; 3 dropped that
+// column, the links being nodes; 4 writes a routing node's children as
+// offsets from it, with no partition, and the ID column as differences;
+// 5 leaves out a split value at the top of its left child's box and
+// Rice-codes the ID column. Decoders accept exactly this version;
+// anything else is corrupt (the facade's index snapshot carries its own
+// header version and embeds the columns only).
 const SnapshotFormat = 5
 
 // Validation bounds: a snapshot claiming more is corrupt by fiat long
@@ -74,44 +75,44 @@ const (
 	MaxSnapshotDim   = 1 << 12
 )
 
-// PartitionSnapshot is one partition's full state: its arena — every
-// node in exactly one of the kdtree.Node states, its box the exact
-// logical-subtree box, and the blocks holding the bucket points leaf by
-// leaf in node order — and its point count. The
-// arena's Self and the Part of every reference in it are partition
-// ordinals (TreeSnapshot.Parts indices) at rest, and fabric NodeIDs in
-// the messages partitions produce and consume; the client translates
-// at the edge (mapRefs, and Self beside it).
-type PartitionSnapshot struct {
-	kdtree.Arena
-	Points int
-	// leftMax marks, per node of an arena read from a node column, the
+// TreeSnapshot is the whole distributed tree, partition ordinal 0
+// holding the tree root at node 0. A part is one partition's state, its
+// arena: every node in exactly one of the kdtree.Node states, its box
+// the exact logical-subtree box, and the blocks holding the bucket
+// points leaf by leaf in node order (kdtree.Arena.Clone). Its Self and
+// the Part of every reference in it are partition ordinals (Parts
+// indices) at rest, and fabric NodeIDs in the messages partitions
+// produce and consume; the client translates at the edge (mapRefs, and
+// Self beside it).
+type TreeSnapshot struct {
+	Dim   int
+	Parts []kdtree.Arena
+	// leftOut marks, per node of each part read from a node column, the
 	// routing nodes it wrote at the top of their left child's box, with
 	// no split value: their SplitVal is known once the boxes are fitted
-	// (fitRouting), which clears it. A message's reader refuses any mark
-	// and clears it (readState). nil for an arena not read.
-	leftMax []bool
+	// (FitBoxes), which clears it. nil for a snapshot not read.
+	leftOut [][]bool
 }
 
-// TreeSnapshot is the whole distributed tree, partition ordinal 0
-// holding the tree root at node 0.
-type TreeSnapshot struct {
-	Format int
-	Dim    int
-	Size   int64
-	Parts  []PartitionSnapshot
+// Len returns the number of points the snapshot's leaves hold.
+func (s *TreeSnapshot) Len() int64 {
+	var n int64
+	for pi := range s.Parts {
+		n += int64(bucketPoints(&s.Parts[pi]))
+	}
+	return n
 }
 
-// mapRefs rewrites the Part of every live reference in ps — links and
-// routing children — through part.
-func (ps *PartitionSnapshot) mapRefs(part func(int32) (int32, error)) (err error) {
+// mapRefs rewrites the Part of every live reference in arena a — links
+// and routing children — through part.
+func mapRefs(a *kdtree.Arena, part func(int32) (int32, error)) (err error) {
 	remap := func(r *kdtree.Ref) {
 		if err == nil {
 			r.Part, err = part(r.Part)
 		}
 	}
-	for i := range ps.Nodes {
-		switch n := &ps.Nodes[i]; {
+	for i := range a.Nodes {
+		switch n := &a.Nodes[i]; {
 		case n.Moved:
 			remap(&n.Fwd)
 		case !n.Leaf:
@@ -161,7 +162,7 @@ func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) ([]kdtree.Point, error) {
 func (p *partition) handleSnapshot() (any, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return snapshotResp{State: PartitionSnapshot{Arena: p.Clone(), Points: p.points}}, nil
+	return snapshotResp{State: p.Clone()}, nil
 }
 
 // handleRestore replaces the partition's state wholesale under the
@@ -170,18 +171,19 @@ func (p *partition) handleSnapshot() (any, error) {
 // its point blocks and slot arrays, which an in-process request shares
 // with the client's snapshot, are only ever appended to or replaced. A
 // state the kernel rejects, or one linking up the partition DAG or to a
-// partition the tree does not have, is refused.
+// partition the tree does not have, is refused. The partition's count
+// is then the bucket total of the arena it adopted.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	err := cmp.Or(linksDown(&r.State.Arena, p.Self), p.t.linksHosted(&r.State.Arena))
+	err := cmp.Or(linksDown(&r.State, p.Self), p.t.linksHosted(&r.State))
 	if err == nil {
-		err = p.Restore(&r.State.Arena)
+		err = p.Restore(&r.State)
 	}
 	if err != nil {
 		return nil, p.refuse("restore: %v", err)
 	}
-	p.addPoints(r.State.Points - p.points)
+	p.addPoints(bucketPoints(&p.Arena) - p.points)
 	return ack{}, nil
 }
 
@@ -203,19 +205,18 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 		}
 		return o, nil
 	}
-	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: t.cfg.Dim}
+	snap := &TreeSnapshot{Dim: t.cfg.Dim}
 	for i, p := range parts {
 		resp, err := t.call(cluster.ClientID, p.id, snapshotReq{})
 		if err != nil {
 			return nil, err
 		}
-		ps := resp.(snapshotResp).State
-		if err := ps.mapRefs(toOrdinal); err != nil {
+		a := resp.(snapshotResp).State
+		if err := mapRefs(&a, toOrdinal); err != nil {
 			return nil, err
 		}
-		ps.Self = int32(i)
-		snap.Size += int64(ps.Points)
-		snap.Parts = append(snap.Parts, ps)
+		a.Self = int32(i)
+		snap.Parts = append(snap.Parts, a)
 	}
 	return snap, nil
 }
@@ -270,10 +271,10 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 		return nil, fmt.Errorf("core: restore allocated %d of %d partitions", len(ids), len(snap.Parts))
 	}
 	toID := func(ordinal int32) (int32, error) { return int32(ids[ordinal]), nil } // in range: validated
-	for i, ps := range fitted.Parts {
-		_ = ps.mapRefs(toID)
-		ps.Self = int32(ids[i])
-		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: ps}); err != nil {
+	for i, a := range fitted.Parts {
+		_ = mapRefs(&a, toID)
+		a.Self = int32(ids[i])
+		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: a}); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("core: restore partition %d: %w", i, err)
 		}
@@ -286,7 +287,7 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 // columns, every partition's coordinate block among them.
 func EncodeSnapshot(w io.Writer, s *TreeSnapshot) error {
 	cw := column.NewWriter(w)
-	cw.Header(byte(s.Format), uint32(s.Dim))
+	cw.Header(SnapshotFormat, uint32(s.Dim))
 	if err := writeTree(cw, s, true); err != nil {
 		return err
 	}
@@ -336,10 +337,10 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 }
 
 // writeTree writes the tree's columns, without a header. The first
-// column holds Size and the partition count; then each partition
-// writes three, or two without coords:
+// column holds the tree's point count (Len) and the partition count;
+// then each partition writes three, or two without coords:
 //
-//   - nodes: Points, the node count, and per node its state byte
+//   - nodes: its bucket total, the node count, and per node its state byte
 //     followed by, for a link, Fwd; for a leaf, its bucket length;
 //     for a routing node, SplitDim, SplitVal (raw) and both children.
 //     A routing node whose SplitVal is, to the bit, the top of its
@@ -363,24 +364,23 @@ func WriteSnapshot(w *column.Writer, s *TreeSnapshot) error {
 //
 // No box is written: each is a function of the points below it, and
 // FitBoxes rebuilds them all. A partition whose arena is not in the
-// snapshot layout (see PartitionSnapshot), or whose split values are
-// not yet fitted, is an error.
+// snapshot layout (see TreeSnapshot), or a snapshot whose split values
+// are not yet fitted, is an error.
 func writeTree(w *column.Writer, s *TreeSnapshot, coords bool) error {
 	for pi := range s.Parts {
-		ps := &s.Parts[pi]
-		if err := ps.layout(s.Dim); err != nil {
+		if err := layout(&s.Parts[pi], s.Dim); err != nil {
 			return fmt.Errorf("core: snapshot partition %d: %v", pi, err)
 		}
-		if ps.leftMax != nil {
-			return fmt.Errorf("core: snapshot partition %d: split values not yet fitted (FitBoxes)", pi)
-		}
+	}
+	if s.leftOut != nil {
+		return errors.New("core: snapshot split values not yet fitted (FitBoxes)")
 	}
 	fit := s.readerBoxes()
-	w.Varint(s.Size)
+	w.Varint(s.Len())
 	w.Uvarint(uint64(len(s.Parts)))
 	w.End()
 	for pi := range s.Parts {
-		s.Parts[pi].appendColumns(&w.Appender, w.End, coords, &fit[pi])
+		appendColumns(&w.Appender, &s.Parts[pi], w.End, coords, &fit[pi])
 	}
 	return nil
 }
@@ -393,7 +393,7 @@ func (s *TreeSnapshot) readerBoxes() []kdtree.Arena {
 	fit := make([]kdtree.Arena, len(s.Parts))
 	arenas := make([]*kdtree.Arena, len(s.Parts))
 	for pi := range s.Parts {
-		fit[pi] = s.Parts[pi].Arena
+		fit[pi] = s.Parts[pi]
 		fitLeaves(&fit[pi])
 		arenas[pi] = &fit[pi]
 	}
@@ -401,7 +401,7 @@ func (s *TreeSnapshot) readerBoxes() []kdtree.Arena {
 	return fit
 }
 
-// appendColumns appends the partition's three column bodies to a, in
+// appendColumns appends arena s's three column bodies to a, in
 // writeTree's layout — two without coords, which leaves the coordinate
 // block out — calling end after each one: the file frames each as a
 // column, a partition message as a block (appendState). fit holds the
@@ -410,12 +410,12 @@ func (s *TreeSnapshot) readerBoxes() []kdtree.Arena {
 // must be a node of the arena (layout checks it for the file; a
 // partition's own arenas and fragments hold no other): its Part is not
 // written.
-func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coords bool, fit *kdtree.Arena) {
-	a.Uvarint(uint64(ps.Points))
-	a.Uvarint(uint64(len(ps.Nodes)))
-	for i := range ps.Nodes {
-		n := &ps.Nodes[i]
-		state := ps.state(fit, n)
+func appendColumns(a *column.Appender, s *kdtree.Arena, end func(), coords bool, fit *kdtree.Arena) {
+	a.Uvarint(uint64(bucketPoints(s)))
+	a.Uvarint(uint64(len(s.Nodes)))
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		state := nodeState(s, fit, n)
 		a.Byte(state)
 		switch {
 		case n.Moved:
@@ -433,26 +433,23 @@ func (ps *PartitionSnapshot) appendColumns(a *column.Appender, end func(), coord
 	}
 	end()
 	var param column.RiceParam
-	for v := range ps.idCodes {
-		param.Add(v)
-	}
+	idCodes(s, param.Add)
 	k := param.K()
 	a.Byte(byte(k))
 	ids := column.BitWriter{A: a}
-	for v := range ps.idCodes {
-		ids.Rice(v, k)
-	}
+	idCodes(s, func(v uint64) { ids.Rice(v, k) })
 	ids.Flush()
 	end()
 	if coords {
-		a.Floats(ps.Coords)
+		a.Floats(s.Coords)
 		end()
 	}
 }
 
-// state returns node n's state byte; fit holds the boxes its reader
-// will fit, and with none no split is marked stateLeftMax.
-func (ps *PartitionSnapshot) state(fit *kdtree.Arena, n *kdtree.Node) byte {
+// nodeState returns the state byte of node n of arena s; fit holds the
+// boxes its reader will fit, and with none no split is marked
+// stateLeftMax.
+func nodeState(s, fit *kdtree.Arena, n *kdtree.Node) byte {
 	var state byte
 	if n.Leaf {
 		state |= stateLeaf
@@ -463,7 +460,7 @@ func (ps *PartitionSnapshot) state(fit *kdtree.Arena, n *kdtree.Node) byte {
 	switch {
 	case n.Moved:
 	case n.Leaf:
-		if ascending(ps.IDs, n.Slots) {
+		if ascending(s.IDs, n.Slots) {
 			state |= stateAscending
 		}
 	case fit == nil:
@@ -497,62 +494,58 @@ func ascending(ids []uint64, slots []int32) bool {
 	return true
 }
 
-// idCodes yields the value of every Rice code of the ID column, leaves
-// in node order: a bucket's first ID, then each later ID's gap from the
-// one before, plain in an ascending bucket and zigzagged in any other.
-func (ps *PartitionSnapshot) idCodes(yield func(v uint64) bool) {
-	for i := range ps.Nodes {
-		n := &ps.Nodes[i]
+// idCodes calls code with the value of every Rice code of arena s's ID
+// column, leaves in node order: a bucket's first ID, then each later
+// ID's gap from the one before, plain in an ascending bucket and
+// zigzagged in any other.
+func idCodes(s *kdtree.Arena, code func(v uint64)) {
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
 		if !n.Leaf || n.Moved || len(n.Slots) == 0 {
 			continue
 		}
-		plain := ascending(ps.IDs, n.Slots)
-		prev := ps.IDs[n.Slots[0]]
-		if !yield(prev) {
-			return
-		}
-		for _, s := range n.Slots[1:] {
-			gap := ps.IDs[s] - prev
+		plain := ascending(s.IDs, n.Slots)
+		prev := s.IDs[n.Slots[0]]
+		code(prev)
+		for _, slot := range n.Slots[1:] {
+			gap := s.IDs[slot] - prev
 			if !plain {
 				gap = gap<<1 ^ uint64(int64(gap)>>63)
 			}
-			if !yield(gap) {
-				return
-			}
-			prev = ps.IDs[s]
+			code(gap)
+			prev = s.IDs[slot]
 		}
 	}
 }
 
-// layout checks that the partition's arena has the shape of its
-// columns: a coordinate block of dimension dim, the slots of its
-// leaves running through it in node order, covering it, and no other
-// node holding any; and every routing child a node of the arena, whose
-// Part the node column does not write. The box block is not its
-// columns' business.
-func (ps *PartitionSnapshot) layout(dim int) error {
-	if ps.Dim != dim || len(ps.Coords) != dim*len(ps.IDs) {
+// layout checks that arena s has the shape of its columns: a
+// coordinate block of dimension dim, the slots of its leaves running
+// through it in node order, covering it, and no other node holding any;
+// and every routing child a node of the arena, whose Part the node
+// column does not write. The box block is not its columns' business.
+func layout(s *kdtree.Arena, dim int) error {
+	if s.Dim != dim || len(s.Coords) != dim*len(s.IDs) {
 		return fmt.Errorf("a coordinate block of %d floats for %d points of dimension %d, want %d",
-			len(ps.Coords), len(ps.IDs), ps.Dim, dim)
+			len(s.Coords), len(s.IDs), s.Dim, dim)
 	}
 	next := 0
-	for i := range ps.Nodes {
-		n := &ps.Nodes[i]
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
 		if len(n.Slots) > 0 && (!n.Leaf || n.Moved) {
 			return fmt.Errorf("node %d: a bucket outside a leaf", i)
 		}
-		if !n.Leaf && !n.Moved && (!ps.IsLocal(n.Left) || !ps.IsLocal(n.Right)) {
+		if !n.Leaf && !n.Moved && (!s.IsLocal(n.Left) || !s.IsLocal(n.Right)) {
 			return fmt.Errorf("node %d: a routing child in partition %d or %d leaves the arena", i, n.Left.Part, n.Right.Part)
 		}
-		for _, s := range n.Slots {
-			if int(s) != next {
-				return fmt.Errorf("node %d: bucket point %d in slot %d", i, next, s)
+		for _, slot := range n.Slots {
+			if int(slot) != next {
+				return fmt.Errorf("node %d: bucket point %d in slot %d", i, next, slot)
 			}
 			next++
 		}
 	}
-	if next != len(ps.IDs) {
-		return fmt.Errorf("%d points in the blocks, %d in buckets", len(ps.IDs), next)
+	if next != len(s.IDs) {
+		return fmt.Errorf("%d points in the blocks, %d in buckets", len(s.IDs), next)
 	}
 	return nil
 }
@@ -595,11 +588,11 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 	if dim < 1 || dim > MaxSnapshotDim {
 		return nil, corrupt("dimension %d out of range", dim)
 	}
-	s := &TreeSnapshot{Format: SnapshotFormat, Dim: dim}
+	s := &TreeSnapshot{Dim: dim}
 	if err := r.Next(); err != nil {
 		return nil, corrupt("%v", err)
 	}
-	s.Size = r.Varint()
+	size := r.Varint()
 	parts := r.Uvarint()
 	if err := r.End(); err != nil {
 		return nil, corrupt("%v", err)
@@ -609,11 +602,15 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 	}
 	next := func() (*column.Decoder, error) { return &r.Decoder, r.Next() }
 	for pi := range int(parts) {
-		ps, err := readColumns(dim, int32(pi), next, coords)
+		a, leftOut, err := readColumns(dim, int32(pi), next, coords)
 		if err != nil {
 			return nil, corrupt("partition %d: %v", pi, err)
 		}
-		s.Parts = append(s.Parts, ps)
+		s.Parts = append(s.Parts, a)
+		s.leftOut = append(s.leftOut, leftOut)
+	}
+	if n := s.Len(); n != size {
+		return nil, corrupt("%d bucket points across partitions, the tree column says %d", n, size)
 	}
 	return s, nil
 }
@@ -626,53 +623,51 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 // value left out whose box cannot give it, is ErrSnapshotCorrupt; a
 // tree whose boxes cannot be fitted right is one Validate rejects.
 func (s *TreeSnapshot) FitBoxes() error {
-	parts := make([]*PartitionSnapshot, len(s.Parts))
+	arenas := make([]*kdtree.Arena, len(s.Parts))
 	for pi := range s.Parts {
-		ps := &s.Parts[pi]
-		if err := ps.layout(s.Dim); err != nil {
+		a := &s.Parts[pi]
+		if err := layout(a, s.Dim); err != nil {
 			return corrupt("partition %d: %v", pi, err)
 		}
-		fitLeaves(&ps.Arena)
-		parts[pi] = ps
+		fitLeaves(a)
+		arenas[pi] = a
 	}
-	if err := fitRouting(parts); err != nil {
+	if err := fitRouting(arenas, s.leftOut); err != nil {
 		return corrupt("%v", err)
 	}
+	s.leftOut = nil
 	return nil
 }
 
-// fitRouting covers every routing and link box of parts, whose leaves
+// fitRouting covers every routing and link box of arenas, whose leaves
 // have their boxes (coverRouting), then sets the SplitVal of every
 // routing node its node column wrote at the top of its left child's box
-// (stateLeftMax) from that box: the one place an arena read from a file
-// gets its boxes and its split values. A node so marked whose left
-// child or split dimension is out of range, or whose left child's box
-// is empty, is an error, and so is an unmarked one whose raw split
-// value is that top: appendColumns would have marked it.
-func fitRouting(parts []*PartitionSnapshot) error {
-	arenas := make([]*kdtree.Arena, len(parts))
-	for i, ps := range parts {
-		arenas[i] = &ps.Arena
-	}
+// (stateLeftMax, marked in leftOut, per arena read from columns) from
+// that box: the one place an arena read from a file gets its boxes and
+// its split values. A node so marked whose left child or split
+// dimension is out of range, or whose left child's box is empty, is an
+// error, and so is an unmarked one whose raw split value is that top:
+// appendColumns would have marked it.
+func fitRouting(arenas []*kdtree.Arena, leftOut [][]bool) error {
 	coverRouting(arenas)
-	for _, ps := range parts {
-		for i, marked := range ps.leftMax {
-			n := &ps.Nodes[i]
+	for pi, marks := range leftOut {
+		a := arenas[pi]
+		for i, marked := range marks {
+			n := &a.Nodes[i]
 			if n.Leaf || n.Moved {
 				continue
 			}
-			top, ok := leftTop(&ps.Arena, n)
+			top, ok := leftTop(a, n)
 			switch {
 			case marked && !ok:
 				return fmt.Errorf("partition %d node %d: split at the top of node %d's box in dimension %d, which has none",
-					ps.Self, i, n.Left.Node, n.SplitDim)
+					a.Self, i, n.Left.Node, n.SplitDim)
 			case marked:
 				n.SplitVal = top
 			case ok && math.Float64bits(top) == math.Float64bits(n.SplitVal):
-				return fmt.Errorf("partition %d node %d: split value %v written raw at its left child's top", ps.Self, i, top)
+				return fmt.Errorf("partition %d node %d: split value %v written raw at its left child's top", a.Self, i, top)
 			}
 		}
-		ps.leftMax = nil
 	}
 	return nil
 }
@@ -683,87 +678,92 @@ func fitRouting(parts []*PartitionSnapshot) error {
 // children) in the snapshot layout — the ID column and the coordinate
 // block read in place, every leaf's slots carved from one array — and
 // no boxes yet (fitLeaves), nor the split values the node column left
-// out (marked in leftMax for fitRouting). Each body must be read to its
-// end, and an empty one decodes as nil. The node column's marks must be
-// the ones appendColumns would write for its IDs: stateAscending on
-// exactly the leaves whose buckets never fall, and stateLeftMax on
-// routing nodes only. The ID column must be what appendColumns writes:
-// the Rice parameter column.RiceParam picks for its codes, no ID past
-// 2⁶⁴ in an ascending bucket, and no bit after the last code.
-func readColumns(dim int, self int32, next func() (*column.Decoder, error), coords bool) (PartitionSnapshot, error) {
-	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: dim, Self: self}}
+// out (marked in leftOut for fitRouting). Each body must be read to its
+// end, and an empty one decodes as nil. The node column's count must be
+// its bucket total, and its marks the ones appendColumns would write for
+// its IDs: stateAscending on exactly the leaves whose buckets never
+// fall, and stateLeftMax on routing nodes only; a split value it writes
+// is not NaN. The ID column must be what appendColumns writes: the Rice
+// parameter column.RiceParam picks for its codes, no ID past 2⁶⁴ in an
+// ascending bucket, and no bit after the last code.
+func readColumns(dim int, self int32, next func() (*column.Decoder, error), coords bool) (a kdtree.Arena, leftOut []bool, err error) {
+	a = kdtree.Arena{Dim: dim, Self: self}
 	d, err := next()
 	if err != nil {
-		return ps, err
+		return a, nil, err
 	}
-	ps.Points = int(d.Uvarint())
+	points := d.Uvarint()
 	var sizes []int
 	var plain []bool            // a leaf's gaps are plain (stateAscending)
 	if n := d.Count(2); n > 0 { // a leaf takes two bytes, anything else more
-		ps.Nodes, sizes, plain = make([]kdtree.Node, n), make([]int, n), make([]bool, n)
-		ps.leftMax = make([]bool, n)
+		a.Nodes, sizes, plain, leftOut = make([]kdtree.Node, n), make([]int, n), make([]bool, n), make([]bool, n)
 	}
 	total := 0
-	for i := range ps.Nodes {
-		n := &ps.Nodes[i]
+	for i := range a.Nodes {
+		n := &a.Nodes[i]
 		state := d.Byte()
 		if state&^(stateLeaf|stateMoved|stateLeftMax|stateAscending) != 0 {
-			return ps, fmt.Errorf("node %d: state %#x", i, state)
+			return a, nil, fmt.Errorf("node %d: state %#x", i, state)
 		}
 		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
 		switch {
 		case n.Moved:
 			if state&(stateLeftMax|stateAscending) != 0 {
-				return ps, fmt.Errorf("node %d: a link of state %#x", i, state)
+				return a, nil, fmt.Errorf("node %d: a link of state %#x", i, state)
 			}
 			n.Fwd = readRef(d)
 		case n.Leaf:
 			if state&stateLeftMax != 0 {
-				return ps, fmt.Errorf("node %d: a leaf split at its left child's top", i)
+				return a, nil, fmt.Errorf("node %d: a leaf split at its left child's top", i)
 			}
 			k := d.Uvarint()
 			if k > uint64(maxPartitionPoints-total) {
-				return ps, fmt.Errorf("node %d: bucket of %d points after %d", i, k, total)
+				return a, nil, fmt.Errorf("node %d: bucket of %d points after %d", i, k, total)
 			}
 			sizes[i], plain[i] = int(k), state&stateAscending != 0
 			total += int(k)
 		default:
 			if state&stateAscending != 0 {
-				return ps, fmt.Errorf("node %d: a routing node marked ascending", i)
+				return a, nil, fmt.Errorf("node %d: a routing node marked ascending", i)
 			}
 			n.SplitDim = int32(d.Uint32())
-			if ps.leftMax[i] = state&stateLeftMax != 0; !ps.leftMax[i] {
-				n.SplitVal = d.Float()
+			if leftOut[i] = state&stateLeftMax != 0; !leftOut[i] {
+				if n.SplitVal = d.Float(); math.IsNaN(n.SplitVal) {
+					return a, nil, fmt.Errorf("node %d: a NaN split value", i)
+				}
 			}
 			n.Left = readChild(d, self, i)
 			n.Right = readChild(d, self, i)
 		}
 	}
 	if err := d.End(); err != nil {
-		return ps, err
+		return a, nil, err
+	}
+	if points != uint64(total) {
+		return a, nil, fmt.Errorf("%d bucket points, the node column says %d", total, points)
 	}
 
 	if d, err = next(); err != nil {
-		return ps, err
+		return a, nil, err
 	}
 	k := int(d.Byte())
 	switch {
 	case d.Err() != nil:
-		return ps, d.Err()
+		return a, nil, d.Err()
 	case k >= 64:
-		return ps, fmt.Errorf("ID column under Rice parameter %d", k)
+		return a, nil, fmt.Errorf("ID column under Rice parameter %d", k)
 	case uint64(total)*uint64(k+1) > 8*uint64(d.Len()): // every code takes k+1 bits at least
-		return ps, fmt.Errorf("%d bucket points of %d bits at least in %d ID bytes", total, k+1, d.Len())
+		return a, nil, fmt.Errorf("%d bucket points of %d bits at least in %d ID bytes", total, k+1, d.Len())
 	}
 	if total > 0 {
-		ps.IDs = make([]uint64, total)
+		a.IDs = make([]uint64, total)
 	}
 	var codes column.BitDecoder
 	codes.Reset(d.Rest())
 	var param column.RiceParam
 	at := 0
 	for i, size := range sizes {
-		bucket := ps.IDs[at : at+size]
+		bucket := a.IDs[at : at+size]
 		for j := range bucket {
 			v := codes.Rice(k)
 			param.Add(v)
@@ -772,40 +772,40 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 				bucket[j] = v
 			case plain[i]:
 				if bucket[j] = bucket[j-1] + v; bucket[j] < v {
-					return ps, fmt.Errorf("node %d: an ascending bucket's ID %d wraps past 2^64", i, j)
+					return a, nil, fmt.Errorf("node %d: an ascending bucket's ID %d wraps past 2^64", i, j)
 				}
 			default:
 				bucket[j] = bucket[j-1] + (v>>1 ^ -(v & 1))
 			}
 		}
 		if err := codes.Err(); err != nil {
-			return ps, err
+			return a, nil, err
 		}
-		if ps.Nodes[i].Leaf && !ps.Nodes[i].Moved && !plain[i] && slices.IsSorted(bucket) {
-			return ps, fmt.Errorf("node %d: a bucket whose IDs never fall not marked ascending", i)
+		if a.Nodes[i].Leaf && !a.Nodes[i].Moved && !plain[i] && slices.IsSorted(bucket) {
+			return a, nil, fmt.Errorf("node %d: a bucket whose IDs never fall not marked ascending", i)
 		}
 		at += size
 	}
 	if err := codes.End(); err != nil {
-		return ps, err
+		return a, nil, err
 	}
 	if want := param.K(); k != want {
-		return ps, fmt.Errorf("ID column under Rice parameter %d, not %d", k, want)
+		return a, nil, fmt.Errorf("ID column under Rice parameter %d, not %d", k, want)
 	}
 
 	if coords {
 		if d, err = next(); err != nil {
-			return ps, err
+			return a, nil, err
 		}
 		if d.Len() != 8*dim*total {
-			return ps, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", d.Len(), total, dim)
+			return a, nil, fmt.Errorf("coordinate block of %d bytes for %d points of dimension %d", d.Len(), total, dim)
 		}
 		if n := dim * total; n > 0 {
-			ps.Coords = make([]float64, n)
-			d.Floats(ps.Coords)
+			a.Coords = make([]float64, n)
+			d.Floats(a.Coords)
 		}
 		if err := d.End(); err != nil {
-			return ps, err
+			return a, nil, err
 		}
 	}
 	slots := make([]int32, total)
@@ -814,10 +814,10 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 	}
 	for i, k := range sizes {
 		if k > 0 {
-			ps.Nodes[i].Slots, slots = slots[:k:k], slots[k:]
+			a.Nodes[i].Slots, slots = slots[:k:k], slots[k:]
 		}
 	}
-	return ps, nil
+	return a, leftOut, nil
 }
 
 // fitLeaves gives every node of an arena an empty box, in a fresh
@@ -897,13 +897,12 @@ func corrupt(format string, args ...any) error {
 
 // Validate checks the snapshot's structural invariants — the same ones
 // a live tree maintains — and returns ErrSnapshotCorrupt on any
-// violation: unknown format, arenas not in the snapshot layout or
-// refused as kdtree fragments (a routing child outside its arena among
-// them), out-of-range references, nodes in an impossible state, a
-// reachable graph that is not a strict tree or leaves a node out, and
-// point-count mismatches. Boxes are not checked: RestoreTree fits them
-// all. The walk is iterative: adversarial input cannot overflow the
-// stack.
+// violation: arenas not in the snapshot layout or refused as kdtree
+// fragments (a routing child outside its arena or a NaN split value
+// among them), out-of-range references, nodes in an impossible state,
+// and a reachable graph that is not a strict tree or leaves a node out.
+// Boxes are not checked: RestoreTree fits them all. The walk is
+// iterative: adversarial input cannot overflow the stack.
 func (s *TreeSnapshot) Validate() error {
 	if err := s.validHeader(); err != nil {
 		return err
@@ -911,55 +910,36 @@ func (s *TreeSnapshot) Validate() error {
 	if len(s.Parts[0].Nodes) == 0 {
 		return corrupt("root partition has no nodes")
 	}
-	total := int64(0)
 	for pi := range s.Parts {
-		ps := &s.Parts[pi]
-		if ps.Points < 0 {
-			return corrupt("partition %d: negative point count", pi)
+		a := &s.Parts[pi]
+		if a.Self != int32(pi) {
+			return corrupt("partition %d: the arena of partition %d", pi, a.Self)
 		}
-		if ps.Self != int32(pi) {
-			return corrupt("partition %d: the arena of partition %d", pi, ps.Self)
-		}
-		err := ps.layout(s.Dim)
+		err := layout(a, s.Dim)
 		if err == nil {
-			err = ps.Fit(s.Dim) // what a partition refuses to restore
+			err = a.Fit(s.Dim) // what a partition refuses to restore
 		}
 		if err == nil {
-			err = linksDown(&ps.Arena, int32(pi))
+			err = linksDown(a, int32(pi))
 		}
 		if err != nil {
 			return corrupt("partition %d: %v", pi, err)
 		}
-		local := 0
-		for ni := range ps.Nodes {
-			switch n := &ps.Nodes[ni]; {
+		for ni := range a.Nodes {
+			switch n := &a.Nodes[ni]; {
 			case n.Leaf && n.Moved:
 				return corrupt("partition %d node %d: leaf and link at once", pi, ni)
-			case n.Moved:
-				if s.node(n.Fwd) == nil {
-					return corrupt("partition %d node %d: dangling link", pi, ni)
-				}
-			case n.Leaf:
-				local += len(n.Slots)
+			case n.Moved && s.node(n.Fwd) == nil:
+				return corrupt("partition %d node %d: dangling link", pi, ni)
 			}
 		}
-		if local != ps.Points {
-			return corrupt("partition %d: %d bucket points, Points says %d", pi, local, ps.Points)
-		}
-		total += int64(local)
-	}
-	if total != s.Size {
-		return corrupt("%d points across partitions, Size says %d", total, s.Size)
 	}
 	return s.validateReachable()
 }
 
 // validHeader checks what the size of a snapshot's boxes rests on — its
-// format, dimension and partition count — before any is allocated.
+// dimension and partition count — before any is allocated.
 func (s *TreeSnapshot) validHeader() error {
-	if s.Format != SnapshotFormat {
-		return corrupt("format %d, want %d", s.Format, SnapshotFormat)
-	}
 	if s.Dim < 1 || s.Dim > MaxSnapshotDim {
 		return corrupt("dimension %d out of range", s.Dim)
 	}

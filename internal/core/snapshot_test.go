@@ -284,13 +284,10 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		name string
 		mut  func(t *testing.T, s *TreeSnapshot)
 	}{
-		{"wrong-format", func(t *testing.T, s *TreeSnapshot) { s.Format = 99 }},
 		{"zero-dim", func(t *testing.T, s *TreeSnapshot) { s.Dim = 0 }},
 		{"huge-dim", func(t *testing.T, s *TreeSnapshot) { s.Dim = 1 << 20 }},
 		{"no-parts", func(t *testing.T, s *TreeSnapshot) { s.Parts = nil }},
 		{"empty-root", func(t *testing.T, s *TreeSnapshot) { s.Parts[0].Nodes = nil }},
-		{"size-mismatch", func(t *testing.T, s *TreeSnapshot) { s.Size++ }},
-		{"points-mismatch", func(t *testing.T, s *TreeSnapshot) { s.Parts[0].Points++; s.Size++ }},
 		{"dangling-child", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].Left = kdtree.Ref{Part: 9999, Node: 0}
@@ -306,6 +303,10 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		{"split-dim-out-of-range", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].SplitDim = 7
+		}},
+		{"nan-split", func(t *testing.T, s *TreeSnapshot) {
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
+			s.Parts[pi].Nodes[ni].SplitVal = math.NaN()
 		}},
 		{"routing-child-leaves-partition", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Moved })
@@ -345,16 +346,13 @@ func TestSnapshotValidateRejects(t *testing.T) {
 			b[0], b[1] = b[1], b[0]
 		}},
 		{"orphan-node", func(t *testing.T, s *TreeSnapshot) {
-			// A reachable-looking leaf nobody points at: the bucket is
-			// counted so Points/Size stay consistent, making
-			// reachability the only detector.
+			// A reachable-looking leaf nobody points at, its point in the
+			// blocks: reachability is the only detector.
 			ps := &s.Parts[0]
 			ps.Nodes = append(ps.Nodes, kdtree.Node{Leaf: true, Slots: []int32{int32(len(ps.IDs))}})
 			ps.IDs = append(ps.IDs, 999999)
 			ps.Coords = append(ps.Coords, 5, 5, 5)
 			ps.Boxes = append(ps.Boxes, 5, 5, 5, 5, 5, 5)
-			ps.Points++
-			s.Size++
 		}},
 		{"cycle", func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
@@ -384,7 +382,7 @@ func TestSnapshotValidateRejects(t *testing.T) {
 // overflow the stack long before 200k levels.
 func TestSnapshotValidateDeepChain(t *testing.T) {
 	const depth = 200_000
-	ps := PartitionSnapshot{Arena: kdtree.Arena{Dim: 1}, Points: depth + 1}
+	ps := kdtree.Arena{Dim: 1}
 	// Node 2i is the routing spine; 2i+1 the left leaf; the last spine
 	// slot is a leaf. Every leaf holds one point at x = its level, so
 	// all boxes are computable in one pass from the bottom up.
@@ -404,7 +402,7 @@ func TestSnapshotValidateDeepChain(t *testing.T) {
 		leaf(float64(i))
 	}
 	leaf(depth) // chain terminator
-	snap := &TreeSnapshot{Format: SnapshotFormat, Dim: 1, Size: depth + 1, Parts: []PartitionSnapshot{ps}}
+	snap := &TreeSnapshot{Dim: 1, Parts: []kdtree.Arena{ps}}
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("deep chain rejected: %v", err)
 	}
@@ -428,10 +426,30 @@ func patchHeader(b []byte, format byte, dim uint32) []byte {
 	return out
 }
 
+// patchColumn returns a copy of a column stream with the payload of
+// its k-th column (0 is the first after the header) replaced by what
+// patch makes of it, framed again with its checksum recomputed.
+func patchColumn(b []byte, k int, patch func(payload []byte) []byte) []byte {
+	out := slices.Clone(b[:column.HeaderSize])
+	for i, rest := 0, b[column.HeaderSize:]; len(rest) > 0; i++ {
+		n, w := binary.Uvarint(rest)
+		payload := rest[w : w+int(n)]
+		rest = rest[w+int(n)+4:]
+		if i == k {
+			payload = patch(payload)
+		}
+		out = binary.AppendUvarint(out, uint64(len(payload)))
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return out
+}
+
 // TestDecodeSnapshotCorrupt: garbage, truncated encodings, flipped
 // bytes, a header naming another format (format 1 was the gob stream)
-// or an out-of-range dimension come back as ErrSnapshotCorrupt, never a
-// panic.
+// or an out-of-range dimension, a tree column whose point count is not
+// its parts' and a node column whose count is not its buckets' come
+// back as ErrSnapshotCorrupt, never a panic.
 func TestDecodeSnapshotCorrupt(t *testing.T) {
 	if _, err := DecodeSnapshot(strings.NewReader("not a snapshot")); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("garbage: %v", err)
@@ -445,12 +463,25 @@ func TestDecodeSnapshotCorrupt(t *testing.T) {
 	if _, err := DecodeSnapshot(bytes.NewReader(patchHeader(b, SnapshotFormat, uint32(snap.Dim)))); err != nil {
 		t.Fatalf("re-patched header with the same values: %v", err)
 	}
+	if _, err := DecodeSnapshot(bytes.NewReader(patchColumn(b, 0, slices.Clone))); err != nil {
+		t.Fatalf("re-framed tree column with the same payload: %v", err)
+	}
 	bad := map[string][]byte{
 		"format 1":    patchHeader(b, 1, uint32(snap.Dim)),
 		"format 41":   patchHeader(b, 41, uint32(snap.Dim)),
 		"dimension 0": patchHeader(b, SnapshotFormat, 0),
 		"dimension 2": patchHeader(b, SnapshotFormat, 2),
 		"huge dim":    patchHeader(b, SnapshotFormat, 1<<31),
+		// The tree column opens with the points its parts hold, a varint,
+		// and each node column with its partition's bucket total.
+		"tree size one past its parts": patchColumn(b, 0, func(c []byte) []byte {
+			v, k := binary.Varint(c)
+			return append(binary.AppendVarint(nil, v+1), c[k:]...)
+		}),
+		"node column count one past its buckets": patchColumn(b, 1, func(c []byte) []byte {
+			v, k := binary.Uvarint(c)
+			return append(binary.AppendUvarint(nil, v+1), c[k:]...)
+		}),
 	}
 	for cut := range len(b) {
 		bad[fmt.Sprintf("cut at %d", cut)] = b[:cut]
@@ -571,7 +602,7 @@ func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 func zeroTies(s *TreeSnapshot) int {
 	k := 0
 	for pi := range s.Parts {
-		a := &s.Parts[pi].Arena
+		a := &s.Parts[pi]
 		for i := range a.Nodes {
 			if n := &a.Nodes[i]; !n.Leaf && !n.Moved && n.SplitVal == 0 {
 				if top, ok := leftTop(a, n); ok && top == 0 {
@@ -586,15 +617,15 @@ func zeroTies(s *TreeSnapshot) int {
 // sameSnapshot requires got to be want, node for node and box for box.
 func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
 	t.Helper()
-	if got.Format != want.Format || got.Dim != want.Dim || got.Size != want.Size || len(got.Parts) != len(want.Parts) {
-		t.Fatalf("header (%d, %d, %d, %d parts), want (%d, %d, %d, %d parts)",
-			got.Format, got.Dim, got.Size, len(got.Parts), want.Format, want.Dim, want.Size, len(want.Parts))
+	if got.Dim != want.Dim || got.Len() != want.Len() || len(got.Parts) != len(want.Parts) {
+		t.Fatalf("header (%d, %d, %d parts), want (%d, %d, %d parts)",
+			got.Dim, got.Len(), len(got.Parts), want.Dim, want.Len(), len(want.Parts))
 	}
 	links := 0
 	for pi := range want.Parts {
 		g, w := &got.Parts[pi], &want.Parts[pi]
-		if g.Points != w.Points || len(g.Nodes) != len(w.Nodes) {
-			t.Fatalf("partition %d: (%d points, %d nodes), want (%d, %d)", pi, g.Points, len(g.Nodes), w.Points, len(w.Nodes))
+		if bucketPoints(g) != bucketPoints(w) || len(g.Nodes) != len(w.Nodes) {
+			t.Fatalf("partition %d: (%d points, %d nodes), want (%d, %d)", pi, bucketPoints(g), len(g.Nodes), bucketPoints(w), len(w.Nodes))
 		}
 		for ni := range w.Nodes {
 			a, b := g.Nodes[ni], w.Nodes[ni]
@@ -692,7 +723,7 @@ func FuzzPartitionRestore(f *testing.F) {
 		}
 	}
 	leaving := *snap
-	leaving.Parts = append([]PartitionSnapshot{root}, snap.Parts[1:]...)
+	leaving.Parts = append([]kdtree.Arena{root}, snap.Parts[1:]...)
 	if err := EncodeSnapshot(io.Discard, &leaving); err == nil {
 		f.Fatal("a routing child leaving its partition encoded")
 	}
@@ -714,7 +745,7 @@ func FuzzPartitionRestore(f *testing.F) {
 		// A snapshot that validates must restore and answer queries.
 		// Bound the work: a huge (but internally consistent) synthetic
 		// snapshot is a resource test, not a correctness one.
-		if len(s.Parts) > 16 || s.Size > 1<<16 {
+		if len(s.Parts) > 16 || s.Len() > 1<<16 {
 			return
 		}
 		restored, err := RestoreTree(Config{BucketSize: 4}, s)
@@ -734,10 +765,11 @@ func FuzzPartitionRestore(f *testing.F) {
 // leaves — read back through readColumns and the message path's box
 // rebuild (rebuildBoxes), its split value set from the left leaf's
 // fitted box; and each column no appendColumns writes is refused: a
-// leaf or a link marked split at its left child's top, a routing node
-// marked ascending, a split at the top of an empty box or in a
-// dimension the arena lacks, a raw split value where the box gives it,
-// an ID column under a Rice parameter but column.RiceParam's pick, an
+// point count other than the bucket total, a leaf or a link marked
+// split at its left child's top, a routing node marked ascending, a
+// split at the top of an empty box or in a dimension the arena lacks, a
+// raw split value where the box gives it, a raw NaN split value, an ID
+// column under a Rice parameter but column.RiceParam's pick, an
 // ascending bucket that wraps past 2^64, a bucket
 // that never falls not marked ascending, and a byte or a set pad bit
 // after the ID codes.
@@ -782,17 +814,17 @@ func TestReadColumnsRefusals(t *testing.T) {
 	sizes := [2][2]byte{{asc, 2}, {asc, 1}} // IDs 5, 9 at 1 and 2; ID 7 at 3
 	valid := nodes(leftMax, 0, nil, sizes)
 	validIDs := ids(-1, 5, 4, 7)
-	read := func(nodes, ids []byte) (PartitionSnapshot, error) {
+	read := func(nodes, ids []byte) (*TreeSnapshot, error) {
 		cols := [][]byte{nodes, ids, coords}
 		var d column.Decoder
-		s, err := readColumns(1, 0, func() (*column.Decoder, error) {
+		a, leftOut, err := readColumns(1, 0, func() (*column.Decoder, error) {
 			d.Reset(cols[0])
 			cols = cols[1:]
 			return &d, nil
 		}, true)
+		s := &TreeSnapshot{Dim: 1, Parts: []kdtree.Arena{a}, leftOut: [][]bool{leftOut}}
 		if err == nil {
-			fitLeaves(&s.Arena)
-			err = fitRouting([]*PartitionSnapshot{&s})
+			err = s.FitBoxes()
 		}
 		return s, err
 	}
@@ -803,12 +835,14 @@ func TestReadColumnsRefusals(t *testing.T) {
 	if validIDs[0] != 2 {
 		t.Fatalf("IDs 5, 9, 7 coded under Rice parameter %d, want 2", validIDs[0])
 	}
-	if n := s.Nodes[0]; n.SplitVal != 2 || !slices.Equal(s.IDs, []uint64{5, 9, 7}) || s.leftMax != nil {
-		t.Fatalf("read a split of %v over IDs %v (marks %v), want 2 over [5 9 7]", n.SplitVal, s.IDs, s.leftMax)
+	if a := &s.Parts[0]; a.Nodes[0].SplitVal != 2 || !slices.Equal(a.IDs, []uint64{5, 9, 7}) || s.leftOut != nil {
+		t.Fatalf("read a split of %v over IDs %v (marks %v), want 2 over [5 9 7]", a.Nodes[0].SplitVal, a.IDs, s.leftOut)
 	}
 	padded := bytes.Clone(validIDs) // 12 bits of codes under k = 2: four pad bits
 	padded[len(padded)-1] |= 0x80
 	for name, c := range map[string][2][]byte{
+		"a point count one past its buckets":     {append([]byte{4}, valid[1:]...), validIDs},
+		"a raw NaN split":                        {nodes(0, 0, []float64{math.NaN()}, sizes), validIDs},
 		"a leaf split at its left child's top":   {nodes(leftMax, 0, nil, [2][2]byte{{asc | leftMax, 2}, {asc, 1}}), validIDs},
 		"a routing node marked ascending":        {nodes(leftMax|stateAscending, 0, nil, sizes), validIDs},
 		"a split at the top of an empty box":     {nodes(leftMax, 0, nil, [2][2]byte{{asc, 0}, {asc, 3}}), ids(-1, 5, 4, 2)},

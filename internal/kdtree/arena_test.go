@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -158,6 +159,42 @@ func TestExtractCutsLinks(t *testing.T) {
 	}
 	if _, err := dst.Install(-1, &frag); err == nil {
 		t.Fatal("Install took a routing child that leaves the fragment")
+	}
+}
+
+// TestFitRefusesNonFinite: Fit, which every install and restore runs,
+// refuses a point with a NaN or infinite coordinate and a routing node
+// split at NaN, which orders no point: a range search would skip one
+// side of it.
+func TestFitRefusesNonFinite(t *testing.T) {
+	frag := func() *Arena {
+		return &Arena{
+			Nodes: []Node{
+				{SplitVal: 0.5, Left: Ref{Part: Local, Node: 1}, Right: Ref{Part: Local, Node: 2}},
+				{Leaf: true, Slots: []int32{0}},
+				{Leaf: true, Slots: []int32{1}},
+			},
+			Coords: []float64{0, 1},
+			IDs:    []uint64{1, 2},
+			Boxes:  make([]float64, 6),
+			Self:   Local,
+			Dim:    1,
+		}
+	}
+	if err := frag().Fit(1); err != nil {
+		t.Fatalf("a finite fragment: %v", err)
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		f := frag()
+		f.Coords[1] = v
+		if err := f.Fit(1); err == nil {
+			t.Errorf("a point at %v fitted", v)
+		}
+	}
+	f := frag()
+	f.Nodes[0].SplitVal = math.NaN()
+	if err := f.Fit(1); err == nil {
+		t.Error("a split at NaN fitted")
 	}
 }
 

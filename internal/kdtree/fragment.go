@@ -94,10 +94,11 @@ func (a *Arena) Install(entry int32, frag *Arena) (int32, error) {
 }
 
 // Fit checks that frag's blocks fit its nodes and an arena of
-// dimension dim, every slot indexing a point and no coordinate NaN, and
-// that its nodes form a forest any walk ends in: every split dimension
-// below dim, every routing child a node of frag after its parent —
-// only a link leaves frag — and no link leading inside frag.
+// dimension dim, every slot indexing a point and every coordinate
+// finite, and that its nodes form a forest any walk ends in: every
+// split dimension below dim and no split value NaN, which orders no
+// point, every routing child a node of frag after its parent — only a
+// link leaves frag — and no link leading inside frag.
 func (frag *Arena) Fit(dim int) error {
 	if frag.Dim != dim {
 		return fmt.Errorf("kdtree: fragment of dimension %d, arena of %d", frag.Dim, dim)
@@ -106,8 +107,8 @@ func (frag *Arena) Fit(dim int) error {
 		return fmt.Errorf("kdtree: fragment blocks of %d box and %d coordinate floats for %d nodes and %d points",
 			len(frag.Boxes), len(frag.Coords), len(frag.Nodes), len(frag.IDs))
 	}
-	if slices.ContainsFunc(frag.Coords, math.IsNaN) {
-		return fmt.Errorf("kdtree: a fragment point with a NaN coordinate")
+	if !Finite(frag.Coords) {
+		return fmt.Errorf("kdtree: a fragment point with a NaN or infinite coordinate")
 	}
 	for i := range frag.Nodes {
 		n := &frag.Nodes[i]
@@ -122,6 +123,8 @@ func (frag *Arena) Fit(dim int) error {
 		case n.Leaf || n.Moved:
 		case n.SplitDim < 0 || int(n.SplitDim) >= dim:
 			return fmt.Errorf("kdtree: fragment node %d: split dimension %d", i, n.SplitDim)
+		case math.IsNaN(n.SplitVal):
+			return fmt.Errorf("kdtree: fragment node %d: a NaN split value", i)
 		default:
 			for _, c := range [2]Ref{n.Left, n.Right} {
 				if !frag.IsLocal(c) {

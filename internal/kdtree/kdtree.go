@@ -30,7 +30,10 @@
 // link).
 package kdtree
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Point is an indexed vector with an opaque payload identifier
 // (in SemTree the triple ID) — what a tree takes in and what its
@@ -166,10 +169,14 @@ func New(dim, bucketSize int) (*Tree, error) {
 func (t *Tree) Len() int { return t.size }
 
 // Insert adds a point, splitting the target leaf when its bucket
-// saturates (Figure 1's red-node split).
+// saturates (Figure 1's red-node split). A point whose coordinates are
+// not all Finite is refused.
 func (t *Tree) Insert(p Point) error {
 	if len(p.Coords) != t.Dim {
 		return fmt.Errorf("kdtree: point has %d coords, tree dimension is %d", len(p.Coords), t.Dim)
+	}
+	if !Finite(p.Coords) {
+		return fmt.Errorf("kdtree: a point with a NaN or infinite coordinate")
 	}
 	leaf, _, _, path := t.Descend(0, p.Coords, t.path[:0])
 	t.path = path
@@ -177,6 +184,18 @@ func (t *Tree) Insert(p Point) error {
 	t.Append(leaf, p)
 	t.size++
 	return nil
+}
+
+// Finite reports whether every coordinate is neither NaN nor infinite:
+// what a point must be to be indexed. A split plane orders no NaN, and
+// the midpoint of an infinite range (SplitLeaf) is NaN.
+func Finite(coords []float64) bool {
+	for _, v := range coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsLocal reports whether ref points into this arena.

@@ -93,6 +93,24 @@ func TestInsertDimensionMismatch(t *testing.T) {
 	}
 }
 
+// TestInsertRefusesNonFinite: a point with a NaN or infinite coordinate
+// is refused. Two points at −Inf and three at +Inf would split a leaf at
+// the midpoint of [−Inf, +Inf], which is NaN.
+func TestInsertRefusesNonFinite(t *testing.T) {
+	tr, _ := New(1, 4)
+	for i, v := range []float64{math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1), math.Inf(1), math.NaN()} {
+		if err := tr.Insert(Point{Coords: []float64{v}, ID: uint64(i)}); err == nil {
+			t.Errorf("a point at %v accepted", v)
+		}
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("%d points indexed, want none", tr.Len())
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertAndInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	tr, _ := New(4, 8)

@@ -100,9 +100,9 @@ func Save(w io.Writer, ix *Index) error {
 	}
 	// Equal sizes plus every ID below the entry count (IDs are distinct)
 	// prove the tree serves exactly the captured entries.
-	if treeSnap.Size != int64(n) {
+	if k := treeSnap.Len(); k != int64(n) {
 		return fmt.Errorf("semtree: tree snapshot holds %d points but %d triples are stored "+
-			"(index mutated during Save, or triples added to the store outside the index?)", treeSnap.Size, n)
+			"(index mutated during Save, or triples added to the store outside the index?)", k, n)
 	}
 	if id, ok := strayID(treeSnap, n); ok {
 		return fmt.Errorf("semtree: tree snapshot holds triple ID %d but only %d triples were captured "+
@@ -295,9 +295,9 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	// The cross-checks against the store come before the structural
 	// validation inside RestoreTree, so an inconsistent stream fails
 	// fast either way.
-	if snap.Tree.Size != int64(snap.Rows) {
+	if k := snap.Tree.Len(); k != int64(snap.Rows) {
 		return nil, fmt.Errorf("semtree: load: %w: tree snapshot holds %d points but %d triples persisted",
-			ErrSnapshotCorrupt, snap.Tree.Size, snap.Rows)
+			ErrSnapshotCorrupt, k, snap.Rows)
 	}
 	// Every point the tree serves must resolve in the store — reloaded
 	// IDs are positional — or queries over the restored tree would

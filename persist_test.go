@@ -980,7 +980,6 @@ func loadLegacyRejected(t *testing.T, version int, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Format = 1
 	legacy := legacySnapshot{
 		Version: version, Options: ix.opts, Tree: tree,
 		Mapper: fastmap.ConvertSnapshot(ix.mapper.Snapshot(), semdist.Triple.Unresolved),
