@@ -240,7 +240,7 @@ func (m installReq) AppendWire(a *column.Appender) {
 }
 
 func readInstallReq(d *column.Decoder) any {
-	return installReq{Frag: readState(d), Entry: d.Int32(), Seq: d.Uvarint()}
+	return installReq{Frag: readState(d, true), Entry: d.Int32(), Seq: d.Uvarint()}
 }
 
 // installResp reports the arena index the fragment's root landed on, or
@@ -274,7 +274,7 @@ type snapshotResp struct {
 
 func (snapshotResp) WireKind() byte                  { return kindSnapshotResp }
 func (m snapshotResp) AppendWire(a *column.Appender) { appendState(a, &m.State) }
-func readSnapshotResp(d *column.Decoder) any         { return snapshotResp{State: readState(d)} }
+func readSnapshotResp(d *column.Decoder) any         { return snapshotResp{State: readState(d, false)} }
 
 // restoreReq replaces a partition's state wholesale; refs are already
 // translated to the receiving fabric's NodeIDs. The empty state is how
@@ -285,7 +285,7 @@ type restoreReq struct {
 
 func (restoreReq) WireKind() byte                  { return kindRestoreReq }
 func (m restoreReq) AppendWire(a *column.Appender) { appendState(a, &m.State) }
-func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d)} }
+func readRestoreReq(d *column.Decoder) any         { return restoreReq{State: readState(d, true)} }
 
 // appendState appends arena s in the layout of its snapshot file: the
 // float count of its link boxes, the arena's Dim and Self, the three
@@ -325,12 +325,17 @@ func appendState(a *column.Appender, s *kdtree.Arena) {
 // readState reads what appendState wrote — each column with the file's
 // reader, so a block must hold its body exactly, and a node column
 // that leaves a split value out (stateLeftMax) is refused — and
-// rebuilds the arena's boxes (rebuildBoxes).
-func readState(d *column.Decoder) kdtree.Arena {
+// rebuilds the arena's boxes (rebuildBoxes). A request's arena it
+// refuses is a request refused (ErrRequestRefused), on every fabric.
+func readState(d *column.Decoder, request bool) kdtree.Arena {
+	fail := d.Fail
+	if request {
+		fail = func(err error) { d.Fail(fmt.Errorf("%w: %w", ErrRequestRefused, err)) }
+	}
 	fs := newFloatBlock(d)
 	dim, self := d.Uvarint(), d.Int32()
 	if dim > MaxSnapshotDim {
-		d.Fail(fmt.Errorf("core: dimension %d out of range", dim))
+		fail(fmt.Errorf("core: dimension %d out of range", dim))
 	}
 	var body column.Decoder
 	s, leftOut, err := readColumns(int(dim), self, func() (*column.Decoder, error) {
@@ -338,11 +343,11 @@ func readState(d *column.Decoder) kdtree.Arena {
 		return &body, d.Err()
 	}, true)
 	if err != nil {
-		d.Fail(err)
+		fail(err)
 		return s
 	}
 	if slices.Contains(leftOut, true) {
-		d.Fail(errLeftOut)
+		fail(errLeftOut)
 		return s
 	}
 	var corners [][]float64 // every link's lo and hi, links in node order
@@ -350,7 +355,7 @@ func readState(d *column.Decoder) kdtree.Arena {
 		if s.Nodes[i].Moved {
 			lo, hi := fs.next(), fs.next()
 			if len(hi) != len(lo) || (lo != nil && len(lo) != s.Dim) {
-				d.Fail(errLinkBox)
+				fail(errLinkBox)
 			}
 			corners = append(corners, lo, hi)
 		}
@@ -358,7 +363,7 @@ func readState(d *column.Decoder) kdtree.Arena {
 	fs.end()
 	if d.Err() == nil {
 		if err := rebuildBoxes(&s, corners); err != nil {
-			d.Fail(err)
+			fail(err)
 		}
 	}
 	return s

@@ -454,6 +454,65 @@ func TestRestoreCountsItsArena(t *testing.T) {
 	}
 }
 
+// TestLeafAndLinkRefused: a node column may not mark a link a leaf —
+// k-NN would take the node for a leaf, range search and Descend for a
+// link — so over TCP and on InProc under the fault seam, a restoreReq
+// of the fuzz tree's root partition with one of its links given the
+// leaf bit, and a trunk graft over an empty tree's root whose link has
+// it, are refused, and each leaves the partition as it was.
+func TestLeafAndLinkRefused(t *testing.T) {
+	ctx := context.Background()
+	for name, fabric := range map[string]cluster.Fabric{
+		"tcp":    cluster.NewTCP(),
+		"inproc": clustertest.New(cluster.NewInProc(cluster.InProcOptions{}), clustertest.Faults{}),
+	} {
+		defer fabric.Close()
+		cfg := fuzzConfig
+		cfg.Fabric = fabric
+		refused := func(tr *Tree, m cluster.Message, what string) {
+			t.Helper()
+			root := tr.rootPartition()
+			before, n := partitionBytes(t, root), tr.Len()
+			if _, err := fabric.Call(ctx, cluster.ClientID, root.id, m); !errors.Is(err, ErrRequestRefused) {
+				t.Errorf("%s: %s: %v, want a refusal", name, what, err)
+			}
+			if tr.Len() != n || !bytes.Equal(partitionBytes(t, root), before) {
+				t.Errorf("%s: a refused %s changed the partition", name, what)
+			}
+		}
+
+		tr := mustTree(t, cfg)
+		if err := tr.BulkLoad(ctx, fuzzPoints()); err != nil || tr.PartitionCount() != 3 {
+			t.Fatalf("%s: the fuzz tree: %d partitions, %v", name, tr.PartitionCount(), err)
+		}
+		refused(tr, leafAndLinkRestore(tr), "restore of the root's state with a link marked a leaf")
+
+		empty := mustTree(t, cfg)
+		data := empty.allocPartitions(1)
+		frag := kdtree.Arena{
+			Nodes: []kdtree.Node{
+				{SplitVal: 4, Left: kdtree.Ref{Part: kdtree.Local, Node: 1}, Right: kdtree.Ref{Part: kdtree.Local, Node: 2}},
+				{Leaf: true, Slots: []int32{0}},
+				{Leaf: true, Moved: true, Fwd: refTo(data[0], 0)},
+			},
+			Coords: []float64{1, 1}, IDs: []uint64{7}, Boxes: make([]float64, 12),
+			Self: kdtree.Local, Dim: 2,
+		}
+		refused(empty, installReq{Frag: frag, Entry: 0, Seq: empty.installs.Add(1)}, "trunk graft whose link is marked a leaf")
+	}
+}
+
+// leafAndLinkRestore returns a restoreReq of the root partition's own
+// state with its first link marked a leaf as well.
+func leafAndLinkRestore(tr *Tree) restoreReq {
+	root := tr.rootPartition()
+	root.mu.RLock()
+	st := root.Clone()
+	root.mu.RUnlock()
+	st.Nodes[slices.IndexFunc(st.Nodes, func(n kdtree.Node) bool { return n.Moved })].Leaf = true
+	return restoreReq{State: st}
+}
+
 // knnServed starts one partition over 2 000 random points of dims
 // coordinates on a TCP fabric and returns a call that sends it a k-NN
 // hop — a query, K = k and a seed of k neighbours farther than any point,
@@ -925,9 +984,13 @@ func fuzzPoints() []kdtree.Point {
 var fuzzConfig = Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartitions: 3}
 
 // checkCounts requires, of a tree quiescent after an accepted request,
-// every partition's count (Stats) to be its arena's bucket total, and a
+// every partition's count (Stats) to be its arena's bucket total, a
 // full-cover range search to return exactly the IDs a walk of its
-// snapshot reaches from the root.
+// snapshot reaches from the root, and a k-NN of K = Len() under either
+// protocol to return exactly the distinct IDs that range search does.
+// Distinct, not counted: a request may store an ID twice, outside the
+// unique-ID contract, and the protocols need not then agree on the
+// number of neighbours.
 func checkCounts(t *testing.T, tr *Tree) {
 	t.Helper()
 	st, err := tr.Stats()
@@ -959,6 +1022,22 @@ func checkCounts(t *testing.T, tr *Tree) {
 	if !slices.Equal(ids, want) {
 		t.Fatalf("a full-cover range search found %d points %v, the tree holds %d %v", len(ids), ids, len(want), want)
 	}
+	ids = slices.Compact(ids)
+	for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
+		got, _, err := tr.knnResolved(context.Background(), []float64{4, 4}, tr.Len(), proto, false, nil)
+		if err != nil {
+			t.Fatalf("a k-NN of every point under protocol %v: %v", proto, err)
+		}
+		knn := make([]uint64, len(got))
+		for i, nb := range got {
+			knn[i] = nb.Point.ID
+		}
+		slices.Sort(knn)
+		if knn = slices.Compact(knn); !slices.Equal(knn, ids) {
+			t.Fatalf("a k-NN of every point under protocol %v found %d distinct IDs %v, a full-cover range search %d %v",
+				proto, len(knn), knn, len(ids), ids)
+		}
+	}
 }
 
 // FuzzPartitionHandle delivers decoded requests to a live partition.
@@ -970,8 +1049,9 @@ func checkCounts(t *testing.T, tr *Tree) {
 // request the partition refuses leaves the tree's Len and the
 // partition's snapshot bytes as they were. After an accepted one every
 // box is exact (checkPartitionBoxes), every partition counts what its
-// buckets hold, and a full-cover range search finds every point the
-// tree reaches (checkCounts). The seeds are TestProtocolTable's
+// buckets hold, a full-cover range search finds every point the tree
+// reaches, and a k-NN of every point under either protocol finds the
+// same IDs (checkCounts). The seeds are TestProtocolTable's
 // samples, sent to every partition as they are and with every node they
 // name past the end of the arena.
 func FuzzPartitionHandle(f *testing.F) {
@@ -1021,7 +1101,7 @@ func FuzzPartitionHandle(f *testing.F) {
 			checkCounts(t, tr)
 		}
 		// The k-NN kernel's visit heap over whatever the delivery left,
-		// under both protocols: it may fail, never panic.
+		// under both protocols: after a refusal it may fail, never panic.
 		for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
 			_, _, _ = tr.knnResolved(ctx, []float64{4, 4}, tr.Len(), proto, false, nil)
 		}

@@ -144,7 +144,13 @@ func liveSnapshot(t *testing.T, tr *Tree) *TreeSnapshot {
 func treeHeight(t *testing.T, tr *Tree) int {
 	t.Helper()
 	h := 0
-	if err := liveSnapshot(t, tr).walk(kdtree.Ref{}, 1, func(_ kdtree.Ref, depth int) { h = max(h, depth) }); err != nil {
+	err := liveSnapshot(t, tr).walk(kdtree.Ref{}, func(_ kdtree.Ref, n *kdtree.Node, depth int) error {
+		if n.Leaf {
+			h = max(h, depth)
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return h

@@ -40,14 +40,13 @@ import (
 // fresh fabric whose IDs need not match. Taking a snapshot requires
 // quiescence — no concurrent inserts or bulk loads — like Rebalance.
 //
-// Restore trusts nothing: Validate walks the snapshot's cross-partition
-// node graph iteratively (corrupt input must not overflow the stack),
-// requiring exactly-one-state nodes, in-range references, routing
-// children inside their arena, and a strict tree in which every node is
-// reachable from the root — every violation is reported as
-// ErrSnapshotCorrupt, never a panic. No point count is stored beside an
-// arena: a partition's count is its bucket total (bucketPoints), and the
-// counts the columns carry are refused when they disagree with it.
+// Restore trusts nothing, and checks each thing once: FitBoxes the
+// snapshot layout of every arena, Validate the graph joining them, and
+// the partition adopting an arena the arena (handleRestore); RestoreTree
+// reports every violation as ErrSnapshotCorrupt, never a panic. No
+// point count is stored beside an arena: a partition's count is its
+// bucket total (bucketPoints), and the counts the columns carry are
+// refused when they disagree with it.
 
 // ErrSnapshotCorrupt reports snapshot bytes or structure that cannot be
 // restored: truncated or garbled encodings, unknown format versions,
@@ -123,36 +122,51 @@ func mapRefs(a *kdtree.Arena, part func(int32) (int32, error)) (err error) {
 	return err
 }
 
-// walk visits every leaf of the logical subtree rooted at ref in
-// preorder — left before right, a link followed to the subtree it leads
-// to — with the leaf's depth (ref itself is at the depth given; a link
-// adds no level). Refs are ordinals, as everywhere
-// in a snapshot at rest. A reference to a node the snapshot does not
-// have — a link into a partition a failed load's undo reset — stops it
-// with ErrSnapshotCorrupt. It recurses: for snapshots Tree.Snapshot
-// took, whose links lead down the partition DAG, not for decoded ones.
-func (s *TreeSnapshot) walk(ref kdtree.Ref, depth int, leaf func(ref kdtree.Ref, depth int)) error {
-	n := s.node(ref)
-	switch {
-	case n == nil:
-		return corrupt("dangling reference to partition %d node %d", ref.Part, ref.Node)
-	case n.Moved:
-		return s.walk(n.Fwd, depth, leaf)
-	case n.Leaf:
-		leaf(ref, depth)
-		return nil
+// walk visits every node of the logical subtree rooted at root in
+// preorder — a routing node's left subtree before its right, a link
+// followed to the node it leads to — calling visit with the node's ref
+// and depth (root 1, a routing child one deeper, a link no level). A
+// reference to a node the snapshot does not have — a link into a
+// partition a failed load's undo reset — stops it with
+// ErrSnapshotCorrupt, and so does visit's error. Its stack is its own,
+// so no depth overflows the goroutine's; on a graph that is not a tree
+// visit must stop it (Validate).
+func (s *TreeSnapshot) walk(root kdtree.Ref, visit func(ref kdtree.Ref, n *kdtree.Node, depth int) error) error {
+	type step struct {
+		ref   kdtree.Ref
+		depth int
 	}
-	if err := s.walk(n.Left, depth+1, leaf); err != nil {
-		return err
+	stack := []step{{root, 1}}
+	for len(stack) > 0 {
+		at := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := s.node(at.ref)
+		if n == nil {
+			return corrupt("dangling reference to partition %d node %d", at.ref.Part, at.ref.Node)
+		}
+		if err := visit(at.ref, n, at.depth); err != nil {
+			return err
+		}
+		switch {
+		case n.Moved:
+			stack = append(stack, step{n.Fwd, at.depth})
+		case !n.Leaf:
+			stack = append(stack, step{n.Right, at.depth + 1}, step{n.Left, at.depth + 1})
+		}
 	}
-	return s.walk(n.Right, depth+1, leaf)
+	return nil
 }
 
 // pointsUnder gathers the points of the logical subtree rooted at ref,
 // bucket by bucket in walk order, as views of the snapshot's blocks.
 func (s *TreeSnapshot) pointsUnder(ref kdtree.Ref) ([]kdtree.Point, error) {
 	var pts []kdtree.Point
-	err := s.walk(ref, 1, func(r kdtree.Ref, _ int) { pts = s.Parts[r.Part].AppendBucket(pts, r.Node) })
+	err := s.walk(ref, func(r kdtree.Ref, n *kdtree.Node, _ int) error {
+		if n.Leaf {
+			pts = s.Parts[r.Part].AppendBucket(pts, r.Node)
+		}
+		return nil
+	})
 	return pts, err
 }
 
@@ -169,10 +183,12 @@ func (p *partition) handleSnapshot() (any, error) {
 // write lock. The arena adopts the request's (kdtree.Arena.Restore):
 // its node table and box block are the partition's from then on, and
 // its point blocks and slot arrays, which an in-process request shares
-// with the client's snapshot, are only ever appended to or replaced. A
-// state the kernel rejects, or one linking up the partition DAG or to a
-// partition the tree does not have, is refused. The partition's count
-// is then the bucket total of the arena it adopted.
+// with the client's snapshot, are only ever appended to or replaced.
+// It is a restore's one check of the arena: a state the kernel rejects
+// (kdtree.Arena.Fit), or one linking up the partition DAG or to a
+// partition the tree does not have, is refused, which RestoreTree
+// reports as a corrupt snapshot. The partition's count is then the
+// bucket total of the arena it adopted.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -230,11 +246,11 @@ func (t *Tree) Snapshot() (*TreeSnapshot, error) {
 // snapshot of a tree whose boxes a lost write left wider than its points
 // restores exact, and one read without boxes (ReadSnapshot) needs no
 // fitting first: the split values its node column left out are set
-// from the fitted boxes, in the copy. The snapshot is validated:
-// malformed input returns
-// ErrSnapshotCorrupt. The restored tree answers every query
-// byte-identically to the tree the snapshot was taken from. The
-// snapshot stays the caller's, unmodified.
+// from the fitted boxes, in the copy. Malformed input returns
+// ErrSnapshotCorrupt, checked once: by FitBoxes, Validate and each
+// partition adopting its arena (handleRestore). The restored tree
+// answers every query byte-identically to the tree the snapshot was
+// taken from. The snapshot stays the caller's, unmodified.
 func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 	if err := snap.validHeader(); err != nil {
 		return nil, err
@@ -276,6 +292,9 @@ func RestoreTree(cfg Config, snap *TreeSnapshot) (*Tree, error) {
 		a.Self = int32(ids[i])
 		if _, err := t.call(cluster.ClientID, ids[i], restoreReq{State: a}); err != nil {
 			t.Close()
+			if errors.Is(err, ErrRequestRefused) {
+				return nil, corrupt("partition %d: %v", i, err)
+			}
 			return nil, fmt.Errorf("core: restore partition %d: %w", i, err)
 		}
 	}
@@ -621,7 +640,7 @@ func readTree(r *column.Reader, dim int, coords bool) (*TreeSnapshot, error) {
 // the subtree it leads to — and the split values the node columns left
 // out (fitRouting). A partition not in the snapshot layout, or a split
 // value left out whose box cannot give it, is ErrSnapshotCorrupt; a
-// tree whose boxes cannot be fitted right is one Validate rejects.
+// tree whose boxes cannot be fitted right is one RestoreTree refuses.
 func (s *TreeSnapshot) FitBoxes() error {
 	arenas := make([]*kdtree.Arena, len(s.Parts))
 	for pi := range s.Parts {
@@ -682,8 +701,8 @@ func fitRouting(arenas []*kdtree.Arena, leftOut [][]bool) error {
 // end, and an empty one decodes as nil. The node column's count must be
 // its bucket total, and its marks the ones appendColumns would write for
 // its IDs: stateAscending on exactly the leaves whose buckets never
-// fall, and stateLeftMax on routing nodes only; a split value it writes
-// is not NaN. The ID column must be what appendColumns writes: the Rice
+// fall, stateLeftMax on routing nodes only, and no link marked a leaf;
+// a split value it writes is finite. The ID column must be what appendColumns writes: the Rice
 // parameter column.RiceParam picks for its codes, no ID past 2⁶⁴ in an
 // ascending bucket, and no bit after the last code.
 func readColumns(dim int, self int32, next func() (*column.Decoder, error), coords bool) (a kdtree.Arena, leftOut []bool, err error) {
@@ -708,7 +727,7 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 		n.Leaf, n.Moved = state&stateLeaf != 0, state&stateMoved != 0
 		switch {
 		case n.Moved:
-			if state&(stateLeftMax|stateAscending) != 0 {
+			if state&(stateLeaf|stateLeftMax|stateAscending) != 0 {
 				return a, nil, fmt.Errorf("node %d: a link of state %#x", i, state)
 			}
 			n.Fwd = readRef(d)
@@ -728,8 +747,8 @@ func readColumns(dim int, self int32, next func() (*column.Decoder, error), coor
 			}
 			n.SplitDim = int32(d.Uint32())
 			if leftOut[i] = state&stateLeftMax != 0; !leftOut[i] {
-				if n.SplitVal = d.Float(); math.IsNaN(n.SplitVal) {
-					return a, nil, fmt.Errorf("node %d: a NaN split value", i)
+				if n.SplitVal = d.Float(); math.IsNaN(n.SplitVal) || math.IsInf(n.SplitVal, 0) {
+					return a, nil, fmt.Errorf("node %d: split value %v", i, n.SplitVal)
 				}
 			}
 			n.Left = readChild(d, self, i)
@@ -853,8 +872,9 @@ func (s *TreeSnapshot) node(ref kdtree.Ref) *kdtree.Node {
 // back to the first's: a routing child follows its parent in its arena
 // (kdtree.Arena.Fit) and a link leads to a later partition (linksDown),
 // so every box a node covers is whole by then. Input out of that order
-// may get boxes that miss points, and is refused for its order
-// (Validate; a partition's kdtree.Arena.Restore and Install).
+// may get boxes that miss points, and is refused for its order by the
+// partition that adopts it (kdtree.Arena.Fit and linksDown, in
+// handleRestore and handleInstall).
 func coverRouting(arenas []*kdtree.Arena) {
 	index := make(map[int32]int, len(arenas)) // an arena's position, by its Self
 	for i, a := range arenas {
@@ -895,14 +915,12 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 }
 
-// Validate checks the snapshot's structural invariants — the same ones
-// a live tree maintains — and returns ErrSnapshotCorrupt on any
-// violation: arenas not in the snapshot layout or refused as kdtree
-// fragments (a routing child outside its arena or a NaN split value
-// among them), out-of-range references, nodes in an impossible state,
-// and a reachable graph that is not a strict tree or leaves a node out.
-// Boxes are not checked: RestoreTree fits them all. The walk is
-// iterative: adversarial input cannot overflow the stack.
+// Validate checks the graph joining the snapshot's arenas, returning
+// ErrSnapshotCorrupt for a dimension or partition count out of range,
+// an empty root partition, an arena under another partition's Self, a
+// reference to a node the snapshot lacks, or a graph reachable from the
+// root that is not a strict tree or leaves a node out. The arenas are
+// FitBoxes's and their partitions' business (RestoreTree).
 func (s *TreeSnapshot) Validate() error {
 	if err := s.validHeader(); err != nil {
 		return err
@@ -910,31 +928,29 @@ func (s *TreeSnapshot) Validate() error {
 	if len(s.Parts[0].Nodes) == 0 {
 		return corrupt("root partition has no nodes")
 	}
+	seen := make([][]bool, len(s.Parts))
 	for pi := range s.Parts {
-		a := &s.Parts[pi]
-		if a.Self != int32(pi) {
-			return corrupt("partition %d: the arena of partition %d", pi, a.Self)
+		if self := s.Parts[pi].Self; self != int32(pi) {
+			return corrupt("partition %d: the arena of partition %d", pi, self)
 		}
-		err := layout(a, s.Dim)
-		if err == nil {
-			err = a.Fit(s.Dim) // what a partition refuses to restore
+		seen[pi] = make([]bool, len(s.Parts[pi].Nodes))
+	}
+	err := s.walk(kdtree.Ref{}, func(r kdtree.Ref, _ *kdtree.Node, _ int) error {
+		if seen[r.Part][r.Node] {
+			return corrupt("partition %d node %d: two parents or on a cycle", r.Part, r.Node)
 		}
-		if err == nil {
-			err = linksDown(a, int32(pi))
-		}
-		if err != nil {
-			return corrupt("partition %d: %v", pi, err)
-		}
-		for ni := range a.Nodes {
-			switch n := &a.Nodes[ni]; {
-			case n.Leaf && n.Moved:
-				return corrupt("partition %d node %d: leaf and link at once", pi, ni)
-			case n.Moved && s.node(n.Fwd) == nil:
-				return corrupt("partition %d node %d: dangling link", pi, ni)
-			}
+		seen[r.Part][r.Node] = true
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for pi := range seen {
+		if ni := slices.Index(seen[pi], false); ni >= 0 {
+			return corrupt("partition %d node %d: unreachable from the root", pi, ni)
 		}
 	}
-	return s.validateReachable()
+	return nil
 }
 
 // validHeader checks what the size of a snapshot's boxes rests on — its
@@ -945,36 +961,6 @@ func (s *TreeSnapshot) validHeader() error {
 	}
 	if len(s.Parts) < 1 || len(s.Parts) > maxSnapshotParts {
 		return corrupt("%d partitions out of range", len(s.Parts))
-	}
-	return nil
-}
-
-// validateReachable walks the graph of routing children and links from
-// the root iteratively, requiring a strict tree — each node one parent,
-// no cycles — that reaches every node.
-func (s *TreeSnapshot) validateReachable() error {
-	seen := make([][]bool, len(s.Parts))
-	for pi := range s.Parts {
-		seen[pi] = make([]bool, len(s.Parts[pi].Nodes))
-	}
-	seen[0][0] = true
-	stack := []kdtree.Ref{{}}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		children, k := edges(&s.Parts[r.Part].Nodes[r.Node])
-		for _, c := range children[:k] { // in range: Validate checked every ref
-			if seen[c.Part][c.Node] {
-				return corrupt("partition %d node %d: child %v has two parents or sits on a cycle", r.Part, r.Node, c)
-			}
-			seen[c.Part][c.Node] = true
-			stack = append(stack, c)
-		}
-	}
-	for pi := range seen {
-		if ni := slices.Index(seen[pi], false); ni >= 0 {
-			return corrupt("partition %d node %d: unreachable from the root", pi, ni)
-		}
 	}
 	return nil
 }

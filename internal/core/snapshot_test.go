@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -256,10 +257,32 @@ func mustSnap(t *testing.T) *TreeSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.Validate(); err != nil {
+	if err := cmp.Or(snap.Validate(), validArenas(snap)); err != nil {
 		t.Fatalf("fresh snapshot invalid: %v", err)
 	}
 	return snap
+}
+
+// validArenas makes on every part of s the checks a restore leaves to
+// FitBoxes and to the partition adopting the part: the snapshot layout
+// (layout), the kernel's (kdtree.Arena.Fit) and links leading down the
+// partition DAG (linksDown). A test holds a snapshot to them beside
+// Validate without restoring it; a snapshot both pass must restore.
+func validArenas(s *TreeSnapshot) error {
+	for pi := range s.Parts {
+		a := &s.Parts[pi]
+		err := layout(a, s.Dim)
+		if err == nil {
+			err = a.Fit(s.Dim)
+		}
+		if err == nil {
+			err = linksDown(a, int32(pi))
+		}
+		if err != nil {
+			return corrupt("partition %d: %v", pi, err)
+		}
+	}
+	return nil
 }
 
 // findNode locates the first node matching pred, for targeted
@@ -278,37 +301,53 @@ func findNode(t *testing.T, s *TreeSnapshot, pred func(n *kdtree.Node) bool) (in
 }
 
 // TestSnapshotValidateRejects corrupts a valid snapshot one invariant
-// at a time; every mutation must be rejected with ErrSnapshotCorrupt.
+// at a time; RestoreTree must refuse every mutation with
+// ErrSnapshotCorrupt, saying so once. Each check has one owner on that
+// path: FitBoxes the snapshot layout of an arena, Validate the graph
+// joining the arenas, and the partition adopting an arena the arena
+// itself (kdtree.Arena.Fit, linksDown). Validate must refuse the graph
+// rows on its own.
 func TestSnapshotValidateRejects(t *testing.T) {
 	cases := []struct {
-		name string
-		mut  func(t *testing.T, s *TreeSnapshot)
+		name  string
+		graph bool
+		mut   func(t *testing.T, s *TreeSnapshot)
 	}{
-		{"zero-dim", func(t *testing.T, s *TreeSnapshot) { s.Dim = 0 }},
-		{"huge-dim", func(t *testing.T, s *TreeSnapshot) { s.Dim = 1 << 20 }},
-		{"no-parts", func(t *testing.T, s *TreeSnapshot) { s.Parts = nil }},
-		{"empty-root", func(t *testing.T, s *TreeSnapshot) { s.Parts[0].Nodes = nil }},
-		{"dangling-child", func(t *testing.T, s *TreeSnapshot) {
+		{"zero-dim", true, func(t *testing.T, s *TreeSnapshot) { s.Dim = 0 }},
+		{"huge-dim", true, func(t *testing.T, s *TreeSnapshot) { s.Dim = 1 << 20 }},
+		{"no-parts", true, func(t *testing.T, s *TreeSnapshot) { s.Parts = nil }},
+		{"empty-root", true, func(t *testing.T, s *TreeSnapshot) { s.Parts[0].Nodes = nil }},
+		{"dangling-child", true, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].Left = kdtree.Ref{Part: 9999, Node: 0}
 		}},
-		{"leaf-and-tombstone", func(t *testing.T, s *TreeSnapshot) {
+		{"leaf-and-tombstone", false, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf })
 			s.Parts[pi].Nodes[ni].Moved = true
 		}},
-		{"routing-with-bucket", func(t *testing.T, s *TreeSnapshot) {
+		{"leaf-and-link", false, func(t *testing.T, s *TreeSnapshot) {
+			// A link given the leaf bit, with no bucket: the graph and
+			// the layout are whole, and k-NN would take it for a leaf.
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Moved })
+			s.Parts[pi].Nodes[ni].Leaf = true
+		}},
+		{"routing-with-bucket", false, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].Slots = []int32{0}
 		}},
-		{"split-dim-out-of-range", func(t *testing.T, s *TreeSnapshot) {
+		{"split-dim-out-of-range", false, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].SplitDim = 7
 		}},
-		{"nan-split", func(t *testing.T, s *TreeSnapshot) {
+		{"nan-split", false, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].SplitVal = math.NaN()
 		}},
-		{"routing-child-leaves-partition", func(t *testing.T, s *TreeSnapshot) {
+		{"infinite-split", false, func(t *testing.T, s *TreeSnapshot) {
+			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
+			s.Parts[pi].Nodes[ni].SplitVal = math.Inf(1)
+		}},
+		{"routing-child-leaves-partition", true, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Moved })
 			fwd := s.Parts[pi].Nodes[ni].Fwd
 			pr, nr := findNode(t, s, func(n *kdtree.Node) bool {
@@ -320,7 +359,7 @@ func TestSnapshotValidateRejects(t *testing.T) {
 				r.Right = fwd
 			}
 		}},
-		{"arena-of-another-partition", func(t *testing.T, s *TreeSnapshot) {
+		{"arena-of-another-partition", true, func(t *testing.T, s *TreeSnapshot) {
 			// A data partition's arena under another partition's Self,
 			// its routing children renamed with it: each is local to its
 			// arena, none names a node of the snapshot.
@@ -332,20 +371,20 @@ func TestSnapshotValidateRejects(t *testing.T) {
 				}
 			}
 		}},
-		{"link-into-own-partition", func(t *testing.T, s *TreeSnapshot) {
+		{"link-into-own-partition", true, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Moved })
 			s.Parts[pi].Nodes[ni].Fwd = kdtree.Ref{Part: int32(pi), Node: 0}
 		}},
-		{"wrong-point-dims", func(t *testing.T, s *TreeSnapshot) {
+		{"wrong-point-dims", false, func(t *testing.T, s *TreeSnapshot) {
 			pi, _ := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 0 })
 			s.Parts[pi].Coords = s.Parts[pi].Coords[:len(s.Parts[pi].Coords)-1]
 		}},
-		{"bucket-out-of-column-order", func(t *testing.T, s *TreeSnapshot) {
+		{"bucket-out-of-column-order", false, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return n.Leaf && len(n.Slots) > 1 })
 			b := s.Parts[pi].Nodes[ni].Slots
 			b[0], b[1] = b[1], b[0]
 		}},
-		{"orphan-node", func(t *testing.T, s *TreeSnapshot) {
+		{"orphan-node", true, func(t *testing.T, s *TreeSnapshot) {
 			// A reachable-looking leaf nobody points at, its point in the
 			// blocks: reachability is the only detector.
 			ps := &s.Parts[0]
@@ -354,7 +393,7 @@ func TestSnapshotValidateRejects(t *testing.T) {
 			ps.Coords = append(ps.Coords, 5, 5, 5)
 			ps.Boxes = append(ps.Boxes, 5, 5, 5, 5, 5, 5)
 		}},
-		{"cycle", func(t *testing.T, s *TreeSnapshot) {
+		{"cycle", true, func(t *testing.T, s *TreeSnapshot) {
 			pi, ni := findNode(t, s, func(n *kdtree.Node) bool { return !n.Leaf && !n.Moved })
 			s.Parts[pi].Nodes[ni].Right = kdtree.Ref{} // back to the root
 		}},
@@ -363,15 +402,19 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := mustSnap(t)
 			tc.mut(t, snap)
-			err := snap.Validate()
+			if err := snap.Validate(); tc.graph && !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("Validate: %v, want ErrSnapshotCorrupt", err)
+			}
+			if err := validArenas(snap); !tc.graph && !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("validArenas: %v, want ErrSnapshotCorrupt", err)
+			}
+			tr, err := RestoreTree(Config{Dim: 3}, snap)
 			if err == nil {
-				t.Fatal("corrupted snapshot validated")
-			}
-			if !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("error %v does not wrap ErrSnapshotCorrupt", err)
-			}
-			if _, rerr := RestoreTree(Config{Dim: 3}, snap); rerr == nil {
+				tr.Close()
 				t.Fatal("RestoreTree accepted a corrupt snapshot")
+			}
+			if !errors.Is(err, ErrSnapshotCorrupt) || strings.Count(err.Error(), "snapshot corrupt") != 1 {
+				t.Fatalf("RestoreTree: %v, want ErrSnapshotCorrupt said once", err)
 			}
 		})
 	}
@@ -585,7 +628,7 @@ func TestSnapshotDecodeRebuildsBoxes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := got.Validate(); err != nil {
+					if err := cmp.Or(got.Validate(), validArenas(got)); err != nil {
 						t.Fatal(err)
 					}
 					sameSnapshot(t, got, snap)
@@ -660,7 +703,10 @@ func sameSnapshot(t *testing.T, got, want *TreeSnapshot) {
 
 // FuzzPartitionRestore: arbitrary bytes through decode → validate →
 // restore must never panic, OOM, or install a tree that breaks on
-// queries; every rejection is ErrSnapshotCorrupt.
+// queries; every rejection is ErrSnapshotCorrupt. Validate checks the
+// graph only, so a snapshot it passes may still hold an arena its
+// partition refuses, which RestoreTree reports as corrupt too; one
+// validArenas passes as well must restore.
 func FuzzPartitionRestore(f *testing.F) {
 	// Seeds: a real snapshot, a truncation of it, garbage, version skew,
 	// two empty trees and a checksum mismatch.
@@ -742,16 +788,25 @@ func FuzzPartitionRestore(f *testing.F) {
 			}
 			return
 		}
-		// A snapshot that validates must restore and answer queries.
 		// Bound the work: a huge (but internally consistent) synthetic
 		// snapshot is a resource test, not a correctness one.
 		if len(s.Parts) > 16 || s.Len() > 1<<16 {
 			return
 		}
+		whole := validArenas(s)
 		restored, err := RestoreTree(Config{BucketSize: 4}, s)
-		if err != nil {
-			t.Fatalf("validated snapshot failed to restore: %v", err)
+		switch {
+		case err != nil && whole == nil:
+			t.Fatalf("a snapshot whose graph and arenas validate failed to restore: %v", err)
+		case err != nil && !errors.Is(err, ErrSnapshotCorrupt):
+			t.Fatalf("restore error %v does not wrap ErrSnapshotCorrupt", err)
+		case err != nil:
+			return
+		case whole != nil:
+			restored.Close()
+			t.Fatalf("a snapshot with a refused arena restored: %v", whole)
 		}
+		// A snapshot that restores must answer queries.
 		defer restored.Close()
 		q := make([]float64, s.Dim)
 		if _, err := restored.KNearest(context.Background(), q, 3); err != nil {

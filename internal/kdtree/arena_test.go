@@ -163,9 +163,11 @@ func TestExtractCutsLinks(t *testing.T) {
 }
 
 // TestFitRefusesNonFinite: Fit, which every install and restore runs,
-// refuses a point with a NaN or infinite coordinate and a routing node
-// split at NaN, which orders no point: a range search would skip one
-// side of it.
+// refuses a point with a NaN or infinite coordinate, a routing node
+// split at NaN, which orders no point — a range search would skip one
+// side of it — or at ±Inf, whose far side no finite radius reaches, and
+// a node that is a leaf and a link at once, which k-NN takes for the
+// one and range search for the other.
 func TestFitRefusesNonFinite(t *testing.T) {
 	frag := func() *Arena {
 		return &Arena{
@@ -191,10 +193,22 @@ func TestFitRefusesNonFinite(t *testing.T) {
 			t.Errorf("a point at %v fitted", v)
 		}
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := frag()
+		f.Nodes[0].SplitVal = v
+		if err := f.Fit(1); err == nil {
+			t.Errorf("a split at %v fitted", v)
+		}
+	}
 	f := frag()
-	f.Nodes[0].SplitVal = math.NaN()
+	f.Nodes[2] = Node{Leaf: true, Moved: true, Fwd: Ref{Part: 7}}
+	f.Coords, f.IDs = f.Coords[:1], f.IDs[:1]
 	if err := f.Fit(1); err == nil {
-		t.Error("a split at NaN fitted")
+		t.Error("a leaf and link at once fitted")
+	}
+	f.Nodes[2].Leaf = false
+	if err := f.Fit(1); err != nil {
+		t.Errorf("the same node as a plain link: %v", err)
 	}
 }
 

@@ -95,10 +95,11 @@ func (a *Arena) Install(entry int32, frag *Arena) (int32, error) {
 
 // Fit checks that frag's blocks fit its nodes and an arena of
 // dimension dim, every slot indexing a point and every coordinate
-// finite, and that its nodes form a forest any walk ends in: every
-// split dimension below dim and no split value NaN, which orders no
-// point, every routing child a node of frag after its parent — only a
-// link leaves frag — and no link leading inside frag.
+// finite, and that its nodes form a forest any walk ends in: no node a
+// leaf and a link at once, every split dimension below dim and every
+// split value finite (NaN orders no point, ±Inf leaves a side no radius
+// reaches), every routing child a node of frag after its parent — only
+// a link leaves frag — and no link leading inside frag.
 func (frag *Arena) Fit(dim int) error {
 	if frag.Dim != dim {
 		return fmt.Errorf("kdtree: fragment of dimension %d, arena of %d", frag.Dim, dim)
@@ -118,13 +119,15 @@ func (frag *Arena) Fit(dim int) error {
 			}
 		}
 		switch {
+		case n.Leaf && n.Moved:
+			return fmt.Errorf("kdtree: fragment node %d: a leaf and a link at once", i)
 		case n.Moved && frag.IsLocal(n.Fwd):
 			return fmt.Errorf("kdtree: fragment node %d: a link to node %d of its own arena", i, n.Fwd.Node)
 		case n.Leaf || n.Moved:
 		case n.SplitDim < 0 || int(n.SplitDim) >= dim:
 			return fmt.Errorf("kdtree: fragment node %d: split dimension %d", i, n.SplitDim)
-		case math.IsNaN(n.SplitVal):
-			return fmt.Errorf("kdtree: fragment node %d: a NaN split value", i)
+		case math.IsNaN(n.SplitVal) || math.IsInf(n.SplitVal, 0):
+			return fmt.Errorf("kdtree: fragment node %d: split value %v", i, n.SplitVal)
 		default:
 			for _, c := range [2]Ref{n.Left, n.Right} {
 				if !frag.IsLocal(c) {

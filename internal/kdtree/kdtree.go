@@ -343,7 +343,7 @@ func (a *Arena) splitPlane(idx int32, bucket []int32) (dim int, splitVal float64
 // medianSplit picks Sv along dim: the median bucket value when it
 // separates the points, otherwise the midpoint of the range. Both
 // choices guarantee non-empty halves under the "<= goes left" rule,
-// because lo < hi.
+// because lo < hi. Where lo + hi overflows, the ends are halved first.
 func (a *Arena) medianSplit(bucket []int32, dim int, lo, hi float64) float64 {
 	// Select over the bucket's keys: a bucket of up to len(stack) points
 	// selects on the stack.
@@ -357,7 +357,10 @@ func (a *Arena) medianSplit(bucket []int32, dim int, lo, hi float64) float64 {
 	if med := keys[k]; med < hi {
 		return med
 	}
-	return (lo + hi) / 2
+	if mid := (lo + hi) / 2; !math.IsInf(mid, 0) {
+		return mid
+	}
+	return lo/2 + hi/2
 }
 
 // chainSplit is the degenerate split policy behind the paper's "totally

@@ -111,6 +111,36 @@ func TestInsertRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// TestMidpointSplitStaysFinite: a leaf whose median is its maximum
+// splits at the midpoint of its range, and near math.MaxFloat64 the
+// sum of the ends overflows. Six finite points — 1e308, four at 1.7e308
+// and 1.6e308 — once split the root at +Inf, which no bound check
+// accepts; the split must be finite, between the ends, and searches
+// must still find every point.
+func TestMidpointSplitStaysFinite(t *testing.T) {
+	tr, _ := New(1, 4)
+	for i, v := range []float64{1e308, 1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.6e308} {
+		if err := tr.Insert(Point{Coords: []float64{v}, ID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Nodes[0]
+	if root.Leaf || math.IsInf(root.SplitVal, 0) || root.SplitVal < 1e308 || root.SplitVal >= 1.7e308 {
+		t.Fatalf("root %+v, want a finite split in [1e308, 1.7e308)", root)
+	}
+	if got := tr.RangeSearch([]float64{1.5e308}, 1e308); len(got) != 6 {
+		t.Fatalf("a range search over every point found %d of 6", len(got))
+	}
+	// Where the sum of the ends is finite the midpoint keeps its bits.
+	a := &Arena{Dim: 1, Coords: []float64{1, 2, 2}}
+	if got := a.medianSplit([]int32{0, 1, 2}, 0, 1, 2); got != 1.5 {
+		t.Fatalf("midpoint of [1, 2] = %v, want 1.5", got)
+	}
+}
+
 func TestInsertAndInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	tr, _ := New(4, 8)
