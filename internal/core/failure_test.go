@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -107,12 +106,14 @@ func TestInsertAllAttemptsEveryPoint(t *testing.T) {
 	}
 }
 
-// transports are the fabrics a fault test states its contract on, each
-// under clustertest's faults.
-var transports = []struct {
+type transport struct {
 	name string
 	new  func() cluster.Fabric
-}{
+}
+
+// transports are the fabrics a fault test states its contract on, each
+// under clustertest's faults.
+var transports = []transport{
 	{"inproc", func() cluster.Fabric { return cluster.NewInProc(cluster.InProcOptions{}) }},
 	{"tcp", func() cluster.Fabric { return cluster.NewTCP() }},
 }
@@ -254,7 +255,7 @@ func TestRestoreAfterLostForward(t *testing.T) {
 // it is lost is what Rebalance repairs. The root's first spill sends
 // its leaves to eight fresh partitions, each target's first install
 // applies and loses its reply, and each undo reset is lost before
-// delivery (lostUndo): the root keeps its leaves, every target keeps a
+// delivery (lostSpill with lostResets): the root keeps its leaves, every target keeps a
 // copy of one that no link reaches, Len() counts both and the snapshot
 // does not validate. None of that is a dangling link, so Rebalance
 // rebuilds the tree from what is reachable: every point once, Len()
@@ -264,7 +265,7 @@ func TestRebalanceRepairsExhaustedWrites(t *testing.T) {
 		t.Run(tp.name, func(t *testing.T) {
 			inner := clustertest.New(tp.new(), clustertest.Faults{})
 			defer inner.Close()
-			fabric := &lostUndo{Fabric: inner}
+			fabric := &lostSpill{Fabric: inner, lostResets: true}
 			r := rand.New(rand.NewSource(1))
 			pts := randomPoints(r, 251, 3)
 			queries := [][]float64{randomPoints(r, 1, 3)[0].Coords, randomPoints(r, 1, 3)[0].Coords}
@@ -284,338 +285,97 @@ func TestRebalanceRepairsExhaustedWrites(t *testing.T) {
 			if err := tr.Rebalance(); err != nil {
 				t.Fatal(err)
 			}
-			c := &landOnce{t: t, pts: pts, queries: queries}
-			twice := c.check(tr, nil, tp.name+", rebalanced")
-			if snap := liveSnapshot(t, tr); twice != 0 || cmp.Or(snap.Validate(), validArenas(snap)) != nil {
-				t.Fatalf("the rebalanced tree stores %d IDs twice or does not validate", twice)
+			snap, seen, twice := liveSnapshot(t, tr), make(map[uint64]bool), 0
+			for _, ps := range snap.Parts {
+				for _, id := range ps.IDs {
+					if seen[id] {
+						twice++
+					}
+					seen[id] = true
+				}
 			}
+			if twice != 0 || len(seen) != len(pts) || tr.Len() != len(pts) || cmp.Or(snap.Validate(), validArenas(snap)) != nil {
+				t.Fatalf("the rebalanced tree stores %d IDs twice, %d of %d points, Len %d, or does not validate", twice, len(seen), len(pts), tr.Len())
+			}
+			checkAgainstScan(t, tr, pts, queries, tp.name+", rebalanced")
 		})
 	}
 }
 
-// lostUndo is TestRebalanceRepairsExhaustedWrites's fault seam: once
-// armed, every install applies and loses its reply, and every restore
-// — a spill's undo reset — is lost before delivery.
-type lostUndo struct {
-	cluster.Fabric
-	armed atomic.Bool
+// TestFailedSpillReusesItsTargets: a spill whose installs all failed
+// strands none of its targets. The root's first spill sends its leaves
+// to eight fresh partitions, the whole budget; each install applies and
+// loses its reply (lostSpill, one attempt each), and each undo reset is
+// acknowledged, so the eight are the root's spares. One more Insert
+// spills onto them: no data partition is left empty, the root holds no
+// more than its capacity, and every query answers as the flat scan.
+func TestFailedSpillReusesItsTargets(t *testing.T) {
+	for _, tp := range transports {
+		t.Run(tp.name, func(t *testing.T) {
+			inner := clustertest.New(tp.new(), clustertest.Faults{})
+			defer inner.Close()
+			fabric := &lostSpill{Fabric: inner}
+			r := rand.New(rand.NewSource(1))
+			pts := randomPoints(r, 252, 3)
+			queries := [][]float64{randomPoints(r, 1, 3)[0].Coords, randomPoints(r, 1, 3)[0].Coords}
+			tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 1})
+			if err := tr.InsertAll(pts[:250], 1); err != nil {
+				t.Fatal(err)
+			}
+			fabric.armed.Store(true)
+			err := tr.Insert(pts[250])
+			fabric.armed.Store(false)
+			if st := mustStats(t, tr); err != nil || tr.PartitionCount() != 9 || st.PartitionPoints[0] != 251 {
+				t.Fatalf("the failed spill: %v, %d partitions holding %v: test vacuous", err, tr.PartitionCount(), st.PartitionPoints)
+			}
+			if err := tr.Insert(pts[251]); err != nil {
+				t.Fatal(err)
+			}
+			if st := mustStats(t, tr); st.PartitionPoints[0] > 250 || slices.Contains(st.PartitionPoints[1:], 0) {
+				t.Fatalf("after one more Insert the partitions hold %v", st.PartitionPoints)
+			}
+			checkAgainstScan(t, tr, pts, queries, tp.name)
+		})
+	}
 }
 
-func (f *lostUndo) Call(ctx context.Context, from, to cluster.NodeID, req any) (any, error) {
+// lostSpill is the fault seam of a failed spill: once armed, every
+// install a partition sends — a spill's — applies and loses its reply,
+// and with lostResets every restore — the spill's undo reset — is lost
+// before delivery.
+type lostSpill struct {
+	cluster.Fabric
+	armed      atomic.Bool
+	lostResets bool
+}
+
+func (f *lostSpill) Call(ctx context.Context, from, to cluster.NodeID, req any) (any, error) {
 	if !f.armed.Load() {
 		return f.Fabric.Call(ctx, from, to, req)
 	}
 	switch req.(type) {
 	case installReq:
-		if _, err := f.Fabric.Call(ctx, from, to, req); err != nil {
-			return nil, err
+		if from != cluster.ClientID {
+			if _, err := f.Fabric.Call(ctx, from, to, req); err != nil {
+				return nil, err
+			}
+			return nil, cluster.ErrTransient
 		}
-		return nil, cluster.ErrTransient
 	case restoreReq:
-		return nil, cluster.ErrTransient
+		if f.lostResets {
+			return nil, cluster.ErrTransient
+		}
 	}
 	return f.Fabric.Call(ctx, from, to, req)
 }
 
-// TestLostReplyBulkLoadNeverPanics is the lost-reply probe on an empty
-// tree: a bulk load whose install or graft reply is lost is retried or
-// undone, and the retried requests can name nodes the partition no
-// longer has. Twenty seeds must run without a panic, and every error a
-// load returns is typed: the partitions' refusal or a transient
-// failure that exhausted its retries.
-func TestLostReplyBulkLoadNeverPanics(t *testing.T) {
-	for _, tp := range transports {
-		t.Run(tp.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 20; seed++ {
-				fabric := clustertest.New(tp.new(), clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
-				pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
-				tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
-				err := tr.BulkLoad(context.Background(), pts)
-				if err != nil && !errors.Is(err, ErrRequestRefused) && !errors.Is(err, cluster.ErrTransient) {
-					t.Errorf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
-				}
-				tr.Close()
-				fabric.Close()
-			}
-		})
+func mustStats(t *testing.T, tr *Tree) TreeStats {
+	t.Helper()
+	st, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestLostReplyParity: under the fault seam, which delivers every
-// message by value, a fault test on InProc states what TCP does.
-// TestLostReplyBulkLoadNeverPanics's twenty seeds run on both
-// transports, and each seed must end the same on both: the same error
-// class and the same Len(). No ID may appear twice across the
-// partitions: a retried install is answered by its Seq, not applied
-// again.
-func TestLostReplyParity(t *testing.T) {
-	type outcome struct {
-		class    string
-		n, twice int
-	}
-	run := func(inner cluster.Fabric, seed int64) outcome {
-		fabric := clustertest.New(inner, clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
-		defer fabric.Close()
-		pts := randomPoints(rand.New(rand.NewSource(seed)), 2000, 3)
-		tr := mustTree(t, Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 40})
-		defer tr.Close()
-		err := tr.BulkLoad(context.Background(), pts)
-		out := outcome{class: errClass(err), n: tr.Len()}
-		if out.class != "ok" && out.class != "refused" && out.class != "transient" {
-			t.Fatalf("seed %d: BulkLoad returned an untyped error: %v", seed, err)
-		}
-		fabric.Arm(clustertest.Faults{})
-		seen := make(map[uint64]int)
-		for _, ps := range liveSnapshot(t, tr).Parts {
-			for _, id := range ps.IDs {
-				if seen[id]++; seen[id] == 2 {
-					out.twice++
-				}
-			}
-		}
-		return out
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		inproc, tcp := run(cluster.NewInProc(cluster.InProcOptions{}), seed), run(cluster.NewTCP(), seed)
-		if inproc != tcp {
-			t.Errorf("seed %d: InProc ends %+v, TCP %+v", seed, inproc, tcp)
-		}
-		if inproc.twice != 0 || tcp.twice != 0 {
-			t.Errorf("seed %d: IDs stored twice: %d on InProc, %d on TCP", seed, inproc.twice, tcp.twice)
-		}
-	}
-}
-
-// TestWritesLandOnceUnderLostReplies holds every write path to one
-// delivery contract: a write whose reply is lost after its handler ran
-// is sent again and still lands once — a point by its ID at the leaf,
-// an install by its Seq at the partition. Twenty seeds run on both
-// transports under the fault seam: nine partitions, RetryAttempts 40,
-// drop-reply-after at 5 % armed for the writes alone. The paths, in
-// order: BulkLoad of all 2 000 points on an empty tree, Rebalance,
-// RestoreTree from its snapshot; then, on a fresh tree for each worker
-// count, InsertAll of the first 1 000 with 1 and with 4 workers (the
-// root spills under them) and BulkLoad of the rest into that live tree.
-// After each step, disarmed (landOnce.check): Len() equals the distinct
-// IDs stored, no ID is stored twice, every point whose write returned
-// nil is stored, every query answers as the flat scan, and every error
-// is typed. Each seed's steps end the same on both transports — the
-// same error class, Len() and copies — and every step lost at least one
-// reply on some seed.
-func TestWritesLandOnceUnderLostReplies(t *testing.T) {
-	lost := make(map[string]int64) // replies lost, by step, over every run
-	for seed := int64(1); seed <= 20; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			var ends [2][]landOutcome
-			for i, tp := range transports {
-				t.Run(tp.name, func(t *testing.T) {
-					c := &landOnce{t: t, seed: seed, name: tp.name, fabric: clustertest.New(tp.new(), clustertest.Faults{}), lost: lost}
-					defer c.fabric.Close()
-					c.run()
-					ends[i] = c.ends
-				})
-			}
-			if !slices.Equal(ends[0], ends[1]) {
-				t.Errorf("seed %d: %s ends %+v, %s %+v", seed, transports[0].name, ends[0], transports[1].name, ends[1])
-			}
-		})
-	}
-	t.Logf("replies lost, by step, over every run: %v", lost)
-	for _, step := range landSteps {
-		if lost[step] == 0 {
-			t.Errorf("step %q lost no reply on any seed: vacuous", step)
-		}
-	}
-}
-
-// TestSpillLandsOnceUnderLostReplies: a spill lands once or not at
-// all. With one attempt and 5 % of the replies lost, InsertAll of
-// 1 000 points onto nine partitions returns an error, yet every write
-// applied, and a spill install whose reply was lost resets its target —
-// allocated for that spill, holding nothing else — and keeps that
-// target's leaves local. Twenty seeds, with 1 and with 4 workers, run
-// on both transports under the fault seam. After each, disarmed:
-// Len() is 1 000, no ID is stored twice and every query answers as the
-// flat scan (landOnce.check), the live snapshot validates, and
-// RestoreTree of it answers as the flat scan too. Each seed ends with
-// the same error class and Len() on both transports.
-func TestSpillLandsOnceUnderLostReplies(t *testing.T) {
-	failed := 0 // InsertAll calls that returned an error
-	for seed := int64(1); seed <= 20; seed++ {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				var ends [2]landOutcome
-				for i, tp := range transports {
-					t.Run(tp.name, func(t *testing.T) {
-						fabric := clustertest.New(tp.new(), clustertest.Faults{})
-						defer fabric.Close()
-						r := rand.New(rand.NewSource(seed))
-						c := &landOnce{t: t, pts: randomPoints(r, 1000, 3)}
-						for range 10 {
-							c.queries = append(c.queries, randomPoints(r, 1, 3)[0].Coords)
-						}
-						stage := fmt.Sprintf("seed %d, %d workers, %s", seed, workers, tp.name)
-						cfg := Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: fabric, RetryAttempts: 1}
-						tr := mustTree(t, cfg)
-						fabric.Arm(clustertest.Faults{Seed: seed, DropReplyAfter: 0.05})
-						err := tr.InsertAll(c.pts, workers)
-						fabric.Arm(clustertest.Faults{})
-						if err != nil {
-							failed++
-						}
-						ends[i] = landOutcome{class: errClass(err), n: tr.Len(), twice: c.check(tr, nil, stage)}
-						if ends[i].class == "untyped" {
-							t.Errorf("%s: an untyped error: %v", stage, err)
-						}
-						if tr.Len() != len(c.pts) {
-							t.Errorf("%s: Len = %d, want %d", stage, tr.Len(), len(c.pts))
-						}
-						snap := liveSnapshot(t, tr)
-						if err := snap.Validate(); err != nil {
-							t.Fatalf("%s: %v", stage, err)
-						}
-						restored, err := RestoreTree(cfg, snap)
-						if err != nil {
-							t.Fatalf("%s: %v", stage, err)
-						}
-						defer restored.Close()
-						checkAgainstScan(t, restored, c.pts, c.queries, stage+", restored")
-					})
-				}
-				if ends[0] != ends[1] {
-					t.Errorf("%s ends %+v, %s %+v", transports[0].name, ends[0], transports[1].name, ends[1])
-				}
-			})
-		}
-	}
-	t.Logf("%d of %d InsertAll calls returned an error", failed, 20*2*len(transports))
-}
-
-// landSteps are TestWritesLandOnceUnderLostReplies's steps, in order.
-var landSteps = []string{
-	"BulkLoad on an empty tree", "Rebalance", "RestoreTree",
-	"InsertAll, 1 worker", "BulkLoad into the tree of 1 worker",
-	"InsertAll, 4 workers", "BulkLoad into the tree of 4 workers",
-}
-
-// landOutcome is how one step of one seed ended: the error class, Len()
-// and the IDs stored more than once.
-type landOutcome struct {
-	step, class string
-	n, twice    int
-}
-
-// landOnce runs TestWritesLandOnceUnderLostReplies's steps for one seed
-// on one fabric.
-type landOnce struct {
-	t       *testing.T
-	seed    int64
-	name    string // the transport's
-	fabric  *clustertest.Fabric
-	lost    map[string]int64
-	pts     []kdtree.Point // point i has ID i
-	queries [][]float64
-	ends    []landOutcome
-}
-
-func (c *landOnce) run() {
-	r := rand.New(rand.NewSource(c.seed))
-	c.pts = randomPoints(r, 2000, 3)
-	c.queries = make([][]float64, 10)
-	for i := range c.queries {
-		c.queries[i] = randomPoints(r, 1, 3)[0].Coords
-	}
-	cfg := Config{Dim: 3, BucketSize: 8, PartitionCapacity: 250, MaxPartitions: 9, Fabric: c.fabric, RetryAttempts: 40}
-	first, rest := c.pts[:1000], c.pts[1000:]
-	want := make(map[uint64]bool)
-
-	a := mustTree(c.t, cfg)
-	c.step(landSteps[0], want, c.pts, func() (*Tree, error) { return a, a.BulkLoad(detached, c.pts) })
-	c.step(landSteps[1], want, nil, func() (*Tree, error) { return a, a.Rebalance() })
-	snap := liveSnapshot(c.t, a)
-	c.step(landSteps[2], want, nil, func() (*Tree, error) {
-		b, err := RestoreTree(cfg, snap)
-		if err == nil {
-			c.t.Cleanup(func() { b.Close() })
-		}
-		return b, err
-	})
-	for i, workers := range []int{1, 4} {
-		tr, want := mustTree(c.t, cfg), make(map[uint64]bool)
-		if c.step(landSteps[3+2*i], want, first, func() (*Tree, error) { return tr, tr.InsertAll(first, workers) }) {
-			if got := tr.PartitionCount(); got != 9 {
-				c.t.Errorf("seed %d, %s: %d partitions, want 9: the root never spilled", c.seed, landSteps[3+2*i], got)
-			}
-		}
-		c.step(landSteps[4+2*i], want, rest, func() (*Tree, error) { return tr, tr.BulkLoad(detached, rest) })
-	}
-}
-
-// step runs one write under lost replies, then checks the tree it
-// leaves, disarmed. want holds the IDs of every point whose write to
-// the tree (or to the tree it was restored from) returned nil; written
-// joins it when this write does too. It reports whether the write
-// returned nil.
-func (c *landOnce) step(name string, want map[uint64]bool, written []kdtree.Point, write func() (*Tree, error)) bool {
-	stage := fmt.Sprintf("seed %d, %s, %s", c.seed, c.name, name)
-	before := c.fabric.Counts().Lost
-	c.fabric.Arm(clustertest.Faults{Seed: c.seed, DropReplyAfter: 0.05})
-	tr, err := write()
-	c.fabric.Arm(clustertest.Faults{})
-	c.lost[name] += c.fabric.Counts().Lost - before
-	out := landOutcome{step: name, class: errClass(err)}
-	if out.class == "untyped" {
-		c.t.Errorf("%s: an untyped error: %v", stage, err)
-	}
-	if err == nil {
-		for _, p := range written {
-			want[p.ID] = true
-		}
-	} else {
-		c.t.Logf("%s: %v", stage, err)
-	}
-	if tr != nil {
-		out.n, out.twice = tr.Len(), c.check(tr, want, stage)
-	}
-	c.ends = append(c.ends, out)
-	return err == nil
-}
-
-// check holds tr to the contract and returns the number of IDs it
-// stores more than once.
-func (c *landOnce) check(tr *Tree, want map[uint64]bool, stage string) int {
-	c.t.Helper()
-	snap := liveSnapshot(c.t, tr)
-	copies := make(map[uint64]int)
-	for _, ps := range snap.Parts {
-		for _, id := range ps.IDs {
-			copies[id]++
-		}
-	}
-	twice := 0
-	var stored []kdtree.Point
-	for _, p := range c.pts {
-		switch n := copies[p.ID]; {
-		case n > 1:
-			twice++
-			fallthrough
-		case n == 1:
-			stored = append(stored, p)
-		case want[p.ID]:
-			c.t.Errorf("%s: point %d was written without an error but is not stored", stage, p.ID)
-		}
-	}
-	if twice > 0 {
-		c.t.Errorf("%s: %d IDs stored twice", stage, twice)
-	}
-	if len(stored) < 10 { // too few for checkAgainstScan's range radius
-		if tr.Len() != len(stored) {
-			c.t.Errorf("%s: Len = %d, %d IDs stored", stage, tr.Len(), len(stored))
-		}
-		return twice
-	}
-	checkAgainstScan(c.t, tr, stored, c.queries, stage)
-	return twice
+	return st
 }
 
 // errClass names the class of a write's error: ok, the partitions'

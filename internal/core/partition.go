@@ -50,6 +50,14 @@ type partition struct {
 		resp installResp
 	}
 
+	// spares are the targets of this partition's spills whose install
+	// failed and whose undo reset was acknowledged: empty again, and
+	// installed to by no one but this partition, so its next spill takes
+	// them before asking for fresh ones (buildPartition). Guarded by mu;
+	// never part of a snapshot, and dropped by a restore, which replaces
+	// the layout they were spare in.
+	spares []cluster.NodeID
+
 	navSteps atomic.Int64 // nodes traversed by insert descents
 	inserts  atomic.Int64 // insertions applied locally
 	spills   atomic.Int64 // build-partition runs
@@ -364,10 +372,11 @@ func (p *partition) forward(fw forwards, policy landing) error {
 // capacityExceededLocked evaluates the partition's resource condition
 // (§III-B.1; of "dynamically evaluated at run-time … or statically
 // fixed", the static one): more points than PartitionCapacity while
-// compute nodes remain. Callers hold at least the read lock.
+// compute nodes remain — a spare of its own, or budget for a new one.
+// Callers hold at least the read lock.
 func (p *partition) capacityExceededLocked() bool {
 	c := p.t.cfg.PartitionCapacity
-	return c > 0 && p.points > c && p.t.hasPartitionBudget()
+	return c > 0 && p.points > c && (len(p.spares) > 0 || p.t.hasPartitionBudget())
 }
 
 // buildPartition implements §III-B.2: when the resource condition
@@ -403,7 +412,9 @@ func (p *partition) buildPartition() {
 	if len(moves) == 0 {
 		return
 	}
-	targets := p.t.allocPartitions(len(moves))
+	k := min(len(moves), len(p.spares))
+	targets := append(p.spares[:k:k], p.t.allocPartitions(len(moves)-k)...)
+	p.spares = p.spares[k:]
 	if len(targets) == 0 {
 		return
 	}
@@ -411,15 +422,17 @@ func (p *partition) buildPartition() {
 	// Each leaf ships as a one-node fragment, a new subtree root on its
 	// target (the other end of Figure 2's direct link), and becomes the
 	// link, keeping its box — once all its target's installs returned.
-	// A failed one may have applied: that target, allocated for this
-	// spill, is reset (a lost reset leaves an orphan, which Rebalance
-	// repairs), and its leaves stay local for a later spill.
+	// A failed one may have applied: that target, a spare or allocated
+	// for this spill, is reset and, once the reset is acknowledged, kept
+	// as a spare; its leaves stay local for the next spill. A target
+	// whose reset failed is not reused: it may hold an orphan, which
+	// Rebalance repairs.
 	//semtree:allow lockedcall: adoption targets are fresh partitions that never call back into this one; the spill lock cannot cycle
 	refs, sent, errs := p.t.installSubtrees(p.id, &p.Arena, moves, targets)
 	for g, err := range errs {
-		if err != nil {
-			//semtree:allow lockedcall: the target is fresh and never calls back into this one; the spill lock cannot cycle
-			_ = p.t.reset(sent[g], false)
+		//semtree:allow lockedcall: the target is fresh and never calls back into this one; the spill lock cannot cycle
+		if err != nil && p.t.reset(sent[g], false) == nil {
+			p.spares = append(p.spares, sent[g])
 		}
 	}
 	moved := 0

@@ -984,19 +984,11 @@ func fuzzPoints() []kdtree.Point {
 var fuzzConfig = Config{Dim: 2, BucketSize: 4, PartitionCapacity: 16, MaxPartitions: 3}
 
 // checkCounts requires, of a tree quiescent after an accepted request,
-// every partition's count (Stats) to be its arena's bucket total, a
-// full-cover range search to return exactly the IDs a walk of its
-// snapshot reaches from the root, and a k-NN of K = Len() under either
-// protocol to return exactly the distinct IDs that range search does.
-// Distinct, not counted: a request may store an ID twice, outside the
-// unique-ID contract, and the protocols need not then agree on the
-// number of neighbours.
+// every partition's count (Stats) to be its arena's bucket total, and
+// every query of walkQueries to answer as the walk of its snapshot.
 func checkCounts(t *testing.T, tr *Tree) {
 	t.Helper()
-	st, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustStats(t, tr)
 	for i, p := range tr.parts {
 		p.mu.RLock()
 		n := bucketPoints(&p.Arena)
@@ -1005,39 +997,77 @@ func checkCounts(t *testing.T, tr *Tree) {
 			t.Fatalf("partition %d counts %d points, its buckets hold %d", p.id, st.PartitionPoints[i], n)
 		}
 	}
+	for _, err := range walkQueries(t, tr) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkRestored holds a tree quiescent after an accepted restore of one
+// partition to what that may leave: the partition cannot know what
+// links into it, so a link may dangle (the documented dangling-link
+// class). Every query of walkQueries answers as the walk of the tree's
+// snapshot or is refused, typed; and Rebalance either succeeds, and the
+// tree then passes every check an accepted request's does, or refuses
+// the dangling link (ErrSnapshotCorrupt) with Len() unchanged.
+func checkRestored(t *testing.T, tr *Tree) {
+	t.Helper()
+	for _, err := range walkQueries(t, tr) {
+		if err != nil && !errors.Is(err, ErrRequestRefused) {
+			t.Fatal(err)
+		}
+	}
+	n := tr.Len()
+	switch err := tr.Rebalance(); {
+	case err == nil:
+		checkPartitionBoxes(t, tr)
+		checkCounts(t, tr)
+	case !errors.Is(err, ErrSnapshotCorrupt) || tr.Len() != n:
+		t.Fatalf("Rebalance after an accepted restore: %v; Len %d, was %d", err, tr.Len(), n)
+	}
+}
+
+// walkQueries runs a full-cover range search and a k-NN of K = Len()
+// under either protocol on a quiescent tree and returns, for each, its
+// error, or whether it found what a walk of the tree's snapshot from
+// the root reaches: the range search exactly the IDs the walk reaches,
+// each k-NN the same distinct IDs. Distinct, not counted: a request may
+// store an ID twice, outside the unique-ID contract, and the protocols
+// need not then agree on the number of neighbours.
+func walkQueries(t *testing.T, tr *Tree) []error {
+	t.Helper()
 	var want []uint64
-	for _, pt := range pointsUnder(t, liveSnapshot(t, tr), kdtree.Ref{}) {
+	walked, werr := liveSnapshot(t, tr).pointsUnder(kdtree.Ref{})
+	for _, pt := range walked {
 		want = append(want, pt.ID)
 	}
-	got, err := tr.RangeSearch(context.Background(), []float64{4, 4}, math.MaxFloat64)
-	if err != nil {
-		t.Fatalf("a full-cover range search: %v", err)
-	}
-	ids := make([]uint64, len(got))
-	for i, nb := range got {
-		ids[i] = nb.Point.ID
-	}
-	slices.Sort(ids)
 	slices.Sort(want)
-	if !slices.Equal(ids, want) {
-		t.Fatalf("a full-cover range search found %d points %v, the tree holds %d %v", len(ids), ids, len(want), want)
+	distinct := slices.Compact(slices.Clone(want))
+	answer := func(what string, got []kdtree.Neighbor, err error, compact bool) error {
+		if err != nil {
+			return fmt.Errorf("%s: %w", what, err)
+		}
+		if werr != nil {
+			return fmt.Errorf("%s answered where the walk of the tree fails: %v", what, werr)
+		}
+		ids := make([]uint64, len(got))
+		for i, nb := range got {
+			ids[i] = nb.Point.ID
+		}
+		slices.Sort(ids)
+		if !compact && !slices.Equal(ids, want) || compact && !slices.Equal(slices.Compact(ids), distinct) {
+			return fmt.Errorf("%s found IDs %v, the walk reaches %v", what, ids, want)
+		}
+		return nil
 	}
-	ids = slices.Compact(ids)
+	got, err := tr.RangeSearch(context.Background(), []float64{4, 4}, math.MaxFloat64)
+	errs := []error{answer("a full-cover range search", got, err, false)}
 	for _, proto := range []Protocol{ProtocolSequential, ProtocolFanOut} {
 		got, _, err := tr.knnResolved(context.Background(), []float64{4, 4}, tr.Len(), proto, false, nil)
-		if err != nil {
-			t.Fatalf("a k-NN of every point under protocol %v: %v", proto, err)
-		}
-		knn := make([]uint64, len(got))
-		for i, nb := range got {
-			knn[i] = nb.Point.ID
-		}
-		slices.Sort(knn)
-		if knn = slices.Compact(knn); !slices.Equal(knn, ids) {
-			t.Fatalf("a k-NN of every point under protocol %v found %d distinct IDs %v, a full-cover range search %d %v",
-				proto, len(knn), knn, len(ids), ids)
-		}
+		errs = append(errs, answer(fmt.Sprintf("a k-NN of every point under protocol %v", proto), got, err, true))
 	}
+	return errs
 }
 
 // FuzzPartitionHandle delivers decoded requests to a live partition.
@@ -1051,7 +1081,8 @@ func checkCounts(t *testing.T, tr *Tree) {
 // box is exact (checkPartitionBoxes), every partition counts what its
 // buckets hold, a full-cover range search finds every point the tree
 // reaches, and a k-NN of every point under either protocol finds the
-// same IDs (checkCounts). The seeds are TestProtocolTable's
+// same IDs (checkCounts) — except after a restore, which may leave a
+// link dangling and is held to checkRestored. The seeds are TestProtocolTable's
 // samples, sent to every partition as they are and with every node they
 // name past the end of the arena.
 func FuzzPartitionHandle(f *testing.F) {
@@ -1096,7 +1127,9 @@ func FuzzPartitionHandle(f *testing.F) {
 				t.Fatalf("%T refused (%v), but the partition changed", req, err)
 			}
 		}
-		if err == nil {
+		if _, restore := req.(restoreReq); err == nil && restore {
+			checkRestored(t, tr)
+		} else if err == nil {
 			checkPartitionBoxes(t, tr) // an accepted request keeps every box exact
 			checkCounts(t, tr)
 		}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -167,39 +168,42 @@ func pointsUnder(t *testing.T, snap *TreeSnapshot, ref kdtree.Ref) []kdtree.Poin
 	return pts
 }
 
-// checkPartitionBoxes asserts the region invariant on every partition:
-// each node's box, a link's included, is the exact per-dimension
-// min/max of its logical subtree's points (nil for an empty subtree),
-// and only a link leaves its partition — every routing child is a node
-// of the same arena.
+// checkPartitionBoxes asserts the region invariant on every partition
+// (inexactBox).
 func checkPartitionBoxes(t *testing.T, tr *Tree) {
 	t.Helper()
-	snap := liveSnapshot(t, tr)
-	for pi, ps := range snap.Parts {
-		for ni, n := range ps.Nodes {
-			if !n.Leaf && !n.Moved && (!ps.IsLocal(n.Left) || !ps.IsLocal(n.Right)) {
-				t.Fatalf("partition %d node %d: a routing child leaves the partition: %+v", pi, ni, n)
-			}
-			lo, hi := ps.Box(int32(ni))
-			pts := pointsUnder(t, snap, kdtree.Ref{Part: int32(pi), Node: int32(ni)})
-			assertExactBox(t, pts, lo, hi, "partition %d node %d", pi, ni)
-		}
+	if err := inexactBox(liveSnapshot(t, tr)); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func assertExactBox(t *testing.T, pts []kdtree.Point, lo, hi []float64, format string, args ...any) {
-	t.Helper()
-	wantLo, wantHi := kdtree.BoxOf(pts)
-	if (lo == nil) != (wantLo == nil) {
-		t.Fatalf(format+": box nil-ness %v, want %v (%d points)",
-			append(args, lo == nil, wantLo == nil, len(pts))...)
-	}
-	for d := range wantLo {
-		if lo[d] != wantLo[d] || hi[d] != wantHi[d] {
-			t.Fatalf(format+": dim %d box [%g, %g], want exact [%g, %g]",
-				append(args, d, lo[d], hi[d], wantLo[d], wantHi[d])...)
+// inexactBox reports the first node of snap whose box, a link's
+// included, is not the exact per-dimension min/max of its logical
+// subtree's points (nil for an empty subtree), or whose routing child
+// leaves its partition: only a link may.
+func inexactBox(snap *TreeSnapshot) error {
+	for pi, ps := range snap.Parts {
+		for ni, n := range ps.Nodes {
+			if !n.Leaf && !n.Moved && (!ps.IsLocal(n.Left) || !ps.IsLocal(n.Right)) {
+				return fmt.Errorf("partition %d node %d: a routing child leaves the partition: %+v", pi, ni, n)
+			}
+			pts, err := snap.pointsUnder(kdtree.Ref{Part: int32(pi), Node: int32(ni)})
+			if err != nil {
+				return err
+			}
+			lo, hi := ps.Box(int32(ni))
+			wantLo, wantHi := kdtree.BoxOf(pts)
+			if (lo == nil) != (wantLo == nil) {
+				return fmt.Errorf("partition %d node %d: box nil-ness %v, want %v (%d points)", pi, ni, lo == nil, wantLo == nil, len(pts))
+			}
+			for d := range wantLo {
+				if lo[d] != wantLo[d] || hi[d] != wantHi[d] {
+					return fmt.Errorf("partition %d node %d: dim %d box [%g, %g], want exact [%g, %g]", pi, ni, d, lo[d], hi[d], wantLo[d], wantHi[d])
+				}
+			}
 		}
 	}
+	return nil
 }
 
 // TestBoxesExactAcrossSplitsAndSpills: after concurrent inserts,

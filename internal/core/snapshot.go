@@ -188,7 +188,8 @@ func (p *partition) handleSnapshot() (any, error) {
 // (kdtree.Arena.Fit), or one linking up the partition DAG or to a
 // partition the tree does not have, is refused, which RestoreTree
 // reports as a corrupt snapshot. The partition's count is then the
-// bucket total of the arena it adopted.
+// bucket total of the arena it adopted, and it has no spare: the layout
+// its spills left them in is gone.
 func (p *partition) handleRestore(r restoreReq) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -200,6 +201,7 @@ func (p *partition) handleRestore(r restoreReq) (any, error) {
 		return nil, p.refuse("restore: %v", err)
 	}
 	p.addPoints(bucketPoints(&p.Arena) - p.points)
+	p.spares = nil
 	return ack{}, nil
 }
 
